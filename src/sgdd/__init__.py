@@ -51,6 +51,7 @@ from .schemes import (
     check_fusion,
     compute_intersection_numbers,
     extract_linked_system,
+    load_scheme,
 )
 
 __version__ = "0.1.0"

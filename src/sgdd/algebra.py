@@ -383,24 +383,6 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-def mat_add(a, b):
-    """Sum of two matrices of the same kind (IntMatrix or SurdMatrix)."""
-    return a + b
-
-
-def mat_mul(a, b):
-    """Product of two matrices of the same kind (IntMatrix or SurdMatrix)."""
-    return a @ b
-
-
-def mat_transpose(a):
-    return a.T
-
-
-def scalar_mul(a, c):
-    return a.scalar_mul(c)
-
-
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return a.kron(b)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import fileio
 from .classical import hadamard_matrix, paley_conference_matrix, signed_permutation_weighing_set
 from .designs import IncidenceMatrix, verify_gdd
-from .errors import SgddError
+from .errors import FormatError, SgddError
 from .gf import factor_prime_power, gf_make
 from .latin import (
     linked_mols_from_gf2n,
@@ -39,9 +39,8 @@ from .schemes import (
     assemble_scheme,
     check_fusion,
     compute_intersection_numbers,
-    compute_krein,
-    compute_spectra,
     extract_linked_system,
+    load_scheme,
 )
 
 OK, VIOLATION, USAGE = 0, 1, 2
@@ -194,37 +193,20 @@ def _cmd_verify(args) -> int:
 # -- scheme ---------------------------------------------------------------------
 
 
-def _load_system_or_pair(args):
-    system = fileio.parse_linked_system(_read(args.input))
-    return system
-
-
 def _cmd_scheme(args) -> int:
     sub = args.what
     if sub == "assemble":
-        system = _load_system_or_pair(args)
+        system = fileio.parse_linked_system(_read(args.input))
         scheme = assemble_scheme(system)
         _emit(fileio.format_scheme_matrices([m for m in scheme.matrices]), args.output)
         return OK
     if sub == "analyze":
-        mats = fileio.parse_scheme_matrices(_read(args.input))
-        report = extract_linked_system(mats)
-        primary = report.primary
-        params = primary.params
-        p, cert = compute_intersection_numbers(mats)
-        pp = p
-        if primary.labels != tuple(range(6)):
-            from .schemes import _relabel_p  # label-permuted input
-
-            pp = _relabel_p(p, primary.labels)
-        spectra, spec_cert = compute_spectra(pp, params)
-        krein, krein_cert = compute_krein(pp, spectra, params)
-        cert.checks += spec_cert.checks + krein_cert.checks
-        cert.violations += spec_cert.violations + krein_cert.violations
+        scheme, primary = load_scheme(fileio.parse_scheme_matrices(_read(args.input)))
+        params = scheme.params
         print(f"parameters: k={params.k} m={params.m} n={params.n} f={params.f} |X|={params.size}")
         if primary.labels != tuple(range(6)):
             print(f"classes relabeled as {primary.labels}")
-        return _report(cert)
+        return _report(scheme.certificate)
     if sub == "extract":
         mats = fileio.parse_scheme_matrices(_read(args.input))
         report = extract_linked_system(mats)
@@ -240,22 +222,7 @@ def _cmd_scheme(args) -> int:
             _emit(fileio.format_linked_system(primary.system), args.output)
         return OK
     if sub == "fusion":
-        mats = fileio.parse_scheme_matrices(_read(args.input))
-        report = extract_linked_system(mats)
-        primary = report.primary
-        p, _ = compute_intersection_numbers(mats)
-        pp = p
-        if primary.labels != tuple(range(6)):
-            from .schemes import _relabel_p
-
-            pp = _relabel_p(p, primary.labels)
-        spectra, _ = compute_spectra(pp, primary.params)
-        krein, _ = compute_krein(pp, spectra, primary.params)
-        from .schemes import AssociationScheme, Certificate
-
-        scheme = AssociationScheme(
-            [mats[i] for i in primary.labels], pp, primary.params, spectra, krein, Certificate("loaded")
-        )
+        scheme, _ = load_scheme(fileio.parse_scheme_matrices(_read(args.input)))
         result = check_fusion(scheme)
         print(f"fusable: {result.fusable}; degree condition met: {result.predicted}")
         if result.fusable and result.eigenspace_partition:
@@ -444,8 +411,6 @@ def main(argv: list[str] | None = None) -> int:
             for line in report.report_lines():
                 print(line)
         print(f"error: {exc}", file=sys.stderr)
-        from .errors import FormatError
-
         return USAGE if isinstance(exc, FormatError) else VIOLATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

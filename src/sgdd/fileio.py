@@ -258,6 +258,8 @@ def format_scheme_matrices(mats: list[IntMatrix]) -> str:
 def parse_scheme_matrices(text: str) -> list[IntMatrix]:
     lines = _Lines(text, "scheme")
     d, size = lines.ints(2)
+    if d < 0:
+        raise FormatError("scheme: class count must be non-negative")
     mats = [_read_matrix(lines) for _ in range(d + 1)]
     lines.done()
     if any(m.rows != size or m.cols != size for m in mats):

@@ -13,6 +13,13 @@ layered:
   equivalent to the dense matrix identities once the p-tensor is certified);
 * Krein parameters are evaluated from the idempotents exactly and checked
   non-negative and against their closed form.
+
+Every certificate derives from one certified p-tensor.  ``assemble_scheme``
+certifies a scheme built from a linked system; ``load_scheme`` is the one
+path from loaded class matrices to a certified scheme, shared by the CLI's
+``analyze`` and ``fusion``: it certifies the axioms and p once (through
+``extract_linked_system``), reuses the spectra of the primary labeling and
+adds the Krein parameters.  Fusion is decided from the certified p alone.
 """
 
 from __future__ import annotations
@@ -375,6 +382,19 @@ def scheme_matrices_from_system(sys: LinkedSystemII) -> list[IntMatrix]:
     return [IntMatrix(x) for x in (a0, a1, a2, a3, a4, a5)]
 
 
+def _certified_scheme(
+    mats, p, params: SchemeParams, axioms: Certificate, spectra: Spectra, spec_cert: Certificate
+) -> AssociationScheme:
+    """Add the Krein parameters to certified p and spectra; the scheme's
+    certificate lists the axiom, spectra and Krein checks in that order."""
+    krein, krein_cert = compute_krein(p, spectra, params)
+    cert = Certificate(axioms.subject)
+    for part in (axioms, spec_cert, krein_cert):
+        cert.checks += part.checks
+        cert.violations += part.violations
+    return AssociationScheme(mats, p, params, spectra, krein, cert)
+
+
 def assemble_scheme(sys: LinkedSystemII) -> AssociationScheme:
     """Build the six classes and certify everything; raises on any failure."""
     sys_cert = verify_linked_system(sys)
@@ -386,15 +406,10 @@ def assemble_scheme(sys: LinkedSystemII) -> AssociationScheme:
     p, cert = compute_intersection_numbers(mats)
     if p is None:
         raise CertificationError("assembled matrices fail the scheme axioms", cert)
-    spectra, spec_cert = compute_spectra(p, params)
-    cert.checks += spec_cert.checks
-    cert.violations += spec_cert.violations
-    krein, krein_cert = compute_krein(p, spectra, params)
-    cert.checks += krein_cert.checks
-    cert.violations += krein_cert.violations
-    if not cert.ok:
-        raise CertificationError("assembled scheme fails certification", cert)
-    return AssociationScheme(mats, p, params, spectra, krein, cert)
+    scheme = _certified_scheme(mats, p, params, cert, *compute_spectra(p, params))
+    if not scheme.certificate.ok:
+        raise CertificationError("assembled scheme fails certification", scheme.certificate)
+    return scheme
 
 
 # -- structure identification and extraction ---------------------------------------
@@ -433,9 +448,14 @@ class ExtractionCandidate:
     lambda1: int
     lambda2: int
     triple: tuple[int, int, int] | None
-    spectra_match: bool
+    spectra: Spectra
+    spectra_certificate: Certificate
     system: LinkedSystemII | None
     certificate: Certificate | None
+
+    @property
+    def spectra_match(self) -> bool:
+        return self.spectra_certificate.ok
 
     @property
     def certified(self) -> bool:
@@ -445,6 +465,8 @@ class ExtractionCandidate:
 @dataclass
 class ExtractionReport:
     candidates: list[ExtractionCandidate]
+    p: list[list[list[int]]]         # in input class order
+    certificate: Certificate         # the scheme axioms behind p
 
     @property
     def primary(self) -> ExtractionCandidate:
@@ -580,7 +602,7 @@ def extract_linked_system(mats: list[IntMatrix]) -> ExtractionReport:
             if any(pp[3][3][c] % (f - 2) for c in (3, 4, 5)):
                 continue
             triple = (pp[3][3][3] // (f - 2), pp[3][3][4] // (f - 2), pp[3][3][5] // (f - 2))
-        _, spec_cert = compute_spectra(pp, params)
+        spectra, spec_cert = compute_spectra(pp, params)
         order = _canonical_vertex_order(mats, labels, m, n, f)
         system = None
         sys_cert = None
@@ -611,7 +633,8 @@ def extract_linked_system(mats: list[IntMatrix]) -> ExtractionReport:
                 lambda1=l1,
                 lambda2=l2,
                 triple=triple,
-                spectra_match=spec_cert.ok,
+                spectra=spectra,
+                spectra_certificate=spec_cert,
                 system=system if (sys_cert is not None and sys_cert.ok) else None,
                 certificate=sys_cert,
             )
@@ -619,7 +642,25 @@ def extract_linked_system(mats: list[IntMatrix]) -> ExtractionReport:
     if not candidates:
         raise CertificationError("no class labeling exhibits the fiber structure")
     candidates.sort(key=lambda c: (not c.spectra_match, c.labels))
-    return ExtractionReport(candidates)
+    return ExtractionReport(candidates, p, cert)
+
+
+def load_scheme(mats: list[IntMatrix]) -> tuple[AssociationScheme, ExtractionCandidate]:
+    """The certified scheme behind loaded class matrices, in the class order
+    of the primary extraction candidate, together with that candidate.
+
+    The axioms and p are certified once, by ``extract_linked_system``, and
+    the candidate's spectra are reused; only the Krein parameters are new.
+    Raises when no labeling certifies; a failing spectra or Krein check is
+    returned in the scheme's certificate, for the caller to report."""
+    report = extract_linked_system(mats)
+    primary = report.primary
+    labels = primary.labels
+    scheme = _certified_scheme(
+        [mats[i] for i in labels], _relabel_p(report.p, labels), primary.params,
+        report.certificate, primary.spectra, primary.spectra_certificate,
+    )
+    return scheme, primary
 
 
 # -- fusion ---------------------------------------------------------------------
@@ -663,13 +704,16 @@ def fuse_classes(p, partition) -> list[list[list[int]]] | None:
 
 def check_fusion(scheme: AssociationScheme) -> FusionReport:
     """Merge {A_0, A_1+A_2, A_3+A_5, A_4}; succeed exactly when
-    k = (m-1)n(n-1)/(n+m-2), and report the induced idempotent partition."""
+    k = (m-1)n(n-1)/(n+m-2), and report the induced idempotent partition.
+
+    The scheme must come from ``assemble_scheme`` or ``load_scheme``: the
+    fused intersection numbers are derived from its certified p, and the
+    summed class matrices are not certified again."""
     params = scheme.params
     predicted = Fraction(params.k) == Fraction(
         (params.m - 1) * params.n * (params.n - 1), params.n + params.m - 2
     )
-    fused_p = fuse_classes(scheme.p, FUSION_PARTITION)
-    if fused_p is None:
+    if fuse_classes(scheme.p, FUSION_PARTITION) is None:
         return FusionReport(False, predicted, FUSION_PARTITION, None, None)
     fused_mats = []
     for group in FUSION_PARTITION:
@@ -677,9 +721,6 @@ def check_fusion(scheme: AssociationScheme) -> FusionReport:
         for i in group:
             total = total + scheme.matrices[i]
         fused_mats.append(total)
-    check_p, cert = compute_intersection_numbers(fused_mats)
-    if check_p is None:
-        raise CertificationError("fused classes fail the scheme axioms", cert)
     # merged eigenspaces: group eigenspaces by their fused eigenvalue vectors
     vectors = {}
     for j in range(CLASSES):

@@ -210,6 +210,36 @@ def test_cli_scheme_verify(tmp_path: Path, scheme48):
     assert run_cli("verify", "scheme", str(scm))[0] == 0
 
 
+def test_cli_negative_class_count_is_format_error(tmp_path: Path):
+    scm = tmp_path / "neg.scm"
+    scm.write_text("-1 4\n")
+    with pytest.raises(FormatError):
+        fileio.parse_scheme_matrices(scm.read_text())
+    assert run_cli("verify", "scheme", str(scm))[0] == 2
+    assert run_cli("scheme", "analyze", "--in", str(scm))[0] == 2
+
+
+@pytest.mark.parametrize("variant", ["swapped", "permuted"])
+def test_cli_analyze_and_fusion_relabel(tmp_path: Path, scheme48, variant):
+    import numpy as np
+
+    mats = list(scheme48.matrices)
+    if variant == "swapped":
+        mats[3], mats[4] = mats[4], mats[3]
+    else:
+        perm = np.random.default_rng(11).permutation(48)
+        mats = [IntMatrix(m.a[np.ix_(perm, perm)]) for m in mats]
+    scm = tmp_path / "s.scm"
+    scm.write_text(fileio.format_scheme_matrices(mats))
+    code, out = run_cli("scheme", "analyze", "--in", str(scm))
+    assert code == 0 and "k=6 m=4 n=4 f=3" in out
+    assert ("classes relabeled as (0, 1, 2, 4, 3, 5)" in out) == (variant == "swapped")
+    code, out = run_cli("scheme", "fusion", "--in", str(scm))
+    assert code == 0
+    assert "fusable: True" in out
+    assert "merged eigenspaces: ((0,), (1, 2), (3, 4), (5,))" in out
+
+
 def test_cli_oracle_exhaust_is_violation(tmp_path: Path):
     code, out = run_cli("oracle", "linked-mols", "--order", "2", "--f", "3")
     assert code == 1 and "exhausted" in out

@@ -5,8 +5,10 @@ import pytest
 from sgdd.algebra import IntMatrix, Surd, SurdMatrix
 from sgdd.errors import CertificationError
 from sgdd.linked import pair_system
+import sgdd.schemes
 from sgdd.schemes import (
     CLASSES,
+    FUSION_PARTITION,
     SchemeParams,
     assemble_scheme,
     check_fusion,
@@ -14,6 +16,7 @@ from sgdd.schemes import (
     compute_intersection_numbers,
     extract_linked_system,
     fuse_classes,
+    load_scheme,
 )
 
 
@@ -142,6 +145,31 @@ def test_extract_swapped_labels(scheme48):
     assert primary.spectra_match and primary.certified
 
 
+def test_load_scheme_certifies_once(scheme48, monkeypatch):
+    calls = []
+    dense = sgdd.schemes.compute_intersection_numbers
+
+    def counted(mats):
+        calls.append(len(mats))
+        return dense(mats)
+
+    monkeypatch.setattr(sgdd.schemes, "compute_intersection_numbers", counted)
+    mats = list(scheme48.matrices)
+    mats[3], mats[4] = mats[4], mats[3]
+    scheme, primary = load_scheme(mats)
+    assert calls == [CLASSES]
+    assert primary.labels == (0, 1, 2, 4, 3, 5)
+    assert scheme.matrices == scheme48.matrices
+    assert scheme.p == scheme48.p
+    assert scheme.krein == scheme48.krein
+    cert = scheme.certificate
+    assert cert.ok
+    assert "all products A_i A_j decompose with constant class coefficients" in cert.checks
+    assert "P Q = |X| I" in cert.checks
+    assert "all Krein parameters are non-negative" in cert.checks
+    assert cert.checks == scheme48.certificate.checks
+
+
 def test_extract_rejects_non_scheme(scheme48):
     mats = list(scheme48.matrices)
     arr = mats[3].a.copy()
@@ -160,9 +188,11 @@ def test_fusion_at_16(scheme48):
     report = check_fusion(scheme48)
     assert report.fusable and report.predicted and report.consistent
     assert report.eigenspace_partition == ((0,), (1, 2), (3, 4), (5,))
-    # the fused classes satisfy the axioms on their own
+    # the fused classes satisfy the axioms on their own, and the dense
+    # route agrees with the fused p that check_fusion derives from scheme.p
     p, cert = compute_intersection_numbers(report.fused_matrices)
     assert cert.ok and p is not None
+    assert p == fuse_classes(scheme48.p, FUSION_PARTITION)
 
 
 def test_fusion_fails_off_locus(scheme135):
