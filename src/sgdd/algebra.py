@@ -165,9 +165,6 @@ class Surd:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "Surd":
-        return Surd(self.a, -self.b, self.d)
-
     def __truediv__(self, other):
         other = Surd._coerce(other)
         if other.sign() == 0:
@@ -255,10 +252,6 @@ class IntMatrix:
     def group_blocks(cls, m: int, n: int) -> "IntMatrix":
         """The block-diagonal group indicator I_m (x) J_n."""
         return cls.identity(m).kron(cls.ones(n))
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        return cls([list(r) for r in rows])
 
     # -- shape and access -------------------------------------------------
     @property
@@ -416,10 +409,6 @@ class SurdMatrix:
     def zeros(cls, rows: int, cols: int | None = None) -> "SurdMatrix":
         cols = cols if cols is not None else rows
         return cls([[Surd.of(0)] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_int(cls, m: IntMatrix) -> "SurdMatrix":
-        return cls([[Surd.of(x) for x in m.row(i)] for i in range(m.rows)])
 
     def __getitem__(self, idx) -> Surd:
         i, j = idx

@@ -281,13 +281,23 @@ def _cmd_oracle(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sgdd",
         description="construct, certify and analyze symmetric group divisible designs, "
         "linked systems of type II, and their 5-class association schemes",
     )
-    top.add_argument("--jobs", type=int, default=None, help="worker processes for scans (default: all cores)")
+    top.add_argument("--jobs", type=_positive_int, default=None, help="worker processes for scans (default: all cores)")
     verbs = top.add_subparsers(dest="verb", required=True)
 
     con = verbs.add_parser("construct", help="build a certified object and write it")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -164,6 +165,7 @@ def _table2_cell(args) -> list[FeasibleRow]:
 
 def _run_cells(cell, v_max: int, jobs: int) -> list[FeasibleRow]:
     grid = [(m, n) for m in range(3, v_max // 2 + 1) for n in range(2, v_max // m + 1)]
+    jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores only costs forks
     if jobs > 1:
         with Pool(jobs) as pool:
             chunks = pool.map(cell, grid, chunksize=64)

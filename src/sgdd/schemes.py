@@ -11,8 +11,8 @@ layered:
   D = squarefree(k(m-1)(n-1)(mn-k-n)) and are verified against the
   intersection numbers in the 6-dimensional coefficient algebra (exact, and
   equivalent to the dense matrix identities once the p-tensor is certified);
-* Krein parameters are evaluated from the idempotents exactly and checked
-  non-negative and against their closed form.
+* Krein parameters are read off the certified eigenmatrices exactly and
+  checked non-negative and against their closed form.
 
 Every certificate derives from one certified p-tensor.  ``assemble_scheme``
 certifies a scheme built from a linked system; ``load_scheme`` is the one
@@ -48,10 +48,6 @@ class SchemeParams:
     def size(self) -> int:
         return self.f * self.m * self.n
 
-    @property
-    def block_order(self) -> int:
-        return self.m * self.n
-
     def __post_init__(self):
         if self.m < 2 or self.n < 2 or self.f < 2:
             raise ParameterError("need m, n, f >= 2")
@@ -66,13 +62,6 @@ class Spectra:
     Q: SurdMatrix
     multiplicities: list[int]
     radicand: int
-
-    def idempotent_coefficients(self, size: int) -> list[list[Surd]]:
-        inv = Fraction(1, size)
-        return [
-            [self.Q[i, j] * Surd.of(inv) for i in range(CLASSES)]
-            for j in range(CLASSES)
-        ]
 
 
 @dataclass
@@ -113,7 +102,11 @@ class AssociationScheme:
 
 def compute_intersection_numbers(mats: list[IntMatrix]) -> tuple[list[list[list[int]]] | None, Certificate]:
     """Exhaustive axiom check; p_{i,j}^k read off one representative entry
-    per class after verifying constancy of A_i A_j over every class."""
+    per class after verifying constancy of A_i A_j over every class.
+
+    Once A_0 = I and symmetry are certified, p_{0,j}^k = p_{j,0}^k = [j = k]
+    and only the products A_i A_j with 1 <= i <= j are formed: A_j A_i is
+    their transpose, constant on a symmetric class exactly when A_i A_j is."""
     cert = Certificate("association scheme axioms")
     d1 = len(mats)
     size = mats[0].rows
@@ -137,8 +130,10 @@ def compute_intersection_numbers(mats: list[IntMatrix]) -> tuple[list[list[list[
 
     masks = [mat.a.astype(bool) for mat in mats]
     p = [[[0] * d1 for _ in range(d1)] for _ in range(d1)]
-    for i in range(d1):
-        for j in range(d1):
+    for j in range(d1):
+        p[0][j][j] = p[j][0][j] = 1
+    for i in range(1, d1):
+        for j in range(i, d1):
             prod = (mats[i] @ mats[j]).a
             for k in range(d1):
                 vals = prod[masks[k]]
@@ -146,14 +141,9 @@ def compute_intersection_numbers(mats: list[IntMatrix]) -> tuple[list[list[list[
                 if not (vals == v0).all():
                     cert.failed(f"A_{i} A_{j} is not constant on class {k}")
                     return None, cert
-                p[i][j][k] = v0
-    for i in range(d1):
-        for j in range(d1):
-            for k in range(d1):
-                if p[i][j][k] != p[j][i][k]:
-                    cert.failed(f"p_{i}{j}^{k} != p_{j}{i}^{k}")
-                    return None, cert
+                p[i][j][k] = p[j][i][k] = v0
     cert.passed("all products A_i A_j decompose with constant class coefficients")
+    # symmetric classes commute: A_j A_i = (A_i A_j)^T = A_i A_j
     cert.passed("intersection numbers are symmetric in the lower indices")
     return p, cert
 
@@ -311,29 +301,27 @@ def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
     return Spectra(pm, qm, mult, pm.d or qm.d), cert
 
 
-def compute_krein(p, spectra: Spectra, params: SchemeParams) -> tuple[list[list[list[Surd]]], Certificate]:
-    """q_{i,j}^k = |X| tr((E_i o E_j) E_k) / m_k in exact arithmetic; the
-    entrywise product of class-constant matrices multiplies coefficients
-    classwise, and tr of a coefficient vector is |X| times its A_0 part."""
+def compute_krein(spectra: Spectra, params: SchemeParams) -> tuple[list[list[list[Surd]]], Certificate]:
+    """q_{i,j}^k = (1/|X|) sum_l Q[l,i] Q[l,j] P[k,l], read off the
+    eigenmatrices that ``compute_spectra`` certified against p: E_i o E_j is
+    (1/|X|^2) sum_l Q[l,i] Q[l,j] A_l and A_l = sum_k P[k,l] E_k
+    (Bannai-Ito, Algebraic Combinatorics I, section 2.3)."""
     cert = Certificate("Krein parameters")
-    size = params.size
-    e = spectra.idempotent_coefficients(size)
-    mult = spectra.multiplicities
+    pm, qm = spectra.P, spectra.Q
+    inv = Fraction(1, params.size)
     q: list[list[list[Surd]]] = [[[Surd.of(0)] * CLASSES for _ in range(CLASSES)] for _ in range(CLASSES)]
     negatives = []
     for i in range(CLASSES):
         for j in range(i, CLASSES):
-            had = [e[i][c] * e[j][c] for c in range(CLASSES)]
+            had = [qm[l, i] * qm[l, j] for l in range(CLASSES)]
             for k in range(CLASSES):
-                w = coeff_mul(p, had, e[k])
-                trace = w[0] * size
-                val = trace * Fraction(size, mult[k])
+                val = sum((had[l] * pm[k, l] for l in range(CLASSES)), Surd.of(0)) * inv
                 q[i][j][k] = val
                 q[j][i][k] = val
                 if val.sign() < 0:
                     negatives.append((i, j, k))
     if negatives:
-        for (i, j, k) in sorted(set(negatives)):
+        for (i, j, k) in negatives:
             cert.failed(f"Krein parameter q_{i}{j}^{k} is negative")
     else:
         cert.passed("all Krein parameters are non-negative")
@@ -387,7 +375,7 @@ def _certified_scheme(
 ) -> AssociationScheme:
     """Add the Krein parameters to certified p and spectra; the scheme's
     certificate lists the axiom, spectra and Krein checks in that order."""
-    krein, krein_cert = compute_krein(p, spectra, params)
+    krein, krein_cert = compute_krein(spectra, params)
     cert = Certificate(axioms.subject)
     for part in (axioms, spec_cert, krein_cert):
         cert.checks += part.checks

@@ -190,6 +190,11 @@ def test_cli_assembles_pair_file(tmp_path: Path, conference12):
     assert code == 0 and "f=2" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_cli_rejects_jobs_below_one(jobs):
+    assert run_cli("--jobs", jobs, "scan", "table1", "--vmax", "100")[0] == 2
+
+
 def test_cli_jobs_flag_does_not_change_bytes(tmp_path: Path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("--jobs", "1", "scan", "table2", "--vmax", "300", "-o", str(a))[0] == 0

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import sgdd.scanner
 from sgdd.designs import GddParams, partial_complement_params
 from sgdd.errors import ParameterError
 from sgdd.linked import LinkedParams
@@ -46,6 +47,34 @@ def test_table2_closed_under_partial_complement():
 def test_jobs_do_not_change_output():
     assert rows_to_csv(scan_table2(300, jobs=2), 2) == rows_to_csv(scan_table2(300), 2)
     assert rows_to_csv(scan_table1(300, jobs=2), 1) == rows_to_csv(scan_table1(300), 1)
+
+
+class _FakePool:
+    """Stands in for multiprocessing.Pool: records its size, maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items, chunksize=1):
+        return [func(x) for x in items]
+
+
+@pytest.mark.parametrize("cores, pools", [(3, [3]), (1, []), (None, [])])
+def test_jobs_capped_at_cpu_count(monkeypatch, cores, pools):
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(sgdd.scanner, "Pool", _FakePool)
+    monkeypatch.setattr(sgdd.scanner.os, "cpu_count", lambda: cores)
+    rows = scan_table2(300, jobs=100_000)
+    assert _FakePool.sizes == pools
+    assert rows_to_csv(rows, 2) == rows_to_csv(scan_table2(300), 2)
 
 
 def test_text_rendering_is_aligned():

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sgdd.algebra import IntMatrix, Surd, SurdMatrix
+from sgdd.designs import Certificate
 from sgdd.errors import CertificationError
 from sgdd.linked import pair_system
 import sgdd.schemes
@@ -13,6 +16,7 @@ from sgdd.schemes import (
     assemble_scheme,
     check_fusion,
     closed_form_krein_b2,
+    coeff_mul,
     compute_intersection_numbers,
     extract_linked_system,
     fuse_classes,
@@ -216,8 +220,6 @@ def test_pair_extraction_f2(conference12):
 
 
 def test_extract_under_arbitrary_vertex_permutation(scheme48):
-    import numpy as np
-
     rng = np.random.default_rng(11)
     perm = rng.permutation(48)
     mats = [IntMatrix(m.a[np.ix_(perm, perm)]) for m in scheme48.matrices]
@@ -260,3 +262,143 @@ def test_minimal_scheme_from_degenerate_conference():
     assert rep.primary.system.blocks[(1, 2)].mat == mat.mat
     fusion = check_fusion(scheme)
     assert fusion.fusable and fusion.predicted
+
+
+# -- differential checks against the full routes ------------------------------------
+
+
+def _intersection_numbers_all_products(mats):
+    """Reference route: all (d+1)^2 products A_i A_j, then the lower-index
+    symmetry of p compared entry by entry."""
+    cert = Certificate("association scheme axioms")
+    d1 = len(mats)
+    size = mats[0].rows
+    if mats[0] != IntMatrix.identity(size):
+        cert.failed("A_0 = I", (0, 0))
+    else:
+        cert.passed("A_0 = I")
+    total = IntMatrix.zeros(size)
+    for idx, mat in enumerate(mats):
+        if not (mat.is_square and mat.rows == size and mat.is_zero_one()):
+            cert.failed(f"A_{idx} is a square 0/1 matrix of order {size}")
+            return None, cert
+        if not mat.is_symmetric():
+            cert.failed(f"A_{idx} is symmetric")
+        total = total + mat
+    cert.compare("sum A_i = J", total, IntMatrix.ones(size))
+    if idx_zero := [i for i, mat in enumerate(mats) if mat == IntMatrix.zeros(size)]:
+        cert.failed(f"classes {idx_zero} are empty")
+    if not cert.ok:
+        return None, cert
+    masks = [mat.a.astype(bool) for mat in mats]
+    p = [[[0] * d1 for _ in range(d1)] for _ in range(d1)]
+    for i in range(d1):
+        for j in range(d1):
+            prod = (mats[i] @ mats[j]).a
+            for k in range(d1):
+                vals = prod[masks[k]]
+                v0 = int(vals[0])
+                if not (vals == v0).all():
+                    cert.failed(f"A_{i} A_{j} is not constant on class {k}")
+                    return None, cert
+                p[i][j][k] = v0
+    for i in range(d1):
+        for j in range(d1):
+            for k in range(d1):
+                if p[i][j][k] != p[j][i][k]:
+                    cert.failed(f"p_{i}{j}^{k} != p_{j}{i}^{k}")
+                    return None, cert
+    cert.passed("all products A_i A_j decompose with constant class coefficients")
+    cert.passed("intersection numbers are symmetric in the lower indices")
+    return p, cert
+
+
+def _krein_by_coefficient_algebra(scheme):
+    """Reference route: q_{i,j}^k = |X| tr((E_i o E_j) E_k) / m_k, with the
+    product E_i o E_j times E_k taken in the coefficient algebra of p."""
+    size = scheme.size
+    inv = Surd.of(Fraction(1, size))
+    e = [[scheme.spectra.Q[i, j] * inv for i in range(CLASSES)] for j in range(CLASSES)]
+    mult = scheme.spectra.multiplicities
+    q = [[[Surd.of(0)] * CLASSES for _ in range(CLASSES)] for _ in range(CLASSES)]
+    for i in range(CLASSES):
+        for j in range(i, CLASSES):
+            had = [e[i][c] * e[j][c] for c in range(CLASSES)]
+            for k in range(CLASSES):
+                w = coeff_mul(scheme.p, had, e[k])
+                q[i][j][k] = q[j][i][k] = w[0] * size * Fraction(size, mult[k])
+    return q
+
+
+@pytest.fixture(scope="module")
+def conference24(conference12):
+    return assemble_scheme(pair_system(*conference12))
+
+
+@pytest.fixture(scope="module")
+def gcm48(gcm24):
+    return assemble_scheme(pair_system(*gcm24))
+
+
+def _swapped(mats):
+    mats = list(mats)
+    mats[3], mats[4] = mats[4], mats[3]
+    return mats
+
+
+def _permuted(mats):
+    perm = np.random.default_rng(11).permutation(mats[0].rows)
+    return [IntMatrix(m.a[np.ix_(perm, perm)]) for m in mats]
+
+
+@pytest.mark.parametrize(
+    "source, transform",
+    [("scheme48", list), ("scheme135", list), ("conference24", list), ("scheme48", _swapped), ("scheme48", _permuted)],
+    ids=["scheme48", "scheme135", "conference24", "scheme48-swapped", "scheme48-permuted"],
+)
+def test_intersection_numbers_match_all_products(source, transform, request):
+    mats = transform(request.getfixturevalue(source).matrices)
+    p, cert = compute_intersection_numbers(mats)
+    ref_p, ref_cert = _intersection_numbers_all_products(mats)
+    assert cert.ok and ref_cert.ok
+    assert p == ref_p
+    assert cert.checks == ref_cert.checks
+
+
+def test_intersection_numbers_form_one_product_per_unordered_pair(scheme48, monkeypatch):
+    calls = []
+    matmul = IntMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    p, _ = compute_intersection_numbers(scheme48.matrices)
+    d = CLASSES - 1
+    assert len(calls) == d * (d + 1) // 2
+    assert p == scheme48.p
+
+
+def test_intersection_numbers_negative_control(scheme48):
+    # move one symmetric pair of entries from class 3 to class 4: every class
+    # stays 0/1 and symmetric and the sum stays J, so only p can catch it
+    rng = random.Random(5)
+    mats = list(scheme48.matrices)
+    a3, a4 = mats[3].a.copy(), mats[4].a.copy()
+    x, y = rng.choice([(x, y) for x, y in zip(*np.nonzero(a3)) if x < y])
+    for r, c in ((x, y), (y, x)):
+        a3[r, c], a4[r, c] = 0, 1
+    mats[3], mats[4] = IntMatrix(a3), IntMatrix(a4)
+    p, cert = compute_intersection_numbers(mats)
+    ref_p, ref_cert = _intersection_numbers_all_products(mats)
+    assert p is None and ref_p is None
+    assert cert.violations == ref_cert.violations
+    assert cert.violations[0].identity.startswith("A_1 A_3 is not constant")
+
+
+@pytest.mark.parametrize("source, radicand", [("scheme48", 0), ("scheme135", 0), ("conference24", 5), ("gcm48", 5)])
+def test_krein_matches_coefficient_algebra(source, radicand, request):
+    scheme = request.getfixturevalue(source)
+    assert scheme.spectra.radicand == radicand
+    assert scheme.krein == _krein_by_coefficient_algebra(scheme)
