@@ -3,13 +3,27 @@
 Scalars are Python integers, :class:`fractions.Fraction` and :class:`Surd`
 (elements a + b*sqrt(D) of a real quadratic extension).  Matrices come in two
 flavours: :class:`IntMatrix` (dense integer matrices) and :class:`SurdMatrix`
-(dense matrices over one quadratic extension).  Every operation is exact;
-nothing in this module ever touches floating point.
+(dense matrices over one quadratic extension).  Every operation is exact.
 
-IntMatrix is backed by a numpy array.  The fast path uses int64 and is gated
-by a conservative a-priori magnitude bound, so int64 arithmetic is provably
-overflow-free whenever it is used; outside the bound the matrix silently
-falls back to an object-dtype array of Python integers.
+IntMatrix is backed by a numpy array.  Storage is int64 while a conservative
+a-priori magnitude bound proves int64 arithmetic overflow-free; outside the
+bound the matrix silently falls back to an object-dtype array of Python
+integers.
+
+A matrix product takes one of four lanes, chosen by the bound
+max|A| * max|B| * inner on every entry and every partial sum:
+
+* float32 BLAS GEMM below 2**24,
+* float64 BLAS GEMM below 2**53,
+* int64 below 2**62,
+* Python integers (object dtype) above that.
+
+The float lanes are exact: every operand, every product of two entries and
+every partial sum that any summation order (or fused multiply-add) can form
+is an integer of magnitude at most the bound, and the float type represents
+all such integers, so no step ever rounds.  The result is cast back to
+int64.  This is the exact-linear-algebra-over-floating-point technique of
+FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -27,6 +41,18 @@ Rational = Fraction
 
 # int64 products are exact below this; leave headroom for accumulation.
 _INT64_SAFE = 2**62
+
+# (exclusive bound, dtype) for matrix products, fastest lane first.
+_LANES = ((2**24, np.float32), (2**53, np.float64), (_INT64_SAFE, np.int64))
+
+
+def matmul_lane(bound: int):
+    """The dtype an IntMatrix product with the given a-priori bound is
+    computed in, or ``None`` for Python integers."""
+    for limit, dtype in _LANES:
+        if bound < limit:
+            return dtype
+    return None
 
 
 def square_free_decomposition(value: int) -> tuple[int, int]:
@@ -222,6 +248,12 @@ class IntMatrix:
     @staticmethod
     def _build_array(data) -> np.ndarray:
         arr = np.asarray(data)
+        if arr.dtype.kind == "f" and not isinstance(data, np.ndarray):
+            # numpy reads Python integers past int64 as float64 when they sit
+            # beside small ones; rebuild from the Python objects.
+            arr = np.array(data, dtype=object)
+        if arr.dtype.kind == "u" and arr.size and int(arr.max()) > np.iinfo(np.int64).max:
+            arr = arr.astype(object)
         if arr.dtype == np.int64 or arr.dtype == object:
             pass
         elif arr.dtype.kind in "iu":
@@ -230,8 +262,11 @@ class IntMatrix:
             raise ParameterError("IntMatrix entries must be integers")
         if arr.dtype == object:
             out = np.empty(arr.shape, dtype=object)
-            for idx in np.ndindex(*arr.shape):
-                out[idx] = operator.index(arr[idx])
+            try:
+                for idx in np.ndindex(*arr.shape):
+                    out[idx] = operator.index(arr[idx])
+            except TypeError as exc:
+                raise ParameterError("IntMatrix entries must be integers") from exc
             arr = out
         return arr
 
@@ -279,7 +314,8 @@ class IntMatrix:
     def max_abs(self) -> int:
         if self.a.size == 0:
             return 0
-        return int(np.abs(self.a).max())
+        # not np.abs: it wraps -2**63 to itself in int64
+        return max(-int(self.a.min()), int(self.a.max()))
 
     def is_zero_one(self) -> bool:
         return bool(((self.a == 0) | (self.a == 1)).all())
@@ -318,7 +354,7 @@ class IntMatrix:
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(-self.a)
+        return self.scalar_mul(-1)
 
     def scalar_mul(self, c: int) -> "IntMatrix":
         c = int(c)
@@ -335,9 +371,11 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ParameterError("dimension mismatch in matrix product")
         bound = max(self.max_abs(), 1) * max(other.max_abs(), 1) * max(self.cols, 1)
-        if self.a.dtype == np.int64 and other.a.dtype == np.int64 and bound < _INT64_SAFE:
-            return IntMatrix(self.a @ other.a)
-        return self._wrap(np.dot(self._object(), other._object()))
+        lane = matmul_lane(bound)
+        if lane is None:
+            return self._wrap(np.dot(self._object(), other._object()))
+        prod = self.a.astype(lane, copy=False) @ other.a.astype(lane, copy=False)
+        return IntMatrix(prod.astype(np.int64, copy=False))
 
     @property
     def T(self) -> "IntMatrix":

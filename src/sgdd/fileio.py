@@ -23,6 +23,8 @@ write/read/write round trip is byte-identical.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import IntMatrix
 from .designs import GddParams, IncidenceMatrix
 from .errors import FormatError, ParameterError
@@ -73,8 +75,17 @@ def _read_matrix(lines: _Lines) -> IntMatrix:
     rows, cols = lines.ints(2)
     if rows < 1 or cols < 1:
         raise FormatError(f"{lines.what}: matrix dimensions must be positive")
-    data = [lines.ints(cols) for _ in range(rows)]
-    return IntMatrix(data)
+    start = lines.pos
+    try:
+        arr = np.array([lines.next().split() for _ in range(rows)], dtype=np.int64)
+        if arr.shape == (rows, cols):
+            return IntMatrix(arr)
+    except (ValueError, OverflowError):  # FormatError is a ValueError
+        pass
+    # A malformed block, or entries past int64: read it again row by row,
+    # which names the first bad line and keeps big entries as Python integers.
+    lines.pos = start
+    return IntMatrix([lines.ints(cols) for _ in range(rows)])
 
 
 def parse_matrix(text: str) -> IntMatrix:

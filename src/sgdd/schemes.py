@@ -128,20 +128,23 @@ def compute_intersection_numbers(mats: list[IntMatrix]) -> tuple[list[list[list[
     if not cert.ok:
         return None, cert
 
-    masks = [mat.a.astype(bool) for mat in mats]
+    # the classes partition X x X: label each pair by its class, and read
+    # class k's coefficient at its first pair in row-major order
+    labels = sum(k * mat.a for k, mat in enumerate(mats))
+    first = [int(mat.a.argmax()) for mat in mats]
     p = [[[0] * d1 for _ in range(d1)] for _ in range(d1)]
     for j in range(d1):
         p[0][j][j] = p[j][0][j] = 1
     for i in range(1, d1):
         for j in range(i, d1):
             prod = (mats[i] @ mats[j]).a
-            for k in range(d1):
-                vals = prod[masks[k]]
-                v0 = int(vals[0])
-                if not (vals == v0).all():
-                    cert.failed(f"A_{i} A_{j} is not constant on class {k}")
-                    return None, cert
-                p[i][j][k] = p[j][i][k] = v0
+            coeffs = prod.ravel()[first]
+            if not (prod == coeffs[labels]).all():
+                k = next(k for k in range(d1) if not (prod[mats[k].a == 1] == coeffs[k]).all())
+                cert.failed(f"A_{i} A_{j} is not constant on class {k}")
+                return None, cert
+            p[i][j] = [int(x) for x in coeffs]
+            p[j][i] = list(p[i][j])
     cert.passed("all products A_i A_j decompose with constant class coefficients")
     # symmetric classes commute: A_j A_i = (A_i A_j)^T = A_i A_j
     cert.passed("intersection numbers are symmetric in the lower indices")

@@ -1,9 +1,15 @@
+import random
+
 import pytest
 
+import sgdd.algebra
+from sgdd.algebra import IntMatrix
 from sgdd.classical import hadamard_matrix, paley_conference_matrix
+from sgdd.designs import IncidenceMatrix
 from sgdd.gf import gf_make
 from sgdd.latin import linked_mols_from_gf2n, search_linked_mols
 from sgdd.linked import (
+    LinkedSystemII,
     bgw_generate,
     build_tilde_l,
     bush_search,
@@ -54,6 +60,45 @@ def sys16(aux_had4, fam_gf4):
 @pytest.fixture(scope="session")
 def sys45(aux_ag23, fam_order5):
     return build_tilde_l(aux_ag23, fam_order5)
+
+
+@pytest.fixture(scope="session")
+def sys64():
+    return build_tilde_l(aux_from_hadamard(hadamard_matrix(8)), linked_mols_from_gf2n(gf_make(2, 3)))
+
+
+def _flip_off_group_entry(sys: LinkedSystemII, seed: int):
+    """Flip one entry of one block A_{i,j} that lies in an off-diagonal group
+    block, so A + K stays 0/1; return the corrupted system and (i, j)."""
+    rng = random.Random(seed)
+    pair = rng.choice(sorted(sys.blocks))
+    blk = sys.blocks[pair]
+    row = rng.randrange(blk.v)
+    col = rng.choice([c for c in range(blk.v) if c // blk.n != row // blk.n])
+    arr = blk.mat.a.copy()
+    arr[row, col] = 1 - arr[row, col]
+    blocks = dict(sys.blocks)
+    blocks[pair] = IncidenceMatrix(IntMatrix(arr), blk.m, blk.n)
+    return LinkedSystemII(params=sys.params, blocks=blocks), pair
+
+
+@pytest.fixture(scope="session")
+def corrupt_system():
+    return _flip_off_group_entry
+
+
+@pytest.fixture
+def matmul_lanes(monkeypatch):
+    """The lane of every IntMatrix product made while the test runs."""
+    lanes = []
+    lane_of = sgdd.algebra.matmul_lane
+
+    def recorded(bound):
+        lanes.append(lane_of(bound))
+        return lanes[-1]
+
+    monkeypatch.setattr(sgdd.algebra, "matmul_lane", recorded)
+    return lanes
 
 
 @pytest.fixture(scope="session")

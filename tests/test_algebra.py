@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdd.algebra import IntMatrix, Surd, kron, square_free_decomposition
+from sgdd.algebra import IntMatrix, Surd, kron, matmul_lane, square_free_decomposition
 from sgdd.errors import ParameterError
 
 small_int = st.integers(min_value=-9, max_value=9)
@@ -58,6 +60,104 @@ def test_huge_entries_stay_exact():
     out = m @ m
     assert out[0, 0] == big * big
     assert out[0, 1] == 2 * big
+
+
+# -- matrix-product lanes -----------------------------------------------------
+
+LANE_EDGES = (2**24, 2**53, 2**62)
+
+
+def test_matmul_lane_thresholds():
+    assert matmul_lane(1) is np.float32
+    assert matmul_lane(2**24 - 1) is np.float32
+    assert matmul_lane(2**24) is np.float64
+    assert matmul_lane(2**53 - 1) is np.float64
+    assert matmul_lane(2**53) is np.int64
+    assert matmul_lane(2**62 - 1) is np.int64
+    assert matmul_lane(2**62) is None
+
+
+def _reference_product(a: IntMatrix, b: IntMatrix) -> list[int]:
+    """Big-integer route: object-dtype np.dot over Python integers."""
+    return [int(x) for x in np.dot(a.a.astype(object), b.a.astype(object)).ravel()]
+
+
+@st.composite
+def near_lane_edge(draw):
+    """(A, B, bound) with max|A| * max|B| * inner just below or just above one
+    of the lane edges; entries lean to +-max so sums reach the bound."""
+    edge = draw(st.sampled_from(LANE_EDGES))
+    above = draw(st.booleans())
+    rows, inner, cols = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    slack = draw(st.integers(min_value=0, max_value=1000))
+    target = edge + slack if above else edge - 1 - slack
+    amax = draw(st.integers(min_value=1, max_value=isqrt(target // inner)))
+    if above:
+        bmax = -(-target // (amax * inner))
+    else:
+        bmax = target // (amax * inner)
+
+    def matrix(r, c, top):
+        entry = st.one_of(st.sampled_from([top, -top, top - 1]), st.integers(min_value=-top, max_value=top))
+        data = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+        data[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = draw(st.sampled_from([top, -top]))
+        return IntMatrix(data)
+
+    a, b = matrix(rows, inner, amax), matrix(inner, cols, bmax)
+    bound = amax * bmax * inner
+    assert (bound >= edge) == above
+    return a, b, bound
+
+
+@given(near_lane_edge())
+@settings(max_examples=300, deadline=None)
+def test_every_lane_matches_big_integer_reference(case):
+    a, b, bound = case
+    assert a.max_abs() * b.max_abs() * a.cols == bound
+    out = a @ b
+    assert out.entries() == _reference_product(a, b)
+    if matmul_lane(bound) is not None:
+        assert out.a.dtype == np.int64
+
+
+# (A, B, lane below): the exact product rounds or wraps in the lane below the
+# one the bound picks
+ROUNDING_CASES = [
+    ([[2**12, 1]], [[2**12], [1]], np.float32),  # 2^24 + 1, bound 2^25
+    ([[2**23, 2**23, 1]], [[1], [1], [1]], np.float32),  # 2^24 + 1, bound 3 * 2^23
+    ([[2**26, 1]], [[2**27], [1]], np.float64),  # 2^53 + 1, bound 2^55
+    ([[2**52, 2**52, -1]], [[1], [1], [-1]], np.float64),  # 2^53 + 1, bound 3 * 2^52
+    ([[2**31, 2**31]], [[2**32], [2**32]], np.int64),  # 2^64
+    ([[2**62, 2**62]], [[1], [1]], np.int64),  # 2^63
+    ([[-(2**62), -(2**62), -1]], [[1], [1], [1]], np.int64),  # -2^63 - 1
+]
+
+
+@pytest.mark.parametrize("a, b, below", ROUNDING_CASES)
+def test_lane_edge_results_stay_exact(a, b, below):
+    a, b = IntMatrix(a), IntMatrix(b)
+    lanes = [np.float32, np.float64, np.int64, None]
+    assert matmul_lane(a.max_abs() * b.max_abs() * a.cols) is lanes[lanes.index(below) + 1]
+    exact = _reference_product(a, b)
+    with np.errstate(over="ignore"):
+        wrong = (a.a.astype(below) @ b.a.astype(below)).astype(object)
+    assert [int(x) for x in wrong.ravel()] != exact
+    assert (a @ b).entries() == exact
+
+
+def test_min_int64_entry_keeps_its_magnitude():
+    m = IntMatrix([[-(2**63)]])
+    assert m.a.dtype == np.int64
+    assert m.max_abs() == 2**63
+    assert (m @ IntMatrix([[2]])).entries() == [-(2**64)]
+    assert (-m).entries() == [2**63]
+
+
+@pytest.mark.parametrize("data", [[[2**63]], [[2**63, 1]], [[2**64 - 1, -1]], [[-(2**63) - 1, 0]]])
+def test_entries_past_int64_are_kept_as_python_integers(data):
+    m = IntMatrix(data)
+    assert m.a.dtype == object
+    assert [m.row(i) for i in range(m.rows)] == data
 
 
 def test_surd_conjugate_product():

@@ -35,6 +35,16 @@ def test_single_bit_flip_locates_violation():
     assert all(v.position is not None for v in cert.violations)
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("source", ["sys16", "sys45"])
+def test_single_flip_fails_verify_gdd_on_blas_lane(source, seed, request, corrupt_system, matmul_lanes):
+    sys, pair = corrupt_system(request.getfixturevalue(source), seed)
+    cert = verify_gdd(sys.blocks[pair], sys.params.base)
+    assert not cert.ok
+    assert {v.identity.split(" ")[0] for v in cert.violations} == {"A", "A^T"}
+    assert matmul_lanes and set(matmul_lanes) == {np.float32}
+
+
 def test_tilde_block_certifies(sys16):
     cert = verify_gdd(sys16.blocks[(1, 2)], sys16.params.base)
     assert cert.ok

@@ -2,6 +2,7 @@ import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sgdd import fileio
@@ -31,6 +32,75 @@ def test_matrix_rejects_trailing_junk():
         fileio.parse_matrix("1 1\n5\nextra\n")
     with pytest.raises(FormatError):
         fileio.parse_matrix("2 2\n1 2\n3\n")
+
+
+def _read_matrix_per_entry(lines):
+    """Reference reader: one int() per entry, row by row."""
+    rows, cols = lines.ints(2)
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{lines.what}: matrix dimensions must be positive")
+    return IntMatrix([lines.ints(cols) for _ in range(rows)])
+
+
+MATRIX_TEXTS = {
+    "plain": "2 3\n1 -2 3\n0 5 -6\n",
+    "blank-lines": "\n2 2\n\n  1 0 \n\n\n0 1\n\n",
+    "tabs-and-signs": "2 2\n+1\t-0\n 007 1_000\n",
+    "int64-edges": "1 2\n9223372036854775807 -9223372036854775808\n",
+    "past-int64": "2 2\n9223372036854775808 1\n0 -9223372036854775809\n",
+    "huge": "1 1\n123456789012345678901234567890\n",
+    "bad-token": "2 2\n1 x\n0 1\n",
+    "bad-token-after-blank": "3 2\n1 0\n\n0 1.5\n1 1\n",
+    "short-row": "2 2\n1 0\n1\n",
+    "long-row": "2 2\n1 0 1\n0 1\n",
+    "all-rows-long": "2 2\n1 0 1\n0 1 1\n",
+    "short-row-then-bad-token": "2 2\n1\n0 q\n",
+    "bad-token-then-eof": "3 2\n1 z\n",
+    "eof": "3 2\n1 0\n0 1\n",
+    "zero-rows": "0 2\n",
+    "bad-header": "2\n1 0\n",
+    "trailing": "1 1\n5\n\nextra\n",
+}
+
+MATRIX_ERRORS = {
+    "bad-token": "matrix: non-integer token on line 2",
+    "bad-token-after-blank": "matrix: non-integer token on line 4",
+    "short-row": "matrix: expected 2 integers on line 3",
+    "long-row": "matrix: expected 2 integers on line 2",
+    "all-rows-long": "matrix: expected 2 integers on line 2",
+    "short-row-then-bad-token": "matrix: expected 2 integers on line 2",
+    "bad-token-then-eof": "matrix: non-integer token on line 2",
+    "eof": "matrix: unexpected end of file",
+    "zero-rows": "matrix: matrix dimensions must be positive",
+    "bad-header": "matrix: expected 2 integers on line 1",
+    "trailing": "matrix: trailing content at line 4",
+}
+
+
+def _parse_outcome(read, text):
+    lines = fileio._Lines(text, "matrix")
+    try:
+        m = read(lines)
+        lines.done()
+    except FormatError as exc:
+        return "error", str(exc)
+    return m.a.dtype, [m.row(i) for i in range(m.rows)]
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_TEXTS))
+def test_matrix_parse_matches_per_entry_reader(name):
+    text = MATRIX_TEXTS[name]
+    got = _parse_outcome(fileio._read_matrix, text)
+    assert got == _parse_outcome(_read_matrix_per_entry, text)
+    if name in MATRIX_ERRORS:
+        assert got == ("error", MATRIX_ERRORS[name])
+
+
+def test_matrix_parse_keeps_entries_past_int64():
+    assert fileio.parse_matrix(MATRIX_TEXTS["int64-edges"]).a.dtype == np.int64
+    big = fileio.parse_matrix(MATRIX_TEXTS["past-int64"])
+    assert big.a.dtype == object
+    assert big.entries() == [2**63, 1, 0, -(2**63) - 1]
 
 
 def test_params_roundtrip(conference12):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sgdd.algebra import IntMatrix
@@ -8,10 +9,8 @@ from sgdd.classical import (
     paley_conference_matrix,
     signed_permutation_weighing_set,
 )
-from sgdd.designs import GddParams, check_k_commutation, verify_gdd
+from sgdd.designs import Certificate, GddParams, check_k_commutation, verify_gdd
 from sgdd.errors import InfeasibleParameterError, ParameterError
-from sgdd.gf import gf_make
-from sgdd.latin import linked_mols_from_gf2n
 from sgdd.linked import (
     CyclicGroup,
     GcmMatrix,
@@ -19,7 +18,6 @@ from sgdd.linked import (
     LinkedSystemII,
     bgw_generate,
     build_from_mub_bush,
-    build_tilde_l,
     build_twin,
     bush_search,
     conference_to_gdd,
@@ -33,7 +31,6 @@ from sgdd.linked import (
     verify_gcm,
     verify_linked_system,
 )
-from sgdd.resolvable import aux_from_hadamard
 
 
 def test_triple_candidates_16():
@@ -73,10 +70,7 @@ def test_tilde_l_45(sys45):
     assert (p.sigma, p.tau, p.rho) == (5, 2, 4)
 
 
-def test_tilde_l_64_from_gf8():
-    aux8 = aux_from_hadamard(hadamard_matrix(8))
-    fam8 = linked_mols_from_gf2n(gf_make(2, 3))
-    sys64 = build_tilde_l(aux8, fam8)
+def test_tilde_l_64_from_gf8(sys64):
     p = sys64.params
     assert (p.base.v, p.base.k, p.base.lambda1) == (64, 28, 12)
     assert (p.sigma, p.tau, p.rho) == (14, 10, 14)
@@ -96,6 +90,80 @@ def test_verifier_catches_swapped_blocks(sys16):
     cert = verify_linked_system(broken)
     assert not cert.ok
     assert any("triple product" in str(v) for v in cert.violations)
+
+
+def _triple_lines_per_triple(sys):
+    """Reference route for the triple-product law: one product and one
+    expected matrix per ordered triple (i, j, l)."""
+    p = sys.params
+    base = p.base
+    cert = Certificate("triple products")
+    j_v = IntMatrix.ones(base.v)
+    k_v = IntMatrix.group_blocks(base.m, base.n)
+    for i, j in sorted(sys.blocks):
+        for l in range(1, p.f + 1):
+            if l in (i, j):
+                continue
+            prod = sys.blocks[(i, j)].mat @ sys.blocks[(j, l)].mat
+            ail = sys.blocks[(i, l)].mat
+            expected = (
+                ail.scalar_mul(p.sigma)
+                + (j_v - ail - k_v).scalar_mul(p.tau)
+                + k_v.scalar_mul(p.rho)
+            )
+            pos = prod.first_difference(expected)
+            if pos is None:
+                cert.passed(f"triple product ({i},{j},{l})")
+            else:
+                cert.failed(f"triple product ({i},{j},{l})", pos, expected[pos], prod[pos])
+    return cert.checks, cert.violations
+
+
+def _triple_lines(cert):
+    return (
+        [c for c in cert.checks if c.startswith("triple product")],
+        [v for v in cert.violations if v.identity.startswith("triple product")],
+    )
+
+
+@pytest.mark.parametrize(
+    "source, seed",
+    [("sys16", None), ("sys45", None), ("sys64", None), ("sys16", 3), ("sys45", 4), ("sys64", 7)],
+)
+def test_batched_triple_products_match_per_triple(source, seed, request, corrupt_system):
+    sys = request.getfixturevalue(source)
+    if seed is not None:
+        sys, _ = corrupt_system(sys, seed)
+    checks, violations = _triple_lines(verify_linked_system(sys))
+    f = sys.params.f
+    assert len(checks) + len(violations) == f * (f - 1) * (f - 2)
+    assert (checks, violations) == _triple_lines_per_triple(sys)
+    assert bool(violations) == (seed is not None)
+
+
+def test_triple_products_form_one_wide_product_per_ordered_pair(sys64, monkeypatch):
+    shapes = []
+    matmul = IntMatrix.__matmul__
+
+    def recorded(a, b):
+        shapes.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", recorded)
+    assert verify_linked_system(sys64).ok
+    v, f = sys64.params.base.v, sys64.params.f
+    assert [s for s in shapes if s != (v, v, v)] == [(v, v, (f - 2) * v)] * (f * (f - 1))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("source", ["sys16", "sys45"])
+def test_single_flip_fails_linked_system_on_blas_lane(source, seed, request, corrupt_system, matmul_lanes):
+    sys, pair = corrupt_system(request.getfixturevalue(source), seed)
+    cert = verify_linked_system(sys)
+    assert not cert.ok
+    assert any(v.identity.startswith(f"block {pair}: A A^T") for v in cert.violations)
+    assert _triple_lines(cert)[1]
+    assert matmul_lanes and set(matmul_lanes) == {np.float32}
 
 
 def test_linked_params_identities_enforced():

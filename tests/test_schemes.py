@@ -397,6 +397,23 @@ def test_intersection_numbers_negative_control(scheme48):
     assert cert.violations[0].identity.startswith("A_1 A_3 is not constant")
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_intersection_numbers_seeded_negative_controls(scheme48, seed):
+    # move one symmetric pair of entries between two random classes >= 1
+    rng = random.Random(seed)
+    src, dst = rng.sample(range(1, CLASSES), 2)
+    mats = list(scheme48.matrices)
+    a_src, a_dst = mats[src].a.copy(), mats[dst].a.copy()
+    x, y = rng.choice([(x, y) for x, y in zip(*np.nonzero(a_src)) if x < y])
+    for r, c in ((x, y), (y, x)):
+        a_src[r, c], a_dst[r, c] = 0, 1
+    mats[src], mats[dst] = IntMatrix(a_src), IntMatrix(a_dst)
+    p, cert = compute_intersection_numbers(mats)
+    ref_p, ref_cert = _intersection_numbers_all_products(mats)
+    assert p is None and ref_p is None
+    assert cert.violations == ref_cert.violations
+
+
 @pytest.mark.parametrize("source, radicand", [("scheme48", 0), ("scheme135", 0), ("conference24", 5), ("gcm48", 5)])
 def test_krein_matches_coefficient_algebra(source, radicand, request):
     scheme = request.getfixturevalue(source)
