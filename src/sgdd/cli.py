@@ -8,7 +8,6 @@ error.  Every ``construct`` sub-verb certifies its output before writing
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -237,12 +236,11 @@ def _cmd_scheme(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    jobs = args.jobs or os.cpu_count() or 1
     if args.what == "table1":
-        rows = scan_table1(args.vmax, jobs=jobs)
+        rows = scan_table1(args.vmax)
         table = 1
     elif args.what == "table2":
-        rows = scan_table2(args.vmax, jobs=jobs)
+        rows = scan_table2(args.vmax)
         table = 2
     else:
         raise SgddError(f"unknown scan target {args.what!r}")
@@ -281,23 +279,12 @@ def _cmd_oracle(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sgdd",
         description="construct, certify and analyze symmetric group divisible designs, "
         "linked systems of type II, and their 5-class association schemes",
     )
-    top.add_argument("--jobs", type=_positive_int, default=None, help="worker processes for scans (default: all cores)")
     verbs = top.add_subparsers(dest="verb", required=True)
 
     con = verbs.add_parser("construct", help="build a certified object and write it")

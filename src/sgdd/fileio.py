@@ -23,6 +23,9 @@ write/read/write round trip is byte-identical.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import chain
+
 import numpy as np
 
 from .algebra import IntMatrix
@@ -67,7 +70,7 @@ class _Lines:
 # -- matrix v1 ---------------------------------------------------------------
 
 def format_matrix(m: IntMatrix) -> str:
-    body = "\n".join(" ".join(str(x) for x in m.row(i)) for i in range(m.rows))
+    body = "\n".join(" ".join(map(str, row)) for row in m.a.tolist())
     return f"{m.rows} {m.cols}\n{body}\n"
 
 
@@ -175,10 +178,10 @@ def parse_latin_square(text: str) -> LatinSquare:
     return sq
 
 
-def family_pair_order(f: int) -> list[tuple[int, int]]:
-    upper = [(i, j) for i in range(1, f + 1) for j in range(i + 1, f + 1)]
-    lower = [(i, j) for i in range(2, f + 1) for j in range(1, i)]
-    return upper + lower
+def family_pair_order(f: int) -> Iterator[tuple[int, int]]:
+    upper = ((i, j) for i in range(1, f + 1) for j in range(i + 1, f + 1))
+    lower = ((i, j) for i in range(2, f + 1) for j in range(1, i))
+    return chain(upper, lower)
 
 
 def format_linked_family(fam: LinkedMolsFamily) -> str:
@@ -250,7 +253,8 @@ def parse_linked_system(text: str) -> LinkedSystemII:
         params = LinkedParams(base=base, f=f, sigma=None, tau=None, rho=None)
     else:
         params = LinkedParams(base=base, f=f, sigma=triple[0], tau=triple[1], rho=triple[2])
-    pairs = sorted((i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j)
+    # lexicographic already; generated lazily so the header's f sizes no work
+    pairs = ((i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j)
     blocks = {}
     for pair in pairs:
         blocks[pair] = IncidenceMatrix(_read_matrix(lines), m, n)

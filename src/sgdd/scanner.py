@@ -6,23 +6,26 @@ non-negative integer:
 
 * the symmetric-design scan fixes k = n(m-1)^2/(m+n-2), the unique degree
   at which lambda1 = lambda2, and takes the closed-form triple;
-* the proper/proper scan walks every degree in (lambda1, (m-1)n), demands
-  that design and partial complement are both proper (lambda1 != lambda2 on
-  each side), that the triple discriminant is a perfect square, and emits
-  each admissible sign choice as its own row, requiring sigma, tau <= k
-  (entries of a product of two 0/1 matrices with row sums k).
+* the proper/proper scan walks the degrees k < (m-1)n in multiples of
+  (m-1)*s*d, where n = s^2*d with d square-free: lambda2 and rho are both
+  integral exactly when n(m-1)^2 | k^2(m-2) and n(m-1) | k^2, and as
+  gcd(m-1, m-2) = 1 that holds exactly when k = (m-1)j with n | j^2.  It
+  demands that design and partial complement are both proper
+  (lambda1 != lambda2 on each side), that the triple discriminant is a
+  perfect square, and emits each admissible sign choice as its own row,
+  requiring sigma, tau <= k (entries of a product of two 0/1 matrices with
+  row sums k).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from multiprocessing import Pool
 
+from .algebra import square_free_decomposition
 from .designs import GddParams, lambda_formulas, partial_complement_params
 from .errors import CertificationError, ParameterError
 from .linked import LinkedParams, symmetric_design_triple
@@ -71,8 +74,7 @@ def _integral(x: Fraction) -> bool:
     return x.denominator == 1
 
 
-def _table1_cell(args) -> list[FeasibleRow]:
-    m, n = args
+def _table1_cell(m: int, n: int) -> list[FeasibleRow]:
     num = n * (m - 1) ** 2
     den = m + n - 2
     if num % den:
@@ -103,13 +105,14 @@ def _table1_cell(args) -> list[FeasibleRow]:
     ]
 
 
-def _table2_cell(args) -> list[FeasibleRow]:
-    m, n = args
+def _table2_cell(m: int, n: int) -> list[FeasibleRow]:
     v = m * n
     rows = []
     l1_den = (m - 1) * (n - 1)
     l2_den = n * (m - 1) ** 2
-    for k in range(1, (m - 1) * n):
+    s, d = square_free_decomposition(n)
+    step = (m - 1) * s * d
+    for k in range(step, (m - 1) * n, step):
         l1_num = k * (k - m + 1)
         if l1_num < 0 or l1_num % l1_den:
             continue
@@ -163,34 +166,32 @@ def _table2_cell(args) -> list[FeasibleRow]:
     return rows
 
 
-def _run_cells(cell, v_max: int, jobs: int) -> list[FeasibleRow]:
-    grid = [(m, n) for m in range(3, v_max // 2 + 1) for n in range(2, v_max // m + 1)]
-    jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores only costs forks
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            chunks = pool.map(cell, grid, chunksize=64)
-    else:
-        chunks = [cell(c) for c in grid]
-    return [row for chunk in chunks for row in chunk]
+def _run_cells(cell, v_max: int) -> list[FeasibleRow]:
+    return [
+        row
+        for m in range(3, v_max // 2 + 1)
+        for n in range(2, v_max // m + 1)
+        for row in cell(m, n)
+    ]
 
 
 SCAN_MAX_V = 100_000
 
 
-def scan_table1(v_max: int, jobs: int = 1) -> list[FeasibleRow]:
+def scan_table1(v_max: int) -> list[FeasibleRow]:
     """All symmetric-design parameter tuples with v <= v_max, sorted by v."""
     if not 4 <= v_max <= SCAN_MAX_V:
         raise ParameterError(f"v_max must lie in [4, {SCAN_MAX_V}]")
-    rows = _run_cells(_table1_cell, v_max, jobs)
+    rows = _run_cells(_table1_cell, v_max)
     rows.sort(key=lambda r: (r.v, r.k, r.m))
     return rows
 
 
-def scan_table2(v_max: int, jobs: int = 1) -> list[FeasibleRow]:
+def scan_table2(v_max: int) -> list[FeasibleRow]:
     """All proper/proper parameter rows with v <= v_max, sorted by (v, k, sigma)."""
     if not 4 <= v_max <= SCAN_MAX_V:
         raise ParameterError(f"v_max must lie in [4, {SCAN_MAX_V}]")
-    rows = _run_cells(_table2_cell, v_max, jobs)
+    rows = _run_cells(_table2_cell, v_max)
     rows.sort(key=lambda r: (r.v, r.k, r.sigma))
     return rows
 

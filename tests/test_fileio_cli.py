@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -101,6 +102,50 @@ def test_matrix_parse_keeps_entries_past_int64():
     big = fileio.parse_matrix(MATRIX_TEXTS["past-int64"])
     assert big.a.dtype == object
     assert big.entries() == [2**63, 1, 0, -(2**63) - 1]
+
+
+def _format_matrix_per_entry(m):
+    """Reference formatter: one str() per entry, row by row."""
+    body = "\n".join(" ".join(str(x) for x in m.row(i)) for i in range(m.rows))
+    return f"{m.rows} {m.cols}\n{body}\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[0, 1, 1], [1, 0, 1]],
+        [[-3, 0], [7, -9223372036854775808], [9223372036854775807, -1]],
+        [[2**63, -(2**63) - 1], [10**30, 0]],
+    ],
+    ids=["int64", "negative", "past-int64"],
+)
+def test_format_matrix_matches_per_entry_formatter(data):
+    m = IntMatrix(data)
+    assert fileio.format_matrix(m) == _format_matrix_per_entry(m)
+    assert fileio.parse_matrix(fileio.format_matrix(m)) == m
+
+
+def _peak_bytes(parse, text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="unexpected end of file"):
+            parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_header_f_does_not_size_work_before_blocks_are_read(sys16, fam_gf4):
+    """A header claiming f = 2000 over a file with a handful of blocks fails
+    at the first missing block, without building the f(f-1) pair list."""
+    system_text = fileio.format_linked_system(sys16)
+    head, rest = system_text.split("\n", 1)
+    system_text = " ".join(["2000"] + head.split()[1:]) + "\n" + rest
+    assert _peak_bytes(fileio.parse_linked_system, system_text) < 5_000_000
+    family_text = fileio.format_linked_family(fam_gf4)
+    head, rest = family_text.split("\n", 1)
+    family_text = f"2000 {head.split()[1]}\n{rest}"
+    assert _peak_bytes(fileio.parse_linked_family, family_text) < 5_000_000
 
 
 def test_params_roundtrip(conference12):
@@ -260,16 +305,11 @@ def test_cli_assembles_pair_file(tmp_path: Path, conference12):
     assert code == 0 and "f=2" in out
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "x", "2"])
 def test_cli_rejects_jobs_below_one(jobs):
+    """Scans run in one serial pass: there is no --jobs flag, so any value,
+    valid or not, is a usage error."""
     assert run_cli("--jobs", jobs, "scan", "table1", "--vmax", "100")[0] == 2
-
-
-def test_cli_jobs_flag_does_not_change_bytes(tmp_path: Path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli("--jobs", "1", "scan", "table2", "--vmax", "300", "-o", str(a))[0] == 0
-    assert run_cli("--jobs", "2", "scan", "table2", "--vmax", "300", "-o", str(b))[0] == 0
-    assert a.read_text() == b.read_text()
 
 
 def test_cli_table1_witnesses(tmp_path: Path):

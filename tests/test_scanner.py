@@ -1,12 +1,15 @@
+from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import sgdd.scanner
 from sgdd.designs import GddParams, partial_complement_params
 from sgdd.errors import ParameterError
 from sgdd.linked import LinkedParams
-from sgdd.scanner import rows_to_csv, rows_to_text, scan_table1, scan_table2
+from sgdd.scanner import FeasibleRow, _table2_cell, rows_to_csv, rows_to_text, scan_table1, scan_table2
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -42,39 +45,6 @@ def test_table2_closed_under_partial_complement():
     for r in rows:
         comp = partial_complement_params(GddParams(r.v, r.k, r.m, r.n, r.lambda1, r.lambda2))
         assert (comp.v, comp.k) in keys
-
-
-def test_jobs_do_not_change_output():
-    assert rows_to_csv(scan_table2(300, jobs=2), 2) == rows_to_csv(scan_table2(300), 2)
-    assert rows_to_csv(scan_table1(300, jobs=2), 1) == rows_to_csv(scan_table1(300), 1)
-
-
-class _FakePool:
-    """Stands in for multiprocessing.Pool: records its size, maps serially."""
-
-    sizes: list[int] = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, items, chunksize=1):
-        return [func(x) for x in items]
-
-
-@pytest.mark.parametrize("cores, pools", [(3, [3]), (1, []), (None, [])])
-def test_jobs_capped_at_cpu_count(monkeypatch, cores, pools):
-    monkeypatch.setattr(_FakePool, "sizes", [])
-    monkeypatch.setattr(sgdd.scanner, "Pool", _FakePool)
-    monkeypatch.setattr(sgdd.scanner.os, "cpu_count", lambda: cores)
-    rows = scan_table2(300, jobs=100_000)
-    assert _FakePool.sizes == pools
-    assert rows_to_csv(rows, 2) == rows_to_csv(scan_table2(300), 2)
 
 
 def test_text_rendering_is_aligned():
@@ -139,3 +109,98 @@ def test_table1_against_independent_enumeration():
 def test_scan_scale_guard():
     with pytest.raises(ParameterError):
         scan_table2(200_000)
+
+
+def _table2_cell_brute(m, n):
+    """Brute-force oracle for the proper/proper cell: walk every degree
+    k in 1 .. (m-1)n - 1 and apply every check."""
+    v = m * n
+    rows = []
+    l1_den = (m - 1) * (n - 1)
+    l2_den = n * (m - 1) ** 2
+    for k in range(1, (m - 1) * n):
+        l1_num = k * (k - m + 1)
+        if l1_num < 0 or l1_num % l1_den:
+            continue
+        l2_num = k * k * (m - 2)
+        if l2_num % l2_den:
+            continue
+        l1, l2 = l1_num // l1_den, l2_num // l2_den
+        if l1 == l2 or not l1 < k:
+            continue
+        if (2 * k) % (m - 1):
+            continue
+        try:
+            base = GddParams(v, k, m, n, l1, l2)
+            comp = partial_complement_params(base)
+        except ParameterError:
+            continue
+        if comp.lambda1 == comp.lambda2 or comp.lambda1 >= comp.k:
+            continue
+        disc = k * (m - 1) * (n - 1) * (v - k - n)
+        root = isqrt(disc)
+        if root * root != disc:
+            continue
+        rho_f = Fraction(k * k, n * (m - 1))
+        if rho_f.denominator != 1 or rho_f < 0:
+            continue
+        rho = int(rho_f)
+        head = k * k * (m - 2) * (n - 1)
+        den = (m - 1) ** 2 * (n - 1) * n
+        for sign in (1, -1):
+            s_num = head + sign * (v - k - n) * root
+            t_num = head - sign * k * root
+            if s_num % den or t_num % den:
+                continue
+            sigma, tau = s_num // den, t_num // den
+            if sigma < 0 or tau < 0 or sigma > k or tau > k:
+                continue
+            rows.append(FeasibleRow(v, k, m, n, l1, l2, sigma, tau, rho, "proper-proper"))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def brute_cells_1500():
+    return {
+        (m, n): _table2_cell_brute(m, n)
+        for m in range(3, 1500 // 2 + 1)
+        for n in range(2, 1500 // m + 1)
+    }
+
+
+def test_table2_stride_matches_brute_force_on_every_small_cell(brute_cells_1500):
+    mismatched = [cell for cell, rows in brute_cells_1500.items() if _table2_cell(*cell) != rows]
+    assert mismatched == []
+    assert sum(len(rows) for rows in brute_cells_1500.values()) > 0
+
+
+def test_table2_csv_matches_brute_force(brute_cells_1500):
+    rows = sorted(
+        (r for cell_rows in brute_cells_1500.values() for r in cell_rows),
+        key=lambda r: (r.v, r.k, r.sigma),
+    )
+    assert rows_to_csv(scan_table2(1500), 2) == rows_to_csv(rows, 2)
+
+
+# n with square factors, where the stride s*d differs most from n
+_SQUAREFUL = (4, 8, 9, 12, 16, 18, 25, 27, 32, 36, 48, 49, 72, 81, 100, 144, 243, 256, 512, 1024)
+
+
+@st.composite
+def _cells(draw, v_max=100_000):
+    """(m, n) with mn <= v_max, leaning toward square factors in n and
+    toward n sharing factors with m - 2."""
+    n = draw(st.one_of(st.sampled_from(_SQUAREFUL), st.integers(2, 2000)))
+    m_max = v_max // n
+    shared = [g for g in range(2, min(n, m_max - 2) + 1) if n % g == 0]
+    if shared and draw(st.booleans()):
+        g = draw(st.sampled_from(shared))
+        return 2 + g * draw(st.integers(1, (m_max - 2) // g)), n
+    return draw(st.integers(3, m_max)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cells())
+def test_table2_stride_matches_brute_force_on_sampled_cells(cell):
+    m, n = cell
+    assert _table2_cell(m, n) == _table2_cell_brute(m, n)
