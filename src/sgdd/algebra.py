@@ -3,7 +3,8 @@
 Scalars are Python integers, :class:`fractions.Fraction` and :class:`Surd`
 (elements a + b*sqrt(D) of a real quadratic extension).  Matrices come in two
 flavours: :class:`IntMatrix` (dense integer matrices) and :class:`SurdMatrix`
-(dense matrices over one quadratic extension).  Every operation is exact.
+(the small matrices over one quadratic extension that hold eigenmatrices).
+Every operation is exact.
 
 IntMatrix is backed by a numpy array.  Storage is int64 while a conservative
 a-priori magnitude bound proves int64 arithmetic overflow-free; outside the
@@ -44,6 +45,8 @@ _INT64_SAFE = 2**62
 
 # (exclusive bound, dtype) for matrix products, fastest lane first.
 _LANES = ((2**24, np.float32), (2**53, np.float64), (_INT64_SAFE, np.int64))
+
+_ZERO = Fraction(0)
 
 
 def matmul_lane(bound: int):
@@ -155,6 +158,13 @@ class Surd:
             return x
         return Surd.of(_as_fraction(x))
 
+    @staticmethod
+    def _reduced(a: Fraction, b: Fraction, d: int) -> "Surd":
+        """a + b*sqrt(d) in normal form, for a radicand d taken from a
+        normal-form operand: d is already square-free, so only b == 0 is
+        collapsed."""
+        return Surd(a, b, d) if b else Surd(a, _ZERO, 0)
+
     def _common_d(self, other: "Surd") -> int:
         if self.b == 0:
             return other.d
@@ -167,7 +177,7 @@ class Surd:
     def __add__(self, other):
         other = Surd._coerce(other)
         d = self._common_d(other)
-        return Surd.of(self.a + other.a, self.b + other.b, d)
+        return Surd._reduced(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
@@ -183,7 +193,7 @@ class Surd:
     def __mul__(self, other):
         other = Surd._coerce(other)
         d = self._common_d(other)
-        return Surd.of(
+        return Surd._reduced(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -197,8 +207,8 @@ class Surd:
             raise ZeroDivisionError("surd division by zero")
         d = self._common_d(other)
         norm = other.a * other.a - other.b * other.b * d
-        num = self * Surd.of(other.a, -other.b, d)
-        return Surd.of(num.a / norm, num.b / norm, d)
+        num = self * Surd._reduced(other.a, -other.b, d)
+        return Surd._reduced(num.a / norm, num.b / norm, d)
 
     def __rtruediv__(self, other):
         return Surd._coerce(other) / self
@@ -223,6 +233,9 @@ class Surd:
         return (self - Surd._coerce(other)).sign() >= 0
 
     def __hash__(self):
+        # equal values hash alike: a rational surd equals its Fraction
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __repr__(self):
@@ -443,24 +456,9 @@ class SurdMatrix:
     def identity(cls, order: int) -> "SurdMatrix":
         return cls([[Surd.of(1 if i == j else 0) for j in range(order)] for i in range(order)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "SurdMatrix":
-        cols = cols if cols is not None else rows
-        return cls([[Surd.of(0)] * cols for _ in range(rows)])
-
     def __getitem__(self, idx) -> Surd:
         i, j = idx
         return self.data[i][j]
-
-    def __add__(self, other: "SurdMatrix") -> "SurdMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ParameterError("dimension mismatch in matrix addition")
-        return SurdMatrix(
-            [[self.data[i][j] + other.data[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-    def __sub__(self, other: "SurdMatrix") -> "SurdMatrix":
-        return self + other.scalar_mul(-1)
 
     def scalar_mul(self, c) -> "SurdMatrix":
         c = Surd._coerce(c)
@@ -476,27 +474,12 @@ class SurdMatrix:
             for j in range(other.cols):
                 acc = zero
                 for t in range(self.cols):
-                    acc = acc + self.data[i][t] * other.data[t][j]
+                    x = self.data[i][t]
+                    if x.a or x.b:  # matrices of intersection numbers are sparse
+                        acc = acc + x * other.data[t][j]
                 row.append(acc)
             out.append(row)
         return SurdMatrix(out)
-
-    def hadamard(self, other: "SurdMatrix") -> "SurdMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ParameterError("dimension mismatch in entrywise product")
-        return SurdMatrix(
-            [[self.data[i][j] * other.data[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-    @property
-    def T(self) -> "SurdMatrix":
-        return SurdMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def trace(self) -> Surd:
-        acc = Surd.of(0)
-        for i in range(min(self.rows, self.cols)):
-            acc = acc + self.data[i][i]
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, SurdMatrix):
@@ -504,9 +487,6 @@ class SurdMatrix:
         return (self.rows, self.cols) == (other.rows, other.cols) and all(
             self.data[i][j] == other.data[i][j] for i in range(self.rows) for j in range(self.cols)
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols))
 
     def __repr__(self):
         return f"SurdMatrix({self.rows}x{self.cols}, d={self.d})"

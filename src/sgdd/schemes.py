@@ -9,8 +9,10 @@ layered:
   integer matrix arithmetic, entrywise;
 * eigenmatrices come from closed forms over Q(sqrt(D)) with
   D = squarefree(k(m-1)(n-1)(mn-k-n)) and are verified against the
-  intersection numbers in the 6-dimensional coefficient algebra (exact, and
-  equivalent to the dense matrix identities once the p-tensor is certified);
+  intersection numbers by 6x6 identities: P Q = |X| I, the row sums of Q
+  and B_i Q = Q diag(P[:, i]) with (B_i)_{k,l} = p_{i,l}^k, which are the
+  eigenvalue equations A_i E_j = P_{j,i} E_j; that the E_j are orthogonal
+  idempotents follows from these two (see ``compute_spectra``);
 * Krein parameters are read off the certified eigenmatrices exactly and
   checked non-negative and against their closed form.
 
@@ -80,22 +82,6 @@ class AssociationScheme:
     def valencies(self) -> list[int]:
         return [self.p[i][i][0] for i in range(CLASSES)]
 
-    def idempotent_matrix(self, j: int) -> SurdMatrix:
-        """Dense E_j = (1/|X|) sum_i Q_{i,j} A_i."""
-        size = self.size
-        coeff = [self.spectra.Q[i, j] * Surd.of(Fraction(1, size)) for i in range(CLASSES)]
-        data = [[Surd.of(0)] * size for _ in range(size)]
-        for i, mat in enumerate(self.matrices):
-            arr = mat.a
-            ci = coeff[i]
-            for r in range(size):
-                row = arr[r]
-                drow = data[r]
-                for c in range(size):
-                    if row[c]:
-                        drow[c] = drow[c] + ci
-        return SurdMatrix(data)
-
 
 # -- axioms and intersection numbers ------------------------------------------
 
@@ -149,26 +135,6 @@ def compute_intersection_numbers(mats: list[IntMatrix]) -> tuple[list[list[list[
     # symmetric classes commute: A_j A_i = (A_i A_j)^T = A_i A_j
     cert.passed("intersection numbers are symmetric in the lower indices")
     return p, cert
-
-
-def coeff_mul(p, x: list[Surd], y: list[Surd]) -> list[Surd]:
-    """Product in the adjacency algebra, on class-coefficient vectors."""
-    d1 = len(x)
-    out = [Surd.of(0)] * d1
-    for i in range(d1):
-        xi = x[i]
-        if xi.sign() == 0:
-            continue
-        for j in range(d1):
-            yj = y[j]
-            if yj.sign() == 0:
-                continue
-            prod = xi * yj
-            row = p[i][j]
-            for k in range(d1):
-                if row[k]:
-                    out[k] = out[k] + prod * row[k]
-    return out
 
 
 # -- closed-form spectra --------------------------------------------------------
@@ -227,9 +193,25 @@ def closed_form_krein_b2(params: SchemeParams) -> list[list[Surd]]:
 
 
 def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
-    """Closed-form P, Q over Q(sqrt(D)), with every defining identity
-    (P Q = |X| I, idempotency, orthogonality, eigenvalue equations,
-    multiplicity row) verified against the certified intersection numbers."""
+    """Closed-form P, Q over Q(sqrt(D)), certified against the certified
+    intersection numbers by identities between 6x6 matrices.
+
+    With E_j = (1/|X|) sum_i Q_{i,j} A_i (Bannai-Ito, Algebraic
+    Combinatorics I, sections 2.2-2.3) the checks are:
+
+    * P Q = |X| I;
+    * sum_j E_j = I, read off the row sums of Q: |X| in row 0, 0 elsewhere;
+    * A_i E_j = P_{j,i} E_j, as B_i Q = Q diag(P[:, i]) with
+      (B_i)_{k,l} = p_{i,l}^k: column j of B_i Q is |X| times the class
+      coefficients of A_i E_j;
+    * Q row 0 equals the multiplicities, which is tr E_j = m_j as well,
+      since tr E_j = |X| times the coefficient of A_0 in E_j = Q_{0,j};
+    * P row 0 equals the valencies.
+
+    That the E_j are pairwise orthogonal idempotents is derived, not
+    multiplied out: once P Q = |X| I and every eigenvalue equation hold,
+    E_l E_j = (1/|X|) sum_i Q_{i,l} A_i E_j = (1/|X|) sum_i Q_{i,l} P_{j,i} E_j
+    = (1/|X|) (P Q)_{j,l} E_j = [j = l] E_j."""
     cert = Certificate(f"closed-form spectra at (k,m,n,f)=({params.k},{params.m},{params.n},{params.f})")
     size = params.size
     pm = closed_form_p_matrix(params)
@@ -240,59 +222,35 @@ def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
         return Spectra(pm, qm, mult, pm.d), cert
     cert.passed("multiplicities sum to |X|")
 
-    prod = pm @ qm
-    ident = SurdMatrix.identity(CLASSES).scalar_mul(size)
-    if prod == ident:
+    ok_pq = pm @ qm == SurdMatrix.identity(CLASSES).scalar_mul(size)
+    if ok_pq:
         cert.passed("P Q = |X| I")
     else:
         cert.failed("P Q = |X| I")
 
-    e = [
-        [qm[i, j] * Surd.of(Fraction(1, size)) for i in range(CLASSES)]
-        for j in range(CLASSES)
-    ]
-    total = [Surd.of(0)] * CLASSES
-    for j in range(CLASSES):
-        for c in range(CLASSES):
-            total[c] = total[c] + e[j][c]
-    if total == [Surd.of(1)] + [Surd.of(0)] * (CLASSES - 1):
+    row_sums = [sum((qm[k, j] for j in range(CLASSES)), Surd.of(0)) for k in range(CLASSES)]
+    if row_sums == [Surd.of(size)] + [Surd.of(0)] * (CLASSES - 1):
         cert.passed("sum E_j = I")
     else:
         cert.failed("sum E_j = I")
 
-    ok_idem = True
-    for j in range(CLASSES):
-        for l in range(j, CLASSES):
-            got = coeff_mul(p, e[j], e[l])
-            want = e[j] if j == l else [Surd.of(0)] * CLASSES
-            if got != want:
-                ok_idem = False
-                cert.failed(f"E_{j} E_{l} = {'E_' + str(j) if j == l else 'O'}")
-    if ok_idem:
-        cert.passed("E_j are pairwise orthogonal idempotents")
-
-    ok_eig = True
+    eigen_failures = []
     for i in range(CLASSES):
-        delta = [Surd.of(1 if c == i else 0) for c in range(CLASSES)]
+        got = SurdMatrix([[p[i][l][k] for l in range(CLASSES)] for k in range(CLASSES)]) @ qm
         for j in range(CLASSES):
-            got = coeff_mul(p, delta, e[j])
-            want = [pm[j, i] * e[j][c] for c in range(CLASSES)]
-            if got != want:
-                ok_eig = False
-                cert.failed(f"A_{i} E_{j} = P[{j},{i}] E_{j}")
-    if ok_eig:
+            if any(got[k, j] != qm[k, j] * pm[j, i] for k in range(CLASSES)):
+                eigen_failures.append(f"A_{i} E_{j} = P[{j},{i}] E_{j}")
+    if ok_pq and not eigen_failures:
+        cert.passed("E_j are pairwise orthogonal idempotents")
+    for line in eigen_failures:
+        cert.failed(line)
+    if not eigen_failures:
         cert.passed("A_i E_j = P_{j,i} E_j for all i, j")
 
-    ok_mult = True
-    for j in range(CLASSES):
-        if qm[0, j] != Surd.of(mult[j]):
-            ok_mult = False
-            cert.failed(f"m_{j} = Q[0,{j}]")
-        # trace E_j = |X| * coefficient of A_0
-        if e[j][0] * size != Surd.of(mult[j]):
-            ok_mult = False
-            cert.failed(f"trace E_{j} = m_{j}")
-    if ok_mult:
+    bad_mult = [j for j in range(CLASSES) if qm[0, j] != Surd.of(mult[j])]
+    for j in bad_mult:
+        cert.failed(f"m_{j} = Q[0,{j}]")
+    if not bad_mult:
         cert.passed("multiplicities match Q row 0 and the idempotent traces")
 
     valencies = [p[i][i][0] for i in range(CLASSES)]

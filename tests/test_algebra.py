@@ -236,3 +236,44 @@ def test_surd_division_inverts_multiplication(a, b, c, d):
     if y.sign() == 0:
         return
     assert (x * y) / y == x
+
+
+def test_rational_surd_hashes_like_its_fraction():
+    assert Surd.of(3) == 3
+    assert hash(Surd.of(3)) == hash(3)
+    assert hash(Surd.of(Fraction(-2, 7))) == hash(Fraction(-2, 7))
+    assert len({Surd.of(3), 3}) == 1
+    assert Surd.of(0, 1, 4) in {2}                 # sqrt(4) folds to 2
+
+
+def _is_normal(x: Surd) -> bool:
+    if not (isinstance(x.a, Fraction) and isinstance(x.b, Fraction)):
+        return False
+    if x.b == 0:
+        return x.d == 0
+    return x.d > 1 and square_free_decomposition(x.d) == (1, x.d)
+
+
+SURD_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+@st.composite
+def surd_operands(draw):
+    # any radicand, square factors and 0/1 included, normalised by Surd.of;
+    # the other operand shares it or is rational
+    d = draw(st.integers(min_value=0, max_value=60))
+    x = Surd.of(draw(rationals), draw(rationals), d)
+    y = draw(st.one_of(st.builds(Surd.of, rationals, rationals, st.just(d)), rationals, small_int))
+    return x, y
+
+
+@given(surd_operands(), st.sampled_from(SURD_OPERATORS))
+@settings(max_examples=150)
+def test_surd_operators_return_normal_form(operands, op):
+    x, y = operands
+    divisor = x if op == "__rtruediv__" else y
+    if op.endswith("truediv__") and divisor == 0:
+        return
+    out = getattr(x, op)(y)
+    assert _is_normal(out)
+    assert out == Surd.of(out.a, out.b, out.d)

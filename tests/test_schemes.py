@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -13,11 +14,15 @@ from sgdd.schemes import (
     CLASSES,
     FUSION_PARTITION,
     SchemeParams,
+    _relabel_p,
     assemble_scheme,
     check_fusion,
     closed_form_krein_b2,
-    coeff_mul,
+    closed_form_multiplicities,
+    closed_form_p_matrix,
+    closed_form_q_matrix,
     compute_intersection_numbers,
+    compute_spectra,
     extract_linked_system,
     fuse_classes,
     load_scheme,
@@ -76,22 +81,51 @@ def test_krein_closed_form_flags_excess_fibers():
     assert bad[1][1].sign() < 0
 
 
-def test_dense_idempotents_cross_check(scheme48):
-    # dual route: dense matrix arithmetic for two idempotents at 48 vertices
-    e1 = scheme48.idempotent_matrix(1)
-    e4 = scheme48.idempotent_matrix(4)
-    assert e1 @ e1 == e1
-    prod = e1 @ e4
-    zero = SurdMatrix.zeros(48)
-    assert prod == zero
-    assert e1.trace() == Surd.of(12)
-    # Krein value by the literal trace formula:
-    # q_{1,4}^k needs tr((E_1 o E_4) E_k); check one entry against the tensor
-    had = e1.hadamard(e4)
-    e2 = scheme48.idempotent_matrix(2)
-    trace = (had @ e2).trace()
-    val = trace * Fraction(48, scheme48.spectra.multiplicities[2])
-    assert val == scheme48.krein[1][4][2]
+def _scaled_idempotents(scheme, cols):
+    """c and {j: (R_j, S_j)} with c E_j = R_j + S_j sqrt(D), where c = den |X|
+    and R_j, S_j are integer combinations of the A_i:
+    E_j = (1/|X|) sum_i Q_{i,j} A_i, den clears every denominator of Q."""
+    qm = scheme.spectra.Q
+    den = lcm(*(x.denominator for i in range(CLASSES) for j in range(CLASSES) for x in (qm[i, j].a, qm[i, j].b)))
+    parts = {}
+    for j in cols:
+        r = sum(int(qm[i, j].a * den) * mat.a for i, mat in enumerate(scheme.matrices))
+        s = sum(int(qm[i, j].b * den) * mat.a for i, mat in enumerate(scheme.matrices))
+        parts[j] = (IntMatrix(r), IntMatrix(s))
+    return den * scheme.size, parts
+
+
+def _surd_product(x, y, d):
+    """(R + S sqrt(d)) (R' + S' sqrt(d)) = (R R' + d S S') + (R S' + S R') sqrt(d)."""
+    (r, s), (r2, s2) = x, y
+    return r @ r2 + (s @ s2).scalar_mul(d), r @ s2 + s @ r2
+
+
+def _surd_hadamard(x, y, d):
+    (r, s), (r2, s2) = x, y
+    return IntMatrix(r.a * r2.a + d * s.a * s2.a), IntMatrix(r.a * s2.a + s.a * r2.a)
+
+
+def test_dense_idempotents_cross_check(scheme48, conference24):
+    # dual route: dense integer matrix arithmetic for idempotents of order |X|,
+    # at D = 0 (48 vertices) and D = 5 (24 vertices)
+    for scheme, radicand in ((scheme48, 0), (conference24, 5)):
+        d = scheme.spectra.radicand
+        assert d == radicand
+        c, e = _scaled_idempotents(scheme, (1, 2, 4))
+        size = scheme.size
+        zero = IntMatrix.zeros(size)
+        # E_1^2 = E_1: c^2 E_1^2 = c (c E_1)
+        assert _surd_product(e[1], e[1], d) == (e[1][0].scalar_mul(c), e[1][1].scalar_mul(c))
+        assert _surd_product(e[1], e[4], d) == (zero, zero)
+        mult = scheme.spectra.multiplicities
+        assert Surd.of(Fraction(e[1][0].trace(), c), Fraction(e[1][1].trace(), c), d) == Surd.of(mult[1])
+        # Krein value by the literal trace formula:
+        # q_{1,4}^2 = |X| tr((E_1 o E_4) E_2) / m_2, with c^3 (E_1 o E_4) E_2
+        # formed as integer matrices
+        rational, irrational = _surd_product(_surd_hadamard(e[1], e[4], d), e[2], d)
+        trace = Surd.of(Fraction(rational.trace(), c**3), Fraction(irrational.trace(), c**3), d)
+        assert trace * Fraction(size, mult[2]) == scheme.krein[1][4][2]
 
 
 def test_135_vertex_scheme(scheme135):
@@ -137,6 +171,11 @@ def test_extract_reports_both_readings(scheme48):
     assert alt.triple == (1, 3, 3)
     assert not alt.spectra_match  # mirrored branch fails the closed forms
     assert alt.certified          # but certifies as a linked system
+    # only the eigenvalue equations are listed, not the idempotent products
+    # that follow from them
+    assert [v.identity for v in alt.spectra_certificate.violations] == [
+        "A_3 E_1 = P[1,3] E_1", "A_3 E_4 = P[4,3] E_4", "A_4 E_1 = P[1,4] E_1", "A_4 E_4 = P[4,4] E_4",
+    ]
 
 
 def test_extract_swapped_labels(scheme48):
@@ -313,6 +352,97 @@ def _intersection_numbers_all_products(mats):
     return p, cert
 
 
+def coeff_mul(p, x: list[Surd], y: list[Surd]) -> list[Surd]:
+    """Product in the adjacency algebra, on class-coefficient vectors."""
+    d1 = len(x)
+    out = [Surd.of(0)] * d1
+    for i in range(d1):
+        xi = x[i]
+        if xi.sign() == 0:
+            continue
+        for j in range(d1):
+            yj = y[j]
+            if yj.sign() == 0:
+                continue
+            prod = xi * yj
+            row = p[i][j]
+            for k in range(d1):
+                if row[k]:
+                    out[k] = out[k] + prod * row[k]
+    return out
+
+
+def _spectra_by_coefficient_algebra(p, params):
+    """Reference route: every identity of E_j = (1/|X|) sum_i Q_{i,j} A_i,
+    idempotency and orthogonality included, multiplied out in the
+    coefficient algebra of p."""
+    cert = Certificate(f"closed-form spectra at (k,m,n,f)=({params.k},{params.m},{params.n},{params.f})")
+    size = params.size
+    pm = sgdd.schemes.closed_form_p_matrix(params)
+    qm = sgdd.schemes.closed_form_q_matrix(params)
+    mult = closed_form_multiplicities(params)
+    if sum(mult) != size:
+        cert.failed("multiplicities sum to |X|")
+        return cert
+    cert.passed("multiplicities sum to |X|")
+
+    if pm @ qm == SurdMatrix.identity(CLASSES).scalar_mul(size):
+        cert.passed("P Q = |X| I")
+    else:
+        cert.failed("P Q = |X| I")
+
+    e = [[qm[i, j] * Surd.of(Fraction(1, size)) for i in range(CLASSES)] for j in range(CLASSES)]
+    total = [Surd.of(0)] * CLASSES
+    for j in range(CLASSES):
+        for c in range(CLASSES):
+            total[c] = total[c] + e[j][c]
+    if total == [Surd.of(1)] + [Surd.of(0)] * (CLASSES - 1):
+        cert.passed("sum E_j = I")
+    else:
+        cert.failed("sum E_j = I")
+
+    ok_idem = True
+    for j in range(CLASSES):
+        for l in range(j, CLASSES):
+            got = coeff_mul(p, e[j], e[l])
+            want = e[j] if j == l else [Surd.of(0)] * CLASSES
+            if got != want:
+                ok_idem = False
+                cert.failed(f"E_{j} E_{l} = {'E_' + str(j) if j == l else 'O'}")
+    if ok_idem:
+        cert.passed("E_j are pairwise orthogonal idempotents")
+
+    ok_eig = True
+    for i in range(CLASSES):
+        delta = [Surd.of(1 if c == i else 0) for c in range(CLASSES)]
+        for j in range(CLASSES):
+            got = coeff_mul(p, delta, e[j])
+            want = [pm[j, i] * e[j][c] for c in range(CLASSES)]
+            if got != want:
+                ok_eig = False
+                cert.failed(f"A_{i} E_{j} = P[{j},{i}] E_{j}")
+    if ok_eig:
+        cert.passed("A_i E_j = P_{j,i} E_j for all i, j")
+
+    ok_mult = True
+    for j in range(CLASSES):
+        if qm[0, j] != Surd.of(mult[j]):
+            ok_mult = False
+            cert.failed(f"m_{j} = Q[0,{j}]")
+        if e[j][0] * size != Surd.of(mult[j]):
+            ok_mult = False
+            cert.failed(f"trace E_{j} = m_{j}")
+    if ok_mult:
+        cert.passed("multiplicities match Q row 0 and the idempotent traces")
+
+    valencies = [p[i][i][0] for i in range(CLASSES)]
+    if all(pm[0, i] == Surd.of(valencies[i]) for i in range(CLASSES)):
+        cert.passed("P row 0 equals the valencies")
+    else:
+        cert.failed("P row 0 equals the valencies")
+    return cert
+
+
 def _krein_by_coefficient_algebra(scheme):
     """Reference route: q_{i,j}^k = |X| tr((E_i o E_j) E_k) / m_k, with the
     product E_i o E_j times E_k taken in the coefficient algebra of p."""
@@ -419,3 +549,70 @@ def test_krein_matches_coefficient_algebra(source, radicand, request):
     scheme = request.getfixturevalue(source)
     assert scheme.spectra.radicand == radicand
     assert scheme.krein == _krein_by_coefficient_algebra(scheme)
+
+
+def _eigenvalue_lines(cert):
+    return [v.identity for v in cert.violations if v.identity.startswith("A_")]
+
+
+@pytest.mark.parametrize("transform", [list, _swapped, _permuted], ids=["as-built", "swapped", "permuted"])
+@pytest.mark.parametrize("source", ["scheme48", "scheme135", "conference24", "gcm48"])
+def test_spectra_match_coefficient_algebra(source, transform, request):
+    report = extract_linked_system(transform(request.getfixturevalue(source).matrices))
+    for cand in report.candidates:
+        ref = _spectra_by_coefficient_algebra(_relabel_p(report.p, cand.labels), cand.params)
+        cert = cand.spectra_certificate
+        assert cert.ok == ref.ok
+        assert cert.checks == ref.checks
+        assert _eigenvalue_lines(cert) == _eigenvalue_lines(ref)
+        assert cert.ok or _eigenvalue_lines(cert)
+
+
+def _moved(matrix, i, j, delta):
+    data = [[matrix[r, c] for c in range(CLASSES)] for r in range(CLASSES)]
+    data[i][j] = data[i][j] + delta
+    return SurdMatrix(data)
+
+
+def _column_doubled(matrix, j):
+    return SurdMatrix([[matrix[r, c] * (2 if c == j else 1) for c in range(CLASSES)] for r in range(CLASSES)])
+
+
+def test_spectra_corrupted_q_matches_coefficient_algebra(conference24, monkeypatch):
+    # a doubled column of Q keeps every eigenvalue equation and breaks only
+    # P Q = |X| I, sum E_j = I and the multiplicities: idempotency must not be
+    # recorded.  Seeded single entries of Q moved by +-1 break more.
+    params, p = conference24.params, conference24.p
+    q0 = closed_form_q_matrix(params)
+    rng = random.Random(3)
+    corrupted = [_column_doubled(q0, j) for j in range(CLASSES)]
+    corrupted += [_moved(q0, rng.randrange(CLASSES), rng.randrange(CLASSES), rng.choice((-1, 1))) for _ in range(6)]
+    for n, qm in enumerate(corrupted):
+        monkeypatch.setattr(sgdd.schemes, "closed_form_q_matrix", lambda _params, qm=qm: qm)
+        _, cert = compute_spectra(p, params)
+        ref = _spectra_by_coefficient_algebra(p, params)
+        assert not cert.ok and not ref.ok
+        assert cert.checks == ref.checks
+        assert _eigenvalue_lines(cert) == _eigenvalue_lines(ref)
+        assert "E_j are pairwise orthogonal idempotents" not in cert.checks
+        assert n >= CLASSES or "A_i E_j = P_{j,i} E_j for all i, j" in cert.checks
+
+
+def test_spectra_reject_single_entry_corruptions(conference24, monkeypatch):
+    # every entry of P and of Q, and seeded entries of p, moved by +-1, at
+    # D = 5 where P and Q hold genuine surds
+    params, p = conference24.params, conference24.p
+    assert compute_spectra(p, params)[1].ok
+    rng = random.Random(7)
+    for name, closed_form in (("closed_form_p_matrix", closed_form_p_matrix), ("closed_form_q_matrix", closed_form_q_matrix)):
+        for i in range(CLASSES):
+            for j in range(CLASSES):
+                moved = _moved(closed_form(params), i, j, rng.choice((-1, 1)))
+                monkeypatch.setattr(sgdd.schemes, name, lambda _params, moved=moved: moved)
+                assert not compute_spectra(p, params)[1].ok, (name, i, j)
+        monkeypatch.undo()
+    for _ in range(24):
+        i, l, k = (rng.randrange(CLASSES) for _ in range(3))
+        bad = [[list(row) for row in mat] for mat in p]
+        bad[i][l][k] += rng.choice((-1, 1))
+        assert not compute_spectra(bad, params)[1].ok, (i, l, k)
