@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .designs import Certificate
 from .errors import BudgetExceededError, CertificationError, ParameterError
 from .gf import GFContext
 
@@ -133,27 +134,9 @@ class LinkedMolsFamily:
         return hash((self.f, self.order))
 
 
-@dataclass
-class LinkedViolation:
-    triple: tuple[int, int, int]
-    kind: str
-
-    def __str__(self):
-        return f"triple {self.triple}: {self.kind}"
-
-
-@dataclass
-class LinkedCertificate:
-    violations: list[LinkedViolation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_linked(fam: LinkedMolsFamily) -> LinkedCertificate:
+def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     """Check orthogonality and composition closure on every ordered triple."""
-    bad = []
+    cert = Certificate(f"linked family f={fam.f} order={fam.order}")
     idx = range(1, fam.f + 1)
     for i in idx:
         for j in idx:
@@ -162,11 +145,13 @@ def verify_linked(fam: LinkedMolsFamily) -> LinkedCertificate:
                     continue
                 lik, ljk = fam.squares[(i, k)], fam.squares[(j, k)]
                 if not is_orthogonal(lik, ljk):
-                    bad.append(LinkedViolation((i, j, k), "squares sharing the third index are not orthogonal"))
+                    cert.failed(f"triple {(i, j, k)}: squares sharing the third index are not orthogonal")
                     continue
                 if compose(lik, ljk) != fam.squares[(i, j)]:
-                    bad.append(LinkedViolation((i, j, k), "composition does not reproduce the pair square"))
-    return LinkedCertificate(bad)
+                    cert.failed(f"triple {(i, j, k)}: composition does not reproduce the pair square")
+    if cert.ok:
+        cert.passed("on every ordered triple (i, j, k), L_ik and L_jk are orthogonal and compose to L_ij")
+    return cert
 
 
 def linked_mols_from_gf2n(ctx: GFContext) -> LinkedMolsFamily:
@@ -267,30 +252,6 @@ def _solve_second(l1: LatinSquare, target: LatinSquare) -> LatinSquare | None:
     return x
 
 
-def _solve_first(l2: LatinSquare, target: LatinSquare) -> LatinSquare | None:
-    """Y with compose(Y, l2) = target, or None."""
-    n = l2.order
-    pos = l2.positions()
-    grid = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            b = target.grid[i][j]
-            a = pos[j][b]
-            if grid[i][a] is None:
-                grid[i][a] = b
-            elif grid[i][a] != b:
-                return None
-    if any(x is None for row in grid for x in row):
-        return None
-    try:
-        y = LatinSquare(tuple(tuple(row) for row in grid))
-    except ParameterError:
-        return None
-    if not is_orthogonal(y, l2) or compose(y, l2) != target:
-        return None
-    return y
-
-
 def _extend_family(squares: dict, t: int, u: int, l1u: LatinSquare, zero_diagonal: bool) -> dict | None:
     """Given a complete family on {1..t} and a candidate L_{1,u} (u = t+1),
     derive every square touching u; None when the constraints clash."""
@@ -315,9 +276,10 @@ def _extend_family(squares: dict, t: int, u: int, l1u: LatinSquare, zero_diagona
     if x is None or (zero_diagonal and not x.zero_diagonal):
         return None
     new[(u, 1)] = x
-    # L_{u,s} from: compose(L_{u,s}, L_{1,s}) = L_{u,1}
+    # L_{u,s} from: compose(L_{u,s}, L_{1,s}) = L_{u,1}, that is
+    # compose(L_{1,s}, L_{u,s}) = L_{u,1}^T, as compose(A, B)^T = compose(B, A)
     for s in range(2, t + 1):
-        y = _solve_first(new[(1, s)], new[(u, 1)])
+        y = _solve_second(new[(1, s)], new[(u, 1)].transpose())
         if y is None or (zero_diagonal and not y.zero_diagonal):
             return None
         new[(u, s)] = y

@@ -96,9 +96,6 @@ class LinkedSystemII:
     def f(self) -> int:
         return self.params.f
 
-    def block(self, i: int, j: int) -> IncidenceMatrix:
-        return self.blocks[(i, j)]
-
 
 @dataclass(frozen=True)
 class CandidateTriple:
@@ -172,9 +169,9 @@ def _ordered_pairs(f: int):
 
 def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     """Certify every block, the 0/1 condition on A + K, the commutation
-    A K = K A = k/(m-1) (J - K), and (for f >= 3) the full triple-product
-    law over all ordered distinct triples, one wide product per ordered
-    pair (i, j)."""
+    A K = K A = k/(m-1) (J - K), A_{j,i} = A_{i,j}^T, and (for f >= 3) the
+    full triple-product law over all ordered distinct triples, one wide
+    product per ordered pair (i, j)."""
     p = sys.params
     base = p.base
     cert = Certificate(f"linked system f={p.f} on {base}")
@@ -202,8 +199,12 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
         else:
             cert.failed(f"block {pair}: A K = K A = k/(m-1) (J - K)")
 
-    transpose_ok = all(sys.blocks[(j, i)].mat == sys.blocks[(i, j)].mat.T for (i, j) in pairs)
-    cert.notes.append(f"transpose-consistent blocks: {'yes' if transpose_ok else 'no'}")
+    # A_{j,i} = A_{i,j}^T is what makes the scheme's class A_3 symmetric
+    untransposed = [(i, j) for i, j in pairs if i < j and sys.blocks[(j, i)].mat != sys.blocks[(i, j)].mat.T]
+    cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
+    for i, j in untransposed:
+        pos = sys.blocks[(j, i)].mat.first_difference(sys.blocks[(i, j)].mat.T)
+        cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
 
     if p.f == 2:
         comp = companion_params(base)

@@ -5,8 +5,10 @@ within-fiber classes (A_1 within group, A_2 across groups), the cross-fiber
 group indicator A_5 and the leftover class A_4.  Certification is exact and
 layered:
 
-* the scheme axioms and intersection numbers p_{i,j}^k are verified by
-  integer matrix arithmetic, entrywise;
+* the scheme axioms hold for the scheme of a certified linked system (see
+  ``assemble_scheme``), so assembly and extraction certify through the
+  system and read p_{i,j}^k at one pair per class; ``verify scheme`` and
+  inputs no system certifies take the dense ``compute_intersection_numbers``;
 * eigenmatrices come from closed forms over Q(sqrt(D)) with
   D = squarefree(k(m-1)(n-1)(mn-k-n)) and are verified against the
   intersection numbers by 6x6 identities: P Q = |X| I, the row sums of Q
@@ -85,16 +87,17 @@ class AssociationScheme:
 
 # -- axioms and intersection numbers ------------------------------------------
 
+# recorded once every product A_i A_j is known to be constant on every class
+_DECOMPOSITION = (
+    "all products A_i A_j decompose with constant class coefficients",
+    "intersection numbers are symmetric in the lower indices",
+)
 
-def compute_intersection_numbers(mats: list[IntMatrix]) -> tuple[list[list[list[int]]] | None, Certificate]:
-    """Exhaustive axiom check; p_{i,j}^k read off one representative entry
-    per class after verifying constancy of A_i A_j over every class.
 
-    Once A_0 = I and symmetry are certified, p_{0,j}^k = p_{j,0}^k = [j = k]
-    and only the products A_i A_j with 1 <= i <= j are formed: A_j A_i is
-    their transpose, constant on a symmetric class exactly when A_i A_j is."""
+def _partition_certificate(mats: list[IntMatrix]) -> Certificate:
+    """The O(|X|^2) axioms: A_0 = I, every class a symmetric square 0/1
+    matrix, sum A_i = J and no class empty."""
     cert = Certificate("association scheme axioms")
-    d1 = len(mats)
     size = mats[0].rows
     if mats[0] != IntMatrix.identity(size):
         cert.failed("A_0 = I", (0, 0))
@@ -104,36 +107,58 @@ def compute_intersection_numbers(mats: list[IntMatrix]) -> tuple[list[list[list[
     for idx, mat in enumerate(mats):
         if not (mat.is_square and mat.rows == size and mat.is_zero_one()):
             cert.failed(f"A_{idx} is a square 0/1 matrix of order {size}")
-            return None, cert
+            return cert
         if not mat.is_symmetric():
             cert.failed(f"A_{idx} is symmetric")
         total = total + mat
     cert.compare("sum A_i = J", total, IntMatrix.ones(size))
     if idx_zero := [i for i, mat in enumerate(mats) if mat == IntMatrix.zeros(size)]:
         cert.failed(f"classes {idx_zero} are empty")
-    if not cert.ok:
-        return None, cert
+    return cert
 
-    # the classes partition X x X: label each pair by its class, and read
-    # class k's coefficient at its first pair in row-major order
+
+def _first_pair_numbers(mats: list[IntMatrix]) -> list[list[list[int]]]:
+    """p_{i,j}^k = (A_i A_j)[x, y] at class k's first pair (x, y) in
+    row-major order, for classes that pass ``_partition_certificate``: the
+    dot product of row x of A_i with row y of the symmetric A_j, at most
+    |X|, so exact in int64.  These are the intersection numbers exactly when
+    every A_i A_j is constant on every class."""
+    xs, ys = np.divmod([int(mat.a.argmax()) for mat in mats], mats[0].rows)
+    at = np.einsum("ikz,jkz->ijk", np.stack([mat.a[xs] for mat in mats]), np.stack([mat.a[ys] for mat in mats]))
+    return at.tolist()
+
+
+def _constant_on_classes(mats: list[IntMatrix], p, cert: Certificate) -> bool:
+    """The dense check: A_i A_j = sum_k p_{i,j}^k A_k entrywise for
+    1 <= i <= j, one product of order |X| per pair; the first failing pair
+    and class go to ``cert``.  A_j A_i is the transpose, constant on a
+    symmetric class exactly when A_i A_j is."""
+    d1 = len(mats)
+    # the classes partition X x X: label each pair by its class
     labels = sum(k * mat.a for k, mat in enumerate(mats))
-    first = [int(mat.a.argmax()) for mat in mats]
-    p = [[[0] * d1 for _ in range(d1)] for _ in range(d1)]
-    for j in range(d1):
-        p[0][j][j] = p[j][0][j] = 1
     for i in range(1, d1):
         for j in range(i, d1):
             prod = (mats[i] @ mats[j]).a
-            coeffs = prod.ravel()[first]
+            coeffs = np.array(p[i][j])
             if not (prod == coeffs[labels]).all():
                 k = next(k for k in range(d1) if not (prod[mats[k].a == 1] == coeffs[k]).all())
                 cert.failed(f"A_{i} A_{j} is not constant on class {k}")
-                return None, cert
-            p[i][j] = [int(x) for x in coeffs]
-            p[j][i] = list(p[i][j])
-    cert.passed("all products A_i A_j decompose with constant class coefficients")
-    # symmetric classes commute: A_j A_i = (A_i A_j)^T = A_i A_j
-    cert.passed("intersection numbers are symmetric in the lower indices")
+                return False
+    return True
+
+
+def compute_intersection_numbers(mats: list[IntMatrix]) -> tuple[list[list[list[int]]] | None, Certificate]:
+    """Exhaustive axiom check for any number of classes: the partition
+    axioms, p read at one pair per class, then every product A_i A_j with
+    1 <= i <= j checked dense against p.  ``verify scheme`` uses it, and so
+    does extraction when no labeling certifies through a linked system."""
+    cert = _partition_certificate(mats)
+    if not cert.ok:
+        return None, cert
+    p = _first_pair_numbers(mats)
+    if not _constant_on_classes(mats, p, cert):
+        return None, cert
+    cert.checks += _DECOMPOSITION
     return p, cert
 
 
@@ -304,31 +329,18 @@ def compute_krein(spectra: Spectra, params: SchemeParams) -> tuple[list[list[lis
 
 
 def scheme_matrices_from_system(sys: LinkedSystemII) -> list[IntMatrix]:
+    """The six classes of the scheme of ``sys``, as ``assemble_scheme``
+    lists them, with K = I_m (x) J_n."""
     base = sys.params.base
-    f, m, n = sys.params.f, base.m, base.n
-    mn = base.v
-    size = f * mn
-    eye = np.eye
-    ones = np.ones
-    a0 = eye(size, dtype=np.int64)
-    a1 = np.kron(eye(f * m, dtype=np.int64), ones((n, n), dtype=np.int64) - eye(n, dtype=np.int64))
-    a2 = np.kron(
-        np.kron(eye(f, dtype=np.int64), ones((m, m), dtype=np.int64) - eye(m, dtype=np.int64)),
-        ones((n, n), dtype=np.int64),
-    )
-    a5 = np.kron(
-        ones((f, f), dtype=np.int64) - eye(f, dtype=np.int64),
-        np.kron(eye(m, dtype=np.int64), ones((n, n), dtype=np.int64)),
-    )
-    zero = np.zeros((mn, mn), dtype=np.int64)
-    a3 = np.block(
-        [
-            [zero if i == j else sys.blocks[(i, j)].mat.a for j in range(1, f + 1)]
-            for i in range(1, f + 1)
-        ]
-    )
-    a4 = np.kron(ones((f, f), dtype=np.int64) - eye(f, dtype=np.int64), ones((mn, mn), dtype=np.int64)) - a3 - a5
-    return [IntMatrix(x) for x in (a0, a1, a2, a3, a4, a5)]
+    f, mn = sys.params.f, base.v
+    eye_f, eye_mn = np.eye(f, dtype=np.int64), np.eye(mn, dtype=np.int64)
+    k, j = IntMatrix.group_blocks(base.m, base.n).a, np.ones((mn, mn), dtype=np.int64)
+    zero = np.zeros_like(j)
+    a3 = np.block([[zero if i == l else sys.blocks[(i, l)].mat.a for l in range(1, f + 1)] for i in range(1, f + 1)])
+    a5 = np.kron(1 - eye_f, k)
+    a4 = np.kron(1 - eye_f, j) - a3 - a5
+    classes = (np.eye(f * mn, dtype=np.int64), np.kron(eye_f, k - eye_mn), np.kron(eye_f, j - k), a3, a4, a5)
+    return [IntMatrix(x) for x in classes]
 
 
 def _certified_scheme(
@@ -345,16 +357,42 @@ def _certified_scheme(
 
 
 def assemble_scheme(sys: LinkedSystemII) -> AssociationScheme:
-    """Build the six classes and certify everything; raises on any failure."""
+    """Build the six classes and certify everything; raises on any failure.
+
+    The certified system is the certificate of the scheme axioms.  With
+    K = I_m (x) J_n, ``scheme_matrices_from_system`` builds A_0 = I,
+    A_1 = I_f (x) (K - I), A_2 = I_f (x) (J - K), A_5 = (J_f - I_f) (x) K,
+    A_3 with the blocks A_ij off the diagonal, and
+    A_4 = (J_f - I_f) (x) J - A_3 - A_5.  ``verify_linked_system`` certifies
+    that each A_ij is a symmetric GDD (so A_ij J = J A_ij = k J), that
+    A_ij + K is 0/1, A_ij K = K A_ij = k/(m-1) (J - K), A_ji = A_ij^T and,
+    for f >= 3, the triple products.  Block by block:
+
+    * the classes are symmetric 0/1 matrices summing to J: A_3 is symmetric
+      as A_ji = A_ij^T, and misses A_5 as A_ij + K is 0/1;
+    * block (i,i) of A_3^2 is sum_j A_ij A_ij^T
+      = (f-1)(k I + l1 (K - I) + l2 (J - K)), on A_0, A_1, A_2;
+    * block (i,l) of A_3^2, for i != l, is sum_{j != i,l} A_ij A_jl
+      = (f-2)(sigma A_il + tau (J - A_il - K) + rho K), on A_3, A_4, A_5;
+    * A_ij K = K A_ij = k/(m-1) (J - K) and A_ij J = k J cover every product
+      of A_3 with a pattern class A_0, A_1, A_2, A_5 (or with J), and the
+      products of pattern classes are Kronecker products of patterns;
+    * A_4 = (J_f - I_f) (x) J - A_3 - A_5 follows linearly.
+
+    So every A_i A_j is constant on every class.  The partition checks run
+    on the assembled classes, p is read at one pair per class, and no
+    product of order |X| is formed."""
     sys_cert = verify_linked_system(sys)
     if not sys_cert.ok:
         raise CertificationError("input system fails certification", sys_cert)
     base = sys.params.base
     params = SchemeParams(k=base.k, m=base.m, n=base.n, f=sys.params.f)
     mats = scheme_matrices_from_system(sys)
-    p, cert = compute_intersection_numbers(mats)
-    if p is None:
+    cert = _partition_certificate(mats)
+    if not cert.ok:
         raise CertificationError("assembled matrices fail the scheme axioms", cert)
+    p = _first_pair_numbers(mats)
+    cert.checks += _DECOMPOSITION
     scheme = _certified_scheme(mats, p, params, cert, *compute_spectra(p, params))
     if not scheme.certificate.ok:
         raise CertificationError("assembled scheme fails certification", scheme.certificate)
@@ -394,8 +432,6 @@ def _equivalence_classes(arr: np.ndarray) -> list[tuple[int, ...]] | None:
 class ExtractionCandidate:
     labels: tuple[int, ...]          # canonical position -> input class index
     params: SchemeParams
-    lambda1: int
-    lambda2: int
     triple: tuple[int, int, int] | None
     spectra: Spectra
     spectra_certificate: Certificate
@@ -477,117 +513,106 @@ def _relabel_p(p, labels):
     ]
 
 
-def _canonical_vertex_order(mats, labels, m: int, n: int, f: int) -> list[int] | None:
+def _canonical_vertex_order(mats, labels, m: int, n: int) -> list[int] | None:
     """Vertex permutation sorting into fibers, aligned groups, ascending
-    points; identity whenever the input is already canonically ordered."""
+    points, or None unless A_5 is the aligned-group pattern
+    (J_f - I_f) (x) I_m (x) J_n in that order; identity whenever the input is
+    already canonically ordered.  Group j of a later fiber holds the first
+    A_5-neighbour there of group j of fiber 0; uniform groups and fibers
+    (``_identify_labelings``) put m groups of n points in every fiber."""
     c0, c1, c2, _, _, c5 = labels
-    fibers = _equivalence_classes(mats[c0].a + mats[c1].a + mats[c2].a)
-    groups = _equivalence_classes(mats[c0].a + mats[c1].a)
-    if fibers is None or groups is None:
-        return None
-    fibers = sorted(fibers, key=min)
-    group_of = {}
-    for g in groups:
-        for x in g:
-            group_of[x] = g
+    fibers = sorted(_equivalence_classes(mats[c0].a + mats[c1].a + mats[c2].a), key=min)
+    group_of = {x: g for g in _equivalence_classes(mats[c0].a + mats[c1].a) for x in g}
     a5 = mats[c5].a
     ref_groups = sorted({group_of[x] for x in fibers[0]}, key=min)
-    if len(ref_groups) != m:
-        return None
     order = []
     for t, fib in enumerate(fibers):
-        fib_groups = {group_of[x] for x in fib}
-        if len(fib_groups) != m:
-            return None
-        if t == 0:
-            aligned = ref_groups
-        else:
-            aligned = []
-            for g in ref_groups:
-                x = g[0]
-                linked = [y for y in fib if a5[x, y]]
-                if len(linked) != n:
-                    return None
-                target = group_of[linked[0]]
-                if set(linked) != set(target):
-                    return None
-                aligned.append(target)
+        aligned = ref_groups
+        if t:
+            firsts = [next((y for y in fib if a5[g[0], y]), None) for g in ref_groups]
+            if None in firsts:
+                return None
+            aligned = [group_of[y] for y in firsts]
             if len(set(aligned)) != m:
                 return None
         for g in aligned:
             order.extend(sorted(g))
+    pos = np.empty(len(order), dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    fiber, group = pos // (m * n), pos // n % m
+    if not np.array_equal(a5 != 0, (fiber[:, None] != fiber) & (group[:, None] == group)):
+        return None
     return order
 
 
 def extract_linked_system(mats: list[IntMatrix]) -> ExtractionReport:
     """Recover the linked system (or the f = 2 pair) from the adjacency
     matrices; every class labeling compatible with the fiber structure is
-    attempted, so parameter-symmetric inputs report both readings."""
+    attempted, so parameter-symmetric inputs report both readings.
+
+    A labeling certifies when A_5 is the pattern of its canonical vertex
+    order and the system read off A_3 in that order certifies.  A_0, A_1
+    and A_2 are their patterns there, as groups and fibers are consecutive
+    uniform equivalence classes, and A_4 follows from sum A_i = J: the input
+    is the scheme of a certified system (see ``assemble_scheme``), and p is
+    read at one pair per class.  When no labeling certifies, the dense
+    ``compute_intersection_numbers`` decides and names the first failing
+    pair."""
     if len(mats) != CLASSES:
         raise ParameterError("expected six classes")
-    p, cert = compute_intersection_numbers(mats)
-    if p is None:
+    cert = _partition_certificate(mats)
+    if not cert.ok:
         raise CertificationError("input fails the scheme axioms", cert)
+    p = _first_pair_numbers(mats)
+    # a class with unequal row sums is not a class of a scheme: the dense
+    # route rejects such an input, so no labeling is tried
+    regular = all((mat.a.sum(axis=1) == mat.a[0].sum()).all() for mat in mats)
     candidates = []
-    for lab in _identify_labelings(mats, p):
+    for lab in _identify_labelings(mats, p) if regular else []:
         labels = lab["labels"]
         m, n, f = lab["m"], lab["n"], lab["f"]
         pp = _relabel_p(p, labels)
-        if pp[3][3][0] % (f - 1):
+        # A_3^2 = (f-1)(k A_0 + l1 A_1 + l2 A_2) + (f-2)(sigma A_3 + tau A_4 + rho A_5)
+        coeffs = pp[3][3]
+        if any(x % (f - 1) for x in coeffs[:3]) or (f >= 3 and any(x % (f - 2) for x in coeffs[3:])):
             continue
-        k = pp[3][3][0] // (f - 1)
-        if pp[3][3][1] % (f - 1) or pp[3][3][2] % (f - 1):
-            continue
-        l1 = pp[3][3][1] // (f - 1)
-        l2 = pp[3][3][2] // (f - 1)
+        k, l1, l2 = (x // (f - 1) for x in coeffs[:3])
+        triple = tuple(x // (f - 2) for x in coeffs[3:]) if f >= 3 else None
         if not l1 < k < (m - 1) * n:
             continue
         try:
             params = SchemeParams(k=k, m=m, n=n, f=f)
         except ParameterError:
             continue
-        triple = None
-        if f >= 3:
-            if any(pp[3][3][c] % (f - 2) for c in (3, 4, 5)):
-                continue
-            triple = (pp[3][3][3] // (f - 2), pp[3][3][4] // (f - 2), pp[3][3][5] // (f - 2))
         spectra, spec_cert = compute_spectra(pp, params)
-        order = _canonical_vertex_order(mats, labels, m, n, f)
-        system = None
-        sys_cert = None
+        system = sys_cert = None
+        order = _canonical_vertex_order(mats, labels, m, n)
         if order is not None:
-            perm = np.array(order)
-            a3 = mats[labels[3]].a[np.ix_(perm, perm)]
+            # the blocks of A_3 between the fibers of the canonical order
             mn = m * n
+            fibers = [order[t * mn : (t + 1) * mn] for t in range(f)]
+            a3 = mats[labels[3]].a
             try:
-                base = GddParams(mn, k, m, n, l1, l2)
-                if f >= 3:
-                    lp = LinkedParams(base=base, f=f, sigma=triple[0], tau=triple[1], rho=triple[2])
-                else:
-                    lp = LinkedParams(base=base, f=f, sigma=None, tau=None, rho=None)
-                blocks = {}
-                for i in range(f):
-                    for j in range(f):
-                        if i != j:
-                            sub = a3[i * mn : (i + 1) * mn, j * mn : (j + 1) * mn]
-                            blocks[(i + 1, j + 1)] = IncidenceMatrix(IntMatrix(sub.copy()), m, n)
+                lp = LinkedParams(GddParams(mn, k, m, n, l1, l2), f, *(triple or (None, None, None)))
+                blocks = {
+                    (i + 1, j + 1): IncidenceMatrix(IntMatrix(a3[np.ix_(fibers[i], fibers[j])]), m, n)
+                    for i in range(f)
+                    for j in range(f)
+                    if i != j
+                }
                 system = LinkedSystemII(params=lp, blocks=blocks)
                 sys_cert = verify_linked_system(system)
             except ParameterError:
-                system, sys_cert = None, None
-        candidates.append(
-            ExtractionCandidate(
-                labels=labels,
-                params=params,
-                lambda1=l1,
-                lambda2=l2,
-                triple=triple,
-                spectra=spectra,
-                spectra_certificate=spec_cert,
-                system=system if (sys_cert is not None and sys_cert.ok) else None,
-                certificate=sys_cert,
-            )
-        )
+                system = sys_cert = None
+        if sys_cert is not None and not sys_cert.ok:
+            system = None
+        candidates.append(ExtractionCandidate(labels, params, triple, spectra, spec_cert, system, sys_cert))
+    if any(cand.certified for cand in candidates):
+        cert.checks += _DECOMPOSITION
+    else:
+        p, cert = compute_intersection_numbers(mats)
+        if p is None:
+            raise CertificationError("input fails the scheme axioms", cert)
     if not candidates:
         raise CertificationError("no class labeling exhibits the fiber structure")
     candidates.sort(key=lambda c: (not c.spectra_match, c.labels))

@@ -15,6 +15,7 @@ from sgdd.linked import (
     bush_search,
     conference_to_gdd,
     gcm_to_gdd,
+    pair_system,
 )
 from sgdd.resolvable import aux_from_affine_geometry, aux_from_hadamard
 from sgdd.schemes import assemble_scheme
@@ -80,6 +81,15 @@ def _flip_off_group_entry(sys: LinkedSystemII, seed: int):
     blocks = dict(sys.blocks)
     blocks[pair] = IncidenceMatrix(IntMatrix(arr), blk.m, blk.n)
     return LinkedSystemII(params=sys.params, blocks=blocks), pair
+
+
+@pytest.fixture(scope="session")
+def non_transposed_pair(sys16):
+    """The pair system {A_12, A_12^T} of sys16 with its (2, 1) block replaced
+    by A_13: both blocks are designs whose companions are designs, but
+    A_21 != A_12^T, so the assembled class A_3 is not symmetric."""
+    pair = pair_system(sys16.blocks[(1, 2)], sys16.params.base)
+    return LinkedSystemII(params=pair.params, blocks={(1, 2): pair.blocks[(1, 2)], (2, 1): sys16.blocks[(1, 3)]})
 
 
 @pytest.fixture(scope="session")

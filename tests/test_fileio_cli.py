@@ -305,6 +305,17 @@ def test_cli_assembles_pair_file(tmp_path: Path, conference12):
     assert code == 0 and "f=2" in out
 
 
+def test_cli_rejects_non_transposed_pair_file(tmp_path: Path, non_transposed_pair):
+    lsys = tmp_path / "pair.lsys"
+    lsys.write_text(fileio.format_linked_system(non_transposed_pair))
+    code, out = run_cli("verify", "linked-system", str(lsys))
+    assert code == 1
+    assert "  note: transpose-consistent blocks: no" in out.splitlines()
+    assert "  violation: block (2, 1) is the transpose of block (1, 2) at (0, 6)" in out.splitlines()
+    code, out = run_cli("scheme", "assemble", "--in", str(lsys), "-o", str(tmp_path / "pair.scm"))
+    assert code == 1 and not (tmp_path / "pair.scm").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "x", "2"])
 def test_cli_rejects_jobs_below_one(jobs):
     """Scans run in one serial pass: there is no --jobs flag, so any value,

@@ -1,12 +1,16 @@
+import random
 from itertools import permutations
 
 import pytest
 
-from sgdd.errors import BudgetExceededError, ParameterError
-from sgdd.gf import gf_make
+import sgdd.latin
+from sgdd.designs import Certificate
+from sgdd.errors import BudgetExceededError, CertificationError, ParameterError
+from sgdd.gf import gf_from_order, gf_make
 from sgdd.latin import (
     LatinSquare,
     LinkedMolsFamily,
+    _solve_second,
     compose,
     is_orthogonal,
     linked_mols_from_gf2n,
@@ -113,15 +117,102 @@ def test_odd_characteristic_rejected(gf5):
         linked_mols_from_gf2n(gf5)
 
 
-def test_verifier_catches_tampered_square(fam_gf4):
+def _tampered(fam):
     # field squares in characteristic 2 are symmetric, so transposition is
     # invisible; relabel two symbols in one square instead
     swap = {0: 0, 1: 2, 2: 1, 3: 3}
-    squares = dict(fam_gf4.squares)
-    tampered = LatinSquare.of([[swap[x] for x in row] for row in squares[(1, 2)].grid])
-    squares[(1, 2)] = tampered
-    broken = LinkedMolsFamily(f=3, order=4, squares=squares)
+    squares = dict(fam.squares)
+    squares[(1, 2)] = LatinSquare.of([[swap[x] for x in row] for row in squares[(1, 2)].grid])
+    return LinkedMolsFamily(f=fam.f, order=fam.order, squares=squares)
+
+
+def test_verifier_catches_tampered_square(fam_gf4):
+    broken = _tampered(fam_gf4)
     assert not verify_linked(broken).ok
+
+
+def test_verifier_returns_a_design_certificate(fam_gf4):
+    cert = verify_linked(_tampered(fam_gf4))
+    assert isinstance(cert, Certificate)
+    assert [str(v) for v in cert.violations] == [
+        "triple (1, 2, 3): composition does not reproduce the pair square",
+        "triple (1, 3, 2): squares sharing the third index are not orthogonal",
+        "triple (3, 1, 2): squares sharing the third index are not orthogonal",
+    ]
+    assert verify_linked(fam_gf4).ok and verify_linked(fam_gf4).checks
+
+
+def test_cli_reports_a_failing_field_family(monkeypatch, capsys):
+    # a field family that fails the linked property reaches the CLI as a
+    # CertificationError carrying its certificate, which is printed
+    from sgdd.cli import main
+
+    family = sgdd.latin.LinkedMolsFamily
+    monkeypatch.setattr(sgdd.latin, "LinkedMolsFamily", lambda **kw: _tampered(family(**kw)))
+    assert main(["construct", "linked-mols", "--q", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "certificate: linked family f=3 order=4: VIOLATED",
+        "  violation: triple (1, 2, 3): composition does not reproduce the pair square",
+        "  violation: triple (1, 3, 2): squares sharing the third index are not orthogonal",
+        "  violation: triple (3, 1, 2): squares sharing the third index are not orthogonal",
+    ]
+    assert err == "error: field-derived family fails the linked property\n"
+    with pytest.raises(CertificationError):
+        sgdd.latin.linked_mols_from_gf2n(gf_make(2, 2))
+
+
+def _solve_first(l2: LatinSquare, target: LatinSquare) -> LatinSquare | None:
+    """Reference route: Y with compose(Y, l2) = target, or None, solved
+    cell by cell."""
+    n = l2.order
+    pos = l2.positions()
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            b = target.grid[i][j]
+            a = pos[j][b]
+            if grid[i][a] is None:
+                grid[i][a] = b
+            elif grid[i][a] != b:
+                return None
+    if any(x is None for row in grid for x in row):
+        return None
+    try:
+        y = LatinSquare(tuple(tuple(row) for row in grid))
+    except ParameterError:
+        return None
+    if not is_orthogonal(y, l2) or compose(y, l2) != target:
+        return None
+    return y
+
+
+def _relabeled(sq: LatinSquare, rows, cols, symbols) -> LatinSquare:
+    return LatinSquare.of([[symbols[sq.grid[r][c]] for c in cols] for r in rows])
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_solve_second_on_the_transpose_matches_solve_first(q):
+    # compose(A, B)^T = compose(B, A), so Y with compose(Y, L) = T is X with
+    # compose(L, X) = T^T; seeded orthogonal pairs (field squares under a
+    # shared column and symbol relabeling and their own row orders) give
+    # solvable targets, relabeled single squares mostly unsolvable ones
+    rng = random.Random(q)
+    squares = mols_from_gf(gf_from_order(q))
+
+    def perm():
+        return rng.sample(range(q), q)
+
+    solved = 0
+    for _ in range(60):
+        a, b = rng.sample(squares, 2)
+        cols, symbols = perm(), perm()
+        y, l2 = _relabeled(a, perm(), cols, symbols), _relabeled(b, perm(), cols, symbols)
+        for target in (compose(y, l2), _relabeled(rng.choice(squares), perm(), perm(), perm())):
+            want = _solve_first(l2, target)
+            assert _solve_second(l2, target.transpose()) == want
+            solved += want is not None
+    assert solved >= 60
 
 
 def test_search_order4_finds_family():

@@ -92,6 +92,16 @@ def test_verifier_catches_swapped_blocks(sys16):
     assert any("triple product" in str(v) for v in cert.violations)
 
 
+def test_verifier_requires_transposed_blocks(sys16, non_transposed_pair):
+    # the note line keeps its text; the failed check is now the only violation
+    assert verify_linked_system(sys16).notes == ["transpose-consistent blocks: yes"]
+    cert = verify_linked_system(non_transposed_pair)
+    assert cert.notes == ["transpose-consistent blocks: no"]
+    assert [v.identity for v in cert.violations] == ["block (2, 1) is the transpose of block (1, 2)"]
+    pos = cert.violations[0].position
+    assert non_transposed_pair.blocks[(2, 1)].mat[pos] != non_transposed_pair.blocks[(1, 2)].mat.T[pos]
+
+
 def _triple_lines_per_triple(sys):
     """Reference route for the triple-product law: one product and one
     expected matrix per ordered triple (i, j, l)."""

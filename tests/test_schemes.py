@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from sgdd.algebra import IntMatrix, Surd, SurdMatrix
-from sgdd.designs import Certificate
-from sgdd.errors import CertificationError
-from sgdd.linked import pair_system
+from sgdd.designs import Certificate, GddParams, IncidenceMatrix
+from sgdd.errors import CertificationError, ParameterError
+from sgdd.linked import LinkedParams, LinkedSystemII, pair_system, verify_linked_system
 import sgdd.schemes
 from sgdd.schemes import (
     CLASSES,
     FUSION_PARTITION,
     SchemeParams,
+    _canonical_vertex_order,
+    _equivalence_classes,
+    _identify_labelings,
     _relabel_p,
     assemble_scheme,
     check_fusion,
@@ -26,6 +29,7 @@ from sgdd.schemes import (
     extract_linked_system,
     fuse_classes,
     load_scheme,
+    scheme_matrices_from_system,
 )
 
 
@@ -200,7 +204,7 @@ def test_load_scheme_certifies_once(scheme48, monkeypatch):
     mats = list(scheme48.matrices)
     mats[3], mats[4] = mats[4], mats[3]
     scheme, primary = load_scheme(mats)
-    assert calls == [CLASSES]
+    assert calls == []  # certified through the linked system: no dense route
     assert primary.labels == (0, 1, 2, 4, 3, 5)
     assert scheme.matrices == scheme48.matrices
     assert scheme.p == scheme48.p
@@ -269,19 +273,17 @@ def test_extract_under_arbitrary_vertex_permutation(scheme48):
     assert primary.params == scheme48.params
 
 
-def test_maximal_systems_attain_krein_bound():
+def test_maximal_systems_attain_krein_bound(scheme225):
     from sgdd.classical import hadamard_matrix
     from sgdd.latin import search_linked_mols
     from sgdd.linked import build_tilde_l
-    from sgdd.resolvable import aux_from_affine_geometry, aux_from_hadamard
+    from sgdd.resolvable import aux_from_hadamard
 
     fam4 = search_linked_mols(4, 4)
     scheme64 = assemble_scheme(build_tilde_l(aux_from_hadamard(hadamard_matrix(4)), fam4))
     assert scheme64.params.f == scheme64.params.m == 4
     assert scheme64.krein[2][1][1] == Surd.of(0)  # m/f - 1 vanishes at the bound
 
-    fam5 = search_linked_mols(5, 5)
-    scheme225 = assemble_scheme(build_tilde_l(aux_from_affine_geometry(3, 1), fam5))
     assert scheme225.params.f == scheme225.params.m == 5
     assert scheme225.krein[2][1][1] == Surd.of(0)
 
@@ -470,6 +472,14 @@ def gcm48(gcm24):
     return assemble_scheme(pair_system(*gcm24))
 
 
+@pytest.fixture(scope="module")
+def scheme225(aux_ag23):
+    from sgdd.latin import search_linked_mols
+    from sgdd.linked import build_tilde_l
+
+    return assemble_scheme(build_tilde_l(aux_ag23, search_linked_mols(5, 5)))
+
+
 def _swapped(mats):
     mats = list(mats)
     mats[3], mats[4] = mats[4], mats[3]
@@ -616,3 +626,186 @@ def test_spectra_reject_single_entry_corruptions(conference24, monkeypatch):
         bad = [[list(row) for row in mat] for mat in p]
         bad[i][l][k] += rng.choice((-1, 1))
         assert not compute_spectra(bad, params)[1].ok, (i, l, k)
+
+
+# -- certification through the linked system, against the dense route ------------------
+
+
+def _order_aligned_at_first_points(mats, labels, m, n):
+    """Reference canonical order: the groups of each later fiber aligned by
+    the A_5-neighbours of the first point of each group of fiber 0 only;
+    A_5 is not compared with its pattern."""
+    c0, c1, c2, _, _, c5 = labels
+    fibers = sorted(_equivalence_classes(mats[c0].a + mats[c1].a + mats[c2].a), key=min)
+    group_of = {x: g for g in _equivalence_classes(mats[c0].a + mats[c1].a) for x in g}
+    a5 = mats[c5].a
+    ref_groups = sorted({group_of[x] for x in fibers[0]}, key=min)
+    order = []
+    for t, fib in enumerate(fibers):
+        aligned = ref_groups
+        if t:
+            aligned = []
+            for g in ref_groups:
+                linked = [y for y in fib if a5[g[0], y]]
+                if len(linked) != n or set(linked) != set(group_of[linked[0]]):
+                    return None
+                aligned.append(group_of[linked[0]])
+            if len(set(aligned)) != m:
+                return None
+        for g in aligned:
+            order.extend(sorted(g))
+    return order
+
+
+def _extract_by_dense_route(mats):
+    """Reference route: the dense axioms and p first, then every labeling
+    certified by the linked system read off the permuted A_3 alone.  Returns
+    p, the axiom certificate and (labels, spectra_match, certified) per
+    candidate, in report order."""
+    p, cert = compute_intersection_numbers(mats)
+    if p is None:
+        raise CertificationError("input fails the scheme axioms", cert)
+    rows = []
+    for lab in _identify_labelings(mats, p):
+        labels, m, n, f = lab["labels"], lab["m"], lab["n"], lab["f"]
+        pp = _relabel_p(p, labels)
+        if any(pp[3][3][c] % (f - 1) for c in (0, 1, 2)):
+            continue
+        k, l1, l2 = (pp[3][3][c] // (f - 1) for c in (0, 1, 2))
+        if f >= 3 and any(pp[3][3][c] % (f - 2) for c in (3, 4, 5)):
+            continue
+        triple = tuple(pp[3][3][c] // (f - 2) for c in (3, 4, 5)) if f >= 3 else (None, None, None)
+        if not l1 < k < (m - 1) * n:
+            continue
+        try:
+            params = SchemeParams(k=k, m=m, n=n, f=f)
+        except ParameterError:
+            continue
+        certified = False
+        order = _order_aligned_at_first_points(mats, labels, m, n)
+        if order is not None:
+            perm = np.array(order)
+            a3 = mats[labels[3]].a[np.ix_(perm, perm)]
+            mn = m * n
+            try:
+                blocks = {
+                    (i + 1, j + 1): IncidenceMatrix(IntMatrix(a3[i * mn : (i + 1) * mn, j * mn : (j + 1) * mn]), m, n)
+                    for i in range(f)
+                    for j in range(f)
+                    if i != j
+                }
+                system = LinkedSystemII(LinkedParams(GddParams(mn, k, m, n, l1, l2), f, *triple), blocks)
+                certified = verify_linked_system(system).ok
+            except ParameterError:
+                pass
+        rows.append((labels, compute_spectra(pp, params)[1].ok, certified))
+    if not rows:
+        raise CertificationError("no class labeling exhibits the fiber structure")
+    rows.sort(key=lambda row: (not row[1], row[0]))
+    return p, cert, rows
+
+
+@pytest.mark.parametrize("transform", [list, _swapped, _permuted], ids=["as-built", "swapped", "permuted"])
+@pytest.mark.parametrize("source", ["scheme48", "scheme135", "scheme225", "conference24", "gcm48"])
+def test_extract_matches_dense_route(source, transform, request):
+    mats = transform(request.getfixturevalue(source).matrices)
+    report = extract_linked_system(mats)
+    p, cert, rows = _extract_by_dense_route(mats)
+    assert report.p == p
+    assert report.certificate.report_lines() == cert.report_lines()
+    assert [(c.labels, c.spectra_match, c.certified) for c in report.candidates] == rows
+    assert report.primary.certified
+
+
+def _pair_moved(mats, src, dst, pair):
+    """Move the symmetric pair of entries ``pair`` from class src to dst,
+    which keeps every class 0/1 and symmetric and their sum J."""
+    mats = list(mats)
+    a_src, a_dst = mats[src].a.copy(), mats[dst].a.copy()
+    x, y = pair
+    for r, c in ((x, y), (y, x)):
+        assert a_src[r, c] == 1
+        a_src[r, c], a_dst[r, c] = 0, 1
+    mats[src], mats[dst] = IntMatrix(a_src), IntMatrix(a_dst)
+    return mats
+
+
+def _switched(mats):
+    """Trade two A_5 pairs {a, b}, {c, d} for the A_4 pairs {a, d}, {c, b},
+    away from the first fiber of the 48-vertex scheme, whose points align
+    the groups: every row sum of every class stays, so only the pattern of
+    A_5 or the dense route tells."""
+    edges = [(a, b) for a, b in zip(*np.nonzero(np.triu(mats[5].a))) if a >= 16]
+    a, b, c, d = next(
+        (a, b, c, d) for a, b in edges for c, d in edges
+        if len({a, b, c, d}) == 4 and mats[4].a[a, d] and mats[4].a[c, b]
+    )
+    mats = _pair_moved(_pair_moved(mats, 5, 4, (a, b)), 5, 4, (c, d))
+    return _pair_moved(_pair_moved(mats, 4, 5, (a, d)), 4, 5, (c, b))
+
+
+def _control(name, scheme48, non_transposed_pair):
+    if name == "non-transposed":
+        return scheme_matrices_from_system(non_transposed_pair)
+    if name == "move54-17-33":
+        return _pair_moved(scheme48.matrices, 5, 4, (17, 33))
+    if name == "switch54":
+        return _switched(scheme48.matrices)
+    rng = random.Random(int(name.rsplit("-", 1)[1]))
+    pairs = [(x, y) for x, y in zip(*np.nonzero(scheme48.matrices[3].a)) if x < y]
+    return _pair_moved(scheme48.matrices, 3, 4, rng.choice(pairs))
+
+
+@pytest.mark.parametrize("name", [f"move34-{seed}" for seed in range(6)] + ["move54-17-33", "switch54", "non-transposed"])
+def test_negative_controls_fail_as_on_the_dense_route(name, scheme48, non_transposed_pair):
+    mats = _control(name, scheme48, non_transposed_pair)
+    with pytest.raises(CertificationError) as ref:
+        _extract_by_dense_route(mats)
+    for route in (extract_linked_system, load_scheme):
+        with pytest.raises(CertificationError) as exc:
+            route(mats)
+        assert str(exc.value) == str(ref.value) == "input fails the scheme axioms"
+        assert exc.value.report.report_lines() == ref.value.report.report_lines()
+
+
+@pytest.mark.parametrize("name", ["move54-17-33", "switch54"])
+def test_a5_pattern_is_checked(name, scheme48, sys16):
+    # moving (17, 33) from A_5 to A_4, or trading two A_5 pairs for two A_4
+    # pairs, keeps the groups, the fibers, the first-point alignment and A_3,
+    # so the system read off A_3 is sys16 and certifies; only A_5's pattern,
+    # or the dense route, tells
+    mats = _control(name, scheme48, None)
+    p, cert = compute_intersection_numbers(mats)
+    assert p is None and not cert.ok
+    if name == "move54-17-33":
+        assert [v.identity for v in cert.violations] == ["A_1 A_3 is not constant on class 4"]
+    labels = tuple(range(CLASSES))
+    assert _order_aligned_at_first_points(mats, labels, 4, 4) == list(range(48))
+    assert scheme_matrices_from_system(sys16)[3] == mats[3]
+    assert _canonical_vertex_order(scheme48.matrices, labels, 4, 4) == list(range(48))
+    assert _canonical_vertex_order(mats, labels, 4, 4) is None
+
+
+@pytest.mark.parametrize("source", ["sys16", "sys45", "conference12", "gcm24"])
+def test_no_product_of_order_x_on_certifying_inputs(source, request, monkeypatch):
+    system = request.getfixturevalue(source)
+    if isinstance(system, tuple):
+        system = pair_system(*system)
+    shapes = []
+    matmul = IntMatrix.__matmul__
+
+    def spied(a, b):
+        shapes.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    dense = []
+    monkeypatch.setattr(IntMatrix, "__matmul__", spied)
+    monkeypatch.setattr(sgdd.schemes, "compute_intersection_numbers", lambda mats: dense.append(mats))
+    scheme = assemble_scheme(system)
+    size = scheme.size
+    for mats in (scheme.matrices, _swapped(scheme.matrices), _permuted(scheme.matrices)):
+        assert extract_linked_system(mats).primary.certified
+        assert load_scheme(mats)[0].certificate.checks == scheme.certificate.checks
+    assert shapes and (size, size, size) not in shapes
+    assert max(rows for rows, _, _ in shapes) < size
+    assert dense == []
