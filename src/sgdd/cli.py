@@ -46,7 +46,11 @@ OK, VIOLATION, USAGE = 0, 1, 2
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="ascii")
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: non-ASCII byte 0x{data[exc.start]:02x} at offset {exc.start}") from None
 
 
 def _write(path: str, text: str):
@@ -304,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--q", type=int, required=True)
     c.add_argument("-o", "--output")
 
-    c = consub.add_parser("linked-mols", help="linked family from a characteristic-2 field")
+    c = consub.add_parser("linked-mols", help="linked family of compositions of the field squares")
     c.add_argument("--q", type=int, required=True)
     c.add_argument("-o", "--output")
 

@@ -18,7 +18,12 @@ Everything is line-oriented ASCII so artifacts diff cleanly:
                          weighing collections)
 
 Writers always end files with a newline; readers reject trailing junk, so a
-write/read/write round trip is byte-identical.
+write/read/write round trip is byte-identical.  The CLI reads files as ASCII
+and reports any other byte as a ``FormatError``.
+
+A matrix block whose rows are single digits joined by single spaces is read
+and written through one ``uint8`` view of the block.  Every other block
+takes the token reader, so every error names the same line either way.
 """
 
 from __future__ import annotations
@@ -70,14 +75,43 @@ class _Lines:
 # -- matrix v1 ---------------------------------------------------------------
 
 def format_matrix(m: IntMatrix) -> str:
-    body = "\n".join(" ".join(map(str, row)) for row in m.a.tolist())
-    return f"{m.rows} {m.cols}\n{body}\n"
+    a = m.a
+    if a.dtype == np.int64 and a.size and a.min() >= 0 and a.max() <= 9:
+        # single digits: fill the bytes of the rows in place
+        buf = np.full((m.rows, 2 * m.cols), ord(" "), dtype=np.uint8)
+        buf[:, 0::2] = a + ord("0")
+        buf[:, -1] = ord("\n")
+        body = buf.tobytes().decode("ascii")
+    else:
+        body = "\n".join(" ".join(map(str, row)) for row in a.tolist()) + "\n"
+    return f"{m.rows} {m.cols}\n{body}"
+
+
+def _read_digit_block(lines: _Lines, rows: int, cols: int) -> np.ndarray | None:
+    """The next ``rows`` lines as an int64 array when each one is ``cols``
+    single digits joined by single spaces, read through one byte view and
+    with ``lines`` moved past them; otherwise None, with ``lines`` unmoved."""
+    block = lines.lines[lines.pos : lines.pos + rows]
+    if len(block) != rows or any(len(line) != 2 * cols - 1 for line in block):
+        return None
+    # Each row ends in the space that joins it to the next, so every odd byte
+    # must be a space.  A non-ASCII character becomes "?", which is neither.
+    raw = (" ".join(block) + " ").encode("ascii", "replace")
+    view = np.frombuffer(raw, dtype=np.uint8).reshape(rows, 2 * cols)
+    digits = view[:, 0::2] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+    if not ((digits <= 9).all() and (view[:, 1::2] == ord(" ")).all()):
+        return None
+    lines.pos += rows
+    return digits.astype(np.int64)
 
 
 def _read_matrix(lines: _Lines) -> IntMatrix:
     rows, cols = lines.ints(2)
     if rows < 1 or cols < 1:
         raise FormatError(f"{lines.what}: matrix dimensions must be positive")
+    digits = _read_digit_block(lines, rows, cols)
+    if digits is not None:
+        return IntMatrix(digits)
     start = lines.pos
     try:
         arr = np.array([lines.next().split() for _ in range(rows)], dtype=np.int64)

@@ -155,11 +155,13 @@ def verify_linked(fam: LinkedMolsFamily) -> Certificate:
 
 
 def linked_mols_from_gf2n(ctx: GFContext) -> LinkedMolsFamily:
-    """Linked family of all pairwise compositions of the field squares;
-    restricted to characteristic 2, where the composition identities of the
-    field construction are available."""
-    if ctx.p != 2:
-        raise ParameterError("construction requires characteristic 2")
+    """Linked family of all pairwise compositions of the field squares, in
+    any finite field with f = q - 1 >= 3.
+
+    For L_c(x, y) = c(x - y), compose(L_a, L_b) = L_c with 1/c = 1/a - 1/b,
+    so L_ij = compose(L_i, L_j) has 1/c_ij = 1/c_i - 1/c_j and
+    compose(L_ik, L_jk) has 1/c_ik - 1/c_jk = 1/c_ij: the family is linked
+    in every characteristic.  It is certified before it is returned."""
     base = mols_from_gf(ctx)
     f = len(base)  # q - 1
     if f < 3:

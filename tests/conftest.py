@@ -122,6 +122,11 @@ def scheme135(sys45):
 
 
 @pytest.fixture(scope="session")
+def scheme448(sys64):
+    return assemble_scheme(sys64)
+
+
+@pytest.fixture(scope="session")
 def conference12():
     return conference_to_gdd(paley_conference_matrix(6))
 

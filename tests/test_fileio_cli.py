@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdd import fileio
 from sgdd.algebra import IntMatrix
@@ -61,6 +63,20 @@ MATRIX_TEXTS = {
     "zero-rows": "0 2\n",
     "bad-header": "2\n1 0\n",
     "trailing": "1 1\n5\n\nextra\n",
+    # single-digit blocks for the byte-view reader: one clean, the rest with one defect each
+    "digits": "2 3\n1 0 1\n0 9 0\n",
+    "digits-trailing-space": "2 3\n1 0 1 \n0 9 0\n",
+    "digits-leading-space": "2 3\n1 0 1\n 0 9 0\n",
+    "digits-double-space": "2 3\n1  0 1\n0 9 0\n",
+    "digits-tab": "2 3\n1\t0 1\n0 9 0\n",
+    "digits-ten": "2 3\n1 0 1\n0 10 0\n",
+    "digits-ten-same-width": "2 3\n1 0 1\n10 00\n",
+    "digits-minus-one": "2 3\n1 -1 1\n0 9 0\n",
+    "digits-blank-inside": "2 3\n1 0 1\n\n0 9 0\n",
+    "digits-crlf": "2 3\r\n1 0 1\r\n0 9 0\r\n",
+    "digits-no-final-newline": "2 3\n1 0 1\n0 9 0",
+    "digits-short-then-long": "2 3\n1 0\n1 0 9 0\n",
+    "digits-non-ascii-digit": "2 3\n1 0 1\n0 \u0663 0\n",
 }
 
 MATRIX_ERRORS = {
@@ -75,6 +91,8 @@ MATRIX_ERRORS = {
     "zero-rows": "matrix: matrix dimensions must be positive",
     "bad-header": "matrix: expected 2 integers on line 1",
     "trailing": "matrix: trailing content at line 4",
+    "digits-ten-same-width": "matrix: expected 3 integers on line 3",
+    "digits-short-then-long": "matrix: expected 3 integers on line 2",
 }
 
 
@@ -97,6 +115,52 @@ def test_matrix_parse_matches_per_entry_reader(name):
         assert got == ("error", MATRIX_ERRORS[name])
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=st.integers(1, 12).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(0, 9), min_size=cols, max_size=cols), min_size=1, max_size=12)
+    ),
+    edit=st.sampled_from(["replace", "insert", "delete"]),
+    char=st.sampled_from("0123456789 \t\n\r\x0b-+_x\xe9\u0663"),
+    data=st.data(),
+)
+def test_mutated_digit_block_parses_like_per_entry_reader(grid, edit, char, data):
+    """A single-digit block with one character replaced, inserted or deleted."""
+    head = f"{len(grid)} {len(grid[0])}\n"
+    body = "".join(" ".join(map(str, row)) + "\n" for row in grid)
+    at = data.draw(st.integers(0, len(body) - 1))
+    tail = body[at + 1 :] if edit != "insert" else body[at:]
+    text = head + body[:at] + ("" if edit == "delete" else char) + tail
+    assert _parse_outcome(fileio._read_matrix, text) == _parse_outcome(_read_matrix_per_entry, text)
+
+
+@pytest.fixture
+def line_reads(monkeypatch):
+    """How many lines the matrix readers take one at a time, by method."""
+    counts = {"ints": 0, "next": 0}
+    for name in counts:
+        method = getattr(fileio._Lines, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(fileio._Lines, name, counted)
+    return counts
+
+
+def test_written_digit_blocks_take_the_byte_view(scheme448, sys64, line_reads):
+    """Parsing what the writers produce reads only the header lines one at a
+    time: no block goes through the per-entry or the token reader."""
+    mats = fileio.parse_scheme_matrices(fileio.format_scheme_matrices(scheme448.matrices))
+    assert mats == list(scheme448.matrices)
+    assert line_reads == {"ints": 1 + 6, "next": 1 + 6}
+    line_reads.update(ints=0, next=0)
+    system = fileio.parse_linked_system(fileio.format_linked_system(sys64))
+    assert system.blocks == sys64.blocks
+    assert line_reads == {"ints": 42, "next": 1 + 42}
+
+
 def test_matrix_parse_keeps_entries_past_int64():
     assert fileio.parse_matrix(MATRIX_TEXTS["int64-edges"]).a.dtype == np.int64
     big = fileio.parse_matrix(MATRIX_TEXTS["past-int64"])
@@ -116,8 +180,13 @@ def _format_matrix_per_entry(m):
         [[0, 1, 1], [1, 0, 1]],
         [[-3, 0], [7, -9223372036854775808], [9223372036854775807, -1]],
         [[2**63, -(2**63) - 1], [10**30, 0]],
+        [[9, 0], [0, 9]],
+        [[9, 10], [0, 1]],
+        [[0, 1], [-1, 9]],
+        np.zeros((3, 2), dtype=np.int64),
+        np.array([[0, 9], [1, 2]], dtype=object),
     ],
-    ids=["int64", "negative", "past-int64"],
+    ids=["int64", "negative", "past-int64", "nine", "ten", "minus-one", "all-zero", "object-digits"],
 )
 def test_format_matrix_matches_per_entry_formatter(data):
     m = IntMatrix(data)
@@ -371,9 +440,38 @@ def test_cli_oracle_exhaust_is_violation(tmp_path: Path):
     assert code == 1 and "exhausted" in out
 
 
-def test_cli_linked_mols_wrong_characteristic():
-    code, _ = run_cli("construct", "linked-mols", "--q", "5")
-    assert code == 1
+def test_cli_linked_mols_odd_characteristic(tmp_path: Path):
+    fam = tmp_path / "gf5.fam"
+    assert run_cli("construct", "linked-mols", "--q", "5", "-o", str(fam))[0] == 0
+    assert run_cli("verify", "latin", str(fam)) == (0, "linked family f=4 order=5: OK\n")
+    assert run_cli("construct", "linked-mols", "--q", "3")[0] == 1
+
+
+def test_cli_non_ascii_file_is_format_error(tmp_path: Path, capsys):
+    scm = tmp_path / "s.scm"
+    scm.write_bytes(b"0 1\n1 1\n\xc3\n")
+    for argv in (["verify", "scheme", str(scm)], ["scheme", "analyze", "--in", str(scm)]):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {scm}: non-ASCII byte 0xc3 at offset 8\n"
+
+
+def test_corruptions_read_through_the_byte_view_fail(tmp_path: Path, scheme448, sys64, corrupt_system, line_reads):
+    """A pair moved from class 3 to class 4, and one flipped off-group entry
+    of a linked system, still fail certification after the fast parse."""
+    mats = [m.a.copy() for m in scheme448.matrices]
+    upper = np.argwhere(np.triu(mats[3], 1))
+    x, y = upper[np.random.default_rng(3).integers(len(upper))]
+    for a, b in ((x, y), (y, x)):
+        mats[3][a, b], mats[4][a, b] = 0, 1
+    scm = tmp_path / "bad.scm"
+    scm.write_text(fileio.format_scheme_matrices([IntMatrix(a) for a in mats]))
+    assert run_cli("verify", "scheme", str(scm))[0] == 1
+    assert run_cli("scheme", "analyze", "--in", str(scm))[0] == 1
+    bad, _ = corrupt_system(sys64, 5)
+    lsys = tmp_path / "bad.lsys"
+    lsys.write_text(fileio.format_linked_system(bad))
+    assert run_cli("verify", "linked-system", str(lsys))[0] == 1
+    assert line_reads["next"] == 2 * (1 + 6) + 1 + 42
 
 
 def test_cli_matrix_file_inputs(tmp_path: Path):

@@ -112,9 +112,11 @@ def test_gf2_rejected():
         linked_mols_from_gf2n(gf_make(2, 1))
 
 
-def test_odd_characteristic_rejected(gf5):
-    with pytest.raises(ParameterError):
-        linked_mols_from_gf2n(gf5)
+def test_odd_characteristic_family_certifies():
+    for p, d in ((5, 1), (7, 1), (3, 2)):
+        fam = linked_mols_from_gf2n(gf_make(p, d))
+        assert fam.f == p**d - 1 and fam.order == p**d
+        assert verify_linked(fam).ok
 
 
 def _tampered(fam):
