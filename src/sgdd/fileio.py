@@ -19,7 +19,8 @@ Everything is line-oriented ASCII so artifacts diff cleanly:
 
 Writers always end files with a newline; readers reject trailing junk, so a
 write/read/write round trip is byte-identical.  The CLI reads files as ASCII
-and reports any other byte as a ``FormatError``.
+and reports any other byte as a ``FormatError``; every ``parse_*`` function
+refuses non-ASCII text the same way.
 
 A matrix block whose rows are single digits joined by single spaces is read
 and written through one ``uint8`` view of the block.  Every other block
@@ -41,8 +42,18 @@ from .linked import CyclicGroup, GcmMatrix, LinkedParams, LinkedSystemII
 from .resolvable import AuxiliarySet, make_auxiliary_set
 
 
+def _check_ascii(text: str, what: str) -> None:
+    """Refuse text that is not ASCII, as no format here is: int() would also
+    read other scripts' digits, such as Arabic-Indic ones."""
+    if not text.isascii():
+        at = next(i for i, ch in enumerate(text) if not ch.isascii())
+        line = len((text[:at] + "x").splitlines())
+        raise FormatError(f"{what}: non-ASCII character U+{ord(text[at]):04X} on line {line}")
+
+
 class _Lines:
     def __init__(self, text: str, what: str):
+        _check_ascii(text, what)
         self.lines = text.splitlines()
         self.pos = 0
         self.what = what
@@ -95,8 +106,8 @@ def _read_digit_block(lines: _Lines, rows: int, cols: int) -> np.ndarray | None:
     if len(block) != rows or any(len(line) != 2 * cols - 1 for line in block):
         return None
     # Each row ends in the space that joins it to the next, so every odd byte
-    # must be a space.  A non-ASCII character becomes "?", which is neither.
-    raw = (" ".join(block) + " ").encode("ascii", "replace")
+    # must be a space.  _Lines has refused non-ASCII text.
+    raw = (" ".join(block) + " ").encode("ascii")
     view = np.frombuffer(raw, dtype=np.uint8).reshape(rows, 2 * cols)
     digits = view[:, 0::2] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
     if not ((digits <= 9).all() and (view[:, 1::2] == ord(" ")).all()):
@@ -143,6 +154,7 @@ def format_gdd_params(p: GddParams) -> str:
 
 
 def parse_gdd_params(text: str) -> GddParams:
+    _check_ascii(text, "parameters")
     got = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -166,6 +178,7 @@ def parse_gdd_params(text: str) -> GddParams:
 
 def parse_inline_gdd_params(text: str) -> GddParams:
     """Six whitespace-separated integers: v k m n l1 l2."""
+    _check_ascii(text, "parameters")
     parts = text.split()
     if len(parts) != 6:
         raise FormatError("expected six integers: v k m n l1 l2")

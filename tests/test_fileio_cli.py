@@ -93,12 +93,13 @@ MATRIX_ERRORS = {
     "trailing": "matrix: trailing content at line 4",
     "digits-ten-same-width": "matrix: expected 3 integers on line 3",
     "digits-short-then-long": "matrix: expected 3 integers on line 2",
+    "digits-non-ascii-digit": "matrix: non-ASCII character U+0663 on line 3",
 }
 
 
 def _parse_outcome(read, text):
-    lines = fileio._Lines(text, "matrix")
     try:
+        lines = fileio._Lines(text, "matrix")
         m = read(lines)
         lines.done()
     except FormatError as exc:
@@ -222,6 +223,16 @@ def test_params_roundtrip(conference12):
     text = fileio.format_gdd_params(params)
     assert fileio.parse_gdd_params(text) == params
     assert fileio.parse_inline_gdd_params("12 5 6 2 0 2") == params
+
+
+def test_parsers_refuse_non_ascii_digits():
+    # int() reads Arabic-Indic digits, so every str entry point checks first
+    with pytest.raises(FormatError, match=r"^matrix: non-ASCII character U\+0663 on line 2$"):
+        fileio.parse_matrix("1 1\n\u0663\n")
+    with pytest.raises(FormatError, match=r"^parameters: non-ASCII character U\+0662 on line 6$"):
+        fileio.parse_gdd_params("v=12\nk=5\nm=6\nn=2\nl1=0\nl2=\u0662\n")
+    with pytest.raises(FormatError, match=r"^parameters: non-ASCII character U\+0662 on line 1$"):
+        fileio.parse_inline_gdd_params("12 5 6 2 0 \u0662")
 
 
 def test_aux_roundtrip(aux_had4):

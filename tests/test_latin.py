@@ -4,13 +4,18 @@ from itertools import permutations
 import pytest
 
 import sgdd.latin
+from sgdd.cli import main
 from sgdd.designs import Certificate
 from sgdd.errors import BudgetExceededError, CertificationError, ParameterError
+from sgdd.fileio import format_linked_family
 from sgdd.gf import gf_from_order, gf_make
 from sgdd.latin import (
     LatinSquare,
     LinkedMolsFamily,
+    _extend_family,
+    _RowSearch,
     _solve_second,
+    _triples_hold,
     compose,
     is_orthogonal,
     linked_mols_from_gf2n,
@@ -245,3 +250,165 @@ def test_search_is_independent_of_field_construction(fam_gf4):
     # certify against the same verifier (independent code paths)
     fam = search_linked_mols(4, 3)
     assert verify_linked(fam).ok and verify_linked(fam_gf4).ok
+
+
+def _latin_candidates(n: int, zero_diagonal: bool, first_row=None):
+    """Reference generator: every Latin square, cell by cell in lexicographic
+    order, with no pruning."""
+    rows: list[tuple[int, ...]] = []
+    col_used = [0] * n  # bitmask of used symbols per column
+
+    def place(r: int):
+        if r == n:
+            yield tuple(rows)
+            return
+        if r == 0 and first_row is not None:
+            row = first_row
+            if zero_diagonal and row[0] != 0:
+                return
+            rows.append(row)
+            for j, s in enumerate(row):
+                col_used[j] |= 1 << s
+            yield from place(1)
+            rows.pop()
+            for j, s in enumerate(row):
+                col_used[j] &= ~(1 << s)
+            return
+        row = [0] * n
+        row_used = 0
+
+        def cell(c: int):
+            nonlocal row_used
+            if c == n:
+                rows.append(tuple(row))
+                for j, s in enumerate(row):
+                    col_used[j] |= 1 << s
+                yield from place(r + 1)
+                rows.pop()
+                for j, s in enumerate(row):
+                    col_used[j] &= ~(1 << s)
+                return
+            options = (0,) if (zero_diagonal and c == r) else range(n)
+            for s in options:
+                bit = 1 << s
+                if row_used & bit or col_used[c] & bit:
+                    continue
+                row[c] = s
+                row_used |= bit
+                yield from cell(c + 1)
+                row_used &= ~bit
+
+        yield from cell(0)
+
+    yield from place(0)
+
+
+def _search_by_reference(order: int, f: int, zero_diagonal: bool) -> LinkedMolsFamily | None:
+    """search_linked_mols over the unpruned reference generator."""
+
+    def extend_to(squares: dict, t: int):
+        if t == f:
+            fam = LinkedMolsFamily(f=f, order=order, squares=squares)
+            if verify_linked(fam).ok and (not zero_diagonal or fam.zero_diagonal):
+                return fam
+            return None
+        u = t + 1
+        for cand in _latin_candidates(order, zero_diagonal):
+            new = _extend_family(squares, t, u, LatinSquare(cand), zero_diagonal)
+            if new is None or not _triples_hold(new, u):
+                continue
+            found = extend_to(new, u)
+            if found is not None:
+                return found
+        return None
+
+    for first in _latin_candidates(order, zero_diagonal, first_row=tuple(range(order))):
+        found = extend_to({(1, 2): LatinSquare(first)}, 2)
+        if found is not None:
+            return found
+    return None
+
+
+@pytest.mark.parametrize(
+    "order, f, zero_diagonal",
+    [(4, 3, True), (4, 4, True), (5, 3, True), (5, 4, True), (5, 5, True), (3, 3, False), (4, 3, False)],
+)
+def test_search_matches_unpruned_reference(order, f, zero_diagonal):
+    fam = search_linked_mols(order, f, zero_diagonal=zero_diagonal)
+    want = _search_by_reference(order, f, zero_diagonal)
+    assert fam is not None and want is not None
+    assert format_linked_family(fam) == format_linked_family(want)
+
+
+def _clashes(cand, targets) -> bool:
+    """Two rows of cand write one cell of a square that _solve_second(cand, T)
+    forces, for some T in targets."""
+    for target in targets:
+        written = set()
+        for i, row in enumerate(cand):
+            for j, s in enumerate(target.grid[i]):
+                cell = (j, row.index(s))
+                if cell in written:
+                    return True
+                written.add(cell)
+    return False
+
+
+def _candidate_cases():
+    """(family on {1..t}, zero_diagonal): every zero-diagonal order-4 target,
+    seeded samples of any-diagonal order-4 and zero-diagonal order-5 ones,
+    and the two targets L_12, L_13 of the searched (5, 5) family."""
+    rng = random.Random(9)
+    for zero_diagonal in (True, False):
+        squares = [LatinSquare(g) for g in _latin_candidates(4, zero_diagonal)]
+        if not zero_diagonal:
+            squares = rng.sample(squares, 48)
+        yield from (({(1, 2): sq}, zero_diagonal) for sq in squares)
+    for sq in rng.sample(list(_latin_candidates(5, True)), 6):
+        yield {(1, 2): LatinSquare(sq)}, True
+    fam = search_linked_mols(5, 5)
+    yield {(i, j): sq for (i, j), sq in fam.squares.items() if max(i, j) <= 3}, True
+
+
+def test_pruned_candidates_are_the_clash_free_reference_candidates():
+    """For each family on {1..t}, the pruned generator yields exactly the
+    reference candidates for L_{1,t+1} with no clash against any L_{1,s}, in
+    the reference order, and so every candidate _extend_family accepts."""
+    total_accepted = 0
+    for squares, zero_diagonal in _candidate_cases():
+        t = max(map(max, squares))
+        targets = [squares[(1, s)] for s in range(2, t + 1)]
+        order = targets[0].order
+        reference = list(_latin_candidates(order, zero_diagonal))
+        pruned = list(_RowSearch(order, zero_diagonal, 10**9).squares(targets))
+        assert pruned == [c for c in reference if not _clashes(c, targets)]
+        accepted = [
+            c for c in reference if _extend_family(squares, t, t + 1, LatinSquare(c), zero_diagonal) is not None
+        ]
+        chosen = set(accepted)
+        assert [c for c in pruned if c in chosen] == accepted
+        total_accepted += len(accepted)
+    assert total_accepted == 350
+
+
+def test_search_stops_at_the_node_budget(monkeypatch):
+    # the order-4 search places 13 rows: four for L_12, the first of them
+    # pinned, and nine while it builds the L_13 that completes the family
+    monkeypatch.setattr(sgdd.latin, "SEARCH_MAX_NODES", 13)
+    assert search_linked_mols(4, 3) is not None
+    monkeypatch.setattr(sgdd.latin, "SEARCH_MAX_NODES", 12)
+    with pytest.raises(BudgetExceededError, match=r"^search stopped at its budget: 12 nodes expanded"):
+        search_linked_mols(4, 3)
+
+
+def test_cli_order6_search_stops_at_the_node_budget(monkeypatch, capsys):
+    # no linked family of order 6 exists; the real budget stops this search
+    # in seconds, a small one here
+    assert main(["oracle", "linked-mols", "--order", "9", "--f", "3"]) == 1
+    capsys.readouterr()
+    monkeypatch.setattr(sgdd.latin, "SEARCH_MAX_NODES", 2000)
+    assert main(["oracle", "linked-mols", "--order", "6", "--f", "3"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: search stopped at its budget: 2000 nodes expanded (one node is one row placed)\n",
+    )
