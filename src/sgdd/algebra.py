@@ -6,10 +6,12 @@ flavours: :class:`IntMatrix` (dense integer matrices) and :class:`SurdMatrix`
 (the small matrices over one quadratic extension that hold eigenmatrices).
 Every operation is exact.
 
-IntMatrix is backed by a numpy array.  Storage is int64 while a conservative
-a-priori magnitude bound proves int64 arithmetic overflow-free; outside the
-bound the matrix silently falls back to an object-dtype array of Python
-integers.
+IntMatrix is the package's one exact matrix-product kernel.  It is backed by
+a numpy array: int64 while the entries fit, an object-dtype array of Python
+integers otherwise (entries read from files may be arbitrarily large).  Its
+only arithmetic is the product; the right-hand sides of identities are not
+built from it elementwise but looked up on a label pattern
+(``sgdd.designs.pattern``).
 
 A matrix product takes one of four lanes, chosen by the bound
 max|A| * max|B| * inner on every entry and every partial sum:
@@ -285,21 +287,8 @@ class IntMatrix:
 
     # -- constructors ----------------------------------------------------
     @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "IntMatrix":
-        return cls(np.zeros((rows, cols if cols is not None else rows), dtype=np.int64))
-
-    @classmethod
     def identity(cls, order: int) -> "IntMatrix":
         return cls(np.eye(order, dtype=np.int64))
-
-    @classmethod
-    def ones(cls, rows: int, cols: int | None = None) -> "IntMatrix":
-        return cls(np.ones((rows, cols if cols is not None else rows), dtype=np.int64))
-
-    @classmethod
-    def group_blocks(cls, m: int, n: int) -> "IntMatrix":
-        """The block-diagonal group indicator I_m (x) J_n."""
-        return cls.identity(m).kron(cls.ones(n))
 
     # -- shape and access -------------------------------------------------
     @property
@@ -352,34 +341,6 @@ class IntMatrix:
         return IntMatrix(arr)
 
     # -- arithmetic -------------------------------------------------------
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.a.shape != other.a.shape:
-            raise ParameterError("dimension mismatch in matrix addition")
-        if (
-            self.a.dtype == np.int64
-            and other.a.dtype == np.int64
-            and self.max_abs() + other.max_abs() < _INT64_SAFE
-        ):
-            return IntMatrix(self.a + other.a)
-        return self._wrap(self._object() + other._object())
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return self.scalar_mul(-1)
-
-    def scalar_mul(self, c: int) -> "IntMatrix":
-        c = int(c)
-        if self.a.dtype == np.int64 and abs(c) * max(self.max_abs(), 1) < _INT64_SAFE:
-            return IntMatrix(self.a * c)
-        return self._wrap(self._object() * c)
-
-    def __mul__(self, c: int) -> "IntMatrix":
-        return self.scalar_mul(c)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ParameterError("dimension mismatch in matrix product")
@@ -394,15 +355,6 @@ class IntMatrix:
     def T(self) -> "IntMatrix":
         return IntMatrix(self.a.T.copy())
 
-    def kron(self, other: "IntMatrix") -> "IntMatrix":
-        if (
-            self.a.dtype == np.int64
-            and other.a.dtype == np.int64
-            and max(self.max_abs(), 1) * max(other.max_abs(), 1) < _INT64_SAFE
-        ):
-            return IntMatrix(np.kron(self.a, other.a))
-        return self._wrap(np.kron(self._object(), other._object()))
-
     def trace(self) -> int:
         return sum(int(self.a[i, i]) for i in range(min(self.rows, self.cols)))
 
@@ -414,21 +366,19 @@ class IntMatrix:
     def __hash__(self):
         return hash((self.a.shape, tuple(self.entries())))
 
-    def first_difference(self, other: "IntMatrix") -> tuple[int, int] | None:
-        """Row-major first coordinate where the two matrices differ."""
-        if self.a.shape != other.a.shape:
+    def first_difference(self, other) -> tuple[int, int] | None:
+        """Row-major first coordinate where this matrix differs from
+        ``other``, an IntMatrix or an array of expected entries."""
+        other = other.a if isinstance(other, IntMatrix) else other
+        if self.a.shape != other.shape:
             return (0, 0)
-        diff = np.argwhere(self.a != other.a)
+        diff = np.argwhere(self.a != other)
         if diff.size == 0:
             return None
         return int(diff[0][0]), int(diff[0][1])
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
-
-
-def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return a.kron(b)
 
 
 class SurdMatrix:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import IntMatrix
+from .designs import pattern
 from .errors import ParameterError
 from .gf import gf_from_order, is_prime
 
@@ -17,7 +18,12 @@ def is_hadamard(h: IntMatrix) -> bool:
         return False
     if not bool(((h.a == 1) | (h.a == -1)).all()):
         return False
-    return h @ h.T == IntMatrix.identity(h.rows).scalar_mul(h.rows)
+    return is_scaled_identity(h @ h.T, h.rows)
+
+
+def is_scaled_identity(prod: IntMatrix, c: int) -> bool:
+    """prod = c I."""
+    return prod.first_difference(pattern(np.eye(prod.rows, dtype=np.int8), (0, c))) is None
 
 
 def normalize_hadamard(h: IntMatrix) -> IntMatrix:
@@ -55,7 +61,7 @@ def paley_conference_matrix(order: int) -> IntMatrix:
     arr[1:, 0] = 1
     arr[1:, 1:] = qm
     c = IntMatrix(arr)
-    if not (c @ c.T == IntMatrix.identity(order).scalar_mul(order - 1)):
+    if not is_scaled_identity(c @ c.T, order - 1):
         raise RuntimeError("conference construction failed self-check")  # pragma: no cover
     return c
 
@@ -84,7 +90,7 @@ def hadamard_matrix(order: int) -> IntMatrix:
         return normalize_hadamard(_paley_hadamard(order))
     if order % 2 == 0:
         half = hadamard_matrix(order // 2)
-        h = IntMatrix([[1, 1], [1, -1]]).kron(half)
+        h = IntMatrix(np.kron([[1, 1], [1, -1]], half.a))
         return normalize_hadamard(h)
     raise ParameterError(f"no catalog construction for Hadamard order {order}")
 
@@ -97,7 +103,7 @@ def is_weighing(w: IntMatrix, weight: int | None = None) -> bool:
     prod = w @ w.T
     if weight is None:
         weight = prod[0, 0]
-    return prod == IntMatrix.identity(w.rows).scalar_mul(weight)
+    return is_scaled_identity(prod, weight)
 
 
 def signed_permutation_weighing_set(order: int) -> list[IntMatrix]:

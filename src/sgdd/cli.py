@@ -65,11 +65,9 @@ def _emit(text: str, out: str | None):
 
 
 def _load_params(args):
-    if getattr(args, "params", None):
+    if args.params is not None:
         return fileio.parse_inline_gdd_params(args.params)
-    if getattr(args, "params_file", None):
-        return fileio.parse_gdd_params(_read(args.params_file))
-    raise SgddError("provide --params or --params-file")
+    return fileio.parse_gdd_params(_read(args.params_file))
 
 
 def _report(cert) -> int:
@@ -84,7 +82,7 @@ def _report(cert) -> int:
 def _cmd_construct(args) -> int:
     sub = args.what
     if sub == "hadamard-aux":
-        h = fileio.parse_matrix(_read(args.input)) if args.input else hadamard_matrix(args.order)
+        h = fileio.parse_matrix(_read(args.input)) if args.input is not None else hadamard_matrix(args.order)
         aux = aux_from_hadamard(h)
         _emit(fileio.format_auxiliary_set(aux), args.output)
         return OK
@@ -109,7 +107,7 @@ def _cmd_construct(args) -> int:
         _emit(fileio.format_linked_system(system), args.output)
         return OK
     if sub == "conference-gdd":
-        c = fileio.parse_matrix(_read(args.input)) if args.input else paley_conference_matrix(args.order)
+        c = fileio.parse_matrix(_read(args.input)) if args.input is not None else paley_conference_matrix(args.order)
         mat, params = conference_to_gdd(c)
         _emit(fileio.format_matrix(mat.mat), args.output)
         params_text = fileio.format_gdd_params(params)
@@ -133,7 +131,7 @@ def _cmd_construct(args) -> int:
             sys.stdout.write(params_text)
         return OK
     if sub == "twin":
-        h = fileio.parse_matrix(_read(args.hadamard)) if args.hadamard else hadamard_matrix(args.order)
+        h = fileio.parse_matrix(_read(args.hadamard)) if args.hadamard is not None else hadamard_matrix(args.order)
         if args.weighing:
             ws = fileio.parse_matrix_set(_read(args.weighing))
         else:
@@ -172,7 +170,8 @@ def _cmd_verify(args) -> int:
         return _report(verify_auxiliary(aux))
     if sub == "latin":
         text = _read(args.input)
-        header = text.split("\n", 1)[0].split()
+        # the first non-blank line, as the parsers read it
+        header = next((line.split() for line in text.splitlines() if line.strip()), [])
         if len(header) == 2:
             fam = fileio.parse_linked_family(text)
             cert = verify_linked(fam)
@@ -295,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     consub = con.add_subparsers(dest="what", required=True)
 
     c = consub.add_parser("hadamard-aux", help="auxiliary matrices of a Hadamard matrix")
-    c.add_argument("--order", type=int, help="catalog Hadamard order")
-    c.add_argument("--in", dest="input", help="matrix v1 file with a normalized Hadamard matrix")
+    src = c.add_mutually_exclusive_group(required=True)
+    src.add_argument("--order", type=int, help="catalog Hadamard order")
+    src.add_argument("--in", dest="input", help="matrix v1 file with a normalized Hadamard matrix")
     c.add_argument("-o", "--output")
 
     c = consub.add_parser("ag-aux", help="auxiliary matrices of an affine geometry")
@@ -318,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-o", "--output")
 
     c = consub.add_parser("conference-gdd", help="design from a conference matrix")
-    c.add_argument("--order", type=int, help="Paley conference order")
-    c.add_argument("--in", dest="input", help="matrix v1 file with a conference matrix")
+    src = c.add_mutually_exclusive_group(required=True)
+    src.add_argument("--order", type=int, help="Paley conference order")
+    src.add_argument("--in", dest="input", help="matrix v1 file with a conference matrix")
     c.add_argument("-o", "--output")
     c.add_argument("--params-out")
 
@@ -333,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--params-out")
 
     c = consub.add_parser("twin", help="twin designs from a Hadamard matrix and weighing matrices")
-    c.add_argument("--order", type=int, help="catalog Hadamard order")
-    c.add_argument("--hadamard", help="matrix v1 file with a normalized Hadamard matrix")
+    src = c.add_mutually_exclusive_group(required=True)
+    src.add_argument("--order", type=int, help="catalog Hadamard order")
+    src.add_argument("--hadamard", help="matrix v1 file with a normalized Hadamard matrix")
     c.add_argument("--weight", type=int, default=1)
     c.add_argument("--weighing", help="matrix-set file of disjoint weighing matrices")
     c.add_argument("-o", "--output", required=True, help="prefix for .plus.mat/.minus.mat")
@@ -350,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
         v = versub.add_parser(name)
         v.add_argument("input")
         if with_params:
-            v.add_argument("--params", help='inline "v k m n l1 l2"')
-            v.add_argument("--params-file")
+            src = v.add_mutually_exclusive_group(required=True)
+            src.add_argument("--params", help='inline "v k m n l1 l2"')
+            src.add_argument("--params-file")
 
     sch = verbs.add_parser("scheme", help="assemble, analyze, extract, or fuse a scheme")
     schsub = sch.add_subparsers(dest="what", required=True)

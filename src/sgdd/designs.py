@@ -9,6 +9,14 @@ A symmetric GDD with parameters (v, k, m, n, lambda1, lambda2) is a square
     A A^T = A^T A = k I + lambda1 (K - I) + lambda2 (J - K),
 
 where K = I_m (x) J_n marks the m groups of n points.
+
+Every identity of this package has that shape: a product equals a sum of
+integer coefficients times 0/1 patterns that partition the matrix.  The
+patterns are given once as a label array (``group_labels``: 0 on J - K, 1
+on K - I, 2 on I; other checks use I, a class matrix, or A + 2K), the
+expected matrix is the exact lookup ``pattern(labels, coeffs)``, and
+``Certificate.compare`` reports the first row-major entry where the product
+differs from it.  No dense I, J or K is ever combined elementwise.
 """
 
 from __future__ import annotations
@@ -16,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import IntMatrix
+import numpy as np
+
+from .algebra import _INT64_SAFE, IntMatrix
 from .errors import DegenerateDesignError, InfeasibleParameterError, ParameterError
 
 
@@ -54,15 +64,29 @@ class GddParams:
     def is_symmetric_design(self) -> bool:
         return self.lambda1 == self.lambda2
 
-    def expected_gram(self) -> IntMatrix:
-        i = IntMatrix.identity(self.v)
-        j = IntMatrix.ones(self.v)
-        kb = IntMatrix.group_blocks(self.m, self.n)
-        return (
-            i.scalar_mul(self.k)
-            + (kb - i).scalar_mul(self.lambda1)
-            + (j - kb).scalar_mul(self.lambda2)
-        )
+
+def group_labels(m: int, n: int) -> np.ndarray:
+    """The label array of the group pattern of order m*n: 0 on J - K, 1 on
+    K - I, 2 on I, with K = I_m (x) J_n."""
+    group = np.arange(m * n) // n
+    labels = (group[:, None] == group[None, :]).astype(np.int8)
+    np.fill_diagonal(labels, 2)
+    return labels
+
+
+def pattern(labels: np.ndarray, coeffs) -> np.ndarray:
+    """The matrix sum_t coeffs[t] [labels == t], exactly: int64 while every
+    coefficient is below 2**62 in magnitude, Python integers otherwise.
+
+    The table is built with an explicit dtype: numpy reads a list holding an
+    integer past int64 as float64."""
+    coeffs = [int(c) for c in coeffs]
+    if max(abs(c) for c in coeffs) < _INT64_SAFE:
+        table = np.array(coeffs, dtype=np.int64)
+    else:
+        table = np.empty(len(coeffs), dtype=object)
+        table[:] = coeffs
+    return table[labels]
 
 
 def partial_complement_params(p: GddParams) -> GddParams:
@@ -117,11 +141,12 @@ class IncidenceMatrix:
         return self.mat.rows
 
     def group_indicator(self) -> IntMatrix:
-        return IntMatrix.group_blocks(self.m, self.n)
+        """K = I_m (x) J_n."""
+        return IntMatrix((group_labels(self.m, self.n) > 0).astype(np.int64))
 
     def diagonal_blocks_zero(self) -> bool:
-        plus = self.mat + self.group_indicator()
-        return plus.is_zero_one()
+        """A has no 1 inside K, so A + K is 0/1."""
+        return not self.mat.a[group_labels(self.m, self.n) > 0].any()
 
     def __eq__(self, other):
         if not isinstance(other, IncidenceMatrix):
@@ -167,12 +192,15 @@ class Certificate:
     def failed(self, identity: str, position=None, expected=None, actual=None):
         self.violations.append(Violation(identity, position, expected, actual))
 
-    def compare(self, label: str, actual: IntMatrix, expected: IntMatrix):
+    def compare(self, label: str, actual: IntMatrix, expected: np.ndarray):
+        """Pass, or record the first row-major entry where ``actual``
+        differs from the expected array (an int64 or Python-integer
+        array, such as ``pattern`` builds)."""
         pos = actual.first_difference(expected)
         if pos is None:
             self.passed(label)
         else:
-            self.failed(label, pos, expected[pos], actual[pos])
+            self.failed(label, pos, expected.item(pos), actual[pos])
 
     def report_lines(self) -> list[str]:
         lines = [f"certificate: {self.subject}: {'OK' if self.ok else 'VIOLATED'}"]
@@ -191,7 +219,7 @@ def verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
     if (a.v, a.m, a.n) != (p.v, p.m, p.n):
         cert.failed("dimension/group structure matches parameters", (0, 0))
         return cert
-    gram = p.expected_gram()
+    gram = pattern(group_labels(p.m, p.n), (p.lambda2, p.lambda1, p.k))
     cert.compare("A A^T equals k I + l1 (K - I) + l2 (J - K)", a.mat @ a.mat.T, gram)
     cert.compare("A^T A equals k I + l1 (K - I) + l2 (J - K)", a.mat.T @ a.mat, gram)
     return cert
@@ -202,11 +230,10 @@ def check_bose(a: IncidenceMatrix, p: GddParams) -> bool:
     A K A^T = (n(l1 - l2) + k - l1) K + n l2 J."""
     if p.lambda1 == p.lambda2:
         raise ParameterError("identity only applies when lambda1 != lambda2")
-    kb = a.group_indicator()
-    lhs = a.mat @ kb @ a.mat.T
-    coeff = p.n * (p.lambda1 - p.lambda2) + p.k - p.lambda1
-    rhs = kb.scalar_mul(coeff) + IntMatrix.ones(p.v).scalar_mul(p.n * p.lambda2)
-    return lhs == rhs
+    lhs = a.mat @ a.group_indicator() @ a.mat.T
+    on_k = p.n * (p.lambda1 - p.lambda2) + p.k - p.lambda1 + p.n * p.lambda2
+    rhs = pattern(group_labels(a.m, a.n), (p.n * p.lambda2, on_k, on_k))
+    return lhs.first_difference(rhs) is None
 
 
 def partial_complement(a: IncidenceMatrix, p: GddParams) -> tuple[IncidenceMatrix, GddParams]:
@@ -214,8 +241,8 @@ def partial_complement(a: IncidenceMatrix, p: GddParams) -> tuple[IncidenceMatri
     if not a.diagonal_blocks_zero():
         raise ParameterError("partial complement needs zero diagonal blocks (A + K must be 0/1)")
     cp = partial_complement_params(p)
-    comp = IntMatrix.ones(p.v) - a.group_indicator() - a.mat
-    out = IncidenceMatrix(comp, p.m, p.n)
+    comp = (group_labels(a.m, a.n) == 0) - a.mat.a
+    out = IncidenceMatrix(IntMatrix(comp), p.m, p.n)
     cert = verify_gdd(out, cp)
     if not cert.ok:
         raise ParameterError(
@@ -232,23 +259,21 @@ class KCommutation:
 
 
 def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
-    """Classify A K = K A against the two canonical right-hand sides."""
+    """Classify A K = K A against the two canonical right-hand sides, from
+    the constant A K takes on K and the one it takes off K."""
     kb = a.group_indicator()
     ak = a.mat @ kb
-    ka = kb @ a.mat
-    if ak != ka:
+    if ak != kb @ a.mat:
         return KCommutation("other")
-    if ak == IntMatrix.zeros(a.v):
-        return KCommutation("zero", Fraction(0))
-    j = IntMatrix.ones(a.v)
-    for cand, kind in ((j, "multiple_of_J"), (j - kb, "multiple_of_J_minus_K")):
-        nz = cand.a != 0
-        vals = ak.a[nz]
-        if vals.size and (vals == vals[0]).all():
-            c = int(vals[0])
-            if ak == cand.scalar_mul(c):
-                return KCommutation(kind, Fraction(c))
-    return KCommutation("other")
+    in_k = kb.a != 0
+    on, off = ak.a[in_k], ak.a[~in_k]
+    d = int(on[0])
+    c = int(off[0]) if off.size else d
+    if not ((on == d).all() and (off == c).all()):
+        return KCommutation("other")
+    if d == 0:
+        return KCommutation("multiple_of_J_minus_K", Fraction(c)) if c else KCommutation("zero", Fraction(0))
+    return KCommutation("multiple_of_J", Fraction(c)) if c == d else KCommutation("other")
 
 
 def lambda_formulas(k: int, m: int, n: int) -> tuple[Fraction, Fraction]:

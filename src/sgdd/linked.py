@@ -19,13 +19,15 @@ from math import isqrt
 import numpy as np
 
 from .algebra import IntMatrix, Surd
-from .classical import is_hadamard, is_weighing
+from .classical import is_hadamard, is_scaled_identity, is_weighing
 from .designs import (
     Certificate,
     GddParams,
     IncidenceMatrix,
     check_k_commutation,
     companion_params,
+    group_labels,
+    pattern,
     verify_gdd,
 )
 from .errors import (
@@ -203,13 +205,14 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     untransposed = [(i, j) for i, j in pairs if i < j and sys.blocks[(j, i)].mat != sys.blocks[(i, j)].mat.T]
     cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
     for i, j in untransposed:
-        pos = sys.blocks[(j, i)].mat.first_difference(sys.blocks[(i, j)].mat.T)
+        pos = sys.blocks[(j, i)].mat.first_difference(sys.blocks[(i, j)].mat.a.T)
         cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
 
+    in_k = group_labels(base.m, base.n) > 0
     if p.f == 2:
         comp = companion_params(base)
         blk = sys.blocks[(1, 2)]
-        plus = IncidenceMatrix(blk.mat + blk.group_indicator(), base.m, base.n)
+        plus = IncidenceMatrix(IntMatrix(blk.mat.a + in_k), base.m, base.n)
         sub = verify_gdd(plus, comp)
         if sub.ok:
             cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
@@ -218,16 +221,11 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
                 cert.failed(f"pair companion: {v.identity}", v.position, v.expected, v.actual)
         return cert
 
-    j_v = IntMatrix.ones(base.v)
-    k_v = IntMatrix.group_blocks(base.m, base.n)
-    expected = {}
-    for i, l in pairs:
-        ail = sys.blocks[(i, l)].mat
-        expected[(i, l)] = (
-            ail.scalar_mul(p.sigma)
-            + (j_v - ail - k_v).scalar_mul(p.tau)
-            + k_v.scalar_mul(p.rho)
-        )
+    # sigma A_il + tau (J - A_il - K) + rho K on the labels A_il + 2K; label 3
+    # (a 1 of A_il inside K, which the 0/1 check on A + K has already
+    # reported) reads sigma - tau + rho, the value of the formula there
+    twice_k = 2 * in_k
+    coeffs = (p.tau, p.sigma, p.rho, p.sigma - p.tau + p.rho)
     v = base.v
     for i, j in pairs:
         ls = [l for l in range(1, p.f + 1) if l not in (i, j)]
@@ -235,7 +233,8 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
         wide = sys.blocks[(i, j)].mat @ IntMatrix(np.hstack([sys.blocks[(j, l)].mat.a for l in ls]))
         for t, l in enumerate(ls):
             prod = IntMatrix(wide.a[:, t * v : (t + 1) * v])
-            cert.compare(f"triple product ({i},{j},{l})", prod, expected[(i, l)])
+            expected = pattern(sys.blocks[(i, l)].mat.a + twice_k, coeffs)
+            cert.compare(f"triple product ({i},{j},{l})", prod, expected)
     return cert
 
 
@@ -397,11 +396,10 @@ def build_from_mub_bush(hs: list[IntMatrix]) -> LinkedSystemII:
         lambda2=n * n - n,
     )
     f_sys = len(hs) + 1
-    j = IntMatrix.ones(order)
-    k_blk = IntMatrix.group_blocks(base.m, base.n)
+    in_k = group_labels(base.m, base.n) > 0
 
     def half_plus(mat: IntMatrix) -> IncidenceMatrix:
-        return IncidenceMatrix(IntMatrix((j.a + mat.a) // 2 - k_blk.a), base.m, base.n)
+        return IncidenceMatrix(IntMatrix((1 + mat.a) // 2 - in_k), base.m, base.n)
 
     blocks: dict[tuple[int, int], IncidenceMatrix] = {}
     for i, h in enumerate(hs, start=2):
@@ -427,6 +425,13 @@ def build_from_mub_bush(hs: list[IntMatrix]) -> LinkedSystemII:
     return make_linked_system(params, blocks)
 
 
+# rows one bush_search may place.  (n, f) = (2, 2) places 32 and (2, 3) 48,
+# sixteen per matrix with no backtracking; (2, 4), which the Krein bound
+# rules out, stops here after about 6 s on a 2-vCPU machine; unbounded, it
+# was still searching after 100 000 rows.
+BUSH_MAX_NODES = 5_000
+
+
 def _balanced_masks(b: int) -> list[int]:
     return [m for m in range(1 << b) if bin(m).count("1") == b // 2]
 
@@ -439,7 +444,8 @@ def bush_search(n: int, f: int) -> list[IntMatrix] | None:
     off-diagonal block row segment is a balanced +-1 pattern, the final row
     of every block row is forced by column balance, and rows are pruned
     against orthogonality (same matrix) and the +-2n product constraint
-    (previous matrices)."""
+    (previous matrices).  Every row placed is one node; raises
+    BudgetExceededError once BUSH_MAX_NODES rows have been placed."""
     if n < 1 or f < 1:
         raise ParameterError("need n >= 1 and f >= 1")
     if n == 1:
@@ -451,6 +457,8 @@ def bush_search(n: int, f: int) -> list[IntMatrix] | None:
     full = (1 << b) - 1
     patterns = _balanced_masks(b)
     popcount = [bin(x).count("1") for x in range(1 << b)]
+
+    nodes = 0
 
     def block_dot(m1: int, m2: int) -> int:
         return b - 2 * popcount[m1 ^ m2]
@@ -528,11 +536,17 @@ def bush_search(n: int, f: int) -> list[IntMatrix] | None:
             yield from build(0, [], dots_same, dots_prev)
 
         def place(r: int):
+            nonlocal nodes
             if r == order:
                 yield list(rows)
                 return
             br = r // b
             for row in row_options(r):
+                if nodes == BUSH_MAX_NODES:
+                    raise BudgetExceededError(
+                        f"search stopped at its budget: {nodes} nodes expanded (one node is one row placed)"
+                    )
+                nodes += 1
                 rows.append(row)
                 for bc in range(b):
                     if bc != br:
@@ -589,8 +603,7 @@ def is_conference(c: IntMatrix) -> bool:
         return False
     if np.diagonal(arr).any():
         return False
-    order = c.rows
-    return c @ c.T == IntMatrix.identity(order).scalar_mul(order - 1)
+    return is_scaled_identity(c @ c.T, c.rows - 1)
 
 
 def conference_to_gdd(c: IntMatrix) -> tuple[IncidenceMatrix, GddParams]:
@@ -840,7 +853,6 @@ def build_twin(h: IntMatrix, ws: list[IntMatrix]) -> TwinPair:
         comm = check_k_commutation(mat)
         if comm.kind != "multiple_of_J_minus_K" or comm.factor != Fraction(n, 2):
             raise CertificationError(f"{label} does not commute with K as n/2 (J - K)")
-    k_big = IntMatrix.group_blocks(params.m, params.n)
-    if out.plus.mat + out.minus.mat + k_big != IntMatrix.ones(params.v):
+    if not np.array_equal(plus + minus, pattern(group_labels(params.m, params.n), (1, 0, 0))):
         raise CertificationError("A+ + A- + K != J")
     return out

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate
+from .designs import Certificate, pattern
 from .errors import CertificationError, ParameterError
 from .gf import factor_prime_power, gf_make
 
@@ -67,19 +67,11 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
         if not (c.is_square and c.rows == v and c.is_zero_one()):
             cert.failed(f"C_{idx + 1} is a v x v 0/1 matrix", (0, 0))
             return cert
-    i_v = IntMatrix.identity(v)
-    j_v = IntMatrix.ones(v)
-    total = IntMatrix.zeros(v)
-    for c in aux.matrices:
-        total = total + c
-    cert.compare(
-        "sum C_i equals (r - lambda) I + lambda J",
-        total,
-        i_v.scalar_mul(p.r - p.lam) + j_v.scalar_mul(p.lam),
-    )
+    total = IntMatrix(sum(c.a for c in aux.matrices))
+    cert.compare("sum C_i equals (r - lambda) I + lambda J", total, pattern(np.eye(v, dtype=np.int8), (p.lam, p.r)))
     for idx, c in enumerate(aux.matrices):
-        cert.compare(f"C_{idx + 1} C_{idx + 1}^T = k C_{idx + 1}", c @ c.T, c.scalar_mul(p.k))
-    mu_j = j_v.scalar_mul(p.mu)
+        cert.compare(f"C_{idx + 1} C_{idx + 1}^T = k C_{idx + 1}", c @ c.T, pattern(c.a, (0, p.k)))
+    mu_j = pattern(np.zeros((v, v), dtype=np.int8), (p.mu,))
     for a in range(r):
         for b in range(r):
             if a != b:

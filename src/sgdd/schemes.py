@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import IntMatrix, Surd, SurdMatrix
-from .designs import Certificate, GddParams, IncidenceMatrix
+from .designs import Certificate, GddParams, IncidenceMatrix, group_labels
 from .errors import CertificationError, ParameterError
 from .linked import LinkedParams, LinkedSystemII, verify_linked_system
 
@@ -103,16 +103,15 @@ def _partition_certificate(mats: list[IntMatrix]) -> Certificate:
         cert.failed("A_0 = I", (0, 0))
     else:
         cert.passed("A_0 = I")
-    total = IntMatrix.zeros(size)
     for idx, mat in enumerate(mats):
         if not (mat.is_square and mat.rows == size and mat.is_zero_one()):
             cert.failed(f"A_{idx} is a square 0/1 matrix of order {size}")
             return cert
         if not mat.is_symmetric():
             cert.failed(f"A_{idx} is symmetric")
-        total = total + mat
-    cert.compare("sum A_i = J", total, IntMatrix.ones(size))
-    if idx_zero := [i for i, mat in enumerate(mats) if mat == IntMatrix.zeros(size)]:
+    total = IntMatrix(sum(mat.a for mat in mats))
+    cert.compare("sum A_i = J", total, np.broadcast_to(1, (size, size)))
+    if idx_zero := [i for i, mat in enumerate(mats) if not mat.a.any()]:
         cert.failed(f"classes {idx_zero} are empty")
     return cert
 
@@ -334,7 +333,7 @@ def scheme_matrices_from_system(sys: LinkedSystemII) -> list[IntMatrix]:
     base = sys.params.base
     f, mn = sys.params.f, base.v
     eye_f, eye_mn = np.eye(f, dtype=np.int64), np.eye(mn, dtype=np.int64)
-    k, j = IntMatrix.group_blocks(base.m, base.n).a, np.ones((mn, mn), dtype=np.int64)
+    k, j = (group_labels(base.m, base.n) > 0).astype(np.int64), np.ones((mn, mn), dtype=np.int64)
     zero = np.zeros_like(j)
     a3 = np.block([[zero if i == l else sys.blocks[(i, l)].mat.a for l in range(1, f + 1)] for i in range(1, f + 1)])
     a5 = np.kron(1 - eye_f, k)
@@ -689,12 +688,7 @@ def check_fusion(scheme: AssociationScheme) -> FusionReport:
     )
     if fuse_classes(scheme.p, FUSION_PARTITION) is None:
         return FusionReport(False, predicted, FUSION_PARTITION, None, None)
-    fused_mats = []
-    for group in FUSION_PARTITION:
-        total = IntMatrix.zeros(scheme.size)
-        for i in group:
-            total = total + scheme.matrices[i]
-        fused_mats.append(total)
+    fused_mats = [IntMatrix(sum(scheme.matrices[i].a for i in group)) for group in FUSION_PARTITION]
     # merged eigenspaces: group eigenspaces by their fused eigenvalue vectors
     vectors = {}
     for j in range(CLASSES):

@@ -12,9 +12,11 @@ from sgdd.designs import (
     check_bose,
     check_k_commutation,
     companion_params,
+    group_labels,
     lambda_formulas,
     partial_complement,
     partial_complement_params,
+    pattern,
     verify_gdd,
 )
 from sgdd.errors import DegenerateDesignError, ParameterError
@@ -22,13 +24,13 @@ from sgdd.errors import DegenerateDesignError, ParameterError
 
 def test_complete_design_degenerate_check():
     p = GddParams(4, 3, 2, 2, 2, 2)
-    a = IncidenceMatrix(IntMatrix.ones(4) - IntMatrix.identity(4), 2, 2)
+    a = IncidenceMatrix(IntMatrix(1 - np.eye(4, dtype=np.int64)), 2, 2)
     assert verify_gdd(a, p).ok
 
 
 def test_single_bit_flip_locates_violation():
     p = GddParams(4, 3, 2, 2, 2, 2)
-    arr = (IntMatrix.ones(4) - IntMatrix.identity(4)).a.copy()
+    arr = 1 - np.eye(4, dtype=np.int64)
     arr[0, 1] = 0
     cert = verify_gdd(IncidenceMatrix(IntMatrix(arr), 2, 2), p)
     assert not cert.ok
@@ -112,7 +114,7 @@ def test_partial_complement_involution(sys16, sys45):
 
 def test_partial_complement_rejects_diagonal_support():
     p = GddParams(4, 3, 2, 2, 2, 2)
-    a = IncidenceMatrix(IntMatrix.ones(4) - IntMatrix.identity(4), 2, 2)
+    a = IncidenceMatrix(IntMatrix(1 - np.eye(4, dtype=np.int64)), 2, 2)
     with pytest.raises(ParameterError):
         partial_complement(a, p)
 
@@ -123,7 +125,7 @@ def test_k_commutation_classification(conference12, sys16):
     assert out.kind == "multiple_of_J_minus_K" and out.factor == 1
     out16 = check_k_commutation(sys16.blocks[(1, 2)])
     assert out16.kind == "multiple_of_J_minus_K" and out16.factor == Fraction(6, 3)
-    k_itself = IncidenceMatrix(IntMatrix.group_blocks(3, 2), 3, 2)
+    k_itself = IncidenceMatrix(IntMatrix((group_labels(3, 2) > 0).astype(np.int64)), 3, 2)
     assert check_k_commutation(k_itself).kind == "other"
 
 
@@ -170,6 +172,21 @@ def sys16_blocks(sys16):
 
 def test_verify_gdd_dimension_mismatch_reported():
     p = GddParams(4, 3, 2, 2, 2, 2)
-    big = IncidenceMatrix(IntMatrix.ones(6) - IntMatrix.identity(6), 3, 2)
+    big = IncidenceMatrix(IntMatrix(1 - np.eye(6, dtype=np.int64)), 3, 2)
     cert = verify_gdd(big, p)
     assert not cert.ok
+
+
+def test_verify_gdd_is_exact_past_int64():
+    # lambda2 = (k^2 - k)/2 lies in [2^63, 2^64): its coefficient needs Python
+    # integers, and a float64 table would report "expected 4294967298.0"
+    k = 2**32 + 2
+    p = GddParams(4, k, 2, 2, 0, (k * k - k) // 2)
+    assert 2**63 <= p.lambda2 < 2**64
+    perm = IncidenceMatrix(IntMatrix(np.eye(4, dtype=np.int64)[[1, 0, 3, 2]]), 2, 2)
+    cert = verify_gdd(perm, p)
+    tail = "equals k I + l1 (K - I) + l2 (J - K) at (0, 0) (expected 4294967298, got 1)"
+    assert [str(v) for v in cert.violations] == [f"A A^T {tail}", f"A^T A {tail}"]
+    assert all(type(v.expected) is int and type(v.actual) is int for v in cert.violations)
+    expected = pattern(group_labels(2, 2), (p.lambda2, p.lambda1, p.k))
+    assert expected[0, 2] == p.lambda2 and type(expected[0, 2]) is int

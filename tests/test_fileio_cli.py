@@ -324,6 +324,22 @@ def test_cli_usage_errors(tmp_path: Path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        (("construct", "hadamard-aux"), "--order --in"),
+        (("construct", "conference-gdd"), "--order --in"),
+        (("construct", "twin", "-o", "{tmp}/twin"), "--order --hadamard"),
+        (("verify", "gdd", "{tmp}/a.mat"), "--params --params-file"),
+    ],
+)
+def test_cli_missing_source_is_usage_error(argv, needed, tmp_path: Path, capsys):
+    code, out = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert f"error: one of the arguments {needed} is required" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_scan_golden(tmp_path: Path):
     out = tmp_path / "t1.csv"
     assert run_cli("scan", "table1", "--vmax", "1000", "-o", str(out))[0] == 0
@@ -357,6 +373,17 @@ def test_cli_latin_verify(tmp_path: Path):
     square = tmp_path / "sq.lat"
     square.write_text("2\n0 1\n1 0\n")
     assert run_cli("verify", "latin", str(square))[0] == 0
+
+
+def test_cli_latin_verify_skips_leading_blank_lines(tmp_path: Path):
+    # the header is the first non-blank line, as the parsers read it
+    fam = tmp_path / "fam.fam"
+    run_cli("construct", "linked-mols", "--q", "4", "-o", str(fam))
+    fam.write_text("\n  \n" + fam.read_text())
+    assert run_cli("verify", "latin", str(fam)) == (0, "linked family f=3 order=4: OK\n")
+    square = tmp_path / "sq.lat"
+    square.write_text("\n2\n0 1\n1 0\n")
+    assert run_cli("verify", "latin", str(square)) == (0, "latin square: OK\n")
 
 
 def test_pair_system_file_roundtrip(conference12):

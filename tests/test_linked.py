@@ -3,14 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sgdd.linked
 from sgdd.algebra import IntMatrix
 from sgdd.classical import (
     hadamard_matrix,
     paley_conference_matrix,
     signed_permutation_weighing_set,
 )
+from sgdd.cli import main
 from sgdd.designs import Certificate, GddParams, check_k_commutation, verify_gdd
-from sgdd.errors import InfeasibleParameterError, ParameterError
+from sgdd.errors import BudgetExceededError, InfeasibleParameterError, ParameterError
 from sgdd.linked import (
     CyclicGroup,
     GcmMatrix,
@@ -108,19 +110,15 @@ def _triple_lines_per_triple(sys):
     p = sys.params
     base = p.base
     cert = Certificate("triple products")
-    j_v = IntMatrix.ones(base.v)
-    k_v = IntMatrix.group_blocks(base.m, base.n)
+    j_v = np.ones((base.v, base.v), dtype=np.int64)
+    k_v = np.kron(np.eye(base.m, dtype=np.int64), np.ones((base.n, base.n), dtype=np.int64))
     for i, j in sorted(sys.blocks):
         for l in range(1, p.f + 1):
             if l in (i, j):
                 continue
             prod = sys.blocks[(i, j)].mat @ sys.blocks[(j, l)].mat
-            ail = sys.blocks[(i, l)].mat
-            expected = (
-                ail.scalar_mul(p.sigma)
-                + (j_v - ail - k_v).scalar_mul(p.tau)
-                + k_v.scalar_mul(p.rho)
-            )
+            ail = sys.blocks[(i, l)].mat.a
+            expected = IntMatrix(p.sigma * ail + p.tau * (j_v - ail - k_v) + p.rho * k_v)
             pos = prod.first_difference(expected)
             if pos is None:
                 cert.passed(f"triple product ({i},{j},{l})")
@@ -205,7 +203,7 @@ def test_conference_order10_via_gf9():
 
 def test_non_conference_rejected():
     with pytest.raises(ParameterError):
-        conference_to_gdd(IntMatrix.ones(4))
+        conference_to_gdd(IntMatrix(np.ones((4, 4), dtype=np.int64)))
 
 
 @pytest.mark.parametrize("q,g", [(3, 2), (4, 3), (5, 4)])
@@ -252,8 +250,8 @@ def test_twin_16():
     twin = build_twin(hadamard_matrix(4), signed_permutation_weighing_set(4))
     p = twin.params
     assert (p.v, p.k, p.m, p.n, p.lambda1, p.lambda2) == (16, 6, 4, 4, 2, 2)
-    k = IntMatrix.group_blocks(4, 4)
-    assert twin.plus.mat + twin.minus.mat + k == IntMatrix.ones(16)
+    k = np.kron(np.eye(4, dtype=np.int64), np.ones((4, 4), dtype=np.int64))
+    assert (twin.plus.mat.a + twin.minus.mat.a + k == 1).all()
 
 
 def test_twin_112_parameters():
@@ -278,6 +276,26 @@ def test_bush_search_trivial_and_pair(bush_pair):
     assert single and is_bush_type(single[0])
     h1, h2 = bush_pair
     assert is_bush_type(h1) and is_bush_type(h2)
+
+
+def test_bush_search_stops_at_the_node_budget(monkeypatch):
+    # (2, 3) places 48 rows: sixteen per matrix, none taken back
+    monkeypatch.setattr(sgdd.linked, "BUSH_MAX_NODES", 48)
+    assert len(bush_search(2, 3)) == 3
+    monkeypatch.setattr(sgdd.linked, "BUSH_MAX_NODES", 47)
+    with pytest.raises(BudgetExceededError, match=r"^search stopped at its budget: 47 nodes expanded"):
+        bush_search(2, 3)
+
+
+def test_cli_bush_search_stops_at_the_node_budget(monkeypatch, capsys):
+    # no four unbiased Bush-type matrices of order 16 exist; the real budget
+    # stops this search in seconds, a small one here
+    monkeypatch.setattr(sgdd.linked, "BUSH_MAX_NODES", 200)
+    assert main(["oracle", "bush", "--n", "2", "--f", "4"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: search stopped at its budget: 200 nodes expanded (one node is one row placed)\n",
+    )
 
 
 def test_bush_search_degenerate_n1():
@@ -324,10 +342,8 @@ def test_parameter_identities_on_certified_systems(sys16, sys45):
 
 
 def test_bush_type_of_symmetric_design_blocks(sys16):
-    j = IntMatrix.ones(16)
     for blk in sys16.blocks.values():
-        h = j - blk.mat.scalar_mul(2)
-        assert is_bush_type(h)
+        assert is_bush_type(IntMatrix(1 - 2 * blk.mat.a))
 
 
 def test_bush_search_deterministic(bush_pair):

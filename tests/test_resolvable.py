@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sgdd.algebra import IntMatrix
@@ -15,16 +16,14 @@ from sgdd.resolvable import (
 
 def test_hadamard4_axioms(aux_had4):
     assert aux_had4.r == 3
-    total = IntMatrix.zeros(4)
+    total = sum(c.a for c in aux_had4.matrices)
+    assert (total == 2 * np.eye(4, dtype=np.int64) + 1).all()
     for c in aux_had4.matrices:
-        total = total + c
-    assert total == IntMatrix.identity(4).scalar_mul(2) + IntMatrix.ones(4)
-    for c in aux_had4.matrices:
-        assert c @ c.T == c.scalar_mul(2)
+        assert c @ c.T == IntMatrix(2 * c.a)
     for i, a in enumerate(aux_had4.matrices):
         for j, b in enumerate(aux_had4.matrices):
             if i != j:
-                assert a @ b.T == IntMatrix.ones(4)
+                assert ((a @ b.T).a == 1).all()
 
 
 def test_hadamard4_derived_parameters(aux_had4):
@@ -44,18 +43,14 @@ def test_ag23_certified(aux_ag23):
     p = aux_ag23.params
     assert (p.v, p.k, p.r, p.lam, p.mu, p.n) == (9, 3, 4, 1, 1, 3)
     assert verify_auxiliary(aux_ag23).ok
-    total = IntMatrix.zeros(9)
-    for c in aux_ag23.matrices:
-        total = total + c
+    total = sum(c.a for c in aux_ag23.matrices)
     # sum C_i = (r - lam) I + lam J = 3I + J at q = 3, d = 1
-    assert total == IntMatrix.identity(9).scalar_mul(3) + IntMatrix.ones(9)
+    assert (total == 3 * np.eye(9, dtype=np.int64) + 1).all()
     for c in aux_ag23.matrices:
-        assert c @ c.T == c.scalar_mul(3)  # q^d C_i
+        assert c @ c.T == IntMatrix(3 * c.a)  # q^d C_i
     # sum C_i C_i^T = q^{2d} I + (r-1) q^{d-1} J = 9I + 3J
-    gram_total = IntMatrix.zeros(9)
-    for c in aux_ag23.matrices:
-        gram_total = gram_total + c @ c.T
-    assert gram_total == IntMatrix.identity(9).scalar_mul(9) + IntMatrix.ones(9).scalar_mul(3)
+    gram_total = sum((c @ c.T).a for c in aux_ag23.matrices)
+    assert (gram_total == 9 * np.eye(9, dtype=np.int64) + 3).all()
 
 
 def test_ag22_matches_hadamard4(aux_had4):
@@ -89,7 +84,7 @@ def test_parallel_class_roundtrip(aux_ag23):
 def test_violation_when_matrix_replaced():
     aux = aux_from_affine_geometry(2, 1)
     broken = list(aux.matrices)
-    broken[0] = IntMatrix.ones(4)
+    broken[0] = IntMatrix(np.ones((4, 4), dtype=np.int64))
     with pytest.raises(CertificationError):
         make_auxiliary_set(4, broken)
 
