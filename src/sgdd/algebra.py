@@ -1,12 +1,16 @@
 """Exact scalar and matrix arithmetic.
 
 Scalars are Python integers, :class:`fractions.Fraction` and :class:`Surd`
-(elements a + b*sqrt(D) of a real quadratic extension).  Matrices come in two
-flavours: :class:`IntMatrix` (dense integer matrices) and :class:`SurdMatrix`
-(the small matrices over one quadratic extension that hold eigenmatrices).
-Every operation is exact.
+(elements a + b*sqrt(D) of a real quadratic extension, the values of the
+Krein parameters and the closed-form triples).  ``surd_sign`` decides
+the sign of a + b*sqrt(D) for integers a, b by integer comparison; the 6x6
+eigenmatrix algebra of ``sgdd.schemes`` runs on such integer numerators.
+Matrices are :class:`IntMatrix` (dense integer matrices).  Every operation is
+exact.
 
-IntMatrix is the package's one exact matrix-product kernel.  It is backed by
+IntMatrix is the package's one exact matrix-product kernel for matrices of
+order |X| (the 6x6 algebra multiplies object arrays of Python integers,
+where no bound is needed).  It is backed by
 a numpy array: int64 while the entries fit, an object-dtype array of Python
 integers otherwise (entries read from files may be arbitrarily large).  Its
 only arithmetic is the product; the right-hand sides of identities are not
@@ -84,6 +88,20 @@ def square_free_decomposition(value: int) -> tuple[int, int]:
     return s, d * rest
 
 
+def surd_sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for integers a, b and d >= 0, by integer
+    comparison: when a and b have opposite signs, the larger of a**2 and
+    b**2 * d decides (Cohen, A Course in Computational Algebraic Number
+    Theory, GTM 138, ch. 5)."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or d == 0:
+        return sa
+    if sa in (0, sb):
+        return sb
+    lhs, rhs = a * a, b * b * d
+    return sa if lhs > rhs else sb if lhs < rhs else 0
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -139,19 +157,8 @@ class Surd:
         return self.a
 
     def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return (self.b > 0) - (self.b < 0)
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        # sign of a + b*sqrt(d) with opposite-signed parts: compare a^2, b^2 d
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
+        # a and b over one positive denominator
+        return surd_sign(self.a.numerator * self.b.denominator, self.b.numerator * self.a.denominator, self.d)
 
     # -- arithmetic ------------------------------------------------------
     @staticmethod
@@ -355,9 +362,6 @@ class IntMatrix:
     def T(self) -> "IntMatrix":
         return IntMatrix(self.a.T.copy())
 
-    def trace(self) -> int:
-        return sum(int(self.a[i, i]) for i in range(min(self.rows, self.cols)))
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -379,64 +383,3 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
-
-
-class SurdMatrix:
-    """Dense matrix over Q(sqrt(d)); all entries share one radicand."""
-
-    __slots__ = ("rows", "cols", "data", "d")
-
-    def __init__(self, data):
-        self.data = [[x if isinstance(x, Surd) else Surd._coerce(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(row) != self.cols for row in self.data):
-            raise ParameterError("ragged rows in SurdMatrix")
-        d = 0
-        for row in self.data:
-            for x in row:
-                if x.d not in (0, d):
-                    if d == 0:
-                        d = x.d
-                    else:
-                        raise ParameterError("mixed radicands in SurdMatrix")
-        self.d = d
-
-    @classmethod
-    def identity(cls, order: int) -> "SurdMatrix":
-        return cls([[Surd.of(1 if i == j else 0) for j in range(order)] for i in range(order)])
-
-    def __getitem__(self, idx) -> Surd:
-        i, j = idx
-        return self.data[i][j]
-
-    def scalar_mul(self, c) -> "SurdMatrix":
-        c = Surd._coerce(c)
-        return SurdMatrix([[x * c for x in row] for row in self.data])
-
-    def __matmul__(self, other: "SurdMatrix") -> "SurdMatrix":
-        if self.cols != other.rows:
-            raise ParameterError("dimension mismatch in matrix product")
-        zero = Surd.of(0)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for t in range(self.cols):
-                    x = self.data[i][t]
-                    if x.a or x.b:  # matrices of intersection numbers are sparse
-                        acc = acc + x * other.data[t][j]
-                row.append(acc)
-            out.append(row)
-        return SurdMatrix(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, SurdMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            self.data[i][j] == other.data[i][j] for i in range(self.rows) for j in range(self.cols)
-        )
-
-    def __repr__(self):
-        return f"SurdMatrix({self.rows}x{self.cols}, d={self.d})"

@@ -215,13 +215,20 @@ class Certificate:
 
 def verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
     """Certify A A^T = A^T A = kI + l1(K-I) + l2(J-K) entrywise."""
-    cert = Certificate(f"symmetric GDD {p}")
     if (a.v, a.m, a.n) != (p.v, p.m, p.n):
+        cert = Certificate(f"symmetric GDD {p}")
         cert.failed("dimension/group structure matches parameters", (0, 0))
         return cert
+    return verify_gram(a.mat, p)
+
+
+def verify_gram(mat: IntMatrix, p: GddParams) -> Certificate:
+    """The Gram identities of ``verify_gdd`` for any integer matrix of order v,
+    0/1 or not (such as A + K for a block A with a 1 inside K)."""
+    cert = Certificate(f"symmetric GDD {p}")
     gram = pattern(group_labels(p.m, p.n), (p.lambda2, p.lambda1, p.k))
-    cert.compare("A A^T equals k I + l1 (K - I) + l2 (J - K)", a.mat @ a.mat.T, gram)
-    cert.compare("A^T A equals k I + l1 (K - I) + l2 (J - K)", a.mat.T @ a.mat, gram)
+    cert.compare("A A^T equals k I + l1 (K - I) + l2 (J - K)", mat @ mat.T, gram)
+    cert.compare("A^T A equals k I + l1 (K - I) + l2 (J - K)", mat.T @ mat, gram)
     return cert
 
 

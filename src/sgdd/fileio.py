@@ -39,7 +39,7 @@ from .designs import GddParams, IncidenceMatrix
 from .errors import FormatError, ParameterError
 from .latin import LatinSquare, LinkedMolsFamily
 from .linked import CyclicGroup, GcmMatrix, LinkedParams, LinkedSystemII
-from .resolvable import AuxiliarySet, make_auxiliary_set
+from .resolvable import AuxiliarySet, auxiliary_set
 
 
 def _check_ascii(text: str, what: str) -> None:
@@ -197,13 +197,14 @@ def format_auxiliary_set(aux: AuxiliarySet) -> str:
 
 
 def parse_auxiliary_set(text: str) -> AuxiliarySet:
+    """The set as written, uncertified: ``verify_auxiliary`` certifies it."""
     lines = _Lines(text, "auxiliary set")
     v, r = lines.ints(2)
     mats = [_read_matrix(lines) for _ in range(r)]
     lines.done()
     if any(m.rows != v or m.cols != v for m in mats):
         raise FormatError("auxiliary set: matrix order disagrees with header")
-    return make_auxiliary_set(v, mats)
+    return auxiliary_set(v, mats)
 
 
 # -- Latin squares and families -------------------------------------------------

@@ -29,6 +29,7 @@ from .designs import (
     group_labels,
     pattern,
     verify_gdd,
+    verify_gram,
 )
 from .errors import (
     BudgetExceededError,
@@ -211,9 +212,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     in_k = group_labels(base.m, base.n) > 0
     if p.f == 2:
         comp = companion_params(base)
-        blk = sys.blocks[(1, 2)]
-        plus = IncidenceMatrix(IntMatrix(blk.mat.a + in_k), base.m, base.n)
-        sub = verify_gdd(plus, comp)
+        sub = verify_gram(IntMatrix(sys.blocks[(1, 2)].mat.a + in_k), comp)
         if sub.ok:
             cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
         else:

@@ -100,12 +100,17 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     return cert
 
 
-def make_auxiliary_set(order: int, matrices: list[IntMatrix]) -> AuxiliarySet:
-    """Wrap externally supplied matrices, deriving and certifying parameters."""
+def auxiliary_set(order: int, matrices: list[IntMatrix]) -> AuxiliarySet:
+    """Wrap externally supplied matrices and derive their parameters,
+    uncertified: ``verify_auxiliary`` certifies where the set is used."""
     if len(matrices) < 2:
         raise ParameterError("need at least two auxiliary matrices")
-    params = _derive_params(order, matrices)
-    aux = AuxiliarySet(order, matrices, params)
+    return AuxiliarySet(order, matrices, _derive_params(order, matrices))
+
+
+def make_auxiliary_set(order: int, matrices: list[IntMatrix]) -> AuxiliarySet:
+    """Wrap externally supplied matrices, deriving and certifying parameters."""
+    aux = auxiliary_set(order, matrices)
     cert = verify_auxiliary(aux)
     if not cert.ok:
         raise CertificationError("auxiliary axioms fail", cert)

@@ -9,14 +9,13 @@ layered:
   ``assemble_scheme``), so assembly and extraction certify through the
   system and read p_{i,j}^k at one pair per class; ``verify scheme`` and
   inputs no system certifies take the dense ``compute_intersection_numbers``;
-* eigenmatrices come from closed forms over Q(sqrt(D)) with
-  D = squarefree(k(m-1)(n-1)(mn-k-n)) and are verified against the
-  intersection numbers by 6x6 identities: P Q = |X| I, the row sums of Q
-  and B_i Q = Q diag(P[:, i]) with (B_i)_{k,l} = p_{i,l}^k, which are the
-  eigenvalue equations A_i E_j = P_{j,i} E_j; that the E_j are orthogonal
-  idempotents follows from these two (see ``compute_spectra``);
-* Krein parameters are read off the certified eigenmatrices exactly and
-  checked non-negative and against their closed form.
+* the eigenmatrices P and Q are closed forms over Q(sqrt(D)),
+  D = squarefree(k(m-1)(n-1)(mn-k-n)), held as integer numerators over one
+  denominator each and verified against p by integer 6x6 identities:
+  P Q = |X| I, the row sums of Q and the eigenvalue equations
+  B_i Q = Q diag(P[:, i]), (B_i)_{k,l} = p_{i,l}^k (see ``compute_spectra``);
+* Krein parameters are integer triple sums over one denominator, checked
+  non-negative and against their closed form.
 
 Every certificate derives from one certified p-tensor.  ``assemble_scheme``
 certifies a scheme built from a linked system; ``load_scheme`` is the one
@@ -33,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import IntMatrix, Surd, SurdMatrix
+from .algebra import IntMatrix, Surd, square_free_decomposition, surd_sign
 from .designs import Certificate, GddParams, IncidenceMatrix, group_labels
 from .errors import CertificationError, ParameterError
 from .linked import LinkedParams, LinkedSystemII, verify_linked_system
@@ -60,10 +59,22 @@ class SchemeParams:
             raise ParameterError(f"k = {self.k} outside (0, (m-1)n) for v = {mn}")
 
 
+@dataclass(frozen=True)
+class Eigenmatrix:
+    """The 6x6 matrix (rational + irrational sqrt(radicand)) / den: numerators
+    in object arrays of Python integers, one positive denominator, and a
+    square-free radicand, or 0 when every entry is rational."""
+
+    rational: np.ndarray
+    irrational: np.ndarray
+    den: int
+    radicand: int
+
+
 @dataclass
 class Spectra:
-    P: SurdMatrix
-    Q: SurdMatrix
+    P: Eigenmatrix
+    Q: Eigenmatrix
     multiplicities: list[int]
     radicand: int
 
@@ -164,37 +175,55 @@ def compute_intersection_numbers(mats: list[IntMatrix]) -> tuple[list[list[list[
 # -- closed-form spectra --------------------------------------------------------
 
 
-def closed_form_p_matrix(params: SchemeParams) -> SurdMatrix:
-    k, m, n, f = params.k, params.m, params.n, params.f
-    w = m * n - k - n
-    rt = Surd.sqrt(Fraction(k * w, (m - 1) * (n - 1)))
-    one = Surd.of(1)
-    rows = [
-        [one, Surd.of(n - 1), Surd.of((m - 1) * n), Surd.of((f - 1) * k), Surd.of((f - 1) * w), Surd.of((f - 1) * n)],
-        [one, Surd.of(-1), Surd.of(0), rt * (f - 1), rt * (-(f - 1)), Surd.of(0)],
-        [one, Surd.of(n - 1), Surd.of(-n), Surd.of(Fraction(-(f - 1) * k, m - 1)), Surd.of(Fraction(-(f - 1) * w, m - 1)), Surd.of((f - 1) * n)],
-        [one, Surd.of(n - 1), Surd.of(-n), Surd.of(Fraction(k, m - 1)), Surd.of(n - Fraction(k, m - 1)), Surd.of(-n)],
-        [one, Surd.of(-1), Surd.of(0), rt * (-1), rt, Surd.of(0)],
-        [one, Surd.of(n - 1), Surd.of((m - 1) * n), Surd.of(-k), Surd.of(-w), Surd.of(-n)],
-    ]
-    return SurdMatrix(rows)
+def _eigenmatrix(rational, root, den: int, params: SchemeParams) -> Eigenmatrix:
+    """(rational + s root sqrt(D)) / den with s^2 D = k w (m-1)(n-1),
+    w = mn - k - n and D square-free (w > 0, so D >= 1); D = 1 is folded
+    into the rational part and recorded as radicand 0."""
+    k, m, n = params.k, params.m, params.n
+    s, d = square_free_decomposition(k * (m * n - k - n) * (m - 1) * (n - 1))
+    rational, irrational = np.array(rational, dtype=object), s * np.array(root, dtype=object)
+    if d == 1:
+        return Eigenmatrix(rational + irrational, 0 * irrational, den, 0)
+    return Eigenmatrix(rational, irrational, den, d)
 
 
-def closed_form_q_matrix(params: SchemeParams) -> SurdMatrix:
+def closed_form_p_matrix(params: SchemeParams) -> Eigenmatrix:
+    """P over c_P = (m-1)(n-1); the irrational entries are
+    +-sqrt(k w / c_P) = +-s sqrt(D) / c_P, times f - 1 in row 1."""
     k, m, n, f = params.k, params.m, params.n, params.f
     w = m * n - k - n
-    qt3 = Surd.sqrt(Fraction((n - 1) * w, k * (m - 1)))
-    qt4 = Surd.sqrt(Fraction(k * (n - 1), (m - 1) * w))
-    one = Surd.of(1)
-    rows = [
-        [one, Surd.of(m * (n - 1)), Surd.of(m - 1), Surd.of((f - 1) * (m - 1)), Surd.of((f - 1) * m * (n - 1)), Surd.of(f - 1)],
-        [one, Surd.of(-m), Surd.of(m - 1), Surd.of((f - 1) * (m - 1)), Surd.of(-(f - 1) * m), Surd.of(f - 1)],
-        [one, Surd.of(0), Surd.of(-1), Surd.of(-(f - 1)), Surd.of(0), Surd.of(f - 1)],
-        [one, qt3 * m, Surd.of(-1), one, qt3 * (-m), Surd.of(-1)],
-        [one, qt4 * (-m), Surd.of(-1), one, qt4 * m, Surd.of(-1)],
-        [one, Surd.of(0), Surd.of(m - 1), Surd.of(-(m - 1)), Surd.of(0), Surd.of(-1)],
+    c = (m - 1) * (n - 1)
+    rational = [
+        [c, c * (n - 1), c * (m - 1) * n, c * (f - 1) * k, c * (f - 1) * w, c * (f - 1) * n],
+        [c, -c, 0, 0, 0, 0],
+        [c, c * (n - 1), -c * n, -(f - 1) * k * (n - 1), -(f - 1) * w * (n - 1), c * (f - 1) * n],
+        [c, c * (n - 1), -c * n, k * (n - 1), c * n - k * (n - 1), -c * n],
+        [c, -c, 0, 0, 0, 0],
+        [c, c * (n - 1), c * (m - 1) * n, -c * k, -c * w, -c * n],
     ]
-    return SurdMatrix(rows)
+    z = [0] * CLASSES
+    root = [z, [0, 0, 0, f - 1, 1 - f, 0], z, z, [0, 0, 0, -1, 1, 0], z]
+    return _eigenmatrix(rational, root, c, params)
+
+
+def closed_form_q_matrix(params: SchemeParams) -> Eigenmatrix:
+    """Q over c_Q = k w (m-1); the irrational entries are
+    +-m sqrt((n-1) w / (k (m-1))) = +-m w s sqrt(D) / c_Q in row 3 and
+    +-m sqrt(k (n-1) / ((m-1) w)) = +-m k s sqrt(D) / c_Q in row 4."""
+    k, m, n, f = params.k, params.m, params.n, params.f
+    w = m * n - k - n
+    c = k * w * (m - 1)
+    rational = [
+        [c, c * m * (n - 1), c * (m - 1), c * (f - 1) * (m - 1), c * (f - 1) * m * (n - 1), c * (f - 1)],
+        [c, -c * m, c * (m - 1), c * (f - 1) * (m - 1), -c * (f - 1) * m, c * (f - 1)],
+        [c, 0, -c, -c * (f - 1), 0, c * (f - 1)],
+        [c, 0, -c, c, 0, -c],
+        [c, 0, -c, c, 0, -c],
+        [c, 0, c * (m - 1), -c * (m - 1), 0, -c],
+    ]
+    z = [0] * CLASSES
+    root = [z, z, z, [0, m * w, 0, 0, -m * w, 0], [0, -m * k, 0, 0, m * k, 0], z]
+    return _eigenmatrix(rational, root, c, params)
 
 
 def closed_form_multiplicities(params: SchemeParams) -> list[int]:
@@ -202,18 +231,30 @@ def closed_form_multiplicities(params: SchemeParams) -> list[int]:
     return [1, m * (n - 1), m - 1, (f - 1) * (m - 1), (f - 1) * m * (n - 1), f - 1]
 
 
-def closed_form_krein_b2(params: SchemeParams) -> list[list[Surd]]:
+def closed_form_krein_b2(params: SchemeParams) -> list[list[Fraction]]:
     m, f = params.m, params.f
     mf = Fraction(m, f)
-    z = Surd.of(0)
     return [
-        [z, z, Surd.of(1), z, z, z],
-        [z, Surd.of(mf - 1), z, z, Surd.of(mf), z],
-        [Surd.of(m - 1), z, Surd.of(m - 2), z, z, z],
-        [z, z, z, Surd.of(m - 2), z, Surd.of(m - 1)],
-        [z, Surd.of((f - 1) * mf), z, z, Surd.of(m - 1 - mf), z],
-        [z, z, z, Surd.of(1), z, z],
+        [0, 0, 1, 0, 0, 0],
+        [0, mf - 1, 0, 0, mf, 0],
+        [m - 1, 0, m - 2, 0, 0, 0],
+        [0, 0, 0, m - 2, 0, m - 1],
+        [0, (f - 1) * mf, 0, 0, m - 1 - mf, 0],
+        [0, 0, 0, 1, 0, 0],
     ]
+
+
+def _times(x, y, d: int, mul=np.matmul):
+    """(R + S sqrt(d)) (R' + S' sqrt(d)) = (R R' + d S S') + (R S' + S R') sqrt(d)
+    for pairs of integer arrays, as matrix products or, with ``np.multiply``,
+    entrywise."""
+    (r, s), (r2, s2) = x, y
+    return mul(r, r2) + d * mul(s, s2), mul(r, s2) + mul(s, r2)
+
+
+def _is_rational(x, value) -> bool:
+    """Whether the pair x = (R, S) of integer arrays is (value, 0) entrywise."""
+    return bool(np.all(x[0] == value) and np.all(x[1] == 0))
 
 
 def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
@@ -232,38 +273,41 @@ def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
       since tr E_j = |X| times the coefficient of A_0 in E_j = Q_{0,j};
     * P row 0 equals the valencies.
 
+    With P = (P_r + P_s sqrt(D)) / c_P and Q = (Q_r + Q_s sqrt(D)) / c_Q, each
+    is a pair of integer identities, for the rational and the sqrt(D) parts
+    (sqrt(D) is irrational, or D = 0 and P_s = Q_s = 0).
+
     That the E_j are pairwise orthogonal idempotents is derived, not
     multiplied out: once P Q = |X| I and every eigenvalue equation hold,
     E_l E_j = (1/|X|) sum_i Q_{i,l} A_i E_j = (1/|X|) sum_i Q_{i,l} P_{j,i} E_j
     = (1/|X|) (P Q)_{j,l} E_j = [j = l] E_j."""
     cert = Certificate(f"closed-form spectra at (k,m,n,f)=({params.k},{params.m},{params.n},{params.f})")
     size = params.size
-    pm = closed_form_p_matrix(params)
-    qm = closed_form_q_matrix(params)
-    mult = closed_form_multiplicities(params)
+    pm, qm, mult = closed_form_p_matrix(params), closed_form_q_matrix(params), closed_form_multiplicities(params)
+    spectra = Spectra(pm, qm, mult, pm.radicand)
     if sum(mult) != size:
         cert.failed("multiplicities sum to |X|")
-        return Spectra(pm, qm, mult, pm.d), cert
+        return spectra, cert
     cert.passed("multiplicities sum to |X|")
+    d, pr, ps, qr, qs = pm.radicand, pm.rational, pm.irrational, qm.rational, qm.irrational
 
-    ok_pq = pm @ qm == SurdMatrix.identity(CLASSES).scalar_mul(size)
+    ok_pq = _is_rational(_times((pr, ps), (qr, qs), d), size * pm.den * qm.den * np.eye(CLASSES, dtype=object))
     if ok_pq:
         cert.passed("P Q = |X| I")
     else:
         cert.failed("P Q = |X| I")
 
-    row_sums = [sum((qm[k, j] for j in range(CLASSES)), Surd.of(0)) for k in range(CLASSES)]
-    if row_sums == [Surd.of(size)] + [Surd.of(0)] * (CLASSES - 1):
+    if _is_rational((qr.sum(axis=1), qs.sum(axis=1)), [size * qm.den] + [0] * (CLASSES - 1)):
         cert.passed("sum E_j = I")
     else:
         cert.failed("sum E_j = I")
 
-    eigen_failures = []
-    for i in range(CLASSES):
-        got = SurdMatrix([[p[i][l][k] for l in range(CLASSES)] for k in range(CLASSES)]) @ qm
-        for j in range(CLASSES):
-            if any(got[k, j] != qm[k, j] * pm[j, i] for k in range(CLASSES)):
-                eigen_failures.append(f"A_{i} E_{j} = P[{j},{i}] E_{j}")
+    # [i, k, j]: c_P (B_i Q)_{k,j} against Q_{k,j} P_{j,i}, both over c_P c_Q
+    b = np.array(p, dtype=object).transpose(0, 2, 1)
+    lhs = (pm.den * (b @ qr), pm.den * (b @ qs))
+    rhs = _times((qr[None], qs[None]), (pr.T[:, None], ps.T[:, None]), d, np.multiply)
+    bad = ((lhs[0] != rhs[0]) | (lhs[1] != rhs[1])).any(axis=1)
+    eigen_failures = [f"A_{i} E_{j} = P[{j},{i}] E_{j}" for i, j in zip(*np.nonzero(bad))]
     if ok_pq and not eigen_failures:
         cert.passed("E_j are pairwise orthogonal idempotents")
     for line in eigen_failures:
@@ -271,54 +315,54 @@ def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
     if not eigen_failures:
         cert.passed("A_i E_j = P_{j,i} E_j for all i, j")
 
-    bad_mult = [j for j in range(CLASSES) if qm[0, j] != Surd.of(mult[j])]
+    bad_mult = [j for j in range(CLASSES) if not _is_rational((qr[0, j], qs[0, j]), mult[j] * qm.den)]
     for j in bad_mult:
         cert.failed(f"m_{j} = Q[0,{j}]")
     if not bad_mult:
         cert.passed("multiplicities match Q row 0 and the idempotent traces")
 
-    valencies = [p[i][i][0] for i in range(CLASSES)]
-    if all(pm[0, i] == Surd.of(valencies[i]) for i in range(CLASSES)):
+    if _is_rational((pr[0], ps[0]), [p[i][i][0] * pm.den for i in range(CLASSES)]):
         cert.passed("P row 0 equals the valencies")
     else:
         cert.failed("P row 0 equals the valencies")
 
-    return Spectra(pm, qm, mult, pm.d or qm.d), cert
+    return spectra, cert
 
 
 def compute_krein(spectra: Spectra, params: SchemeParams) -> tuple[list[list[list[Surd]]], Certificate]:
     """q_{i,j}^k = (1/|X|) sum_l Q[l,i] Q[l,j] P[k,l], read off the
     eigenmatrices that ``compute_spectra`` certified against p: E_i o E_j is
     (1/|X|^2) sum_l Q[l,i] Q[l,j] A_l and A_l = sum_k P[k,l] E_k
-    (Bannai-Ito, Algebraic Combinatorics I, section 2.3)."""
+    (Bannai-Ito, Algebraic Combinatorics I, section 2.3).
+
+    Every q_{i,j}^k is an integer triple sum over |X| c_Q^2 c_P, signed by
+    ``surd_sign``; the Surd values are built once, for the scheme."""
     cert = Certificate("Krein parameters")
-    pm, qm = spectra.P, spectra.Q
-    inv = Fraction(1, params.size)
-    q: list[list[list[Surd]]] = [[[Surd.of(0)] * CLASSES for _ in range(CLASSES)] for _ in range(CLASSES)]
-    negatives = []
+    pm, qm, d = spectra.P, spectra.Q, spectra.radicand
+    den = params.size * qm.den**2 * pm.den
+    qr, qs = qm.rational.T, qm.irrational.T
+    # [i, j, l]: numerators of Q[l,i] Q[l,j]; then [i, j, k] after the sum over l
+    had = _times((qr[:, None], qs[:, None]), (qr[None], qs[None]), d, np.multiply)
+    num_r, num_s = _times(had, (pm.rational.T, pm.irrational.T), d)
+    q: list[list[list[Surd]]] = [[[None] * CLASSES for _ in range(CLASSES)] for _ in range(CLASSES)]
     for i in range(CLASSES):
         for j in range(i, CLASSES):
-            had = [qm[l, i] * qm[l, j] for l in range(CLASSES)]
             for k in range(CLASSES):
-                val = sum((had[l] * pm[k, l] for l in range(CLASSES)), Surd.of(0)) * inv
-                q[i][j][k] = val
-                q[j][i][k] = val
-                if val.sign() < 0:
-                    negatives.append((i, j, k))
-    if negatives:
-        for (i, j, k) in negatives:
-            cert.failed(f"Krein parameter q_{i}{j}^{k} is negative")
-    else:
+                a, b = num_r[i, j, k], num_s[i, j, k]
+                q[i][j][k] = q[j][i][k] = Surd(Fraction(a, den), Fraction(b, den), d if b else 0)
+                if surd_sign(a, b, d) < 0:
+                    cert.failed(f"Krein parameter q_{i}{j}^{k} is negative")
+    if cert.ok:
         cert.passed("all Krein parameters are non-negative")
 
-    b2 = closed_form_krein_b2(params)
-    if all(q[2][j][k] == b2[j][k] for j in range(CLASSES) for k in range(CLASSES)):
+    b2 = np.array(closed_form_krein_b2(params), dtype=object)
+    if _is_rational((num_r[2], num_s[2]), b2 * den):
         cert.passed("entrywise-product structure constants of E_2 match their closed form")
     else:
         cert.failed("entrywise-product structure constants of E_2 match their closed form")
-    expected = Surd.of(Fraction(params.m, params.f) - 1)
-    if q[2][1][1] == expected:
-        cert.passed(f"q_21^1 = m/f - 1 = {Fraction(params.m, params.f) - 1}")
+    expected = Fraction(params.m, params.f) - 1
+    if _is_rational((num_r[2, 1, 1], num_s[2, 1, 1]), expected * den):
+        cert.passed(f"q_21^1 = m/f - 1 = {expected}")
     else:
         cert.failed("q_21^1 = m/f - 1")
     return q, cert
@@ -689,13 +733,11 @@ def check_fusion(scheme: AssociationScheme) -> FusionReport:
     if fuse_classes(scheme.p, FUSION_PARTITION) is None:
         return FusionReport(False, predicted, FUSION_PARTITION, None, None)
     fused_mats = [IntMatrix(sum(scheme.matrices[i].a for i in group)) for group in FUSION_PARTITION]
-    # merged eigenspaces: group eigenspaces by their fused eigenvalue vectors
+    # merged eigenspaces: group eigenspaces by their fused eigenvalues' numerators
+    pm = scheme.spectra.P
     vectors = {}
     for j in range(CLASSES):
-        key = tuple(
-            sum((scheme.spectra.P[j, i] for i in group), Surd.of(0))
-            for group in FUSION_PARTITION
-        )
+        key = tuple((pm.rational[j, list(g)].sum(), pm.irrational[j, list(g)].sum()) for g in FUSION_PARTITION)
         vectors.setdefault(key, []).append(j)
     eig_part = tuple(tuple(v) for v in sorted(vectors.values()))
     return FusionReport(True, predicted, FUSION_PARTITION, fused_mats, eig_part)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgdd.algebra import IntMatrix, Surd, SurdMatrix
+from sgdd.algebra import IntMatrix, Surd
 from sgdd.classical import (
     hadamard_matrix,
     paley_conference_matrix,
@@ -45,6 +45,7 @@ from sgdd.schemes import (
     check_fusion,
     extract_linked_system,
 )
+from surd_route import SurdMatrix, as_surd_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,10 +92,9 @@ def test_criterion_3_end_to_end_16(scheme48, sys16):
     assert (p.sigma, p.tau, p.rho) == (3, 1, 3)
     scheme = assemble_scheme(system)
     assert scheme.certificate.ok  # all scheme axioms
-    assert [scheme.spectra.P[0, i] for i in range(CLASSES)] == [
-        Surd.of(x) for x in (1, 3, 12, 12, 12, 8)
-    ]
-    assert scheme.spectra.P @ scheme.spectra.Q == SurdMatrix.identity(CLASSES).scalar_mul(48)
+    pm, qm = as_surd_matrix(scheme.spectra.P), as_surd_matrix(scheme.spectra.Q)
+    assert [pm[0, i] for i in range(CLASSES)] == [Surd.of(x) for x in (1, 3, 12, 12, 12, 8)]
+    assert pm @ qm == SurdMatrix.identity(CLASSES).scalar_mul(48)
     assert all(
         scheme.krein[i][j][k].sign() >= 0
         for i in range(CLASSES)

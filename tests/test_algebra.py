@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdd.algebra import IntMatrix, Surd, matmul_lane, square_free_decomposition
+from sgdd.algebra import IntMatrix, Surd, matmul_lane, square_free_decomposition, surd_sign
 from sgdd.designs import group_labels
 from sgdd.errors import ParameterError
+from surd_route import fraction_sign
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -181,6 +182,25 @@ def test_surd_sign_and_order():
     assert Surd.of(3, -2, 2).sign() == 1           # 3 - 2 sqrt(2) > 0
     assert Surd.of(0, 1, 2) > Surd.of(1)
     assert (Surd.of(2, -1, 4)).sign() == 0         # 2 - sqrt(4)
+
+
+@given(st.integers(-(10**12), 10**12), st.integers(-(10**6), 10**6), st.integers(0, 60))
+@settings(max_examples=300)
+def test_integer_surd_sign_matches_fraction_sign(a, b, d):
+    # any radicand, square factors and 0/1 included; a**2 = b**2 d is
+    # reachable only when d is a perfect square
+    x = Surd.of(a, b, d)
+    assert surd_sign(a, b, d) == x.sign() == fraction_sign(x)
+    s = isqrt(d)
+    if s * s == d:
+        assert surd_sign(-b * s, b, d) == 0
+
+
+@given(rationals, rationals, st.integers(0, 60))
+@settings(max_examples=150)
+def test_surd_sign_on_fractions_matches_fraction_sign(a, b, d):
+    x = Surd.of(a, b, d)
+    assert x.sign() == fraction_sign(x)
 
 
 def test_surd_division():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tracemalloc
 from contextlib import redirect_stdout
@@ -563,3 +564,145 @@ def test_cli_pipeline_45(tmp_path: Path):
     back = tmp_path / "back.lsys"
     assert run_cli("scheme", "extract", "--in", str(scm), "-o", str(back))[0] == 0
     assert back.read_text() == lsys.read_text()
+
+
+# -- the sqrt(5) pair schemes at the CLI ---------------------------------------------
+
+_PAIR_ANALYZE = """\
+parameters: k=5 m=6 n={n} f=2 |X|={size}
+certificate: association scheme axioms: OK
+  ok: A_0 = I
+  ok: sum A_i = J
+  ok: all products A_i A_j decompose with constant class coefficients
+  ok: intersection numbers are symmetric in the lower indices
+  ok: multiplicities sum to |X|
+  ok: P Q = |X| I
+  ok: sum E_j = I
+  ok: E_j are pairwise orthogonal idempotents
+  ok: A_i E_j = P_{{j,i}} E_j for all i, j
+  ok: multiplicities match Q row 0 and the idempotent traces
+  ok: P row 0 equals the valencies
+  ok: all Krein parameters are non-negative
+  ok: entrywise-product structure constants of E_2 match their closed form
+  ok: q_21^1 = m/f - 1 = 2
+"""
+
+# (fixture, n, |X|, sha256 of the assembled scheme file, alternate reading)
+_PAIR_SCHEMES = [
+    ("conference12", 2, 24, "3313ba402b8d025ca802d5c8c295fd6776bc04d6d1337597996ae29519b1ff16", 5),
+    ("gcm24", 4, 48, "728d91498b55f534238dd188523b551c59511b847fc45084021d5bbdb7de0702", 15),
+]
+
+
+@pytest.mark.parametrize("source, n, size, digest, alt_k", _PAIR_SCHEMES, ids=["conference24", "gcm48"])
+def test_cli_pair_schemes_over_sqrt5(source, n, size, digest, alt_k, tmp_path: Path, request):
+    # D = 5: the only CLI inputs whose P and Q carry a sqrt(D) part
+    from sgdd.linked import pair_system
+
+    lsys, scm, back, fused = (tmp_path / name for name in ("pair.lsys", "pair.scm", "back.lsys", "fused.scm"))
+    lsys.write_text(fileio.format_linked_system(pair_system(*request.getfixturevalue(source))))
+    assert run_cli("scheme", "assemble", "--in", str(lsys), "-o", str(scm)) == (0, "")
+    assert hashlib.sha256(scm.read_bytes()).hexdigest() == digest
+    assert run_cli("scheme", "analyze", "--in", str(scm)) == (0, _PAIR_ANALYZE.format(n=n, size=size))
+    assert run_cli("scheme", "extract", "--in", str(scm), "-o", str(back)) == (
+        0,
+        f"primary: labels=(0, 1, 2, 3, 4, 5) (k,m,n,f)=(5,6,{n},2) triple=None spectra_match=True certified=True\n"
+        f"alternate: labels=(0, 1, 2, 4, 3, 5) (k,m,n,f)=({alt_k},6,{n},2) triple=None spectra_match=True certified=True\n",
+    )
+    assert back.read_bytes() == lsys.read_bytes()
+    assert run_cli("scheme", "fusion", "--in", str(scm), "-o", str(fused)) == (
+        0,
+        "fusable: False; degree condition met: False\n",
+    )
+    assert not fused.exists()
+
+
+# -- fail-closed reports ------------------------------------------------------------------
+
+_COMPANION_FLIP = """\
+certificate: linked system f=2 on GddParams(v=12, k=5, m=6, n=2, lambda1=0, lambda2=2): VIOLATED
+  ok: block (2, 1) is a symmetric GDD
+  ok: block (2, 1): A + K is a 0/1 matrix
+  ok: block (2, 1): A K = K A = 1 (J - K)
+  note: transpose-consistent blocks: no
+  violation: block (1, 2): A A^T equals k I + l1 (K - I) + l2 (J - K) at (0, 0) (expected 5, got 6)
+  violation: block (1, 2): A^T A equals k I + l1 (K - I) + l2 (J - K) at (1, 1) (expected 5, got 6)
+  violation: block (1, 2): A + K is a 0/1 matrix
+  violation: block (1, 2): A K = K A = k/(m-1) (J - K)
+  violation: block (2, 1) is the transpose of block (1, 2) at (1, 0)
+  violation: pair companion: A A^T equals k I + l1 (K - I) + l2 (J - K) at (0, 0) (expected 7, got 10)
+  violation: pair companion: A^T A equals k I + l1 (K - I) + l2 (J - K) at (0, 1) (expected 2, got 3)
+"""
+
+
+def test_cli_pair_with_a_one_inside_a_group_reports_violations(tmp_path: Path, conference12, capsys):
+    # A + K then holds a 2, so the companion's Gram identities are checked on
+    # an integer matrix that is not an incidence matrix
+    from sgdd.designs import IncidenceMatrix
+    from sgdd.linked import LinkedSystemII, pair_system
+
+    pair = pair_system(*conference12)
+    blk = pair.blocks[(1, 2)]
+    arr = blk.mat.a.copy()
+    assert arr[0, 1] == 0  # points 0 and 1 form a group
+    arr[0, 1] = 1
+    blocks = {(1, 2): IncidenceMatrix(IntMatrix(arr), blk.m, blk.n), (2, 1): pair.blocks[(2, 1)]}
+    lsys, scm = tmp_path / "flip.lsys", tmp_path / "flip.scm"
+    lsys.write_text(fileio.format_linked_system(LinkedSystemII(pair.params, blocks)))
+    assert main(["verify", "linked-system", str(lsys)]) == 1
+    assert capsys.readouterr() == (_COMPANION_FLIP, "")
+    assert main(["scheme", "assemble", "--in", str(lsys), "-o", str(scm)]) == 1
+    assert capsys.readouterr() == (_COMPANION_FLIP, "error: input system fails certification\n")
+    assert not scm.exists()
+
+
+def _corrupt_aux_file(path: Path):
+    """The order-8 Hadamard auxiliary set with the first entry of C_1 set to
+    0: it parses and derives parameters, and fails the axioms."""
+    from sgdd.classical import hadamard_matrix
+    from sgdd.resolvable import aux_from_hadamard
+
+    lines = fileio.format_auxiliary_set(aux_from_hadamard(hadamard_matrix(8))).splitlines()
+    assert lines[2].startswith("1 ")
+    lines[2] = "0" + lines[2][1:]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_cli_verify_aux_reports_a_corrupt_file(tmp_path: Path, capsys):
+    aux = tmp_path / "bad.aux"
+    _corrupt_aux_file(aux)
+    assert main(["verify", "aux", str(aux)]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0] == "certificate: auxiliary matrices AuxParams(v=8, k=3, r=7, lam=1, mu=1, n=3): VIOLATED"
+    assert lines[1] == "  violation: sum C_i equals (r - lambda) I + lambda J at (0, 0) (expected 7, got 6)"
+    assert out.count("certificate:") == 1 and err == ""
+
+
+def test_tilde_l_certifies_the_auxiliary_set_once(tmp_path: Path, monkeypatch):
+    import sgdd.linked
+    import sgdd.resolvable
+
+    calls = []
+    verify = sgdd.resolvable.verify_auxiliary
+
+    def counted(aux):
+        calls.append(aux.order)
+        return verify(aux)
+
+    for module in (sgdd.resolvable, sgdd.linked):
+        monkeypatch.setattr(module, "verify_auxiliary", counted)
+    aux, fam, lsys = tmp_path / "had4.aux", tmp_path / "gf4.fam", tmp_path / "sys16.lsys"
+    assert run_cli("construct", "hadamard-aux", "--order", "4", "-o", str(aux))[0] == 0
+    assert run_cli("construct", "linked-mols", "--q", "4", "-o", str(fam))[0] == 0
+    calls.clear()
+    assert run_cli("construct", "tilde-l", "--aux", str(aux), "--mols", str(fam), "-o", str(lsys))[0] == 0
+    assert calls == [4]
+    # a corrupt set is refused by that one certification, and nothing is written
+    bad, fam8, out = tmp_path / "bad.aux", tmp_path / "gf8.fam", tmp_path / "bad.lsys"
+    _corrupt_aux_file(bad)
+    assert run_cli("construct", "linked-mols", "--q", "8", "-o", str(fam8))[0] == 0
+    calls.clear()
+    code, printed = run_cli("construct", "tilde-l", "--aux", str(bad), "--mols", str(fam8), "-o", str(out))
+    assert code == 1 and calls == [8] and not out.exists()
+    assert printed.startswith("certificate: auxiliary matrices AuxParams(v=8, k=3, r=7, lam=1, mu=1, n=3): VIOLATED\n")

@@ -131,9 +131,14 @@ def ref_verify_linked_system(sys: LinkedSystemII) -> Certificate:
         pos = sys.blocks[(j, i)].mat.first_difference(sys.blocks[(i, j)].mat.T)
         cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
     if p.f == 2:
+        # A + K holds a 2 where A has a 1 inside K: its Gram identities are
+        # checked on the integer matrix, which is no incidence matrix then
         comp = companion_params(base)
-        plus = IncidenceMatrix(IntMatrix(sys.blocks[(1, 2)].mat.a + k_v), base.m, base.n)
-        sub = ref_verify_gdd(plus, comp)
+        plus = IntMatrix(sys.blocks[(1, 2)].mat.a + k_v)
+        gram = ref_expected_gram(comp)
+        sub = Certificate("")
+        _ref_compare(sub, "A A^T equals k I + l1 (K - I) + l2 (J - K)", plus @ plus.T, gram)
+        _ref_compare(sub, "A^T A equals k I + l1 (K - I) + l2 (J - K)", plus.T @ plus, gram)
         if sub.ok:
             cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
         else:

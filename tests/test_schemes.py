@@ -1,11 +1,10 @@
 import random
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 import pytest
 
-from sgdd.algebra import IntMatrix, Surd, SurdMatrix
+from sgdd.algebra import IntMatrix, Surd
 from sgdd.designs import Certificate, GddParams, IncidenceMatrix
 from sgdd.errors import CertificationError, ParameterError
 from sgdd.linked import LinkedParams, LinkedSystemII, pair_system, verify_linked_system
@@ -13,6 +12,7 @@ import sgdd.schemes
 from sgdd.schemes import (
     CLASSES,
     FUSION_PARTITION,
+    Eigenmatrix,
     SchemeParams,
     _canonical_vertex_order,
     _equivalence_classes,
@@ -30,6 +30,14 @@ from sgdd.schemes import (
     fuse_classes,
     load_scheme,
     scheme_matrices_from_system,
+)
+from surd_route import (
+    SurdMatrix,
+    as_surd_matrix,
+    krein_by_surds,
+    spectra_by_surds,
+    surd_p_matrix,
+    surd_q_matrix,
 )
 
 
@@ -49,14 +57,15 @@ def test_48_vertex_scheme_basics(scheme48):
 
 def test_48_vertex_spectra(scheme48):
     spectra = scheme48.spectra
-    assert [spectra.P[0, i] for i in range(CLASSES)] == [Surd.of(x) for x in (1, 3, 12, 12, 12, 8)]
+    pm, qm = as_surd_matrix(spectra.P), as_surd_matrix(spectra.Q)
+    assert [pm[0, i] for i in range(CLASSES)] == [Surd.of(x) for x in (1, 3, 12, 12, 12, 8)]
     assert spectra.multiplicities == [1, 12, 3, 6, 24, 2]
     assert sum(spectra.multiplicities) == 48
-    prod = spectra.P @ spectra.Q
+    prod = pm @ qm
     assert prod == SurdMatrix.identity(CLASSES).scalar_mul(48)
     # discriminant collapses to a rational square here
     assert spectra.radicand == 0
-    assert spectra.P[1, 3] == Surd.of(4)
+    assert pm[1, 3] == Surd.of(4)
 
 
 def test_48_vertex_krein(scheme48):
@@ -80,23 +89,22 @@ def test_degenerate_degrees_rejected():
 def test_krein_closed_form_flags_excess_fibers():
     # m/f - 1 < 0 exactly when f > m; the bound f <= m in closed form
     b2 = closed_form_krein_b2(SchemeParams(k=6, m=4, n=4, f=3))
-    assert b2[1][1].sign() >= 0
+    assert b2[1][1] >= 0
     bad = closed_form_krein_b2(SchemeParams(k=6, m=4, n=4, f=5))
-    assert bad[1][1].sign() < 0
+    assert bad[1][1] < 0
 
 
 def _scaled_idempotents(scheme, cols):
-    """c and {j: (R_j, S_j)} with c E_j = R_j + S_j sqrt(D), where c = den |X|
+    """c and {j: (R_j, S_j)} with c E_j = R_j + S_j sqrt(D), where c = c_Q |X|
     and R_j, S_j are integer combinations of the A_i:
-    E_j = (1/|X|) sum_i Q_{i,j} A_i, den clears every denominator of Q."""
+    E_j = (1/|X|) sum_i Q_{i,j} A_i with Q = (Q_r + Q_s sqrt(D)) / c_Q."""
     qm = scheme.spectra.Q
-    den = lcm(*(x.denominator for i in range(CLASSES) for j in range(CLASSES) for x in (qm[i, j].a, qm[i, j].b)))
     parts = {}
     for j in cols:
-        r = sum(int(qm[i, j].a * den) * mat.a for i, mat in enumerate(scheme.matrices))
-        s = sum(int(qm[i, j].b * den) * mat.a for i, mat in enumerate(scheme.matrices))
+        r = sum(int(qm.rational[i, j]) * mat.a for i, mat in enumerate(scheme.matrices))
+        s = sum(int(qm.irrational[i, j]) * mat.a for i, mat in enumerate(scheme.matrices))
         parts[j] = (IntMatrix(r), IntMatrix(s))
-    return den * scheme.size, parts
+    return qm.den * scheme.size, parts
 
 
 def _surd_product(x, y, d):
@@ -123,12 +131,12 @@ def test_dense_idempotents_cross_check(scheme48, conference24):
         assert _surd_product(e[1], e[1], d) == (IntMatrix(c * e[1][0].a), IntMatrix(c * e[1][1].a))
         assert _surd_product(e[1], e[4], d) == (zero, zero)
         mult = scheme.spectra.multiplicities
-        assert Surd.of(Fraction(e[1][0].trace(), c), Fraction(e[1][1].trace(), c), d) == Surd.of(mult[1])
+        assert Surd.of(Fraction(int(np.trace(e[1][0].a)), c), Fraction(int(np.trace(e[1][1].a)), c), d) == Surd.of(mult[1])
         # Krein value by the literal trace formula:
         # q_{1,4}^2 = |X| tr((E_1 o E_4) E_2) / m_2, with c^3 (E_1 o E_4) E_2
         # formed as integer matrices
         rational, irrational = _surd_product(_surd_hadamard(e[1], e[4], d), e[2], d)
-        trace = Surd.of(Fraction(rational.trace(), c**3), Fraction(irrational.trace(), c**3), d)
+        trace = Surd.of(Fraction(int(np.trace(rational.a)), c**3), Fraction(int(np.trace(irrational.a)), c**3), d)
         assert trace * Fraction(size, mult[2]) == scheme.krein[1][4][2]
 
 
@@ -143,8 +151,9 @@ def test_f2_scheme_with_genuine_surds(conference12):
     scheme = assemble_scheme(pair_system(mat, params))
     assert scheme.size == 24
     assert scheme.spectra.radicand == 5
-    assert scheme.spectra.P[1, 3] == Surd.of(0, 1, 5)
-    prod = scheme.spectra.P @ scheme.spectra.Q
+    pm = as_surd_matrix(scheme.spectra.P)
+    assert pm[1, 3] == Surd.of(0, 1, 5)
+    prod = pm @ as_surd_matrix(scheme.spectra.Q)
     assert prod == SurdMatrix.identity(CLASSES).scalar_mul(24)
     assert scheme.krein[2][1][1] == Surd.of(Fraction(6, 2) - 1)
 
@@ -374,14 +383,15 @@ def coeff_mul(p, x: list[Surd], y: list[Surd]) -> list[Surd]:
     return out
 
 
-def _spectra_by_coefficient_algebra(p, params):
+def _spectra_by_coefficient_algebra(p, params, pm=None, qm=None):
     """Reference route: every identity of E_j = (1/|X|) sum_i Q_{i,j} A_i,
     idempotency and orthogonality included, multiplied out in the
-    coefficient algebra of p."""
+    coefficient algebra of p, on the Surd closed forms of P and Q unless
+    other surd matrices are given."""
     cert = Certificate(f"closed-form spectra at (k,m,n,f)=({params.k},{params.m},{params.n},{params.f})")
     size = params.size
-    pm = sgdd.schemes.closed_form_p_matrix(params)
-    qm = sgdd.schemes.closed_form_q_matrix(params)
+    pm = surd_p_matrix(params) if pm is None else pm
+    qm = surd_q_matrix(params) if qm is None else qm
     mult = closed_form_multiplicities(params)
     if sum(mult) != size:
         cert.failed("multiplicities sum to |X|")
@@ -450,7 +460,8 @@ def _krein_by_coefficient_algebra(scheme):
     product E_i o E_j times E_k taken in the coefficient algebra of p."""
     size = scheme.size
     inv = Surd.of(Fraction(1, size))
-    e = [[scheme.spectra.Q[i, j] * inv for i in range(CLASSES)] for j in range(CLASSES)]
+    qm = as_surd_matrix(scheme.spectra.Q)
+    e = [[qm[i, j] * inv for i in range(CLASSES)] for j in range(CLASSES)]
     mult = scheme.spectra.multiplicities
     q = [[[Surd.of(0)] * CLASSES for _ in range(CLASSES)] for _ in range(CLASSES)]
     for i in range(CLASSES):
@@ -565,27 +576,44 @@ def _eigenvalue_lines(cert):
     return [v.identity for v in cert.violations if v.identity.startswith("A_")]
 
 
-@pytest.mark.parametrize("transform", [list, _swapped, _permuted], ids=["as-built", "swapped", "permuted"])
-@pytest.mark.parametrize("source", ["scheme48", "scheme135", "conference24", "gcm48"])
+_READING_IDS = {list: "as-built", _swapped: "swapped", _permuted: "permuted"}
+_FIXTURE_READINGS = [
+    (source, transform)
+    for source in ("scheme48", "scheme135", "scheme225", "scheme448", "conference24", "gcm48")
+    for transform in (list, _swapped, _permuted)
+    if transform is not _permuted or source not in ("scheme225", "scheme448")
+]
+
+
+@pytest.mark.parametrize(
+    "source, transform", _FIXTURE_READINGS, ids=[f"{s}-{_READING_IDS[t]}" for s, t in _FIXTURE_READINGS]
+)
 def test_spectra_match_coefficient_algebra(source, transform, request):
+    # every extraction candidate, failing labelings included, against the
+    # coefficient algebra of p and against the entrywise Surd route
     report = extract_linked_system(transform(request.getfixturevalue(source).matrices))
     for cand in report.candidates:
-        ref = _spectra_by_coefficient_algebra(_relabel_p(report.p, cand.labels), cand.params)
+        pp = _relabel_p(report.p, cand.labels)
+        ref = _spectra_by_coefficient_algebra(pp, cand.params)
         cert = cand.spectra_certificate
         assert cert.ok == ref.ok
         assert cert.checks == ref.checks
         assert _eigenvalue_lines(cert) == _eigenvalue_lines(ref)
         assert cert.ok or _eigenvalue_lines(cert)
+        surds = spectra_by_surds(pp, cand.params, surd_p_matrix(cand.params), surd_q_matrix(cand.params))
+        assert cert.report_lines() == surds.report_lines()
 
 
 def _moved(matrix, i, j, delta):
-    data = [[matrix[r, c] for c in range(CLASSES)] for r in range(CLASSES)]
-    data[i][j] = data[i][j] + delta
-    return SurdMatrix(data)
+    """The eigenmatrix with entry (i, j) moved by the integer delta."""
+    rational = matrix.rational.copy()
+    rational[i, j] += delta * matrix.den
+    return Eigenmatrix(rational, matrix.irrational, matrix.den, matrix.radicand)
 
 
 def _column_doubled(matrix, j):
-    return SurdMatrix([[matrix[r, c] * (2 if c == j else 1) for c in range(CLASSES)] for r in range(CLASSES)])
+    scale = np.array([2 if c == j else 1 for c in range(CLASSES)], dtype=object)
+    return Eigenmatrix(matrix.rational * scale, matrix.irrational * scale, matrix.den, matrix.radicand)
 
 
 def test_spectra_corrupted_q_matches_coefficient_algebra(conference24, monkeypatch):
@@ -600,7 +628,8 @@ def test_spectra_corrupted_q_matches_coefficient_algebra(conference24, monkeypat
     for n, qm in enumerate(corrupted):
         monkeypatch.setattr(sgdd.schemes, "closed_form_q_matrix", lambda _params, qm=qm: qm)
         _, cert = compute_spectra(p, params)
-        ref = _spectra_by_coefficient_algebra(p, params)
+        ref = _spectra_by_coefficient_algebra(p, params, qm=as_surd_matrix(qm))
+        assert cert.report_lines() == spectra_by_surds(p, params, surd_p_matrix(params), as_surd_matrix(qm)).report_lines()
         assert not cert.ok and not ref.ok
         assert cert.checks == ref.checks
         assert _eigenvalue_lines(cert) == _eigenvalue_lines(ref)
@@ -619,13 +648,73 @@ def test_spectra_reject_single_entry_corruptions(conference24, monkeypatch):
             for j in range(CLASSES):
                 moved = _moved(closed_form(params), i, j, rng.choice((-1, 1)))
                 monkeypatch.setattr(sgdd.schemes, name, lambda _params, moved=moved: moved)
-                assert not compute_spectra(p, params)[1].ok, (name, i, j)
+                spectra, cert = compute_spectra(p, params)
+                assert not cert.ok, (name, i, j)
+                ref = spectra_by_surds(p, params, as_surd_matrix(spectra.P), as_surd_matrix(spectra.Q))
+                assert cert.report_lines() == ref.report_lines()
         monkeypatch.undo()
     for _ in range(24):
         i, l, k = (rng.randrange(CLASSES) for _ in range(3))
         bad = [[list(row) for row in mat] for mat in p]
         bad[i][l][k] += rng.choice((-1, 1))
-        assert not compute_spectra(bad, params)[1].ok, (i, l, k)
+        cert = compute_spectra(bad, params)[1]
+        assert not cert.ok, (i, l, k)
+        assert cert.report_lines() == spectra_by_surds(bad, params, surd_p_matrix(params), surd_q_matrix(params)).report_lines()
+
+
+# -- the integer closed forms against the Surd closed forms ------------------------------
+
+# every (k, m, n) with 2 <= m, n <= 6 and 0 < k < (m-1)n, at f = 2, 3 and
+# m + 1: D = 1 folds at (6, 4, 4), D = 5 at (5, 6, 2) and (5, 6, 4)
+_GRID = [
+    SchemeParams(k=k, m=m, n=n, f=f)
+    for m in range(2, 7)
+    for n in range(2, 7)
+    for k in range(1, (m - 1) * n)
+    for f in sorted({2, 3, m + 1})
+]
+
+
+def test_integer_closed_forms_match_surd_closed_forms():
+    radicands = set()
+    for params in _GRID:
+        pm, qm = closed_form_p_matrix(params), closed_form_q_matrix(params)
+        assert pm.radicand == qm.radicand
+        radicands.add(pm.radicand)
+        assert as_surd_matrix(pm) == surd_p_matrix(params), params
+        assert as_surd_matrix(qm) == surd_q_matrix(params), params
+        assert closed_form_multiplicities(params) == [surd_q_matrix(params)[0, j] for j in range(CLASSES)]
+    assert {0, 2, 5} <= radicands
+
+
+# (k, m, n, f): D = 0 after folding, D = 5, D = 2 and D = 3, and f > m, where
+# q_21^1 = m/f - 1 is negative
+_KREIN_PARAMS = [
+    (6, 4, 4, 3), (6, 4, 4, 5), (5, 6, 2, 2), (5, 6, 2, 8), (5, 6, 4, 2), (15, 6, 4, 2),
+    (12, 5, 9, 3), (1, 2, 3, 4), (2, 3, 2, 4), (4, 3, 3, 2), (3, 4, 2, 7), (6, 3, 4, 3),
+]
+
+
+@pytest.mark.parametrize("k, m, n, f", _KREIN_PARAMS)
+def test_krein_matches_surd_route(k, m, n, f):
+    params = SchemeParams(k=k, m=m, n=n, f=f)
+    pm = closed_form_p_matrix(params)
+    spectra = sgdd.schemes.Spectra(pm, closed_form_q_matrix(params), closed_form_multiplicities(params), pm.radicand)
+    q, cert = sgdd.schemes.compute_krein(spectra, params)
+    ref_q, ref_cert = krein_by_surds(surd_p_matrix(params), surd_q_matrix(params), params)
+    assert q == ref_q
+    assert cert.report_lines() == ref_cert.report_lines()
+    if f > m:  # q_12^1 = q_21^1 = m/f - 1 < 0
+        assert q[1][2][1] == Fraction(m, f) - 1
+        assert "Krein parameter q_12^1 is negative" in [v.identity for v in cert.violations]
+
+
+@pytest.mark.parametrize("source", ["scheme48", "scheme135", "scheme225", "scheme448", "conference24", "gcm48"])
+def test_scheme_krein_matches_surd_route(source, request):
+    scheme = request.getfixturevalue(source)
+    q, cert = krein_by_surds(as_surd_matrix(scheme.spectra.P), as_surd_matrix(scheme.spectra.Q), scheme.params)
+    assert scheme.krein == q
+    assert cert.checks == scheme.certificate.checks[-len(cert.checks):]
 
 
 # -- certification through the linked system, against the dense route ------------------
