@@ -14,7 +14,7 @@ from sgdd.classical import (
     signed_permutation_weighing_set,
 )
 from sgdd.gf import gf_make
-from sgdd.latin import linked_mols_from_gf2n, search_linked_mols
+from sgdd.latin import linked_mols_from_gf, search_linked_mols
 from sgdd.linked import (
     bgw_generate,
     build_from_mub_bush,
@@ -43,15 +43,16 @@ def main():
 
     stage("(16,6,2): Hadamard-4 auxiliary matrices + GF(4) linked family")
     aux4 = aux_from_hadamard(hadamard_matrix(4))
-    fam4 = linked_mols_from_gf2n(gf_make(2, 2))
+    fam4 = linked_mols_from_gf(gf_make(2, 2))
     sys16 = build_tilde_l(aux4, fam4)
     (out / "had4.aux").write_text(fileio.format_auxiliary_set(aux4))
     (out / "gf4.fam").write_text(fileio.format_linked_family(fam4))
     (out / "sys16.lsys").write_text(fileio.format_linked_system(sys16))
     scheme48 = assemble_scheme(sys16)
-    (out / "scheme48.scm").write_text(fileio.format_scheme_matrices(scheme48.matrices))
+    scheme48_text = fileio.format_scheme_matrices(scheme48.relation)
+    (out / "scheme48.scm").write_text(scheme48_text)
     fusion = check_fusion(scheme48)
-    roundtrip = extract_linked_system(scheme48.matrices).primary
+    roundtrip = extract_linked_system(fileio.parse_scheme_matrices(scheme48_text)).primary
     print(f"   system {sys16.params.base} triple {(sys16.params.sigma, sys16.params.tau, sys16.params.rho)}")
     print(f"   48-vertex scheme certified; fusable: {fusion.fusable}; "
           f"extraction round-trip: {all(roundtrip.system.blocks[p].mat == sys16.blocks[p].mat for p in sys16.blocks)}")
@@ -68,7 +69,7 @@ def main():
             (out / "order5.fam").write_text(fileio.format_linked_family(fam5))
             (out / "sys45.lsys").write_text(fileio.format_linked_system(sys45))
             scheme135 = assemble_scheme(sys45)
-            (out / "scheme135.scm").write_text(fileio.format_scheme_matrices(scheme135.matrices))
+            (out / "scheme135.scm").write_text(fileio.format_scheme_matrices(scheme135.relation))
             print(f"   system {sys45.params.base} triple {(sys45.params.sigma, sys45.params.tau, sys45.params.rho)}; "
                   f"135-vertex scheme certified")
 

@@ -18,7 +18,7 @@ from .latin import (
     LinkedMolsFamily,
     compose,
     is_orthogonal,
-    linked_mols_from_gf2n,
+    linked_mols_from_gf,
     mols_from_gf,
     search_linked_mols,
     verify_linked,

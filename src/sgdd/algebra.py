@@ -292,11 +292,6 @@ class IntMatrix:
             arr = out
         return arr
 
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def identity(cls, order: int) -> "IntMatrix":
-        return cls(np.eye(order, dtype=np.int64))
-
     # -- shape and access -------------------------------------------------
     @property
     def rows(self) -> int:
@@ -328,9 +323,6 @@ class IntMatrix:
 
     def is_zero_one(self) -> bool:
         return bool(((self.a == 0) | (self.a == 1)).all())
-
-    def is_symmetric(self) -> bool:
-        return bool((self.a == self.a.T).all())
 
     # -- exactness gate ---------------------------------------------------
     def _object(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from .designs import IncidenceMatrix, verify_gdd
 from .errors import FormatError, SgddError
 from .gf import factor_prime_power, gf_make
 from .latin import (
-    linked_mols_from_gf2n,
+    linked_mols_from_gf,
     mols_from_gf,
     search_linked_mols,
     verify_linked,
@@ -97,7 +97,7 @@ def _cmd_construct(args) -> int:
         return OK
     if sub == "linked-mols":
         p, d = factor_prime_power(args.q)
-        fam = linked_mols_from_gf2n(gf_make(p, d))
+        fam = linked_mols_from_gf(gf_make(p, d))
         _emit(fileio.format_linked_family(fam), args.output)
         return OK
     if sub == "tilde-l":
@@ -186,8 +186,7 @@ def _cmd_verify(args) -> int:
         system = fileio.parse_linked_system(_read(args.input))
         return _report(verify_linked_system(system))
     if sub == "scheme":
-        mats = fileio.parse_scheme_matrices(_read(args.input))
-        p, cert = compute_intersection_numbers(mats)
+        p, cert = compute_intersection_numbers(fileio.parse_scheme_matrices(_read(args.input)))
         return _report(cert)
     raise SgddError(f"unknown verify target {sub!r}")
 
@@ -198,9 +197,8 @@ def _cmd_verify(args) -> int:
 def _cmd_scheme(args) -> int:
     sub = args.what
     if sub == "assemble":
-        system = fileio.parse_linked_system(_read(args.input))
-        scheme = assemble_scheme(system)
-        _emit(fileio.format_scheme_matrices([m for m in scheme.matrices]), args.output)
+        scheme = assemble_scheme(fileio.parse_linked_system(_read(args.input)))
+        _emit(fileio.format_scheme_matrices(scheme.relation), args.output)
         return OK
     if sub == "analyze":
         scheme, primary = load_scheme(fileio.parse_scheme_matrices(_read(args.input)))
@@ -210,8 +208,7 @@ def _cmd_scheme(args) -> int:
             print(f"classes relabeled as {primary.labels}")
         return _report(scheme.certificate)
     if sub == "extract":
-        mats = fileio.parse_scheme_matrices(_read(args.input))
-        report = extract_linked_system(mats)
+        report = extract_linked_system(fileio.parse_scheme_matrices(_read(args.input)))
         primary = report.primary
         for cand in report.candidates:
             mark = "primary" if cand is primary else "alternate"
@@ -230,7 +227,7 @@ def _cmd_scheme(args) -> int:
         if result.fusable and result.eigenspace_partition:
             print(f"merged eigenspaces: {result.eigenspace_partition}")
         if result.fusable and args.output:
-            _write(args.output, fileio.format_scheme_matrices(result.fused_matrices))
+            _write(args.output, fileio.format_scheme_matrices(result.fused_relation))
         return OK if result.consistent else VIOLATION
     raise SgddError(f"unknown scheme action {sub!r}")
 

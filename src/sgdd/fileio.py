@@ -25,6 +25,8 @@ refuses non-ASCII text the same way.
 A matrix block whose rows are single digits joined by single spaces is read
 and written through one ``uint8`` view of the block.  Every other block
 takes the token reader, so every error names the same line either way.
+Scheme class blocks stay ``uint8`` as read, and a scheme is written from its
+class-label array R, class i as R == i; other matrices become ``IntMatrix``.
 """
 
 from __future__ import annotations
@@ -85,21 +87,25 @@ class _Lines:
 
 # -- matrix v1 ---------------------------------------------------------------
 
+def _digit_rows(a: np.ndarray) -> str:
+    """The rows of a matrix of digits 0..9 or booleans, filled into one byte buffer."""
+    buf = np.full((a.shape[0], 2 * a.shape[1]), ord(" "), dtype=np.uint8)
+    np.add(a, ord("0"), out=buf[:, 0::2], casting="unsafe")
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().decode("ascii")
+
+
 def format_matrix(m: IntMatrix) -> str:
     a = m.a
     if a.dtype == np.int64 and a.size and a.min() >= 0 and a.max() <= 9:
-        # single digits: fill the bytes of the rows in place
-        buf = np.full((m.rows, 2 * m.cols), ord(" "), dtype=np.uint8)
-        buf[:, 0::2] = a + ord("0")
-        buf[:, -1] = ord("\n")
-        body = buf.tobytes().decode("ascii")
+        body = _digit_rows(a)
     else:
         body = "\n".join(" ".join(map(str, row)) for row in a.tolist()) + "\n"
     return f"{m.rows} {m.cols}\n{body}"
 
 
 def _read_digit_block(lines: _Lines, rows: int, cols: int) -> np.ndarray | None:
-    """The next ``rows`` lines as an int64 array when each one is ``cols``
+    """The next ``rows`` lines as a uint8 array when each one is ``cols``
     single digits joined by single spaces, read through one byte view and
     with ``lines`` moved past them; otherwise None, with ``lines`` unmoved."""
     block = lines.lines[lines.pos : lines.pos + rows]
@@ -113,32 +119,33 @@ def _read_digit_block(lines: _Lines, rows: int, cols: int) -> np.ndarray | None:
     if not ((digits <= 9).all() and (view[:, 1::2] == ord(" ")).all()):
         return None
     lines.pos += rows
-    return digits.astype(np.int64)
+    return digits
 
 
-def _read_matrix(lines: _Lines) -> IntMatrix:
+def _read_matrix(lines: _Lines) -> np.ndarray:
+    """The next block as written: uint8 for single digits, else int64 or Python integers."""
     rows, cols = lines.ints(2)
     if rows < 1 or cols < 1:
         raise FormatError(f"{lines.what}: matrix dimensions must be positive")
     digits = _read_digit_block(lines, rows, cols)
     if digits is not None:
-        return IntMatrix(digits)
+        return digits
     start = lines.pos
     try:
         arr = np.array([lines.next().split() for _ in range(rows)], dtype=np.int64)
         if arr.shape == (rows, cols):
-            return IntMatrix(arr)
+            return arr
     except (ValueError, OverflowError):  # FormatError is a ValueError
         pass
     # A malformed block, or entries past int64: read it again row by row,
     # which names the first bad line and keeps big entries as Python integers.
     lines.pos = start
-    return IntMatrix([lines.ints(cols) for _ in range(rows)])
+    return IntMatrix([lines.ints(cols) for _ in range(rows)]).a
 
 
 def parse_matrix(text: str) -> IntMatrix:
     lines = _Lines(text, "matrix")
-    m = _read_matrix(lines)
+    m = IntMatrix(_read_matrix(lines))
     lines.done()
     return m
 
@@ -200,7 +207,7 @@ def parse_auxiliary_set(text: str) -> AuxiliarySet:
     """The set as written, uncertified: ``verify_auxiliary`` certifies it."""
     lines = _Lines(text, "auxiliary set")
     v, r = lines.ints(2)
-    mats = [_read_matrix(lines) for _ in range(r)]
+    mats = [IntMatrix(_read_matrix(lines)) for _ in range(r)]
     lines.done()
     if any(m.rows != v or m.cols != v for m in mats):
         raise FormatError("auxiliary set: matrix order disagrees with header")
@@ -305,27 +312,28 @@ def parse_linked_system(text: str) -> LinkedSystemII:
     pairs = ((i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j)
     blocks = {}
     for pair in pairs:
-        blocks[pair] = IncidenceMatrix(_read_matrix(lines), m, n)
+        blocks[pair] = IncidenceMatrix(IntMatrix(_read_matrix(lines)), m, n)
     lines.done()
     return LinkedSystemII(params=params, blocks=blocks)
 
 
 # -- schemes ----------------------------------------------------------------------
 
-def format_scheme_matrices(mats: list[IntMatrix]) -> str:
-    d = len(mats) - 1
-    size = mats[0].rows
-    return f"{d} {size}\n" + "".join(format_matrix(m) for m in mats)
+def format_scheme_matrices(relation: np.ndarray) -> str:
+    """The scheme of a label array R with labels 0..d: class i written as R == i."""
+    d, size = int(relation.max()), relation.shape[0]
+    return "".join([f"{d} {size}\n"] + [f"{size} {size}\n" + _digit_rows(relation == i) for i in range(d + 1)])
 
 
-def parse_scheme_matrices(text: str) -> list[IntMatrix]:
+def parse_scheme_matrices(text: str) -> list[np.ndarray]:
+    """The d + 1 classes as written; ``schemes.relation_from_classes`` certifies them."""
     lines = _Lines(text, "scheme")
     d, size = lines.ints(2)
     if d < 0:
         raise FormatError("scheme: class count must be non-negative")
     mats = [_read_matrix(lines) for _ in range(d + 1)]
     lines.done()
-    if any(m.rows != size or m.cols != size for m in mats):
+    if any(m.shape != (size, size) for m in mats):
         raise FormatError("scheme: matrix order disagrees with header")
     return mats
 
@@ -358,7 +366,7 @@ def format_matrix_set(mats: list[IntMatrix]) -> str:
 def parse_matrix_set(text: str) -> list[IntMatrix]:
     lines = _Lines(text, "matrix set")
     order, count = lines.ints(2)
-    mats = [_read_matrix(lines) for _ in range(count)]
+    mats = [IntMatrix(_read_matrix(lines)) for _ in range(count)]
     lines.done()
     if any(m.rows != order or m.cols != order for m in mats):
         raise FormatError("matrix set: matrix order disagrees with header")

@@ -159,7 +159,7 @@ def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     return cert
 
 
-def linked_mols_from_gf2n(ctx: GFContext) -> LinkedMolsFamily:
+def linked_mols_from_gf(ctx: GFContext) -> LinkedMolsFamily:
     """Linked family of all pairwise compositions of the field squares, in
     any finite field with f = q - 1 >= 3.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate, pattern
+from .designs import Certificate, Violation, pattern
 from .errors import CertificationError, ParameterError
 from .gf import factor_prime_power, gf_make
 
@@ -44,15 +44,19 @@ class AuxiliarySet:
         return len(self.matrices)
 
 
+def _underivable(order: int, reason: str) -> CertificationError:
+    return CertificationError(reason, Certificate(f"auxiliary matrices of order {order}", violations=[Violation(reason, None)]))
+
+
 def _derive_params(order: int, matrices: list[IntMatrix]) -> AuxParams:
     r = len(matrices)
     k = sum(matrices[0][0, j] for j in range(order))
     mu = (matrices[0] @ matrices[1].T)[0, 0]
     if mu <= 0 or k % mu:
-        raise ParameterError("cannot derive integral n = k/mu from the matrices")
+        raise _underivable(order, "cannot derive integral n = k/mu from the matrices")
     n = k // mu
     if n <= 1 or (n * mu - 1) % (n - 1):
-        raise ParameterError("derived lambda = (n mu - 1)/(n - 1) is not an integer")
+        raise _underivable(order, "derived lambda = (n mu - 1)/(n - 1) is not an integer")
     lam = (n * mu - 1) // (n - 1)
     return AuxParams(v=order, k=k, r=r, lam=lam, mu=mu, n=n)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -198,22 +199,22 @@ def scan_table2(v_max: int) -> list[FeasibleRow]:
 
 def table1_witnesses(
     rows: list[FeasibleRow],
-    max_family_order: int = 8,
+    max_family_order: int = 9,
     max_search_order: int = 5,
 ) -> dict[tuple[int, int, int], str]:
     """Construct and certify a linked system for every row the desk-scale
     recipes reach, and return one annotation per witnessed row.
 
-    Two recipes are tried: Hadamard auxiliary matrices with a
-    characteristic-2 linked family when m = n is a power of two, and
-    affine-geometry auxiliary matrices with a searched family when
-    n = q^(d+1) and m - 1 = (n - 1)/(q - 1).  Rows whose construction would
-    exceed the order budgets are left unannotated; nothing is annotated
-    without a certified object behind it.
+    Two recipes are tried: Hadamard auxiliary matrices when m = n is a
+    multiple of 4, and affine-geometry auxiliary matrices when
+    n = q^(d+1) and m - 1 = (n - 1)/(q - 1); either takes a searched linked
+    family of order m, or the field family when m is a prime power.  Rows
+    whose construction would exceed the order budgets are left
+    unannotated; nothing is annotated without a certified object behind it.
     """
     from .classical import hadamard_matrix
-    from .gf import gf_make
-    from .latin import linked_mols_from_gf2n, search_linked_mols
+    from .gf import gf_from_order
+    from .latin import linked_mols_from_gf, search_linked_mols
     from .linked import build_tilde_l
     from .resolvable import aux_from_affine_geometry, aux_from_hadamard
 
@@ -223,8 +224,8 @@ def table1_witnesses(
     def family_for(order: int):
         """Best linked family of the given order within the search budget:
         the searcher walks f downward from the Krein bound f = m = order,
-        and the characteristic-2 construction supplies f = order - 1 for
-        power-of-two orders beyond the search budget."""
+        and the field family supplies f = order - 1 for prime-power orders
+        beyond the search budget."""
         if order in family_cache:
             return family_cache[order]
         fam = None
@@ -233,8 +234,9 @@ def table1_witnesses(
                 fam = search_linked_mols(order, ff)
                 if fam is not None:
                     break
-        elif order <= max_family_order and order & (order - 1) == 0 and order >= 4:
-            fam = linked_mols_from_gf2n(gf_make(2, order.bit_length() - 1))
+        elif order <= max_family_order:
+            with suppress(ParameterError):  # not a prime power
+                fam = linked_mols_from_gf(gf_from_order(order))
         family_cache[order] = fam
         return fam
 

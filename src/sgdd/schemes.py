@@ -2,8 +2,10 @@
 
 Assembly places the block designs in one cross-fiber class A_3 next to the
 within-fiber classes (A_1 within group, A_2 across groups), the cross-fiber
-group indicator A_5 and the leftover class A_4.  Certification is exact and
-layered:
+group indicator A_5 and the leftover class A_4.  A scheme is held as one
+uint8 class-label array R, R[x, y] the class of (x, y), built from a system
+by ``scheme_matrices_from_system`` or from class matrices, with the partition
+axioms, by ``relation_from_classes``.  Certification is exact and layered:
 
 * the scheme axioms hold for the scheme of a certified linked system (see
   ``assemble_scheme``), so assembly and extraction certify through the
@@ -20,13 +22,14 @@ layered:
 Every certificate derives from one certified p-tensor.  ``assemble_scheme``
 certifies a scheme built from a linked system; ``load_scheme`` is the one
 path from loaded class matrices to a certified scheme, shared by the CLI's
-``analyze`` and ``fusion``: it certifies the axioms and p once (through
-``extract_linked_system``), reuses the spectra of the primary labeling and
-adds the Krein parameters.  Fusion is decided from the certified p alone.
+``analyze`` and ``fusion``: it certifies the axioms and p once, through the
+primary labeling, reuses its spectra and adds the Krein parameters.  Fusion
+is decided from the certified p alone.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,7 +84,7 @@ class Spectra:
 
 @dataclass
 class AssociationScheme:
-    matrices: list[IntMatrix]
+    relation: np.ndarray             # uint8 label array: R[x, y] is the class of (x, y)
     p: list[list[list[int]]]
     params: SchemeParams
     spectra: Spectra
@@ -90,7 +93,7 @@ class AssociationScheme:
 
     @property
     def size(self) -> int:
-        return self.matrices[0].rows
+        return self.relation.shape[0]
 
     def valencies(self) -> list[int]:
         return [self.p[i][i][0] for i in range(CLASSES)]
@@ -105,68 +108,72 @@ _DECOMPOSITION = (
 )
 
 
-def _partition_certificate(mats: list[IntMatrix]) -> Certificate:
-    """The O(|X|^2) axioms: A_0 = I, every class a symmetric square 0/1
-    matrix, sum A_i = J and no class empty."""
+def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
+    """R[x, y] = i for (x, y) in class i of the integer or boolean arrays
+    A_0, ..., A_d, with the certificate of the O(|X|^2) axioms: A_0 = I,
+    every class a symmetric square 0/1 matrix, sum A_i = J and no class
+    empty.  R is None unless they hold; it is uint8 up to 255 classes."""
     cert = Certificate("association scheme axioms")
-    size = mats[0].rows
-    if mats[0] != IntMatrix.identity(size):
-        cert.failed("A_0 = I", (0, 0))
-    else:
+    size = classes[0].shape[0]
+    relation = np.zeros((size, size), dtype=np.min_scalar_type(len(classes)))
+    count = np.zeros_like(relation)
+    if np.array_equal(classes[0], np.eye(size, dtype=np.uint8)):
         cert.passed("A_0 = I")
-    for idx, mat in enumerate(mats):
-        if not (mat.is_square and mat.rows == size and mat.is_zero_one()):
+    else:
+        cert.failed("A_0 = I", (0, 0))
+    for idx, a in enumerate(classes):
+        if not (a.shape == (size, size) and ((a == 0) | (a == 1)).all()):
             cert.failed(f"A_{idx} is a square 0/1 matrix of order {size}")
-            return cert
-        if not mat.is_symmetric():
+            return None, cert
+        if not (a == a.T).all():
             cert.failed(f"A_{idx} is symmetric")
-    total = IntMatrix(sum(mat.a for mat in mats))
-    cert.compare("sum A_i = J", total, np.broadcast_to(1, (size, size)))
-    if idx_zero := [i for i, mat in enumerate(mats) if not mat.a.any()]:
+        count += a == 1
+        relation[a == 1] = idx
+    cert.compare("sum A_i = J", IntMatrix(count), np.broadcast_to(1, (size, size)))
+    if idx_zero := [i for i, a in enumerate(classes) if not a.any()]:
         cert.failed(f"classes {idx_zero} are empty")
-    return cert
+    return (relation if cert.ok else None), cert
 
 
-def _first_pair_numbers(mats: list[IntMatrix]) -> list[list[list[int]]]:
+def _first_pair_numbers(relation: np.ndarray) -> list[list[list[int]]]:
     """p_{i,j}^k = (A_i A_j)[x, y] at class k's first pair (x, y) in
-    row-major order, for classes that pass ``_partition_certificate``: the
-    dot product of row x of A_i with row y of the symmetric A_j, at most
-    |X|, so exact in int64.  These are the intersection numbers exactly when
-    every A_i A_j is constant on every class."""
-    xs, ys = np.divmod([int(mat.a.argmax()) for mat in mats], mats[0].rows)
-    at = np.einsum("ikz,jkz->ijk", np.stack([mat.a[xs] for mat in mats]), np.stack([mat.a[ys] for mat in mats]))
-    return at.tolist()
+    row-major order: the number of z with R[x, z] = i and R[y, z] = j, for
+    R symmetric.  These are the intersection numbers exactly when every
+    A_i A_j is constant on every class."""
+    d1 = int(relation.max()) + 1
+    firsts = [divmod(int(np.argmax(relation == k)), relation.shape[0]) for k in range(d1)]
+    counts = [np.bincount(relation[x].astype(np.intp) * d1 + relation[y], minlength=d1 * d1) for x, y in firsts]
+    return np.stack(counts, axis=-1).reshape(d1, d1, d1).tolist()
 
 
-def _constant_on_classes(mats: list[IntMatrix], p, cert: Certificate) -> bool:
+def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
     """The dense check: A_i A_j = sum_k p_{i,j}^k A_k entrywise for
-    1 <= i <= j, one product of order |X| per pair; the first failing pair
-    and class go to ``cert``.  A_j A_i is the transpose, constant on a
-    symmetric class exactly when A_i A_j is."""
-    d1 = len(mats)
-    # the classes partition X x X: label each pair by its class
-    labels = sum(k * mat.a for k, mat in enumerate(mats))
+    1 <= i <= j, one product of order |X| per pair of classes built from R;
+    the first failing pair and class go to ``cert``.  A_j A_i is the
+    transpose, constant on a symmetric class exactly when A_i A_j is."""
+    d1 = len(p)
     for i in range(1, d1):
+        a_i = IntMatrix((relation == i).astype(np.int64))
         for j in range(i, d1):
-            prod = (mats[i] @ mats[j]).a
+            prod = (a_i @ IntMatrix((relation == j).astype(np.int64))).a
             coeffs = np.array(p[i][j])
-            if not (prod == coeffs[labels]).all():
-                k = next(k for k in range(d1) if not (prod[mats[k].a == 1] == coeffs[k]).all())
+            if not (prod == coeffs[relation]).all():
+                k = next(k for k in range(d1) if not (prod[relation == k] == coeffs[k]).all())
                 cert.failed(f"A_{i} A_{j} is not constant on class {k}")
                 return False
     return True
 
 
-def compute_intersection_numbers(mats: list[IntMatrix]) -> tuple[list[list[list[int]]] | None, Certificate]:
+def compute_intersection_numbers(classes) -> tuple[list[list[list[int]]] | None, Certificate]:
     """Exhaustive axiom check for any number of classes: the partition
     axioms, p read at one pair per class, then every product A_i A_j with
     1 <= i <= j checked dense against p.  ``verify scheme`` uses it, and so
     does extraction when no labeling certifies through a linked system."""
-    cert = _partition_certificate(mats)
-    if not cert.ok:
+    relation, cert = relation_from_classes(classes)
+    if relation is None:
         return None, cert
-    p = _first_pair_numbers(mats)
-    if not _constant_on_classes(mats, p, cert):
+    p = _first_pair_numbers(relation)
+    if not _constant_on_classes(relation, p, cert):
         return None, cert
     cert.checks += _DECOMPOSITION
     return p, cert
@@ -371,23 +378,19 @@ def compute_krein(spectra: Spectra, params: SchemeParams) -> tuple[list[list[lis
 # -- assembly --------------------------------------------------------------------
 
 
-def scheme_matrices_from_system(sys: LinkedSystemII) -> list[IntMatrix]:
-    """The six classes of the scheme of ``sys``, as ``assemble_scheme``
-    lists them, with K = I_m (x) J_n."""
-    base = sys.params.base
-    f, mn = sys.params.f, base.v
-    eye_f, eye_mn = np.eye(f, dtype=np.int64), np.eye(mn, dtype=np.int64)
-    k, j = (group_labels(base.m, base.n) > 0).astype(np.int64), np.ones((mn, mn), dtype=np.int64)
-    zero = np.zeros_like(j)
-    a3 = np.block([[zero if i == l else sys.blocks[(i, l)].mat.a for l in range(1, f + 1)] for i in range(1, f + 1)])
-    a5 = np.kron(1 - eye_f, k)
-    a4 = np.kron(1 - eye_f, j) - a3 - a5
-    classes = (np.eye(f * mn, dtype=np.int64), np.kron(eye_f, k - eye_mn), np.kron(eye_f, j - k), a3, a4, a5)
-    return [IntMatrix(x) for x in classes]
+def scheme_matrices_from_system(sys: LinkedSystemII) -> np.ndarray:
+    """The label array of the scheme of ``sys``, classes numbered as in
+    ``assemble_scheme``: 0, 1, 2 on I, K - I, J - K within fibers and, across
+    fibers, 3 on the 1s of the blocks A_ij, 5 on the rest of K, 4 elsewhere."""
+    base, f = sys.params.base, sys.params.f
+    group = group_labels(base.m, base.n)  # 0 on J - K, 1 on K - I, 2 on I
+    within, across = np.array([[2, 1, 0], [4, 5, 5]], dtype=np.uint8)[:, group]
+    cross = {pair: np.where(blk.mat.a == 1, np.uint8(3), across) for pair, blk in sys.blocks.items()}
+    return np.block([[within if i == l else cross[(i, l)] for l in range(1, f + 1)] for i in range(1, f + 1)])
 
 
 def _certified_scheme(
-    mats, p, params: SchemeParams, axioms: Certificate, spectra: Spectra, spec_cert: Certificate
+    relation, p, params: SchemeParams, axioms: Certificate, spectra: Spectra, spec_cert: Certificate
 ) -> AssociationScheme:
     """Add the Krein parameters to certified p and spectra; the scheme's
     certificate lists the axiom, spectra and Krein checks in that order."""
@@ -396,14 +399,14 @@ def _certified_scheme(
     for part in (axioms, spec_cert, krein_cert):
         cert.checks += part.checks
         cert.violations += part.violations
-    return AssociationScheme(mats, p, params, spectra, krein, cert)
+    return AssociationScheme(relation, p, params, spectra, krein, cert)
 
 
 def assemble_scheme(sys: LinkedSystemII) -> AssociationScheme:
     """Build the six classes and certify everything; raises on any failure.
 
     The certified system is the certificate of the scheme axioms.  With
-    K = I_m (x) J_n, ``scheme_matrices_from_system`` builds A_0 = I,
+    K = I_m (x) J_n, ``scheme_matrices_from_system`` labels A_0 = I,
     A_1 = I_f (x) (K - I), A_2 = I_f (x) (J - K), A_5 = (J_f - I_f) (x) K,
     A_3 with the blocks A_ij off the diagonal, and
     A_4 = (J_f - I_f) (x) J - A_3 - A_5.  ``verify_linked_system`` certifies
@@ -423,20 +426,19 @@ def assemble_scheme(sys: LinkedSystemII) -> AssociationScheme:
     * A_4 = (J_f - I_f) (x) J - A_3 - A_5 follows linearly.
 
     So every A_i A_j is constant on every class.  The partition checks run
-    on the assembled classes, p is read at one pair per class, and no
-    product of order |X| is formed."""
+    on the assembled classes as on loaded ones, p is read at one pair per
+    class, and no product of order |X| is formed."""
     sys_cert = verify_linked_system(sys)
     if not sys_cert.ok:
         raise CertificationError("input system fails certification", sys_cert)
     base = sys.params.base
     params = SchemeParams(k=base.k, m=base.m, n=base.n, f=sys.params.f)
-    mats = scheme_matrices_from_system(sys)
-    cert = _partition_certificate(mats)
-    if not cert.ok:
+    relation, cert = relation_from_classes(scheme_matrices_from_system(sys) == np.arange(CLASSES)[:, None, None])
+    if relation is None:
         raise CertificationError("assembled matrices fail the scheme axioms", cert)
-    p = _first_pair_numbers(mats)
+    p = _first_pair_numbers(relation)
     cert.checks += _DECOMPOSITION
-    scheme = _certified_scheme(mats, p, params, cert, *compute_spectra(p, params))
+    scheme = _certified_scheme(relation, p, params, cert, *compute_spectra(p, params))
     if not scheme.certificate.ok:
         raise CertificationError("assembled scheme fails certification", scheme.certificate)
     return scheme
@@ -445,30 +447,16 @@ def assemble_scheme(sys: LinkedSystemII) -> AssociationScheme:
 # -- structure identification and extraction ---------------------------------------
 
 
-def _equivalence_classes(arr: np.ndarray) -> list[tuple[int, ...]] | None:
-    """Classes of a reflexive-symmetric 0/1 relation, or None if it is not a
-    uniform equivalence relation."""
-    size = arr.shape[0]
-    if (np.diagonal(arr) != 1).any() or (arr != arr.T).any():
+def _equivalence_classes(relation: np.ndarray, labels) -> list[tuple[int, ...]] | None:
+    """Classes of "R[x, y] is in ``labels``", by least point, or None unless it is
+    a uniform equivalence: with class 0 in ``labels`` it is reflexive and symmetric,
+    and an equivalence exactly when it relates the points of equal least relative."""
+    arr = np.isin(relation, labels)
+    least = arr.argmax(axis=1)
+    if not np.array_equal(arr, least[:, None] == least):
         return None
-    seen = np.zeros(size, dtype=bool)
-    classes = []
-    width = None
-    for x in range(size):
-        if seen[x]:
-            continue
-        members = np.flatnonzero(arr[x])
-        key = arr[x]
-        for y in members:
-            if not (arr[y] == key).all():
-                return None
-        if width is None:
-            width = len(members)
-        elif len(members) != width:
-            return None
-        seen[members] = True
-        classes.append(tuple(int(y) for y in members))
-    return classes
+    classes = [tuple(np.flatnonzero(least == x).tolist()) for x in np.unique(least)]
+    return classes if len({len(c) for c in classes}) == 1 else None
 
 
 @dataclass
@@ -487,7 +475,7 @@ class ExtractionCandidate:
 
     @property
     def certified(self) -> bool:
-        return self.system is not None and self.certificate is not None and self.certificate.ok
+        return self.system is not None  # set only when its certificate holds
 
 
 @dataclass
@@ -495,6 +483,7 @@ class ExtractionReport:
     candidates: list[ExtractionCandidate]
     p: list[list[list[int]]]         # in input class order
     certificate: Certificate         # the scheme axioms behind p
+    relation: np.ndarray             # the label array, in input class order
 
     @property
     def primary(self) -> ExtractionCandidate:
@@ -504,25 +493,21 @@ class ExtractionReport:
         raise CertificationError("no labeling matches the closed-form spectra and certifies")
 
 
-def _identify_labelings(mats: list[IntMatrix], p) -> list[dict]:
-    size = mats[0].rows
+def _identify_labelings(relation: np.ndarray, p) -> list[dict]:
+    size = relation.shape[0]
     idx = range(CLASSES)
-    c0 = next((i for i in idx if mats[i] == IntMatrix.identity(size)), None)
-    if c0 is None:
-        raise CertificationError("no identity class")
+    c0 = 0  # the partition axioms put I in class 0
     valency = {i: p[i][i][0] for i in idx}
     out = []
-    for c1 in idx:
-        if c1 == c0:
-            continue
-        cls1 = _equivalence_classes(mats[c0].a + mats[c1].a)
+    for c1 in idx[1:]:
+        cls1 = _equivalence_classes(relation, (c0, c1))
         if cls1 is None:
             continue
         n = 1 + valency[c1]
         for c2 in idx:
             if c2 in (c0, c1):
                 continue
-            fib = _equivalence_classes(mats[c0].a + mats[c1].a + mats[c2].a)
+            fib = _equivalence_classes(relation, (c0, c1, c2))
             if fib is None:
                 continue
             mn = len(fib[0])
@@ -556,7 +541,7 @@ def _relabel_p(p, labels):
     ]
 
 
-def _canonical_vertex_order(mats, labels, m: int, n: int) -> list[int] | None:
+def _canonical_vertex_order(relation: np.ndarray, labels, m: int, n: int) -> list[int] | None:
     """Vertex permutation sorting into fibers, aligned groups, ascending
     points, or None unless A_5 is the aligned-group pattern
     (J_f - I_f) (x) I_m (x) J_n in that order; identity whenever the input is
@@ -564,15 +549,14 @@ def _canonical_vertex_order(mats, labels, m: int, n: int) -> list[int] | None:
     A_5-neighbour there of group j of fiber 0; uniform groups and fibers
     (``_identify_labelings``) put m groups of n points in every fiber."""
     c0, c1, c2, _, _, c5 = labels
-    fibers = sorted(_equivalence_classes(mats[c0].a + mats[c1].a + mats[c2].a), key=min)
-    group_of = {x: g for g in _equivalence_classes(mats[c0].a + mats[c1].a) for x in g}
-    a5 = mats[c5].a
+    fibers = _equivalence_classes(relation, (c0, c1, c2))
+    group_of = {x: g for g in _equivalence_classes(relation, (c0, c1)) for x in g}
     ref_groups = sorted({group_of[x] for x in fibers[0]}, key=min)
     order = []
     for t, fib in enumerate(fibers):
         aligned = ref_groups
         if t:
-            firsts = [next((y for y in fib if a5[g[0], y]), None) for g in ref_groups]
+            firsts = [next((y for y in fib if relation[g[0], y] == c5), None) for g in ref_groups]
             if None in firsts:
                 return None
             aligned = [group_of[y] for y in firsts]
@@ -583,35 +567,24 @@ def _canonical_vertex_order(mats, labels, m: int, n: int) -> list[int] | None:
     pos = np.empty(len(order), dtype=np.int64)
     pos[order] = np.arange(len(order))
     fiber, group = pos // (m * n), pos // n % m
-    if not np.array_equal(a5 != 0, (fiber[:, None] != fiber) & (group[:, None] == group)):
+    if not np.array_equal(relation == c5, (fiber[:, None] != fiber) & (group[:, None] == group)):
         return None
     return order
 
 
-def extract_linked_system(mats: list[IntMatrix]) -> ExtractionReport:
-    """Recover the linked system (or the f = 2 pair) from the adjacency
-    matrices; every class labeling compatible with the fiber structure is
-    attempted, so parameter-symmetric inputs report both readings.
-
-    A labeling certifies when A_5 is the pattern of its canonical vertex
-    order and the system read off A_3 in that order certifies.  A_0, A_1
-    and A_2 are their patterns there, as groups and fibers are consecutive
-    uniform equivalence classes, and A_4 follows from sum A_i = J: the input
-    is the scheme of a certified system (see ``assemble_scheme``), and p is
-    read at one pair per class.  When no labeling certifies, the dense
-    ``compute_intersection_numbers`` decides and names the first failing
-    pair."""
-    if len(mats) != CLASSES:
+def _extraction(classes):
+    """R, p, the axioms and the uncertified candidates in report order, each with its (l1, l2)."""
+    if len(classes) != CLASSES:
         raise ParameterError("expected six classes")
-    cert = _partition_certificate(mats)
-    if not cert.ok:
+    relation, cert = relation_from_classes(classes)
+    if relation is None:
         raise CertificationError("input fails the scheme axioms", cert)
-    p = _first_pair_numbers(mats)
+    p = _first_pair_numbers(relation)
     # a class with unequal row sums is not a class of a scheme: the dense
     # route rejects such an input, so no labeling is tried
-    regular = all((mat.a.sum(axis=1) == mat.a[0].sum()).all() for mat in mats)
-    candidates = []
-    for lab in _identify_labelings(mats, p) if regular else []:
+    valencies = np.stack([np.count_nonzero(relation == i, axis=1) for i in range(CLASSES)])
+    found = []
+    for lab in _identify_labelings(relation, p) if (valencies == valencies[:, :1]).all() else []:
         labels = lab["labels"]
         m, n, f = lab["m"], lab["n"], lab["f"]
         pp = _relabel_p(p, labels)
@@ -627,54 +600,78 @@ def extract_linked_system(mats: list[IntMatrix]) -> ExtractionReport:
             params = SchemeParams(k=k, m=m, n=n, f=f)
         except ParameterError:
             continue
-        spectra, spec_cert = compute_spectra(pp, params)
-        system = sys_cert = None
-        order = _canonical_vertex_order(mats, labels, m, n)
-        if order is not None:
-            # the blocks of A_3 between the fibers of the canonical order
-            mn = m * n
-            fibers = [order[t * mn : (t + 1) * mn] for t in range(f)]
-            a3 = mats[labels[3]].a
-            try:
-                lp = LinkedParams(GddParams(mn, k, m, n, l1, l2), f, *(triple or (None, None, None)))
-                blocks = {
-                    (i + 1, j + 1): IncidenceMatrix(IntMatrix(a3[np.ix_(fibers[i], fibers[j])]), m, n)
-                    for i in range(f)
-                    for j in range(f)
-                    if i != j
-                }
-                system = LinkedSystemII(params=lp, blocks=blocks)
-                sys_cert = verify_linked_system(system)
-            except ParameterError:
-                system = sys_cert = None
-        if sys_cert is not None and not sys_cert.ok:
-            system = None
-        candidates.append(ExtractionCandidate(labels, params, triple, spectra, spec_cert, system, sys_cert))
+        found.append((ExtractionCandidate(labels, params, triple, *compute_spectra(pp, params), None, None), (l1, l2)))
+    found.sort(key=lambda item: (not item[0].spectra_match, item[0].labels))
+    return relation, p, cert, found
+
+
+def _certify(relation: np.ndarray, cand: ExtractionCandidate, lambdas) -> ExtractionCandidate:
+    """Certify ``cand`` by the system cut from A_3 in its canonical vertex order, if it has one."""
+    k, m, n, f = cand.params.k, cand.params.m, cand.params.n, cand.params.f
+    order = _canonical_vertex_order(relation, cand.labels, m, n)
+    if order is None:
+        return cand
+    fibers, a3 = [order[t * m * n : (t + 1) * m * n] for t in range(f)], cand.labels[3]
+    with suppress(ParameterError):  # parameters or blocks no linked system has
+        linked = LinkedParams(GddParams(m * n, k, m, n, *lambdas), f, *(cand.triple or (None, None, None)))
+        blocks = {
+            (i + 1, j + 1): IncidenceMatrix(IntMatrix((relation[np.ix_(fi, fj)] == a3).astype(np.int64)), m, n)
+            for i, fi in enumerate(fibers) for j, fj in enumerate(fibers) if i != j
+        }
+        system = LinkedSystemII(params=linked, blocks=blocks)
+        cand.certificate = verify_linked_system(system)
+        cand.system = system if cand.certificate.ok else None
+    return cand
+
+
+def _report(classes, relation, p, cert: Certificate, candidates) -> ExtractionReport:
+    """The report: axioms and p certified through a candidate's system, or else by the dense route."""
     if any(cand.certified for cand in candidates):
         cert.checks += _DECOMPOSITION
     else:
-        p, cert = compute_intersection_numbers(mats)
+        p, cert = compute_intersection_numbers(classes)
         if p is None:
             raise CertificationError("input fails the scheme axioms", cert)
     if not candidates:
         raise CertificationError("no class labeling exhibits the fiber structure")
-    candidates.sort(key=lambda c: (not c.spectra_match, c.labels))
-    return ExtractionReport(candidates, p, cert)
+    return ExtractionReport(candidates, p, cert, relation)
 
 
-def load_scheme(mats: list[IntMatrix]) -> tuple[AssociationScheme, ExtractionCandidate]:
+def extract_linked_system(classes) -> ExtractionReport:
+    """Recover the linked system (or the f = 2 pair) from the class matrices
+    A_0, ..., A_5 (see ``relation_from_classes``); every class labeling
+    compatible with the fiber structure is attempted and certified, so
+    parameter-symmetric inputs report both readings.
+
+    A labeling certifies when A_5 is the pattern of its canonical vertex
+    order and the system read off A_3 in that order certifies.  A_0, A_1
+    and A_2 are their patterns there, as groups and fibers are consecutive
+    uniform equivalence classes, and A_4 follows from sum A_i = J: the input
+    is the scheme of a certified system (see ``assemble_scheme``), and p is
+    read at one pair per class.  When no labeling certifies, the dense
+    ``compute_intersection_numbers`` decides and names the first failing
+    pair."""
+    relation, p, cert, found = _extraction(classes)
+    return _report(classes, relation, p, cert, [_certify(relation, cand, lambdas) for cand, lambdas in found])
+
+
+def load_scheme(classes) -> tuple[AssociationScheme, ExtractionCandidate]:
     """The certified scheme behind loaded class matrices, in the class order
     of the primary extraction candidate, together with that candidate.
 
-    The axioms and p are certified once, by ``extract_linked_system``, and
-    the candidate's spectra are reused; only the Krein parameters are new.
-    Raises when no labeling certifies; a failing spectra or Krein check is
-    returned in the scheme's certificate, for the caller to report."""
-    report = extract_linked_system(mats)
+    As ``extract_linked_system``, but candidates are certified in report
+    order only up to the primary one, whose spectra are reused; only the
+    Krein parameters are new.  Raises when no labeling certifies; a failing
+    spectra or Krein check is returned in the scheme's certificate."""
+    relation, p, cert, found = _extraction(classes)
+    for cand, lambdas in found:
+        if _certify(relation, cand, lambdas).certified and cand.spectra_match:
+            break
+    report = _report(classes, relation, p, cert, [cand for cand, _ in found])
     primary = report.primary
-    labels = primary.labels
+    position = np.argsort(primary.labels).astype(relation.dtype)  # input class -> canonical position
     scheme = _certified_scheme(
-        [mats[i] for i in labels], _relabel_p(report.p, labels), primary.params,
+        position[relation], _relabel_p(report.p, primary.labels), primary.params,
         report.certificate, primary.spectra, primary.spectra_certificate,
     )
     return scheme, primary
@@ -690,7 +687,7 @@ class FusionReport:
     fusable: bool
     predicted: bool
     partition: tuple[tuple[int, ...], ...]
-    fused_matrices: list[IntMatrix] | None
+    fused_relation: np.ndarray | None  # label array of the merged classes
     eigenspace_partition: tuple[tuple[int, ...], ...] | None
 
     @property
@@ -725,14 +722,14 @@ def check_fusion(scheme: AssociationScheme) -> FusionReport:
 
     The scheme must come from ``assemble_scheme`` or ``load_scheme``: the
     fused intersection numbers are derived from its certified p, and the
-    summed class matrices are not certified again."""
+    merged labels are not certified again."""
     params = scheme.params
     predicted = Fraction(params.k) == Fraction(
         (params.m - 1) * params.n * (params.n - 1), params.n + params.m - 2
     )
     if fuse_classes(scheme.p, FUSION_PARTITION) is None:
         return FusionReport(False, predicted, FUSION_PARTITION, None, None)
-    fused_mats = [IntMatrix(sum(scheme.matrices[i].a for i in group)) for group in FUSION_PARTITION]
+    merged = np.array([next(g for g, group in enumerate(FUSION_PARTITION) if i in group) for i in range(CLASSES)])
     # merged eigenspaces: group eigenspaces by their fused eigenvalues' numerators
     pm = scheme.spectra.P
     vectors = {}
@@ -740,4 +737,4 @@ def check_fusion(scheme: AssociationScheme) -> FusionReport:
         key = tuple((pm.rational[j, list(g)].sum(), pm.irrational[j, list(g)].sum()) for g in FUSION_PARTITION)
         vectors.setdefault(key, []).append(j)
     eig_part = tuple(tuple(v) for v in sorted(vectors.values()))
-    return FusionReport(True, predicted, FUSION_PARTITION, fused_mats, eig_part)
+    return FusionReport(True, predicted, FUSION_PARTITION, merged.astype(np.uint8)[scheme.relation], eig_part)

@@ -7,7 +7,7 @@ from sgdd.algebra import IntMatrix
 from sgdd.classical import hadamard_matrix, paley_conference_matrix
 from sgdd.designs import IncidenceMatrix
 from sgdd.gf import gf_make
-from sgdd.latin import linked_mols_from_gf2n, search_linked_mols
+from sgdd.latin import linked_mols_from_gf, search_linked_mols
 from sgdd.linked import (
     LinkedSystemII,
     bgw_generate,
@@ -43,7 +43,7 @@ def aux_ag23():
 
 @pytest.fixture(scope="session")
 def fam_gf4(gf4):
-    return linked_mols_from_gf2n(gf4)
+    return linked_mols_from_gf(gf4)
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +65,7 @@ def sys45(aux_ag23, fam_order5):
 
 @pytest.fixture(scope="session")
 def sys64():
-    return build_tilde_l(aux_from_hadamard(hadamard_matrix(8)), linked_mols_from_gf2n(gf_make(2, 3)))
+    return build_tilde_l(aux_from_hadamard(hadamard_matrix(8)), linked_mols_from_gf(gf_make(2, 3)))
 
 
 def _flip_off_group_entry(sys: LinkedSystemII, seed: int):

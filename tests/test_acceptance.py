@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sgdd import fileio
 from sgdd.algebra import IntMatrix, Surd
 from sgdd.classical import (
     hadamard_matrix,
@@ -23,7 +24,7 @@ from sgdd.designs import (
     verify_gdd,
 )
 from sgdd.gf import gf_make
-from sgdd.latin import linked_mols_from_gf2n, search_linked_mols, verify_linked
+from sgdd.latin import linked_mols_from_gf, search_linked_mols, verify_linked
 from sgdd.linked import (
     build_from_mub_bush,
     bush_search,
@@ -84,7 +85,7 @@ def test_criterion_3_end_to_end_16(scheme48, sys16):
     t0 = time.monotonic()
     aux = aux_from_hadamard(hadamard_matrix(4))
     assert verify_auxiliary(aux).ok
-    fam = linked_mols_from_gf2n(gf_make(2, 2))
+    fam = linked_mols_from_gf(gf_make(2, 2))
     assert fam.f == 3 and verify_linked(fam).ok
     system = build_tilde_l(aux, fam)
     p = system.params
@@ -231,7 +232,8 @@ def test_criterion_9_property_suites(sys16, sys45, scheme48, scheme135, conferen
 
     # extract(assemble(system)) reproduces the blocks exactly
     for scheme, system in ((scheme48, sys16), (scheme135, sys45)):
-        primary = extract_linked_system(scheme.matrices).primary
+        text = fileio.format_scheme_matrices(scheme.relation)
+        primary = extract_linked_system(fileio.parse_scheme_matrices(text)).primary
         for pair, blk in system.blocks.items():
             assert primary.system.blocks[pair].mat == blk.mat
 

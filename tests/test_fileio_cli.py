@@ -13,6 +13,7 @@ from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.cli import main
 from sgdd.errors import FormatError
+from sgdd.schemes import relation_from_classes
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -98,6 +99,11 @@ MATRIX_ERRORS = {
 }
 
 
+def _read_matrix(lines):
+    """The package's block reader, as the IntMatrix every matrix parser makes of it."""
+    return IntMatrix(fileio._read_matrix(lines))
+
+
 def _parse_outcome(read, text):
     try:
         lines = fileio._Lines(text, "matrix")
@@ -111,7 +117,7 @@ def _parse_outcome(read, text):
 @pytest.mark.parametrize("name", sorted(MATRIX_TEXTS))
 def test_matrix_parse_matches_per_entry_reader(name):
     text = MATRIX_TEXTS[name]
-    got = _parse_outcome(fileio._read_matrix, text)
+    got = _parse_outcome(_read_matrix, text)
     assert got == _parse_outcome(_read_matrix_per_entry, text)
     if name in MATRIX_ERRORS:
         assert got == ("error", MATRIX_ERRORS[name])
@@ -133,7 +139,7 @@ def test_mutated_digit_block_parses_like_per_entry_reader(grid, edit, char, data
     at = data.draw(st.integers(0, len(body) - 1))
     tail = body[at + 1 :] if edit != "insert" else body[at:]
     text = head + body[:at] + ("" if edit == "delete" else char) + tail
-    assert _parse_outcome(fileio._read_matrix, text) == _parse_outcome(_read_matrix_per_entry, text)
+    assert _parse_outcome(_read_matrix, text) == _parse_outcome(_read_matrix_per_entry, text)
 
 
 @pytest.fixture
@@ -154,8 +160,9 @@ def line_reads(monkeypatch):
 def test_written_digit_blocks_take_the_byte_view(scheme448, sys64, line_reads):
     """Parsing what the writers produce reads only the header lines one at a
     time: no block goes through the per-entry or the token reader."""
-    mats = fileio.parse_scheme_matrices(fileio.format_scheme_matrices(scheme448.matrices))
-    assert mats == list(scheme448.matrices)
+    mats = fileio.parse_scheme_matrices(fileio.format_scheme_matrices(scheme448.relation))
+    assert [a.dtype for a in mats] == [np.uint8] * 6
+    assert all(np.array_equal(a, scheme448.relation == i) for i, a in enumerate(mats))
     assert line_reads == {"ints": 1 + 6, "next": 1 + 6}
     line_reads.update(ints=0, next=0)
     system = fileio.parse_linked_system(fileio.format_linked_system(sys64))
@@ -257,9 +264,9 @@ def test_linked_system_roundtrip(sys16):
 
 
 def test_scheme_roundtrip(scheme48):
-    text = fileio.format_scheme_matrices(scheme48.matrices)
-    mats = fileio.parse_scheme_matrices(text)
-    assert fileio.format_scheme_matrices(mats) == text
+    text = fileio.format_scheme_matrices(scheme48.relation)
+    relation, cert = relation_from_classes(fileio.parse_scheme_matrices(text))
+    assert cert.ok and fileio.format_scheme_matrices(relation) == text
 
 
 def test_gcm_roundtrip(bgw5):
@@ -440,7 +447,7 @@ def test_cli_table1_witnesses(tmp_path: Path):
 
 def test_cli_scheme_verify(tmp_path: Path, scheme48):
     scm = tmp_path / "s.scm"
-    scm.write_text(fileio.format_scheme_matrices(scheme48.matrices))
+    scm.write_text(fileio.format_scheme_matrices(scheme48.relation))
     assert run_cli("verify", "scheme", str(scm))[0] == 0
 
 
@@ -455,16 +462,14 @@ def test_cli_negative_class_count_is_format_error(tmp_path: Path):
 
 @pytest.mark.parametrize("variant", ["swapped", "permuted"])
 def test_cli_analyze_and_fusion_relabel(tmp_path: Path, scheme48, variant):
-    import numpy as np
-
-    mats = list(scheme48.matrices)
+    relation = scheme48.relation
     if variant == "swapped":
-        mats[3], mats[4] = mats[4], mats[3]
+        relation = np.array([0, 1, 2, 4, 3, 5], dtype=np.uint8)[relation]
     else:
         perm = np.random.default_rng(11).permutation(48)
-        mats = [IntMatrix(m.a[np.ix_(perm, perm)]) for m in mats]
+        relation = relation[np.ix_(perm, perm)]
     scm = tmp_path / "s.scm"
-    scm.write_text(fileio.format_scheme_matrices(mats))
+    scm.write_text(fileio.format_scheme_matrices(relation))
     code, out = run_cli("scheme", "analyze", "--in", str(scm))
     assert code == 0 and "k=6 m=4 n=4 f=3" in out
     assert ("classes relabeled as (0, 1, 2, 4, 3, 5)" in out) == (variant == "swapped")
@@ -497,13 +502,12 @@ def test_cli_non_ascii_file_is_format_error(tmp_path: Path, capsys):
 def test_corruptions_read_through_the_byte_view_fail(tmp_path: Path, scheme448, sys64, corrupt_system, line_reads):
     """A pair moved from class 3 to class 4, and one flipped off-group entry
     of a linked system, still fail certification after the fast parse."""
-    mats = [m.a.copy() for m in scheme448.matrices]
-    upper = np.argwhere(np.triu(mats[3], 1))
+    relation = scheme448.relation.copy()
+    upper = np.argwhere(np.triu(relation == 3, 1))
     x, y = upper[np.random.default_rng(3).integers(len(upper))]
-    for a, b in ((x, y), (y, x)):
-        mats[3][a, b], mats[4][a, b] = 0, 1
+    relation[x, y] = relation[y, x] = 4
     scm = tmp_path / "bad.scm"
-    scm.write_text(fileio.format_scheme_matrices([IntMatrix(a) for a in mats]))
+    scm.write_text(fileio.format_scheme_matrices(relation))
     assert run_cli("verify", "scheme", str(scm))[0] == 1
     assert run_cli("scheme", "analyze", "--in", str(scm))[0] == 1
     bad, _ = corrupt_system(sys64, 5)
@@ -677,6 +681,25 @@ def test_cli_verify_aux_reports_a_corrupt_file(tmp_path: Path, capsys):
     assert lines[0] == "certificate: auxiliary matrices AuxParams(v=8, k=3, r=7, lam=1, mu=1, n=3): VIOLATED"
     assert lines[1] == "  violation: sum C_i equals (r - lambda) I + lambda J at (0, 0) (expected 7, got 6)"
     assert out.count("certificate:") == 1 and err == ""
+
+
+def test_cli_verify_aux_reports_an_underivable_set(tmp_path: Path, capsys):
+    # the order-4 Hadamard set with the first entry of C_1 set to 0: k = 1
+    # and mu = 0 read off C_1, C_2, so n = k/mu cannot be derived
+    from sgdd.classical import hadamard_matrix
+    from sgdd.resolvable import aux_from_hadamard
+
+    lines = fileio.format_auxiliary_set(aux_from_hadamard(hadamard_matrix(4))).splitlines()
+    lines[2] = "0" + lines[2][1:]
+    aux = tmp_path / "bad.aux"
+    aux.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "aux", str(aux)]) == 1
+    out, err = capsys.readouterr()
+    assert out == (
+        "certificate: auxiliary matrices of order 4: VIOLATED\n"
+        "  violation: cannot derive integral n = k/mu from the matrices\n"
+    )
+    assert err == "error: cannot derive integral n = k/mu from the matrices\n"
 
 
 def test_tilde_l_certifies_the_auxiliary_set_once(tmp_path: Path, monkeypatch):

@@ -18,7 +18,7 @@ from sgdd.latin import (
     _triples_hold,
     compose,
     is_orthogonal,
-    linked_mols_from_gf2n,
+    linked_mols_from_gf,
     mols_from_gf,
     search_linked_mols,
     verify_linked,
@@ -107,19 +107,19 @@ def test_linked_family_gf4(fam_gf4):
 
 
 def test_linked_family_gf8():
-    fam = linked_mols_from_gf2n(gf_make(2, 3))
+    fam = linked_mols_from_gf(gf_make(2, 3))
     assert fam.f == 7 and fam.order == 8
     assert verify_linked(fam).ok
 
 
 def test_gf2_rejected():
     with pytest.raises(ParameterError):
-        linked_mols_from_gf2n(gf_make(2, 1))
+        linked_mols_from_gf(gf_make(2, 1))
 
 
 def test_odd_characteristic_family_certifies():
     for p, d in ((5, 1), (7, 1), (3, 2)):
-        fam = linked_mols_from_gf2n(gf_make(p, d))
+        fam = linked_mols_from_gf(gf_make(p, d))
         assert fam.f == p**d - 1 and fam.order == p**d
         assert verify_linked(fam).ok
 
@@ -166,7 +166,7 @@ def test_cli_reports_a_failing_field_family(monkeypatch, capsys):
     ]
     assert err == "error: field-derived family fails the linked property\n"
     with pytest.raises(CertificationError):
-        sgdd.latin.linked_mols_from_gf2n(gf_make(2, 2))
+        sgdd.latin.linked_mols_from_gf(gf_make(2, 2))
 
 
 def _solve_first(l2: LatinSquare, target: LatinSquare) -> LatinSquare | None:

@@ -67,9 +67,14 @@ def test_table1_witnesses_backed_by_certified_constructions():
     assert wit[(16, 6, 2)].startswith("f=4")   # Krein bound f = m attained
     assert wit[(45, 12, 3)].startswith("f=5")  # Krein bound f = m attained
     assert wit[(64, 28, 12)].startswith("f=7")
+    # field families of odd order: GF(7) with AG(1, 5), GF(9) with AG(1, 7)
+    assert wit[(175, 30, 5)].startswith("f=6")
+    assert wit[(441, 56, 7)].startswith("f=8")
+    assert len(wit) == 5
     # budget-gated shapes stay blank rather than claiming unverified witnesses
     assert (96, 20, 4) not in wit
     assert (256, 120, 56) not in wit
+    assert (891, 90, 9) not in wit  # GF(11) lies past the order-9 field budget
 
 
 def test_scan_monotone_in_window():

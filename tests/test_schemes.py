@@ -29,8 +29,10 @@ from sgdd.schemes import (
     extract_linked_system,
     fuse_classes,
     load_scheme,
+    relation_from_classes,
     scheme_matrices_from_system,
 )
+from class_list_route import class_matrices, classes_of
 from surd_route import (
     SurdMatrix,
     as_surd_matrix,
@@ -101,8 +103,8 @@ def _scaled_idempotents(scheme, cols):
     qm = scheme.spectra.Q
     parts = {}
     for j in cols:
-        r = sum(int(qm.rational[i, j]) * mat.a for i, mat in enumerate(scheme.matrices))
-        s = sum(int(qm.irrational[i, j]) * mat.a for i, mat in enumerate(scheme.matrices))
+        r = np.array([int(x) for x in qm.rational[:, j]])[scheme.relation]
+        s = np.array([int(x) for x in qm.irrational[:, j]])[scheme.relation]
         parts[j] = (IntMatrix(r), IntMatrix(s))
     return qm.den * scheme.size, parts
 
@@ -163,12 +165,12 @@ def test_f2_scheme_from_gcm(gcm24):
     scheme = assemble_scheme(pair_system(mat, params))
     assert scheme.size == 48
     assert scheme.spectra.radicand == 5
-    rep = extract_linked_system(scheme.matrices)
+    rep = extract_linked_system(classes_of(scheme.relation))
     assert rep.primary.system.blocks[(1, 2)].mat == mat.mat
 
 
 def test_extract_roundtrip(scheme48, sys16):
-    rep = extract_linked_system(scheme48.matrices)
+    rep = extract_linked_system(classes_of(scheme48.relation))
     primary = rep.primary
     assert primary.labels == (0, 1, 2, 3, 4, 5)
     assert primary.triple == (3, 1, 3)
@@ -178,7 +180,7 @@ def test_extract_roundtrip(scheme48, sys16):
 
 
 def test_extract_reports_both_readings(scheme48):
-    rep = extract_linked_system(scheme48.matrices)
+    rep = extract_linked_system(classes_of(scheme48.relation))
     assert len(rep.candidates) == 2
     alt = [c for c in rep.candidates if c is not rep.primary][0]
     assert alt.triple == (1, 3, 3)
@@ -192,9 +194,7 @@ def test_extract_reports_both_readings(scheme48):
 
 
 def test_extract_swapped_labels(scheme48):
-    mats = list(scheme48.matrices)
-    mats[3], mats[4] = mats[4], mats[3]
-    rep = extract_linked_system(mats)
+    rep = extract_linked_system(classes_of(_swapped(scheme48.relation)))
     primary = rep.primary
     assert primary.labels == (0, 1, 2, 4, 3, 5)
     assert primary.triple == (3, 1, 3)
@@ -205,17 +205,16 @@ def test_load_scheme_certifies_once(scheme48, monkeypatch):
     calls = []
     dense = sgdd.schemes.compute_intersection_numbers
 
-    def counted(mats):
-        calls.append(len(mats))
-        return dense(mats)
+    def counted(classes):
+        calls.append(len(classes))
+        return dense(classes)
 
     monkeypatch.setattr(sgdd.schemes, "compute_intersection_numbers", counted)
-    mats = list(scheme48.matrices)
-    mats[3], mats[4] = mats[4], mats[3]
-    scheme, primary = load_scheme(mats)
+    scheme, primary = load_scheme(classes_of(_swapped(scheme48.relation)))
     assert calls == []  # certified through the linked system: no dense route
     assert primary.labels == (0, 1, 2, 4, 3, 5)
-    assert scheme.matrices == scheme48.matrices
+    assert scheme.relation.dtype == np.uint8
+    assert np.array_equal(scheme.relation, scheme48.relation)
     assert scheme.p == scheme48.p
     assert scheme.krein == scheme48.krein
     cert = scheme.certificate
@@ -226,18 +225,51 @@ def test_load_scheme_certifies_once(scheme48, monkeypatch):
     assert cert.checks == scheme48.certificate.checks
 
 
+# sha256 of the CLI's stdout on the written 225- and 448-vertex schemes
+_STDOUT_SHA256 = {
+    ("scheme225", "analyze"): "9d9bfe3bcd554fc7407935b3af47a9db98b005b2bf9c8f2b519dab316b38ac24",
+    ("scheme225", "fusion"): "d777e8b717d7e57a6d23db896dbbc766e624d9d5fa212f5e4e665441a66f9870",
+    ("scheme225", "extract"): "7c11740189dbc3d0e8712f7a12c04b9aaabc6a1323ef72ffe6c5a4658937b09b",
+    ("scheme448", "analyze"): "672334e6f9e582693fff28094c1d6252c2a7676ba1e8cc6e4b8221723e5d8cf9",
+    ("scheme448", "fusion"): "d9073dbb2369e795f005493d9c92fb7414e6158709f62759369e13df13cce11e",
+    ("scheme448", "extract"): "3b20a8a79843ceccc2fb5b59c1f46ac634d35e693877ffd7e0c40a54862d6ec1",
+}
+
+
+@pytest.mark.parametrize("source, candidates", [("scheme225", 4), ("scheme448", 2)])
+def test_load_scheme_certifies_only_the_primary_labeling(source, candidates, request, tmp_path, capsys, monkeypatch):
+    # extract certifies every candidate and prints each certified= value;
+    # analyze and fusion stop at the primary one, which sorts first
+    import hashlib
+
+    from sgdd import fileio
+    from sgdd.cli import main
+
+    calls = []
+
+    def counted(system):
+        calls.append(system.params.f)
+        return verify_linked_system(system)
+
+    monkeypatch.setattr(sgdd.schemes, "verify_linked_system", counted)
+    scm = tmp_path / "s.scm"
+    scm.write_text(fileio.format_scheme_matrices(request.getfixturevalue(source).relation))
+    for verb, certified in (("extract", candidates), ("analyze", 1), ("fusion", 1)):
+        calls.clear()
+        capsys.readouterr()
+        assert main(["scheme", verb, "--in", str(scm)]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == certified, verb
+        assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[source, verb]
+
+
 def test_extract_rejects_non_scheme(scheme48):
-    mats = list(scheme48.matrices)
-    arr = mats[3].a.copy()
-    arr[0, 1] ^= 1
-    arr[1, 0] ^= 1
-    mats[3] = IntMatrix(arr)
-    arr4 = mats[4].a.copy()
-    arr4[0, 1] ^= 1
-    arr4[1, 0] ^= 1
-    mats[4] = IntMatrix(arr4)
+    classes = classes_of(scheme48.relation)
+    for c in (3, 4):
+        classes[c][0, 1] ^= 1
+        classes[c][1, 0] ^= 1
     with pytest.raises(CertificationError):
-        extract_linked_system(mats)
+        extract_linked_system(classes)
 
 
 def test_fusion_at_16(scheme48):
@@ -246,7 +278,7 @@ def test_fusion_at_16(scheme48):
     assert report.eigenspace_partition == ((0,), (1, 2), (3, 4), (5,))
     # the fused classes satisfy the axioms on their own, and the dense
     # route agrees with the fused p that check_fusion derives from scheme.p
-    p, cert = compute_intersection_numbers(report.fused_matrices)
+    p, cert = compute_intersection_numbers(classes_of(report.fused_relation))
     assert cert.ok and p is not None
     assert p == fuse_classes(scheme48.p, FUSION_PARTITION)
 
@@ -264,7 +296,7 @@ def test_trivial_fusion_always_works(scheme48):
 def test_pair_extraction_f2(conference12):
     mat, params = conference12
     scheme = assemble_scheme(pair_system(mat, params))
-    rep = extract_linked_system(scheme.matrices)
+    rep = extract_linked_system(classes_of(scheme.relation))
     primary = rep.primary
     assert primary.params.f == 2
     assert primary.triple is None
@@ -274,8 +306,7 @@ def test_pair_extraction_f2(conference12):
 def test_extract_under_arbitrary_vertex_permutation(scheme48):
     rng = np.random.default_rng(11)
     perm = rng.permutation(48)
-    mats = [IntMatrix(m.a[np.ix_(perm, perm)]) for m in scheme48.matrices]
-    rep = extract_linked_system(mats)
+    rep = extract_linked_system(classes_of(scheme48.relation[np.ix_(perm, perm)]))
     primary = rep.primary
     assert primary.spectra_match and primary.certified
     assert primary.triple == (3, 1, 3)
@@ -304,7 +335,7 @@ def test_minimal_scheme_from_degenerate_conference():
     scheme = assemble_scheme(pair_system(mat, params))
     assert scheme.size == 8
     assert scheme.valencies() == [1, 1, 2, 1, 1, 2]
-    rep = extract_linked_system(scheme.matrices)
+    rep = extract_linked_system(classes_of(scheme.relation))
     # at m = n = 2 every structural role is interchangeable: all four
     # readings certify, and the primary one reproduces the input blocks
     assert len(rep.candidates) == 4
@@ -323,7 +354,7 @@ def _intersection_numbers_all_products(mats):
     cert = Certificate("association scheme axioms")
     d1 = len(mats)
     size = mats[0].rows
-    if mats[0] != IntMatrix.identity(size):
+    if mats[0] != IntMatrix(np.eye(size, dtype=np.int64)):
         cert.failed("A_0 = I", (0, 0))
     else:
         cert.passed("A_0 = I")
@@ -332,7 +363,7 @@ def _intersection_numbers_all_products(mats):
         if not (mat.is_square and mat.rows == size and mat.is_zero_one()):
             cert.failed(f"A_{idx} is a square 0/1 matrix of order {size}")
             return None, cert
-        if not mat.is_symmetric():
+        if not (mat.a == mat.a.T).all():
             cert.failed(f"A_{idx} is symmetric")
         total += mat.a
     cert.compare("sum A_i = J", IntMatrix(total), np.ones((size, size), dtype=np.int64))
@@ -491,26 +522,32 @@ def scheme225(aux_ag23):
     return assemble_scheme(build_tilde_l(aux_ag23, search_linked_mols(5, 5)))
 
 
-def _swapped(mats):
-    mats = list(mats)
-    mats[3], mats[4] = mats[4], mats[3]
-    return mats
+def _as_built(relation):
+    return relation
 
 
-def _permuted(mats):
-    perm = np.random.default_rng(11).permutation(mats[0].rows)
-    return [IntMatrix(m.a[np.ix_(perm, perm)]) for m in mats]
+def _swapped(relation):
+    """Classes 3 and 4 trade labels."""
+    return np.array([0, 1, 2, 4, 3, 5], dtype=np.uint8)[relation]
+
+
+def _permuted(relation):
+    perm = np.random.default_rng(11).permutation(relation.shape[0])
+    return relation[np.ix_(perm, perm)]
 
 
 @pytest.mark.parametrize(
     "source, transform",
-    [("scheme48", list), ("scheme135", list), ("conference24", list), ("scheme48", _swapped), ("scheme48", _permuted)],
+    [
+        ("scheme48", _as_built), ("scheme135", _as_built), ("conference24", _as_built),
+        ("scheme48", _swapped), ("scheme48", _permuted),
+    ],
     ids=["scheme48", "scheme135", "conference24", "scheme48-swapped", "scheme48-permuted"],
 )
 def test_intersection_numbers_match_all_products(source, transform, request):
-    mats = transform(request.getfixturevalue(source).matrices)
-    p, cert = compute_intersection_numbers(mats)
-    ref_p, ref_cert = _intersection_numbers_all_products(mats)
+    classes = classes_of(transform(request.getfixturevalue(source).relation))
+    p, cert = compute_intersection_numbers(classes)
+    ref_p, ref_cert = _intersection_numbers_all_products(class_matrices(classes))
     assert cert.ok and ref_cert.ok
     assert p == ref_p
     assert cert.checks == ref_cert.checks
@@ -525,7 +562,7 @@ def test_intersection_numbers_form_one_product_per_unordered_pair(scheme48, monk
         return matmul(a, b)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted)
-    p, _ = compute_intersection_numbers(scheme48.matrices)
+    p, _ = compute_intersection_numbers(classes_of(scheme48.relation))
     d = CLASSES - 1
     assert len(calls) == d * (d + 1) // 2
     assert p == scheme48.p
@@ -535,14 +572,11 @@ def test_intersection_numbers_negative_control(scheme48):
     # move one symmetric pair of entries from class 3 to class 4: every class
     # stays 0/1 and symmetric and the sum stays J, so only p can catch it
     rng = random.Random(5)
-    mats = list(scheme48.matrices)
-    a3, a4 = mats[3].a.copy(), mats[4].a.copy()
-    x, y = rng.choice([(x, y) for x, y in zip(*np.nonzero(a3)) if x < y])
-    for r, c in ((x, y), (y, x)):
-        a3[r, c], a4[r, c] = 0, 1
-    mats[3], mats[4] = IntMatrix(a3), IntMatrix(a4)
-    p, cert = compute_intersection_numbers(mats)
-    ref_p, ref_cert = _intersection_numbers_all_products(mats)
+    relation = scheme48.relation
+    pair = rng.choice([(x, y) for x, y in zip(*np.nonzero(relation == 3)) if x < y])
+    classes = classes_of(_pair_moved(relation, 3, 4, pair))
+    p, cert = compute_intersection_numbers(classes)
+    ref_p, ref_cert = _intersection_numbers_all_products(class_matrices(classes))
     assert p is None and ref_p is None
     assert cert.violations == ref_cert.violations
     assert cert.violations[0].identity.startswith("A_1 A_3 is not constant")
@@ -553,14 +587,11 @@ def test_intersection_numbers_seeded_negative_controls(scheme48, seed):
     # move one symmetric pair of entries between two random classes >= 1
     rng = random.Random(seed)
     src, dst = rng.sample(range(1, CLASSES), 2)
-    mats = list(scheme48.matrices)
-    a_src, a_dst = mats[src].a.copy(), mats[dst].a.copy()
-    x, y = rng.choice([(x, y) for x, y in zip(*np.nonzero(a_src)) if x < y])
-    for r, c in ((x, y), (y, x)):
-        a_src[r, c], a_dst[r, c] = 0, 1
-    mats[src], mats[dst] = IntMatrix(a_src), IntMatrix(a_dst)
-    p, cert = compute_intersection_numbers(mats)
-    ref_p, ref_cert = _intersection_numbers_all_products(mats)
+    relation = scheme48.relation
+    pair = rng.choice([(x, y) for x, y in zip(*np.nonzero(relation == src)) if x < y])
+    classes = classes_of(_pair_moved(relation, src, dst, pair))
+    p, cert = compute_intersection_numbers(classes)
+    ref_p, ref_cert = _intersection_numbers_all_products(class_matrices(classes))
     assert p is None and ref_p is None
     assert cert.violations == ref_cert.violations
 
@@ -576,11 +607,11 @@ def _eigenvalue_lines(cert):
     return [v.identity for v in cert.violations if v.identity.startswith("A_")]
 
 
-_READING_IDS = {list: "as-built", _swapped: "swapped", _permuted: "permuted"}
+_READING_IDS = {_as_built: "as-built", _swapped: "swapped", _permuted: "permuted"}
 _FIXTURE_READINGS = [
     (source, transform)
     for source in ("scheme48", "scheme135", "scheme225", "scheme448", "conference24", "gcm48")
-    for transform in (list, _swapped, _permuted)
+    for transform in (_as_built, _swapped, _permuted)
     if transform is not _permuted or source not in ("scheme225", "scheme448")
 ]
 
@@ -591,7 +622,7 @@ _FIXTURE_READINGS = [
 def test_spectra_match_coefficient_algebra(source, transform, request):
     # every extraction candidate, failing labelings included, against the
     # coefficient algebra of p and against the entrywise Surd route
-    report = extract_linked_system(transform(request.getfixturevalue(source).matrices))
+    report = extract_linked_system(classes_of(transform(request.getfixturevalue(source).relation)))
     for cand in report.candidates:
         pp = _relabel_p(report.p, cand.labels)
         ref = _spectra_by_coefficient_algebra(pp, cand.params)
@@ -720,14 +751,14 @@ def test_scheme_krein_matches_surd_route(source, request):
 # -- certification through the linked system, against the dense route ------------------
 
 
-def _order_aligned_at_first_points(mats, labels, m, n):
+def _order_aligned_at_first_points(relation, labels, m, n):
     """Reference canonical order: the groups of each later fiber aligned by
     the A_5-neighbours of the first point of each group of fiber 0 only;
     A_5 is not compared with its pattern."""
     c0, c1, c2, _, _, c5 = labels
-    fibers = sorted(_equivalence_classes(mats[c0].a + mats[c1].a + mats[c2].a), key=min)
-    group_of = {x: g for g in _equivalence_classes(mats[c0].a + mats[c1].a) for x in g}
-    a5 = mats[c5].a
+    fibers = sorted(_equivalence_classes(relation, (c0, c1, c2)), key=min)
+    group_of = {x: g for g in _equivalence_classes(relation, (c0, c1)) for x in g}
+    a5 = relation == c5
     ref_groups = sorted({group_of[x] for x in fibers[0]}, key=min)
     order = []
     for t, fib in enumerate(fibers):
@@ -746,16 +777,17 @@ def _order_aligned_at_first_points(mats, labels, m, n):
     return order
 
 
-def _extract_by_dense_route(mats):
+def _extract_by_dense_route(classes):
     """Reference route: the dense axioms and p first, then every labeling
     certified by the linked system read off the permuted A_3 alone.  Returns
     p, the axiom certificate and (labels, spectra_match, certified) per
     candidate, in report order."""
-    p, cert = compute_intersection_numbers(mats)
+    p, cert = compute_intersection_numbers(classes)
     if p is None:
         raise CertificationError("input fails the scheme axioms", cert)
+    relation = relation_from_classes(classes)[0]
     rows = []
-    for lab in _identify_labelings(mats, p):
+    for lab in _identify_labelings(relation, p):
         labels, m, n, f = lab["labels"], lab["m"], lab["n"], lab["f"]
         pp = _relabel_p(p, labels)
         if any(pp[3][3][c] % (f - 1) for c in (0, 1, 2)):
@@ -771,10 +803,10 @@ def _extract_by_dense_route(mats):
         except ParameterError:
             continue
         certified = False
-        order = _order_aligned_at_first_points(mats, labels, m, n)
+        order = _order_aligned_at_first_points(relation, labels, m, n)
         if order is not None:
             perm = np.array(order)
-            a3 = mats[labels[3]].a[np.ix_(perm, perm)]
+            a3 = (relation == labels[3])[np.ix_(perm, perm)].astype(np.int64)
             mn = m * n
             try:
                 blocks = {
@@ -794,65 +826,63 @@ def _extract_by_dense_route(mats):
     return p, cert, rows
 
 
-@pytest.mark.parametrize("transform", [list, _swapped, _permuted], ids=["as-built", "swapped", "permuted"])
+@pytest.mark.parametrize("transform", [_as_built, _swapped, _permuted], ids=["as-built", "swapped", "permuted"])
 @pytest.mark.parametrize("source", ["scheme48", "scheme135", "scheme225", "conference24", "gcm48"])
 def test_extract_matches_dense_route(source, transform, request):
-    mats = transform(request.getfixturevalue(source).matrices)
-    report = extract_linked_system(mats)
-    p, cert, rows = _extract_by_dense_route(mats)
+    classes = classes_of(transform(request.getfixturevalue(source).relation))
+    report = extract_linked_system(classes)
+    p, cert, rows = _extract_by_dense_route(classes)
     assert report.p == p
     assert report.certificate.report_lines() == cert.report_lines()
     assert [(c.labels, c.spectra_match, c.certified) for c in report.candidates] == rows
     assert report.primary.certified
 
 
-def _pair_moved(mats, src, dst, pair):
+def _pair_moved(relation, src, dst, pair):
     """Move the symmetric pair of entries ``pair`` from class src to dst,
     which keeps every class 0/1 and symmetric and their sum J."""
-    mats = list(mats)
-    a_src, a_dst = mats[src].a.copy(), mats[dst].a.copy()
+    relation = relation.copy()
     x, y = pair
     for r, c in ((x, y), (y, x)):
-        assert a_src[r, c] == 1
-        a_src[r, c], a_dst[r, c] = 0, 1
-    mats[src], mats[dst] = IntMatrix(a_src), IntMatrix(a_dst)
-    return mats
+        assert relation[r, c] == src
+        relation[r, c] = dst
+    return relation
 
 
-def _switched(mats):
+def _switched(relation):
     """Trade two A_5 pairs {a, b}, {c, d} for the A_4 pairs {a, d}, {c, b},
     away from the first fiber of the 48-vertex scheme, whose points align
     the groups: every row sum of every class stays, so only the pattern of
     A_5 or the dense route tells."""
-    edges = [(a, b) for a, b in zip(*np.nonzero(np.triu(mats[5].a))) if a >= 16]
+    edges = [(a, b) for a, b in zip(*np.nonzero(np.triu(relation == 5))) if a >= 16]
     a, b, c, d = next(
         (a, b, c, d) for a, b in edges for c, d in edges
-        if len({a, b, c, d}) == 4 and mats[4].a[a, d] and mats[4].a[c, b]
+        if len({a, b, c, d}) == 4 and relation[a, d] == 4 and relation[c, b] == 4
     )
-    mats = _pair_moved(_pair_moved(mats, 5, 4, (a, b)), 5, 4, (c, d))
-    return _pair_moved(_pair_moved(mats, 4, 5, (a, d)), 4, 5, (c, b))
+    relation = _pair_moved(_pair_moved(relation, 5, 4, (a, b)), 5, 4, (c, d))
+    return _pair_moved(_pair_moved(relation, 4, 5, (a, d)), 4, 5, (c, b))
 
 
 def _control(name, scheme48, non_transposed_pair):
     if name == "non-transposed":
         return scheme_matrices_from_system(non_transposed_pair)
     if name == "move54-17-33":
-        return _pair_moved(scheme48.matrices, 5, 4, (17, 33))
+        return _pair_moved(scheme48.relation, 5, 4, (17, 33))
     if name == "switch54":
-        return _switched(scheme48.matrices)
+        return _switched(scheme48.relation)
     rng = random.Random(int(name.rsplit("-", 1)[1]))
-    pairs = [(x, y) for x, y in zip(*np.nonzero(scheme48.matrices[3].a)) if x < y]
-    return _pair_moved(scheme48.matrices, 3, 4, rng.choice(pairs))
+    pairs = [(x, y) for x, y in zip(*np.nonzero(scheme48.relation == 3)) if x < y]
+    return _pair_moved(scheme48.relation, 3, 4, rng.choice(pairs))
 
 
 @pytest.mark.parametrize("name", [f"move34-{seed}" for seed in range(6)] + ["move54-17-33", "switch54", "non-transposed"])
 def test_negative_controls_fail_as_on_the_dense_route(name, scheme48, non_transposed_pair):
-    mats = _control(name, scheme48, non_transposed_pair)
+    classes = classes_of(_control(name, scheme48, non_transposed_pair))
     with pytest.raises(CertificationError) as ref:
-        _extract_by_dense_route(mats)
+        _extract_by_dense_route(classes)
     for route in (extract_linked_system, load_scheme):
         with pytest.raises(CertificationError) as exc:
-            route(mats)
+            route(classes)
         assert str(exc.value) == str(ref.value) == "input fails the scheme axioms"
         assert exc.value.report.report_lines() == ref.value.report.report_lines()
 
@@ -863,16 +893,16 @@ def test_a5_pattern_is_checked(name, scheme48, sys16):
     # pairs, keeps the groups, the fibers, the first-point alignment and A_3,
     # so the system read off A_3 is sys16 and certifies; only A_5's pattern,
     # or the dense route, tells
-    mats = _control(name, scheme48, None)
-    p, cert = compute_intersection_numbers(mats)
+    relation = _control(name, scheme48, None)
+    p, cert = compute_intersection_numbers(classes_of(relation))
     assert p is None and not cert.ok
     if name == "move54-17-33":
         assert [v.identity for v in cert.violations] == ["A_1 A_3 is not constant on class 4"]
     labels = tuple(range(CLASSES))
-    assert _order_aligned_at_first_points(mats, labels, 4, 4) == list(range(48))
-    assert scheme_matrices_from_system(sys16)[3] == mats[3]
-    assert _canonical_vertex_order(scheme48.matrices, labels, 4, 4) == list(range(48))
-    assert _canonical_vertex_order(mats, labels, 4, 4) is None
+    assert _order_aligned_at_first_points(relation, labels, 4, 4) == list(range(48))
+    assert np.array_equal(scheme_matrices_from_system(sys16) == 3, relation == 3)
+    assert _canonical_vertex_order(scheme48.relation, labels, 4, 4) == list(range(48))
+    assert _canonical_vertex_order(relation, labels, 4, 4) is None
 
 
 @pytest.mark.parametrize("source", ["sys16", "sys45", "conference12", "gcm24"])
@@ -889,12 +919,13 @@ def test_no_product_of_order_x_on_certifying_inputs(source, request, monkeypatch
 
     dense = []
     monkeypatch.setattr(IntMatrix, "__matmul__", spied)
-    monkeypatch.setattr(sgdd.schemes, "compute_intersection_numbers", lambda mats: dense.append(mats))
+    monkeypatch.setattr(sgdd.schemes, "compute_intersection_numbers", lambda classes: dense.append(classes))
     scheme = assemble_scheme(system)
     size = scheme.size
-    for mats in (scheme.matrices, _swapped(scheme.matrices), _permuted(scheme.matrices)):
-        assert extract_linked_system(mats).primary.certified
-        assert load_scheme(mats)[0].certificate.checks == scheme.certificate.checks
+    for relation in (scheme.relation, _swapped(scheme.relation), _permuted(scheme.relation)):
+        classes = classes_of(relation)
+        assert extract_linked_system(classes).primary.certified
+        assert load_scheme(classes)[0].certificate.checks == scheme.certificate.checks
     assert shapes and (size, size, size) not in shapes
     assert max(rows for rows, _, _ in shapes) < size
     assert dense == []

@@ -1,0 +1,31 @@
+"""The scripts in ``scripts/`` run end to end and write what the CLI and the
+golden tables hold."""
+
+import runpy
+import sys
+from pathlib import Path
+
+from sgdd.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name: str, *argv: str, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
+
+
+def test_build_witnesses_writes_what_the_cli_assembles(tmp_path: Path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    _run_script("build_witnesses.py", "--skip-search", "--out", str(out), monkeypatch=monkeypatch)
+    assert "extraction round-trip: True" in capsys.readouterr().out
+    cli_scm = tmp_path / "cli.scm"
+    assert main(["scheme", "assemble", "--in", str(out / "sys16.lsys"), "-o", str(cli_scm)]) == 0
+    assert (out / "scheme48.scm").read_bytes() == cli_scm.read_bytes()
+
+
+def test_reproduce_tables_writes_the_golden_tables(tmp_path: Path, monkeypatch):
+    out = tmp_path / "out"
+    _run_script("reproduce_tables.py", "--out", str(out), monkeypatch=monkeypatch)
+    for name in ("table1.csv", "table2.csv"):
+        assert (out / name).read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes()
