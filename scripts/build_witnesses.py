@@ -49,10 +49,9 @@ def main():
     (out / "gf4.fam").write_text(fileio.format_linked_family(fam4))
     (out / "sys16.lsys").write_text(fileio.format_linked_system(sys16))
     scheme48 = assemble_scheme(sys16)
-    scheme48_text = fileio.format_scheme_matrices(scheme48.relation)
-    (out / "scheme48.scm").write_text(scheme48_text)
+    (out / "scheme48.scm").write_text(fileio.format_scheme_matrices(scheme48.relation))
     fusion = check_fusion(scheme48)
-    roundtrip = extract_linked_system(fileio.parse_scheme_matrices(scheme48_text)).primary
+    roundtrip = extract_linked_system(fileio.parse_scheme_matrices((out / "scheme48.scm").read_bytes())).primary
     print(f"   system {sys16.params.base} triple {(sys16.params.sigma, sys16.params.tau, sys16.params.rho)}")
     print(f"   48-vertex scheme certified; fusable: {fusion.fusable}; "
           f"extraction round-trip: {all(roundtrip.system.blocks[p].mat == sys16.blocks[p].mat for p in sys16.blocks)}")

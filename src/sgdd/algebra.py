@@ -368,10 +368,8 @@ class IntMatrix:
         other = other.a if isinstance(other, IntMatrix) else other
         if self.a.shape != other.shape:
             return (0, 0)
-        diff = np.argwhere(self.a != other)
-        if diff.size == 0:
-            return None
-        return int(diff[0][0]), int(diff[0][1])
+        diff = self.a != other
+        return divmod(int(np.argmax(diff)), diff.shape[1]) if diff.any() else None
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"

@@ -45,12 +45,11 @@ from .schemes import (
 OK, VIOLATION, USAGE = 0, 1, 2
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> bytes:
     data = Path(path).read_bytes()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: non-ASCII byte 0x{data[exc.start]:02x} at offset {exc.start}") from None
+    if (at := fileio.first_non_ascii(data)) is not None:
+        raise FormatError(f"{path}: non-ASCII byte 0x{data[at]:02x} at offset {at}")
+    return data
 
 
 def _write(path: str, text: str):
@@ -169,17 +168,15 @@ def _cmd_verify(args) -> int:
         aux = fileio.parse_auxiliary_set(_read(args.input))
         return _report(verify_auxiliary(aux))
     if sub == "latin":
-        text = _read(args.input)
-        # the first non-blank line, as the parsers read it
-        header = next((line.split() for line in text.splitlines() if line.strip()), [])
-        if len(header) == 2:
-            fam = fileio.parse_linked_family(text)
+        data = _read(args.input)
+        if len(fileio.Lines(data, "latin square").next().split()) == 2:
+            fam = fileio.parse_linked_family(data)
             cert = verify_linked(fam)
             for v in cert.violations:
                 print(f"violation: {v}")
             print(f"linked family f={fam.f} order={fam.order}: {'OK' if cert.ok else 'VIOLATED'}")
             return OK if cert.ok else VIOLATION
-        fileio.parse_latin_square(text)
+        fileio.parse_latin_square(data)
         print("latin square: OK")
         return OK
     if sub == "linked-system":

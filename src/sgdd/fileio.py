@@ -17,20 +17,21 @@ Everything is line-oriented ASCII so artifacts diff cleanly:
 * matrix set ........... ``order count`` then the matrices (Hadamard or
                          weighing collections)
 
-Writers always end files with a newline; readers reject trailing junk, so a
-write/read/write round trip is byte-identical.  The CLI reads files as ASCII
-and reports any other byte as a ``FormatError``; every ``parse_*`` function
-refuses non-ASCII text the same way.
+Writers return ``str`` and end files with a newline; readers reject trailing
+junk, so a write/read/write round trip is byte-identical.  Parsers take the
+file's ``bytes``, refuse any byte past 0x7F, end lines where ``str.splitlines``
+would and decode only the lines they read as tokens.
 
-A matrix block whose rows are single digits joined by single spaces is read
-and written through one ``uint8`` view of the block.  Every other block
-takes the token reader, so every error names the same line either way.
-Scheme class blocks stay ``uint8`` as read, and a scheme is written from its
-class-label array R, class i as R == i; other matrices become ``IntMatrix``.
+A block of single-digit rows joined by single spaces, each ending in a line
+feed, is viewed in place as ``uint8`` and written from one byte buffer; every
+other block takes the token reader, so every error names the same line either
+way.  Scheme class blocks stay ``uint8`` as read, and a scheme is written from
+its class-label array R, class i as R == i; other matrices become ``IntMatrix``.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from itertools import chain
 
@@ -44,28 +45,46 @@ from .linked import CyclicGroup, GcmMatrix, LinkedParams, LinkedSystemII
 from .resolvable import AuxiliarySet, auxiliary_set
 
 
-def _check_ascii(text: str, what: str) -> None:
-    """Refuse text that is not ASCII, as no format here is: int() would also
+# the ASCII line boundaries of str.splitlines
+_LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+
+
+def first_non_ascii(data: bytes) -> int | None:
+    """The offset of the first byte past 0x7F, or None when ``data`` is ASCII."""
+    return None if data.isascii() else re.search(rb"[\x80-\xff]", data).start()
+
+
+def _check_ascii(data: bytes, what: str) -> None:
+    """Refuse bytes that are not ASCII, as no format here is: int() would also
     read other scripts' digits, such as Arabic-Indic ones."""
-    if not text.isascii():
-        at = next(i for i, ch in enumerate(text) if not ch.isascii())
-        line = len((text[:at] + "x").splitlines())
-        raise FormatError(f"{what}: non-ASCII character U+{ord(text[at]):04X} on line {line}")
+    if (at := first_non_ascii(data)) is not None:
+        line = len(_LINE_END.findall(data, 0, at)) + 1
+        raise FormatError(f"{what}: non-ASCII byte 0x{data[at]:02x} on line {line}")
 
 
-class _Lines:
-    def __init__(self, text: str, what: str):
-        _check_ascii(text, what)
-        self.lines = text.splitlines()
+class Lines:
+    """A file's lines, read from byte offset ``at``, ``pos`` of them so far;
+    each is decoded when read, so strip, split and int() keep their meaning."""
+
+    def __init__(self, data: bytes, what: str):
+        _check_ascii(data, what)
+        self.data = data
+        self.at = 0
         self.pos = 0
         self.what = what
 
-    def next(self) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
+    def __iter__(self) -> Iterator[str]:
+        """The remaining non-blank lines, stripped."""
+        while self.at < len(self.data):
+            start, end = self.at, _LINE_END.search(self.data, self.at)
+            stop, self.at = end.span() if end else (len(self.data),) * 2
             self.pos += 1
-            if line:
-                return line
+            if line := self.data[start:stop].decode("ascii").strip():
+                yield line
+
+    def next(self) -> str:
+        for line in self:
+            return line
         raise FormatError(f"{self.what}: unexpected end of file")
 
     def ints(self, expect: int | None = None) -> list[int]:
@@ -79,10 +98,8 @@ class _Lines:
         return vals
 
     def done(self):
-        while self.pos < len(self.lines):
-            if self.lines[self.pos].strip():
-                raise FormatError(f"{self.what}: trailing content at line {self.pos + 1}")
-            self.pos += 1
+        for _ in self:
+            raise FormatError(f"{self.what}: trailing content at line {self.pos}")
 
 
 # -- matrix v1 ---------------------------------------------------------------
@@ -104,25 +121,23 @@ def format_matrix(m: IntMatrix) -> str:
     return f"{m.rows} {m.cols}\n{body}"
 
 
-def _read_digit_block(lines: _Lines, rows: int, cols: int) -> np.ndarray | None:
-    """The next ``rows`` lines as a uint8 array when each one is ``cols``
-    single digits joined by single spaces, read through one byte view and
-    with ``lines`` moved past them; otherwise None, with ``lines`` unmoved."""
-    block = lines.lines[lines.pos : lines.pos + rows]
-    if len(block) != rows or any(len(line) != 2 * cols - 1 for line in block):
+def _read_digit_block(lines: Lines, rows: int, cols: int) -> np.ndarray | None:
+    """The next ``rows`` lines as uint8, viewed in place, when each is ``cols``
+    single digits joined by single spaces and ends in a line feed, with
+    ``lines`` moved past them; otherwise None, with ``lines`` unmoved."""
+    size = rows * 2 * cols
+    if lines.at + size > len(lines.data):
         return None
-    # Each row ends in the space that joins it to the next, so every odd byte
-    # must be a space.  _Lines has refused non-ASCII text.
-    raw = (" ".join(block) + " ").encode("ascii")
-    view = np.frombuffer(raw, dtype=np.uint8).reshape(rows, 2 * cols)
+    view = np.frombuffer(lines.data, dtype=np.uint8, count=size, offset=lines.at).reshape(rows, 2 * cols)
     digits = view[:, 0::2] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
-    if not ((digits <= 9).all() and (view[:, 1::2] == ord(" ")).all()):
+    if not ((digits <= 9).all() and (view[:, 1:-1:2] == ord(" ")).all() and (view[:, -1] == ord("\n")).all()):
         return None
+    lines.at += size
     lines.pos += rows
     return digits
 
 
-def _read_matrix(lines: _Lines) -> np.ndarray:
+def _read_matrix(lines: Lines) -> np.ndarray:
     """The next block as written: uint8 for single digits, else int64 or Python integers."""
     rows, cols = lines.ints(2)
     if rows < 1 or cols < 1:
@@ -130,7 +145,7 @@ def _read_matrix(lines: _Lines) -> np.ndarray:
     digits = _read_digit_block(lines, rows, cols)
     if digits is not None:
         return digits
-    start = lines.pos
+    start = lines.at, lines.pos
     try:
         arr = np.array([lines.next().split() for _ in range(rows)], dtype=np.int64)
         if arr.shape == (rows, cols):
@@ -139,12 +154,12 @@ def _read_matrix(lines: _Lines) -> np.ndarray:
         pass
     # A malformed block, or entries past int64: read it again row by row,
     # which names the first bad line and keeps big entries as Python integers.
-    lines.pos = start
+    lines.at, lines.pos = start
     return IntMatrix([lines.ints(cols) for _ in range(rows)]).a
 
 
-def parse_matrix(text: str) -> IntMatrix:
-    lines = _Lines(text, "matrix")
+def parse_matrix(data: bytes) -> IntMatrix:
+    lines = Lines(data, "matrix")
     m = IntMatrix(_read_matrix(lines))
     lines.done()
     return m
@@ -160,13 +175,9 @@ def format_gdd_params(p: GddParams) -> str:
     return "".join(f"{key}={val}\n" for key, val in zip(_PARAM_KEYS, vals))
 
 
-def parse_gdd_params(text: str) -> GddParams:
-    _check_ascii(text, "parameters")
+def parse_gdd_params(data: bytes) -> GddParams:
     got = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
+    for line in Lines(data, "parameters"):
         if "=" not in line:
             raise FormatError(f"parameters: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
@@ -184,8 +195,8 @@ def parse_gdd_params(text: str) -> GddParams:
 
 
 def parse_inline_gdd_params(text: str) -> GddParams:
-    """Six whitespace-separated integers: v k m n l1 l2."""
-    _check_ascii(text, "parameters")
+    """Six whitespace-separated integers: v k m n l1 l2, from argv."""
+    _check_ascii(text.encode("utf-8", "surrogateescape"), "parameters")
     parts = text.split()
     if len(parts) != 6:
         raise FormatError("expected six integers: v k m n l1 l2")
@@ -203,9 +214,9 @@ def format_auxiliary_set(aux: AuxiliarySet) -> str:
     return head + "".join(format_matrix(c) for c in aux.matrices)
 
 
-def parse_auxiliary_set(text: str) -> AuxiliarySet:
+def parse_auxiliary_set(data: bytes) -> AuxiliarySet:
     """The set as written, uncertified: ``verify_auxiliary`` certifies it."""
-    lines = _Lines(text, "auxiliary set")
+    lines = Lines(data, "auxiliary set")
     v, r = lines.ints(2)
     mats = [IntMatrix(_read_matrix(lines)) for _ in range(r)]
     lines.done()
@@ -221,12 +232,12 @@ def format_latin_square(sq: LatinSquare) -> str:
     return f"{sq.order}\n{body}\n"
 
 
-def _read_latin_rows(lines: _Lines, n: int) -> LatinSquare:
+def _read_latin_rows(lines: Lines, n: int) -> LatinSquare:
     return LatinSquare.of([lines.ints(n) for _ in range(n)])
 
 
-def parse_latin_square(text: str) -> LatinSquare:
-    lines = _Lines(text, "latin square")
+def parse_latin_square(data: bytes) -> LatinSquare:
+    lines = Lines(data, "latin square")
     (n,) = lines.ints(1)
     sq = _read_latin_rows(lines, n)
     lines.done()
@@ -247,12 +258,10 @@ def format_linked_family(fam: LinkedMolsFamily) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_linked_family(text: str) -> LinkedMolsFamily:
-    lines = _Lines(text, "linked family")
+def parse_linked_family(data: bytes) -> LinkedMolsFamily:
+    lines = Lines(data, "linked family")
     f, n = lines.ints(2)
-    squares = {}
-    for pair in family_pair_order(f):
-        squares[pair] = _read_latin_rows(lines, n)
+    squares = {pair: _read_latin_rows(lines, n) for pair in family_pair_order(f)}
     lines.done()
     return LinkedMolsFamily(f=f, order=n, squares=squares)
 
@@ -267,8 +276,8 @@ def format_mols_list(squares: list[LatinSquare]) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_mols_list(text: str) -> list[LatinSquare]:
-    lines = _Lines(text, "MOLS list")
+def parse_mols_list(data: bytes) -> list[LatinSquare]:
+    lines = Lines(data, "MOLS list")
     count, n = lines.ints(2)
     out = [_read_latin_rows(lines, n) for _ in range(count)]
     lines.done()
@@ -293,26 +302,20 @@ def format_linked_system(sys: LinkedSystemII) -> str:
     return head + body
 
 
-def parse_linked_system(text: str) -> LinkedSystemII:
-    lines = _Lines(text, "linked system")
+def parse_linked_system(data: bytes) -> LinkedSystemII:
+    lines = Lines(data, "linked system")
     parts = lines.next().split()
     if len(parts) != 10:
         raise FormatError("linked system: header needs 10 fields")
     try:
         f, v, m, n, k, l1, l2 = (int(x) for x in parts[:7])
-        triple = None if parts[7] == "-" else tuple(int(x) for x in parts[7:])
+        sigma, tau, rho = (None,) * 3 if parts[7] == "-" else (int(x) for x in parts[7:])
     except ValueError as exc:
         raise FormatError("linked system: bad header field") from exc
-    base = GddParams(v, k, m, n, l1, l2)
-    if triple is None:
-        params = LinkedParams(base=base, f=f, sigma=None, tau=None, rho=None)
-    else:
-        params = LinkedParams(base=base, f=f, sigma=triple[0], tau=triple[1], rho=triple[2])
+    params = LinkedParams(base=GddParams(v, k, m, n, l1, l2), f=f, sigma=sigma, tau=tau, rho=rho)
     # lexicographic already; generated lazily so the header's f sizes no work
     pairs = ((i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j)
-    blocks = {}
-    for pair in pairs:
-        blocks[pair] = IncidenceMatrix(IntMatrix(_read_matrix(lines)), m, n)
+    blocks = {pair: IncidenceMatrix(IntMatrix(_read_matrix(lines)), m, n) for pair in pairs}
     lines.done()
     return LinkedSystemII(params=params, blocks=blocks)
 
@@ -325,9 +328,9 @@ def format_scheme_matrices(relation: np.ndarray) -> str:
     return "".join([f"{d} {size}\n"] + [f"{size} {size}\n" + _digit_rows(relation == i) for i in range(d + 1)])
 
 
-def parse_scheme_matrices(text: str) -> list[np.ndarray]:
+def parse_scheme_matrices(data: bytes) -> list[np.ndarray]:
     """The d + 1 classes as written; ``schemes.relation_from_classes`` certifies them."""
-    lines = _Lines(text, "scheme")
+    lines = Lines(data, "scheme")
     d, size = lines.ints(2)
     if d < 0:
         raise FormatError("scheme: class count must be non-negative")
@@ -346,8 +349,8 @@ def format_gcm(gcm: GcmMatrix) -> str:
     return head + body + "\n"
 
 
-def parse_gcm(text: str) -> GcmMatrix:
-    lines = _Lines(text, "group-entry matrix")
+def parse_gcm(data: bytes) -> GcmMatrix:
+    lines = Lines(data, "group-entry matrix")
     order, g = lines.ints(2)
     rows = [lines.ints(order) for _ in range(order)]
     lines.done()
@@ -363,8 +366,8 @@ def format_matrix_set(mats: list[IntMatrix]) -> str:
     return head + "".join(format_matrix(m) for m in mats)
 
 
-def parse_matrix_set(text: str) -> list[IntMatrix]:
-    lines = _Lines(text, "matrix set")
+def parse_matrix_set(data: bytes) -> list[IntMatrix]:
+    lines = Lines(data, "matrix set")
     order, count = lines.ints(2)
     mats = [IntMatrix(_read_matrix(lines)) for _ in range(count)]
     lines.done()

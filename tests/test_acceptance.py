@@ -233,7 +233,7 @@ def test_criterion_9_property_suites(sys16, sys45, scheme48, scheme135, conferen
     # extract(assemble(system)) reproduces the blocks exactly
     for scheme, system in ((scheme48, sys16), (scheme135, sys45)):
         text = fileio.format_scheme_matrices(scheme.relation)
-        primary = extract_linked_system(fileio.parse_scheme_matrices(text)).primary
+        primary = extract_linked_system(fileio.parse_scheme_matrices(text.encode())).primary
         for pair, blk in system.blocks.items():
             assert primary.system.blocks[pair].mat == blk.mat
 

@@ -240,6 +240,11 @@ def test_first_difference_is_row_major():
     b = IntMatrix([[1, 0], [0, 4]])
     assert a.first_difference(b) == (0, 1)
     assert a.first_difference(a) is None
+    assert a.first_difference(np.array([[1, 2], [3, 5]], dtype=object)) == (1, 1)
+    assert IntMatrix([[2**64, 0], [1, 1]]).first_difference(a) == (0, 0)
+    assert a.first_difference(IntMatrix([[1, 2, 0], [3, 4, 0]])) == (0, 0)
+    assert a.first_difference(np.broadcast_to(1, (2, 2))) == (0, 1)
+    assert IntMatrix([[1, 2, 3], [4, 5, 6]]).first_difference(IntMatrix([[1, 2, 3], [0, 5, 0]])) == (1, 0)
 
 
 @given(rationals, rationals, rationals, rationals)

@@ -15,6 +15,8 @@ from sgdd.cli import main
 from sgdd.errors import FormatError
 from sgdd.schemes import relation_from_classes
 
+import str_line_route as str_route
+
 
 def run_cli(*argv) -> tuple[int, str]:
     buf = io.StringIO()
@@ -27,16 +29,16 @@ def test_matrix_roundtrip_bit_identical():
     m = IntMatrix([[1, -2, 3], [0, 5, -6]])
     text = fileio.format_matrix(m)
     assert text == "2 3\n1 -2 3\n0 5 -6\n"
-    again = fileio.parse_matrix(text)
+    again = fileio.parse_matrix(text.encode())
     assert again == m
     assert fileio.format_matrix(again) == text
 
 
 def test_matrix_rejects_trailing_junk():
     with pytest.raises(FormatError):
-        fileio.parse_matrix("1 1\n5\nextra\n")
+        fileio.parse_matrix(b"1 1\n5\nextra\n")
     with pytest.raises(FormatError):
-        fileio.parse_matrix("2 2\n1 2\n3\n")
+        fileio.parse_matrix(b"2 2\n1 2\n3\n")
 
 
 def _read_matrix_per_entry(lines):
@@ -79,6 +81,25 @@ MATRIX_TEXTS = {
     "digits-no-final-newline": "2 3\n1 0 1\n0 9 0",
     "digits-short-then-long": "2 3\n1 0\n1 0 9 0\n",
     "digits-non-ascii-digit": "2 3\n1 0 1\n0 \u0663 0\n",
+    # row ends other than "\n", which the byte view leaves to the token reader
+    "digits-lone-cr": "2 3\r1 0 1\r0 9 0\r",
+    "digits-vt": "2 3\x0b1 0 1\x0b0 9 0\x0b",
+    "digits-ff": "2 3\x0c1 0 1\x0c0 9 0\x0c",
+    "digits-fs": "2 3\x1c1 0 1\x1c0 9 0\x1c",
+    "digits-gs": "2 3\x1d1 0 1\x1d0 9 0\x1d",
+    "digits-rs": "2 3\x1e1 0 1\x1e0 9 0\x1e",
+    "digits-crlf-no-final-newline": "2 3\r\n1 0 1\r\n0 9 0",
+    # \x1f is whitespace to str.split but ends no line
+    "digits-unit-separator": "2 3\n1 0\x1f1\n0 9 0\n",
+    "digits-rows-past-eof": "3 3\n1 0 1\n0 9 0\n",
+    "crlf-bad-token": "2 2\r\n1 0\r\n0 x\r\n",
+}
+
+# Digit blocks whose rows do not all end in "\n": the str route views them
+# as uint8, the byte route reads the same values as int64.
+NOT_LF_ROWS = {
+    "digits-crlf", "digits-no-final-newline", "digits-lone-cr", "digits-vt", "digits-ff",
+    "digits-fs", "digits-gs", "digits-rs", "digits-crlf-no-final-newline",
 }
 
 MATRIX_ERRORS = {
@@ -95,32 +116,55 @@ MATRIX_ERRORS = {
     "trailing": "matrix: trailing content at line 4",
     "digits-ten-same-width": "matrix: expected 3 integers on line 3",
     "digits-short-then-long": "matrix: expected 3 integers on line 2",
-    "digits-non-ascii-digit": "matrix: non-ASCII character U+0663 on line 3",
+    "digits-non-ascii-digit": "matrix: non-ASCII byte 0xd9 on line 3",
+    "digits-rows-past-eof": "matrix: unexpected end of file",
+    "crlf-bad-token": "matrix: non-integer token on line 3",
 }
 
 
-def _read_matrix(lines):
-    """The package's block reader, as the IntMatrix every matrix parser makes of it."""
-    return IntMatrix(fileio._read_matrix(lines))
+def _byte_lines(text):
+    return fileio.Lines(text.encode(), "matrix")
 
 
-def _parse_outcome(read, text):
+def _str_lines(text):
+    return str_route.Lines(text, "matrix")
+
+
+def _block_outcome(read, text, lines_of=_byte_lines):
+    """The block as read, its dtype and rows, or the error text."""
     try:
-        lines = fileio._Lines(text, "matrix")
-        m = read(lines)
+        lines = lines_of(text)
+        a = read(lines)
         lines.done()
     except FormatError as exc:
         return "error", str(exc)
-    return m.a.dtype, [m.row(i) for i in range(m.rows)]
+    return a.dtype, a.tolist()
+
+
+def _parse_outcome(read, text, lines_of=_byte_lines):
+    """The block as the IntMatrix every matrix parser makes of it, or the error text."""
+    return _block_outcome(lambda lines: IntMatrix(read(lines)).a, text, lines_of)
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX_TEXTS))
 def test_matrix_parse_matches_per_entry_reader(name):
     text = MATRIX_TEXTS[name]
-    got = _parse_outcome(_read_matrix, text)
+    got = _parse_outcome(fileio._read_matrix, text)
     assert got == _parse_outcome(_read_matrix_per_entry, text)
     if name in MATRIX_ERRORS:
         assert got == ("error", MATRIX_ERRORS[name])
+
+
+@pytest.mark.parametrize("name", sorted(name for name, text in MATRIX_TEXTS.items() if text.isascii()))
+def test_byte_reader_matches_str_route(name):
+    """Value, dtype and error text of the byte reader equal those of the
+    decoded-text reader it replaced."""
+    text = MATRIX_TEXTS[name]
+    want = _block_outcome(str_route.read_matrix, text, _str_lines)
+    if name in NOT_LF_ROWS:
+        assert want[0] == np.uint8
+        want = (np.dtype(np.int64), want[1])
+    assert _block_outcome(fileio._read_matrix, text) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,7 +173,7 @@ def test_matrix_parse_matches_per_entry_reader(name):
         lambda cols: st.lists(st.lists(st.integers(0, 9), min_size=cols, max_size=cols), min_size=1, max_size=12)
     ),
     edit=st.sampled_from(["replace", "insert", "delete"]),
-    char=st.sampled_from("0123456789 \t\n\r\x0b-+_x\xe9\u0663"),
+    char=st.sampled_from("0123456789 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f-+_x\xe9\u0663"),
     data=st.data(),
 )
 def test_mutated_digit_block_parses_like_per_entry_reader(grid, edit, char, data):
@@ -139,7 +183,10 @@ def test_mutated_digit_block_parses_like_per_entry_reader(grid, edit, char, data
     at = data.draw(st.integers(0, len(body) - 1))
     tail = body[at + 1 :] if edit != "insert" else body[at:]
     text = head + body[:at] + ("" if edit == "delete" else char) + tail
-    assert _parse_outcome(_read_matrix, text) == _parse_outcome(_read_matrix_per_entry, text)
+    got = _parse_outcome(fileio._read_matrix, text)
+    assert got == _parse_outcome(_read_matrix_per_entry, text)
+    if text.isascii():
+        assert got == _parse_outcome(str_route.read_matrix, text, _str_lines)
 
 
 @pytest.fixture
@@ -147,32 +194,46 @@ def line_reads(monkeypatch):
     """How many lines the matrix readers take one at a time, by method."""
     counts = {"ints": 0, "next": 0}
     for name in counts:
-        method = getattr(fileio._Lines, name)
+        method = getattr(fileio.Lines, name)
 
         def counted(self, *args, _name=name, _method=method):
             counts[_name] += 1
             return _method(self, *args)
 
-        monkeypatch.setattr(fileio._Lines, name, counted)
+        monkeypatch.setattr(fileio.Lines, name, counted)
     return counts
 
 
 def test_written_digit_blocks_take_the_byte_view(scheme448, sys64, line_reads):
     """Parsing what the writers produce reads only the header lines one at a
     time: no block goes through the per-entry or the token reader."""
-    mats = fileio.parse_scheme_matrices(fileio.format_scheme_matrices(scheme448.relation))
+    mats = fileio.parse_scheme_matrices(fileio.format_scheme_matrices(scheme448.relation).encode())
     assert [a.dtype for a in mats] == [np.uint8] * 6
     assert all(np.array_equal(a, scheme448.relation == i) for i, a in enumerate(mats))
     assert line_reads == {"ints": 1 + 6, "next": 1 + 6}
     line_reads.update(ints=0, next=0)
-    system = fileio.parse_linked_system(fileio.format_linked_system(sys64))
+    system = fileio.parse_linked_system(fileio.format_linked_system(sys64).encode())
     assert system.blocks == sys64.blocks
     assert line_reads == {"ints": 42, "next": 1 + 42}
 
 
+def test_scheme_parse_from_bytes_peaks_below_the_file_size(scheme448):
+    """The six class blocks are viewed in place in the file's bytes: no
+    decoded copy and no line list (together over twice the file size)."""
+    data = fileio.format_scheme_matrices(scheme448.relation).encode()
+    tracemalloc.start()
+    try:
+        mats = fileio.parse_scheme_matrices(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [a.dtype for a in mats] == [np.uint8] * 6
+    assert peak < 0.75 * len(data)
+
+
 def test_matrix_parse_keeps_entries_past_int64():
-    assert fileio.parse_matrix(MATRIX_TEXTS["int64-edges"]).a.dtype == np.int64
-    big = fileio.parse_matrix(MATRIX_TEXTS["past-int64"])
+    assert fileio.parse_matrix(MATRIX_TEXTS["int64-edges"].encode()).a.dtype == np.int64
+    big = fileio.parse_matrix(MATRIX_TEXTS["past-int64"].encode())
     assert big.a.dtype == object
     assert big.entries() == [2**63, 1, 0, -(2**63) - 1]
 
@@ -200,14 +261,14 @@ def _format_matrix_per_entry(m):
 def test_format_matrix_matches_per_entry_formatter(data):
     m = IntMatrix(data)
     assert fileio.format_matrix(m) == _format_matrix_per_entry(m)
-    assert fileio.parse_matrix(fileio.format_matrix(m)) == m
+    assert fileio.parse_matrix(fileio.format_matrix(m).encode()) == m
 
 
 def _peak_bytes(parse, text):
     tracemalloc.start()
     try:
         with pytest.raises(FormatError, match="unexpected end of file"):
-            parse(text)
+            parse(text.encode())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,49 +290,49 @@ def test_header_f_does_not_size_work_before_blocks_are_read(sys16, fam_gf4):
 def test_params_roundtrip(conference12):
     _, params = conference12
     text = fileio.format_gdd_params(params)
-    assert fileio.parse_gdd_params(text) == params
+    assert fileio.parse_gdd_params(text.encode()) == params
     assert fileio.parse_inline_gdd_params("12 5 6 2 0 2") == params
 
 
 def test_parsers_refuse_non_ascii_digits():
-    # int() reads Arabic-Indic digits, so every str entry point checks first
-    with pytest.raises(FormatError, match=r"^matrix: non-ASCII character U\+0663 on line 2$"):
-        fileio.parse_matrix("1 1\n\u0663\n")
-    with pytest.raises(FormatError, match=r"^parameters: non-ASCII character U\+0662 on line 6$"):
-        fileio.parse_gdd_params("v=12\nk=5\nm=6\nn=2\nl1=0\nl2=\u0662\n")
-    with pytest.raises(FormatError, match=r"^parameters: non-ASCII character U\+0662 on line 1$"):
+    # int() reads Arabic-Indic digits, so every entry point checks first
+    with pytest.raises(FormatError, match=r"^matrix: non-ASCII byte 0xd9 on line 2$"):
+        fileio.parse_matrix("1 1\n\u0663\n".encode())
+    with pytest.raises(FormatError, match=r"^parameters: non-ASCII byte 0xd9 on line 6$"):
+        fileio.parse_gdd_params("v=12\nk=5\nm=6\nn=2\nl1=0\nl2=\u0662\n".encode())
+    with pytest.raises(FormatError, match=r"^parameters: non-ASCII byte 0xd9 on line 1$"):
         fileio.parse_inline_gdd_params("12 5 6 2 0 \u0662")
 
 
 def test_aux_roundtrip(aux_had4):
     text = fileio.format_auxiliary_set(aux_had4)
-    again = fileio.parse_auxiliary_set(text)
+    again = fileio.parse_auxiliary_set(text.encode())
     assert fileio.format_auxiliary_set(again) == text
 
 
 def test_family_roundtrip(fam_gf4):
     text = fileio.format_linked_family(fam_gf4)
-    again = fileio.parse_linked_family(text)
+    again = fileio.parse_linked_family(text.encode())
     assert fileio.format_linked_family(again) == text
     assert again.squares == fam_gf4.squares
 
 
 def test_linked_system_roundtrip(sys16):
     text = fileio.format_linked_system(sys16)
-    again = fileio.parse_linked_system(text)
+    again = fileio.parse_linked_system(text.encode())
     assert fileio.format_linked_system(again) == text
     assert again.params == sys16.params
 
 
 def test_scheme_roundtrip(scheme48):
     text = fileio.format_scheme_matrices(scheme48.relation)
-    relation, cert = relation_from_classes(fileio.parse_scheme_matrices(text))
+    relation, cert = relation_from_classes(fileio.parse_scheme_matrices(text.encode()))
     assert cert.ok and fileio.format_scheme_matrices(relation) == text
 
 
 def test_gcm_roundtrip(bgw5):
     text = fileio.format_gcm(bgw5)
-    again = fileio.parse_gcm(text)
+    again = fileio.parse_gcm(text.encode())
     assert fileio.format_gcm(again) == text
 
 
@@ -280,7 +341,7 @@ def test_mols_list_roundtrip(gf4):
 
     squares = mols_from_gf(gf4)
     text = fileio.format_mols_list(squares)
-    again = fileio.parse_mols_list(text)
+    again = fileio.parse_mols_list(text.encode())
     assert again == squares
     assert fileio.format_mols_list(again) == text
 
@@ -288,7 +349,7 @@ def test_mols_list_roundtrip(gf4):
 def test_cli_mols_construct(tmp_path: Path):
     out = tmp_path / "gf5.mols"
     assert run_cli("construct", "mols", "--q", "5", "-o", str(out))[0] == 0
-    squares = fileio.parse_mols_list(out.read_text())
+    squares = fileio.parse_mols_list(out.read_bytes())
     assert len(squares) == 4
 
 
@@ -392,6 +453,11 @@ def test_cli_latin_verify_skips_leading_blank_lines(tmp_path: Path):
     square = tmp_path / "sq.lat"
     square.write_text("\n2\n0 1\n1 0\n")
     assert run_cli("verify", "latin", str(square)) == (0, "latin square: OK\n")
+    # form feeds end lines, as str.splitlines ends them
+    fam.write_text("\x0c \x0c\r\n" + fam.read_text())
+    assert run_cli("verify", "latin", str(fam)) == (0, "linked family f=3 order=4: OK\n")
+    square.write_text("\x0c2\x0c0 1\x0c1 0\x0c")
+    assert run_cli("verify", "latin", str(square)) == (0, "latin square: OK\n")
 
 
 def test_pair_system_file_roundtrip(conference12):
@@ -401,7 +467,7 @@ def test_pair_system_file_roundtrip(conference12):
     pair = pair_system(mat, params)
     text = fileio.format_linked_system(pair)
     assert text.splitlines()[0].endswith("- - -")
-    again = fileio.parse_linked_system(text)
+    again = fileio.parse_linked_system(text.encode())
     assert again.params == pair.params
     assert fileio.format_linked_system(again) == text
 
@@ -455,7 +521,7 @@ def test_cli_negative_class_count_is_format_error(tmp_path: Path):
     scm = tmp_path / "neg.scm"
     scm.write_text("-1 4\n")
     with pytest.raises(FormatError):
-        fileio.parse_scheme_matrices(scm.read_text())
+        fileio.parse_scheme_matrices(scm.read_bytes())
     assert run_cli("verify", "scheme", str(scm))[0] == 2
     assert run_cli("scheme", "analyze", "--in", str(scm))[0] == 2
 
@@ -534,9 +600,9 @@ def test_cli_matrix_file_inputs(tmp_path: Path):
 
 def test_malformed_files_rejected(tmp_path: Path):
     with pytest.raises(FormatError):
-        fileio.parse_matrix("0 2\n")
+        fileio.parse_matrix(b"0 2\n")
     with pytest.raises(FormatError):
-        fileio.parse_auxiliary_set("4 2\n2 2\n1 1\n1 1\n2 2\n1 1\n1 1\n")
+        fileio.parse_auxiliary_set(b"4 2\n2 2\n1 1\n1 1\n2 2\n1 1\n1 1\n")
     bad = tmp_path / "bad.mat"
     bad.write_text("not a matrix\n")
     assert run_cli("verify", "gdd", str(bad), "--params", "4 3 2 2 2 2")[0] == 2

@@ -122,7 +122,7 @@ _KINDS = ["entry-2", "covered-twice", "uncovered", "asymmetric", "moved-3-4", "t
 @pytest.mark.parametrize("source", [48, 135])
 def test_scheme_file_corruptions_match_class_list_route(source, kind, seed, relations):
     text = _corrupt(fileio.format_scheme_matrices(relations[source]), kind, seed)
-    classes = fileio.parse_scheme_matrices(text)
+    classes = fileio.parse_scheme_matrices(text.encode())
     mats = [IntMatrix(a) for a in classes]
     # only a block with a two-digit token leaves the byte view
     assert {a.dtype for a in classes} == {np.dtype(np.uint8)} | ({np.dtype(np.int64)} if kind == "token-10" else set())
