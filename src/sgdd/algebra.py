@@ -10,15 +10,21 @@ exact.
 
 IntMatrix is the package's one exact matrix-product kernel for matrices of
 order |X| (the 6x6 algebra multiplies object arrays of Python integers,
-where no bound is needed).  It is backed by
-a numpy array: int64 while the entries fit, an object-dtype array of Python
-integers otherwise (entries read from files may be arbitrarily large).  Its
-only arithmetic is the product; the right-hand sides of identities are not
-built from it elementwise but looked up on a label pattern
-(``sgdd.designs.pattern``).
+where no bound is needed).  It is backed by a numpy array: int64 while the
+entries fit, an object-dtype array of Python integers otherwise (entries
+read from files may be arbitrarily large).  ``IntMatrix.view`` holds an
+array as given, with no copy, such as 0/1 masks and digit blocks as
+``bool`` or ``uint8``.  The array is one
+matrix or a stack of them, shape (p, r, c): a product of two stacks
+multiplies them member by member, and a single matrix against a stack
+multiplies it with every member, so a certifier forms a whole family of
+products in one call.  Its only arithmetic is the product; the right-hand
+sides of identities are not built from it elementwise but looked up on a
+label pattern (``sgdd.designs.pattern``).
 
 A matrix product takes one of four lanes, chosen by the bound
-max|A| * max|B| * inner on every entry and every partial sum:
+max|A| * max|B| * inner on every entry and every partial sum, over the
+whole stack:
 
 * float32 BLAS GEMM below 2**24,
 * float64 BLAS GEMM below 2**53,
@@ -28,9 +34,10 @@ max|A| * max|B| * inner on every entry and every partial sum:
 The float lanes are exact: every operand, every product of two entries and
 every partial sum that any summation order (or fused multiply-add) can form
 is an integer of magnitude at most the bound, and the float type represents
-all such integers, so no step ever rounds.  The result is cast back to
-int64.  This is the exact-linear-algebra-over-floating-point technique of
-FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).
+all such integers, so no step ever rounds.  This is the
+exact-linear-algebra-over-floating-point technique of FFLAS-FFPACK (Dumas,
+Giorgi, Pernet, ACM TOMS 35(3), 2008).  Below 2**62 the result is returned
+as int64, whatever the operands' dtypes, so callers may compute with it.
 """
 
 from __future__ import annotations
@@ -49,6 +56,10 @@ Rational = Fraction
 # int64 products are exact below this; leave headroom for accumulation.
 _INT64_SAFE = 2**62
 
+# what IntMatrix.view holds as given: 0/1 masks and digit blocks need no
+# int64 copy to be multiplied
+_VIEWABLE = (np.dtype(np.int64), np.dtype(object), np.dtype(np.uint8), np.dtype(np.bool_))
+
 # (exclusive bound, dtype) for matrix products, fastest lane first.
 _LANES = ((2**24, np.float32), (2**53, np.float64), (_INT64_SAFE, np.int64))
 
@@ -62,6 +73,16 @@ def matmul_lane(bound: int):
         if bound < limit:
             return dtype
     return None
+
+
+def first_differences(actual: np.ndarray, expected) -> list[tuple[int, int] | None]:
+    """For each matrix of the stack ``actual`` (shape (..., r, c), matrices
+    in row-major order), the row-major first coordinate where it differs
+    from ``expected`` (an array that broadcasts against the stack), or None
+    where it agrees everywhere."""
+    rows, cols = actual.shape[-2:]
+    diff = (actual != expected).reshape(-1, rows * cols)
+    return [divmod(int(at), cols) if bad else None for at, bad in zip(diff.argmax(axis=1), diff.any(axis=1))]
 
 
 def square_free_decomposition(value: int) -> tuple[int, int]:
@@ -263,9 +284,20 @@ class IntMatrix:
             arr = data.a
         else:
             arr = self._build_array(data)
-        if arr.ndim != 2:
-            raise ParameterError("IntMatrix must be two-dimensional")
+        if arr.ndim not in (2, 3):
+            raise ParameterError("IntMatrix must be a matrix or a stack of matrices")
         self.a = arr
+
+    @staticmethod
+    def view(arr: np.ndarray) -> "IntMatrix":
+        """An IntMatrix over ``arr`` itself, with no copy and no check of its
+        entries: a matrix or a stack of int64, Python-integer, uint8 or bool
+        entries, such as 0/1 masks, digit blocks and slices of a stack."""
+        if arr.dtype not in _VIEWABLE or arr.ndim not in (2, 3):
+            raise ParameterError("IntMatrix.view takes a matrix or a stack of int64, object, uint8 or bool entries")
+        m = IntMatrix.__new__(IntMatrix)
+        m.a = arr
+        return m
 
     @staticmethod
     def _build_array(data) -> np.ndarray:
@@ -295,11 +327,11 @@ class IntMatrix:
     # -- shape and access -------------------------------------------------
     @property
     def rows(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.a.shape[1]
+        return self.a.shape[-1]
 
     @property
     def is_square(self) -> bool:
@@ -341,18 +373,20 @@ class IntMatrix:
 
     # -- arithmetic -------------------------------------------------------
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
+        stacks = {len(m.a) for m in (self, other) if m.a.ndim == 3}
+        if self.cols != other.rows or len(stacks) > 1:
             raise ParameterError("dimension mismatch in matrix product")
         bound = max(self.max_abs(), 1) * max(other.max_abs(), 1) * max(self.cols, 1)
         lane = matmul_lane(bound)
         if lane is None:
-            return self._wrap(np.dot(self._object(), other._object()))
-        prod = self.a.astype(lane, copy=False) @ other.a.astype(lane, copy=False)
+            return self._wrap(np.matmul(self._object(), other._object()))
+        prod = np.matmul(self.a.astype(lane, copy=False), other.a.astype(lane, copy=False))
         return IntMatrix(prod.astype(np.int64, copy=False))
 
     @property
     def T(self) -> "IntMatrix":
-        return IntMatrix(self.a.T.copy())
+        """The transpose of the matrix, or of every matrix of a stack."""
+        return IntMatrix(np.swapaxes(self.a, -1, -2).copy())
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -368,8 +402,7 @@ class IntMatrix:
         other = other.a if isinstance(other, IntMatrix) else other
         if self.a.shape != other.shape:
             return (0, 0)
-        diff = self.a != other
-        return divmod(int(np.argmax(diff)), diff.shape[1]) if diff.any() else None
+        return first_differences(self.a[None], other[None])[0]
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"

@@ -17,6 +17,12 @@ on K - I, 2 on I; other checks use I, a class matrix, or A + 2K), the
 expected matrix is the exact lookup ``pattern(labels, coeffs)``, and
 ``Certificate.compare`` reports the first row-major entry where the product
 differs from it.  No dense I, J or K is ever combined elementwise.
+
+The Gram and K-commutation checks take a stack of matrices, shape
+(count, v, v), and form each identity's products for the whole stack in
+one kernel call (or a few, ``stack_slices``); a single design is a stack of
+one, so every design and every block of a linked system is certified by the
+same code.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _INT64_SAFE, IntMatrix
+from .algebra import _INT64_SAFE, IntMatrix, first_differences
 from .errors import DegenerateDesignError, InfeasibleParameterError, ParameterError
 
 
@@ -65,6 +71,34 @@ class GddParams:
         return self.lambda1 == self.lambda2
 
 
+# entries one stacked product may hold (4 MB as int64): a stack is
+# multiplied in slices whose operands and result each stay below this, and
+# each slice is reduced to verdicts before the next is formed.  A GF(8)
+# system's 42 blocks of order 64 take one slice.
+STACK_ENTRIES = 2**19
+
+
+def stack_slices(count: int, entries: int) -> list[slice]:
+    """Consecutive slices of a stack of ``count`` members, each member
+    ``entries`` entries of a kernel operand or result: as many members per
+    slice as fit in STACK_ENTRIES, and at least one."""
+    step = max(1, STACK_ENTRIES // max(entries, 1))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def stack_differences(actual: np.ndarray, expected: np.ndarray) -> list[tuple | None]:
+    """For each matrix of the stack ``actual`` (any leading shape, matrices
+    in row-major order), None where it equals ``expected`` (an array that
+    broadcasts against the stack), else its first row-major difference as
+    (position, expected entry, actual entry)."""
+    wants = np.broadcast_to(expected, actual.shape)
+    out = []
+    for t, pos in enumerate(first_differences(actual, expected)):
+        at = np.unravel_index(t, actual.shape[:-2]) + pos if pos is not None else None
+        out.append(None if at is None else (pos, wants.item(at), int(actual[at])))
+    return out
+
+
 def group_labels(m: int, n: int) -> np.ndarray:
     """The label array of the group pattern of order m*n: 0 on J - K, 1 on
     K - I, 2 on I, with K = I_m (x) J_n."""
@@ -74,19 +108,24 @@ def group_labels(m: int, n: int) -> np.ndarray:
     return labels
 
 
+_SIGNED = (np.int8, np.int16, np.int32, np.int64)
+
+
 def pattern(labels: np.ndarray, coeffs) -> np.ndarray:
-    """The matrix sum_t coeffs[t] [labels == t], exactly: int64 while every
-    coefficient is below 2**62 in magnitude, Python integers otherwise.
+    """The matrix sum_t coeffs[t] [labels == t], exactly: in the smallest
+    signed integer dtype that holds every coefficient while all are below
+    2**62 in magnitude, Python integers otherwise.
 
     The table is built with an explicit dtype: numpy reads a list holding an
     integer past int64 as float64."""
     coeffs = [int(c) for c in coeffs]
-    if max(abs(c) for c in coeffs) < _INT64_SAFE:
-        table = np.array(coeffs, dtype=np.int64)
+    top = max(abs(c) for c in coeffs)
+    if top < _INT64_SAFE:
+        table = np.array(coeffs, dtype=next(t for t in _SIGNED if top <= np.iinfo(t).max))
     else:
         table = np.empty(len(coeffs), dtype=object)
         table[:] = coeffs
-    return table[labels]
+    return np.take(table, labels)
 
 
 def partial_complement_params(p: GddParams) -> GddParams:
@@ -225,11 +264,28 @@ def verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
 def verify_gram(mat: IntMatrix, p: GddParams) -> Certificate:
     """The Gram identities of ``verify_gdd`` for any integer matrix of order v,
     0/1 or not (such as A + K for a block A with a 1 inside K)."""
-    cert = Certificate(f"symmetric GDD {p}")
+    return verify_grams(mat.a[None], p)[0]
+
+
+def verify_grams(stack: np.ndarray, p: GddParams) -> list[Certificate]:
+    """``verify_gram`` for every matrix of a (count, v, v) stack, one
+    certificate each: A A^T and A^T A as one stacked product apiece."""
+    certs = [Certificate(f"symmetric GDD {p}") for _ in range(len(stack))]
     gram = pattern(group_labels(p.m, p.n), (p.lambda2, p.lambda1, p.k))
-    cert.compare("A A^T equals k I + l1 (K - I) + l2 (J - K)", mat @ mat.T, gram)
-    cert.compare("A^T A equals k I + l1 (K - I) + l2 (J - K)", mat.T @ mat, gram)
-    return cert
+    flip = np.swapaxes(stack, 1, 2)
+    for label, left, right in (
+        ("A A^T equals k I + l1 (K - I) + l2 (J - K)", stack, flip),
+        ("A^T A equals k I + l1 (K - I) + l2 (J - K)", flip, stack),
+    ):
+        for part in stack_slices(len(stack), stack[0].size):
+            prod = IntMatrix.view(left[part]) @ IntMatrix.view(right[part])
+            for cert, diff in zip(certs[part], stack_differences(prod.a, gram)):
+                if diff is None:
+                    cert.passed(label)
+                else:
+                    cert.failed(label, *diff)
+            del prod  # reduced: free it before the next product is formed
+    return certs
 
 
 def check_bose(a: IncidenceMatrix, p: GddParams) -> bool:
@@ -268,16 +324,35 @@ class KCommutation:
 def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
     """Classify A K = K A against the two canonical right-hand sides, from
     the constant A K takes on K and the one it takes off K."""
-    kb = a.group_indicator()
-    ak = a.mat @ kb
-    if ak != kb @ a.mat:
-        return KCommutation("other")
-    in_k = kb.a != 0
-    on, off = ak.a[in_k], ak.a[~in_k]
-    d = int(on[0])
-    c = int(off[0]) if off.size else d
-    if not ((on == d).all() and (off == c).all()):
-        return KCommutation("other")
+    return k_commutations(a.mat.a[None], a.m, a.n)[0]
+
+
+def k_commutations(stack: np.ndarray, m: int, n: int) -> list[KCommutation]:
+    """``check_k_commutation`` for every matrix of a (count, v, v) stack.
+
+    With G = I_m (x) 1_n, the v x m group indicator, K = G G^T: so
+    (A K)[x, y] = (A G)[x, group(y)] and (K A)[x, y] = (G^T A)[group(x), y],
+    two stacked products of width m.  A K = K A exactly when both are
+    constant on every cell (g, h) of the group grid, with one value M[g, h]
+    each; A K is then M[g, g] on K and the rest of M off K."""
+    g = np.repeat(np.eye(m, dtype=bool), n, axis=0)
+    off_k = ~np.eye(m, dtype=bool)
+    out = []
+    for part in stack_slices(len(stack), stack[0].size):
+        ag = (IntMatrix.view(stack[part]) @ IntMatrix.view(g)).a.reshape(-1, m, n, m)
+        ga = (IntMatrix.view(g.T) @ IntMatrix.view(stack[part])).a.reshape(-1, m, m, n)
+        grids = ag[:, :, 0, :]
+        commute = (ag == grids[:, :, None, :]).all(axis=(1, 2, 3)) & (ga == grids[..., None]).all(axis=(1, 2, 3))
+        on, off = np.diagonal(grids, axis1=1, axis2=2), grids[:, off_k]
+        ons = on[:, 0]
+        offs = off[:, 0] if m > 1 else ons
+        flat = (on == ons[:, None]).all(axis=1) & (off == offs[:, None]).all(axis=1)
+        out += [_k_class(int(d), int(c)) if ok else KCommutation("other") for ok, d, c in zip(commute & flat, ons, offs)]
+    return out
+
+
+def _k_class(d: int, c: int) -> KCommutation:
+    """The class of A K = K A when it is d on K and c off K."""
     if d == 0:
         return KCommutation("multiple_of_J_minus_K", Fraction(c)) if c else KCommutation("zero", Fraction(0))
     return KCommutation("multiple_of_J", Fraction(c)) if c == d else KCommutation("other")

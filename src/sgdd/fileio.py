@@ -22,11 +22,12 @@ junk, so a write/read/write round trip is byte-identical.  Parsers take the
 file's ``bytes``, refuse any byte past 0x7F, end lines where ``str.splitlines``
 would and decode only the lines they read as tokens.
 
-A block of single-digit rows joined by single spaces, each ending in a line
-feed, is viewed in place as ``uint8`` and written from one byte buffer; every
-other block takes the token reader, so every error names the same line either
-way.  Scheme class blocks stay ``uint8`` as read, and a scheme is written from
-its class-label array R, class i as R == i; other matrices become ``IntMatrix``.
+A block of single-digit rows joined by single spaces, all ending in a line
+feed or all in CR LF, is viewed in place as ``uint8``, and an LF block is
+written from one byte buffer; every other block takes the token reader, so
+every error names the same line either way.  Scheme class blocks stay
+``uint8`` as read, and a scheme is written from its class-label array R,
+class i as R == i; other matrices become ``IntMatrix``.
 """
 
 from __future__ import annotations
@@ -123,14 +124,19 @@ def format_matrix(m: IntMatrix) -> str:
 
 def _read_digit_block(lines: Lines, rows: int, cols: int) -> np.ndarray | None:
     """The next ``rows`` lines as uint8, viewed in place, when each is ``cols``
-    single digits joined by single spaces and ends in a line feed, with
-    ``lines`` moved past them; otherwise None, with ``lines`` unmoved."""
-    size = rows * 2 * cols
+    single digits joined by single spaces and every one ends in a line feed,
+    or every one in CR LF (as the first does), with ``lines`` moved past them;
+    otherwise None, with ``lines`` unmoved."""
+    text = 2 * cols - 1
+    end = b"\r\n" if lines.data[lines.at + text : lines.at + text + 2] == b"\r\n" else b"\n"
+    width = text + len(end)
+    size = rows * width
     if lines.at + size > len(lines.data):
         return None
-    view = np.frombuffer(lines.data, dtype=np.uint8, count=size, offset=lines.at).reshape(rows, 2 * cols)
-    digits = view[:, 0::2] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
-    if not ((digits <= 9).all() and (view[:, 1:-1:2] == ord(" ")).all() and (view[:, -1] == ord("\n")).all()):
+    view = np.frombuffer(lines.data, dtype=np.uint8, count=size, offset=lines.at).reshape(rows, width)
+    digits = view[:, 0:text:2] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+    ends = view[:, text:] == np.frombuffer(end, dtype=np.uint8)
+    if not ((digits <= 9).all() and (view[:, 1:text:2] == ord(" ")).all() and ends.all()):
         return None
     lines.at += size
     lines.pos += rows

@@ -19,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
+from .algebra import IntMatrix
 from .designs import Certificate
 from .errors import BudgetExceededError, CertificationError, ParameterError
 from .gf import GFContext
@@ -140,20 +143,36 @@ class LinkedMolsFamily:
 
 
 def verify_linked(fam: LinkedMolsFamily) -> Certificate:
-    """Check orthogonality and composition closure on every ordered triple."""
+    """Check orthogonality and composition closure on every ordered triple.
+
+    With X_ik[a, (c, s)] = [L_ik(a, c) = s], the one-hot rows of L_ik, row
+    a of L_ik and row b of L_jk agree in (X_ik X_jk^T)[a, b] columns, and
+    weighting each column (c, s) by s sums the symbols they agree on: the
+    composition's (a, b) entry where they agree once.  For each third index
+    k these are two kernel products over the rows of every L_ik, i != k;
+    the failures are reported triple by triple in (i, j, k) order."""
     cert = Certificate(f"linked family f={fam.f} order={fam.order}")
-    idx = range(1, fam.f + 1)
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if len({i, j, k}) != 3:
-                    continue
-                lik, ljk = fam.squares[(i, k)], fam.squares[(j, k)]
-                if not is_orthogonal(lik, ljk):
-                    cert.failed(f"triple {(i, j, k)}: squares sharing the third index are not orthogonal")
-                    continue
-                if compose(lik, ljk) != fam.squares[(i, j)]:
-                    cert.failed(f"triple {(i, j, k)}: composition does not reproduce the pair square")
+    f, n = fam.f, fam.order
+    grids = np.zeros((f + 1, f + 1, n, n), dtype=np.intp)
+    for pair, sq in fam.squares.items():
+        grids[pair] = sq.grid
+    weights = np.tile(np.arange(n), n)  # the symbol s of column (c, s)
+    failed = np.zeros((f + 1,) * 3, dtype=np.int8)  # 1: not orthogonal, 2: bad composition
+    for k in range(1, f + 1):
+        ends = [x for x in range(1, f + 1) if x != k]
+        rows = (grids[ends, k][..., None] == np.arange(n)).reshape(-1, n * n)
+        hits = (IntMatrix.view(rows) @ IntMatrix.view(rows.T)).a.reshape(f - 1, n, f - 1, n)
+        common = (IntMatrix.view(rows * weights) @ IntMatrix.view(rows.T)).a.reshape(f - 1, n, f - 1, n)
+        orthogonal = (hits == 1).all(axis=(1, 3))
+        composes = (common.swapaxes(1, 2) == grids[np.ix_(ends, ends)]).all(axis=(2, 3))
+        failed[np.ix_(ends, ends, [k])] = np.where(orthogonal, np.where(composes, 0, 2), 1)[..., None]
+    for i, j, k in np.argwhere(failed):
+        if i == j:
+            continue
+        if failed[i, j, k] == 1:
+            cert.failed(f"triple {(int(i), int(j), int(k))}: squares sharing the third index are not orthogonal")
+        else:
+            cert.failed(f"triple {(int(i), int(j), int(k))}: composition does not reproduce the pair square")
     if cert.ok:
         cert.passed("on every ordered triple (i, j, k), L_ik and L_jk are orthogonal and compose to L_ij")
     return cert

@@ -18,7 +18,7 @@ from math import isqrt
 
 import numpy as np
 
-from .algebra import IntMatrix, Surd
+from .algebra import IntMatrix, Surd, first_differences
 from .classical import is_hadamard, is_scaled_identity, is_weighing
 from .designs import (
     Certificate,
@@ -27,9 +27,12 @@ from .designs import (
     check_k_commutation,
     companion_params,
     group_labels,
+    k_commutations,
     pattern,
+    stack_differences,
+    stack_slices,
     verify_gdd,
-    verify_gram,
+    verify_grams,
 )
 from .errors import (
     BudgetExceededError,
@@ -173,8 +176,17 @@ def _ordered_pairs(f: int):
 def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     """Certify every block, the 0/1 condition on A + K, the commutation
     A K = K A = k/(m-1) (J - K), A_{j,i} = A_{i,j}^T, and (for f >= 3) the
-    full triple-product law over all ordered distinct triples, one wide
-    product per ordered pair (i, j)."""
+    full triple-product law over all ordered distinct triples.
+
+    The f(f-1) blocks are stacked once as a (P, v, v) uint8 array; each
+    family of identities is a few stacked kernel products (the Gram pair and
+    the commutation pair for all blocks, one triple product per middle
+    index), each formed in slices of whole blocks past STACK_ENTRIES and
+    reduced to per-block verdicts and first positions before the next is
+    formed: f + 4 products for a system of order v <= 64 with f <= 7.  The
+    lines come out block by block, as a per-block walk would print them.
+    A block whose order or groups differ from the parameters is reported,
+    and then nothing else is checked."""
     p = sys.params
     base = p.base
     cert = Certificate(f"linked system f={p.f} on {base}")
@@ -182,37 +194,49 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     if set(sys.blocks) != set(pairs):
         cert.failed("blocks cover all ordered index pairs")
         return cert
+    shape = (base.v, base.m, base.n)
+    if misfits := [pair for pair in pairs if (sys.blocks[pair].v, sys.blocks[pair].m, sys.blocks[pair].n) != shape]:
+        for pair in misfits:
+            cert.failed(f"block {pair}: dimension/group structure matches parameters", (0, 0))
+        return cert
 
-    for pair in pairs:
-        blk = sys.blocks[pair]
-        sub = verify_gdd(blk, base)
+    # every block is 0/1 (an IncidenceMatrix), so uint8 holds it exactly
+    stack = np.stack([sys.blocks[pair].mat.a for pair in pairs], dtype=np.uint8, casting="unsafe")
+    at = {pair: t for t, pair in enumerate(pairs)}
+    in_k = group_labels(base.m, base.n) > 0
+    grams = verify_grams(stack, base)
+    zero_one = ~stack[:, in_k].any(axis=1)
+    comms = k_commutations(stack, base.m, base.n)
+    want = Fraction(base.k, base.m - 1)
+    for pair, sub, ok, comm in zip(pairs, grams, zero_one, comms):
         if sub.ok:
             cert.passed(f"block {pair} is a symmetric GDD")
         else:
             for v in sub.violations:
                 cert.failed(f"block {pair}: {v.identity}", v.position, v.expected, v.actual)
-        if blk.diagonal_blocks_zero():
+        if ok:
             cert.passed(f"block {pair}: A + K is a 0/1 matrix")
         else:
             cert.failed(f"block {pair}: A + K is a 0/1 matrix")
-        comm = check_k_commutation(blk)
-        want = Fraction(base.k, base.m - 1)
         if comm.kind == "multiple_of_J_minus_K" and comm.factor == want:
             cert.passed(f"block {pair}: A K = K A = {want} (J - K)")
         else:
             cert.failed(f"block {pair}: A K = K A = k/(m-1) (J - K)")
 
     # A_{j,i} = A_{i,j}^T is what makes the scheme's class A_3 symmetric
-    untransposed = [(i, j) for i, j in pairs if i < j and sys.blocks[(j, i)].mat != sys.blocks[(i, j)].mat.T]
+    upper = [(i, j) for i, j in pairs if i < j]
+    diffs = []
+    for part in stack_slices(len(upper), base.v * base.v):
+        lower = stack[[at[(j, i)] for i, j in upper[part]]]
+        diffs += first_differences(lower, np.swapaxes(stack[[at[pair] for pair in upper[part]]], 1, 2))
+    untransposed = [(pair, pos) for pair, pos in zip(upper, diffs) if pos is not None]
     cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
-    for i, j in untransposed:
-        pos = sys.blocks[(j, i)].mat.first_difference(sys.blocks[(i, j)].mat.a.T)
+    for (i, j), pos in untransposed:
         cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
 
-    in_k = group_labels(base.m, base.n) > 0
     if p.f == 2:
         comp = companion_params(base)
-        sub = verify_gram(IntMatrix(sys.blocks[(1, 2)].mat.a + in_k), comp)
+        sub = verify_grams(stack[at[(1, 2)]][None] + in_k, comp)[0]
         if sub.ok:
             cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
         else:
@@ -220,21 +244,53 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
                 cert.failed(f"pair companion: {v.identity}", v.position, v.expected, v.actual)
         return cert
 
-    # sigma A_il + tau (J - A_il - K) + rho K on the labels A_il + 2K; label 3
-    # (a 1 of A_il inside K, which the 0/1 check on A + K has already
-    # reported) reads sigma - tau + rho, the value of the formula there
-    twice_k = 2 * in_k
-    coeffs = (p.tau, p.sigma, p.rho, p.sigma - p.tau + p.rho)
-    v = base.v
+    triples = _triple_differences(stack, at, p, in_k)
     for i, j in pairs:
-        ls = [l for l in range(1, p.f + 1) if l not in (i, j)]
-        # A_{i,j} [A_{j,l}]_l: the f - 2 triples with prefix (i, j) in one product
-        wide = sys.blocks[(i, j)].mat @ IntMatrix(np.hstack([sys.blocks[(j, l)].mat.a for l in ls]))
-        for t, l in enumerate(ls):
-            prod = IntMatrix(wide.a[:, t * v : (t + 1) * v])
-            expected = pattern(sys.blocks[(i, l)].mat.a + twice_k, coeffs)
-            cert.compare(f"triple product ({i},{j},{l})", prod, expected)
+        for l in range(1, p.f + 1):
+            if l not in (i, j):
+                label = f"triple product ({i},{j},{l})"
+                if (diff := triples[(i, j, l)]) is None:
+                    cert.passed(label)
+                else:
+                    cert.failed(label, *diff)
     return cert
+
+
+def _triple_differences(stack: np.ndarray, at: dict, p: LinkedParams, in_k: np.ndarray) -> dict:
+    """(i, j, l) -> the first difference of A_ij A_jl from
+    sigma A_il + tau (J - A_il - K) + rho K, or None.
+
+    For each middle index j, one product (vstack_i A_ij) (hstack_l A_jl)
+    holds every A_ij A_jl as its block (i, l); past STACK_ENTRIES it is
+    formed in bands of whole blocks, first of columns, then of rows.  The
+    blocks with i = l are not triples and are skipped.  The expected blocks
+    are looked up on the labels A_il + 2K; label 3 (a 1 of A_il inside K,
+    which the 0/1 check on A + K has already reported) reads
+    sigma - tau + rho, the value of the formula there."""
+    f, v = p.f, p.base.v
+    twice_k = (2 * in_k).astype(np.uint8)
+    coeffs = (p.tau, p.sigma, p.rho, p.sigma - p.tau + p.rho)
+    out = {}
+    for j in range(1, f + 1):
+        ends = [x for x in range(1, f + 1) if x != j]
+        left = stack[[at[(i, j)] for i in ends]]
+        for cols in stack_slices(len(ends), v * v):
+            lasts = ends[cols]
+            right = IntMatrix.view(np.hstack(stack[[at[(j, l)] for l in lasts]]))
+            for rows in stack_slices(len(ends), v * right.cols):
+                firsts = ends[rows]
+                grid = [(i, l) for i in firsts for l in lasts]
+                shape = (len(firsts), len(lasts), v, v)
+                labels = stack[[at[(i, l)] if i != l else 0 for i, l in grid]] + twice_k
+                prod = (IntMatrix.view(left[rows].reshape(-1, v)) @ right).a
+                # block (i, l) of the band's product, as a view of shape ``shape``
+                blocks = prod.reshape(shape[0], v, shape[1], v).swapaxes(1, 2)
+                diffs = stack_differences(blocks, pattern(labels.reshape(shape), coeffs))
+                del prod, blocks, labels  # reduced: free them before the next product is formed
+                for (i, l), diff in zip(grid, diffs):
+                    if i != l:
+                        out[(i, j, l)] = diff
+    return out
 
 
 def make_linked_system(params: LinkedParams, blocks) -> LinkedSystemII:

@@ -150,14 +150,17 @@ def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
     """The dense check: A_i A_j = sum_k p_{i,j}^k A_k entrywise for
     1 <= i <= j, one product of order |X| per pair of classes built from R;
     the first failing pair and class go to ``cert``.  A_j A_i is the
-    transpose, constant on a symmetric class exactly when A_i A_j is."""
+    transpose, constant on a symmetric class exactly when A_i A_j is.  The
+    classes go to the kernel as boolean masks of R, and the expected entries
+    are looked up in the smallest dtype that holds |X|."""
     d1 = len(p)
+    small = np.min_scalar_type(relation.shape[0])  # holds every p_{i,j}^k <= |X|
     for i in range(1, d1):
-        a_i = IntMatrix((relation == i).astype(np.int64))
+        a_i = IntMatrix.view(relation == i)
         for j in range(i, d1):
-            prod = (a_i @ IntMatrix((relation == j).astype(np.int64))).a
-            coeffs = np.array(p[i][j])
-            if not (prod == coeffs[relation]).all():
+            prod = (a_i @ IntMatrix.view(relation == j)).a
+            coeffs = np.array(p[i][j], dtype=small)
+            if not (prod == np.take(coeffs, relation)).all():
                 k = next(k for k in range(d1) if not (prod[relation == k] == coeffs[k]).all())
                 cert.failed(f"A_{i} A_{j} is not constant on class {k}")
                 return False

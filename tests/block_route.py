@@ -1,0 +1,132 @@
+"""Reference route for the design, linked-system and linked-family
+certifiers: one block, one square or one triple at a time, two products per
+block for its Gram identities and two more for A K = K A, and one wide
+product per ordered pair (i, j) for the triple law.  The tests compare
+``sgdd``, which certifies a system's blocks as one stacked array, against it.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from sgdd.algebra import IntMatrix
+from sgdd.designs import (
+    Certificate,
+    GddParams,
+    IncidenceMatrix,
+    KCommutation,
+    companion_params,
+    group_labels,
+    pattern,
+)
+from sgdd.latin import LinkedMolsFamily, compose, is_orthogonal
+from sgdd.linked import LinkedSystemII
+
+
+def verify_gram(mat: IntMatrix, p: GddParams) -> Certificate:
+    cert = Certificate(f"symmetric GDD {p}")
+    gram = pattern(group_labels(p.m, p.n), (p.lambda2, p.lambda1, p.k))
+    cert.compare("A A^T equals k I + l1 (K - I) + l2 (J - K)", mat @ mat.T, gram)
+    cert.compare("A^T A equals k I + l1 (K - I) + l2 (J - K)", mat.T @ mat, gram)
+    return cert
+
+
+def verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
+    if (a.v, a.m, a.n) != (p.v, p.m, p.n):
+        cert = Certificate(f"symmetric GDD {p}")
+        cert.failed("dimension/group structure matches parameters", (0, 0))
+        return cert
+    return verify_gram(a.mat, p)
+
+
+def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
+    kb = a.group_indicator()
+    ak = a.mat @ kb
+    if ak != kb @ a.mat:
+        return KCommutation("other")
+    in_k = kb.a != 0
+    on, off = ak.a[in_k], ak.a[~in_k]
+    d = int(on[0])
+    c = int(off[0]) if off.size else d
+    if not ((on == d).all() and (off == c).all()):
+        return KCommutation("other")
+    if d == 0:
+        return KCommutation("multiple_of_J_minus_K", Fraction(c)) if c else KCommutation("zero", Fraction(0))
+    return KCommutation("multiple_of_J", Fraction(c)) if c == d else KCommutation("other")
+
+
+def verify_linked_system(sys: LinkedSystemII) -> Certificate:
+    p = sys.params
+    base = p.base
+    cert = Certificate(f"linked system f={p.f} on {base}")
+    pairs = [(i, j) for i in range(1, p.f + 1) for j in range(1, p.f + 1) if i != j]
+    if set(sys.blocks) != set(pairs):
+        cert.failed("blocks cover all ordered index pairs")
+        return cert
+
+    for pair in pairs:
+        blk = sys.blocks[pair]
+        sub = verify_gdd(blk, base)
+        if sub.ok:
+            cert.passed(f"block {pair} is a symmetric GDD")
+        else:
+            for v in sub.violations:
+                cert.failed(f"block {pair}: {v.identity}", v.position, v.expected, v.actual)
+        if blk.diagonal_blocks_zero():
+            cert.passed(f"block {pair}: A + K is a 0/1 matrix")
+        else:
+            cert.failed(f"block {pair}: A + K is a 0/1 matrix")
+        comm = check_k_commutation(blk)
+        want = Fraction(base.k, base.m - 1)
+        if comm.kind == "multiple_of_J_minus_K" and comm.factor == want:
+            cert.passed(f"block {pair}: A K = K A = {want} (J - K)")
+        else:
+            cert.failed(f"block {pair}: A K = K A = k/(m-1) (J - K)")
+
+    untransposed = [(i, j) for i, j in pairs if i < j and sys.blocks[(j, i)].mat != sys.blocks[(i, j)].mat.T]
+    cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
+    for i, j in untransposed:
+        pos = sys.blocks[(j, i)].mat.first_difference(sys.blocks[(i, j)].mat.a.T)
+        cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
+
+    in_k = group_labels(base.m, base.n) > 0
+    if p.f == 2:
+        comp = companion_params(base)
+        sub = verify_gram(IntMatrix(sys.blocks[(1, 2)].mat.a + in_k), comp)
+        if sub.ok:
+            cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
+        else:
+            for v in sub.violations:
+                cert.failed(f"pair companion: {v.identity}", v.position, v.expected, v.actual)
+        return cert
+
+    twice_k = 2 * in_k
+    coeffs = (p.tau, p.sigma, p.rho, p.sigma - p.tau + p.rho)
+    v = base.v
+    for i, j in pairs:
+        ls = [l for l in range(1, p.f + 1) if l not in (i, j)]
+        wide = sys.blocks[(i, j)].mat @ IntMatrix(np.hstack([sys.blocks[(j, l)].mat.a for l in ls]))
+        for t, l in enumerate(ls):
+            prod = IntMatrix(wide.a[:, t * v : (t + 1) * v])
+            expected = pattern(sys.blocks[(i, l)].mat.a + twice_k, coeffs)
+            cert.compare(f"triple product ({i},{j},{l})", prod, expected)
+    return cert
+
+
+def verify_linked(fam: LinkedMolsFamily) -> Certificate:
+    cert = Certificate(f"linked family f={fam.f} order={fam.order}")
+    idx = range(1, fam.f + 1)
+    for i in idx:
+        for j in idx:
+            for k in idx:
+                if len({i, j, k}) != 3:
+                    continue
+                lik, ljk = fam.squares[(i, k)], fam.squares[(j, k)]
+                if not is_orthogonal(lik, ljk):
+                    cert.failed(f"triple {(i, j, k)}: squares sharing the third index are not orthogonal")
+                    continue
+                if compose(lik, ljk) != fam.squares[(i, j)]:
+                    cert.failed(f"triple {(i, j, k)}: composition does not reproduce the pair square")
+    if cert.ok:
+        cert.passed("on every ordered triple (i, j, k), L_ik and L_jk are orthogonal and compose to L_ij")
+    return cert

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdd.algebra import IntMatrix, Surd, matmul_lane, square_free_decomposition, surd_sign
+from sgdd.algebra import IntMatrix, Surd, first_differences, matmul_lane, square_free_decomposition, surd_sign
 from sgdd.designs import group_labels
 from sgdd.errors import ParameterError
 from surd_route import fraction_sign
@@ -235,6 +235,61 @@ def test_float_entries_rejected():
         IntMatrix(np.array([[0.5]]))
 
 
+# (bound, max|A| for a uint8 or bool A, inner, lane): max|B| is bound / (max|A| inner)
+STACKED_EDGES = [
+    (2**24 - 1, 255, 3, np.float32),
+    (2**24, 128, 4, np.float64),
+    (2**53 - 1, 1, 6361, np.float64),
+    (2**53, 128, 4, np.int64),
+]
+
+
+def _reference_stack(a: np.ndarray, b: np.ndarray) -> list[int]:
+    """Big-integer route: object-dtype products, matrix by matrix."""
+    return [int(x) for x in np.matmul(a.astype(object), b.astype(object)).ravel()]
+
+
+@pytest.mark.parametrize("bound, amax, inner, lane", STACKED_EDGES)
+def test_stacked_small_dtype_operands_match_big_integer_reference(bound, amax, inner, lane, monkeypatch):
+    """Stacks and uint8/bool operands, held by IntMatrix.view without a copy,
+    take the lane of max|A| * max|B| * inner over the whole stack and stay
+    exact at its edges, in every broadcast form of a stacked product."""
+    bmax = bound // (amax * inner)
+    assert amax * bmax * inner == bound and matmul_lane(bound) is lane
+    rng = np.random.default_rng(bound % 1000)
+    count, rows, cols = 3, 2, 2
+    a = rng.integers(0, amax + 1, size=(count, rows, inner), dtype=np.int64)
+    a[1] = amax  # full rows, so the sums reach the bound
+    b = rng.integers(-bmax, bmax + 1, size=(count, inner, cols), dtype=np.int64)
+    b[1, :, 0] = bmax
+    b[2, :, 1] = -bmax
+    small = a.astype(np.bool_ if amax == 1 else np.uint8)
+    lanes = []
+    monkeypatch.setattr("sgdd.algebra.matmul_lane", lambda x: lanes.append(matmul_lane(x)) or lanes[-1])
+    for left, right in ((small, b), (small, b[1]), (small[1], b), (b.swapaxes(1, 2), small.swapaxes(1, 2))):
+        out = IntMatrix.view(left) @ IntMatrix.view(right)
+        assert out.a.dtype == np.int64
+        assert out.a.ravel().tolist() == _reference_stack(left, right)
+    assert max(abs(x) for x in _reference_stack(small, b)) == bound
+    assert lanes == [lane] * 4
+
+
+def test_view_holds_small_dtypes_without_a_copy():
+    mask = np.eye(3, dtype=bool)
+    digits = np.arange(9, dtype=np.uint8).reshape(3, 3)
+    assert IntMatrix.view(mask).a is mask and IntMatrix.view(digits).a is digits
+    assert IntMatrix(digits).a.dtype == np.int64  # the constructor still copies to int64
+    stack = np.stack([digits, digits.T])
+    assert (IntMatrix.view(stack) @ IntMatrix.view(mask)).a.tolist() == stack.astype(np.int64).tolist()
+    assert IntMatrix.view(stack).T.a.tolist() == stack.swapaxes(1, 2).tolist()
+    with pytest.raises(ParameterError):
+        IntMatrix.view(digits.astype(np.float64))
+    with pytest.raises(ParameterError):
+        IntMatrix.view(stack[None])
+    with pytest.raises(ParameterError):
+        IntMatrix.view(stack) @ IntMatrix.view(np.stack([digits] * 3))
+
+
 def test_first_difference_is_row_major():
     a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix([[1, 0], [0, 4]])
@@ -245,6 +300,11 @@ def test_first_difference_is_row_major():
     assert a.first_difference(IntMatrix([[1, 2, 0], [3, 4, 0]])) == (0, 0)
     assert a.first_difference(np.broadcast_to(1, (2, 2))) == (0, 1)
     assert IntMatrix([[1, 2, 3], [4, 5, 6]]).first_difference(IntMatrix([[1, 2, 3], [0, 5, 0]])) == (1, 0)
+    # per member of a stack, against one matrix or a stack of them
+    stack = np.array([[[1, 2], [3, 4]], [[1, 0], [0, 4]], [[0, 2], [3, 0]]])
+    assert first_differences(stack, a.a) == [None, (0, 1), (0, 0)]
+    assert first_differences(stack, stack[::-1]) == [(0, 0), None, (0, 0)]
+    assert first_differences(stack.reshape(3, 1, 2, 2), b.a) == [(0, 1), None, (0, 0)]
 
 
 @given(rationals, rationals, rationals, rationals)

@@ -93,13 +93,21 @@ MATRIX_TEXTS = {
     "digits-unit-separator": "2 3\n1 0\x1f1\n0 9 0\n",
     "digits-rows-past-eof": "3 3\n1 0 1\n0 9 0\n",
     "crlf-bad-token": "2 2\r\n1 0\r\n0 x\r\n",
+    # CR LF rows, which the byte view reads only when every row ends so
+    "digits-crlf-one-column": "2 1\r\n1\r\n0\r\n",
+    "digits-crlf-then-lf": "2 3\r\n1 0 1\r\n0 9 0\n",
+    "digits-lf-then-crlf": "2 3\n1 0 1\n0 9 0\r\n",
+    "digits-crlf-final-cr": "2 3\r\n1 0 1\r\n0 9 0\r",
+    "digits-cr-cr-lf": "2 2\r\n1 0\r\r\n0 1\r\n",
+    "digits-crlf-ten": "2 3\r\n1 0 1\r\n0 10 0\r\n",
 }
 
-# Digit blocks whose rows do not all end in "\n": the str route views them
-# as uint8, the byte route reads the same values as int64.
+# Digit blocks whose rows do not all end in "\n" nor all in "\r\n": the str
+# route views them as uint8, the byte route reads the same values as int64.
 NOT_LF_ROWS = {
-    "digits-crlf", "digits-no-final-newline", "digits-lone-cr", "digits-vt", "digits-ff",
+    "digits-no-final-newline", "digits-lone-cr", "digits-vt", "digits-ff",
     "digits-fs", "digits-gs", "digits-rs", "digits-crlf-no-final-newline",
+    "digits-crlf-then-lf", "digits-lf-then-crlf", "digits-crlf-final-cr",
 }
 
 MATRIX_ERRORS = {
@@ -228,6 +236,21 @@ def test_scheme_parse_from_bytes_peaks_below_the_file_size(scheme448):
     finally:
         tracemalloc.stop()
     assert [a.dtype for a in mats] == [np.uint8] * 6
+    assert peak < 0.75 * len(data)
+
+
+def test_crlf_scheme_parse_takes_the_byte_view(scheme448):
+    """A scheme file with CR LF line ends is viewed in place as well: uint8
+    blocks with the LF file's values, and the same peak bound."""
+    data = fileio.format_scheme_matrices(scheme448.relation).encode().replace(b"\n", b"\r\n")
+    tracemalloc.start()
+    try:
+        mats = fileio.parse_scheme_matrices(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [a.dtype for a in mats] == [np.uint8] * 6
+    assert all(np.array_equal(a, scheme448.relation == i) for i, a in enumerate(mats))
     assert peak < 0.75 * len(data)
 
 

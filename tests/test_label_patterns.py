@@ -293,6 +293,10 @@ def test_group_labels_partition_the_group_pattern():
     assert ((labels == 1) == (k - _eye(6)).astype(bool)).all()
     assert ((labels == 0) == (_ones(6) - k).astype(bool)).all()
     assert (pattern(labels, (5, 7, 11)) == 11 * _eye(6) + 7 * (k - _eye(6)) + 5 * (_ones(6) - k)).all()
+    # the smallest signed type that holds every coefficient, Python integers past 2**62
+    dtypes = [pattern(labels, coeffs).dtype for coeffs in ((5, -128, 127), (128, 0, 0), (-(2**40), 1, 2), (2**62, 0, 0))]
+    assert dtypes == [np.int16, np.int16, np.int64, object]
+    assert pattern(labels, (-127, 127, 0)).dtype == np.int8
 
 
 # -- auxiliary sets ----------------------------------------------------------------

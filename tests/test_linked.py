@@ -149,18 +149,26 @@ def test_batched_triple_products_match_per_triple(source, seed, request, corrupt
     assert bool(violations) == (seed is not None)
 
 
-def test_triple_products_form_one_wide_product_per_ordered_pair(sys64, monkeypatch):
+def test_linked_system_takes_f_plus_4_stacked_products(sys64, monkeypatch):
+    """The 42 blocks of the GF(8) system are certified in f + 4 = 11 kernel
+    calls: the two Gram identities and the two products of A K = K A for
+    the whole stack, then one triple product per middle index j."""
     shapes = []
     matmul = IntMatrix.__matmul__
 
     def recorded(a, b):
-        shapes.append((a.rows, a.cols, b.cols))
+        shapes.append((a.a.shape, b.a.shape))
         return matmul(a, b)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", recorded)
     assert verify_linked_system(sys64).ok
-    v, f = sys64.params.base.v, sys64.params.f
-    assert [s for s in shapes if s != (v, v, v)] == [(v, v, (f - 2) * v)] * (f * (f - 1))
+    base, f = sys64.params.base, sys64.params.f
+    v, m, count = base.v, base.m, f * (f - 1)
+    stack = (count, v, v)
+    assert shapes == (
+        [(stack, stack)] * 2 + [(stack, (v, m)), ((m, v), stack)] + [(((f - 1) * v, v), (v, (f - 1) * v))] * f
+    )
+    assert len(shapes) == f + 4
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -596,6 +596,23 @@ def test_intersection_numbers_seeded_negative_controls(scheme48, seed):
     assert cert.violations == ref_cert.violations
 
 
+def test_dense_route_past_255_vertices(scheme448):
+    """At 448 vertices the intersection numbers pass 127 (the valencies
+    p_33^0 = p_44^0 = 168): the dense route, which looks the expected entries
+    up in the smallest dtype that holds |X|, still certifies the scheme and
+    names the first failing class of a moved pair as the all-products route
+    does."""
+    p, cert = compute_intersection_numbers(classes_of(scheme448.relation))
+    assert cert.ok and p == scheme448.p
+    relation = scheme448.relation
+    pair = random.Random(448).choice([(x, y) for x, y in zip(*np.nonzero(relation == 4)) if x < y])
+    classes = classes_of(_pair_moved(relation, 4, 3, pair))
+    p, cert = compute_intersection_numbers(classes)
+    ref_p, ref_cert = _intersection_numbers_all_products(class_matrices(classes))
+    assert p is None and ref_p is None
+    assert cert.violations == ref_cert.violations
+
+
 @pytest.mark.parametrize("source, radicand", [("scheme48", 0), ("scheme135", 0), ("conference24", 5), ("gcm48", 5)])
 def test_krein_matches_coefficient_algebra(source, radicand, request):
     scheme = request.getfixturevalue(source)
