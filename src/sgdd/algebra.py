@@ -36,8 +36,15 @@ every partial sum that any summation order (or fused multiply-add) can form
 is an integer of magnitude at most the bound, and the float type represents
 all such integers, so no step ever rounds.  This is the
 exact-linear-algebra-over-floating-point technique of FFLAS-FFPACK (Dumas,
-Giorgi, Pernet, ACM TOMS 35(3), 2008).  Below 2**62 the result is returned
-as int64, whatever the operands' dtypes, so callers may compute with it.
+Giorgi, Pernet, ACM TOMS 35(3), 2008).
+
+A product keeps the array its lane produced as ``IntMatrix.lane`` (float32,
+float64, int64, or Python integers past 2**62), and ``.a`` widens it to
+int64 on first read, so every caller that computes with a product below
+2**62 still sees int64.  Certifiers compare the lane array itself with
+their expected coefficients, cast to the lane's dtype by ``lane_table``:
+equality of two exactly held integers is exact in any of these dtypes, so
+the int64 copy is never made for a comparison.
 """
 
 from __future__ import annotations
@@ -63,6 +70,12 @@ _VIEWABLE = (np.dtype(np.int64), np.dtype(object), np.dtype(np.uint8), np.dtype(
 # (exclusive bound, dtype) for matrix products, fastest lane first.
 _LANES = ((2**24, np.float32), (2**53, np.float64), (_INT64_SAFE, np.int64))
 
+# a lane dtype -> the exclusive bound on the magnitude of its products' entries
+_LANE_LIMIT = {np.dtype(dtype): limit for limit, dtype in _LANES}
+
+# per lane dtype, a value no entry of a product in that lane takes
+_NO_ENTRY = {np.dtype(np.float32): np.nan, np.dtype(np.float64): np.nan, np.dtype(np.int64): np.iinfo(np.int64).min}
+
 _ZERO = Fraction(0)
 
 
@@ -73,6 +86,29 @@ def matmul_lane(bound: int):
         if bound < limit:
             return dtype
     return None
+
+
+def lane_table(coeffs, dtype) -> np.ndarray:
+    """The integers ``coeffs`` as an array of ``dtype``, the dtype of a
+    product's lane array (``IntMatrix.lane``), so that the lane array can be
+    compared with a lookup in it exactly.
+
+    Every entry of a product in the float32, float64 or int64 lane is an
+    integer of magnitude at most the product's bound, which is below the
+    lane's limit (2**24, 2**53, 2**62), and the dtype holds every integer
+    below that limit exactly.  A coefficient below the limit is cast
+    exactly, so it equals an entry exactly when the integers agree.  One at
+    or past the limit can equal no entry, so it becomes a value that no
+    entry takes: NaN in a float lane, -2**63 in the int64 lane.  Past
+    2**62 the lane holds Python integers, and so does the table."""
+    coeffs = [int(c) for c in coeffs]
+    dtype = np.dtype(dtype)
+    if dtype not in _LANE_LIMIT:
+        table = np.empty(len(coeffs), dtype=object)
+        table[:] = coeffs
+        return table
+    limit = _LANE_LIMIT[dtype]
+    return np.array([c if abs(c) < limit else _NO_ENTRY[dtype] for c in coeffs], dtype=dtype)
 
 
 def first_differences(actual: np.ndarray, expected) -> list[tuple[int, int] | None]:
@@ -275,9 +311,13 @@ class Surd:
 
 
 class IntMatrix:
-    """Dense exact integer matrix."""
+    """Dense exact integer matrix.
 
-    __slots__ = ("a",)
+    ``lane`` is the array the entries are held in: as built or viewed, or,
+    for a product, as its lane computed it.  ``a`` is the same array, except
+    that a product held in a float lane is widened to int64 on first read."""
+
+    __slots__ = ("lane", "_a")
 
     def __init__(self, data):
         if isinstance(data, IntMatrix):
@@ -286,7 +326,7 @@ class IntMatrix:
             arr = self._build_array(data)
         if arr.ndim not in (2, 3):
             raise ParameterError("IntMatrix must be a matrix or a stack of matrices")
-        self.a = arr
+        self.lane = self._a = arr
 
     @staticmethod
     def view(arr: np.ndarray) -> "IntMatrix":
@@ -295,9 +335,21 @@ class IntMatrix:
         entries, such as 0/1 masks, digit blocks and slices of a stack."""
         if arr.dtype not in _VIEWABLE or arr.ndim not in (2, 3):
             raise ParameterError("IntMatrix.view takes a matrix or a stack of int64, object, uint8 or bool entries")
+        return IntMatrix._held(arr, arr)
+
+    @staticmethod
+    def _held(lane: np.ndarray, a: np.ndarray | None) -> "IntMatrix":
         m = IntMatrix.__new__(IntMatrix)
-        m.a = arr
+        m.lane, m._a = lane, a
         return m
+
+    @property
+    def a(self) -> np.ndarray:
+        """The entries: int64 for a product below 2**62, widened from its
+        lane array on first read and kept; otherwise the array as held."""
+        if self._a is None:
+            self._a = self.lane.astype(np.int64)
+        return self._a
 
     @staticmethod
     def _build_array(data) -> np.ndarray:
@@ -310,7 +362,7 @@ class IntMatrix:
             arr = arr.astype(object)
         if arr.dtype == np.int64 or arr.dtype == object:
             pass
-        elif arr.dtype.kind in "iu":
+        elif arr.dtype.kind in "biu":
             arr = arr.astype(np.int64)
         else:
             raise ParameterError("IntMatrix entries must be integers")
@@ -327,34 +379,36 @@ class IntMatrix:
     # -- shape and access -------------------------------------------------
     @property
     def rows(self) -> int:
-        return self.a.shape[-2]
+        return self.lane.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.a.shape[-1]
+        return self.lane.shape[-1]
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __getitem__(self, idx):
-        return int(self.a[idx])
+        return int(self.lane[idx])
 
     def row(self, i: int) -> list[int]:
-        return [int(x) for x in self.a[i]]
+        return [int(x) for x in self.lane[i]]
 
     def entries(self) -> list[int]:
         """Row-major entry list."""
-        return [int(x) for x in self.a.ravel()]
+        return [int(x) for x in self.lane.ravel()]
 
     def max_abs(self) -> int:
-        if self.a.size == 0:
+        if self.lane.size == 0:
             return 0
         # not np.abs: it wraps -2**63 to itself in int64
-        return max(-int(self.a.min()), int(self.a.max()))
+        return max(-int(self.lane.min()), int(self.lane.max()))
 
     def is_zero_one(self) -> bool:
-        return bool(((self.a == 0) | (self.a == 1)).all())
+        if self.lane.dtype.kind in "bu":  # no entry is negative: 0/1 when none exceeds 1
+            return self.lane.size == 0 or int(self.lane.max()) <= 1
+        return bool(((self.lane == 0) | (self.lane == 1)).all())
 
     # -- exactness gate ---------------------------------------------------
     def _object(self) -> np.ndarray:
@@ -373,15 +427,15 @@ class IntMatrix:
 
     # -- arithmetic -------------------------------------------------------
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        stacks = {len(m.a) for m in (self, other) if m.a.ndim == 3}
+        stacks = {len(m.lane) for m in (self, other) if m.lane.ndim == 3}
         if self.cols != other.rows or len(stacks) > 1:
             raise ParameterError("dimension mismatch in matrix product")
         bound = max(self.max_abs(), 1) * max(other.max_abs(), 1) * max(self.cols, 1)
         lane = matmul_lane(bound)
         if lane is None:
             return self._wrap(np.matmul(self._object(), other._object()))
-        prod = np.matmul(self.a.astype(lane, copy=False), other.a.astype(lane, copy=False))
-        return IntMatrix(prod.astype(np.int64, copy=False))
+        prod = np.matmul(self.lane.astype(lane, copy=False), other.lane.astype(lane, copy=False))
+        return IntMatrix._held(prod, prod if prod.dtype == np.int64 else None)
 
     @property
     def T(self) -> "IntMatrix":

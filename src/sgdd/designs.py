@@ -14,9 +14,11 @@ Every identity of this package has that shape: a product equals a sum of
 integer coefficients times 0/1 patterns that partition the matrix.  The
 patterns are given once as a label array (``group_labels``: 0 on J - K, 1
 on K - I, 2 on I; other checks use I, a class matrix, or A + 2K), the
-expected matrix is the exact lookup ``pattern(labels, coeffs)``, and
-``Certificate.compare`` reports the first row-major entry where the product
-differs from it.  No dense I, J or K is ever combined elementwise.
+expected matrix is the exact lookup of the coefficients on the labels, and
+the first row-major entry where the product differs from it is reported:
+by ``stack_differences`` for a stack of products, compared in their lane's
+dtype, and by ``Certificate.compare`` against ``pattern(labels, coeffs)``
+elsewhere.  No dense I, J or K is ever combined elementwise.
 
 The Gram and K-commutation checks take a stack of matrices, shape
 (count, v, v), and form each identity's products for the whole stack in
@@ -32,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _INT64_SAFE, IntMatrix, first_differences
+from .algebra import _INT64_SAFE, IntMatrix, first_differences, lane_table
 from .errors import DegenerateDesignError, InfeasibleParameterError, ParameterError
 
 
@@ -86,16 +88,22 @@ def stack_slices(count: int, entries: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def stack_differences(actual: np.ndarray, expected: np.ndarray) -> list[tuple | None]:
-    """For each matrix of the stack ``actual`` (any leading shape, matrices
-    in row-major order), None where it equals ``expected`` (an array that
-    broadcasts against the stack), else its first row-major difference as
-    (position, expected entry, actual entry)."""
-    wants = np.broadcast_to(expected, actual.shape)
+def stack_differences(actual: np.ndarray, labels: np.ndarray, coeffs) -> list[tuple | None]:
+    """For each matrix of the stack ``actual``, a product's lane array
+    (``IntMatrix.lane``; any leading shape, matrices in row-major order),
+    None where it equals the pattern sum_t coeffs[t] [labels == t]
+    (``labels`` broadcasts against the stack), else its first row-major
+    difference as (position, expected entry, actual entry), Python integers.
+
+    The pattern is looked up in the lane's dtype (``lane_table``), so the
+    comparison is exact with no int64 copy of either side."""
+    coeffs = [int(c) for c in coeffs]
+    expected = np.take(lane_table(coeffs, actual.dtype), labels)
+    labels = np.broadcast_to(labels, actual.shape)
     out = []
     for t, pos in enumerate(first_differences(actual, expected)):
         at = np.unravel_index(t, actual.shape[:-2]) + pos if pos is not None else None
-        out.append(None if at is None else (pos, wants.item(at), int(actual[at])))
+        out.append(None if at is None else (pos, coeffs[labels[at]], int(actual[at])))
     return out
 
 
@@ -271,7 +279,7 @@ def verify_grams(stack: np.ndarray, p: GddParams) -> list[Certificate]:
     """``verify_gram`` for every matrix of a (count, v, v) stack, one
     certificate each: A A^T and A^T A as one stacked product apiece."""
     certs = [Certificate(f"symmetric GDD {p}") for _ in range(len(stack))]
-    gram = pattern(group_labels(p.m, p.n), (p.lambda2, p.lambda1, p.k))
+    labels, coeffs = group_labels(p.m, p.n), (p.lambda2, p.lambda1, p.k)
     flip = np.swapaxes(stack, 1, 2)
     for label, left, right in (
         ("A A^T equals k I + l1 (K - I) + l2 (J - K)", stack, flip),
@@ -279,7 +287,7 @@ def verify_grams(stack: np.ndarray, p: GddParams) -> list[Certificate]:
     ):
         for part in stack_slices(len(stack), stack[0].size):
             prod = IntMatrix.view(left[part]) @ IntMatrix.view(right[part])
-            for cert, diff in zip(certs[part], stack_differences(prod.a, gram)):
+            for cert, diff in zip(certs[part], stack_differences(prod.lane, labels, coeffs)):
                 if diff is None:
                     cert.passed(label)
                 else:
@@ -339,8 +347,9 @@ def k_commutations(stack: np.ndarray, m: int, n: int) -> list[KCommutation]:
     off_k = ~np.eye(m, dtype=bool)
     out = []
     for part in stack_slices(len(stack), stack[0].size):
-        ag = (IntMatrix.view(stack[part]) @ IntMatrix.view(g)).a.reshape(-1, m, n, m)
-        ga = (IntMatrix.view(g.T) @ IntMatrix.view(stack[part])).a.reshape(-1, m, m, n)
+        # compared with each other in their lane, exactly; read out as Python integers
+        ag = (IntMatrix.view(stack[part]) @ IntMatrix.view(g)).lane.reshape(-1, m, n, m)
+        ga = (IntMatrix.view(g.T) @ IntMatrix.view(stack[part])).lane.reshape(-1, m, m, n)
         grids = ag[:, :, 0, :]
         commute = (ag == grids[:, :, None, :]).all(axis=(1, 2, 3)) & (ga == grids[..., None]).all(axis=(1, 2, 3))
         on, off = np.diagonal(grids, axis1=1, axis2=2), grids[:, off_k]

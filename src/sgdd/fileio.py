@@ -23,9 +23,10 @@ file's ``bytes``, refuse any byte past 0x7F, end lines where ``str.splitlines``
 would and decode only the lines they read as tokens.
 
 A block of single-digit rows joined by single spaces, all ending in a line
-feed or all in CR LF, is viewed in place as ``uint8``, and an LF block is
-written from one byte buffer; every other block takes the token reader, so
-every error names the same line either way.  Scheme class blocks stay
+feed or all in CR LF, is viewed in place as ``uint8``, and a block of digits
+held as int64, ``uint8`` or booleans is written from one byte buffer; every
+other block takes the token reader, so every error names the same line
+either way.  Scheme class blocks stay
 ``uint8`` as read, and a scheme is written from its class-label array R,
 class i as R == i; other matrices become ``IntMatrix``.
 """
@@ -115,7 +116,7 @@ def _digit_rows(a: np.ndarray) -> str:
 
 def format_matrix(m: IntMatrix) -> str:
     a = m.a
-    if a.dtype == np.int64 and a.size and a.min() >= 0 and a.max() <= 9:
+    if a.dtype.kind in "biu" and a.size and a.min() >= 0 and a.max() <= 9:
         body = _digit_rows(a)
     else:
         body = "\n".join(" ".join(map(str, row)) for row in a.tolist()) + "\n"

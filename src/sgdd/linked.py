@@ -282,10 +282,10 @@ def _triple_differences(stack: np.ndarray, at: dict, p: LinkedParams, in_k: np.n
                 grid = [(i, l) for i in firsts for l in lasts]
                 shape = (len(firsts), len(lasts), v, v)
                 labels = stack[[at[(i, l)] if i != l else 0 for i, l in grid]] + twice_k
-                prod = (IntMatrix.view(left[rows].reshape(-1, v)) @ right).a
+                prod = (IntMatrix.view(left[rows].reshape(-1, v)) @ right).lane
                 # block (i, l) of the band's product, as a view of shape ``shape``
                 blocks = prod.reshape(shape[0], v, shape[1], v).swapaxes(1, 2)
-                diffs = stack_differences(blocks, pattern(labels.reshape(shape), coeffs))
+                diffs = stack_differences(blocks, labels.reshape(shape), coeffs)
                 del prod, blocks, labels  # reduced: free them before the next product is formed
                 for (i, l), diff in zip(grid, diffs):
                     if i != l:

@@ -35,8 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import IntMatrix, Surd, square_free_decomposition, surd_sign
-from .designs import Certificate, GddParams, IncidenceMatrix, group_labels
+from .algebra import IntMatrix, Surd, lane_table, square_free_decomposition, surd_sign
+from .designs import Certificate, GddParams, IncidenceMatrix, group_labels, stack_slices
 from .errors import CertificationError, ParameterError
 from .linked import LinkedParams, LinkedSystemII, verify_linked_system
 
@@ -116,20 +116,24 @@ def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
     cert = Certificate("association scheme axioms")
     size = classes[0].shape[0]
     relation = np.zeros((size, size), dtype=np.min_scalar_type(len(classes)))
-    count = np.zeros_like(relation)
+    count, term = np.zeros_like(relation), np.empty_like(relation)
     if np.array_equal(classes[0], np.eye(size, dtype=np.uint8)):
         cert.passed("A_0 = I")
     else:
         cert.failed("A_0 = I", (0, 0))
     for idx, a in enumerate(classes):
-        if not (a.shape == (size, size) and ((a == 0) | (a == 1)).all()):
+        if not (a.shape == (size, size) and (a.dtype == np.bool_ or ((a == 0) | (a == 1)).all())):
             cert.failed(f"A_{idx} is a square 0/1 matrix of order {size}")
             return None, cert
         if not (a == a.T).all():
             cert.failed(f"A_{idx} is symmetric")
-        count += a == 1
-        relation[a == 1] = idx
-    cert.compare("sum A_i = J", IntMatrix(count), np.broadcast_to(1, (size, size)))
+        # a is 0/1: count += a and relation += idx a, in the labels' dtype;
+        # where classes overlap the count exceeds 1 and R is not returned
+        np.add(count, a, out=count, casting="unsafe")
+        np.multiply(a, relation.dtype.type(idx), out=term, casting="unsafe")
+        relation += term
+    total = IntMatrix.view(count) if count.dtype == np.uint8 else IntMatrix(count)  # past 255 classes: uint16
+    cert.compare("sum A_i = J", total, np.broadcast_to(1, (size, size)))
     if idx_zero := [i for i, a in enumerate(classes) if not a.any()]:
         cert.failed(f"classes {idx_zero} are empty")
     return (relation if cert.ok else None), cert
@@ -151,16 +155,17 @@ def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
     1 <= i <= j, one product of order |X| per pair of classes built from R;
     the first failing pair and class go to ``cert``.  A_j A_i is the
     transpose, constant on a symmetric class exactly when A_i A_j is.  The
-    classes go to the kernel as boolean masks of R, and the expected entries
-    are looked up in the smallest dtype that holds |X|."""
+    classes go to the kernel as boolean masks of R, and the product is
+    compared in its lane with p_{i,j} looked up there (``lane_table``), in
+    bands of rows of at most STACK_ENTRIES entries."""
     d1 = len(p)
-    small = np.min_scalar_type(relation.shape[0])  # holds every p_{i,j}^k <= |X|
+    bands = stack_slices(len(relation), len(relation))
     for i in range(1, d1):
         a_i = IntMatrix.view(relation == i)
         for j in range(i, d1):
-            prod = (a_i @ IntMatrix.view(relation == j)).a
-            coeffs = np.array(p[i][j], dtype=small)
-            if not (prod == np.take(coeffs, relation)).all():
+            prod = (a_i @ IntMatrix.view(relation == j)).lane
+            coeffs = lane_table(p[i][j], prod.dtype)
+            if not all((prod[rows] == np.take(coeffs, relation[rows])).all() for rows in bands):
                 k = next(k for k in range(d1) if not (prod[relation == k] == coeffs[k]).all())
                 cert.failed(f"A_{i} A_{j} is not constant on class {k}")
                 return False
@@ -469,16 +474,13 @@ class ExtractionCandidate:
     triple: tuple[int, int, int] | None
     spectra: Spectra
     spectra_certificate: Certificate
-    system: LinkedSystemII | None
-    certificate: Certificate | None
+    certificate: Certificate | None = None  # of the system cut from A_3, once tried
+    certified: bool = False                  # whether that system certifies
+    system: LinkedSystemII | None = None     # the certified system, kept for the primary candidate only
 
     @property
     def spectra_match(self) -> bool:
         return self.spectra_certificate.ok
-
-    @property
-    def certified(self) -> bool:
-        return self.system is not None  # set only when its certificate holds
 
 
 @dataclass
@@ -496,24 +498,46 @@ class ExtractionReport:
         raise CertificationError("no labeling matches the closed-form spectra and certifies")
 
 
+def _closed(p, labels) -> bool:
+    """Whether p_{a,b}^k = 0 for all a, b in ``labels`` and k not in it.
+
+    For any symmetric R with no empty class and 0 in ``labels``, this holds
+    whenever "R[x, y] is in ``labels``" is an equivalence: p_{a,b}^k counts
+    the z with R[x, z] = a and R[y, z] = b at a real pair (x, y) of class k,
+    and such a z would relate x ~ z ~ y, so k would be in ``labels``.  A
+    label set failing it needs no scan of R."""
+    outside = [k for k in range(len(p)) if k not in labels]
+    return not any(p[a][b][k] for a in labels for b in labels for k in outside)
+
+
 def _identify_labelings(relation: np.ndarray, p) -> list[dict]:
+    """Every labeling (c0, ..., c5) whose groups {c0, c1} and fibers
+    {c0, c1, c2} are uniform equivalences with m >= 2 groups of n points per
+    fiber and f >= 2 fibers, and whose c5 has the valency (f-1)n and meets
+    c1 as the aligned groups do, with (m, n, f) and the groups and fibers
+    found.  A label set is scanned on R only when p is closed on it
+    (``_closed``)."""
     size = relation.shape[0]
     idx = range(CLASSES)
     c0 = 0  # the partition axioms put I in class 0
     valency = {i: p[i][i][0] for i in idx}
+
+    def classes(labels):
+        return _equivalence_classes(relation, labels) if _closed(p, labels) else None
+
     out = []
     for c1 in idx[1:]:
-        cls1 = _equivalence_classes(relation, (c0, c1))
-        if cls1 is None:
+        groups = classes((c0, c1))
+        if groups is None:
             continue
         n = 1 + valency[c1]
         for c2 in idx:
             if c2 in (c0, c1):
                 continue
-            fib = _equivalence_classes(relation, (c0, c1, c2))
-            if fib is None:
+            fibers = classes((c0, c1, c2))
+            if fibers is None:
                 continue
-            mn = len(fib[0])
+            mn = len(fibers[0])
             if mn % n or mn // n < 2 or size % mn:
                 continue
             m = mn // n
@@ -532,7 +556,7 @@ def _identify_labelings(relation: np.ndarray, p) -> list[dict]:
                 for c3 in c3c4:
                     c4 = next(i for i in c3c4 if i != c3)
                     out.append(
-                        {"labels": (c0, c1, c2, c3, c4, c5), "m": m, "n": n, "f": f}
+                        {"labels": (c0, c1, c2, c3, c4, c5), "m": m, "n": n, "f": f, "groups": groups, "fibers": fibers}
                     )
     return out
 
@@ -544,16 +568,17 @@ def _relabel_p(p, labels):
     ]
 
 
-def _canonical_vertex_order(relation: np.ndarray, labels, m: int, n: int) -> list[int] | None:
+def _canonical_vertex_order(relation: np.ndarray, labels, m: int, n: int, groups, fibers) -> list[int] | None:
     """Vertex permutation sorting into fibers, aligned groups, ascending
     points, or None unless A_5 is the aligned-group pattern
     (J_f - I_f) (x) I_m (x) J_n in that order; identity whenever the input is
-    already canonically ordered.  Group j of a later fiber holds the first
-    A_5-neighbour there of group j of fiber 0; uniform groups and fibers
-    (``_identify_labelings``) put m groups of n points in every fiber."""
-    c0, c1, c2, _, _, c5 = labels
-    fibers = _equivalence_classes(relation, (c0, c1, c2))
-    group_of = {x: g for g in _equivalence_classes(relation, (c0, c1)) for x in g}
+    already canonically ordered.  ``groups`` and ``fibers`` are the classes
+    of {c0, c1} and {c0, c1, c2} by least point, as ``_identify_labelings``
+    found them: uniform, with m groups of n points in every fiber.  Group j
+    of a later fiber holds the first A_5-neighbour there of group j of
+    fiber 0."""
+    c5 = labels[5]
+    group_of = {x: g for g in groups for x in g}
     ref_groups = sorted({group_of[x] for x in fibers[0]}, key=min)
     order = []
     for t, fib in enumerate(fibers):
@@ -576,7 +601,8 @@ def _canonical_vertex_order(relation: np.ndarray, labels, m: int, n: int) -> lis
 
 
 def _extraction(classes):
-    """R, p, the axioms and the uncertified candidates in report order, each with its (l1, l2)."""
+    """R, p, the axioms and the uncertified candidates in report order, each
+    with its (l1, l2) and the groups and fibers of its labeling."""
     if len(classes) != CLASSES:
         raise ParameterError("expected six classes")
     relation, cert = relation_from_classes(classes)
@@ -603,28 +629,50 @@ def _extraction(classes):
             params = SchemeParams(k=k, m=m, n=n, f=f)
         except ParameterError:
             continue
-        found.append((ExtractionCandidate(labels, params, triple, *compute_spectra(pp, params), None, None), (l1, l2)))
+        cand = ExtractionCandidate(labels, params, triple, *compute_spectra(pp, params))
+        found.append((cand, (l1, l2), (lab["groups"], lab["fibers"])))
     found.sort(key=lambda item: (not item[0].spectra_match, item[0].labels))
     return relation, p, cert, found
 
 
-def _certify(relation: np.ndarray, cand: ExtractionCandidate, lambdas) -> ExtractionCandidate:
-    """Certify ``cand`` by the system cut from A_3 in its canonical vertex order, if it has one."""
+def _certify(relation: np.ndarray, cand: ExtractionCandidate, lambdas, structure) -> LinkedSystemII | None:
+    """Certify ``cand`` by the system cut from A_3 in its canonical vertex
+    order, if it has one, and return that system when it certifies.
+
+    A_3 is cut once, as one 0/1 array in that order (a boolean mask viewed
+    as uint8, so callers' arithmetic on a block stays integer); the blocks
+    are views of it, stacked by ``verify_linked_system`` as they are."""
     k, m, n, f = cand.params.k, cand.params.m, cand.params.n, cand.params.f
-    order = _canonical_vertex_order(relation, cand.labels, m, n)
+    order = _canonical_vertex_order(relation, cand.labels, m, n, *structure)
     if order is None:
-        return cand
-    fibers, a3 = [order[t * m * n : (t + 1) * m * n] for t in range(f)], cand.labels[3]
+        return None
+    mn = m * n
+    a3 = (relation[np.ix_(order, order)] == cand.labels[3]).view(np.uint8)
     with suppress(ParameterError):  # parameters or blocks no linked system has
-        linked = LinkedParams(GddParams(m * n, k, m, n, *lambdas), f, *(cand.triple or (None, None, None)))
+        linked = LinkedParams(GddParams(mn, k, m, n, *lambdas), f, *(cand.triple or (None, None, None)))
         blocks = {
-            (i + 1, j + 1): IncidenceMatrix(IntMatrix((relation[np.ix_(fi, fj)] == a3).astype(np.int64)), m, n)
-            for i, fi in enumerate(fibers) for j, fj in enumerate(fibers) if i != j
+            (i + 1, j + 1): IncidenceMatrix(IntMatrix.view(a3[i * mn : (i + 1) * mn, j * mn : (j + 1) * mn]), m, n)
+            for i in range(f) for j in range(f) if i != j
         }
         system = LinkedSystemII(params=linked, blocks=blocks)
         cand.certificate = verify_linked_system(system)
-        cand.system = system if cand.certificate.ok else None
-    return cand
+        cand.certified = cand.certificate.ok
+        return system if cand.certified else None
+    return None
+
+
+def _certified(relation: np.ndarray, found, every: bool) -> list[ExtractionCandidate]:
+    """The candidates of ``found``, certified in report order: all of them,
+    or only up to the primary one, the first that certifies and matches the
+    closed-form spectra.  Only the primary candidate keeps its system."""
+    primary = None
+    for cand, lambdas, structure in found:
+        if primary is not None and not every:
+            break
+        system = _certify(relation, cand, lambdas, structure)
+        if primary is None and system is not None and cand.spectra_match:
+            primary, cand.system = cand, system
+    return [cand for cand, _, _ in found]
 
 
 def _report(classes, relation, p, cert: Certificate, candidates) -> ExtractionReport:
@@ -655,7 +703,7 @@ def extract_linked_system(classes) -> ExtractionReport:
     ``compute_intersection_numbers`` decides and names the first failing
     pair."""
     relation, p, cert, found = _extraction(classes)
-    return _report(classes, relation, p, cert, [_certify(relation, cand, lambdas) for cand, lambdas in found])
+    return _report(classes, relation, p, cert, _certified(relation, found, every=True))
 
 
 def load_scheme(classes) -> tuple[AssociationScheme, ExtractionCandidate]:
@@ -667,10 +715,7 @@ def load_scheme(classes) -> tuple[AssociationScheme, ExtractionCandidate]:
     Krein parameters are new.  Raises when no labeling certifies; a failing
     spectra or Krein check is returned in the scheme's certificate."""
     relation, p, cert, found = _extraction(classes)
-    for cand, lambdas in found:
-        if _certify(relation, cand, lambdas).certified and cand.spectra_match:
-            break
-    report = _report(classes, relation, p, cert, [cand for cand, _ in found])
+    report = _report(classes, relation, p, cert, _certified(relation, found, every=False))
     primary = report.primary
     position = np.argsort(primary.labels).astype(relation.dtype)  # input class -> canonical position
     scheme = _certified_scheme(

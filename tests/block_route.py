@@ -1,15 +1,17 @@
 """Reference route for the design, linked-system and linked-family
 certifiers: one block, one square or one triple at a time, two products per
 block for its Gram identities and two more for A K = K A, and one wide
-product per ordered pair (i, j) for the triple law.  The tests compare
-``sgdd``, which certifies a system's blocks as one stacked array, against it.
+product per ordered pair (i, j) for the triple law, each product compared
+as int64 with an expected array built by ``pattern``.  The tests compare
+``sgdd``, which certifies a system's blocks as one stacked array and
+compares each product in its lane, against it.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from sgdd.algebra import IntMatrix
+from sgdd.algebra import IntMatrix, first_differences
 from sgdd.designs import (
     Certificate,
     GddParams,
@@ -21,6 +23,19 @@ from sgdd.designs import (
 )
 from sgdd.latin import LinkedMolsFamily, compose, is_orthogonal
 from sgdd.linked import LinkedSystemII
+
+
+def stack_differences(actual: np.ndarray, expected: np.ndarray) -> list[tuple | None]:
+    """The int64 route for a stack of products: ``actual`` as int64 (or
+    Python integers past 2**62) against ``expected`` built by ``pattern``;
+    for each matrix None, or its first row-major difference as (position,
+    expected entry, actual entry)."""
+    wants = np.broadcast_to(expected, actual.shape)
+    out = []
+    for t, pos in enumerate(first_differences(actual, expected)):
+        at = np.unravel_index(t, actual.shape[:-2]) + pos if pos is not None else None
+        out.append(None if at is None else (pos, wants.item(at), int(actual[at])))
+    return out
 
 
 def verify_gram(mat: IntMatrix, p: GddParams) -> Certificate:

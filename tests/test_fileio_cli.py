@@ -287,6 +287,18 @@ def test_format_matrix_matches_per_entry_formatter(data):
     assert fileio.parse_matrix(fileio.format_matrix(m).encode()) == m
 
 
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64])
+def test_format_matrix_writes_viewed_blocks_as_int64(dtype):
+    """A block held as a boolean or uint8 view, such as a block of a system
+    cut from a scheme, or a non-contiguous slice of one, is written with the
+    bytes of its int64 copy."""
+    rng = np.random.default_rng(3)
+    whole = rng.integers(0, 2 if dtype is np.bool_ else 10, size=(6, 8)).astype(dtype)
+    for arr in (whole, whole[1:5, 2:7], whole.T):
+        view = IntMatrix.view(arr) if dtype is not np.int64 else IntMatrix(arr)
+        assert fileio.format_matrix(view) == _format_matrix_per_entry(IntMatrix(arr.astype(np.int64)))
+
+
 def _peak_bytes(parse, text):
     tracemalloc.start()
     try:

@@ -918,8 +918,9 @@ def test_a5_pattern_is_checked(name, scheme48, sys16):
     labels = tuple(range(CLASSES))
     assert _order_aligned_at_first_points(relation, labels, 4, 4) == list(range(48))
     assert np.array_equal(scheme_matrices_from_system(sys16) == 3, relation == 3)
-    assert _canonical_vertex_order(scheme48.relation, labels, 4, 4) == list(range(48))
-    assert _canonical_vertex_order(relation, labels, 4, 4) is None
+    for source, order in ((scheme48.relation, list(range(48))), (relation, None)):
+        structure = _equivalence_classes(source, (0, 1)), _equivalence_classes(source, (0, 1, 2))
+        assert _canonical_vertex_order(source, labels, 4, 4, *structure) == order
 
 
 @pytest.mark.parametrize("source", ["sys16", "sys45", "conference12", "gcm24"])
