@@ -58,8 +58,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-Rational = Fraction
-
 # int64 products are exact below this; leave headroom for accumulation.
 _INT64_SAFE = 2**62
 

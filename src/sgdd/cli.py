@@ -36,8 +36,8 @@ from .resolvable import aux_from_affine_geometry, aux_from_hadamard, verify_auxi
 from .scanner import rows_to_csv, rows_to_text, scan_table1, scan_table2, table1_witnesses
 from .schemes import (
     assemble_scheme,
+    certify_classes,
     check_fusion,
-    compute_intersection_numbers,
     extract_linked_system,
     load_scheme,
 )
@@ -183,8 +183,7 @@ def _cmd_verify(args) -> int:
         system = fileio.parse_linked_system(_read(args.input))
         return _report(verify_linked_system(system))
     if sub == "scheme":
-        p, cert = compute_intersection_numbers(fileio.parse_scheme_matrices(_read(args.input)))
-        return _report(cert)
+        return _report(certify_classes(fileio.parse_scheme_matrices(_read(args.input))).certificate)
     raise SgddError(f"unknown verify target {sub!r}")
 
 

@@ -68,10 +68,6 @@ class GddParams:
                 f"k + l1(n-1) + l2(v-n) = {rhs}"
             )
 
-    @property
-    def is_symmetric_design(self) -> bool:
-        return self.lambda1 == self.lambda2
-
 
 # entries one stacked product may hold (4 MB as int64): a stack is
 # multiplied in slices whose operands and result each stay below this, and

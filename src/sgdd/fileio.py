@@ -234,11 +234,6 @@ def parse_auxiliary_set(data: bytes) -> AuxiliarySet:
 
 # -- Latin squares and families -------------------------------------------------
 
-def format_latin_square(sq: LatinSquare) -> str:
-    body = "\n".join(" ".join(str(x) for x in row) for row in sq.grid)
-    return f"{sq.order}\n{body}\n"
-
-
 def _read_latin_rows(lines: Lines, n: int) -> LatinSquare:
     return LatinSquare.of([lines.ints(n) for _ in range(n)])
 
@@ -281,14 +276,6 @@ def format_mols_list(squares: list[LatinSquare]) -> str:
     for sq in squares:
         out.extend(" ".join(str(x) for x in row) for row in sq.grid)
     return "\n".join(out) + "\n"
-
-
-def parse_mols_list(data: bytes) -> list[LatinSquare]:
-    lines = Lines(data, "MOLS list")
-    count, n = lines.ints(2)
-    out = [_read_latin_rows(lines, n) for _ in range(count)]
-    lines.done()
-    return out
 
 
 # -- linked systems --------------------------------------------------------------

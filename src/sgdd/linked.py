@@ -320,29 +320,6 @@ def _tilde_block_matrix(aux: AuxiliarySet, grid) -> IntMatrix:
     return IntMatrix(np.block(cells))
 
 
-def tilde_l_block(aux: AuxiliarySet, square) -> tuple[IncidenceMatrix, GddParams]:
-    """One block matrix (C_{L(a,b)})_{a,b}: a symmetric 2-design of order
-    (r+1)v with degree k r and index k lambda, certified."""
-    p = aux.params
-    if square.order != p.r + 1:
-        raise ParameterError(f"square order {square.order} != r + 1 = {p.r + 1}")
-    if not square.zero_diagonal:
-        raise ParameterError("square must carry the empty symbol on its diagonal")
-    big = GddParams(
-        v=(p.r + 1) * p.v,
-        k=p.k * p.r,
-        m=p.r + 1,
-        n=p.v,
-        lambda1=p.k * p.lam,
-        lambda2=p.k * p.lam,
-    )
-    mat = IncidenceMatrix(_tilde_block_matrix(aux, square.grid), big.m, big.n)
-    cert = verify_gdd(mat, big)
-    if not cert.ok:
-        raise CertificationError("block matrix fails design certification", cert)
-    return mat, big
-
-
 def build_tilde_l(aux: AuxiliarySet, fam: LinkedMolsFamily) -> LinkedSystemII:
     """Linked system with A_{i,j} = (C_{L_{i,j}(a,b)})_{a,b} and
     (sigma, tau, rho) = (k + (r-2) mu, (r-2) mu, r mu)."""

@@ -112,15 +112,6 @@ def auxiliary_set(order: int, matrices: list[IntMatrix]) -> AuxiliarySet:
     return AuxiliarySet(order, matrices, _derive_params(order, matrices))
 
 
-def make_auxiliary_set(order: int, matrices: list[IntMatrix]) -> AuxiliarySet:
-    """Wrap externally supplied matrices, deriving and certifying parameters."""
-    aux = auxiliary_set(order, matrices)
-    cert = verify_auxiliary(aux)
-    if not cert.ok:
-        raise CertificationError("auxiliary axioms fail", cert)
-    return aux
-
-
 def aux_from_hadamard(h: IntMatrix) -> AuxiliarySet:
     """C_i = (r_i^T r_i + J)/2 from the non-principal rows of a normalized
     Hadamard matrix."""
@@ -229,13 +220,3 @@ def aux_to_parallel_classes(aux: AuxiliarySet) -> list[list[tuple[int, ...]]]:
             raise CertificationError(f"C_{idx + 1}: expected {v // k} blocks")
         out.append(blocks)
     return out
-
-
-def parallel_classes_to_matrix(order: int, blocks: list[tuple[int, ...]]) -> IntMatrix:
-    """Rebuild the equivalence-relation matrix of one parallel class."""
-    arr = np.zeros((order, order), dtype=np.int64)
-    for block in blocks:
-        for x in block:
-            for y in block:
-                arr[x, y] = 1
-    return IntMatrix(arr)

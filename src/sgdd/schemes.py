@@ -8,9 +8,9 @@ by ``scheme_matrices_from_system`` or from class matrices, with the partition
 axioms, by ``relation_from_classes``.  Certification is exact and layered:
 
 * the scheme axioms hold for the scheme of a certified linked system (see
-  ``assemble_scheme``), so assembly and extraction certify through the
-  system and read p_{i,j}^k at one pair per class; ``verify scheme`` and
-  inputs no system certifies take the dense ``compute_intersection_numbers``;
+  ``assemble_scheme``), so assembly and every load certify through the
+  system and read p_{i,j}^k at one pair per class; inputs no system
+  certifies take the dense check of ``compute_intersection_numbers``;
 * the eigenmatrices P and Q are closed forms over Q(sqrt(D)),
   D = squarefree(k(m-1)(n-1)(mn-k-n)), held as integer numerators over one
   denominator each and verified against p by integer 6x6 identities:
@@ -20,11 +20,12 @@ axioms, by ``relation_from_classes``.  Certification is exact and layered:
   non-negative and against their closed form.
 
 Every certificate derives from one certified p-tensor.  ``assemble_scheme``
-certifies a scheme built from a linked system; ``load_scheme`` is the one
-path from loaded class matrices to a certified scheme, shared by the CLI's
-``analyze`` and ``fusion``: it certifies the axioms and p once, through the
-primary labeling, reuses its spectra and adds the Krein parameters.  Fusion
-is decided from the certified p alone.
+certifies a scheme built from a linked system; ``certify_classes`` is the
+one path that certifies loaded class matrices, shared by the CLI's
+``verify scheme``, ``extract``, ``analyze`` and ``fusion``: it computes the
+axioms and p once and certifies them through a labeling's system.
+``load_scheme`` reuses the primary labeling's spectra and adds the Krein
+parameters.  Fusion is decided from the certified p alone.
 """
 
 from __future__ import annotations
@@ -175,8 +176,8 @@ def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
 def compute_intersection_numbers(classes) -> tuple[list[list[list[int]]] | None, Certificate]:
     """Exhaustive axiom check for any number of classes: the partition
     axioms, p read at one pair per class, then every product A_i A_j with
-    1 <= i <= j checked dense against p.  ``verify scheme`` uses it, and so
-    does extraction when no labeling certifies through a linked system."""
+    1 <= i <= j checked dense against p.  ``certify_classes`` runs the same
+    check when no labeling certifies through a linked system."""
     relation, cert = relation_from_classes(classes)
     if relation is None:
         return None, cert
@@ -463,7 +464,9 @@ def _equivalence_classes(relation: np.ndarray, labels) -> list[tuple[int, ...]] 
     least = arr.argmax(axis=1)
     if not np.array_equal(arr, least[:, None] == least):
         return None
-    classes = [tuple(np.flatnonzero(least == x).tolist()) for x in np.unique(least)]
+    # a class's least point is its own least relative; np.unique would import numpy.ma
+    firsts = np.flatnonzero(least == np.arange(len(least)))
+    classes = [tuple(np.flatnonzero(least == x).tolist()) for x in firsts]
     return classes if len({len(c) for c in classes}) == 1 else None
 
 
@@ -486,9 +489,9 @@ class ExtractionCandidate:
 @dataclass
 class ExtractionReport:
     candidates: list[ExtractionCandidate]
-    p: list[list[list[int]]]         # in input class order
+    p: list[list[list[int]]] | None  # in input class order; None when the partition fails
     certificate: Certificate         # the scheme axioms behind p
-    relation: np.ndarray             # the label array, in input class order
+    relation: np.ndarray | None      # the label array, in input class order
 
     @property
     def primary(self) -> ExtractionCandidate:
@@ -600,15 +603,9 @@ def _canonical_vertex_order(relation: np.ndarray, labels, m: int, n: int, groups
     return order
 
 
-def _extraction(classes):
-    """R, p, the axioms and the uncertified candidates in report order, each
-    with its (l1, l2) and the groups and fibers of its labeling."""
-    if len(classes) != CLASSES:
-        raise ParameterError("expected six classes")
-    relation, cert = relation_from_classes(classes)
-    if relation is None:
-        raise CertificationError("input fails the scheme axioms", cert)
-    p = _first_pair_numbers(relation)
+def _candidates(relation: np.ndarray, p):
+    """The uncertified candidates of six classes in report order, each with
+    its (l1, l2) and the groups and fibers of its labeling."""
     # a class with unequal row sums is not a class of a scheme: the dense
     # route rejects such an input, so no labeling is tried
     valencies = np.stack([np.count_nonzero(relation == i, axis=1) for i in range(CLASSES)])
@@ -632,7 +629,7 @@ def _extraction(classes):
         cand = ExtractionCandidate(labels, params, triple, *compute_spectra(pp, params))
         found.append((cand, (l1, l2), (lab["groups"], lab["fibers"])))
     found.sort(key=lambda item: (not item[0].spectra_match, item[0].labels))
-    return relation, p, cert, found
+    return found
 
 
 def _certify(relation: np.ndarray, cand: ExtractionCandidate, lambdas, structure) -> LinkedSystemII | None:
@@ -675,35 +672,50 @@ def _certified(relation: np.ndarray, found, every: bool) -> list[ExtractionCandi
     return [cand for cand, _, _ in found]
 
 
-def _report(classes, relation, p, cert: Certificate, candidates) -> ExtractionReport:
-    """The report: axioms and p certified through a candidate's system, or else by the dense route."""
-    if any(cand.certified for cand in candidates):
+def certify_classes(classes, every: bool = False) -> ExtractionReport:
+    """Certify the class matrices A_0, ..., A_d (see ``relation_from_classes``)
+    with the partition axioms and p computed once.  For six classes, the
+    labelings with the fiber structure are certified in report order: all of
+    them, or only up to the primary one.  When none certifies, or for another
+    number of classes, the dense check of ``compute_intersection_numbers``
+    decides on the same R and p and names the first failing pair.  Raises
+    nothing: the certificate holds the verdict."""
+    relation, cert = relation_from_classes(classes)
+    if relation is None:
+        return ExtractionReport([], None, cert, None)
+    p = _first_pair_numbers(relation)
+    candidates = _certified(relation, _candidates(relation, p), every) if len(classes) == CLASSES else []
+    if any(cand.certified for cand in candidates) or _constant_on_classes(relation, p, cert):
         cert.checks += _DECOMPOSITION
-    else:
-        p, cert = compute_intersection_numbers(classes)
-        if p is None:
-            raise CertificationError("input fails the scheme axioms", cert)
-    if not candidates:
-        raise CertificationError("no class labeling exhibits the fiber structure")
     return ExtractionReport(candidates, p, cert, relation)
+
+
+def _load(classes, every: bool) -> ExtractionReport:
+    """``certify_classes`` on six classes, raising unless they certify and
+    some labeling exhibits the fiber structure."""
+    if len(classes) != CLASSES:
+        raise ParameterError("expected six classes")
+    report = certify_classes(classes, every)
+    if not report.certificate.ok:
+        raise CertificationError("input fails the scheme axioms", report.certificate)
+    if not report.candidates:
+        raise CertificationError("no class labeling exhibits the fiber structure")
+    return report
 
 
 def extract_linked_system(classes) -> ExtractionReport:
     """Recover the linked system (or the f = 2 pair) from the class matrices
-    A_0, ..., A_5 (see ``relation_from_classes``); every class labeling
-    compatible with the fiber structure is attempted and certified, so
-    parameter-symmetric inputs report both readings.
+    A_0, ..., A_5; every class labeling compatible with the fiber structure
+    is attempted and certified, so parameter-symmetric inputs report both
+    readings.
 
     A labeling certifies when A_5 is the pattern of its canonical vertex
     order and the system read off A_3 in that order certifies.  A_0, A_1
     and A_2 are their patterns there, as groups and fibers are consecutive
     uniform equivalence classes, and A_4 follows from sum A_i = J: the input
     is the scheme of a certified system (see ``assemble_scheme``), and p is
-    read at one pair per class.  When no labeling certifies, the dense
-    ``compute_intersection_numbers`` decides and names the first failing
-    pair."""
-    relation, p, cert, found = _extraction(classes)
-    return _report(classes, relation, p, cert, _certified(relation, found, every=True))
+    read at one pair per class."""
+    return _load(classes, every=True)
 
 
 def load_scheme(classes) -> tuple[AssociationScheme, ExtractionCandidate]:
@@ -714,12 +726,11 @@ def load_scheme(classes) -> tuple[AssociationScheme, ExtractionCandidate]:
     order only up to the primary one, whose spectra are reused; only the
     Krein parameters are new.  Raises when no labeling certifies; a failing
     spectra or Krein check is returned in the scheme's certificate."""
-    relation, p, cert, found = _extraction(classes)
-    report = _report(classes, relation, p, cert, _certified(relation, found, every=False))
+    report = _load(classes, every=False)
     primary = report.primary
-    position = np.argsort(primary.labels).astype(relation.dtype)  # input class -> canonical position
+    position = np.argsort(primary.labels).astype(report.relation.dtype)  # input class -> canonical position
     scheme = _certified_scheme(
-        position[relation], _relabel_p(report.p, primary.labels), primary.params,
+        position[report.relation], _relabel_p(report.p, primary.labels), primary.params,
         report.certificate, primary.spectra, primary.spectra_certificate,
     )
     return scheme, primary

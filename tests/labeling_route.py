@@ -3,9 +3,23 @@ label set {0, c1} and {0, c1, c2} is tested on R itself, one
 ``_equivalence_classes`` scan each, with no use of p to rule any out.  The
 tests compare ``sgdd.schemes._identify_labelings``, which scans R only for
 label sets on which p is closed, against it; the groups and fibers each
-scan finds go into the candidates as ``sgdd.schemes`` passes them on."""
+scan finds go into the candidates as ``sgdd.schemes`` passes them on.
+Its scan lists the classes by ``np.unique`` of the least points, where
+``sgdd.schemes._equivalence_classes`` takes the points that are their own
+least relative."""
 
-from sgdd.schemes import CLASSES, _equivalence_classes
+import numpy as np
+
+from sgdd.schemes import CLASSES
+
+
+def _equivalence_classes(relation, labels):
+    arr = np.isin(relation, labels)
+    least = arr.argmax(axis=1)
+    if not np.array_equal(arr, least[:, None] == least):
+        return None
+    classes = [tuple(np.flatnonzero(least == x).tolist()) for x in np.unique(least)]
+    return classes if len({len(c) for c in classes}) == 1 else None
 
 
 def identify_labelings(relation, p) -> list[dict]:

@@ -1,7 +1,9 @@
 """Class labelings found from p against the route that scans R for every
 label set (``labeling_route``): equal candidate lists, and byte-equal
-``scheme extract`` and ``scheme analyze`` runs, on every fixture scheme, on
-other readings of them and on seeded corruptions."""
+``scheme extract``, ``scheme analyze`` and ``verify scheme`` runs, on every
+fixture scheme, on other readings of them and on seeded corruptions.
+``verify scheme`` prints the report of the dense
+``compute_intersection_numbers`` on each of them."""
 
 import random
 
@@ -15,7 +17,14 @@ from sgdd import fileio
 from sgdd.cli import main
 from sgdd.latin import search_linked_mols
 from sgdd.linked import build_tilde_l, pair_system
-from sgdd.schemes import _first_pair_numbers, _identify_labelings, assemble_scheme, load_scheme, relation_from_classes
+from sgdd.schemes import (
+    _first_pair_numbers,
+    _identify_labelings,
+    assemble_scheme,
+    compute_intersection_numbers,
+    load_scheme,
+    relation_from_classes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,16 +94,25 @@ def _flipped(text: str, seed: int) -> str:
 
 
 def _runs(scm, tmp_path, capsys):
-    """(exit status, stdout, stderr, written bytes) of extract -o and analyze."""
+    """(exit status, stdout, stderr, written bytes) of extract -o, analyze and verify scheme."""
+    target = tmp_path / "extract.lsys"
     out = []
-    for verb in ("extract", "analyze"):
-        target = tmp_path / f"{verb}.lsys"
+    for argv in (
+        ["scheme", "extract", "--in", str(scm), "-o", str(target)],
+        ["scheme", "analyze", "--in", str(scm)],
+        ["verify", "scheme", str(scm)],
+    ):
         target.unlink(missing_ok=True)
-        argv = ["scheme", verb, "--in", str(scm)] + (["-o", str(target)] if verb == "extract" else [])
         code = main(argv)
         std = capsys.readouterr()
         out.append((code, std.out, std.err, target.read_bytes() if target.exists() else None))
     return out
+
+
+def _dense_run(text: str):
+    """(exit status, stdout, stderr) that verify scheme gives on the dense route."""
+    _, cert = compute_intersection_numbers(fileio.parse_scheme_matrices(text.encode()))
+    return int(not cert.ok), "".join(line + "\n" for line in cert.report_lines()), ""
 
 
 CLI_READINGS = ["as-built", "swapped", "permuted", "moved-3-4-0", "moved-5-4-0", "flip-0", "flip-1"]
@@ -113,8 +131,28 @@ def test_cli_runs_match_labeling_route(source, reading, relations, tmp_path, cap
     got = _runs(scm, tmp_path, capsys)
     monkeypatch.setattr(sgdd.schemes, "_identify_labelings", labeling_route.identify_labelings)
     assert got == _runs(scm, tmp_path, capsys)
+    assert got[2] == (*_dense_run(text), None)
     if reading in ("as-built", "swapped", "permuted"):
-        assert [code for code, *_ in got] == [0, 0] and got[0][3] is not None
+        assert [code for code, *_ in got] == [0, 0, 0] and got[0][3] is not None
+
+
+# files no labeling reads: the fused 4-class scheme, A_4 and A_5 merged, and
+# classes 0 and 1 traded, so that A_0 != I
+UNLABELED = {
+    "fused-4": [0, 1, 1, 2, 3, 2],
+    "merged-5": [0, 1, 2, 3, 4, 4],
+    "a0-not-i": [1, 0, 2, 3, 4, 5],
+}
+
+
+@pytest.mark.parametrize("reading", UNLABELED)
+@pytest.mark.parametrize("source", [48, 448])
+def test_verify_scheme_without_a_labeling_is_the_dense_route(source, reading, relations, tmp_path, capsys):
+    text = fileio.format_scheme_matrices(np.array(UNLABELED[reading], dtype=np.uint8)[relations[source]])
+    scm = tmp_path / "s.scm"
+    scm.write_text(text)
+    assert main(["verify", "scheme", str(scm)]) == _dense_run(text)[0]
+    assert (capsys.readouterr().out, "") == _dense_run(text)[1:]
 
 
 def test_load_scheme_scans_r_at_most_three_times(scheme448, monkeypatch):
@@ -138,6 +176,45 @@ def test_load_scheme_scans_r_at_most_three_times(scheme448, monkeypatch):
     monkeypatch.setattr(sgdd.schemes, "_identify_labelings", labeling_route.identify_labelings)
     load_scheme(classes)
     assert len(calls) == 9
+
+
+@pytest.mark.parametrize("reading", ["as-built", "moved-3-4-0"])
+def test_every_verb_runs_the_partition_axioms_once(reading, relations, tmp_path, capsys, monkeypatch):
+    """One pass over the classes per file, also when no labeling certifies
+    and the dense check decides."""
+    scm = tmp_path / "s.scm"
+    scm.write_text(fileio.format_scheme_matrices(READINGS[reading](relations[48])))
+    calls = []
+    axioms = sgdd.schemes.relation_from_classes
+
+    def counted(classes):
+        calls.append(len(classes))
+        return axioms(classes)
+
+    monkeypatch.setattr(sgdd.schemes, "relation_from_classes", counted)
+    for argv in (
+        ["verify", "scheme", str(scm)],
+        ["scheme", "analyze", "--in", str(scm)],
+        ["scheme", "extract", "--in", str(scm)],
+        ["scheme", "fusion", "--in", str(scm)],
+    ):
+        calls.clear()
+        code = main(argv)
+        capsys.readouterr()
+        assert (calls, code) == ([6], 0 if reading == "as-built" else 1), argv
+
+
+def test_the_load_calls_no_np_unique(relations, monkeypatch):
+    """np.unique imports numpy.ma, about 13 ms and 0.5 MB in a fresh
+    process; the labelings take each class's least point instead."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    for source in (48, "conference24"):
+        scheme, _ = load_scheme(classes_of(relations[source]))
+        assert scheme.certificate.ok
 
 
 @pytest.mark.parametrize("source", [48, 225, "conference24"])

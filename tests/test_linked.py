@@ -20,6 +20,7 @@ from sgdd.linked import (
     LinkedSystemII,
     bgw_generate,
     build_from_mub_bush,
+    build_tilde_l,
     build_twin,
     bush_search,
     conference_to_gdd,
@@ -28,7 +29,6 @@ from sgdd.linked import (
     pair_system,
     sigma_tau_rho,
     symmetric_design_triple,
-    tilde_l_block,
     twin_params,
     verify_gcm,
     verify_linked_system,
@@ -80,9 +80,10 @@ def test_tilde_l_64_from_gf8(sys64):
 
 
 def test_single_block_is_symmetric_design(aux_had4, fam_gf4):
-    mat, params = tilde_l_block(aux_had4, fam_gf4.squares[(2, 3)])
-    assert params.is_symmetric_design
-    assert verify_gdd(mat, params).ok
+    system = build_tilde_l(aux_had4, fam_gf4)
+    params = system.params.base
+    assert params.lambda1 == params.lambda2
+    assert all(verify_gdd(mat, params).ok for mat in system.blocks.values())
 
 
 def test_verifier_catches_swapped_blocks(sys16):

@@ -9,9 +9,12 @@ from sgdd.designs import Certificate, GddParams, IncidenceMatrix
 from sgdd.errors import CertificationError, ParameterError
 from sgdd.linked import LinkedParams, LinkedSystemII, pair_system, verify_linked_system
 import sgdd.schemes
+from sgdd import fileio
+from sgdd.cli import main
 from sgdd.schemes import (
     CLASSES,
     FUSION_PARTITION,
+    _DECOMPOSITION,
     Eigenmatrix,
     SchemeParams,
     _canonical_vertex_order,
@@ -203,13 +206,13 @@ def test_extract_swapped_labels(scheme48):
 
 def test_load_scheme_certifies_once(scheme48, monkeypatch):
     calls = []
-    dense = sgdd.schemes.compute_intersection_numbers
+    dense = sgdd.schemes._constant_on_classes
 
-    def counted(classes):
-        calls.append(len(classes))
-        return dense(classes)
+    def counted(relation, p, cert):
+        calls.append(len(p))
+        return dense(relation, p, cert)
 
-    monkeypatch.setattr(sgdd.schemes, "compute_intersection_numbers", counted)
+    monkeypatch.setattr(sgdd.schemes, "_constant_on_classes", counted)
     scheme, primary = load_scheme(classes_of(_swapped(scheme48.relation)))
     assert calls == []  # certified through the linked system: no dense route
     assert primary.labels == (0, 1, 2, 4, 3, 5)
@@ -924,7 +927,7 @@ def test_a5_pattern_is_checked(name, scheme48, sys16):
 
 
 @pytest.mark.parametrize("source", ["sys16", "sys45", "conference12", "gcm24"])
-def test_no_product_of_order_x_on_certifying_inputs(source, request, monkeypatch):
+def test_no_product_of_order_x_on_certifying_inputs(source, request, monkeypatch, tmp_path, capsys):
     system = request.getfixturevalue(source)
     if isinstance(system, tuple):
         system = pair_system(*system)
@@ -936,14 +939,24 @@ def test_no_product_of_order_x_on_certifying_inputs(source, request, monkeypatch
         return matmul(a, b)
 
     dense = []
+    constant_on_classes = sgdd.schemes._constant_on_classes
+
+    def spied_dense(relation, p, cert):
+        dense.append(relation.shape)
+        return constant_on_classes(relation, p, cert)
+
     monkeypatch.setattr(IntMatrix, "__matmul__", spied)
-    monkeypatch.setattr(sgdd.schemes, "compute_intersection_numbers", lambda classes: dense.append(classes))
+    monkeypatch.setattr(sgdd.schemes, "_constant_on_classes", spied_dense)
     scheme = assemble_scheme(system)
     size = scheme.size
+    scm = tmp_path / "s.scm"
     for relation in (scheme.relation, _swapped(scheme.relation), _permuted(scheme.relation)):
         classes = classes_of(relation)
         assert extract_linked_system(classes).primary.certified
         assert load_scheme(classes)[0].certificate.checks == scheme.certificate.checks
+        scm.write_text(fileio.format_scheme_matrices(relation))
+        assert main(["verify", "scheme", str(scm)]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [f"  ok: {line}" for line in _DECOMPOSITION]
     assert shapes and (size, size, size) not in shapes
     assert max(rows for rows, _, _ in shapes) < size
     assert dense == []
