@@ -7,6 +7,8 @@ import argparse
 import time
 from pathlib import Path
 
+import numpy as np
+
 from sgdd import fileio
 from sgdd.classical import (
     hadamard_matrix,
@@ -54,7 +56,7 @@ def main():
     roundtrip = extract_linked_system(fileio.parse_scheme_matrices((out / "scheme48.scm").read_bytes())).primary
     print(f"   system {sys16.params.base} triple {(sys16.params.sigma, sys16.params.tau, sys16.params.rho)}")
     print(f"   48-vertex scheme certified; fusable: {fusion.fusable}; "
-          f"extraction round-trip: {all(roundtrip.system.blocks[p].mat == sys16.blocks[p].mat for p in sys16.blocks)}")
+          f"extraction round-trip: {np.array_equal(roundtrip.system.stack, sys16.stack)}")
 
     if not args.skip_search:
         stage("(45,12,3): AG(2,3) auxiliary matrices + searched order-5 family")

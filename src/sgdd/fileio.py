@@ -26,9 +26,10 @@ A block of single-digit rows joined by single spaces, all ending in a line
 feed or all in CR LF, is viewed in place as ``uint8``, and a block of digits
 held as int64, ``uint8`` or booleans is written from one byte buffer; every
 other block takes the token reader, so every error names the same line
-either way.  Scheme class blocks stay
-``uint8`` as read, and a scheme is written from its class-label array R,
-class i as R == i; other matrices become ``IntMatrix``.
+either way.  Scheme class blocks stay ``uint8`` as read, a linked system's
+blocks are checked one by one into its ``uint8`` stack, and a scheme is
+written from its class-label array R, class i as R == i; other matrices
+become ``IntMatrix``.
 """
 
 from __future__ import annotations
@@ -281,19 +282,10 @@ def format_mols_list(squares: list[LatinSquare]) -> str:
 # -- linked systems --------------------------------------------------------------
 
 def format_linked_system(sys: LinkedSystemII) -> str:
-    p = sys.params
-    base = p.base
-    triple = (
-        f"{p.sigma} {p.tau} {p.rho}" if p.sigma is not None else "- - -"
-    )
-    head = (
-        f"{p.f} {base.v} {base.m} {base.n} {base.k} "
-        f"{base.lambda1} {base.lambda2} {triple}\n"
-    )
-    body = "".join(
-        format_matrix(sys.blocks[pair].mat) for pair in sorted(sys.blocks)
-    )
-    return head + body
+    p, base = sys.params, sys.params.base
+    triple = f"{p.sigma} {p.tau} {p.rho}" if p.sigma is not None else "- - -"
+    head = f"{p.f} {base.v} {base.m} {base.n} {base.k} {base.lambda1} {base.lambda2} {triple}\n"
+    return head + "".join(format_matrix(IntMatrix.view(blk)) for blk in sys.stack)
 
 
 def parse_linked_system(data: bytes) -> LinkedSystemII:
@@ -307,11 +299,14 @@ def parse_linked_system(data: bytes) -> LinkedSystemII:
     except ValueError as exc:
         raise FormatError("linked system: bad header field") from exc
     params = LinkedParams(base=GddParams(v, k, m, n, l1, l2), f=f, sigma=sigma, tau=tau, rho=rho)
-    # lexicographic already; generated lazily so the header's f sizes no work
-    pairs = ((i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j)
-    blocks = {pair: IncidenceMatrix(IntMatrix(_read_matrix(lines)), m, n) for pair in pairs}
+    # a block of order v takes at least v*v bytes, so the header's f sizes
+    # no more stack than the file can fill
+    stack = np.empty((min(f * (f - 1), len(data) // (v * v)), v, v), dtype=np.uint8)
+    for block in range(f * (f - 1)):
+        # checked as a block before it is narrowed into the stack
+        stack[block] = IncidenceMatrix(IntMatrix.view(_read_matrix(lines)), m, n).mat.lane
     lines.done()
-    return LinkedSystemII(params=params, blocks=blocks)
+    return LinkedSystemII(params, stack)
 
 
 # -- schemes ----------------------------------------------------------------------

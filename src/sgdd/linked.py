@@ -12,9 +12,11 @@ A_{i,j} + K is 0/1 and, for all mutually distinct i, j, l,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -93,14 +95,48 @@ class LinkedParams:
         # systems at self-complementary degree realize it exactly.
 
 
-@dataclass
+def ordered_pairs(f: int) -> list[tuple[int, int]]:
+    """The ordered pairs (i, j) of distinct indices 1..f in lexicographic
+    order: the order of the blocks of a system's stack and of its file."""
+    return [(i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j]
+
+
+def pair_index(f: int, i, j):
+    """The position of block (i, j) in ``ordered_pairs(f)``, for integers or arrays."""
+    return (i - 1) * (f - 1) + j - 1 - (j > i)
+
+
+@dataclass(eq=False)
 class LinkedSystemII:
+    """The blocks A_ij as one (f(f-1), v, v) uint8 stack, in the order of
+    ``ordered_pairs``; any other shape, or an entry not 0 or 1, is refused.
+    A sealed system (``seal``) carries its certificate and a read-only stack."""
+
     params: LinkedParams
-    blocks: dict[tuple[int, int], IncidenceMatrix]
+    stack: np.ndarray
+    blocks: Mapping[tuple[int, int], IncidenceMatrix] = field(init=False, repr=False)  # A_ij by pair, read-only views
+    certificate: Certificate | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        base, count = self.params.base, self.params.f * (self.params.f - 1)
+        if len(self.stack) != count:
+            raise ParameterError(f"a linked system on {self.params.f} indices has {count} blocks, not {len(self.stack)}")
+        # every block square, of order m*n and 0/1, as for one IncidenceMatrix
+        IncidenceMatrix(IntMatrix.view(self.stack), base.m, base.n)
+        self.stack = self.stack.astype(np.uint8, copy=False)
+        view = self.stack.view()
+        view.flags.writeable = False
+        self.blocks = MappingProxyType({pair: IncidenceMatrix(IntMatrix.view(blk), base.m, base.n) for pair, blk in zip(ordered_pairs(self.f), view)})
 
     @property
     def f(self) -> int:
         return self.params.f
+
+    def seal(self, cert: Certificate) -> LinkedSystemII:
+        """Record the passing certificate and make the stack read-only."""
+        self.certificate = cert
+        self.stack.flags.writeable = False
+        return self
 
 
 @dataclass(frozen=True)
@@ -110,15 +146,6 @@ class CandidateTriple:
     rho: Fraction
     integral: bool
     non_negative: bool
-
-    def as_ints(self) -> tuple[int, int, int]:
-        if not self.integral:
-            raise ParameterError("triple is not integral")
-        return (
-            int(self.sigma.as_fraction()),
-            int(self.tau.as_fraction()),
-            int(self.rho),
-        )
 
 
 def sigma_tau_rho(k: int, m: int, n: int) -> list[CandidateTriple]:
@@ -169,40 +196,22 @@ def symmetric_design_triple(m: int, n: int) -> tuple[Fraction, Fraction, Fractio
 # -- certification -----------------------------------------------------------
 
 
-def _ordered_pairs(f: int):
-    return [(i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j]
-
-
 def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     """Certify every block, the 0/1 condition on A + K, the commutation
     A K = K A = k/(m-1) (J - K), A_{j,i} = A_{i,j}^T, and (for f >= 3) the
     full triple-product law over all ordered distinct triples.
 
-    The f(f-1) blocks are stacked once as a (P, v, v) uint8 array; each
-    family of identities is a few stacked kernel products (the Gram pair and
-    the commutation pair for all blocks, one triple product per middle
-    index), each formed in slices of whole blocks past STACK_ENTRIES and
-    reduced to per-block verdicts and first positions before the next is
-    formed: f + 4 products for a system of order v <= 64 with f <= 7.  The
-    lines come out block by block, as a per-block walk would print them.
-    A block whose order or groups differ from the parameters is reported,
-    and then nothing else is checked."""
+    The system's stack is certified as it is held: each family of
+    identities is a few stacked kernel products (the Gram pair and the
+    commutation pair for all blocks, one triple product per middle index),
+    each formed in slices of whole blocks past STACK_ENTRIES and reduced to
+    per-block verdicts and first positions before the next is formed: f + 4
+    products for a system of order v <= 64 with f <= 7.  The lines come out
+    block by block, as a per-block walk would print them."""
     p = sys.params
-    base = p.base
+    base, stack = p.base, sys.stack
     cert = Certificate(f"linked system f={p.f} on {base}")
-    pairs = _ordered_pairs(p.f)
-    if set(sys.blocks) != set(pairs):
-        cert.failed("blocks cover all ordered index pairs")
-        return cert
-    shape = (base.v, base.m, base.n)
-    if misfits := [pair for pair in pairs if (sys.blocks[pair].v, sys.blocks[pair].m, sys.blocks[pair].n) != shape]:
-        for pair in misfits:
-            cert.failed(f"block {pair}: dimension/group structure matches parameters", (0, 0))
-        return cert
-
-    # every block is 0/1 (an IncidenceMatrix), so uint8 holds it exactly
-    stack = np.stack([sys.blocks[pair].mat.a for pair in pairs], dtype=np.uint8, casting="unsafe")
-    at = {pair: t for t, pair in enumerate(pairs)}
+    pairs = ordered_pairs(p.f)
     in_k = group_labels(base.m, base.n) > 0
     grams = verify_grams(stack, base)
     zero_one = ~stack[:, in_k].any(axis=1)
@@ -227,8 +236,8 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     upper = [(i, j) for i, j in pairs if i < j]
     diffs = []
     for part in stack_slices(len(upper), base.v * base.v):
-        lower = stack[[at[(j, i)] for i, j in upper[part]]]
-        diffs += first_differences(lower, np.swapaxes(stack[[at[pair] for pair in upper[part]]], 1, 2))
+        i, j = np.array(upper[part]).T
+        diffs += first_differences(stack[pair_index(p.f, j, i)], np.swapaxes(stack[pair_index(p.f, i, j)], 1, 2))
     untransposed = [(pair, pos) for pair, pos in zip(upper, diffs) if pos is not None]
     cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
     for (i, j), pos in untransposed:
@@ -236,7 +245,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
 
     if p.f == 2:
         comp = companion_params(base)
-        sub = verify_grams(stack[at[(1, 2)]][None] + in_k, comp)[0]
+        sub = verify_grams(stack[:1] + in_k, comp)[0]
         if sub.ok:
             cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
         else:
@@ -244,7 +253,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
                 cert.failed(f"pair companion: {v.identity}", v.position, v.expected, v.actual)
         return cert
 
-    triples = _triple_differences(stack, at, p, in_k)
+    triples = _triple_differences(stack, p, in_k)
     for i, j in pairs:
         for l in range(1, p.f + 1):
             if l not in (i, j):
@@ -256,7 +265,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     return cert
 
 
-def _triple_differences(stack: np.ndarray, at: dict, p: LinkedParams, in_k: np.ndarray) -> dict:
+def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray) -> dict:
     """(i, j, l) -> the first difference of A_ij A_jl from
     sigma A_il + tau (J - A_il - K) + rho K, or None.
 
@@ -273,15 +282,15 @@ def _triple_differences(stack: np.ndarray, at: dict, p: LinkedParams, in_k: np.n
     out = {}
     for j in range(1, f + 1):
         ends = [x for x in range(1, f + 1) if x != j]
-        left = stack[[at[(i, j)] for i in ends]]
+        left = stack[pair_index(f, np.array(ends), j)]
         for cols in stack_slices(len(ends), v * v):
             lasts = ends[cols]
-            right = IntMatrix.view(np.hstack(stack[[at[(j, l)] for l in lasts]]))
+            right = IntMatrix.view(np.hstack(stack[pair_index(f, j, np.array(lasts))]))
             for rows in stack_slices(len(ends), v * right.cols):
                 firsts = ends[rows]
                 grid = [(i, l) for i in firsts for l in lasts]
                 shape = (len(firsts), len(lasts), v, v)
-                labels = stack[[at[(i, l)] if i != l else 0 for i, l in grid]] + twice_k
+                labels = stack[[pair_index(f, i, l) if i != l else 0 for i, l in grid]] + twice_k
                 prod = (IntMatrix.view(left[rows].reshape(-1, v)) @ right).lane
                 # block (i, l) of the band's product, as a view of shape ``shape``
                 blocks = prod.reshape(shape[0], v, shape[1], v).swapaxes(1, 2)
@@ -293,31 +302,24 @@ def _triple_differences(stack: np.ndarray, at: dict, p: LinkedParams, in_k: np.n
     return out
 
 
-def make_linked_system(params: LinkedParams, blocks) -> LinkedSystemII:
-    """Assemble and certify; constructions never return uncertified systems."""
-    sys = LinkedSystemII(params=params, blocks=dict(blocks))
+def make_linked_system(params: LinkedParams, stack: np.ndarray) -> LinkedSystemII:
+    """Assemble and certify; constructions never return uncertified systems,
+    and the system returned is sealed with its certificate."""
+    sys = LinkedSystemII(params, stack)
     cert = verify_linked_system(sys)
     if not cert.ok:
         raise CertificationError("linked system fails certification", cert)
-    return sys
+    return sys.seal(cert)
 
 
 def pair_system(a: IncidenceMatrix, params: GddParams) -> LinkedSystemII:
     """The two-index system {A, A^T} of a single design whose group-blown-up
     companion A + K is again a design; certified."""
     lp = LinkedParams(base=params, f=2, sigma=None, tau=None, rho=None)
-    blocks = {(1, 2): a, (2, 1): IncidenceMatrix(a.mat.T, params.m, params.n)}
-    return make_linked_system(lp, blocks)
+    return make_linked_system(lp, np.stack([a.mat.lane, a.mat.lane.T], dtype=np.uint8, casting="unsafe"))
 
 
 # -- construction: block matrices over linked MOLS ----------------------------
-
-
-def _tilde_block_matrix(aux: AuxiliarySet, grid) -> IntMatrix:
-    v = aux.order
-    zero = np.zeros((v, v), dtype=np.int64)
-    cells = [[zero if s == 0 else aux.matrices[s - 1].a for s in row] for row in grid]
-    return IntMatrix(np.block(cells))
 
 
 def build_tilde_l(aux: AuxiliarySet, fam: LinkedMolsFamily) -> LinkedSystemII:
@@ -346,11 +348,14 @@ def build_tilde_l(aux: AuxiliarySet, fam: LinkedMolsFamily) -> LinkedSystemII:
         tau=(p.r - 2) * p.mu,
         rho=p.r * p.mu,
     )
-    blocks = {
-        pair: IncidenceMatrix(_tilde_block_matrix(aux, sq.grid), big.m, big.n)
-        for pair, sq in fam.squares.items()
-    }
-    return make_linked_system(params, blocks)
+    # C_0 = 0 for the empty symbol, then the certified 0/1 matrices C_1..C_r
+    cells = np.zeros((p.r + 1, p.v, p.v), dtype=np.uint8)
+    cells[1:] = [c.a for c in aux.matrices]
+    stack = np.empty((fam.f * (fam.f - 1), big.v, big.v), dtype=np.uint8)
+    for (i, j), sq in fam.squares.items():
+        # block (a, b) of A_ij, the view [a, :, b, :], is C_{L_ij(a, b)}
+        stack[pair_index(fam.f, i, j)].reshape(big.m, p.v, big.m, p.v)[:] = cells[np.array(sq.grid)].swapaxes(1, 2)
+    return make_linked_system(params, stack)
 
 
 # -- construction: mutually unbiased Bush-type Hadamard matrices ---------------
@@ -429,20 +434,20 @@ def build_from_mub_bush(hs: list[IntMatrix]) -> LinkedSystemII:
     )
     f_sys = len(hs) + 1
     in_k = group_labels(base.m, base.n) > 0
+    stack = np.empty((f_sys * (f_sys - 1), order, order), dtype=np.uint8)
 
-    def half_plus(mat: IntMatrix) -> IncidenceMatrix:
-        return IncidenceMatrix(IntMatrix((1 + mat.a) // 2 - in_k), base.m, base.n)
+    def half_plus(i: int, j: int, h: np.ndarray):
+        # (J + H)/2 - K for H = +-1: a -1 of H inside K wraps to 255 in
+        # uint8, which LinkedSystemII refuses as not 0/1
+        stack[pair_index(f_sys, i, j)] = (h > 0).view(np.uint8) - in_k
 
-    blocks: dict[tuple[int, int], IncidenceMatrix] = {}
     for i, h in enumerate(hs, start=2):
-        blocks[(1, i)] = half_plus(h.T)
-        blocks[(i, 1)] = half_plus(h)
+        half_plus(1, i, h.lane.T)
+        half_plus(i, 1, h.lane)
     for a in range(len(hs)):
         for c in range(len(hs)):
-            if a == c:
-                continue
-            prod = hs[a] @ hs[c].T
-            blocks[(a + 2, c + 2)] = half_plus(IntMatrix(prod.a // (2 * n)))
+            if a != c:  # H_a H_c^T is +-2n everywhere, as the pair is unbiased
+                half_plus(a + 2, c + 2, (hs[a] @ hs[c].T).lane)
 
     if f_sys == 2:
         params = LinkedParams(base=base, f=2, sigma=None, tau=None, rho=None)
@@ -454,7 +459,7 @@ def build_from_mub_bush(hs: list[IntMatrix]) -> LinkedSystemII:
             tau=n * n - 3 * n // 2,
             rho=n * n - n // 2,
         )
-    return make_linked_system(params, blocks)
+    return make_linked_system(params, stack)
 
 
 # rows one bush_search may place.  (n, f) = (2, 2) places 32 and (2, 3) 48,

@@ -37,9 +37,9 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import IntMatrix, Surd, lane_table, square_free_decomposition, surd_sign
-from .designs import Certificate, GddParams, IncidenceMatrix, group_labels, stack_slices
+from .designs import Certificate, GddParams, group_labels, stack_slices
 from .errors import CertificationError, ParameterError
-from .linked import LinkedParams, LinkedSystemII, verify_linked_system
+from .linked import LinkedParams, LinkedSystemII, ordered_pairs, pair_index, verify_linked_system
 
 CLASSES = 6
 
@@ -394,8 +394,8 @@ def scheme_matrices_from_system(sys: LinkedSystemII) -> np.ndarray:
     base, f = sys.params.base, sys.params.f
     group = group_labels(base.m, base.n)  # 0 on J - K, 1 on K - I, 2 on I
     within, across = np.array([[2, 1, 0], [4, 5, 5]], dtype=np.uint8)[:, group]
-    cross = {pair: np.where(blk.mat.a == 1, np.uint8(3), across) for pair, blk in sys.blocks.items()}
-    return np.block([[within if i == l else cross[(i, l)] for l in range(1, f + 1)] for i in range(1, f + 1)])
+    cross = [np.where(blk, np.uint8(3), across) for blk in sys.stack]
+    return np.block([[within if i == l else cross[pair_index(f, i, l)] for l in range(1, f + 1)] for i in range(1, f + 1)])
 
 
 def _certified_scheme(
@@ -436,9 +436,9 @@ def assemble_scheme(sys: LinkedSystemII) -> AssociationScheme:
 
     So every A_i A_j is constant on every class.  The partition checks run
     on the assembled classes as on loaded ones, p is read at one pair per
-    class, and no product of order |X| is formed."""
-    sys_cert = verify_linked_system(sys)
-    if not sys_cert.ok:
+    class, and no product of order |X| is formed.  A sealed system carries
+    its certificate; any other is certified here."""
+    if sys.certificate is None and not (sys_cert := verify_linked_system(sys)).ok:
         raise CertificationError("input system fails certification", sys_cert)
     base = sys.params.base
     params = SchemeParams(k=base.k, m=base.m, n=base.n, f=sys.params.f)
@@ -636,25 +636,23 @@ def _certify(relation: np.ndarray, cand: ExtractionCandidate, lambdas, structure
     """Certify ``cand`` by the system cut from A_3 in its canonical vertex
     order, if it has one, and return that system when it certifies.
 
-    A_3 is cut once, as one 0/1 array in that order (a boolean mask viewed
-    as uint8, so callers' arithmetic on a block stays integer); the blocks
-    are views of it, stacked by ``verify_linked_system`` as they are."""
+    A_3 is cut once, straight into the system's stack: block (i, j) is
+    A_3 on fiber i's rows and fiber j's columns in that order, a boolean
+    mask viewed as uint8.  A system that certifies is sealed."""
     k, m, n, f = cand.params.k, cand.params.m, cand.params.n, cand.params.f
     order = _canonical_vertex_order(relation, cand.labels, m, n, *structure)
     if order is None:
         return None
     mn = m * n
-    a3 = (relation[np.ix_(order, order)] == cand.labels[3]).view(np.uint8)
-    with suppress(ParameterError):  # parameters or blocks no linked system has
+    fibers = np.array(order).reshape(f, mn)
+    rows, cols = fibers[(np.array(ordered_pairs(f)) - 1).T]
+    stack = (relation[rows[:, :, None], cols[:, None, :]] == cand.labels[3]).view(np.uint8)
+    with suppress(ParameterError):  # parameters no linked system has
         linked = LinkedParams(GddParams(mn, k, m, n, *lambdas), f, *(cand.triple or (None, None, None)))
-        blocks = {
-            (i + 1, j + 1): IncidenceMatrix(IntMatrix.view(a3[i * mn : (i + 1) * mn, j * mn : (j + 1) * mn]), m, n)
-            for i in range(f) for j in range(f) if i != j
-        }
-        system = LinkedSystemII(params=linked, blocks=blocks)
+        system = LinkedSystemII(linked, stack)
         cand.certificate = verify_linked_system(system)
         cand.certified = cand.certificate.ok
-        return system if cand.certified else None
+        return system.seal(cand.certificate) if cand.certified else None
     return None
 
 

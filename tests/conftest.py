@@ -3,9 +3,7 @@ import random
 import pytest
 
 import sgdd.algebra
-from sgdd.algebra import IntMatrix
 from sgdd.classical import hadamard_matrix, paley_conference_matrix
-from sgdd.designs import IncidenceMatrix
 from sgdd.gf import gf_make
 from sgdd.latin import linked_mols_from_gf, search_linked_mols
 from sgdd.linked import (
@@ -15,6 +13,8 @@ from sgdd.linked import (
     bush_search,
     conference_to_gdd,
     gcm_to_gdd,
+    ordered_pairs,
+    pair_index,
     pair_system,
 )
 from sgdd.resolvable import aux_from_affine_geometry, aux_from_hadamard
@@ -72,15 +72,13 @@ def _flip_off_group_entry(sys: LinkedSystemII, seed: int):
     """Flip one entry of one block A_{i,j} that lies in an off-diagonal group
     block, so A + K stays 0/1; return the corrupted system and (i, j)."""
     rng = random.Random(seed)
-    pair = rng.choice(sorted(sys.blocks))
-    blk = sys.blocks[pair]
-    row = rng.randrange(blk.v)
-    col = rng.choice([c for c in range(blk.v) if c // blk.n != row // blk.n])
-    arr = blk.mat.a.copy()
-    arr[row, col] = 1 - arr[row, col]
-    blocks = dict(sys.blocks)
-    blocks[pair] = IncidenceMatrix(IntMatrix(arr), blk.m, blk.n)
-    return LinkedSystemII(params=sys.params, blocks=blocks), pair
+    pair = rng.choice(ordered_pairs(sys.f))
+    v, n = sys.params.base.v, sys.params.base.n
+    row = rng.randrange(v)
+    col = rng.choice([c for c in range(v) if c // n != row // n])
+    stack = sys.stack.copy()
+    stack[pair_index(sys.f, *pair), row, col] ^= 1
+    return LinkedSystemII(sys.params, stack), pair
 
 
 @pytest.fixture(scope="session")
@@ -88,8 +86,7 @@ def non_transposed_pair(sys16):
     """The pair system {A_12, A_12^T} of sys16 with its (2, 1) block replaced
     by A_13: both blocks are designs whose companions are designs, but
     A_21 != A_12^T, so the assembled class A_3 is not symmetric."""
-    pair = pair_system(sys16.blocks[(1, 2)], sys16.params.base)
-    return LinkedSystemII(params=pair.params, blocks={(1, 2): pair.blocks[(1, 2)], (2, 1): sys16.blocks[(1, 3)]})
+    return LinkedSystemII(pair_system(sys16.blocks[(1, 2)], sys16.params.base).params, sys16.stack[:2])
 
 
 @pytest.fixture(scope="session")

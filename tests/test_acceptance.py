@@ -172,7 +172,7 @@ def test_criterion_7_twin_path():
 def test_criterion_8_bush_type(sys16):
     t0 = time.monotonic()
     for blk in sys16.blocks.values():
-        h = IntMatrix(1 - 2 * blk.mat.a)
+        h = IntMatrix(1 - 2 * blk.mat.a.astype(np.int64))
         assert is_bush_type(h)  # +-1, H H^T = 16 I, diag blocks J, off-diag zero sums
     pair = bush_search(2, 2)
     assert pair is not None and len(pair) == 2
@@ -227,7 +227,7 @@ def test_criterion_9_property_suites(sys16, sys45, scheme48, scheme135, conferen
         ) * (p.rho - p.tau)
         assert Fraction(base.k**2, base.n * (base.m - 1)) == p.rho
         assert verify_linked_system(system).ok
-        cands = {c.as_ints() for c in sigma_tau_rho(base.k, base.m, base.n) if c.integral}
+        cands = {(c.sigma, c.tau, c.rho) for c in sigma_tau_rho(base.k, base.m, base.n) if c.integral}
         assert (p.sigma, p.tau, p.rho) in cands
 
     # extract(assemble(system)) reproduces the blocks exactly

@@ -14,7 +14,8 @@ from sgdd.algebra import IntMatrix
 from sgdd.designs import IncidenceMatrix, check_k_commutation, verify_gdd
 from sgdd.gf import gf_from_order
 from sgdd.latin import LatinSquare, LinkedMolsFamily, linked_mols_from_gf, verify_linked
-from sgdd.linked import LinkedSystemII, build_from_mub_bush, pair_system, verify_linked_system
+from sgdd.errors import ParameterError
+from sgdd.linked import LinkedSystemII, build_from_mub_bush, pair_index, pair_system, verify_linked_system
 
 
 def _outcome(cert):
@@ -22,10 +23,9 @@ def _outcome(cert):
 
 
 def _with_block(sys: LinkedSystemII, pair, arr) -> LinkedSystemII:
-    blk = sys.blocks[pair]
-    blocks = dict(sys.blocks)
-    blocks[pair] = IncidenceMatrix(IntMatrix(arr), blk.m, blk.n)
-    return LinkedSystemII(params=sys.params, blocks=blocks)
+    stack = sys.stack.copy()
+    stack[pair_index(sys.f, *pair)] = arr
+    return LinkedSystemII(sys.params, stack)
 
 
 def _entry(blk: IncidenceMatrix, rng: random.Random, where: str):
@@ -69,9 +69,10 @@ def corrupt(sys: LinkedSystemII, kind: str, seed: int) -> tuple[LinkedSystemII, 
         return _with_block(sys, (j, i), flip), f"block {(hi, lo)} is the transpose of block {(lo, hi)}"
     if kind == "triple":  # two blocks trade places: every block stays a design
         other = rng.choice([q for q in sorted(sys.blocks) if q != pair[::-1] and sys.blocks[q] != blk])
-        blocks = dict(sys.blocks)
-        blocks[pair], blocks[other] = blocks[other], blocks[pair]
-        return LinkedSystemII(params=sys.params, blocks=blocks), "triple product"
+        stack = sys.stack.copy()
+        swap = [pair_index(sys.f, *pair), pair_index(sys.f, *other)]
+        stack[swap] = stack[swap[::-1]]
+        return LinkedSystemII(sys.params, stack), "triple product"
     if kind == "companion":  # a 1 inside K of an f = 2 pair
         x, y = _entry(blk, rng, "inside K")
         arr[x, y] = 1
@@ -140,13 +141,12 @@ def test_column_swap_is_caught_by_commutation_not_gram(sys64):
 
 
 def test_mismatched_blocks_fail_closed(sys16):
-    """A block with another group structure is reported, and nothing else is
-    checked."""
-    blocks = dict(sys16.blocks)
-    blocks[(2, 1)] = IncidenceMatrix(sys16.blocks[(2, 1)].mat, 2, 8)
-    cert = verify_linked_system(LinkedSystemII(params=sys16.params, blocks=blocks))
-    assert [str(v) for v in cert.violations] == ["block (2, 1): dimension/group structure matches parameters at (0, 0)"]
-    assert not cert.checks
+    """A stack of blocks of another order, or of another count, is refused
+    when the system is built, so no certifier ever sees one."""
+    with pytest.raises(ParameterError, match=r"order 8 != m\*n = 16"):
+        LinkedSystemII(sys16.params, sys16.stack[:, :8, :8])
+    with pytest.raises(ParameterError, match="has 6 blocks, not 5"):
+        LinkedSystemII(sys16.params, sys16.stack[:5])
 
 
 def test_designs_match_block_route(conference12, gcm24, sys16):

@@ -736,17 +736,14 @@ certificate: linked system f=2 on GddParams(v=12, k=5, m=6, n=2, lambda1=0, lamb
 def test_cli_pair_with_a_one_inside_a_group_reports_violations(tmp_path: Path, conference12, capsys):
     # A + K then holds a 2, so the companion's Gram identities are checked on
     # an integer matrix that is not an incidence matrix
-    from sgdd.designs import IncidenceMatrix
     from sgdd.linked import LinkedSystemII, pair_system
 
     pair = pair_system(*conference12)
-    blk = pair.blocks[(1, 2)]
-    arr = blk.mat.a.copy()
-    assert arr[0, 1] == 0  # points 0 and 1 form a group
-    arr[0, 1] = 1
-    blocks = {(1, 2): IncidenceMatrix(IntMatrix(arr), blk.m, blk.n), (2, 1): pair.blocks[(2, 1)]}
+    stack = pair.stack.copy()
+    assert stack[0, 0, 1] == 0  # points 0 and 1 form a group
+    stack[0, 0, 1] = 1
     lsys, scm = tmp_path / "flip.lsys", tmp_path / "flip.scm"
-    lsys.write_text(fileio.format_linked_system(LinkedSystemII(pair.params, blocks)))
+    lsys.write_text(fileio.format_linked_system(LinkedSystemII(pair.params, stack)))
     assert main(["verify", "linked-system", str(lsys)]) == 1
     assert capsys.readouterr() == (_COMPANION_FLIP, "")
     assert main(["scheme", "assemble", "--in", str(lsys), "-o", str(scm)]) == 1
@@ -823,3 +820,32 @@ def test_tilde_l_certifies_the_auxiliary_set_once(tmp_path: Path, monkeypatch):
     code, printed = run_cli("construct", "tilde-l", "--aux", str(bad), "--mols", str(fam8), "-o", str(out))
     assert code == 1 and calls == [8] and not out.exists()
     assert printed.startswith("certificate: auxiliary matrices AuxParams(v=8, k=3, r=7, lam=1, mu=1, n=3): VIOLATED\n")
+
+
+def _malformed_systems(text: str) -> dict[str, tuple[str, int, str]]:
+    """The system file ``text`` with one defect each, and the exit status
+    and error line the CLI gives for it."""
+    lines = text.split("\n")
+    size = int(lines[1].split()[0])
+    two, square = list(lines), list(lines)
+    two[2] = "2" + two[2][1:]
+    square[size + 2] = f"{size - 1} {size}"  # the second block's header
+    return {
+        "two": ("\n".join(two), 1, "incidence matrix entries must be 0 or 1"),
+        "not square": ("\n".join(square), 1, "incidence matrix must be square"),
+        "truncated": ("\n".join(lines[:-8]) + "\n", 2, "linked system: unexpected end of file"),
+    }
+
+
+@pytest.mark.parametrize("defect", ["two", "not square", "truncated"])
+def test_cli_refuses_malformed_system_files(defect, sys16, tmp_path: Path, capsys):
+    """A block entry 2, a block header of 15 x 16 and a file cut short are
+    refused while the file is parsed, by both verbs that read a system."""
+    text, status, error = _malformed_systems(fileio.format_linked_system(sys16))[defect]
+    lsys, scm = tmp_path / "bad.lsys", tmp_path / "bad.scm"
+    lsys.write_text(text)
+    assert main(["verify", "linked-system", str(lsys)]) == status
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert main(["scheme", "assemble", "--in", str(lsys), "-o", str(scm)]) == status
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not scm.exists()

@@ -31,7 +31,7 @@ from sgdd.designs import (
     verify_gdd,
 )
 from sgdd.errors import ParameterError
-from sgdd.linked import LinkedSystemII, build_from_mub_bush, build_twin, verify_linked_system
+from sgdd.linked import LinkedSystemII, build_from_mub_bush, build_twin, pair_index, verify_linked_system
 from sgdd.resolvable import AuxiliarySet, aux_from_affine_geometry, aux_from_hadamard, verify_auxiliary
 
 # -- dense reference ------------------------------------------------------------
@@ -213,9 +213,9 @@ def _flip(mat: IncidenceMatrix, kind: str, rng: random.Random) -> IncidenceMatri
 
 def _flip_block(sys: LinkedSystemII, kind: str, rng: random.Random) -> LinkedSystemII:
     pair = rng.choice(sorted(sys.blocks))
-    blocks = dict(sys.blocks)
-    blocks[pair] = _flip(blocks[pair], kind, rng)
-    return LinkedSystemII(params=sys.params, blocks=blocks)
+    stack = sys.stack.copy()
+    stack[pair_index(sys.f, *pair)] = _flip(sys.blocks[pair], kind, rng).mat.a
+    return LinkedSystemII(sys.params, stack)
 
 
 KINDS = ("diagonal", "same group", "other group")

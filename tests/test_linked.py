@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import sgdd.linked
+import sgdd.schemes
+from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.classical import (
     hadamard_matrix,
@@ -12,7 +14,7 @@ from sgdd.classical import (
 )
 from sgdd.cli import main
 from sgdd.designs import Certificate, GddParams, check_k_commutation, verify_gdd
-from sgdd.errors import BudgetExceededError, InfeasibleParameterError, ParameterError
+from sgdd.errors import BudgetExceededError, CertificationError, InfeasibleParameterError, ParameterError
 from sgdd.linked import (
     CyclicGroup,
     GcmMatrix,
@@ -37,14 +39,15 @@ from sgdd.linked import (
 
 def test_triple_candidates_16():
     cands = sigma_tau_rho(6, 4, 4)
-    triples = {c.as_ints() for c in cands if c.integral}
+    triples = {(c.sigma, c.tau, c.rho) for c in cands if c.integral}
     assert triples == {(3, 1, 3), (1, 3, 3)}
     assert symmetric_design_triple(4, 4) == (3, 1, 3)
 
 
 def test_triple_candidates_52():
     cands = sigma_tau_rho(24, 13, 4)
-    assert {c.as_ints() for c in cands} == {(13, 9, 12), (9, 13, 12)}
+    assert all(c.integral for c in cands)
+    assert {(c.sigma, c.tau, c.rho) for c in cands} == {(13, 9, 12), (9, 13, 12)}
 
 
 def test_triple_candidates_gcm_shape_flagged():
@@ -87,9 +90,7 @@ def test_single_block_is_symmetric_design(aux_had4, fam_gf4):
 
 
 def test_verifier_catches_swapped_blocks(sys16):
-    blocks = dict(sys16.blocks)
-    blocks[(1, 2)], blocks[(1, 3)] = blocks[(1, 3)], blocks[(1, 2)]
-    broken = LinkedSystemII(params=sys16.params, blocks=blocks)
+    broken = LinkedSystemII(sys16.params, sys16.stack[[1, 0, 2, 3, 4, 5]])  # A_12 and A_13 trade places
     cert = verify_linked_system(broken)
     assert not cert.ok
     assert any("triple product" in str(v) for v in cert.violations)
@@ -346,13 +347,13 @@ def test_parameter_identities_on_certified_systems(sys16, sys45):
             (p.sigma - p.tau) * (p.rho - p.tau)
         )
         assert Fraction(base.k**2, base.n * (base.m - 1)) == p.rho
-        cands = {c.as_ints() for c in sigma_tau_rho(base.k, base.m, base.n) if c.integral}
+        cands = {(c.sigma, c.tau, c.rho) for c in sigma_tau_rho(base.k, base.m, base.n) if c.integral}
         assert (p.sigma, p.tau, p.rho) in cands
 
 
 def test_bush_type_of_symmetric_design_blocks(sys16):
     for blk in sys16.blocks.values():
-        assert is_bush_type(IntMatrix(1 - 2 * blk.mat.a))
+        assert is_bush_type(IntMatrix(1 - 2 * blk.mat.a.astype(np.int64)))
 
 
 def test_bush_search_deterministic(bush_pair):
@@ -374,3 +375,38 @@ def test_bush_search_finds_three_member_family():
     # four indices: the Krein bound f <= m is attained
     assert system.params.f == 4
     assert (system.params.sigma, system.params.tau, system.params.rho) == (3, 1, 3)
+
+
+def test_a_certified_system_is_read_only(sys16, scheme48):
+    """Constructions and a certifying extraction seal the system: its
+    certificate is recorded, and neither the stack nor a block view of it
+    takes a write."""
+    extracted = sgdd.schemes.extract_linked_system([scheme48.relation == i for i in range(6)]).primary.system
+    for system in (sys16, extracted):
+        assert system.certificate.ok
+        with pytest.raises(ValueError):
+            system.stack[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            system.blocks[(1, 2)].mat.a[0, 0] = 1
+
+
+def test_assemble_verifies_only_an_unsealed_system(sys16, scheme48, corrupt_system, monkeypatch):
+    """assemble_scheme trusts the certificate of a sealed system and
+    certifies a parsed one, which carries none, so a corrupted file is still
+    refused."""
+    calls = []
+    verify = sgdd.schemes.verify_linked_system
+    monkeypatch.setattr(sgdd.schemes, "verify_linked_system", lambda sys: calls.append(sys) or verify(sys))
+    assert np.array_equal(sgdd.schemes.assemble_scheme(sys16).relation, scheme48.relation)
+    assert calls == []
+    parsed = fileio.parse_linked_system(fileio.format_linked_system(sys16).encode())
+    assert parsed.certificate is None and parsed.stack.flags.writeable
+    with pytest.raises(ValueError):  # block views are read-only, sealed or not
+        parsed.blocks[(1, 2)].mat.a[0, 0] = 1
+    assert np.array_equal(sgdd.schemes.assemble_scheme(parsed).relation, scheme48.relation)
+    assert calls == [parsed]
+    for seed in range(5):
+        bad, _ = corrupt_system(parsed, seed)
+        with pytest.raises(CertificationError, match="input system fails certification"):
+            sgdd.schemes.assemble_scheme(bad)
+    assert len(calls) == 6

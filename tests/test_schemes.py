@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgdd.algebra import IntMatrix, Surd
-from sgdd.designs import Certificate, GddParams, IncidenceMatrix
+from sgdd.designs import Certificate, GddParams
 from sgdd.errors import CertificationError, ParameterError
 from sgdd.linked import LinkedParams, LinkedSystemII, pair_system, verify_linked_system
 import sgdd.schemes
@@ -829,13 +829,8 @@ def _extract_by_dense_route(classes):
             a3 = (relation == labels[3])[np.ix_(perm, perm)].astype(np.int64)
             mn = m * n
             try:
-                blocks = {
-                    (i + 1, j + 1): IncidenceMatrix(IntMatrix(a3[i * mn : (i + 1) * mn, j * mn : (j + 1) * mn]), m, n)
-                    for i in range(f)
-                    for j in range(f)
-                    if i != j
-                }
-                system = LinkedSystemII(LinkedParams(GddParams(mn, k, m, n, l1, l2), f, *triple), blocks)
+                blocks = [a3[i * mn : (i + 1) * mn, j * mn : (j + 1) * mn] for i in range(f) for j in range(f) if i != j]
+                system = LinkedSystemII(LinkedParams(GddParams(mn, k, m, n, l1, l2), f, *triple), np.array(blocks))
                 certified = verify_linked_system(system).ok
             except ParameterError:
                 pass
