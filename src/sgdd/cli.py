@@ -1,7 +1,13 @@
 """Command-line front end: file-based pipelines over the library.
 
+Each command ``sgdd VERB TARGET`` is one function below, registered in
+``COMMANDS`` with its options by ``@_command``; its docstring is its help
+line.  ``main`` builds the argument parser of the chosen command only, and
+lists the verbs or a verb's targets when it names none (``sgdd -h``,
+``sgdd VERB -h``).
+
 Exit status: 0 = certified/success, 1 = violation found, 2 = usage or I/O
-error.  Every ``construct`` sub-verb certifies its output before writing
+error.  Every ``construct`` command certifies its output before writing
 (fail-closed), so an uncertified artifact can never hit disk.
 """
 
@@ -44,6 +50,52 @@ from .schemes import (
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
+VERBS = {
+    "construct": "build a certified object and write it",
+    "verify": "certify an artifact file",
+    "scheme": "assemble, analyze, extract, or fuse a scheme",
+    "scan": "feasible-parameter tables",
+    "oracle": "desk-scale existence searches",
+}
+# verb -> target -> (options, handler); the handler's docstring is its help line
+COMMANDS: dict[str, dict[str, tuple]] = {verb: {} for verb in VERBS}
+
+
+def _command(verb: str, target: str, *options):
+    """Register the decorated handler as ``sgdd VERB TARGET`` with ``options``;
+    it returns ``None`` for exit status 0, or its exit status."""
+
+    def register(handler):
+        COMMANDS[verb][target] = (options, handler)
+        return handler
+
+    return register
+
+
+def _add(parser, options):
+    for option in options:
+        option(parser)
+    return parser
+
+
+def _opt(*flags, **kw):
+    """An option of a command, added to its parser in the order listed."""
+    return lambda parser: parser.add_argument(*flags, **kw)
+
+
+def _one_of(*options):
+    """A required group of mutually exclusive options."""
+    return lambda parser: _add(parser.add_mutually_exclusive_group(required=True), options)
+
+
+_OUT = _opt("-o", "--output")
+_HADAMARD_ORDER = _opt("--order", type=int, help="catalog Hadamard order")
+_PARAMS_OUT = _opt("--params-out")
+_Q = _opt("--q", type=int, required=True)
+_IN = _opt("--in", dest="input", required=True)
+_FILE = _opt("input")
+_FORMAT = _opt("--format", choices=("csv", "text"), default="csv")
+
 
 def _read(path: str) -> bytes:
     data = Path(path).read_bytes()
@@ -63,345 +115,290 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _load_params(args):
-    if args.params is not None:
-        return fileio.parse_inline_gdd_params(args.params)
-    return fileio.parse_gdd_params(_read(args.params_file))
-
-
 def _report(cert) -> int:
     for line in cert.report_lines():
         print(line)
     return OK if cert.ok else VIOLATION
 
 
-# -- construct ----------------------------------------------------------------
+@_command(
+    "construct",
+    "hadamard-aux",
+    _one_of(_HADAMARD_ORDER, _opt("--in", dest="input", help="matrix v1 file with a normalized Hadamard matrix")),
+    _OUT,
+)
+def _hadamard_aux(args):
+    """auxiliary matrices of a Hadamard matrix"""
+    h = fileio.parse_matrix(_read(args.input)) if args.input is not None else hadamard_matrix(args.order)
+    _emit(fileio.format_auxiliary_set(aux_from_hadamard(h)), args.output)
 
 
-def _cmd_construct(args) -> int:
-    sub = args.what
-    if sub == "hadamard-aux":
-        h = fileio.parse_matrix(_read(args.input)) if args.input is not None else hadamard_matrix(args.order)
-        aux = aux_from_hadamard(h)
-        _emit(fileio.format_auxiliary_set(aux), args.output)
-        return OK
-    if sub == "ag-aux":
-        aux = aux_from_affine_geometry(args.q, args.d)
-        _emit(fileio.format_auxiliary_set(aux), args.output)
-        return OK
-    if sub == "mols":
-        p, d = factor_prime_power(args.q)
-        squares = mols_from_gf(gf_make(p, d))
-        _emit(fileio.format_mols_list(squares), args.output)
-        return OK
-    if sub == "linked-mols":
-        p, d = factor_prime_power(args.q)
-        fam = linked_mols_from_gf(gf_make(p, d))
-        _emit(fileio.format_linked_family(fam), args.output)
-        return OK
-    if sub == "tilde-l":
-        aux = fileio.parse_auxiliary_set(_read(args.aux))
-        fam = fileio.parse_linked_family(_read(args.mols))
-        system = build_tilde_l(aux, fam)
-        _emit(fileio.format_linked_system(system), args.output)
-        return OK
-    if sub == "conference-gdd":
-        c = fileio.parse_matrix(_read(args.input)) if args.input is not None else paley_conference_matrix(args.order)
-        mat, params = conference_to_gdd(c)
-        _emit(fileio.format_matrix(mat.mat), args.output)
-        params_text = fileio.format_gdd_params(params)
-        if args.params_out:
-            _write(args.params_out, params_text)
-        else:
-            sys.stdout.write(params_text)
-        return OK
-    if sub == "bgw":
-        gcm = bgw_generate(args.q)
-        _emit(fileio.format_gcm(gcm), args.output)
-        return OK
-    if sub == "gcm-gdd":
-        gcm = fileio.parse_gcm(_read(args.input))
-        mat, params = gcm_to_gdd(gcm)
-        _emit(fileio.format_matrix(mat.mat), args.output)
-        params_text = fileio.format_gdd_params(params)
-        if args.params_out:
-            _write(args.params_out, params_text)
-        else:
-            sys.stdout.write(params_text)
-        return OK
-    if sub == "twin":
-        h = fileio.parse_matrix(_read(args.hadamard)) if args.hadamard is not None else hadamard_matrix(args.order)
-        if args.weighing:
-            ws = fileio.parse_matrix_set(_read(args.weighing))
-        else:
-            if args.weight != 1:
-                raise SgddError("only weight 1 is generated internally; use --weighing")
-            ws = signed_permutation_weighing_set(h.rows)
-        twin = build_twin(h, ws)
-        _write(args.output + ".plus.mat", fileio.format_matrix(twin.plus.mat))
-        _write(args.output + ".minus.mat", fileio.format_matrix(twin.minus.mat))
-        params_text = fileio.format_gdd_params(twin.params)
-        if args.params_out:
-            _write(args.params_out, params_text)
-        else:
-            sys.stdout.write(params_text)
-        return OK
-    if sub == "mub-system":
-        hs = fileio.parse_matrix_set(_read(args.input))
-        system = build_from_mub_bush(hs)
-        _emit(fileio.format_linked_system(system), args.output)
-        return OK
-    raise SgddError(f"unknown construct target {sub!r}")
+@_command("construct", "ag-aux", _Q, _opt("--d", type=int, default=1), _OUT)
+def _ag_aux(args):
+    """auxiliary matrices of an affine geometry"""
+    _emit(fileio.format_auxiliary_set(aux_from_affine_geometry(args.q, args.d)), args.output)
 
 
-# -- verify --------------------------------------------------------------------
+@_command("construct", "mols", _Q, _OUT)
+def _mols(args):
+    """field-derived squares, pairwise orthogonal"""
+    _emit(fileio.format_mols_list(mols_from_gf(gf_make(*factor_prime_power(args.q)))), args.output)
 
 
-def _cmd_verify(args) -> int:
-    sub = args.what
-    if sub == "gdd":
-        params = _load_params(args)
-        mat = fileio.parse_matrix(_read(args.input))
-        inc = IncidenceMatrix(mat, params.m, params.n)
-        return _report(verify_gdd(inc, params))
-    if sub == "aux":
-        aux = fileio.parse_auxiliary_set(_read(args.input))
-        return _report(verify_auxiliary(aux))
-    if sub == "latin":
-        data = _read(args.input)
-        if len(fileio.Lines(data, "latin square").next().split()) == 2:
-            fam = fileio.parse_linked_family(data)
-            cert = verify_linked(fam)
-            for v in cert.violations:
-                print(f"violation: {v}")
-            print(f"linked family f={fam.f} order={fam.order}: {'OK' if cert.ok else 'VIOLATED'}")
-            return OK if cert.ok else VIOLATION
-        fileio.parse_latin_square(data)
-        print("latin square: OK")
-        return OK
-    if sub == "linked-system":
-        system = fileio.parse_linked_system(_read(args.input))
-        return _report(verify_linked_system(system))
-    if sub == "scheme":
-        return _report(certify_classes(fileio.parse_scheme_matrices(_read(args.input))).certificate)
-    raise SgddError(f"unknown verify target {sub!r}")
+@_command("construct", "linked-mols", _Q, _OUT)
+def _linked_mols(args):
+    """linked family of compositions of the field squares"""
+    _emit(fileio.format_linked_family(linked_mols_from_gf(gf_make(*factor_prime_power(args.q)))), args.output)
 
 
-# -- scheme ---------------------------------------------------------------------
+@_command("construct", "tilde-l", _opt("--aux", required=True), _opt("--mols", required=True), _OUT)
+def _tilde_l(args):
+    """linked system from auxiliary matrices and a linked family"""
+    aux = fileio.parse_auxiliary_set(_read(args.aux))
+    fam = fileio.parse_linked_family(_read(args.mols))
+    _emit(fileio.format_linked_system(build_tilde_l(aux, fam)), args.output)
 
 
-def _cmd_scheme(args) -> int:
-    sub = args.what
-    if sub == "assemble":
-        scheme = assemble_scheme(fileio.parse_linked_system(_read(args.input)))
-        _emit(fileio.format_scheme_matrices(scheme.relation), args.output)
-        return OK
-    if sub == "analyze":
-        scheme, primary = load_scheme(fileio.parse_scheme_matrices(_read(args.input)))
-        params = scheme.params
-        print(f"parameters: k={params.k} m={params.m} n={params.n} f={params.f} |X|={params.size}")
-        if primary.labels != tuple(range(6)):
-            print(f"classes relabeled as {primary.labels}")
-        return _report(scheme.certificate)
-    if sub == "extract":
-        report = extract_linked_system(fileio.parse_scheme_matrices(_read(args.input)))
-        primary = report.primary
-        for cand in report.candidates:
-            mark = "primary" if cand is primary else "alternate"
-            print(
-                f"{mark}: labels={cand.labels} (k,m,n,f)="
-                f"({cand.params.k},{cand.params.m},{cand.params.n},{cand.params.f}) "
-                f"triple={cand.triple} spectra_match={cand.spectra_match} certified={cand.certified}"
-            )
-        if primary.system is not None:
-            _emit(fileio.format_linked_system(primary.system), args.output)
-        return OK
-    if sub == "fusion":
-        scheme, _ = load_scheme(fileio.parse_scheme_matrices(_read(args.input)))
-        result = check_fusion(scheme)
-        print(f"fusable: {result.fusable}; degree condition met: {result.predicted}")
-        if result.fusable and result.eigenspace_partition:
-            print(f"merged eigenspaces: {result.eigenspace_partition}")
-        if result.fusable and args.output:
-            _write(args.output, fileio.format_scheme_matrices(result.fused_relation))
-        return OK if result.consistent else VIOLATION
-    raise SgddError(f"unknown scheme action {sub!r}")
+@_command(
+    "construct",
+    "conference-gdd",
+    _one_of(
+        _opt("--order", type=int, help="Paley conference order"),
+        _opt("--in", dest="input", help="matrix v1 file with a conference matrix"),
+    ),
+    _OUT,
+    _PARAMS_OUT,
+)
+def _conference_gdd(args):
+    """design from a conference matrix"""
+    c = fileio.parse_matrix(_read(args.input)) if args.input is not None else paley_conference_matrix(args.order)
+    mat, params = conference_to_gdd(c)
+    _emit(fileio.format_matrix(mat.mat), args.output)
+    _emit(fileio.format_gdd_params(params), args.params_out)
 
 
-# -- scan -----------------------------------------------------------------------
+@_command("construct", "bgw", _Q, _OUT)
+def _bgw(args):
+    """balanced generalized weighing matrix over a cyclic group"""
+    _emit(fileio.format_gcm(bgw_generate(args.q)), args.output)
 
 
-def _cmd_scan(args) -> int:
-    if args.what == "table1":
-        rows = scan_table1(args.vmax)
-        table = 1
-    elif args.what == "table2":
-        rows = scan_table2(args.vmax)
-        table = 2
+@_command("construct", "gcm-gdd", _IN, _OUT, _PARAMS_OUT)
+def _gcm_gdd(args):
+    """design from a generalized conference matrix file"""
+    mat, params = gcm_to_gdd(fileio.parse_gcm(_read(args.input)))
+    _emit(fileio.format_matrix(mat.mat), args.output)
+    _emit(fileio.format_gdd_params(params), args.params_out)
+
+
+@_command(
+    "construct",
+    "twin",
+    _one_of(_HADAMARD_ORDER, _opt("--hadamard", help="matrix v1 file with a normalized Hadamard matrix")),
+    _opt("--weighing", help="matrix-set file of disjoint weighing matrices"),
+    _opt("-o", "--output", required=True, help="prefix for .plus.mat/.minus.mat"),
+    _PARAMS_OUT,
+)
+def _twin(args):
+    """twin designs from a Hadamard matrix and weighing matrices"""
+    h = fileio.parse_matrix(_read(args.hadamard)) if args.hadamard is not None else hadamard_matrix(args.order)
+    ws = fileio.parse_matrix_set(_read(args.weighing)) if args.weighing else signed_permutation_weighing_set(h.rows)
+    twin = build_twin(h, ws)
+    _write(args.output + ".plus.mat", fileio.format_matrix(twin.plus.mat))
+    _write(args.output + ".minus.mat", fileio.format_matrix(twin.minus.mat))
+    _emit(fileio.format_gdd_params(twin.params), args.params_out)
+
+
+@_command("construct", "mub-system", _opt("--in", dest="input", required=True, help="matrix-set file"), _OUT)
+def _mub_system(args):
+    """linked system from unbiased Bush-type Hadamard matrices"""
+    system = build_from_mub_bush(fileio.parse_matrix_set(_read(args.input)))
+    _emit(fileio.format_linked_system(system), args.output)
+
+
+@_command("verify", "gdd", _FILE, _one_of(_opt("--params", help='inline "v k m n l1 l2"'), _opt("--params-file")))
+def _verify_gdd(args):
+    """certify a design against its parameters"""
+    if args.params is not None:
+        params = fileio.parse_inline_gdd_params(args.params)
     else:
-        raise SgddError(f"unknown scan target {args.what!r}")
-    annotations = None
-    if getattr(args, "witnesses", False):
-        annotations = table1_witnesses(rows)
+        params = fileio.parse_gdd_params(_read(args.params_file))
+    inc = IncidenceMatrix(fileio.parse_matrix(_read(args.input)), params.m, params.n)
+    return _report(verify_gdd(inc, params))
+
+
+@_command("verify", "aux", _FILE)
+def _verify_aux(args):
+    """certify an auxiliary set"""
+    return _report(verify_auxiliary(fileio.parse_auxiliary_set(_read(args.input))))
+
+
+@_command("verify", "latin", _FILE)
+def _verify_latin(args):
+    """certify a Latin square or a linked family"""
+    data = _read(args.input)
+    if len(fileio.Lines(data, "latin square").next().split()) == 2:
+        fam = fileio.parse_linked_family(data)
+        cert = verify_linked(fam)
+        for v in cert.violations:
+            print(f"violation: {v}")
+        print(f"linked family f={fam.f} order={fam.order}: {'OK' if cert.ok else 'VIOLATED'}")
+        return OK if cert.ok else VIOLATION
+    fileio.parse_latin_square(data)
+    print("latin square: OK")
+
+
+@_command("verify", "linked-system", _FILE)
+def _verify_linked_system(args):
+    """certify a linked system of type II"""
+    return _report(verify_linked_system(fileio.parse_linked_system(_read(args.input))))
+
+
+@_command("verify", "scheme", _FILE)
+def _verify_scheme(args):
+    """certify a 5-class association scheme"""
+    return _report(certify_classes(fileio.parse_scheme_matrices(_read(args.input))).certificate)
+
+
+@_command("scheme", "assemble", _IN, _OUT)
+def _assemble(args):
+    """the scheme of a linked system"""
+    scheme = assemble_scheme(fileio.parse_linked_system(_read(args.input)))
+    _emit(fileio.format_scheme_matrices(scheme.relation), args.output)
+
+
+@_command("scheme", "analyze", _IN)
+def _analyze(args):
+    """parameters, spectra and Krein certification report"""
+    scheme, primary = load_scheme(fileio.parse_scheme_matrices(_read(args.input)))
+    params = scheme.params
+    print(f"parameters: k={params.k} m={params.m} n={params.n} f={params.f} |X|={params.size}")
+    if primary.labels != tuple(range(6)):
+        print(f"classes relabeled as {primary.labels}")
+    return _report(scheme.certificate)
+
+
+@_command("scheme", "extract", _IN, _OUT)
+def _extract(args):
+    """the linked system of a scheme"""
+    report = extract_linked_system(fileio.parse_scheme_matrices(_read(args.input)))
+    primary = report.primary
+    for cand in report.candidates:
+        mark = "primary" if cand is primary else "alternate"
+        print(
+            f"{mark}: labels={cand.labels} (k,m,n,f)="
+            f"({cand.params.k},{cand.params.m},{cand.params.n},{cand.params.f}) "
+            f"triple={cand.triple} spectra_match={cand.spectra_match} certified={cand.certified}"
+        )
+    if primary.system is not None:
+        _emit(fileio.format_linked_system(primary.system), args.output)
+
+
+@_command("scheme", "fusion", _IN, _OUT)
+def _fusion(args):
+    """the 3-class fusion test"""
+    scheme, _ = load_scheme(fileio.parse_scheme_matrices(_read(args.input)))
+    result = check_fusion(scheme)
+    print(f"fusable: {result.fusable}; degree condition met: {result.predicted}")
+    if result.fusable and result.eigenspace_partition:
+        print(f"merged eigenspaces: {result.eigenspace_partition}")
+    if result.fusable and args.output:
+        _write(args.output, fileio.format_scheme_matrices(result.fused_relation))
+    return OK if result.consistent else VIOLATION
+
+
+def _emit_rows(args, rows, table: int, annotations=None):
     render = rows_to_csv if args.format == "csv" else rows_to_text
     _emit(render(rows, table, annotations=annotations), args.output)
-    return OK
 
 
-# -- oracle ---------------------------------------------------------------------
+@_command(
+    "scan",
+    "table1",
+    _opt("--vmax", type=int, default=1000),
+    _OUT,
+    _FORMAT,
+    _opt(
+        "--witnesses",
+        action="store_true",
+        help="annotate rows whose linked system this package constructs and certifies",
+    ),
+)
+def _table1(args):
+    """feasible parameters of Table 1"""
+    rows = scan_table1(args.vmax)
+    _emit_rows(args, rows, 1, table1_witnesses(rows) if args.witnesses else None)
 
 
-def _cmd_oracle(args) -> int:
-    if args.what == "linked-mols":
-        fam = search_linked_mols(args.order, args.f, zero_diagonal=not args.any_diagonal)
-        if fam is None:
-            print("exhausted: no linked family exists with these constraints")
-            return VIOLATION
-        cert = verify_linked(fam)
-        if not cert.ok:
-            return VIOLATION
-        _emit(fileio.format_linked_family(fam), args.output)
+@_command("scan", "table2", _opt("--vmax", type=int, default=500), _OUT, _FORMAT)
+def _table2(args):
+    """feasible parameters of Table 2"""
+    _emit_rows(args, scan_table2(args.vmax), 2)
+
+
+@_command(
+    "oracle",
+    "linked-mols",
+    _opt("--order", type=int, required=True),
+    _opt("--f", type=int, default=3),
+    _opt("--any-diagonal", action="store_true", help="drop the zero-diagonal constraint"),
+    _OUT,
+)
+def _oracle_linked_mols(args):
+    """search for a linked family of Latin squares"""
+    fam = search_linked_mols(args.order, args.f, zero_diagonal=not args.any_diagonal)
+    if fam is None:
+        print("exhausted: no linked family exists with these constraints")
+        return VIOLATION
+    if not verify_linked(fam).ok:
+        return VIOLATION
+    _emit(fileio.format_linked_family(fam), args.output)
+
+
+@_command("oracle", "bush", _opt("--n", type=int, required=True), _opt("--f", type=int, required=True), _OUT)
+def _oracle_bush(args):
+    """search for unbiased Bush-type Hadamard matrices"""
+    found = bush_search(args.n, args.f)
+    if found is None:
+        print("exhausted: no such family exists")
+        return VIOLATION
+    _emit(fileio.format_matrix_set(found), args.output)
+
+
+def command_parser(verb: str, target: str) -> argparse.ArgumentParser:
+    """The argument parser of ``sgdd VERB TARGET``."""
+    return _add(argparse.ArgumentParser(prog=f"sgdd {verb} {target}"), COMMANDS[verb][target][0])
+
+
+def _menu(prog: str, slot: str, choices: dict[str, str], asked: list[str]) -> int:
+    """List the verbs, or one verb's targets, when ``asked`` names none of
+    them: on stdout for ``-h``, otherwise on stderr as a usage error."""
+    kind, width = slot.lower(), max(map(len, choices))
+    lines = [f"usage: {prog} {slot} ...", "", f"{kind}s:"]
+    lines += [f"  {name:<{width}}  {help}" for name, help in choices.items()]
+    if asked[:1] in (["-h"], ["--help"]):
+        print("\n".join(lines))
         return OK
-    if args.what == "bush":
-        found = bush_search(args.n, args.f)
-        if found is None:
-            print("exhausted: no such family exists")
-            return VIOLATION
-        _emit(fileio.format_matrix_set(found), args.output)
-        return OK
-    raise SgddError(f"unknown oracle {args.what!r}")
-
-
-# -- parser -----------------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="sgdd",
-        description="construct, certify and analyze symmetric group divisible designs, "
-        "linked systems of type II, and their 5-class association schemes",
-    )
-    verbs = top.add_subparsers(dest="verb", required=True)
-
-    con = verbs.add_parser("construct", help="build a certified object and write it")
-    consub = con.add_subparsers(dest="what", required=True)
-
-    c = consub.add_parser("hadamard-aux", help="auxiliary matrices of a Hadamard matrix")
-    src = c.add_mutually_exclusive_group(required=True)
-    src.add_argument("--order", type=int, help="catalog Hadamard order")
-    src.add_argument("--in", dest="input", help="matrix v1 file with a normalized Hadamard matrix")
-    c.add_argument("-o", "--output")
-
-    c = consub.add_parser("ag-aux", help="auxiliary matrices of an affine geometry")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--d", type=int, default=1)
-    c.add_argument("-o", "--output")
-
-    c = consub.add_parser("mols", help="field-derived squares, pairwise orthogonal")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("-o", "--output")
-
-    c = consub.add_parser("linked-mols", help="linked family of compositions of the field squares")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("-o", "--output")
-
-    c = consub.add_parser("tilde-l", help="linked system from auxiliary matrices and a linked family")
-    c.add_argument("--aux", required=True)
-    c.add_argument("--mols", required=True)
-    c.add_argument("-o", "--output")
-
-    c = consub.add_parser("conference-gdd", help="design from a conference matrix")
-    src = c.add_mutually_exclusive_group(required=True)
-    src.add_argument("--order", type=int, help="Paley conference order")
-    src.add_argument("--in", dest="input", help="matrix v1 file with a conference matrix")
-    c.add_argument("-o", "--output")
-    c.add_argument("--params-out")
-
-    c = consub.add_parser("bgw", help="balanced generalized weighing matrix over a cyclic group")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("-o", "--output")
-
-    c = consub.add_parser("gcm-gdd", help="design from a generalized conference matrix file")
-    c.add_argument("--in", dest="input", required=True)
-    c.add_argument("-o", "--output")
-    c.add_argument("--params-out")
-
-    c = consub.add_parser("twin", help="twin designs from a Hadamard matrix and weighing matrices")
-    src = c.add_mutually_exclusive_group(required=True)
-    src.add_argument("--order", type=int, help="catalog Hadamard order")
-    src.add_argument("--hadamard", help="matrix v1 file with a normalized Hadamard matrix")
-    c.add_argument("--weight", type=int, default=1)
-    c.add_argument("--weighing", help="matrix-set file of disjoint weighing matrices")
-    c.add_argument("-o", "--output", required=True, help="prefix for .plus.mat/.minus.mat")
-    c.add_argument("--params-out")
-
-    c = consub.add_parser("mub-system", help="linked system from unbiased Bush-type Hadamard matrices")
-    c.add_argument("--in", dest="input", required=True, help="matrix-set file")
-    c.add_argument("-o", "--output")
-
-    ver = verbs.add_parser("verify", help="certify an artifact file")
-    versub = ver.add_subparsers(dest="what", required=True)
-    for name, with_params in (("gdd", True), ("aux", False), ("latin", False), ("linked-system", False), ("scheme", False)):
-        v = versub.add_parser(name)
-        v.add_argument("input")
-        if with_params:
-            src = v.add_mutually_exclusive_group(required=True)
-            src.add_argument("--params", help='inline "v k m n l1 l2"')
-            src.add_argument("--params-file")
-
-    sch = verbs.add_parser("scheme", help="assemble, analyze, extract, or fuse a scheme")
-    schsub = sch.add_subparsers(dest="what", required=True)
-    for name in ("assemble", "analyze", "extract", "fusion"):
-        s = schsub.add_parser(name)
-        s.add_argument("--in", dest="input", required=True)
-        s.add_argument("-o", "--output")
-
-    sc = verbs.add_parser("scan", help="feasible-parameter tables")
-    scsub = sc.add_subparsers(dest="what", required=True)
-    for name, default_vmax in (("table1", 1000), ("table2", 500)):
-        s = scsub.add_parser(name)
-        s.add_argument("--vmax", type=int, default=default_vmax)
-        s.add_argument("-o", "--output")
-        s.add_argument("--format", choices=("csv", "text"), default="csv")
-        if name == "table1":
-            s.add_argument(
-                "--witnesses",
-                action="store_true",
-                help="annotate rows whose linked system this package constructs and certifies",
-            )
-
-    orc = verbs.add_parser("oracle", help="desk-scale existence searches")
-    orcsub = orc.add_subparsers(dest="what", required=True)
-    s = orcsub.add_parser("linked-mols")
-    s.add_argument("--order", type=int, required=True)
-    s.add_argument("--f", type=int, default=3)
-    s.add_argument("--any-diagonal", action="store_true", help="drop the zero-diagonal constraint")
-    s.add_argument("-o", "--output")
-    s = orcsub.add_parser("bush")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--f", type=int, required=True)
-    s.add_argument("-o", "--output")
-
-    return top
-
-
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "scheme": _cmd_scheme,
-    "scan": _cmd_scan,
-    "oracle": _cmd_oracle,
-}
+    error = f"unknown {kind} {asked[0]!r}" if asked else f"a {kind} is required"
+    print("\n".join(lines + [f"{prog}: error: {error}"]), file=sys.stderr)
+    return USAGE
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in COMMANDS:
+        return _menu("sgdd", "VERB", VERBS, argv)
+    verb = argv[0]
+    targets = COMMANDS[verb]
+    if len(argv) < 2 or argv[1] not in targets:
+        helps = {name: handler.__doc__ or "" for name, (_, handler) in targets.items()}
+        return _menu(f"sgdd {verb}", "TARGET", helps, argv[1:])
     try:
-        args = parser.parse_args(argv)
+        args = command_parser(verb, argv[1]).parse_args(argv[2:])
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:
-        return _HANDLERS[args.verb](args)
+        return targets[argv[1]][1](args) or OK
     except SgddError as exc:
         report = getattr(exc, "report", None)
         if report is not None:

@@ -145,7 +145,6 @@ class CandidateTriple:
     tau: Surd
     rho: Fraction
     integral: bool
-    non_negative: bool
 
 
 def sigma_tau_rho(k: int, m: int, n: int) -> list[CandidateTriple]:
@@ -155,7 +154,7 @@ def sigma_tau_rho(k: int, m: int, n: int) -> list[CandidateTriple]:
         tau   = (k^2 (m-2)(n-1) -+ k sqrt(D))        / ((m-1)^2 (n-1) n)
         rho   = k^2 / (n (m-1))
 
-    with D = k (m-1)(n-1)(mn-k-n).  Integrality and sign flags attached.
+    with D = k (m-1)(n-1)(mn-k-n), each with its integrality flag.
     """
     if m < 2 or n < 2:
         raise ParameterError("need m, n >= 2")
@@ -177,8 +176,7 @@ def sigma_tau_rho(k: int, m: int, n: int) -> list[CandidateTriple]:
             and tau.as_fraction().denominator == 1
             and rho.denominator == 1
         )
-        non_negative = sigma.sign() >= 0 and tau.sign() >= 0 and rho >= 0
-        out.append(CandidateTriple(sigma, tau, rho, integral, non_negative))
+        out.append(CandidateTriple(sigma, tau, rho, integral))
     return out
 
 
