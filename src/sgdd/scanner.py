@@ -1,18 +1,29 @@
 """Feasible-parameter enumeration.
 
-Both scans walk all group shapes (m >= 3 since 3 <= f <= m, n >= 2,
-mn <= v_max) and keep parameter sets where every derived quantity is a
-non-negative integer:
+Both scans cover the group shapes m >= 3 (since 3 <= f <= m), n >= 2 with
+mn <= v_max, and keep parameter sets where every derived quantity is a
+non-negative integer.  Neither walks that grid: each visits only the cells
+its divisibility law admits, and every visited cell runs all of its checks.
 
-* the symmetric-design scan fixes k = n(m-1)^2/(m+n-2), the unique degree
-  at which lambda1 = lambda2, and takes the closed-form triple;
-* the proper/proper scan walks the degrees k < (m-1)n in multiples of
-  (m-1)*s*d, where n = s^2*d with d square-free: lambda2 and rho are both
-  integral exactly when n(m-1)^2 | k^2(m-2) and n(m-1) | k^2, and as
-  gcd(m-1, m-2) = 1 that holds exactly when k = (m-1)j with n | j^2.  It
-  demands that design and partial complement are both proper
-  (lambda1 != lambda2 on each side), that the triple discriminant is a
-  perfect square, and emits each admissible sign choice as its own row,
+* The symmetric-design scan (table 1) fixes k = n(m-1)^2/t with t = m+n-2,
+  the unique degree at which lambda1 = lambda2, and takes the closed-form
+  triple.  As n = -(m-2) (mod t), t | n(m-1)^2 exactly when
+  t | (m-2)(m-1)^2; as m-1 = -(n-1) (mod t), exactly when t | n(n-1)^2.
+  So for m <= r = isqrt(v_max) the scan walks the divisors t of
+  (m-2)(m-1)^2 in [m, m-2+v_max//m], and for m > r, where
+  n <= v_max//(r+1), the divisors t of n(n-1)^2 in
+  [r+n-1, v_max//n+n-2].  Each product is factored from two coprime
+  numbers of at most r + 1.
+* The proper/proper scan (table 2) walks the degrees k < (m-1)n in
+  multiples of (m-1)*s*d, where n = s^2*d with d square-free: lambda2 and
+  rho are both integral exactly when n(m-1)^2 | k^2(m-2) and n(m-1) | k^2,
+  and as gcd(m-1, m-2) = 1 that holds exactly when k = (m-1)j with
+  n | j^2.  lambda1 is integral when (m-1)(n-1) | k(k-m+1) =
+  (m-1)^2 j(j-1), that is when g | m-1 with g = (n-1)/gcd(n-1, j(j-1)).
+  So the scan takes n outermost, then j, and lets m-1 >= 2 walk the
+  multiples of g.  It demands that design and partial complement are both
+  proper (lambda1 != lambda2 on each side), that the triple discriminant is
+  a perfect square, and emits each admissible sign choice as its own row,
   requiring sigma, tau <= k (entries of a product of two 0/1 matrices with
   row sums k).
 """
@@ -23,11 +34,10 @@ import csv
 import io
 from contextlib import suppress
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .algebra import square_free_decomposition
-from .designs import GddParams, lambda_formulas, partial_complement_params
+from .designs import GddParams, partial_complement_params
 from .errors import CertificationError, ParameterError
 from .linked import LinkedParams, symmetric_design_triple
 
@@ -71,8 +81,41 @@ class FeasibleRow:
         )
 
 
-def _integral(x: Fraction) -> bool:
-    return x.denominator == 1
+def _prime_powers(x: int) -> dict[int, int]:
+    """The factorisation of x >= 1 by trial division, as {prime: exponent}."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= x:
+        while x % p == 0:
+            out[p] = out.get(p, 0) + 1
+            x //= p
+        p += 1
+    if x > 1:
+        out[x] = out.get(x, 0) + 1
+    return out
+
+
+def _divisors_in(a: int, b: int, lo: int, hi: int) -> list[int]:
+    """The divisors of a*b^2 in [lo, hi], for coprime a, b >= 1."""
+    powers = _prime_powers(a)
+    powers.update((p, 2 * e) for p, e in _prime_powers(b).items())
+    divisors = [1]
+    for p, e in powers.items():
+        steps = [p**i for i in range(e + 1)]
+        divisors = [d * q for d in divisors for q in steps if d * q <= hi]
+    return [d for d in divisors if d >= lo]
+
+
+def _table1_cells(v_max: int):
+    """Yield every (m, n) with m >= 3, n >= 2, mn <= v_max and
+    (m+n-2) | n(m-1)^2."""
+    root = isqrt(v_max)
+    for m in range(3, root + 1):
+        for t in _divisors_in(m - 2, m - 1, m, m - 2 + v_max // m):
+            yield m, t - m + 2
+    for n in range(2, v_max // (root + 1) + 1):
+        for t in _divisors_in(n, n - 1, root + n - 1, v_max // n + n - 2):
+            yield t - n + 2, n
 
 
 def _table1_cell(m: int, n: int) -> list[FeasibleRow]:
@@ -81,14 +124,15 @@ def _table1_cell(m: int, n: int) -> list[FeasibleRow]:
     if num % den:
         return []
     k = num // den
-    l1, l2 = lambda_formulas(k, m, n)
-    if not (_integral(l1) and _integral(l2)) or l1 != l2:
+    l1_num, l1_den = k * (k - m + 1), (m - 1) * (n - 1)
+    l2_num, l2_den = k * k * (m - 2), n * (m - 1) ** 2
+    if l1_num % l1_den or l2_num % l2_den or l1_num // l1_den != l2_num // l2_den:
         return []
-    lam = int(l1)
+    lam = l1_num // l1_den
     if not 0 < lam < k:
         return []
     sigma, tau, rho = symmetric_design_triple(m, n)
-    if not all(_integral(x) and x >= 0 for x in (sigma, tau, rho)):
+    if not all(x.denominator == 1 and x >= 0 for x in (sigma, tau, rho)):
         return []
     return [
         FeasibleRow(
@@ -106,74 +150,72 @@ def _table1_cell(m: int, n: int) -> list[FeasibleRow]:
     ]
 
 
-def _table2_cell(m: int, n: int) -> list[FeasibleRow]:
+def _table2_degrees(v_max: int):
+    """Yield every (m, n, k) with m >= 3, n >= 2, mn <= v_max, 0 < k < (m-1)n,
+    (m-1)sd | k and (m-1)(n-1) | k(k-m+1), n = s^2*d with d square-free."""
+    for n in range(2, v_max // 3 + 1):
+        s, d = square_free_decomposition(n)
+        top = v_max // n - 1
+        for j in range(s * d, n, s * d):
+            g = (n - 1) // gcd(n - 1, j * (j - 1))
+            for m1 in range(max(g, 2), top + 1, g):
+                yield m1 + 1, n, m1 * j
+
+
+def _table2_degree(m: int, n: int, k: int) -> list[FeasibleRow]:
     v = m * n
+    l1_num, l1_den = k * (k - m + 1), (m - 1) * (n - 1)
+    if l1_num < 0 or l1_num % l1_den:
+        return []
+    l2_num, l2_den = k * k * (m - 2), n * (m - 1) ** 2
+    if l2_num % l2_den:
+        return []
+    l1, l2 = l1_num // l1_den, l2_num // l2_den
+    if l1 == l2 or not l1 < k:
+        return []
+    if (2 * k) % (m - 1):
+        return []
+    try:
+        base = GddParams(v, k, m, n, l1, l2)
+        comp = partial_complement_params(base)
+    except ParameterError:
+        return []
+    if comp.lambda1 == comp.lambda2 or comp.lambda1 >= comp.k:
+        return []
+    disc = k * (m - 1) * (n - 1) * (v - k - n)
+    root = isqrt(disc)
+    if root * root != disc:
+        return []
+    rho_num, rho_den = k * k, n * (m - 1)
+    if rho_num % rho_den:
+        return []
+    rho = rho_num // rho_den
+    head = k * k * (m - 2) * (n - 1)
+    den = (m - 1) ** 2 * (n - 1) * n
     rows = []
-    l1_den = (m - 1) * (n - 1)
-    l2_den = n * (m - 1) ** 2
-    s, d = square_free_decomposition(n)
-    step = (m - 1) * s * d
-    for k in range(step, (m - 1) * n, step):
-        l1_num = k * (k - m + 1)
-        if l1_num < 0 or l1_num % l1_den:
+    for sign in (1, -1):
+        s_num = head + sign * (v - k - n) * root
+        t_num = head - sign * k * root
+        if s_num % den or t_num % den:
             continue
-        l2_num = k * k * (m - 2)
-        if l2_num % l2_den:
+        sigma, tau = s_num // den, t_num // den
+        if sigma < 0 or tau < 0 or sigma > k or tau > k:
             continue
-        l1, l2 = l1_num // l1_den, l2_num // l2_den
-        if l1 == l2 or not l1 < k:
-            continue
-        if (2 * k) % (m - 1):
-            continue
-        try:
-            base = GddParams(v, k, m, n, l1, l2)
-            comp = partial_complement_params(base)
-        except ParameterError:
-            continue
-        if comp.lambda1 == comp.lambda2 or comp.lambda1 >= comp.k:
-            continue
-        disc = k * (m - 1) * (n - 1) * (v - k - n)
-        root = isqrt(disc)
-        if root * root != disc:
-            continue
-        rho_f = Fraction(k * k, n * (m - 1))
-        if not _integral(rho_f) or rho_f < 0:
-            continue
-        rho = int(rho_f)
-        head = k * k * (m - 2) * (n - 1)
-        den = (m - 1) ** 2 * (n - 1) * n
-        for sign in (1, -1):
-            s_num = head + sign * (v - k - n) * root
-            t_num = head - sign * k * root
-            if s_num % den or t_num % den:
-                continue
-            sigma, tau = s_num // den, t_num // den
-            if sigma < 0 or tau < 0 or sigma > k or tau > k:
-                continue
-            rows.append(
-                FeasibleRow(
-                    v=v,
-                    k=k,
-                    m=m,
-                    n=n,
-                    lambda1=l1,
-                    lambda2=l2,
-                    sigma=sigma,
-                    tau=tau,
-                    rho=rho,
-                    kind="proper-proper",
-                )
+        rows.append(
+            FeasibleRow(
+                v=v,
+                k=k,
+                m=m,
+                n=n,
+                lambda1=l1,
+                lambda2=l2,
+                sigma=sigma,
+                tau=tau,
+                rho=rho,
+                kind="proper-proper",
             )
+        )
     return rows
-
-
-def _run_cells(cell, v_max: int) -> list[FeasibleRow]:
-    return [
-        row
-        for m in range(3, v_max // 2 + 1)
-        for n in range(2, v_max // m + 1)
-        for row in cell(m, n)
-    ]
 
 
 SCAN_MAX_V = 100_000
@@ -183,17 +225,18 @@ def scan_table1(v_max: int) -> list[FeasibleRow]:
     """All symmetric-design parameter tuples with v <= v_max, sorted by v."""
     if not 4 <= v_max <= SCAN_MAX_V:
         raise ParameterError(f"v_max must lie in [4, {SCAN_MAX_V}]")
-    rows = _run_cells(_table1_cell, v_max)
+    rows = [row for m, n in _table1_cells(v_max) for row in _table1_cell(m, n)]
     rows.sort(key=lambda r: (r.v, r.k, r.m))
     return rows
 
 
 def scan_table2(v_max: int) -> list[FeasibleRow]:
-    """All proper/proper parameter rows with v <= v_max, sorted by (v, k, sigma)."""
+    """All proper/proper parameter rows with v <= v_max, sorted by
+    (v, k, sigma), and by m among rows that tie there."""
     if not 4 <= v_max <= SCAN_MAX_V:
         raise ParameterError(f"v_max must lie in [4, {SCAN_MAX_V}]")
-    rows = _run_cells(_table2_cell, v_max)
-    rows.sort(key=lambda r: (r.v, r.k, r.sigma))
+    rows = [row for m, n, k in _table2_degrees(v_max) for row in _table2_degree(m, n, k)]
+    rows.sort(key=lambda r: (r.v, r.k, r.sigma, r.m))
     return rows
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -442,6 +443,18 @@ def test_cli_scan_golden(tmp_path: Path):
     assert run_cli("scan", "table1", "--vmax", "1000", "-o", str(out))[0] == 0
     golden = Path(__file__).parent / "golden" / "table1.csv"
     assert out.read_text() == golden.read_text()
+
+
+def test_cli_scan_full_range_matches_benchmark_digests(tmp_path: Path):
+    """The benchmark's full-range scans, byte for byte against the digests
+    it records (read only)."""
+    expected = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())["scan"]
+    for table, vmax in (("table1", "100000"), ("table2", "5000")):
+        out = tmp_path / f"{table}.csv"
+        code, stdout = run_cli("scan", table, "--vmax", vmax, "-o", str(out))
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == expected[table]["stdout"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected[table]["outputs"][f"{table}.csv"]
 
 
 def test_cli_oracle_and_mub(tmp_path: Path):

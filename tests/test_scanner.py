@@ -1,3 +1,4 @@
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scan_route as route
+from sgdd import scanner
 from sgdd.designs import GddParams, partial_complement_params
 from sgdd.errors import ParameterError
 from sgdd.linked import LinkedParams
-from sgdd.scanner import FeasibleRow, _table2_cell, rows_to_csv, rows_to_text, scan_table1, scan_table2
+from sgdd.scanner import FeasibleRow, rows_to_csv, rows_to_text, scan_table1, scan_table2
+from scan_route import _table2_cell
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -209,3 +213,77 @@ def _cells(draw, v_max=100_000):
 def test_table2_stride_matches_brute_force_on_sampled_cells(cell):
     m, n = cell
     assert _table2_cell(m, n) == _table2_cell_brute(m, n)
+
+
+def test_table1_matches_grid_route():
+    """The divisor walk against the full (m, n) grid, at every small window
+    (each moves the bounds of both walks) and at a few large ones."""
+    windows = [*range(4, 401), 1000, 5000, 20000, 100_000]
+    assert [v for v in windows if scan_table1(v) != route.scan_table1(v)] == []
+
+
+def test_table2_matches_grid_route():
+    windows = [*range(4, 401), 1500, 5000, 20000]
+    assert [v for v in windows if scan_table2(v) != route.scan_table2(v)] == []
+
+
+def test_scans_evaluate_only_admitted_cells(monkeypatch):
+    """The grid route evaluates 916 752 table1 cells at v <= 100000 and
+    29 596 table2 degrees over 30 878 cells at v <= 5000; the walks
+    evaluate 5 184 cells and 1 628 degrees."""
+    calls = Counter()
+    for name in ("_table1_cell", "_table2_degree"):
+        real = getattr(scanner, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(scanner, name, spy)
+    assert len(scan_table1(100_000)) == 266
+    assert len(scan_table2(5000)) == 318
+    assert calls["_table1_cell"] <= 6000
+    assert calls["_table2_degree"] <= 2000
+
+
+_WALK_V = 100_000
+
+
+@pytest.fixture(scope="module")
+def walks():
+    cells = list(scanner._table1_cells(_WALK_V))
+    degrees = list(scanner._table2_degrees(_WALK_V))
+    assert len(set(cells)) == len(cells) and len(set(degrees)) == len(degrees)
+    assert all(m >= 3 and n >= 2 and m * n <= _WALK_V for m, n in cells)
+    assert all(m >= 3 and n >= 2 and m * n <= _WALK_V and 0 < k < (m - 1) * n for m, n, k in degrees)
+    by_cell = defaultdict(set)
+    for m, n, k in degrees:
+        by_cell[m, n].add(k)
+    return set(cells), by_cell
+
+
+@st.composite
+def _seam_cells(draw, v_max=_WALK_V):
+    """(m, n) with m near isqrt(v_max), where the two table1 walks meet,
+    and n anywhere up to v_max // m or among the n table1 admits there."""
+    root = isqrt(v_max)
+    m = draw(st.one_of(st.sampled_from((root, root + 1)), st.integers(root - 30, root + 30)))
+    top = v_max // m
+    admitted = [n for n in range(2, top + 1) if n * (m - 1) ** 2 % (m + n - 2) == 0]
+    any_n = st.integers(2, top)
+    return m, draw(st.one_of(any_n, st.sampled_from(admitted)) if admitted else any_n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_seam_cells(), _cells()))
+def test_walks_visit_exactly_the_admitted_cells(walks, cell):
+    m, n = cell
+    table1, table2 = walks
+    assert ((m, n) in table1) == (n * (m - 1) ** 2 % (m + n - 2) == 0)
+    # (m-1)sd | k with n = s^2 d and d square-free: k = (m-1)j with n | j^2
+    admitted = {
+        (m - 1) * j
+        for j in range(1, n)
+        if j * j % n == 0 and (m - 1) ** 2 * j * (j - 1) % ((m - 1) * (n - 1)) == 0
+    }
+    assert table2.get((m, n), set()) == admitted
