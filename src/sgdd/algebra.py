@@ -20,7 +20,8 @@ multiplies them member by member, and a single matrix against a stack
 multiplies it with every member, so a certifier forms a whole family of
 products in one call.  Its only arithmetic is the product; the right-hand
 sides of identities are not built from it elementwise but looked up on a
-label pattern (``sgdd.designs.pattern``).
+label array in the product's lane (``lane_table``,
+``sgdd.designs.stack_differences``).
 
 A matrix product takes one of four lanes, chosen by the bound
 max|A| * max|B| * inner on every entry and every partial sum, over the
@@ -447,14 +448,6 @@ class IntMatrix:
 
     def __hash__(self):
         return hash((self.a.shape, tuple(self.entries())))
-
-    def first_difference(self, other) -> tuple[int, int] | None:
-        """Row-major first coordinate where this matrix differs from
-        ``other``, an IntMatrix or an array of expected entries."""
-        other = other.a if isinstance(other, IntMatrix) else other
-        if self.a.shape != other.shape:
-            return (0, 0)
-        return first_differences(self.a[None], other[None])[0]
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"

@@ -8,22 +8,20 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import IntMatrix
-from .designs import pattern
+from .designs import stack_differences
 from .errors import ParameterError
 from .gf import gf_from_order, is_prime
 
 
 def is_hadamard(h: IntMatrix) -> bool:
-    if not h.is_square:
-        return False
-    if not bool(((h.a == 1) | (h.a == -1)).all()):
-        return False
-    return is_scaled_identity(h @ h.T, h.rows)
+    """A weighing matrix of full weight: H H^T = n I leaves no row room
+    for a zero entry."""
+    return is_weighing(h, h.rows)
 
 
 def is_scaled_identity(prod: IntMatrix, c: int) -> bool:
-    """prod = c I."""
-    return prod.first_difference(pattern(np.eye(prod.rows, dtype=np.int8), (0, c))) is None
+    """prod = c I, compared in the product's lane."""
+    return stack_differences(prod.lane, np.eye(prod.rows, dtype=np.uint8), (0, c)) == [None]
 
 
 def normalize_hadamard(h: IntMatrix) -> IntMatrix:
@@ -96,6 +94,8 @@ def hadamard_matrix(order: int) -> IntMatrix:
 
 
 def is_weighing(w: IntMatrix, weight: int | None = None) -> bool:
+    """Square with entries 0, 1, -1 and W W^T = weight I (the weight read
+    off W W^T when not given)."""
     if not w.is_square:
         return False
     if not bool(((w.a == 0) | (w.a == 1) | (w.a == -1)).all()):

@@ -350,8 +350,6 @@ def _oracle_linked_mols(args):
     if fam is None:
         print("exhausted: no linked family exists with these constraints")
         return VIOLATION
-    if not verify_linked(fam).ok:
-        return VIOLATION
     _emit(fileio.format_linked_family(fam), args.output)
 
 

@@ -15,10 +15,12 @@ integer coefficients times 0/1 patterns that partition the matrix.  The
 patterns are given once as a label array (``group_labels``: 0 on J - K, 1
 on K - I, 2 on I; other checks use I, a class matrix, or A + 2K), the
 expected matrix is the exact lookup of the coefficients on the labels, and
-the first row-major entry where the product differs from it is reported:
-by ``stack_differences`` for a stack of products, compared in their lane's
-dtype, and by ``Certificate.compare`` against ``pattern(labels, coeffs)``
-elsewhere.  No dense I, J or K is ever combined elementwise.
+the first row-major entry where the product differs from it is reported
+by ``stack_differences``, which compares a stack of products in their
+lane's dtype; ``Certificate.record`` enters its verdict.  No right-hand
+side is built from a dense I, J or K, and no dense K enters a product: a
+product with K goes through the v x m group indicator G
+(``group_columns``), K = G G^T.
 
 The Gram and K-commutation checks take a stack of matrices, shape
 (count, v, v), and form each identity's products for the whole stack in
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _INT64_SAFE, IntMatrix, first_differences, lane_table
+from .algebra import IntMatrix, first_differences, lane_table
 from .errors import DegenerateDesignError, InfeasibleParameterError, ParameterError
 
 
@@ -112,24 +114,9 @@ def group_labels(m: int, n: int) -> np.ndarray:
     return labels
 
 
-_SIGNED = (np.int8, np.int16, np.int32, np.int64)
-
-
-def pattern(labels: np.ndarray, coeffs) -> np.ndarray:
-    """The matrix sum_t coeffs[t] [labels == t], exactly: in the smallest
-    signed integer dtype that holds every coefficient while all are below
-    2**62 in magnitude, Python integers otherwise.
-
-    The table is built with an explicit dtype: numpy reads a list holding an
-    integer past int64 as float64."""
-    coeffs = [int(c) for c in coeffs]
-    top = max(abs(c) for c in coeffs)
-    if top < _INT64_SAFE:
-        table = np.array(coeffs, dtype=next(t for t in _SIGNED if top <= np.iinfo(t).max))
-    else:
-        table = np.empty(len(coeffs), dtype=object)
-        table[:] = coeffs
-    return np.take(table, labels)
+def group_columns(m: int, n: int) -> np.ndarray:
+    """G = I_m (x) 1_n, the v x m boolean group indicator: K = G G^T."""
+    return np.repeat(np.eye(m, dtype=bool), n, axis=0)
 
 
 def partial_complement_params(p: GddParams) -> GddParams:
@@ -183,10 +170,6 @@ class IncidenceMatrix:
     def v(self) -> int:
         return self.mat.rows
 
-    def group_indicator(self) -> IntMatrix:
-        """K = I_m (x) J_n."""
-        return IntMatrix((group_labels(self.m, self.n) > 0).astype(np.int64))
-
     def diagonal_blocks_zero(self) -> bool:
         """A has no 1 inside K, so A + K is 0/1."""
         return not self.mat.a[group_labels(self.m, self.n) > 0].any()
@@ -235,15 +218,13 @@ class Certificate:
     def failed(self, identity: str, position=None, expected=None, actual=None):
         self.violations.append(Violation(identity, position, expected, actual))
 
-    def compare(self, label: str, actual: IntMatrix, expected: np.ndarray):
-        """Pass, or record the first row-major entry where ``actual``
-        differs from the expected array (an int64 or Python-integer
-        array, such as ``pattern`` builds)."""
-        pos = actual.first_difference(expected)
-        if pos is None:
+    def record(self, label: str, diff: tuple | None):
+        """Pass on a ``stack_differences`` verdict of None, else record its
+        first difference (position, expected entry, actual entry)."""
+        if diff is None:
             self.passed(label)
         else:
-            self.failed(label, pos, expected.item(pos), actual[pos])
+            self.failed(label, *diff)
 
     def report_lines(self) -> list[str]:
         lines = [f"certificate: {self.subject}: {'OK' if self.ok else 'VIOLATED'}"]
@@ -284,23 +265,20 @@ def verify_grams(stack: np.ndarray, p: GddParams) -> list[Certificate]:
         for part in stack_slices(len(stack), stack[0].size):
             prod = IntMatrix.view(left[part]) @ IntMatrix.view(right[part])
             for cert, diff in zip(certs[part], stack_differences(prod.lane, labels, coeffs)):
-                if diff is None:
-                    cert.passed(label)
-                else:
-                    cert.failed(label, *diff)
+                cert.record(label, diff)
             del prod  # reduced: free it before the next product is formed
     return certs
 
 
 def check_bose(a: IncidenceMatrix, p: GddParams) -> bool:
     """The rank-argument identity for designs with lambda1 != lambda2:
-    A K A^T = (n(l1 - l2) + k - l1) K + n l2 J."""
+    A K A^T = (n(l1 - l2) + k - l1) K + n l2 J, formed as (A G)(A G)^T
+    with G the v x m group indicator, so K is never formed."""
     if p.lambda1 == p.lambda2:
         raise ParameterError("identity only applies when lambda1 != lambda2")
-    lhs = a.mat @ a.group_indicator() @ a.mat.T
+    ag = a.mat @ IntMatrix.view(group_columns(a.m, a.n))
     on_k = p.n * (p.lambda1 - p.lambda2) + p.k - p.lambda1 + p.n * p.lambda2
-    rhs = pattern(group_labels(a.m, a.n), (p.n * p.lambda2, on_k, on_k))
-    return lhs.first_difference(rhs) is None
+    return stack_differences((ag @ ag.T).lane, group_labels(a.m, a.n), (p.n * p.lambda2, on_k, on_k)) == [None]
 
 
 def partial_complement(a: IncidenceMatrix, p: GddParams) -> tuple[IncidenceMatrix, GddParams]:
@@ -339,7 +317,7 @@ def k_commutations(stack: np.ndarray, m: int, n: int) -> list[KCommutation]:
     two stacked products of width m.  A K = K A exactly when both are
     constant on every cell (g, h) of the group grid, with one value M[g, h]
     each; A K is then M[g, g] on K and the rest of M off K."""
-    g = np.repeat(np.eye(m, dtype=bool), n, axis=0)
+    g = group_columns(m, n)
     off_k = ~np.eye(m, dtype=bool)
     out = []
     for part in stack_slices(len(stack), stack[0].size):

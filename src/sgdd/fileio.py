@@ -44,7 +44,7 @@ from .algebra import IntMatrix
 from .designs import GddParams, IncidenceMatrix
 from .errors import FormatError, ParameterError
 from .latin import LatinSquare, LinkedMolsFamily
-from .linked import CyclicGroup, GcmMatrix, LinkedParams, LinkedSystemII
+from .linked import GcmMatrix, LinkedParams, LinkedSystemII
 from .resolvable import AuxiliarySet, auxiliary_set
 
 
@@ -333,7 +333,7 @@ def parse_scheme_matrices(data: bytes) -> list[np.ndarray]:
 # -- group-entry matrices (generalized conference / BGW) ----------------------------
 
 def format_gcm(gcm: GcmMatrix) -> str:
-    head = f"{gcm.order} {gcm.group.order}\n"
+    head = f"{gcm.order} {gcm.g}\n"
     body = "\n".join(" ".join(str(x) for x in row) for row in gcm.entries)
     return head + body + "\n"
 
@@ -343,7 +343,7 @@ def parse_gcm(data: bytes) -> GcmMatrix:
     order, g = lines.ints(2)
     rows = [lines.ints(order) for _ in range(order)]
     lines.done()
-    return GcmMatrix(CyclicGroup(g), rows)
+    return GcmMatrix(g, rows)
 
 
 # -- matrix sets ---------------------------------------------------------------------

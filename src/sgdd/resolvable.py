@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate, Violation, pattern
+from .designs import Certificate, Violation, stack_differences, stack_slices
 from .errors import CertificationError, ParameterError
 from .gf import factor_prime_power, gf_make
 
@@ -62,7 +62,8 @@ def _derive_params(order: int, matrices: list[IntMatrix]) -> AuxParams:
 
 
 def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
-    """Check axioms (i)-(iii) by exact multiplication, then re-derive the
+    """Check axioms (i)-(iii) by exact multiplication, one kernel product
+    per C_a (per band of STACK_ENTRIES past that), then re-derive the
     parameters and confirm the four arithmetic relations they must satisfy."""
     cert = Certificate(f"auxiliary matrices {aux.params}")
     v, r = aux.order, aux.r
@@ -71,15 +72,26 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
         if not (c.is_square and c.rows == v and c.is_zero_one()):
             cert.failed(f"C_{idx + 1} is a v x v 0/1 matrix", (0, 0))
             return cert
-    total = IntMatrix(sum(c.a for c in aux.matrices))
-    cert.compare("sum C_i equals (r - lambda) I + lambda J", total, pattern(np.eye(v, dtype=np.int8), (p.lam, p.r)))
-    for idx, c in enumerate(aux.matrices):
-        cert.compare(f"C_{idx + 1} C_{idx + 1}^T = k C_{idx + 1}", c @ c.T, pattern(c.a, (0, p.k)))
-    mu_j = pattern(np.zeros((v, v), dtype=np.int8), (p.mu,))
+    stack = np.stack([c.lane for c in aux.matrices]).astype(np.uint8)
+    total = stack.sum(axis=0, dtype=np.int64)
+    [diff] = stack_differences(total[None], np.eye(v, dtype=np.uint8), (p.lam, p.r))
+    cert.record("sum C_i equals (r - lambda) I + lambda J", diff)
+    # C_a C_b^T for every b of a band is one product C_a (hstack_b C_b^T),
+    # compared on the labels C_a on block a (0 or k) and 2 elsewhere (mu)
+    diffs = {}
+    for cols in stack_slices(r, v * v):
+        band = np.arange(r)[cols]
+        right = IntMatrix.view(np.hstack(stack[cols].swapaxes(1, 2)))
+        for a in range(r):
+            blocks = (IntMatrix.view(stack[a]) @ right).lane.reshape(v, len(band), v).swapaxes(0, 1)
+            labels = np.where((band == a)[:, None, None], stack[a], np.uint8(2))
+            diffs.update(zip([(a, int(b)) for b in band], stack_differences(blocks, labels, (0, p.k, p.mu))))
+    for a in range(r):
+        cert.record(f"C_{a + 1} C_{a + 1}^T = k C_{a + 1}", diffs[a, a])
     for a in range(r):
         for b in range(r):
             if a != b:
-                cert.compare(f"C_{a + 1} C_{b + 1}^T = mu J", aux.matrices[a] @ aux.matrices[b].T, mu_j)
+                cert.record(f"C_{a + 1} C_{b + 1}^T = mu J", diffs[a, b])
     # arithmetic relations among the derived parameters
     if p.r * p.k != p.r - p.lam + p.lam * p.v:
         cert.failed("r k = r - lambda + lambda v")

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import IntMatrix, Surd, lane_table, square_free_decomposition, surd_sign
+from .algebra import IntMatrix, Surd, first_differences, lane_table, square_free_decomposition, surd_sign
 from .designs import Certificate, GddParams, group_labels, stack_slices
 from .errors import CertificationError, ParameterError
 from .linked import LinkedParams, LinkedSystemII, ordered_pairs, pair_index, verify_linked_system
@@ -133,8 +133,8 @@ def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
         np.add(count, a, out=count, casting="unsafe")
         np.multiply(a, relation.dtype.type(idx), out=term, casting="unsafe")
         relation += term
-    total = IntMatrix.view(count) if count.dtype == np.uint8 else IntMatrix(count)  # past 255 classes: uint16
-    cert.compare("sum A_i = J", total, np.broadcast_to(1, (size, size)))
+    pos = first_differences(count[None], 1)[0]
+    cert.record("sum A_i = J", None if pos is None else (pos, 1, int(count[pos])))
     if idx_zero := [i for i, a in enumerate(classes) if not a.any()]:
         cert.failed(f"classes {idx_zero} are empty")
     return (relation if cert.ok else None), cert

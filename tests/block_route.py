@@ -1,10 +1,11 @@
 """Reference route for the design, linked-system and linked-family
 certifiers: one block, one square or one triple at a time, two products per
-block for its Gram identities and two more for A K = K A, and one wide
-product per ordered pair (i, j) for the triple law, each product compared
-as int64 with an expected array built by ``pattern``.  The tests compare
-``sgdd``, which certifies a system's blocks as one stacked array and
-compares each product in its lane, against it.
+block for its Gram identities and two more for A K = K A with a dense K
+(``group_indicator``), and one wide product per ordered pair (i, j) for the
+triple law, each product compared as int64 (``compare``,
+``first_difference``) with an expected array built by ``pattern``.  The
+tests compare ``sgdd``, which certifies a system's blocks as one stacked
+array and compares each product in its lane, against it.
 """
 
 from fractions import Fraction
@@ -19,10 +20,54 @@ from sgdd.designs import (
     KCommutation,
     companion_params,
     group_labels,
-    pattern,
 )
 from sgdd.latin import LinkedMolsFamily, compose, is_orthogonal
 from sgdd.linked import LinkedSystemII
+
+_SIGNED = (np.int8, np.int16, np.int32, np.int64)
+
+
+def pattern(labels: np.ndarray, coeffs) -> np.ndarray:
+    """The matrix sum_t coeffs[t] [labels == t], exactly: in the smallest
+    signed integer dtype that holds every coefficient while all are below
+    2**62 in magnitude, Python integers otherwise.
+
+    The table is built with an explicit dtype: numpy reads a list holding an
+    integer past int64 as float64."""
+    coeffs = [int(c) for c in coeffs]
+    top = max(abs(c) for c in coeffs)
+    if top < 2**62:
+        table = np.array(coeffs, dtype=next(t for t in _SIGNED if top <= np.iinfo(t).max))
+    else:
+        table = np.empty(len(coeffs), dtype=object)
+        table[:] = coeffs
+    return np.take(table, labels)
+
+
+def first_difference(mat: IntMatrix, other) -> tuple[int, int] | None:
+    """Row-major first coordinate where ``mat`` differs from ``other``, an
+    IntMatrix or an array of expected entries; (0, 0) when the shapes
+    differ."""
+    other = other.a if isinstance(other, IntMatrix) else other
+    if mat.a.shape != other.shape:
+        return (0, 0)
+    return first_differences(mat.a[None], other[None])[0]
+
+
+def compare(cert: Certificate, label: str, actual: IntMatrix, expected: np.ndarray):
+    """Pass, or record the first row-major entry where ``actual`` differs
+    from the expected array (int64 or Python integers, as ``pattern``
+    builds)."""
+    pos = first_difference(actual, expected)
+    if pos is None:
+        cert.passed(label)
+    else:
+        cert.failed(label, pos, expected.item(pos), actual[pos])
+
+
+def group_indicator(a: IncidenceMatrix) -> IntMatrix:
+    """K = I_m (x) J_n, dense."""
+    return IntMatrix((group_labels(a.m, a.n) > 0).astype(np.int64))
 
 
 def stack_differences(actual: np.ndarray, expected: np.ndarray) -> list[tuple | None]:
@@ -41,8 +86,8 @@ def stack_differences(actual: np.ndarray, expected: np.ndarray) -> list[tuple | 
 def verify_gram(mat: IntMatrix, p: GddParams) -> Certificate:
     cert = Certificate(f"symmetric GDD {p}")
     gram = pattern(group_labels(p.m, p.n), (p.lambda2, p.lambda1, p.k))
-    cert.compare("A A^T equals k I + l1 (K - I) + l2 (J - K)", mat @ mat.T, gram)
-    cert.compare("A^T A equals k I + l1 (K - I) + l2 (J - K)", mat.T @ mat, gram)
+    compare(cert, "A A^T equals k I + l1 (K - I) + l2 (J - K)", mat @ mat.T, gram)
+    compare(cert, "A^T A equals k I + l1 (K - I) + l2 (J - K)", mat.T @ mat, gram)
     return cert
 
 
@@ -55,7 +100,7 @@ def verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
 
 
 def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
-    kb = a.group_indicator()
+    kb = group_indicator(a)
     ak = a.mat @ kb
     if ak != kb @ a.mat:
         return KCommutation("other")
@@ -101,7 +146,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     untransposed = [(i, j) for i, j in pairs if i < j and sys.blocks[(j, i)].mat != sys.blocks[(i, j)].mat.T]
     cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
     for i, j in untransposed:
-        pos = sys.blocks[(j, i)].mat.first_difference(sys.blocks[(i, j)].mat.a.T)
+        pos = first_difference(sys.blocks[(j, i)].mat, sys.blocks[(i, j)].mat.a.T)
         cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
 
     in_k = group_labels(base.m, base.n) > 0
@@ -124,7 +169,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
         for t, l in enumerate(ls):
             prod = IntMatrix(wide.a[:, t * v : (t + 1) * v])
             expected = pattern(sys.blocks[(i, l)].mat.a + twice_k, coeffs)
-            cert.compare(f"triple product ({i},{j},{l})", prod, expected)
+            compare(cert, f"triple product ({i},{j},{l})", prod, expected)
     return cert
 
 

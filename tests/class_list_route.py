@@ -6,6 +6,7 @@ scheme as one class-label array R, against it."""
 
 import numpy as np
 
+from block_route import compare
 from sgdd.algebra import IntMatrix
 from sgdd.designs import Certificate, group_labels
 from sgdd.linked import LinkedSystemII
@@ -37,7 +38,7 @@ def partition_certificate(mats: list[IntMatrix]) -> Certificate:
         if not (mat.a == mat.a.T).all():
             cert.failed(f"A_{idx} is symmetric")
     total = IntMatrix(sum(mat.a for mat in mats))
-    cert.compare("sum A_i = J", total, np.broadcast_to(1, (size, size)))
+    compare(cert, "sum A_i = J", total, np.broadcast_to(1, (size, size)))
     if idx_zero := [i for i, mat in enumerate(mats) if not mat.a.any()]:
         cert.failed(f"classes {idx_zero} are empty")
     return cert

@@ -146,7 +146,7 @@ def test_criterion_5_conference_path():
 def test_criterion_6_gcm_path():
     t0 = time.monotonic()
     gcm = bgw_generate(5)
-    assert gcm.order == 6 and gcm.group.order == 4 and gcm.lam == 1
+    assert gcm.order == 6 and gcm.g == 4 and gcm.lam == 1
     assert verify_gcm(gcm).ok
     mat, params = gcm_to_gdd(gcm)
     assert (params.v, params.k, params.m, params.n, params.lambda1, params.lambda2) == (24, 5, 6, 4, 0, 1)

@@ -293,13 +293,12 @@ def test_view_holds_small_dtypes_without_a_copy():
 def test_first_difference_is_row_major():
     a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix([[1, 0], [0, 4]])
-    assert a.first_difference(b) == (0, 1)
-    assert a.first_difference(a) is None
-    assert a.first_difference(np.array([[1, 2], [3, 5]], dtype=object)) == (1, 1)
-    assert IntMatrix([[2**64, 0], [1, 1]]).first_difference(a) == (0, 0)
-    assert a.first_difference(IntMatrix([[1, 2, 0], [3, 4, 0]])) == (0, 0)
-    assert a.first_difference(np.broadcast_to(1, (2, 2))) == (0, 1)
-    assert IntMatrix([[1, 2, 3], [4, 5, 6]]).first_difference(IntMatrix([[1, 2, 3], [0, 5, 0]])) == (1, 0)
+    assert first_differences(a.a, b.a) == [(0, 1)]
+    assert first_differences(a.a, a.a) == [None]
+    assert first_differences(a.a, np.array([[1, 2], [3, 5]], dtype=object)) == [(1, 1)]
+    assert first_differences(IntMatrix([[2**64, 0], [1, 1]]).a, a.a) == [(0, 0)]
+    assert first_differences(a.a, 1) == [(0, 1)]
+    assert first_differences(IntMatrix([[1, 2, 3], [4, 5, 6]]).a, IntMatrix([[1, 2, 3], [0, 5, 0]]).a) == [(1, 0)]
     # per member of a stack, against one matrix or a stack of them
     stack = np.array([[[1, 2], [3, 4]], [[1, 0], [0, 4]], [[0, 2], [3, 0]]])
     assert first_differences(stack, a.a) == [None, (0, 1), (0, 0)]

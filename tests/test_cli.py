@@ -126,3 +126,21 @@ def test_module_entry_point_matches_main(capsys):
     )
     assert main(argv) == 0
     assert (run.returncode, run.stdout, run.stderr) == (0, capsys.readouterr().out, "")
+
+
+def test_oracle_linked_mols_certifies_the_family_once(monkeypatch, capsys):
+    import sgdd.cli
+    import sgdd.latin
+
+    calls = []
+    verify = sgdd.latin.verify_linked
+
+    def counted(fam):
+        calls.append(fam)
+        return verify(fam)
+
+    monkeypatch.setattr(sgdd.latin, "verify_linked", counted)
+    monkeypatch.setattr(sgdd.cli, "verify_linked", counted)
+    assert main(["oracle", "linked-mols", "--order", "5", "--f", "3"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out

@@ -16,10 +16,10 @@ from sgdd.designs import (
     lambda_formulas,
     partial_complement,
     partial_complement_params,
-    pattern,
     verify_gdd,
 )
 from sgdd.errors import DegenerateDesignError, ParameterError
+from block_route import pattern
 
 
 def test_complete_design_degenerate_check():

@@ -16,8 +16,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from block_route import first_difference, pattern
 from sgdd.algebra import IntMatrix
-from sgdd.classical import hadamard_matrix, signed_permutation_weighing_set
+from sgdd.classical import (
+    hadamard_matrix,
+    is_hadamard,
+    is_weighing,
+    paley_conference_matrix,
+    signed_permutation_weighing_set,
+)
 from sgdd.designs import (
     Certificate,
     GddParams,
@@ -27,11 +34,10 @@ from sgdd.designs import (
     check_k_commutation,
     companion_params,
     group_labels,
-    pattern,
     verify_gdd,
 )
 from sgdd.errors import ParameterError
-from sgdd.linked import LinkedSystemII, build_from_mub_bush, build_twin, pair_index, verify_linked_system
+from sgdd.linked import LinkedSystemII, build_from_mub_bush, build_twin, is_conference, pair_index, verify_linked_system
 from sgdd.resolvable import AuxiliarySet, aux_from_affine_geometry, aux_from_hadamard, verify_auxiliary
 
 # -- dense reference ------------------------------------------------------------
@@ -128,7 +134,7 @@ def ref_verify_linked_system(sys: LinkedSystemII) -> Certificate:
     untransposed = [(i, j) for i, j in pairs if i < j and sys.blocks[(j, i)].mat != sys.blocks[(i, j)].mat.T]
     cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
     for i, j in untransposed:
-        pos = sys.blocks[(j, i)].mat.first_difference(sys.blocks[(i, j)].mat.T)
+        pos = first_difference(sys.blocks[(j, i)].mat, sys.blocks[(i, j)].mat.T)
         cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
     if p.f == 2:
         # A + K holds a 2 where A has a 1 inside K: its Gram identities are
@@ -293,10 +299,6 @@ def test_group_labels_partition_the_group_pattern():
     assert ((labels == 1) == (k - _eye(6)).astype(bool)).all()
     assert ((labels == 0) == (_ones(6) - k).astype(bool)).all()
     assert (pattern(labels, (5, 7, 11)) == 11 * _eye(6) + 7 * (k - _eye(6)) + 5 * (_ones(6) - k)).all()
-    # the smallest signed type that holds every coefficient, Python integers past 2**62
-    dtypes = [pattern(labels, coeffs).dtype for coeffs in ((5, -128, 127), (128, 0, 0), (-(2**40), 1, 2), (2**62, 0, 0))]
-    assert dtypes == [np.int16, np.int16, np.int64, object]
-    assert pattern(labels, (-127, 127, 0)).dtype == np.int8
 
 
 # -- auxiliary sets ----------------------------------------------------------------
@@ -317,22 +319,80 @@ def test_auxiliary_matches_dense_reference(make):
 
     assert matrix_part(verify_auxiliary(aux)) == matrix_part(ref_verify_auxiliary_matrices(aux))
     rng = random.Random(aux.order)
-    for kind in ("diagonal", "inside C_i", "outside C_i"):
+    aux_kinds = ("diagonal", "inside C_i", "outside C_i")
+
+    def check_flip(kind, idx):
+        c = aux.matrices[idx].a
+        x = rng.randrange(aux.order)
+        if kind == "diagonal":
+            y = x
+        else:
+            want = 1 if kind == "inside C_i" else 0
+            y = rng.choice([t for t in range(aux.order) if t != x and c[x, t] == want])
+        arr = c.copy()
+        arr[x, y] = 1 - arr[x, y]
+        mats = list(aux.matrices)
+        mats[idx] = IntMatrix(arr)
+        bad = AuxiliarySet(aux.order, mats, aux.params)
+        checks, violations = matrix_part(verify_auxiliary(bad))
+        assert violations
+        assert (checks, violations) == matrix_part(ref_verify_auxiliary_matrices(bad))
+        assert all(type(v.expected) is int and type(v.actual) is int for v in violations)
+
+    for kind in aux_kinds:
         for _ in range(3):
-            idx = rng.randrange(aux.r)
-            c = aux.matrices[idx].a
-            x = rng.randrange(aux.order)
-            if kind == "diagonal":
-                y = x
-            else:
-                want = 1 if kind == "inside C_i" else 0
-                y = rng.choice([t for t in range(aux.order) if t != x and c[x, t] == want])
-            arr = c.copy()
-            arr[x, y] = 1 - arr[x, y]
-            mats = list(aux.matrices)
-            mats[idx] = IntMatrix(arr)
-            bad = AuxiliarySet(aux.order, mats, aux.params)
-            checks, violations = matrix_part(verify_auxiliary(bad))
-            assert violations
-            assert (checks, violations) == matrix_part(ref_verify_auxiliary_matrices(bad))
-            assert all(type(v.expected) is int and type(v.actual) is int for v in violations)
+            check_flip(kind, rng.randrange(aux.r))
+    # one seeded flip in every C_i
+    for idx in range(aux.r):
+        check_flip(rng.choice(aux_kinds), idx)
+
+
+# -- weighing predicates -----------------------------------------------------------
+
+
+def ref_is_weighing(arr: np.ndarray, weight=None) -> bool:
+    if arr.shape[0] != arr.shape[1] or not np.isin(arr, (-1, 0, 1)).all():
+        return False
+    gram = arr @ arr.T
+    weight = gram[0, 0] if weight is None else weight
+    return bool((gram == weight * _eye(len(arr))).all())
+
+
+def _predicates(arr: np.ndarray):
+    mat = IntMatrix(arr)
+    n = len(arr)
+    ours = (is_hadamard(mat), is_weighing(mat), is_weighing(mat, n - 1), is_conference(mat))
+    ref = (
+        bool((arr != 0).all()) and ref_is_weighing(arr, n),
+        ref_is_weighing(arr),
+        ref_is_weighing(arr, n - 1),
+        not np.diagonal(arr).any() and ref_is_weighing(arr, n - 1),
+    )
+    assert ours == ref
+    return ours
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        *((f"hadamard{n}", lambda n=n: hadamard_matrix(n)) for n in (4, 8, 12)),
+        ("weighing5", lambda: signed_permutation_weighing_set(5)[1]),
+        *((f"paley{n}", lambda n=n: paley_conference_matrix(n)) for n in (6, 10, 14)),
+    ],
+)
+def test_weighing_predicates_match_dense_reference(name, make):
+    arr = make().a
+    assert any(_predicates(arr))
+    rng = random.Random(name)
+    for _ in range(6):
+        # one seeded sign flip: an entry negated, a zero entry set to 1
+        x, y = rng.randrange(len(arr)), rng.randrange(len(arr))
+        bad = arr.copy()
+        bad[x, y] = -bad[x, y] if bad[x, y] else 1
+        hadamard, _, weight_n1, conference = _predicates(bad)
+        # a signed permutation stays one under a sign flip: is_weighing(bad) may hold
+        assert not (hadamard or weight_n1 or conference)
+    # a column shift keeps every weight but moves the zeros off the diagonal
+    assert _predicates(np.roll(arr, 1, axis=1))[2:] == ("paley" in name, False)
+    # a non-square matrix is none of them
+    assert not any((is_hadamard(IntMatrix(arr[:-1])), is_weighing(IntMatrix(arr[:-1])), is_conference(IntMatrix(arr[:-1]))))

@@ -17,7 +17,8 @@ import sgdd.designs
 import sgdd.linked
 from class_list_route import class_matrices, classes_of
 from sgdd.algebra import IntMatrix, lane_table, matmul_lane
-from sgdd.designs import pattern, stack_differences
+from block_route import pattern
+from sgdd.designs import stack_differences
 from sgdd.linked import verify_linked_system
 from sgdd.schemes import assemble_scheme, compute_intersection_numbers, extract_linked_system, load_scheme
 from test_block_route import SYSTEM_KINDS, corrupt

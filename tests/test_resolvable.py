@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import sgdd.designs
 from sgdd.algebra import IntMatrix
 from sgdd.classical import hadamard_matrix
 from sgdd.errors import CertificationError, ParameterError
 from sgdd.resolvable import (
+    AuxiliarySet,
     aux_from_affine_geometry,
     aux_from_hadamard,
     aux_to_parallel_classes,
@@ -111,3 +113,44 @@ def test_matrices_symmetric_with_unit_diagonal(aux_had4, aux_ag23):
 def test_identity_only_set_rejected():
     with pytest.raises(CertificationError):
         auxiliary_set(3, [IntMatrix(np.eye(3, dtype=np.int64))] * 2)
+
+
+def _product_shapes(monkeypatch) -> list[tuple]:
+    """The shape of every kernel product formed from here on."""
+    shapes = []
+    matmul = IntMatrix.__matmul__
+
+    def counted(a, b):
+        prod = matmul(a, b)
+        shapes.append(prod.lane.shape)
+        return prod
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    return shapes
+
+
+def _flipped(aux, idx, x, y):
+    mats = list(aux.matrices)
+    arr = mats[idx].a.copy()
+    arr[x, y] = 1 - arr[x, y]
+    mats[idx] = IntMatrix(arr)
+    return AuxiliarySet(aux.order, mats, aux.params)
+
+
+def test_auxiliary_forms_one_product_per_matrix(monkeypatch):
+    aux = aux_from_hadamard(hadamard_matrix(8))
+    shapes = _product_shapes(monkeypatch)
+    assert verify_auxiliary(aux).ok
+    # C_a (hstack_b C_b^T) for a = 1..7, not one product per pair (a, b)
+    assert shapes == [(8, 56)] * 7
+
+
+def test_auxiliary_certificate_is_the_same_in_narrow_bands(monkeypatch):
+    aux = aux_from_hadamard(hadamard_matrix(8))
+    sets = [aux, _flipped(aux, 0, 0, 0), _flipped(aux, 3, 2, 5), _flipped(aux, 6, 7, 1)]
+    wide = [verify_auxiliary(s).report_lines() for s in sets]
+    monkeypatch.setattr(sgdd.designs, "STACK_ENTRIES", 64)
+    shapes = _product_shapes(monkeypatch)
+    assert [verify_auxiliary(s).report_lines() for s in sets] == wide
+    assert wide[0][0].endswith("OK") and all(lines[0].endswith("VIOLATED") for lines in wide[1:])
+    assert len(shapes) == 4 * 49 and max(rows * cols for rows, cols in shapes) <= 64

@@ -35,6 +35,7 @@ from sgdd.schemes import (
     relation_from_classes,
     scheme_matrices_from_system,
 )
+import block_route
 from class_list_route import class_matrices, classes_of
 from surd_route import (
     SurdMatrix,
@@ -369,7 +370,7 @@ def _intersection_numbers_all_products(mats):
         if not (mat.a == mat.a.T).all():
             cert.failed(f"A_{idx} is symmetric")
         total += mat.a
-    cert.compare("sum A_i = J", IntMatrix(total), np.ones((size, size), dtype=np.int64))
+    block_route.compare(cert, "sum A_i = J", IntMatrix(total), np.ones((size, size), dtype=np.int64))
     if idx_zero := [i for i, mat in enumerate(mats) if (mat.a == 0).all()]:
         cert.failed(f"classes {idx_zero} are empty")
     if not cert.ok:
