@@ -119,6 +119,19 @@ def group_columns(m: int, n: int) -> np.ndarray:
     return np.repeat(np.eye(m, dtype=bool), n, axis=0)
 
 
+def equivalence_classes(mask: np.ndarray) -> list[tuple[int, ...]] | None:
+    """The classes of the relation ``mask`` (square, boolean), by least
+    point, or None unless it is an equivalence with classes of one size: it
+    is one exactly when it relates the points of equal least relative."""
+    least = mask.argmax(axis=1)
+    if not np.array_equal(mask, least[:, None] == least):
+        return None
+    # a class's least point is its own least relative; np.unique would import numpy.ma
+    firsts = np.flatnonzero(least == np.arange(len(least)))
+    classes = [tuple(np.flatnonzero(least == x).tolist()) for x in firsts]
+    return classes if len({len(c) for c in classes}) == 1 else None
+
+
 def partial_complement_params(p: GddParams) -> GddParams:
     """Parameters of J - K - A for a design A with the given parameters."""
     twice_k, m1 = 2 * p.k, p.m - 1

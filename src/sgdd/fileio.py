@@ -26,10 +26,10 @@ A block of single-digit rows joined by single spaces, all ending in a line
 feed or all in CR LF, is viewed in place as ``uint8``, and a block of digits
 held as int64, ``uint8`` or booleans is written from one byte buffer; every
 other block takes the token reader, so every error names the same line
-either way.  Scheme class blocks stay ``uint8`` as read, a linked system's
-blocks are checked one by one into its ``uint8`` stack, and a scheme is
-written from its class-label array R, class i as R == i; other matrices
-become ``IntMatrix``.
+either way.  Scheme class blocks stay ``uint8`` as read, the blocks of a
+linked system or an auxiliary set are checked one by one into its ``uint8``
+stack, and a scheme is written from its class-label array R, class i as
+R == i; other matrices become ``IntMatrix``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .designs import GddParams, IncidenceMatrix
 from .errors import FormatError, ParameterError
 from .latin import LatinSquare, LinkedMolsFamily
 from .linked import GcmMatrix, LinkedParams, LinkedSystemII
-from .resolvable import AuxiliarySet, auxiliary_set
+from .resolvable import AuxiliarySet, auxiliary_set, zero_one
 
 
 # the ASCII line boundaries of str.splitlines
@@ -166,6 +166,16 @@ def _read_matrix(lines: Lines) -> np.ndarray:
     return IntMatrix([lines.ints(cols) for _ in range(rows)]).a
 
 
+def _block_stack(data: bytes, count: int, v: int) -> np.ndarray:
+    """An empty uint8 stack for the ``count`` blocks of order v that a header
+    of ``data`` names.  A block of order v takes at least v*v bytes, so the
+    stack holds no more blocks than the file can fill; where it can fill
+    none, no block of order v can be read, and the stack takes no shape
+    from v (a header's v*v may pass any array size)."""
+    fits = min(count, len(data) // (v * v)) if v > 0 else 0
+    return np.empty((fits, v, v) if fits > 0 else (0, 0, 0), dtype=np.uint8)
+
+
 def parse_matrix(data: bytes) -> IntMatrix:
     lines = Lines(data, "matrix")
     m = IntMatrix(_read_matrix(lines))
@@ -219,18 +229,22 @@ def parse_inline_gdd_params(text: str) -> GddParams:
 
 def format_auxiliary_set(aux: AuxiliarySet) -> str:
     head = f"{aux.order} {aux.r}\n"
-    return head + "".join(format_matrix(c) for c in aux.matrices)
+    return head + "".join(format_matrix(IntMatrix.view(c)) for c in aux.stack)
 
 
 def parse_auxiliary_set(data: bytes) -> AuxiliarySet:
     """The set as written, uncertified: ``verify_auxiliary`` certifies it."""
     lines = Lines(data, "auxiliary set")
     v, r = lines.ints(2)
-    mats = [IntMatrix(_read_matrix(lines)) for _ in range(r)]
+    stack = _block_stack(data, r, v)
+    for c in range(r):
+        block = _read_matrix(lines)
+        if block.shape != (v, v):
+            raise FormatError("auxiliary set: matrix order disagrees with header")
+        # checked as a block before it is narrowed into the stack
+        stack[c] = zero_one(block)
     lines.done()
-    if any(m.rows != v or m.cols != v for m in mats):
-        raise FormatError("auxiliary set: matrix order disagrees with header")
-    return auxiliary_set(v, mats)
+    return auxiliary_set(stack)
 
 
 # -- Latin squares and families -------------------------------------------------
@@ -299,9 +313,7 @@ def parse_linked_system(data: bytes) -> LinkedSystemII:
     except ValueError as exc:
         raise FormatError("linked system: bad header field") from exc
     params = LinkedParams(base=GddParams(v, k, m, n, l1, l2), f=f, sigma=sigma, tau=tau, rho=rho)
-    # a block of order v takes at least v*v bytes, so the header's f sizes
-    # no more stack than the file can fill
-    stack = np.empty((min(f * (f - 1), len(data) // (v * v)), v, v), dtype=np.uint8)
+    stack = _block_stack(data, f * (f - 1), v)
     for block in range(f * (f - 1)):
         # checked as a block before it is narrowed into the stack
         stack[block] = IncidenceMatrix(IntMatrix.view(_read_matrix(lines)), m, n).mat.lane

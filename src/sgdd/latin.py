@@ -161,8 +161,8 @@ def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     for k in range(1, f + 1):
         ends = [x for x in range(1, f + 1) if x != k]
         rows = (grids[ends, k][..., None] == np.arange(n)).reshape(-1, n * n)
-        hits = (IntMatrix.view(rows) @ IntMatrix.view(rows.T)).a.reshape(f - 1, n, f - 1, n)
-        common = (IntMatrix.view(rows * weights) @ IntMatrix.view(rows.T)).a.reshape(f - 1, n, f - 1, n)
+        hits = (IntMatrix.view(rows) @ IntMatrix.view(rows.T)).lane.reshape(f - 1, n, f - 1, n)
+        common = (IntMatrix.view(rows * weights) @ IntMatrix.view(rows.T)).lane.reshape(f - 1, n, f - 1, n)
         orthogonal = (hits == 1).all(axis=(1, 3))
         composes = (common.swapaxes(1, 2) == grids[np.ix_(ends, ends)]).all(axis=(2, 3))
         failed[np.ix_(ends, ends, [k])] = np.where(orthogonal, np.where(composes, 0, 2), 1)[..., None]

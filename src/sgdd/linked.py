@@ -323,8 +323,7 @@ def build_tilde_l(aux: AuxiliarySet, fam: LinkedMolsFamily) -> LinkedSystemII:
         raise ParameterError(f"family symbol count {fam.order} != r + 1 = {p.r + 1}")
     if not fam.zero_diagonal:
         raise ParameterError("every square must carry the empty symbol on its diagonal")
-    aux_cert = verify_auxiliary(aux)
-    if not aux_cert.ok:
+    if aux.certificate is None and not (aux_cert := verify_auxiliary(aux)).ok:
         raise CertificationError("auxiliary set fails certification", aux_cert)
     big = GddParams(
         v=(p.r + 1) * p.v,
@@ -343,7 +342,7 @@ def build_tilde_l(aux: AuxiliarySet, fam: LinkedMolsFamily) -> LinkedSystemII:
     )
     # C_0 = 0 for the empty symbol, then the certified 0/1 matrices C_1..C_r
     cells = np.zeros((p.r + 1, p.v, p.v), dtype=np.uint8)
-    cells[1:] = [c.a for c in aux.matrices]
+    cells[1:] = aux.stack
     stack = np.empty((fam.f * (fam.f - 1), big.v, big.v), dtype=np.uint8)
     for (i, j), sq in fam.squares.items():
         # block (a, b) of A_ij, the view [a, :, b, :], is C_{L_ij(a, b)}
@@ -383,10 +382,9 @@ def are_unbiased(h1: IntMatrix, h2: IntMatrix) -> bool:
     order = h1.rows
     b = isqrt(order)
     prod = h1 @ h2.T
-    if not bool((np.abs(prod.a) == b).all()):
+    if not bool((np.abs(prod.lane) == b).all()):
         return False
-    scaled = IntMatrix(prod.a // b)
-    return is_hadamard(scaled)
+    return is_hadamard(IntMatrix(np.where(prod.lane > 0, 1, -1)))
 
 
 def build_from_mub_bush(hs: list[IntMatrix]) -> LinkedSystemII:
@@ -810,8 +808,7 @@ def build_twin(h: IntMatrix, ws: list[IntMatrix]) -> TwinPair:
     if len(ws) != n - 1:
         raise ParameterError(f"need exactly n - 1 = {n - 1} weighing matrices")
     ell = ws[0].rows
-    gram = ws[0] @ ws[0].T
-    m = gram[0, 0]
+    m = sum(x * x for x in ws[0].row(0))  # (W_1 W_1^T)[0, 0]
     if ell != (n - 1) * m + 1:
         raise ParameterError(f"weighing order {ell} != (n-1)m + 1 = {(n - 1) * m + 1}")
     total = np.zeros((ell, ell), dtype=np.int64)
@@ -824,14 +821,13 @@ def build_twin(h: IntMatrix, ws: list[IntMatrix]) -> TwinPair:
 
     params = twin_params(n, m)
     aux = aux_from_hadamard(h)
-    j_n = np.ones((n, n), dtype=np.int64)
     plus = np.zeros((ell * n, ell * n), dtype=np.int64)
     minus = np.zeros((ell * n, ell * n), dtype=np.int64)
-    for w, c in zip(ws, aux.matrices):
+    for w, c in zip(ws, aux.stack):
         pos = ((w.a == 1).astype(np.int64))
         neg = ((w.a == -1).astype(np.int64))
-        plus += np.kron(pos, c.a) + np.kron(neg, j_n - c.a)
-        minus += np.kron(pos, j_n - c.a) + np.kron(neg, c.a)
+        plus += np.kron(pos, c) + np.kron(neg, 1 - c)
+        minus += np.kron(pos, 1 - c) + np.kron(neg, c)
 
     out = TwinPair(
         plus=IncidenceMatrix(IntMatrix(plus), params.m, params.n),

@@ -11,14 +11,14 @@ equivalence relation of one parallel class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate, Violation, stack_differences, stack_slices
+from .designs import Certificate, Violation, equivalence_classes, stack_differences, stack_slices
 from .errors import CertificationError, ParameterError
 from .gf import factor_prime_power, gf_make
 
@@ -33,25 +33,59 @@ class AuxParams:
     n: int
 
 
+def zero_one(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as uint8, refusing any entry not 0 or 1 before it is
+    narrowed, so that 256 cannot wrap to 0."""
+    if not IntMatrix.view(arr).is_zero_one():
+        raise ParameterError("auxiliary matrix entries must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
+
+
+def _checked_stack(stack: np.ndarray) -> np.ndarray:
+    if len(stack) < 2:
+        raise ParameterError("need at least two auxiliary matrices")
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ParameterError(f"auxiliary matrices must be square, of one order: got a stack of shape {stack.shape}")
+    return zero_one(stack)
+
+
 @dataclass
 class AuxiliarySet:
-    order: int
-    matrices: list[IntMatrix]
+    """C_1..C_r as one (r, v, v) uint8 stack; any other shape, r < 2, or an
+    entry not 0 or 1, is refused.  A sealed set (``seal``) carries its
+    certificate and a read-only stack."""
+
+    stack: np.ndarray
     params: AuxParams
+    certificate: Certificate | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.stack = _checked_stack(self.stack)
+
+    @property
+    def order(self) -> int:
+        return self.stack.shape[1]
 
     @property
     def r(self) -> int:
-        return len(self.matrices)
+        return len(self.stack)
+
+    def seal(self, cert: Certificate) -> AuxiliarySet:
+        """Record the passing certificate and make the stack read-only."""
+        self.certificate = cert
+        self.stack.flags.writeable = False
+        return self
 
 
 def _underivable(order: int, reason: str) -> CertificationError:
     return CertificationError(reason, Certificate(f"auxiliary matrices of order {order}", violations=[Violation(reason, None)]))
 
 
-def _derive_params(order: int, matrices: list[IntMatrix]) -> AuxParams:
-    r = len(matrices)
-    k = sum(matrices[0][0, j] for j in range(order))
-    mu = (matrices[0] @ matrices[1].T)[0, 0]
+def _derive_params(stack: np.ndarray) -> AuxParams:
+    """k and mu = (C_1 C_2^T)[0, 0] from row 0 of C_1 and C_2; no product."""
+    r, order = stack.shape[:2]
+    k = int(np.count_nonzero(stack[0, 0]))
+    mu = int(np.count_nonzero(stack[0, 0] & stack[1, 0]))
     if mu <= 0 or k % mu:
         raise _underivable(order, "cannot derive integral n = k/mu from the matrices")
     n = k // mu
@@ -66,13 +100,7 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     per C_a (per band of STACK_ENTRIES past that), then re-derive the
     parameters and confirm the four arithmetic relations they must satisfy."""
     cert = Certificate(f"auxiliary matrices {aux.params}")
-    v, r = aux.order, aux.r
-    p = aux.params
-    for idx, c in enumerate(aux.matrices):
-        if not (c.is_square and c.rows == v and c.is_zero_one()):
-            cert.failed(f"C_{idx + 1} is a v x v 0/1 matrix", (0, 0))
-            return cert
-    stack = np.stack([c.lane for c in aux.matrices]).astype(np.uint8)
+    stack, v, r, p = aux.stack, aux.order, aux.r, aux.params
     total = stack.sum(axis=0, dtype=np.int64)
     [diff] = stack_differences(total[None], np.eye(v, dtype=np.uint8), (p.lam, p.r))
     cert.record("sum C_i equals (r - lambda) I + lambda J", diff)
@@ -116,17 +144,24 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     return cert
 
 
-def auxiliary_set(order: int, matrices: list[IntMatrix]) -> AuxiliarySet:
-    """Wrap externally supplied matrices and derive their parameters,
-    uncertified: ``verify_auxiliary`` certifies where the set is used."""
-    if len(matrices) < 2:
-        raise ParameterError("need at least two auxiliary matrices")
-    return AuxiliarySet(order, matrices, _derive_params(order, matrices))
+def auxiliary_set(stack: np.ndarray) -> AuxiliarySet:
+    """Wrap an externally supplied (r, v, v) stack of 0/1 matrices and derive
+    its parameters, uncertified: ``verify_auxiliary`` certifies where the
+    set is used."""
+    stack = _checked_stack(stack)
+    return AuxiliarySet(stack, _derive_params(stack))
+
+
+def _certified(aux: AuxiliarySet, what: str) -> AuxiliarySet:
+    cert = verify_auxiliary(aux)
+    if not cert.ok:
+        raise CertificationError(f"{what} auxiliary set fails certification", cert)
+    return aux.seal(cert)
 
 
 def aux_from_hadamard(h: IntMatrix) -> AuxiliarySet:
     """C_i = (r_i^T r_i + J)/2 from the non-principal rows of a normalized
-    Hadamard matrix."""
+    Hadamard matrix: 1 where row r_i has equal entries."""
     order = h.rows
     if order < 4:
         raise ParameterError("need a Hadamard matrix of order at least 4")
@@ -134,16 +169,10 @@ def aux_from_hadamard(h: IntMatrix) -> AuxiliarySet:
         raise ParameterError("input is not a Hadamard matrix")
     if any(h[0, j] != 1 for j in range(order)):
         raise ParameterError("Hadamard matrix must be normalized (all-ones first row)")
-    mats = []
-    for i in range(1, order):
-        row = np.array(h.row(i), dtype=np.int64)
-        mats.append(IntMatrix((np.outer(row, row) + 1) // 2))
+    rows = h.lane[1:]
+    stack = (rows[:, :, None] == rows[:, None, :]).view(np.uint8)
     params = AuxParams(v=order, k=order // 2, r=order - 1, lam=(order - 2) // 2, mu=order // 4, n=2)
-    aux = AuxiliarySet(order, mats, params)
-    cert = verify_auxiliary(aux)
-    if not cert.ok:
-        raise CertificationError("Hadamard auxiliary set fails certification", cert)
-    return aux
+    return _certified(AuxiliarySet(stack, params), "Hadamard")
 
 
 def aux_from_affine_geometry(q: int, d: int) -> AuxiliarySet:
@@ -153,82 +182,45 @@ def aux_from_affine_geometry(q: int, d: int) -> AuxiliarySet:
     Hyperplanes through the origin are kernels of nonzero linear
     functionals; functionals are normalized so their first nonzero
     coordinate is one and enumerated lexicographically, which makes the
-    construction reproducible.
+    construction reproducible.  C_a relates x and y when f_a(x) = f_a(y).
     """
     if d < 1:
         raise ParameterError("dimension parameter d must be at least 1")
     p_char, e = factor_prime_power(q)
     ctx = gf_make(p_char, e)
     dim = d + 1
-    points = [tuple(ctx.element(i) for i in idx) for idx in product(range(q), repeat=dim)]
-    v = q**dim
+    # GF(q) by element index: the addition and multiplication tables
+    els = range(q)
+    add = np.array([[ctx.index(ctx.add(ctx.element(x), ctx.element(y))) for y in els] for x in els])
+    mul = np.array([[ctx.index(ctx.mul(ctx.element(x), ctx.element(y))) for y in els] for x in els])
+    one = ctx.index(ctx.one)
+    points = np.array(list(product(els, repeat=dim)))
+    functionals = np.array([c for c in product(els, repeat=dim) if next((x for x in c if x), None) == one])
+    # f_a(x) for every functional a and point x, as an (r, v) index array
+    values = np.zeros((len(functionals), len(points)), dtype=np.intp)
+    for t in range(dim):
+        values = add[values, mul[functionals[:, t, None], points[:, t]]]
+    stack = (values[:, :, None] == values[:, None, :]).view(np.uint8)
 
-    functionals = []
-    for idx in product(range(q), repeat=dim):
-        coeffs = tuple(ctx.element(i) for i in idx)
-        nz = next((c for c in coeffs if c != ctx.zero), None)
-        if nz is None or nz != ctx.one:
-            continue
-        functionals.append(coeffs)
-    functionals.sort(key=lambda cs: tuple(ctx.index(c) for c in cs))
-
-    mats = []
-    for coeffs in functionals:
-        arr = np.zeros((v, v), dtype=np.int64)
-        # evaluate the functional on every point once; (x, y) is incident
-        # when f(y) - f(x) = 0
-        values = []
-        for pt in points:
-            acc = ctx.zero
-            for c, x in zip(coeffs, pt):
-                acc = ctx.add(acc, ctx.mul(c, x))
-            values.append(acc)
-        for a in range(v):
-            for b in range(v):
-                if values[a] == values[b]:
-                    arr[a, b] = 1
-        mats.append(IntMatrix(arr))
-
-    r = (q ** (d + 1) - 1) // (q - 1)
     params = AuxParams(
-        v=v,
+        v=q**dim,
         k=q**d,
-        r=r,
+        r=(q**dim - 1) // (q - 1),
         lam=(q**d - 1) // (q - 1),
         mu=q ** (d - 1),
         n=q,
     )
-    aux = AuxiliarySet(v, mats, params)
-    cert = verify_auxiliary(aux)
-    if not cert.ok:
-        raise CertificationError("affine geometry auxiliary set fails certification", cert)
-    return aux
+    return _certified(AuxiliarySet(stack, params), "affine geometry")
 
 
 def aux_to_parallel_classes(aux: AuxiliarySet) -> list[list[tuple[int, ...]]]:
-    """Blocks of each parallel class, read off the equivalence relation
-    encoded by each C_i; verifies equivalence-relation structure."""
+    """Blocks of each parallel class, by least point, read off the
+    equivalence relation each C_i encodes; a C_i that is not an equivalence
+    with classes of size k is refused."""
     out = []
-    v, k = aux.order, aux.params.k
-    for idx, c in enumerate(aux.matrices):
-        seen: dict[int, tuple[int, ...]] = {}
-        blocks = []
-        for x in range(v):
-            if x in seen:
-                continue
-            members = tuple(y for y in range(v) if c[x, y] == 1)
-            if x not in members or len(members) != k:
-                raise CertificationError(
-                    f"C_{idx + 1}: row {x} does not define a block of size k"
-                )
-            for y in members:
-                if tuple(z for z in range(v) if c[y, z] == 1) != members:
-                    raise CertificationError(
-                        f"C_{idx + 1}: rows {x} and {y} disagree; not an equivalence relation"
-                    )
-                seen[y] = members
-            blocks.append(members)
-        if len(blocks) != v // k:
-            raise CertificationError(f"C_{idx + 1}: expected {v // k} blocks")
+    for idx, c in enumerate(aux.stack):
+        blocks = equivalence_classes(c.view(bool))
+        if blocks is None or len(blocks[0]) != aux.params.k:
+            raise CertificationError(f"C_{idx + 1} is not an equivalence relation with classes of size k = {aux.params.k}")
         out.append(blocks)
     return out

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import IntMatrix, Surd, first_differences, lane_table, square_free_decomposition, surd_sign
-from .designs import Certificate, GddParams, group_labels, stack_slices
+from .designs import Certificate, GddParams, equivalence_classes, group_labels, stack_slices
 from .errors import CertificationError, ParameterError
 from .linked import LinkedParams, LinkedSystemII, ordered_pairs, pair_index, verify_linked_system
 
@@ -456,20 +456,6 @@ def assemble_scheme(sys: LinkedSystemII) -> AssociationScheme:
 # -- structure identification and extraction ---------------------------------------
 
 
-def _equivalence_classes(relation: np.ndarray, labels) -> list[tuple[int, ...]] | None:
-    """Classes of "R[x, y] is in ``labels``", by least point, or None unless it is
-    a uniform equivalence: with class 0 in ``labels`` it is reflexive and symmetric,
-    and an equivalence exactly when it relates the points of equal least relative."""
-    arr = np.isin(relation, labels)
-    least = arr.argmax(axis=1)
-    if not np.array_equal(arr, least[:, None] == least):
-        return None
-    # a class's least point is its own least relative; np.unique would import numpy.ma
-    firsts = np.flatnonzero(least == np.arange(len(least)))
-    classes = [tuple(np.flatnonzero(least == x).tolist()) for x in firsts]
-    return classes if len({len(c) for c in classes}) == 1 else None
-
-
 @dataclass
 class ExtractionCandidate:
     labels: tuple[int, ...]          # canonical position -> input class index
@@ -526,7 +512,7 @@ def _identify_labelings(relation: np.ndarray, p) -> list[dict]:
     valency = {i: p[i][i][0] for i in idx}
 
     def classes(labels):
-        return _equivalence_classes(relation, labels) if _closed(p, labels) else None
+        return equivalence_classes(np.isin(relation, labels)) if _closed(p, labels) else None
 
     out = []
     for c1 in idx[1:]:

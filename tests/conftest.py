@@ -3,6 +3,8 @@ import random
 import pytest
 
 import sgdd.algebra
+import sgdd.linked
+import sgdd.resolvable
 from sgdd.classical import hadamard_matrix, paley_conference_matrix
 from sgdd.gf import gf_make
 from sgdd.latin import linked_mols_from_gf, search_linked_mols
@@ -106,6 +108,22 @@ def matmul_lanes(monkeypatch):
 
     monkeypatch.setattr(sgdd.algebra, "matmul_lane", recorded)
     return lanes
+
+
+@pytest.fixture
+def aux_certifications(monkeypatch):
+    """The order of every auxiliary set ``verify_auxiliary`` certifies while
+    the test runs, through either module that calls it."""
+    calls = []
+    verify = sgdd.resolvable.verify_auxiliary
+
+    def counted(aux):
+        calls.append(aux.order)
+        return verify(aux)
+
+    for module in (sgdd.resolvable, sgdd.linked):
+        monkeypatch.setattr(module, "verify_auxiliary", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ tests compare ``sgdd.schemes._identify_labelings``, which scans R only for
 label sets on which p is closed, against it; the groups and fibers each
 scan finds go into the candidates as ``sgdd.schemes`` passes them on.
 Its scan lists the classes by ``np.unique`` of the least points, where
-``sgdd.schemes._equivalence_classes`` takes the points that are their own
+``sgdd.designs.equivalence_classes`` takes the points that are their own
 least relative."""
 
 import numpy as np

@@ -806,19 +806,34 @@ def test_cli_verify_aux_reports_an_underivable_set(tmp_path: Path, capsys):
     assert err == "error: cannot derive integral n = k/mu from the matrices\n"
 
 
-def test_tilde_l_certifies_the_auxiliary_set_once(tmp_path: Path, monkeypatch):
-    import sgdd.linked
-    import sgdd.resolvable
+_NOT_01 = "auxiliary matrix entries must be 0 or 1"
 
-    calls = []
-    verify = sgdd.resolvable.verify_auxiliary
 
-    def counted(aux):
-        calls.append(aux.order)
-        return verify(aux)
+@pytest.mark.parametrize(
+    "edit, code, error",
+    [
+        (lambda ls: [*ls[:2], "2" + ls[2][1:], *ls[3:]], 1, _NOT_01),
+        (lambda ls: [*ls[:2], "256" + ls[2][1:], *ls[3:]], 1, _NOT_01),  # not wrapped to 0
+        (lambda ls: [*ls[:3], "-1" + ls[3][1:], *ls[4:]], 1, _NOT_01),
+        (lambda ls: ["5 3", *ls[1:]], 2, "auxiliary set: matrix order disagrees with header"),
+        (lambda ls: ["1000000000000 3", *ls[1:]], 2, "auxiliary set: matrix order disagrees with header"),
+        (lambda ls: ["4 1", *ls[1:6]], 1, "need at least two auxiliary matrices"),
+    ],
+    ids=["entry-2", "entry-256", "entry-minus-1", "wrong-order", "huge-order", "r-1"],
+)
+def test_cli_verify_aux_refuses_a_malformed_set(tmp_path: Path, capsys, edit, code, error):
+    from sgdd.classical import hadamard_matrix
+    from sgdd.resolvable import aux_from_hadamard
 
-    for module in (sgdd.resolvable, sgdd.linked):
-        monkeypatch.setattr(module, "verify_auxiliary", counted)
+    lines = fileio.format_auxiliary_set(aux_from_hadamard(hadamard_matrix(4))).splitlines()
+    aux = tmp_path / "bad.aux"
+    aux.write_text("\n".join(edit(lines)) + "\n")
+    assert main(["verify", "aux", str(aux)]) == code
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_tilde_l_certifies_the_auxiliary_set_once(tmp_path: Path, aux_certifications):
+    calls = aux_certifications
     aux, fam, lsys = tmp_path / "had4.aux", tmp_path / "gf4.fam", tmp_path / "sys16.lsys"
     assert run_cli("construct", "hadamard-aux", "--order", "4", "-o", str(aux))[0] == 0
     assert run_cli("construct", "linked-mols", "--q", "4", "-o", str(fam))[0] == 0
@@ -847,13 +862,16 @@ def _malformed_systems(text: str) -> dict[str, tuple[str, int, str]]:
         "two": ("\n".join(two), 1, "incidence matrix entries must be 0 or 1"),
         "not square": ("\n".join(square), 1, "incidence matrix must be square"),
         "truncated": ("\n".join(lines[:-8]) + "\n", 2, "linked system: unexpected end of file"),
+        # v*v past any array size: the stack is sized by what the file holds
+        "huge order": ("\n".join(["2 4000000000000 2000000000000 2 1 0 0 - - -", *lines[1:]]), 1, f"order {size} != m*n = 4000000000000"),
     }
 
 
-@pytest.mark.parametrize("defect", ["two", "not square", "truncated"])
+@pytest.mark.parametrize("defect", ["two", "not square", "truncated", "huge order"])
 def test_cli_refuses_malformed_system_files(defect, sys16, tmp_path: Path, capsys):
-    """A block entry 2, a block header of 15 x 16 and a file cut short are
-    refused while the file is parsed, by both verbs that read a system."""
+    """A block entry 2, a block header of 15 x 16, a file cut short and a
+    header order of 4 * 10^12 are refused while the file is parsed, by both
+    verbs that read a system."""
     text, status, error = _malformed_systems(fileio.format_linked_system(sys16))[defect]
     lsys, scm = tmp_path / "bad.lsys", tmp_path / "bad.scm"
     lsys.write_text(text)

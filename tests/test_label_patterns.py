@@ -168,19 +168,16 @@ def ref_verify_auxiliary_matrices(aux: AuxiliarySet) -> Certificate:
     relations among the parameters."""
     cert = Certificate(f"auxiliary matrices {aux.params}")
     v, r, p = aux.order, aux.r, aux.params
-    for idx, c in enumerate(aux.matrices):
-        if not (c.is_square and c.rows == v and c.is_zero_one()):
-            cert.failed(f"C_{idx + 1} is a v x v 0/1 matrix", (0, 0))
-            return cert
-    total = sum(c.a for c in aux.matrices)
+    mats = [IntMatrix(c) for c in aux.stack]  # int64 copies
+    total = sum(c.a for c in mats)
     rhs = (p.r - p.lam) * _eye(v) + p.lam * _ones(v)
     _ref_compare(cert, "sum C_i equals (r - lambda) I + lambda J", IntMatrix(total), rhs)
-    for idx, c in enumerate(aux.matrices):
+    for idx, c in enumerate(mats):
         _ref_compare(cert, f"C_{idx + 1} C_{idx + 1}^T = k C_{idx + 1}", c @ c.T, p.k * c.a)
     for a in range(r):
         for b in range(r):
             if a != b:
-                prod = aux.matrices[a] @ aux.matrices[b].T
+                prod = mats[a] @ mats[b].T
                 _ref_compare(cert, f"C_{a + 1} C_{b + 1}^T = mu J", prod, p.mu * _ones(v))
     return cert
 
@@ -322,18 +319,16 @@ def test_auxiliary_matches_dense_reference(make):
     aux_kinds = ("diagonal", "inside C_i", "outside C_i")
 
     def check_flip(kind, idx):
-        c = aux.matrices[idx].a
+        c = aux.stack[idx]
         x = rng.randrange(aux.order)
         if kind == "diagonal":
             y = x
         else:
             want = 1 if kind == "inside C_i" else 0
             y = rng.choice([t for t in range(aux.order) if t != x and c[x, t] == want])
-        arr = c.copy()
-        arr[x, y] = 1 - arr[x, y]
-        mats = list(aux.matrices)
-        mats[idx] = IntMatrix(arr)
-        bad = AuxiliarySet(aux.order, mats, aux.params)
+        stack = aux.stack.copy()
+        stack[idx, x, y] ^= 1
+        bad = AuxiliarySet(stack, aux.params)
         checks, violations = matrix_part(verify_auxiliary(bad))
         assert violations
         assert (checks, violations) == matrix_part(ref_verify_auxiliary_matrices(bad))

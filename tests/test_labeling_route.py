@@ -160,14 +160,18 @@ def test_load_scheme_scans_r_at_most_three_times(scheme448, monkeypatch):
     {0, 1, 2} of the 448-vertex scheme, and the canonical order reuses
     them; the route that scans every label set makes 9 scans."""
     calls = []
-    scan = sgdd.schemes._equivalence_classes
+    scan, route_scan = sgdd.schemes.equivalence_classes, labeling_route._equivalence_classes
 
-    def counted(relation, labels):
-        calls.append(tuple(labels))
-        return scan(relation, labels)
+    def counted(mask):
+        calls.append(mask.shape)
+        return scan(mask)
 
-    monkeypatch.setattr(sgdd.schemes, "_equivalence_classes", counted)
-    monkeypatch.setattr(labeling_route, "_equivalence_classes", counted)
+    def route_counted(relation, labels):
+        calls.append(labels)
+        return route_scan(relation, labels)
+
+    monkeypatch.setattr(sgdd.schemes, "equivalence_classes", counted)
+    monkeypatch.setattr(labeling_route, "_equivalence_classes", route_counted)
     classes = classes_of(scheme448.relation)
     scheme, primary = load_scheme(classes)
     assert scheme.certificate.ok and primary.labels == tuple(range(6))

@@ -1,10 +1,16 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 import sgdd.designs
+from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.classical import hadamard_matrix
 from sgdd.errors import CertificationError, ParameterError
+from sgdd.gf import gf_from_order
+from sgdd.latin import linked_mols_from_gf
+from sgdd.linked import build_tilde_l
 from sgdd.resolvable import (
     AuxiliarySet,
     aux_from_affine_geometry,
@@ -17,12 +23,13 @@ from sgdd.resolvable import (
 
 def test_hadamard4_axioms(aux_had4):
     assert aux_had4.r == 3
-    total = sum(c.a for c in aux_had4.matrices)
+    mats = [IntMatrix(c) for c in aux_had4.stack]
+    total = sum(c.a for c in mats)
     assert (total == 2 * np.eye(4, dtype=np.int64) + 1).all()
-    for c in aux_had4.matrices:
+    for c in mats:
         assert c @ c.T == IntMatrix(2 * c.a)
-    for i, a in enumerate(aux_had4.matrices):
-        for j, b in enumerate(aux_had4.matrices):
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
             if i != j:
                 assert ((a @ b.T).a == 1).all()
 
@@ -44,20 +51,21 @@ def test_ag23_certified(aux_ag23):
     p = aux_ag23.params
     assert (p.v, p.k, p.r, p.lam, p.mu, p.n) == (9, 3, 4, 1, 1, 3)
     assert verify_auxiliary(aux_ag23).ok
-    total = sum(c.a for c in aux_ag23.matrices)
+    mats = [IntMatrix(c) for c in aux_ag23.stack]
+    total = sum(c.a for c in mats)
     # sum C_i = (r - lam) I + lam J = 3I + J at q = 3, d = 1
     assert (total == 3 * np.eye(9, dtype=np.int64) + 1).all()
-    for c in aux_ag23.matrices:
+    for c in mats:
         assert c @ c.T == IntMatrix(3 * c.a)  # q^d C_i
     # sum C_i C_i^T = q^{2d} I + (r-1) q^{d-1} J = 9I + 3J
-    gram_total = sum((c @ c.T).a for c in aux_ag23.matrices)
+    gram_total = sum((c @ c.T).a for c in mats)
     assert (gram_total == 9 * np.eye(9, dtype=np.int64) + 3).all()
 
 
 def test_ag22_matches_hadamard4(aux_had4):
     aux = aux_from_affine_geometry(2, 1)
-    lhs = sorted(tuple(c.entries()) for c in aux.matrices)
-    rhs = sorted(tuple(c.entries()) for c in aux_had4.matrices)
+    lhs = sorted(tuple(c.ravel().tolist()) for c in aux.stack)
+    rhs = sorted(tuple(c.ravel().tolist()) for c in aux_had4.stack)
     assert lhs == rhs
 
 
@@ -78,22 +86,22 @@ def test_parallel_classes_ag23(aux_ag23):
 
 def test_parallel_class_roundtrip(aux_ag23):
     classes = aux_to_parallel_classes(aux_ag23)
-    for c, cls in zip(aux_ag23.matrices, classes):
+    for c, cls in zip(aux_ag23.stack, classes):
         rebuilt = np.zeros((9, 9), dtype=np.int64)
         for block in cls:
             rebuilt[np.ix_(block, block)] = 1
-        assert IntMatrix(rebuilt) == c
+        assert (rebuilt == c).all()
 
 
 def test_violation_when_matrix_replaced():
     aux = aux_from_affine_geometry(2, 1)
-    broken = list(aux.matrices)
-    broken[0] = IntMatrix(np.ones((4, 4), dtype=np.int64))
-    assert not verify_auxiliary(auxiliary_set(4, broken)).ok
+    broken = aux.stack.copy()
+    broken[0] = 1
+    assert not verify_auxiliary(auxiliary_set(broken)).ok
 
 
 def test_external_import_certifies(aux_had4):
-    rebuilt = auxiliary_set(4, list(aux_had4.matrices))
+    rebuilt = auxiliary_set(aux_had4.stack.copy())
     assert verify_auxiliary(rebuilt).ok
     assert rebuilt.params == aux_had4.params
 
@@ -105,14 +113,14 @@ def test_prime_power_required():
 
 def test_matrices_symmetric_with_unit_diagonal(aux_had4, aux_ag23):
     for aux in (aux_had4, aux_ag23):
-        for c in aux.matrices:
-            assert (c.a == c.a.T).all()
-            assert all(c[i, i] == 1 for i in range(aux.order))
+        for c in aux.stack:
+            assert (c == c.T).all()
+            assert (np.diagonal(c) == 1).all()
 
 
 def test_identity_only_set_rejected():
     with pytest.raises(CertificationError):
-        auxiliary_set(3, [IntMatrix(np.eye(3, dtype=np.int64))] * 2)
+        auxiliary_set(np.stack([np.eye(3, dtype=np.int64)] * 2))
 
 
 def _product_shapes(monkeypatch) -> list[tuple]:
@@ -130,11 +138,9 @@ def _product_shapes(monkeypatch) -> list[tuple]:
 
 
 def _flipped(aux, idx, x, y):
-    mats = list(aux.matrices)
-    arr = mats[idx].a.copy()
-    arr[x, y] = 1 - arr[x, y]
-    mats[idx] = IntMatrix(arr)
-    return AuxiliarySet(aux.order, mats, aux.params)
+    stack = aux.stack.copy()
+    stack[idx, x, y] ^= 1
+    return AuxiliarySet(stack, aux.params)
 
 
 def test_auxiliary_forms_one_product_per_matrix(monkeypatch):
@@ -154,3 +160,84 @@ def test_auxiliary_certificate_is_the_same_in_narrow_bands(monkeypatch):
     assert [verify_auxiliary(s).report_lines() for s in sets] == wide
     assert wide[0][0].endswith("OK") and all(lines[0].endswith("VIOLATED") for lines in wide[1:])
     assert len(shapes) == 4 * 49 and max(rows * cols for rows, cols in shapes) <= 64
+
+
+def _ag_reference(q: int, d: int) -> list[np.ndarray]:
+    """C_a of AG(d+1, q) from its pairwise definition, x ~ y when
+    f_a(x) = f_a(y), with the field operations on coefficient tuples."""
+    ctx = gf_from_order(q)
+    points = [tuple(ctx.element(i) for i in idx) for idx in product(range(q), repeat=d + 1)]
+    functionals = [cs for cs in points if next((c for c in cs if c != ctx.zero), None) == ctx.one]
+    out = []
+    for coeffs in functionals:
+        values = []
+        for pt in points:
+            acc = ctx.zero
+            for c, x in zip(coeffs, pt):
+                acc = ctx.add(acc, ctx.mul(c, x))
+            values.append(acc)
+        out.append(np.array([[values[x] == values[y] for y in range(len(points))] for x in range(len(points))]))
+    return out
+
+
+@pytest.mark.parametrize("q, d", [(2, 1), (3, 1), (4, 1), (8, 1), (9, 1), (2, 2), (3, 2), (4, 2)])
+def test_affine_geometry_matches_pairwise_definition(q, d):
+    aux = aux_from_affine_geometry(q, d)
+    ref = _ag_reference(q, d)
+    assert aux.stack.dtype == np.uint8 and aux.stack.shape == (len(ref), q ** (d + 1), q ** (d + 1))
+    for c, want in zip(aux.stack, ref):
+        assert np.array_equal(c, want)
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_hadamard_set_matches_definition(order):
+    h = hadamard_matrix(order)
+    aux = aux_from_hadamard(h)
+    assert aux.stack.dtype == np.uint8 and aux.r == order - 1
+    for i, c in enumerate(aux.stack, start=1):
+        row = np.array(h.row(i))
+        assert np.array_equal(c, (np.outer(row, row) + 1) // 2)
+
+
+@pytest.mark.parametrize("entry", [2, 256, -1])
+def test_stack_refuses_an_entry_not_zero_or_one(aux_had4, entry):
+    # checked before narrowing to uint8, where 256 would wrap to 0
+    stack = aux_had4.stack.astype(np.int64)
+    stack[1, 2, 3] = entry
+    for make in (lambda: AuxiliarySet(stack, aux_had4.params), lambda: auxiliary_set(stack)):
+        with pytest.raises(ParameterError, match="^auxiliary matrix entries must be 0 or 1$"):
+            make()
+
+
+def test_stack_refuses_a_wrong_shape_or_one_matrix(aux_had4):
+    for stack in (aux_had4.stack[:, :, :3], aux_had4.stack[0], np.zeros((2, 0, 0), dtype=np.uint8)):
+        with pytest.raises(ParameterError, match=r"^auxiliary matrices must be square, of one order: got a stack of shape "):
+            AuxiliarySet(stack, aux_had4.params)
+    for make in (lambda: AuxiliarySet(aux_had4.stack[:1], aux_had4.params), lambda: auxiliary_set(aux_had4.stack[:1])):
+        with pytest.raises(ParameterError, match="^need at least two auxiliary matrices$"):
+            make()
+
+
+def test_parse_and_derive_form_no_product(monkeypatch):
+    built = aux_from_affine_geometry(3, 1)
+    text = fileio.format_auxiliary_set(built).encode()
+    shapes = _product_shapes(monkeypatch)
+    aux = fileio.parse_auxiliary_set(text)
+    # k and mu are read off rows 0 of C_1 and C_2
+    assert shapes == [] and aux.params == built.params and aux.certificate is None
+
+
+def test_tilde_l_certifies_only_an_unsealed_set(aux_had4, fam_gf4, aux_certifications):
+    calls = aux_certifications
+    sealed = build_tilde_l(aux_had4, fam_gf4)
+    assert aux_had4.certificate.ok and calls == []
+    parsed = fileio.parse_auxiliary_set(fileio.format_auxiliary_set(aux_had4).encode())
+    assert np.array_equal(build_tilde_l(parsed, fam_gf4).stack, sealed.stack)
+    assert calls == [4] and parsed.certificate is None
+    with pytest.raises(ValueError):
+        aux_had4.stack[0, 0, 0] = 0
+    # a sealed set was certified once, by its construction
+    aux = aux_from_affine_geometry(3, 1)
+    assert calls == [4, 9] and not aux.stack.flags.writeable
+    build_tilde_l(aux, linked_mols_from_gf(gf_from_order(5)))
+    assert calls == [4, 9]

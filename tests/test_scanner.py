@@ -63,11 +63,14 @@ def test_vmax_guard():
         scan_table1(3)
 
 
-def test_table1_witnesses_backed_by_certified_constructions():
+def test_table1_witnesses_backed_by_certified_constructions(aux_certifications):
     from sgdd.scanner import table1_witnesses
 
     rows = scan_table1(1000)
     wit = table1_witnesses(rows)
+    # each auxiliary set is certified once, by its construction, and
+    # build_tilde_l trusts its seal
+    assert aux_certifications == [4, 9, 8, 25, 49]
     assert wit[(16, 6, 2)].startswith("f=4")   # Krein bound f = m attained
     assert wit[(45, 12, 3)].startswith("f=5")  # Krein bound f = m attained
     assert wit[(64, 28, 12)].startswith("f=7")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgdd.algebra import IntMatrix, Surd
-from sgdd.designs import Certificate, GddParams
+from sgdd.designs import Certificate, GddParams, equivalence_classes
 from sgdd.errors import CertificationError, ParameterError
 from sgdd.linked import LinkedParams, LinkedSystemII, pair_system, verify_linked_system
 import sgdd.schemes
@@ -18,7 +18,6 @@ from sgdd.schemes import (
     Eigenmatrix,
     SchemeParams,
     _canonical_vertex_order,
-    _equivalence_classes,
     _identify_labelings,
     _relabel_p,
     assemble_scheme,
@@ -777,8 +776,8 @@ def _order_aligned_at_first_points(relation, labels, m, n):
     the A_5-neighbours of the first point of each group of fiber 0 only;
     A_5 is not compared with its pattern."""
     c0, c1, c2, _, _, c5 = labels
-    fibers = sorted(_equivalence_classes(relation, (c0, c1, c2)), key=min)
-    group_of = {x: g for g in _equivalence_classes(relation, (c0, c1)) for x in g}
+    fibers = sorted(equivalence_classes(np.isin(relation, (c0, c1, c2))), key=min)
+    group_of = {x: g for g in equivalence_classes(np.isin(relation, (c0, c1))) for x in g}
     a5 = relation == c5
     ref_groups = sorted({group_of[x] for x in fibers[0]}, key=min)
     order = []
@@ -918,7 +917,7 @@ def test_a5_pattern_is_checked(name, scheme48, sys16):
     assert _order_aligned_at_first_points(relation, labels, 4, 4) == list(range(48))
     assert np.array_equal(scheme_matrices_from_system(sys16) == 3, relation == 3)
     for source, order in ((scheme48.relation, list(range(48))), (relation, None)):
-        structure = _equivalence_classes(source, (0, 1)), _equivalence_classes(source, (0, 1, 2))
+        structure = equivalence_classes(np.isin(source, (0, 1))), equivalence_classes(np.isin(source, (0, 1, 2)))
         assert _canonical_vertex_order(source, labels, 4, 4, *structure) == order
 
 
