@@ -438,8 +438,10 @@ class IntMatrix:
 
     @property
     def T(self) -> "IntMatrix":
-        """The transpose of the matrix, or of every matrix of a stack."""
-        return IntMatrix(np.swapaxes(self.a, -1, -2).copy())
+        """The transpose of the matrix, or of every matrix of a stack: a view
+        of the held arrays, so a product's lane is kept, not widened."""
+        wide = None if self._a is None else np.swapaxes(self._a, -1, -2)
+        return IntMatrix._held(np.swapaxes(self.lane, -1, -2), wide)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import IntMatrix, first_differences, lane_table
-from .errors import DegenerateDesignError, InfeasibleParameterError, ParameterError
+from .errors import CertificationError, DegenerateDesignError, InfeasibleParameterError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,18 @@ def companion_params(p: GddParams) -> GddParams:
     )
 
 
+def zero_one(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` as uint8, refusing any entry not 0 or 1 before it is
+    narrowed, so that 256 cannot wrap to 0: the one place a 0/1 matrix or
+    stack (a design, a block, an auxiliary set) is checked and narrowed."""
+    if not IntMatrix.view(arr).is_zero_one():
+        raise ParameterError(f"{what} entries must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
+
+
 class IncidenceMatrix:
-    """A square 0/1 matrix together with its (m, n) group structure."""
+    """A square 0/1 matrix together with its (m, n) group structure, held
+    as a uint8 view (``zero_one``): a copy only when given wider entries."""
 
     __slots__ = ("mat", "m", "n")
 
@@ -173,9 +183,8 @@ class IncidenceMatrix:
             raise ParameterError("incidence matrix must be square")
         if mat.rows != m * n:
             raise ParameterError(f"order {mat.rows} != m*n = {m * n}")
-        if not mat.is_zero_one():
-            raise ParameterError("incidence matrix entries must be 0 or 1")
-        self.mat = mat
+        # .a, not .lane: a product held in a float lane is widened for the check
+        self.mat = IntMatrix.view(zero_one(mat.a, "incidence matrix"))
         self.m = m
         self.n = n
 
@@ -185,7 +194,7 @@ class IncidenceMatrix:
 
     def diagonal_blocks_zero(self) -> bool:
         """A has no 1 inside K, so A + K is 0/1."""
-        return not self.mat.a[group_labels(self.m, self.n) > 0].any()
+        return not self.mat.lane[group_labels(self.m, self.n) > 0].any()
 
     def __eq__(self, other):
         if not isinstance(other, IncidenceMatrix):
@@ -256,18 +265,14 @@ def verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
         cert = Certificate(f"symmetric GDD {p}")
         cert.failed("dimension/group structure matches parameters", (0, 0))
         return cert
-    return verify_gram(a.mat, p)
-
-
-def verify_gram(mat: IntMatrix, p: GddParams) -> Certificate:
-    """The Gram identities of ``verify_gdd`` for any integer matrix of order v,
-    0/1 or not (such as A + K for a block A with a 1 inside K)."""
-    return verify_grams(mat.a[None], p)[0]
+    return verify_grams(a.mat.lane[None], p)[0]
 
 
 def verify_grams(stack: np.ndarray, p: GddParams) -> list[Certificate]:
-    """``verify_gram`` for every matrix of a (count, v, v) stack, one
-    certificate each: A A^T and A^T A as one stacked product apiece."""
+    """The Gram identities of ``verify_gdd`` for every matrix of a
+    (count, v, v) stack, 0/1 or not (such as A + K for a block A with a 1
+    inside K), one certificate each: A A^T and A^T A as one stacked
+    product apiece."""
     certs = [Certificate(f"symmetric GDD {p}") for _ in range(len(stack))]
     labels, coeffs = group_labels(p.m, p.n), (p.lambda2, p.lambda1, p.k)
     flip = np.swapaxes(stack, 1, 2)
@@ -294,13 +299,25 @@ def check_bose(a: IncidenceMatrix, p: GddParams) -> bool:
     return stack_differences((ag @ ag.T).lane, group_labels(a.m, a.n), (p.n * p.lambda2, on_k, on_k)) == [None]
 
 
+def certified_design(arr: np.ndarray, p: GddParams, message: str) -> IncidenceMatrix:
+    """A constructed 0/1 array as a design with parameters p, returned only
+    once ``verify_gdd`` certifies it (a CertificationError with ``message``
+    otherwise): constructions never return uncertified designs."""
+    mat = IncidenceMatrix(IntMatrix.view(arr), p.m, p.n)
+    cert = verify_gdd(mat, p)
+    if not cert.ok:
+        raise CertificationError(message, cert)
+    return mat
+
+
 def partial_complement(a: IncidenceMatrix, p: GddParams) -> tuple[IncidenceMatrix, GddParams]:
     """J - K - A, certified with its derived parameters."""
     if not a.diagonal_blocks_zero():
         raise ParameterError("partial complement needs zero diagonal blocks (A + K must be 0/1)")
     cp = partial_complement_params(p)
-    comp = (group_labels(a.m, a.n) == 0) - a.mat.a
-    out = IncidenceMatrix(IntMatrix(comp), p.m, p.n)
+    # A has no 1 inside K, so J - K - A is 1 exactly off K where A is 0
+    comp = (group_labels(a.m, a.n) == 0) & (a.mat.lane == 0)
+    out = IncidenceMatrix(IntMatrix.view(comp), p.m, p.n)
     cert = verify_gdd(out, cp)
     if not cert.ok:
         raise ParameterError(
@@ -319,7 +336,7 @@ class KCommutation:
 def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
     """Classify A K = K A against the two canonical right-hand sides, from
     the constant A K takes on K and the one it takes off K."""
-    return k_commutations(a.mat.a[None], a.m, a.n)[0]
+    return k_commutations(a.mat.lane[None], a.m, a.n)[0]
 
 
 def k_commutations(stack: np.ndarray, m: int, n: int) -> list[KCommutation]:

@@ -41,11 +41,11 @@ from itertools import chain
 import numpy as np
 
 from .algebra import IntMatrix
-from .designs import GddParams, IncidenceMatrix
+from .designs import GddParams, IncidenceMatrix, zero_one
 from .errors import FormatError, ParameterError
 from .latin import LatinSquare, LinkedMolsFamily
 from .linked import GcmMatrix, LinkedParams, LinkedSystemII
-from .resolvable import AuxiliarySet, auxiliary_set, zero_one
+from .resolvable import AuxiliarySet, auxiliary_set
 
 
 # the ASCII line boundaries of str.splitlines
@@ -242,7 +242,7 @@ def parse_auxiliary_set(data: bytes) -> AuxiliarySet:
         if block.shape != (v, v):
             raise FormatError("auxiliary set: matrix order disagrees with header")
         # checked as a block before it is narrowed into the stack
-        stack[c] = zero_one(block)
+        stack[c] = zero_one(block, "auxiliary matrix")
     lines.done()
     return auxiliary_set(stack)
 

@@ -26,13 +26,13 @@ from .designs import (
     Certificate,
     GddParams,
     IncidenceMatrix,
+    certified_design,
     check_k_commutation,
     companion_params,
     group_labels,
     k_commutations,
     stack_differences,
     stack_slices,
-    verify_gdd,
     verify_grams,
 )
 from .errors import (
@@ -121,8 +121,7 @@ class LinkedSystemII:
         if len(self.stack) != count:
             raise ParameterError(f"a linked system on {self.params.f} indices has {count} blocks, not {len(self.stack)}")
         # every block square, of order m*n and 0/1, as for one IncidenceMatrix
-        IncidenceMatrix(IntMatrix.view(self.stack), base.m, base.n)
-        self.stack = self.stack.astype(np.uint8, copy=False)
+        self.stack = IncidenceMatrix(IntMatrix.view(self.stack), base.m, base.n).mat.lane
         view = self.stack.view()
         view.flags.writeable = False
         self.blocks = MappingProxyType({pair: IncidenceMatrix(IntMatrix.view(blk), base.m, base.n) for pair, blk in zip(ordered_pairs(self.f), view)})
@@ -309,7 +308,7 @@ def pair_system(a: IncidenceMatrix, params: GddParams) -> LinkedSystemII:
     """The two-index system {A, A^T} of a single design whose group-blown-up
     companion A + K is again a design; certified."""
     lp = LinkedParams(base=params, f=2, sigma=None, tau=None, rho=None)
-    return make_linked_system(lp, np.stack([a.mat.lane, a.mat.lane.T], dtype=np.uint8, casting="unsafe"))
+    return make_linked_system(lp, np.stack([a.mat.lane, a.mat.lane.T]))
 
 
 # -- construction: block matrices over linked MOLS ----------------------------
@@ -362,17 +361,11 @@ def is_bush_type(h: IntMatrix) -> bool:
     b = isqrt(order)
     if b * b != order:
         return False
-    arr = h.a
-    for br in range(b):
-        for bc in range(b):
-            blk = arr[br * b : (br + 1) * b, bc * b : (bc + 1) * b]
-            if br == bc:
-                if not (blk == 1).all():
-                    return False
-            else:
-                if blk.sum(axis=0).any() or blk.sum(axis=1).any():
-                    return False
-    return True
+    # blocks[r, c] is block (r, c) of order b
+    blocks = h.lane.reshape(b, b, b, b).swapaxes(1, 2)
+    diag = np.eye(b, dtype=bool)
+    off = blocks[~diag]
+    return bool((blocks[diag] == 1).all() and not off.sum(axis=1).any() and not off.sum(axis=2).any())
 
 
 def are_unbiased(h1: IntMatrix, h2: IntMatrix) -> bool:
@@ -636,17 +629,11 @@ def conference_to_gdd(c: IntMatrix) -> tuple[IncidenceMatrix, GddParams]:
     order = c.rows
     if order % 2:
         raise ParameterError("conference matrix order must be even")
-    i2 = np.eye(2, dtype=np.int64)
-    anti = np.ones((2, 2), dtype=np.int64) - i2
-    zero = np.zeros((2, 2), dtype=np.int64)
-    lut = {1: i2, -1: anti, 0: zero}
-    big = np.block([[lut[c[i, j]] for j in range(order)] for i in range(order)])
+    # J_2 - I_2, O_2 and I_2 for the entries -1, 0 and 1
+    table = np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[1, 0], [0, 1]]], dtype=np.uint8)
+    big = table[c.lane.astype(np.intp) + 1].swapaxes(1, 2).reshape(2 * order, 2 * order)
     params = GddParams(2 * order, order - 1, order, 2, 0, order // 2 - 1)
-    mat = IncidenceMatrix(IntMatrix(big), params.m, params.n)
-    cert = verify_gdd(mat, params)
-    if not cert.ok:
-        raise CertificationError("conference replacement fails certification", cert)
-    return mat, params
+    return certified_design(big, params, "conference replacement fails certification"), params
 
 
 # -- construction: generalized conference matrices ------------------------------
@@ -665,6 +652,8 @@ class GcmMatrix:
         if self.g < 2:
             raise ParameterError("group order must be at least 2")
         self.order = len(self.entries)
+        if self.order < 2:
+            raise ParameterError("matrix order must be at least 2")
         for row in self.entries:
             if len(row) != self.order:
                 raise ParameterError("matrix must be square")
@@ -729,16 +718,12 @@ def gcm_to_gdd(gcm: GcmMatrix) -> tuple[IncidenceMatrix, GddParams]:
     g = gcm.g
     lam = gcm.lam
     size = gcm.order
-    # x acts as the shift a -> a + x mod g
-    rep = {x: np.roll(np.eye(g, dtype=np.int64), x, axis=1) for x in range(g)}
-    rep[-1] = np.zeros((g, g), dtype=np.int64)
-    big = np.block([[rep[gcm.entries[i][j]] for j in range(size)] for i in range(size)])
+    # x acts as the shift a -> a + x mod g; the zero block after the shifts is index -1
+    table = np.zeros((g + 1, g, g), dtype=np.uint8)
+    table[:g] = [np.roll(np.eye(g, dtype=np.uint8), x, axis=1) for x in range(g)]
+    big = table[np.array(gcm.entries, dtype=np.intp)].swapaxes(1, 2).reshape(g * size, g * size)
     params = GddParams(g * size, g * lam + 1, size, g, 0, lam)
-    mat = IncidenceMatrix(IntMatrix(big), params.m, params.n)
-    out_cert = verify_gdd(mat, params)
-    if not out_cert.ok:
-        raise CertificationError("representation image fails certification", out_cert)
-    return mat, params
+    return certified_design(big, params, "representation image fails certification"), params
 
 
 def bgw_generate(q: int) -> GcmMatrix:
@@ -821,26 +806,21 @@ def build_twin(h: IntMatrix, ws: list[IntMatrix]) -> TwinPair:
 
     params = twin_params(n, m)
     aux = aux_from_hadamard(h)
-    plus = np.zeros((ell * n, ell * n), dtype=np.int64)
-    minus = np.zeros((ell * n, ell * n), dtype=np.int64)
+    # the supports of the W_i are disjoint, so each sum stays 0/1 in uint8
+    plus = np.zeros((ell * n, ell * n), dtype=np.uint8)
+    minus = np.zeros((ell * n, ell * n), dtype=np.uint8)
     for w, c in zip(ws, aux.stack):
-        pos = ((w.a == 1).astype(np.int64))
-        neg = ((w.a == -1).astype(np.int64))
+        pos, neg = w.lane == 1, w.lane == -1
         plus += np.kron(pos, c) + np.kron(neg, 1 - c)
         minus += np.kron(pos, 1 - c) + np.kron(neg, c)
 
-    out = TwinPair(
-        plus=IncidenceMatrix(IntMatrix(plus), params.m, params.n),
-        minus=IncidenceMatrix(IntMatrix(minus), params.m, params.n),
-        params=params,
-    )
-    for label, mat in (("A+", out.plus), ("A-", out.minus)):
-        cert = verify_gdd(mat, params)
-        if not cert.ok:
-            raise CertificationError(f"{label} fails design certification", cert)
+    pair = []
+    for label, arr in (("A+", plus), ("A-", minus)):
+        mat = certified_design(arr, params, f"{label} fails design certification")
         comm = check_k_commutation(mat)
         if comm.kind != "multiple_of_J_minus_K" or comm.factor != Fraction(n, 2):
             raise CertificationError(f"{label} does not commute with K as n/2 (J - K)")
+        pair.append(mat)
     if not np.array_equal(plus + minus, group_labels(params.m, params.n) == 0):
         raise CertificationError("A+ + A- + K != J")
-    return out
+    return TwinPair(*pair, params)

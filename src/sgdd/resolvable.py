@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate, Violation, equivalence_classes, stack_differences, stack_slices
+from .designs import Certificate, Violation, equivalence_classes, stack_differences, stack_slices, zero_one
 from .errors import CertificationError, ParameterError
 from .gf import factor_prime_power, gf_make
 
@@ -33,20 +33,12 @@ class AuxParams:
     n: int
 
 
-def zero_one(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as uint8, refusing any entry not 0 or 1 before it is
-    narrowed, so that 256 cannot wrap to 0."""
-    if not IntMatrix.view(arr).is_zero_one():
-        raise ParameterError("auxiliary matrix entries must be 0 or 1")
-    return arr.astype(np.uint8, copy=False)
-
-
 def _checked_stack(stack: np.ndarray) -> np.ndarray:
     if len(stack) < 2:
         raise ParameterError("need at least two auxiliary matrices")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise ParameterError(f"auxiliary matrices must be square, of one order: got a stack of shape {stack.shape}")
-    return zero_one(stack)
+    return zero_one(stack, "auxiliary matrix")
 
 
 @dataclass

@@ -84,6 +84,36 @@ def test_bose_identity_on_certified_designs(conference12, gcm24):
         assert check_bose(mat, params)
 
 
+def test_bose_widens_no_product(conference12, gcm24, monkeypatch):
+    """(A G)(A G)^T is formed from A G as its lane holds it: the transpose
+    is a view, and no product is widened to int64 on the way."""
+    from sgdd.classical import paley_conference_matrix
+    from sgdd.linked import conference_to_gdd
+
+    conference28 = conference_to_gdd(paley_conference_matrix(14))
+    widened, read = [], IntMatrix.a.fget
+
+    def spy(self):
+        if self._a is None:
+            widened.append(self.lane.dtype)
+        return read(self)
+
+    monkeypatch.setattr(IntMatrix, "a", property(spy))
+    for mat, params in (conference12, conference28, gcm24):
+        assert check_bose(mat, params)
+    assert widened == []
+
+
+def test_transpose_keeps_the_lane():
+    prod = IntMatrix([[1, 2], [3, 4]]) @ IntMatrix([[1, 0], [1, 1]])
+    assert prod.lane.dtype == np.float32
+    flip = prod.T
+    assert flip.lane.dtype == np.float32 and flip.lane.base is prod.lane
+    assert flip.entries() == [3, 7, 2, 4]
+    held = IntMatrix([[1, 2], [3, 4]])
+    assert held.T.a.base is held.a and held.T.a.dtype == np.int64
+
+
 def test_bose_requires_distinct_lambdas(sys16):
     with pytest.raises(ParameterError):
         check_bose(sys16.blocks[(1, 2)], sys16.params.base)

@@ -832,6 +832,32 @@ def test_cli_verify_aux_refuses_a_malformed_set(tmp_path: Path, capsys, edit, co
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+def _with_first_entry(text: str, entry: str, line: int = 1) -> str:
+    """A matrix file ``text`` with the first entry of line ``line`` replaced."""
+    lines = text.split("\n")
+    lines[line] = entry + lines[line][lines[line].index(" "):]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("entry", ["2", "256", "-1"])
+def test_cli_refuses_an_entry_not_zero_or_one(entry, conference12, sys16, tmp_path: Path, capsys):
+    """A design, a system block and a conference matrix with one entry 2,
+    256 (not wrapped to 0) or -1, each refused with one error line."""
+    from sgdd.classical import paley_conference_matrix
+
+    mat, lsys, conf = tmp_path / "bad.mat", tmp_path / "bad.lsys", tmp_path / "conf.mat"
+    mat.write_text(_with_first_entry(fileio.format_matrix(conference12[0].mat), entry))
+    lsys.write_text(_with_first_entry(fileio.format_linked_system(sys16), entry, line=2))
+    conf.write_text(_with_first_entry(fileio.format_matrix(paley_conference_matrix(6)), entry))
+    for argv, error in (
+        (["verify", "gdd", str(mat), "--params", "12 5 6 2 0 2"], "incidence matrix entries must be 0 or 1"),
+        (["verify", "linked-system", str(lsys)], "incidence matrix entries must be 0 or 1"),
+        (["construct", "conference-gdd", "--in", str(conf)], "input is not a conference matrix"),
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_tilde_l_certifies_the_auxiliary_set_once(tmp_path: Path, aux_certifications):
     calls = aux_certifications
     aux, fam, lsys = tmp_path / "had4.aux", tmp_path / "gf4.fam", tmp_path / "sys16.lsys"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.classical import (
     hadamard_matrix,
+    is_hadamard,
     paley_conference_matrix,
     signed_permutation_weighing_set,
 )
@@ -246,6 +248,24 @@ def test_conference_as_c2_gcm_agrees(conference12):
     assert mat.mat == conference12[0].mat
 
 
+@pytest.mark.parametrize("entries", [[], [[-1]]])
+def test_gcm_refuses_order_below_two(entries):
+    """Order 0 would pass every line of verify_gcm vacuously (lambda = -1
+    over C_2) and leave nothing to gather."""
+    with pytest.raises(ParameterError, match="^matrix order must be at least 2$"):
+        GcmMatrix(2, entries)
+
+
+@pytest.mark.parametrize("text", ["0 2\n", "-4 2\n"], ids=["order-0", "order-minus-4"])
+def test_cli_refuses_an_empty_gcm(text, tmp_path, capsys):
+    """A header of order 0, or of a negative order, which reads as no rows,
+    is an error line with exit status 1, not a traceback."""
+    gcm = tmp_path / "empty.gcm"
+    gcm.write_text(text)
+    assert main(["construct", "gcm-gdd", "--in", str(gcm)]) == 1
+    assert capsys.readouterr() == ("", "error: matrix order must be at least 2\n")
+
+
 def test_gcm_violation_detected():
     entries = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
     bad = GcmMatrix(2, entries)
@@ -354,6 +374,49 @@ def test_parameter_identities_on_certified_systems(sys16, sys45):
 def test_bush_type_of_symmetric_design_blocks(sys16):
     for blk in sys16.blocks.values():
         assert is_bush_type(IntMatrix(1 - 2 * blk.mat.a.astype(np.int64)))
+
+
+def _bush_type_by_blocks(h: IntMatrix) -> bool:
+    """The block-by-block loop ``is_bush_type`` replaced."""
+    if not is_hadamard(h):
+        return False
+    b = isqrt(h.rows)
+    if b * b != h.rows:
+        return False
+    arr = h.a
+    for br in range(b):
+        for bc in range(b):
+            blk = arr[br * b : (br + 1) * b, bc * b : (bc + 1) * b]
+            if br == bc:
+                if not (blk == 1).all():
+                    return False
+            elif blk.sum(axis=0).any() or blk.sum(axis=1).any():
+                return False
+    return True
+
+
+def test_bush_type_matches_block_loop(bush_pair):
+    """The reshaped test against the loop on the pair, its transposes, and
+    seeded changes of each: one entry, one row, one column or one block row
+    negated (the last leaves every off-diagonal sum zero), block rows
+    permuted, and block rows and columns permuted alike (still Bush-type)."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for h in bush_pair:
+        for arr in (h.a, h.a.T):
+            cases.append(arr)
+            for _ in range(4):
+                x, y = (int(t) for t in rng.integers(16, size=2))
+                entry, row, col, band = arr.copy(), arr.copy(), arr.copy(), arr.copy()
+                entry[x, y] *= -1
+                row[x] *= -1
+                col[:, y] *= -1
+                band[x // 4 * 4 : x // 4 * 4 + 4] *= -1
+                perm = (4 * rng.permutation(4))[:, None] + np.arange(4)
+                cases += [entry, row, col, band, arr[perm.ravel()], arr[perm.ravel()][:, perm.ravel()]]
+    verdicts = [(is_bush_type(IntMatrix(c)), _bush_type_by_blocks(IntMatrix(c))) for c in cases]
+    assert all(new == old for new, old in verdicts)
+    assert {new for new, _ in verdicts} == {True, False}
 
 
 def test_bush_search_deterministic(bush_pair):

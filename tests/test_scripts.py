@@ -22,6 +22,17 @@ def test_build_witnesses_writes_what_the_cli_assembles(tmp_path: Path, monkeypat
     cli_scm = tmp_path / "cli.scm"
     assert main(["scheme", "assemble", "--in", str(out / "sys16.lsys"), "-o", str(cli_scm)]) == 0
     assert (out / "scheme48.scm").read_bytes() == cli_scm.read_bytes()
+    cli = tmp_path / "cli"
+    cli.mkdir()
+    for argv in (
+        "conference-gdd --order 6 -o {}conf12.mat --params-out {}conf12.params",
+        "bgw --q 5 -o {}bgw654.gcm",
+        "gcm-gdd --in {}bgw654.gcm -o {}gcm24.mat --params-out {}gcm24.params",
+        "twin --order 4 -o {}twin16",
+    ):
+        assert main(["construct", *argv.replace("{}", f"{cli}/").split()]) == 0
+    for name in ("conf12.mat", "conf12.params", "bgw654.gcm", "gcm24.mat", "gcm24.params", "twin16.plus.mat", "twin16.minus.mat"):
+        assert (out / name).read_bytes() == (cli / name).read_bytes(), name
 
 
 def test_reproduce_tables_writes_the_golden_tables(tmp_path: Path, monkeypatch):
