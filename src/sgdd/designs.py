@@ -86,6 +86,56 @@ def stack_slices(count: int, entries: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
+def orbit_rows(stack: np.ndarray, perms) -> np.ndarray | None:
+    """The least index of each orbit of the group generated by those of the
+    permutations ``perms`` of 0..v-1 that fix every matrix M of the
+    (count, v, v) ``stack`` exactly, M[perm][:, perm] = M, found by
+    union-find; None when they leave every index alone in its orbit.
+    ``perms`` is read lazily and no further once one orbit is left.
+
+    One row per orbit certifies an identity whose matrices all come from
+    the stack, or are I, J, or K with each index a whole group: if a
+    permutation matrix P fixes each of them, P M P^T = M, it fixes the
+    difference E of the two sides, so row perm(x) of E is row x permuted,
+    and E = 0 exactly when it vanishes on the rows returned."""
+    v = stack.shape[-1]
+    root = list(range(v))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    orbits = v
+    for perm in perms:
+        perm = np.asarray(perm)
+        if not np.array_equal(np.sort(perm), np.arange(v)):
+            continue
+        if not all(np.array_equal(stack[part][:, perm][:, :, perm], stack[part]) for part in stack_slices(len(stack), v * v)):
+            continue
+        for x, y in enumerate(perm.tolist()):
+            x, y = find(x), find(y)
+            if x != y:  # a root is its orbit's least index
+                root[max(x, y)] = min(x, y)
+                orbits -= 1
+        if orbits == 1:
+            break
+    return None if orbits == v else np.array([x for x in range(v) if root[x] == x])
+
+
+def on_orbits(check, rows: np.ndarray | None, passed):
+    """``check(rows)``, when ``rows`` (``orbit_rows``) is not None and that
+    result ``passed``; otherwise ``check`` on every row, ``check(slice(None))``,
+    so a failure is reported with the lines and first positions of the full
+    check."""
+    if rows is not None:
+        out = check(rows)
+        if passed(out):
+            return out
+    return check(slice(None))
+
+
 def stack_differences(actual: np.ndarray, labels: np.ndarray, coeffs) -> list[tuple | None]:
     """For each matrix of the stack ``actual``, a product's lane array
     (``IntMatrix.lane``; any leading shape, matrices in row-major order),
@@ -268,20 +318,21 @@ def verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
     return verify_grams(a.mat.lane[None], p)[0]
 
 
-def verify_grams(stack: np.ndarray, p: GddParams) -> list[Certificate]:
+def verify_grams(stack: np.ndarray, p: GddParams, rows=slice(None)) -> list[Certificate]:
     """The Gram identities of ``verify_gdd`` for every matrix of a
     (count, v, v) stack, 0/1 or not (such as A + K for a block A with a 1
     inside K), one certificate each: A A^T and A^T A as one stacked
-    product apiece."""
+    product apiece, on the given rows of each (all of them, or one per
+    orbit: ``orbit_rows``)."""
     certs = [Certificate(f"symmetric GDD {p}") for _ in range(len(stack))]
-    labels, coeffs = group_labels(p.m, p.n), (p.lambda2, p.lambda1, p.k)
+    labels, coeffs = group_labels(p.m, p.n)[rows], (p.lambda2, p.lambda1, p.k)
     flip = np.swapaxes(stack, 1, 2)
     for label, left, right in (
         ("A A^T equals k I + l1 (K - I) + l2 (J - K)", stack, flip),
         ("A^T A equals k I + l1 (K - I) + l2 (J - K)", flip, stack),
     ):
         for part in stack_slices(len(stack), stack[0].size):
-            prod = IntMatrix.view(left[part]) @ IntMatrix.view(right[part])
+            prod = IntMatrix.view(left[part][:, rows]) @ IntMatrix.view(right[part])
             for cert, diff in zip(certs[part], stack_differences(prod.lane, labels, coeffs)):
                 cert.record(label, diff)
             del prod  # reduced: free it before the next product is formed

@@ -177,8 +177,10 @@ def _block_stack(data: bytes, count: int, v: int) -> np.ndarray:
 
 
 def parse_matrix(data: bytes) -> IntMatrix:
+    """The matrix as ``_read_matrix`` holds it, with no copy: a block of
+    single digits stays uint8."""
     lines = Lines(data, "matrix")
-    m = IntMatrix(_read_matrix(lines))
+    m = IntMatrix.view(_read_matrix(lines))
     lines.done()
     return m
 
@@ -370,7 +372,7 @@ def format_matrix_set(mats: list[IntMatrix]) -> str:
 def parse_matrix_set(data: bytes) -> list[IntMatrix]:
     lines = Lines(data, "matrix set")
     order, count = lines.ints(2)
-    mats = [IntMatrix(_read_matrix(lines)) for _ in range(count)]
+    mats = [IntMatrix.view(_read_matrix(lines)) for _ in range(count)]
     lines.done()
     if any(m.rows != order or m.cols != order for m in mats):
         raise FormatError("matrix set: matrix order disagrees with header")

@@ -31,6 +31,8 @@ from .designs import (
     companion_params,
     group_labels,
     k_commutations,
+    on_orbits,
+    orbit_rows,
     stack_differences,
     stack_slices,
     verify_grams,
@@ -203,13 +205,18 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     each formed in slices of whole blocks past STACK_ENTRIES and reduced to
     per-block verdicts and first positions before the next is formed: f + 4
     products for a system of order v <= 64 with f <= 7.  The lines come out
-    block by block, as a per-block walk would print them."""
+    block by block, as a per-block walk would print them.
+
+    The Gram and triple products are formed on one row per orbit of the
+    group permutations that fix every block (``_translation_rows``), and on
+    every row when they fail there or no such permutation is found."""
     p = sys.params
     base, stack = p.base, sys.stack
     cert = Certificate(f"linked system f={p.f} on {base}")
     pairs = ordered_pairs(p.f)
     in_k = group_labels(base.m, base.n) > 0
-    grams = verify_grams(stack, base)
+    orbits = _translation_rows(stack, base)
+    grams = on_orbits(lambda rows: verify_grams(stack, base, rows), orbits, lambda certs: all(c.ok for c in certs))
     zero_one = ~stack[:, in_k].any(axis=1)
     comms = k_commutations(stack, base.m, base.n)
     want = Fraction(base.k, base.m - 1)
@@ -241,7 +248,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
 
     if p.f == 2:
         comp = companion_params(base)
-        sub = verify_grams(stack[:1] + in_k, comp)[0]
+        sub = on_orbits(lambda rows: verify_grams(stack[:1] + in_k, comp, rows)[0], orbits, lambda c: c.ok)
         if sub.ok:
             cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
         else:
@@ -249,7 +256,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
                 cert.failed(f"pair companion: {v.identity}", v.position, v.expected, v.actual)
         return cert
 
-    triples = _triple_differences(stack, p, in_k)
+    triples = on_orbits(lambda rows: _triple_differences(stack, p, in_k, rows), orbits, lambda d: all(x is None for x in d.values()))
     for i, j in pairs:
         for l in range(1, p.f + 1):
             if l not in (i, j):
@@ -257,9 +264,50 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     return cert
 
 
-def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray) -> dict:
+def _sub_block_ids(stack: np.ndarray, m: int, n: int) -> np.ndarray:
+    """(count, m, m) integers, equal exactly where the n x n sub-blocks
+    (a, b) of the 0/1 stack's matrices are equal: the ranks of their
+    entries, packed eight to a byte a slice of blocks at a time, by one
+    argsort of a void view, so no Python object is made per sub-block."""
+    cells = np.concatenate([
+        np.packbits(stack[part].reshape(-1, m, n, m, n).swapaxes(2, 3).reshape(-1, n * n), axis=-1)
+        for part in stack_slices(len(stack), stack[0].size)
+    ])
+    keys = cells.view(np.dtype((np.void, cells.shape[1])))[:, 0]
+    order = np.argsort(keys)
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[order] = np.cumsum(np.concatenate([[0], keys[order[1:]] != keys[order[:-1]]]))
+    return ranks.reshape(-1, m, m)
+
+
+def _translation_rows(stack: np.ndarray, base: GddParams) -> np.ndarray | None:
+    """The rows of the groups ``orbit_rows`` returns for the permutations
+    sigma of the m groups, points kept in place, that fix every block, or
+    None.  Such a sigma fixes a block exactly when it fixes its sub-block
+    ids, and it fixes K.  The candidate for group g matches block row g of
+    A_12 with block row 0: for a ``build_tilde_l`` system over a field
+    family these are the field's translations."""
+    m, n = base.m, base.n
+    ids = _sub_block_ids(stack, m, n)
+    first = ids[0]
+    order = np.argsort(first[0], kind="stable")
+
+    def candidates():
+        for g in range(1, m):
+            match = np.argsort(first[g], kind="stable")
+            if np.array_equal(first[g, match], first[0, order]):
+                sigma = np.empty(m, dtype=np.intp)
+                sigma[order] = match  # block (g, sigma(b)) of A_12 equals block (0, b)
+                yield sigma
+
+    groups = orbit_rows(ids, candidates())
+    return None if groups is None else (groups[:, None] * n + np.arange(n)).ravel()
+
+
+def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, rows) -> dict:
     """(i, j, l) -> the first difference of A_ij A_jl from
-    sigma A_il + tau (J - A_il - K) + rho K, or None.
+    sigma A_il + tau (J - A_il - K) + rho K on the given rows (all of them,
+    or one per orbit), or None.
 
     For each middle index j, one product (vstack_i A_ij) (hstack_l A_jl)
     holds every A_ij A_jl as its block (i, l); past STACK_ENTRIES it is
@@ -269,23 +317,24 @@ def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray) ->
     which the 0/1 check on A + K has already reported) reads
     sigma - tau + rho, the value of the formula there."""
     f, v = p.f, p.base.v
-    twice_k = (2 * in_k).astype(np.uint8)
+    rows = np.arange(v)[rows]
+    twice_k = (2 * in_k[rows]).astype(np.uint8)
     coeffs = (p.tau, p.sigma, p.rho, p.sigma - p.tau + p.rho)
     out = {}
     for j in range(1, f + 1):
         ends = [x for x in range(1, f + 1) if x != j]
-        left = stack[pair_index(f, np.array(ends), j)]
+        left = stack[np.ix_(pair_index(f, np.array(ends), j), rows)]
         for cols in stack_slices(len(ends), v * v):
             lasts = ends[cols]
             right = IntMatrix.view(np.hstack(stack[pair_index(f, j, np.array(lasts))]))
-            for rows in stack_slices(len(ends), v * right.cols):
-                firsts = ends[rows]
+            for band in stack_slices(len(ends), len(rows) * right.cols):
+                firsts = ends[band]
                 grid = [(i, l) for i in firsts for l in lasts]
-                shape = (len(firsts), len(lasts), v, v)
-                labels = stack[[pair_index(f, i, l) if i != l else 0 for i, l in grid]] + twice_k
-                prod = (IntMatrix.view(left[rows].reshape(-1, v)) @ right).lane
+                shape = (len(firsts), len(lasts), len(rows), v)
+                labels = stack[np.ix_([pair_index(f, i, l) if i != l else 0 for i, l in grid], rows)] + twice_k
+                prod = (IntMatrix.view(left[band].reshape(-1, v)) @ right).lane
                 # block (i, l) of the band's product, as a view of shape ``shape``
-                blocks = prod.reshape(shape[0], v, shape[1], v).swapaxes(1, 2)
+                blocks = prod.reshape(shape[0], len(rows), shape[1], v).swapaxes(1, 2)
                 diffs = stack_differences(blocks, labels.reshape(shape), coeffs)
                 del prod, blocks, labels  # reduced: free them before the next product is formed
                 for (i, l), diff in zip(grid, diffs):
@@ -361,11 +410,11 @@ def is_bush_type(h: IntMatrix) -> bool:
     b = isqrt(order)
     if b * b != order:
         return False
-    # blocks[r, c] is block (r, c) of order b
-    blocks = h.lane.reshape(b, b, b, b).swapaxes(1, 2)
-    diag = np.eye(b, dtype=bool)
-    off = blocks[~diag]
-    return bool((blocks[diag] == 1).all() and not off.sum(axis=1).any() and not off.sum(axis=2).any())
+    # No off-diagonal sum needs a check: for the b columns C of block
+    # column c, |H 1_C|^2 = 1_C^T H^T H 1_C = b^3, which the b entries b of
+    # H 1_C on the all-ones block (c, c) use up, so every other block of
+    # column c has zero row sums; H^T, also Hadamard, gives the column sums.
+    return bool((h.lane.reshape(b, b, b, b).swapaxes(1, 2)[np.eye(b, dtype=bool)] == 1).all())
 
 
 def are_unbiased(h1: IntMatrix, h2: IntMatrix) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate, Violation, equivalence_classes, stack_differences, stack_slices, zero_one
+from .designs import Certificate, Violation, equivalence_classes, on_orbits, orbit_rows, stack_differences, stack_slices, zero_one
 from .errors import CertificationError, ParameterError
 from .gf import factor_prime_power, gf_make
 
@@ -45,10 +45,13 @@ def _checked_stack(stack: np.ndarray) -> np.ndarray:
 class AuxiliarySet:
     """C_1..C_r as one (r, v, v) uint8 stack; any other shape, r < 2, or an
     entry not 0 or 1, is refused.  A sealed set (``seal``) carries its
-    certificate and a read-only stack."""
+    certificate and a read-only stack.  ``translations`` are point
+    permutations its construction expects to fix every C_a: candidates
+    that ``verify_auxiliary`` checks exactly before it relies on them."""
 
     stack: np.ndarray
     params: AuxParams
+    translations: tuple = field(default=(), repr=False)
     certificate: Certificate | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -90,22 +93,17 @@ def _derive_params(stack: np.ndarray) -> AuxParams:
 def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     """Check axioms (i)-(iii) by exact multiplication, one kernel product
     per C_a (per band of STACK_ENTRIES past that), then re-derive the
-    parameters and confirm the four arithmetic relations they must satisfy."""
+    parameters and confirm the four arithmetic relations they must satisfy.
+    The products are formed on one row per orbit of the set's
+    ``translations`` that fix every C_a (``orbit_rows``), and on every row
+    when they fail there or none does."""
     cert = Certificate(f"auxiliary matrices {aux.params}")
     stack, v, r, p = aux.stack, aux.order, aux.r, aux.params
     total = stack.sum(axis=0, dtype=np.int64)
     [diff] = stack_differences(total[None], np.eye(v, dtype=np.uint8), (p.lam, p.r))
     cert.record("sum C_i equals (r - lambda) I + lambda J", diff)
-    # C_a C_b^T for every b of a band is one product C_a (hstack_b C_b^T),
-    # compared on the labels C_a on block a (0 or k) and 2 elsewhere (mu)
-    diffs = {}
-    for cols in stack_slices(r, v * v):
-        band = np.arange(r)[cols]
-        right = IntMatrix.view(np.hstack(stack[cols].swapaxes(1, 2)))
-        for a in range(r):
-            blocks = (IntMatrix.view(stack[a]) @ right).lane.reshape(v, len(band), v).swapaxes(0, 1)
-            labels = np.where((band == a)[:, None, None], stack[a], np.uint8(2))
-            diffs.update(zip([(a, int(b)) for b in band], stack_differences(blocks, labels, (0, p.k, p.mu))))
+    orbits = orbit_rows(stack, aux.translations)
+    diffs = on_orbits(lambda rows: _product_differences(stack, p, rows), orbits, lambda d: all(x is None for x in d.values()))
     for a in range(r):
         cert.record(f"C_{a + 1} C_{a + 1}^T = k C_{a + 1}", diffs[a, a])
     for a in range(r):
@@ -134,6 +132,25 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     else:
         cert.passed("v = n^2 mu and k = n mu")
     return cert
+
+
+def _product_differences(stack: np.ndarray, p: AuxParams, rows) -> dict:
+    """(a, b) -> the first difference of C_a C_b^T, on the given rows (all
+    of them, or one per orbit), from k C_a (a = b) or mu J, or None.
+
+    C_a C_b^T for every b of a band is one product C_a (hstack_b C_b^T),
+    compared on the labels C_a on block a (0 or k) and 2 elsewhere (mu)."""
+    r, v = len(stack), stack.shape[-1]
+    diffs = {}
+    for cols in stack_slices(r, v * v):
+        band = np.arange(r)[cols]
+        right = IntMatrix.view(np.hstack(stack[cols].swapaxes(1, 2)))
+        for a in range(r):
+            left = stack[a][rows]
+            blocks = (IntMatrix.view(left) @ right).lane.reshape(len(left), len(band), v).swapaxes(0, 1)
+            labels = np.where((band == a)[:, None, None], left, np.uint8(2))
+            diffs.update(zip([(a, int(b)) for b in band], stack_differences(blocks, labels, (0, p.k, p.mu))))
+    return diffs
 
 
 def auxiliary_set(stack: np.ndarray) -> AuxiliarySet:
@@ -193,6 +210,14 @@ def aux_from_affine_geometry(q: int, d: int) -> AuxiliarySet:
     for t in range(dim):
         values = add[values, mul[functionals[:, t, None], points[:, t]]]
     stack = (values[:, :, None] == values[:, None, :]).view(np.uint8)
+    # points are numbered lexicographically, so adding b to coordinate t
+    # moves point x by (add[x_t, b] - x_t) q^(dim - 1 - t); the unit vectors
+    # of GF(p)^e, elements p^s, span GF(q) additively, so these translations
+    # generate all q^dim, which act regularly on the points
+    weights = q ** np.arange(dim - 1, -1, -1)
+    translations = tuple(
+        np.arange(q**dim) + (add[points[:, t], p_char**s] - points[:, t]) * weights[t] for t in range(dim) for s in range(e)
+    )
 
     params = AuxParams(
         v=q**dim,
@@ -202,7 +227,7 @@ def aux_from_affine_geometry(q: int, d: int) -> AuxiliarySet:
         mu=q ** (d - 1),
         n=q,
     )
-    return _certified(AuxiliarySet(stack, params), "affine geometry")
+    return _certified(AuxiliarySet(stack, params, translations), "affine geometry")
 
 
 def aux_to_parallel_classes(aux: AuxiliarySet) -> list[list[tuple[int, ...]]]:

@@ -1,11 +1,13 @@
-"""Reference route for the design, linked-system and linked-family
-certifiers: one block, one square or one triple at a time, two products per
-block for its Gram identities and two more for A K = K A with a dense K
-(``group_indicator``), and one wide product per ordered pair (i, j) for the
-triple law, each product compared as int64 (``compare``,
-``first_difference``) with an expected array built by ``pattern``.  The
-tests compare ``sgdd``, which certifies a system's blocks as one stacked
-array and compares each product in its lane, against it.
+"""Reference route for the design, linked-system, linked-family and
+auxiliary-set certifiers: one block, one square or one triple at a time, two
+products per block for its Gram identities and two more for A K = K A with a
+dense K (``group_indicator``), one wide product per ordered pair (i, j) for
+the triple law, and one product per ordered pair of auxiliary matrices, each
+product compared as int64 (``compare``, ``first_difference``) on every row
+with an expected array built by ``pattern``.  The tests compare ``sgdd``,
+which certifies a system's blocks as one stacked array, compares each
+product in its lane, and forms products on one row per orbit of verified
+translations, against it.
 """
 
 from fractions import Fraction
@@ -23,6 +25,7 @@ from sgdd.designs import (
 )
 from sgdd.latin import LinkedMolsFamily, compose, is_orthogonal
 from sgdd.linked import LinkedSystemII
+from sgdd.resolvable import AuxiliarySet
 
 _SIGNED = (np.int8, np.int16, np.int32, np.int64)
 
@@ -189,4 +192,30 @@ def verify_linked(fam: LinkedMolsFamily) -> Certificate:
                     cert.failed(f"triple {(i, j, k)}: composition does not reproduce the pair square")
     if cert.ok:
         cert.passed("on every ordered triple (i, j, k), L_ik and L_jk are orthogonal and compose to L_ij")
+    return cert
+
+
+def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
+    p, v = aux.params, aux.order
+    cert = Certificate(f"auxiliary matrices {p}")
+    mats = [IntMatrix(c.astype(np.int64)) for c in aux.stack]
+    total = IntMatrix(sum(c.a for c in mats))
+    compare(cert, "sum C_i equals (r - lambda) I + lambda J", total, pattern(np.eye(v, dtype=np.int64), (p.lam, p.r)))
+    for a, c in enumerate(mats):
+        compare(cert, f"C_{a + 1} C_{a + 1}^T = k C_{a + 1}", c @ c.T, pattern(c.a, (0, p.k)))
+    for a, c in enumerate(mats):
+        for b, d in enumerate(mats):
+            if a != b:
+                compare(cert, f"C_{a + 1} C_{b + 1}^T = mu J", c @ d.T, pattern(np.zeros((v, v), dtype=np.int64), (p.mu,)))
+    for label, holds in (
+        ("r k = r - lambda + lambda v", p.r * p.k == p.r - p.lam + p.lam * p.v),
+        ("k^2 = mu v", p.k * p.k == p.mu * p.v),
+        ("k + lambda - r = 0", p.k + p.lam - p.r == 0),
+        ("k lambda - (r - 1) mu = 0", p.k * p.lam - (p.r - 1) * p.mu == 0),
+        ("v = n^2 mu and k = n mu", p.v == p.n * p.n * p.mu and p.k == p.n * p.mu),
+    ):
+        if holds:
+            cert.passed(label)
+        else:
+            cert.failed(label)
     return cert

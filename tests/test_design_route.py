@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import design_route
+from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.classical import hadamard_matrix, paley_conference_matrix, signed_permutation_weighing_set
 from sgdd.designs import IncidenceMatrix, partial_complement
@@ -74,6 +75,18 @@ def test_an_incidence_matrix_is_a_uint8_view():
     prod = IntMatrix.view(arr) @ IntMatrix.view(np.eye(4, dtype=np.uint8))
     assert prod.lane.dtype == np.float32
     assert np.array_equal(IncidenceMatrix(prod, 2, 2).mat.lane, arr)
+
+
+def test_a_parsed_design_holds_the_parsers_uint8_array():
+    """conf30.mat, the conference design of order 60, as ``verify gdd``
+    reads it: the design holds the digit array the parser made, with no
+    int64 round trip."""
+    mat, params = conference_to_gdd(paley_conference_matrix(30))
+    parsed = fileio.parse_matrix(fileio.format_matrix(mat.mat).encode())
+    assert parsed.lane.dtype == np.uint8 and parsed.a is parsed.lane
+    design = IncidenceMatrix(parsed, params.m, params.n)
+    assert design.mat.lane is parsed.lane
+    assert np.array_equal(design.mat.lane, mat.mat.lane)
 
 
 @pytest.mark.parametrize("bad", [2, 256, -1])

@@ -153,10 +153,7 @@ def test_batched_triple_products_match_per_triple(source, seed, request, corrupt
     assert bool(violations) == (seed is not None)
 
 
-def test_linked_system_takes_f_plus_4_stacked_products(sys64, monkeypatch):
-    """The 42 blocks of the GF(8) system are certified in f + 4 = 11 kernel
-    calls: the two Gram identities and the two products of A K = K A for
-    the whole stack, then one triple product per middle index j."""
+def _product_shapes(sys, monkeypatch):
     shapes = []
     matmul = IntMatrix.__matmul__
 
@@ -165,8 +162,32 @@ def test_linked_system_takes_f_plus_4_stacked_products(sys64, monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", recorded)
-    assert verify_linked_system(sys64).ok
+    assert verify_linked_system(sys).ok
+    return shapes
+
+
+def test_linked_system_takes_f_plus_4_stacked_products(sys64, monkeypatch):
+    """The 42 blocks of the GF(8) system are certified in f + 4 = 11 kernel
+    calls: the two Gram identities and the two products of A K = K A for
+    the whole stack, then one triple product per middle index j.  The GF(8)
+    translations fix every block and move group 0 onto every group, so the
+    Gram and triple products are formed on the n rows of group 0 alone."""
+    shapes = _product_shapes(sys64, monkeypatch)
     base, f = sys64.params.base, sys64.params.f
+    v, m, n, count = base.v, base.m, base.n, f * (f - 1)
+    stack = (count, v, v)
+    assert shapes == (
+        [((count, n, v), stack)] * 2 + [(stack, (v, m)), ((m, v), stack)] + [(((f - 1) * n, v), (v, (f - 1) * v))] * f
+    )
+    assert len(shapes) == f + 4
+
+
+def test_a_system_with_no_translation_takes_f_plus_4_full_products(bush_pair, monkeypatch):
+    """The MUB-Bush system has no group permutation fixing its blocks, so
+    its f + 4 = 7 products have full-height operands."""
+    system = build_from_mub_bush(bush_pair)
+    shapes = _product_shapes(system, monkeypatch)
+    base, f = system.params.base, system.params.f
     v, m, count = base.v, base.m, f * (f - 1)
     stack = (count, v, v)
     assert shapes == (

@@ -955,3 +955,18 @@ def test_no_product_of_order_x_on_certifying_inputs(source, request, monkeypatch
     assert shapes and (size, size, size) not in shapes
     assert max(rows for rows, _, _ in shapes) < size
     assert dense == []
+
+
+@pytest.mark.parametrize("size", [1, 5, 128, 130, 300])
+def test_tiled_symmetry_check_matches_the_transpose(size):
+    """The tile-by-tile test of a = a^T against the whole transpose, on
+    symmetric 0/1 arrays and on each with one entry flipped, in the first
+    and last (partial) tiles too."""
+    rng = np.random.default_rng(size)
+    a = rng.integers(0, 2, size=(size, size), dtype=np.uint8)
+    a = a | a.T
+    assert sgdd.schemes._symmetric(a)
+    for x, y in [(0, size - 1), (size - 1, 0), tuple(rng.integers(size, size=2))]:
+        bad = a.copy()
+        bad[x, y] ^= 1
+        assert sgdd.schemes._symmetric(bad) == bool((bad == bad.T).all())
