@@ -37,7 +37,9 @@ every partial sum that any summation order (or fused multiply-add) can form
 is an integer of magnitude at most the bound, and the float type represents
 all such integers, so no step ever rounds.  This is the
 exact-linear-algebra-over-floating-point technique of FFLAS-FFPACK (Dumas,
-Giorgi, Pernet, ACM TOMS 35(3), 2008).
+Giorgi, Pernet, ACM TOMS 35(3), 2008).  Being exact in any summation
+order, a float-lane product gives the same array on any number of BLAS
+threads; it runs on one below SERIAL_MADDS multiply-adds (``blas_threads``).
 
 A product keeps the array its lane produced as ``IntMatrix.lane`` (float32,
 float64, int64, or Python integers past 2**62), and ``.a`` widens it to
@@ -85,6 +87,66 @@ def matmul_lane(bound: int):
         if bound < limit:
             return dtype
     return None
+
+
+# float-lane products below this many multiply-adds run on one BLAS thread:
+# a desk-scale product is done before a parked second thread wakes, so
+# handing it over only costs time (a fresh gf8-448 pass after 25 s idle:
+# 1.05-1.35 s on two threads, 0.19-0.28 s under this rule)
+SERIAL_MADDS = 2**27
+
+# OpenBLAS's (get, set) thread-count calls: None until the first float-lane
+# product looks them up, () when numpy's BLAS has none
+_blas_thread_calls = None
+
+
+def blas_threads(madds: int) -> int | None:
+    """The BLAS thread count of a float-lane product of ``madds``
+    multiply-adds (every member of a stack counted): 1 below SERIAL_MADDS,
+    None at or above it, for the count the library holds."""
+    return 1 if madds < SERIAL_MADDS else None
+
+
+def _find_blas_thread_calls() -> tuple:
+    """OpenBLAS's thread-count calls, found through the numpy extension that
+    links it (the 64-bit-integer and scipy-openblas builds rename them), or
+    () for another BLAS or numpy build."""
+    import ctypes
+    import sys
+
+    umath = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get("numpy.core._multiarray_umath")
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except (AttributeError, OSError):
+        return ()
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get, put = (getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, ()
+                put.restype, put.argtypes = None, (ctypes.c_int,)
+                return get, put
+    return ()
+
+
+def _float_matmul(left: np.ndarray, right: np.ndarray, madds: int) -> np.ndarray:
+    """``np.matmul`` on ``blas_threads(madds)`` BLAS threads, the caller's
+    count restored after."""
+    global _blas_thread_calls
+    if _blas_thread_calls is None:
+        _blas_thread_calls = _find_blas_thread_calls()
+    threads = blas_threads(madds)
+    if threads is None or not _blas_thread_calls:
+        return np.matmul(left, right)
+    get, put = _blas_thread_calls
+    before = get()
+    if before == threads:
+        return np.matmul(left, right)
+    put(threads)
+    try:
+        return np.matmul(left, right)
+    finally:
+        put(before)
 
 
 def lane_table(coeffs, dtype) -> np.ndarray:
@@ -433,8 +495,12 @@ class IntMatrix:
         lane = matmul_lane(bound)
         if lane is None:
             return self._wrap(np.matmul(self._object(), other._object()))
-        prod = np.matmul(self.lane.astype(lane, copy=False), other.lane.astype(lane, copy=False))
-        return IntMatrix._held(prod, prod if prod.dtype == np.int64 else None)
+        left, right = self.lane.astype(lane, copy=False), other.lane.astype(lane, copy=False)
+        if lane is np.int64:  # numpy's own loop, no BLAS
+            prod = np.matmul(left, right)
+            return IntMatrix._held(prod, prod)
+        members = stacks.pop() if stacks else 1
+        return IntMatrix._held(_float_matmul(left, right, members * self.rows * self.cols * other.cols), None)
 
     @property
     def T(self) -> "IntMatrix":

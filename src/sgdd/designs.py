@@ -144,9 +144,11 @@ def stack_differences(actual: np.ndarray, labels: np.ndarray, coeffs) -> list[tu
     difference as (position, expected entry, actual entry), Python integers.
 
     The pattern is looked up in the lane's dtype (``lane_table``), so the
-    comparison is exact with no int64 copy of either side."""
+    comparison is exact with no int64 copy of either side.  ``labels`` are
+    integers (``uint8``, ``int8``): indexing casts them in buffered chunks,
+    where ``np.take`` would first copy them whole as ``intp``."""
     coeffs = [int(c) for c in coeffs]
-    expected = np.take(lane_table(coeffs, actual.dtype), labels)
+    expected = lane_table(coeffs, actual.dtype)[labels]
     labels = np.broadcast_to(labels, actual.shape)
     out = []
     for t, pos in enumerate(first_differences(actual, expected)):

@@ -138,18 +138,23 @@ def _product_differences(stack: np.ndarray, p: AuxParams, rows) -> dict:
     """(a, b) -> the first difference of C_a C_b^T, on the given rows (all
     of them, or one per orbit), from k C_a (a = b) or mu J, or None.
 
-    C_a C_b^T for every b of a band is one product C_a (hstack_b C_b^T),
-    compared on the labels C_a on block a (0 or k) and 2 elsewhere (mu)."""
+    C_a C_b^T for every a of a group and b of a band is one product
+    (vstack_a C_a) (hstack_b C_b^T), each group and band within
+    STACK_ENTRIES, compared on the labels C_a on block (a, a) (0 or k) and
+    2 elsewhere (mu)."""
     r, v = len(stack), stack.shape[-1]
+    left = stack[:, rows]
     diffs = {}
     for cols in stack_slices(r, v * v):
         band = np.arange(r)[cols]
         right = IntMatrix.view(np.hstack(stack[cols].swapaxes(1, 2)))
-        for a in range(r):
-            left = stack[a][rows]
-            blocks = (IntMatrix.view(left) @ right).lane.reshape(len(left), len(band), v).swapaxes(0, 1)
-            labels = np.where((band == a)[:, None, None], left, np.uint8(2))
-            diffs.update(zip([(a, int(b)) for b in band], stack_differences(blocks, labels, (0, p.k, p.mu))))
+        for part in stack_slices(r, left[0].size * len(band)):
+            group = np.arange(r)[part]
+            prod = (IntMatrix.view(left[part].reshape(-1, v)) @ right).lane
+            blocks = prod.reshape(len(group), -1, len(band), v).swapaxes(1, 2)
+            labels = np.where((group[:, None] == band)[:, :, None, None], left[part][:, None], np.uint8(2))
+            keys = [(int(a), int(b)) for a in group for b in band]
+            diffs.update(zip(keys, stack_differences(blocks, labels, (0, p.k, p.mu))))
     return diffs
 
 

@@ -174,7 +174,7 @@ def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
         for j in range(i, d1):
             prod = (a_i @ IntMatrix.view(relation == j)).lane
             coeffs = lane_table(p[i][j], prod.dtype)
-            if not all((prod[rows] == np.take(coeffs, relation[rows])).all() for rows in bands):
+            if not all((prod[rows] == coeffs[relation[rows]]).all() for rows in bands):
                 k = next(k for k in range(d1) if not (prod[relation == k] == coeffs[k]).all())
                 cert.failed(f"A_{i} A_{j} is not constant on class {k}")
                 return False
@@ -520,7 +520,12 @@ def _identify_labelings(relation: np.ndarray, p) -> list[dict]:
     valency = {i: p[i][i][0] for i in idx}
 
     def classes(labels):
-        return equivalence_classes(np.isin(relation, labels)) if _closed(p, labels) else None
+        if not _closed(p, labels):
+            return None
+        mask = relation == labels[0]  # not np.isin, which indexes a table by a wide copy of R
+        for c in labels[1:]:
+            mask |= relation == c
+        return equivalence_classes(mask)
 
     out = []
     for c1 in idx[1:]:

@@ -143,12 +143,17 @@ def _flipped(aux, idx, x, y):
     return AuxiliarySet(stack, aux.params)
 
 
-def test_auxiliary_forms_one_product_per_matrix(monkeypatch):
+def test_auxiliary_forms_one_product_per_band(monkeypatch):
     aux = aux_from_hadamard(hadamard_matrix(8))
     shapes = _product_shapes(monkeypatch)
     assert verify_auxiliary(aux).ok
-    # C_a (hstack_b C_b^T) for a = 1..7, not one product per pair (a, b)
-    assert shapes == [(8, 56)] * 7
+    # (vstack_a C_a) (hstack_b C_b^T): the 7 x 7 blocks C_a C_b^T in one product
+    assert shapes == [(56, 56)]
+    # an AG set on its orbit route: row 0 of every C_a against one band
+    ag = aux_from_affine_geometry(3, 2)
+    shapes.clear()
+    assert verify_auxiliary(ag).ok
+    assert shapes == [(13, 13 * 27)]
 
 
 def test_auxiliary_certificate_is_the_same_in_narrow_bands(monkeypatch):
