@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for symmetric group divisible designs, linked
 systems of type II, and their 5-class association schemes."""
 
-from .algebra import IntMatrix, Surd
+from .algebra import IntMatrix
 from .designs import (
     Certificate,
     GddParams,

@@ -10,7 +10,7 @@ import numpy as np
 from .algebra import IntMatrix
 from .designs import stack_differences
 from .errors import ParameterError
-from .gf import gf_from_order, is_prime
+from .gf import factor_prime_power, gf_from_order
 
 
 def is_hadamard(h: IntMatrix) -> bool:
@@ -33,15 +33,13 @@ def normalize_hadamard(h: IntMatrix) -> IntMatrix:
 
 
 def _jacobsthal(q: int) -> np.ndarray:
+    """The quadratic character of a_i - a_j over GF(q): 1 on a nonzero
+    square, -1 on a non-square, 0 on the diagonal."""
     ctx = gf_from_order(q)
-    sq = ctx.squares()
-    els = ctx.elements
-    arr = np.zeros((q, q), dtype=np.int64)
-    for i, x in enumerate(els):
-        for j, y in enumerate(els):
-            if i == j:
-                continue
-            arr[i, j] = 1 if ctx.sub(x, y) in sq else -1
+    square = np.zeros(q, dtype=bool)
+    square[[ctx.mul[x][x] for x in range(1, q)]] = True
+    arr = np.where(square[np.array(ctx.add)[:, ctx.neg]], 1, -1)
+    np.fill_diagonal(arr, 0)
     return arr
 
 
@@ -73,24 +71,30 @@ def _paley_hadamard(order: int) -> IntMatrix:
     return IntMatrix(arr + np.eye(order, dtype=np.int64))
 
 
-def hadamard_matrix(order: int) -> IntMatrix:
-    """A normalized Hadamard matrix from the small catalog (Sylvester
-    doubling plus quadratic-residue orders).  Raises if the catalog has no
-    recipe; externally supplied matrices can be used instead."""
+def _catalog_hadamard(order: int) -> IntMatrix | None:
     if order == 1:
         return IntMatrix([[1]])
     if order == 2:
         return IntMatrix([[1, 1], [1, -1]])
     if order % 4 != 0:
+        return None
+    try:
+        factor_prime_power(order - 1)  # order - 1 = 3 mod 4
+    except ParameterError:
+        half = _catalog_hadamard(order // 2)
+        return None if half is None else normalize_hadamard(IntMatrix(np.kron([[1, 1], [1, -1]], half.a)))
+    return normalize_hadamard(_paley_hadamard(order))
+
+
+def hadamard_matrix(order: int) -> IntMatrix:
+    """A normalized Hadamard matrix from the small catalog: Paley I at
+    order q + 1 for a prime power q = 3 mod 4, else Sylvester doubling of
+    order / 2.  Raises if the catalog has no recipe; externally supplied
+    matrices can be used instead."""
+    h = _catalog_hadamard(order)
+    if h is None:
         raise ParameterError(f"no Hadamard matrix of order {order}")
-    q = order - 1
-    if is_prime(q) and q % 4 == 3:
-        return normalize_hadamard(_paley_hadamard(order))
-    if order % 2 == 0:
-        half = hadamard_matrix(order // 2)
-        h = IntMatrix(np.kron([[1, 1], [1, -1]], half.a))
-        return normalize_hadamard(h)
-    raise ParameterError(f"no catalog construction for Hadamard order {order}")
+    return h
 
 
 def is_weighing(w: IntMatrix, weight: int | None = None) -> bool:

@@ -21,7 +21,7 @@ from . import fileio
 from .classical import hadamard_matrix, paley_conference_matrix, signed_permutation_weighing_set
 from .designs import IncidenceMatrix, verify_gdd
 from .errors import FormatError, SgddError
-from .gf import factor_prime_power, gf_make
+from .gf import gf_from_order
 from .latin import (
     linked_mols_from_gf,
     mols_from_gf,
@@ -142,13 +142,13 @@ def _ag_aux(args):
 @_command("construct", "mols", _Q, _OUT)
 def _mols(args):
     """field-derived squares, pairwise orthogonal"""
-    _emit(fileio.format_mols_list(mols_from_gf(gf_make(*factor_prime_power(args.q)))), args.output)
+    _emit(fileio.format_mols_list(mols_from_gf(gf_from_order(args.q))), args.output)
 
 
 @_command("construct", "linked-mols", _Q, _OUT)
 def _linked_mols(args):
     """linked family of compositions of the field squares"""
-    _emit(fileio.format_linked_family(linked_mols_from_gf(gf_make(*factor_prime_power(args.q)))), args.output)
+    _emit(fileio.format_linked_family(linked_mols_from_gf(gf_from_order(args.q))), args.output)
 
 
 @_command("construct", "tilde-l", _opt("--aux", required=True), _opt("--mols", required=True), _OUT)

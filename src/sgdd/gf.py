@@ -1,11 +1,16 @@
-"""Finite fields GF(p^d) with a reproducible element enumeration.
+"""Finite fields GF(p^d), held as operation tables over element indices.
 
-Elements are coefficient tuples ``(c0, c1, ..., c_{d-1})`` over Z_p
-(c0 = constant term).  The modulus is the lexicographically smallest
-irreducible monic polynomial of degree d, found by trial factorisation, and
-elements are enumerated in lexicographic order of their coefficient tuples,
-so the zero element always comes first and the order is identical across
-runs.
+An element is its index 0..q-1: the coefficient tuple (c0, c1, ..., c_{d-1})
+over Z_p (c0 = constant term) numbered in lexicographic order, so the zero
+element is index 0 and the order is identical across runs.  The modulus is
+the lexicographically smallest irreducible monic polynomial of degree d,
+found by trial factorisation.  The tables are filled once per field (Lidl and
+Niederreiter, *Finite Fields*, ch. 9):
+
+* ``add[x][y]``, ``mul[x][y]``, ``neg[x]`` and ``inv[x]`` (None at 0);
+* ``one``, the index of the unit;
+* ``log[x]``, the discrete logarithm of x to the first element, in index
+  order, that generates the multiplicative group (None at 0).
 """
 
 from __future__ import annotations
@@ -44,47 +49,36 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     raise ParameterError(f"{q} is not a prime power")
 
 
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _reduce(c, modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The coefficients (c0 first) of c mod the monic modulus over Z_p, as
+    many as the modulus's degree e: X^t = -X^(t-e) (m_0 + ... + m_{e-1} X^{e-1})
+    for t from the top down to e."""
+    c, e = list(c), len(modulus) - 1
+    for t in range(len(c) - 1, e - 1, -1):
+        for s, m in enumerate(modulus[:e]):
+            c[t - e + s] -= c[t] * m
+    return tuple(a % p for a in c[:e])
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
+def _times(x, y, modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The product of two coefficient tuples, reduced by the modulus."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    return _reduce(prod, modulus, p)
 
 
-def _poly_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        c = (a[-1] * inv_lead) % p
-        for i, x in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * x) % p
-        a = list(_poly_trim(a))
-    return _poly_trim(a)
-
-
-def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    """Trial factorisation: no monic divisor of degree 1..deg/2."""
-    deg = len(m) - 1
-    for e in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=e):
-            cand = tuple(tail) + (1,)
-            if not _poly_mod(m, cand, p):
-                return False
-    return True
+def _find_modulus(p: int, d: int) -> tuple[int, ...]:
+    """The first monic polynomial of degree d, by tails in lexicographic
+    order, with no monic divisor of degree 1..d/2 (trial factorisation)."""
+    divisors = [tail + (1,) for e in range(1, d // 2 + 1) for tail in product(range(p), repeat=e)]
+    candidates = (tail + (1,) for tail in product(range(p), repeat=d))
+    return next(m for m in candidates if all(any(_reduce(m, c, p)) for c in divisors))
 
 
 class GFContext:
-    """Arithmetic context for GF(p^d)."""
+    """GF(p^d) as tables over the element indices 0..q-1."""
 
     def __init__(self, p: int, d: int = 1):
         if not is_prime(p):
@@ -93,100 +87,37 @@ class GFContext:
             raise ParameterError("extension degree must be at least 1")
         self.p = p
         self.d = d
-        self.q = p**d
-        self.modulus = self._find_modulus(p, d)
-        # lexicographic order on coefficient tuples puts 0 first
-        self.elements: list[tuple[int, ...]] = [tuple(c) for c in product(range(p), repeat=d)]
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        self.zero = self.elements[0]
-        self.one = tuple([1] + [0] * (d - 1))
-
-    @staticmethod
-    def _find_modulus(p: int, d: int) -> tuple[int, ...]:
-        if d == 1:
-            return (0, 1)
-        for tail in product(range(p), repeat=d):
-            cand = tuple(tail) + (1,)
-            if _is_irreducible(cand, p):
-                return cand
-        raise RuntimeError(f"no irreducible polynomial of degree {d} over GF({p})")  # pragma: no cover
-
-    # -- element plumbing --------------------------------------------------
-    def index(self, x: tuple[int, ...]) -> int:
-        return self._index[x]
-
-    def element(self, i: int) -> tuple[int, ...]:
-        return self.elements[i]
-
-    def _pad(self, c: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(list(c) + [0] * (self.d - len(c)))
-
-    # -- field operations ---------------------------------------------------
-    def add(self, x, y):
-        return tuple((a + b) % self.p for a, b in zip(x, y))
-
-    def neg(self, x):
-        return tuple((-a) % self.p for a in x)
-
-    def sub(self, x, y):
-        return tuple((a - b) % self.p for a, b in zip(x, y))
-
-    def mul(self, x, y):
-        prod = _poly_mul(_poly_trim(list(x)), _poly_trim(list(y)), self.p)
-        return self._pad(_poly_mod(prod, self.modulus, self.p))
-
-    def pow(self, x, e: int):
-        if e < 0:
-            return self.pow(self.inv(x), -e)
-        out, base = self.one, x
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def inv(self, x):
-        if x == self.zero:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(x, self.q - 2)
-
-    def enumerate(self) -> list[tuple[int, ...]]:
-        return list(self.elements)
-
-    def nonzero(self) -> list[tuple[int, ...]]:
-        return [e for e in self.elements if e != self.zero]
-
-    def primitive_element(self) -> tuple[int, ...]:
-        """First element (enumeration order) generating the multiplicative group."""
-        target = self.q - 1
-        for x in self.nonzero():
-            y, order = x, 1
-            while y != self.one:
-                y = self.mul(y, x)
-                order += 1
-            if order == target:
-                return x
-        raise RuntimeError("multiplicative group is not cyclic")  # pragma: no cover
-
-    def discrete_log_table(self, base) -> dict[tuple[int, ...], int]:
-        table = {}
-        y = self.one
-        for t in range(self.q - 1):
-            table[y] = t
-            y = self.mul(y, base)
-        if len(table) != self.q - 1:
-            raise ParameterError("base does not generate the multiplicative group")
-        return table
-
-    def squares(self) -> set[tuple[int, ...]]:
-        return {self.mul(x, x) for x in self.nonzero()}
+        self.q = q = p**d
+        self.modulus = _find_modulus(p, d)
+        coeffs = list(product(range(p), repeat=d))  # of each index, c0 first
+        index = {c: x for x, c in enumerate(coeffs)}
+        self.add = tuple(tuple(index[tuple((a + b) % p for a, b in zip(x, y))] for y in coeffs) for x in coeffs)
+        self.neg = tuple(index[tuple(-a % p for a in x)] for x in coeffs)
+        self.one = index[(1,) + (0,) * (d - 1)]
+        # the powers of the first generator in index order, by polynomial
+        # products; log, inv and mul are read off them
+        for g in coeffs[1:]:
+            powers, x = [self.one], g
+            while x != coeffs[self.one]:
+                powers.append(index[x])
+                x = _times(x, g, self.modulus, p)
+            if len(powers) == q - 1:
+                break
+        log = [None] * q
+        for t, x in enumerate(powers):
+            log[x] = t
+        self.log = tuple(log)
+        self.inv = (None,) + tuple(powers[-t] for t in log[1:])
+        exp = powers * 2  # g^t for t < 2(q - 1): a sum of two logs
+        self.mul = ((0,) * q,) + tuple((0,) + tuple(exp[s + t] for t in log[1:]) for s in log[1:])
 
     def __repr__(self):
         return f"GF({self.p}^{self.d})" if self.d > 1 else f"GF({self.p})"
 
 
-@lru_cache(maxsize=None)
+# the add and mul tables take 16 q^2 bytes, so the cache keeps the last few
+# fields rather than every field a process visits
+@lru_cache(maxsize=4)
 def gf_make(p: int, d: int = 1) -> GFContext:
     return GFContext(p, d)
 

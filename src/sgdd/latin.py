@@ -108,14 +108,8 @@ def compose(l1: LatinSquare, l2: LatinSquare) -> LatinSquare:
 def mols_from_gf(ctx: GFContext) -> list[LatinSquare]:
     """The q-1 squares with (i, j) entry c*(a_i - a_j), one per nonzero
     scalar c, on symbols = element indices (zero element = symbol 0)."""
-    els = ctx.elements
-    out = []
-    for c in els[1:] if els[0] == ctx.zero else els:
-        grid = tuple(
-            tuple(ctx.index(ctx.mul(c, ctx.sub(x, y))) for y in els) for x in els
-        )
-        out.append(LatinSquare(grid))
-    return out
+    sub = np.array(ctx.add)[:, ctx.neg]
+    return [LatinSquare.of(grid) for grid in np.array(ctx.mul)[1:, sub]]
 
 
 @dataclass(frozen=True)
@@ -185,16 +179,15 @@ def linked_mols_from_gf(ctx: GFContext) -> LinkedMolsFamily:
     For L_c(x, y) = c(x - y), compose(L_a, L_b) = L_c with 1/c = 1/a - 1/b,
     so L_ij = compose(L_i, L_j) has 1/c_ij = 1/c_i - 1/c_j and
     compose(L_ik, L_jk) has 1/c_ik - 1/c_jk = 1/c_ij: the family is linked
-    in every characteristic.  It is certified before it is returned."""
+    in every characteristic.  L_ij is read off the field tables as the
+    square of c_ij, and the family is certified before it is returned."""
     base = mols_from_gf(ctx)
-    f = len(base)  # q - 1
+    f = len(base)  # q - 1; square i has c_i = element i
     if f < 3:
         raise ParameterError(f"field with {ctx.q} elements yields only f = {f} < 3")
-    squares = {}
-    for i in range(1, f + 1):
-        for j in range(1, f + 1):
-            if i != j:
-                squares[(i, j)] = compose(base[i - 1], base[j - 1])
+    inv, add, neg = ctx.inv, ctx.add, ctx.neg
+    pairs = [(i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j]
+    squares = {(i, j): base[inv[add[inv[i]][neg[inv[j]]]] - 1] for i, j in pairs}
     fam = LinkedMolsFamily(f=f, order=ctx.q, squares=squares)
     cert = verify_linked(fam)
     if not cert.ok:

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import IntMatrix, Surd, first_differences
+from .algebra import IntMatrix, first_differences
 from .classical import is_hadamard, is_weighing
 from .designs import (
     Certificate,
@@ -141,8 +141,8 @@ class LinkedSystemII:
 
 @dataclass(frozen=True)
 class CandidateTriple:
-    sigma: Surd
-    tau: Surd
+    sigma: Fraction | None  # None when irrational, as then is tau
+    tau: Fraction | None
     rho: Fraction
     integral: bool
 
@@ -154,28 +154,26 @@ def sigma_tau_rho(k: int, m: int, n: int) -> list[CandidateTriple]:
         tau   = (k^2 (m-2)(n-1) -+ k sqrt(D))        / ((m-1)^2 (n-1) n)
         rho   = k^2 / (n (m-1))
 
-    with D = k (m-1)(n-1)(mn-k-n), each with its integrality flag.
+    with D = k (m-1)(n-1)(mn-k-n), each with its integrality flag.  sigma
+    and tau are rational exactly when D is a perfect square (D = 0 when
+    mn-k-n = 0, and k > 0), and are None otherwise.
     """
     if m < 2 or n < 2:
         raise ParameterError("need m, n >= 2")
-    disc = k * (m - 1) * (n - 1) * (m * n - k - n)
+    w = m * n - k - n
+    disc = k * (m - 1) * (n - 1) * w
     if disc < 0:
         raise ParameterError("k outside the admissible range: negative discriminant")
-    root = Surd.sqrt(disc)
-    denom = Fraction((m - 1) ** 2 * (n - 1) * n)
-    head = Fraction(k * k * (m - 2) * (n - 1))
+    root = isqrt(disc)
+    denom = (m - 1) ** 2 * (n - 1) * n
+    head = k * k * (m - 2) * (n - 1)
     rho = Fraction(k * k, n * (m - 1))
+    rational = root * root == disc
     out = []
     for sign in (1, -1):
-        sigma = (Surd.of(head) + root * Surd.of(Fraction(sign * (m * n - k - n)))) / Surd.of(denom)
-        tau = (Surd.of(head) - root * Surd.of(Fraction(sign * k))) / Surd.of(denom)
-        integral = (
-            sigma.is_rational
-            and tau.is_rational
-            and sigma.as_fraction().denominator == 1
-            and tau.as_fraction().denominator == 1
-            and rho.denominator == 1
-        )
+        sigma = Fraction(head + sign * w * root, denom) if rational else None
+        tau = Fraction(head - sign * k * root, denom) if rational else None
+        integral = rational and sigma.denominator == tau.denominator == rho.denominator == 1
         out.append(CandidateTriple(sigma, tau, rho, integral))
     return out
 
@@ -787,18 +785,10 @@ def bgw_generate(q: int) -> GcmMatrix:
     if q < 3:
         raise ParameterError("need a prime power q >= 3")
     ctx = gf_from_order(q)
-    prim = ctx.primitive_element()
-    dlog = ctx.discrete_log_table(prim)
-    els = ctx.elements
-    size = q + 1
-    entries = [[-1] * size for _ in range(size)]
-    minus_one = dlog[ctx.neg(ctx.one)]
-    for i in range(q):
-        for j in range(q):
-            if i != j:
-                entries[i][j] = dlog[ctx.sub(els[i], els[j])]
-        entries[i][q] = minus_one
-        entries[q][i] = dlog[ctx.one]
+    log, add, neg = ctx.log, ctx.add, ctx.neg
+    minus_one = log[neg[ctx.one]]
+    entries = [[-1 if i == j else log[add[i][neg[j]]] for j in range(q)] + [minus_one] for i in range(q)]
+    entries.append([log[ctx.one]] * q + [-1])
     gcm = GcmMatrix(q - 1, entries)
     cert = verify_gcm(gcm)
     if not cert.ok:

@@ -20,7 +20,7 @@ from .algebra import IntMatrix
 from .classical import is_hadamard
 from .designs import Certificate, Violation, equivalence_classes, on_orbits, orbit_rows, stack_differences, stack_slices, zero_one
 from .errors import CertificationError, ParameterError
-from .gf import factor_prime_power, gf_make
+from .gf import gf_from_order
 
 
 @dataclass(frozen=True)
@@ -200,14 +200,11 @@ def aux_from_affine_geometry(q: int, d: int) -> AuxiliarySet:
     """
     if d < 1:
         raise ParameterError("dimension parameter d must be at least 1")
-    p_char, e = factor_prime_power(q)
-    ctx = gf_make(p_char, e)
+    ctx = gf_from_order(q)
+    p_char, e, one = ctx.p, ctx.d, ctx.one
     dim = d + 1
-    # GF(q) by element index: the addition and multiplication tables
     els = range(q)
-    add = np.array([[ctx.index(ctx.add(ctx.element(x), ctx.element(y))) for y in els] for x in els])
-    mul = np.array([[ctx.index(ctx.mul(ctx.element(x), ctx.element(y))) for y in els] for x in els])
-    one = ctx.index(ctx.one)
+    add, mul = np.array(ctx.add), np.array(ctx.mul)
     points = np.array(list(product(els, repeat=dim)))
     functionals = np.array([c for c in product(els, repeat=dim) if next((x for x in c if x), None) == one])
     # f_a(x) for every functional a and point x, as an (r, v) index array

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import IntMatrix, Surd, first_differences, lane_table, square_free_decomposition, surd_sign
+from .algebra import IntMatrix, first_differences, lane_table, square_free_decomposition, surd_sign
 from .designs import Certificate, GddParams, equivalence_classes, group_labels, stack_slices
 from .errors import CertificationError, ParameterError
 from .linked import LinkedParams, LinkedSystemII, ordered_pairs, pair_index, verify_linked_system
@@ -65,9 +65,10 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class Eigenmatrix:
-    """The 6x6 matrix (rational + irrational sqrt(radicand)) / den: numerators
-    in object arrays of Python integers, one positive denominator, and a
-    square-free radicand, or 0 when every entry is rational."""
+    """The 6x6 matrix, or the 6x6x6 Krein tensor, (rational + irrational
+    sqrt(radicand)) / den: numerators in object arrays of Python integers of
+    that shape, one positive denominator, and a square-free radicand, or 0
+    when every entry is rational."""
 
     rational: np.ndarray
     irrational: np.ndarray
@@ -89,7 +90,7 @@ class AssociationScheme:
     p: list[list[list[int]]]
     params: SchemeParams
     spectra: Spectra
-    krein: list[list[list[Surd]]]
+    krein: Eigenmatrix               # q_{i,j}^k at [i, j, k]
     certificate: Certificate
 
     @property
@@ -255,16 +256,17 @@ def closed_form_multiplicities(params: SchemeParams) -> list[int]:
     return [1, m * (n - 1), m - 1, (f - 1) * (m - 1), (f - 1) * m * (n - 1), f - 1]
 
 
-def closed_form_krein_b2(params: SchemeParams) -> list[list[Fraction]]:
+def closed_form_krein_b2(params: SchemeParams) -> list[list[int]]:
+    """f q_{2,j}^k, the entrywise-product structure constants of E_2 times f,
+    in integers; q_21^1 = m/f - 1 sits at [1][1]."""
     m, f = params.m, params.f
-    mf = Fraction(m, f)
     return [
-        [0, 0, 1, 0, 0, 0],
-        [0, mf - 1, 0, 0, mf, 0],
-        [m - 1, 0, m - 2, 0, 0, 0],
-        [0, 0, 0, m - 2, 0, m - 1],
-        [0, (f - 1) * mf, 0, 0, m - 1 - mf, 0],
-        [0, 0, 0, 1, 0, 0],
+        [0, 0, f, 0, 0, 0],
+        [0, m - f, 0, 0, m, 0],
+        [f * (m - 1), 0, f * (m - 2), 0, 0, 0],
+        [0, 0, 0, f * (m - 2), 0, f * (m - 1)],
+        [0, (f - 1) * m, 0, 0, f * (m - 1) - m, 0],
+        [0, 0, 0, f, 0, 0],
     ]
 
 
@@ -353,43 +355,41 @@ def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
     return spectra, cert
 
 
-def compute_krein(spectra: Spectra, params: SchemeParams) -> tuple[list[list[list[Surd]]], Certificate]:
+def compute_krein(spectra: Spectra, params: SchemeParams) -> tuple[Eigenmatrix, Certificate]:
     """q_{i,j}^k = (1/|X|) sum_l Q[l,i] Q[l,j] P[k,l], read off the
     eigenmatrices that ``compute_spectra`` certified against p: E_i o E_j is
     (1/|X|^2) sum_l Q[l,i] Q[l,j] A_l and A_l = sum_k P[k,l] E_k
     (Bannai-Ito, Algebraic Combinatorics I, section 2.3).
 
     Every q_{i,j}^k is an integer triple sum over |X| c_Q^2 c_P, signed by
-    ``surd_sign``; the Surd values are built once, for the scheme."""
+    ``surd_sign``, and the tensor is held as those numerators; the closed
+    forms are compared in integers, times f."""
     cert = Certificate("Krein parameters")
     pm, qm, d = spectra.P, spectra.Q, spectra.radicand
+    m, f = params.m, params.f
     den = params.size * qm.den**2 * pm.den
     qr, qs = qm.rational.T, qm.irrational.T
     # [i, j, l]: numerators of Q[l,i] Q[l,j]; then [i, j, k] after the sum over l
     had = _times((qr[:, None], qs[:, None]), (qr[None], qs[None]), d, np.multiply)
     num_r, num_s = _times(had, (pm.rational.T, pm.irrational.T), d)
-    q: list[list[list[Surd]]] = [[[None] * CLASSES for _ in range(CLASSES)] for _ in range(CLASSES)]
     for i in range(CLASSES):
         for j in range(i, CLASSES):
             for k in range(CLASSES):
-                a, b = num_r[i, j, k], num_s[i, j, k]
-                q[i][j][k] = q[j][i][k] = Surd(Fraction(a, den), Fraction(b, den), d if b else 0)
-                if surd_sign(a, b, d) < 0:
+                if surd_sign(num_r[i, j, k], num_s[i, j, k], d) < 0:
                     cert.failed(f"Krein parameter q_{i}{j}^{k} is negative")
     if cert.ok:
         cert.passed("all Krein parameters are non-negative")
 
     b2 = np.array(closed_form_krein_b2(params), dtype=object)
-    if _is_rational((num_r[2], num_s[2]), b2 * den):
+    if _is_rational((f * num_r[2], num_s[2]), b2 * den):
         cert.passed("entrywise-product structure constants of E_2 match their closed form")
     else:
         cert.failed("entrywise-product structure constants of E_2 match their closed form")
-    expected = Fraction(params.m, params.f) - 1
-    if _is_rational((num_r[2, 1, 1], num_s[2, 1, 1]), expected * den):
-        cert.passed(f"q_21^1 = m/f - 1 = {expected}")
+    if _is_rational((f * num_r[2, 1, 1], num_s[2, 1, 1]), (m - f) * den):
+        cert.passed(f"q_21^1 = m/f - 1 = {Fraction(m - f, f)}")
     else:
         cert.failed("q_21^1 = m/f - 1")
-    return q, cert
+    return Eigenmatrix(num_r, num_s, den, d), cert
 
 
 # -- assembly --------------------------------------------------------------------

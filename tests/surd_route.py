@@ -1,8 +1,9 @@
 """Reference route for the 6x6 eigenmatrix algebra: the closed forms of P and
 Q written entry by entry as ``Surd`` values, a dense matrix over Q(sqrt(d))
-with a triple-loop product, and the Krein parameters summed in ``Surd``
-arithmetic.  The tests compare ``sgdd.schemes``, which works on integer
-numerators over one denominator, against it."""
+with a triple-loop product, the Krein parameters summed in ``Surd``
+arithmetic, and the closed-form (sigma, tau, rho) triple with sqrt(D) a
+``Surd``.  The tests compare ``sgdd.schemes`` and ``sgdd.linked``, which work
+on integer numerators over one denominator, against it."""
 
 from fractions import Fraction
 
@@ -65,6 +66,18 @@ def as_surd_matrix(em) -> SurdMatrix:
             for i in range(CLASSES)
         ]
     )
+
+
+def as_surd_tensor(em) -> list[list[list[Surd]]]:
+    """The entries of a 6x6x6 ``Eigenmatrix``, such as a scheme's Krein
+    tensor, as nested lists of Surd values, [i][j][k] at [i, j, k]."""
+    return [
+        [
+            [Surd.of(Fraction(em.rational[i, j, k], em.den), Fraction(em.irrational[i, j, k], em.den), em.radicand) for k in range(CLASSES)]
+            for j in range(CLASSES)
+        ]
+        for i in range(CLASSES)
+    ]
 
 
 def surd_p_matrix(params) -> SurdMatrix:
@@ -203,3 +216,30 @@ def spectra_by_surds(p, params, pm: SurdMatrix, qm: SurdMatrix) -> Certificate:
     else:
         cert.failed("P row 0 equals the valencies")
     return cert
+
+
+def sigma_tau_rho_by_surds(k: int, m: int, n: int) -> list[tuple[Surd, Surd, Fraction, bool]]:
+    """(sigma, tau, rho, integral) for both sign choices of the closed-form
+    triple of ``sgdd.linked.sigma_tau_rho``, with sqrt(D) a Surd."""
+    if m < 2 or n < 2:
+        raise ParameterError("need m, n >= 2")
+    disc = k * (m - 1) * (n - 1) * (m * n - k - n)
+    if disc < 0:
+        raise ParameterError("k outside the admissible range: negative discriminant")
+    root = Surd.sqrt(disc)
+    denom = Fraction((m - 1) ** 2 * (n - 1) * n)
+    head = Fraction(k * k * (m - 2) * (n - 1))
+    rho = Fraction(k * k, n * (m - 1))
+    out = []
+    for sign in (1, -1):
+        sigma = (Surd.of(head) + root * Surd.of(Fraction(sign * (m * n - k - n)))) / Surd.of(denom)
+        tau = (Surd.of(head) - root * Surd.of(Fraction(sign * k))) / Surd.of(denom)
+        integral = (
+            sigma.is_rational
+            and tau.is_rational
+            and sigma.as_fraction().denominator == 1
+            and tau.as_fraction().denominator == 1
+            and rho.denominator == 1
+        )
+        out.append((sigma, tau, rho, integral))
+    return out

@@ -46,7 +46,7 @@ from sgdd.schemes import (
     check_fusion,
     extract_linked_system,
 )
-from surd_route import SurdMatrix, as_surd_matrix
+from surd_route import SurdMatrix, as_surd_matrix, as_surd_tensor
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,13 +96,14 @@ def test_criterion_3_end_to_end_16(scheme48, sys16):
     pm, qm = as_surd_matrix(scheme.spectra.P), as_surd_matrix(scheme.spectra.Q)
     assert [pm[0, i] for i in range(CLASSES)] == [Surd.of(x) for x in (1, 3, 12, 12, 12, 8)]
     assert pm @ qm == SurdMatrix.identity(CLASSES).scalar_mul(48)
+    krein = as_surd_tensor(scheme.krein)
     assert all(
-        scheme.krein[i][j][k].sign() >= 0
+        krein[i][j][k].sign() >= 0
         for i in range(CLASSES)
         for j in range(CLASSES)
         for k in range(CLASSES)
     )
-    assert scheme.krein[2][1][1] == Surd.of(Fraction(1, 3))
+    assert krein[2][1][1] == Surd.of(Fraction(1, 3))
     fusion = check_fusion(scheme)
     assert fusion.fusable and fusion.predicted
     assert Fraction((4 - 1) * 4 * (4 - 1), 4 + 4 - 2) == 6

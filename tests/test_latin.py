@@ -112,6 +112,19 @@ def test_linked_family_gf8():
     assert verify_linked(fam).ok
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16])
+def test_field_family_equals_the_composed_family(q, monkeypatch):
+    ctx = gf_from_order(q)
+    base = mols_from_gf(ctx)
+    composed = {(i, j): compose(base[i - 1], base[j - 1]) for i in range(1, q) for j in range(1, q) if i != j}
+
+    def refuse(*args):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(sgdd.latin, "compose", refuse)
+    assert linked_mols_from_gf(ctx).squares == composed
+
+
 def test_gf2_rejected():
     with pytest.raises(ParameterError):
         linked_mols_from_gf(gf_make(2, 1))

@@ -7,6 +7,7 @@ import pytest
 import sgdd.linked
 import sgdd.schemes
 from block_route import first_difference
+from surd_route import sigma_tau_rho_by_surds
 from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.classical import (
@@ -37,6 +38,7 @@ from sgdd.linked import (
     verify_gcm,
     verify_linked_system,
 )
+from sgdd.scanner import scan_table1, scan_table2
 
 
 def test_triple_candidates_16():
@@ -56,11 +58,32 @@ def test_triple_candidates_gcm_shape_flagged():
     cands = sigma_tau_rho(5, 6, 4)
     assert all(not c.integral for c in cands)
     assert all(c.rho == Fraction(5, 4) for c in cands)
+    assert all(c.sigma is None and c.tau is None for c in cands)  # D = 1125 is no square
 
 
 def test_triple_rejects_out_of_range():
-    with pytest.raises(ParameterError):
-        sigma_tau_rho(30, 4, 4)  # k > (m-1)n gives a negative discriminant
+    for route in (sigma_tau_rho, sigma_tau_rho_by_surds):
+        with pytest.raises(ParameterError):
+            route(30, 4, 4)  # k > (m-1)n gives a negative discriminant
+
+
+def test_triples_match_the_surd_route():
+    # every table row with v <= 5000 (D a square), the GCM shape (5, 6, 4)
+    # and a grid of small (k, m, n), most of them with D no square
+    rows = {(r.k, r.m, r.n) for r in scan_table1(5000) + scan_table2(5000)}
+    grid = {(k, m, n) for m in range(2, 9) for n in range(2, 9) for k in range(1, (m - 1) * n)}
+    assert len(rows) > 100 and (5, 6, 4) in grid
+    irrational = 0
+    for k, m, n in sorted(rows | grid):
+        ref = sigma_tau_rho_by_surds(k, m, n)
+        for c, (sigma, tau, rho, integral) in zip(sigma_tau_rho(k, m, n), ref, strict=True):
+            assert (c.rho, c.integral) == (rho, integral)
+            if sigma.is_rational and tau.is_rational:
+                assert (c.sigma, c.tau) == (sigma, tau)
+            else:
+                assert c.sigma is None and c.tau is None and not sigma.is_rational and not tau.is_rational
+                irrational += 1
+    assert irrational > 100
 
 
 def test_tilde_l_16(sys16):

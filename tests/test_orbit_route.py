@@ -66,8 +66,7 @@ def test_an_affine_geometry_set_takes_the_orbit_route(routes):
 def _gf8_shifts(n: int) -> list[np.ndarray]:
     """The vertex permutations of the GF(8) system that add t to the group
     of each vertex, for every field element t."""
-    ctx = gf_from_order(8)
-    add = np.array([[ctx.index(ctx.add(ctx.element(a), ctx.element(t))) for a in range(8)] for t in range(8)])
+    add = np.array(gf_from_order(8).add)
     return [(add[t][:, None] * n + np.arange(n)).ravel() for t in range(8)]
 
 

@@ -6,7 +6,8 @@ import pytest
 import sgdd.designs
 from sgdd import fileio
 from sgdd.algebra import IntMatrix
-from sgdd.classical import hadamard_matrix
+from sgdd.classical import hadamard_matrix, is_hadamard
+from sgdd.cli import main
 from sgdd.errors import CertificationError, ParameterError
 from sgdd.gf import gf_from_order
 from sgdd.latin import linked_mols_from_gf
@@ -19,6 +20,8 @@ from sgdd.resolvable import (
     auxiliary_set,
     verify_auxiliary,
 )
+
+from gf_route import tuple_field
 
 
 def test_hadamard4_axioms(aux_had4):
@@ -170,7 +173,7 @@ def test_auxiliary_certificate_is_the_same_in_narrow_bands(monkeypatch):
 def _ag_reference(q: int, d: int) -> list[np.ndarray]:
     """C_a of AG(d+1, q) from its pairwise definition, x ~ y when
     f_a(x) = f_a(y), with the field operations on coefficient tuples."""
-    ctx = gf_from_order(q)
+    ctx = tuple_field(gf_from_order(q))
     points = [tuple(ctx.element(i) for i in idx) for idx in product(range(q), repeat=d + 1)]
     functionals = [cs for cs in points if next((c for c in cs if c != ctx.zero), None) == ctx.one]
     out = []
@@ -202,6 +205,23 @@ def test_hadamard_set_matches_definition(order):
     for i, c in enumerate(aux.stack, start=1):
         row = np.array(h.row(i))
         assert np.array_equal(c, (np.outer(row, row) + 1) // 2)
+
+
+def test_paley_hadamard_of_a_prime_power_order_certifies():
+    # 27 = 3^3 = 3 mod 4: Paley I over GF(27), the one catalog route to 28
+    h = hadamard_matrix(28)
+    assert is_hadamard(h) and (h.a[0] == 1).all() and (h.a[:, 0] == 1).all()
+    aux = aux_from_hadamard(h)
+    assert aux.certificate.ok and aux.r == 27
+
+
+@pytest.mark.parametrize("order", [6, 36, 52, 92])
+def test_a_missing_hadamard_order_is_named(order, tmp_path, capsys):
+    # Sylvester doubling of 36 reaches 18, which is not named
+    with pytest.raises(ParameterError, match=f"^no Hadamard matrix of order {order}$"):
+        hadamard_matrix(order)
+    assert main(["construct", "hadamard-aux", "--order", str(order), "-o", str(tmp_path / "h.aux")]) == 1
+    assert capsys.readouterr().err == f"error: no Hadamard matrix of order {order}\n"
 
 
 @pytest.mark.parametrize("entry", [2, 256, -1])

@@ -39,6 +39,7 @@ from class_list_route import class_matrices, classes_of
 from surd_route import (
     SurdMatrix,
     as_surd_matrix,
+    as_surd_tensor,
     krein_by_surds,
     spectra_by_surds,
     surd_p_matrix,
@@ -74,11 +75,11 @@ def test_48_vertex_spectra(scheme48):
 
 
 def test_48_vertex_krein(scheme48):
-    q = scheme48.krein
+    q = as_surd_tensor(scheme48.krein)
     assert q[2][1][1] == Surd.of(Fraction(1, 3))
     assert q[2][0][2] == Surd.of(1)
-    b2 = closed_form_krein_b2(scheme48.params)
-    assert all(q[2][j][k] == b2[j][k] for j in range(CLASSES) for k in range(CLASSES))
+    b2, f = closed_form_krein_b2(scheme48.params), scheme48.params.f
+    assert all(q[2][j][k] == Fraction(b2[j][k], f) for j in range(CLASSES) for k in range(CLASSES))
     assert all(
         q[i][j][k].sign() >= 0 for i in range(CLASSES) for j in range(CLASSES) for k in range(CLASSES)
     )
@@ -142,7 +143,7 @@ def test_dense_idempotents_cross_check(scheme48, conference24):
         # formed as integer matrices
         rational, irrational = _surd_product(_surd_hadamard(e[1], e[4], d), e[2], d)
         trace = Surd.of(Fraction(int(np.trace(rational.a)), c**3), Fraction(int(np.trace(irrational.a)), c**3), d)
-        assert trace * Fraction(size, mult[2]) == scheme.krein[1][4][2]
+        assert trace * Fraction(size, mult[2]) == as_surd_tensor(scheme.krein)[1][4][2]
 
 
 def test_135_vertex_scheme(scheme135):
@@ -160,7 +161,7 @@ def test_f2_scheme_with_genuine_surds(conference12):
     assert pm[1, 3] == Surd.of(0, 1, 5)
     prod = pm @ as_surd_matrix(scheme.spectra.Q)
     assert prod == SurdMatrix.identity(CLASSES).scalar_mul(24)
-    assert scheme.krein[2][1][1] == Surd.of(Fraction(6, 2) - 1)
+    assert as_surd_tensor(scheme.krein)[2][1][1] == Surd.of(Fraction(6, 2) - 1)
 
 
 def test_f2_scheme_from_gcm(gcm24):
@@ -219,7 +220,7 @@ def test_load_scheme_certifies_once(scheme48, monkeypatch):
     assert scheme.relation.dtype == np.uint8
     assert np.array_equal(scheme.relation, scheme48.relation)
     assert scheme.p == scheme48.p
-    assert scheme.krein == scheme48.krein
+    assert as_surd_tensor(scheme.krein) == as_surd_tensor(scheme48.krein)
     cert = scheme.certificate
     assert cert.ok
     assert "all products A_i A_j decompose with constant class coefficients" in cert.checks
@@ -325,10 +326,10 @@ def test_maximal_systems_attain_krein_bound(scheme225):
     fam4 = search_linked_mols(4, 4)
     scheme64 = assemble_scheme(build_tilde_l(aux_from_hadamard(hadamard_matrix(4)), fam4))
     assert scheme64.params.f == scheme64.params.m == 4
-    assert scheme64.krein[2][1][1] == Surd.of(0)  # m/f - 1 vanishes at the bound
+    assert as_surd_tensor(scheme64.krein)[2][1][1] == Surd.of(0)  # m/f - 1 vanishes at the bound
 
     assert scheme225.params.f == scheme225.params.m == 5
-    assert scheme225.krein[2][1][1] == Surd.of(0)
+    assert as_surd_tensor(scheme225.krein)[2][1][1] == Surd.of(0)
 
 
 def test_minimal_scheme_from_degenerate_conference():
@@ -620,7 +621,7 @@ def test_dense_route_past_255_vertices(scheme448):
 def test_krein_matches_coefficient_algebra(source, radicand, request):
     scheme = request.getfixturevalue(source)
     assert scheme.spectra.radicand == radicand
-    assert scheme.krein == _krein_by_coefficient_algebra(scheme)
+    assert as_surd_tensor(scheme.krein) == _krein_by_coefficient_algebra(scheme)
 
 
 def _eigenvalue_lines(cert):
@@ -753,10 +754,10 @@ def test_krein_matches_surd_route(k, m, n, f):
     spectra = sgdd.schemes.Spectra(pm, closed_form_q_matrix(params), closed_form_multiplicities(params), pm.radicand)
     q, cert = sgdd.schemes.compute_krein(spectra, params)
     ref_q, ref_cert = krein_by_surds(surd_p_matrix(params), surd_q_matrix(params), params)
-    assert q == ref_q
+    assert as_surd_tensor(q) == ref_q
     assert cert.report_lines() == ref_cert.report_lines()
     if f > m:  # q_12^1 = q_21^1 = m/f - 1 < 0
-        assert q[1][2][1] == Fraction(m, f) - 1
+        assert as_surd_tensor(q)[1][2][1] == Fraction(m, f) - 1
         assert "Krein parameter q_12^1 is negative" in [v.identity for v in cert.violations]
 
 
@@ -764,7 +765,7 @@ def test_krein_matches_surd_route(k, m, n, f):
 def test_scheme_krein_matches_surd_route(source, request):
     scheme = request.getfixturevalue(source)
     q, cert = krein_by_surds(as_surd_matrix(scheme.spectra.P), as_surd_matrix(scheme.spectra.Q), scheme.params)
-    assert scheme.krein == q
+    assert as_surd_tensor(scheme.krein) == q
     assert cert.checks == scheme.certificate.checks[-len(cert.checks):]
 
 
