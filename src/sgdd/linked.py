@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from types import MappingProxyType
 
@@ -54,11 +55,11 @@ class LinkedParams:
 
     For f = 2 there is no triple product and the triple must be absent.
     For f >= 3 the triple is required and the defining identities are
-    enforced:
+    enforced in integers:
         (sigma - tau)^2 = k - l1
         (sigma - tau)(rho - tau) + (sigma - tau + k) tau = k l2
-        (rho - tau - l1 + l2) k/(m-1) = (sigma - tau)(rho - tau)
-        rho = k^2 / (n (m-1))
+        (rho - tau - l1 + l2) k = (sigma - tau)(rho - tau)(m-1)
+        k^2 = rho n (m-1)
     """
 
     base: GddParams
@@ -87,10 +88,9 @@ class LinkedParams:
             raise ParameterError(f"(sigma-tau)^2 = {(s - t) ** 2} != k - l1 = {p.k - p.lambda1}")
         if (s - t) * (r - t) + (s - t + p.k) * t != p.k * p.lambda2:
             raise ParameterError("second triple-product identity fails")
-        lhs = Fraction((r - t - p.lambda1 + p.lambda2) * p.k, p.m - 1)
-        if lhs != (s - t) * (r - t):
+        if (r - t - p.lambda1 + p.lambda2) * p.k != (s - t) * (r - t) * (p.m - 1):
             raise ParameterError("commutation identity for (rho - tau) fails")
-        if Fraction(p.k * p.k, p.n * (p.m - 1)) != r:
+        if p.k * p.k != r * p.n * (p.m - 1):
             raise ParameterError(f"rho = {r} != k^2/(n(m-1))")
         # rho = tau is admissible: partial complements of symmetric-design
         # systems at self-complementary degree realize it exactly.
@@ -115,7 +115,6 @@ class LinkedSystemII:
 
     params: LinkedParams
     stack: np.ndarray
-    blocks: Mapping[tuple[int, int], IncidenceMatrix] = field(init=False, repr=False)  # A_ij by pair, read-only views
     certificate: Certificate | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -124,9 +123,13 @@ class LinkedSystemII:
             raise ParameterError(f"a linked system on {self.params.f} indices has {count} blocks, not {len(self.stack)}")
         # every block square, of order m*n and 0/1, as for one IncidenceMatrix
         self.stack = IncidenceMatrix(IntMatrix.view(self.stack), base.m, base.n).mat.lane
-        view = self.stack.view()
+
+    @cached_property
+    def blocks(self) -> Mapping[tuple[int, int], IncidenceMatrix]:
+        """A_ij by pair, as read-only views of the stack, built on first read."""
+        base, view = self.params.base, self.stack.view()
         view.flags.writeable = False
-        self.blocks = MappingProxyType({pair: IncidenceMatrix(IntMatrix.view(blk), base.m, base.n) for pair, blk in zip(ordered_pairs(self.f), view)})
+        return MappingProxyType({pair: IncidenceMatrix(IntMatrix.view(blk), base.m, base.n) for pair, blk in zip(ordered_pairs(self.f), view)})
 
     @property
     def f(self) -> int:
@@ -178,15 +181,16 @@ def sigma_tau_rho(k: int, m: int, n: int) -> list[CandidateTriple]:
     return out
 
 
+def symmetric_design_numerators(m: int, n: int) -> tuple[int, int, int, int]:
+    """The unique admissible triple when lambda1 = lambda2, as numerators
+    over the last entry: ((m-1)n(m^2-3m+1+n), (m-3)(m-1)^2 n, (m-1)^3 n) / (m+n-2)^2."""
+    return (m - 1) * n * (m * m - 3 * m + 1 + n), (m - 3) * (m - 1) ** 2 * n, (m - 1) ** 3 * n, (m + n - 2) ** 2
+
+
 def symmetric_design_triple(m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The unique admissible triple when lambda1 = lambda2:
-    ((m-1)n(m^2-3m+1+n), (m-3)(m-1)^2 n, (m-1)^3 n) / (m+n-2)^2."""
-    den = (m + n - 2) ** 2
-    return (
-        Fraction((m - 1) * n * (m * m - 3 * m + 1 + n), den),
-        Fraction((m - 3) * (m - 1) ** 2 * n, den),
-        Fraction((m - 1) ** 3 * n, den),
-    )
+    """``symmetric_design_numerators`` as three fractions."""
+    *nums, den = symmetric_design_numerators(m, n)
+    return tuple(Fraction(x, den) for x in nums)
 
 
 # -- certification -----------------------------------------------------------

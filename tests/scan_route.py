@@ -2,7 +2,11 @@
 (m, n) with m >= 3, n >= 2 and mn <= v_max is a cell, and each cell runs
 all of its checks, table1's degree test through ``Fraction`` included.
 The tests compare ``sgdd.scanner``, which visits only the cells (and, for
-table2, the degrees) that the divisibility laws admit, against it."""
+table2, the degrees) that the divisibility laws admit, against it.
+
+``linked_params_refusal`` is the check of ``sgdd.linked.LinkedParams``
+with its two rational identities in ``Fraction``, the form the integer
+cross-multiplication replaced."""
 
 from fractions import Fraction
 from math import isqrt
@@ -129,3 +133,29 @@ def scan_table2(v_max: int) -> list[FeasibleRow]:
     rows = _run_cells(_table2_cell, v_max)
     rows.sort(key=lambda r: (r.v, r.k, r.sigma))
     return rows
+
+
+def linked_params_refusal(base, f, sigma, tau, rho) -> str | None:
+    """The message ``LinkedParams(base, f, sigma, tau, rho)`` refuses with,
+    or None when it accepts; reads k, m, n, lambda1, lambda2 of ``base``."""
+    if f < 2:
+        return "need at least two indices"
+    have = [x is not None for x in (sigma, tau, rho)]
+    if any(have) and not all(have):
+        return "sigma, tau, rho must be given together"
+    if f == 2:
+        return "a two-index pair carries no triple-product coefficients" if any(have) else None
+    if not all(have):
+        return "f >= 3 requires sigma, tau, rho"
+    p, s, t, r = base, sigma, tau, rho
+    if min(s, t, r) < 0:
+        return "sigma, tau, rho must be non-negative"
+    if (s - t) ** 2 != p.k - p.lambda1:
+        return f"(sigma-tau)^2 = {(s - t) ** 2} != k - l1 = {p.k - p.lambda1}"
+    if (s - t) * (r - t) + (s - t + p.k) * t != p.k * p.lambda2:
+        return "second triple-product identity fails"
+    if Fraction((r - t - p.lambda1 + p.lambda2) * p.k, p.m - 1) != (s - t) * (r - t):
+        return "commutation identity for (rho - tau) fails"
+    if Fraction(p.k * p.k, p.n * (p.m - 1)) != r:
+        return f"rho = {r} != k^2/(n(m-1))"
+    return None

@@ -2,6 +2,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -290,3 +291,131 @@ def test_walks_visit_exactly_the_admitted_cells(walks, cell):
         if j * j % n == 0 and (m - 1) ** 2 * j * (j - 1) % ((m - 1) * (n - 1)) == 0
     }
     assert table2.get((m, n), set()) == admitted
+
+
+def test_sieve_matches_trial_division():
+    """Every n <= 33 334, the most table2 factors at v_max = 100000: the
+    sieve's least prime factor and the (s, d) the walk reads off it."""
+    from sgdd.algebra import square_free_decomposition
+
+    spf = scanner._least_prime_factors(33_334)
+
+    def least_prime_factor(x):
+        return next((p for p in range(2, isqrt(x) + 1) if x % p == 0), x)
+
+    assert [spf[x] or x for x in range(2, 33_335)] == [least_prime_factor(x) for x in range(2, 33_335)]
+    assert [scanner._square_free(n, spf) for n in range(1, 33_335)] == [square_free_decomposition(n) for n in range(1, 33_335)]
+
+
+def test_table1_divisor_walks_match_brute_force():
+    """Both table1 walks at v_max = 100000 (r = 316), for every m or n up to
+    317, against every t in the walk's window that divides the product."""
+    v_max, root = 100_000, 316
+    spf = scanner._least_prime_factors(317)
+    windows = [(m - 2, m - 1, m, m - 2 + v_max // m) for m in range(3, 318)]
+    windows += [(n, n - 1, root + n - 1, v_max // n + n - 2) for n in range(2, 318)]
+    for a, b, lo, hi in windows:
+        want = [t for t in range(lo, hi + 1) if a * b * b % t == 0]
+        assert sorted(scanner._divisors_in(a, b, lo, hi, spf)) == want, (a, b)
+
+
+def test_full_range_outputs_are_pinned():
+    """The digests of both tables at v_max = 100000, as the grid route's
+    scanner emitted them before the integer walks."""
+    import hashlib
+
+    table1, table2 = scan_table1(100_000), scan_table2(100_000)
+    assert (len(table1), len(table2)) == (266, 3258)
+    digests = [hashlib.sha256(rows_to_csv(rows, t).encode()).hexdigest() for rows, t in ((table1, 1), (table2, 2))]
+    assert digests == [
+        "2d101303238a20f572d860fce1bf91948b872d387ce3e30ce700e07598953c72",
+        "c5aecea25bab5880eaff91cd77ec7149bde4ca020471ac3f99599530b8261877",
+    ]
+
+
+def test_scans_validate_only_emitted_rows_and_build_no_fraction(monkeypatch):
+    """Each emitted row builds one GddParams (in FeasibleRow); no visited
+    degree builds one, and neither scan builds a Fraction."""
+    built = Counter()
+    real_post_init = GddParams.__post_init__
+
+    def count_gdd(self):
+        built["GddParams"] += 1
+        real_post_init(self)
+
+    def count_fraction(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    real_new = Fraction.__new__
+    monkeypatch.setattr(GddParams, "__post_init__", count_gdd)
+    monkeypatch.setattr(Fraction, "__new__", count_fraction)
+    assert len(scan_table2(5000)) == 318
+    assert built == Counter(GddParams=318)
+    assert len(scan_table1(100_000)) == 266
+    assert len(scan_table2(100_000)) == 3258
+    assert built == Counter(GddParams=318 + 266 + 3258)
+    Fraction(1, 2)
+    assert built["Fraction"] == 1  # the spy sees a Fraction built outside the scans
+
+
+def _refusal(base, f, sigma, tau, rho):
+    try:
+        LinkedParams(base, f, sigma, tau, rho)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+def _near_misses():
+    """(k, m, n, l1, l2, sigma, tau, rho) meeting the first two identities
+    with (rho-tau-l1+l2)k = (sigma-tau)(rho-tau)(m-1) + e, e in {-1, 0, 1}:
+    the numerator of the third identity's Fraction off by one, or exact.
+    With sigma = tau, l1 = k and rho = k the third holds at every m, and
+    k = 1, m = n = 2 misses the fourth, k^2 = rho n(m-1), by one."""
+    out = [(1, 2, 2, 1, t, t, t, 1) for t in range(3)]
+    for t in range(4):
+        for a in range(1, 4):  # sigma - tau
+            for r in range(12):
+                for k in range(1, 25):
+                    if a * r % k:
+                        continue
+                    # (sigma-tau)^2 = k - l1 and k l2 = a(r-t) + (a+k)t = ar + kt
+                    l1, l2 = k - a * a, a * r // k + t
+                    miss = [(r - t - l1 + l2) * k - a * (r - t) * (m - 1) for m in range(2, 12)]
+                    out += [(k, m, 2 + k % 3, l1, l2, t + a, t, r) for m, e in zip(range(2, 12), miss) if abs(e) <= 1]
+    return out
+
+
+_NEAR_MISSES = _near_misses()
+_FEASIBLE = [
+    (r.k, r.m, r.n, r.lambda1, r.lambda2, r.sigma, r.tau, r.rho) for r in scan_table1(1000) + scan_table2(500)
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.sampled_from(_NEAR_MISSES), st.sampled_from(_FEASIBLE)),
+    st.integers(0, 7),
+    st.integers(-1, 1),
+    st.sampled_from((3, 3, 3, 2, 1)),
+    st.sampled_from((False, False, False, True)),
+)
+def test_linked_params_integer_checks_match_fraction_route(values, field, shift, f, drop_rho):
+    """LinkedParams reads only k, m, n, lambda1 and lambda2 of its base, so a
+    namespace carries tuples GddParams would refuse: feasible rows and near
+    misses, with one field moved by at most one (m and n kept >= 2)."""
+    k, m, n, l1, l2, sigma, tau, rho = (x + shift * (i == field) for i, x in enumerate(values))
+    base = SimpleNamespace(k=k, m=max(m, 2), n=max(n, 2), lambda1=l1, lambda2=l2)
+    rho = None if drop_rho else rho
+    assert _refusal(base, f, sigma, tau, rho) == route.linked_params_refusal(base, f, sigma, tau, rho)
+
+
+def test_linked_params_differential_reaches_every_verdict():
+    """The near-miss tuples reach the third and fourth identities and pass
+    them too, so the differential test compares every branch."""
+    verdicts = {
+        route.linked_params_refusal(SimpleNamespace(k=k, m=m, n=n, lambda1=l1, lambda2=l2), 3, s, t, r)
+        for k, m, n, l1, l2, s, t, r in _NEAR_MISSES + _FEASIBLE
+    }
+    assert {"commutation identity for (rho - tau) fails", "rho = 1 != k^2/(n(m-1))", None} <= verdicts
