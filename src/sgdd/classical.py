@@ -76,7 +76,7 @@ def _catalog_hadamard(order: int) -> IntMatrix | None:
         return IntMatrix([[1]])
     if order == 2:
         return IntMatrix([[1, 1], [1, -1]])
-    if order % 4 != 0:
+    if order < 1 or order % 4 != 0:
         return None
     try:
         factor_prime_power(order - 1)  # order - 1 = 3 mod 4

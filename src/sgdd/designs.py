@@ -38,6 +38,7 @@ import numpy as np
 
 from .algebra import IntMatrix, first_differences, lane_table
 from .errors import CertificationError, DegenerateDesignError, InfeasibleParameterError, ParameterError
+from .gf import factor_prime_power
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,18 @@ def stack_slices(count: int, entries: int) -> list[slice]:
     slice as fit in STACK_ENTRIES, and at least one."""
     step = max(1, STACK_ENTRIES // max(entries, 1))
     return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def digit_shifts(v: int) -> list[np.ndarray]:
+    """For v = p^e, the e permutations of 0..v-1 that each add 1 mod p to
+    one base-p digit of an index, none for any other v: with field elements
+    and points numbered lexicographically, they generate GF(q)^d's translations."""
+    try:
+        p, e = factor_prime_power(v)
+    except ParameterError:
+        return []
+    x = np.arange(v)
+    return [x + np.where(x // p**s % p == p - 1, 1 - p, 1) * p**s for s in range(e)]
 
 
 def orbit_rows(stack: np.ndarray, perms) -> np.ndarray | None:

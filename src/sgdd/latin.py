@@ -39,6 +39,8 @@ class LatinSquare:
 
     def __post_init__(self):
         n = len(self.grid)
+        if n < 1:
+            raise ParameterError("Latin square order must be at least 1")
         symbols = set(range(n))
         for row in self.grid:
             if len(row) != n or set(row) != symbols:

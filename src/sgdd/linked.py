@@ -30,6 +30,7 @@ from .designs import (
     certified_design,
     check_k_commutation,
     companion_params,
+    digit_shifts,
     group_labels,
     k_commutations,
     on_orbits,
@@ -210,8 +211,8 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     block by block, as a per-block walk would print them.
 
     The Gram and triple products are formed on one row per orbit of the
-    group permutations that fix every block (``_translation_rows``), and on
-    every row when they fail there or no such permutation is found."""
+    group and point digit shifts that fix every block (``_translation_rows``),
+    and on every row when they fail there or no such shift is found."""
     p = sys.params
     base, stack = p.base, sys.stack
     cert = Certificate(f"linked system f={p.f} on {base}")
@@ -283,27 +284,24 @@ def _sub_block_ids(stack: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def _translation_rows(stack: np.ndarray, base: GddParams) -> np.ndarray | None:
-    """The rows of the groups ``orbit_rows`` returns for the permutations
-    sigma of the m groups, points kept in place, that fix every block, or
-    None.  Such a sigma fixes a block exactly when it fixes its sub-block
-    ids, and it fixes K.  The candidate for group g matches block row g of
-    A_12 with block row 0: for a ``build_tilde_l`` system over a field
-    family these are the field's translations."""
+    """The group rows ``orbit_rows`` keeps for the digit shifts of the m
+    groups (``digit_shifts``), checked on the sub-block ids, times its point
+    rows for those of the n points of every group, checked on the distinct
+    n x n sub-blocks; None when neither joins two indices.  Both kinds fix
+    K, and the orbits of the group they generate are products of theirs:
+    one row for ``build_tilde_l`` over a field family and an AG set."""
     m, n = base.m, base.n
     ids = _sub_block_ids(stack, m, n)
-    first = ids[0]
-    order = np.argsort(first[0], kind="stable")
-
-    def candidates():
-        for g in range(1, m):
-            match = np.argsort(first[g], kind="stable")
-            if np.array_equal(first[g, match], first[0, order]):
-                sigma = np.empty(m, dtype=np.intp)
-                sigma[order] = match  # block (g, sigma(b)) of A_12 equals block (0, b)
-                yield sigma
-
-    groups = orbit_rows(ids, candidates())
-    return None if groups is None else (groups[:, None] * n + np.arange(n)).ravel()
+    groups = orbit_rows(ids, digit_shifts(m))
+    at = np.empty(ids.max() + 1, dtype=np.intp)
+    at[ids.ravel()] = np.arange(ids.size)  # one position of each distinct sub-block
+    c, a, b = np.unravel_index(at, ids.shape)
+    points = orbit_rows(stack.reshape(-1, m, n, m, n)[c, a, :, b], digit_shifts(n))
+    if groups is None and points is None:
+        return None
+    groups = np.arange(m) if groups is None else groups
+    points = np.arange(n) if points is None else points
+    return (groups[:, None] * n + points).ravel()
 
 
 def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, rows) -> dict:

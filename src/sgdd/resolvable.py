@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate, Violation, equivalence_classes, on_orbits, orbit_rows, stack_differences, stack_slices, zero_one
+from .designs import Certificate, Violation, digit_shifts, equivalence_classes, on_orbits, orbit_rows, stack_differences, stack_slices, zero_one
 from .errors import CertificationError, ParameterError
 from .gf import gf_from_order
 
@@ -45,13 +45,10 @@ def _checked_stack(stack: np.ndarray) -> np.ndarray:
 class AuxiliarySet:
     """C_1..C_r as one (r, v, v) uint8 stack; any other shape, r < 2, or an
     entry not 0 or 1, is refused.  A sealed set (``seal``) carries its
-    certificate and a read-only stack.  ``translations`` are point
-    permutations its construction expects to fix every C_a: candidates
-    that ``verify_auxiliary`` checks exactly before it relies on them."""
+    certificate and a read-only stack."""
 
     stack: np.ndarray
     params: AuxParams
-    translations: tuple = field(default=(), repr=False)
     certificate: Certificate | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -94,15 +91,15 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     """Check axioms (i)-(iii) by exact multiplication, one kernel product
     per C_a (per band of STACK_ENTRIES past that), then re-derive the
     parameters and confirm the four arithmetic relations they must satisfy.
-    The products are formed on one row per orbit of the set's
-    ``translations`` that fix every C_a (``orbit_rows``), and on every row
-    when they fail there or none does."""
+    The products are formed on one row per orbit of the point digit
+    shifts (``digit_shifts``) that fix every C_a (``orbit_rows``), and on
+    every row when they fail there or none does."""
     cert = Certificate(f"auxiliary matrices {aux.params}")
     stack, v, r, p = aux.stack, aux.order, aux.r, aux.params
     total = stack.sum(axis=0, dtype=np.int64)
     [diff] = stack_differences(total[None], np.eye(v, dtype=np.uint8), (p.lam, p.r))
     cert.record("sum C_i equals (r - lambda) I + lambda J", diff)
-    orbits = orbit_rows(stack, aux.translations)
+    orbits = orbit_rows(stack, digit_shifts(v))
     diffs = on_orbits(lambda rows: _product_differences(stack, p, rows), orbits, lambda d: all(x is None for x in d.values()))
     for a in range(r):
         cert.record(f"C_{a + 1} C_{a + 1}^T = k C_{a + 1}", diffs[a, a])
@@ -201,26 +198,16 @@ def aux_from_affine_geometry(q: int, d: int) -> AuxiliarySet:
     if d < 1:
         raise ParameterError("dimension parameter d must be at least 1")
     ctx = gf_from_order(q)
-    p_char, e, one = ctx.p, ctx.d, ctx.one
     dim = d + 1
     els = range(q)
     add, mul = np.array(ctx.add), np.array(ctx.mul)
     points = np.array(list(product(els, repeat=dim)))
-    functionals = np.array([c for c in product(els, repeat=dim) if next((x for x in c if x), None) == one])
+    functionals = np.array([c for c in product(els, repeat=dim) if next((x for x in c if x), None) == ctx.one])
     # f_a(x) for every functional a and point x, as an (r, v) index array
     values = np.zeros((len(functionals), len(points)), dtype=np.intp)
     for t in range(dim):
         values = add[values, mul[functionals[:, t, None], points[:, t]]]
     stack = (values[:, :, None] == values[:, None, :]).view(np.uint8)
-    # points are numbered lexicographically, so adding b to coordinate t
-    # moves point x by (add[x_t, b] - x_t) q^(dim - 1 - t); the unit vectors
-    # of GF(p)^e, elements p^s, span GF(q) additively, so these translations
-    # generate all q^dim, which act regularly on the points
-    weights = q ** np.arange(dim - 1, -1, -1)
-    translations = tuple(
-        np.arange(q**dim) + (add[points[:, t], p_char**s] - points[:, t]) * weights[t] for t in range(dim) for s in range(e)
-    )
-
     params = AuxParams(
         v=q**dim,
         k=q**d,
@@ -229,7 +216,7 @@ def aux_from_affine_geometry(q: int, d: int) -> AuxiliarySet:
         mu=q ** (d - 1),
         n=q,
     )
-    return _certified(AuxiliarySet(stack, params, translations), "affine geometry")
+    return _certified(AuxiliarySet(stack, params), "affine geometry")
 
 
 def aux_to_parallel_classes(aux: AuxiliarySet) -> list[list[tuple[int, ...]]]:

@@ -212,11 +212,11 @@ def scan_table2(v_max: int) -> list[FeasibleRow]:
     return rows
 
 
-def table1_witnesses(
-    rows: list[FeasibleRow],
-    max_family_order: int = 9,
-    max_search_order: int = 5,
-) -> dict[tuple[int, int, int], str]:
+MAX_SEARCH_ORDER = 5
+MAX_FAMILY_ORDER = 9
+
+
+def table1_witnesses(rows: list[FeasibleRow]) -> dict[tuple[int, int, int], str]:
     """Construct and certify a linked system for every row the desk-scale
     recipes reach, and return one annotation per witnessed row.
 
@@ -242,12 +242,12 @@ def table1_witnesses(
         and the field family supplies f = order - 1 for prime-power orders
         beyond the search budget."""
         fam = None
-        if order <= max_search_order:
+        if order <= MAX_SEARCH_ORDER:
             for ff in range(order, 2, -1):
                 fam = search_linked_mols(order, ff)
                 if fam is not None:
                     break
-        elif order <= max_family_order:
+        elif order <= MAX_FAMILY_ORDER:
             with suppress(ParameterError):  # not a prime power
                 fam = linked_mols_from_gf(gf_from_order(order))
         return fam

@@ -7,10 +7,12 @@ product compared as int64 (``compare``, ``first_difference``) on every row
 with an expected array built by ``pattern``.  The tests compare ``sgdd``,
 which certifies a system's blocks as one stacked array, compares each
 product in its lane, and forms products on one row per orbit of verified
-translations, against it.
+digit shifts, against it; ``affine_translations``, built from the field's
+addition table, is the oracle for those shifts (``designs.digit_shifts``).
 """
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from sgdd.designs import (
     companion_params,
     group_labels,
 )
+from sgdd.gf import gf_from_order
 from sgdd.latin import LinkedMolsFamily, compose, is_orthogonal
 from sgdd.linked import LinkedSystemII
 from sgdd.resolvable import AuxiliarySet
@@ -84,6 +87,20 @@ def stack_differences(actual: np.ndarray, expected: np.ndarray) -> list[tuple | 
         at = np.unravel_index(t, actual.shape[:-2]) + pos if pos is not None else None
         out.append(None if at is None else (pos, wants.item(at), int(actual[at])))
     return out
+
+
+def affine_translations(q: int, dim: int) -> list[np.ndarray]:
+    """Translations generating those of GF(q)^dim, as permutations of its
+    points numbered lexicographically: adding b to coordinate t moves point
+    x by (add[x_t, b] - x_t) q^(dim - 1 - t), and b runs over the elements
+    p^s, the unit vectors of GF(p)^e, which span GF(q) additively."""
+    ctx = gf_from_order(q)
+    add = np.array(ctx.add)
+    points = np.array(list(product(range(q), repeat=dim)))
+    weights = q ** np.arange(dim - 1, -1, -1)
+    return [
+        np.arange(q**dim) + (add[points[:, t], ctx.p**s] - points[:, t]) * weights[t] for t in range(dim) for s in range(ctx.d)
+    ]
 
 
 def verify_gram(mat: IntMatrix, p: GddParams) -> Certificate:

@@ -182,6 +182,17 @@ def test_cli_reports_a_failing_field_family(monkeypatch, capsys):
         sgdd.latin.linked_mols_from_gf(gf_make(2, 2))
 
 
+@pytest.mark.parametrize("text", ["0\n", "-1\n", "3 0\n", "3 -1\n"], ids=["order-0", "order-minus-1", "family-0", "family-minus-1"])
+def test_cli_refuses_a_latin_square_of_order_below_one(text, tmp_path, capsys):
+    """A square or family header of order 0, or of a negative order, which
+    reads as no rows, is an error line with exit status 1, not a vacuous OK
+    or a traceback."""
+    path = tmp_path / "empty.lat"
+    path.write_text(text)
+    assert main(["verify", "latin", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: Latin square order must be at least 1\n")
+
+
 def _solve_first(l2: LatinSquare, target: LatinSquare) -> LatinSquare | None:
     """Reference route: Y with compose(Y, l2) = target, or None, solved
     cell by cell."""

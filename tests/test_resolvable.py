@@ -215,7 +215,7 @@ def test_paley_hadamard_of_a_prime_power_order_certifies():
     assert aux.certificate.ok and aux.r == 27
 
 
-@pytest.mark.parametrize("order", [6, 36, 52, 92])
+@pytest.mark.parametrize("order", [0, 6, 36, 52, 92])
 def test_a_missing_hadamard_order_is_named(order, tmp_path, capsys):
     # Sylvester doubling of 36 reaches 18, which is not named
     with pytest.raises(ParameterError, match=f"^no Hadamard matrix of order {order}$"):
