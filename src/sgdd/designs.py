@@ -26,7 +26,10 @@ The Gram and K-commutation checks take a stack of matrices, shape
 (count, v, v), and form each identity's products for the whole stack in
 one kernel call (or a few, ``stack_slices``); a single design is a stack of
 one, so every design and every block of a linked system is certified by the
-same code.
+same code.  An identity on every product of two stacks (the triple law of a
+linked system, the auxiliary axioms, orthogonality and composition of a
+linked family) is a grid of block products, formed and compared by the one
+routine ``block_differences``.
 """
 
 from __future__ import annotations
@@ -170,6 +173,35 @@ def stack_differences(actual: np.ndarray, labels: np.ndarray, coeffs) -> list[tu
     return out
 
 
+def block_differences(left: np.ndarray, right: np.ndarray, labels, coeffs) -> list[list[tuple | None]]:
+    """The s x t grid of ``stack_differences`` verdicts of every block
+    left[a] @ right[b], for an (s, h, v) stack ``left`` and a (t, v, w)
+    stack ``right``, against the pattern of ``coeffs`` on ``labels(a, b)``.
+
+    The blocks are those of (vstack_a left[a]) (hstack_b right[b]), formed
+    in bands of whole blocks within STACK_ENTRIES (``stack_slices``), first
+    of columns, then of rows; each band's product is reduced to verdicts and
+    freed before the next is formed.  ``labels`` is called once per band on
+    the band's indices, a as a column and b as a row of integers, and
+    returns labels that broadcast against its (rows, columns, h, w) blocks."""
+    s, h, v = left.shape
+    t, w = len(right), right.shape[-1]
+    grid = [[None] * t for _ in range(s)]
+    for cols in stack_slices(t, v * w):
+        band = np.arange(t)[cols]
+        wide = IntMatrix.view(np.hstack(right[cols]))
+        for part in stack_slices(s, h * wide.cols):
+            group = np.arange(s)[part]
+            prod = (IntMatrix.view(left[part].reshape(-1, v)) @ wide).lane
+            # block (a, b) of the band's product, as a view [a, b]
+            blocks = prod.reshape(len(group), h, len(band), w).swapaxes(1, 2)
+            diffs = iter(stack_differences(blocks, labels(group[:, None], band), coeffs))
+            del prod, blocks  # reduced: free them before the next product is formed
+            for a in group:
+                grid[a][cols] = [next(diffs) for _ in band]
+    return grid
+
+
 def group_labels(m: int, n: int) -> np.ndarray:
     """The label array of the group pattern of order m*n: 0 on J - K, 1 on
     K - I, 2 on I, with K = I_m (x) J_n."""
@@ -304,6 +336,13 @@ class Certificate:
 
     def failed(self, identity: str, position=None, expected=None, actual=None):
         self.violations.append(Violation(identity, position, expected, actual))
+
+    def check(self, label: str, ok: bool):
+        """Pass or fail under one label."""
+        if ok:
+            self.passed(label)
+        else:
+            self.failed(label)
 
     def record(self, label: str, diff: tuple | None):
         """Pass on a ``stack_differences`` verdict of None, else record its

@@ -21,8 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .algebra import IntMatrix
-from .designs import Certificate
+from .designs import Certificate, block_differences
 from .errors import BudgetExceededError, CertificationError, ParameterError
 from .gf import GFContext
 
@@ -145,8 +144,10 @@ def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     a of L_ik and row b of L_jk agree in (X_ik X_jk^T)[a, b] columns, and
     weighting each column (c, s) by s sums the symbols they agree on: the
     composition's (a, b) entry where they agree once.  For each third index
-    k these are two kernel products over the rows of every L_ik, i != k;
-    the failures are reported triple by triple in (i, j, k) order."""
+    k these are two ``block_differences`` grids over the L_ik, i != k: the
+    agreement counts against the constant 1, and the weighted sums against
+    L_ij itself; the failures are reported triple by triple in (i, j, k)
+    order."""
     cert = Certificate(f"linked family f={fam.f} order={fam.order}")
     f, n = fam.f, fam.order
     grids = np.zeros((f + 1, f + 1, n, n), dtype=np.intp)
@@ -155,13 +156,12 @@ def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     weights = np.tile(np.arange(n), n)  # the symbol s of column (c, s)
     failed = np.zeros((f + 1,) * 3, dtype=np.int8)  # 1: not orthogonal, 2: bad composition
     for k in range(1, f + 1):
-        ends = [x for x in range(1, f + 1) if x != k]
-        rows = (grids[ends, k][..., None] == np.arange(n)).reshape(-1, n * n)
-        hits = (IntMatrix.view(rows) @ IntMatrix.view(rows.T)).lane.reshape(f - 1, n, f - 1, n)
-        common = (IntMatrix.view(rows * weights) @ IntMatrix.view(rows.T)).lane.reshape(f - 1, n, f - 1, n)
-        orthogonal = (hits == 1).all(axis=(1, 3))
-        composes = (common.swapaxes(1, 2) == grids[np.ix_(ends, ends)]).all(axis=(2, 3))
-        failed[np.ix_(ends, ends, [k])] = np.where(orthogonal, np.where(composes, 0, 2), 1)[..., None]
+        ends = np.array([x for x in range(1, f + 1) if x != k])
+        rows = (grids[ends, k][..., None] == np.arange(n)).reshape(f - 1, n, n * n)
+        hits = block_differences(rows, rows.swapaxes(1, 2), lambda a, b: np.uint8(0), (1,))
+        common = block_differences(rows * weights, rows.swapaxes(1, 2), lambda a, b: grids[ends[a], ends[b]], range(n))
+        wrong = [np.array([[d is not None for d in row] for row in grid]) for grid in (hits, common)]
+        failed[np.ix_(ends, ends, [k])] = np.where(wrong[0], 1, np.where(wrong[1], 2, 0))[..., None]
     for i, j, k in np.argwhere(failed):
         if i == j:
             continue
@@ -359,14 +359,15 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
     _extend_family would refuse, in the same order, so the first family
     found is unchanged.  Returns None when the search space is exhausted (a
     reportable result); raises BudgetExceededError above the desk-scale
-    order limit, or once SEARCH_MAX_NODES rows have been placed.
+    order limit, or once SEARCH_MAX_NODES rows have been placed.  Order 1
+    has its family of [[0]] squares; no square has order below 1.
     """
     if order > SEARCH_MAX_ORDER:
         raise BudgetExceededError(f"search limited to order <= {SEARCH_MAX_ORDER}")
+    if order < 1:
+        raise ParameterError("Latin square order must be at least 1")
     if f < 3:
         raise ParameterError("a linked family needs f >= 3")
-    if order < 2:
-        return None
     rows = _RowSearch(order, zero_diagonal, SEARCH_MAX_NODES)
 
     def extend_to(squares: dict, t: int):

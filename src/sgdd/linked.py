@@ -27,6 +27,7 @@ from .designs import (
     Certificate,
     GddParams,
     IncidenceMatrix,
+    block_differences,
     certified_design,
     check_k_commutation,
     companion_params,
@@ -35,7 +36,6 @@ from .designs import (
     k_commutations,
     on_orbits,
     orbit_rows,
-    stack_differences,
     stack_slices,
     verify_grams,
 )
@@ -229,10 +229,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
         else:
             for v in sub.violations:
                 cert.failed(f"block {pair}: {v.identity}", v.position, v.expected, v.actual)
-        if ok:
-            cert.passed(f"block {pair}: A + K is a 0/1 matrix")
-        else:
-            cert.failed(f"block {pair}: A + K is a 0/1 matrix")
+        cert.check(f"block {pair}: A + K is a 0/1 matrix", ok)
         if comm.kind == "multiple_of_J_minus_K" and comm.factor == want:
             cert.passed(f"block {pair}: A K = K A = {want} (J - K)")
         else:
@@ -309,12 +306,10 @@ def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, ro
     sigma A_il + tau (J - A_il - K) + rho K on the given rows (all of them,
     or one per orbit), or None.
 
-    For each middle index j, one product (vstack_i A_ij) (hstack_l A_jl)
-    holds every A_ij A_jl as its block (i, l); past STACK_ENTRIES it is
-    formed in bands of whole blocks, first of columns, then of rows.  The
-    blocks with i = l are not triples and are skipped.  The expected blocks
-    are looked up on the labels A_il + 2K; label 3 (a 1 of A_il inside K,
-    which the 0/1 check on A + K has already reported) reads
+    For each middle index j, one ``block_differences`` grid of the A_ij
+    (i != j) against the A_jl (l != j), on the labels A_il + 2K; the blocks
+    with i = l are not triples and are skipped.  Label 3 (a 1 of A_il
+    inside K, which the 0/1 check on A + K has already reported) reads
     sigma - tau + rho, the value of the formula there."""
     f, v = p.f, p.base.v
     rows = np.arange(v)[rows]
@@ -322,24 +317,20 @@ def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, ro
     coeffs = (p.tau, p.sigma, p.rho, p.sigma - p.tau + p.rho)
     out = {}
     for j in range(1, f + 1):
-        ends = [x for x in range(1, f + 1) if x != j]
-        left = stack[np.ix_(pair_index(f, np.array(ends), j), rows)]
-        for cols in stack_slices(len(ends), v * v):
-            lasts = ends[cols]
-            right = IntMatrix.view(np.hstack(stack[pair_index(f, j, np.array(lasts))]))
-            for band in stack_slices(len(ends), len(rows) * right.cols):
-                firsts = ends[band]
-                grid = [(i, l) for i in firsts for l in lasts]
-                shape = (len(firsts), len(lasts), len(rows), v)
-                labels = stack[np.ix_([pair_index(f, i, l) if i != l else 0 for i, l in grid], rows)] + twice_k
-                prod = (IntMatrix.view(left[band].reshape(-1, v)) @ right).lane
-                # block (i, l) of the band's product, as a view of shape ``shape``
-                blocks = prod.reshape(shape[0], len(rows), shape[1], v).swapaxes(1, 2)
-                diffs = stack_differences(blocks, labels.reshape(shape), coeffs)
-                del prod, blocks, labels  # reduced: free them before the next product is formed
-                for (i, l), diff in zip(grid, diffs):
-                    if i != l:
-                        out[(i, j, l)] = diff
+        ends = np.array([x for x in range(1, f + 1) if x != j])
+
+        def labels(a, b):
+            i, l = ends[a], ends[b]
+            # an i = l block reads block 0's labels: it is skipped
+            return stack[np.where(i != l, pair_index(f, i, l), 0)[..., None], rows] + twice_k
+
+        # the blocks (j, l) are consecutive in the stack: a view, not a copy
+        right = stack[pair_index(f, j, ends[0]) : pair_index(f, j, ends[-1]) + 1]
+        grid = block_differences(stack[np.ix_(pair_index(f, ends, j), rows)], right, labels, coeffs)
+        for i, row in zip(ends.tolist(), grid):
+            for l, diff in zip(ends.tolist(), row):
+                if i != l:
+                    out[(i, j, l)] = diff
     return out
 
 
@@ -729,17 +720,11 @@ def verify_gcm(gcm: GcmMatrix) -> Certificate:
         return cert
     size = gcm.order
     diag_ok = all(gcm.entries[i][i] == -1 for i in range(size))
-    if diag_ok:
-        cert.passed("zero diagonal")
-    else:
-        cert.failed("zero diagonal")
+    cert.check("zero diagonal", diag_ok)
     support_ok = all(
         gcm.entries[i][j] != -1 for i in range(size) for j in range(size) if i != j
     )
-    if support_ok:
-        cert.passed("each row has g lambda + 1 nonzero entries")
-    else:
-        cert.failed("each row has g lambda + 1 nonzero entries")
+    cert.check("each row has g lambda + 1 nonzero entries", support_ok)
     if not (diag_ok and support_ok):
         return cert
     for i in range(size):

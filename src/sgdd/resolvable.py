@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate, Violation, digit_shifts, equivalence_classes, on_orbits, orbit_rows, stack_differences, stack_slices, zero_one
+from .designs import Certificate, Violation, block_differences, digit_shifts, equivalence_classes, on_orbits, orbit_rows, stack_differences, zero_one
 from .errors import CertificationError, ParameterError
 from .gf import gf_from_order
 
@@ -88,9 +88,9 @@ def _derive_params(stack: np.ndarray) -> AuxParams:
 
 
 def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
-    """Check axioms (i)-(iii) by exact multiplication, one kernel product
-    per C_a (per band of STACK_ENTRIES past that), then re-derive the
-    parameters and confirm the four arithmetic relations they must satisfy.
+    """Check axioms (i)-(iii) by exact multiplication, (ii) and (iii) as one
+    grid of products C_a C_b^T (``_product_differences``), then re-derive
+    the parameters and confirm the four arithmetic relations they must satisfy.
     The products are formed on one row per orbit of the point digit
     shifts (``digit_shifts``) that fix every C_a (``orbit_rows``), and on
     every row when they fail there or none does."""
@@ -108,51 +108,24 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
             if a != b:
                 cert.record(f"C_{a + 1} C_{b + 1}^T = mu J", diffs[a, b])
     # arithmetic relations among the derived parameters
-    if p.r * p.k != p.r - p.lam + p.lam * p.v:
-        cert.failed("r k = r - lambda + lambda v")
-    else:
-        cert.passed("r k = r - lambda + lambda v")
-    if p.k * p.k != p.mu * p.v:
-        cert.failed("k^2 = mu v")
-    else:
-        cert.passed("k^2 = mu v")
-    if p.k + p.lam - p.r != 0:
-        cert.failed("k + lambda - r = 0")
-    else:
-        cert.passed("k + lambda - r = 0")
-    if p.k * p.lam - (p.r - 1) * p.mu != 0:
-        cert.failed("k lambda - (r - 1) mu = 0")
-    else:
-        cert.passed("k lambda - (r - 1) mu = 0")
-    if p.v != p.n * p.n * p.mu or p.k != p.n * p.mu:
-        cert.failed("v = n^2 mu and k = n mu")
-    else:
-        cert.passed("v = n^2 mu and k = n mu")
+    cert.check("r k = r - lambda + lambda v", p.r * p.k == p.r - p.lam + p.lam * p.v)
+    cert.check("k^2 = mu v", p.k * p.k == p.mu * p.v)
+    cert.check("k + lambda - r = 0", p.k + p.lam - p.r == 0)
+    cert.check("k lambda - (r - 1) mu = 0", p.k * p.lam - (p.r - 1) * p.mu == 0)
+    cert.check("v = n^2 mu and k = n mu", p.v == p.n * p.n * p.mu and p.k == p.n * p.mu)
     return cert
 
 
 def _product_differences(stack: np.ndarray, p: AuxParams, rows) -> dict:
     """(a, b) -> the first difference of C_a C_b^T, on the given rows (all
-    of them, or one per orbit), from k C_a (a = b) or mu J, or None.
-
-    C_a C_b^T for every a of a group and b of a band is one product
-    (vstack_a C_a) (hstack_b C_b^T), each group and band within
-    STACK_ENTRIES, compared on the labels C_a on block (a, a) (0 or k) and
-    2 elsewhere (mu)."""
-    r, v = len(stack), stack.shape[-1]
+    of them, or one per orbit), from k C_a (a = b) or mu J, or None: the
+    grid of ``block_differences`` on the labels C_a on block (a, a) (0 or k)
+    and 2 elsewhere (mu)."""
     left = stack[:, rows]
-    diffs = {}
-    for cols in stack_slices(r, v * v):
-        band = np.arange(r)[cols]
-        right = IntMatrix.view(np.hstack(stack[cols].swapaxes(1, 2)))
-        for part in stack_slices(r, left[0].size * len(band)):
-            group = np.arange(r)[part]
-            prod = (IntMatrix.view(left[part].reshape(-1, v)) @ right).lane
-            blocks = prod.reshape(len(group), -1, len(band), v).swapaxes(1, 2)
-            labels = np.where((group[:, None] == band)[:, :, None, None], left[part][:, None], np.uint8(2))
-            keys = [(int(a), int(b)) for a in group for b in band]
-            diffs.update(zip(keys, stack_differences(blocks, labels, (0, p.k, p.mu))))
-    return diffs
+    grid = block_differences(
+        left, stack.swapaxes(1, 2), lambda a, b: np.where((a == b)[..., None, None], left[a], np.uint8(2)), (0, p.k, p.mu)
+    )
+    return {(a, b): diff for a, row in enumerate(grid) for b, diff in enumerate(row)}
 
 
 def auxiliary_set(stack: np.ndarray) -> AuxiliarySet:

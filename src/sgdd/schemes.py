@@ -318,15 +318,8 @@ def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
     d, pr, ps, qr, qs = pm.radicand, pm.rational, pm.irrational, qm.rational, qm.irrational
 
     ok_pq = _is_rational(_times((pr, ps), (qr, qs), d), size * pm.den * qm.den * np.eye(CLASSES, dtype=object))
-    if ok_pq:
-        cert.passed("P Q = |X| I")
-    else:
-        cert.failed("P Q = |X| I")
-
-    if _is_rational((qr.sum(axis=1), qs.sum(axis=1)), [size * qm.den] + [0] * (CLASSES - 1)):
-        cert.passed("sum E_j = I")
-    else:
-        cert.failed("sum E_j = I")
+    cert.check("P Q = |X| I", ok_pq)
+    cert.check("sum E_j = I", _is_rational((qr.sum(axis=1), qs.sum(axis=1)), [size * qm.den] + [0] * (CLASSES - 1)))
 
     # [i, k, j]: c_P (B_i Q)_{k,j} against Q_{k,j} P_{j,i}, both over c_P c_Q
     b = np.array(p, dtype=object).transpose(0, 2, 1)
@@ -347,10 +340,7 @@ def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
     if not bad_mult:
         cert.passed("multiplicities match Q row 0 and the idempotent traces")
 
-    if _is_rational((pr[0], ps[0]), [p[i][i][0] * pm.den for i in range(CLASSES)]):
-        cert.passed("P row 0 equals the valencies")
-    else:
-        cert.failed("P row 0 equals the valencies")
+    cert.check("P row 0 equals the valencies", _is_rational((pr[0], ps[0]), [p[i][i][0] * pm.den for i in range(CLASSES)]))
 
     return spectra, cert
 
@@ -381,10 +371,7 @@ def compute_krein(spectra: Spectra, params: SchemeParams) -> tuple[Eigenmatrix, 
         cert.passed("all Krein parameters are non-negative")
 
     b2 = np.array(closed_form_krein_b2(params), dtype=object)
-    if _is_rational((f * num_r[2], num_s[2]), b2 * den):
-        cert.passed("entrywise-product structure constants of E_2 match their closed form")
-    else:
-        cert.failed("entrywise-product structure constants of E_2 match their closed form")
+    cert.check("entrywise-product structure constants of E_2 match their closed form", _is_rational((f * num_r[2], num_s[2]), b2 * den))
     if _is_rational((f * num_r[2, 1, 1], num_s[2, 1, 1]), (m - f) * den):
         cert.passed(f"q_21^1 = m/f - 1 = {Fraction(m - f, f)}")
     else:

@@ -11,7 +11,7 @@ import pytest
 import block_route
 import sgdd.designs
 from sgdd.algebra import IntMatrix
-from sgdd.designs import IncidenceMatrix, check_k_commutation, verify_gdd
+from sgdd.designs import IncidenceMatrix, block_differences, check_k_commutation, stack_differences, verify_gdd
 from sgdd.gf import gf_from_order
 from sgdd.latin import LatinSquare, LinkedMolsFamily, linked_mols_from_gf, verify_linked
 from sgdd.errors import ParameterError
@@ -198,3 +198,65 @@ def test_linked_families_match_block_route(fam_gf4, fam_order5):
         got = verify_linked(fam)
         assert got.report_lines() == block_route.verify_linked(fam).report_lines()
         assert linked is None or got.ok == linked
+
+
+def _product_count(monkeypatch) -> list[int]:
+    """A one-item list counting the kernel products formed from here on."""
+    count = [0]
+    matmul = IntMatrix.__matmul__
+
+    def counted(a, b):
+        count[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    return count
+
+
+@pytest.mark.parametrize("budget", [sgdd.designs.STACK_ENTRIES, 70, 1], ids=["one-band", "cut", "one-block"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64], ids=["zero-one", "weighted"])
+def test_block_differences_match_one_product_per_block(budget, dtype, monkeypatch):
+    """Every block left[a] @ right[b] formed alone and compared with
+    ``stack_differences`` gives the grid's verdict: on (5, 3, 7) rows
+    against a (4, 7, 5) stack, 0/1 or with rows weighted up to 6, formed in
+    one band, in column bands of two blocks and row bands of two, or block
+    by block.  Labels name each block's true entries, and a seeded few
+    entries are relabelled, so some blocks pass and some fail."""
+    rng = np.random.default_rng(7)
+    left = rng.integers(0, 7 if dtype is np.int64 else 2, size=(5, 3, 7)).astype(dtype)
+    right = rng.integers(0, 2, size=(4, 7, 5)).astype(np.uint8)
+    true = np.einsum("ahv,bvw->abhw", left.astype(np.int64), right.astype(np.int64))
+    coeffs, labels = np.unique(true, return_inverse=True)
+    labels = labels.reshape(true.shape).astype(np.uint8)
+    for a, b, x, y in zip(*(rng.integers(0, n, size=6) for n in labels.shape)):
+        labels[a, b, x, y] = (labels[a, b, x, y] + 1) % len(coeffs)
+    want = [
+        [stack_differences((IntMatrix.view(left[a]) @ IntMatrix.view(right[b])).lane[None], labels[a, b], coeffs)[0] for b in range(4)]
+        for a in range(5)
+    ]
+    monkeypatch.setattr(sgdd.designs, "STACK_ENTRIES", budget)
+    count = _product_count(monkeypatch)
+    assert block_differences(left, right, lambda a, b: labels[a, b], coeffs) == want
+    assert count[0] == {70: 2 * 3, 1: 4 * 5}.get(budget, 1)
+    assert any(d is None for row in want for d in row) and any(d is not None for row in want for d in row)
+
+
+def test_banded_linked_families_match_block_route(fam_gf4, fam_order5, monkeypatch):
+    """With a stack budget of 64 entries the agreement and composition
+    products of ``verify_linked`` are formed in bands of one to a few
+    squares: the lines stay the block route's."""
+    families = _families(fam_gf4, fam_order5)
+    monkeypatch.setattr(sgdd.designs, "STACK_ENTRIES", 2**6)
+    count = _product_count(monkeypatch)
+    for fam, _ in families:
+        assert verify_linked(fam).report_lines() == block_route.verify_linked(fam).report_lines()
+    assert count[0] > sum(2 * fam.f for fam, _ in families)
+
+
+def test_linked_family_forms_two_products_per_third_index(fam_gf4, monkeypatch):
+    gf8 = linked_mols_from_gf(gf_from_order(8))
+    count = _product_count(monkeypatch)
+    for fam, products in ((fam_gf4, 6), (gf8, 14)):
+        count[0] = 0
+        assert verify_linked(fam).ok
+        assert count[0] == products == 2 * fam.f

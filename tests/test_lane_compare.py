@@ -14,7 +14,6 @@ import pytest
 import block_route
 import class_list_route as ref
 import sgdd.designs
-import sgdd.linked
 from class_list_route import class_matrices, classes_of
 from sgdd.algebra import IntMatrix, lane_table, matmul_lane
 from block_route import pattern
@@ -132,7 +131,6 @@ def int64_route(monkeypatch):
         return _int64_route(actual, labels, coeffs)
 
     monkeypatch.setattr(sgdd.designs, "stack_differences", route)
-    monkeypatch.setattr(sgdd.linked, "stack_differences", route)
 
 
 def _outcome(cert):

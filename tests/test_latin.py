@@ -193,6 +193,29 @@ def test_cli_refuses_a_latin_square_of_order_below_one(text, tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: Latin square order must be at least 1\n")
 
 
+def test_cli_oracle_finds_the_order_one_family(tmp_path, capsys):
+    """Every square of order 1 is [[0]], with a zero diagonal, and any f of
+    them form a linked family: the search finds it and it certifies."""
+    path = tmp_path / "one.fam"
+    assert main(["oracle", "linked-mols", "--order", "1", "--f", "4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "latin", str(path)]) == 0
+    assert capsys.readouterr() == ("linked family f=4 order=1: OK\n", "")
+    for f in (3, 5):
+        fam = search_linked_mols(1, f)
+        assert fam.f == f and fam.zero_diagonal and verify_linked(fam).ok
+
+
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_cli_oracle_refuses_an_order_below_one(order, capsys):
+    """No square has order 0 or less: an error line with exit status 1,
+    not "exhausted" and not a traceback."""
+    assert main(["oracle", "linked-mols", "--order", order, "--f", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: Latin square order must be at least 1\n")
+    with pytest.raises(ParameterError, match="order must be at least 1"):
+        search_linked_mols(-1, 3)
+
+
 def _solve_first(l2: LatinSquare, target: LatinSquare) -> LatinSquare | None:
     """Reference route: Y with compose(Y, l2) = target, or None, solved
     cell by cell."""

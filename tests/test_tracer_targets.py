@@ -10,7 +10,9 @@ from pathlib import Path
 import sgdd.cli  # noqa: F401  (loads every module the tracer patches)
 import sgdd.linked
 from sgdd.algebra import IntMatrix, Surd
+from sgdd.latin import verify_linked
 from sgdd.linked import verify_linked_system
+from sgdd.resolvable import verify_auxiliary
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,18 +35,27 @@ def test_tracer_targets_resolve():
         assert callable(getattr(Surd, op, None)), f"Surd.{op}"
 
 
-def test_tracer_records_a_certification(sys16):
-    tracer = _load_tracer()
+def _traced(tracer, call):
+    """The layer metrics of one traced ``call()``, which must certify; it
+    looks its function up while the tracer is installed."""
     t = tracer.Tracer(0)
     t.install([mod for name, mod in sys.modules.items() if name == "sgdd" or name.startswith("sgdd.")])
     try:
-        assert sgdd.linked.verify_linked_system(sys16).ok
+        assert call().ok
     finally:
         t.uninstall()
+    return tracer.layer_metrics({"surd_ops": t.surd_ops, "spans": t.spans})
+
+
+def test_tracer_records_a_certification(sys16, aux_ag23, fam_gf4):
+    tracer = _load_tracer()
+    metrics = _traced(tracer, lambda: sgdd.linked.verify_linked_system(sys16))
     assert sgdd.linked.verify_linked_system is verify_linked_system
-    metrics = tracer.layer_metrics({"surd_ops": t.surd_ops, "spans": t.spans})
     assert metrics["linked.verify_linked_system.calls"] == 1
     # the blocks are certified as one stack: two Gram products, two for
     # A K = K A and one triple product per middle index, no verify_gdd call
     assert metrics["algebra.matmul.calls"] == sys16.params.f + 4
     assert metrics["designs.verify_gdd.calls"] == 0
+    # one grid of C_a C_b^T; two grids per third index of a linked family
+    assert _traced(tracer, lambda: verify_auxiliary(aux_ag23))["algebra.matmul.calls"] == 1
+    assert _traced(tracer, lambda: verify_linked(fam_gf4))["algebra.matmul.calls"] == 2 * fam_gf4.f
