@@ -378,7 +378,7 @@ class IntMatrix:
     for a product, as its lane computed it.  ``a`` is the same array, except
     that a product held in a float lane is widened to int64 on first read."""
 
-    __slots__ = ("lane", "_a")
+    __slots__ = ("lane", "_a", "_top")
 
     def __init__(self, data):
         if isinstance(data, IntMatrix):
@@ -388,6 +388,7 @@ class IntMatrix:
         if arr.ndim not in (2, 3):
             raise ParameterError("IntMatrix must be a matrix or a stack of matrices")
         self.lane = self._a = arr
+        self._top = None
 
     @staticmethod
     def view(arr: np.ndarray) -> "IntMatrix":
@@ -399,9 +400,19 @@ class IntMatrix:
         return IntMatrix._held(arr, arr)
 
     @staticmethod
-    def _held(lane: np.ndarray, a: np.ndarray | None) -> "IntMatrix":
+    def in_lane(arr: np.ndarray, top: int, inner: int) -> "IntMatrix":
+        """``arr``, of entries at most ``top`` in magnitude, converted once to
+        the lane of its products over ``inner`` terms with matrices bounded
+        alike, and ``top`` kept as its ``max_abs`` (a bound at least the true
+        one keeps every lane exact): views of it enter products unconverted."""
+        lane = matmul_lane(max(top, 1) ** 2 * inner) or object
+        held = arr.astype(lane, copy=False)
+        return IntMatrix._held(held, None if held.dtype.kind == "f" else held, top)
+
+    @staticmethod
+    def _held(lane: np.ndarray, a: np.ndarray | None, top: int | None = None) -> "IntMatrix":
         m = IntMatrix.__new__(IntMatrix)
-        m.lane, m._a = lane, a
+        m.lane, m._a, m._top = lane, a, top
         return m
 
     @property
@@ -461,6 +472,8 @@ class IntMatrix:
         return [int(x) for x in self.lane.ravel()]
 
     def max_abs(self) -> int:
+        if self._top is not None:
+            return self._top
         if self.lane.size == 0:
             return 0
         # not np.abs: it wraps -2**63 to itself in int64

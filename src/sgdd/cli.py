@@ -104,15 +104,27 @@ def _read(path: str) -> bytes:
     return data
 
 
-def _write(path: str, text: str):
-    Path(path).write_text(text, encoding="ascii")
+def _read_scheme(path: str):
+    """The classes of a scheme file: read block by block, or by the token reader."""
+    with open(path, "rb") as stream:
+        classes = fileio.read_scheme(stream)
+    return classes if classes is not None else fileio.parse_scheme_matrices(_read(path))
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        _write(out, text)
+def _write(path: str, output):
+    """A formatter's text, or a writer's byte chunks written as they come."""
+    if isinstance(output, str):
+        Path(path).write_text(output, encoding="ascii")
     else:
-        sys.stdout.write(text)
+        with open(path, "wb") as stream:
+            stream.writelines(output)
+
+
+def _emit(output, out: str | None):
+    if out:
+        _write(out, output)
+    else:
+        sys.stdout.write(output if isinstance(output, str) else b"".join(output).decode("ascii"))
 
 
 def _report(cert) -> int:
@@ -156,7 +168,7 @@ def _tilde_l(args):
     """linked system from auxiliary matrices and a linked family"""
     aux = fileio.parse_auxiliary_set(_read(args.aux))
     fam = fileio.parse_linked_family(_read(args.mols))
-    _emit(fileio.format_linked_system(build_tilde_l(aux, fam)), args.output)
+    _emit(fileio.linked_system_chunks(build_tilde_l(aux, fam)), args.output)
 
 
 @_command(
@@ -213,7 +225,7 @@ def _twin(args):
 def _mub_system(args):
     """linked system from unbiased Bush-type Hadamard matrices"""
     system = build_from_mub_bush(fileio.parse_matrix_set(_read(args.input)))
-    _emit(fileio.format_linked_system(system), args.output)
+    _emit(fileio.linked_system_chunks(system), args.output)
 
 
 @_command("verify", "gdd", _FILE, _one_of(_opt("--params", help='inline "v k m n l1 l2"'), _opt("--params-file")))
@@ -257,20 +269,20 @@ def _verify_linked_system(args):
 @_command("verify", "scheme", _FILE)
 def _verify_scheme(args):
     """certify a 5-class association scheme"""
-    return _report(certify_classes(fileio.parse_scheme_matrices(_read(args.input))).certificate)
+    return _report(certify_classes(_read_scheme(args.input)).certificate)
 
 
 @_command("scheme", "assemble", _IN, _OUT)
 def _assemble(args):
     """the scheme of a linked system"""
     scheme = assemble_scheme(fileio.parse_linked_system(_read(args.input)))
-    _emit(fileio.format_scheme_matrices(scheme.relation), args.output)
+    _emit(fileio.scheme_chunks(scheme.relation), args.output)
 
 
 @_command("scheme", "analyze", _IN)
 def _analyze(args):
     """parameters, spectra and Krein certification report"""
-    scheme, primary = load_scheme(fileio.parse_scheme_matrices(_read(args.input)))
+    scheme, primary = load_scheme(_read_scheme(args.input))
     params = scheme.params
     print(f"parameters: k={params.k} m={params.m} n={params.n} f={params.f} |X|={params.size}")
     if primary.labels != tuple(range(6)):
@@ -281,7 +293,7 @@ def _analyze(args):
 @_command("scheme", "extract", _IN, _OUT)
 def _extract(args):
     """the linked system of a scheme"""
-    report = extract_linked_system(fileio.parse_scheme_matrices(_read(args.input)))
+    report = extract_linked_system(_read_scheme(args.input))
     primary = report.primary
     for cand in report.candidates:
         mark = "primary" if cand is primary else "alternate"
@@ -291,19 +303,19 @@ def _extract(args):
             f"triple={cand.triple} spectra_match={cand.spectra_match} certified={cand.certified}"
         )
     if primary.system is not None:
-        _emit(fileio.format_linked_system(primary.system), args.output)
+        _emit(fileio.linked_system_chunks(primary.system), args.output)
 
 
 @_command("scheme", "fusion", _IN, _OUT)
 def _fusion(args):
     """the 3-class fusion test"""
-    scheme, _ = load_scheme(fileio.parse_scheme_matrices(_read(args.input)))
+    scheme, _ = load_scheme(_read_scheme(args.input))
     result = check_fusion(scheme)
     print(f"fusable: {result.fusable}; degree condition met: {result.predicted}")
     if result.fusable and result.eigenspace_partition:
         print(f"merged eigenspaces: {result.eigenspace_partition}")
     if result.fusable and args.output:
-        _write(args.output, fileio.format_scheme_matrices(result.fused_relation))
+        _write(args.output, fileio.scheme_chunks(result.fused_relation))
     return OK if result.consistent else VIOLATION
 
 

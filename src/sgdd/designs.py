@@ -162,43 +162,57 @@ def stack_differences(actual: np.ndarray, labels: np.ndarray, coeffs) -> list[tu
     The pattern is looked up in the lane's dtype (``lane_table``), so the
     comparison is exact with no int64 copy of either side.  ``labels`` are
     integers (``uint8``, ``int8``): indexing casts them in buffered chunks,
-    where ``np.take`` would first copy them whole as ``intp``."""
+    where ``np.take`` would first copy them whole as ``intp``.  Only a
+    stack that differs somewhere is reduced matrix by matrix."""
     coeffs = [int(c) for c in coeffs]
-    expected = lane_table(coeffs, actual.dtype)[labels]
+    diff = actual != lane_table(coeffs, actual.dtype)[labels]
+    if not diff.any():
+        return [None] * int(np.prod(diff.shape[:-2]))
     labels = np.broadcast_to(labels, actual.shape)
     out = []
-    for t, pos in enumerate(first_differences(actual, expected)):
+    for t, pos in enumerate(first_differences(diff, False)):
         at = np.unravel_index(t, actual.shape[:-2]) + pos if pos is not None else None
         out.append(None if at is None else (pos, coeffs[labels[at]], int(actual[at])))
     return out
 
 
-def block_differences(left: np.ndarray, right: np.ndarray, labels, coeffs) -> list[list[tuple | None]]:
+def block_differences(left: np.ndarray, right: np.ndarray, labels, coeffs) -> list:
     """The s x t grid of ``stack_differences`` verdicts of every block
     left[a] @ right[b], for an (s, h, v) stack ``left`` and a (t, v, w)
-    stack ``right``, against the pattern of ``coeffs`` on ``labels(a, b)``.
+    stack ``right``, against the pattern of ``coeffs`` on ``labels(a, b)``;
+    with a leading batch axis, (B, s, h, v) and (B, t, v, w), the
+    B x s x t grid of left[c, a] @ right[c, b] on ``labels(c, a, b)``.
 
-    The blocks are those of (vstack_a left[a]) (hstack_b right[b]), formed
-    in bands of whole blocks within STACK_ENTRIES (``stack_slices``), first
-    of columns, then of rows; each band's product is reduced to verdicts and
-    freed before the next is formed.  ``labels`` is called once per band on
-    the band's indices, a as a column and b as a row of integers, and
-    returns labels that broadcast against its (rows, columns, h, w) blocks."""
-    s, h, v = left.shape
-    t, w = len(right), right.shape[-1]
-    grid = [[None] * t for _ in range(s)]
+    Member c's blocks are those of (vstack_a left[c, a])
+    (hstack_b right[c, b]), the members one stacked product, formed in bands
+    of whole blocks within STACK_ENTRIES (``stack_slices``) of columns,
+    members, then rows; each is reduced and freed before the next.
+    ``labels`` gets each band's indices as arrays along its (members, rows,
+    columns) axes, and broadcasts against its (.., h, w) blocks."""
+    if left.ndim == 3:
+        return block_differences(left[None], right[None], lambda c, a, b: labels(a, b), coeffs)[0]
+    size, s, h, v = left.shape
+    t, w = right.shape[1], right.shape[-1]
+    grid = [[[None] * t for _ in range(s)] for _ in range(size)]
     for cols in stack_slices(t, v * w):
         band = np.arange(t)[cols]
-        wide = IntMatrix.view(np.hstack(right[cols]))
-        for part in stack_slices(s, h * wide.cols):
-            group = np.arange(s)[part]
-            prod = (IntMatrix.view(left[part].reshape(-1, v)) @ wide).lane
-            # block (a, b) of the band's product, as a view [a, b]
-            blocks = prod.reshape(len(group), h, len(band), w).swapaxes(1, 2)
-            diffs = iter(stack_differences(blocks, labels(group[:, None], band), coeffs))
-            del prod, blocks  # reduced: free them before the next product is formed
-            for a in group:
-                grid[a][cols] = [next(diffs) for _ in band]
+        width = len(band) * w
+        for batch in stack_slices(size, max(v, s * h) * width):
+            members = np.arange(size)[batch]
+            # one member is multiplied as a matrix, several as a stack
+            one = 0 if len(members) == 1 else slice(None)
+            wide = IntMatrix.view(right[batch, cols].transpose(0, 2, 1, 3).reshape(len(members), v, width)[one])
+            for part in stack_slices(s, len(members) * h * width):
+                group = np.arange(s)[part]
+                prod = (IntMatrix.view(left[batch, part].reshape(len(members), -1, v)[one]) @ wide).lane
+                # block (c, a, b) of the band's product, as a view [c, a, b]
+                blocks = prod.reshape(len(members), len(group), h, len(band), w).swapaxes(2, 3)
+                at = np.ix_(members, group, band)
+                diffs = iter(stack_differences(blocks, labels(*at), coeffs))
+                del prod, blocks  # reduced: free them before the next product is formed
+                for c in members:
+                    for a in group:
+                        grid[c][a][cols] = [next(diffs) for _ in band]
     return grid
 
 
@@ -224,9 +238,11 @@ def equivalence_classes(mask: np.ndarray) -> list[tuple[int, ...]] | None:
     if not np.array_equal(mask, least[:, None] == least):
         return None
     # a class's least point is its own least relative; np.unique would import numpy.ma
-    firsts = np.flatnonzero(least == np.arange(len(least)))
-    classes = [tuple(np.flatnonzero(least == x).tolist()) for x in firsts]
-    return classes if len({len(c) for c in classes}) == 1 else None
+    count = np.count_nonzero(least == np.arange(len(least)))
+    if len(least) % count or np.bincount(least).max() != len(least) // count:
+        return None
+    # ordered by least point, the points of each class come out together, ascending
+    return [tuple(c) for c in np.argsort(least, kind="stable").reshape(count, -1).tolist()]
 
 
 def partial_complement_params(p: GddParams) -> GddParams:
@@ -377,19 +393,25 @@ def verify_grams(stack: np.ndarray, p: GddParams, rows=slice(None)) -> list[Cert
     (count, v, v) stack, 0/1 or not (such as A + K for a block A with a 1
     inside K), one certificate each: A A^T and A^T A as one stacked
     product apiece, on the given rows of each (all of them, or one per
-    orbit: ``orbit_rows``)."""
+    orbit: ``orbit_rows``).  Each slice is converted to the lane once; the
+    rows of A A^T are read as columns of A (A[rows])^T, so that no operand
+    is a transposed whole slice, which numpy multiplies without BLAS."""
     certs = [Certificate(f"symmetric GDD {p}") for _ in range(len(stack))]
     labels, coeffs = group_labels(p.m, p.n)[rows], (p.lambda2, p.lambda1, p.k)
-    flip = np.swapaxes(stack, 1, 2)
-    for label, left, right in (
-        ("A A^T equals k I + l1 (K - I) + l2 (J - K)", stack, flip),
-        ("A^T A equals k I + l1 (K - I) + l2 (J - K)", flip, stack),
-    ):
-        for part in stack_slices(len(stack), stack[0].size):
-            prod = IntMatrix.view(left[part][:, rows]) @ IntMatrix.view(right[part])
-            for cert, diff in zip(certs[part], stack_differences(prod.lane, labels, coeffs)):
+    for part in stack_slices(len(stack), stack[0].size):
+        top = IntMatrix.view(stack[part]).max_abs()
+        held = IntMatrix.in_lane(stack[part], top, p.v)
+        flip = np.swapaxes(held.lane, 1, 2)
+
+        def operand(arr: np.ndarray) -> IntMatrix:  # a view of the held slice, laid out as rows
+            return IntMatrix.in_lane(np.ascontiguousarray(arr), top, p.v)
+
+        for label, prod in (
+            ("A A^T equals k I + l1 (K - I) + l2 (J - K)", lambda: (held @ operand(flip[..., rows])).lane.swapaxes(1, 2)),
+            ("A^T A equals k I + l1 (K - I) + l2 (J - K)", lambda: (operand(flip[:, rows]) @ held).lane),
+        ):
+            for cert, diff in zip(certs[part], stack_differences(prod(), labels, coeffs)):
                 cert.record(label, diff)
-            del prod  # reduced: free it before the next product is formed
     return certs
 
 
@@ -444,28 +466,29 @@ def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
     return k_commutations(a.mat.lane[None], a.m, a.n)[0]
 
 
-def k_commutations(stack: np.ndarray, m: int, n: int) -> list[KCommutation]:
-    """``check_k_commutation`` for every matrix of a (count, v, v) stack.
+def k_commutations(stack: np.ndarray, m: int, n: int, rows=slice(None)) -> list[KCommutation]:
+    """``check_k_commutation`` for every matrix of a (count, v, v) stack, on
+    the given rows (all, or one per orbit: ``orbit_rows``).
 
-    With G = I_m (x) 1_n, the v x m group indicator, K = G G^T: so
-    (A K)[x, y] = (A G)[x, group(y)] and (K A)[x, y] = (G^T A)[group(x), y],
-    two stacked products of width m.  A K = K A exactly when both are
-    constant on every cell (g, h) of the group grid, with one value M[g, h]
-    each; A K is then M[g, g] on K and the rest of M off K."""
-    g = group_columns(m, n)
-    off_k = ~np.eye(m, dtype=bool)
+    A K = K A has a class exactly when both are d K + c (J - K).  With G the
+    v x m group indicator, K = G G^T, (A K)[x, y] = (A G)[x, group(y)] and
+    (K A)[y, x] = (A^T G)[x, group(y)]: both are that pattern when A[rows] G
+    and A[:, rows]^T G are d in the row's group and c elsewhere, d and c read
+    at the first row.  A permutation fixing A and K fixes both differences,
+    so one row per orbit decides as every row does."""
+    groups = np.arange(m * n)[rows] // n
+    first, own = int(groups[0]), groups[:, None] == np.arange(m)  # own: the column is the row's group
+    g = IntMatrix.view(group_columns(m, n))
     out = []
     for part in stack_slices(len(stack), stack[0].size):
         # compared with each other in their lane, exactly; read out as Python integers
-        ag = (IntMatrix.view(stack[part]) @ IntMatrix.view(g)).lane.reshape(-1, m, n, m)
-        ga = (IntMatrix.view(g.T) @ IntMatrix.view(stack[part])).lane.reshape(-1, m, m, n)
-        grids = ag[:, :, 0, :]
-        commute = (ag == grids[:, :, None, :]).all(axis=(1, 2, 3)) & (ga == grids[..., None]).all(axis=(1, 2, 3))
-        on, off = np.diagonal(grids, axis1=1, axis2=2), grids[:, off_k]
-        ons = on[:, 0]
-        offs = off[:, 0] if m > 1 else ons
-        flat = (on == ons[:, None]).all(axis=1) & (off == offs[:, None]).all(axis=1)
-        out += [_k_class(int(d), int(c)) if ok else KCommutation("other") for ok, d, c in zip(commute & flat, ons, offs)]
+        ag = (IntMatrix.view(stack[part][:, rows]) @ g).lane
+        ta = (IntMatrix.view(stack[part][:, :, rows].swapaxes(1, 2)) @ g).lane
+        d = ag[:, 0, first]
+        c = ag[:, 0, (first + 1) % m] if m > 1 else d
+        want = np.where(own, d[:, None, None], c[:, None, None])
+        ok = (ag == want).all(axis=(1, 2)) & (ta == want).all(axis=(1, 2))
+        out += [_k_class(int(x), int(y)) if good else KCommutation("other") for good, x, y in zip(ok, d, c)]
     return out
 
 

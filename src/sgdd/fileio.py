@@ -17,10 +17,13 @@ Everything is line-oriented ASCII so artifacts diff cleanly:
 * matrix set ........... ``order count`` then the matrices (Hadamard or
                          weighing collections)
 
-Writers return ``str`` and end files with a newline; readers reject trailing
-junk, so a write/read/write round trip is byte-identical.  Parsers take the
-file's ``bytes``, refuse any byte past 0x7F, end lines where ``str.splitlines``
-would and decode only the lines they read as tokens.
+Writers end files with a newline; readers reject trailing junk, so a
+write/read/write round trip is byte-identical.  A scheme and a linked system
+are written as byte chunks (``scheme_chunks``, ``linked_system_chunks``),
+one digit buffer per block, which the CLI writes to its output as they come;
+``format_*`` return ``str``, and for those two formats join the same chunks.
+Parsers take the file's ``bytes``, refuse any byte past 0x7F, end lines
+where ``str.splitlines`` would and decode only the lines they read as tokens.
 
 A block of single-digit rows joined by single spaces, all ending in a line
 feed or all in CR LF, is viewed in place as ``uint8``, and a block of digits
@@ -29,13 +32,15 @@ other block takes the token reader, so every error names the same line
 either way.  Scheme class blocks stay ``uint8`` as read, the blocks of a
 linked system or an auxiliary set are checked one by one into its ``uint8``
 stack, and a scheme is written from its class-label array R, class i as
-R == i; other matrices become ``IntMatrix``.
+R == i; other matrices become ``IntMatrix``.  ``read_scheme`` reads a scheme
+file block by block from a stream, leaving any other file to the token reader.
 """
 
 from __future__ import annotations
 
+import io
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 import numpy as np
@@ -46,6 +51,7 @@ from .errors import FormatError, ParameterError
 from .latin import LatinSquare, LinkedMolsFamily
 from .linked import GcmMatrix, LinkedParams, LinkedSystemII
 from .resolvable import AuxiliarySet, auxiliary_set
+from .schemes import ClassBits
 
 
 # the ASCII line boundaries of str.splitlines
@@ -107,42 +113,70 @@ class Lines:
 
 # -- matrix v1 ---------------------------------------------------------------
 
-def _digit_rows(a: np.ndarray) -> str:
-    """The rows of a matrix of digits 0..9 or booleans, filled into one byte buffer."""
-    buf = np.full((a.shape[0], 2 * a.shape[1]), ord(" "), dtype=np.uint8)
-    np.add(a, ord("0"), out=buf[:, 0::2], casting="unsafe")
-    buf[:, -1] = ord("\n")
-    return buf.tobytes().decode("ascii")
+# a digit and the space after it, or the line feed that ends its row, read
+# as one little-endian 16-bit pair: its value less the pair of digit 0
+_SPACE_PAIR, _LF_PAIR, _CR_PAIR = 0x2030, 0x0A30, 0x0D30
+
+
+def _digit_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a matrix of digits 0..9 or booleans, filled into one
+    uint8 text buffer, each digit and the byte after it one 16-bit pair."""
+    pairs = np.empty(a.shape, dtype="<u2")
+    np.add(a, np.uint16(_SPACE_PAIR), out=pairs, casting="unsafe")
+    pairs[:, -1] -= np.uint16(_SPACE_PAIR - _LF_PAIR)
+    return pairs.view(np.uint8)
+
+
+def _joined(chunks: Iterable) -> str:
+    """The text of a writer's byte chunks, for in-memory callers."""
+    return b"".join(chunks).decode("ascii")
+
+
+def matrix_chunks(m: IntMatrix) -> Iterator:
+    """Matrix v1 as byte chunks: a matrix of digits as one digit buffer."""
+    a = m.a
+    yield f"{m.rows} {m.cols}\n".encode()
+    if a.dtype.kind in "biu" and a.size and a.min() >= 0 and a.max() <= 9:
+        yield _digit_rows(a)
+    else:
+        yield ("\n".join(" ".join(map(str, row)) for row in a.tolist()) + "\n").encode()
 
 
 def format_matrix(m: IntMatrix) -> str:
-    a = m.a
-    if a.dtype.kind in "biu" and a.size and a.min() >= 0 and a.max() <= 9:
-        body = _digit_rows(a)
-    else:
-        body = "\n".join(" ".join(map(str, row)) for row in a.tolist()) + "\n"
-    return f"{m.rows} {m.cols}\n{body}"
+    return _joined(matrix_chunks(m))
+
+
+def _pair_digits(data, at: int, width: int, out: np.ndarray, top: int) -> bool:
+    """Whether the rows of ``width`` bytes at ``at`` in ``data`` are single
+    digits 0..top joined by single spaces, each row ending in LF (``width``
+    twice the digits) or CR LF, the digits written to ``out`` (rows, digits).
+    A digit and the byte after it are one little-endian 16-bit pair; less
+    the pair of "0 " ("0\\n", "0\\r" at a row's end) it is the digit exactly
+    when at most 9, as every other byte wraps past 9."""
+    rows, cols = out.shape
+    pairs = np.ndarray((rows, cols), dtype="<u2", buffer=data, offset=at, strides=(width, 2))
+    np.subtract(pairs[:, :-1], _SPACE_PAIR, out=out[:, :-1])
+    np.subtract(pairs[:, -1], _CR_PAIR if width > 2 * cols else _LF_PAIR, out=out[:, -1])
+    if out.max() > top:
+        return False
+    return width == 2 * cols or (np.ndarray(rows, np.uint8, data, at + 2 * cols, (width,)) == ord("\n")).all()
 
 
 def _read_digit_block(lines: Lines, rows: int, cols: int) -> np.ndarray | None:
-    """The next ``rows`` lines as uint8, viewed in place, when each is ``cols``
+    """The next ``rows`` lines as uint8, read in place, when each is ``cols``
     single digits joined by single spaces and every one ends in a line feed,
     or every one in CR LF (as the first does), with ``lines`` moved past them;
     otherwise None, with ``lines`` unmoved."""
     text = 2 * cols - 1
-    end = b"\r\n" if lines.data[lines.at + text : lines.at + text + 2] == b"\r\n" else b"\n"
-    width = text + len(end)
-    size = rows * width
-    if lines.at + size > len(lines.data):
+    width = 2 * cols + (lines.data[lines.at + text : lines.at + text + 2] == b"\r\n")
+    if lines.at + rows * width > len(lines.data):
         return None
-    view = np.frombuffer(lines.data, dtype=np.uint8, count=size, offset=lines.at).reshape(rows, width)
-    digits = view[:, 0:text:2] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
-    ends = view[:, text:] == np.frombuffer(end, dtype=np.uint8)
-    if not ((digits <= 9).all() and (view[:, 1:text:2] == ord(" ")).all() and ends.all()):
+    digits = np.empty((rows, cols), dtype="<u2")
+    if not _pair_digits(lines.data, lines.at, width, digits, 9):
         return None
-    lines.at += size
+    lines.at += rows * width
     lines.pos += rows
-    return digits
+    return digits.astype(np.uint8)
 
 
 def _read_matrix(lines: Lines) -> np.ndarray:
@@ -297,11 +331,18 @@ def format_mols_list(squares: list[LatinSquare]) -> str:
 
 # -- linked systems --------------------------------------------------------------
 
-def format_linked_system(sys: LinkedSystemII) -> str:
+def linked_system_chunks(sys: LinkedSystemII) -> Iterator:
+    """The linked-system file as byte chunks: its header, then each block's
+    header and digit buffer."""
     p, base = sys.params, sys.params.base
     triple = f"{p.sigma} {p.tau} {p.rho}" if p.sigma is not None else "- - -"
-    head = f"{p.f} {base.v} {base.m} {base.n} {base.k} {base.lambda1} {base.lambda2} {triple}\n"
-    return head + "".join(format_matrix(IntMatrix.view(blk)) for blk in sys.stack)
+    yield f"{p.f} {base.v} {base.m} {base.n} {base.k} {base.lambda1} {base.lambda2} {triple}\n".encode()
+    for blk in sys.stack:
+        yield from matrix_chunks(IntMatrix.view(blk))
+
+
+def format_linked_system(sys: LinkedSystemII) -> str:
+    return _joined(linked_system_chunks(sys))
 
 
 def parse_linked_system(data: bytes) -> LinkedSystemII:
@@ -325,10 +366,20 @@ def parse_linked_system(data: bytes) -> LinkedSystemII:
 
 # -- schemes ----------------------------------------------------------------------
 
+def scheme_chunks(relation: np.ndarray) -> Iterator:
+    """The scheme of a label array R with labels 0..d as byte chunks: the
+    header, then class i, R == i, as a block header and a digit buffer,
+    one class at a time."""
+    d, size = int(relation.max()), relation.shape[0]
+    yield f"{d} {size}\n".encode()
+    for i in range(d + 1):
+        yield f"{size} {size}\n".encode()
+        yield _digit_rows(relation == i)
+
+
 def format_scheme_matrices(relation: np.ndarray) -> str:
     """The scheme of a label array R with labels 0..d: class i written as R == i."""
-    d, size = int(relation.max()), relation.shape[0]
-    return "".join([f"{d} {size}\n"] + [f"{size} {size}\n" + _digit_rows(relation == i) for i in range(d + 1)])
+    return _joined(scheme_chunks(relation))
 
 
 def parse_scheme_matrices(data: bytes) -> list[np.ndarray]:
@@ -342,6 +393,55 @@ def parse_scheme_matrices(data: bytes) -> list[np.ndarray]:
     if any(m.shape != (size, size) for m in mats):
         raise FormatError("scheme: matrix order disagrees with header")
     return mats
+
+
+def _line_ints(line: bytes) -> list[int]:
+    """The two integers of one header line, as ``Lines.ints`` reads them."""
+    lines = Lines(line, "scheme")
+    vals = lines.ints(2)
+    lines.done()
+    return vals
+
+
+def _class_block(stream, buf: np.ndarray, size: int) -> np.ndarray | None:
+    """The next class block of order ``size`` read into ``buf``, as the
+    (size, size) 16-bit view of its digits there when it is a 0/1 digit
+    block (``_pair_digits``, in place); None otherwise."""
+    text = 2 * size
+    if stream.readinto(memoryview(buf)[:text]) != text:
+        return None
+    width = text + (int(buf[text - 1]) == ord("\r"))
+    rest = memoryview(buf)[text : size * width]
+    if stream.readinto(rest) != len(rest):
+        return None
+    pairs = np.ndarray((size, size), dtype="<u2", buffer=buf, strides=(width, 2))
+    return pairs if _pair_digits(buf, 0, width, pairs, 1) else None
+
+
+def read_scheme(stream) -> ClassBits | None:
+    """A scheme file's classes read from the binary ``stream`` block by
+    block into one ``ClassBits`` array, class i into bit i, when every class
+    is a 0/1 digit block of the header's order; otherwise None, before any
+    array is sized by a header the stream is too short to hold, and the
+    token reader (``parse_scheme_matrices``) is left to read and name errors."""
+    try:
+        d, size = _line_ints(stream.readline())
+        here = stream.tell()
+        left = stream.seek(0, io.SEEK_END) - here
+        stream.seek(here)
+        if not (0 < d + 1 <= ClassBits.MAX_CLASSES and 0 < size and (d + 1) * 2 * size * size <= left):
+            return None
+        bits = np.zeros((size, size), dtype=np.uint8)
+        buf = np.empty(size * (2 * size + 1), dtype=np.uint8)
+        for i in range(d + 1):
+            if _line_ints(stream.readline()) != [size, size] or (digits := _class_block(stream, buf, size)) is None:
+                return None
+            np.left_shift(digits, i, out=digits)
+            np.bitwise_or(bits, digits, out=bits, casting="unsafe")  # 0/1 shifted by i < 8 fits
+        Lines(stream.read(), "scheme").done()
+    except FormatError:
+        return None
+    return ClassBits(bits, d + 1)
 
 
 # -- group-entry matrices (generalized conference / BGW) ----------------------------

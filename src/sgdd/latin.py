@@ -144,24 +144,36 @@ def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     a of L_ik and row b of L_jk agree in (X_ik X_jk^T)[a, b] columns, and
     weighting each column (c, s) by s sums the symbols they agree on: the
     composition's (a, b) entry where they agree once.  For each third index
-    k these are two ``block_differences`` grids over the L_ik, i != k: the
-    agreement counts against the constant 1, and the weighted sums against
-    L_ij itself; the failures are reported triple by triple in (i, j, k)
-    order."""
+    k these are two ``block_differences`` grids over the L_ik, i != k, the f
+    of each kind one batch: the agreement counts against the constant 1,
+    and the weighted sums against L_ij itself.  A square against itself
+    (i = j) is compared with n I and (n(n-1)/2) I, as its rows agree with
+    themselves only, so a linked family's grids pass whole.  The failures
+    are reported triple by triple in (i, j, k) order."""
     cert = Certificate(f"linked family f={fam.f} order={fam.order}")
     f, n = fam.f, fam.order
-    grids = np.zeros((f + 1, f + 1, n, n), dtype=np.intp)
+    # symbols, labels and weights in the narrowest dtype that holds 0..n
+    grids = np.zeros((f + 1, f + 1, n, n), dtype=np.min_scalar_type(n))
     for pair, sq in fam.squares.items():
         grids[pair] = sq.grid
-    weights = np.tile(np.arange(n), n)  # the symbol s of column (c, s)
+    weights = np.tile(np.arange(n, dtype=np.uint8 if n <= 256 else np.int64), n)  # the symbol s of column (c, s)
+    eye = np.eye(n, dtype=grids.dtype)
+    # ends[k - 1] are the indices other than k; rows[k - 1, a] the one-hot rows of L_ik, i = ends[k - 1, a]
+    ends = np.array([[x for x in range(1, f + 1) if x != k] for k in range(1, f + 1)])
+    rows = (grids[ends, np.arange(1, f + 1)[:, None]][..., None] == np.arange(n)).reshape(f, f - 1, n, n * n)
+
+    def agreements(c, a, b):  # 1; for i = j, 0 (label 1) and n (label 2) on the diagonal
+        return np.where((a == b)[..., None, None], 1 + eye, 0)
+
+    def compositions(c, a, b):  # L_ij; for i = j, n(n-1)/2 (label n) on the diagonal
+        return np.where((a == b)[..., None, None], n * eye, grids[ends[c, a], ends[c, b]])
+
+    hits = block_differences(rows, rows.swapaxes(2, 3), agreements, (1, 0, n))
+    common = block_differences(rows * weights, rows.swapaxes(2, 3), compositions, (*range(n), n * (n - 1) // 2))
     failed = np.zeros((f + 1,) * 3, dtype=np.int8)  # 1: not orthogonal, 2: bad composition
-    for k in range(1, f + 1):
-        ends = np.array([x for x in range(1, f + 1) if x != k])
-        rows = (grids[ends, k][..., None] == np.arange(n)).reshape(f - 1, n, n * n)
-        hits = block_differences(rows, rows.swapaxes(1, 2), lambda a, b: np.uint8(0), (1,))
-        common = block_differences(rows * weights, rows.swapaxes(1, 2), lambda a, b: grids[ends[a], ends[b]], range(n))
-        wrong = [np.array([[d is not None for d in row] for row in grid]) for grid in (hits, common)]
-        failed[np.ix_(ends, ends, [k])] = np.where(wrong[0], 1, np.where(wrong[1], 2, 0))[..., None]
+    for k, row_ends, hit, comp in zip(range(1, f + 1), ends, hits, common):
+        wrong = [np.array([[d is not None for d in row] for row in grid]) for grid in (hit, comp)]
+        failed[np.ix_(row_ends, row_ends, [k])] = np.where(wrong[0], 1, np.where(wrong[1], 2, 0))[..., None]
     for i, j, k in np.argwhere(failed):
         if i == j:
             continue

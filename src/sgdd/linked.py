@@ -204,15 +204,17 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
 
     The system's stack is certified as it is held: each family of
     identities is a few stacked kernel products (the Gram pair and the
-    commutation pair for all blocks, one triple product per middle index),
-    each formed in slices of whole blocks past STACK_ENTRIES and reduced to
-    per-block verdicts and first positions before the next is formed: f + 4
-    products for a system of order v <= 64 with f <= 7.  The lines come out
-    block by block, as a per-block walk would print them.
+    commutation pair for all blocks, the triple products of every middle
+    index as one batch), each formed in slices of whole blocks past
+    STACK_ENTRIES and reduced to per-block verdicts and first positions
+    before the next is formed: 5 products for a system of order v <= 64
+    with f <= 7.  The lines come out block by block, as a per-block walk
+    would print them.
 
-    The Gram and triple products are formed on one row per orbit of the
-    group and point digit shifts that fix every block (``_translation_rows``),
-    and on every row when they fail there or no such shift is found."""
+    The Gram, commutation and triple products are formed on one row per
+    orbit of the group and point digit shifts that fix every block
+    (``_translation_rows``), and on every row when they fail there or no
+    such shift is found."""
     p = sys.params
     base, stack = p.base, sys.stack
     cert = Certificate(f"linked system f={p.f} on {base}")
@@ -221,7 +223,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     orbits = _translation_rows(stack, base)
     grams = on_orbits(lambda rows: verify_grams(stack, base, rows), orbits, lambda certs: all(c.ok for c in certs))
     zero_one = ~stack[:, in_k].any(axis=1)
-    comms = k_commutations(stack, base.m, base.n)
+    comms = on_orbits(lambda rows: k_commutations(stack, base.m, base.n, rows), orbits, lambda cs: all(c.kind != "other" for c in cs))
     want = Fraction(base.k, base.m - 1)
     for pair, sub, ok, comm in zip(pairs, grams, zero_one, comms):
         if sub.ok:
@@ -306,32 +308,38 @@ def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, ro
     sigma A_il + tau (J - A_il - K) + rho K on the given rows (all of them,
     or one per orbit), or None.
 
-    For each middle index j, one ``block_differences`` grid of the A_ij
-    (i != j) against the A_jl (l != j), on the labels A_il + 2K; the blocks
-    with i = l are not triples and are skipped.  Label 3 (a 1 of A_il
-    inside K, which the 0/1 check on A + K has already reported) reads
-    sigma - tau + rho, the value of the formula there."""
+    One ``block_differences`` grid per middle index j, all f as one batch:
+    the A_ij (i != j) against the A_jl (l != j), on the labels A_il + 2K.
+    Label 3 (a 1 of A_il inside K, which the 0/1 check on A + K has already
+    reported) reads sigma - tau + rho, the value of the formula there.  A
+    block with i = l, A_ij A_ji, is compared with the Gram pattern on labels
+    4 + ``group_labels`` and dropped, so a certifying system's grids pass
+    whole."""
     f, v = p.f, p.base.v
     rows = np.arange(v)[rows]
     twice_k = (2 * in_k[rows]).astype(np.uint8)
-    coeffs = (p.tau, p.sigma, p.rho, p.sigma - p.tau + p.rho)
-    out = {}
-    for j in range(1, f + 1):
-        ends = np.array([x for x in range(1, f + 1) if x != j])
+    gram = (4 + group_labels(p.base.m, p.base.n)[rows]).astype(np.uint8)
+    coeffs = (p.tau, p.sigma, p.rho, p.sigma - p.tau + p.rho, p.base.lambda2, p.base.lambda1, p.base.k)
+    # ends[j - 1] are the indices other than j, in increasing order
+    ends = np.array([[x for x in range(1, f + 1) if x != j] for j in range(1, f + 1)])
 
-        def labels(a, b):
-            i, l = ends[a], ends[b]
-            # an i = l block reads block 0's labels: it is skipped
-            return stack[np.where(i != l, pair_index(f, i, l), 0)[..., None], rows] + twice_k
+    def labels(c, a, b):
+        i, l = ends[c, a], ends[c, b]
+        same = np.broadcast_to(i == l, np.broadcast_shapes(i.shape, l.shape))
+        out = stack[np.where(same, 0, pair_index(f, i, l))[..., None], rows] + twice_k
+        out[same] = gram  # an i = l block read block 0's labels
+        return out
 
-        # the blocks (j, l) are consecutive in the stack: a view, not a copy
-        right = stack[pair_index(f, j, ends[0]) : pair_index(f, j, ends[-1]) + 1]
-        grid = block_differences(stack[np.ix_(pair_index(f, ends, j), rows)], right, labels, coeffs)
-        for i, row in zip(ends.tolist(), grid):
-            for l, diff in zip(ends.tolist(), row):
-                if i != l:
-                    out[(i, j, l)] = diff
-    return out
+    # left[j - 1] are the A_ij on the rows; the A_jl of each j are consecutive in the stack
+    left = stack[pair_index(f, ends, np.arange(1, f + 1)[:, None])[..., None], rows]
+    grid = block_differences(left, stack.reshape(f, f - 1, v, v), labels, coeffs)
+    return {
+        (i, j, l): diff
+        for j, row_ends, rows_grid in zip(range(1, f + 1), ends.tolist(), grid)
+        for i, row in zip(row_ends, rows_grid)
+        for l, diff in zip(row_ends, row)
+        if i != l
+    }
 
 
 def make_linked_system(params: LinkedParams, stack: np.ndarray) -> LinkedSystemII:

@@ -118,11 +118,66 @@ def _symmetric(a: np.ndarray) -> bool:
     return all(np.array_equal(a[r : r + tile, c : c + tile], a[c : c + tile, r : r + tile].T) for r in range(0, n, tile) for c in range(r, n, tile))
 
 
+class ClassBits:
+    """At most eight 0/1 classes A_0, ..., A_d as one uint8 array, bit i of
+    bits[x, y] being A_i[x, y] (``fileio.read_scheme``): R in one-hot form.
+    Indexing gives the classes, so it stands wherever a class list does."""
+
+    MAX_CLASSES = 8
+
+    def __init__(self, bits: np.ndarray, count: int):
+        if not 0 < count <= self.MAX_CLASSES:
+            raise ParameterError(f"class bits hold 1 to {self.MAX_CLASSES} classes, not {count}")
+        self.bits, self.count = bits, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, idx: int) -> np.ndarray:
+        return (self.bits >> range(self.count)[idx]) & 1
+
+
+# bits -> label: i for 1 << i, and 255 for a pair in no class or in several
+_BIT_LABELS = np.full(256, 255, dtype=np.uint8)
+_BIT_LABELS[1 << np.arange(ClassBits.MAX_CLASSES)] = np.arange(ClassBits.MAX_CLASSES)
+
+
+def _label_axioms(relation: np.ndarray, count: int) -> Certificate | None:
+    """The partition certificate of ``count`` classes read once on R (255
+    where a pair is in no class or several), or None: every pair in one
+    class, R = R^T, R = 0 exactly on the diagonal (A_0 = I) and no label
+    missing make every class symmetric 0/1 and sum A_i = J."""
+    size = len(relation)
+    holds = (
+        int(relation.max()) < count
+        and not relation.diagonal().any()
+        and np.count_nonzero(relation) == size * (size - 1)
+        and _symmetric(relation)
+        and all((relation == i).any() for i in range(1, count))
+    )
+    if not holds:
+        return None
+    cert = Certificate("association scheme axioms")
+    cert.passed("A_0 = I")
+    cert.passed("sum A_i = J")
+    return cert
+
+
 def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
     """R[x, y] = i for (x, y) in class i of the integer or boolean arrays
     A_0, ..., A_d, with the certificate of the O(|X|^2) axioms: A_0 = I,
     every class a symmetric square 0/1 matrix, sum A_i = J and no class
-    empty.  R is None unless they hold; it is uint8 up to 255 classes."""
+    empty.  R is None unless they hold; it is uint8 up to 255 classes.
+
+    ``ClassBits`` are checked on R (``_label_axioms``), and class by class
+    only when that fails, so a failing input is reported as a list is."""
+    if isinstance(classes, ClassBits):
+        relation = np.empty_like(classes.bits)
+        for rows in stack_slices(len(relation), len(relation)):  # np.take copies its indices as intp
+            np.take(_BIT_LABELS, classes.bits[rows], out=relation[rows])
+        if (cert := _label_axioms(relation, len(classes))) is not None:
+            return relation, cert
+        del relation
     cert = Certificate("association scheme axioms")
     size = classes[0].shape[0]
     relation = np.zeros((size, size), dtype=np.min_scalar_type(len(classes)))
@@ -437,8 +492,9 @@ def assemble_scheme(sys: LinkedSystemII) -> AssociationScheme:
         raise CertificationError("input system fails certification", sys_cert)
     base = sys.params.base
     params = SchemeParams(k=base.k, m=base.m, n=base.n, f=sys.params.f)
-    relation, cert = relation_from_classes(scheme_matrices_from_system(sys) == np.arange(CLASSES)[:, None, None])
-    if relation is None:
+    relation = scheme_matrices_from_system(sys)
+    if (cert := _label_axioms(relation, CLASSES)) is None:
+        cert = relation_from_classes(relation == np.arange(CLASSES)[:, None, None])[1]
         raise CertificationError("assembled matrices fail the scheme axioms", cert)
     p = _first_pair_numbers(relation)
     cert.checks += _DECOMPOSITION
@@ -570,13 +626,15 @@ def _canonical_vertex_order(relation: np.ndarray, labels, m: int, n: int, groups
     group_of = {x: g for g in groups for x in g}
     ref_groups = sorted({group_of[x] for x in fibers[0]}, key=min)
     order = []
+    leads = [g[0] for g in ref_groups]
     for t, fib in enumerate(fibers):
         aligned = ref_groups
         if t:
-            firsts = [next((y for y in fib if relation[g[0], y] == c5), None) for g in ref_groups]
-            if None in firsts:
+            # the first A_5-neighbour in fiber t of each group's least point
+            hits = relation[np.ix_(leads, fib)] == c5
+            if not hits.any(axis=1).all():
                 return None
-            aligned = [group_of[y] for y in firsts]
+            aligned = [group_of[fib[y]] for y in hits.argmax(axis=1).tolist()]
             if len(set(aligned)) != m:
                 return None
         for g in aligned:
@@ -594,7 +652,7 @@ def _candidates(relation: np.ndarray, p):
     its (l1, l2) and the groups and fibers of its labeling."""
     # a class with unequal row sums is not a class of a scheme: the dense
     # route rejects such an input, so no labeling is tried
-    valencies = np.stack([np.count_nonzero(relation == i, axis=1) for i in range(CLASSES)])
+    valencies = np.stack([(relation == i).sum(axis=1, dtype=np.int32) for i in range(CLASSES)])
     found = []
     for lab in _identify_labelings(relation, p) if (valencies == valencies[:, :1]).all() else []:
         labels = lab["labels"]

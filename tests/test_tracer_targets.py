@@ -53,9 +53,11 @@ def test_tracer_records_a_certification(sys16, aux_ag23, fam_gf4):
     assert sgdd.linked.verify_linked_system is verify_linked_system
     assert metrics["linked.verify_linked_system.calls"] == 1
     # the blocks are certified as one stack: two Gram products, two for
-    # A K = K A and one triple product per middle index, no verify_gdd call
-    assert metrics["algebra.matmul.calls"] == sys16.params.f + 4
+    # A K = K A and one for the triple products of every middle index, no
+    # verify_gdd call
+    assert metrics["algebra.matmul.calls"] == 5
     assert metrics["designs.verify_gdd.calls"] == 0
-    # one grid of C_a C_b^T; two grids per third index of a linked family
+    # one grid of C_a C_b^T; the two grids of every third index of a linked
+    # family as two batches
     assert _traced(tracer, lambda: verify_auxiliary(aux_ag23))["algebra.matmul.calls"] == 1
-    assert _traced(tracer, lambda: verify_linked(fam_gf4))["algebra.matmul.calls"] == 2 * fam_gf4.f
+    assert _traced(tracer, lambda: verify_linked(fam_gf4))["algebra.matmul.calls"] == 2
