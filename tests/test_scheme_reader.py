@@ -1,10 +1,11 @@
 """The block-by-block scheme reader (``fileio.read_scheme``) and the label
 array axioms (``schemes.relation_from_classes`` on ``ClassBits``) against
 the token reader (``fileio.parse_scheme_matrices``) and the class-list route
-(``class_list_route``): on seeded files with CR LF line ends, blocks at odd
-and even byte offsets, a 2 entry, a non-digit byte, a truncated last class,
-and overlapping, asymmetric and empty classes, the CLI reports the same R,
-certificate lines and error lines either way."""
+(``class_list_route``): on seeded files with CR LF line ends (one of them
+ending a row in CR x), blocks at odd and even byte offsets, a 2 entry, a
+non-digit byte, a truncated last class, overlapping, asymmetric and empty
+classes, and an A_0 that is not I, the CLI reports the same R, certificate
+lines and error lines either way."""
 
 import io
 import random
@@ -44,12 +45,29 @@ def _text(relation, seed: int, kind: str) -> str:
         put(rng.randrange(6), rng.randrange(size), rng.randrange(size), "2" if kind == "entry-2" else "x")
     elif kind == "truncated":
         return "\n".join(lines)[: -rng.randrange(2, 4 * size)]
+    elif kind in ("overlap-pair", "into-a0"):
+        # both entries of a pair: into a second class too, or into A_0 instead
+        src = rng.randrange(1, 6)
+        x, y = pair_in(src)
+        dst = 0 if kind == "into-a0" else rng.choice([c for c in range(1, 6) if c != src])
+        for a, b in ((x, y), (y, x)):
+            put(dst, a, b, "1")
+            if kind == "into-a0":
+                put(src, a, b, "0")
     elif kind in ("overlap", "asymmetric"):
         src = rng.randrange(1, 6)
         x, y = pair_in(src)
         put(rng.choice([c for c in range(1, 6) if c != src]), x, y, "1")
         if kind == "asymmetric":
             put(src, x, y, "0")
+    elif kind == "a0-moved":
+        # a pair of some class x != y joins A_0 and x, y leave it: the zeros
+        # of R stay as many, R stays symmetric, but A_0 is no longer I
+        x, y = pair_in(rng.randrange(1, 6))
+        moved = relation.copy()
+        moved[x, x] = moved[y, y] = relation[x, y]
+        moved[x, y] = moved[y, x] = 0
+        return fileio.format_scheme_matrices(moved)
     elif kind == "empty":
         # class 5 joins class 4: every class stays 0/1 and symmetric, but A_5 is empty
         merged = np.where(relation == 5, 4, relation)
@@ -58,13 +76,17 @@ def _text(relation, seed: int, kind: str) -> str:
 
 
 def _layouts(text: str) -> dict[str, bytes]:
-    """The file as written, with CR LF line ends, and with the header one
-    byte longer, which moves every block by one byte."""
+    """The file as written, with CR LF line ends, with the header one byte
+    longer, which moves every block by one byte, and with CR LF line ends
+    where one row of the middle class ends in CR x."""
     d, size = text.split("\n", 1)[0].split()
+    crlf = text.replace("\n", "\r\n")
+    at = crlf.index("\r\n", len(crlf) // 2)
     return {
         "lf": text.encode(),
-        "crlf": text.replace("\n", "\r\n").encode(),
+        "crlf": crlf.encode(),
         "shifted": text.replace(f"{d} {size}\n", f"{d}  {size}\n", 1).encode(),
+        "cr-x": (crlf[:at] + "\rx" + crlf[at + 2 :]).encode(),
     }
 
 
@@ -82,7 +104,7 @@ def _cli(path: Path, capsys) -> tuple[int, str, str]:
     return code, out, err
 
 
-KINDS = ["as-written", "entry-2", "non-digit", "truncated", "overlap", "asymmetric", "empty"]
+KINDS = ["as-written", "entry-2", "non-digit", "truncated", "overlap", "overlap-pair", "asymmetric", "into-a0", "a0-moved", "empty"]
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -94,7 +116,7 @@ def test_reader_matches_token_and_class_list_routes(source, kind, seed, request,
         classes, error = _token_route(data)
         bits = fileio.read_scheme(io.BytesIO(data))
         # only a file of 0/1 digit blocks as written is read block by block
-        assert (bits is not None) == (kind in ("as-written", "overlap", "asymmetric", "empty")), layout
+        assert (bits is not None) == (kind not in ("entry-2", "non-digit", "truncated") and layout != "cr-x"), layout
         if bits is not None:
             assert isinstance(bits, ClassBits) and len(bits) == len(classes)
             assert all(np.array_equal(a, b) for a, b in zip(bits, classes))
