@@ -424,6 +424,8 @@ def read_scheme(stream) -> ClassBits | None:
     is a 0/1 digit block of the header's order; otherwise None, before any
     array is sized by a header the stream is too short to hold, and the
     token reader (``parse_scheme_matrices``) is left to read and name errors."""
+    if not stream.seekable():  # a pipe: the token reader reads it whole
+        return None
     try:
         d, size = _line_ints(stream.readline())
         here = stream.tell()

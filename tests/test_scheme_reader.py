@@ -8,6 +8,7 @@ classes, and an A_0 that is not I, the CLI reports the same R, certificate
 lines and error lines either way."""
 
 import io
+import os
 import random
 import tracemalloc
 from pathlib import Path
@@ -162,6 +163,18 @@ def test_headers_outside_the_written_layout_take_the_token_reader(header, scheme
     reader declines, and the token reader decides."""
     body = fileio.format_scheme_matrices(scheme48.relation).split("\n", 1)[1].encode()
     assert fileio.read_scheme(io.BytesIO(header + body)) is None
+
+
+def test_a_pipe_is_left_whole_to_the_token_reader(scheme48):
+    """A stream that cannot seek is declined before a byte is read, so the
+    token reader still gets all of it."""
+    data = fileio.format_scheme_matrices(scheme48.relation).encode()
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        assert fileio.read_scheme(pipe) is None
+        assert pipe.read() == data
 
 
 def test_written_schemes_are_read_block_by_block(scheme448, line_reads):
