@@ -132,7 +132,7 @@ def _joined(chunks: Iterable) -> str:
     return b"".join(chunks).decode("ascii")
 
 
-def matrix_chunks(m: IntMatrix) -> Iterator:
+def _matrix_chunks(m: IntMatrix) -> Iterator:
     """Matrix v1 as byte chunks: a matrix of digits as one digit buffer."""
     a = m.a
     yield f"{m.rows} {m.cols}\n".encode()
@@ -143,7 +143,7 @@ def matrix_chunks(m: IntMatrix) -> Iterator:
 
 
 def format_matrix(m: IntMatrix) -> str:
-    return _joined(matrix_chunks(m))
+    return _joined(_matrix_chunks(m))
 
 
 def _pair_digits(data, at: int, width: int, out: np.ndarray, top: int) -> bool:
@@ -338,7 +338,7 @@ def linked_system_chunks(sys: LinkedSystemII) -> Iterator:
     triple = f"{p.sigma} {p.tau} {p.rho}" if p.sigma is not None else "- - -"
     yield f"{p.f} {base.v} {base.m} {base.n} {base.k} {base.lambda1} {base.lambda2} {triple}\n".encode()
     for blk in sys.stack:
-        yield from matrix_chunks(IntMatrix.view(blk))
+        yield from _matrix_chunks(IntMatrix.view(blk))
 
 
 def format_linked_system(sys: LinkedSystemII) -> str:
