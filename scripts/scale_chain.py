@@ -6,15 +6,18 @@ wall seconds and peak resident MB of each verb (from ``os.wait4``) as JSON.
 
 The chain builds the auxiliary set of the order-q Hadamard matrix and the
 linked family over GF(q), joins them into a linked system (f = q - 1 blocks
-per row, v = q^2), certifies it, assembles its scheme of (q - 1) q^2
-vertices, certifies and analyses the scheme, extracts the system back and
-tests the fusion.  The extracted system must equal the constructed one byte
-for byte.  The files go to ``--out`` (a temporary directory by default).
+per row, v = q^2), certifies it, and certifies a copy with one seeded entry
+flipped, which must fail (exit 1).  It then assembles the scheme of
+(q - 1) q^2 vertices, certifies and analyses the scheme, extracts the system
+back and tests the fusion.  The extracted system must equal the constructed
+one byte for byte.  The files go to ``--out`` (a temporary directory by
+default).
 """
 
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -22,6 +25,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+FLIPPED = "verify linked-system (one entry flipped)"
 
 
 def chain(q: int) -> list[tuple[str, list[str], int]]:
@@ -31,12 +35,29 @@ def chain(q: int) -> list[tuple[str, list[str], int]]:
         ("linked-mols", ["construct", "linked-mols", "--q", str(q), "-o", "gf.fam"], 0),
         ("tilde-l", ["construct", "tilde-l", "--aux", "had.aux", "--mols", "gf.fam", "-o", "sys.lsys"], 0),
         ("verify linked-system", ["verify", "linked-system", "sys.lsys"], 0),
+        (FLIPPED, ["verify", "linked-system", "bad.lsys"], 1),
         ("assemble", ["scheme", "assemble", "--in", "sys.lsys", "-o", "scheme.scm"], 0),
         ("verify scheme", ["verify", "scheme", "scheme.scm"], 0),
         ("analyze", ["scheme", "analyze", "--in", "scheme.scm"], 0),
         ("extract", ["scheme", "extract", "--in", "scheme.scm", "-o", "back.lsys"], 0),
         ("fusion", ["scheme", "fusion", "--in", "scheme.scm"], 0),
     ]
+
+
+def flip_one_entry(src: Path, dst: Path, seed: int = 0):
+    """Copy the linked-system file ``src`` to ``dst`` with one seeded entry
+    of some A_ij flipped, in an off-diagonal group block, so that A + K
+    stays 0/1 and only the design and triple-product laws can catch it."""
+    rng = random.Random(seed)
+    lines = src.read_bytes().split(b"\n")
+    f, v, m, n = (int(x) for x in lines[0].split()[:4])
+    block, row = rng.randrange(f * (f - 1)), rng.randrange(v)
+    col = rng.choice([c for c in range(v) if c // n != row // n])
+    line = 1 + block * (v + 1) + 1 + row  # the header, then a size line and v rows per block
+    entries = lines[line].split(b" ")
+    entries[col] = b"1" if entries[col] == b"0" else b"0"
+    lines[line] = b" ".join(entries)
+    dst.write_bytes(b"\n".join(lines))
 
 
 def run_verb(argv: list[str], cwd: Path) -> tuple[int, float, float]:
@@ -54,6 +75,8 @@ def run_verb(argv: list[str], cwd: Path) -> tuple[int, float, float]:
 def measure(q: int, out: Path) -> dict:
     steps = []
     for name, argv, want in chain(q):
+        if name == FLIPPED:
+            flip_one_entry(out / "sys.lsys", out / "bad.lsys")
         code, seconds, peak = run_verb(argv, out)
         if code != want:
             raise SystemExit(f"{name}: exit status {code}, expected {want}")

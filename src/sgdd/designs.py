@@ -30,12 +30,20 @@ same code.  An identity on every product of two stacks (the triple law of a
 linked system, the auxiliary axioms, orthogonality and composition of a
 linked family) is a grid of block products, formed and compared by the one
 routine ``block_differences``.
+
+An identity whose matrices are each fixed by some digit shifts of the
+index set (``digit_shifts``, ``shift_masks``) is decided on one row per
+orbit of the group they generate (``orbit_rows``); ``on_orbits`` batches
+the identities of a family by those shifts and forms on every row only
+those that no shift fixes or that fail on their orbit rows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,62 +102,101 @@ def digit_shifts(v: int) -> list[np.ndarray]:
     """For v = p^e, the e permutations of 0..v-1 that each add 1 mod p to
     one base-p digit of an index, none for any other v: with field elements
     and points numbered lexicographically, they generate GF(q)^d's translations."""
+    return list(_shift_table(v))
+
+
+@lru_cache(maxsize=32)
+def _shift_table(v: int) -> np.ndarray:
+    """``digit_shifts(v)`` as the rows of one read-only (e, v) array."""
     try:
         p, e = factor_prime_power(v)
     except ParameterError:
-        return []
+        p, e = v, 0
     x = np.arange(v)
-    return [x + np.where(x // p**s % p == p - 1, 1 - p, 1) * p**s for s in range(e)]
+    table = np.array([x + np.where(x // p**s % p == p - 1, 1 - p, 1) * p**s for s in range(e)], dtype=np.intp).reshape(e, v)
+    table.flags.writeable = False
+    return table
 
 
-def orbit_rows(stack: np.ndarray, perms) -> np.ndarray | None:
-    """The least index of each orbit of the group generated by those of the
-    permutations ``perms`` of 0..v-1 that fix every matrix M of the
-    (count, v, v) ``stack`` exactly, M[perm][:, perm] = M, found by
-    union-find; None when they leave every index alone in its orbit.
-    ``perms`` is read lazily and no further once one orbit is left.
-
-    One row per orbit certifies an identity whose matrices all come from
-    the stack, or are I, J, or K with each index a whole group: if a
-    permutation matrix P fixes each of them, P M P^T = M, it fixes the
-    difference E of the two sides, so row perm(x) of E is row x permuted,
-    and E = 0 exactly when it vanishes on the rows returned."""
+def shift_masks(stack: np.ndarray) -> np.ndarray:
+    """For each matrix M of the (count, v, v) stack, the bit mask of the
+    digit shifts of v (``digit_shifts``) that fix it exactly,
+    M[perm][:, perm] = M: bit s for the s-th shift, as an int64 (count,)
+    array; all 0 when v is not a prime power.  Every shift is tried at
+    once on a slice of the stack within STACK_ENTRIES."""
     v = stack.shape[-1]
-    root = list(range(v))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    orbits = v
-    for perm in perms:
-        perm = np.asarray(perm)
-        if not np.array_equal(np.sort(perm), np.arange(v)):
-            continue
-        if not all(np.array_equal(stack[part][:, perm][:, :, perm], stack[part]) for part in stack_slices(len(stack), v * v)):
-            continue
-        for x, y in enumerate(perm.tolist()):
-            x, y = find(x), find(y)
-            if x != y:  # a root is its orbit's least index
-                root[max(x, y)] = min(x, y)
-                orbits -= 1
-        if orbits == 1:
-            break
-    return None if orbits == v else np.array([x for x in range(v) if root[x] == x])
+    shifts = _shift_table(v)
+    bits = np.left_shift(1, np.arange(len(shifts), dtype=np.int64))
+    masks = np.zeros(len(stack), dtype=np.int64)
+    for part in stack_slices(len(stack), max(len(shifts), 1) * v * v):
+        # moved[c, s] is matrix c with the s-th shift applied to its rows and columns
+        moved = stack[part][:, shifts[:, :, None], shifts[:, None, :]]
+        masks[part] = (moved == stack[part][:, None]).all(axis=(2, 3)) @ bits
+    return masks
 
 
-def on_orbits(check, rows: np.ndarray | None, passed):
-    """``check(rows)``, when ``rows`` (``orbit_rows``) is not None and that
-    result ``passed``; otherwise ``check`` on every row, ``check(slice(None))``,
-    so a failure is reported with the lines and first positions of the full
-    check."""
-    if rows is not None:
-        out = check(rows)
-        if passed(out):
-            return out
-    return check(slice(None))
+@lru_cache(maxsize=64)
+def orbit_rows(v: int, mask: int) -> np.ndarray | None:
+    """The least index of each orbit of the group generated by the digit
+    shifts of v = p^e whose bits are set in ``mask`` (``shift_masks``): the
+    indices whose base-p digits at those places are 0, since the shifts
+    commute and each cycles its digit through 0..p-1, as a read-only array
+    that depends on v and the mask alone, so it is kept for the next call.
+    None when ``mask`` is 0, every index alone in its orbit.
+
+    One row per orbit certifies an identity whose matrices are each fixed
+    by every one of the shifts, or are I, J, or K with each index a whole
+    group: if a permutation matrix P fixes each of them, P M P^T = M, it
+    fixes the difference E of the two sides, so row perm(x) of E is row x
+    permuted, and E = 0 exactly when it vanishes on the rows returned."""
+    if not mask:
+        return None
+    p, e = factor_prime_power(v)
+    x = np.arange(v)
+    rows = x[np.logical_and.reduce([x // p**s % p == 0 for s in range(e) if mask >> s & 1])]
+    rows.flags.writeable = False
+    return rows
+
+
+def on_orbits(check, masks: np.ndarray, rows_of, passed) -> list:
+    """The verdicts of the identities 0..len(masks)-1, each formed on the
+    orbit rows of shifts that fix every matrix it uses.
+
+    ``check(members, rows)`` returns, in order, the verdicts of the
+    identities ``members`` (an int array, ascending) formed on ``rows``
+    (slice(None) for every row); masks[t] is the mask of the shifts that
+    fix every matrix identity t uses, and ``rows_of(mask)`` their rows
+    (``orbit_rows``), None when they join no two indices.
+
+    The batches are taken greedily: the mask most of the identities left
+    have (of two as common, the one with more shifts) takes, as one batch
+    on its rows, every identity left whose mask contains it (each is fixed
+    by its shifts).  So a system fixed by one group of shifts is one batch,
+    and one damaged block leaves the others on their rows and sends only
+    its own identities to every row.  An identity whose verdict has not
+    ``passed`` on orbit rows is formed again on every row, with those whose
+    batch has no rows, as the last batch: so a failure is reported with the
+    lines and first positions of the full check."""
+    masks = np.asarray(masks)
+    batches, left = [], np.arange(len(masks))
+    while len(left):
+        counts = Counter(masks[left].tolist())
+        mask = max(counts, key=lambda mk: (counts[mk], mk.bit_count()))
+        take = masks[left] & mask == mask
+        batches.append((rows_of(mask), left[take]))
+        left = left[~take]
+    out, full = [None] * len(masks), []
+    for rows, ids in sorted((b for b in batches if b[0] is not None), key=lambda b: len(b[0])):
+        for t, verdict in zip(ids.tolist(), check(ids, rows)):
+            out[t] = verdict
+            if not passed(verdict):
+                full.append(t)
+    full += [t for rows, ids in batches if rows is None for t in ids.tolist()]
+    if full:
+        full.sort()
+        for t, verdict in zip(full, check(np.array(full), slice(None))):
+            out[t] = verdict
+    return out
 
 
 def stack_differences(actual: np.ndarray, labels: np.ndarray, coeffs) -> list[tuple | None]:
@@ -214,6 +261,29 @@ def block_differences(left: np.ndarray, right: np.ndarray, labels, coeffs) -> li
                     for a in group:
                         grid[c][a][cols] = [next(diffs) for _ in band]
     return grid
+
+
+def cell_differences(left: np.ndarray, right: np.ndarray, labels, coeffs, cells) -> list:
+    """The ``block_differences`` verdicts of the listed cells of its grid,
+    in order: ``cells`` is (a, b), or (c, a, b) with a batch axis, arrays
+    of equal length.  When they are at least half the grid, it is formed
+    whole and read at the cells; fewer cells are each one member of a batch
+    of 1 x 1 grids, their operands gathered a slice within STACK_ENTRIES at
+    a time."""
+    if left.ndim == 3:
+        return cell_differences(left[None], right[None], lambda c, a, b: labels(a, b), coeffs, (np.zeros_like(cells[0]), *cells))
+    c, a, b = (np.asarray(x, dtype=np.intp) for x in cells)
+    if 2 * len(c) >= left.shape[0] * left.shape[1] * right.shape[1]:
+        grid = block_differences(left, right, labels, coeffs)
+        return [grid[x][y][z] for x, y, z in zip(c.tolist(), a.tolist(), b.tolist())]
+    out = []
+    for part in stack_slices(len(c), right[0, 0].size):
+        at = c[part], a[part], b[part]
+        picked = block_differences(
+            left[at[0], at[1]][:, None], right[at[0], at[2]][:, None], lambda t, _a, _b: labels(*(x[t] for x in at)), coeffs
+        )
+        out += [member[0][0] for member in picked]
+    return out
 
 
 def group_labels(m: int, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from math import isqrt
 from types import MappingProxyType
 
@@ -27,7 +27,7 @@ from .designs import (
     Certificate,
     GddParams,
     IncidenceMatrix,
-    block_differences,
+    cell_differences,
     certified_design,
     check_k_commutation,
     companion_params,
@@ -36,6 +36,7 @@ from .designs import (
     k_commutations,
     on_orbits,
     orbit_rows,
+    shift_masks,
     stack_slices,
     verify_grams,
 )
@@ -211,19 +212,27 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     with f <= 7.  The lines come out block by block, as a per-block walk
     would print them.
 
-    The Gram, commutation and triple products are formed on one row per
-    orbit of the group and point digit shifts that fix every block
-    (``_translation_rows``), and on every row when they fail there or no
-    such shift is found."""
+    Each Gram, commutation and triple identity is formed on one row per
+    orbit of the group and point digit shifts that fix every block it uses
+    (``_translation_masks``, ``on_orbits``): the identities that share
+    those shifts are one batch, and an identity is formed on every row when
+    no shift fixes its blocks or when it fails on its orbit rows.  A block
+    damaged in one entry thus sends only its own identities to every row."""
     p = sys.params
     base, stack = p.base, sys.stack
     cert = Certificate(f"linked system f={p.f} on {base}")
     pairs = ordered_pairs(p.f)
     in_k = group_labels(base.m, base.n) > 0
-    orbits = _translation_rows(stack, base)
-    grams = on_orbits(lambda rows: verify_grams(stack, base, rows), orbits, lambda certs: all(c.ok for c in certs))
+    masks, rows_of = _translation_masks(stack, base)
+
+    def blocks(members: np.ndarray) -> np.ndarray:  # the stack itself when all of it
+        return stack if len(members) == len(stack) else stack[members]
+
+    grams = on_orbits(lambda members, rows: verify_grams(blocks(members), base, rows), masks, rows_of, lambda c: c.ok)
     zero_one = ~stack[:, in_k].any(axis=1)
-    comms = on_orbits(lambda rows: k_commutations(stack, base.m, base.n, rows), orbits, lambda cs: all(c.kind != "other" for c in cs))
+    comms = on_orbits(
+        lambda members, rows: k_commutations(blocks(members), base.m, base.n, rows), masks, rows_of, lambda c: c.kind != "other"
+    )
     want = Fraction(base.k, base.m - 1)
     for pair, sub, ok, comm in zip(pairs, grams, zero_one, comms):
         if sub.ok:
@@ -250,7 +259,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
 
     if p.f == 2:
         comp = companion_params(base)
-        sub = on_orbits(lambda rows: verify_grams(stack[:1] + in_k, comp, rows)[0], orbits, lambda c: c.ok)
+        [sub] = on_orbits(lambda members, rows: verify_grams(stack[:1] + in_k, comp, rows), masks[:1], rows_of, lambda c: c.ok)
         if sub.ok:
             cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
         else:
@@ -258,60 +267,93 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
                 cert.failed(f"pair companion: {v.identity}", v.position, v.expected, v.actual)
         return cert
 
-    triples = on_orbits(lambda rows: _triple_differences(stack, p, in_k, rows), orbits, lambda d: all(x is None for x in d.values()))
-    for i, j in pairs:
-        for l in range(1, p.f + 1):
-            if l not in (i, j):
-                cert.record(f"triple product ({i},{j},{l})", triples[(i, j, l)])
+    triples, uses = _triples(p.f)
+    found = on_orbits(
+        lambda members, rows: _triple_differences(stack, p, in_k, triples[members], rows),
+        np.bitwise_and.reduce(masks[uses]),
+        rows_of,
+        lambda d: d is None,
+    )
+    for (i, j, l), diff in zip(triples.tolist(), found):
+        cert.record(f"triple product ({i},{j},{l})", diff)
     return cert
+
+
+@lru_cache(maxsize=8)
+def _triples(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered triples (i, j, l) of distinct indices 1..f, in the order
+    of their lines, as a (count, 3) array, and the positions of the blocks
+    each uses, A_ij, A_jl and A_il, as a (3, count) array; both read-only."""
+    i, j, l = np.indices((f, f, f)).reshape(3, -1) + 1
+    distinct = (i != j) & (j != l) & (l != i)
+    i, j, l = i[distinct], j[distinct], l[distinct]
+    triples, uses = np.stack([i, j, l], axis=1), pair_index(f, np.stack([i, j, i]), np.stack([j, l, l]))
+    triples.flags.writeable = uses.flags.writeable = False
+    return triples, uses
 
 
 def _sub_block_ids(stack: np.ndarray, m: int, n: int) -> np.ndarray:
     """(count, m, m) integers, equal exactly where the n x n sub-blocks
     (a, b) of the 0/1 stack's matrices are equal: the ranks of their
     entries, packed eight to a byte a slice of blocks at a time, by one
-    argsort of a void view, so no Python object is made per sub-block."""
+    argsort of a void view (of one uint64 when n <= 8, which sorts several
+    times faster), so no Python object is made per sub-block."""
     cells = np.concatenate([
         np.packbits(stack[part].reshape(-1, m, n, m, n).swapaxes(2, 3).reshape(-1, n * n), axis=-1)
         for part in stack_slices(len(stack), stack[0].size)
     ])
-    keys = cells.view(np.dtype((np.void, cells.shape[1])))[:, 0]
+    width = cells.shape[1]
+    if width < 8:
+        cells = np.concatenate([cells, np.zeros((len(cells), 8 - width), dtype=np.uint8)], axis=1)
+    keys = cells.view(np.uint64)[:, 0] if width <= 8 else cells.view(np.dtype((np.void, width)))[:, 0]
     order = np.argsort(keys)
     ranks = np.empty(len(keys), dtype=np.intp)
     ranks[order] = np.cumsum(np.concatenate([[0], keys[order[1:]] != keys[order[:-1]]]))
     return ranks.reshape(-1, m, m)
 
 
-def _translation_rows(stack: np.ndarray, base: GddParams) -> np.ndarray | None:
-    """The group rows ``orbit_rows`` keeps for the digit shifts of the m
-    groups (``digit_shifts``), checked on the sub-block ids, times its point
-    rows for those of the n points of every group, checked on the distinct
-    n x n sub-blocks; None when neither joins two indices.  Both kinds fix
-    K, and the orbits of the group they generate are products of theirs:
-    one row for ``build_tilde_l`` over a field family and an AG set."""
+def _translation_masks(stack: np.ndarray, base: GddParams):
+    """For each block, the mask of the digit shifts that fix it: bits
+    0..e-1 for the e shifts of the m groups (``shift_masks``), checked on
+    the sub-block ids, and the bits above for those of the n points of
+    every group, checked on the distinct n x n sub-blocks, a block fixed
+    when each of its sub-blocks is; with the function that maps a mask to
+    its rows, the group rows (``orbit_rows``) times the point rows, or None
+    when neither joins two indices.  Both kinds fix K, and the orbits of
+    the group they generate are products of theirs: one row for every
+    block of ``build_tilde_l`` over a field family and an AG set."""
     m, n = base.m, base.n
     ids = _sub_block_ids(stack, m, n)
-    groups = orbit_rows(ids, digit_shifts(m))
     at = np.empty(ids.max() + 1, dtype=np.intp)
     at[ids.ravel()] = np.arange(ids.size)  # one position of each distinct sub-block
     c, a, b = np.unravel_index(at, ids.shape)
-    points = orbit_rows(stack.reshape(-1, m, n, m, n)[c, a, :, b], digit_shifts(n))
-    if groups is None and points is None:
-        return None
-    groups = np.arange(m) if groups is None else groups
-    points = np.arange(n) if points is None else points
-    return (groups[:, None] * n + points).ravel()
+    points = shift_masks(stack.reshape(-1, m, n, m, n)[c, a, :, b])
+    # a block is fixed by a point shift when every one of its sub-blocks is
+    points = np.bitwise_and.reduce(points[ids].reshape(len(ids), -1), axis=1)
+    low = len(digit_shifts(m))
+
+    @cache  # each family of identities asks for the rows of the same masks
+    def rows_of(mask: int) -> np.ndarray | None:
+        groups, points = orbit_rows(m, mask & ((1 << low) - 1)), orbit_rows(n, mask >> low)
+        if groups is None and points is None:
+            return None
+        groups = np.arange(m) if groups is None else groups
+        points = np.arange(n) if points is None else points
+        return (groups[:, None] * n + points).ravel()
+
+    return shift_masks(ids) | points << low, rows_of
 
 
-def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, rows) -> dict:
-    """(i, j, l) -> the first difference of A_ij A_jl from
-    sigma A_il + tau (J - A_il - K) + rho K on the given rows (all of them,
-    or one per orbit), or None.
+def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, triples: np.ndarray, rows) -> list:
+    """For each row (i, j, l) of ``triples``, the first difference of
+    A_ij A_jl from sigma A_il + tau (J - A_il - K) + rho K on the given rows
+    (all of them, or one per orbit), or None.
 
-    One ``block_differences`` grid per middle index j, all f as one batch:
-    the A_ij (i != j) against the A_jl (l != j), on the labels A_il + 2K.
-    Label 3 (a 1 of A_il inside K, which the 0/1 check on A + K has already
-    reported) reads sigma - tau + rho, the value of the formula there.  A
+    The cells of one ``block_differences`` grid per middle index j, all f
+    as one batch (``cell_differences``): the A_ij (i != j) against the A_jl
+    (l != j), on the labels A_il + 2K.  Label 3 (a 1 of A_il inside K, which
+    the 0/1 check on A + K has already reported) reads sigma - tau + rho,
+    the value of the formula there.  When the grids are formed whole, a
     block with i = l, A_ij A_ji, is compared with the Gram pattern on labels
     4 + ``group_labels`` and dropped, so a certifying system's grids pass
     whole."""
@@ -332,14 +374,10 @@ def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, ro
 
     # left[j - 1] are the A_ij on the rows; the A_jl of each j are consecutive in the stack
     left = stack[pair_index(f, ends, np.arange(1, f + 1)[:, None])[..., None], rows]
-    grid = block_differences(left, stack.reshape(f, f - 1, v, v), labels, coeffs)
-    return {
-        (i, j, l): diff
-        for j, row_ends, rows_grid in zip(range(1, f + 1), ends.tolist(), grid)
-        for i, row in zip(row_ends, rows_grid)
-        for l, diff in zip(row_ends, row)
-        if i != l
-    }
+    i, j, l = triples.T
+    # the position of an end x among ends[j - 1]
+    cells = j - 1, i - 1 - (i > j), l - 1 - (l > j)
+    return cell_differences(left, stack.reshape(f, f - 1, v, v), labels, coeffs, cells)
 
 
 def make_linked_system(params: LinkedParams, stack: np.ndarray) -> LinkedSystemII:

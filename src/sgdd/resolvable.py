@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate, Violation, block_differences, digit_shifts, equivalence_classes, on_orbits, orbit_rows, stack_differences, zero_one
+from .designs import Certificate, Violation, cell_differences, equivalence_classes, on_orbits, orbit_rows, shift_masks, stack_differences, zero_one
 from .errors import CertificationError, ParameterError
 from .gf import gf_from_order
 
@@ -91,22 +91,28 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     """Check axioms (i)-(iii) by exact multiplication, (ii) and (iii) as one
     grid of products C_a C_b^T (``_product_differences``), then re-derive
     the parameters and confirm the four arithmetic relations they must satisfy.
-    The products are formed on one row per orbit of the point digit
-    shifts (``digit_shifts``) that fix every C_a (``orbit_rows``), and on
-    every row when they fail there or none does."""
+    Each product C_a C_b^T is formed on one row per orbit of the point
+    digit shifts that fix both C_a and C_b (``shift_masks``, ``on_orbits``),
+    and on every row when none does or it fails there."""
     cert = Certificate(f"auxiliary matrices {aux.params}")
     stack, v, r, p = aux.stack, aux.order, aux.r, aux.params
     total = stack.sum(axis=0, dtype=np.int64)
     [diff] = stack_differences(total[None], np.eye(v, dtype=np.uint8), (p.lam, p.r))
     cert.record("sum C_i equals (r - lambda) I + lambda J", diff)
-    orbits = orbit_rows(stack, digit_shifts(v))
-    diffs = on_orbits(lambda rows: _product_differences(stack, p, rows), orbits, lambda d: all(x is None for x in d.values()))
+    masks = shift_masks(stack)
+    pairs = np.stack(np.divmod(np.arange(r * r), r), axis=1)
+    found = on_orbits(
+        lambda members, rows: _product_differences(stack, p, pairs[members], rows),
+        masks[pairs[:, 0]] & masks[pairs[:, 1]],
+        lambda mask: orbit_rows(v, mask),
+        lambda d: d is None,
+    )
     for a in range(r):
-        cert.record(f"C_{a + 1} C_{a + 1}^T = k C_{a + 1}", diffs[a, a])
+        cert.record(f"C_{a + 1} C_{a + 1}^T = k C_{a + 1}", found[a * r + a])
     for a in range(r):
         for b in range(r):
             if a != b:
-                cert.record(f"C_{a + 1} C_{b + 1}^T = mu J", diffs[a, b])
+                cert.record(f"C_{a + 1} C_{b + 1}^T = mu J", found[a * r + b])
     # arithmetic relations among the derived parameters
     cert.check("r k = r - lambda + lambda v", p.r * p.k == p.r - p.lam + p.lam * p.v)
     cert.check("k^2 = mu v", p.k * p.k == p.mu * p.v)
@@ -116,16 +122,20 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     return cert
 
 
-def _product_differences(stack: np.ndarray, p: AuxParams, rows) -> dict:
-    """(a, b) -> the first difference of C_a C_b^T, on the given rows (all
-    of them, or one per orbit), from k C_a (a = b) or mu J, or None: the
-    grid of ``block_differences`` on the labels C_a on block (a, a) (0 or k)
-    and 2 elsewhere (mu)."""
+def _product_differences(stack: np.ndarray, p: AuxParams, pairs: np.ndarray, rows) -> list:
+    """For each row (a, b) of ``pairs``, the first difference of C_a C_b^T,
+    on the given rows (all of them, or one per orbit), from k C_a (a = b)
+    or mu J, or None: cells of the grid of ``block_differences``
+    (``cell_differences``) on the labels C_a on block (a, a) (0 or k) and
+    2 elsewhere (mu)."""
     left = stack[:, rows]
-    grid = block_differences(
-        left, stack.swapaxes(1, 2), lambda a, b: np.where((a == b)[..., None, None], left[a], np.uint8(2)), (0, p.k, p.mu)
+    return cell_differences(
+        left,
+        stack.swapaxes(1, 2),
+        lambda a, b: np.where((a == b)[..., None, None], left[a], np.uint8(2)),
+        (0, p.k, p.mu),
+        pairs.T,
     )
-    return {(a, b): diff for a, row in enumerate(grid) for b, diff in enumerate(row)}
 
 
 def auxiliary_set(stack: np.ndarray) -> AuxiliarySet:

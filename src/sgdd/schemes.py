@@ -218,11 +218,12 @@ def _first_pair_numbers(relation: np.ndarray) -> list[list[list[int]]]:
 def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
     """The dense check: A_i A_j = sum_k p_{i,j}^k A_k entrywise for
     1 <= i <= j, one product of order |X| per pair of classes built from R;
-    the first failing pair and class go to ``cert``.  A_j A_i is the
-    transpose, constant on a symmetric class exactly when A_i A_j is.  The
-    classes go to the kernel as boolean masks of R, and the product is
-    compared in its lane with p_{i,j} looked up there (``lane_table``), in
-    bands of rows of at most STACK_ENTRIES entries."""
+    the first failing pair, and the least class where it differs, go to
+    ``cert``.  A_j A_i is the transpose, constant on a symmetric class
+    exactly when A_i A_j is.  The classes go to the kernel as boolean masks
+    of R, and the product is compared in its lane with p_{i,j} looked up
+    there (``lane_table``), in bands of rows of at most STACK_ENTRIES
+    entries."""
     d1 = len(p)
     bands = stack_slices(len(relation), len(relation))
     for i in range(1, d1):
@@ -230,9 +231,10 @@ def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
         for j in range(i, d1):
             prod = (a_i @ IntMatrix.view(relation == j)).lane
             coeffs = lane_table(p[i][j], prod.dtype)
-            if not all((prod[rows] == coeffs[relation[rows]]).all() for rows in bands):
-                k = next(k for k in range(d1) if not (prod[relation == k] == coeffs[k]).all())
-                cert.failed(f"A_{i} A_{j} is not constant on class {k}")
+            # the classes of the entries where the product differs, band by band
+            wrong = [relation[rows][prod[rows] != coeffs[relation[rows]]] for rows in bands]
+            if any(len(w) for w in wrong):
+                cert.failed(f"A_{i} A_{j} is not constant on class {min(int(w.min()) for w in wrong if len(w))}")
                 return False
     return True
 

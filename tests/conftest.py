@@ -70,11 +70,12 @@ def sys64():
     return build_tilde_l(aux_from_hadamard(hadamard_matrix(8)), linked_mols_from_gf(gf_make(2, 3)))
 
 
-def _flip_off_group_entry(sys: LinkedSystemII, seed: int):
-    """Flip one entry of one block A_{i,j} that lies in an off-diagonal group
-    block, so A + K stays 0/1; return the corrupted system and (i, j)."""
+def _flip_off_group_entry(sys: LinkedSystemII, seed: int, pair: tuple[int, int] | None = None):
+    """Flip one entry of one block A_{i,j} (``pair``, or a seeded one) that
+    lies in an off-diagonal group block, so A + K stays 0/1; return the
+    corrupted system and (i, j)."""
     rng = random.Random(seed)
-    pair = rng.choice(ordered_pairs(sys.f))
+    pair = pair or rng.choice(ordered_pairs(sys.f))
     v, n = sys.params.base.v, sys.params.base.n
     row = rng.randrange(v)
     col = rng.choice([c for c in range(v) if c // n != row // n])

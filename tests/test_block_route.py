@@ -11,7 +11,7 @@ import pytest
 import block_route
 import sgdd.designs
 from sgdd.algebra import IntMatrix
-from sgdd.designs import IncidenceMatrix, block_differences, check_k_commutation, stack_differences, verify_gdd
+from sgdd.designs import IncidenceMatrix, block_differences, cell_differences, check_k_commutation, stack_differences, verify_gdd
 from sgdd.gf import gf_from_order
 from sgdd.latin import LatinSquare, LinkedMolsFamily, linked_mols_from_gf, verify_linked
 from sgdd.errors import ParameterError
@@ -239,6 +239,33 @@ def test_block_differences_match_one_product_per_block(budget, dtype, monkeypatc
     assert block_differences(left, right, lambda a, b: labels[a, b], coeffs) == want
     assert count[0] == {70: 2 * 3, 1: 4 * 5}.get(budget, 1)
     assert any(d is None for row in want for d in row) and any(d is not None for row in want for d in row)
+
+
+@pytest.mark.parametrize("budget", [sgdd.designs.STACK_ENTRIES, 1], ids=["one-band", "one-block"])
+def test_cell_differences_read_the_grid_at_its_cells(budget, monkeypatch):
+    """A few cells of a (5, 3, 7) x (4, 7, 5) grid are formed one block
+    each, half of it or more as the whole grid, and a batch of two grids
+    the same way: the verdicts are the grid's at those cells, in order."""
+    rng = np.random.default_rng(11)
+    left = rng.integers(0, 2, size=(2, 5, 3, 7)).astype(np.uint8)
+    right = rng.integers(0, 2, size=(2, 4, 7, 5)).astype(np.uint8)
+    true = np.einsum("cahv,cbvw->cabhw", left.astype(np.int64), right.astype(np.int64))
+    coeffs, labels = np.unique(true, return_inverse=True)
+    labels = labels.reshape(true.shape).astype(np.uint8)
+    for c, a, b, x, y in zip(*(rng.integers(0, n, size=12) for n in labels.shape)):
+        labels[c, a, b, x, y] = (labels[c, a, b, x, y] + 1) % len(coeffs)
+    grid = block_differences(left, right, lambda c, a, b: labels[c, a, b], coeffs)
+    monkeypatch.setattr(sgdd.designs, "STACK_ENTRIES", budget)
+    count = _product_count(monkeypatch)
+    for cells in (rng.integers(0, [2, 5, 4], size=(3, 3)), np.array(np.unravel_index(rng.permutation(40)[:25], (2, 5, 4))).T):
+        count[0] = 0
+        c, a, b = cells.T
+        assert cell_differences(left, right, lambda c, a, b: labels[c, a, b], coeffs, (c, a, b)) == [grid[x][y][z] for x, y, z in cells]
+        assert cell_differences(left[0], right[0], lambda a, b: labels[0, a, b], coeffs, (a, b)) == [grid[0][y][z] for y, z in cells[:, 1:]]
+        if len(cells) == 3:  # one block per cell, in one product when the budget allows
+            assert count[0] == (2 if budget > 1 else 2 * 3)
+    assert any(d is None for member in grid for row in member for d in row)
+    assert any(d is not None for member in grid for row in member for d in row)
 
 
 def test_banded_linked_families_match_block_route(fam_gf4, fam_order5, monkeypatch):

@@ -1,9 +1,11 @@
-"""The orbit route of the linked-system and auxiliary-set certifiers: the
-Gram, triple and auxiliary products are formed on one row per orbit of the
-digit shifts (``designs.digit_shifts``) that fix every matrix
-(``designs.orbit_rows``), and on every row when they fail there or none is
-verified.  Either way the report lines are those of the block route
-(``block_route``), which forms every row."""
+"""The orbit route of the linked-system and auxiliary-set certifiers: each
+Gram, commutation, triple and auxiliary identity is formed on one row per
+orbit of the digit shifts (``designs.digit_shifts``) that fix every matrix
+it uses (``designs.shift_masks``, ``designs.orbit_rows``), the identities
+sharing those shifts as one batch (``designs.on_orbits``); on every row when
+no shift fixes its matrices or when it fails on its orbit rows.  Either way
+the report lines are those of the block route (``block_route``), which
+forms every row."""
 
 import random
 
@@ -14,10 +16,10 @@ import block_route
 import sgdd.linked
 import sgdd.resolvable
 from sgdd import fileio
-from sgdd.designs import digit_shifts, orbit_rows
+from sgdd.designs import digit_shifts, orbit_rows, shift_masks
 from sgdd.gf import gf_from_order
 from sgdd.latin import linked_mols_from_gf
-from sgdd.linked import LinkedSystemII, build_from_mub_bush, build_tilde_l, pair_index, verify_linked_system
+from sgdd.linked import LinkedSystemII, build_from_mub_bush, build_tilde_l, ordered_pairs, pair_index, verify_linked_system
 from sgdd.resolvable import AuxiliarySet, aux_from_affine_geometry, verify_auxiliary
 
 
@@ -27,22 +29,37 @@ def _outcome(cert):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """(function, rows) for every Gram, triple and auxiliary product family
-    the certifiers form while the test runs: the number of rows of a
-    transversal, or "all"."""
+    """(function, rows, identities) for every batch of Gram, commutation,
+    triple and auxiliary products the certifiers form while the test runs:
+    the number of rows of a transversal, or "all", and the number of
+    blocks, triples or pairs in the batch."""
     seen = []
-    for module, name in (
-        (sgdd.linked, "verify_grams"),
-        (sgdd.linked, "_triple_differences"),
-        (sgdd.resolvable, "_product_differences"),
+    for module, name, members in (
+        (sgdd.linked, "verify_grams", 0),
+        (sgdd.linked, "k_commutations", 0),
+        (sgdd.linked, "_triple_differences", 3),
+        (sgdd.resolvable, "_product_differences", 2),
     ):
 
-        def recorded(*args, _name=name, _fn=getattr(module, name)):
-            seen.append((_name, "all" if isinstance(args[-1], slice) else len(args[-1])))
+        def recorded(*args, _name=name, _fn=getattr(module, name), _members=members):
+            seen.append((_name, "all" if isinstance(args[-1], slice) else len(args[-1]), len(args[_members])))
             return _fn(*args)
 
         monkeypatch.setattr(module, name, recorded)
     return seen
+
+
+def _system_routes(rows, system, damaged: int = 0, rerun: int = 0) -> list[tuple]:
+    """The batches of a system's certification when every identity not
+    touching its ``damaged`` blocks (0 or 1) is formed on ``rows``, and the
+    damaged block's identities and ``rerun`` triples on every row."""
+    f = system.f
+    blocks, triples = f * (f - 1), f * (f - 1) * (f - 2)
+    out = []
+    for name, count, hit in (("verify_grams", blocks, damaged), ("k_commutations", blocks, damaged)):
+        out += [(name, rows, count - hit)] + [(name, "all", hit)] * bool(hit)
+    hit = damaged * 3 * (f - 2)
+    return out + [("_triple_differences", rows, triples - hit)] + [("_triple_differences", "all", hit + rerun)] * bool(hit + rerun)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +119,9 @@ def test_digit_shifts_are_the_affine_translations(q, d):
     generate the group the field's translations generate."""
     aux = aux_from_affine_geometry(q, d)
     shifts = digit_shifts(aux.order)
-    assert orbit_rows(aux.stack, shifts).tolist() == [0]
+    every = 2 ** len(shifts) - 1
+    assert (shift_masks(aux.stack) == every).all()
+    assert orbit_rows(aux.order, every).tolist() == [0]
     assert _group(shifts).keys() == _group(block_route.affine_translations(q, d + 1)).keys()
 
 
@@ -113,7 +132,7 @@ def test_translation_invariant_systems_take_the_orbit_route(sys16, sys45, sys64,
     for system, rows in ((sys16, 1), (sys45, 5), (sys64, 8), (ag3_gf5, 1)):
         routes.clear()
         assert verify_linked_system(system).ok
-        assert routes == [("verify_grams", rows), ("_triple_differences", rows)]
+        assert routes == _system_routes(rows, system)
 
 
 def test_an_affine_geometry_set_takes_the_orbit_route(ag32, ag3_gf5, routes):
@@ -121,16 +140,16 @@ def test_an_affine_geometry_set_takes_the_orbit_route(ag32, ag3_gf5, routes):
     system built on one over a field family, parsed or not."""
     aux = aux_from_affine_geometry(4, 1)
     assert aux.certificate.ok
-    assert routes == [("_product_differences", 1)]
+    assert routes == [("_product_differences", 1, 5 * 5)]
     assert verify_auxiliary(aux).report_lines() == block_route.verify_auxiliary(aux).report_lines()
     parsed = fileio.parse_auxiliary_set(fileio.format_auxiliary_set(ag32).encode())
     routes.clear()
     assert verify_auxiliary(parsed).ok
-    assert routes == [("_product_differences", 1)]
+    assert routes == [("_product_differences", 1, 13 * 13)]
     system = fileio.parse_linked_system(fileio.format_linked_system(ag3_gf5).encode())
     routes.clear()
     assert verify_linked_system(system).ok
-    assert routes == [("verify_grams", 1), ("_triple_differences", 1)]
+    assert routes == _system_routes(1, system)
 
 
 def _joint_shifts(n: int, q_groups: int, q_points: int, dim: int) -> list[np.ndarray]:
@@ -145,8 +164,9 @@ def _joint_shifts(n: int, q_groups: int, q_points: int, dim: int) -> list[np.nda
 def test_a_corruption_that_keeps_the_translations_is_rejected(ag3_gf5, seed, routes):
     """One entry of a block flipped at every image under the joint group of
     the group and point translations: the system is still fixed by every
-    shift, so the orbit route runs on one row, fails, and the full route
-    reports the lines of the block route."""
+    shift, so every identity runs on one row, and only the flipped block's
+    Gram and commutation checks and its triples fail there and run again on
+    every row, reporting the lines of the block route."""
     rng = random.Random(seed)
     v, n = ag3_gf5.params.base.v, ag3_gf5.params.base.n
     pair = rng.choice(sorted(ag3_gf5.blocks))
@@ -159,8 +179,30 @@ def test_a_corruption_that_keeps_the_translations_is_rejected(ag3_gf5, seed, rou
     routes.clear()
     cert = verify_linked_system(bad)
     assert not cert.ok
-    assert routes == [("verify_grams", 1), ("verify_grams", "all"), ("_triple_differences", 1), ("_triple_differences", "all")]
+    blocks, triples = 12, 24
+    assert routes == [
+        ("verify_grams", 1, blocks), ("verify_grams", "all", 1),
+        ("k_commutations", 1, blocks), ("k_commutations", "all", 1),
+        ("_triple_differences", 1, triples), ("_triple_differences", "all", 3 * 2),
+    ]
     assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
+
+
+@pytest.mark.parametrize("source, rows", [("sys16", 1), ("sys64", 8), ("ag3_gf5", 1)])
+def test_a_flip_in_any_block_sends_only_its_identities_to_every_row(source, rows, request, routes, corrupt_system):
+    """One entry flipped in each block in turn: the shifts that fix every
+    other block still do, so the other blocks' Gram and commutation checks
+    and the triples that avoid the flipped block stay on their orbit rows,
+    and only the flipped block's checks and its 3 (f - 2) triples are formed
+    on every row; the lines are those of the block route."""
+    system = request.getfixturevalue(source)
+    for index, pair in enumerate(ordered_pairs(system.f)):
+        bad, _ = corrupt_system(system, index, pair)
+        routes.clear()
+        cert = verify_linked_system(bad)
+        assert not cert.ok
+        assert routes == _system_routes(rows, system, damaged=1), pair
+        assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
 
 
 @pytest.mark.parametrize("source", ["sys16", "sys45", "sys64", "ag3_gf5"])
@@ -187,12 +229,16 @@ def _aux_orbit(perms, x: int, y: int) -> set[tuple[int, int]]:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_seeded_flips_of_an_affine_geometry_set_match_the_block_route(ag32, seed, routes):
-    """A single flipped entry breaks the digit shifts, which are then not
-    verified; the same entry flipped at every translate keeps them, and the
-    orbit route fails.  Both report the lines of the block route."""
+    """A single flipped entry of C_a breaks the digit shifts of C_a alone:
+    the products of the other pairs stay on one row, and the 2r - 1 products
+    with C_a are formed on every row.  The same entry flipped at every
+    translate keeps every shift, so every product is formed on one row, and
+    those with C_a fail there and run again on every row.  Both report the
+    lines of the block route."""
     rng = random.Random(seed)
     idx, x, y = rng.randrange(ag32.r), rng.randrange(ag32.order), rng.randrange(ag32.order)
-    for cells, first in (({(x, y)}, []), (_aux_orbit(block_route.affine_translations(3, 3), x, y), [("_product_differences", 1)])):
+    r = ag32.r
+    for cells, first in (({(x, y)}, (r - 1) ** 2), (_aux_orbit(block_route.affine_translations(3, 3), x, y), r * r)):
         stack = ag32.stack.copy()
         for a, b in cells:
             stack[idx, a, b] ^= 1
@@ -200,7 +246,24 @@ def test_seeded_flips_of_an_affine_geometry_set_match_the_block_route(ag32, seed
         routes.clear()
         cert = verify_auxiliary(bad)
         assert not cert.ok
-        assert routes == first + [("_product_differences", "all")]
+        assert routes == [("_product_differences", 1, first), ("_product_differences", "all", 2 * r - 1)]
+        assert _outcome(cert) == _outcome(block_route.verify_auxiliary(bad))
+
+
+def test_a_flip_in_any_auxiliary_matrix_sends_only_its_products_to_every_row(ag32, routes):
+    """One seeded entry of each C_a in turn: the (r - 1)^2 products without
+    C_a stay on one row, the 2r - 1 with it are formed on every row, and the
+    lines are those of the block route."""
+    r = ag32.r
+    for idx in range(r):
+        rng = random.Random(idx)
+        stack = ag32.stack.copy()
+        stack[idx, rng.randrange(ag32.order), rng.randrange(ag32.order)] ^= 1
+        bad = AuxiliarySet(stack, ag32.params)
+        routes.clear()
+        cert = verify_auxiliary(bad)
+        assert not cert.ok
+        assert routes == [("_product_differences", 1, (r - 1) ** 2), ("_product_differences", "all", 2 * r - 1)]
         assert _outcome(cert) == _outcome(block_route.verify_auxiliary(bad))
 
 
@@ -215,25 +278,30 @@ def test_systems_without_verified_translations_take_the_full_route(bush_pair, sy
     for system in (build_from_mub_bush(bush_pair), shuffled):
         routes.clear()
         assert verify_linked_system(system).ok
-        assert routes == [("verify_grams", "all"), ("_triple_differences", "all")]
+        assert routes == _system_routes("all", system)
 
 
-def test_orbit_rows_keeps_only_verified_permutations():
-    """A permutation that fixes every matrix joins its orbits; one that does
-    not, or a map that is not a permutation (a constant map fixes a constant
-    matrix), is dropped; candidates are read no further than one orbit."""
-    shift = np.roll(np.arange(6), 1)
-    circulant = np.array([np.roll([0, 1, 1, 0, 0, 1], k) for k in range(6)])[None]
-    assert orbit_rows(circulant, [shift]).tolist() == [0]
-    assert orbit_rows(circulant, [np.array([1, 0, 2, 3, 4, 5])]) is None
-    assert orbit_rows(np.zeros((1, 6, 6), dtype=np.uint8), [np.zeros(6, dtype=np.intp)]) is None
-    assert orbit_rows(circulant, [shift[shift[shift]]]).tolist() == [0, 1, 2]
+def test_shift_masks_mark_the_shifts_that_fix_each_matrix():
+    """Bit s of a matrix's mask is set exactly when the s-th digit shift
+    fixes it: on v = 8, a matrix that depends on x xor y only (every
+    shift), one that depends on the high digits of x and y only (the shift
+    of the low digit), and one with a single 1 (none)."""
+    x = np.arange(8)
+    stack = np.array([(x[:, None] ^ x) % 3 == 0, (x[:, None] >> 1) < (x >> 1), np.eye(8, k=3) == 1], dtype=np.uint8)
+    assert shift_masks(stack).tolist() == [0b111, 0b001, 0]
+    assert shift_masks(np.ones((2, 6, 6), dtype=np.uint8)).tolist() == [0, 0]
 
-    def candidates():
-        yield shift
-        raise AssertionError("read past one orbit")
 
-    assert orbit_rows(circulant, candidates()).tolist() == [0]
+@pytest.mark.parametrize("v", [8, 9, 25, 27])
+def test_orbit_rows_are_the_least_points_of_the_orbits(v):
+    """For every set of digit shifts, the least point of each orbit of the
+    group they generate (``_group``); None for no shift."""
+    shifts = digit_shifts(v)
+    assert orbit_rows(v, 0) is None
+    for mask in range(1, 2 ** len(shifts)):
+        group = _group([s for bit, s in enumerate(shifts) if mask >> bit & 1]).values()
+        least = sorted({min(int(g[x]) for g in group) for x in range(v)})
+        assert orbit_rows(v, mask).tolist() == least
 
 
 @pytest.mark.parametrize("m, n", [(8, 8), (5, 9), (4, 3), (3, 17)])
