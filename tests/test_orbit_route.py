@@ -188,6 +188,34 @@ def test_a_corruption_that_keeps_the_translations_is_rejected(ag3_gf5, seed, rou
     assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_corruption_that_keeps_the_group_shifts_runs_on_the_group_rows(ag3_gf5, seed, routes):
+    """One entry of a block flipped at every image under the group
+    translations alone: that block keeps the group shifts and loses the
+    point shifts, so its identities form a batch on the 9 points of one
+    group, the others stay on one row, and those that fail on the 9 rows
+    run again on every row, reporting the lines of the block route."""
+    rng = random.Random(seed)
+    v, n = ag3_gf5.params.base.v, ag3_gf5.params.base.n
+    pair = rng.choice(sorted(ag3_gf5.blocks))
+    x = rng.randrange(v)
+    y = rng.choice([c for c in range(v) if c // n != x // n])
+    stack = ag3_gf5.stack.copy()
+    for g in _group(block_route.affine_translations(5, 1)).values():
+        shift = (g[:, None] * n + np.arange(n)).ravel()
+        stack[pair_index(ag3_gf5.f, *pair), shift[x], shift[y]] ^= 1
+    bad = LinkedSystemII(ag3_gf5.params, stack)
+    routes.clear()
+    cert = verify_linked_system(bad)
+    assert not cert.ok
+    assert routes == [
+        ("verify_grams", 1, 11), ("verify_grams", 9, 1), ("verify_grams", "all", 1),
+        ("k_commutations", 1, 11), ("k_commutations", 9, 1), ("k_commutations", "all", 1),
+        ("_triple_differences", 1, 24 - 6), ("_triple_differences", 9, 6), ("_triple_differences", "all", 6),
+    ]
+    assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
+
+
 @pytest.mark.parametrize("source, rows", [("sys16", 1), ("sys64", 8), ("ag3_gf5", 1)])
 def test_a_flip_in_any_block_sends_only_its_identities_to_every_row(source, rows, request, routes, corrupt_system):
     """One entry flipped in each block in turn: the shifts that fix every
