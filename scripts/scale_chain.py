@@ -8,16 +8,18 @@ The chain builds the auxiliary set of the order-q Hadamard matrix and the
 linked family over GF(q), joins them into a linked system (f = q - 1 blocks
 per row, v = q^2), certifies it, and certifies a copy with one seeded entry
 flipped, which must fail (exit 1).  It then assembles the scheme of
-(q - 1) q^2 vertices, certifies and analyses the scheme, extracts the system
-back and tests the fusion.  The extracted system must equal the constructed
-one byte for byte.  The files go to ``--out`` (a temporary directory by
-default).
+(q - 1) q^2 vertices, certifies it, certifies a copy with one seeded
+symmetric pair moved from class 3 to class 4, which must fail (exit 1),
+analyses the scheme, extracts the system back and tests the fusion.  The
+extracted system must equal the constructed one byte for byte.  The files
+go to ``--out`` (a temporary directory by default).
 """
 
 import argparse
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -26,6 +28,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FLIPPED = "verify linked-system (one entry flipped)"
+MOVED = "verify scheme (one pair moved)"
 
 
 def chain(q: int) -> list[tuple[str, list[str], int]]:
@@ -38,10 +41,41 @@ def chain(q: int) -> list[tuple[str, list[str], int]]:
         (FLIPPED, ["verify", "linked-system", "bad.lsys"], 1),
         ("assemble", ["scheme", "assemble", "--in", "sys.lsys", "-o", "scheme.scm"], 0),
         ("verify scheme", ["verify", "scheme", "scheme.scm"], 0),
+        (MOVED, ["verify", "scheme", "bad.scm"], 1),
         ("analyze", ["scheme", "analyze", "--in", "scheme.scm"], 0),
         ("extract", ["scheme", "extract", "--in", "scheme.scm", "-o", "back.lsys"], 0),
         ("fusion", ["scheme", "fusion", "--in", "scheme.scm"], 0),
     ]
+
+
+class DigitBlocks:
+    """A file of square 0/1 digit blocks (a header line, then per block a
+    size line and rows of one digit and one separator per entry, as the
+    linked-system and scheme writers lay them out), opened to be patched in
+    place entry by entry, so no copy of it is held in memory: a verb's peak
+    resident size counts the peak of the process that started it."""
+
+    def __init__(self, path: Path):
+        self.file = open(path, "r+b")
+        self.header = self.file.readline()
+        self.size = int(self.header.split()[1])
+        self.size_line = f"{self.size} {self.size}\n".encode()
+
+    def at(self, block: int, row: int, col: int = 0) -> int:
+        """The offset of entry (row, col) of a block."""
+        head = len(self.header) + block * (len(self.size_line) + 2 * self.size * self.size)
+        self.file.seek(head)
+        if self.file.read(len(self.size_line)) != self.size_line:
+            raise SystemExit(f"{self.file.name}: block {block} is not where a file of digit blocks holds it")
+        return head + len(self.size_line) + 2 * (row * self.size + col)
+
+    def row(self, block: int, row: int) -> bytes:
+        self.file.seek(self.at(block, row))
+        return self.file.read(2 * self.size)[::2]
+
+    def put(self, block: int, row: int, col: int, digit: bytes):
+        self.file.seek(self.at(block, row, col))
+        self.file.write(digit)
 
 
 def flip_one_entry(src: Path, dst: Path, seed: int = 0):
@@ -49,15 +83,33 @@ def flip_one_entry(src: Path, dst: Path, seed: int = 0):
     of some A_ij flipped, in an off-diagonal group block, so that A + K
     stays 0/1 and only the design and triple-product laws can catch it."""
     rng = random.Random(seed)
-    lines = src.read_bytes().split(b"\n")
-    f, v, m, n = (int(x) for x in lines[0].split()[:4])
-    block, row = rng.randrange(f * (f - 1)), rng.randrange(v)
-    col = rng.choice([c for c in range(v) if c // n != row // n])
-    line = 1 + block * (v + 1) + 1 + row  # the header, then a size line and v rows per block
-    entries = lines[line].split(b" ")
-    entries[col] = b"1" if entries[col] == b"0" else b"0"
-    lines[line] = b" ".join(entries)
-    dst.write_bytes(b"\n".join(lines))
+    shutil.copyfile(src, dst)
+    blocks = DigitBlocks(dst)
+    with blocks.file:
+        f, v, m, n = (int(x) for x in blocks.header.split()[:4])
+        block, row = rng.randrange(f * (f - 1)), rng.randrange(v)
+        col = rng.choice([c for c in range(v) if c // n != row // n])
+        blocks.put(block, row, col, b"1" if blocks.row(block, row)[col : col + 1] == b"0" else b"0")
+
+
+def move_one_pair(src: Path, dst: Path, seed: int = 0):
+    """Copy the scheme file ``src`` to ``dst`` with one seeded symmetric
+    pair (x, y), (y, x) moved from class 3 to class 4, which keeps every
+    class 0/1 and symmetric and their sum J, so only the intersection
+    numbers can catch it."""
+    rng = random.Random(seed)
+    shutil.copyfile(src, dst)
+    classes = DigitBlocks(dst)
+    with classes.file:
+        ones = []
+        while not ones:  # a row of class 3 with a 1 right of the diagonal
+            x = rng.randrange(classes.size)
+            row = classes.row(3, x)
+            ones = [y for y in range(x + 1, classes.size) if row[y] == ord("1")]
+        y = rng.choice(ones)
+        for a, b in ((x, y), (y, x)):
+            classes.put(3, a, b, b"0")
+            classes.put(4, a, b, b"1")
 
 
 def run_verb(argv: list[str], cwd: Path) -> tuple[int, float, float]:
@@ -77,6 +129,8 @@ def measure(q: int, out: Path) -> dict:
     for name, argv, want in chain(q):
         if name == FLIPPED:
             flip_one_entry(out / "sys.lsys", out / "bad.lsys")
+        if name == MOVED:
+            move_one_pair(out / "scheme.scm", out / "bad.scm")
         code, seconds, peak = run_verb(argv, out)
         if code != want:
             raise SystemExit(f"{name}: exit status {code}, expected {want}")

@@ -122,16 +122,30 @@ def shift_masks(stack: np.ndarray) -> np.ndarray:
     """For each matrix M of the (count, v, v) stack, the bit mask of the
     digit shifts of v (``digit_shifts``) that fix it exactly,
     M[perm][:, perm] = M: bit s for the s-th shift, as an int64 (count,)
-    array; all 0 when v is not a prime power.  Every shift is tried at
-    once on a slice of the stack within STACK_ENTRIES."""
-    v = stack.shape[-1]
-    shifts = _shift_table(v)
-    bits = np.left_shift(1, np.arange(len(shifts), dtype=np.int64))
-    masks = np.zeros(len(stack), dtype=np.int64)
-    for part in stack_slices(len(stack), max(len(shifts), 1) * v * v):
-        # moved[c, s] is matrix c with the s-th shift applied to its rows and columns
-        moved = stack[part][:, shifts[:, :, None], shifts[:, None, :]]
-        masks[part] = (moved == stack[part][:, None]).all(axis=(2, 3)) @ bits
+    array; all 0 when v is not a prime power.
+
+    With v = p^e, a matrix reshaped to (p,) * 2e has one row axis and one
+    column axis per digit, and the s-th shift of its rows and columns is a
+    roll by one along both axes of digit s: each shift is one roll and one
+    comparison of a slice of the stack within STACK_ENTRIES, with no index
+    array."""
+    count, v = len(stack), stack.shape[-1]
+    masks = np.zeros(count, dtype=np.int64)
+    try:
+        p, e = factor_prime_power(v)
+    except ParameterError:
+        return masks
+
+    def rolled(a: np.ndarray, axis: int) -> np.ndarray:  # np.roll(a, 1, axis), with less overhead on small stacks
+        head = (slice(None),) * axis
+        return np.concatenate((a[head + (slice(-1, None),)], a[head + (slice(None, -1),)]), axis=axis)
+
+    bits = np.left_shift(1, np.arange(e, dtype=np.int64))
+    for part in stack_slices(count, v * v):
+        # axis 1 + t of the reshape is the row digit of weight p^(e-1-t), axis 1 + e + t its column digit
+        digits = stack[part].reshape(-1, *(p,) * (2 * e))
+        fixed = [(rolled(rolled(digits, e - s), 2 * e - s) == digits).reshape(len(digits), -1).all(axis=1) for s in range(e)]
+        masks[part] = bits @ np.array(fixed)
     return masks
 
 
@@ -458,6 +472,10 @@ def verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
     return verify_grams(a.mat.lane[None], p)[0]
 
 
+# the two identities of ``verify_grams``, in the order it records them
+GRAM_IDENTITIES = ("A A^T equals k I + l1 (K - I) + l2 (J - K)", "A^T A equals k I + l1 (K - I) + l2 (J - K)")
+
+
 def verify_grams(stack: np.ndarray, p: GddParams, rows=slice(None)) -> list[Certificate]:
     """The Gram identities of ``verify_gdd`` for every matrix of a
     (count, v, v) stack, 0/1 or not (such as A + K for a block A with a 1
@@ -476,9 +494,9 @@ def verify_grams(stack: np.ndarray, p: GddParams, rows=slice(None)) -> list[Cert
         def operand(arr: np.ndarray) -> IntMatrix:  # a view of the held slice, laid out as rows
             return IntMatrix.in_lane(np.ascontiguousarray(arr), top, p.v)
 
-        for label, prod in (
-            ("A A^T equals k I + l1 (K - I) + l2 (J - K)", lambda: (held @ operand(flip[..., rows])).lane.swapaxes(1, 2)),
-            ("A^T A equals k I + l1 (K - I) + l2 (J - K)", lambda: (operand(flip[:, rows]) @ held).lane),
+        for label, prod in zip(
+            GRAM_IDENTITIES,
+            (lambda: (held @ operand(flip[..., rows])).lane.swapaxes(1, 2), lambda: (operand(flip[:, rows]) @ held).lane),
         ):
             for cert, diff in zip(certs[part], stack_differences(prod(), labels, coeffs)):
                 cert.record(label, diff)

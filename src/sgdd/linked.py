@@ -24,9 +24,11 @@ import numpy as np
 from .algebra import IntMatrix, first_differences
 from .classical import is_hadamard, is_weighing
 from .designs import (
+    GRAM_IDENTITIES,
     Certificate,
     GddParams,
     IncidenceMatrix,
+    Violation,
     cell_differences,
     certified_design,
     check_k_commutation,
@@ -37,6 +39,7 @@ from .designs import (
     on_orbits,
     orbit_rows,
     shift_masks,
+    stack_differences,
     stack_slices,
     verify_grams,
 )
@@ -203,61 +206,96 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     A K = K A = k/(m-1) (J - K), A_{j,i} = A_{i,j}^T, and (for f >= 3) the
     full triple-product law over all ordered distinct triples.
 
-    The system's stack is certified as it is held: each family of
-    identities is a few stacked kernel products (the Gram pair and the
-    commutation pair for all blocks, the triple products of every middle
-    index as one batch), each formed in slices of whole blocks past
-    STACK_ENTRIES and reduced to per-block verdicts and first positions
-    before the next is formed: 5 products for a system of order v <= 64
-    with f <= 7.  The lines come out block by block, as a per-block walk
-    would print them.
+    The system's stack is certified as it is held.  The transposes are
+    checked first.  For f >= 3 every other identity is a cell of the grid
+    of one middle index j (``_grid_differences``): A_ij A_jl for a triple,
+    A_ij A_ji for i = l, and A_ij G, G the v x m group indicator.  Once
+    A_ji = A_ij^T, the cell A_ij A_ji is both A_ij A_ij^T and A_ji^T A_ji,
+    so it gives a Gram verdict of both blocks, and A_ij G gives A K of
+    block (i, j) and, transposed, K A of block (j, i).  The grids of every
+    middle index are one batch of kernel products, formed in slices of
+    whole blocks past STACK_ENTRIES and reduced to verdicts and first
+    positions before the next: one product for a system of order v <= 64
+    with f <= 7.  The Gram pair and the commutation pair are formed on
+    their own (``verify_grams``, ``k_commutations``) only for f = 2 and for
+    the two blocks of a pair that is no transpose.  The lines come out
+    block by block, as a per-block walk would print them.
 
-    Each Gram, commutation and triple identity is formed on one row per
-    orbit of the group and point digit shifts that fix every block it uses
-    (``_translation_masks``, ``on_orbits``): the identities that share
-    those shifts are one batch, and an identity is formed on every row when
-    no shift fixes its blocks or when it fails on its orbit rows.  A block
-    damaged in one entry thus sends only its own identities to every row."""
+    Each identity is formed on one row per orbit of the group and point
+    digit shifts that fix every block it uses (``_translation_masks``,
+    ``on_orbits``): the identities that share those shifts are one batch,
+    and an identity is formed on every row when no shift fixes its blocks
+    or when it fails on its orbit rows.  A block damaged in one entry thus
+    sends only its own identities to every row."""
     p = sys.params
-    base, stack = p.base, sys.stack
-    cert = Certificate(f"linked system f={p.f} on {base}")
-    pairs = ordered_pairs(p.f)
+    base, stack, f = p.base, sys.stack, p.f
+    cert = Certificate(f"linked system f={f} on {base}")
+    pairs = ordered_pairs(f)
     in_k = group_labels(base.m, base.n) > 0
     masks, rows_of = _translation_masks(stack, base)
-
-    def blocks(members: np.ndarray) -> np.ndarray:  # the stack itself when all of it
-        return stack if len(members) == len(stack) else stack[members]
-
-    grams = on_orbits(lambda members, rows: verify_grams(blocks(members), base, rows), masks, rows_of, lambda c: c.ok)
-    zero_one = ~stack[:, in_k].any(axis=1)
-    comms = on_orbits(
-        lambda members, rows: k_commutations(blocks(members), base.m, base.n, rows), masks, rows_of, lambda c: c.kind != "other"
-    )
-    want = Fraction(base.k, base.m - 1)
-    for pair, sub, ok, comm in zip(pairs, grams, zero_one, comms):
-        if sub.ok:
-            cert.passed(f"block {pair} is a symmetric GDD")
-        else:
-            for v in sub.violations:
-                cert.failed(f"block {pair}: {v.identity}", v.position, v.expected, v.actual)
-        cert.check(f"block {pair}: A + K is a 0/1 matrix", ok)
-        if comm.kind == "multiple_of_J_minus_K" and comm.factor == want:
-            cert.passed(f"block {pair}: A K = K A = {want} (J - K)")
-        else:
-            cert.failed(f"block {pair}: A K = K A = k/(m-1) (J - K)")
 
     # A_{j,i} = A_{i,j}^T is what makes the scheme's class A_3 symmetric
     upper = [(i, j) for i, j in pairs if i < j]
     diffs = []
     for part in stack_slices(len(upper), base.v * base.v):
         i, j = np.array(upper[part]).T
-        diffs += first_differences(stack[pair_index(p.f, j, i)], np.swapaxes(stack[pair_index(p.f, i, j)], 1, 2))
+        diffs += first_differences(stack[pair_index(f, j, i)], np.swapaxes(stack[pair_index(f, i, j)], 1, 2))
     untransposed = [(pair, pos) for pair, pos in zip(upper, diffs) if pos is not None]
+
+    # the blocks whose Gram and commutation verdicts no grid gives
+    broken = sorted(pair_index(f, *pair) for (i, j), _ in untransposed for pair in ((i, j), (j, i)))
+    alone = np.arange(len(stack)) if f == 2 else np.array(broken, dtype=np.intp)
+
+    def blocks(members: np.ndarray) -> np.ndarray:  # the stack itself when all of it
+        return stack if len(members) == len(stack) else stack[alone[members]]
+
+    want = Fraction(base.k, base.m - 1)
+    faults, commutes = [None] * len(stack), [None] * len(stack)
+    grams = on_orbits(lambda members, rows: verify_grams(blocks(members), base, rows), masks[alone], rows_of, lambda c: c.ok)
+    comms = on_orbits(
+        lambda members, rows: k_commutations(blocks(members), base.m, base.n, rows), masks[alone], rows_of, lambda c: c.kind != "other"
+    )
+    for b, sub, comm in zip(alone.tolist(), grams, comms):
+        faults[b] = sub.violations
+        commutes[b] = comm.kind == "multiple_of_J_minus_K" and comm.factor == want
+
+    if f > 2:
+        cells, uses = _grid_cells(f)
+        count = len(pairs)
+        triples = len(cells) - 2 * count  # then the Gram cells and the G cells, each in pair order
+        keep = np.ones(len(cells), dtype=bool)
+        keep[triples + alone], keep[triples + count + alone] = False, False
+        ids = np.flatnonzero(keep)
+        found = dict(zip(ids.tolist(), on_orbits(
+            lambda members, rows: _grid_differences(stack, p, in_k, cells[ids[members]], rows),
+            np.bitwise_and.reduce(masks[uses[:, ids]]),
+            rows_of,
+            lambda d: d is None,
+        )))
+        for b, (i, j) in enumerate(pairs):
+            if faults[b] is None:
+                back = pair_index(f, j, i)
+                gram = found[triples + b], found[triples + back]  # A_ij A_ij^T, then A_ij^T A_ij = A_ji A_ij
+                faults[b] = [Violation(label, *diff) for label, diff in zip(GRAM_IDENTITIES, gram) if diff is not None]
+                commutes[b] = found[triples + count + b] is None and found[triples + count + back] is None
+
+    zero_one = ~stack[:, in_k].any(axis=1)
+    for pair, fault, ok, commute in zip(pairs, faults, zero_one, commutes):
+        if not fault:
+            cert.passed(f"block {pair} is a symmetric GDD")
+        for v in fault:
+            cert.failed(f"block {pair}: {v.identity}", v.position, v.expected, v.actual)
+        cert.check(f"block {pair}: A + K is a 0/1 matrix", ok)
+        if commute:
+            cert.passed(f"block {pair}: A K = K A = {want} (J - K)")
+        else:
+            cert.failed(f"block {pair}: A K = K A = k/(m-1) (J - K)")
+
     cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
     for (i, j), pos in untransposed:
         cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
 
-    if p.f == 2:
+    if f == 2:
         comp = companion_params(base)
         [sub] = on_orbits(lambda members, rows: verify_grams(stack[:1] + in_k, comp, rows), masks[:1], rows_of, lambda c: c.ok)
         if sub.ok:
@@ -267,29 +305,30 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
                 cert.failed(f"pair companion: {v.identity}", v.position, v.expected, v.actual)
         return cert
 
-    triples, uses = _triples(p.f)
-    found = on_orbits(
-        lambda members, rows: _triple_differences(stack, p, in_k, triples[members], rows),
-        np.bitwise_and.reduce(masks[uses]),
-        rows_of,
-        lambda d: d is None,
-    )
-    for (i, j, l), diff in zip(triples.tolist(), found):
-        cert.record(f"triple product ({i},{j},{l})", diff)
+    for t, (i, j, l) in enumerate(cells[:triples].tolist()):
+        cert.record(f"triple product ({i},{j},{l})", found[t])
     return cert
 
 
 @lru_cache(maxsize=8)
-def _triples(f: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ordered triples (i, j, l) of distinct indices 1..f, in the order
-    of their lines, as a (count, 3) array, and the positions of the blocks
-    each uses, A_ij, A_jl and A_il, as a (3, count) array; both read-only."""
+def _grid_cells(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the grids of every middle index j as the rows (i, j, l)
+    of a (count, 3) array: the ordered triples of distinct indices, in the
+    order of their lines; then the cells (i, j, i), A_ij A_ji, and the cells
+    (i, j, 0), A_ij G, each in the order of the pairs (i, j).  With the
+    positions of the blocks each uses, A_ij, A_jl and A_il (A_ij in place of
+    a block that is not there), as a (3, count) array; both read-only."""
     i, j, l = np.indices((f, f, f)).reshape(3, -1) + 1
     distinct = (i != j) & (j != l) & (l != i)
-    i, j, l = i[distinct], j[distinct], l[distinct]
-    triples, uses = np.stack([i, j, l], axis=1), pair_index(f, np.stack([i, j, i]), np.stack([j, l, l]))
-    triples.flags.writeable = uses.flags.writeable = False
-    return triples, uses
+    first, second = np.array(ordered_pairs(f)).T
+    i = np.concatenate([i[distinct], first, first])
+    j = np.concatenate([j[distinct], second, second])
+    l = np.concatenate([l[distinct], first, np.zeros_like(first)])
+    ij = pair_index(f, i, j)
+    uses = np.stack([ij, np.where(l > 0, pair_index(f, j, l), ij), np.where((l > 0) & (l != i), pair_index(f, i, l), ij)])
+    cells = np.stack([i, j, l], axis=1)
+    cells.flags.writeable = uses.flags.writeable = False
+    return cells, uses
 
 
 def _sub_block_ids(stack: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -344,23 +383,37 @@ def _translation_masks(stack: np.ndarray, base: GddParams):
     return shift_masks(ids) | points << low, rows_of
 
 
-def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, triples: np.ndarray, rows) -> list:
-    """For each row (i, j, l) of ``triples``, the first difference of
-    A_ij A_jl from sigma A_il + tau (J - A_il - K) + rho K on the given rows
-    (all of them, or one per orbit), or None.
+def _grid_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, cells: np.ndarray, rows) -> list:
+    """For each row (i, j, l) of ``cells`` (``_grid_cells``), the first
+    difference on the given rows (all of them, or one per orbit), or None,
+    of A_ij A_jl from sigma A_il + tau (J - A_il - K) + rho K (l != i), of
+    A_ij A_ji from the Gram pattern k I + l1 (K - I) + l2 (J - K) (l = i),
+    or of A_ij G from k/(m-1) off the row's group and 0 on it (l = 0).
 
-    The cells of one ``block_differences`` grid per middle index j, all f
-    as one batch (``cell_differences``): the A_ij (i != j) against the A_jl
-    (l != j), on the labels A_il + 2K.  Label 3 (a 1 of A_il inside K, which
-    the 0/1 check on A + K has already reported) reads sigma - tau + rho,
-    the value of the formula there.  When the grids are formed whole, a
-    block with i = l, A_ij A_ji, is compared with the Gram pattern on labels
-    4 + ``group_labels`` and dropped, so a certifying system's grids pass
-    whole."""
-    f, v = p.f, p.base.v
+    The products are the cells of one ``block_differences`` grid per middle
+    index j, all f as one batch (``cell_differences``): the A_ij (i != j)
+    against the A_jl (l != j), on the labels A_il + 2K, and 4 +
+    ``group_labels`` where i = l.  Label 3 (a 1 of A_il inside K, which the
+    0/1 check on A + K has already reported) reads sigma - tau + rho, the
+    value of the formula there.  A_ij G is read with no product: its entry
+    at a group is the sum of A_ij's row over the group's n points."""
+    f, m, n, v = p.f, p.base.m, p.base.n, p.base.v
     rows = np.arange(v)[rows]
+    i, j, l = cells.T
+    out = [None] * len(cells)
+
+    if len(at := np.flatnonzero(l == 0)):
+        sums = stack[pair_index(f, i[at], j[at])[:, None], rows].reshape(len(at), len(rows), m, n).sum(axis=-1, dtype=np.int64)
+        off = ((rows // n)[:, None] != np.arange(m)).view(np.uint8)
+        # a count that is k/(m-1) only when that is an integer: -1 is no count
+        want = p.base.k // (m - 1) if p.base.k % (m - 1) == 0 else -1
+        for t, diff in zip(at.tolist(), stack_differences(sums, off, (0, want))):
+            out[t] = diff
+    if not len(at := np.flatnonzero(l > 0)):
+        return out
+
     twice_k = (2 * in_k[rows]).astype(np.uint8)
-    gram = (4 + group_labels(p.base.m, p.base.n)[rows]).astype(np.uint8)
+    gram = (4 + group_labels(m, n)[rows]).astype(np.uint8)
     coeffs = (p.tau, p.sigma, p.rho, p.sigma - p.tau + p.rho, p.base.lambda2, p.base.lambda1, p.base.k)
     # ends[j - 1] are the indices other than j, in increasing order
     ends = np.array([[x for x in range(1, f + 1) if x != j] for j in range(1, f + 1)])
@@ -374,10 +427,12 @@ def _triple_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, tr
 
     # left[j - 1] are the A_ij on the rows; the A_jl of each j are consecutive in the stack
     left = stack[pair_index(f, ends, np.arange(1, f + 1)[:, None])[..., None], rows]
-    i, j, l = triples.T
+    i, j, l = i[at], j[at], l[at]
     # the position of an end x among ends[j - 1]
-    cells = j - 1, i - 1 - (i > j), l - 1 - (l > j)
-    return cell_differences(left, stack.reshape(f, f - 1, v, v), labels, coeffs, cells)
+    grid = j - 1, i - 1 - (i > j), l - 1 - (l > j)
+    for t, diff in zip(at.tolist(), cell_differences(left, stack.reshape(f, f - 1, v, v), labels, coeffs, grid)):
+        out[t] = diff
+    return out
 
 
 def make_linked_system(params: LinkedParams, stack: np.ndarray) -> LinkedSystemII:

@@ -217,33 +217,108 @@ def _first_pair_numbers(relation: np.ndarray) -> list[list[list[int]]]:
 
 def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
     """The dense check: A_i A_j = sum_k p_{i,j}^k A_k entrywise for
-    1 <= i <= j, one product of order |X| per pair of classes built from R;
-    the first failing pair, and the least class where it differs, go to
-    ``cert``.  A_j A_i is the transpose, constant on a symmetric class
-    exactly when A_i A_j is.  The classes go to the kernel as boolean masks
-    of R, and the product is compared in its lane with p_{i,j} looked up
-    there (``lane_table``), in bands of rows of at most STACK_ENTRIES
-    entries."""
-    d1 = len(p)
-    bands = stack_slices(len(relation), len(relation))
+    1 <= i <= j, each pair compared band by band of rows of at most
+    STACK_ENTRIES entries; the first failing pair, and the least class where
+    it differs, go to ``cert``.
+
+    A class that is a difference of uniform equivalences found on R
+    (``_equivalence_differences``) multiplies as class sums, with no kernel
+    product: (B - B') A_j has in row x the sum of A_j's rows over x's class
+    of B less that over its class of B' (``_class_sum_rows``).  When only
+    A_j is such a class, A_j A_i is formed: it is the transpose of A_i A_j,
+    so it differs from p_{i,j} looked up on the symmetric R on the same
+    classes.  Any other pair is one kernel product of order |X| of the
+    classes as boolean masks of R, compared in its lane with p_{i,j} looked
+    up there (``lane_table``).  For a scheme's six classes in any order,
+    only the products among the two cross-fiber classes A_3 and A_4 go to
+    the kernel."""
+    d1, size = len(p), len(relation)
+    bands = stack_slices(size, size)
+    counts = np.min_scalar_type(-size - 1)  # a signed dtype that holds every count of |X| terms
+    differences = _equivalence_differences(relation, p)
     for i in range(1, d1):
-        a_i = IntMatrix.view(relation == i)
+        a_i = None
         for j in range(i, d1):
-            prod = (a_i @ IntMatrix.view(relation == j)).lane
-            coeffs = lane_table(p[i][j], prod.dtype)
+            if differences.keys() & {i, j}:
+                s, t = (i, j) if i in differences else (j, i)
+                rows_of, coeffs = _class_sum_rows(relation, t, *differences[s], counts), np.array(p[i][j], dtype=counts)
+            else:
+                a_i = IntMatrix.view(relation == i) if a_i is None else a_i
+                prod = (a_i @ IntMatrix.view(relation == j)).lane
+                rows_of, coeffs = prod.__getitem__, lane_table(p[i][j], prod.dtype)
             # the classes of the entries where the product differs, band by band
-            wrong = [relation[rows][prod[rows] != coeffs[relation[rows]]] for rows in bands]
+            wrong = [relation[rows][rows_of(rows) != coeffs[relation[rows]]] for rows in bands]
             if any(len(w) for w in wrong):
                 cert.failed(f"A_{i} A_{j} is not constant on class {min(int(w.min()) for w in wrong if len(w))}")
                 return False
     return True
 
 
+def _equivalence(relation: np.ndarray, p, labels) -> list[tuple[int, ...]] | None:
+    """The classes of "R[x, y] is in ``labels``" (0 among them), by least
+    point, when it is a uniform equivalence (``equivalence_classes``); else
+    None, with no scan of R when p is not closed on the labels (``_closed``)."""
+    if not _closed(p, labels):
+        return None
+    mask = relation == labels[0]  # not np.isin, which indexes a table by a wide copy of R
+    for c in labels[1:]:
+        mask |= relation == c
+    return equivalence_classes(mask)
+
+
+def _equivalence_differences(relation: np.ndarray, p) -> dict[int, tuple]:
+    """Class i -> (the classes of B, those of B' or None) for each class
+    A_i = B - B' of uniform equivalences B and B' found on R: B of {0, i}
+    and B' = I, or else B of {0, c, i} and B' of {0, c} for a class c whose
+    {0, c} is one.  For a scheme's six classes: the groups A_1, the fibers
+    less the groups A_2, and the aligned groups less the groups A_5."""
+    def points(labels) -> np.ndarray | None:
+        classes = _equivalence(relation, p, labels)
+        return None if classes is None else np.array(classes, dtype=np.intp)
+
+    alone = {i: points((0, i)) for i in range(1, len(p))}
+    found = {i: (classes, None) for i, classes in alone.items() if classes is not None}
+    for i in [i for i in alone if i not in found]:
+        for c in [c for c in found if found[c][1] is None]:
+            if (classes := points((0, c, i))) is not None:
+                found[i] = (classes, alone[c])
+                break
+    return found
+
+
+def _class_sum_rows(relation: np.ndarray, j: int, big: np.ndarray, small: np.ndarray | None, dtype):
+    """The rows of (B - B') A_j, as a function of a band of rows, for the
+    equivalences B and B' with the classes ``big`` and ``small`` ((count,
+    size) arrays of points; None for B' = I).  Row x of B A_j is the sum of
+    A_j's rows over x's class of B: exact counts in ``dtype``, read from one
+    gather of R's rows in class order, a slice of classes within
+    STACK_ENTRIES at a time, reshaped to a class per row and summed.  (A
+    reshape and sum, not ``np.add.reduceat``, which is many times slower.)"""
+    size = len(relation)
+
+    def sums(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        count, width = classes.shape
+        out = np.empty((count, size), dtype=dtype)
+        for part in stack_slices(count, width * size):
+            out[part] = (relation[classes[part].ravel()] == j).reshape(-1, width, size).sum(axis=1, dtype=dtype)
+        owner = np.empty(size, dtype=np.intp)  # owner[x] is the class of x
+        owner[classes] = np.arange(count)[:, None]
+        return out, owner
+
+    total, owner = sums(big)
+    if small is None:
+        return lambda rows: total[owner[rows]] - (relation[rows] == j)
+    inner, inner_owner = sums(small)
+    return lambda rows: total[owner[rows]] - inner[inner_owner[rows]]
+
+
 def compute_intersection_numbers(classes) -> tuple[list[list[list[int]]] | None, Certificate]:
     """Exhaustive axiom check for any number of classes: the partition
     axioms, p read at one pair per class, then every product A_i A_j with
-    1 <= i <= j checked dense against p.  ``certify_classes`` runs the same
-    check when no labeling certifies through a linked system."""
+    1 <= i <= j checked entrywise against p (``_constant_on_classes``: as
+    class sums where a factor is a difference of uniform equivalences on R,
+    as a kernel product of order |X| otherwise).  ``certify_classes`` runs
+    the same check when no labeling certifies through a linked system."""
     relation, cert = relation_from_classes(classes)
     if relation is None:
         return None, cert
@@ -564,24 +639,16 @@ def _identify_labelings(relation: np.ndarray, p) -> list[dict]:
     c0 = 0  # the partition axioms put I in class 0
     valency = {i: p[i][i][0] for i in idx}
 
-    def classes(labels):
-        if not _closed(p, labels):
-            return None
-        mask = relation == labels[0]  # not np.isin, which indexes a table by a wide copy of R
-        for c in labels[1:]:
-            mask |= relation == c
-        return equivalence_classes(mask)
-
     out = []
     for c1 in idx[1:]:
-        groups = classes((c0, c1))
+        groups = _equivalence(relation, p, (c0, c1))
         if groups is None:
             continue
         n = 1 + valency[c1]
         for c2 in idx:
             if c2 in (c0, c1):
                 continue
-            fibers = classes((c0, c1, c2))
+            fibers = _equivalence(relation, p, (c0, c1, c2))
             if fibers is None:
                 continue
             mn = len(fibers[0])

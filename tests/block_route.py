@@ -8,7 +8,9 @@ with an expected array built by ``pattern``.  The tests compare ``sgdd``,
 which certifies a system's blocks as one stacked array, compares each
 product in its lane, and forms products on one row per orbit of verified
 digit shifts, against it; ``affine_translations``, built from the field's
-addition table, is the oracle for those shifts (``designs.digit_shifts``).
+addition table, is the oracle for those shifts (``designs.digit_shifts``),
+and ``shift_masks``, which applies them by a gather, for the masks of the
+shifts that fix each matrix (``designs.shift_masks``).
 """
 
 from fractions import Fraction
@@ -23,6 +25,7 @@ from sgdd.designs import (
     IncidenceMatrix,
     KCommutation,
     companion_params,
+    digit_shifts,
     group_labels,
 )
 from sgdd.gf import gf_from_order
@@ -101,6 +104,16 @@ def affine_translations(q: int, dim: int) -> list[np.ndarray]:
     return [
         np.arange(q**dim) + (add[points[:, t], ctx.p**s] - points[:, t]) * weights[t] for t in range(dim) for s in range(ctx.d)
     ]
+
+
+def shift_masks(stack: np.ndarray) -> np.ndarray:
+    """The gather route for ``designs.shift_masks``: every digit shift
+    applied to the rows and columns of each matrix by one fancy index, and
+    the moved matrix compared with the matrix whole, one matrix at a time;
+    bit s of a mask is set when the s-th shift fixes it."""
+    shifts = np.array(digit_shifts(stack.shape[-1]), dtype=np.intp).reshape(-1, stack.shape[-1])
+    bits = 1 << np.arange(len(shifts), dtype=np.int64)
+    return np.array([(mat[shifts[:, :, None], shifts[:, None, :]] == mat).all(axis=(1, 2)) @ bits for mat in stack], dtype=np.int64)
 
 
 def verify_gram(mat: IntMatrix, p: GddParams) -> Certificate:

@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
+import block_route
 import sgdd.algebra
+import sgdd.designs
 import sgdd.linked
 import sgdd.resolvable
 from sgdd.classical import hadamard_matrix, paley_conference_matrix
@@ -21,6 +24,26 @@ from sgdd.linked import (
 )
 from sgdd.resolvable import aux_from_affine_geometry, aux_from_hadamard
 from sgdd.schemes import assemble_scheme
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checked_shift_masks():
+    """Every stack whose shift masks a test computes, checked against the
+    gather route (``block_route.shift_masks``): the orders of the stacks
+    checked, in order."""
+    checked = []
+    masks_of = sgdd.designs.shift_masks
+
+    def checked_masks(stack):
+        masks = masks_of(stack)
+        assert np.array_equal(masks, block_route.shift_masks(stack)), stack.shape
+        checked.append(stack.shape[-1])
+        return masks
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (sgdd.designs, sgdd.linked, sgdd.resolvable):
+            patch.setattr(module, "shift_masks", checked_masks)
+        yield checked
 
 
 @pytest.fixture(scope="session")
@@ -70,10 +93,11 @@ def sys64():
     return build_tilde_l(aux_from_hadamard(hadamard_matrix(8)), linked_mols_from_gf(gf_make(2, 3)))
 
 
-def _flip_off_group_entry(sys: LinkedSystemII, seed: int, pair: tuple[int, int] | None = None):
+def _flip_off_group_entry(sys: LinkedSystemII, seed: int, pair: tuple[int, int] | None = None, transposed: bool = False):
     """Flip one entry of one block A_{i,j} (``pair``, or a seeded one) that
-    lies in an off-diagonal group block, so A + K stays 0/1; return the
-    corrupted system and (i, j)."""
+    lies in an off-diagonal group block, so A + K stays 0/1, and with
+    ``transposed`` the mirror entry of A_{j,i} too, so A_{j,i} = A_{i,j}^T
+    still holds; return the corrupted system and (i, j)."""
     rng = random.Random(seed)
     pair = pair or rng.choice(ordered_pairs(sys.f))
     v, n = sys.params.base.v, sys.params.base.n
@@ -81,6 +105,8 @@ def _flip_off_group_entry(sys: LinkedSystemII, seed: int, pair: tuple[int, int] 
     col = rng.choice([c for c in range(v) if c // n != row // n])
     stack = sys.stack.copy()
     stack[pair_index(sys.f, *pair), row, col] ^= 1
+    if transposed:
+        stack[pair_index(sys.f, *pair[::-1]), col, row] ^= 1
     return LinkedSystemII(sys.params, stack), pair
 
 

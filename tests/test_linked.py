@@ -189,35 +189,28 @@ def _product_shapes(sys, monkeypatch):
     return shapes
 
 
-def test_linked_system_takes_five_stacked_products(sys64, monkeypatch):
-    """The 42 blocks of the GF(8) system are certified in 5 kernel calls:
-    the two Gram identities and the two products of A K = K A for the
-    whole stack, then the triple products of all f middle indices as one
-    stacked product.  The GF(8) translations fix every block and move
-    group 0 onto every group, so every product is formed on the n rows of
-    group 0 alone."""
+def test_linked_system_takes_one_stacked_product(sys64, monkeypatch):
+    """The 42 blocks of the GF(8) system are certified in 1 kernel call:
+    the grids of all f middle indices as one stacked product, whose cells
+    A_ij A_ji give both Gram identities of every block once the transposes
+    hold; A K = K A is read off A_ij G, the sums of A_ij's rows over each
+    group, with no product.  The GF(8) translations fix every block and
+    move group 0 onto every group, so the product is formed on the n rows
+    of group 0 alone."""
     shapes = _product_shapes(sys64, monkeypatch)
     base, f = sys64.params.base, sys64.params.f
-    v, m, n, count = base.v, base.m, base.n, f * (f - 1)
-    stack = (count, v, v)
-    assert shapes == (
-        [(stack, (count, v, n)), ((count, n, v), stack)] + [((count, n, v), (v, m))] * 2 + [((f, (f - 1) * n, v), (f, v, (f - 1) * v))]
-    )
-    assert len(shapes) == 5
+    v, n = base.v, base.n
+    assert shapes == [((f, (f - 1) * n, v), (f, v, (f - 1) * v))]
 
 
-def test_a_system_with_no_translation_takes_five_full_products(bush_pair, monkeypatch):
+def test_a_system_with_no_translation_takes_one_full_product(bush_pair, monkeypatch):
     """The MUB-Bush system has no group permutation fixing its blocks, so
-    its 5 products have full-height operands."""
+    its one product has full-height operands."""
     system = build_from_mub_bush(bush_pair)
     shapes = _product_shapes(system, monkeypatch)
     base, f = system.params.base, system.params.f
-    v, m, count = base.v, base.m, f * (f - 1)
-    stack = (count, v, v)
-    assert shapes == (
-        [(stack, stack)] * 2 + [(stack, (v, m))] * 2 + [((f, (f - 1) * v, v), (f, v, (f - 1) * v))]
-    )
-    assert len(shapes) == 5
+    v = base.v
+    assert shapes == [((f, (f - 1) * v, v), (f, v, (f - 1) * v))]
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -30,14 +30,14 @@ def _outcome(cert):
 @pytest.fixture
 def routes(monkeypatch):
     """(function, rows, identities) for every batch of Gram, commutation,
-    triple and auxiliary products the certifiers form while the test runs:
+    grid and auxiliary identities the certifiers form while the test runs:
     the number of rows of a transversal, or "all", and the number of
-    blocks, triples or pairs in the batch."""
+    blocks, grid cells or pairs in the batch."""
     seen = []
     for module, name, members in (
         (sgdd.linked, "verify_grams", 0),
         (sgdd.linked, "k_commutations", 0),
-        (sgdd.linked, "_triple_differences", 3),
+        (sgdd.linked, "_grid_differences", 3),
         (sgdd.resolvable, "_product_differences", 2),
     ):
 
@@ -49,17 +49,32 @@ def routes(monkeypatch):
     return seen
 
 
-def _system_routes(rows, system, damaged: int = 0, rerun: int = 0) -> list[tuple]:
+def _system_routes(rows, system, damaged: int = 0, transposed: bool = False) -> list[tuple]:
     """The batches of a system's certification when every identity not
     touching its ``damaged`` blocks (0 or 1) is formed on ``rows``, and the
-    damaged block's identities and ``rerun`` triples on every row."""
+    damaged block's identities on every row.
+
+    The grid cells are the f(f-1)(f-2) triples, the f(f-1) cells A_ij A_ji
+    and the f(f-1) cells A_ij G.  A damaged block whose transpose is not
+    its partner's (a flip in one block) sends the Gram and commutation
+    checks of both to ``verify_grams`` and ``k_commutations``, the partner
+    on ``rows``, and their 4 cells leave the grid; one flipped with its
+    mirror (``transposed``) keeps them in the grid, on every row with the
+    triples of both blocks.  ``on_orbits`` takes the mask most identities
+    share first, so when those outnumber the rest (f = 3), mask 0 takes
+    every cell to every row."""
     f = system.f
-    blocks, triples = f * (f - 1), f * (f - 1) * (f - 2)
-    out = []
-    for name, count, hit in (("verify_grams", blocks, damaged), ("k_commutations", blocks, damaged)):
-        out += [(name, rows, count - hit)] + [(name, "all", hit)] * bool(hit)
-    hit = damaged * 3 * (f - 2)
-    return out + [("_triple_differences", rows, triples - hit)] + [("_triple_differences", "all", hit + rerun)] * bool(hit + rerun)
+    cells = f * (f - 1) * (f - 2) + 2 * f * (f - 1)
+    out, hit = [], damaged * 3 * (f - 2)
+    if damaged and transposed:
+        hit = 2 * hit + 4
+        if 2 * hit > cells:
+            return [("_grid_differences", "all", cells)]
+    elif damaged:
+        cells -= 4
+        for name in ("verify_grams", "k_commutations"):
+            out += [(name, rows, 1), (name, "all", 1)]
+    return out + [("_grid_differences", rows, cells - hit)] + [("_grid_differences", "all", hit)] * bool(hit)
 
 
 @pytest.fixture(scope="module")
@@ -179,11 +194,11 @@ def test_a_corruption_that_keeps_the_translations_is_rejected(ag3_gf5, seed, rou
     routes.clear()
     cert = verify_linked_system(bad)
     assert not cert.ok
-    blocks, triples = 12, 24
+    cells = 24 + 2 * 12 - 4  # the pair's Gram and G cells go to verify_grams and k_commutations
     assert routes == [
-        ("verify_grams", 1, blocks), ("verify_grams", "all", 1),
-        ("k_commutations", 1, blocks), ("k_commutations", "all", 1),
-        ("_triple_differences", 1, triples), ("_triple_differences", "all", 3 * 2),
+        ("verify_grams", 1, 2), ("verify_grams", "all", 1),
+        ("k_commutations", 1, 2), ("k_commutations", "all", 1),
+        ("_grid_differences", 1, cells), ("_grid_differences", "all", 3 * 2),
     ]
     assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
 
@@ -208,38 +223,86 @@ def test_a_corruption_that_keeps_the_group_shifts_runs_on_the_group_rows(ag3_gf5
     routes.clear()
     cert = verify_linked_system(bad)
     assert not cert.ok
+    cells = 24 + 2 * 12 - 4
     assert routes == [
-        ("verify_grams", 1, 11), ("verify_grams", 9, 1), ("verify_grams", "all", 1),
-        ("k_commutations", 1, 11), ("k_commutations", 9, 1), ("k_commutations", "all", 1),
-        ("_triple_differences", 1, 24 - 6), ("_triple_differences", 9, 6), ("_triple_differences", "all", 6),
+        ("verify_grams", 1, 1), ("verify_grams", 9, 1), ("verify_grams", "all", 1),
+        ("k_commutations", 1, 1), ("k_commutations", 9, 1), ("k_commutations", "all", 1),
+        ("_grid_differences", 1, cells - 6), ("_grid_differences", 9, 6), ("_grid_differences", "all", 6),
     ]
     assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
+
+
+def _flip_every_block(system, rows, transposed: bool, routes, corrupt_system):
+    """One entry flipped in each block of ``system`` in turn, with its mirror
+    in the transposed block when ``transposed``: the batches are those of
+    ``_system_routes`` and the lines those of the block route."""
+    for index, pair in enumerate(ordered_pairs(system.f)):
+        bad, _ = corrupt_system(system, index, pair, transposed)
+        routes.clear()
+        cert = verify_linked_system(bad)
+        assert not cert.ok
+        assert routes == _system_routes(rows, system, damaged=1, transposed=transposed), pair
+        assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
 
 
 @pytest.mark.parametrize("source, rows", [("sys16", 1), ("sys64", 8), ("ag3_gf5", 1)])
 def test_a_flip_in_any_block_sends_only_its_identities_to_every_row(source, rows, request, routes, corrupt_system):
     """One entry flipped in each block in turn: the shifts that fix every
-    other block still do, so the other blocks' Gram and commutation checks
-    and the triples that avoid the flipped block stay on their orbit rows,
-    and only the flipped block's checks and its 3 (f - 2) triples are formed
-    on every row; the lines are those of the block route."""
-    system = request.getfixturevalue(source)
-    for index, pair in enumerate(ordered_pairs(system.f)):
-        bad, _ = corrupt_system(system, index, pair)
-        routes.clear()
-        cert = verify_linked_system(bad)
-        assert not cert.ok
-        assert routes == _system_routes(rows, system, damaged=1), pair
-        assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
+    other block still do, so the other blocks' identities and the triples
+    that avoid the flipped block stay on their orbit rows, and only the
+    flipped block's checks and its 3 (f - 2) triples are formed on every
+    row; the lines are those of the block route."""
+    _flip_every_block(request.getfixturevalue(source), rows, False, routes, corrupt_system)
+
+
+@pytest.mark.parametrize("source, rows", [("sys16", 1), ("sys64", 8), ("ag3_gf5", 1)])
+def test_a_flip_with_its_mirror_sends_only_its_grid_cells_to_every_row(source, rows, request, routes, corrupt_system):
+    """One entry flipped in each block in turn together with its mirror in
+    the transposed block, so every transpose holds: the Gram and
+    commutation verdicts of both blocks come from their grid cells, which
+    with their triples are formed on every row, and the lines are those of
+    the block route."""
+    _flip_every_block(request.getfixturevalue(source), rows, True, routes, corrupt_system)
 
 
 @pytest.mark.parametrize("source", ["sys16", "sys45", "sys64", "ag3_gf5"])
 def test_seeded_flips_match_the_block_route(source, request, corrupt_system):
+    """Seeded flips of one entry, which break a transpose, and of one entry
+    with its mirror, which keep every transpose, so the damaged blocks'
+    Gram and commutation verdicts come from the grid."""
     for seed in range(4):
-        bad, _ = corrupt_system(request.getfixturevalue(source), seed)
-        cert = verify_linked_system(bad)
-        assert not cert.ok
-        assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
+        for transposed in (False, True):
+            bad, pair = corrupt_system(request.getfixturevalue(source), seed, transposed=transposed)
+            cert = verify_linked_system(bad)
+            assert not cert.ok
+            assert (cert.notes == ["transpose-consistent blocks: yes"]) == transposed
+            assert any(v.identity.startswith(f"block {pair}: A A^T") for v in cert.violations)
+            assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("source", ["sys16", "sys64", "ag3_gf5"])
+def test_a_swap_that_keeps_a_k_and_breaks_k_a_matches_the_block_route(source, seed, request):
+    """A 1 of A_ij moved along its row to another column of the same group,
+    and the mirror move in A_ji, so every transpose holds: A_ij K is
+    unchanged, K A_ij is not, and only the cell A_ji G tells it; the lines
+    are those of the block route."""
+    system = request.getfixturevalue(source)
+    rng = random.Random(seed)
+    f, v, n = system.f, system.params.base.v, system.params.base.n
+    pair = rng.choice(ordered_pairs(f))
+    stack = system.stack.copy()
+    block, mirror = stack[pair_index(f, *pair)], stack[pair_index(f, *pair[::-1])]
+    x = rng.randrange(v)
+    y = rng.choice(np.flatnonzero(block[x]).tolist())
+    z = rng.choice([c for c in range(y - y % n, y - y % n + n) if not block[x, c]])
+    block[x, y], block[x, z] = 0, 1
+    mirror[y, x], mirror[z, x] = 0, 1
+    bad = LinkedSystemII(system.params, stack)
+    cert = verify_linked_system(bad)
+    assert cert.notes == ["transpose-consistent blocks: yes"]
+    assert f"block {pair}: A K = K A = k/(m-1) (J - K)" in [v.identity for v in cert.violations]
+    assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
 
 
 def _aux_orbit(perms, x: int, y: int) -> set[tuple[int, int]]:
@@ -307,6 +370,17 @@ def test_systems_without_verified_translations_take_the_full_route(bush_pair, sy
         routes.clear()
         assert verify_linked_system(system).ok
         assert routes == _system_routes("all", system)
+
+
+def test_the_masks_of_every_stack_are_checked_against_the_gather(checked_shift_masks):
+    """The session's check (``checked_shift_masks``) sees the stacks a
+    certification computes masks of: the auxiliary set's matrices, then a
+    system's distinct n x n sub-blocks and its m x m sub-block ids."""
+    before = len(checked_shift_masks)
+    aux = aux_from_affine_geometry(3, 1)
+    assert checked_shift_masks[before:] == [aux.order]
+    build_tilde_l(aux, linked_mols_from_gf(gf_from_order(5)))
+    assert checked_shift_masks[before + 1 :] == [aux.order, 5]
 
 
 def test_shift_masks_mark_the_shifts_that_fix_each_matrix():

@@ -21,6 +21,7 @@ from sgdd.schemes import (
     _identify_labelings,
     _relabel_p,
     assemble_scheme,
+    certify_classes,
     check_fusion,
     closed_form_krein_b2,
     closed_form_multiplicities,
@@ -557,18 +558,21 @@ def test_intersection_numbers_match_all_products(source, transform, request):
     assert cert.checks == ref_cert.checks
 
 
-def test_intersection_numbers_form_one_product_per_unordered_pair(scheme48, monkeypatch):
+def test_intersection_numbers_form_one_product_per_pair_of_cross_fiber_classes(scheme48, monkeypatch):
+    """A_1 (the groups), A_2 (the fibers less the groups) and A_5 (the
+    aligned groups less the groups) multiply as class sums, so the kernel
+    forms only A_3 A_3, A_3 A_4 and A_4 A_4, of the 15 pairs i <= j."""
     calls = []
     matmul = IntMatrix.__matmul__
+    relation = scheme48.relation
 
     def counted(a, b):
-        calls.append(1)
+        calls.append(tuple(int(relation[tuple(np.argwhere(m.lane)[0])]) for m in (a, b)))
         return matmul(a, b)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted)
-    p, _ = compute_intersection_numbers(classes_of(scheme48.relation))
-    d = CLASSES - 1
-    assert len(calls) == d * (d + 1) // 2
+    p, _ = compute_intersection_numbers(classes_of(relation))
+    assert calls == [(3, 3), (3, 4), (4, 4)]
     assert p == scheme48.p
 
 
@@ -615,6 +619,136 @@ def test_dense_route_past_255_vertices(scheme448):
     ref_p, ref_cert = _intersection_numbers_all_products(class_matrices(classes))
     assert p is None and ref_p is None
     assert cert.violations == ref_cert.violations
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_moved_cross_fiber_pair_fails_with_no_kernel_product(scheme448, seed, monkeypatch):
+    """A pair of the 448-vertex scheme moved from A_3 to A_4, as the
+    benchmark's scheme controls do: the row sums of A_3 and A_4 are no
+    longer constant, so no labeling is tried, and the dense check stops at
+    A_1 A_3, a class-sum product, so no kernel product is formed.  (``test_dense_route_past_255_vertices`` compares such a
+    move with the all-products route.)"""
+    relation = scheme448.relation
+    pair = random.Random(seed).choice([(x, y) for x, y in zip(*np.nonzero(relation == 3)) if x < y])
+    classes = classes_of(_pair_moved(relation, 3, 4, pair))
+    shapes = []
+    matmul = IntMatrix.__matmul__
+
+    def spied(a, b):
+        shapes.append((a.rows, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", spied)
+    report = certify_classes(classes)
+    monkeypatch.undo()
+    assert shapes == [] and report.candidates == []
+    assert [v.identity for v in report.certificate.violations] == ["A_1 A_3 is not constant on class 3"]
+
+
+@pytest.fixture
+def class_sums(monkeypatch):
+    """(i, j) for every product A_i A_j, or its transpose, that the dense
+    check forms as class sums while the test runs, and, for every kernel
+    product, the first entry of each factor that is 1 (``_kernel_classes``
+    names their classes), as two lists."""
+    sums, kernel = [], []
+    sum_rows, matmul = sgdd.schemes._class_sum_rows, IntMatrix.__matmul__
+
+    def summed(relation, j, big, small, dtype):
+        # the class of B - B' is that of a pair in B and in no class of B'
+        x, y = big[0][:2] if small is None else (small[0][0], next(z for z in big[0] if z not in set(small[0])))
+        sums.append((int(relation[x, y]), j))
+        return sum_rows(relation, j, big, small, dtype)
+
+    def counted(a, b):
+        kernel.append(tuple(np.unravel_index(int(np.argmax(m.lane)), m.lane.shape) for m in (a, b)))
+        return matmul(a, b)
+
+    monkeypatch.setattr(sgdd.schemes, "_class_sum_rows", summed)
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    return sums, kernel
+
+
+def _kernel_classes(relation: np.ndarray, kernel) -> list[tuple[int, int]]:
+    """The classes of the factors of the kernel products ``class_sums`` saw."""
+    return sorted(tuple(int(relation[at]) for at in pair) for pair in kernel)
+
+
+def _relabelled(relation: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """R under a seeded vertex permutation and a seeded relabelling of the
+    classes 1..5 that moves class 1 (the groups), so groups are not
+    consecutive and class 1 is not the group class; with the new label of
+    each old class."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(CLASSES, dtype=np.uint8)
+    while labels[1] == 1:
+        labels[1:] = 1 + rng.permutation(CLASSES - 1)
+    perm = rng.permutation(len(relation))
+    return labels[relation][np.ix_(perm, perm)], labels
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_class_sums_match_all_products_on_a_relabelled_scheme(scheme48, seed, class_sums):
+    """The groups, fibers and aligned groups are found on R in any vertex
+    and class order: the kernel forms only the products of the two
+    cross-fiber classes, p is that of the all-products route, and a pair
+    moved between the cross-fiber classes either way names the same first
+    failing pair and class."""
+    sums, kernel = class_sums
+    relation, labels = _relabelled(scheme48.relation, seed)
+    p, cert = compute_intersection_numbers(classes_of(relation))
+    cross = sorted(int(labels[c]) for c in (3, 4))
+    assert {c for pair in sums for c in pair} == set(range(1, CLASSES))
+    assert len(sums) == 12 and _kernel_classes(relation, kernel) == [(x, y) for x in cross for y in cross if x <= y]
+    ref_p, ref_cert = _intersection_numbers_all_products(class_matrices(classes_of(relation)))
+    assert cert.ok and p == ref_p and cert.checks == ref_cert.checks
+    rng = random.Random(seed)
+    for src, dst in ((labels[3], labels[4]), (labels[4], labels[3])):
+        pair = rng.choice([(x, y) for x, y in zip(*np.nonzero(relation == src)) if x < y])
+        classes = classes_of(_pair_moved(relation, src, dst, pair))
+        p, cert = compute_intersection_numbers(classes)
+        ref_p, ref_cert = _intersection_numbers_all_products(class_matrices(classes))
+        assert p is None and ref_p is None
+        assert cert.violations == ref_cert.violations
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("src, dst", [(1, 2), (2, 1)])
+def test_a_pair_moved_between_groups_and_fibers_takes_the_kernel(scheme48, seed, src, dst, class_sums):
+    """With a pair moved between classes 1 and 2, {0, 1} is no equivalence,
+    so no class is a difference of equivalences and every product goes to
+    the kernel; the first failing pair and class are those of the
+    all-products route."""
+    sums, kernel = class_sums
+    relation = scheme48.relation
+    pair = random.Random(seed).choice([(x, y) for x, y in zip(*np.nonzero(relation == src)) if x < y])
+    classes = classes_of(_pair_moved(relation, src, dst, pair))
+    p, cert = compute_intersection_numbers(classes)
+    assert sums == [] and kernel
+    ref_p, ref_cert = _intersection_numbers_all_products(class_matrices(classes))
+    assert p is None and ref_p is None
+    assert cert.violations == ref_cert.violations
+
+
+def test_the_fused_scheme_multiplies_its_fibers_as_class_sums(scheme48, class_sums):
+    """The 4-class fusion {A_0, A_1 + A_2, A_3 + A_5, A_4}: its class 1 is
+    the fibers less I, so the products with it are class sums and the other
+    three go to the kernel; p is the fused p of the all-products route, and
+    a pair moved between its classes 2 and 3 names the same failing pair and
+    class."""
+    sums, kernel = class_sums
+    fused = check_fusion(scheme48).fused_relation
+    p, cert = compute_intersection_numbers(classes_of(fused))
+    assert sums == [(1, 1), (1, 2), (1, 3)] and _kernel_classes(fused, kernel) == [(2, 2), (2, 3), (3, 3)]
+    ref_p, ref_cert = _intersection_numbers_all_products(class_matrices(classes_of(fused)))
+    assert cert.ok and p == ref_p == fuse_classes(scheme48.p, FUSION_PARTITION)
+    for src, dst, seed in ((2, 3, 0), (3, 2, 1)):
+        pair = random.Random(seed).choice([(x, y) for x, y in zip(*np.nonzero(fused == src)) if x < y])
+        classes = classes_of(_pair_moved(fused, src, dst, pair))
+        p, cert = compute_intersection_numbers(classes)
+        ref_p, ref_cert = _intersection_numbers_all_products(class_matrices(classes))
+        assert p is None and ref_p is None
+        assert cert.violations == ref_cert.violations
 
 
 @pytest.mark.parametrize("source, radicand", [("scheme48", 0), ("scheme135", 0), ("conference24", 5), ("gcm48", 5)])

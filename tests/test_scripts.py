@@ -45,14 +45,18 @@ def test_reproduce_tables_writes_the_golden_tables(tmp_path: Path, monkeypatch):
 
 def test_scale_chain_times_every_verb_at_q_4(tmp_path: Path, monkeypatch, capsys):
     """The chain at q = 4 (the 48-vertex scheme), one fresh process per
-    verb, reports every verb, the flipped copy rejected, and a
-    byte-identical extract round trip."""
+    verb, reports every verb, the flipped system and the scheme with a moved
+    pair rejected, and a byte-identical extract round trip."""
     _run_script("scale_chain.py", "--q", "4", "--out", str(tmp_path), monkeypatch=monkeypatch)
     record = json.loads(capsys.readouterr().out)
     assert (record["q"], record["vertices"], record["roundtrip"]) == (4, 48, True)
     assert [step["verb"] for step in record["steps"]] == [
         "hadamard-aux", "linked-mols", "tilde-l", "verify linked-system",
-        "verify linked-system (one entry flipped)", "assemble", "verify scheme", "analyze", "extract", "fusion",
+        "verify linked-system (one entry flipped)", "assemble", "verify scheme", "verify scheme (one pair moved)",
+        "analyze", "extract", "fusion",
     ]
     assert all(step["seconds"] > 0 and step["peak_mb"] > 0 for step in record["steps"])
     assert (tmp_path / "back.lsys").read_bytes() == (tmp_path / "sys.lsys").read_bytes()
+    good, bad = (tmp_path / "scheme.scm").read_bytes(), (tmp_path / "bad.scm").read_bytes()
+    moved = [at for at, (x, y) in enumerate(zip(good, bad)) if x != y]
+    assert len(good) == len(bad) and len(moved) == 4
