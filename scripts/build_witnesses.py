@@ -34,6 +34,12 @@ def stage(label):
     print(f"== {label}")
 
 
+def write(path: Path, chunks):
+    """A ``fileio`` writer's byte chunks, written to ``path``."""
+    with open(path, "wb") as stream:
+        stream.writelines(chunks)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
@@ -47,13 +53,14 @@ def main():
     aux4 = aux_from_hadamard(hadamard_matrix(4))
     fam4 = linked_mols_from_gf(gf_make(2, 2))
     sys16 = build_tilde_l(aux4, fam4)
-    (out / "had4.aux").write_text(fileio.format_auxiliary_set(aux4))
-    (out / "gf4.fam").write_text(fileio.format_linked_family(fam4))
-    (out / "sys16.lsys").write_text(fileio.format_linked_system(sys16))
+    write(out / "had4.aux", fileio.auxiliary_set_chunks(aux4))
+    write(out / "gf4.fam", fileio.linked_family_chunks(fam4))
+    write(out / "sys16.lsys", fileio.linked_system_chunks(sys16))
     scheme48 = assemble_scheme(sys16)
-    (out / "scheme48.scm").write_text(fileio.format_scheme_matrices(scheme48.relation))
+    write(out / "scheme48.scm", fileio.scheme_chunks(scheme48.relation))
     fusion = check_fusion(scheme48)
-    roundtrip = extract_linked_system(fileio.parse_scheme_matrices((out / "scheme48.scm").read_bytes())).primary
+    with open(out / "scheme48.scm", "rb") as stream:
+        roundtrip = extract_linked_system(fileio.read_scheme(stream)).primary
     print(f"   system {sys16.params.base} triple {(sys16.params.sigma, sys16.params.tau, sys16.params.rho)}")
     print(f"   48-vertex scheme certified; fusable: {fusion.fusable}; "
           f"extraction round-trip: {np.array_equal(roundtrip.system.stack, sys16.stack)}")
@@ -66,32 +73,32 @@ def main():
             print("   search exhausted: no order-5 zero-diagonal linked family (reportable outcome)")
         else:
             sys45 = build_tilde_l(aux9, fam5)
-            (out / "ag23.aux").write_text(fileio.format_auxiliary_set(aux9))
-            (out / "order5.fam").write_text(fileio.format_linked_family(fam5))
-            (out / "sys45.lsys").write_text(fileio.format_linked_system(sys45))
+            write(out / "ag23.aux", fileio.auxiliary_set_chunks(aux9))
+            write(out / "order5.fam", fileio.linked_family_chunks(fam5))
+            write(out / "sys45.lsys", fileio.linked_system_chunks(sys45))
             scheme135 = assemble_scheme(sys45)
-            (out / "scheme135.scm").write_text(fileio.format_scheme_matrices(scheme135.relation))
+            write(out / "scheme135.scm", fileio.scheme_chunks(scheme135.relation))
             print(f"   system {sys45.params.base} triple {(sys45.params.sigma, sys45.params.tau, sys45.params.rho)}; "
                   f"135-vertex scheme certified")
 
     stage("conference path: Paley order 6")
     gdd12, p12 = conference_to_gdd(paley_conference_matrix(6))
-    (out / "conf12.mat").write_text(fileio.format_matrix(gdd12.mat))
-    (out / "conf12.params").write_text(fileio.format_gdd_params(p12))
+    write(out / "conf12.mat", fileio.matrix_chunks(gdd12.mat))
+    write(out / "conf12.params", fileio.gdd_params_chunks(p12))
     print(f"   certified {p12}")
 
     stage("generalized conference path: BGW(6,5,4) over C_4")
     gcm = bgw_generate(5)
     gdd24, p24 = gcm_to_gdd(gcm)
-    (out / "bgw654.gcm").write_text(fileio.format_gcm(gcm))
-    (out / "gcm24.mat").write_text(fileio.format_matrix(gdd24.mat))
-    (out / "gcm24.params").write_text(fileio.format_gdd_params(p24))
+    write(out / "bgw654.gcm", fileio.gcm_chunks(gcm))
+    write(out / "gcm24.mat", fileio.matrix_chunks(gdd24.mat))
+    write(out / "gcm24.params", fileio.gdd_params_chunks(p24))
     print(f"   certified {p24}")
 
     stage("twin path: order-4 Hadamard + weight-1 signed permutations")
     twin = build_twin(hadamard_matrix(4), signed_permutation_weighing_set(4))
-    (out / "twin16.plus.mat").write_text(fileio.format_matrix(twin.plus.mat))
-    (out / "twin16.minus.mat").write_text(fileio.format_matrix(twin.minus.mat))
+    write(out / "twin16.plus.mat", fileio.matrix_chunks(twin.plus.mat))
+    write(out / "twin16.minus.mat", fileio.matrix_chunks(twin.minus.mat))
     print(f"   certified twin pair {twin.params}")
 
     if not args.skip_search:
@@ -100,9 +107,9 @@ def main():
         if pair is None:
             print("   search exhausted (reportable outcome)")
         else:
-            (out / "bush16.hset").write_text(fileio.format_matrix_set(pair))
+            write(out / "bush16.hset", fileio.matrix_set_chunks(pair))
             mub = build_from_mub_bush(pair)
-            (out / "mub16.lsys").write_text(fileio.format_linked_system(mub))
+            write(out / "mub16.lsys", fileio.linked_system_chunks(mub))
             print(f"   system {mub.params.base} triple {(mub.params.sigma, mub.params.tau, mub.params.rho)}")
 
     print(f"done in {time.monotonic() - t0:.2f}s; artifacts in {out}/")

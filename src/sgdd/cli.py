@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import fileio
 from .classical import hadamard_matrix, paley_conference_matrix, signed_permutation_weighing_set
@@ -23,6 +22,7 @@ from .designs import IncidenceMatrix, verify_gdd
 from .errors import FormatError, SgddError
 from .gf import gf_from_order
 from .latin import (
+    LinkedMolsFamily,
     linked_mols_from_gf,
     mols_from_gf,
     search_linked_mols,
@@ -97,34 +97,23 @@ _FILE = _opt("input")
 _FORMAT = _opt("--format", choices=("csv", "text"), default="csv")
 
 
-def _read(path: str) -> bytes:
-    data = Path(path).read_bytes()
-    if (at := fileio.first_non_ascii(data)) is not None:
-        raise FormatError(f"{path}: non-ASCII byte 0x{data[at]:02x} at offset {at}")
-    return data
-
-
-def _read_scheme(path: str):
-    """The classes of a scheme file: read block by block, or by the token reader."""
+def _from_file(reader, path: str):
+    """What ``reader`` reads from the file at ``path``, opened as a binary stream."""
     with open(path, "rb") as stream:
-        classes = fileio.read_scheme(stream)
-    return classes if classes is not None else fileio.parse_scheme_matrices(_read(path))
+        return reader(stream)
 
 
-def _write(path: str, output):
-    """A formatter's text, or a writer's byte chunks written as they come."""
-    if isinstance(output, str):
-        Path(path).write_text(output, encoding="ascii")
-    else:
-        with open(path, "wb") as stream:
-            stream.writelines(output)
+def _write(path: str, chunks):
+    """A writer's byte chunks, written to ``path`` as they come."""
+    with open(path, "wb") as stream:
+        stream.writelines(chunks)
 
 
-def _emit(output, out: str | None):
+def _emit(chunks, out: str | None):
     if out:
-        _write(out, output)
+        _write(out, chunks)
     else:
-        sys.stdout.write(output if isinstance(output, str) else b"".join(output).decode("ascii"))
+        sys.stdout.write(b"".join(chunks).decode("ascii"))
 
 
 def _report(cert) -> int:
@@ -141,33 +130,33 @@ def _report(cert) -> int:
 )
 def _hadamard_aux(args):
     """auxiliary matrices of a Hadamard matrix"""
-    h = fileio.parse_matrix(_read(args.input)) if args.input is not None else hadamard_matrix(args.order)
-    _emit(fileio.format_auxiliary_set(aux_from_hadamard(h)), args.output)
+    h = _from_file(fileio.read_matrix, args.input) if args.input is not None else hadamard_matrix(args.order)
+    _emit(fileio.auxiliary_set_chunks(aux_from_hadamard(h)), args.output)
 
 
 @_command("construct", "ag-aux", _Q, _opt("--d", type=int, default=1), _OUT)
 def _ag_aux(args):
     """auxiliary matrices of an affine geometry"""
-    _emit(fileio.format_auxiliary_set(aux_from_affine_geometry(args.q, args.d)), args.output)
+    _emit(fileio.auxiliary_set_chunks(aux_from_affine_geometry(args.q, args.d)), args.output)
 
 
 @_command("construct", "mols", _Q, _OUT)
 def _mols(args):
     """field-derived squares, pairwise orthogonal"""
-    _emit(fileio.format_mols_list(mols_from_gf(gf_from_order(args.q))), args.output)
+    _emit(fileio.mols_list_chunks(mols_from_gf(gf_from_order(args.q))), args.output)
 
 
 @_command("construct", "linked-mols", _Q, _OUT)
 def _linked_mols(args):
     """linked family of compositions of the field squares"""
-    _emit(fileio.format_linked_family(linked_mols_from_gf(gf_from_order(args.q))), args.output)
+    _emit(fileio.linked_family_chunks(linked_mols_from_gf(gf_from_order(args.q))), args.output)
 
 
 @_command("construct", "tilde-l", _opt("--aux", required=True), _opt("--mols", required=True), _OUT)
 def _tilde_l(args):
     """linked system from auxiliary matrices and a linked family"""
-    aux = fileio.parse_auxiliary_set(_read(args.aux))
-    fam = fileio.parse_linked_family(_read(args.mols))
+    aux = _from_file(fileio.read_auxiliary_set, args.aux)
+    fam = _from_file(fileio.read_linked_family, args.mols)
     _emit(fileio.linked_system_chunks(build_tilde_l(aux, fam)), args.output)
 
 
@@ -183,24 +172,24 @@ def _tilde_l(args):
 )
 def _conference_gdd(args):
     """design from a conference matrix"""
-    c = fileio.parse_matrix(_read(args.input)) if args.input is not None else paley_conference_matrix(args.order)
+    c = _from_file(fileio.read_matrix, args.input) if args.input is not None else paley_conference_matrix(args.order)
     mat, params = conference_to_gdd(c)
-    _emit(fileio.format_matrix(mat.mat), args.output)
-    _emit(fileio.format_gdd_params(params), args.params_out)
+    _emit(fileio.matrix_chunks(mat.mat), args.output)
+    _emit(fileio.gdd_params_chunks(params), args.params_out)
 
 
 @_command("construct", "bgw", _Q, _OUT)
 def _bgw(args):
     """balanced generalized weighing matrix over a cyclic group"""
-    _emit(fileio.format_gcm(bgw_generate(args.q)), args.output)
+    _emit(fileio.gcm_chunks(bgw_generate(args.q)), args.output)
 
 
 @_command("construct", "gcm-gdd", _IN, _OUT, _PARAMS_OUT)
 def _gcm_gdd(args):
     """design from a generalized conference matrix file"""
-    mat, params = gcm_to_gdd(fileio.parse_gcm(_read(args.input)))
-    _emit(fileio.format_matrix(mat.mat), args.output)
-    _emit(fileio.format_gdd_params(params), args.params_out)
+    mat, params = gcm_to_gdd(_from_file(fileio.read_gcm, args.input))
+    _emit(fileio.matrix_chunks(mat.mat), args.output)
+    _emit(fileio.gdd_params_chunks(params), args.params_out)
 
 
 @_command(
@@ -213,18 +202,18 @@ def _gcm_gdd(args):
 )
 def _twin(args):
     """twin designs from a Hadamard matrix and weighing matrices"""
-    h = fileio.parse_matrix(_read(args.hadamard)) if args.hadamard is not None else hadamard_matrix(args.order)
-    ws = fileio.parse_matrix_set(_read(args.weighing)) if args.weighing else signed_permutation_weighing_set(h.rows)
+    h = _from_file(fileio.read_matrix, args.hadamard) if args.hadamard is not None else hadamard_matrix(args.order)
+    ws = _from_file(fileio.read_matrix_set, args.weighing) if args.weighing else signed_permutation_weighing_set(h.rows)
     twin = build_twin(h, ws)
-    _write(args.output + ".plus.mat", fileio.format_matrix(twin.plus.mat))
-    _write(args.output + ".minus.mat", fileio.format_matrix(twin.minus.mat))
-    _emit(fileio.format_gdd_params(twin.params), args.params_out)
+    _write(args.output + ".plus.mat", fileio.matrix_chunks(twin.plus.mat))
+    _write(args.output + ".minus.mat", fileio.matrix_chunks(twin.minus.mat))
+    _emit(fileio.gdd_params_chunks(twin.params), args.params_out)
 
 
 @_command("construct", "mub-system", _opt("--in", dest="input", required=True, help="matrix-set file"), _OUT)
 def _mub_system(args):
     """linked system from unbiased Bush-type Hadamard matrices"""
-    system = build_from_mub_bush(fileio.parse_matrix_set(_read(args.input)))
+    system = build_from_mub_bush(_from_file(fileio.read_matrix_set, args.input))
     _emit(fileio.linked_system_chunks(system), args.output)
 
 
@@ -234,55 +223,53 @@ def _verify_gdd(args):
     if args.params is not None:
         params = fileio.parse_inline_gdd_params(args.params)
     else:
-        params = fileio.parse_gdd_params(_read(args.params_file))
-    inc = IncidenceMatrix(fileio.parse_matrix(_read(args.input)), params.m, params.n)
+        params = _from_file(fileio.read_gdd_params, args.params_file)
+    inc = IncidenceMatrix(_from_file(fileio.read_matrix, args.input), params.m, params.n)
     return _report(verify_gdd(inc, params))
 
 
 @_command("verify", "aux", _FILE)
 def _verify_aux(args):
     """certify an auxiliary set"""
-    return _report(verify_auxiliary(fileio.parse_auxiliary_set(_read(args.input))))
+    return _report(verify_auxiliary(_from_file(fileio.read_auxiliary_set, args.input)))
 
 
 @_command("verify", "latin", _FILE)
 def _verify_latin(args):
     """certify a Latin square or a linked family"""
-    data = _read(args.input)
-    if len(fileio.Lines(data, "latin square").next().split()) == 2:
-        fam = fileio.parse_linked_family(data)
-        cert = verify_linked(fam)
+    read = _from_file(fileio.read_latin, args.input)
+    if isinstance(read, LinkedMolsFamily):
+        cert = verify_linked(read)
         for v in cert.violations:
             print(f"violation: {v}")
-        print(f"linked family f={fam.f} order={fam.order}: {'OK' if cert.ok else 'VIOLATED'}")
+        print(f"linked family f={read.f} order={read.order}: {'OK' if cert.ok else 'VIOLATED'}")
         return OK if cert.ok else VIOLATION
-    fileio.parse_latin_square(data)
     print("latin square: OK")
 
 
 @_command("verify", "linked-system", _FILE)
 def _verify_linked_system(args):
     """certify a linked system of type II"""
-    return _report(verify_linked_system(fileio.parse_linked_system(_read(args.input))))
+    return _report(verify_linked_system(_from_file(fileio.read_linked_system, args.input)))
 
 
 @_command("verify", "scheme", _FILE)
 def _verify_scheme(args):
     """certify a 5-class association scheme"""
-    return _report(certify_classes(_read_scheme(args.input)).certificate)
+    return _report(certify_classes(_from_file(fileio.read_scheme, args.input)).certificate)
 
 
 @_command("scheme", "assemble", _IN, _OUT)
 def _assemble(args):
     """the scheme of a linked system"""
-    scheme = assemble_scheme(fileio.parse_linked_system(_read(args.input)))
+    scheme = assemble_scheme(_from_file(fileio.read_linked_system, args.input))
     _emit(fileio.scheme_chunks(scheme.relation), args.output)
 
 
 @_command("scheme", "analyze", _IN)
 def _analyze(args):
     """parameters, spectra and Krein certification report"""
-    scheme, primary = load_scheme(_read_scheme(args.input))
+    scheme, primary = load_scheme(_from_file(fileio.read_scheme, args.input))
     params = scheme.params
     print(f"parameters: k={params.k} m={params.m} n={params.n} f={params.f} |X|={params.size}")
     if primary.labels != tuple(range(6)):
@@ -293,7 +280,7 @@ def _analyze(args):
 @_command("scheme", "extract", _IN, _OUT)
 def _extract(args):
     """the linked system of a scheme"""
-    report = extract_linked_system(_read_scheme(args.input))
+    report = extract_linked_system(_from_file(fileio.read_scheme, args.input))
     primary = report.primary
     for cand in report.candidates:
         mark = "primary" if cand is primary else "alternate"
@@ -309,7 +296,7 @@ def _extract(args):
 @_command("scheme", "fusion", _IN, _OUT)
 def _fusion(args):
     """the 3-class fusion test"""
-    scheme, _ = load_scheme(_read_scheme(args.input))
+    scheme, _ = load_scheme(_from_file(fileio.read_scheme, args.input))
     result = check_fusion(scheme)
     print(f"fusable: {result.fusable}; degree condition met: {result.predicted}")
     if result.fusable and result.eigenspace_partition:
@@ -321,7 +308,7 @@ def _fusion(args):
 
 def _emit_rows(args, rows, table: int, annotations=None):
     render = rows_to_csv if args.format == "csv" else rows_to_text
-    _emit(render(rows, table, annotations=annotations), args.output)
+    _emit([render(rows, table, annotations=annotations).encode("ascii")], args.output)
 
 
 @_command(
@@ -362,7 +349,7 @@ def _oracle_linked_mols(args):
     if fam is None:
         print("exhausted: no linked family exists with these constraints")
         return VIOLATION
-    _emit(fileio.format_linked_family(fam), args.output)
+    _emit(fileio.linked_family_chunks(fam), args.output)
 
 
 @_command("oracle", "bush", _opt("--n", type=int, required=True), _opt("--f", type=int, required=True), _OUT)
@@ -372,7 +359,7 @@ def _oracle_bush(args):
     if found is None:
         print("exhausted: no such family exists")
         return VIOLATION
-    _emit(fileio.format_matrix_set(found), args.output)
+    _emit(fileio.matrix_set_chunks(found), args.output)
 
 
 def command_parser(verb: str, target: str) -> argparse.ArgumentParser:

@@ -182,20 +182,21 @@ def on_orbits(check, masks: np.ndarray, rows_of, passed) -> list:
     fix every matrix identity t uses, and ``rows_of(mask)`` their rows
     (``orbit_rows``), None when they join no two indices.
 
-    The batches are taken greedily: the mask most of the identities left
-    have (of two as common, the one with more shifts) takes, as one batch
-    on its rows, every identity left whose mask contains it (each is fixed
-    by its shifts).  So a system fixed by one group of shifts is one batch,
-    and one damaged block leaves the others on their rows and sends only
-    its own identities to every row.  An identity whose verdict has not
-    ``passed`` on orbit rows is formed again on every row, with those whose
-    batch has no rows, as the last batch: so a failure is reported with the
-    lines and first positions of the full check."""
+    The batches are taken greedily: the nonzero mask most identities left
+    have (of two as common, the one with more shifts) takes, as one batch on
+    its rows, every identity left whose mask contains it (each is fixed by
+    its shifts); mask 0, which every mask contains, comes last.  So a system
+    fixed by one group of shifts is one batch, and damaged blocks leave the
+    others on their rows and send only their own identities to every row.
+    An identity whose verdict has not ``passed`` on orbit rows is formed
+    again on every row, with those whose batch has no rows, as the last
+    batch: so a failure is reported with the lines and first positions of
+    the full check."""
     masks = np.asarray(masks)
     batches, left = [], np.arange(len(masks))
     while len(left):
         counts = Counter(masks[left].tolist())
-        mask = max(counts, key=lambda mk: (counts[mk], mk.bit_count()))
+        mask = max(counts, key=lambda mk: (mk != 0, counts[mk], mk.bit_count()))
         take = masks[left] & mask == mask
         batches.append((rows_of(mask), left[take]))
         left = left[~take]
@@ -275,6 +276,21 @@ def block_differences(left: np.ndarray, right: np.ndarray, labels, coeffs) -> li
                     for a in group:
                         grid[c][a][cols] = [next(diffs) for _ in band]
     return grid
+
+
+class Gathered:
+    """The matrices ``stack[index]`` on ``rows``, an array of shape
+    index.shape + (len(rows), v) that is gathered only where indexed, as
+    ``block_differences`` and ``cell_differences`` index their left operand:
+    a band, or a cell's blocks, at a time, never the whole of it at once."""
+
+    def __init__(self, stack: np.ndarray, index: np.ndarray, rows: np.ndarray):
+        self.stack, self.index, self.rows = stack, index, rows
+        self.shape = index.shape + (len(rows), stack.shape[-1])
+        self.ndim = len(self.shape)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.stack[self.index[key][..., None], self.rows]
 
 
 def cell_differences(left: np.ndarray, right: np.ndarray, labels, coeffs, cells) -> list:

@@ -17,30 +17,29 @@ Everything is line-oriented ASCII so artifacts diff cleanly:
 * matrix set ........... ``order count`` then the matrices (Hadamard or
                          weighing collections)
 
-Writers end files with a newline; readers reject trailing junk, so a
-write/read/write round trip is byte-identical.  A scheme and a linked system
-are written as byte chunks (``scheme_chunks``, ``linked_system_chunks``),
-one digit buffer per block, which the CLI writes to its output as they come;
-``format_*`` return ``str``, and for those two formats join the same chunks.
-Parsers take the file's ``bytes``, refuse any byte past 0x7F, end lines
-where ``str.splitlines`` would and decode only the lines they read as tokens.
+Each format has one reader, ``read_*``, which takes a binary stream, and one
+writer, ``*_chunks``, which yields the file as byte chunks.  Writers end
+files with a newline; readers reject trailing junk, so a write/read/write
+round trip is byte-identical.
 
+A reader goes through ``Lines``, a byte window over the stream refilled by
+fixed-size reads, whose lines end where ``str.splitlines`` would end them.
 A block of single-digit rows joined by single spaces, all ending in a line
-feed or all in CR LF, is viewed in place as ``uint8``, and a block of digits
-held as int64, ``uint8`` or booleans is written from one byte buffer; every
-other block takes the token reader, so every error names the same line
-either way.  Scheme class blocks stay ``uint8`` as read, the blocks of a
-linked system or an auxiliary set are checked one by one into its ``uint8``
-stack, and a scheme is written from its class-label array R, class i as
-R == i; other matrices become ``IntMatrix``.  ``read_scheme`` reads a scheme
-file block by block from a stream, leaving any other file to the token reader.
+feed or all in CR LF, is read into the window and its digits taken in
+place; any other block is read token by token from the same rows, so every
+error names the same line either way.  A header never sizes an array the
+rest of the stream is too short to fill (``_fits``).  Scheme classes that
+are 0/1 digit blocks go into one ``ClassBits`` array, and the blocks of a
+linked system or an auxiliary set into its ``uint8`` stack.  A block of
+digits is written from one byte buffer, a scheme from its class-label
+array R, class i as R == i.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
@@ -57,38 +56,70 @@ from .schemes import ClassBits
 # the ASCII line boundaries of str.splitlines
 _LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
 
-
-def first_non_ascii(data: bytes) -> int | None:
-    """The offset of the first byte past 0x7F, or None when ``data`` is ASCII."""
-    return None if data.isascii() else re.search(rb"[\x80-\xff]", data).start()
-
-
-def _check_ascii(data: bytes, what: str) -> None:
-    """Refuse bytes that are not ASCII, as no format here is: int() would also
-    read other scripts' digits, such as Arabic-Indic ones."""
-    if (at := first_non_ascii(data)) is not None:
-        line = len(_LINE_END.findall(data, 0, at)) + 1
-        raise FormatError(f"{what}: non-ASCII byte 0x{data[at]:02x} on line {line}")
+# the bytes a refill of the window reads at least
+CHUNK = 1 << 16
 
 
 class Lines:
-    """A file's lines, read from byte offset ``at``, ``pos`` of them so far;
-    each is decoded when read, so strip, split and int() keep their meaning."""
+    """The lines of a buffered binary stream, ``pos`` of them read so far,
+    through a window ``buf[at:end]`` of bytes read and not yet taken, with
+    ``left`` bytes still in the stream; one that cannot seek (a pipe) is
+    read into memory first, so that ``left`` is known.  A line is decoded
+    when read, so strip, split and int() keep their meaning, and a byte
+    past 0x7F is refused then, as int() would read other scripts' digits."""
 
-    def __init__(self, data: bytes, what: str):
-        _check_ascii(data, what)
-        self.data = data
-        self.at = 0
-        self.pos = 0
-        self.what = what
+    def __init__(self, stream, what: str):
+        if not stream.seekable():
+            stream = io.BytesIO(stream.read())
+        here = stream.tell()
+        self.left = stream.seek(0, io.SEEK_END) - here
+        stream.seek(here)
+        self.stream, self.what = stream, what
+        self.buf = np.empty(2 * CHUNK, dtype=np.uint8)
+        self.at = self.end = self.pos = 0
+
+    def room(self) -> int:
+        """The bytes not yet taken: in the window and in the stream."""
+        return self.end - self.at + self.left
+
+    def fill(self, n: int) -> bool:
+        """Whether the window holds the next ``n`` bytes, reading on until it
+        does when the stream holds them: at least ``CHUNK`` bytes a read, into
+        a window that grows only to hold ``n``."""
+        kept = self.end - self.at
+        if kept >= n or n > self.room():
+            return kept >= n
+        want = min(max(n, kept + CHUNK), kept + self.left)
+        buf = self.buf if len(self.buf) >= want else np.empty(want, dtype=np.uint8)
+        buf[:kept] = self.buf[self.at : self.end]
+        got = self.stream.readinto(memoryview(buf)[kept:want])  # short only where the stream ends early
+        self.buf, self.at, self.end = buf, 0, kept + got
+        self.left = self.left - got if self.end == want else 0
+        return self.end >= n
+
+    def _line(self) -> str | None:
+        """The next line, stripped, or None at the end of the stream."""
+        while True:
+            end = _LINE_END.search(self.buf, self.at, self.end)
+            # a line end at the window's last byte may be the CR of a CR LF
+            if (end and end.end() < self.end) or not self.left:
+                break
+            self.fill(self.end - self.at + 1)
+        if self.at == self.end:
+            return None
+        start = self.at
+        stop, self.at = end.span() if end else (self.end,) * 2
+        self.pos += 1
+        raw = self.buf[start:stop].tobytes()
+        if not raw.isascii():
+            byte = next(b for b in raw if b > 0x7F)
+            raise FormatError(f"{self.what}: non-ASCII byte 0x{byte:02x} on line {self.pos}")
+        return raw.decode("ascii").strip()
 
     def __iter__(self) -> Iterator[str]:
         """The remaining non-blank lines, stripped."""
-        while self.at < len(self.data):
-            start, end = self.at, _LINE_END.search(self.data, self.at)
-            stop, self.at = end.span() if end else (len(self.data),) * 2
-            self.pos += 1
-            if line := self.data[start:stop].decode("ascii").strip():
+        while (line := self._line()) is not None:
+            if line:
                 yield line
 
     def next(self) -> str:
@@ -97,7 +128,10 @@ class Lines:
         raise FormatError(f"{self.what}: unexpected end of file")
 
     def ints(self, expect: int | None = None) -> list[int]:
-        parts = self.next().split()
+        return self.ints_of(self.next().split(), expect)
+
+    def ints_of(self, parts: list[str], expect: int | None = None) -> list[int]:
+        """The integers of ``parts``, the fields of the line read last."""
         try:
             vals = [int(p) for p in parts]
         except ValueError as exc:
@@ -109,6 +143,21 @@ class Lines:
     def done(self):
         for _ in self:
             raise FormatError(f"{self.what}: trailing content at line {self.pos}")
+
+
+def _fits(lines: Lines, count: int, v: int) -> int:
+    """How many of the ``count`` blocks of order v that a header names the
+    rest of ``lines`` can hold, none when v < 1: a block of order v takes at
+    least v*v bytes.  No array is sized by a header past this, so a header's
+    v*v never reaches an allocation the stream could not fill."""
+    return min(count, lines.room() // (v * v)) if v > 0 else 0
+
+
+def _stack(lines: Lines, count: int, v: int) -> np.ndarray:
+    """An empty uint8 stack for the blocks of order v that ``lines`` can
+    hold of ``count``; with none, it takes no shape from v."""
+    fits = _fits(lines, count, v)
+    return np.empty((fits, v, v) if fits > 0 else (0, 0, 0), dtype=np.uint8)
 
 
 # -- matrix v1 ---------------------------------------------------------------
@@ -127,93 +176,70 @@ def _digit_rows(a: np.ndarray) -> np.ndarray:
     return pairs.view(np.uint8)
 
 
-def _joined(chunks: Iterable) -> str:
-    """The text of a writer's byte chunks, for in-memory callers."""
-    return b"".join(chunks).decode("ascii")
+def _token_rows(rows: list[list[int]]) -> bytes:
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows).encode()
 
 
-def _matrix_chunks(m: IntMatrix) -> Iterator:
+def matrix_chunks(m: IntMatrix) -> Iterator:
     """Matrix v1 as byte chunks: a matrix of digits as one digit buffer."""
     a = m.a
     yield f"{m.rows} {m.cols}\n".encode()
     if a.dtype.kind in "biu" and a.size and a.min() >= 0 and a.max() <= 9:
         yield _digit_rows(a)
     else:
-        yield ("\n".join(" ".join(map(str, row)) for row in a.tolist()) + "\n").encode()
+        yield _token_rows(a.tolist())
 
 
-def format_matrix(m: IntMatrix) -> str:
-    return _joined(_matrix_chunks(m))
-
-
-def _pair_digits(data, at: int, width: int, out: np.ndarray, top: int) -> bool:
-    """Whether the rows of ``width`` bytes at ``at`` in ``data`` are single
-    digits 0..top joined by single spaces, each row ending in LF (``width``
-    twice the digits) or CR LF, the digits written to ``out`` (rows, digits).
-    A digit and the byte after it are one little-endian 16-bit pair; less
-    the pair of "0 " ("0\\n", "0\\r" at a row's end) it is the digit exactly
-    when at most 9, as every other byte wraps past 9."""
-    rows, cols = out.shape
-    pairs = np.ndarray((rows, cols), dtype="<u2", buffer=data, offset=at, strides=(width, 2))
-    np.subtract(pairs[:, :-1], _SPACE_PAIR, out=out[:, :-1])
-    np.subtract(pairs[:, -1], _CR_PAIR if width > 2 * cols else _LF_PAIR, out=out[:, -1])
-    if out.max() > top:
-        return False
-    return width == 2 * cols or (np.ndarray(rows, np.uint8, data, at + 2 * cols, (width,)) == ord("\n")).all()
-
-
-def _read_digit_block(lines: Lines, rows: int, cols: int) -> np.ndarray | None:
-    """The next ``rows`` lines as uint8, read in place, when each is ``cols``
-    single digits joined by single spaces and every one ends in a line feed,
-    or every one in CR LF (as the first does), with ``lines`` moved past them;
-    otherwise None, with ``lines`` unmoved."""
+def _digit_block(lines: Lines) -> tuple[int, int, np.ndarray | None]:
+    """The next block's rows and columns, and its digits, as a (rows, cols)
+    16-bit view written over them in the window, when each row is single
+    digits joined by single spaces and every one ends in a line feed, or
+    every one in CR LF (as the first does), with ``lines`` moved past them;
+    otherwise None, with ``lines`` and its window as they were.  A digit
+    and the byte after it are one little-endian 16-bit pair; less the pair
+    of "0 " ("0\\n", "0\\r" at a row's end) it is the digit exactly when at
+    most 9, as every other byte wraps past 9.  The view lasts until
+    ``lines`` reads on."""
+    rows, cols = lines.ints(2)
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{lines.what}: matrix dimensions must be positive")
     text = 2 * cols - 1
-    width = 2 * cols + (lines.data[lines.at + text : lines.at + text + 2] == b"\r\n")
-    if lines.at + rows * width > len(lines.data):
-        return None
-    digits = np.empty((rows, cols), dtype="<u2")
-    if not _pair_digits(lines.data, lines.at, width, digits, 9):
-        return None
-    lines.at += rows * width
-    lines.pos += rows
-    return digits.astype(np.uint8)
+    crlf = lines.fill(text + 2) and lines.buf[lines.at + text : lines.at + text + 2].tobytes() == b"\r\n"
+    width = 2 * cols + crlf
+    if not lines.fill(rows * width):
+        return rows, cols, None
+    buf, at = lines.buf, lines.at
+    pairs = np.ndarray((rows, cols), dtype="<u2", buffer=buf, offset=at, strides=(width, 2))
+    row_end = np.uint16(_CR_PAIR if crlf else _LF_PAIR)
+    pairs[:, :-1] -= np.uint16(_SPACE_PAIR)
+    pairs[:, -1] -= row_end
+    if pairs.max() <= 9 and (not crlf or (buf[at + 2 * cols : at + rows * width : width] == ord("\n")).all()):
+        lines.at += rows * width
+        lines.pos += rows
+        return rows, cols, pairs
+    pairs[:, :-1] += np.uint16(_SPACE_PAIR)
+    pairs[:, -1] += row_end
+    return rows, cols, None
+
+
+def _read_block(lines: Lines, rows: int, cols: int, digits: np.ndarray | None) -> np.ndarray:
+    """A block of ``rows`` x ``cols`` as written: uint8 for its ``digits``
+    read in place, else read token by token from the same rows, which names
+    the first bad line and keeps entries past int64 as Python integers."""
+    if digits is not None:
+        return digits.astype(np.uint8)
+    return IntMatrix([lines.ints(cols) for _ in range(rows)]).a
 
 
 def _read_matrix(lines: Lines) -> np.ndarray:
     """The next block as written: uint8 for single digits, else int64 or Python integers."""
-    rows, cols = lines.ints(2)
-    if rows < 1 or cols < 1:
-        raise FormatError(f"{lines.what}: matrix dimensions must be positive")
-    digits = _read_digit_block(lines, rows, cols)
-    if digits is not None:
-        return digits
-    start = lines.at, lines.pos
-    try:
-        arr = np.array([lines.next().split() for _ in range(rows)], dtype=np.int64)
-        if arr.shape == (rows, cols):
-            return arr
-    except (ValueError, OverflowError):  # FormatError is a ValueError
-        pass
-    # A malformed block, or entries past int64: read it again row by row,
-    # which names the first bad line and keeps big entries as Python integers.
-    lines.at, lines.pos = start
-    return IntMatrix([lines.ints(cols) for _ in range(rows)]).a
+    return _read_block(lines, *_digit_block(lines))
 
 
-def _block_stack(data: bytes, count: int, v: int) -> np.ndarray:
-    """An empty uint8 stack for the ``count`` blocks of order v that a header
-    of ``data`` names.  A block of order v takes at least v*v bytes, so the
-    stack holds no more blocks than the file can fill; where it can fill
-    none, no block of order v can be read, and the stack takes no shape
-    from v (a header's v*v may pass any array size)."""
-    fits = min(count, len(data) // (v * v)) if v > 0 else 0
-    return np.empty((fits, v, v) if fits > 0 else (0, 0, 0), dtype=np.uint8)
-
-
-def parse_matrix(data: bytes) -> IntMatrix:
+def read_matrix(stream) -> IntMatrix:
     """The matrix as ``_read_matrix`` holds it, with no copy: a block of
     single digits stays uint8."""
-    lines = Lines(data, "matrix")
+    lines = Lines(stream, "matrix")
     m = IntMatrix.view(_read_matrix(lines))
     lines.done()
     return m
@@ -224,14 +250,14 @@ def parse_matrix(data: bytes) -> IntMatrix:
 _PARAM_KEYS = ("v", "k", "m", "n", "l1", "l2")
 
 
-def format_gdd_params(p: GddParams) -> str:
+def gdd_params_chunks(p: GddParams) -> Iterator:
     vals = (p.v, p.k, p.m, p.n, p.lambda1, p.lambda2)
-    return "".join(f"{key}={val}\n" for key, val in zip(_PARAM_KEYS, vals))
+    yield "".join(f"{key}={val}\n" for key, val in zip(_PARAM_KEYS, vals)).encode()
 
 
-def parse_gdd_params(data: bytes) -> GddParams:
+def read_gdd_params(stream) -> GddParams:
     got = {}
-    for line in Lines(data, "parameters"):
+    for line in Lines(stream, "parameters"):
         if "=" not in line:
             raise FormatError(f"parameters: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
@@ -250,8 +276,8 @@ def parse_gdd_params(data: bytes) -> GddParams:
 
 def parse_inline_gdd_params(text: str) -> GddParams:
     """Six whitespace-separated integers: v k m n l1 l2, from argv."""
-    _check_ascii(text.encode("utf-8", "surrogateescape"), "parameters")
-    parts = text.split()
+    lines = Lines(io.BytesIO(text.encode("utf-8", "surrogateescape")), "parameters")
+    parts = [part for line in lines for part in line.split()]
     if len(parts) != 6:
         raise FormatError("expected six integers: v k m n l1 l2")
     try:
@@ -263,16 +289,17 @@ def parse_inline_gdd_params(text: str) -> GddParams:
 
 # -- auxiliary sets ------------------------------------------------------------
 
-def format_auxiliary_set(aux: AuxiliarySet) -> str:
-    head = f"{aux.order} {aux.r}\n"
-    return head + "".join(format_matrix(IntMatrix.view(c)) for c in aux.stack)
+def auxiliary_set_chunks(aux: AuxiliarySet) -> Iterator:
+    yield f"{aux.order} {aux.r}\n".encode()
+    for c in aux.stack:
+        yield from matrix_chunks(IntMatrix.view(c))
 
 
-def parse_auxiliary_set(data: bytes) -> AuxiliarySet:
+def read_auxiliary_set(stream) -> AuxiliarySet:
     """The set as written, uncertified: ``verify_auxiliary`` certifies it."""
-    lines = Lines(data, "auxiliary set")
+    lines = Lines(stream, "auxiliary set")
     v, r = lines.ints(2)
-    stack = _block_stack(data, r, v)
+    stack = _stack(lines, r, v)
     for c in range(r):
         block = _read_matrix(lines)
         if block.shape != (v, v):
@@ -289,44 +316,50 @@ def _read_latin_rows(lines: Lines, n: int) -> LatinSquare:
     return LatinSquare.of([lines.ints(n) for _ in range(n)])
 
 
-def parse_latin_square(data: bytes) -> LatinSquare:
-    lines = Lines(data, "latin square")
-    (n,) = lines.ints(1)
-    sq = _read_latin_rows(lines, n)
-    lines.done()
-    return sq
-
-
 def family_pair_order(f: int) -> Iterator[tuple[int, int]]:
     upper = ((i, j) for i in range(1, f + 1) for j in range(i + 1, f + 1))
     lower = ((i, j) for i in range(2, f + 1) for j in range(1, i))
     return chain(upper, lower)
 
 
-def format_linked_family(fam: LinkedMolsFamily) -> str:
-    out = [f"{fam.f} {fam.order}"]
+def linked_family_chunks(fam: LinkedMolsFamily) -> Iterator:
+    yield f"{fam.f} {fam.order}\n".encode()
     for pair in family_pair_order(fam.f):
-        sq = fam.squares[pair]
-        out.extend(" ".join(str(x) for x in row) for row in sq.grid)
-    return "\n".join(out) + "\n"
+        yield _token_rows(fam.squares[pair].grid)
 
 
-def parse_linked_family(data: bytes) -> LinkedMolsFamily:
-    lines = Lines(data, "linked family")
-    f, n = lines.ints(2)
+def _read_family(lines: Lines, head: list[str]) -> LinkedMolsFamily:
+    """The linked family whose header fields ``head`` were read last."""
+    lines.what = "linked family"
+    f, n = lines.ints_of(head, 2)
     squares = {pair: _read_latin_rows(lines, n) for pair in family_pair_order(f)}
     lines.done()
     return LinkedMolsFamily(f=f, order=n, squares=squares)
 
 
-def format_mols_list(squares: list[LatinSquare]) -> str:
+def read_linked_family(stream) -> LinkedMolsFamily:
+    lines = Lines(stream, "linked family")
+    return _read_family(lines, lines.next().split())
+
+
+def read_latin(stream) -> LatinSquare | LinkedMolsFamily:
+    """A Latin square, or a linked family when the header has two fields:
+    the header is read once, the rest from the same lines."""
+    lines = Lines(stream, "latin square")
+    head = lines.next().split()
+    if len(head) == 2:
+        return _read_family(lines, head)
+    (n,) = lines.ints_of(head, 1)
+    sq = _read_latin_rows(lines, n)
+    lines.done()
+    return sq
+
+
+def mols_list_chunks(squares: list[LatinSquare]) -> Iterator:
     if not squares:
         raise ParameterError("empty square list")
-    n = squares[0].order
-    out = [f"{len(squares)} {n}"]
-    for sq in squares:
-        out.extend(" ".join(str(x) for x in row) for row in sq.grid)
-    return "\n".join(out) + "\n"
+    head = f"{len(squares)} {squares[0].order}\n".encode()
+    return chain([head], (_token_rows(sq.grid) for sq in squares))
 
 
 # -- linked systems --------------------------------------------------------------
@@ -338,15 +371,11 @@ def linked_system_chunks(sys: LinkedSystemII) -> Iterator:
     triple = f"{p.sigma} {p.tau} {p.rho}" if p.sigma is not None else "- - -"
     yield f"{p.f} {base.v} {base.m} {base.n} {base.k} {base.lambda1} {base.lambda2} {triple}\n".encode()
     for blk in sys.stack:
-        yield from _matrix_chunks(IntMatrix.view(blk))
+        yield from matrix_chunks(IntMatrix.view(blk))
 
 
-def format_linked_system(sys: LinkedSystemII) -> str:
-    return _joined(linked_system_chunks(sys))
-
-
-def parse_linked_system(data: bytes) -> LinkedSystemII:
-    lines = Lines(data, "linked system")
+def read_linked_system(stream) -> LinkedSystemII:
+    lines = Lines(stream, "linked system")
     parts = lines.next().split()
     if len(parts) != 10:
         raise FormatError("linked system: header needs 10 fields")
@@ -356,7 +385,7 @@ def parse_linked_system(data: bytes) -> LinkedSystemII:
     except ValueError as exc:
         raise FormatError("linked system: bad header field") from exc
     params = LinkedParams(base=GddParams(v, k, m, n, l1, l2), f=f, sigma=sigma, tau=tau, rho=rho)
-    stack = _block_stack(data, f * (f - 1), v)
+    stack = _stack(lines, f * (f - 1), v)
     for block in range(f * (f - 1)):
         # checked as a block before it is narrowed into the stack
         stack[block] = IncidenceMatrix(IntMatrix.view(_read_matrix(lines)), m, n).mat.lane
@@ -377,85 +406,44 @@ def scheme_chunks(relation: np.ndarray) -> Iterator:
         yield _digit_rows(relation == i)
 
 
-def format_scheme_matrices(relation: np.ndarray) -> str:
-    """The scheme of a label array R with labels 0..d: class i written as R == i."""
-    return _joined(scheme_chunks(relation))
-
-
-def parse_scheme_matrices(data: bytes) -> list[np.ndarray]:
-    """The d + 1 classes as written; ``schemes.relation_from_classes`` certifies them."""
-    lines = Lines(data, "scheme")
+def read_scheme(stream) -> ClassBits | list[np.ndarray]:
+    """The d + 1 classes as written, which ``schemes.relation_from_classes``
+    certifies.  While every class is a 0/1 digit block of the header's order,
+    at most eight of them, class i goes into bit i of one ``ClassBits``
+    array, in place from the window; from the first class that is not, the
+    classes are a list of the blocks as ``_read_matrix`` reads them."""
+    lines = Lines(stream, "scheme")
     d, size = lines.ints(2)
     if d < 0:
         raise FormatError("scheme: class count must be non-negative")
-    mats = [_read_matrix(lines) for _ in range(d + 1)]
+    fits = d < ClassBits.MAX_CLASSES and _fits(lines, d + 1, size) == d + 1
+    bits, mats = np.zeros((size, size), dtype=np.uint8) if fits else None, []
+    for i in range(d + 1):
+        rows, cols, digits = _digit_block(lines)
+        if bits is not None and digits is not None and digits.shape == bits.shape and digits.max() <= 1:
+            np.left_shift(digits, i, out=digits)
+            np.bitwise_or(bits, digits, out=bits, casting="unsafe")  # 0/1 shifted by i < 8 fits
+            continue
+        if bits is not None:
+            mats, bits = [(bits >> c) & 1 for c in range(i)], None
+        mats.append(_read_block(lines, rows, cols, digits))
     lines.done()
+    if bits is not None:
+        return ClassBits(bits, d + 1)
     if any(m.shape != (size, size) for m in mats):
         raise FormatError("scheme: matrix order disagrees with header")
     return mats
 
 
-def _line_ints(line: bytes) -> list[int]:
-    """The two integers of one header line, as ``Lines.ints`` reads them."""
-    lines = Lines(line, "scheme")
-    vals = lines.ints(2)
-    lines.done()
-    return vals
-
-
-def _class_block(stream, buf: np.ndarray, size: int) -> np.ndarray | None:
-    """The next class block of order ``size`` read into ``buf``, as the
-    (size, size) 16-bit view of its digits there when it is a 0/1 digit
-    block (``_pair_digits``, in place); None otherwise."""
-    text = 2 * size
-    if stream.readinto(memoryview(buf)[:text]) != text:
-        return None
-    width = text + (int(buf[text - 1]) == ord("\r"))
-    rest = memoryview(buf)[text : size * width]
-    if stream.readinto(rest) != len(rest):
-        return None
-    pairs = np.ndarray((size, size), dtype="<u2", buffer=buf, strides=(width, 2))
-    return pairs if _pair_digits(buf, 0, width, pairs, 1) else None
-
-
-def read_scheme(stream) -> ClassBits | None:
-    """A scheme file's classes read from the binary ``stream`` block by
-    block into one ``ClassBits`` array, class i into bit i, when every class
-    is a 0/1 digit block of the header's order; otherwise None, before any
-    array is sized by a header the stream is too short to hold, and the
-    token reader (``parse_scheme_matrices``) is left to read and name errors."""
-    if not stream.seekable():  # a pipe: the token reader reads it whole
-        return None
-    try:
-        d, size = _line_ints(stream.readline())
-        here = stream.tell()
-        left = stream.seek(0, io.SEEK_END) - here
-        stream.seek(here)
-        if not (0 < d + 1 <= ClassBits.MAX_CLASSES and 0 < size and (d + 1) * 2 * size * size <= left):
-            return None
-        bits = np.zeros((size, size), dtype=np.uint8)
-        buf = np.empty(size * (2 * size + 1), dtype=np.uint8)
-        for i in range(d + 1):
-            if _line_ints(stream.readline()) != [size, size] or (digits := _class_block(stream, buf, size)) is None:
-                return None
-            np.left_shift(digits, i, out=digits)
-            np.bitwise_or(bits, digits, out=bits, casting="unsafe")  # 0/1 shifted by i < 8 fits
-        Lines(stream.read(), "scheme").done()
-    except FormatError:
-        return None
-    return ClassBits(bits, d + 1)
-
-
 # -- group-entry matrices (generalized conference / BGW) ----------------------------
 
-def format_gcm(gcm: GcmMatrix) -> str:
-    head = f"{gcm.order} {gcm.g}\n"
-    body = "\n".join(" ".join(str(x) for x in row) for row in gcm.entries)
-    return head + body + "\n"
+def gcm_chunks(gcm: GcmMatrix) -> Iterator:
+    yield f"{gcm.order} {gcm.g}\n".encode()
+    yield _token_rows(gcm.entries)
 
 
-def parse_gcm(data: bytes) -> GcmMatrix:
-    lines = Lines(data, "group-entry matrix")
+def read_gcm(stream) -> GcmMatrix:
+    lines = Lines(stream, "group-entry matrix")
     order, g = lines.ints(2)
     rows = [lines.ints(order) for _ in range(order)]
     lines.done()
@@ -464,15 +452,15 @@ def parse_gcm(data: bytes) -> GcmMatrix:
 
 # -- matrix sets ---------------------------------------------------------------------
 
-def format_matrix_set(mats: list[IntMatrix]) -> str:
+def matrix_set_chunks(mats: list[IntMatrix]) -> Iterator:
     if not mats:
         raise ParameterError("empty matrix set")
-    head = f"{mats[0].rows} {len(mats)}\n"
-    return head + "".join(format_matrix(m) for m in mats)
+    head = f"{mats[0].rows} {len(mats)}\n".encode()
+    return chain([head], *(matrix_chunks(m) for m in mats))
 
 
-def parse_matrix_set(data: bytes) -> list[IntMatrix]:
-    lines = Lines(data, "matrix set")
+def read_matrix_set(stream) -> list[IntMatrix]:
+    lines = Lines(stream, "matrix set")
     order, count = lines.ints(2)
     mats = [IntMatrix.view(_read_matrix(lines)) for _ in range(count)]
     lines.done()

@@ -27,6 +27,7 @@ from .designs import (
     GRAM_IDENTITIES,
     Certificate,
     GddParams,
+    Gathered,
     IncidenceMatrix,
     Violation,
     cell_differences,
@@ -425,8 +426,8 @@ def _grid_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, cell
         out[same] = gram  # an i = l block read block 0's labels
         return out
 
-    # left[j - 1] are the A_ij on the rows; the A_jl of each j are consecutive in the stack
-    left = stack[pair_index(f, ends, np.arange(1, f + 1)[:, None])[..., None], rows]
+    # left[j - 1] are the A_ij on the rows, gathered where indexed; the A_jl of each j are consecutive in the stack
+    left = Gathered(stack, pair_index(f, ends, np.arange(1, f + 1)[:, None]), rows)
     i, j, l = i[at], j[at], l[at]
     # the position of an end x among ends[j - 1]
     grid = j - 1, i - 1 - (i > j), l - 1 - (l > j)

@@ -36,6 +36,7 @@ import io
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 from math import gcd, isqrt
 
 from .designs import GddParams
@@ -141,9 +142,14 @@ def _table1_cell(m: int, n: int) -> list[FeasibleRow]:
 
 def _table2_degrees(v_max: int):
     """Yield every (m, n, k) with m >= 3, n >= 2, mn <= v_max, 0 < k < (m-1)n,
-    (m-1)sd | k and (m-1)(n-1) | k(k-m+1), n = s^2*d with d square-free."""
-    spf = _least_prime_factors(v_max // 3)
-    for n in range(2, v_max // 3 + 1):
+    (m-1)sd | k and (m-1)(n-1) | k(k-m+1), n = s^2*d with d square-free.
+    A square-free n (s = 1) leaves no j < n, so only n with a square factor are factored."""
+    limit = v_max // 3
+    spf = _least_prime_factors(limit)
+    squared = bytearray(limit + 1)
+    for p in range(2, isqrt(limit) + 1):
+        squared[p * p :: p * p] = b"\x01" * (limit // (p * p))
+    for n in compress(range(limit + 1), squared):
         s, d = _square_free(n, spf)
         top = v_max // n - 1
         for j in range(s * d, n, s * d):

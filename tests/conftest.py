@@ -1,3 +1,4 @@
+import io
 import random
 
 import numpy as np
@@ -24,6 +25,16 @@ from sgdd.linked import (
 )
 from sgdd.resolvable import aux_from_affine_geometry, aux_from_hadamard
 from sgdd.schemes import assemble_scheme
+
+
+def text_of(chunks) -> str:
+    """The text of a writer's byte chunks (``sgdd.fileio``'s ``*_chunks``)."""
+    return b"".join(chunks).decode("ascii")
+
+
+def read_text(reader, text: str | bytes):
+    """What a ``sgdd.fileio`` reader reads from ``text`` as a binary stream."""
+    return reader(io.BytesIO(text.encode() if isinstance(text, str) else text))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -47,6 +47,7 @@ from sgdd.schemes import (
     extract_linked_system,
 )
 from surd_route import SurdMatrix, as_surd_matrix, as_surd_tensor
+from conftest import read_text, text_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -233,8 +234,8 @@ def test_criterion_9_property_suites(sys16, sys45, scheme48, scheme135, conferen
 
     # extract(assemble(system)) reproduces the blocks exactly
     for scheme, system in ((scheme48, sys16), (scheme135, sys45)):
-        text = fileio.format_scheme_matrices(scheme.relation)
-        primary = extract_linked_system(fileio.parse_scheme_matrices(text.encode())).primary
+        text = text_of(fileio.scheme_chunks(scheme.relation))
+        primary = extract_linked_system(read_text(fileio.read_scheme, text)).primary
         for pair, blk in system.blocks.items():
             assert primary.system.blocks[pair].mat == blk.mat
 

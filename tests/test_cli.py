@@ -13,6 +13,7 @@ import pytest
 
 from sgdd import fileio
 from sgdd.cli import COMMANDS, command_parser, main
+from conftest import text_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -86,7 +87,7 @@ def test_twin_has_no_weight_option(weight, tmp_path: Path, capsys):
 
 def test_analyze_has_no_output_option(tmp_path: Path, scheme48, capsys):
     scm = tmp_path / "s.scm"
-    scm.write_text(fileio.format_scheme_matrices(scheme48.relation))
+    scm.write_text(text_of(fileio.scheme_chunks(scheme48.relation)))
     report = tmp_path / "report.txt"
     assert main(["scheme", "analyze", "--in", str(scm), "-o", str(report)]) == 2
     assert "unrecognized arguments: -o" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from sgdd.classical import hadamard_matrix, paley_conference_matrix, signed_perm
 from sgdd.designs import IncidenceMatrix, partial_complement
 from sgdd.errors import ParameterError
 from sgdd.linked import bgw_generate, build_twin, conference_to_gdd, gcm_to_gdd
+from conftest import read_text, text_of
 
 CONFERENCE_ORDERS = (6, 10, 14, 18, 26, 30)
 BGW_Q = (3, 4, 5, 7, 8, 9)
@@ -82,7 +83,7 @@ def test_a_parsed_design_holds_the_parsers_uint8_array():
     reads it: the design holds the digit array the parser made, with no
     int64 round trip."""
     mat, params = conference_to_gdd(paley_conference_matrix(30))
-    parsed = fileio.parse_matrix(fileio.format_matrix(mat.mat).encode())
+    parsed = read_text(fileio.read_matrix, text_of(fileio.matrix_chunks(mat.mat)))
     assert parsed.lane.dtype == np.uint8 and parsed.a is parsed.lane
     design = IncidenceMatrix(parsed, params.m, params.n)
     assert design.mat.lane is parsed.lane

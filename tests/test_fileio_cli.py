@@ -19,6 +19,7 @@ from sgdd.latin import mols_from_gf
 from sgdd.schemes import relation_from_classes
 
 import str_line_route as str_route
+from conftest import read_text, text_of
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -30,18 +31,18 @@ def run_cli(*argv) -> tuple[int, str]:
 
 def test_matrix_roundtrip_bit_identical():
     m = IntMatrix([[1, -2, 3], [0, 5, -6]])
-    text = fileio.format_matrix(m)
+    text = text_of(fileio.matrix_chunks(m))
     assert text == "2 3\n1 -2 3\n0 5 -6\n"
-    again = fileio.parse_matrix(text.encode())
+    again = read_text(fileio.read_matrix, text)
     assert again == m
-    assert fileio.format_matrix(again) == text
+    assert text_of(fileio.matrix_chunks(again)) == text
 
 
 def test_matrix_rejects_trailing_junk():
     with pytest.raises(FormatError):
-        fileio.parse_matrix(b"1 1\n5\nextra\n")
+        read_text(fileio.read_matrix, b"1 1\n5\nextra\n")
     with pytest.raises(FormatError):
-        fileio.parse_matrix(b"2 2\n1 2\n3\n")
+        read_text(fileio.read_matrix, b"2 2\n1 2\n3\n")
 
 
 def _read_matrix_per_entry(lines):
@@ -134,7 +135,7 @@ MATRIX_ERRORS = {
 
 
 def _byte_lines(text):
-    return fileio.Lines(text.encode(), "matrix")
+    return fileio.Lines(io.BytesIO(text.encode()), "matrix")
 
 
 def _str_lines(text):
@@ -200,6 +201,28 @@ def test_mutated_digit_block_parses_like_per_entry_reader(grid, edit, char, data
         assert got == _parse_outcome(str_route.read_matrix, text, _str_lines)
 
 
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="01 \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f", max_size=40), chunk=st.integers(1, 5))
+def test_lines_through_a_small_window_end_where_splitlines_does(text, chunk):
+    """Lines read through a window of ``chunk`` bytes a refill, so a CR LF
+    and every line can straddle refills: the non-blank lines of
+    ``str.splitlines``, each counted, blank ones too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "CHUNK", chunk)
+        lines = fileio.Lines(io.BytesIO(text.encode()), "text")
+        assert list(lines) == [line.strip() for line in text.splitlines() if line.strip()]
+    assert lines.pos == len(text.splitlines())
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_blocks_read_through_a_small_window_read_the_same(chunk, monkeypatch):
+    """Every matrix text, read through a window of ``chunk`` bytes a refill:
+    the value, dtype and error of the default window."""
+    want = {name: _block_outcome(fileio._read_matrix, text) for name, text in MATRIX_TEXTS.items()}
+    monkeypatch.setattr(fileio, "CHUNK", chunk)
+    assert {name: _block_outcome(fileio._read_matrix, text) for name, text in MATRIX_TEXTS.items()} == want
+
+
 @pytest.fixture
 def line_reads(monkeypatch):
     """How many lines the matrix readers take one at a time, by method."""
@@ -218,23 +241,23 @@ def line_reads(monkeypatch):
 def test_written_digit_blocks_take_the_byte_view(scheme448, sys64, line_reads):
     """Parsing what the writers produce reads only the header lines one at a
     time: no block goes through the per-entry or the token reader."""
-    mats = fileio.parse_scheme_matrices(fileio.format_scheme_matrices(scheme448.relation).encode())
+    mats = read_text(fileio.read_scheme, text_of(fileio.scheme_chunks(scheme448.relation)))
     assert [a.dtype for a in mats] == [np.uint8] * 6
     assert all(np.array_equal(a, scheme448.relation == i) for i, a in enumerate(mats))
     assert line_reads == {"ints": 1 + 6, "next": 1 + 6}
     line_reads.update(ints=0, next=0)
-    system = fileio.parse_linked_system(fileio.format_linked_system(sys64).encode())
+    system = read_text(fileio.read_linked_system, text_of(fileio.linked_system_chunks(sys64)))
     assert system.blocks == sys64.blocks
     assert line_reads == {"ints": 42, "next": 1 + 42}
 
 
 def test_scheme_parse_from_bytes_peaks_below_the_file_size(scheme448):
-    """The six class blocks are viewed in place in the file's bytes: no
+    """The six class blocks are read in place in a window of one block: no
     decoded copy and no line list (together over twice the file size)."""
-    data = fileio.format_scheme_matrices(scheme448.relation).encode()
+    data = b"".join(fileio.scheme_chunks(scheme448.relation))
     tracemalloc.start()
     try:
-        mats = fileio.parse_scheme_matrices(data)
+        mats = read_text(fileio.read_scheme, data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -243,12 +266,12 @@ def test_scheme_parse_from_bytes_peaks_below_the_file_size(scheme448):
 
 
 def test_crlf_scheme_parse_takes_the_byte_view(scheme448):
-    """A scheme file with CR LF line ends is viewed in place as well: uint8
+    """A scheme file with CR LF line ends is read in place as well: uint8
     blocks with the LF file's values, and the same peak bound."""
-    data = fileio.format_scheme_matrices(scheme448.relation).encode().replace(b"\n", b"\r\n")
+    data = b"".join(fileio.scheme_chunks(scheme448.relation)).replace(b"\n", b"\r\n")
     tracemalloc.start()
     try:
-        mats = fileio.parse_scheme_matrices(data)
+        mats = read_text(fileio.read_scheme, data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -258,8 +281,8 @@ def test_crlf_scheme_parse_takes_the_byte_view(scheme448):
 
 
 def test_matrix_parse_keeps_entries_past_int64():
-    assert fileio.parse_matrix(MATRIX_TEXTS["int64-edges"].encode()).a.dtype == np.int64
-    big = fileio.parse_matrix(MATRIX_TEXTS["past-int64"].encode())
+    assert read_text(fileio.read_matrix, MATRIX_TEXTS["int64-edges"]).a.dtype == np.int64
+    big = read_text(fileio.read_matrix, MATRIX_TEXTS["past-int64"])
     assert big.a.dtype == object
     assert big.entries() == [2**63, 1, 0, -(2**63) - 1]
 
@@ -286,8 +309,8 @@ def _format_matrix_per_entry(m):
 )
 def test_format_matrix_matches_per_entry_formatter(data):
     m = IntMatrix(data)
-    assert fileio.format_matrix(m) == _format_matrix_per_entry(m)
-    assert fileio.parse_matrix(fileio.format_matrix(m).encode()) == m
+    assert text_of(fileio.matrix_chunks(m)) == _format_matrix_per_entry(m)
+    assert read_text(fileio.read_matrix, text_of(fileio.matrix_chunks(m))) == m
 
 
 @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64])
@@ -299,14 +322,14 @@ def test_format_matrix_writes_viewed_blocks_as_int64(dtype):
     whole = rng.integers(0, 2 if dtype is np.bool_ else 10, size=(6, 8)).astype(dtype)
     for arr in (whole, whole[1:5, 2:7], whole.T):
         view = IntMatrix.view(arr) if dtype is not np.int64 else IntMatrix(arr)
-        assert fileio.format_matrix(view) == _format_matrix_per_entry(IntMatrix(arr.astype(np.int64)))
+        assert text_of(fileio.matrix_chunks(view)) == _format_matrix_per_entry(IntMatrix(arr.astype(np.int64)))
 
 
-def _peak_bytes(parse, text):
+def _peak_bytes(reader, text):
     tracemalloc.start()
     try:
         with pytest.raises(FormatError, match="unexpected end of file"):
-            parse(text.encode())
+            read_text(reader, text)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -315,63 +338,63 @@ def _peak_bytes(parse, text):
 def test_header_f_does_not_size_work_before_blocks_are_read(sys16, fam_gf4):
     """A header claiming f = 2000 over a file with a handful of blocks fails
     at the first missing block, without building the f(f-1) pair list."""
-    system_text = fileio.format_linked_system(sys16)
+    system_text = text_of(fileio.linked_system_chunks(sys16))
     head, rest = system_text.split("\n", 1)
     system_text = " ".join(["2000"] + head.split()[1:]) + "\n" + rest
-    assert _peak_bytes(fileio.parse_linked_system, system_text) < 5_000_000
-    family_text = fileio.format_linked_family(fam_gf4)
+    assert _peak_bytes(fileio.read_linked_system, system_text) < 5_000_000
+    family_text = text_of(fileio.linked_family_chunks(fam_gf4))
     head, rest = family_text.split("\n", 1)
     family_text = f"2000 {head.split()[1]}\n{rest}"
-    assert _peak_bytes(fileio.parse_linked_family, family_text) < 5_000_000
+    assert _peak_bytes(fileio.read_linked_family, family_text) < 5_000_000
 
 
 def test_params_roundtrip(conference12):
     _, params = conference12
-    text = fileio.format_gdd_params(params)
-    assert fileio.parse_gdd_params(text.encode()) == params
+    text = text_of(fileio.gdd_params_chunks(params))
+    assert read_text(fileio.read_gdd_params, text) == params
     assert fileio.parse_inline_gdd_params("12 5 6 2 0 2") == params
 
 
 def test_parsers_refuse_non_ascii_digits():
     # int() reads Arabic-Indic digits, so every entry point checks first
     with pytest.raises(FormatError, match=r"^matrix: non-ASCII byte 0xd9 on line 2$"):
-        fileio.parse_matrix("1 1\n\u0663\n".encode())
+        read_text(fileio.read_matrix, "1 1\n\u0663\n")
     with pytest.raises(FormatError, match=r"^parameters: non-ASCII byte 0xd9 on line 6$"):
-        fileio.parse_gdd_params("v=12\nk=5\nm=6\nn=2\nl1=0\nl2=\u0662\n".encode())
+        read_text(fileio.read_gdd_params, "v=12\nk=5\nm=6\nn=2\nl1=0\nl2=\u0662\n")
     with pytest.raises(FormatError, match=r"^parameters: non-ASCII byte 0xd9 on line 1$"):
         fileio.parse_inline_gdd_params("12 5 6 2 0 \u0662")
 
 
 def test_aux_roundtrip(aux_had4):
-    text = fileio.format_auxiliary_set(aux_had4)
-    again = fileio.parse_auxiliary_set(text.encode())
-    assert fileio.format_auxiliary_set(again) == text
+    text = text_of(fileio.auxiliary_set_chunks(aux_had4))
+    again = read_text(fileio.read_auxiliary_set, text)
+    assert text_of(fileio.auxiliary_set_chunks(again)) == text
 
 
 def test_family_roundtrip(fam_gf4):
-    text = fileio.format_linked_family(fam_gf4)
-    again = fileio.parse_linked_family(text.encode())
-    assert fileio.format_linked_family(again) == text
+    text = text_of(fileio.linked_family_chunks(fam_gf4))
+    again = read_text(fileio.read_linked_family, text)
+    assert text_of(fileio.linked_family_chunks(again)) == text
     assert again.squares == fam_gf4.squares
 
 
 def test_linked_system_roundtrip(sys16):
-    text = fileio.format_linked_system(sys16)
-    again = fileio.parse_linked_system(text.encode())
-    assert fileio.format_linked_system(again) == text
+    text = text_of(fileio.linked_system_chunks(sys16))
+    again = read_text(fileio.read_linked_system, text)
+    assert text_of(fileio.linked_system_chunks(again)) == text
     assert again.params == sys16.params
 
 
 def test_scheme_roundtrip(scheme48):
-    text = fileio.format_scheme_matrices(scheme48.relation)
-    relation, cert = relation_from_classes(fileio.parse_scheme_matrices(text.encode()))
-    assert cert.ok and fileio.format_scheme_matrices(relation) == text
+    text = text_of(fileio.scheme_chunks(scheme48.relation))
+    relation, cert = relation_from_classes(read_text(fileio.read_scheme, text))
+    assert cert.ok and text_of(fileio.scheme_chunks(relation)) == text
 
 
 def test_gcm_roundtrip(bgw5):
-    text = fileio.format_gcm(bgw5)
-    again = fileio.parse_gcm(text.encode())
-    assert fileio.format_gcm(again) == text
+    text = text_of(fileio.gcm_chunks(bgw5))
+    again = read_text(fileio.read_gcm, text)
+    assert text_of(fileio.gcm_chunks(again)) == text
 
 
 def test_cli_mols_construct(tmp_path: Path):
@@ -379,7 +402,7 @@ def test_cli_mols_construct(tmp_path: Path):
     assert run_cli("construct", "mols", "--q", "5", "-o", str(out))[0] == 0
     squares = mols_from_gf(gf_make(5, 1))
     assert len(squares) == 4
-    assert out.read_text() == fileio.format_mols_list(squares)
+    assert out.read_text() == text_of(fileio.mols_list_chunks(squares))
 
 
 def test_cli_pipeline_16(tmp_path: Path):
@@ -506,11 +529,11 @@ def test_pair_system_file_roundtrip(conference12):
 
     mat, params = conference12
     pair = pair_system(mat, params)
-    text = fileio.format_linked_system(pair)
+    text = text_of(fileio.linked_system_chunks(pair))
     assert text.splitlines()[0].endswith("- - -")
-    again = fileio.parse_linked_system(text.encode())
+    again = read_text(fileio.read_linked_system, text)
     assert again.params == pair.params
-    assert fileio.format_linked_system(again) == text
+    assert text_of(fileio.linked_system_chunks(again)) == text
 
 
 def test_cli_assembles_pair_file(tmp_path: Path, conference12):
@@ -519,7 +542,7 @@ def test_cli_assembles_pair_file(tmp_path: Path, conference12):
     mat, params = conference12
     pair = pair_system(mat, params)
     lsys = tmp_path / "pair.lsys"
-    lsys.write_text(fileio.format_linked_system(pair))
+    lsys.write_text(text_of(fileio.linked_system_chunks(pair)))
     assert run_cli("verify", "linked-system", str(lsys))[0] == 0
     scm = tmp_path / "pair.scm"
     assert run_cli("scheme", "assemble", "--in", str(lsys), "-o", str(scm))[0] == 0
@@ -529,7 +552,7 @@ def test_cli_assembles_pair_file(tmp_path: Path, conference12):
 
 def test_cli_rejects_non_transposed_pair_file(tmp_path: Path, non_transposed_pair):
     lsys = tmp_path / "pair.lsys"
-    lsys.write_text(fileio.format_linked_system(non_transposed_pair))
+    lsys.write_text(text_of(fileio.linked_system_chunks(non_transposed_pair)))
     code, out = run_cli("verify", "linked-system", str(lsys))
     assert code == 1
     assert "  note: transpose-consistent blocks: no" in out.splitlines()
@@ -554,7 +577,7 @@ def test_cli_table1_witnesses(tmp_path: Path):
 
 def test_cli_scheme_verify(tmp_path: Path, scheme48):
     scm = tmp_path / "s.scm"
-    scm.write_text(fileio.format_scheme_matrices(scheme48.relation))
+    scm.write_text(text_of(fileio.scheme_chunks(scheme48.relation)))
     assert run_cli("verify", "scheme", str(scm))[0] == 0
 
 
@@ -562,7 +585,7 @@ def test_cli_negative_class_count_is_format_error(tmp_path: Path):
     scm = tmp_path / "neg.scm"
     scm.write_text("-1 4\n")
     with pytest.raises(FormatError):
-        fileio.parse_scheme_matrices(scm.read_bytes())
+        read_text(fileio.read_scheme, scm.read_bytes())
     assert run_cli("verify", "scheme", str(scm))[0] == 2
     assert run_cli("scheme", "analyze", "--in", str(scm))[0] == 2
 
@@ -576,7 +599,7 @@ def test_cli_analyze_and_fusion_relabel(tmp_path: Path, scheme48, variant):
         perm = np.random.default_rng(11).permutation(48)
         relation = relation[np.ix_(perm, perm)]
     scm = tmp_path / "s.scm"
-    scm.write_text(fileio.format_scheme_matrices(relation))
+    scm.write_text(text_of(fileio.scheme_chunks(relation)))
     code, out = run_cli("scheme", "analyze", "--in", str(scm))
     assert code == 0 and "k=6 m=4 n=4 f=3" in out
     assert ("classes relabeled as (0, 1, 2, 4, 3, 5)" in out) == (variant == "swapped")
@@ -603,7 +626,7 @@ def test_cli_non_ascii_file_is_format_error(tmp_path: Path, capsys):
     scm.write_bytes(b"0 1\n1 1\n\xc3\n")
     for argv in (["verify", "scheme", str(scm)], ["scheme", "analyze", "--in", str(scm)]):
         assert run_cli(*argv) == (2, "")
-        assert capsys.readouterr().err == f"error: {scm}: non-ASCII byte 0xc3 at offset 8\n"
+        assert capsys.readouterr().err == "error: scheme: non-ASCII byte 0xc3 on line 3\n"
 
 
 def test_corruptions_read_through_the_byte_view_fail(tmp_path: Path, scheme448, sys64, corrupt_system, line_reads):
@@ -614,12 +637,12 @@ def test_corruptions_read_through_the_byte_view_fail(tmp_path: Path, scheme448, 
     x, y = upper[np.random.default_rng(3).integers(len(upper))]
     relation[x, y] = relation[y, x] = 4
     scm = tmp_path / "bad.scm"
-    scm.write_text(fileio.format_scheme_matrices(relation))
+    scm.write_text(text_of(fileio.scheme_chunks(relation)))
     assert run_cli("verify", "scheme", str(scm))[0] == 1
     assert run_cli("scheme", "analyze", "--in", str(scm))[0] == 1
     bad, _ = corrupt_system(sys64, 5)
     lsys = tmp_path / "bad.lsys"
-    lsys.write_text(fileio.format_linked_system(bad))
+    lsys.write_text(text_of(fileio.linked_system_chunks(bad)))
     assert run_cli("verify", "linked-system", str(lsys))[0] == 1
     assert line_reads["next"] == 2 * (1 + 6) + 1 + 42
 
@@ -628,11 +651,11 @@ def test_cli_matrix_file_inputs(tmp_path: Path):
     from sgdd.classical import hadamard_matrix, paley_conference_matrix
 
     hmat = tmp_path / "h4.mat"
-    hmat.write_text(fileio.format_matrix(hadamard_matrix(4)))
+    hmat.write_text(text_of(fileio.matrix_chunks(hadamard_matrix(4))))
     aux = tmp_path / "h4.aux"
     assert run_cli("construct", "hadamard-aux", "--in", str(hmat), "-o", str(aux))[0] == 0
     cmat = tmp_path / "c6.mat"
-    cmat.write_text(fileio.format_matrix(paley_conference_matrix(6)))
+    cmat.write_text(text_of(fileio.matrix_chunks(paley_conference_matrix(6))))
     out = tmp_path / "g.mat"
     assert run_cli(
         "construct", "conference-gdd", "--in", str(cmat), "-o", str(out), "--params-out", str(tmp_path / "p")
@@ -641,9 +664,9 @@ def test_cli_matrix_file_inputs(tmp_path: Path):
 
 def test_malformed_files_rejected(tmp_path: Path):
     with pytest.raises(FormatError):
-        fileio.parse_matrix(b"0 2\n")
+        read_text(fileio.read_matrix, b"0 2\n")
     with pytest.raises(FormatError):
-        fileio.parse_auxiliary_set(b"4 2\n2 2\n1 1\n1 1\n2 2\n1 1\n1 1\n")
+        read_text(fileio.read_auxiliary_set, b"4 2\n2 2\n1 1\n1 1\n2 2\n1 1\n1 1\n")
     bad = tmp_path / "bad.mat"
     bad.write_text("not a matrix\n")
     assert run_cli("verify", "gdd", str(bad), "--params", "4 3 2 2 2 2")[0] == 2
@@ -653,7 +676,7 @@ def test_cli_twin_with_imported_weighing_file(tmp_path: Path):
     from sgdd.classical import signed_permutation_weighing_set
 
     wfile = tmp_path / "w.wset"
-    wfile.write_text(fileio.format_matrix_set(signed_permutation_weighing_set(4)))
+    wfile.write_text(text_of(fileio.matrix_set_chunks(signed_permutation_weighing_set(4))))
     code = run_cli(
         "construct", "twin", "--order", "4", "--weighing", str(wfile),
         "-o", str(tmp_path / "tw"), "--params-out", str(tmp_path / "tp"),
@@ -711,7 +734,7 @@ def test_cli_pair_schemes_over_sqrt5(source, n, size, digest, alt_k, tmp_path: P
     from sgdd.linked import pair_system
 
     lsys, scm, back, fused = (tmp_path / name for name in ("pair.lsys", "pair.scm", "back.lsys", "fused.scm"))
-    lsys.write_text(fileio.format_linked_system(pair_system(*request.getfixturevalue(source))))
+    lsys.write_text(text_of(fileio.linked_system_chunks(pair_system(*request.getfixturevalue(source)))))
     assert run_cli("scheme", "assemble", "--in", str(lsys), "-o", str(scm)) == (0, "")
     assert hashlib.sha256(scm.read_bytes()).hexdigest() == digest
     assert run_cli("scheme", "analyze", "--in", str(scm)) == (0, _PAIR_ANALYZE.format(n=n, size=size))
@@ -756,7 +779,7 @@ def test_cli_pair_with_a_one_inside_a_group_reports_violations(tmp_path: Path, c
     assert stack[0, 0, 1] == 0  # points 0 and 1 form a group
     stack[0, 0, 1] = 1
     lsys, scm = tmp_path / "flip.lsys", tmp_path / "flip.scm"
-    lsys.write_text(fileio.format_linked_system(LinkedSystemII(pair.params, stack)))
+    lsys.write_text(text_of(fileio.linked_system_chunks(LinkedSystemII(pair.params, stack))))
     assert main(["verify", "linked-system", str(lsys)]) == 1
     assert capsys.readouterr() == (_COMPANION_FLIP, "")
     assert main(["scheme", "assemble", "--in", str(lsys), "-o", str(scm)]) == 1
@@ -770,7 +793,7 @@ def _corrupt_aux_file(path: Path):
     from sgdd.classical import hadamard_matrix
     from sgdd.resolvable import aux_from_hadamard
 
-    lines = fileio.format_auxiliary_set(aux_from_hadamard(hadamard_matrix(8))).splitlines()
+    lines = text_of(fileio.auxiliary_set_chunks(aux_from_hadamard(hadamard_matrix(8)))).splitlines()
     assert lines[2].startswith("1 ")
     lines[2] = "0" + lines[2][1:]
     path.write_text("\n".join(lines) + "\n")
@@ -793,7 +816,7 @@ def test_cli_verify_aux_reports_an_underivable_set(tmp_path: Path, capsys):
     from sgdd.classical import hadamard_matrix
     from sgdd.resolvable import aux_from_hadamard
 
-    lines = fileio.format_auxiliary_set(aux_from_hadamard(hadamard_matrix(4))).splitlines()
+    lines = text_of(fileio.auxiliary_set_chunks(aux_from_hadamard(hadamard_matrix(4)))).splitlines()
     lines[2] = "0" + lines[2][1:]
     aux = tmp_path / "bad.aux"
     aux.write_text("\n".join(lines) + "\n")
@@ -825,7 +848,7 @@ def test_cli_verify_aux_refuses_a_malformed_set(tmp_path: Path, capsys, edit, co
     from sgdd.classical import hadamard_matrix
     from sgdd.resolvable import aux_from_hadamard
 
-    lines = fileio.format_auxiliary_set(aux_from_hadamard(hadamard_matrix(4))).splitlines()
+    lines = text_of(fileio.auxiliary_set_chunks(aux_from_hadamard(hadamard_matrix(4)))).splitlines()
     aux = tmp_path / "bad.aux"
     aux.write_text("\n".join(edit(lines)) + "\n")
     assert main(["verify", "aux", str(aux)]) == code
@@ -846,9 +869,9 @@ def test_cli_refuses_an_entry_not_zero_or_one(entry, conference12, sys16, tmp_pa
     from sgdd.classical import paley_conference_matrix
 
     mat, lsys, conf = tmp_path / "bad.mat", tmp_path / "bad.lsys", tmp_path / "conf.mat"
-    mat.write_text(_with_first_entry(fileio.format_matrix(conference12[0].mat), entry))
-    lsys.write_text(_with_first_entry(fileio.format_linked_system(sys16), entry, line=2))
-    conf.write_text(_with_first_entry(fileio.format_matrix(paley_conference_matrix(6)), entry))
+    mat.write_text(_with_first_entry(text_of(fileio.matrix_chunks(conference12[0].mat)), entry))
+    lsys.write_text(_with_first_entry(text_of(fileio.linked_system_chunks(sys16)), entry, line=2))
+    conf.write_text(_with_first_entry(text_of(fileio.matrix_chunks(paley_conference_matrix(6))), entry))
     for argv, error in (
         (["verify", "gdd", str(mat), "--params", "12 5 6 2 0 2"], "incidence matrix entries must be 0 or 1"),
         (["verify", "linked-system", str(lsys)], "incidence matrix entries must be 0 or 1"),
@@ -898,7 +921,7 @@ def test_cli_refuses_malformed_system_files(defect, sys16, tmp_path: Path, capsy
     """A block entry 2, a block header of 15 x 16, a file cut short and a
     header order of 4 * 10^12 are refused while the file is parsed, by both
     verbs that read a system."""
-    text, status, error = _malformed_systems(fileio.format_linked_system(sys16))[defect]
+    text, status, error = _malformed_systems(text_of(fileio.linked_system_chunks(sys16)))[defect]
     lsys, scm = tmp_path / "bad.lsys", tmp_path / "bad.scm"
     lsys.write_text(text)
     assert main(["verify", "linked-system", str(lsys)]) == status

@@ -24,6 +24,7 @@ from sgdd.schemes import (
 
 import class_list_route as ref
 from class_list_route import class_matrices, classes_of
+from conftest import read_text, text_of
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +122,8 @@ _KINDS = ["entry-2", "covered-twice", "uncovered", "asymmetric", "moved-3-4", "t
 @pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("source", [48, 135])
 def test_scheme_file_corruptions_match_class_list_route(source, kind, seed, relations):
-    text = _corrupt(fileio.format_scheme_matrices(relations[source]), kind, seed)
-    classes = fileio.parse_scheme_matrices(text.encode())
+    text = _corrupt(text_of(fileio.scheme_chunks(relations[source])), kind, seed)
+    classes = read_text(fileio.read_scheme, text)
     mats = [IntMatrix(a) for a in classes]
     # only a block with a two-digit token leaves the byte view
     assert {a.dtype for a in classes} == {np.dtype(np.uint8)} | ({np.dtype(np.int64)} if kind == "token-10" else set())

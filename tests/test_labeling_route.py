@@ -25,6 +25,7 @@ from sgdd.schemes import (
     load_scheme,
     relation_from_classes,
 )
+from conftest import read_text, text_of
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,7 @@ def _runs(scm, tmp_path, capsys):
 
 def _dense_run(text: str):
     """(exit status, stdout, stderr) that verify scheme gives on the dense route."""
-    _, cert = compute_intersection_numbers(fileio.parse_scheme_matrices(text.encode()))
+    _, cert = compute_intersection_numbers(read_text(fileio.read_scheme, text))
     return int(not cert.ok), "".join(line + "\n" for line in cert.report_lines()), ""
 
 
@@ -123,9 +124,9 @@ CLI_READINGS = ["as-built", "swapped", "permuted", "moved-3-4-0", "moved-5-4-0",
 def test_cli_runs_match_labeling_route(source, reading, relations, tmp_path, capsys, monkeypatch):
     base = relations[source]
     if reading.startswith("flip"):
-        text = _flipped(fileio.format_scheme_matrices(base), int(reading[-1]))
+        text = _flipped(text_of(fileio.scheme_chunks(base)), int(reading[-1]))
     else:
-        text = fileio.format_scheme_matrices(READINGS[reading](base))
+        text = text_of(fileio.scheme_chunks(READINGS[reading](base)))
     scm = tmp_path / "s.scm"
     scm.write_text(text)
     got = _runs(scm, tmp_path, capsys)
@@ -148,7 +149,7 @@ UNLABELED = {
 @pytest.mark.parametrize("reading", UNLABELED)
 @pytest.mark.parametrize("source", [48, 448])
 def test_verify_scheme_without_a_labeling_is_the_dense_route(source, reading, relations, tmp_path, capsys):
-    text = fileio.format_scheme_matrices(np.array(UNLABELED[reading], dtype=np.uint8)[relations[source]])
+    text = text_of(fileio.scheme_chunks(np.array(UNLABELED[reading], dtype=np.uint8)[relations[source]]))
     scm = tmp_path / "s.scm"
     scm.write_text(text)
     assert main(["verify", "scheme", str(scm)]) == _dense_run(text)[0]
@@ -187,7 +188,7 @@ def test_every_verb_runs_the_partition_axioms_once(reading, relations, tmp_path,
     """One pass over the classes per file, also when no labeling certifies
     and the dense check decides."""
     scm = tmp_path / "s.scm"
-    scm.write_text(fileio.format_scheme_matrices(READINGS[reading](relations[48])))
+    scm.write_text(text_of(fileio.scheme_chunks(READINGS[reading](relations[48]))))
     calls = []
     axioms = sgdd.schemes.relation_from_classes
 

@@ -7,7 +7,7 @@ import sgdd.latin
 from sgdd.cli import main
 from sgdd.designs import Certificate
 from sgdd.errors import BudgetExceededError, CertificationError, ParameterError
-from sgdd.fileio import format_linked_family
+from sgdd import fileio
 from sgdd.gf import gf_from_order, gf_make
 from sgdd.latin import (
     LatinSquare,
@@ -23,6 +23,7 @@ from sgdd.latin import (
     search_linked_mols,
     verify_linked,
 )
+from conftest import text_of
 
 
 def test_field_squares_pairwise_orthogonal(gf4, gf5):
@@ -384,7 +385,7 @@ def test_search_matches_unpruned_reference(order, f, zero_diagonal):
     fam = search_linked_mols(order, f, zero_diagonal=zero_diagonal)
     want = _search_by_reference(order, f, zero_diagonal)
     assert fam is not None and want is not None
-    assert format_linked_family(fam) == format_linked_family(want)
+    assert text_of(fileio.linked_family_chunks(fam)) == text_of(fileio.linked_family_chunks(want))
 
 
 def _clashes(cand, targets) -> bool:

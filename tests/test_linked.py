@@ -39,6 +39,7 @@ from sgdd.linked import (
     verify_linked_system,
 )
 from sgdd.scanner import scan_table1, scan_table2
+from conftest import read_text, text_of
 
 
 def test_triple_candidates_16():
@@ -500,7 +501,7 @@ def test_assemble_verifies_only_an_unsealed_system(sys16, scheme48, corrupt_syst
     monkeypatch.setattr(sgdd.schemes, "verify_linked_system", lambda sys: calls.append(sys) or verify(sys))
     assert np.array_equal(sgdd.schemes.assemble_scheme(sys16).relation, scheme48.relation)
     assert calls == []
-    parsed = fileio.parse_linked_system(fileio.format_linked_system(sys16).encode())
+    parsed = read_text(fileio.read_linked_system, text_of(fileio.linked_system_chunks(sys16)))
     assert parsed.certificate is None and parsed.stack.flags.writeable
     with pytest.raises(ValueError):  # block views are read-only, sealed or not
         parsed.blocks[(1, 2)].mat.a[0, 0] = 1

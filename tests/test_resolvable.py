@@ -22,6 +22,7 @@ from sgdd.resolvable import (
 )
 
 from gf_route import tuple_field
+from conftest import read_text, text_of
 
 
 def test_hadamard4_axioms(aux_had4):
@@ -150,8 +151,11 @@ def test_auxiliary_forms_one_product_per_band(monkeypatch):
     aux = aux_from_hadamard(hadamard_matrix(8))
     shapes = _product_shapes(monkeypatch)
     assert verify_auxiliary(aux).ok
-    # (vstack_a C_a) (hstack_b C_b^T): the 7 x 7 blocks C_a C_b^T in one product
-    assert shapes == [(56, 56)]
+    # C_0, C_1 and C_3 are each fixed by one digit shift (masks 4, 1, 2), so
+    # each C_a C_a^T is formed first on its 4 orbit rows; no shift fixes the
+    # other 46 pairs, most of the grid, so (vstack_a C_a) (hstack_b C_b^T),
+    # the 7 x 7 blocks C_a C_b^T, is then one product
+    assert shapes == [(4, 8)] * 3 + [(56, 56)]
     # an AG set on its orbit route: row 0 of every C_a against one band
     ag = aux_from_affine_geometry(3, 2)
     shapes.clear()
@@ -167,7 +171,9 @@ def test_auxiliary_certificate_is_the_same_in_narrow_bands(monkeypatch):
     shapes = _product_shapes(monkeypatch)
     assert [verify_auxiliary(s).report_lines() for s in sets] == wide
     assert wide[0][0].endswith("OK") and all(lines[0].endswith("VIOLATED") for lines in wide[1:])
-    assert len(shapes) == 4 * 49 and max(rows * cols for rows, cols in shapes) <= 64
+    # one product per block, and first the C_a C_a^T on orbit rows of the
+    # blocks a shift fixes: 3, 2 (C_0 flipped), 2 (C_3 flipped) and 3
+    assert len(shapes) == 4 * 49 + 3 + 2 + 2 + 3 and max(rows * cols for rows, cols in shapes) <= 64
 
 
 def _ag_reference(q: int, d: int) -> list[np.ndarray]:
@@ -245,9 +251,9 @@ def test_stack_refuses_a_wrong_shape_or_one_matrix(aux_had4):
 
 def test_parse_and_derive_form_no_product(monkeypatch):
     built = aux_from_affine_geometry(3, 1)
-    text = fileio.format_auxiliary_set(built).encode()
+    text = text_of(fileio.auxiliary_set_chunks(built)).encode()
     shapes = _product_shapes(monkeypatch)
-    aux = fileio.parse_auxiliary_set(text)
+    aux = read_text(fileio.read_auxiliary_set, text)
     # k and mu are read off rows 0 of C_1 and C_2
     assert shapes == [] and aux.params == built.params and aux.certificate is None
 
@@ -256,7 +262,7 @@ def test_tilde_l_certifies_only_an_unsealed_set(aux_had4, fam_gf4, aux_certifica
     calls = aux_certifications
     sealed = build_tilde_l(aux_had4, fam_gf4)
     assert aux_had4.certificate.ok and calls == []
-    parsed = fileio.parse_auxiliary_set(fileio.format_auxiliary_set(aux_had4).encode())
+    parsed = read_text(fileio.read_auxiliary_set, text_of(fileio.auxiliary_set_chunks(aux_had4)))
     assert np.array_equal(build_tilde_l(parsed, fam_gf4).stack, sealed.stack)
     assert calls == [4] and parsed.certificate is None
     with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
-"""The block-by-block scheme reader (``fileio.read_scheme``) and the label
-array axioms (``schemes.relation_from_classes`` on ``ClassBits``) against
-the token reader (``fileio.parse_scheme_matrices``) and the class-list route
-(``class_list_route``): on seeded files with CR LF line ends (one of them
-ending a row in CR x), blocks at odd and even byte offsets, a 2 entry, a
-non-digit byte, a truncated last class, overlapping, asymmetric and empty
-classes, and an A_0 that is not I, the CLI reports the same R, certificate
-lines and error lines either way."""
+"""The streamed block readers (``fileio.read_scheme``,
+``read_linked_system``, ``read_auxiliary_set``) and the label array axioms
+(``schemes.relation_from_classes`` on ``ClassBits``) against the token
+reader (``token_route``) and the class-list route (``class_list_route``):
+on seeded files with CR LF line ends (one of them ending a row in CR x),
+blocks at odd and even byte offsets, a 2 entry, a non-digit byte, a
+truncated last block, and for schemes overlapping, asymmetric and empty
+classes and an A_0 that is not I, read from a file or a pipe, the readers
+give the same values or errors, and the CLI the same exit status, stdout
+and stderr, either way."""
 
 import io
 import os
@@ -17,19 +19,41 @@ import numpy as np
 import pytest
 
 import class_list_route as ref
+import token_route
 from class_list_route import class_matrices
 from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.cli import main
-from sgdd.errors import FormatError
+from sgdd.errors import FormatError, SgddError
 from sgdd.schemes import ClassBits, certify_classes, relation_from_classes
+from conftest import text_of
+
+# defects every block file takes; the scheme kinds follow
+BLOCK_KINDS = ["as-written", "entry-2", "non-digit", "truncated"]
+
+
+def _blocks_with_defect(text: str, size: int, count: int, rng: random.Random, kind: str) -> str:
+    """A file of ``count`` blocks of order ``size`` after a one-line header,
+    with a seeded 2 entry, non-digit entry or cut in the last block."""
+    if kind == "truncated":
+        return text[: -rng.randrange(2, 4 * size)]
+    lines = text.split("\n")
+    if kind in ("entry-2", "non-digit"):
+        at = 1 + rng.randrange(count) * (size + 1) + 1 + rng.randrange(size)
+        row = lines[at].split(" ")
+        row[rng.randrange(size)] = "2" if kind == "entry-2" else "x"
+        lines[at] = " ".join(row)
+    return "\n".join(lines)
 
 
 def _text(relation, seed: int, kind: str) -> str:
     """The written scheme of ``relation`` with one seeded defect of ``kind``."""
     rng = random.Random(f"{kind}:{seed}")
-    lines = fileio.format_scheme_matrices(relation).split("\n")
+    text = text_of(fileio.scheme_chunks(relation))
     size = relation.shape[0]
+    if kind in BLOCK_KINDS:
+        return _blocks_with_defect(text, size, 6, rng, kind)
+    lines = text.split("\n")
 
     def line(c, x):
         return 1 + c * (size + 1) + 1 + x
@@ -42,11 +66,7 @@ def _text(relation, seed: int, kind: str) -> str:
     def pair_in(c):
         return rng.choice([(x, y) for x, y in zip(*np.nonzero(relation == c)) if x < y])
 
-    if kind in ("entry-2", "non-digit"):
-        put(rng.randrange(6), rng.randrange(size), rng.randrange(size), "2" if kind == "entry-2" else "x")
-    elif kind == "truncated":
-        return "\n".join(lines)[: -rng.randrange(2, 4 * size)]
-    elif kind in ("overlap-pair", "into-a0"):
+    if kind in ("overlap-pair", "into-a0"):
         # both entries of a pair: into a second class too, or into A_0 instead
         src = rng.randrange(1, 6)
         x, y = pair_in(src)
@@ -68,60 +88,80 @@ def _text(relation, seed: int, kind: str) -> str:
         moved = relation.copy()
         moved[x, x] = moved[y, y] = relation[x, y]
         moved[x, y] = moved[y, x] = 0
-        return fileio.format_scheme_matrices(moved)
+        return text_of(fileio.scheme_chunks(moved))
     elif kind == "empty":
         # class 5 joins class 4: every class stays 0/1 and symmetric, but A_5 is empty
         merged = np.where(relation == 5, 4, relation)
-        return f"5 {size}\n" + "".join(fileio.format_matrix(IntMatrix.view((merged == c).view(np.uint8))) for c in range(6))
+        return f"5 {size}\n" + "".join(text_of(fileio.matrix_chunks(IntMatrix.view((merged == c).view(np.uint8)))) for c in range(6))
     return "\n".join(lines)
 
 
 def _layouts(text: str) -> dict[str, bytes]:
     """The file as written, with CR LF line ends, with the header one byte
     longer, which moves every block by one byte, and with CR LF line ends
-    where one row of the middle class ends in CR x."""
-    d, size = text.split("\n", 1)[0].split()
+    where one row of the middle block ends in CR x."""
+    head, body = text.split("\n", 1)
     crlf = text.replace("\n", "\r\n")
     at = crlf.index("\r\n", len(crlf) // 2)
     return {
         "lf": text.encode(),
         "crlf": crlf.encode(),
-        "shifted": text.replace(f"{d} {size}\n", f"{d}  {size}\n", 1).encode(),
+        "shifted": (head.replace(" ", "  ", 1) + "\n" + body).encode(),
         "cr-x": (crlf[:at] + "\rx" + crlf[at + 2 :]).encode(),
     }
 
 
+def _outcome(read, stream):
+    """What ``read`` gives for ``stream``, or its error's type and text."""
+    try:
+        return read(stream), None
+    except SgddError as exc:
+        return None, (type(exc), str(exc))
+
+
 def _token_route(data: bytes):
     """The token reader's classes, or its error."""
-    try:
-        return fileio.parse_scheme_matrices(data), None
-    except FormatError as exc:
-        return None, str(exc)
+    return _outcome(token_route.read_scheme, data)
 
 
-def _cli(path: Path, capsys) -> tuple[int, str, str]:
-    code = main(["verify", "scheme", str(path)])
+def _cli(argv, path: Path, capsys) -> tuple[int, str, str]:
+    code = main([*argv, str(path)])
     out, err = capsys.readouterr()
     return code, out, err
 
 
-KINDS = ["as-written", "entry-2", "non-digit", "truncated", "overlap", "overlap-pair", "asymmetric", "into-a0", "a0-moved", "empty"]
+def _cli_either_way(argv, path: Path, reader: str, capsys) -> tuple[int, str, str]:
+    """The CLI's exit status, stdout and stderr on ``path``, which must be
+    the same when ``fileio.<reader>`` is the token reader of the whole file."""
+    got = _cli(argv, path, capsys)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, reader, lambda stream: getattr(token_route, reader)(stream.read()))
+        assert _cli(argv, path, capsys) == got
+    return got
+
+
+def _same_classes(got, want):
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+SCHEME_KINDS = BLOCK_KINDS + ["overlap", "overlap-pair", "asymmetric", "into-a0", "a0-moved", "empty"]
 
 
 @pytest.mark.parametrize("seed", range(2))
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
 @pytest.mark.parametrize("source", ["scheme48", "scheme135"])
 def test_reader_matches_token_and_class_list_routes(source, kind, seed, request, tmp_path, capsys):
     relation = request.getfixturevalue(source).relation
     for layout, data in _layouts(_text(relation, seed, kind)).items():
         classes, error = _token_route(data)
-        bits = fileio.read_scheme(io.BytesIO(data))
-        # only a file of 0/1 digit blocks as written is read block by block
-        assert (bits is not None) == (kind not in ("entry-2", "non-digit", "truncated") and layout != "cr-x"), layout
-        if bits is not None:
-            assert isinstance(bits, ClassBits) and len(bits) == len(classes)
-            assert all(np.array_equal(a, b) for a, b in zip(bits, classes))
-            got, cert = relation_from_classes(bits)
+        read, read_error = _outcome(fileio.read_scheme, io.BytesIO(data))
+        assert read_error == error, layout
+        if error is None:
+            # only a file of 0/1 digit blocks as written is read into bits
+            assert isinstance(read, ClassBits) == (kind != "entry-2"), layout
+            _same_classes(read, classes)
+            got, cert = relation_from_classes(read)
             want, ref_cert = relation_from_classes(classes)
             assert cert.report_lines() == ref_cert.report_lines() == ref.partition_certificate(class_matrices(classes)).report_lines()
             assert (got is None) == (want is None) == (kind != "as-written")
@@ -129,59 +169,131 @@ def test_reader_matches_token_and_class_list_routes(source, kind, seed, request,
                 assert got.dtype == np.uint8 and np.array_equal(got, want) and np.array_equal(got, relation)
         scm = tmp_path / f"{layout}.scm"
         scm.write_bytes(data)
-        code, out, err = _cli(scm, capsys)
+        code, out, err = _cli_either_way(["verify", "scheme"], scm, "read_scheme", capsys)
         if error is not None:
-            assert (code, out, err) == (2, "", f"error: {error}\n")
+            assert (code, out, err) == (2, "", f"error: {error[1]}\n")
         else:
             report = certify_classes(classes).certificate
             assert (code, out) == (0 if report.ok else 1, "\n".join(report.report_lines()) + "\n")
 
 
+def _system_file(system) -> tuple[str, int, int]:
+    return text_of(fileio.linked_system_chunks(system)), system.params.base.v, len(system.stack)
+
+
+def _aux_file(aux) -> tuple[str, int, int]:
+    return text_of(fileio.auxiliary_set_chunks(aux)), aux.order, aux.r
+
+
+# format -> (reader, CLI verb, the fixtures written, the written file of one)
+BLOCK_FORMATS = {
+    "linked system": ("read_linked_system", ["verify", "linked-system"], ["sys16", "sys45"], _system_file),
+    "auxiliary set": ("read_auxiliary_set", ["verify", "aux"], ["aux_had4", "aux_ag23"], _aux_file),
+}
+
+
+def _same_read(got, want):
+    """Two reads of a linked system or an auxiliary set hold the same blocks and header."""
+    assert got.stack.dtype == np.uint8 and np.array_equal(got.stack, want.stack)
+    assert got.params == want.params
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+@pytest.mark.parametrize("name", BLOCK_FORMATS)
+def test_block_readers_match_the_token_route(name, kind, seed, request, tmp_path, capsys):
+    """Each written fixture with a seeded defect, in every layout, read from
+    a file and from a pipe: the same blocks or error as the token reader,
+    and at the CLI the same exit status, stdout and stderr."""
+    reader, verb, sources, written = BLOCK_FORMATS[name]
+    for source in sources:
+        text, size, count = written(request.getfixturevalue(source))
+        rng = random.Random(f"{name}:{kind}:{seed}")
+        for layout, data in _layouts(_blocks_with_defect(text, size, count, rng, kind)).items():
+            want, error = _outcome(getattr(token_route, reader), data)
+            assert (error is None) == (kind == "as-written" and layout != "cr-x"), (source, layout)
+            for stream in (io.BytesIO(data), _pipe(data)):
+                with stream:
+                    got, got_error = _outcome(getattr(fileio, reader), stream)
+                assert got_error == error, (source, layout)
+                if error is None:
+                    _same_read(got, want)
+            path = tmp_path / f"{source}.{layout}"
+            path.write_bytes(data)
+            code, out, err = _cli_either_way(verb, path, reader, capsys)
+            if error is not None:
+                assert (code, out) == (2 if error[0] is FormatError else 1, "") and err == f"error: {error[1]}\n"
+
+
+def _pipe(data: bytes):
+    """A binary stream over ``data`` that cannot seek."""
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    return os.fdopen(read, "rb")
+
+
+# header lines naming blocks of order 4 * 10^12 over a file of a few bytes
+HUGE_HEADERS = {
+    "read_scheme": b"5 100000\n100000 100000\n0 1\n",
+    "read_linked_system": b"2 4000000000000 2000000000000 2 1 0 0 - - -\n4000000000000 4000000000000\n0 1\n",
+    "read_auxiliary_set": b"4000000000000 2\n4000000000000 4000000000000\n0 1\n",
+}
+HUGE_ERRORS = {
+    "read_scheme": "scheme: expected 100000 integers on line 3",
+    "read_linked_system": "linked system: expected 4000000000000 integers on line 3",
+    "read_auxiliary_set": "auxiliary set: expected 4000000000000 integers on line 3",
+}
+VERBS = {"read_scheme": ["verify", "scheme"], "read_linked_system": ["verify", "linked-system"], "read_auxiliary_set": ["verify", "aux"]}
+
+
 def test_a_header_the_file_cannot_hold_is_refused_before_r_is_allocated(tmp_path, capsys):
-    """A header naming 10^5 vertices, 60 GB of classes, over a 20-byte
-    file: the reader declines without an array sized by the header, and
-    the token reader names the missing lines."""
-    data = b"5 100000\n100000 100000\n0 1\n"
-    tracemalloc.start()
-    try:
-        assert fileio.read_scheme(io.BytesIO(data)) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    error = _token_route(data)[1]
-    assert error == "scheme: expected 100000 integers on line 3"
-    scm = tmp_path / "huge.scm"
-    scm.write_bytes(data)
-    assert _cli(scm, capsys) == (2, "", f"error: {error}\n")
+    """A header naming blocks of 10^10 bytes or more, gigabytes in all,
+    over a file of a few dozen bytes: each reader sizes no array by it and
+    names the missing entries as the token reader does."""
+    for reader, data in HUGE_HEADERS.items():
+        tracemalloc.start()
+        try:
+            got = _outcome(getattr(fileio, reader), io.BytesIO(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, reader
+        assert got == _outcome(getattr(token_route, reader), data) == (None, (FormatError, HUGE_ERRORS[reader]))
+        path = tmp_path / reader
+        path.write_bytes(data)
+        assert _cli_either_way(VERBS[reader], path, reader, capsys) == (2, "", f"error: {HUGE_ERRORS[reader]}\n")
 
 
 @pytest.mark.parametrize("header", [b"9 4\n", b"-1 4\n", b"5 0\n", b"\n5 4\n", b"5 4 1\n", b"5 4\r7\n"])
 def test_headers_outside_the_written_layout_take_the_token_reader(header, scheme48):
     """More classes than eight, a negative count, no vertices, a leading
-    blank line, a third field or a second line hidden behind a CR: the
-    reader declines, and the token reader decides."""
-    body = fileio.format_scheme_matrices(scheme48.relation).split("\n", 1)[1].encode()
-    assert fileio.read_scheme(io.BytesIO(header + body)) is None
+    blank line, a third field or a second line hidden behind a CR, each
+    over the 48-vertex classes: the reader gives the token reader's error."""
+    data = header + text_of(fileio.scheme_chunks(scheme48.relation)).split("\n", 1)[1].encode()
+    error = _outcome(fileio.read_scheme, io.BytesIO(data))
+    assert error == _token_route(data) and error[1] is not None
 
 
 def test_a_pipe_is_left_whole_to_the_token_reader(scheme48):
-    """A stream that cannot seek is declined before a byte is read, so the
-    token reader still gets all of it."""
-    data = fileio.format_scheme_matrices(scheme48.relation).encode()
-    read, write = os.pipe()
-    os.write(write, data)
-    os.close(write)
-    with os.fdopen(read, "rb") as pipe:
-        assert fileio.read_scheme(pipe) is None
-        assert pipe.read() == data
+    """A stream that cannot seek is read into memory first, then block by
+    block: the token reader's classes, or its error."""
+    for kind in ("as-written", "truncated"):
+        data = _text(scheme48.relation, 0, kind).encode()
+        with _pipe(data) as pipe:
+            got, error = _outcome(fileio.read_scheme, pipe)
+        want, want_error = _token_route(data)
+        assert error == want_error and (error is None) == (kind == "as-written")
+        if error is None:
+            assert isinstance(got, ClassBits)
+            _same_classes(got, want)
 
 
 def test_written_schemes_are_read_block_by_block(scheme448, line_reads):
     """A written file is read block by block, each header through ``Lines``,
     into the bits of one array: R and the axioms come out of it as they do
     out of the token reader's classes."""
-    data = fileio.format_scheme_matrices(scheme448.relation).encode()
+    data = b"".join(fileio.scheme_chunks(scheme448.relation))
     for layout in (data, data.replace(b"\n", b"\r\n")):
         line_reads.update(ints=0, next=0)
         bits = fileio.read_scheme(io.BytesIO(layout))
@@ -192,8 +304,9 @@ def test_written_schemes_are_read_block_by_block(scheme448, line_reads):
 
 
 def test_chunk_writers_join_to_the_formatted_text(scheme48, sys16):
-    assert b"".join(fileio.scheme_chunks(scheme48.relation)).decode() == fileio.format_scheme_matrices(scheme48.relation)
-    assert b"".join(fileio.linked_system_chunks(sys16)).decode() == fileio.format_linked_system(sys16)
+    """The digit buffers join to the text of one str() per entry."""
+    assert text_of(fileio.scheme_chunks(scheme48.relation)) == token_route.scheme_text(scheme48.relation)
+    assert text_of(fileio.linked_system_chunks(sys16)) == token_route.linked_system_text(sys16)
 
 
 @pytest.fixture

@@ -46,6 +46,7 @@ from surd_route import (
     surd_p_matrix,
     surd_q_matrix,
 )
+from conftest import text_of
 
 
 def test_48_vertex_scheme_basics(scheme48):
@@ -258,7 +259,7 @@ def test_load_scheme_certifies_only_the_primary_labeling(source, candidates, req
 
     monkeypatch.setattr(sgdd.schemes, "verify_linked_system", counted)
     scm = tmp_path / "s.scm"
-    scm.write_text(fileio.format_scheme_matrices(request.getfixturevalue(source).relation))
+    scm.write_text(text_of(fileio.scheme_chunks(request.getfixturevalue(source).relation)))
     for verb, certified in (("extract", candidates), ("analyze", 1), ("fusion", 1)):
         calls.clear()
         capsys.readouterr()
@@ -1084,7 +1085,7 @@ def test_no_product_of_order_x_on_certifying_inputs(source, request, monkeypatch
         classes = classes_of(relation)
         assert extract_linked_system(classes).primary.certified
         assert load_scheme(classes)[0].certificate.checks == scheme.certificate.checks
-        scm.write_text(fileio.format_scheme_matrices(relation))
+        scm.write_text(text_of(fileio.scheme_chunks(relation)))
         assert main(["verify", "scheme", str(scm)]) == 0
         assert capsys.readouterr().out.splitlines()[-2:] == [f"  ok: {line}" for line in _DECOMPOSITION]
     assert shapes and (size, size, size) not in shapes

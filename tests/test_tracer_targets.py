@@ -7,8 +7,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import sgdd.cli  # noqa: F401  (loads every module the tracer patches)
+import sgdd.cli  # loads every module the tracer patches
 import sgdd.linked
+from sgdd import fileio
 from sgdd.algebra import IntMatrix, Surd
 from sgdd.latin import verify_linked
 from sgdd.linked import verify_linked_system
@@ -61,3 +62,20 @@ def test_tracer_records_a_certification(sys16, aux_ag23, fam_gf4):
     # family as two batches
     assert _traced(tracer, lambda: verify_auxiliary(aux_ag23))["algebra.matmul.calls"] == 1
     assert _traced(tracer, lambda: verify_linked(fam_gf4))["algebra.matmul.calls"] == 2
+
+
+def test_traced_cli_reads_and_writes_files(sys16, tmp_path):
+    """The CLI under the installed tracer, which wraps every ``fileio``
+    function named ``parse_*`` or ``format_*`` and takes len() of its first
+    argument and its result: verifying and assembling the sys16 file exits
+    0, so no such name takes a stream or returns a generator."""
+    lsys, scm = tmp_path / "sys16.lsys", tmp_path / "scheme48.scm"
+    lsys.write_bytes(b"".join(fileio.linked_system_chunks(sys16)))
+    t = _load_tracer().Tracer(0)
+    t.install([mod for name, mod in sys.modules.items() if name == "sgdd" or name.startswith("sgdd.")])
+    try:
+        assert sgdd.cli.main(["verify", "linked-system", str(lsys)]) == 0
+        assert sgdd.cli.main(["scheme", "assemble", "--in", str(lsys), "-o", str(scm)]) == 0
+    finally:
+        t.uninstall()
+    assert scm.read_bytes() == b"".join(fileio.scheme_chunks(sgdd.schemes.assemble_scheme(sys16).relation))
