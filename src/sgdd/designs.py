@@ -18,18 +18,19 @@ expected matrix is the exact lookup of the coefficients on the labels, and
 the first row-major entry where the product differs from it is reported
 by ``stack_differences``, which compares a stack of products in their
 lane's dtype; ``Certificate.record`` enters its verdict.  No right-hand
-side is built from a dense I, J or K, and no dense K enters a product: a
-product with K goes through the v x m group indicator G
-(``group_columns``), K = G G^T.
+side is built from a dense I, J or K, and no K enters a product: A K, with
+K = G G^T for the v x m group indicator G, is read from A G, the sums of
+A's rows over each group's n points.
 
 The Gram and K-commutation checks take a stack of matrices, shape
-(count, v, v), and form each identity's products for the whole stack in
-one kernel call (or a few, ``stack_slices``); a single design is a stack of
-one, so every design and every block of a linked system is certified by the
-same code.  An identity on every product of two stacks (the triple law of a
-linked system, the auxiliary axioms, orthogonality and composition of a
-linked family) is a grid of block products, formed and compared by the one
-routine ``block_differences``.
+(count, v, v): the Gram check forms each identity's products for the whole
+stack in one kernel call (or a few, ``stack_slices``), and the
+K-commutation check sums rows and columns with no product.  A single design
+is a stack of one, so every design and every block of a linked system is
+certified by the same code.  An identity on every product of two stacks
+(the triple law of a linked system, the auxiliary axioms, orthogonality and
+composition of a linked family) is a grid of block products, formed and
+compared by the one routine ``block_differences``.
 
 An identity whose matrices are each fixed by some digit shifts of the
 index set (``digit_shifts``, ``shift_masks``) is decided on one row per
@@ -325,11 +326,6 @@ def group_labels(m: int, n: int) -> np.ndarray:
     return labels
 
 
-def group_columns(m: int, n: int) -> np.ndarray:
-    """G = I_m (x) 1_n, the v x m boolean group indicator: K = G G^T."""
-    return np.repeat(np.eye(m, dtype=bool), n, axis=0)
-
-
 def equivalence_classes(mask: np.ndarray) -> list[tuple[int, ...]] | None:
     """The classes of the relation ``mask`` (square, boolean), by least
     point, or None unless it is an equivalence with classes of one size: it
@@ -522,10 +518,12 @@ def verify_grams(stack: np.ndarray, p: GddParams, rows=slice(None)) -> list[Cert
 def check_bose(a: IncidenceMatrix, p: GddParams) -> bool:
     """The rank-argument identity for designs with lambda1 != lambda2:
     A K A^T = (n(l1 - l2) + k - l1) K + n l2 J, formed as (A G)(A G)^T
-    with G the v x m group indicator, so K is never formed."""
+    with G the v x m group indicator, K = G G^T.  A G is read as the sums
+    of A's rows over each group, so (A G)(A G)^T is the one product formed,
+    and neither K nor G enters it."""
     if p.lambda1 == p.lambda2:
         raise ParameterError("identity only applies when lambda1 != lambda2")
-    ag = a.mat @ IntMatrix.view(group_columns(a.m, a.n))
+    ag = IntMatrix.view(a.mat.lane.reshape(a.v, a.m, a.n).sum(axis=-1, dtype=np.int64))
     on_k = p.n * (p.lambda1 - p.lambda2) + p.k - p.lambda1 + p.n * p.lambda2
     return stack_differences((ag @ ag.T).lane, group_labels(a.m, a.n), (p.n * p.lambda2, on_k, on_k)) == [None]
 
@@ -567,27 +565,34 @@ class KCommutation:
 def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
     """Classify A K = K A against the two canonical right-hand sides, from
     the constant A K takes on K and the one it takes off K."""
-    return k_commutations(a.mat.lane[None], a.m, a.n)[0]
+    return k_commutations(a.mat.lane[None], a.m, a.n, np.zeros(1, dtype=np.intp))[0]
 
 
-def k_commutations(stack: np.ndarray, m: int, n: int, rows=slice(None)) -> list[KCommutation]:
-    """``check_k_commutation`` for every matrix of a (count, v, v) stack, on
-    the given rows (all, or one per orbit: ``orbit_rows``).
+def k_commutations(stack: np.ndarray, m: int, n: int, members: np.ndarray, rows=slice(None)) -> list[KCommutation]:
+    """``check_k_commutation`` for the matrices stack[members] of a
+    (count, v, v) stack, on the given rows (all, or one per orbit:
+    ``orbit_rows``): the one place A K = K A is decided.
 
     A K = K A has a class exactly when both are d K + c (J - K).  With G the
     v x m group indicator, K = G G^T, (A K)[x, y] = (A G)[x, group(y)] and
     (K A)[y, x] = (A^T G)[x, group(y)]: both are that pattern when A[rows] G
     and A[:, rows]^T G are d in the row's group and c elsewhere, d and c read
-    at the first row.  A permutation fixing A and K fixes both differences,
-    so one row per orbit decides as every row does."""
-    groups = np.arange(m * n)[rows] // n
+    at the first row.  A[rows] G is the sums of those rows over each group's
+    n points, and A[:, rows]^T G those of the columns, so no product is
+    formed; only the rows and columns are gathered, a slice of members
+    within STACK_ENTRIES at a time.  A permutation fixing A and K fixes both
+    differences, so one row per orbit decides as every row does."""
+    rows = np.arange(stack.shape[-1])[rows]
+    groups = rows // n
     first, own = int(groups[0]), groups[:, None] == np.arange(m)  # own: the column is the row's group
-    g = IntMatrix.view(group_columns(m, n))
+
+    def sums(x: np.ndarray) -> np.ndarray:  # over each group's points; einsum sums a short last axis about twice as fast as .sum
+        return np.einsum("crgx->crg", x.reshape(*x.shape[:2], m, n), dtype=np.int64)
+
     out = []
-    for part in stack_slices(len(stack), stack[0].size):
-        # compared with each other in their lane, exactly; read out as Python integers
-        ag = (IntMatrix.view(stack[part][:, rows]) @ g).lane
-        ta = (IntMatrix.view(stack[part][:, :, rows].swapaxes(1, 2)) @ g).lane
+    for part in stack_slices(len(members), rows.size * stack.shape[-1]):
+        at = members[part, None]
+        ag, ta = sums(stack[at, rows]), sums(stack[at, :, rows])  # one gather held at a time
         d = ag[:, 0, first]
         c = ag[:, 0, (first + 1) % m] if m > 1 else d
         want = np.where(own, d[:, None, None], c[:, None, None])
@@ -596,8 +601,10 @@ def k_commutations(stack: np.ndarray, m: int, n: int, rows=slice(None)) -> list[
     return out
 
 
+@lru_cache(maxsize=64)
 def _k_class(d: int, c: int) -> KCommutation:
-    """The class of A K = K A when it is d on K and c off K."""
+    """The class of A K = K A when it is d on K and c off K, kept for the
+    next block with the same constants (a class is immutable)."""
     if d == 0:
         return KCommutation("multiple_of_J_minus_K", Fraction(c)) if c else KCommutation("zero", Fraction(0))
     return KCommutation("multiple_of_J", Fraction(c)) if c == d else KCommutation("other")

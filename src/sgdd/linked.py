@@ -40,7 +40,6 @@ from .designs import (
     on_orbits,
     orbit_rows,
     shift_masks,
-    stack_differences,
     stack_slices,
     verify_grams,
 )
@@ -204,23 +203,23 @@ def symmetric_design_triple(m: int, n: int) -> tuple[Fraction, Fraction, Fractio
 
 def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     """Certify every block, the 0/1 condition on A + K, the commutation
-    A K = K A = k/(m-1) (J - K), A_{j,i} = A_{i,j}^T, and (for f >= 3) the
-    full triple-product law over all ordered distinct triples.
+    A K = K A = k/(m-1) (J - K), A_{j,i} = A_{i,j}^T, the full triple-product
+    law over all ordered distinct triples (f >= 3), and for f = 2 that the
+    companion A + K is a design.
 
     The system's stack is certified as it is held.  The transposes are
-    checked first.  For f >= 3 every other identity is a cell of the grid
-    of one middle index j (``_grid_differences``): A_ij A_jl for a triple,
-    A_ij A_ji for i = l, and A_ij G, G the v x m group indicator.  Once
-    A_ji = A_ij^T, the cell A_ij A_ji is both A_ij A_ij^T and A_ji^T A_ji,
-    so it gives a Gram verdict of both blocks, and A_ij G gives A K of
-    block (i, j) and, transposed, K A of block (j, i).  The grids of every
-    middle index are one batch of kernel products, formed in slices of
-    whole blocks past STACK_ENTRIES and reduced to verdicts and first
-    positions before the next: one product for a system of order v <= 64
-    with f <= 7.  The Gram pair and the commutation pair are formed on
-    their own (``verify_grams``, ``k_commutations``) only for f = 2 and for
-    the two blocks of a pair that is no transpose.  The lines come out
-    block by block, as a per-block walk would print them.
+    checked first.  A K = K A of every block is read from group sums of its
+    rows and columns (``k_commutations``), with no product.  The triples
+    and the Gram identities are the cells of the grid of one middle index j
+    (``_grid_differences``): A_ij A_jl for a triple and A_ij A_ji for
+    i = l.  Once A_ji = A_ij^T, the cell A_ij A_ji is both A_ij A_ij^T and
+    A_ji^T A_ji, so it gives a Gram verdict of both blocks; the Gram pair is
+    formed on its own (``verify_grams``) only for the two blocks of a pair
+    that is no transpose.  The grids of every middle index are one batch of
+    kernel products, formed in slices of whole blocks past STACK_ENTRIES and
+    reduced to verdicts and first positions before the next: one product
+    for a system of order v <= 64 with f <= 7, and for a pair.  The lines
+    come out block by block, as a per-block walk would print them.
 
     Each identity is formed on one row per orbit of the group and point
     digit shifts that fix every block it uses (``_translation_masks``,
@@ -243,51 +242,42 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
         diffs += first_differences(stack[pair_index(f, j, i)], np.swapaxes(stack[pair_index(f, i, j)], 1, 2))
     untransposed = [(pair, pos) for pair, pos in zip(upper, diffs) if pos is not None]
 
-    # the blocks whose Gram and commutation verdicts no grid gives
-    broken = sorted(pair_index(f, *pair) for (i, j), _ in untransposed for pair in ((i, j), (j, i)))
-    alone = np.arange(len(stack)) if f == 2 else np.array(broken, dtype=np.intp)
+    # the blocks whose Gram verdicts no grid cell gives
+    alone = np.array(sorted(pair_index(f, *pair) for (i, j), _ in untransposed for pair in ((i, j), (j, i))), dtype=np.intp)
+    faults = [None] * len(stack)
+    grams = on_orbits(lambda members, rows: verify_grams(stack[alone[members]], base, rows), masks[alone], rows_of, lambda c: c.ok)
+    for b, sub in zip(alone.tolist(), grams):
+        faults[b] = sub.violations
 
-    def blocks(members: np.ndarray) -> np.ndarray:  # the stack itself when all of it
-        return stack if len(members) == len(stack) else stack[alone[members]]
+    comms = on_orbits(
+        lambda members, rows: k_commutations(stack, base.m, base.n, members, rows), masks, rows_of, lambda c: c.kind != "other"
+    )
+
+    cells, uses = _grid_cells(f)
+    triples = len(cells) - len(pairs)  # then the Gram cells, in pair order
+    keep = np.ones(len(cells), dtype=bool)
+    keep[triples + alone] = False  # not np.setdiff1d: its np.unique imports numpy.ma, 15 ms on first use
+    ids = np.flatnonzero(keep)
+    found = dict(zip(ids.tolist(), on_orbits(
+        lambda members, rows: _grid_differences(stack, p, in_k, cells[ids[members]], rows),
+        np.bitwise_and.reduce(masks[uses[:, ids]]),
+        rows_of,
+        lambda d: d is None,
+    )))
+    for b, (i, j) in enumerate(pairs):
+        if faults[b] is None:
+            gram = found[triples + b], found[triples + pair_index(f, j, i)]  # A_ij A_ij^T, then A_ij^T A_ij = A_ji A_ij
+            faults[b] = [Violation(label, *diff) for label, diff in zip(GRAM_IDENTITIES, gram) if diff is not None]
 
     want = Fraction(base.k, base.m - 1)
-    faults, commutes = [None] * len(stack), [None] * len(stack)
-    grams = on_orbits(lambda members, rows: verify_grams(blocks(members), base, rows), masks[alone], rows_of, lambda c: c.ok)
-    comms = on_orbits(
-        lambda members, rows: k_commutations(blocks(members), base.m, base.n, rows), masks[alone], rows_of, lambda c: c.kind != "other"
-    )
-    for b, sub, comm in zip(alone.tolist(), grams, comms):
-        faults[b] = sub.violations
-        commutes[b] = comm.kind == "multiple_of_J_minus_K" and comm.factor == want
-
-    if f > 2:
-        cells, uses = _grid_cells(f)
-        count = len(pairs)
-        triples = len(cells) - 2 * count  # then the Gram cells and the G cells, each in pair order
-        keep = np.ones(len(cells), dtype=bool)
-        keep[triples + alone], keep[triples + count + alone] = False, False
-        ids = np.flatnonzero(keep)
-        found = dict(zip(ids.tolist(), on_orbits(
-            lambda members, rows: _grid_differences(stack, p, in_k, cells[ids[members]], rows),
-            np.bitwise_and.reduce(masks[uses[:, ids]]),
-            rows_of,
-            lambda d: d is None,
-        )))
-        for b, (i, j) in enumerate(pairs):
-            if faults[b] is None:
-                back = pair_index(f, j, i)
-                gram = found[triples + b], found[triples + back]  # A_ij A_ij^T, then A_ij^T A_ij = A_ji A_ij
-                faults[b] = [Violation(label, *diff) for label, diff in zip(GRAM_IDENTITIES, gram) if diff is not None]
-                commutes[b] = found[triples + count + b] is None and found[triples + count + back] is None
-
     zero_one = ~stack[:, in_k].any(axis=1)
-    for pair, fault, ok, commute in zip(pairs, faults, zero_one, commutes):
+    for pair, fault, ok, comm in zip(pairs, faults, zero_one, comms):
         if not fault:
             cert.passed(f"block {pair} is a symmetric GDD")
         for v in fault:
             cert.failed(f"block {pair}: {v.identity}", v.position, v.expected, v.actual)
         cert.check(f"block {pair}: A + K is a 0/1 matrix", ok)
-        if commute:
+        if comm.kind == "multiple_of_J_minus_K" and comm.factor == want:
             cert.passed(f"block {pair}: A K = K A = {want} (J - K)")
         else:
             cert.failed(f"block {pair}: A K = K A = k/(m-1) (J - K)")
@@ -296,6 +286,8 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     for (i, j), pos in untransposed:
         cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
 
+    for t, (i, j, l) in enumerate(cells[:triples].tolist()):
+        cert.record(f"triple product ({i},{j},{l})", found[t])
     if f == 2:
         comp = companion_params(base)
         [sub] = on_orbits(lambda members, rows: verify_grams(stack[:1] + in_k, comp, rows), masks[:1], rows_of, lambda c: c.ok)
@@ -304,10 +296,6 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
         else:
             for v in sub.violations:
                 cert.failed(f"pair companion: {v.identity}", v.position, v.expected, v.actual)
-        return cert
-
-    for t, (i, j, l) in enumerate(cells[:triples].tolist()):
-        cert.record(f"triple product ({i},{j},{l})", found[t])
     return cert
 
 
@@ -315,18 +303,16 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
 def _grid_cells(f: int) -> tuple[np.ndarray, np.ndarray]:
     """The cells of the grids of every middle index j as the rows (i, j, l)
     of a (count, 3) array: the ordered triples of distinct indices, in the
-    order of their lines; then the cells (i, j, i), A_ij A_ji, and the cells
-    (i, j, 0), A_ij G, each in the order of the pairs (i, j).  With the
-    positions of the blocks each uses, A_ij, A_jl and A_il (A_ij in place of
-    a block that is not there), as a (3, count) array; both read-only."""
+    order of their lines (none for f = 2), then the cells (i, j, i),
+    A_ij A_ji, in the order of the pairs (i, j).  With the positions of the
+    blocks each uses, A_ij, A_jl and A_il (A_ij in place of A_ii, which is
+    not there), as a (3, count) array; both read-only."""
     i, j, l = np.indices((f, f, f)).reshape(3, -1) + 1
     distinct = (i != j) & (j != l) & (l != i)
     first, second = np.array(ordered_pairs(f)).T
-    i = np.concatenate([i[distinct], first, first])
-    j = np.concatenate([j[distinct], second, second])
-    l = np.concatenate([l[distinct], first, np.zeros_like(first)])
+    i, j, l = (np.concatenate([x[distinct], y]) for x, y in ((i, first), (j, second), (l, first)))
     ij = pair_index(f, i, j)
-    uses = np.stack([ij, np.where(l > 0, pair_index(f, j, l), ij), np.where((l > 0) & (l != i), pair_index(f, i, l), ij)])
+    uses = np.stack([ij, pair_index(f, j, l), np.where(l != i, pair_index(f, i, l), ij)])
     cells = np.stack([i, j, l], axis=1)
     cells.flags.writeable = uses.flags.writeable = False
     return cells, uses
@@ -387,35 +373,24 @@ def _translation_masks(stack: np.ndarray, base: GddParams):
 def _grid_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, cells: np.ndarray, rows) -> list:
     """For each row (i, j, l) of ``cells`` (``_grid_cells``), the first
     difference on the given rows (all of them, or one per orbit), or None,
-    of A_ij A_jl from sigma A_il + tau (J - A_il - K) + rho K (l != i), of
-    A_ij A_ji from the Gram pattern k I + l1 (K - I) + l2 (J - K) (l = i),
-    or of A_ij G from k/(m-1) off the row's group and 0 on it (l = 0).
+    of A_ij A_jl from sigma A_il + tau (J - A_il - K) + rho K (l != i), or
+    of A_ij A_ji from the Gram pattern k I + l1 (K - I) + l2 (J - K)
+    (l = i).
 
     The products are the cells of one ``block_differences`` grid per middle
     index j, all f as one batch (``cell_differences``): the A_ij (i != j)
     against the A_jl (l != j), on the labels A_il + 2K, and 4 +
     ``group_labels`` where i = l.  Label 3 (a 1 of A_il inside K, which the
     0/1 check on A + K has already reported) reads sigma - tau + rho, the
-    value of the formula there.  A_ij G is read with no product: its entry
-    at a group is the sum of A_ij's row over the group's n points."""
-    f, m, n, v = p.f, p.base.m, p.base.n, p.base.v
+    value of the formula there.  A pair (f = 2) has only the cells i = l,
+    so labels 0..3 are never read, and its absent sigma, tau, rho stand in
+    as 0."""
+    f, v = p.f, p.base.v
     rows = np.arange(v)[rows]
-    i, j, l = cells.T
-    out = [None] * len(cells)
-
-    if len(at := np.flatnonzero(l == 0)):
-        sums = stack[pair_index(f, i[at], j[at])[:, None], rows].reshape(len(at), len(rows), m, n).sum(axis=-1, dtype=np.int64)
-        off = ((rows // n)[:, None] != np.arange(m)).view(np.uint8)
-        # a count that is k/(m-1) only when that is an integer: -1 is no count
-        want = p.base.k // (m - 1) if p.base.k % (m - 1) == 0 else -1
-        for t, diff in zip(at.tolist(), stack_differences(sums, off, (0, want))):
-            out[t] = diff
-    if not len(at := np.flatnonzero(l > 0)):
-        return out
-
     twice_k = (2 * in_k[rows]).astype(np.uint8)
-    gram = (4 + group_labels(m, n)[rows]).astype(np.uint8)
-    coeffs = (p.tau, p.sigma, p.rho, p.sigma - p.tau + p.rho, p.base.lambda2, p.base.lambda1, p.base.k)
+    gram = (4 + group_labels(p.base.m, p.base.n)[rows]).astype(np.uint8)
+    sigma, tau, rho = (x or 0 for x in (p.sigma, p.tau, p.rho))
+    coeffs = (tau, sigma, rho, sigma - tau + rho, p.base.lambda2, p.base.lambda1, p.base.k)
     # ends[j - 1] are the indices other than j, in increasing order
     ends = np.array([[x for x in range(1, f + 1) if x != j] for j in range(1, f + 1)])
 
@@ -428,12 +403,10 @@ def _grid_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, cell
 
     # left[j - 1] are the A_ij on the rows, gathered where indexed; the A_jl of each j are consecutive in the stack
     left = Gathered(stack, pair_index(f, ends, np.arange(1, f + 1)[:, None]), rows)
-    i, j, l = i[at], j[at], l[at]
+    i, j, l = cells.T
     # the position of an end x among ends[j - 1]
     grid = j - 1, i - 1 - (i > j), l - 1 - (l > j)
-    for t, diff in zip(at.tolist(), cell_differences(left, stack.reshape(f, f - 1, v, v), labels, coeffs, grid)):
-        out[t] = diff
-    return out
+    return cell_differences(left, stack.reshape(f, f - 1, v, v), labels, coeffs, grid)
 
 
 def make_linked_system(params: LinkedParams, stack: np.ndarray) -> LinkedSystemII:

@@ -15,6 +15,7 @@ from sgdd.latin import linked_mols_from_gf, search_linked_mols
 from sgdd.linked import (
     LinkedSystemII,
     bgw_generate,
+    build_from_mub_bush,
     build_tilde_l,
     bush_search,
     conference_to_gdd,
@@ -199,3 +200,15 @@ def bush_pair():
     pair = bush_search(2, 2)
     assert pair is not None
     return pair
+
+
+@pytest.fixture(scope="session")
+def pair16(bush_pair):
+    """The f = 2 system of one Bush-type Hadamard matrix of order 16."""
+    return build_from_mub_bush(bush_pair[:1])
+
+
+@pytest.fixture(scope="session")
+def pair24(conference12):
+    """The D = 5 pair: the conference design of order 12 and its transpose."""
+    return pair_system(*conference12)

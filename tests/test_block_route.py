@@ -11,11 +11,19 @@ import pytest
 import block_route
 import sgdd.designs
 from sgdd.algebra import IntMatrix
-from sgdd.designs import IncidenceMatrix, block_differences, cell_differences, check_k_commutation, stack_differences, verify_gdd
+from sgdd.designs import (
+    IncidenceMatrix,
+    block_differences,
+    cell_differences,
+    check_bose,
+    check_k_commutation,
+    stack_differences,
+    verify_gdd,
+)
 from sgdd.gf import gf_from_order
 from sgdd.latin import LatinSquare, LinkedMolsFamily, linked_mols_from_gf, verify_linked
 from sgdd.errors import ParameterError
-from sgdd.linked import LinkedSystemII, build_from_mub_bush, pair_index, pair_system, verify_linked_system
+from sgdd.linked import LinkedSystemII, pair_index, verify_linked_system
 
 
 def _outcome(cert):
@@ -78,17 +86,6 @@ def corrupt(sys: LinkedSystemII, kind: str, seed: int) -> tuple[LinkedSystemII, 
         arr[x, y] = 1
         return _with_block(sys, pair, arr), "pair companion"
     raise ValueError(kind)
-
-
-@pytest.fixture(scope="module")
-def pair16(bush_pair):
-    return build_from_mub_bush(bush_pair[:1])
-
-
-@pytest.fixture(scope="module")
-def pair24(conference12):
-    """The D = 5 pair: the conference design of order 12 and its transpose."""
-    return pair_system(*conference12)
 
 
 SYSTEM_KINDS = ("gram", "inside K", "diagonal", "commutation", "K A", "transpose", "triple")
@@ -211,6 +208,36 @@ def _product_count(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted)
     return count
+
+
+def test_k_commutation_forms_no_product_and_bose_forms_one(conference12, gcm24, sys16, sys64, monkeypatch):
+    """A K = K A is read from the group sums of rows and columns with no
+    kernel product, in the class the block route reads off the products
+    A K and K A: on every block of sys16 and sys64, on 0, K itself, J - K
+    and J blown up from m x m patterns, and on seeded random 0/1 matrices.
+    ``check_bose`` forms (A G)(A G)^T and no other product."""
+    rng = np.random.default_rng(34)
+    designs = [blk for system in (sys16, sys64) for blk in system.blocks.values()]
+    for m, n in ((3, 2), (4, 4), (5, 3)):
+        patterns = (np.zeros((m, m)), np.eye(m), 1 - np.eye(m), np.ones((m, m)))
+        blown = [np.kron(pattern, np.ones((n, n))) for pattern in patterns]
+        random01 = [rng.integers(0, 2, size=(m * n, m * n)) for _ in range(3)]
+        designs += [IncidenceMatrix(IntMatrix(arr.astype(np.int64)), m, n) for arr in blown + random01]
+    count = _product_count(monkeypatch)
+    classes = [check_k_commutation(a) for a in designs]
+    assert count == [0]
+    monkeypatch.undo()
+    assert classes == [block_route.check_k_commutation(a) for a in designs]
+    assert {c.kind for c in classes} == {"zero", "multiple_of_J", "multiple_of_J_minus_K", "other"}
+    count = _product_count(monkeypatch)
+    for mat, params in (conference12, gcm24):
+        count[0] = 0
+        assert check_bose(mat, params)
+        assert count == [1]
+    bad = IncidenceMatrix(IntMatrix(rng.integers(0, 2, size=(12, 12))), 6, 2)
+    count[0] = 0
+    assert not check_bose(bad, conference12[1])
+    assert count == [1]
 
 
 @pytest.mark.parametrize("budget", [sgdd.designs.STACK_ENTRIES, 70, 1], ids=["one-band", "cut", "one-block"])

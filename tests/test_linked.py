@@ -194,14 +194,28 @@ def test_linked_system_takes_one_stacked_product(sys64, monkeypatch):
     """The 42 blocks of the GF(8) system are certified in 1 kernel call:
     the grids of all f middle indices as one stacked product, whose cells
     A_ij A_ji give both Gram identities of every block once the transposes
-    hold; A K = K A is read off A_ij G, the sums of A_ij's rows over each
-    group, with no product.  The GF(8) translations fix every block and
-    move group 0 onto every group, so the product is formed on the n rows
-    of group 0 alone."""
+    hold; A K = K A is read from the sums of each block's rows and columns
+    over each group, with no product.  The GF(8) translations fix every
+    block and move group 0 onto every group, so the product is formed on
+    the n rows of group 0 alone."""
     shapes = _product_shapes(sys64, monkeypatch)
     base, f = sys64.params.base, sys64.params.f
     v, n = base.v, base.n
     assert shapes == [((f, (f - 1) * n, v), (f, v, (f - 1) * v))]
+
+
+@pytest.mark.parametrize("source, rows", [("pair16", 16), ("pair24", 6)])
+def test_a_pair_takes_one_grid_product_and_its_companion_products(source, rows, request, monkeypatch):
+    """A pair (f = 2) has no triple: its grid is the cells A_12 A_21 and
+    A_21 A_12, which give the Gram identities of both blocks, as one stacked
+    product; A K = K A takes no product, and the companion A + K its two
+    Gram products.  pair16 has no translation; the point shifts of pair24's
+    groups of 2 fix it, so it is formed on one point of each of its 6
+    groups."""
+    system = request.getfixturevalue(source)
+    shapes = _product_shapes(system, monkeypatch)
+    v = system.params.base.v
+    assert shapes == [((2, rows, v), (2, v, v)), ((1, v, v), (1, v, rows)), ((1, rows, v), (1, v, v))]
 
 
 def test_a_system_with_no_translation_takes_one_full_product(bush_pair, monkeypatch):

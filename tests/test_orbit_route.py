@@ -37,7 +37,7 @@ def routes(monkeypatch):
     seen = []
     for module, name, members in (
         (sgdd.linked, "verify_grams", 0),
-        (sgdd.linked, "k_commutations", 0),
+        (sgdd.linked, "k_commutations", 3),
         (sgdd.linked, "_grid_differences", 3),
         (sgdd.resolvable, "_product_differences", 2),
     ):
@@ -55,24 +55,25 @@ def _system_routes(rows, system, damaged: int = 0, transposed: bool = False) -> 
     touching its ``damaged`` blocks (0 or 1) is formed on ``rows``, and the
     damaged block's identities on every row.
 
-    The grid cells are the f(f-1)(f-2) triples, the f(f-1) cells A_ij A_ji
-    and the f(f-1) cells A_ij G.  A damaged block whose transpose is not
-    its partner's (a flip in one block) sends the Gram and commutation
-    checks of both to ``verify_grams`` and ``k_commutations``, the partner
-    on ``rows``, and their 4 cells leave the grid; one flipped with its
-    mirror (``transposed``) keeps them in the grid, on every row with the
-    triples of both blocks.  ``on_orbits`` takes a nonzero mask first, so
-    the clean cells stay on ``rows`` even when the damaged ones outnumber
-    them (f = 3)."""
+    ``k_commutations`` takes every block, and the grid cells are the
+    f(f-1)(f-2) triples and the f(f-1) cells A_ij A_ji.  A damaged block
+    whose transpose is not its partner's (a flip in one block) sends the
+    Gram checks of both to ``verify_grams``, the partner on ``rows``, and
+    their 2 cells leave the grid; one flipped with its mirror
+    (``transposed``) keeps them in the grid, on every row with the triples
+    of both blocks, and sends the commutation checks of both blocks to
+    every row.  ``on_orbits`` takes a nonzero mask first, so the clean
+    cells stay on ``rows`` even when the damaged ones outnumber them
+    (f = 3)."""
     f = system.f
-    cells = f * (f - 1) * (f - 2) + 2 * f * (f - 1)
-    out, hit = [], damaged * 3 * (f - 2)
+    cells = f * (f - 1) * (f - 2) + f * (f - 1)
+    out, hit, worse = [], damaged * 3 * (f - 2), damaged
     if damaged and transposed:
-        hit = 2 * hit + 4
+        hit, worse = 2 * hit + 2, 2
     elif damaged:
-        cells -= 4
-        for name in ("verify_grams", "k_commutations"):
-            out += [(name, rows, 1), (name, "all", 1)]
+        cells -= 2
+        out += [("verify_grams", rows, 1), ("verify_grams", "all", 1)]
+    out += [("k_commutations", rows, f * (f - 1) - worse)] + [("k_commutations", "all", worse)] * bool(worse)
     return out + [("_grid_differences", rows, cells - hit)] + [("_grid_differences", "all", hit)] * bool(hit)
 
 
@@ -193,10 +194,10 @@ def test_a_corruption_that_keeps_the_translations_is_rejected(ag3_gf5, seed, rou
     routes.clear()
     cert = verify_linked_system(bad)
     assert not cert.ok
-    cells = 24 + 2 * 12 - 4  # the pair's Gram and G cells go to verify_grams and k_commutations
+    cells = 24 + 12 - 2  # the pair's Gram cells go to verify_grams
     assert routes == [
         ("verify_grams", 1, 2), ("verify_grams", "all", 1),
-        ("k_commutations", 1, 2), ("k_commutations", "all", 1),
+        ("k_commutations", 1, 12), ("k_commutations", "all", 1),
         ("_grid_differences", 1, cells), ("_grid_differences", "all", 3 * 2),
     ]
     assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
@@ -222,10 +223,10 @@ def test_a_corruption_that_keeps_the_group_shifts_runs_on_the_group_rows(ag3_gf5
     routes.clear()
     cert = verify_linked_system(bad)
     assert not cert.ok
-    cells = 24 + 2 * 12 - 4
+    cells = 24 + 12 - 2
     assert routes == [
         ("verify_grams", 1, 1), ("verify_grams", 9, 1), ("verify_grams", "all", 1),
-        ("k_commutations", 1, 1), ("k_commutations", 9, 1), ("k_commutations", "all", 1),
+        ("k_commutations", 1, 11), ("k_commutations", 9, 1), ("k_commutations", "all", 1),
         ("_grid_differences", 1, cells - 6), ("_grid_differences", 9, 6), ("_grid_differences", "all", 6),
     ]
     assert _outcome(cert) == _outcome(block_route.verify_linked_system(bad))
@@ -257,18 +258,19 @@ def test_a_flip_in_any_block_sends_only_its_identities_to_every_row(source, rows
 @pytest.mark.parametrize("source, rows", [("sys16", 1), ("sys64", 8), ("ag3_gf5", 1)])
 def test_a_flip_with_its_mirror_sends_only_its_grid_cells_to_every_row(source, rows, request, routes, corrupt_system):
     """One entry flipped in each block in turn together with its mirror in
-    the transposed block, so every transpose holds: the Gram and
-    commutation verdicts of both blocks come from their grid cells, which
-    with their triples are formed on every row, and the lines are those of
-    the block route."""
+    the transposed block, so every transpose holds: the Gram verdicts of
+    both blocks come from their grid cells, which with their triples and
+    the commutation checks of both blocks are formed on every row, and the
+    lines are those of the block route."""
     _flip_every_block(request.getfixturevalue(source), rows, True, routes, corrupt_system)
 
 
-@pytest.mark.parametrize("source", ["sys16", "sys45", "sys64", "ag3_gf5"])
+@pytest.mark.parametrize("source", ["sys16", "sys45", "sys64", "ag3_gf5", "pair16", "pair24"])
 def test_seeded_flips_match_the_block_route(source, request, corrupt_system):
-    """Seeded flips of one entry, which break a transpose, and of one entry
-    with its mirror, which keep every transpose, so the damaged blocks'
-    Gram and commutation verdicts come from the grid."""
+    """Seeded flips of one entry, which break a transpose, so the damaged
+    pair's Gram verdicts come from ``verify_grams``, and of one entry with
+    its mirror, which keep every transpose, so they come from the grid: for
+    a pair (f = 2) too, whose grid holds its Gram cells alone."""
     for seed in range(4):
         for transposed in (False, True):
             bad, pair = corrupt_system(request.getfixturevalue(source), seed, transposed=transposed)
@@ -284,8 +286,8 @@ def test_seeded_flips_match_the_block_route(source, request, corrupt_system):
 def test_a_swap_that_keeps_a_k_and_breaks_k_a_matches_the_block_route(source, seed, request):
     """A 1 of A_ij moved along its row to another column of the same group,
     and the mirror move in A_ji, so every transpose holds: A_ij K is
-    unchanged, K A_ij is not, and only the cell A_ji G tells it; the lines
-    are those of the block route."""
+    unchanged, K A_ij is not, and only the column sums of A_ij over a group
+    tell it; the lines are those of the block route."""
     system = request.getfixturevalue(source)
     rng = random.Random(seed)
     f, v, n = system.f, system.params.base.v, system.params.base.n
