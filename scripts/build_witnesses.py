@@ -43,7 +43,6 @@ def write(path: Path, chunks):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--skip-search", action="store_true", help="skip the two oracle searches")
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -65,21 +64,20 @@ def main():
     print(f"   48-vertex scheme certified; fusable: {fusion.fusable}; "
           f"extraction round-trip: {np.array_equal(roundtrip.system.stack, sys16.stack)}")
 
-    if not args.skip_search:
-        stage("(45,12,3): AG(2,3) auxiliary matrices + searched order-5 family")
-        aux9 = aux_from_affine_geometry(3, 1)
-        fam5 = search_linked_mols(5, 3)
-        if fam5 is None:
-            print("   search exhausted: no order-5 zero-diagonal linked family (reportable outcome)")
-        else:
-            sys45 = build_tilde_l(aux9, fam5)
-            write(out / "ag23.aux", fileio.auxiliary_set_chunks(aux9))
-            write(out / "order5.fam", fileio.linked_family_chunks(fam5))
-            write(out / "sys45.lsys", fileio.linked_system_chunks(sys45))
-            scheme135 = assemble_scheme(sys45)
-            write(out / "scheme135.scm", fileio.scheme_chunks(scheme135.relation))
-            print(f"   system {sys45.params.base} triple {(sys45.params.sigma, sys45.params.tau, sys45.params.rho)}; "
-                  f"135-vertex scheme certified")
+    stage("(45,12,3): AG(2,3) auxiliary matrices + searched order-5 family")
+    aux9 = aux_from_affine_geometry(3, 1)
+    fam5 = search_linked_mols(5, 3)
+    if fam5 is None:
+        print("   search exhausted: no order-5 zero-diagonal linked family (reportable outcome)")
+    else:
+        sys45 = build_tilde_l(aux9, fam5)
+        write(out / "ag23.aux", fileio.auxiliary_set_chunks(aux9))
+        write(out / "order5.fam", fileio.linked_family_chunks(fam5))
+        write(out / "sys45.lsys", fileio.linked_system_chunks(sys45))
+        scheme135 = assemble_scheme(sys45)
+        write(out / "scheme135.scm", fileio.scheme_chunks(scheme135.relation))
+        print(f"   system {sys45.params.base} triple {(sys45.params.sigma, sys45.params.tau, sys45.params.rho)}; "
+              f"135-vertex scheme certified")
 
     stage("conference path: Paley order 6")
     gdd12, p12 = conference_to_gdd(paley_conference_matrix(6))
@@ -101,16 +99,15 @@ def main():
     write(out / "twin16.minus.mat", fileio.matrix_chunks(twin.minus.mat))
     print(f"   certified twin pair {twin.params}")
 
-    if not args.skip_search:
-        stage("unbiased Bush-type pair of order 16 (search) -> linked system")
-        pair = bush_search(2, 2)
-        if pair is None:
-            print("   search exhausted (reportable outcome)")
-        else:
-            write(out / "bush16.hset", fileio.matrix_set_chunks(pair))
-            mub = build_from_mub_bush(pair)
-            write(out / "mub16.lsys", fileio.linked_system_chunks(mub))
-            print(f"   system {mub.params.base} triple {(mub.params.sigma, mub.params.tau, mub.params.rho)}")
+    stage("unbiased Bush-type pair of order 16 (search) -> linked system")
+    pair = bush_search(2, 2)
+    if pair is None:
+        print("   search exhausted (reportable outcome)")
+    else:
+        write(out / "bush16.hset", fileio.matrix_set_chunks(pair))
+        mub = build_from_mub_bush(pair)
+        write(out / "mub16.lsys", fileio.linked_system_chunks(mub))
+        print(f"   system {mub.params.base} triple {(mub.params.sigma, mub.params.tau, mub.params.rho)}")
 
     print(f"done in {time.monotonic() - t0:.2f}s; artifacts in {out}/")
 

@@ -16,6 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from itertools import product
 from math import isqrt
 from types import MappingProxyType
 
@@ -190,12 +191,6 @@ def symmetric_design_numerators(m: int, n: int) -> tuple[int, int, int, int]:
     """The unique admissible triple when lambda1 = lambda2, as numerators
     over the last entry: ((m-1)n(m^2-3m+1+n), (m-3)(m-1)^2 n, (m-1)^3 n) / (m+n-2)^2."""
     return (m - 1) * n * (m * m - 3 * m + 1 + n), (m - 3) * (m - 1) ** 2 * n, (m - 1) ** 3 * n, (m + n - 2) ** 2
-
-
-def symmetric_design_triple(m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """``symmetric_design_numerators`` as three fractions."""
-    *nums, den = symmetric_design_numerators(m, n)
-    return tuple(Fraction(x, den) for x in nums)
 
 
 # -- certification -----------------------------------------------------------
@@ -563,25 +558,28 @@ def build_from_mub_bush(hs: list[IntMatrix]) -> LinkedSystemII:
 
 # rows one bush_search may place.  (n, f) = (2, 2) places 32 and (2, 3) 48,
 # sixteen per matrix with no backtracking; (2, 4), which the Krein bound
-# rules out, stops here after about 6 s on a 2-vCPU machine; unbounded, it
+# rules out, stops here after 1.2-1.6 s on a 2-vCPU machine; unbounded, it
 # was still searching after 100 000 rows.
 BUSH_MAX_NODES = 5_000
-
-
-def _balanced_masks(b: int) -> list[int]:
-    return [m for m in range(1 << b) if bin(m).count("1") == b // 2]
 
 
 def bush_search(n: int, f: int) -> list[IntMatrix] | None:
     """Backtracking search for f mutually unbiased Bush-type Hadamard
     matrices of order 4n^2; desk-scale budget 4n^2 <= 16.
 
-    Deterministic lexicographic exploration over block rows: every
-    off-diagonal block row segment is a balanced +-1 pattern, the final row
-    of every block row is forced by column balance, and rows are pruned
-    against orthogonality (same matrix) and the +-2n product constraint
-    (previous matrices).  Every row placed is one node; raises
-    BudgetExceededError once BUSH_MAX_NODES rows have been placed."""
+    A row is one integer of 4n^2 bits, a set bit a +1, with block bc in
+    bits bc*b .. bc*b + b - 1 (b = 2n).  The candidates for the next row
+    are the product of each block's masks, walked lexicographically: all
+    ones on the diagonal block, the first balanced mask on the first row of
+    the first matrix, else the balanced masks that keep every column of the
+    block within n ones and n minus ones over its block row (on the last
+    row of a block row that leaves one mask, the forced one).  A candidate
+    is kept when it differs from every row above it in order/2 bits
+    (orthogonal) and from every row of each earlier matrix in order/2 +- n
+    (inner product +-2n).  Matrices are filled in turn, and a matrix with
+    no completion takes the search back into the one before.  Every row
+    placed is one node; raises BudgetExceededError once BUSH_MAX_NODES rows
+    have been placed."""
     if n < 1 or f < 1:
         raise ParameterError("need n >= 1 and f >= 1")
     if n == 1:
@@ -589,135 +587,45 @@ def bush_search(n: int, f: int) -> list[IntMatrix] | None:
     order = 4 * n * n
     if order > 16:
         raise BudgetExceededError("search limited to order 4n^2 <= 16")
-    b = 2 * n          # block size = number of blocks per side
-    full = (1 << b) - 1
-    patterns = _balanced_masks(b)
-    popcount = [bin(x).count("1") for x in range(1 << b)]
-
+    b, half = 2 * n, order // 2
+    balanced = [m for m in range(1 << b) if m.bit_count() == n]
     nodes = 0
 
-    def block_dot(m1: int, m2: int) -> int:
-        return b - 2 * popcount[m1 ^ m2]
+    def masks(found: list, rows: list[int], bc: int) -> list[int]:
+        br, lr = divmod(len(rows), b)
+        if bc == br:
+            return [(1 << b) - 1]
+        if not found and not rows:
+            return balanced[:1]
+        ones = [sum(x >> (bc * b + c) & 1 for x in rows[len(rows) - lr :]) for c in range(b)]
+        return [m for m in balanced if all(lr + 1 - n <= ones[c] + (m >> c & 1) <= n for c in range(b))]
 
-    def candidates(prev: list[list[tuple[int, ...]]], fix_first_row: bool):
-        """Yield complete matrices as lists of per-row block-mask tuples."""
-        rows: list[tuple[int, ...]] = []
-        # col_plus[br][bc][c]: +1 count in column c of block (br, bc) so far
-        col_plus = [[[0] * b for _ in range(b)] for _ in range(b)]
-
-        def row_options(r: int):
-            br, lr = divmod(r, b)
-            forced_last = lr == b - 1
-            plus_here = col_plus[br]
-
-            def build(bc: int, acc: list[int], dots_same: list[int], dots_prev: list[list[int]]):
-                if bc == b:
-                    yield tuple(acc)
-                    return
-                if bc == br:
-                    opts = [full]
-                elif fix_first_row and r == 0:
-                    opts = [patterns[0]]
-                elif forced_last:
-                    forced = 0
-                    ok = True
-                    for c in range(b):
-                        have = plus_here[bc][c]
-                        if have == b // 2 - 1:
-                            forced |= 1 << c
-                        elif have != b // 2:
-                            ok = False
-                            break
-                    if not ok or popcount[forced] != b // 2:
-                        return
-                    opts = [forced]
-                else:
-                    opts = patterns
-                remaining = (b - 1 - bc) * b
-                for mask in opts:
-                    if bc != br and not forced_last:
-                        bad = False
-                        for c in range(b):
-                            have = plus_here[bc][c] + ((mask >> c) & 1)
-                            placed = lr + 1
-                            if have > b // 2 or placed - have > b // 2:
-                                bad = True
-                                break
-                        if bad:
-                            continue
-                    nd_same = [d + block_dot(mask, rows[s][bc]) for s, d in enumerate(dots_same)]
-                    if any(abs(d) > remaining for d in nd_same):
-                        continue
-                    nd_prev = []
-                    bad = False
-                    for mi, mat in enumerate(prev):
-                        cur = []
-                        for s, d in enumerate(dots_prev[mi]):
-                            d2 = d + block_dot(mask, mat[s][bc])
-                            if min(abs(d2 - b), abs(d2 + b)) > remaining:
-                                bad = True
-                                break
-                            cur.append(d2)
-                        if bad:
-                            break
-                        nd_prev.append(cur)
-                    if bad:
-                        continue
-                    acc.append(mask)
-                    yield from build(bc + 1, acc, nd_same, nd_prev)
-                    acc.pop()
-
-            dots_same = [0] * len(rows)
-            dots_prev = [[0] * order for _ in prev]
-            yield from build(0, [], dots_same, dots_prev)
-
-        def place(r: int):
-            nonlocal nodes
-            if r == order:
-                yield list(rows)
-                return
-            br = r // b
-            for row in row_options(r):
-                if nodes == BUSH_MAX_NODES:
-                    raise BudgetExceededError(
-                        f"search stopped at its budget: {nodes} nodes expanded (one node is one row placed)"
-                    )
-                nodes += 1
-                rows.append(row)
-                for bc in range(b):
-                    if bc != br:
-                        for c in range(b):
-                            col_plus[br][bc][c] += (row[bc] >> c) & 1
-                yield from place(r + 1)
-                rows.pop()
-                for bc in range(b):
-                    if bc != br:
-                        for c in range(b):
-                            col_plus[br][bc][c] -= (row[bc] >> c) & 1
-
-        yield from place(0)
-
-    def to_matrix(rows) -> IntMatrix:
-        data = []
-        for row in rows:
-            flat = []
-            for mask in row:
-                flat.extend(1 if (mask >> c) & 1 else -1 for c in range(b))
-            data.append(flat)
-        return IntMatrix(data)
-
-    def extend(found: list):
-        if len(found) == f:
-            return [to_matrix(m) for m in found]
-        for cand in candidates(found, fix_first_row=not found):
-            res = extend(found + [cand])
+    def search(found: list[list[int]], rows: list[int]) -> list[list[int]] | None:
+        nonlocal nodes
+        if len(rows) == order:
+            found, rows = found + [rows], []
+            if len(found) == f:
+                return found
+        for blocks in product(*(masks(found, rows, bc) for bc in range(b))):
+            x = sum(m << (bc * b) for bc, m in enumerate(blocks))
+            if any((x ^ y).bit_count() != half for y in rows):
+                continue
+            if any(abs((x ^ y).bit_count() - half) != n for h in found for y in h):
+                continue
+            if nodes == BUSH_MAX_NODES:
+                raise BudgetExceededError(
+                    f"search stopped at its budget: {nodes} nodes expanded (one node is one row placed)"
+                )
+            nodes += 1
+            res = search(found, rows + [x])
             if res is not None:
                 return res
         return None
 
-    result = extend([])
-    if result is None:
+    found = search([], [])
+    if found is None:
         return None
+    result = [IntMatrix([[1 if x >> j & 1 else -1 for j in range(order)] for x in h]) for h in found]
     for h in result:
         if not is_bush_type(h):
             raise CertificationError("search produced a non-Bush-type matrix")

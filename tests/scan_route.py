@@ -14,7 +14,7 @@ from math import isqrt
 from sgdd.algebra import square_free_decomposition
 from sgdd.designs import GddParams, lambda_formulas, partial_complement_params
 from sgdd.errors import ParameterError
-from sgdd.linked import symmetric_design_triple
+from sgdd.linked import symmetric_design_numerators
 from sgdd.scanner import FeasibleRow
 
 
@@ -34,7 +34,8 @@ def _table1_cell(m: int, n: int) -> list[FeasibleRow]:
     lam = int(l1)
     if not 0 < lam < k:
         return []
-    sigma, tau, rho = symmetric_design_triple(m, n)
+    *nums, den = symmetric_design_numerators(m, n)
+    sigma, tau, rho = (Fraction(x, den) for x in nums)
     if not all(_integral(x) and x >= 0 for x in (sigma, tau, rho)):
         return []
     return [

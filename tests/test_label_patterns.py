@@ -37,7 +37,7 @@ from sgdd.designs import (
     verify_gdd,
 )
 from sgdd.errors import ParameterError
-from sgdd.linked import LinkedSystemII, build_from_mub_bush, build_twin, is_conference, pair_index, verify_linked_system
+from sgdd.linked import LinkedSystemII, build_twin, is_conference, pair_index, verify_linked_system
 from sgdd.resolvable import AuxiliarySet, aux_from_affine_geometry, aux_from_hadamard, verify_auxiliary
 
 # -- dense reference ------------------------------------------------------------
@@ -222,12 +222,6 @@ def _flip_block(sys: LinkedSystemII, kind: str, rng: random.Random) -> LinkedSys
 
 
 KINDS = ("diagonal", "same group", "other group")
-
-
-@pytest.fixture(scope="module")
-def pair16(bush_pair):
-    """An f = 2 system, so the companion A + K is certified."""
-    return build_from_mub_bush(bush_pair[:1])
 
 
 @pytest.fixture(scope="module")

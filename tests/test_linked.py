@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import isqrt
 
@@ -33,7 +34,7 @@ from sgdd.linked import (
     is_bush_type,
     pair_system,
     sigma_tau_rho,
-    symmetric_design_triple,
+    symmetric_design_numerators,
     twin_params,
     verify_gcm,
     verify_linked_system,
@@ -46,7 +47,8 @@ def test_triple_candidates_16():
     cands = sigma_tau_rho(6, 4, 4)
     triples = {(c.sigma, c.tau, c.rho) for c in cands if c.integral}
     assert triples == {(3, 1, 3), (1, 3, 3)}
-    assert symmetric_design_triple(4, 4) == (3, 1, 3)
+    *nums, den = symmetric_design_numerators(4, 4)
+    assert [Fraction(x, den) for x in nums] == [3, 1, 3]
 
 
 def test_triple_candidates_52():
@@ -472,9 +474,16 @@ def test_bush_type_matches_block_loop(bush_pair):
     assert {new for new, _ in verdicts} == {True, False}
 
 
-def test_bush_search_deterministic(bush_pair):
-    again = bush_search(2, 2)
-    assert [h.entries() for h in again] == [h.entries() for h in bush_pair]
+def test_bush_search_deterministic():
+    """The searched families by their ``.hset`` bytes; f = 2 is the digest of
+    ``oracle bush --n 2 --f 2``'s output."""
+    pins = {
+        1: "e53577e3ef027d7d3fd4887f9aa763041683252280c93be166ddaf1430a87a6c",
+        2: "c876a1ee9fe2ba6386182526aaca70ef3ac2d21da00868b6cc7408566a0af73b",
+        3: "e3370405894065c9043efb573ee2e777d18538758f032cd3035af9e38a3f25fd",
+    }
+    for f, digest in pins.items():
+        assert hashlib.sha256(b"".join(fileio.matrix_set_chunks(bush_search(2, f)))).hexdigest() == digest, f
 
 
 def test_search_linked_mols_deterministic(fam_order5):

@@ -97,7 +97,7 @@ def test_table1_against_independent_enumeration():
     and keep rows with equal integral lambdas and an integral non-negative
     triple; must agree with the scanner on a 200-point window."""
     from sgdd.designs import lambda_formulas
-    from sgdd.linked import symmetric_design_triple
+    from sgdd.linked import symmetric_design_numerators
 
     expected = set()
     for m in range(3, 101):
@@ -111,7 +111,8 @@ def test_table1_against_independent_enumeration():
                 lam = int(l1)
                 if not 0 < lam < k:
                     continue
-                s, t, r = symmetric_design_triple(m, n)
+                *nums, den = symmetric_design_numerators(m, n)
+                s, t, r = (Fraction(x, den) for x in nums)
                 if any(x.denominator != 1 or x < 0 for x in (s, t, r)):
                     continue
                 expected.add((m * n, k, lam, m, n, int(s), int(t), int(r)))

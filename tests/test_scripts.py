@@ -18,7 +18,7 @@ def _run_script(name: str, *argv: str, monkeypatch):
 
 def test_build_witnesses_writes_what_the_cli_assembles(tmp_path: Path, monkeypatch, capsys):
     out = tmp_path / "out"
-    _run_script("build_witnesses.py", "--skip-search", "--out", str(out), monkeypatch=monkeypatch)
+    _run_script("build_witnesses.py", "--out", str(out), monkeypatch=monkeypatch)
     assert "extraction round-trip: True" in capsys.readouterr().out
     cli_scm = tmp_path / "cli.scm"
     assert main(["scheme", "assemble", "--in", str(out / "sys16.lsys"), "-o", str(cli_scm)]) == 0
@@ -26,13 +26,22 @@ def test_build_witnesses_writes_what_the_cli_assembles(tmp_path: Path, monkeypat
     cli = tmp_path / "cli"
     cli.mkdir()
     for argv in (
-        "conference-gdd --order 6 -o {}conf12.mat --params-out {}conf12.params",
-        "bgw --q 5 -o {}bgw654.gcm",
-        "gcm-gdd --in {}bgw654.gcm -o {}gcm24.mat --params-out {}gcm24.params",
-        "twin --order 4 -o {}twin16",
+        "construct conference-gdd --order 6 -o {}conf12.mat --params-out {}conf12.params",
+        "construct bgw --q 5 -o {}bgw654.gcm",
+        "construct gcm-gdd --in {}bgw654.gcm -o {}gcm24.mat --params-out {}gcm24.params",
+        "construct twin --order 4 -o {}twin16",
+        "construct ag-aux --q 3 -o {}ag23.aux",
+        "oracle linked-mols --order 5 --f 3 -o {}order5.fam",
+        "construct tilde-l --aux {}ag23.aux --mols {}order5.fam -o {}sys45.lsys",
+        "scheme assemble --in {}sys45.lsys -o {}scheme135.scm",
+        "oracle bush --n 2 --f 2 -o {}bush16.hset",
+        "construct mub-system --in {}bush16.hset -o {}mub16.lsys",
     ):
-        assert main(["construct", *argv.replace("{}", f"{cli}/").split()]) == 0
-    for name in ("conf12.mat", "conf12.params", "bgw654.gcm", "gcm24.mat", "gcm24.params", "twin16.plus.mat", "twin16.minus.mat"):
+        assert main(argv.replace("{}", f"{cli}/").split()) == 0
+    for name in (
+        "conf12.mat", "conf12.params", "bgw654.gcm", "gcm24.mat", "gcm24.params", "twin16.plus.mat", "twin16.minus.mat",
+        "ag23.aux", "order5.fam", "sys45.lsys", "scheme135.scm", "bush16.hset", "mub16.lsys",
+    ):
         assert (out / name).read_bytes() == (cli / name).read_bytes(), name
 
 
