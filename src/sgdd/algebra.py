@@ -1,10 +1,12 @@
 """Exact scalar and matrix arithmetic.
 
-Scalars are Python integers, :class:`fractions.Fraction` and :class:`Surd`
-(elements a + b*sqrt(D) of a real quadratic extension, the values of the
-Krein parameters and the closed-form triples).  ``surd_sign`` decides
-the sign of a + b*sqrt(D) for integers a, b by integer comparison; the 6x6
-eigenmatrix algebra of ``sgdd.schemes`` runs on such integer numerators.
+Scalars are Python integers and :class:`fractions.Fraction`.  The Krein
+parameters are integer numerators a + b*sqrt(D) signed by ``surd_sign``,
+which decides the sign by integer comparison, and the closed-form triples
+are Fractions; the 6x6 eigenmatrix algebra of ``sgdd.schemes`` runs on
+such integer numerators.  :class:`Surd` (elements a + b*sqrt(D) of a real
+quadratic extension) has no caller in the package: it stays only while
+``perfbench/tracer.py`` patches its operators (ROADMAP item 1, step c).
 Matrices are :class:`IntMatrix` (dense integer matrices).  Every operation is
 exact.
 
@@ -378,7 +380,7 @@ class IntMatrix:
     for a product, as its lane computed it.  ``a`` is the same array, except
     that a product held in a float lane is widened to int64 on first read."""
 
-    __slots__ = ("lane", "_a", "_top")
+    __slots__ = ("lane", "_a")
 
     def __init__(self, data):
         if isinstance(data, IntMatrix):
@@ -388,7 +390,6 @@ class IntMatrix:
         if arr.ndim not in (2, 3):
             raise ParameterError("IntMatrix must be a matrix or a stack of matrices")
         self.lane = self._a = arr
-        self._top = None
 
     @staticmethod
     def view(arr: np.ndarray) -> "IntMatrix":
@@ -400,19 +401,9 @@ class IntMatrix:
         return IntMatrix._held(arr, arr)
 
     @staticmethod
-    def in_lane(arr: np.ndarray, top: int, inner: int) -> "IntMatrix":
-        """``arr``, of entries at most ``top`` in magnitude, converted once to
-        the lane of its products over ``inner`` terms with matrices bounded
-        alike, and ``top`` kept as its ``max_abs`` (a bound at least the true
-        one keeps every lane exact): views of it enter products unconverted."""
-        lane = matmul_lane(max(top, 1) ** 2 * inner) or object
-        held = arr.astype(lane, copy=False)
-        return IntMatrix._held(held, None if held.dtype.kind == "f" else held, top)
-
-    @staticmethod
-    def _held(lane: np.ndarray, a: np.ndarray | None, top: int | None = None) -> "IntMatrix":
+    def _held(lane: np.ndarray, a: np.ndarray | None) -> "IntMatrix":
         m = IntMatrix.__new__(IntMatrix)
-        m.lane, m._a, m._top = lane, a, top
+        m.lane, m._a = lane, a
         return m
 
     @property
@@ -472,8 +463,6 @@ class IntMatrix:
         return [int(x) for x in self.lane.ravel()]
 
     def max_abs(self) -> int:
-        if self._top is not None:
-            return self._top
         if self.lane.size == 0:
             return 0
         # not np.abs: it wraps -2**63 to itself in int64

@@ -23,14 +23,15 @@ K = G G^T for the v x m group indicator G, is read from A G, the sums of
 A's rows over each group's n points.
 
 The Gram and K-commutation checks take a stack of matrices, shape
-(count, v, v): the Gram check forms each identity's products for the whole
-stack in one kernel call (or a few, ``stack_slices``), and the
-K-commutation check sums rows and columns with no product.  A single design
-is a stack of one, so every design and every block of a linked system is
-certified by the same code.  An identity on every product of two stacks
-(the triple law of a linked system, the auxiliary axioms, orthogonality and
-composition of a linked family) is a grid of block products, formed and
-compared by the one routine ``block_differences``.
+(count, v, v): the Gram check reads A A^T and A^T A as the diagonal cells
+of the grids of the stack against its transposes (``cell_differences``),
+and the K-commutation check sums rows and columns with no product.  A
+single design is a stack of one, so every design and every block of a
+linked system is certified by the same code.  An identity on every product
+of two stacks (the Gram pairs, the triple law of a linked system, the
+auxiliary axioms, orthogonality and composition of a linked family) is a
+grid of block products, or some of its cells, formed and compared by the
+one routine ``block_differences``.
 
 An identity whose matrices are each fixed by some digit shifts of the
 index set (``digit_shifts``, ``shift_masks``) is decided on one row per
@@ -491,27 +492,22 @@ GRAM_IDENTITIES = ("A A^T equals k I + l1 (K - I) + l2 (J - K)", "A^T A equals k
 def verify_grams(stack: np.ndarray, p: GddParams, rows=slice(None)) -> list[Certificate]:
     """The Gram identities of ``verify_gdd`` for every matrix of a
     (count, v, v) stack, 0/1 or not (such as A + K for a block A with a 1
-    inside K), one certificate each: A A^T and A^T A as one stacked
-    product apiece, on the given rows of each (all of them, or one per
-    orbit: ``orbit_rows``).  Each slice is converted to the lane once; the
-    rows of A A^T are read as columns of A (A[rows])^T, so that no operand
-    is a transposed whole slice, which numpy multiplies without BLAS."""
+    inside K), one certificate each, on the given rows of each (all of
+    them, or one per orbit: ``orbit_rows``).  A A^T and A^T A are the
+    diagonal cells (a, a) of the grids of the stack against its transposes
+    and of its transposes against the stack (``cell_differences``); the
+    left operand is gathered on the rows only where a cell's blocks are
+    formed (``Gathered``), so no whole copy of the stack is made."""
     certs = [Certificate(f"symmetric GDD {p}") for _ in range(len(stack))]
+    rows = np.arange(p.v)[rows]
     labels, coeffs = group_labels(p.m, p.n)[rows], (p.lambda2, p.lambda1, p.k)
-    for part in stack_slices(len(stack), stack[0].size):
-        top = IntMatrix.view(stack[part]).max_abs()
-        held = IntMatrix.in_lane(stack[part], top, p.v)
-        flip = np.swapaxes(held.lane, 1, 2)
-
-        def operand(arr: np.ndarray) -> IntMatrix:  # a view of the held slice, laid out as rows
-            return IntMatrix.in_lane(np.ascontiguousarray(arr), top, p.v)
-
-        for label, prod in zip(
-            GRAM_IDENTITIES,
-            (lambda: (held @ operand(flip[..., rows])).lane.swapaxes(1, 2), lambda: (operand(flip[:, rows]) @ held).lane),
-        ):
-            for cert, diff in zip(certs[part], stack_differences(prod(), labels, coeffs)):
-                cert.record(label, diff)
+    members = np.arange(len(stack))
+    cells = np.zeros_like(members), members, members
+    flip = np.swapaxes(stack, 1, 2)
+    for label, left, right in zip(GRAM_IDENTITIES, (stack, flip), (flip, stack)):
+        diffs = cell_differences(Gathered(left, members[None], rows), right[None], lambda *_: labels, coeffs, cells)
+        for cert, diff in zip(certs, diffs):
+            cert.record(label, diff)
     return certs
 
 

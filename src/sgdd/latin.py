@@ -28,7 +28,8 @@ from .gf import GFContext
 SEARCH_MAX_ORDER = 8
 # rows placed across one search: the any-diagonal order-5 search needs about
 # 247k; the zero-diagonal order-6 search, which has no family to find, stops
-# in about 5 s on a 2-vCPU x86-64 host
+# after 3-4 s (a fresh `oracle linked-mols --order 6 --f 3` on a 2-vCPU
+# x86-64 host)
 SEARCH_MAX_NODES = 500_000
 
 
@@ -341,35 +342,19 @@ def _extend_family(squares: dict, t: int, u: int, l1u: LatinSquare, zero_diagona
     return new
 
 
-def _triples_hold(squares: dict, top: int) -> bool:
-    """All composition-closure triples on {1..top} that involve index top."""
-    idx = range(1, top + 1)
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if len({i, j, k}) != 3 or top not in (i, j, k):
-                    continue
-                lik, ljk = squares[(i, k)], squares[(j, k)]
-                try:
-                    if compose(lik, ljk) != squares[(i, j)]:
-                        return False
-                except ParameterError:
-                    return False
-    return True
-
-
 def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> LinkedMolsFamily | None:
     """Depth-first search for a linked family; deterministic lexicographic
     exploration, first square's first row pinned to identity order.
 
     Only L_{1,2..f} are free: every other square is forced cell by cell by
     composition closure, so each stage propagates the forced squares and
-    verifies the closure triples of the newly joined index before branching
-    deeper.  Each candidate L_{1,u} is built a row at a time, and a row is
-    dropped as soon as it clashes with a row above it in a square that
-    L_{1,u} forces (see _RowSearch.squares); this skips only candidates
-    _extend_family would refuse, in the same order, so the first family
-    found is unchanged.  Returns None when the search space is exhausted (a
+    certifies the family on the indices 1..u joined so far with
+    ``verify_linked`` before branching deeper; the family returned is the
+    one certified at stage f.  Each candidate L_{1,u} is built a row at a
+    time, and a row is dropped as soon as it clashes with a row above it in
+    a square that L_{1,u} forces (see _RowSearch.squares); this skips only
+    candidates _extend_family would refuse, in the same order, so the first
+    family found is unchanged.  Returns None when the search space is exhausted (a
     reportable result); raises BudgetExceededError above the desk-scale
     order limit, or once SEARCH_MAX_NODES rows have been placed.  Order 1
     has its family of [[0]] squares; no square has order below 1.
@@ -384,16 +369,12 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
 
     def extend_to(squares: dict, t: int):
         if t == f:
-            fam = LinkedMolsFamily(f=f, order=order, squares=squares)
-            if verify_linked(fam).ok and (not zero_diagonal or fam.zero_diagonal):
-                return fam
-            return None
+            return LinkedMolsFamily(f=f, order=order, squares=squares)
         u = t + 1
         targets = [squares[(1, s)] for s in range(2, u)]
         for cand in rows.squares(targets):
-            l1u = LatinSquare(cand)
-            new = _extend_family(squares, t, u, l1u, zero_diagonal)
-            if new is None or not _triples_hold(new, u):
+            new = _extend_family(squares, t, u, LatinSquare(cand), zero_diagonal)
+            if new is None or not verify_linked(LinkedMolsFamily(f=u, order=order, squares=new)).ok:
                 continue
             found = extend_to(new, u)
             if found is not None:

@@ -116,11 +116,13 @@ def shift_masks(stack: np.ndarray) -> np.ndarray:
     return np.array([(mat[shifts[:, :, None], shifts[:, None, :]] == mat).all(axis=(1, 2)) @ bits for mat in stack], dtype=np.int64)
 
 
-def verify_gram(mat: IntMatrix, p: GddParams) -> Certificate:
+def verify_gram(mat: IntMatrix, p: GddParams, rows=slice(None)) -> Certificate:
+    """The two Gram identities, each formed as a whole product and compared
+    on the given rows of it."""
     cert = Certificate(f"symmetric GDD {p}")
-    gram = pattern(group_labels(p.m, p.n), (p.lambda2, p.lambda1, p.k))
-    compare(cert, "A A^T equals k I + l1 (K - I) + l2 (J - K)", mat @ mat.T, gram)
-    compare(cert, "A^T A equals k I + l1 (K - I) + l2 (J - K)", mat.T @ mat, gram)
+    gram = pattern(group_labels(p.m, p.n)[rows], (p.lambda2, p.lambda1, p.k))
+    compare(cert, "A A^T equals k I + l1 (K - I) + l2 (J - K)", IntMatrix((mat @ mat.T).a[rows]), gram)
+    compare(cert, "A^T A equals k I + l1 (K - I) + l2 (J - K)", IntMatrix((mat.T @ mat).a[rows]), gram)
     return cert
 
 

@@ -1,11 +1,14 @@
+import ast
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgdd.algebra
 from sgdd.algebra import IntMatrix, Surd, first_differences, matmul_lane, square_free_decomposition, surd_sign
 from sgdd.designs import group_labels
 from sgdd.errors import ParameterError
@@ -70,6 +73,35 @@ def test_matmul_lane_thresholds():
     assert matmul_lane(2**53) is np.int64
     assert matmul_lane(2**62 - 1) is np.int64
     assert matmul_lane(2**62) is None
+
+
+def _lane_choosers(node: ast.AST, scope: tuple = ()) -> list[tuple]:
+    """The enclosing class and function names of every reference to
+    ``matmul_lane`` under ``node``, by name or as an attribute."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += _lane_choosers(child, scope + (child.name,))
+            continue
+        if (isinstance(child, ast.Name) and child.id == "matmul_lane") or (
+            isinstance(child, ast.Attribute) and child.attr == "matmul_lane"
+        ):
+            out.append(scope)
+        out += _lane_choosers(child, scope)
+    return out
+
+
+def test_a_lane_is_chosen_only_in_the_product():
+    """Every module of the package is walked: ``matmul_lane`` is used only
+    inside ``IntMatrix.__matmul__``, the one place a product's lane is
+    chosen."""
+    package = Path(sgdd.algebra.__file__).parent
+    scopes = {
+        (path.name, *scope)
+        for path in sorted(package.glob("*.py"))
+        for scope in _lane_choosers(ast.parse(path.read_text(), str(path)))
+    }
+    assert scopes == {("algebra.py", "IntMatrix", "__matmul__")}
 
 
 def _reference_product(a: IntMatrix, b: IntMatrix) -> list[int]:

@@ -17,13 +17,16 @@ from sgdd.designs import (
     cell_differences,
     check_bose,
     check_k_commutation,
+    companion_params,
+    group_labels,
     stack_differences,
     verify_gdd,
+    verify_grams,
 )
 from sgdd.gf import gf_from_order
 from sgdd.latin import LatinSquare, LinkedMolsFamily, linked_mols_from_gf, verify_linked
 from sgdd.errors import ParameterError
-from sgdd.linked import LinkedSystemII, pair_index, verify_linked_system
+from sgdd.linked import LinkedSystemII, _translation_masks, pair_index, verify_linked_system
 
 
 def _outcome(cert):
@@ -195,6 +198,41 @@ def test_linked_families_match_block_route(fam_gf4, fam_order5):
         got = verify_linked(fam)
         assert got.report_lines() == block_route.verify_linked(fam).report_lines()
         assert linked is None or got.ok == linked
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("count", [1, 2, 3, "companion"], ids=["1x1-grid", "2x2-grid", "per-cell", "companion"])
+def test_gram_pairs_match_block_route_on_single_flips(count, seed, sys16, pair24):
+    """``verify_grams`` against the block route's ``verify_gram`` on a stack
+    with one seeded entry flipped in one seeded member: 1, 2 or 3 blocks of
+    sys16, which reach the whole 1 x 1 grid, the whole 2 x 2 grid and the
+    per-cell batch of ``cell_differences``, and the f = 2 companion A + K
+    of pair24 with a 1 put inside K, an entry 2.  On all rows and on one
+    row per orbit of the shifts that fix the clean system, the verdicts,
+    first positions and entries are equal.  An odd seed flips an entry on
+    an orbit row, which A A^T then fails on the orbit rows too."""
+    rng = random.Random(f"gram-{count}-{seed}")
+    system = pair24 if count == "companion" else sys16
+    base = system.params.base
+    v, n = base.v, base.n
+    masks, rows_of = _translation_masks(system.stack, base)
+    orbit = rows_of(int(np.bitwise_and.reduce(masks)))
+    assert orbit is not None and len(orbit) < v
+    x = int(rng.choice(orbit)) if seed % 2 else rng.randrange(v)
+    if count == "companion":
+        params = companion_params(base)
+        stack = system.stack[:1] + (group_labels(base.m, n) > 0)
+        stack[0, x, rng.choice([c for c in range(v) if c // n == x // n and c != x])] = 2
+    else:
+        params = base
+        stack = system.stack[rng.sample(range(len(system.stack)), count)]
+        stack[rng.randrange(count), x, rng.randrange(v)] ^= 1
+    for rows in (slice(None), orbit):
+        got = verify_grams(stack, params, rows)
+        want = [block_route.verify_gram(IntMatrix(mat.astype(np.int64)), params, rows) for mat in stack]
+        assert [_outcome(c) for c in got] == [_outcome(c) for c in want]
+        if rows is not orbit or seed % 2:
+            assert not all(c.ok for c in got)
 
 
 def _product_count(monkeypatch) -> list[int]:

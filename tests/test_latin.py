@@ -15,7 +15,6 @@ from sgdd.latin import (
     _extend_family,
     _RowSearch,
     _solve_second,
-    _triples_hold,
     compose,
     is_orthogonal,
     linked_mols_from_gf,
@@ -23,6 +22,7 @@ from sgdd.latin import (
     search_linked_mols,
     verify_linked,
 )
+from block_route import verify_linked as verify_linked_by_reference
 from conftest import text_of
 
 
@@ -352,18 +352,18 @@ def _latin_candidates(n: int, zero_diagonal: bool, first_row=None):
 
 
 def _search_by_reference(order: int, f: int, zero_diagonal: bool) -> LinkedMolsFamily | None:
-    """search_linked_mols over the unpruned reference generator."""
+    """search_linked_mols over the unpruned reference generator, each stage
+    certified on the indices 1..u by the triple-by-triple reference
+    ``block_route.verify_linked``."""
 
     def extend_to(squares: dict, t: int):
         if t == f:
             fam = LinkedMolsFamily(f=f, order=order, squares=squares)
-            if verify_linked(fam).ok and (not zero_diagonal or fam.zero_diagonal):
-                return fam
-            return None
+            return fam if not zero_diagonal or fam.zero_diagonal else None
         u = t + 1
         for cand in _latin_candidates(order, zero_diagonal):
             new = _extend_family(squares, t, u, LatinSquare(cand), zero_diagonal)
-            if new is None or not _triples_hold(new, u):
+            if new is None or not verify_linked_by_reference(LinkedMolsFamily(f=u, order=order, squares=new)).ok:
                 continue
             found = extend_to(new, u)
             if found is not None:

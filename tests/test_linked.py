@@ -211,13 +211,13 @@ def test_a_pair_takes_one_grid_product_and_its_companion_products(source, rows, 
     """A pair (f = 2) has no triple: its grid is the cells A_12 A_21 and
     A_21 A_12, which give the Gram identities of both blocks, as one stacked
     product; A K = K A takes no product, and the companion A + K its two
-    Gram products.  pair16 has no translation; the point shifts of pair24's
-    groups of 2 fix it, so it is formed on one point of each of its 6
-    groups."""
+    Gram products, each the one cell of a 1 x 1 grid, multiplied as a
+    matrix.  pair16 has no translation; the point shifts of pair24's groups
+    of 2 fix it, so it is formed on one point of each of its 6 groups."""
     system = request.getfixturevalue(source)
     shapes = _product_shapes(system, monkeypatch)
     v = system.params.base.v
-    assert shapes == [((2, rows, v), (2, v, v)), ((1, v, v), (1, v, rows)), ((1, rows, v), (1, v, v))]
+    assert shapes == [((2, rows, v), (2, v, v)), ((rows, v), (v, v)), ((rows, v), (v, v))]
 
 
 def test_a_system_with_no_translation_takes_one_full_product(bush_pair, monkeypatch):
