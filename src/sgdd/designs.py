@@ -23,10 +23,10 @@ K = G G^T for the v x m group indicator G, is read from A G, the sums of
 A's rows over each group's n points.
 
 The Gram and K-commutation checks take a stack of matrices, shape
-(count, v, v): the Gram check reads A A^T and A^T A as the diagonal cells
-of the grids of the stack against its transposes (``cell_differences``),
-and the K-commutation check sums rows and columns with no product.  A
-single design is a stack of one, so every design and every block of a
+(count, v, v): the Gram check forms A A^T and A^T A of the members as a
+batch of 1 x 1 grids, and the K-commutation check sums rows and columns
+with no product, and reads from the same sums whether A has a 1 inside K.
+A single design is a stack of one, so every design and every block of a
 linked system is certified by the same code.  An identity on every product
 of two stacks (the Gram pairs, the triple law of a linked system, the
 auxiliary axioms, orthogonality and composition of a linked family) is a
@@ -493,20 +493,18 @@ def verify_grams(stack: np.ndarray, p: GddParams, rows=slice(None)) -> list[Cert
     """The Gram identities of ``verify_gdd`` for every matrix of a
     (count, v, v) stack, 0/1 or not (such as A + K for a block A with a 1
     inside K), one certificate each, on the given rows of each (all of
-    them, or one per orbit: ``orbit_rows``).  A A^T and A^T A are the
-    diagonal cells (a, a) of the grids of the stack against its transposes
-    and of its transposes against the stack (``cell_differences``); the
-    left operand is gathered on the rows only where a cell's blocks are
-    formed (``Gathered``), so no whole copy of the stack is made."""
+    them, or one per orbit: ``orbit_rows``).  A A^T, then A^T A, is one
+    ``block_differences`` batch of 1 x 1 grids, one per member, so only the
+    Gram products are formed; the left operand is gathered on the rows a
+    slice of members at a time (``Gathered``), never copied whole."""
     certs = [Certificate(f"symmetric GDD {p}") for _ in range(len(stack))]
     rows = np.arange(p.v)[rows]
     labels, coeffs = group_labels(p.m, p.n)[rows], (p.lambda2, p.lambda1, p.k)
-    members = np.arange(len(stack))
-    cells = np.zeros_like(members), members, members
+    members = np.arange(len(stack))[:, None]
     flip = np.swapaxes(stack, 1, 2)
     for label, left, right in zip(GRAM_IDENTITIES, (stack, flip), (flip, stack)):
-        diffs = cell_differences(Gathered(left, members[None], rows), right[None], lambda *_: labels, coeffs, cells)
-        for cert, diff in zip(certs, diffs):
+        grid = block_differences(Gathered(left, members, rows), right[:, None], lambda *_: labels, coeffs)
+        for cert, [[diff]] in zip(certs, grid):
             cert.record(label, diff)
     return certs
 
@@ -555,19 +553,20 @@ def partial_complement(a: IncidenceMatrix, p: GddParams) -> tuple[IncidenceMatri
 @dataclass(frozen=True)
 class KCommutation:
     kind: str  # "zero" | "multiple_of_J" | "multiple_of_J_minus_K" | "other"
-    factor: Fraction | None = None
+    factor: int | None = None  # a sum of 0/1 entries
 
 
 def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
     """Classify A K = K A against the two canonical right-hand sides, from
     the constant A K takes on K and the one it takes off K."""
-    return k_commutations(a.mat.lane[None], a.m, a.n, np.zeros(1, dtype=np.intp))[0]
+    return k_commutations(a.mat.lane[None], a.m, a.n, np.zeros(1, dtype=np.intp))[0][0]
 
 
-def k_commutations(stack: np.ndarray, m: int, n: int, members: np.ndarray, rows=slice(None)) -> list[KCommutation]:
+def k_commutations(stack: np.ndarray, m: int, n: int, members: np.ndarray, rows=slice(None)) -> list[tuple[KCommutation, bool]]:
     """``check_k_commutation`` for the matrices stack[members] of a
-    (count, v, v) stack, on the given rows (all, or one per orbit:
-    ``orbit_rows``): the one place A K = K A is decided.
+    (count, v, v) 0/1 stack, on the given rows (all, or one per orbit:
+    ``orbit_rows``), each with whether A has no 1 inside K (A + K is 0/1):
+    the one place either is decided.
 
     A K = K A has a class exactly when both are d K + c (J - K).  With G the
     v x m group indicator, K = G G^T, (A K)[x, y] = (A G)[x, group(y)] and
@@ -576,8 +575,9 @@ def k_commutations(stack: np.ndarray, m: int, n: int, members: np.ndarray, rows=
     at the first row.  A[rows] G is the sums of those rows over each group's
     n points, and A[:, rows]^T G those of the columns, so no product is
     formed; only the rows and columns are gathered, a slice of members
-    within STACK_ENTRIES at a time.  A permutation fixing A and K fixes both
-    differences, so one row per orbit decides as every row does."""
+    within STACK_ENTRIES at a time; A has no 1 inside K when each row sums to
+    0 over its own group.  A permutation fixing A and K fixes both
+    differences and those sums, so one row per orbit decides as every row does."""
     rows = np.arange(stack.shape[-1])[rows]
     groups = rows // n
     first, own = int(groups[0]), groups[:, None] == np.arange(m)  # own: the column is the row's group
@@ -593,17 +593,16 @@ def k_commutations(stack: np.ndarray, m: int, n: int, members: np.ndarray, rows=
         c = ag[:, 0, (first + 1) % m] if m > 1 else d
         want = np.where(own, d[:, None, None], c[:, None, None])
         ok = (ag == want).all(axis=(1, 2)) & (ta == want).all(axis=(1, 2))
-        out += [_k_class(int(x), int(y)) if good else KCommutation("other") for good, x, y in zip(ok, d, c)]
+        zero_one = ~(ag * own).any(axis=(1, 2))
+        out += [(_k_class(int(x), int(y)) if good else KCommutation("other"), bool(z)) for good, x, y, z in zip(ok, d, c, zero_one)]
     return out
 
 
-@lru_cache(maxsize=64)
 def _k_class(d: int, c: int) -> KCommutation:
-    """The class of A K = K A when it is d on K and c off K, kept for the
-    next block with the same constants (a class is immutable)."""
+    """The class of A K = K A when it is d on K and c off K."""
     if d == 0:
-        return KCommutation("multiple_of_J_minus_K", Fraction(c)) if c else KCommutation("zero", Fraction(0))
-    return KCommutation("multiple_of_J", Fraction(c)) if c == d else KCommutation("other")
+        return KCommutation("multiple_of_J_minus_K", c) if c else KCommutation("zero", 0)
+    return KCommutation("multiple_of_J", c) if c == d else KCommutation("other")
 
 
 def lambda_formulas(k: int, m: int, n: int) -> tuple[Fraction, Fraction]:

@@ -285,7 +285,16 @@ class _RowSearch:
 
 
 def _solve_second(l1: LatinSquare, target: LatinSquare) -> LatinSquare | None:
-    """X with compose(l1, X) = target, or None if no consistent X exists."""
+    """X with compose(l1, X) = target, or None if no X exists.
+
+    Row i of l1 holds target[i][j] at column pos_i(target[i][j]) alone, which
+    forces X[j][pos_i(target[i][j])] = target[i][j].  No two rows write one
+    symbol into one cell (a column of l1 holds distinct symbols), so a cell
+    written twice is a clash, and with none the n^2 writes fill X.  Nothing
+    is left to check: if row i of l1 and row j of X agree at column c on s,
+    X[j][c] was written by the row i' with l1[i'][c] = s = l1[i][c], so
+    i' = i.  So X is orthogonal to l1 and composes with it to target; its
+    rows and columns hold distinct symbols, as target's columns and rows do."""
     n = l1.order
     pos = l1.positions()
     grid = [[None] * n for _ in range(n)]
@@ -293,19 +302,10 @@ def _solve_second(l1: LatinSquare, target: LatinSquare) -> LatinSquare | None:
         for j in range(n):
             b = target.grid[i][j]
             a = pos[i][b]
-            if grid[j][a] is None:
-                grid[j][a] = b
-            elif grid[j][a] != b:
+            if grid[j][a] is not None:
                 return None
-    if any(x is None for row in grid for x in row):
-        return None
-    try:
-        x = LatinSquare(tuple(tuple(row) for row in grid))
-    except ParameterError:
-        return None
-    if not is_orthogonal(l1, x) or compose(l1, x) != target:
-        return None
-    return x
+            grid[j][a] = b
+    return LatinSquare(tuple(tuple(row) for row in grid))
 
 
 def _extend_family(squares: dict, t: int, u: int, l1u: LatinSquare, zero_diagonal: bool) -> dict | None:

@@ -204,10 +204,11 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
 
     The system's stack is certified as it is held.  The transposes are
     checked first.  A K = K A of every block is read from group sums of its
-    rows and columns (``k_commutations``), with no product.  The triples
-    and the Gram identities are the cells of the grid of one middle index j
-    (``_grid_differences``): A_ij A_jl for a triple and A_ij A_ji for
-    i = l.  Once A_ji = A_ij^T, the cell A_ij A_ji is both A_ij A_ij^T and
+    rows and columns (``k_commutations``), with no product, and A + K is
+    0/1 exactly when each row of A sums to 0 over its own group.  The
+    triples and the Gram identities are the cells of the grid of one middle
+    index j (``_grid_differences``): A_ij A_jl for a triple and A_ij A_ji
+    for i = l.  Once A_ji = A_ij^T, the cell A_ij A_ji is both A_ij A_ij^T and
     A_ji^T A_ji, so it gives a Gram verdict of both blocks; the Gram pair is
     formed on its own (``verify_grams``) only for the two blocks of a pair
     that is no transpose.  The grids of every middle index are one batch of
@@ -245,7 +246,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
         faults[b] = sub.violations
 
     comms = on_orbits(
-        lambda members, rows: k_commutations(stack, base.m, base.n, members, rows), masks, rows_of, lambda c: c.kind != "other"
+        lambda members, rows: k_commutations(stack, base.m, base.n, members, rows), masks, rows_of, lambda c: c[0].kind != "other"
     )
 
     cells, uses = _grid_cells(f)
@@ -264,16 +265,14 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
             gram = found[triples + b], found[triples + pair_index(f, j, i)]  # A_ij A_ij^T, then A_ij^T A_ij = A_ji A_ij
             faults[b] = [Violation(label, *diff) for label, diff in zip(GRAM_IDENTITIES, gram) if diff is not None]
 
-    want = Fraction(base.k, base.m - 1)
-    zero_one = ~stack[:, in_k].any(axis=1)
-    for pair, fault, ok, comm in zip(pairs, faults, zero_one, comms):
+    for pair, fault, (comm, zero_one) in zip(pairs, faults, comms):
         if not fault:
             cert.passed(f"block {pair} is a symmetric GDD")
         for v in fault:
             cert.failed(f"block {pair}: {v.identity}", v.position, v.expected, v.actual)
-        cert.check(f"block {pair}: A + K is a 0/1 matrix", ok)
-        if comm.kind == "multiple_of_J_minus_K" and comm.factor == want:
-            cert.passed(f"block {pair}: A K = K A = {want} (J - K)")
+        cert.check(f"block {pair}: A + K is a 0/1 matrix", zero_one)
+        if comm.kind == "multiple_of_J_minus_K" and comm.factor * (base.m - 1) == base.k:
+            cert.passed(f"block {pair}: A K = K A = {comm.factor} (J - K)")
         else:
             cert.failed(f"block {pair}: A K = K A = k/(m-1) (J - K)")
 
@@ -827,7 +826,7 @@ def build_twin(h: IntMatrix, ws: list[IntMatrix]) -> TwinPair:
     for label, arr in (("A+", plus), ("A-", minus)):
         mat = certified_design(arr, params, f"{label} fails design certification")
         comm = check_k_commutation(mat)
-        if comm.kind != "multiple_of_J_minus_K" or comm.factor != Fraction(n, 2):
+        if comm.kind != "multiple_of_J_minus_K" or 2 * comm.factor != n:
             raise CertificationError(f"{label} does not commute with K as n/2 (J - K)")
         pair.append(mat)
     if not np.array_equal(plus + minus, group_labels(params.m, params.n) == 0):

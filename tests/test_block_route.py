@@ -18,7 +18,9 @@ from sgdd.designs import (
     check_bose,
     check_k_commutation,
     companion_params,
+    digit_shifts,
     group_labels,
+    k_commutations,
     stack_differences,
     verify_gdd,
     verify_grams,
@@ -26,7 +28,7 @@ from sgdd.designs import (
 from sgdd.gf import gf_from_order
 from sgdd.latin import LatinSquare, LinkedMolsFamily, linked_mols_from_gf, verify_linked
 from sgdd.errors import ParameterError
-from sgdd.linked import LinkedSystemII, _translation_masks, pair_index, verify_linked_system
+from sgdd.linked import LinkedSystemII, _translation_masks, ordered_pairs, pair_index, verify_linked_system
 
 
 def _outcome(cert):
@@ -233,6 +235,61 @@ def test_gram_pairs_match_block_route_on_single_flips(count, seed, sys16, pair24
         assert [_outcome(c) for c in got] == [_outcome(c) for c in want]
         if rows is not orbit or seed % 2:
             assert not all(c.ok for c in got)
+
+
+def _shift_orbit(point: tuple[int, int], mask: int, m: int, n: int) -> set[tuple[int, int]]:
+    """The entries (perm[x], perm[y]) of ``point`` = (x, y) for every perm
+    of the group generated by the shifts of a ``_translation_masks`` mask:
+    its low bits the digit shifts of the m groups, the bits above those of
+    the n points of every group."""
+    x = np.arange(m * n)
+    low = len(digit_shifts(m))
+    gens = [shift[x // n] * n + x % n for s, shift in enumerate(digit_shifts(m)) if mask >> s & 1]
+    gens += [x // n * n + shift[x % n] for s, shift in enumerate(digit_shifts(n)) if mask >> (low + s) & 1]
+    seen, todo = {point}, [point]
+    while todo:
+        a, b = todo.pop()
+        for g in gens:
+            image = int(g[a]), int(g[b])
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+@pytest.mark.parametrize("source", ["sys16", "sys45", "sys64", "pair16", "pair24"])
+def test_inside_k_verdict_of_the_group_sums_matches_the_block_route(source, request):
+    """Each block's "A + K is 0/1" verdict from ``k_commutations``, on every
+    row and on one row per orbit of the shifts that fix the block, equals
+    ``IncidenceMatrix.diagonal_blocks_zero``: on the clean system, and with
+    one seeded block given a 1 inside K at every entry of one orbit of its
+    shifts, so that the same shifts fix it and its batch stays on orbit
+    rows.  On the damaged systems the report lines are the block route's."""
+    system = request.getfixturevalue(source)
+    base = system.params.base
+    m, n, v = base.m, base.n, base.v
+    masks = _translation_masks(system.stack, base)[0]
+    rng = random.Random(f"inside-K-{source}")
+    damaged = []
+    for b in rng.sample(range(len(system.stack)), 2):
+        row = rng.randrange(v)
+        col = rng.choice([c for c in range(v) if c // n == row // n])
+        stack = system.stack.copy()
+        for x, y in _shift_orbit((row, col), int(masks[b]), m, n):
+            stack[b, x, y] = 1
+        damaged.append((LinkedSystemII(system.params, stack), b))
+    for bad, b in [(system, None)] + damaged:
+        bad_masks, rows_of = _translation_masks(bad.stack, base)
+        if b is not None:
+            assert bad_masks[b] & masks[b] == masks[b]
+            assert not bad.blocks[ordered_pairs(bad.f)[b]].diagonal_blocks_zero()
+        for t, blk in enumerate(bad.blocks[pair] for pair in ordered_pairs(bad.f)):
+            orbit = rows_of(int(bad_masks[t]))
+            for rows in (slice(None), slice(None) if orbit is None else orbit):
+                [(_, zero_one)] = k_commutations(bad.stack, m, n, np.array([t]), rows)
+                assert zero_one == blk.diagonal_blocks_zero(), (t, rows)
+        if b is not None:
+            assert _outcome(verify_linked_system(bad)) == _outcome(block_route.verify_linked_system(bad))
 
 
 def _product_count(monkeypatch) -> list[int]:

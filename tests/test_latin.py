@@ -2,6 +2,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgdd.latin
 from sgdd.cli import main
@@ -268,6 +270,46 @@ def test_solve_second_on_the_transpose_matches_solve_first(q):
             assert _solve_second(l2, target.transpose()) == want
             solved += want is not None
     assert solved >= 60
+
+
+def _base_squares(n: int) -> list[LatinSquare]:
+    """The field squares of order n, or the cyclic square where no field of
+    order n exists (orders 1 and 6)."""
+    try:
+        return mols_from_gf(gf_from_order(n))
+    except ParameterError:
+        return [LatinSquare.of([[(r + c) % n for c in range(n)] for r in range(n)])]
+
+
+@st.composite
+def _solve_cases(draw):
+    """(L, T) of an order 1..6: L a relabeled base square and T either the
+    composition of L with a partner under a shared column and symbol
+    relabeling, when they are orthogonal, or another relabeled square."""
+    n = draw(st.integers(1, 6))
+    squares = _base_squares(n)
+
+    def perm():
+        return draw(st.permutations(range(n)))
+
+    a, b, c = (draw(st.sampled_from(squares)) for _ in range(3))
+    cols, symbols = perm(), perm()
+    l1, partner = _relabeled(a, perm(), cols, symbols), _relabeled(b, perm(), cols, symbols)
+    if draw(st.booleans()) and is_orthogonal(l1, partner):
+        return l1, compose(l1, partner)
+    return l1, _relabeled(c, perm(), perm(), perm())
+
+
+@given(_solve_cases())
+@settings(max_examples=200, deadline=None)
+def test_a_solved_second_square_is_orthogonal_and_composes_to_the_target(case):
+    # _solve_second checks neither after filling X with no clash: its
+    # docstring argues both hold, and this checks the argument
+    l1, target = case
+    x = _solve_second(l1, target)
+    if x is not None:
+        assert is_orthogonal(l1, x)
+        assert compose(l1, x) == target
 
 
 def test_search_order4_finds_family():

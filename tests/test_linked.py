@@ -18,7 +18,7 @@ from sgdd.classical import (
     signed_permutation_weighing_set,
 )
 from sgdd.cli import main
-from sgdd.designs import Certificate, GddParams, check_k_commutation, verify_gdd
+from sgdd.designs import Certificate, GddParams, check_k_commutation, verify_gdd, verify_grams
 from sgdd.errors import BudgetExceededError, CertificationError, InfeasibleParameterError, ParameterError
 from sgdd.linked import (
     GcmMatrix,
@@ -179,7 +179,8 @@ def test_batched_triple_products_match_per_triple(source, seed, request, corrupt
     assert bool(violations) == (seed is not None)
 
 
-def _product_shapes(sys, monkeypatch):
+def _recorded_shapes(monkeypatch) -> list:
+    """The operand shapes of every kernel product formed from here on."""
     shapes = []
     matmul = IntMatrix.__matmul__
 
@@ -188,6 +189,11 @@ def _product_shapes(sys, monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", recorded)
+    return shapes
+
+
+def _product_shapes(sys, monkeypatch):
+    shapes = _recorded_shapes(monkeypatch)
     assert verify_linked_system(sys).ok
     return shapes
 
@@ -218,6 +224,19 @@ def test_a_pair_takes_one_grid_product_and_its_companion_products(source, rows, 
     shapes = _product_shapes(system, monkeypatch)
     v = system.params.base.v
     assert shapes == [((2, rows, v), (2, v, v)), ((rows, v), (v, v)), ((rows, v), (v, v))]
+
+
+def test_gram_pairs_of_a_stack_of_two_form_only_their_gram_products(conference12, monkeypatch):
+    """``verify_grams`` on a stack of two, the conference design of order 12
+    twice, forms A A^T and then A^T A of both members as one batch of two
+    1 x 1 grids: ((2, v, v), (2, v, v)), 6 912 multiply-adds in all, half
+    the 13 824 of the whole 2 x 2 grid, ((24, 12), (12, 24)) per identity."""
+    mat, params = conference12
+    stack = np.stack([mat.mat.lane] * 2)
+    shapes = _recorded_shapes(monkeypatch)
+    assert all(c.ok for c in verify_grams(stack, params))
+    v = params.v
+    assert shapes == [((2, v, v), (2, v, v))] * 2
 
 
 def test_a_system_with_no_translation_takes_one_full_product(bush_pair, monkeypatch):
