@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the GF(q) chain of CLI verbs, each in a fresh process, and print the
-wall seconds and peak resident MB of each verb (from ``os.wait4``) as JSON.
+wall seconds and peak resident MB of each verb (from ``os.wait4``) as JSON,
+with the SHA-256 of its stdout and of each file it writes.
 
     python scripts/scale_chain.py [--q 16] [--out DIR]
 
@@ -12,10 +13,13 @@ flipped, which must fail (exit 1).  It then assembles the scheme of
 symmetric pair moved from class 3 to class 4, which must fail (exit 1),
 analyses the scheme, extracts the system back and tests the fusion.  The
 extracted system must equal the constructed one byte for byte.  The files
-go to ``--out`` (a temporary directory by default).
+go to ``--out`` (a temporary directory by default).  Two records of
+identical output hold the same digests, so comparing the output of two
+checkouts at one q is a diff of their records.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -112,16 +116,28 @@ def move_one_pair(src: Path, dst: Path, seed: int = 0):
             classes.put(4, a, b, b"1")
 
 
-def run_verb(argv: list[str], cwd: Path) -> tuple[int, float, float]:
-    """Exit status, wall seconds and peak resident MB of ``sgdd`` with
-    ``argv`` in a fresh interpreter."""
+def sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        for chunk in iter(lambda: stream.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def run_verb(argv: list[str], cwd: Path) -> tuple[int, float, float, str]:
+    """Exit status, wall seconds, peak resident MB and the SHA-256 of the
+    stdout of ``sgdd`` with ``argv`` in a fresh interpreter.  The stdout
+    goes to a file, not a pipe, so the child never waits on a reader."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "sgdd.cli", *argv], cwd=cwd, env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    seconds = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    return proc.returncode, seconds, usage.ru_maxrss / 1024
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "sgdd.cli", *argv], cwd=cwd, env=env, stdout=out)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        out.seek(0)
+        stdout = hashlib.sha256(out.read()).hexdigest()
+    return proc.returncode, seconds, usage.ru_maxrss / 1024, stdout
 
 
 def measure(q: int, out: Path) -> dict:
@@ -131,10 +147,11 @@ def measure(q: int, out: Path) -> dict:
             flip_one_entry(out / "sys.lsys", out / "bad.lsys")
         if name == MOVED:
             move_one_pair(out / "scheme.scm", out / "bad.scm")
-        code, seconds, peak = run_verb(argv, out)
+        code, seconds, peak, stdout = run_verb(argv, out)
         if code != want:
             raise SystemExit(f"{name}: exit status {code}, expected {want}")
-        steps.append({"verb": name, "seconds": round(seconds, 3), "peak_mb": round(peak, 1)})
+        written = {path: sha256(out / path) for flag, path in zip(argv, argv[1:]) if flag == "-o"}
+        steps.append({"verb": name, "seconds": round(seconds, 3), "peak_mb": round(peak, 1), "stdout_sha256": stdout, "files_sha256": written})
     roundtrip = (out / "back.lsys").read_bytes() == (out / "sys.lsys").read_bytes()
     if not roundtrip:
         raise SystemExit("the extracted system differs from the constructed one")

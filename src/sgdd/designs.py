@@ -216,6 +216,35 @@ def on_orbits(check, masks: np.ndarray, rows_of, passed) -> list:
     return out
 
 
+# labels one lookup takes at a time: np.take copies its indices as intp, 8 bytes each
+LOOKUP_LABELS = 2**16
+
+
+def looked_up(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """table[labels] for integer ``labels`` (``uint8``, ``int8``) below
+    len(table), by ``np.take`` a slice of at most LOOKUP_LABELS labels at a
+    time: twice as fast as indexing, which casts them in buffered chunks,
+    with the intp copy that ``np.take`` makes of its indices bounded.  The
+    labels are bounded once, so each slice is taken unbuffered."""
+    out = np.empty(labels.shape, dtype=table.dtype)
+    flat, into = labels.reshape(-1), out.reshape(-1)
+    if flat.size and int(flat.max()) >= len(table):
+        raise IndexError(f"label {int(flat.max())} past a table of {len(table)}")
+    for start in range(0, flat.size, LOOKUP_LABELS):
+        np.take(table, flat[start : start + LOOKUP_LABELS], out=into[start : start + LOOKUP_LABELS], mode="wrap")
+    return out
+
+
+def grid_masks(masks: np.ndarray, size: int) -> np.ndarray:
+    """The masks by which ``on_orbits`` batches identities that are cells
+    of one ``cell_differences`` grid of ``size`` cells: as given, unless
+    the cells that no shift fixes (mask 0) are at least half the grid.
+    ``cell_differences`` then forms the whole grid on every row for them,
+    which holds the verdict of every other cell too, so every mask becomes
+    0 and no cell is formed on its orbit rows first."""
+    return np.zeros_like(masks) if 2 * np.count_nonzero(masks == 0) >= size else masks
+
+
 def stack_differences(actual: np.ndarray, labels: np.ndarray, coeffs) -> list[tuple | None]:
     """For each matrix of the stack ``actual``, a product's lane array
     (``IntMatrix.lane``; any leading shape, matrices in row-major order),
@@ -223,13 +252,12 @@ def stack_differences(actual: np.ndarray, labels: np.ndarray, coeffs) -> list[tu
     (``labels`` broadcasts against the stack), else its first row-major
     difference as (position, expected entry, actual entry), Python integers.
 
-    The pattern is looked up in the lane's dtype (``lane_table``), so the
-    comparison is exact with no int64 copy of either side.  ``labels`` are
-    integers (``uint8``, ``int8``): indexing casts them in buffered chunks,
-    where ``np.take`` would first copy them whole as ``intp``.  Only a
-    stack that differs somewhere is reduced matrix by matrix."""
+    The pattern is looked up in the lane's dtype (``lane_table``,
+    ``looked_up``), so the comparison is exact with no int64 copy of either
+    side.  Only a stack that differs somewhere is reduced matrix by
+    matrix."""
     coeffs = [int(c) for c in coeffs]
-    diff = actual != lane_table(coeffs, actual.dtype)[labels]
+    diff = actual != looked_up(lane_table(coeffs, actual.dtype), labels)
     if not diff.any():
         return [None] * int(np.prod(diff.shape[:-2]))
     labels = np.broadcast_to(labels, actual.shape)
@@ -330,16 +358,22 @@ def group_labels(m: int, n: int) -> np.ndarray:
 def equivalence_classes(mask: np.ndarray) -> list[tuple[int, ...]] | None:
     """The classes of the relation ``mask`` (square, boolean), by least
     point, or None unless it is an equivalence with classes of one size: it
-    is one exactly when it relates the points of equal least relative."""
+    is one exactly when it relates the points of equal least relative and
+    no others.  With the points grouped by least relative into classes of
+    one size w, that is read on the w entries of each point's own class
+    alone, and a count of the relation's pairs, |X| w exactly when it holds
+    no others: no outer comparison of order |X| is formed."""
+    size = len(mask)
     least = mask.argmax(axis=1)
-    if not np.array_equal(mask, least[:, None] == least):
-        return None
-    # a class's least point is its own least relative; np.unique would import numpy.ma
-    count = np.count_nonzero(least == np.arange(len(least)))
-    if len(least) % count or np.bincount(least).max() != len(least) // count:
+    counts = np.bincount(least, minlength=size)  # np.unique would import numpy.ma
+    width = int(counts.max())
+    if size % width or np.count_nonzero(counts) * width != size:
         return None
     # ordered by least point, the points of each class come out together, ascending
-    return [tuple(c) for c in np.argsort(least, kind="stable").reshape(count, -1).tolist()]
+    classes = np.argsort(least, kind="stable").reshape(-1, width)
+    if np.count_nonzero(mask) != size * width or not mask[classes[:, :, None], classes[:, None, :]].all():
+        return None
+    return [tuple(c) for c in classes.tolist()]
 
 
 def partial_complement_params(p: GddParams) -> GddParams:

@@ -32,7 +32,7 @@ rest of the stream is too short to fill (``_fits``).  Scheme classes that
 are 0/1 digit blocks go into one ``ClassBits`` array, and the blocks of a
 linked system or an auxiliary set into its ``uint8`` stack.  A block of
 digits is written from one byte buffer, a scheme from its class-label
-array R, class i as R == i.
+array R, class i as R == i compared straight into the buffer.
 """
 
 from __future__ import annotations
@@ -167,13 +167,18 @@ def _stack(lines: Lines, count: int, v: int) -> np.ndarray:
 _SPACE_PAIR, _LF_PAIR, _CR_PAIR = 0x2030, 0x0A30, 0x0D30
 
 
-def _digit_rows(a: np.ndarray) -> np.ndarray:
-    """The rows of a matrix of digits 0..9 or booleans, filled into one
-    uint8 text buffer, each digit and the byte after it one 16-bit pair."""
-    pairs = np.empty(a.shape, dtype="<u2")
-    np.add(a, np.uint16(_SPACE_PAIR), out=pairs, casting="unsafe")
+def _text_rows(pairs: np.ndarray) -> np.ndarray:
+    """The rows of a little-endian 16-bit matrix of digits 0..9, made in
+    place the uint8 text buffer of its rows, each digit and the byte after
+    it one 16-bit pair."""
+    pairs += np.uint16(_SPACE_PAIR)
     pairs[:, -1] -= np.uint16(_SPACE_PAIR - _LF_PAIR)
     return pairs.view(np.uint8)
+
+
+def _digit_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a matrix of digits 0..9 or booleans as one uint8 text buffer."""
+    return _text_rows(a.astype("<u2", order="C"))
 
 
 def _token_rows(rows: list[list[int]]) -> bytes:
@@ -398,12 +403,20 @@ def read_linked_system(stream) -> LinkedSystemII:
 def scheme_chunks(relation: np.ndarray) -> Iterator:
     """The scheme of a label array R with labels 0..d as byte chunks: the
     header, then class i, R == i, as a block header and a digit buffer,
-    one class at a time."""
+    one class at a time, each compared straight into its buffer."""
     d, size = int(relation.max()), relation.shape[0]
     yield f"{d} {size}\n".encode()
     for i in range(d + 1):
         yield f"{size} {size}\n".encode()
-        yield _digit_rows(relation == i)
+        yield _class_rows(relation, i)
+
+
+def _class_rows(relation: np.ndarray, label: int) -> np.ndarray:
+    """The rows of the class R == label as one uint8 text buffer, the
+    comparison written straight into it, with no boolean copy of R."""
+    pairs = np.empty(relation.shape, dtype="<u2")
+    np.equal(relation, label, out=pairs, casting="unsafe")
+    return _text_rows(pairs)
 
 
 def read_scheme(stream) -> ClassBits | list[np.ndarray]:

@@ -21,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .designs import Certificate, block_differences
+from .designs import Certificate, block_differences, stack_slices
 from .errors import BudgetExceededError, CertificationError, ParameterError
 from .gf import GFContext
 
@@ -145,8 +145,10 @@ def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     a of L_ik and row b of L_jk agree in (X_ik X_jk^T)[a, b] columns, and
     weighting each column (c, s) by s sums the symbols they agree on: the
     composition's (a, b) entry where they agree once.  For each third index
-    k these are two ``block_differences`` grids over the L_ik, i != k, the f
-    of each kind one batch: the agreement counts against the constant 1,
+    k these are two ``block_differences`` grids over the L_ik, i != k, those
+    of each kind one batch for as many k as keep their float32 operands and
+    products within STACK_ENTRIES bytes (all f up to order 9, one k at a
+    time from order 13): the agreement counts against the constant 1,
     and the weighted sums against L_ij itself.  A square against itself
     (i = j) is compared with n I and (n(n-1)/2) I, as its rows agree with
     themselves only, so a linked family's grids pass whole.  The failures
@@ -169,8 +171,13 @@ def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     def compositions(c, a, b):  # L_ij; for i = j, n(n-1)/2 (label n) on the diagonal
         return np.where((a == b)[..., None, None], n * eye, grids[ends[c, a], ends[c, b]])
 
-    hits = block_differences(rows, rows.swapaxes(2, 3), agreements, (1, 0, n))
-    common = block_differences(rows * weights, rows.swapaxes(2, 3), compositions, (*range(n), n * (n - 1) // 2))
+    # third indices a few at a time: each one's two operands and its product,
+    # as float32, counted in bytes against the STACK_ENTRIES budget
+    hits, common = [], []
+    for part in stack_slices(f, 4 * (f - 1) * n * (2 * n * n + (f - 1) * n)):
+        third, left, right = np.arange(f)[part], rows[part], rows[part].swapaxes(2, 3)
+        hits += block_differences(left, right, agreements, (1, 0, n))
+        common += block_differences(left * weights, right, lambda c, a, b: compositions(third[c], a, b), (*range(n), n * (n - 1) // 2))
     failed = np.zeros((f + 1,) * 3, dtype=np.int8)  # 1: not orthogonal, 2: bad composition
     for k, row_ends, hit, comp in zip(range(1, f + 1), ends, hits, common):
         wrong = [np.array([[d is not None for d in row] for row in grid]) for grid in (hit, comp)]

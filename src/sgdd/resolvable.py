@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate, Violation, cell_differences, equivalence_classes, on_orbits, orbit_rows, shift_masks, stack_differences, zero_one
+from .designs import Certificate, Violation, cell_differences, equivalence_classes, grid_masks, on_orbits, orbit_rows, shift_masks, stack_differences, zero_one
 from .errors import CertificationError, ParameterError
 from .gf import gf_from_order
 
@@ -103,7 +103,7 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     pairs = np.stack(np.divmod(np.arange(r * r), r), axis=1)
     found = on_orbits(
         lambda members, rows: _product_differences(stack, p, pairs[members], rows),
-        masks[pairs[:, 0]] & masks[pairs[:, 1]],
+        grid_masks(masks[pairs[:, 0]] & masks[pairs[:, 1]], r * r),
         lambda mask: orbit_rows(v, mask),
         lambda d: d is None,
     )

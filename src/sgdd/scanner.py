@@ -20,9 +20,11 @@ in integers, with one least-prime-factor sieve per scan.
   n(m-1)^2 | k^2(m-2) and n(m-1) | k^2, and as gcd(m-1, m-2) = 1 that
   holds exactly when k = (m-1)j with n | j^2.  lambda1 is integral when
   (m-1)(n-1) | k(k-m+1) = (m-1)^2 j(j-1), that is when g | m-1 with
-  g = (n-1)/gcd(n-1, j(j-1)).  So the scan takes n outermost, then j, and
-  lets m-1 >= 2 walk the multiples of g.  It demands a perfect-square
-  triple discriminant, a design and partial complement that meet the
+  g = (n-1)/gcd(n-1, j(j-1)).  The triple discriminant is
+  (m-1)^3 j(n-1)(n-j), a perfect square exactly when m-1 = q r^2, q the
+  square-free part of j(n-1)(n-j).  So the scan takes n outermost, then
+  j, and lets m-1 >= 2 walk the q r^2 that are multiples of g.  Each
+  degree demands a design and partial complement that meet the
   conditions of ``GddParams`` and are proper (lambda1 != lambda2), and
   emits each admissible sign choice as its own row, requiring
   sigma, tau <= k (entries of a product of two 0/1 matrices with row
@@ -142,8 +144,15 @@ def _table1_cell(m: int, n: int) -> list[FeasibleRow]:
 
 def _table2_degrees(v_max: int):
     """Yield every (m, n, k) with m >= 3, n >= 2, mn <= v_max, 0 < k < (m-1)n,
-    (m-1)sd | k and (m-1)(n-1) | k(k-m+1), n = s^2*d with d square-free.
-    A square-free n (s = 1) leaves no j < n, so only n with a square factor are factored."""
+    (m-1)sd | k and (m-1)(n-1) | k(k-m+1), n = s^2*d with d square-free,
+    whose triple discriminant k(m-1)(n-1)(v-k-n) is a perfect square.
+
+    With k = (m-1)j, v - k - n = (m-1)(n-j), so the discriminant is
+    (m-1)^3 j(n-1)(n-j).  It is a square exactly when (m-1) q is, q the
+    square-free part of j(n-1)(n-j), that is when m - 1 = q r^2.  So m - 1
+    walks the q r^2, keeping the multiples of g, and an (n, j) whose g
+    exceeds v_max//n - 1 is passed over before q is formed.  A square-free
+    n (s = 1) leaves no j < n, so only n with a square factor are factored."""
     limit = v_max // 3
     spf = _least_prime_factors(limit)
     squared = bytearray(limit + 1)
@@ -154,8 +163,23 @@ def _table2_degrees(v_max: int):
         top = v_max // n - 1
         for j in range(s * d, n, s * d):
             g = (n - 1) // gcd(n - 1, j * (j - 1))
-            for m1 in range(g if g > 1 else 2, top + 1, g):
-                yield m1 + 1, n, m1 * j
+            if g > top:
+                continue
+            q = _square_free_product(*(_square_free(x, spf)[1] for x in (j, n - 1, n - j)))
+            for r in range(1, isqrt(top // q) + 1):
+                m1 = q * r * r
+                if m1 > 1 and m1 % g == 0:
+                    yield m1 + 1, n, m1 * j
+
+
+def _square_free_product(*parts: int) -> int:
+    """The square-free part of a product of square-free integers: a prime
+    of two of them leaves it."""
+    q = 1
+    for x in parts:
+        common = gcd(q, x)
+        q = (q // common) * (x // common)
+    return q
 
 
 def _is_gdd(v: int, k: int, n: int, l1: int, l2: int) -> bool:

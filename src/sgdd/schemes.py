@@ -31,15 +31,15 @@ parameters.  Fusion is decided from the certified p alone.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import IntMatrix, first_differences, lane_table, square_free_decomposition, surd_sign
-from .designs import Certificate, GddParams, equivalence_classes, group_labels, stack_slices
+from .designs import Certificate, GddParams, equivalence_classes, group_labels, looked_up, stack_slices
 from .errors import CertificationError, ParameterError
-from .linked import LinkedParams, LinkedSystemII, ordered_pairs, pair_index, verify_linked_system
+from .linked import LinkedParams, LinkedSystemII, verify_linked_system
 
 CLASSES = 6
 
@@ -173,8 +173,10 @@ def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
     only when that fails, so a failing input is reported as a list is."""
     if isinstance(classes, ClassBits):
         relation = np.empty_like(classes.bits)
-        for rows in stack_slices(len(relation), len(relation)):  # np.take copies its indices as intp
-            np.take(_BIT_LABELS, classes.bits[rows], out=relation[rows])
+        # np.take copies its indices as intp, a band at a time; every byte indexes
+        # the 256 labels, so "wrap" changes nothing and writes each band unbuffered
+        for rows in stack_slices(len(relation), len(relation)):
+            np.take(_BIT_LABELS, classes.bits[rows], out=relation[rows], mode="wrap")
         if (cert := _label_axioms(relation, len(classes))) is not None:
             return relation, cert
         del relation
@@ -247,7 +249,7 @@ def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
                 prod = (a_i @ IntMatrix.view(relation == j)).lane
                 rows_of, coeffs = prod.__getitem__, lane_table(p[i][j], prod.dtype)
             # the classes of the entries where the product differs, band by band
-            wrong = [relation[rows][rows_of(rows) != coeffs[relation[rows]]] for rows in bands]
+            wrong = [relation[rows][rows_of(rows) != looked_up(coeffs, relation[rows])] for rows in bands]
             if any(len(w) for w in wrong):
                 cert.failed(f"A_{i} A_{j} is not constant on class {min(int(w.min()) for w in wrong if len(w))}")
                 return False
@@ -517,12 +519,22 @@ def compute_krein(spectra: Spectra, params: SchemeParams) -> tuple[Eigenmatrix, 
 def scheme_matrices_from_system(sys: LinkedSystemII) -> np.ndarray:
     """The label array of the scheme of ``sys``, classes numbered as in
     ``assemble_scheme``: 0, 1, 2 on I, K - I, J - K within fibers and, across
-    fibers, 3 on the 1s of the blocks A_ij, 5 on the rest of K, 4 elsewhere."""
+    fibers, 3 on the 1s of the blocks A_ij, 5 on the rest of K, 4 elsewhere.
+    Each block is written in place into R, with no copy of the stack."""
     base, f = sys.params.base, sys.params.f
     group = group_labels(base.m, base.n)  # 0 on J - K, 1 on K - I, 2 on I
     within, across = np.array([[2, 1, 0], [4, 5, 5]], dtype=np.uint8)[:, group]
-    cross = [np.where(blk, np.uint8(3), across) for blk in sys.stack]
-    return np.block([[within if i == l else cross[pair_index(f, i, l)] for l in range(1, f + 1)] for i in range(1, f + 1)])
+    relation = np.empty((f, base.v, f, base.v), dtype=np.uint8)
+    blocks = iter(sys.stack)  # in the order of ordered_pairs
+    for i in range(f):
+        for l in range(f):
+            block = relation[i, :, l]
+            if i == l:
+                block[...] = within
+            else:
+                block[...] = across
+                np.copyto(block, np.uint8(3), where=next(blocks).view(bool))
+    return relation.reshape(f * base.v, f * base.v)
 
 
 def _certified_scheme(
@@ -675,6 +687,12 @@ def _identify_labelings(relation: np.ndarray, p) -> list[dict]:
     return out
 
 
+def _one_row_sum(relation: np.ndarray, label: int) -> bool:
+    """Whether every row of R holds ``label`` equally often."""
+    sums = (relation == label).view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(len(relation)))
+    return bool((sums == sums[0]).all())
+
+
 def _relabel_p(p, labels):
     return [
         [[p[labels[a]][labels[b]][labels[c]] for c in range(CLASSES)] for b in range(CLASSES)]
@@ -690,40 +708,43 @@ def _canonical_vertex_order(relation: np.ndarray, labels, m: int, n: int, groups
     of {c0, c1} and {c0, c1, c2} by least point, as ``_identify_labelings``
     found them: uniform, with m groups of n points in every fiber.  Group j
     of a later fiber holds the first A_5-neighbour there of group j of
-    fiber 0."""
-    c5 = labels[5]
-    group_of = {x: g for g in groups for x in g}
-    ref_groups = sorted({group_of[x] for x in fibers[0]}, key=min)
-    order = []
-    leads = [g[0] for g in ref_groups]
-    for t, fib in enumerate(fibers):
-        aligned = ref_groups
-        if t:
-            # the first A_5-neighbour in fiber t of each group's least point
-            hits = relation[np.ix_(leads, fib)] == c5
-            if not hits.any(axis=1).all():
-                return None
-            aligned = [group_of[fib[y]] for y in hits.argmax(axis=1).tolist()]
-            if len(set(aligned)) != m:
-                return None
-        for g in aligned:
-            order.extend(sorted(g))
-    pos = np.empty(len(order), dtype=np.int64)
-    pos[order] = np.arange(len(order))
-    fiber, group = pos // (m * n), pos // n % m
-    if not np.array_equal(relation == c5, (fiber[:, None] != fiber) & (group[:, None] == group)):
+    fiber 0.
+
+    A_5 is the pattern exactly when it has the pattern's |X| (f-1) n pairs
+    and each pair of the pattern is in it: A_5 is read across the fibers of
+    each aligned group row, m sets of fn points, and counted, with no outer
+    comparison of order |X|."""
+    c5, size = labels[5], len(relation)
+    groups, fibers = np.array(groups), np.array(fibers)
+    f = len(fibers)
+    group_of = np.empty(size, dtype=np.intp)
+    group_of[groups] = np.arange(len(groups))[:, None]
+    # fiber 0's groups, in increasing number: the groups are numbered by least point
+    ref = np.flatnonzero(np.bincount(group_of[fibers[0]], minlength=len(groups)))
+    # the first A_5-neighbour in each later fiber of the least point of each group of fiber 0
+    hits = relation[groups[ref, :1, None], fibers[1:]] == c5
+    if not hits.any(axis=2).all():
         return None
-    return order
+    aligned = np.concatenate([ref[:, None], group_of[fibers[1:][np.arange(f - 1), hits.argmax(axis=2)]]], axis=1)
+    ranked = np.sort(aligned, axis=0)
+    if (ranked[1:] == ranked[:-1]).any():  # two groups of fiber 0 meet one group of a later fiber
+        return None
+    rows = groups[aligned]  # [j, t]: the points of aligned group row j in fiber t
+    across = relation[rows.reshape(m, -1, 1), rows.reshape(m, 1, -1)] == c5
+    within = np.eye(f, dtype=bool)[:, None, :, None]
+    if not (across.reshape(m, f, n, f, n) | within).all() or np.count_nonzero(relation == c5) != size * (f - 1) * n:
+        return None
+    return rows.transpose(1, 0, 2).ravel().tolist()
 
 
 def _candidates(relation: np.ndarray, p):
     """The uncertified candidates of six classes in report order, each with
     its (l1, l2) and the groups and fibers of its labeling."""
     # a class with unequal row sums is not a class of a scheme: the dense
-    # route rejects such an input, so no labeling is tried
-    valencies = np.stack([(relation == i).sum(axis=1, dtype=np.int32) for i in range(CLASSES)])
+    # route rejects such an input, so no labeling is tried.  A_0 = I, and
+    # the classes sum to |X| in every row, so A_1's row sums follow
     found = []
-    for lab in _identify_labelings(relation, p) if (valencies == valencies[:, :1]).all() else []:
+    for lab in _identify_labelings(relation, p) if all(_one_row_sum(relation, i) for i in range(2, CLASSES)) else []:
         labels = lab["labels"]
         m, n, f = lab["m"], lab["n"], lab["f"]
         pp = _relabel_p(p, labels)
@@ -749,20 +770,27 @@ def _certify(relation: np.ndarray, cand: ExtractionCandidate, lambdas, structure
     """Certify ``cand`` by the system cut from A_3 in its canonical vertex
     order, if it has one, and return that system when it certifies.
 
-    A_3 is cut once, straight into the system's stack: block (i, j) is
-    A_3 on fiber i's rows and fiber j's columns in that order, a boolean
-    mask viewed as uint8.  A system that certifies is sealed."""
+    R is permuted into that order once, unless it is in it already, as
+    every file ``assemble`` writes is; then block (i, j) of the stack is
+    A_3 on the band of fiber i's rows at fiber j's columns, a slice of R,
+    compared with the label of A_3 straight into the system's uint8 stack,
+    with no index array.  A system that certifies is sealed."""
     k, m, n, f = cand.params.k, cand.params.m, cand.params.n, cand.params.f
     order = _canonical_vertex_order(relation, cand.labels, m, n, *structure)
     if order is None:
         return None
     mn = m * n
-    fibers = np.array(order).reshape(f, mn)
-    rows, cols = fibers[(np.array(ordered_pairs(f)) - 1).T]
-    stack = (relation[rows[:, :, None], cols[:, None, :]] == cand.labels[3]).view(np.uint8)
     with suppress(ParameterError):  # parameters no linked system has
         linked = LinkedParams(GddParams(mn, k, m, n, *lambdas), f, *(cand.triple or (None, None, None)))
-        system = LinkedSystemII(linked, stack)
+        order = np.array(order)
+        if (order != np.arange(len(order))).any():
+            relation = relation[order][:, order]
+        bands = relation.reshape(f, mn, f, mn)
+        stack = np.empty((f, f - 1, mn, mn), dtype=np.uint8)
+        for i in range(f):  # blocks (i, j), j != i, in the order of ordered_pairs
+            for cols, at in ((slice(0, i), slice(0, i)), (slice(i + 1, f), slice(i, f - 1))):
+                np.equal(bands[i, :, cols].swapaxes(0, 1), cand.labels[3], out=stack[i, at].view(bool))
+        system = LinkedSystemII(linked, stack.reshape(-1, mn, mn))
         cand.certificate = verify_linked_system(system)
         cand.certified = cand.certificate.ok
         return system.seal(cand.certificate) if cand.certified else None
@@ -772,7 +800,8 @@ def _certify(relation: np.ndarray, cand: ExtractionCandidate, lambdas, structure
 def _certified(relation: np.ndarray, found, every: bool) -> list[ExtractionCandidate]:
     """The candidates of ``found``, certified in report order: all of them,
     or only up to the primary one, the first that certifies and matches the
-    closed-form spectra.  Only the primary candidate keeps its system."""
+    closed-form spectra.  Only the primary candidate keeps its system; any
+    other's stack is released once its verdict is in, before the next cut."""
     primary = None
     for cand, lambdas, structure in found:
         if primary is not None and not every:
@@ -780,6 +809,7 @@ def _certified(relation: np.ndarray, found, every: bool) -> list[ExtractionCandi
         system = _certify(relation, cand, lambdas, structure)
         if primary is None and system is not None and cand.spectra_match:
             primary, cand.system = cand, system
+        del system
     return [cand for cand, _, _ in found]
 
 
@@ -835,13 +865,17 @@ def load_scheme(classes) -> tuple[AssociationScheme, ExtractionCandidate]:
 
     As ``extract_linked_system``, but candidates are certified in report
     order only up to the primary one, whose spectra are reused; only the
-    Krein parameters are new.  Raises when no labeling certifies; a failing
-    spectra or Krein check is returned in the scheme's certificate."""
+    Krein parameters are new.  The scheme's R is the loaded one, relabelled
+    into the candidate's class order only when that is not (0, ..., 5), as
+    it is for every file ``assemble`` writes.  Raises when no labeling
+    certifies; a failing spectra or Krein check is returned in the scheme's
+    certificate."""
     report = _load(classes, every=False)
-    primary = report.primary
-    position = np.argsort(primary.labels).astype(report.relation.dtype)  # input class -> canonical position
+    primary, relation = report.primary, report.relation
+    if primary.labels != tuple(range(CLASSES)):
+        relation = np.argsort(primary.labels).astype(relation.dtype)[relation]  # input class -> canonical position
     scheme = _certified_scheme(
-        position[report.relation], _relabel_p(report.p, primary.labels), primary.params,
+        relation, _relabel_p(report.p, primary.labels), primary.params,
         report.certificate, primary.spectra, primary.spectra_certificate,
     )
     return scheme, primary
@@ -857,12 +891,21 @@ class FusionReport:
     fusable: bool
     predicted: bool
     partition: tuple[tuple[int, ...], ...]
-    fused_relation: np.ndarray | None  # label array of the merged classes
     eigenspace_partition: tuple[tuple[int, ...], ...] | None
+    relation: np.ndarray | None = field(default=None, repr=False)  # the scheme's R, when fusable
 
     @property
     def consistent(self) -> bool:
         return self.fusable == self.predicted
+
+    @property
+    def fused_relation(self) -> np.ndarray | None:
+        """The label array of the merged classes, looked up on R when read:
+        a report that is only printed reads no entry of R."""
+        if self.relation is None:
+            return None
+        merged = [next(g for g, group in enumerate(self.partition) if i in group) for i in range(CLASSES)]
+        return np.array(merged, dtype=np.uint8)[self.relation]
 
 
 def fuse_classes(p, partition) -> list[list[list[int]]] | None:
@@ -898,8 +941,7 @@ def check_fusion(scheme: AssociationScheme) -> FusionReport:
         (params.m - 1) * params.n * (params.n - 1), params.n + params.m - 2
     )
     if fuse_classes(scheme.p, FUSION_PARTITION) is None:
-        return FusionReport(False, predicted, FUSION_PARTITION, None, None)
-    merged = np.array([next(g for g, group in enumerate(FUSION_PARTITION) if i in group) for i in range(CLASSES)])
+        return FusionReport(False, predicted, FUSION_PARTITION, None)
     # merged eigenspaces: group eigenspaces by their fused eigenvalues' numerators
     pm = scheme.spectra.P
     vectors = {}
@@ -907,4 +949,4 @@ def check_fusion(scheme: AssociationScheme) -> FusionReport:
         key = tuple((pm.rational[j, list(g)].sum(), pm.irrational[j, list(g)].sum()) for g in FUSION_PARTITION)
         vectors.setdefault(key, []).append(j)
     eig_part = tuple(tuple(v) for v in sorted(vectors.values()))
-    return FusionReport(True, predicted, FUSION_PARTITION, merged.astype(np.uint8)[scheme.relation], eig_part)
+    return FusionReport(True, predicted, FUSION_PARTITION, eig_part, scheme.relation)

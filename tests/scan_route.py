@@ -9,7 +9,7 @@ with its two rational identities in ``Fraction``, the form the integer
 cross-multiplication replaced."""
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from sgdd.algebra import square_free_decomposition
 from sgdd.designs import GddParams, lambda_formulas, partial_complement_params
@@ -113,6 +113,20 @@ def _table2_cell(m: int, n: int) -> list[FeasibleRow]:
                 )
             )
     return rows
+
+
+def table2_stride_degrees(v_max: int):
+    """The table2 degree walk without the discriminant law: every (m, n, k)
+    with (m-1)sd | k and (m-1)(n-1) | k(k-m+1), n = s^2 d with d
+    square-free, m - 1 walking every multiple of g = (n-1)/gcd(n-1, j(j-1))
+    from 2, factored by trial division.  The scan's walk keeps the degrees
+    of these whose triple discriminant is a perfect square."""
+    for n in range(2, v_max // 3 + 1):
+        s, d = square_free_decomposition(n)
+        for j in range(s * d, n, s * d):
+            g = (n - 1) // gcd(n - 1, j * (j - 1))
+            for m1 in range(max(g, 2), v_max // n, g):
+                yield m1 + 1, n, m1 * j
 
 
 def _run_cells(cell, v_max: int) -> list[FeasibleRow]:

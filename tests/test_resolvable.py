@@ -151,11 +151,11 @@ def test_auxiliary_forms_one_product_per_band(monkeypatch):
     aux = aux_from_hadamard(hadamard_matrix(8))
     shapes = _product_shapes(monkeypatch)
     assert verify_auxiliary(aux).ok
-    # C_0, C_1 and C_3 are each fixed by one digit shift (masks 4, 1, 2), so
-    # each C_a C_a^T is formed first on its 4 orbit rows; no shift fixes the
-    # other 46 pairs, most of the grid, so (vstack_a C_a) (hstack_b C_b^T),
-    # the 7 x 7 blocks C_a C_b^T, is then one product
-    assert shapes == [(4, 8)] * 3 + [(56, 56)]
+    # no shift fixes 46 of the 49 pairs, most of the grid, so
+    # (vstack_a C_a) (hstack_b C_b^T), the 7 x 7 blocks C_a C_b^T, is one
+    # product, which holds C_0 C_0^T, C_1 C_1^T and C_3 C_3^T too: their
+    # shifts (masks 4, 1, 2) form no product of their 4 orbit rows first
+    assert shapes == [(56, 56)]
     # an AG set on its orbit route: row 0 of every C_a against one band
     ag = aux_from_affine_geometry(3, 2)
     shapes.clear()
@@ -171,9 +171,8 @@ def test_auxiliary_certificate_is_the_same_in_narrow_bands(monkeypatch):
     shapes = _product_shapes(monkeypatch)
     assert [verify_auxiliary(s).report_lines() for s in sets] == wide
     assert wide[0][0].endswith("OK") and all(lines[0].endswith("VIOLATED") for lines in wide[1:])
-    # one product per block, and first the C_a C_a^T on orbit rows of the
-    # blocks a shift fixes: 3, 2 (C_0 flipped), 2 (C_3 flipped) and 3
-    assert len(shapes) == 4 * 49 + 3 + 2 + 2 + 3 and max(rows * cols for rows, cols in shapes) <= 64
+    # one product per block, all on every row: the grid is formed whole
+    assert len(shapes) == 4 * 49 and max(rows * cols for rows, cols in shapes) <= 64
 
 
 def _ag_reference(q: int, d: int) -> list[np.ndarray]:

@@ -235,7 +235,7 @@ def test_table2_matches_grid_route():
 def test_scans_evaluate_only_admitted_cells(monkeypatch):
     """The grid route evaluates 916 752 table1 cells at v <= 100000 and
     29 596 table2 degrees over 30 878 cells at v <= 5000; the walks
-    evaluate 5 184 cells and 1 628 degrees."""
+    evaluate 5 184 cells and 244 degrees."""
     calls = Counter()
     for name in ("_table1_cell", "_table2_degree"):
         real = getattr(scanner, name)
@@ -248,7 +248,7 @@ def test_scans_evaluate_only_admitted_cells(monkeypatch):
     assert len(scan_table1(100_000)) == 266
     assert len(scan_table2(5000)) == 318
     assert calls["_table1_cell"] <= 6000
-    assert calls["_table2_degree"] <= 2000
+    assert calls["_table2_degree"] <= 300
 
 
 _WALK_V = 100_000
@@ -285,13 +285,31 @@ def test_walks_visit_exactly_the_admitted_cells(walks, cell):
     m, n = cell
     table1, table2 = walks
     assert ((m, n) in table1) == (n * (m - 1) ** 2 % (m + n - 2) == 0)
-    # (m-1)sd | k with n = s^2 d and d square-free: k = (m-1)j with n | j^2
+    # (m-1)sd | k with n = s^2 d and d square-free: k = (m-1)j with n | j^2,
+    # and a perfect-square triple discriminant
     admitted = {
         (m - 1) * j
         for j in range(1, n)
         if j * j % n == 0 and (m - 1) ** 2 * j * (j - 1) % ((m - 1) * (n - 1)) == 0
+        and _square((m - 1) ** 3 * j * (n - 1) * (n - j))
     }
     assert table2.get((m, n), set()) == admitted
+
+
+def _square(x: int) -> bool:
+    return isqrt(x) ** 2 == x
+
+
+def test_discriminant_law_keeps_the_rows_of_the_stride_walk():
+    """At v_max = 20000 the walk visits exactly the degrees of the walk
+    without the discriminant law whose discriminant k(m-1)(n-1)(v-k-n) is a
+    square (682 of 6 995), and both give the same rows."""
+    stride = list(route.table2_stride_degrees(20_000))
+    square = [(m, n, k) for m, n, k in stride if _square(k * (m - 1) * (n - 1) * (m * n - k - n))]
+    walk = list(scanner._table2_degrees(20_000))
+    assert sorted(walk) == sorted(square) and len(walk) < len(stride) // 10
+    rows = sorted((r for degree in stride for r in scanner._table2_degree(*degree)), key=lambda r: (r.v, r.k, r.sigma, r.m))
+    assert scan_table2(20_000) == rows
 
 
 def test_sieve_matches_trial_division():

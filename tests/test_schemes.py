@@ -978,15 +978,20 @@ def _extract_by_dense_route(classes):
 
 
 @pytest.mark.parametrize("transform", [_as_built, _swapped, _permuted], ids=["as-built", "swapped", "permuted"])
-@pytest.mark.parametrize("source", ["scheme48", "scheme135", "scheme225", "conference24", "gcm48"])
+@pytest.mark.parametrize("source", ["scheme48", "scheme135", "scheme225", "scheme448", "conference24", "gcm48"])
 def test_extract_matches_dense_route(source, transform, request):
-    classes = classes_of(transform(request.getfixturevalue(source).relation))
+    relation = transform(request.getfixturevalue(source).relation)
+    classes = classes_of(relation)
     report = extract_linked_system(classes)
     p, cert, rows = _extract_by_dense_route(classes)
     assert report.p == p
     assert report.certificate.report_lines() == cert.report_lines()
     assert [(c.labels, c.spectra_match, c.certified) for c in report.candidates] == rows
     assert report.primary.certified
+    # the load reads R in the primary labeling's class order, relabelled only off (0, ..., 5)
+    scheme, primary = load_scheme(classes)
+    assert primary.labels == report.primary.labels and scheme.certificate.ok
+    assert np.array_equal(scheme.relation, np.argsort(primary.labels)[relation])
 
 
 def _pair_moved(relation, src, dst, pair):

@@ -1,6 +1,7 @@
 """The scripts in ``scripts/`` run end to end and write what the CLI and the
 golden tables hold."""
 
+import hashlib
 import json
 import runpy
 import sys
@@ -55,9 +56,18 @@ def test_reproduce_tables_writes_the_golden_tables(tmp_path: Path, monkeypatch):
 def test_scale_chain_times_every_verb_at_q_4(tmp_path: Path, monkeypatch, capsys):
     """The chain at q = 4 (the 48-vertex scheme), one fresh process per
     verb, reports every verb, the flipped system and the scheme with a moved
-    pair rejected, and a byte-identical extract round trip."""
+    pair rejected, and a byte-identical extract round trip; a second run
+    records the same digests of every stdout and written file."""
     _run_script("scale_chain.py", "--q", "4", "--out", str(tmp_path), monkeypatch=monkeypatch)
     record = json.loads(capsys.readouterr().out)
+    _run_script("scale_chain.py", "--q", "4", "--out", str(tmp_path / "again"), monkeypatch=monkeypatch)
+    again = json.loads(capsys.readouterr().out)
+    digests = [(step["stdout_sha256"], step["files_sha256"]) for step in record["steps"]]
+    assert digests == [(step["stdout_sha256"], step["files_sha256"]) for step in again["steps"]]
+    assert [sorted(files) for _, files in digests] == [
+        ["had.aux"], ["gf.fam"], ["sys.lsys"], [], [], ["scheme.scm"], [], [], [], ["back.lsys"], [],
+    ]
+    assert digests[9][1]["back.lsys"] == hashlib.sha256((tmp_path / "sys.lsys").read_bytes()).hexdigest()
     assert (record["q"], record["vertices"], record["roundtrip"]) == (4, 48, True)
     assert [step["verb"] for step in record["steps"]] == [
         "hadamard-aux", "linked-mols", "tilde-l", "verify linked-system",
