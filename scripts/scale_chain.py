@@ -11,8 +11,9 @@ per row, v = q^2), certifies it, and certifies a copy with one seeded entry
 flipped, which must fail (exit 1).  It then assembles the scheme of
 (q - 1) q^2 vertices, certifies it, certifies a copy with one seeded
 symmetric pair moved from class 3 to class 4, which must fail (exit 1),
-analyses the scheme, extracts the system back and tests the fusion.  The
-extracted system must equal the constructed one byte for byte.  The files
+analyses the scheme, extracts the system back and tests the fusion, writing
+the fused 3-class scheme.  The extracted system must equal the constructed
+one byte for byte.  The files
 go to ``--out`` (a temporary directory by default).  Two records of
 identical output hold the same digests, so comparing the output of two
 checkouts at one q is a diff of their records.
@@ -48,7 +49,7 @@ def chain(q: int) -> list[tuple[str, list[str], int]]:
         (MOVED, ["verify", "scheme", "bad.scm"], 1),
         ("analyze", ["scheme", "analyze", "--in", "scheme.scm"], 0),
         ("extract", ["scheme", "extract", "--in", "scheme.scm", "-o", "back.lsys"], 0),
-        ("fusion", ["scheme", "fusion", "--in", "scheme.scm"], 0),
+        ("fusion", ["scheme", "fusion", "--in", "scheme.scm", "-o", "fused.scm"], 0),
     ]
 
 

@@ -25,31 +25,26 @@ sides of identities are not built from it elementwise but looked up on a
 label array in the product's lane (``lane_table``,
 ``sgdd.designs.stack_differences``).
 
-A matrix product takes one of four lanes, chosen by the bound
+A matrix product takes one of two lanes, chosen by the bound
 max|A| * max|B| * inner on every entry and every partial sum, over the
-whole stack:
+whole stack: float32 BLAS GEMM below 2**24, else Python integers (object
+dtype), the exact reference.  Every certified identity is a product of
+0/1, +-1 or one-hot blocks, far below 2**24.  The float32 lane is exact:
+every operand, every product of two entries and every partial sum that any
+summation order (or fused multiply-add) can form is an integer of
+magnitude at most the bound, which float32 represents, so no step rounds
+(FFLAS-FFPACK; Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  A float32
+product is thus the same on any number of BLAS threads; it runs on one
+below SERIAL_MADDS multiply-adds (``blas_threads``).
 
-* float32 BLAS GEMM below 2**24,
-* float64 BLAS GEMM below 2**53,
-* int64 below 2**62,
-* Python integers (object dtype) above that.
-
-The float lanes are exact: every operand, every product of two entries and
-every partial sum that any summation order (or fused multiply-add) can form
-is an integer of magnitude at most the bound, and the float type represents
-all such integers, so no step ever rounds.  This is the
-exact-linear-algebra-over-floating-point technique of FFLAS-FFPACK (Dumas,
-Giorgi, Pernet, ACM TOMS 35(3), 2008).  Being exact in any summation
-order, a float-lane product gives the same array on any number of BLAS
-threads; it runs on one below SERIAL_MADDS multiply-adds (``blas_threads``).
-
-A product keeps the array its lane produced as ``IntMatrix.lane`` (float32,
-float64, int64, or Python integers past 2**62), and ``.a`` widens it to
-int64 on first read, so every caller that computes with a product below
-2**62 still sees int64.  Certifiers compare the lane array itself with
-their expected coefficients, cast to the lane's dtype by ``lane_table``:
-equality of two exactly held integers is exact in any of these dtypes, so
-the int64 copy is never made for a comparison.
+A product keeps the array its lane produced as ``IntMatrix.lane``: float32,
+or from the Python-integer lane int64 below 2**62 (``_wrap``) and Python
+integers past it.  ``.a`` widens a float32 array to int64 on first read, so
+a caller that computes with a product below 2**62 sees int64.  Certifiers
+compare the lane array itself with their coefficients cast to its dtype by
+``lane_table``, exactly in any of these dtypes, with no int64 copy; int64
+is also the dtype of the sums some certifiers compare, such as the Sigma C_i
+of an auxiliary set.
 """
 
 from __future__ import annotations
@@ -70,25 +65,20 @@ _INT64_SAFE = 2**62
 # int64 copy to be multiplied
 _VIEWABLE = (np.dtype(np.int64), np.dtype(object), np.dtype(np.uint8), np.dtype(np.bool_))
 
-# (exclusive bound, dtype) for matrix products, fastest lane first.
-_LANES = ((2**24, np.float32), (2**53, np.float64), (_INT64_SAFE, np.int64))
+# float32 holds every integer below this exactly
+_FLOAT32_EXACT = 2**24
 
-# a lane dtype -> the exclusive bound on the magnitude of its products' entries
-_LANE_LIMIT = {np.dtype(dtype): limit for limit, dtype in _LANES}
-
-# per lane dtype, a value no entry of a product in that lane takes
-_NO_ENTRY = {np.dtype(np.float32): np.nan, np.dtype(np.float64): np.nan, np.dtype(np.int64): np.iinfo(np.int64).min}
+# a lane dtype -> the exclusive bound on the magnitude of its entries, and a
+# value no entry in that lane takes
+_LANE_LIMIT = {np.dtype(np.float32): (_FLOAT32_EXACT, np.nan), np.dtype(np.int64): (_INT64_SAFE, np.iinfo(np.int64).min)}
 
 _ZERO = Fraction(0)
 
 
 def matmul_lane(bound: int):
     """The dtype an IntMatrix product with the given a-priori bound is
-    computed in, or ``None`` for Python integers."""
-    for limit, dtype in _LANES:
-        if bound < limit:
-            return dtype
-    return None
+    computed in: float32 below 2**24, ``None`` for Python integers."""
+    return np.float32 if bound < _FLOAT32_EXACT else None
 
 
 # float-lane products below this many multiply-adds run on one BLAS thread:
@@ -156,22 +146,22 @@ def lane_table(coeffs, dtype) -> np.ndarray:
     product's lane array (``IntMatrix.lane``), so that the lane array can be
     compared with a lookup in it exactly.
 
-    Every entry of a product in the float32, float64 or int64 lane is an
-    integer of magnitude at most the product's bound, which is below the
-    lane's limit (2**24, 2**53, 2**62), and the dtype holds every integer
+    Every entry of a float32 product is an integer of magnitude at most the
+    product's bound, below 2**24; an exact product held as int64 (and an
+    int64 sum) has every entry below 2**62.  The dtype holds every integer
     below that limit exactly.  A coefficient below the limit is cast
     exactly, so it equals an entry exactly when the integers agree.  One at
     or past the limit can equal no entry, so it becomes a value that no
-    entry takes: NaN in a float lane, -2**63 in the int64 lane.  Past
-    2**62 the lane holds Python integers, and so does the table."""
+    entry takes: NaN for float32, -2**63 for int64.  Past 2**62 the lane
+    holds Python integers, and so does the table."""
     coeffs = [int(c) for c in coeffs]
     dtype = np.dtype(dtype)
     if dtype not in _LANE_LIMIT:
         table = np.empty(len(coeffs), dtype=object)
         table[:] = coeffs
         return table
-    limit = _LANE_LIMIT[dtype]
-    return np.array([c if abs(c) < limit else _NO_ENTRY[dtype] for c in coeffs], dtype=dtype)
+    limit, no_entry = _LANE_LIMIT[dtype]
+    return np.array([c if abs(c) < limit else no_entry for c in coeffs], dtype=dtype)
 
 
 def first_differences(actual: np.ndarray, expected) -> list[tuple[int, int] | None]:
@@ -378,7 +368,7 @@ class IntMatrix:
 
     ``lane`` is the array the entries are held in: as built or viewed, or,
     for a product, as its lane computed it.  ``a`` is the same array, except
-    that a product held in a float lane is widened to int64 on first read."""
+    that a product held in the float32 lane is widened to int64 on first read."""
 
     __slots__ = ("lane", "_a")
 
@@ -473,34 +463,23 @@ class IntMatrix:
             return self.lane.size == 0 or int(self.lane.max()) <= 1
         return bool(((self.lane == 0) | (self.lane == 1)).all())
 
-    # -- exactness gate ---------------------------------------------------
-    def _object(self) -> np.ndarray:
-        return self.a if self.a.dtype == object else self.a.astype(object)
-
+    # -- arithmetic -------------------------------------------------------
     @staticmethod
     def _wrap(arr: np.ndarray) -> "IntMatrix":
-        if arr.dtype == object:
-            try:
-                m = int(np.abs(arr).max()) if arr.size else 0
-                if m < _INT64_SAFE:
-                    arr = arr.astype(np.int64)
-            except (OverflowError, TypeError):
-                pass
+        """A product of Python integers, held as int64 when every entry is
+        below 2**62."""
+        if not arr.size or int(np.abs(arr).max()) < _INT64_SAFE:
+            arr = arr.astype(np.int64)
         return IntMatrix(arr)
 
-    # -- arithmetic -------------------------------------------------------
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         stacks = {len(m.lane) for m in (self, other) if m.lane.ndim == 3}
         if self.cols != other.rows or len(stacks) > 1:
             raise ParameterError("dimension mismatch in matrix product")
         bound = max(self.max_abs(), 1) * max(other.max_abs(), 1) * max(self.cols, 1)
-        lane = matmul_lane(bound)
-        if lane is None:
-            return self._wrap(np.matmul(self._object(), other._object()))
-        left, right = self.lane.astype(lane, copy=False), other.lane.astype(lane, copy=False)
-        if lane is np.int64:  # numpy's own loop, no BLAS
-            prod = np.matmul(left, right)
-            return IntMatrix._held(prod, prod)
+        if matmul_lane(bound) is None:
+            return self._wrap(np.matmul(self.a.astype(object, copy=False), other.a.astype(object, copy=False)))
+        left, right = self.lane.astype(np.float32, copy=False), other.lane.astype(np.float32, copy=False)
         members = stacks.pop() if stacks else 1
         return IntMatrix._held(_float_matmul(left, right, members * self.rows * self.cols * other.cols), None)
 

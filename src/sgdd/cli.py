@@ -22,6 +22,7 @@ from .designs import IncidenceMatrix, verify_gdd
 from .errors import FormatError, SgddError
 from .gf import gf_from_order
 from .latin import (
+    NO_FAMILY,
     LinkedMolsFamily,
     linked_mols_from_gf,
     mols_from_gf,
@@ -347,7 +348,7 @@ def _oracle_linked_mols(args):
     """search for a linked family of Latin squares"""
     fam = search_linked_mols(args.order, args.f, zero_diagonal=not args.any_diagonal)
     if fam is None:
-        print("exhausted: no linked family exists with these constraints")
+        print(f"exhausted: {NO_FAMILY.get(args.order, 'no linked family exists with these constraints')}")
         return VIOLATION
     _emit(fileio.linked_family_chunks(fam), args.output)
 

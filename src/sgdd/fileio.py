@@ -32,7 +32,8 @@ rest of the stream is too short to fill (``_fits``).  Scheme classes that
 are 0/1 digit blocks go into one ``ClassBits`` array, and the blocks of a
 linked system or an auxiliary set into its ``uint8`` stack.  A block of
 digits is written from one byte buffer, a scheme from its class-label
-array R, class i as R == i compared straight into the buffer.
+array R, class i as R == i compared straight into one buffer per band of
+rows, each band within ``SCHEME_BAND`` bytes of text.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ _LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
 
 # the bytes a refill of the window reads at least
 CHUNK = 1 << 16
+
+# the bytes of text a scheme writer forms at a time: one band of rows of a
+# class, at least one row
+SCHEME_BAND = 4 * CHUNK
 
 
 class Lines:
@@ -402,20 +407,24 @@ def read_linked_system(stream) -> LinkedSystemII:
 
 def scheme_chunks(relation: np.ndarray) -> Iterator:
     """The scheme of a label array R with labels 0..d as byte chunks: the
-    header, then class i, R == i, as a block header and a digit buffer,
-    one class at a time, each compared straight into its buffer."""
+    header, then class i, R == i, as a block header and its digit rows, a
+    band of rows within ``SCHEME_BAND`` bytes at a time, each band compared
+    straight into its own buffer."""
     d, size = int(relation.max()), relation.shape[0]
+    band = max(1, SCHEME_BAND // (2 * size))  # a row of text is 2 |X| bytes
     yield f"{d} {size}\n".encode()
     for i in range(d + 1):
         yield f"{size} {size}\n".encode()
-        yield _class_rows(relation, i)
+        for start in range(0, size, band):
+            yield _class_rows(relation[start : start + band], i)
 
 
-def _class_rows(relation: np.ndarray, label: int) -> np.ndarray:
-    """The rows of the class R == label as one uint8 text buffer, the
-    comparison written straight into it, with no boolean copy of R."""
-    pairs = np.empty(relation.shape, dtype="<u2")
-    np.equal(relation, label, out=pairs, casting="unsafe")
+def _class_rows(rows: np.ndarray, label: int) -> np.ndarray:
+    """The rows ``rows`` of R as the rows of the class R == label, one uint8
+    text buffer, the comparison written straight into it, with no boolean
+    copy of R."""
+    pairs = np.empty(rows.shape, dtype="<u2")
+    np.equal(rows, label, out=pairs, casting="unsafe")
     return _text_rows(pairs)
 
 

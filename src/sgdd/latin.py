@@ -27,10 +27,20 @@ from .gf import GFContext
 
 SEARCH_MAX_ORDER = 8
 # rows placed across one search: the any-diagonal order-5 search needs about
-# 247k; the zero-diagonal order-6 search, which has no family to find, stops
-# after 3-4 s (a fresh `oracle linked-mols --order 6 --f 3` on a 2-vCPU
-# x86-64 host)
+# 247k; the zero-diagonal order-7 search stops after about 20 s (a fresh
+# `oracle linked-mols --order 7 --f 3` on a 2-vCPU x86-64 host)
 SEARCH_MAX_NODES = 500_000
+
+# the orders at which no linked family exists, and why: it would hold the
+# orthogonal pair L_13, L_23, and no two Latin squares of these orders are
+# orthogonal.  Row-superimposition orthogonality of L and M is classical
+# orthogonality of their row-symbol conjugates, L'(s, c) = a exactly when
+# L(a, c) = s: the columns where row a of L and row b of M agree are the
+# cells (s, c) where L' = a and M' = b.
+NO_FAMILY = {
+    2: "no linked family of order 2: L_13 and L_23 would be orthogonal, and two rows of order 2 agree in no column or in both",
+    6: "no linked family of order 6: L_13 and L_23 would be orthogonal, and no two Latin squares of order 6 are (Tarry, 1900)",
+}
 
 
 @dataclass(frozen=True)
@@ -362,9 +372,10 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
     a square that L_{1,u} forces (see _RowSearch.squares); this skips only
     candidates _extend_family would refuse, in the same order, so the first
     family found is unchanged.  Returns None when the search space is exhausted (a
-    reportable result); raises BudgetExceededError above the desk-scale
-    order limit, or once SEARCH_MAX_NODES rows have been placed.  Order 1
-    has its family of [[0]] squares; no square has order below 1.
+    reportable result), and at once at the orders of NO_FAMILY;
+    raises BudgetExceededError above the desk-scale order limit, or once
+    SEARCH_MAX_NODES rows have been placed.  Order 1 has its family of [[0]]
+    squares; no square has order below 1.
     """
     if order > SEARCH_MAX_ORDER:
         raise BudgetExceededError(f"search limited to order <= {SEARCH_MAX_ORDER}")
@@ -372,6 +383,8 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
         raise ParameterError("Latin square order must be at least 1")
     if f < 3:
         raise ParameterError("a linked family needs f >= 3")
+    if order in NO_FAMILY:
+        return None
     rows = _RowSearch(order, zero_diagonal, SEARCH_MAX_NODES)
 
     def extend_to(squares: dict, t: int):

@@ -62,16 +62,16 @@ def test_huge_entries_stay_exact():
 
 # -- matrix-product lanes -----------------------------------------------------
 
+# the float32 lane's edge, and the edges of float64 and int64, past which a
+# product in those dtypes could round or wrap
 LANE_EDGES = (2**24, 2**53, 2**62)
 
 
 def test_matmul_lane_thresholds():
     assert matmul_lane(1) is np.float32
     assert matmul_lane(2**24 - 1) is np.float32
-    assert matmul_lane(2**24) is np.float64
-    assert matmul_lane(2**53 - 1) is np.float64
-    assert matmul_lane(2**53) is np.int64
-    assert matmul_lane(2**62 - 1) is np.int64
+    assert matmul_lane(2**24) is None
+    assert matmul_lane(2**53 - 1) is None
     assert matmul_lane(2**62) is None
 
 
@@ -112,7 +112,7 @@ def _reference_product(a: IntMatrix, b: IntMatrix) -> list[int]:
 @st.composite
 def near_lane_edge(draw):
     """(A, B, bound) with max|A| * max|B| * inner just below or just above one
-    of the lane edges; entries lean to +-max so sums reach the bound."""
+    of LANE_EDGES; entries lean to +-max so sums reach the bound."""
     edge = draw(st.sampled_from(LANE_EDGES))
     above = draw(st.booleans())
     rows, inner, cols = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
@@ -143,12 +143,12 @@ def test_every_lane_matches_big_integer_reference(case):
     assert a.max_abs() * b.max_abs() * a.cols == bound
     out = a @ b
     assert out.entries() == _reference_product(a, b)
-    if matmul_lane(bound) is not None:
+    if bound < 2**62:
         assert out.a.dtype == np.int64
 
 
-# (A, B, lane below): the exact product rounds or wraps in the lane below the
-# one the bound picks
+# (A, B, dtype): the exact product rounds or wraps when computed in dtype, so
+# it is left to the Python-integer lane
 ROUNDING_CASES = [
     ([[2**12, 1]], [[2**12], [1]], np.float32),  # 2^24 + 1, bound 2^25
     ([[2**23, 2**23, 1]], [[1], [1], [1]], np.float32),  # 2^24 + 1, bound 3 * 2^23
@@ -160,14 +160,13 @@ ROUNDING_CASES = [
 ]
 
 
-@pytest.mark.parametrize("a, b, below", ROUNDING_CASES)
-def test_lane_edge_results_stay_exact(a, b, below):
+@pytest.mark.parametrize("a, b, dtype", ROUNDING_CASES)
+def test_lane_edge_results_stay_exact(a, b, dtype):
     a, b = IntMatrix(a), IntMatrix(b)
-    lanes = [np.float32, np.float64, np.int64, None]
-    assert matmul_lane(a.max_abs() * b.max_abs() * a.cols) is lanes[lanes.index(below) + 1]
+    assert matmul_lane(a.max_abs() * b.max_abs() * a.cols) is None
     exact = _reference_product(a, b)
     with np.errstate(over="ignore"):
-        wrong = (a.a.astype(below) @ b.a.astype(below)).astype(object)
+        wrong = (a.a.astype(dtype) @ b.a.astype(dtype)).astype(object)
     assert [int(x) for x in wrong.ravel()] != exact
     assert (a @ b).entries() == exact
 
@@ -270,9 +269,9 @@ def test_float_entries_rejected():
 # (bound, max|A| for a uint8 or bool A, inner, lane): max|B| is bound / (max|A| inner)
 STACKED_EDGES = [
     (2**24 - 1, 255, 3, np.float32),
-    (2**24, 128, 4, np.float64),
-    (2**53 - 1, 1, 6361, np.float64),
-    (2**53, 128, 4, np.int64),
+    (2**24, 128, 4, None),
+    (2**53 - 1, 1, 6361, None),
+    (2**53, 128, 4, None),
 ]
 
 

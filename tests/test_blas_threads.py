@@ -13,10 +13,19 @@ import numpy as np
 import pytest
 
 import sgdd.algebra as algebra
+from class_list_route import classes_of
 from sgdd.algebra import SERIAL_MADDS, IntMatrix, blas_threads
 from sgdd.cli import main
 from sgdd.linked import verify_linked_system
-from sgdd.schemes import CLASSES, compute_intersection_numbers
+from sgdd.schemes import (
+    CLASSES,
+    assemble_scheme,
+    certify_classes,
+    check_fusion,
+    compute_intersection_numbers,
+    extract_linked_system,
+    load_scheme,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -72,6 +81,7 @@ def test_stacked_products_count_every_member(madds):
 
 
 def test_int64_and_object_lanes_take_no_thread_rule(madds):
+    """Products past 2**24 are Python integers, held as int64 below 2**62."""
     wide = IntMatrix([[2**26, 1], [1, 2**26]])
     assert (wide @ wide).lane.dtype == np.int64
     huge = IntMatrix([[2**62, 1], [1, 1]])
@@ -146,19 +156,12 @@ def test_real_library_count_is_restored():
         put(before)
 
 
-def _operands(rng, lane):
-    """2-D and stacked operands whose products take ``lane``: 0/1 for
-    float32, entries up to 2**14 for float64."""
-    if lane is np.float32:
-        return [(_zero_one(rng, 96, 96), _zero_one(rng, 96, 96)), (_zero_one(rng, 3, 64, 96), _zero_one(rng, 3, 96, 80))]
-    big = lambda *shape: IntMatrix(rng.integers(-(2**14), 2**14, size=shape))  # noqa: E731
-    return [(big(96, 96), big(96, 96)), (big(3, 64, 96), big(3, 96, 80))]
-
-
-@pytest.mark.parametrize("lane", [np.float32, np.float64])
+@pytest.mark.parametrize("lane", [np.float32])
 def test_one_thread_and_default_count_agree_with_object_lane(lane, monkeypatch):
+    """2-D and stacked 0/1 operands: the float32 lane, the one BLAS lane."""
     rng = np.random.default_rng(7)
-    for left, right in _operands(rng, lane):
+    operands = [(_zero_one(rng, 96, 96), _zero_one(rng, 96, 96)), (_zero_one(rng, 3, 64, 96), _zero_one(rng, 3, 96, 80))]
+    for left, right in operands:
         reference = np.matmul(left.a.astype(object), right.a.astype(object))
         lanes = []
         for serial in (2**62, 0):  # every product on one thread, then on the library's count
@@ -170,16 +173,29 @@ def test_one_thread_and_default_count_agree_with_object_lane(lane, monkeypatch):
         assert np.array_equal(lanes[0].astype(np.int64).astype(object), reference)
 
 
-def test_gf8_448_products_stay_on_one_thread(madds, sys64, scheme448, corrupt_system):
-    """The GF(8) certifiers, on the orbit route and the full one, and the
-    dense check of order |X| = 448, the largest product of the gf8-448
-    pipeline (448**3 = 89 915 392 multiply-adds)."""
+def test_gf8_448_products_stay_on_one_thread(madds, matmul_lanes, sys64, scheme448, corrupt_system):
+    """The GF(8) certifiers, on the orbit route and the full one, the scheme
+    verbs on the 448-vertex scheme, clean and with one pair moved from class
+    3 to class 4, and the dense check of order |X| = 448, the largest
+    product of the gf8-448 pipeline (448**3 = 89 915 392 multiply-adds).
+    Every product takes the float32 lane: a certifier product bounded past
+    2**24 would run in Python integers."""
     assert verify_linked_system(sys64).ok
     assert not verify_linked_system(corrupt_system(sys64, 7)[0]).ok
+    assert np.array_equal(assemble_scheme(sys64).relation, scheme448.relation)
+    moved = scheme448.relation.copy()
+    x, y = np.argwhere(np.triu(moved == 3))[0]
+    moved[x, y] = moved[y, x] = 4
+    assert certify_classes(classes_of(scheme448.relation)).certificate.ok
+    assert not certify_classes(classes_of(moved)).certificate.ok
+    scheme, _ = load_scheme(classes_of(scheme448.relation))
+    assert extract_linked_system(classes_of(scheme448.relation)).primary.system is not None
+    assert check_fusion(scheme).consistent
     classes = [scheme448.relation == i for i in range(CLASSES)]
     assert compute_intersection_numbers(classes)[0] == scheme448.p
     assert max(madds) == 448**3 == 89_915_392
     assert all(blas_threads(count) == 1 for count in madds)
+    assert matmul_lanes and set(matmul_lanes) == {np.float32}
 
 
 def test_import_scan_and_help_look_up_no_blas():

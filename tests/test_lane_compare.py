@@ -22,17 +22,20 @@ from sgdd.linked import verify_linked_system
 from sgdd.schemes import assemble_scheme, compute_intersection_numbers, extract_linked_system, load_scheme
 from test_block_route import SYSTEM_KINDS, corrupt
 
-# (max|A|, max|B|) of an outer product (inner 1), and the lane its bound picks
+# (max|A|, max|B|) of an outer product (inner 1), and the dtype the product
+# is held in: float32 below the bound 2**24, else int64 while its entries are
+# below 2**62, else Python integers
 LANE_EDGES = [
     (4095, 4097, np.float32),  # bound 2**24 - 1
-    (4096, 4096, np.float64),  # bound 2**24
-    (2**27, 2**26 - 1, np.float64),  # bound 2**53 - 2**27
+    (4096, 4096, np.int64),  # bound 2**24
+    (2**27, 2**26 - 1, np.int64),  # bound 2**53 - 2**27
     (2**27, 2**26, np.int64),  # bound 2**53
     (2**31, 2**31 - 1, np.int64),  # bound 2**62 - 2**31
-    (2**31, 2**31, None),  # bound 2**62: Python integers
+    (2**31, 2**31, None),  # bound 2**62: an entry of 2**62
 ]
 
-# coefficients at and past each lane's limit, negative, and past int64
+# coefficients at and past the limits of float32, float64 and int64,
+# negative, and past int64
 EDGE_COEFFS = [
     2**24 - 1, 2**24, 2**24 + 1, -(2**24 - 1), -(2**24), -7,
     2**53 - 1, 2**53, 2**53 + 1, -(2**53),
@@ -63,7 +66,7 @@ def _outer_stack(amax: int, bmax: int, seed: int):
 
 @pytest.mark.parametrize("amax, bmax, lane", LANE_EDGES)
 def test_lane_route_matches_int64_route_at_lane_edges(amax, bmax, lane):
-    assert matmul_lane(amax * bmax) is lane
+    assert matmul_lane(amax * bmax) is (np.float32 if lane is np.float32 else None)
     for seed in range(3):
         prod = _outer_stack(amax, bmax, seed)
         assert prod.lane.dtype == np.dtype(lane or object)
@@ -82,12 +85,12 @@ def test_lane_route_matches_int64_route_at_lane_edges(amax, bmax, lane):
                 assert (want[0] is None) == (c == exact[t])
 
 
-@pytest.mark.parametrize("lane", [np.float32, np.float64, np.int64, None])
+@pytest.mark.parametrize("lane", [np.float32, np.int64, None])
 def test_lane_table_maps_each_coefficient_exactly_or_to_no_entry(lane):
     dtype = np.dtype(lane or object)
     table = lane_table(EDGE_COEFFS, dtype)
     assert table.dtype == dtype
-    limit = {np.float32: 2**24, np.float64: 2**53, np.int64: 2**62}.get(lane)
+    limit = {np.float32: 2**24, np.int64: 2**62}.get(lane)
     for c, x in zip(EDGE_COEFFS, table.tolist()):
         if limit is None or abs(c) < limit:
             assert x == c and int(x) == c
@@ -97,7 +100,8 @@ def test_lane_table_maps_each_coefficient_exactly_or_to_no_entry(lane):
 
 def test_every_product_is_int64_below_2_62(sys64, monkeypatch):
     """``.a`` of a product is int64 whenever its entries are below 2**62,
-    whichever lane computed it, and holds the lane array's integers."""
+    whichever lane computed it, and holds the lane array's integers: the
+    certifiers' products are float32, the exact products past 2**24 int64."""
     products = []
     matmul = IntMatrix.__matmul__
 
@@ -114,7 +118,7 @@ def test_every_product_is_int64_below_2_62(sys64, monkeypatch):
     verify_linked_system(corrupt(sys64, "triple", 0)[0])
     for amax, bmax, lane in LANE_EDGES[:-1]:
         _outer_stack(amax, bmax, 0)
-    assert {prod.lane.dtype for prod in products} == {np.dtype(t) for t in (np.float32, np.float64, np.int64)}
+    assert {prod.lane.dtype for prod in products} == {np.dtype(np.float32), np.dtype(np.int64)}
     for prod in products:
         assert prod.a.dtype == np.int64 and prod.max_abs() < 2**62
         assert prod.a.shape == prod.lane.shape

@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -323,6 +324,36 @@ def test_search_order2_exhausts():
     assert search_linked_mols(2, 3) is None
 
 
+@pytest.mark.parametrize("order", [2, 6])
+def test_orders_with_no_orthogonal_pair_are_answered_before_the_search(order, monkeypatch, capsys):
+    """No node is placed: the search returns None at once, for every f and
+    either diagonal, and the CLI gives its reason with exit status 1."""
+    monkeypatch.setattr(sgdd.latin, "SEARCH_MAX_NODES", 0)
+    for f, zero_diagonal in ((3, True), (3, False), (5, True)):
+        assert search_linked_mols(order, f, zero_diagonal) is None
+    assert main(["oracle", "linked-mols", "--order", str(order), "--f", "3", "--any-diagonal"]) == 1
+    assert capsys.readouterr() == (f"exhausted: {sgdd.latin.NO_FAMILY[order]}\n", "")
+
+
+@pytest.mark.parametrize("n, pairs", [(3, 144), (4, 331_776)])
+def test_row_orthogonality_is_classical_orthogonality_of_row_symbol_conjugates(n, pairs):
+    """On every ordered pair of Latin squares of order n: row a of L and row
+    b of M agree in exactly one column, for all a and b, exactly when the
+    cells of the conjugates L'(s, c) = a iff L(a, c) = s, overlaid, hold
+    every ordered pair of symbols once.  This is the argument behind
+    NO_FAMILY."""
+    squares = np.array(list(_latin_candidates(n, False)))
+    assert len(squares) ** 2 == pairs
+    left, right = squares[:, None, :, None, :], squares[None, :, None, :, :]
+    rows = ((left == right).sum(axis=-1, dtype=np.uint8) == 1).all(axis=(-2, -1))
+    conj = np.argsort(squares, axis=-2).reshape(len(squares), n * n)
+    cells = np.sort(conj[:, None] * n + conj[None, :], axis=-1)
+    classical = (cells == np.arange(n * n)).all(axis=-1)
+    assert rows.any() and np.array_equal(rows, classical)
+    if n == 3:
+        assert rows.tolist() == [[is_orthogonal(LatinSquare(a), LatinSquare(b)) for b in squares] for a in squares]
+
+
 def test_search_order5(fam_order5):
     assert fam_order5.f == 3 and fam_order5.order == 5
     assert verify_linked(fam_order5).ok and fam_order5.zero_diagonal
@@ -491,13 +522,13 @@ def test_search_stops_at_the_node_budget(monkeypatch):
         search_linked_mols(4, 3)
 
 
-def test_cli_order6_search_stops_at_the_node_budget(monkeypatch, capsys):
-    # no linked family of order 6 exists; the real budget stops this search
-    # in seconds, a small one here
+def test_cli_order7_search_stops_at_the_node_budget(monkeypatch, capsys):
+    # no theorem decides order 7; the real budget stops this search in about
+    # 20 s, a small one here
     assert main(["oracle", "linked-mols", "--order", "9", "--f", "3"]) == 1
     capsys.readouterr()
     monkeypatch.setattr(sgdd.latin, "SEARCH_MAX_NODES", 2000)
-    assert main(["oracle", "linked-mols", "--order", "6", "--f", "3"]) == 1
+    assert main(["oracle", "linked-mols", "--order", "7", "--f", "3"]) == 1
     assert capsys.readouterr() == (
         "",
         "error: search stopped at its budget: 2000 nodes expanded (one node is one row placed)\n",

@@ -309,6 +309,19 @@ def test_chunk_writers_join_to_the_formatted_text(scheme48, sys16):
     assert text_of(fileio.linked_system_chunks(sys16)) == token_route.linked_system_text(sys16)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 48])
+def test_scheme_writer_bands_join_to_the_formatted_text(scheme48, monkeypatch, rows):
+    """A class is written a band of rows at a time, each within
+    ``SCHEME_BAND`` bytes: bands of one row, of rows that do not divide
+    |X| = 48, and of the whole class join to the text of one str() per
+    entry."""
+    monkeypatch.setattr(fileio, "SCHEME_BAND", 2 * 48 * rows + 1)
+    chunks = list(fileio.scheme_chunks(scheme48.relation))
+    bands = [memoryview(c).nbytes for c in chunks if isinstance(c, np.ndarray)]
+    assert len(bands) == 6 * -(-48 // rows) and max(bands) == 2 * 48 * rows
+    assert text_of(chunks) == token_route.scheme_text(scheme48.relation)
+
+
 @pytest.fixture
 def line_reads(monkeypatch):
     """How many header lines ``Lines`` reads one at a time, by method."""

@@ -56,8 +56,9 @@ def test_reproduce_tables_writes_the_golden_tables(tmp_path: Path, monkeypatch):
 def test_scale_chain_times_every_verb_at_q_4(tmp_path: Path, monkeypatch, capsys):
     """The chain at q = 4 (the 48-vertex scheme), one fresh process per
     verb, reports every verb, the flipped system and the scheme with a moved
-    pair rejected, and a byte-identical extract round trip; a second run
-    records the same digests of every stdout and written file."""
+    pair rejected, a byte-identical extract round trip and the digest of the
+    fused scheme the fusion writes; a second run records the same digests of
+    every stdout and written file."""
     _run_script("scale_chain.py", "--q", "4", "--out", str(tmp_path), monkeypatch=monkeypatch)
     record = json.loads(capsys.readouterr().out)
     _run_script("scale_chain.py", "--q", "4", "--out", str(tmp_path / "again"), monkeypatch=monkeypatch)
@@ -65,9 +66,13 @@ def test_scale_chain_times_every_verb_at_q_4(tmp_path: Path, monkeypatch, capsys
     digests = [(step["stdout_sha256"], step["files_sha256"]) for step in record["steps"]]
     assert digests == [(step["stdout_sha256"], step["files_sha256"]) for step in again["steps"]]
     assert [sorted(files) for _, files in digests] == [
-        ["had.aux"], ["gf.fam"], ["sys.lsys"], [], [], ["scheme.scm"], [], [], [], ["back.lsys"], [],
+        ["had.aux"], ["gf.fam"], ["sys.lsys"], [], [], ["scheme.scm"], [], [], [], ["back.lsys"], ["fused.scm"],
     ]
     assert digests[9][1]["back.lsys"] == hashlib.sha256((tmp_path / "sys.lsys").read_bytes()).hexdigest()
+    fused = tmp_path / "cli-fused.scm"
+    assert main(["scheme", "fusion", "--in", str(tmp_path / "scheme.scm"), "-o", str(fused)]) == 0
+    assert fused.read_bytes().startswith(b"3 48\n")
+    assert digests[10][1]["fused.scm"] == hashlib.sha256(fused.read_bytes()).hexdigest()
     assert (record["q"], record["vertices"], record["roundtrip"]) == (4, 48, True)
     assert [step["verb"] for step in record["steps"]] == [
         "hadamard-aux", "linked-mols", "tilde-l", "verify linked-system",
