@@ -495,8 +495,5 @@ class IntMatrix:
             return NotImplemented
         return self.a.shape == other.a.shape and bool((self.a == other.a).all())
 
-    def __hash__(self):
-        return hash((self.a.shape, tuple(self.entries())))
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"

@@ -34,10 +34,12 @@ grid of block products, or some of its cells, formed and compared by the
 one routine ``block_differences``.
 
 An identity whose matrices are each fixed by some digit shifts of the
-index set (``digit_shifts``, ``shift_masks``) is decided on one row per
-orbit of the group they generate (``orbit_rows``); ``on_orbits`` batches
-the identities of a family by those shifts and forms on every row only
-those that no shift fixes or that fail on their orbit rows.
+groups and points of its index set is decided on one row per orbit of the
+group they generate.  This module alone lays out their masks: it writes
+them (``shift_masks``, ``translation_masks``) and reads their orbit rows
+(``orbit_rows``); ``on_orbits`` batches the identities of a family by
+those shifts and forms on every row only those that no shift fixes or that
+fail on their orbit rows.
 """
 
 from __future__ import annotations
@@ -100,31 +102,22 @@ def stack_slices(count: int, entries: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def digit_shifts(v: int) -> list[np.ndarray]:
-    """For v = p^e, the e permutations of 0..v-1 that each add 1 mod p to
-    one base-p digit of an index, none for any other v: with field elements
-    and points numbered lexicographically, they generate GF(q)^d's translations."""
-    return list(_shift_table(v))
-
-
-@lru_cache(maxsize=32)
-def _shift_table(v: int) -> np.ndarray:
-    """``digit_shifts(v)`` as the rows of one read-only (e, v) array."""
+def _digits(v: int) -> tuple[int, int]:
+    """(p, e) with v = p^e, whose e base-p digits each have a shift; (v, 0)
+    for any other v, which has none."""
     try:
-        p, e = factor_prime_power(v)
+        return factor_prime_power(v)
     except ParameterError:
-        p, e = v, 0
-    x = np.arange(v)
-    table = np.array([x + np.where(x // p**s % p == p - 1, 1 - p, 1) * p**s for s in range(e)], dtype=np.intp).reshape(e, v)
-    table.flags.writeable = False
-    return table
+        return v, 0
 
 
 def shift_masks(stack: np.ndarray) -> np.ndarray:
     """For each matrix M of the (count, v, v) stack, the bit mask of the
-    digit shifts of v (``digit_shifts``) that fix it exactly,
-    M[perm][:, perm] = M: bit s for the s-th shift, as an int64 (count,)
-    array; all 0 when v is not a prime power.
+    digit shifts of v = p^e that fix it exactly, M[perm][:, perm] = M: the
+    s-th shift adds 1 mod p to the base-p digit of weight p^s of an index,
+    and sets bit s, as an int64 (count,) array; all 0 when v is not a prime
+    power.  With field elements and points numbered lexicographically, the
+    shifts generate GF(q)^d's translations.
 
     With v = p^e, a matrix reshaped to (p,) * 2e has one row axis and one
     column axis per digit, and the s-th shift of its rows and columns is a
@@ -133,9 +126,8 @@ def shift_masks(stack: np.ndarray) -> np.ndarray:
     array."""
     count, v = len(stack), stack.shape[-1]
     masks = np.zeros(count, dtype=np.int64)
-    try:
-        p, e = factor_prime_power(v)
-    except ParameterError:
+    p, e = _digits(v)
+    if not e:
         return masks
 
     def rolled(a: np.ndarray, axis: int) -> np.ndarray:  # np.roll(a, 1, axis), with less overhead on small stacks
@@ -151,14 +143,57 @@ def shift_masks(stack: np.ndarray) -> np.ndarray:
     return masks
 
 
+def _sub_block_ids(stack: np.ndarray, m: int, n: int) -> np.ndarray:
+    """(count, m, m) integers, equal exactly where the n x n sub-blocks
+    (a, b) of the 0/1 stack's matrices are equal: the ranks of their
+    entries, packed eight to a byte a slice of blocks at a time, by one
+    argsort of a void view (of one uint64 when n <= 8, which sorts several
+    times faster), so no Python object is made per sub-block."""
+    cells = np.concatenate([
+        np.packbits(stack[part].reshape(-1, m, n, m, n).swapaxes(2, 3).reshape(-1, n * n), axis=-1)
+        for part in stack_slices(len(stack), stack[0].size)
+    ])
+    width = cells.shape[1]
+    if width < 8:
+        cells = np.concatenate([cells, np.zeros((len(cells), 8 - width), dtype=np.uint8)], axis=1)
+    keys = cells.view(np.uint64)[:, 0] if width <= 8 else cells.view(np.dtype((np.void, width)))[:, 0]
+    order = np.argsort(keys)
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[order] = np.cumsum(np.concatenate([[0], keys[order[1:]] != keys[order[:-1]]]))
+    return ranks.reshape(-1, m, m)
+
+
+def translation_masks(stack: np.ndarray, m: int, n: int) -> np.ndarray:
+    """For each matrix of a (count, m n, m n) 0/1 stack on m groups of n
+    points, the mask of the digit shifts that fix it, laid out as
+    ``orbit_rows`` reads it: bits 0..e-1 for the e shifts of the m groups
+    (``shift_masks``), checked on the sub-block ids, and the bits above for
+    those of the n points of every group, checked on the distinct n x n
+    sub-blocks, a matrix fixed when each of its sub-blocks is.  Both kinds
+    fix K, and the orbits of the group they generate are products of
+    theirs: one row for every block of ``build_tilde_l`` over a field
+    family and an AG set."""
+    ids = _sub_block_ids(stack, m, n)
+    at = np.empty(ids.max() + 1, dtype=np.intp)
+    at[ids.ravel()] = np.arange(ids.size)  # one position of each distinct sub-block
+    c, a, b = np.unravel_index(at, ids.shape)
+    points = shift_masks(stack.reshape(-1, m, n, m, n)[c, a, :, b])
+    # a matrix is fixed by a point shift when every one of its sub-blocks is
+    points = np.bitwise_and.reduce(points[ids].reshape(len(ids), -1), axis=1)
+    return shift_masks(ids) | points << _digits(m)[1]
+
+
 @lru_cache(maxsize=64)
-def orbit_rows(v: int, mask: int) -> np.ndarray | None:
+def orbit_rows(m: int, n: int, mask: int) -> np.ndarray | None:
     """The least index of each orbit of the group generated by the digit
-    shifts of v = p^e whose bits are set in ``mask`` (``shift_masks``): the
-    indices whose base-p digits at those places are 0, since the shifts
-    commute and each cycles its digit through 0..p-1, as a read-only array
-    that depends on v and the mask alone, so it is kept for the next call.
-    None when ``mask`` is 0, every index alone in its orbit.
+    shifts whose bits are set in ``mask`` (``translation_masks``), on the
+    indices g n + x of m groups of n points: bits 0..e-1 for the shifts of
+    the group g, with m = p^e, and the bits above for those of the point x.
+    The shifts commute and each cycles its digit through 0..p-1, so these
+    are the indices whose digits at those places are 0, as a read-only
+    array that depends on (m, n, mask) alone, so it is kept for the next
+    call.  None when ``mask`` is 0, every index alone in its orbit.  The v
+    points of one set are (v, 1): v groups of one point.
 
     One row per orbit certifies an identity whose matrices are each fixed
     by every one of the shifts, or are I, J, or K with each index a whole
@@ -167,22 +202,25 @@ def orbit_rows(v: int, mask: int) -> np.ndarray | None:
     permuted, and E = 0 exactly when it vanishes on the rows returned."""
     if not mask:
         return None
-    p, e = factor_prime_power(v)
-    x = np.arange(v)
-    rows = x[np.logical_and.reduce([x // p**s % p == 0 for s in range(e) if mask >> s & 1])]
+    (p, e), (r, h) = _digits(m), _digits(n)
+    x = np.arange(m * n)
+    # digit b of an index: of its group below e, of its point from e on
+    digits = [x // n // p**s % p for s in range(e)] + [x % n // r**s % r for s in range(h)]
+    rows = x[np.all([digits[b] == 0 for b in range(e + h) if mask >> b & 1], axis=0)]
     rows.flags.writeable = False
     return rows
 
 
-def on_orbits(check, masks: np.ndarray, rows_of, passed) -> list:
+def on_orbits(check, masks: np.ndarray, shape: tuple[int, int], passed) -> list:
     """The verdicts of the identities 0..len(masks)-1, each formed on the
     orbit rows of shifts that fix every matrix it uses.
 
     ``check(members, rows)`` returns, in order, the verdicts of the
     identities ``members`` (an int array, ascending) formed on ``rows``
     (slice(None) for every row); masks[t] is the mask of the shifts that
-    fix every matrix identity t uses, and ``rows_of(mask)`` their rows
-    (``orbit_rows``), None when they join no two indices.
+    fix every matrix identity t uses, on indices of the (m, n) ``shape``,
+    and ``orbit_rows(m, n, mask)`` their rows, None when they join no two
+    indices.
 
     The batches are taken greedily: the nonzero mask most identities left
     have (of two as common, the one with more shifts) takes, as one batch on
@@ -200,7 +238,7 @@ def on_orbits(check, masks: np.ndarray, rows_of, passed) -> list:
         counts = Counter(masks[left].tolist())
         mask = max(counts, key=lambda mk: (mk != 0, counts[mk], mk.bit_count()))
         take = masks[left] & mask == mask
-        batches.append((rows_of(mask), left[take]))
+        batches.append((orbit_rows(*shape, mask), left[take]))
         left = left[~take]
     out, full = [None] * len(masks), []
     for rows, ids in sorted((b for b in batches if b[0] is not None), key=lambda b: len(b[0])):
@@ -444,9 +482,6 @@ class IncidenceMatrix:
         if not isinstance(other, IncidenceMatrix):
             return NotImplemented
         return (self.m, self.n) == (other.m, other.n) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.mat))
 
     def __repr__(self):
         return f"IncidenceMatrix(v={self.v}, groups={self.m}x{self.n})"

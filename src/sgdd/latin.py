@@ -144,9 +144,6 @@ class LinkedMolsFamily:
     def zero_diagonal(self) -> bool:
         return all(sq.zero_diagonal for sq in self.squares.values())
 
-    def __hash__(self):
-        return hash((self.f, self.order))
-
 
 def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     """Check orthogonality and composition closure on every ordered triple.

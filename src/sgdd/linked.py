@@ -8,6 +8,10 @@ is a family {A_{i,j}} of symmetric GDDs over ordered index pairs such that
 A_{i,j} + K is 0/1 and, for all mutually distinct i, j, l,
 
     A_{i,j} A_{j,l} = sigma A_{i,l} + tau (J - A_{i,l} - K) + rho K.
+
+Its certifier forms each identity on one row per orbit of the digit shifts
+of the groups and points that fix every block it uses; ``designs`` writes
+their masks and reads their rows (``translation_masks``, ``on_orbits``).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import isqrt
 from types import MappingProxyType
@@ -35,13 +39,11 @@ from .designs import (
     certified_design,
     check_k_commutation,
     companion_params,
-    digit_shifts,
     group_labels,
     k_commutations,
     on_orbits,
-    orbit_rows,
-    shift_masks,
     stack_slices,
+    translation_masks,
     verify_grams,
 )
 from .errors import (
@@ -218,7 +220,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     come out block by block, as a per-block walk would print them.
 
     Each identity is formed on one row per orbit of the group and point
-    digit shifts that fix every block it uses (``_translation_masks``,
+    digit shifts that fix every block it uses (``translation_masks``,
     ``on_orbits``): the identities that share those shifts are one batch,
     and an identity is formed on every row when no shift fixes its blocks
     or when it fails on its orbit rows.  A block damaged in one entry thus
@@ -228,7 +230,8 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     cert = Certificate(f"linked system f={f} on {base}")
     pairs = ordered_pairs(f)
     in_k = group_labels(base.m, base.n) > 0
-    masks, rows_of = _translation_masks(stack, base)
+    shape = base.m, base.n
+    masks = translation_masks(stack, *shape)
 
     # A_{j,i} = A_{i,j}^T is what makes the scheme's class A_3 symmetric
     upper = [(i, j) for i, j in pairs if i < j]
@@ -241,12 +244,12 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     # the blocks whose Gram verdicts no grid cell gives
     alone = np.array(sorted(pair_index(f, *pair) for (i, j), _ in untransposed for pair in ((i, j), (j, i))), dtype=np.intp)
     faults = [None] * len(stack)
-    grams = on_orbits(lambda members, rows: verify_grams(stack[alone[members]], base, rows), masks[alone], rows_of, lambda c: c.ok)
+    grams = on_orbits(lambda members, rows: verify_grams(stack[alone[members]], base, rows), masks[alone], shape, lambda c: c.ok)
     for b, sub in zip(alone.tolist(), grams):
         faults[b] = sub.violations
 
     comms = on_orbits(
-        lambda members, rows: k_commutations(stack, base.m, base.n, members, rows), masks, rows_of, lambda c: c[0].kind != "other"
+        lambda members, rows: k_commutations(stack, base.m, base.n, members, rows), masks, shape, lambda c: c[0].kind != "other"
     )
 
     cells, uses = _grid_cells(f)
@@ -257,7 +260,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     found = dict(zip(ids.tolist(), on_orbits(
         lambda members, rows: _grid_differences(stack, p, in_k, cells[ids[members]], rows),
         np.bitwise_and.reduce(masks[uses[:, ids]]),
-        rows_of,
+        shape,
         lambda d: d is None,
     )))
     for b, (i, j) in enumerate(pairs):
@@ -284,7 +287,7 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
         cert.record(f"triple product ({i},{j},{l})", found[t])
     if f == 2:
         comp = companion_params(base)
-        [sub] = on_orbits(lambda members, rows: verify_grams(stack[:1] + in_k, comp, rows), masks[:1], rows_of, lambda c: c.ok)
+        [sub] = on_orbits(lambda members, rows: verify_grams(stack[:1] + in_k, comp, rows), masks[:1], shape, lambda c: c.ok)
         if sub.ok:
             cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
         else:
@@ -310,58 +313,6 @@ def _grid_cells(f: int) -> tuple[np.ndarray, np.ndarray]:
     cells = np.stack([i, j, l], axis=1)
     cells.flags.writeable = uses.flags.writeable = False
     return cells, uses
-
-
-def _sub_block_ids(stack: np.ndarray, m: int, n: int) -> np.ndarray:
-    """(count, m, m) integers, equal exactly where the n x n sub-blocks
-    (a, b) of the 0/1 stack's matrices are equal: the ranks of their
-    entries, packed eight to a byte a slice of blocks at a time, by one
-    argsort of a void view (of one uint64 when n <= 8, which sorts several
-    times faster), so no Python object is made per sub-block."""
-    cells = np.concatenate([
-        np.packbits(stack[part].reshape(-1, m, n, m, n).swapaxes(2, 3).reshape(-1, n * n), axis=-1)
-        for part in stack_slices(len(stack), stack[0].size)
-    ])
-    width = cells.shape[1]
-    if width < 8:
-        cells = np.concatenate([cells, np.zeros((len(cells), 8 - width), dtype=np.uint8)], axis=1)
-    keys = cells.view(np.uint64)[:, 0] if width <= 8 else cells.view(np.dtype((np.void, width)))[:, 0]
-    order = np.argsort(keys)
-    ranks = np.empty(len(keys), dtype=np.intp)
-    ranks[order] = np.cumsum(np.concatenate([[0], keys[order[1:]] != keys[order[:-1]]]))
-    return ranks.reshape(-1, m, m)
-
-
-def _translation_masks(stack: np.ndarray, base: GddParams):
-    """For each block, the mask of the digit shifts that fix it: bits
-    0..e-1 for the e shifts of the m groups (``shift_masks``), checked on
-    the sub-block ids, and the bits above for those of the n points of
-    every group, checked on the distinct n x n sub-blocks, a block fixed
-    when each of its sub-blocks is; with the function that maps a mask to
-    its rows, the group rows (``orbit_rows``) times the point rows, or None
-    when neither joins two indices.  Both kinds fix K, and the orbits of
-    the group they generate are products of theirs: one row for every
-    block of ``build_tilde_l`` over a field family and an AG set."""
-    m, n = base.m, base.n
-    ids = _sub_block_ids(stack, m, n)
-    at = np.empty(ids.max() + 1, dtype=np.intp)
-    at[ids.ravel()] = np.arange(ids.size)  # one position of each distinct sub-block
-    c, a, b = np.unravel_index(at, ids.shape)
-    points = shift_masks(stack.reshape(-1, m, n, m, n)[c, a, :, b])
-    # a block is fixed by a point shift when every one of its sub-blocks is
-    points = np.bitwise_and.reduce(points[ids].reshape(len(ids), -1), axis=1)
-    low = len(digit_shifts(m))
-
-    @cache  # each family of identities asks for the rows of the same masks
-    def rows_of(mask: int) -> np.ndarray | None:
-        groups, points = orbit_rows(m, mask & ((1 << low) - 1)), orbit_rows(n, mask >> low)
-        if groups is None and points is None:
-            return None
-        groups = np.arange(m) if groups is None else groups
-        points = np.arange(n) if points is None else points
-        return (groups[:, None] * n + points).ravel()
-
-    return shift_masks(ids) | points << low, rows_of
 
 
 def _grid_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, cells: np.ndarray, rows) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import IntMatrix
 from .classical import is_hadamard
-from .designs import Certificate, Violation, cell_differences, equivalence_classes, grid_masks, on_orbits, orbit_rows, shift_masks, stack_differences, zero_one
+from .designs import Certificate, Violation, cell_differences, equivalence_classes, grid_masks, on_orbits, shift_masks, stack_differences, zero_one
 from .errors import CertificationError, ParameterError
 from .gf import gf_from_order
 
@@ -92,8 +92,8 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     grid of products C_a C_b^T (``_product_differences``), then re-derive
     the parameters and confirm the four arithmetic relations they must satisfy.
     Each product C_a C_b^T is formed on one row per orbit of the point
-    digit shifts that fix both C_a and C_b (``shift_masks``, ``on_orbits``),
-    and on every row when none does or it fails there."""
+    digit shifts that fix both C_a and C_b (``shift_masks``, ``on_orbits``
+    with the v points as v groups of one), and on every row when none does or it fails there."""
     cert = Certificate(f"auxiliary matrices {aux.params}")
     stack, v, r, p = aux.stack, aux.order, aux.r, aux.params
     total = stack.sum(axis=0, dtype=np.int64)
@@ -104,7 +104,7 @@ def verify_auxiliary(aux: AuxiliarySet) -> Certificate:
     found = on_orbits(
         lambda members, rows: _product_differences(stack, p, pairs[members], rows),
         grid_masks(masks[pairs[:, 0]] & masks[pairs[:, 1]], r * r),
-        lambda mask: orbit_rows(v, mask),
+        (v, 1),
         lambda d: d is None,
     )
     for a in range(r):

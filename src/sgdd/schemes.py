@@ -243,13 +243,13 @@ def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
         for j in range(i, d1):
             if differences.keys() & {i, j}:
                 s, t = (i, j) if i in differences else (j, i)
-                rows_of, coeffs = _class_sum_rows(relation, t, *differences[s], counts), np.array(p[i][j], dtype=counts)
+                band_of, coeffs = _class_sum_rows(relation, t, *differences[s], counts), np.array(p[i][j], dtype=counts)
             else:
                 a_i = IntMatrix.view(relation == i) if a_i is None else a_i
                 prod = (a_i @ IntMatrix.view(relation == j)).lane
-                rows_of, coeffs = prod.__getitem__, lane_table(p[i][j], prod.dtype)
+                band_of, coeffs = prod.__getitem__, lane_table(p[i][j], prod.dtype)
             # the classes of the entries where the product differs, band by band
-            wrong = [relation[rows][rows_of(rows) != looked_up(coeffs, relation[rows])] for rows in bands]
+            wrong = [relation[rows][band_of(rows) != looked_up(coeffs, relation[rows])] for rows in bands]
             if any(len(w) for w in wrong):
                 cert.failed(f"A_{i} A_{j} is not constant on class {min(int(w.min()) for w in wrong if len(w))}")
                 return False
@@ -604,12 +604,16 @@ class ExtractionCandidate:
     spectra: Spectra
     spectra_certificate: Certificate
     certificate: Certificate | None = None  # of the system cut from A_3, once tried
-    certified: bool = False                  # whether that system certifies
     system: LinkedSystemII | None = None     # the certified system, kept for the primary candidate only
 
     @property
     def spectra_match(self) -> bool:
         return self.spectra_certificate.ok
+
+    @property
+    def certified(self) -> bool:
+        """Whether the system cut from A_3 was tried and certifies."""
+        return self.certificate is not None and self.certificate.ok
 
 
 @dataclass
@@ -792,7 +796,6 @@ def _certify(relation: np.ndarray, cand: ExtractionCandidate, lambdas, structure
                 np.equal(bands[i, :, cols].swapaxes(0, 1), cand.labels[3], out=stack[i, at].view(bool))
         system = LinkedSystemII(linked, stack.reshape(-1, mn, mn))
         cand.certificate = verify_linked_system(system)
-        cand.certified = cand.certificate.ok
         return system.seal(cand.certificate) if cand.certified else None
     return None
 

@@ -7,10 +7,12 @@ product compared as int64 (``compare``, ``first_difference``) on every row
 with an expected array built by ``pattern``.  The tests compare ``sgdd``,
 which certifies a system's blocks as one stacked array, compares each
 product in its lane, and forms products on one row per orbit of verified
-digit shifts, against it; ``affine_translations``, built from the field's
-addition table, is the oracle for those shifts (``designs.digit_shifts``),
-and ``shift_masks``, which applies them by a gather, for the masks of the
-shifts that fix each matrix (``designs.shift_masks``).
+digit shifts, against it.  The shifts are permutations here
+(``digit_shifts``, lifted to groups and points by ``lifted_shifts``), and
+``affine_translations``, built from the field's addition table, is their
+oracle; ``shift_masks`` and ``translation_masks`` apply them by a gather,
+the oracles of the masks of the shifts that fix each matrix
+(``designs.shift_masks``, ``designs.translation_masks``).
 """
 
 from fractions import Fraction
@@ -25,10 +27,10 @@ from sgdd.designs import (
     IncidenceMatrix,
     KCommutation,
     companion_params,
-    digit_shifts,
     group_labels,
 )
-from sgdd.gf import gf_from_order
+from sgdd.errors import ParameterError
+from sgdd.gf import factor_prime_power, gf_from_order
 from sgdd.latin import LinkedMolsFamily, compose, is_orthogonal
 from sgdd.linked import LinkedSystemII
 from sgdd.resolvable import AuxiliarySet
@@ -106,14 +108,46 @@ def affine_translations(q: int, dim: int) -> list[np.ndarray]:
     ]
 
 
-def shift_masks(stack: np.ndarray) -> np.ndarray:
-    """The gather route for ``designs.shift_masks``: every digit shift
-    applied to the rows and columns of each matrix by one fancy index, and
-    the moved matrix compared with the matrix whole, one matrix at a time;
-    bit s of a mask is set when the s-th shift fixes it."""
-    shifts = np.array(digit_shifts(stack.shape[-1]), dtype=np.intp).reshape(-1, stack.shape[-1])
+def digit_shifts(v: int) -> list[np.ndarray]:
+    """For v = p^e, the e permutations of 0..v-1 that each add 1 mod p to
+    one base-p digit of an index, the s-th to the digit of weight p^s; none
+    for any other v.  With field elements and points numbered
+    lexicographically, they generate GF(q)^d's translations."""
+    try:
+        p, e = factor_prime_power(v)
+    except ParameterError:
+        return []
+    x = np.arange(v)
+    return [x + np.where(x // p**s % p == p - 1, 1 - p, 1) * p**s for s in range(e)]
+
+
+def lifted_shifts(m: int, n: int) -> list[np.ndarray]:
+    """The digit shifts of the m groups, then those of the n points of
+    every group, as permutations of the indices g n + x: the bits of a
+    ``designs.translation_masks`` mask, in order."""
+    x = np.arange(m * n)
+    return [shift[x // n] * n + x % n for shift in digit_shifts(m)] + [x // n * n + shift[x % n] for shift in digit_shifts(n)]
+
+
+def _fixed_by(stack: np.ndarray, shifts: list[np.ndarray]) -> np.ndarray:
+    """Bit s of each matrix's mask set when shifts[s] fixes it: the shift
+    applied to its rows and columns by one fancy index and the moved
+    matrix compared whole, one matrix at a time."""
+    shifts = np.array(shifts, dtype=np.intp).reshape(-1, stack.shape[-1])
     bits = 1 << np.arange(len(shifts), dtype=np.int64)
     return np.array([(mat[shifts[:, :, None], shifts[:, None, :]] == mat).all(axis=(1, 2)) @ bits for mat in stack], dtype=np.int64)
+
+
+def shift_masks(stack: np.ndarray) -> np.ndarray:
+    """The gather route for ``designs.shift_masks``: the digit shifts of
+    the matrices' order."""
+    return _fixed_by(stack, digit_shifts(stack.shape[-1]))
+
+
+def translation_masks(stack: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The gather route for ``designs.translation_masks``: the lifted
+    shifts tried on each whole matrix, with no sub-block."""
+    return _fixed_by(stack, lifted_shifts(m, n))
 
 
 def verify_gram(mat: IntMatrix, p: GddParams, rows=slice(None)) -> Certificate:

@@ -42,7 +42,8 @@ def read_text(reader, text: str | bytes):
 def checked_shift_masks():
     """Every stack whose shift masks a test computes, checked against the
     gather route (``block_route.shift_masks``): the orders of the stacks
-    checked, in order."""
+    checked, in order.  ``designs.translation_masks`` reads the patched
+    name of its own module, and ``resolvable`` imports its own."""
     checked = []
     masks_of = sgdd.designs.shift_masks
 
@@ -53,7 +54,7 @@ def checked_shift_masks():
         return masks
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (sgdd.designs, sgdd.linked, sgdd.resolvable):
+        for module in (sgdd.designs, sgdd.resolvable):
             patch.setattr(module, "shift_masks", checked_masks)
         yield checked
 

@@ -18,17 +18,18 @@ from sgdd.designs import (
     check_bose,
     check_k_commutation,
     companion_params,
-    digit_shifts,
     group_labels,
     k_commutations,
+    orbit_rows,
     stack_differences,
+    translation_masks,
     verify_gdd,
     verify_grams,
 )
 from sgdd.gf import gf_from_order
 from sgdd.latin import LatinSquare, LinkedMolsFamily, linked_mols_from_gf, verify_linked
 from sgdd.errors import ParameterError
-from sgdd.linked import LinkedSystemII, _translation_masks, ordered_pairs, pair_index, verify_linked_system
+from sgdd.linked import LinkedSystemII, ordered_pairs, pair_index, verify_linked_system
 
 
 def _outcome(cert):
@@ -217,8 +218,8 @@ def test_gram_pairs_match_block_route_on_single_flips(count, seed, sys16, pair24
     system = pair24 if count == "companion" else sys16
     base = system.params.base
     v, n = base.v, base.n
-    masks, rows_of = _translation_masks(system.stack, base)
-    orbit = rows_of(int(np.bitwise_and.reduce(masks)))
+    masks = translation_masks(system.stack, base.m, n)
+    orbit = orbit_rows(base.m, n, int(np.bitwise_and.reduce(masks)))
     assert orbit is not None and len(orbit) < v
     x = int(rng.choice(orbit)) if seed % 2 else rng.randrange(v)
     if count == "companion":
@@ -239,13 +240,9 @@ def test_gram_pairs_match_block_route_on_single_flips(count, seed, sys16, pair24
 
 def _shift_orbit(point: tuple[int, int], mask: int, m: int, n: int) -> set[tuple[int, int]]:
     """The entries (perm[x], perm[y]) of ``point`` = (x, y) for every perm
-    of the group generated by the shifts of a ``_translation_masks`` mask:
-    its low bits the digit shifts of the m groups, the bits above those of
-    the n points of every group."""
-    x = np.arange(m * n)
-    low = len(digit_shifts(m))
-    gens = [shift[x // n] * n + x % n for s, shift in enumerate(digit_shifts(m)) if mask >> s & 1]
-    gens += [x // n * n + shift[x % n] for s, shift in enumerate(digit_shifts(n)) if mask >> (low + s) & 1]
+    of the group generated by the shifts of a ``translation_masks`` mask
+    (``block_route.lifted_shifts``)."""
+    gens = [shift for s, shift in enumerate(block_route.lifted_shifts(m, n)) if mask >> s & 1]
     seen, todo = {point}, [point]
     while todo:
         a, b = todo.pop()
@@ -255,6 +252,22 @@ def _shift_orbit(point: tuple[int, int], mask: int, m: int, n: int) -> set[tuple
                 seen.add(image)
                 todo.append(image)
     return seen
+
+
+@pytest.mark.parametrize("flipped", [False, True], ids=["clean", "flipped"])
+@pytest.mark.parametrize("source", ["sys16", "sys45", "sys64", "pair16", "pair24"])
+def test_translation_masks_match_the_lifted_gather(source, flipped, request, corrupt_system):
+    """``translation_masks``, read from sub-block ids and distinct
+    sub-blocks, against every lifted group and point shift applied to each
+    whole block by a gather (``block_route.translation_masks``): on the
+    clean system and with one seeded entry flipped.  sys45 has m = 5 and
+    n = 9, two primes."""
+    system = request.getfixturevalue(source)
+    if flipped:
+        system, _ = corrupt_system(system, 0)
+    m, n = system.params.base.m, system.params.base.n
+    masks = translation_masks(system.stack, m, n)
+    assert masks.tolist() == block_route.translation_masks(system.stack, m, n).tolist()
 
 
 @pytest.mark.parametrize("source", ["sys16", "sys45", "sys64", "pair16", "pair24"])
@@ -268,7 +281,7 @@ def test_inside_k_verdict_of_the_group_sums_matches_the_block_route(source, requ
     system = request.getfixturevalue(source)
     base = system.params.base
     m, n, v = base.m, base.n, base.v
-    masks = _translation_masks(system.stack, base)[0]
+    masks = translation_masks(system.stack, m, n)
     rng = random.Random(f"inside-K-{source}")
     damaged = []
     for b in rng.sample(range(len(system.stack)), 2):
@@ -279,12 +292,12 @@ def test_inside_k_verdict_of_the_group_sums_matches_the_block_route(source, requ
             stack[b, x, y] = 1
         damaged.append((LinkedSystemII(system.params, stack), b))
     for bad, b in [(system, None)] + damaged:
-        bad_masks, rows_of = _translation_masks(bad.stack, base)
+        bad_masks = translation_masks(bad.stack, m, n)
         if b is not None:
             assert bad_masks[b] & masks[b] == masks[b]
             assert not bad.blocks[ordered_pairs(bad.f)[b]].diagonal_blocks_zero()
         for t, blk in enumerate(bad.blocks[pair] for pair in ordered_pairs(bad.f)):
-            orbit = rows_of(int(bad_masks[t]))
+            orbit = orbit_rows(m, n, int(bad_masks[t]))
             for rows in (slice(None), slice(None) if orbit is None else orbit):
                 [(_, zero_one)] = k_commutations(bad.stack, m, n, np.array([t]), rows)
                 assert zero_one == blk.diagonal_blocks_zero(), (t, rows)

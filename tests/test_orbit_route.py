@@ -1,7 +1,7 @@
 """The orbit route of the linked-system and auxiliary-set certifiers: each
 Gram, commutation, triple and auxiliary identity is formed on one row per
-orbit of the digit shifts (``designs.digit_shifts``) that fix every matrix
-it uses (``designs.shift_masks``, ``designs.orbit_rows``), the identities
+orbit of the digit shifts (``block_route.digit_shifts``) that fix every
+matrix it uses (``designs.translation_masks``, ``designs.orbit_rows``), the identities
 sharing those shifts as one batch (``designs.on_orbits``); on every row when
 no shift fixes its matrices or when it fails on its orbit rows.  Either way
 the report lines are those of the block route (``block_route``), which
@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import block_route
+import sgdd.designs
 import sgdd.linked
 import sgdd.resolvable
 from sgdd import fileio
-from sgdd.designs import digit_shifts, orbit_rows, shift_masks
+from block_route import digit_shifts, lifted_shifts
+from sgdd.designs import orbit_rows, shift_masks
 from sgdd.gf import gf_from_order
 from sgdd.latin import linked_mols_from_gf
 from sgdd.linked import LinkedSystemII, build_from_mub_bush, build_tilde_l, ordered_pairs, pair_index, verify_linked_system
@@ -136,7 +138,7 @@ def test_digit_shifts_are_the_affine_translations(q, d):
     shifts = digit_shifts(aux.order)
     every = 2 ** len(shifts) - 1
     assert (shift_masks(aux.stack) == every).all()
-    assert orbit_rows(aux.order, every).tolist() == [0]
+    assert orbit_rows(aux.order, 1, every).tolist() == [0]
     assert _group(shifts).keys() == _group(block_route.affine_translations(q, d + 1)).keys()
 
 
@@ -397,14 +399,30 @@ def test_shift_masks_mark_the_shifts_that_fix_each_matrix():
 
 @pytest.mark.parametrize("v", [8, 9, 25, 27])
 def test_orbit_rows_are_the_least_points_of_the_orbits(v):
-    """For every set of digit shifts, the least point of each orbit of the
-    group they generate (``_group``); None for no shift."""
+    """For every set of digit shifts of one set of v points, (v, 1), the
+    least point of each orbit of the group they generate (``_group``);
+    None for no shift."""
     shifts = digit_shifts(v)
-    assert orbit_rows(v, 0) is None
+    assert orbit_rows(v, 1, 0) is None
     for mask in range(1, 2 ** len(shifts)):
         group = _group([s for bit, s in enumerate(shifts) if mask >> bit & 1]).values()
         least = sorted({min(int(g[x]) for g in group) for x in range(v)})
-        assert orbit_rows(v, mask).tolist() == least
+        assert orbit_rows(v, 1, mask).tolist() == least
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (8, 8), (5, 9), (9, 3), (6, 4), (7, 1)])
+def test_orbit_rows_are_the_least_points_of_the_lifted_orbits(m, n):
+    """For every mask of m groups of n points, the least point of each
+    orbit of the group the lifted group and point shifts of its bits
+    generate (``block_route.lifted_shifts``, ``_group``); None for mask 0.
+    m = 6 has no group shift, n = 1 no point shift."""
+    shifts = lifted_shifts(m, n)
+    assert orbit_rows(m, n, 0) is None
+    for mask in range(1, 2 ** len(shifts)):
+        group = _group([s for bit, s in enumerate(shifts) if mask >> bit & 1]).values()
+        rows = orbit_rows(m, n, mask)
+        assert not rows.flags.writeable
+        assert rows.tolist() == sorted({min(int(g[x]) for g in group) for x in range(m * n)}), mask
 
 
 @pytest.mark.parametrize("m, n", [(8, 8), (5, 9), (4, 3), (3, 17)])
@@ -418,7 +436,7 @@ def test_sub_block_ids_are_equal_exactly_where_the_sub_blocks_are(m, n):
     pool[1, -1, -1] ^= 1
     picks = rng.integers(0, 3, size=(4, m, m))
     stack = pool[picks].swapaxes(2, 3).reshape(4, m * n, m * n)
-    ids = sgdd.linked._sub_block_ids(stack, m, n).ravel()
+    ids = sgdd.designs._sub_block_ids(stack, m, n).ravel()
     blocks = [bytes(b) for b in stack.reshape(4, m, n, m, n).swapaxes(2, 3).reshape(-1, n * n)]
     assert len(set(blocks)) == 3
     assert all((ids[a] == ids[b]) == (blocks[a] == blocks[b]) for a in range(len(ids)) for b in range(len(ids)))
