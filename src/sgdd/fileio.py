@@ -29,8 +29,9 @@ feed or all in CR LF, is read into the window and its digits taken in
 place; any other block is read token by token from the same rows, so every
 error names the same line either way.  A header never sizes an array the
 rest of the stream is too short to fill (``_fits``).  Scheme classes that
-are 0/1 digit blocks go into one ``ClassBits`` array, and the blocks of a
-linked system or an auxiliary set into its ``uint8`` stack.  A block of
+are 0/1 digit blocks claiming no pair twice go into one label array R,
+class i as label i (``schemes.ClassLabels``), and the blocks of a linked
+system or an auxiliary set into its ``uint8`` stack.  A block of
 digits is written from one byte buffer, a scheme from its class-label
 array R, class i as R == i compared straight into one buffer per band of
 rows, each band within ``SCHEME_BAND`` bytes of text.
@@ -46,12 +47,12 @@ from itertools import chain
 import numpy as np
 
 from .algebra import IntMatrix
-from .designs import GddParams, IncidenceMatrix, zero_one
+from .designs import GddParams, IncidenceMatrix, stack_slices, zero_one
 from .errors import FormatError, ParameterError
 from .latin import LatinSquare, LinkedMolsFamily
 from .linked import GcmMatrix, LinkedParams, LinkedSystemII
 from .resolvable import AuxiliarySet, auxiliary_set
-from .schemes import ClassBits
+from .schemes import ClassLabels
 
 
 # the ASCII line boundaries of str.splitlines
@@ -428,30 +429,46 @@ def _class_rows(rows: np.ndarray, label: int) -> np.ndarray:
     return _text_rows(pairs)
 
 
-def read_scheme(stream) -> ClassBits | list[np.ndarray]:
+def _claim(relation: np.ndarray, digits: np.ndarray, label: int) -> bool:
+    """Whether ``label`` went into R, which holds only labels below it and
+    255 (no class yet), wherever the 0/1 ``digits`` hold a 1 and no pair is
+    claimed twice; else R is left as it was.  A 1 adds label + 1 mod 256:
+    255 becomes the label and a label c < 255 never does, so the label
+    count, taken a band of rows at a time, is short exactly on a claim."""
+    ones = np.count_nonzero(digits)
+    np.multiply(digits, label + 1, out=digits)
+    np.add(relation, digits, out=relation, dtype=np.uint8, casting="unsafe")  # digits <= 255, sum mod 256
+    if ones == sum(np.count_nonzero(relation[rows] == label) for rows in stack_slices(len(relation), len(relation))):
+        return True
+    np.subtract(relation, digits, out=relation, dtype=np.uint8, casting="unsafe")
+    np.minimum(digits, 1, out=digits)
+    return False
+
+
+def read_scheme(stream) -> ClassLabels | list[np.ndarray]:
     """The d + 1 classes as written, which ``schemes.relation_from_classes``
-    certifies.  While every class is a 0/1 digit block of the header's order,
-    at most eight of them, class i goes into bit i of one ``ClassBits``
-    array, in place from the window; from the first class that is not, the
-    classes are a list of the blocks as ``_read_matrix`` reads them."""
+    certifies.  While every class is a 0/1 digit block of the header's order
+    and no pair is in two of them, each class's label is written into one
+    label array R in place from the window (``_claim``), for d < 255: labels
+    0..254, 255 where no class holds a pair.  From the first class that is
+    not, the classes are a list: the earlier ones as R == c, then the blocks
+    as ``_read_block`` reads them."""
     lines = Lines(stream, "scheme")
     d, size = lines.ints(2)
     if d < 0:
         raise FormatError("scheme: class count must be non-negative")
-    fits = d < ClassBits.MAX_CLASSES and _fits(lines, d + 1, size) == d + 1
-    bits, mats = np.zeros((size, size), dtype=np.uint8) if fits else None, []
+    fits = d < 255 and _fits(lines, d + 1, size) == d + 1
+    relation, mats = np.full((size, size), 255, dtype=np.uint8) if fits else None, []
     for i in range(d + 1):
         rows, cols, digits = _digit_block(lines)
-        if bits is not None and digits is not None and digits.shape == bits.shape and digits.max() <= 1:
-            np.left_shift(digits, i, out=digits)
-            np.bitwise_or(bits, digits, out=bits, casting="unsafe")  # 0/1 shifted by i < 8 fits
+        if relation is not None and digits is not None and digits.shape == relation.shape and digits.max() <= 1 and _claim(relation, digits, i):
             continue
-        if bits is not None:
-            mats, bits = [(bits >> c) & 1 for c in range(i)], None
+        if relation is not None:
+            mats, relation = list(ClassLabels(relation, i)), None
         mats.append(_read_block(lines, rows, cols, digits))
     lines.done()
-    if bits is not None:
-        return ClassBits(bits, d + 1)
+    if relation is not None:
+        return ClassLabels(relation, d + 1)
     if any(m.shape != (size, size) for m in mats):
         raise FormatError("scheme: matrix order disagrees with header")
     return mats

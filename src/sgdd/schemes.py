@@ -4,8 +4,9 @@ Assembly places the block designs in one cross-fiber class A_3 next to the
 within-fiber classes (A_1 within group, A_2 across groups), the cross-fiber
 group indicator A_5 and the leftover class A_4.  A scheme is held as one
 uint8 class-label array R, R[x, y] the class of (x, y), built from a system
-by ``scheme_matrices_from_system`` or from class matrices, with the partition
-axioms, by ``relation_from_classes``.  Certification is exact and layered:
+by ``scheme_matrices_from_system`` or read from a file, and checked against
+the partition axioms by ``relation_from_classes``, which also builds R from
+a list of class matrices.  Certification is exact and layered:
 
 * the scheme axioms hold for the scheme of a certified linked system (see
   ``assemble_scheme``), so assembly and every load certify through the
@@ -118,49 +119,20 @@ def _symmetric(a: np.ndarray) -> bool:
     return all(np.array_equal(a[r : r + tile, c : c + tile], a[c : c + tile, r : r + tile].T) for r in range(0, n, tile) for c in range(r, n, tile))
 
 
-class ClassBits:
-    """At most eight 0/1 classes A_0, ..., A_d as one uint8 array, bit i of
-    bits[x, y] being A_i[x, y] (``fileio.read_scheme``): R in one-hot form.
-    Indexing gives the classes, so it stands wherever a class list does."""
+class ClassLabels:
+    """The classes A_0, ..., A_{count-1} of a uint8 label array R, as
+    ``fileio.read_scheme`` writes it or ``assemble_scheme`` builds it, a
+    label of ``count`` or more marking a pair in no class.  Indexing gives
+    A_i = (R == i) as uint8, so it stands wherever a class list does."""
 
-    MAX_CLASSES = 8
-
-    def __init__(self, bits: np.ndarray, count: int):
-        if not 0 < count <= self.MAX_CLASSES:
-            raise ParameterError(f"class bits hold 1 to {self.MAX_CLASSES} classes, not {count}")
-        self.bits, self.count = bits, count
+    def __init__(self, relation: np.ndarray, count: int):
+        self.relation, self.count = relation, count
 
     def __len__(self) -> int:
         return self.count
 
     def __getitem__(self, idx: int) -> np.ndarray:
-        return (self.bits >> range(self.count)[idx]) & 1
-
-
-# bits -> label: i for 1 << i, and 255 for a pair in no class or in several
-_BIT_LABELS = np.full(256, 255, dtype=np.uint8)
-_BIT_LABELS[1 << np.arange(ClassBits.MAX_CLASSES)] = np.arange(ClassBits.MAX_CLASSES)
-
-
-def _label_axioms(relation: np.ndarray, count: int) -> Certificate | None:
-    """The partition certificate of ``count`` classes read once on R (255
-    where a pair is in no class or several), or None: every pair in one
-    class, R = R^T, R = 0 exactly on the diagonal (A_0 = I) and no label
-    missing make every class symmetric 0/1 and sum A_i = J."""
-    size = len(relation)
-    holds = (
-        int(relation.max()) < count
-        and not relation.diagonal().any()
-        and np.count_nonzero(relation) == size * (size - 1)
-        and _symmetric(relation)
-        and all((relation == i).any() for i in range(1, count))
-    )
-    if not holds:
-        return None
-    cert = Certificate("association scheme axioms")
-    cert.passed("A_0 = I")
-    cert.passed("sum A_i = J")
-    return cert
+        return (self.relation == range(self.count)[idx]).view(np.uint8)
 
 
 def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
@@ -169,18 +141,24 @@ def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
     every class a symmetric square 0/1 matrix, sum A_i = J and no class
     empty.  R is None unless they hold; it is uint8 up to 255 classes.
 
-    ``ClassBits`` are checked on R (``_label_axioms``), and class by class
-    only when that fails, so a failing input is reported as a list is."""
-    if isinstance(classes, ClassBits):
-        relation = np.empty_like(classes.bits)
-        # np.take copies its indices as intp, a band at a time; every byte indexes
-        # the 256 labels, so "wrap" changes nothing and writes each band unbuffered
-        for rows in stack_slices(len(relation), len(relation)):
-            np.take(_BIT_LABELS, classes.bits[rows], out=relation[rows], mode="wrap")
-        if (cert := _label_axioms(relation, len(classes))) is not None:
-            return relation, cert
-        del relation
+    ``ClassLabels`` are checked once on their own R, which is returned as
+    it is when they hold: every pair in a class, R = R^T, R = 0 exactly on
+    the diagonal (A_0 = I) and no label missing make every class symmetric
+    0/1 and sum A_i = J.  Only when that fails are they checked class by
+    class, so a failing input is reported as a list is."""
     cert = Certificate("association scheme axioms")
+    if isinstance(classes, ClassLabels):
+        relation, size = classes.relation, len(classes.relation)
+        if (
+            int(relation.max()) < len(classes)
+            and not relation.diagonal().any()
+            and np.count_nonzero(relation) == size * (size - 1)
+            and _symmetric(relation)
+            and all((relation == i).any() for i in range(1, len(classes)))
+        ):
+            cert.passed("A_0 = I")
+            cert.passed("sum A_i = J")
+            return relation, cert
     size = classes[0].shape[0]
     relation = np.zeros((size, size), dtype=np.min_scalar_type(len(classes)))
     count, term = np.zeros_like(relation), np.empty_like(relation)
@@ -581,9 +559,8 @@ def assemble_scheme(sys: LinkedSystemII) -> AssociationScheme:
         raise CertificationError("input system fails certification", sys_cert)
     base = sys.params.base
     params = SchemeParams(k=base.k, m=base.m, n=base.n, f=sys.params.f)
-    relation = scheme_matrices_from_system(sys)
-    if (cert := _label_axioms(relation, CLASSES)) is None:
-        cert = relation_from_classes(relation == np.arange(CLASSES)[:, None, None])[1]
+    relation, cert = relation_from_classes(ClassLabels(scheme_matrices_from_system(sys), CLASSES))
+    if relation is None:
         raise CertificationError("assembled matrices fail the scheme axioms", cert)
     p = _first_pair_numbers(relation)
     cert.checks += _DECOMPOSITION

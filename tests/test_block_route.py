@@ -114,6 +114,17 @@ def test_linked_system_matches_block_route(source, kinds, request):
             assert any(v.identity.startswith(caught) for v in got.violations), (kind, seed)
 
 
+def test_every_single_flip_of_sys16_is_rejected(sys16):
+    """Each of the 6 x 256 single-entry flips of sys16 fails
+    ``verify_linked_system``, with the block route's report lines."""
+    for b, x, y in np.ndindex(sys16.stack.shape):
+        stack = sys16.stack.copy()
+        stack[b, x, y] ^= 1
+        bad = LinkedSystemII(sys16.params, stack)
+        got = verify_linked_system(bad)
+        assert not got.ok and _outcome(got) == _outcome(block_route.verify_linked_system(bad)), (b, x, y)
+
+
 @pytest.mark.parametrize("source", ["sys16", "sys45", "sys64", "pair24"])
 def test_sliced_stacks_match_block_route(source, request, monkeypatch):
     """With a stack budget of 512 entries every stacked product is formed in

@@ -1,12 +1,14 @@
 """The label-array route against the class-list route: the partition
-certificate, p at the first pairs, the label array of a linked system, and
-seeded single-entry corruptions of a scheme file."""
+certificate, p at the first pairs, the label array of a linked system,
+seeded single-entry corruptions of a scheme file, and an assembled label
+array with one damaged pair."""
 
 import random
 
 import numpy as np
 import pytest
 
+import sgdd.schemes
 from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.errors import CertificationError
@@ -139,3 +141,25 @@ def test_scheme_file_corruptions_match_class_list_route(source, kind, seed, rela
         with pytest.raises(CertificationError, match="input fails the scheme axioms") as exc:
             route(classes)
         assert exc.value.report.report_lines() == ref_cert.report_lines()
+
+
+@pytest.mark.parametrize("damage", ["asymmetric", "diagonal", "in-no-class"])
+def test_a_damaged_assembly_reports_the_class_list_lines(damage, sys16, monkeypatch):
+    """``assemble_scheme`` over an R with one seeded damaged pair (one entry
+    of a pair moved to another class, a diagonal entry given a class, or
+    both entries of a pair given label 255, in no class) raises, with the
+    partition lines of the class-list route on the six classes R == i."""
+    rng = random.Random(f"assemble:{damage}")
+    damaged = scheme_matrices_from_system(sys16).copy()
+    x, y = rng.sample(range(len(damaged)), 2)
+    if damage == "asymmetric":
+        damaged[x, y] = damaged[x, y] % 5 + 1
+    elif damage == "diagonal":
+        damaged[x, x] = rng.randrange(1, 6)
+    else:
+        damaged[x, y] = damaged[y, x] = 255
+    monkeypatch.setattr(sgdd.schemes, "scheme_matrices_from_system", lambda sys: damaged)
+    with pytest.raises(CertificationError, match="assembled matrices fail the scheme axioms") as exc:
+        assemble_scheme(sys16)
+    want = ref.partition_certificate(class_matrices([(damaged == i).view(np.uint8) for i in range(6)]))
+    assert not want.ok and exc.value.report.report_lines() == want.report_lines()

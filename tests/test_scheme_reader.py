@@ -1,13 +1,15 @@
 """The streamed block readers (``fileio.read_scheme``,
 ``read_linked_system``, ``read_auxiliary_set``) and the label array axioms
-(``schemes.relation_from_classes`` on ``ClassBits``) against the token
+(``schemes.relation_from_classes`` on ``ClassLabels``) against the token
 reader (``token_route``) and the class-list route (``class_list_route``):
 on seeded files with CR LF line ends (one of them ending a row in CR x),
 blocks at odd and even byte offsets, a 2 entry, a non-digit byte, a
 truncated last block, and for schemes overlapping, asymmetric and empty
 classes and an A_0 that is not I, read from a file or a pipe, the readers
 give the same values or errors, and the CLI the same exit status, stdout
-and stderr, either way."""
+and stderr, either way.  A scheme is read into labels exactly when no pair
+is claimed twice, for every overlap of two classes, for random partitions
+with one entry set or cleared, and for up to 255 classes."""
 
 import io
 import os
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import class_list_route as ref
 import token_route
@@ -25,7 +29,7 @@ from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.cli import main
 from sgdd.errors import FormatError, SgddError
-from sgdd.schemes import ClassBits, certify_classes, relation_from_classes
+from sgdd.schemes import ClassLabels, certify_classes, compute_intersection_numbers, relation_from_classes
 from conftest import text_of
 
 # defects every block file takes; the scheme kinds follow
@@ -158,8 +162,8 @@ def test_reader_matches_token_and_class_list_routes(source, kind, seed, request,
         read, read_error = _outcome(fileio.read_scheme, io.BytesIO(data))
         assert read_error == error, layout
         if error is None:
-            # only a file of 0/1 digit blocks as written is read into bits
-            assert isinstance(read, ClassBits) == (kind != "entry-2"), layout
+            # only a file of 0/1 digit blocks as written, no pair in two of them, is read into labels
+            assert isinstance(read, ClassLabels) == (kind not in ("entry-2", "overlap", "overlap-pair")), layout
             _same_classes(read, classes)
             got, cert = relation_from_classes(read)
             want, ref_cert = relation_from_classes(classes)
@@ -267,9 +271,10 @@ def test_a_header_the_file_cannot_hold_is_refused_before_r_is_allocated(tmp_path
 
 @pytest.mark.parametrize("header", [b"9 4\n", b"-1 4\n", b"5 0\n", b"\n5 4\n", b"5 4 1\n", b"5 4\r7\n"])
 def test_headers_outside_the_written_layout_take_the_token_reader(header, scheme48):
-    """More classes than eight, a negative count, no vertices, a leading
-    blank line, a third field or a second line hidden behind a CR, each
-    over the 48-vertex classes: the reader gives the token reader's error."""
+    """Ten classes of order 4 (over six blocks of order 48, so the file
+    ends too soon), a negative count, no vertices, a leading blank line, a
+    third field or a second line hidden behind a CR, each over the 48-vertex
+    classes: the reader gives the token reader's error."""
     data = header + text_of(fileio.scheme_chunks(scheme48.relation)).split("\n", 1)[1].encode()
     error = _outcome(fileio.read_scheme, io.BytesIO(data))
     assert error == _token_route(data) and error[1] is not None
@@ -285,22 +290,113 @@ def test_a_pipe_is_left_whole_to_the_token_reader(scheme48):
         want, want_error = _token_route(data)
         assert error == want_error and (error is None) == (kind == "as-written")
         if error is None:
-            assert isinstance(got, ClassBits)
+            assert isinstance(got, ClassLabels)
             _same_classes(got, want)
 
 
 def test_written_schemes_are_read_block_by_block(scheme448, line_reads):
     """A written file is read block by block, each header through ``Lines``,
-    into the bits of one array: R and the axioms come out of it as they do
+    into the labels of one array: R and the axioms come out of it as they do
     out of the token reader's classes."""
     data = b"".join(fileio.scheme_chunks(scheme448.relation))
     for layout in (data, data.replace(b"\n", b"\r\n")):
         line_reads.update(ints=0, next=0)
-        bits = fileio.read_scheme(io.BytesIO(layout))
+        labels = fileio.read_scheme(io.BytesIO(layout))
         assert line_reads == {"ints": 1 + 6, "next": 1 + 6}
-        assert bits.bits.dtype == np.uint8 and bits.bits.shape == (448, 448)
-        relation, cert = relation_from_classes(bits)
+        assert labels.relation.dtype == np.uint8 and labels.relation.shape == (448, 448)
+        relation, cert = relation_from_classes(labels)
         assert cert.ok and np.array_equal(relation, scheme448.relation)
+
+
+def test_a_certified_file_keeps_the_readers_array(scheme448):
+    """The label array the reader writes is the scheme's R: certifying the
+    448-vertex file builds no second array of |X|^2 entries."""
+    read = fileio.read_scheme(io.BytesIO(b"".join(fileio.scheme_chunks(scheme448.relation))))
+    report = certify_classes(read)
+    assert report.certificate.ok and report.relation is read.relation
+
+
+def _scheme_file(classes) -> bytes:
+    """The scheme file of the 0/1 ``classes`` as written, one digit block each."""
+    head = f"{len(classes) - 1} {len(classes[0])}\n"
+    return (head + "".join(text_of(fileio.matrix_chunks(IntMatrix.view(a.view(np.uint8)))) for a in classes)).encode()
+
+
+def _checked_read(data: bytes):
+    """The reader's classes of ``data``, which must be the token reader's,
+    with the partition lines and R of the class-list route."""
+    read = fileio.read_scheme(io.BytesIO(data))
+    classes, error = _token_route(data)
+    assert error is None
+    _same_classes(read, classes)
+    got, cert = relation_from_classes(read)
+    want, want_cert = relation_from_classes(classes)
+    assert cert.report_lines() == want_cert.report_lines() == ref.partition_certificate(class_matrices(classes)).report_lines()
+    assert (got is None) == (want is None) and (got is None or np.array_equal(got, want))
+    return read
+
+
+@pytest.mark.parametrize("c, i", [(c, i) for i in range(1, 6) for c in range(i)])
+def test_a_pair_claimed_twice_turns_the_read_into_a_class_list(c, i, scheme48):
+    """For each of the 15 class pairs c < i of the 48-vertex scheme, one
+    pair of class c (both its entries) also in class i: the reader finds
+    the claim at class i and gives a class list, the token reader's."""
+    relation = scheme48.relation
+    x, y = random.Random(f"claimed:{c}:{i}").choice(list(zip(*np.nonzero(relation == c))))
+    classes = [relation == label for label in range(6)]
+    classes[i][x, y] = classes[i][y, x] = True
+    read = _checked_read(_scheme_file(classes))
+    assert isinstance(read, list) and len(read) == 6
+
+
+@st.composite
+def _flipped_partitions(draw):
+    """A random symmetric partition of order at most 12 into at most 12
+    classes, some possibly empty, and one entry (class, x, y) to flip."""
+    size, count = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, count - 1), min_size=size * size, max_size=size * size))
+    relation = np.array(labels, dtype=np.uint8).reshape(size, size)
+    relation = np.triu(relation) + np.triu(relation, 1).T
+    flip = draw(st.tuples(st.integers(0, count - 1), st.integers(0, size - 1), st.integers(0, size - 1)))
+    return relation, count, flip
+
+
+@given(_flipped_partitions())
+@settings(max_examples=150, deadline=None)
+def test_one_entry_set_or_cleared_reads_as_the_token_reader(case):
+    """A random partition with one entry of one class set or cleared: the
+    reader gives labels exactly when no pair is claimed twice, that is when
+    the entry was cleared, and its classes and the class-list route's
+    partition lines either way."""
+    relation, count, (c, x, y) = case
+    classes = [relation == label for label in range(count)]
+    classes[c][x, y] ^= True
+    read = _checked_read(_scheme_file(classes))
+    assert isinstance(read, ClassLabels) == (relation[x, y] == c)
+
+
+def test_more_classes_than_eight_take_the_label_route():
+    """The distance scheme of the 21-cycle, 11 classes: read into labels,
+    it certifies with the class-list route's R, partition lines and
+    intersection numbers."""
+    diff = np.abs(np.subtract.outer(np.arange(21), np.arange(21)))
+    relation = np.minimum(diff, 21 - diff).astype(np.uint8)
+    read = _checked_read(text_of(fileio.scheme_chunks(relation)).encode())
+    assert isinstance(read, ClassLabels) and len(read) == 11
+    assert relation_from_classes(read)[0] is read.relation and np.array_equal(read.relation, relation)
+    p, cert = compute_intersection_numbers(read)
+    want_p, want_cert = ref.intersection_numbers(class_matrices(read))
+    assert cert.ok and p == want_p and cert.report_lines() == want_cert.report_lines()
+
+
+@pytest.mark.parametrize("d", [254, 255])
+def test_labels_hold_up_to_255_classes(d):
+    """Order-2 classes I and J - I, then empty ones up to class d: 255
+    classes are read into labels 0..254, and 256 as a class list, each with
+    the class-list route's lines (the empty classes fail)."""
+    classes = [np.eye(2, dtype=bool), ~np.eye(2, dtype=bool)] + [np.zeros((2, 2), dtype=bool)] * (d - 1)
+    read = _checked_read(_scheme_file(classes))
+    assert isinstance(read, ClassLabels) == (d < 255) and len(read) == d + 1
 
 
 def test_chunk_writers_join_to_the_formatted_text(scheme48, sys16):
