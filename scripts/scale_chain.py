@@ -11,10 +11,11 @@ per row, v = q^2), certifies it, and certifies a copy with one seeded entry
 flipped, which must fail (exit 1).  It then assembles the scheme of
 (q - 1) q^2 vertices, certifies it, certifies a copy with one seeded
 symmetric pair moved from class 3 to class 4, which must fail (exit 1),
-analyses the scheme, extracts the system back and tests the fusion, writing
-the fused 3-class scheme.  The extracted system must equal the constructed
-one byte for byte.  The files
-go to ``--out`` (a temporary directory by default).  Two records of
+and a copy with one seeded symmetric pair of class 1 also set in class 5,
+which must fail (exit 1), analyses the scheme, extracts the system back
+and tests the fusion, writing the fused 3-class scheme.  The extracted
+system must equal the constructed one byte for byte.  The files go to
+``--out`` (a temporary directory by default).  Two records of
 identical output hold the same digests, so comparing the output of two
 checkouts at one q is a diff of their records.
 """
@@ -34,6 +35,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 FLIPPED = "verify linked-system (one entry flipped)"
 MOVED = "verify scheme (one pair moved)"
+TWICE = "verify scheme (one pair claimed twice)"
 
 
 def chain(q: int) -> list[tuple[str, list[str], int]]:
@@ -47,6 +49,7 @@ def chain(q: int) -> list[tuple[str, list[str], int]]:
         ("assemble", ["scheme", "assemble", "--in", "sys.lsys", "-o", "scheme.scm"], 0),
         ("verify scheme", ["verify", "scheme", "scheme.scm"], 0),
         (MOVED, ["verify", "scheme", "bad.scm"], 1),
+        (TWICE, ["verify", "scheme", "twice.scm"], 1),
         ("analyze", ["scheme", "analyze", "--in", "scheme.scm"], 0),
         ("extract", ["scheme", "extract", "--in", "scheme.scm", "-o", "back.lsys"], 0),
         ("fusion", ["scheme", "fusion", "--in", "scheme.scm", "-o", "fused.scm"], 0),
@@ -97,24 +100,40 @@ def flip_one_entry(src: Path, dst: Path, seed: int = 0):
         blocks.put(block, row, col, b"1" if blocks.row(block, row)[col : col + 1] == b"0" else b"0")
 
 
+def seeded_pair(classes: DigitBlocks, c: int, rng: random.Random) -> tuple[int, int]:
+    """A seeded pair (x, y), x < y, of class c of a scheme file."""
+    ones = []
+    while not ones:  # a row of class c with a 1 right of the diagonal
+        x = rng.randrange(classes.size)
+        row = classes.row(c, x)
+        ones = [y for y in range(x + 1, classes.size) if row[y] == ord("1")]
+    return x, rng.choice(ones)
+
+
 def move_one_pair(src: Path, dst: Path, seed: int = 0):
     """Copy the scheme file ``src`` to ``dst`` with one seeded symmetric
     pair (x, y), (y, x) moved from class 3 to class 4, which keeps every
     class 0/1 and symmetric and their sum J, so only the intersection
     numbers can catch it."""
-    rng = random.Random(seed)
     shutil.copyfile(src, dst)
     classes = DigitBlocks(dst)
     with classes.file:
-        ones = []
-        while not ones:  # a row of class 3 with a 1 right of the diagonal
-            x = rng.randrange(classes.size)
-            row = classes.row(3, x)
-            ones = [y for y in range(x + 1, classes.size) if row[y] == ord("1")]
-        y = rng.choice(ones)
+        x, y = seeded_pair(classes, 3, random.Random(seed))
         for a, b in ((x, y), (y, x)):
             classes.put(3, a, b, b"0")
             classes.put(4, a, b, b"1")
+
+
+def claim_one_pair_twice(src: Path, dst: Path, seed: int = 0):
+    """Copy the scheme file ``src`` to ``dst`` with one seeded symmetric
+    pair (x, y), (y, x) of class 1 also set in class 5, so the classes sum
+    to 2 there and the reader holds class 5 beside its label array."""
+    shutil.copyfile(src, dst)
+    classes = DigitBlocks(dst)
+    with classes.file:
+        x, y = seeded_pair(classes, 1, random.Random(seed))
+        for a, b in ((x, y), (y, x)):
+            classes.put(5, a, b, b"1")
 
 
 def sha256(path: Path) -> str:
@@ -148,6 +167,8 @@ def measure(q: int, out: Path) -> dict:
             flip_one_entry(out / "sys.lsys", out / "bad.lsys")
         if name == MOVED:
             move_one_pair(out / "scheme.scm", out / "bad.scm")
+        if name == TWICE:
+            claim_one_pair_twice(out / "scheme.scm", out / "twice.scm")
         code, seconds, peak, stdout = run_verb(argv, out)
         if code != want:
             raise SystemExit(f"{name}: exit status {code}, expected {want}")

@@ -28,10 +28,10 @@ A block of single-digit rows joined by single spaces, all ending in a line
 feed or all in CR LF, is read into the window and its digits taken in
 place; any other block is read token by token from the same rows, so every
 error names the same line either way.  A header never sizes an array the
-rest of the stream is too short to fill (``_fits``).  Scheme classes that
-are 0/1 digit blocks claiming no pair twice go into one label array R,
-class i as label i (``schemes.ClassLabels``), and the blocks of a linked
-system or an auxiliary set into its ``uint8`` stack.  A block of
+rest of the stream is too short to fill (``_fits``).  A scheme class that
+is a 0/1 digit block claiming no pair twice goes into one label array R
+as its label, any other beside R (``schemes.ClassLabels``), and the blocks
+of a linked system or an auxiliary set into its ``uint8`` stack.  A block of
 digits is written from one byte buffer, a scheme from its class-label
 array R, class i as R == i compared straight into one buffer per band of
 rows, each band within ``SCHEME_BAND`` bytes of text.
@@ -47,7 +47,7 @@ from itertools import chain
 import numpy as np
 
 from .algebra import IntMatrix
-from .designs import GddParams, IncidenceMatrix, stack_slices, zero_one
+from .designs import GddParams, IncidenceMatrix, zero_one
 from .errors import FormatError, ParameterError
 from .latin import LatinSquare, LinkedMolsFamily
 from .linked import GcmMatrix, LinkedParams, LinkedSystemII
@@ -275,6 +275,8 @@ def read_gdd_params(stream) -> GddParams:
         key = key.strip()
         if key not in _PARAM_KEYS:
             raise FormatError(f"parameters: unknown key {key!r}")
+        if key in got:
+            raise FormatError(f"parameters: repeated key {key!r}")
         try:
             got[key] = int(val.strip())
         except ValueError as exc:
@@ -429,49 +431,28 @@ def _class_rows(rows: np.ndarray, label: int) -> np.ndarray:
     return _text_rows(pairs)
 
 
-def _claim(relation: np.ndarray, digits: np.ndarray, label: int) -> bool:
-    """Whether ``label`` went into R, which holds only labels below it and
-    255 (no class yet), wherever the 0/1 ``digits`` hold a 1 and no pair is
-    claimed twice; else R is left as it was.  A 1 adds label + 1 mod 256:
-    255 becomes the label and a label c < 255 never does, so the label
-    count, taken a band of rows at a time, is short exactly on a claim."""
-    ones = np.count_nonzero(digits)
-    np.multiply(digits, label + 1, out=digits)
-    np.add(relation, digits, out=relation, dtype=np.uint8, casting="unsafe")  # digits <= 255, sum mod 256
-    if ones == sum(np.count_nonzero(relation[rows] == label) for rows in stack_slices(len(relation), len(relation))):
-        return True
-    np.subtract(relation, digits, out=relation, dtype=np.uint8, casting="unsafe")
-    np.minimum(digits, 1, out=digits)
-    return False
-
-
-def read_scheme(stream) -> ClassLabels | list[np.ndarray]:
+def read_scheme(stream) -> ClassLabels:
     """The d + 1 classes as written, which ``schemes.relation_from_classes``
-    certifies.  While every class is a 0/1 digit block of the header's order
-    and no pair is in two of them, each class's label is written into one
-    label array R in place from the window (``_claim``), for d < 255: labels
-    0..254, 255 where no class holds a pair.  From the first class that is
-    not, the classes are a list: the earlier ones as R == c, then the blocks
-    as ``_read_block`` reads them."""
+    certifies, held in one ``ClassLabels``: for d < 255, each class that is
+    a 0/1 digit block of the header's order claiming no pair an earlier
+    class holds is written as its label into the label array R in place
+    from the window (``ClassLabels.claim``), labels 0..254, 255 where no
+    class holds a pair; every other class goes into ``extra`` as
+    ``_read_block`` reads it."""
     lines = Lines(stream, "scheme")
     d, size = lines.ints(2)
     if d < 0:
         raise FormatError("scheme: class count must be non-negative")
     fits = d < 255 and _fits(lines, d + 1, size) == d + 1
-    relation, mats = np.full((size, size), 255, dtype=np.uint8) if fits else None, []
+    labels = ClassLabels(np.full((size, size), 255, dtype=np.uint8) if fits else None, d + 1)
     for i in range(d + 1):
         rows, cols, digits = _digit_block(lines)
-        if relation is not None and digits is not None and digits.shape == relation.shape and digits.max() <= 1 and _claim(relation, digits, i):
-            continue
-        if relation is not None:
-            mats, relation = list(ClassLabels(relation, i)), None
-        mats.append(_read_block(lines, rows, cols, digits))
+        if not (fits and digits is not None and digits.shape == (size, size) and digits.max() <= 1 and labels.claim(i, digits)):
+            labels.extra[i] = _read_block(lines, rows, cols, digits)
     lines.done()
-    if relation is not None:
-        return ClassLabels(relation, d + 1)
-    if any(m.shape != (size, size) for m in mats):
+    if any(m.shape != (size, size) for m in labels.extra.values()):
         raise FormatError("scheme: matrix order disagrees with header")
-    return mats
+    return labels
 
 
 # -- group-entry matrices (generalized conference / BGW) ----------------------------
@@ -501,6 +482,8 @@ def matrix_set_chunks(mats: list[IntMatrix]) -> Iterator:
 def read_matrix_set(stream) -> list[IntMatrix]:
     lines = Lines(stream, "matrix set")
     order, count = lines.ints(2)
+    if count < 1:
+        raise FormatError("matrix set: matrix count must be positive")
     mats = [IntMatrix.view(_read_matrix(lines)) for _ in range(count)]
     lines.done()
     if any(m.rows != order or m.cols != order for m in mats):

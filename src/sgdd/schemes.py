@@ -120,19 +120,36 @@ def _symmetric(a: np.ndarray) -> bool:
 
 
 class ClassLabels:
-    """The classes A_0, ..., A_{count-1} of a uint8 label array R, as
-    ``fileio.read_scheme`` writes it or ``assemble_scheme`` builds it, a
-    label of ``count`` or more marking a pair in no class.  Indexing gives
-    A_i = (R == i) as uint8, so it stands wherever a class list does."""
+    """The classes A_0, ..., A_{count-1}: ``extra[i]``, a block, for each
+    class i that a uint8 label array R does not hold, else (R == i) as
+    uint8, R as ``fileio.read_scheme`` writes it or ``assemble_scheme``
+    builds it, a label of ``count`` or more marking a pair in no class.
+    Indexing gives them, so it stands wherever a class list does."""
 
-    def __init__(self, relation: np.ndarray, count: int):
-        self.relation, self.count = relation, count
+    def __init__(self, relation: np.ndarray | None, count: int):
+        self.relation, self.count, self.extra = relation, count, {}
 
     def __len__(self) -> int:
         return self.count
 
     def __getitem__(self, idx: int) -> np.ndarray:
-        return (self.relation == range(self.count)[idx]).view(np.uint8)
+        idx = range(self.count)[idx]
+        return self.extra[idx] if idx in self.extra else (self.relation == idx).view(np.uint8)
+
+    def claim(self, label: int, digits: np.ndarray) -> bool:
+        """Whether ``label`` went into R, which holds only labels below it
+        and 255 (no class yet), wherever the 0/1 ``digits`` hold a 1 and no
+        pair is claimed twice; else R is left as it was.  A 1 adds label + 1
+        mod 256 in place: 255 becomes the label and a label c < 255 never
+        does: the label count, taken band by band, falls short exactly then."""
+        relation, ones = self.relation, np.count_nonzero(digits)
+        np.multiply(digits, label + 1, out=digits)
+        np.add(relation, digits, out=relation, dtype=np.uint8, casting="unsafe")  # digits <= 255, sum mod 256
+        if ones == sum(np.count_nonzero(relation[rows] == label) for rows in stack_slices(len(relation), len(relation))):
+            return True
+        np.subtract(relation, digits, out=relation, dtype=np.uint8, casting="unsafe")
+        np.minimum(digits, 1, out=digits)
+        return False
 
 
 def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
@@ -141,13 +158,13 @@ def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
     every class a symmetric square 0/1 matrix, sum A_i = J and no class
     empty.  R is None unless they hold; it is uint8 up to 255 classes.
 
-    ``ClassLabels`` are checked once on their own R, which is returned as
-    it is when they hold: every pair in a class, R = R^T, R = 0 exactly on
-    the diagonal (A_0 = I) and no label missing make every class symmetric
-    0/1 and sum A_i = J.  Only when that fails are they checked class by
-    class, so a failing input is reported as a list is."""
+    ``ClassLabels`` with no ``extra`` are checked once on their own R,
+    which is returned as it is when they hold: every pair in a class,
+    R = R^T, R = 0 exactly on the diagonal (A_0 = I) and no label missing
+    make every class symmetric 0/1 and sum A_i = J.  Any other input, and
+    one that fails, is checked class by class, as a list is."""
     cert = Certificate("association scheme axioms")
-    if isinstance(classes, ClassLabels):
+    if isinstance(classes, ClassLabels) and not classes.extra:
         relation, size = classes.relation, len(classes.relation)
         if (
             int(relation.max()) < len(classes)

@@ -355,6 +355,32 @@ def test_params_roundtrip(conference12):
     assert fileio.parse_inline_gdd_params("12 5 6 2 0 2") == params
 
 
+def test_a_repeated_parameter_key_is_refused(conference12, tmp_path: Path, capsys):
+    """Six keys, then k again: the reader names the key rather than keep
+    its last value, and ``verify gdd --params-file`` exits 2."""
+    gdd, params = conference12
+    text = text_of(fileio.gdd_params_chunks(params)) + "k=7\n"
+    with pytest.raises(FormatError, match=r"^parameters: repeated key 'k'$"):
+        read_text(fileio.read_gdd_params, text)
+    (tmp_path / "p").write_text(text)
+    (tmp_path / "a.mat").write_bytes(b"".join(fileio.matrix_chunks(gdd.mat)))
+    assert main(["verify", "gdd", str(tmp_path / "a.mat"), "--params-file", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr() == ("", "error: parameters: repeated key 'k'\n")
+
+
+@pytest.mark.parametrize("header", ["4 0\n", "4 -3\n"])
+def test_a_matrix_set_of_no_matrices_is_refused(header, tmp_path: Path, capsys):
+    """A matrix set header naming no matrices, which ``matrix_set_chunks``
+    never writes: the reader refuses it, and ``construct mub-system`` exits
+    2 and writes nothing."""
+    with pytest.raises(FormatError, match=r"^matrix set: matrix count must be positive$"):
+        read_text(fileio.read_matrix_set, header)
+    (tmp_path / "empty.hset").write_text(header)
+    assert main(["construct", "mub-system", "--in", str(tmp_path / "empty.hset"), "-o", str(tmp_path / "out.lsys")]) == 2
+    assert capsys.readouterr() == ("", "error: matrix set: matrix count must be positive\n")
+    assert not (tmp_path / "out.lsys").exists()
+
+
 def test_parsers_refuse_non_ascii_digits():
     # int() reads Arabic-Indic digits, so every entry point checks first
     with pytest.raises(FormatError, match=r"^matrix: non-ASCII byte 0xd9 on line 2$"):

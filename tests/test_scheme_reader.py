@@ -7,9 +7,11 @@ blocks at odd and even byte offsets, a 2 entry, a non-digit byte, a
 truncated last block, and for schemes overlapping, asymmetric and empty
 classes and an A_0 that is not I, read from a file or a pipe, the readers
 give the same values or errors, and the CLI the same exit status, stdout
-and stderr, either way.  A scheme is read into labels exactly when no pair
-is claimed twice, for every overlap of two classes, for random partitions
-with one entry set or cleared, and for up to 255 classes."""
+and stderr, either way.  A scheme class is read into the labels exactly
+when it is 0/1 and claims no pair twice, for every overlap of two classes,
+for random partitions with one entry set or cleared, and for up to 255
+classes; the others are kept beside the labels, so a damaged file holds
+no class list."""
 
 import io
 import os
@@ -144,6 +146,18 @@ def _cli_either_way(argv, path: Path, reader: str, capsys) -> tuple[int, str, st
     return got
 
 
+def _outside_r(classes) -> set[int]:
+    """The classes a read keeps out of R: each that is not 0/1, or that
+    holds a pair of an earlier class R holds."""
+    held, outside = np.zeros(classes[0].shape, dtype=bool), set()
+    for i, a in enumerate(classes):
+        if a.max() > 1 or (held & (a == 1)).any():
+            outside.add(i)
+        else:
+            held |= a == 1
+    return outside
+
+
 def _same_classes(got, want):
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -162,8 +176,8 @@ def test_reader_matches_token_and_class_list_routes(source, kind, seed, request,
         read, read_error = _outcome(fileio.read_scheme, io.BytesIO(data))
         assert read_error == error, layout
         if error is None:
-            # only a file of 0/1 digit blocks as written, no pair in two of them, is read into labels
-            assert isinstance(read, ClassLabels) == (kind not in ("entry-2", "overlap", "overlap-pair")), layout
+            # a 2, or the class that claims a pair twice, is the one class kept out of R
+            assert set(read.extra) == _outside_r(classes) and len(read.extra) == (kind in ("entry-2", "overlap", "overlap-pair")), layout
             _same_classes(read, classes)
             got, cert = relation_from_classes(read)
             want, ref_cert = relation_from_classes(classes)
@@ -290,7 +304,7 @@ def test_a_pipe_is_left_whole_to_the_token_reader(scheme48):
         want, want_error = _token_route(data)
         assert error == want_error and (error is None) == (kind == "as-written")
         if error is None:
-            assert isinstance(got, ClassLabels)
+            assert isinstance(got, ClassLabels) and not got.extra
             _same_classes(got, want)
 
 
@@ -340,13 +354,35 @@ def _checked_read(data: bytes):
 def test_a_pair_claimed_twice_turns_the_read_into_a_class_list(c, i, scheme48):
     """For each of the 15 class pairs c < i of the 48-vertex scheme, one
     pair of class c (both its entries) also in class i: the reader finds
-    the claim at class i and gives a class list, the token reader's."""
+    the claim at class i and keeps that class alone out of R, with the
+    token reader's classes."""
     relation = scheme48.relation
     x, y = random.Random(f"claimed:{c}:{i}").choice(list(zip(*np.nonzero(relation == c))))
     classes = [relation == label for label in range(6)]
     classes[i][x, y] = classes[i][y, x] = True
     read = _checked_read(_scheme_file(classes))
-    assert isinstance(read, list) and len(read) == 6
+    assert set(read.extra) == {i} and len(read) == 6
+
+
+def test_a_pair_claimed_twice_costs_one_block_beside_r(scheme448):
+    """The 448-vertex scheme with a pair of class 1 (both its entries) also
+    in class 5: reading it and certifying it, which fails, peaks within
+    10 |X|^2 bytes, as the read holds R and class 5's block, not a list of
+    six classes (12 |X|^2 with one)."""
+    relation = scheme448.relation
+    x, y = divmod(int(np.argmax(relation == 1)), len(relation))
+    classes = [relation == label for label in range(6)]
+    classes[5][x, y] = classes[5][y, x] = True
+    stream = io.BytesIO(_scheme_file(classes))
+    tracemalloc.start()
+    try:
+        read = fileio.read_scheme(stream)
+        report = certify_classes(read)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(read.extra) == {5} and not report.certificate.ok
+    assert peak <= 10 * relation.size
 
 
 @st.composite
@@ -365,14 +401,14 @@ def _flipped_partitions(draw):
 @settings(max_examples=150, deadline=None)
 def test_one_entry_set_or_cleared_reads_as_the_token_reader(case):
     """A random partition with one entry of one class set or cleared: the
-    reader gives labels exactly when no pair is claimed twice, that is when
-    the entry was cleared, and its classes and the class-list route's
-    partition lines either way."""
+    reader keeps a class out of R exactly when it claims a pair twice, the
+    later of the two classes of an entry set, and gives its classes and the
+    class-list route's partition lines either way."""
     relation, count, (c, x, y) = case
     classes = [relation == label for label in range(count)]
     classes[c][x, y] ^= True
     read = _checked_read(_scheme_file(classes))
-    assert isinstance(read, ClassLabels) == (relation[x, y] == c)
+    assert set(read.extra) == (set() if relation[x, y] == c else {max(c, relation[x, y])})
 
 
 def test_more_classes_than_eight_take_the_label_route():
@@ -382,7 +418,7 @@ def test_more_classes_than_eight_take_the_label_route():
     diff = np.abs(np.subtract.outer(np.arange(21), np.arange(21)))
     relation = np.minimum(diff, 21 - diff).astype(np.uint8)
     read = _checked_read(text_of(fileio.scheme_chunks(relation)).encode())
-    assert isinstance(read, ClassLabels) and len(read) == 11
+    assert not read.extra and len(read) == 11
     assert relation_from_classes(read)[0] is read.relation and np.array_equal(read.relation, relation)
     p, cert = compute_intersection_numbers(read)
     want_p, want_cert = ref.intersection_numbers(class_matrices(read))
@@ -392,11 +428,11 @@ def test_more_classes_than_eight_take_the_label_route():
 @pytest.mark.parametrize("d", [254, 255])
 def test_labels_hold_up_to_255_classes(d):
     """Order-2 classes I and J - I, then empty ones up to class d: 255
-    classes are read into labels 0..254, and 256 as a class list, each with
-    the class-list route's lines (the empty classes fail)."""
+    classes are read into labels 0..254, and 256 each as its own block,
+    each with the class-list route's lines (the empty classes fail)."""
     classes = [np.eye(2, dtype=bool), ~np.eye(2, dtype=bool)] + [np.zeros((2, 2), dtype=bool)] * (d - 1)
     read = _checked_read(_scheme_file(classes))
-    assert isinstance(read, ClassLabels) == (d < 255) and len(read) == d + 1
+    assert set(read.extra) == (set() if d < 255 else set(range(d + 1))) and len(read) == d + 1
 
 
 def test_chunk_writers_join_to_the_formatted_text(scheme48, sys16):

@@ -55,10 +55,11 @@ def test_reproduce_tables_writes_the_golden_tables(tmp_path: Path, monkeypatch):
 
 def test_scale_chain_times_every_verb_at_q_4(tmp_path: Path, monkeypatch, capsys):
     """The chain at q = 4 (the 48-vertex scheme), one fresh process per
-    verb, reports every verb, the flipped system and the scheme with a moved
-    pair rejected, a byte-identical extract round trip and the digest of the
-    fused scheme the fusion writes; a second run records the same digests of
-    every stdout and written file."""
+    verb, reports every verb, the flipped system, the scheme with a moved
+    pair and the scheme with a pair claimed twice rejected, a byte-identical
+    extract round trip and the digest of the fused scheme the fusion
+    writes; a second run records the same digests of every stdout and
+    written file."""
     _run_script("scale_chain.py", "--q", "4", "--out", str(tmp_path), monkeypatch=monkeypatch)
     record = json.loads(capsys.readouterr().out)
     _run_script("scale_chain.py", "--q", "4", "--out", str(tmp_path / "again"), monkeypatch=monkeypatch)
@@ -66,21 +67,24 @@ def test_scale_chain_times_every_verb_at_q_4(tmp_path: Path, monkeypatch, capsys
     digests = [(step["stdout_sha256"], step["files_sha256"]) for step in record["steps"]]
     assert digests == [(step["stdout_sha256"], step["files_sha256"]) for step in again["steps"]]
     assert [sorted(files) for _, files in digests] == [
-        ["had.aux"], ["gf.fam"], ["sys.lsys"], [], [], ["scheme.scm"], [], [], [], ["back.lsys"], ["fused.scm"],
+        ["had.aux"], ["gf.fam"], ["sys.lsys"], [], [], ["scheme.scm"], [], [], [], [], ["back.lsys"], ["fused.scm"],
     ]
-    assert digests[9][1]["back.lsys"] == hashlib.sha256((tmp_path / "sys.lsys").read_bytes()).hexdigest()
+    assert digests[10][1]["back.lsys"] == hashlib.sha256((tmp_path / "sys.lsys").read_bytes()).hexdigest()
     fused = tmp_path / "cli-fused.scm"
     assert main(["scheme", "fusion", "--in", str(tmp_path / "scheme.scm"), "-o", str(fused)]) == 0
     assert fused.read_bytes().startswith(b"3 48\n")
-    assert digests[10][1]["fused.scm"] == hashlib.sha256(fused.read_bytes()).hexdigest()
+    assert digests[11][1]["fused.scm"] == hashlib.sha256(fused.read_bytes()).hexdigest()
     assert (record["q"], record["vertices"], record["roundtrip"]) == (4, 48, True)
     assert [step["verb"] for step in record["steps"]] == [
         "hadamard-aux", "linked-mols", "tilde-l", "verify linked-system",
         "verify linked-system (one entry flipped)", "assemble", "verify scheme", "verify scheme (one pair moved)",
-        "analyze", "extract", "fusion",
+        "verify scheme (one pair claimed twice)", "analyze", "extract", "fusion",
     ]
     assert all(step["seconds"] > 0 and step["peak_mb"] > 0 for step in record["steps"])
     assert (tmp_path / "back.lsys").read_bytes() == (tmp_path / "sys.lsys").read_bytes()
     good, bad = (tmp_path / "scheme.scm").read_bytes(), (tmp_path / "bad.scm").read_bytes()
     moved = [at for at, (x, y) in enumerate(zip(good, bad)) if x != y]
     assert len(good) == len(bad) and len(moved) == 4
+    twice = (tmp_path / "twice.scm").read_bytes()
+    claimed = [at for at, (x, y) in enumerate(zip(good, twice)) if x != y]
+    assert len(good) == len(twice) and len(claimed) == 2 and {twice[at] for at in claimed} == {ord("1")}
