@@ -121,66 +121,96 @@ def shift_masks(stack: np.ndarray) -> np.ndarray:
 
     With v = p^e, a matrix reshaped to (p,) * 2e has one row axis and one
     column axis per digit, and the s-th shift of its rows and columns is a
-    roll by one along both axes of digit s: each shift is one roll and one
-    comparison of a slice of the stack within STACK_ENTRIES, with no index
-    array."""
+    roll by one along both axes of digit s: each shift is two ``take``s of
+    p slices, which cost half what a roll by slicing does on small stacks,
+    and one comparison of a slice of the stack within STACK_ENTRIES, with
+    no index array of the matrices' order."""
     count, v = len(stack), stack.shape[-1]
     masks = np.zeros(count, dtype=np.int64)
     p, e = _digits(v)
     if not e:
         return masks
-
-    def rolled(a: np.ndarray, axis: int) -> np.ndarray:  # np.roll(a, 1, axis), with less overhead on small stacks
-        head = (slice(None),) * axis
-        return np.concatenate((a[head + (slice(-1, None),)], a[head + (slice(None, -1),)]), axis=axis)
-
+    back = np.arange(-1, p - 1)  # rolled by one: digit x reads digit x - 1
     bits = np.left_shift(1, np.arange(e, dtype=np.int64))
     for part in stack_slices(count, v * v):
         # axis 1 + t of the reshape is the row digit of weight p^(e-1-t), axis 1 + e + t its column digit
         digits = stack[part].reshape(-1, *(p,) * (2 * e))
-        fixed = [(rolled(rolled(digits, e - s), 2 * e - s) == digits).reshape(len(digits), -1).all(axis=1) for s in range(e)]
+        fixed = [(digits.take(back, axis=e - s).take(back, axis=2 * e - s) == digits).reshape(len(digits), -1).all(axis=1) for s in range(e)]
         masks[part] = bits @ np.array(fixed)
     return masks
 
 
-def _sub_block_ids(stack: np.ndarray, m: int, n: int) -> np.ndarray:
-    """(count, m, m) integers, equal exactly where the n x n sub-blocks
-    (a, b) of the 0/1 stack's matrices are equal: the ranks of their
-    entries, packed eight to a byte a slice of blocks at a time, by one
-    argsort of a void view (of one uint64 when n <= 8, which sorts several
-    times faster), so no Python object is made per sub-block."""
-    cells = np.concatenate([
-        np.packbits(stack[part].reshape(-1, m, n, m, n).swapaxes(2, 3).reshape(-1, n * n), axis=-1)
-        for part in stack_slices(len(stack), stack[0].size)
-    ])
+def _sub_block_keys(stack: np.ndarray, m: int, n: int) -> np.ndarray:
+    """One exact key for each n x n sub-block (a, b) of the matrices c of a
+    0/1 (count, m n, m n) stack, in (c, a, b) order: its entries packed
+    eight to a byte, as one uint64 when they fit in 8 bytes (which sorts
+    several times faster), else as one void scalar, so no Python object is
+    made per sub-block.  When n is a multiple of 8 each row of a sub-block
+    is whole bytes of its packed row, so the rows are packed first and the
+    sub-blocks gathered from an eighth of the bytes."""
+    count = len(stack)
+    if n % 8:
+        cells = np.packbits(stack.reshape(count, m, n, m, n).swapaxes(2, 3).reshape(count * m * m, n * n), axis=-1)
+    else:
+        cells = np.packbits(stack, axis=-1).reshape(count, m, n, m, n // 8).swapaxes(2, 3).reshape(count * m * m, -1)
     width = cells.shape[1]
     if width < 8:
         cells = np.concatenate([cells, np.zeros((len(cells), 8 - width), dtype=np.uint8)], axis=1)
-    keys = cells.view(np.uint64)[:, 0] if width <= 8 else cells.view(np.dtype((np.void, width)))[:, 0]
-    order = np.argsort(keys)
-    ranks = np.empty(len(keys), dtype=np.intp)
-    ranks[order] = np.cumsum(np.concatenate([[0], keys[order[1:]] != keys[order[:-1]]]))
-    return ranks.reshape(-1, m, m)
+    return cells.view(np.uint64)[:, 0] if width <= 8 else cells.view(np.dtype((np.void, width)))[:, 0]
 
 
-def translation_masks(stack: np.ndarray, m: int, n: int) -> np.ndarray:
+def translation_masks(stack: np.ndarray, m: int, n: int, transposes) -> tuple[np.ndarray, list]:
     """For each matrix of a (count, m n, m n) 0/1 stack on m groups of n
     points, the mask of the digit shifts that fix it, laid out as
-    ``orbit_rows`` reads it: bits 0..e-1 for the e shifts of the m groups
-    (``shift_masks``), checked on the sub-block ids, and the bits above for
-    those of the n points of every group, checked on the distinct n x n
-    sub-blocks, a matrix fixed when each of its sub-blocks is.  Both kinds
-    fix K, and the orbits of the group they generate are products of
-    theirs: one row for every block of ``build_tilde_l`` over a field
-    family and an AG set."""
-    ids = _sub_block_ids(stack, m, n)
-    at = np.empty(ids.max() + 1, dtype=np.intp)
-    at[ids.ravel()] = np.arange(ids.size)  # one position of each distinct sub-block
-    c, a, b = np.unravel_index(at, ids.shape)
-    points = shift_masks(stack.reshape(-1, m, n, m, n)[c, a, :, b])
+    ``orbit_rows`` reads it; and for each pair (b, c) of positions in
+    ``transposes``, the first row-major position where stack[c] differs
+    from stack[b]^T, or None.
+
+    The stack is read once, a band of matrices within STACK_ENTRIES at a
+    time: each band's n x n sub-blocks are keyed (``_sub_block_keys``), and
+    only a key not seen in an earlier band is kept, with one copy of its
+    sub-block, so each sub-block gets the id of its content.  Bits 0..e-1
+    are the e shifts of the m groups (``shift_masks``), read on the
+    (count, m, m) ids, and the bits above those of the n points of every
+    group, read on the distinct sub-blocks alone, a matrix fixed when each
+    of its sub-blocks is.  Both kinds fix K, and the orbits of the group
+    they generate are products of theirs: one row for every block of
+    ``build_tilde_l`` over a field family and an AG set.  Sub-block (x, y)
+    of stack[b]^T is sub-block (y, x) of stack[b] transposed, so stack[c]
+    is stack[b]^T exactly when the ids of its sub-blocks are those of the
+    transposes of stack[b]'s, keyed from the distinct sub-blocks; only a
+    pair that is not is compared entry by entry, for its first position."""
+    count = len(stack)
+    ids = np.empty((count, m, m), dtype=np.intp)
+    known, known_ids, distinct = None, np.empty(0, dtype=np.intp), []  # known: the keys seen, sorted, with their ids
+    for part in stack_slices(count, stack[0].size):
+        band = stack[part]
+        keys = _sub_block_keys(band, m, n)
+        if known is None:
+            new = np.arange(len(keys))
+        else:
+            new = np.flatnonzero(known[np.minimum(np.searchsorted(known, keys), len(known) - 1)] != keys)
+        if len(new):
+            order = new[np.argsort(keys[new])]
+            first = order[np.concatenate(([True], keys[order[1:]] != keys[order[:-1]]))]  # one position of each new key
+            c, a, b = np.unravel_index(first, (len(band), m, m))
+            distinct.append(band.reshape(-1, m, n, m, n)[c, a, :, b])
+            known = keys[first] if known is None else np.concatenate([known, keys[first]])
+            known_ids = np.concatenate([known_ids, len(known_ids) + np.arange(len(first))])
+            order = np.argsort(known)
+            known, known_ids = known[order], known_ids[order]
+        ids[part] = known_ids[np.searchsorted(known, keys)].reshape(-1, m, m)
+    distinct = np.concatenate(distinct)  # by id
     # a matrix is fixed by a point shift when every one of its sub-blocks is
-    points = np.bitwise_and.reduce(points[ids].reshape(len(ids), -1), axis=1)
-    return shift_masks(ids) | points << _digits(m)[1]
+    points = np.bitwise_and.reduce(shift_masks(distinct)[ids].reshape(count, -1), axis=1)
+    masks = shift_masks(ids.astype(np.min_scalar_type(len(distinct)))) | points << _digits(m)[1]
+    keys = _sub_block_keys(distinct.swapaxes(1, 2), 1, n)
+    at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+    # the id of each distinct sub-block's transpose, or one that no sub-block has
+    flipped = np.where(known[at] == keys, known_ids[at], len(distinct) + np.arange(len(distinct)))
+    b, c = np.array(transposes, dtype=np.intp).reshape(-1, 2).T
+    same = (ids[c] == flipped[ids[b]].swapaxes(1, 2)).all(axis=(1, 2))
+    return masks, [None if ok else first_differences(stack[y][None], stack[x].T[None])[0] for x, y, ok in zip(b, c, same)]
 
 
 @lru_cache(maxsize=64)
@@ -263,7 +293,11 @@ def looked_up(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
     len(table), by ``np.take`` a slice of at most LOOKUP_LABELS labels at a
     time: twice as fast as indexing, which casts them in buffered chunks,
     with the intp copy that ``np.take`` makes of its indices bounded.  The
-    labels are bounded once, so each slice is taken unbuffered."""
+    labels are bounded once, so each slice is taken unbuffered.  Labels
+    held as ``Gathered`` are looked up once for each matrix of its stack,
+    then gathered where indexed."""
+    if isinstance(labels, Gathered):
+        return looked_up(table, labels.stack)[labels.index]
     out = np.empty(labels.shape, dtype=table.dtype)
     flat, into = labels.reshape(-1), out.reshape(-1)
     if flat.size and int(flat.max()) >= len(table):
@@ -287,7 +321,8 @@ def stack_differences(actual: np.ndarray, labels: np.ndarray, coeffs) -> list[tu
     """For each matrix of the stack ``actual``, a product's lane array
     (``IntMatrix.lane``; any leading shape, matrices in row-major order),
     None where it equals the pattern sum_t coeffs[t] [labels == t]
-    (``labels`` broadcasts against the stack), else its first row-major
+    (``labels`` broadcasts against the stack, or is ``Gathered`` in its
+    shape), else its first row-major
     difference as (position, expected entry, actual entry), Python integers.
 
     The pattern is looked up in the lane's dtype (``lane_table``,
@@ -298,7 +333,7 @@ def stack_differences(actual: np.ndarray, labels: np.ndarray, coeffs) -> list[tu
     diff = actual != looked_up(lane_table(coeffs, actual.dtype), labels)
     if not diff.any():
         return [None] * int(np.prod(diff.shape[:-2]))
-    labels = np.broadcast_to(labels, actual.shape)
+    labels = np.broadcast_to(labels[...], actual.shape)
     out = []
     for t, pos in enumerate(first_differences(diff, False)):
         at = np.unravel_index(t, actual.shape[:-2]) + pos if pos is not None else None
@@ -338,27 +373,30 @@ def block_differences(left: np.ndarray, right: np.ndarray, labels, coeffs) -> li
                 # block (c, a, b) of the band's product, as a view [c, a, b]
                 blocks = prod.reshape(len(members), len(group), h, len(band), w).swapaxes(2, 3)
                 at = np.ix_(members, group, band)
-                diffs = iter(stack_differences(blocks, labels(*at), coeffs))
+                # the verdicts of each (c, a) of the band, as one tuple
+                diffs = zip(*[iter(stack_differences(blocks, labels(*at), coeffs))] * len(band))
                 del prod, blocks  # reduced: free them before the next product is formed
-                for c in members:
-                    for a in group:
-                        grid[c][a][cols] = [next(diffs) for _ in band]
+                for c in members.tolist():
+                    for a in group.tolist():
+                        grid[c][a][cols] = next(diffs)
     return grid
 
 
 class Gathered:
-    """The matrices ``stack[index]`` on ``rows``, an array of shape
-    index.shape + (len(rows), v) that is gathered only where indexed, as
-    ``block_differences`` and ``cell_differences`` index their left operand:
-    a band, or a cell's blocks, at a time, never the whole of it at once."""
+    """The matrices ``stack[index]``, an array of shape index.shape +
+    stack.shape[1:] that is gathered only where indexed: a band, or a
+    cell's blocks, at a time, never the whole of it at once, as
+    ``block_differences`` and ``cell_differences`` index their left
+    operand; and label matrices that many blocks of a band share, each
+    looked up once (``looked_up``)."""
 
-    def __init__(self, stack: np.ndarray, index: np.ndarray, rows: np.ndarray):
-        self.stack, self.index, self.rows = stack, index, rows
-        self.shape = index.shape + (len(rows), stack.shape[-1])
+    def __init__(self, stack: np.ndarray, index: np.ndarray):
+        self.stack, self.index = stack, index
+        self.shape = index.shape + stack.shape[1:]
         self.ndim = len(self.shape)
 
     def __getitem__(self, key) -> np.ndarray:
-        return self.stack[self.index[key][..., None], self.rows]
+        return self.stack[self.index[key]]
 
 
 def cell_differences(left: np.ndarray, right: np.ndarray, labels, coeffs, cells) -> list:
@@ -564,15 +602,12 @@ def verify_grams(stack: np.ndarray, p: GddParams, rows=slice(None)) -> list[Cert
     inside K), one certificate each, on the given rows of each (all of
     them, or one per orbit: ``orbit_rows``).  A A^T, then A^T A, is one
     ``block_differences`` batch of 1 x 1 grids, one per member, so only the
-    Gram products are formed; the left operand is gathered on the rows a
-    slice of members at a time (``Gathered``), never copied whole."""
+    Gram products are formed, the left operand on the rows alone."""
     certs = [Certificate(f"symmetric GDD {p}") for _ in range(len(stack))]
-    rows = np.arange(p.v)[rows]
     labels, coeffs = group_labels(p.m, p.n)[rows], (p.lambda2, p.lambda1, p.k)
-    members = np.arange(len(stack))[:, None]
     flip = np.swapaxes(stack, 1, 2)
     for label, left, right in zip(GRAM_IDENTITIES, (stack, flip), (flip, stack)):
-        grid = block_differences(Gathered(left, members, rows), right[:, None], lambda *_: labels, coeffs)
+        grid = block_differences(left[:, rows][:, None], right[:, None], lambda *_: labels, coeffs)
         for cert, [[diff]] in zip(certs, grid):
             cert.record(label, diff)
     return certs
@@ -628,14 +663,17 @@ class KCommutation:
 def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
     """Classify A K = K A against the two canonical right-hand sides, from
     the constant A K takes on K and the one it takes off K."""
-    return k_commutations(a.mat.lane[None], a.m, a.n, np.zeros(1, dtype=np.intp))[0][0]
+    lane = a.mat.lane[None]
+    return k_commutations(lane, lane, a.m, a.n, np.zeros(1, dtype=np.intp))[0][0]
 
 
-def k_commutations(stack: np.ndarray, m: int, n: int, members: np.ndarray, rows=slice(None)) -> list[tuple[KCommutation, bool]]:
+def k_commutations(stack: np.ndarray, on_rows: np.ndarray, m: int, n: int, members: np.ndarray, rows=slice(None)) -> list[tuple[KCommutation, bool]]:
     """``check_k_commutation`` for the matrices stack[members] of a
     (count, v, v) 0/1 stack, on the given rows (all, or one per orbit:
     ``orbit_rows``), each with whether A has no 1 inside K (A + K is 0/1):
-    the one place either is decided.
+    the one place either is decided.  ``on_rows`` is stack[:, rows], every
+    matrix on the rows, gathered once by the caller for every check formed
+    on them (the stack itself for every row).
 
     A K = K A has a class exactly when both are d K + c (J - K).  With G the
     v x m group indicator, K = G G^T, (A K)[x, y] = (A G)[x, group(y)] and
@@ -643,8 +681,8 @@ def k_commutations(stack: np.ndarray, m: int, n: int, members: np.ndarray, rows=
     and A[:, rows]^T G are d in the row's group and c elsewhere, d and c read
     at the first row.  A[rows] G is the sums of those rows over each group's
     n points, and A[:, rows]^T G those of the columns, so no product is
-    formed; only the rows and columns are gathered, a slice of members
-    within STACK_ENTRIES at a time; A has no 1 inside K when each row sums to
+    formed; only the columns are gathered, a slice of members within
+    STACK_ENTRIES at a time; A has no 1 inside K when each row sums to
     0 over its own group.  A permutation fixing A and K fixes both
     differences and those sums, so one row per orbit decides as every row does."""
     rows = np.arange(stack.shape[-1])[rows]
@@ -657,7 +695,7 @@ def k_commutations(stack: np.ndarray, m: int, n: int, members: np.ndarray, rows=
     out = []
     for part in stack_slices(len(members), rows.size * stack.shape[-1]):
         at = members[part, None]
-        ag, ta = sums(stack[at, rows]), sums(stack[at, :, rows])  # one gather held at a time
+        ag, ta = sums(on_rows[members[part]]), sums(stack[at, :, rows])
         d = ag[:, 0, first]
         c = ag[:, 0, (first + 1) % m] if m > 1 else d
         want = np.where(own, d[:, None, None], c[:, None, None])

@@ -312,6 +312,8 @@ def read_auxiliary_set(stream) -> AuxiliarySet:
     """The set as written, uncertified: ``verify_auxiliary`` certifies it."""
     lines = Lines(stream, "auxiliary set")
     v, r = lines.ints(2)
+    if r < 2:
+        raise FormatError("auxiliary set: matrix count r must be at least 2")
     stack = _stack(lines, r, v)
     for c in range(r):
         block = _read_matrix(lines)
@@ -345,6 +347,10 @@ def _read_family(lines: Lines, head: list[str]) -> LinkedMolsFamily:
     """The linked family whose header fields ``head`` were read last."""
     lines.what = "linked family"
     f, n = lines.ints_of(head, 2)
+    if f < 3:
+        raise FormatError("linked family: index count f must be at least 3")
+    if n < 1:
+        raise FormatError("linked family: order n must be at least 1")
     squares = {pair: _read_latin_rows(lines, n) for pair in family_pair_order(f)}
     lines.done()
     return LinkedMolsFamily(f=f, order=n, squares=squares)
@@ -363,6 +369,8 @@ def read_latin(stream) -> LatinSquare | LinkedMolsFamily:
     if len(head) == 2:
         return _read_family(lines, head)
     (n,) = lines.ints_of(head, 1)
+    if n < 1:
+        raise FormatError("latin square: order n must be at least 1")
     sq = _read_latin_rows(lines, n)
     lines.done()
     return sq
@@ -397,6 +405,8 @@ def read_linked_system(stream) -> LinkedSystemII:
         sigma, tau, rho = (None,) * 3 if parts[7] == "-" else (int(x) for x in parts[7:])
     except ValueError as exc:
         raise FormatError("linked system: bad header field") from exc
+    if f < 2:
+        raise FormatError("linked system: index count f must be at least 2")
     params = LinkedParams(base=GddParams(v, k, m, n, l1, l2), f=f, sigma=sigma, tau=tau, rho=rho)
     stack = _stack(lines, f * (f - 1), v)
     for block in range(f * (f - 1)):

@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import IntMatrix, first_differences
+from .algebra import IntMatrix
 from .classical import is_hadamard, is_weighing
 from .designs import (
     GRAM_IDENTITIES,
@@ -42,7 +42,6 @@ from .designs import (
     group_labels,
     k_commutations,
     on_orbits,
-    stack_slices,
     translation_masks,
     verify_grams,
 )
@@ -204,8 +203,9 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     law over all ordered distinct triples (f >= 3), and for f = 2 that the
     companion A + K is a design.
 
-    The system's stack is certified as it is held.  The transposes are
-    checked first.  A K = K A of every block is read from group sums of its
+    The system's stack is certified as it is held.  One banded pass over
+    it reads the transposes with the shift masks (``translation_masks``).
+    A K = K A of every block is read from group sums of its
     rows and columns (``k_commutations``), with no product, and A + K is
     0/1 exactly when each row of A sums to 0 over its own group.  The
     triples and the Gram identities are the cells of the grid of one middle
@@ -224,32 +224,40 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     ``on_orbits``): the identities that share those shifts are one batch,
     and an identity is formed on every row when no shift fixes its blocks
     or when it fails on its orbit rows.  A block damaged in one entry thus
-    sends only its own identities to every row."""
+    sends only its own identities to every row.  Every block's rows of a
+    batch are gathered once, for the commutation and grid checks formed on
+    them."""
     p = sys.params
     base, stack, f = p.base, sys.stack, p.f
     cert = Certificate(f"linked system f={f} on {base}")
     pairs = ordered_pairs(f)
-    in_k = group_labels(base.m, base.n) > 0
     shape = base.m, base.n
-    masks = translation_masks(stack, *shape)
-
+    mirror = [pair_index(f, j, i) for i, j in pairs]  # the position of A_ji, for each A_ij
     # A_{j,i} = A_{i,j}^T is what makes the scheme's class A_3 symmetric
-    upper = [(i, j) for i, j in pairs if i < j]
-    diffs = []
-    for part in stack_slices(len(upper), base.v * base.v):
-        i, j = np.array(upper[part]).T
-        diffs += first_differences(stack[pair_index(f, j, i)], np.swapaxes(stack[pair_index(f, i, j)], 1, 2))
-    untransposed = [(pair, pos) for pair, pos in zip(upper, diffs) if pos is not None]
+    upper = [(b, c) for b, c in enumerate(mirror) if b < c]
+    masks, diffs = translation_masks(stack, *shape, upper)
+    untransposed = [(b, c, pos) for (b, c), pos in zip(upper, diffs) if pos is not None]
 
     # the blocks whose Gram verdicts no grid cell gives
-    alone = np.array(sorted(pair_index(f, *pair) for (i, j), _ in untransposed for pair in ((i, j), (j, i))), dtype=np.intp)
+    alone = np.array(sorted(x for b, c, _ in untransposed for x in (b, c)), dtype=np.intp)
     faults = [None] * len(stack)
     grams = on_orbits(lambda members, rows: verify_grams(stack[alone[members]], base, rows), masks[alone], shape, lambda c: c.ok)
     for b, sub in zip(alone.tolist(), grams):
         faults[b] = sub.violations
 
+    held = {}
+
+    def on_rows(rows) -> np.ndarray:  # every block on a batch's rows, gathered once for the commutation and grid checks on them
+        key = None if isinstance(rows, slice) else rows.tobytes()
+        if key not in held:
+            held[key] = stack[:, rows]
+        return held[key]
+
     comms = on_orbits(
-        lambda members, rows: k_commutations(stack, base.m, base.n, members, rows), masks, shape, lambda c: c[0].kind != "other"
+        lambda members, rows: k_commutations(stack, on_rows(rows), base.m, base.n, members, rows),
+        masks,
+        shape,
+        lambda c: c[0].kind != "other",
     )
 
     cells, uses = _grid_cells(f)
@@ -258,36 +266,38 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     keep[triples + alone] = False  # not np.setdiff1d: its np.unique imports numpy.ma, 15 ms on first use
     ids = np.flatnonzero(keep)
     found = dict(zip(ids.tolist(), on_orbits(
-        lambda members, rows: _grid_differences(stack, p, in_k, cells[ids[members]], rows),
+        lambda members, rows: _grid_differences(stack, on_rows(rows), p, cells[ids[members]], rows),
         np.bitwise_and.reduce(masks[uses[:, ids]]),
         shape,
         lambda d: d is None,
     )))
-    for b, (i, j) in enumerate(pairs):
+    for b, c in enumerate(mirror):
         if faults[b] is None:
-            gram = found[triples + b], found[triples + pair_index(f, j, i)]  # A_ij A_ij^T, then A_ij^T A_ij = A_ji A_ij
+            gram = found[triples + b], found[triples + c]  # A_ij A_ij^T, then A_ij^T A_ij = A_ji A_ij
             faults[b] = [Violation(label, *diff) for label, diff in zip(GRAM_IDENTITIES, gram) if diff is not None]
 
-    for pair, fault, (comm, zero_one) in zip(pairs, faults, comms):
+    names, triple_labels = _line_labels(f)
+    for name, fault, (comm, zero_one) in zip(names, faults, comms):
         if not fault:
-            cert.passed(f"block {pair} is a symmetric GDD")
+            cert.passed(f"{name} is a symmetric GDD")
         for v in fault:
-            cert.failed(f"block {pair}: {v.identity}", v.position, v.expected, v.actual)
-        cert.check(f"block {pair}: A + K is a 0/1 matrix", zero_one)
+            cert.failed(f"{name}: {v.identity}", v.position, v.expected, v.actual)
+        cert.check(f"{name}: A + K is a 0/1 matrix", zero_one)
         if comm.kind == "multiple_of_J_minus_K" and comm.factor * (base.m - 1) == base.k:
-            cert.passed(f"block {pair}: A K = K A = {comm.factor} (J - K)")
+            cert.passed(f"{name}: A K = K A = {comm.factor} (J - K)")
         else:
-            cert.failed(f"block {pair}: A K = K A = k/(m-1) (J - K)")
+            cert.failed(f"{name}: A K = K A = k/(m-1) (J - K)")
 
     cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
-    for (i, j), pos in untransposed:
-        cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
+    for b, c, pos in untransposed:
+        cert.failed(f"block {pairs[c]} is the transpose of block {pairs[b]}", pos)
 
-    for t, (i, j, l) in enumerate(cells[:triples].tolist()):
-        cert.record(f"triple product ({i},{j},{l})", found[t])
+    for t, label in enumerate(triple_labels):
+        cert.record(label, found[t])
     if f == 2:
         comp = companion_params(base)
-        [sub] = on_orbits(lambda members, rows: verify_grams(stack[:1] + in_k, comp, rows), masks[:1], shape, lambda c: c.ok)
+        companion = stack[:1] + (group_labels(base.m, base.n) > 0)
+        [sub] = on_orbits(lambda members, rows: verify_grams(companion, comp, rows), masks[:1], shape, lambda c: c.ok)
         if sub.ok:
             cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
         else:
@@ -315,7 +325,17 @@ def _grid_cells(f: int) -> tuple[np.ndarray, np.ndarray]:
     return cells, uses
 
 
-def _grid_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, cells: np.ndarray, rows) -> list:
+@lru_cache(maxsize=8)
+def _line_labels(f: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """What the report lines of a system on f indices name, formatted once:
+    "block (i, j)" for each pair, in pair order, and "triple product
+    (i,j,l)" for each triple, in the order of ``_grid_cells``."""
+    cells, _ = _grid_cells(f)
+    triples = cells[: f * (f - 1) * (f - 2)].tolist()
+    return tuple(f"block {pair}" for pair in ordered_pairs(f)), tuple(f"triple product ({i},{j},{l})" for i, j, l in triples)
+
+
+def _grid_differences(stack: np.ndarray, on_rows: np.ndarray, p: LinkedParams, cells: np.ndarray, rows) -> list:
     """For each row (i, j, l) of ``cells`` (``_grid_cells``), the first
     difference on the given rows (all of them, or one per orbit), or None,
     of A_ij A_jl from sigma A_il + tau (J - A_il - K) + rho K (l != i), or
@@ -329,11 +349,14 @@ def _grid_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, cell
     0/1 check on A + K has already reported) reads sigma - tau + rho, the
     value of the formula there.  A pair (f = 2) has only the cells i = l,
     so labels 0..3 are never read, and its absent sigma, tau, rho stand in
-    as 0."""
-    f, v = p.f, p.base.v
-    rows = np.arange(v)[rows]
-    twice_k = (2 * in_k[rows]).astype(np.uint8)
-    gram = (4 + group_labels(p.base.m, p.base.n)[rows]).astype(np.uint8)
+    as 0.  The A_ij and A_il are read from ``on_rows``, every block on the
+    rows, gathered once for the batch; a band's label matrices are formed
+    once for each block A_il it reads, however many of its cells share it,
+    and looked up once each (``Gathered``)."""
+    f, count = p.f, len(stack)
+    gram = group_labels(p.base.m, p.base.n)[rows]
+    twice_k = np.where(gram > 0, 2, 0).astype(np.uint8)
+    gram = (4 + gram).astype(np.uint8)
     sigma, tau, rho = (x or 0 for x in (p.sigma, p.tau, p.rho))
     coeffs = (tau, sigma, rho, sigma - tau + rho, p.base.lambda2, p.base.lambda1, p.base.k)
     # ends[j - 1] are the indices other than j, in increasing order
@@ -341,17 +364,19 @@ def _grid_differences(stack: np.ndarray, p: LinkedParams, in_k: np.ndarray, cell
 
     def labels(c, a, b):
         i, l = ends[c, a], ends[c, b]
-        same = np.broadcast_to(i == l, np.broadcast_shapes(i.shape, l.shape))
-        out = stack[np.where(same, 0, pair_index(f, i, l))[..., None], rows] + twice_k
-        out[same] = gram  # an i = l block read block 0's labels
-        return out
+        at = np.where(i == l, count, pair_index(f, i, l))  # count: the Gram labels, for the A_ii that is not there
+        used = np.flatnonzero(np.bincount(at.ravel(), minlength=count + 1))
+        place = np.empty(count + 1, dtype=np.intp)
+        place[used] = np.arange(len(used))
+        blocks = on_rows[used[used < count]] + twice_k
+        return Gathered(np.concatenate([blocks, gram[None]]) if used[-1] == count else blocks, place[at])
 
     # left[j - 1] are the A_ij on the rows, gathered where indexed; the A_jl of each j are consecutive in the stack
-    left = Gathered(stack, pair_index(f, ends, np.arange(1, f + 1)[:, None]), rows)
+    left = Gathered(on_rows, pair_index(f, ends, np.arange(1, f + 1)[:, None]))
     i, j, l = cells.T
     # the position of an end x among ends[j - 1]
     grid = j - 1, i - 1 - (i > j), l - 1 - (l > j)
-    return cell_differences(left, stack.reshape(f, f - 1, v, v), labels, coeffs, grid)
+    return cell_differences(left, stack.reshape(f, f - 1, *stack.shape[1:]), labels, coeffs, grid)
 
 
 def make_linked_system(params: LinkedParams, stack: np.ndarray) -> LinkedSystemII:

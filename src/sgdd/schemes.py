@@ -184,7 +184,8 @@ def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
     else:
         cert.failed("A_0 = I", (0, 0))
     for idx, a in enumerate(classes):
-        if not (a.shape == (size, size) and (a.dtype == np.bool_ or ((a == 0) | (a == 1)).all())):
+        # two reductions, where == 0 | == 1 would form three |X|^2 boolean arrays
+        if not (a.shape == (size, size) and (a.dtype == np.bool_ or (a.min() >= 0 and a.max() <= 1))):
             cert.failed(f"A_{idx} is a square 0/1 matrix of order {size}")
             return None, cert
         if not _symmetric(a):

@@ -229,7 +229,7 @@ def test_gram_pairs_match_block_route_on_single_flips(count, seed, sys16, pair24
     system = pair24 if count == "companion" else sys16
     base = system.params.base
     v, n = base.v, base.n
-    masks = translation_masks(system.stack, base.m, n)
+    masks, _ = translation_masks(system.stack, base.m, n, ())
     orbit = orbit_rows(base.m, n, int(np.bitwise_and.reduce(masks)))
     assert orbit is not None and len(orbit) < v
     x = int(rng.choice(orbit)) if seed % 2 else rng.randrange(v)
@@ -265,20 +265,33 @@ def _shift_orbit(point: tuple[int, int], mask: int, m: int, n: int) -> set[tuple
     return seen
 
 
+_MASK_SOURCES = ["sys16", "sys45", "sys64", "pair16", "pair24"]
+
+
 @pytest.mark.parametrize("flipped", [False, True], ids=["clean", "flipped"])
-@pytest.mark.parametrize("source", ["sys16", "sys45", "sys64", "pair16", "pair24"])
-def test_translation_masks_match_the_lifted_gather(source, flipped, request, corrupt_system):
+@pytest.mark.parametrize(
+    "source, budget",
+    [(source, sgdd.designs.STACK_ENTRIES) for source in _MASK_SOURCES] + [(source, 2**9) for source in _MASK_SOURCES],
+    ids=_MASK_SOURCES + [f"{source}-banded" for source in _MASK_SOURCES],
+)
+def test_translation_masks_match_the_lifted_gather(source, budget, flipped, request, corrupt_system, monkeypatch):
     """``translation_masks``, read from sub-block ids and distinct
     sub-blocks, against every lifted group and point shift applied to each
-    whole block by a gather (``block_route.translation_masks``): on the
-    clean system and with one seeded entry flipped.  sys45 has m = 5 and
-    n = 9, two primes."""
+    whole block by a gather (``block_route.translation_masks``), and its
+    transposes against each block and its mirror compared whole: on the
+    clean system and with one seeded entry flipped, in one band and in
+    bands of at most 512 entries, which split the stack between blocks.
+    sys45 has m = 5 and n = 9, two primes."""
+    monkeypatch.setattr(sgdd.designs, "STACK_ENTRIES", budget)
     system = request.getfixturevalue(source)
     if flipped:
         system, _ = corrupt_system(system, 0)
-    m, n = system.params.base.m, system.params.base.n
-    masks = translation_masks(system.stack, m, n)
+    m, n, f = system.params.base.m, system.params.base.n, system.f
+    mirrors = [(pair_index(f, i, j), pair_index(f, j, i)) for i, j in ordered_pairs(f)]
+    masks, firsts = translation_masks(system.stack, m, n, mirrors)
     assert masks.tolist() == block_route.translation_masks(system.stack, m, n).tolist()
+    assert firsts == [block_route.first_difference(IntMatrix.view(system.stack[c]), system.stack[b].T) for b, c in mirrors]
+    assert (firsts.count(None) < len(firsts)) == flipped
 
 
 @pytest.mark.parametrize("source", ["sys16", "sys45", "sys64", "pair16", "pair24"])
@@ -292,7 +305,7 @@ def test_inside_k_verdict_of_the_group_sums_matches_the_block_route(source, requ
     system = request.getfixturevalue(source)
     base = system.params.base
     m, n, v = base.m, base.n, base.v
-    masks = translation_masks(system.stack, m, n)
+    masks, _ = translation_masks(system.stack, m, n, ())
     rng = random.Random(f"inside-K-{source}")
     damaged = []
     for b in rng.sample(range(len(system.stack)), 2):
@@ -303,14 +316,14 @@ def test_inside_k_verdict_of_the_group_sums_matches_the_block_route(source, requ
             stack[b, x, y] = 1
         damaged.append((LinkedSystemII(system.params, stack), b))
     for bad, b in [(system, None)] + damaged:
-        bad_masks = translation_masks(bad.stack, m, n)
+        bad_masks, _ = translation_masks(bad.stack, m, n, ())
         if b is not None:
             assert bad_masks[b] & masks[b] == masks[b]
             assert not bad.blocks[ordered_pairs(bad.f)[b]].diagonal_blocks_zero()
         for t, blk in enumerate(bad.blocks[pair] for pair in ordered_pairs(bad.f)):
             orbit = orbit_rows(m, n, int(bad_masks[t]))
             for rows in (slice(None), slice(None) if orbit is None else orbit):
-                [(_, zero_one)] = k_commutations(bad.stack, m, n, np.array([t]), rows)
+                [(_, zero_one)] = k_commutations(bad.stack, bad.stack[:, rows], m, n, np.array([t]), rows)
                 assert zero_one == blk.diagonal_blocks_zero(), (t, rows)
         if b is not None:
             assert _outcome(verify_linked_system(bad)) == _outcome(block_route.verify_linked_system(bad))

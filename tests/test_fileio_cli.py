@@ -866,9 +866,10 @@ _NOT_01 = "auxiliary matrix entries must be 0 or 1"
         (lambda ls: [*ls[:3], "-1" + ls[3][1:], *ls[4:]], 1, _NOT_01),
         (lambda ls: ["5 3", *ls[1:]], 2, "auxiliary set: matrix order disagrees with header"),
         (lambda ls: ["1000000000000 3", *ls[1:]], 2, "auxiliary set: matrix order disagrees with header"),
-        (lambda ls: ["4 1", *ls[1:6]], 1, "need at least two auxiliary matrices"),
+        (lambda ls: ["4 1", *ls[1:6]], 2, "auxiliary set: matrix count r must be at least 2"),
+        (lambda ls: ["4 0"], 2, "auxiliary set: matrix count r must be at least 2"),
     ],
-    ids=["entry-2", "entry-256", "entry-minus-1", "wrong-order", "huge-order", "r-1"],
+    ids=["entry-2", "entry-256", "entry-minus-1", "wrong-order", "huge-order", "r-1", "r-0"],
 )
 def test_cli_verify_aux_refuses_a_malformed_set(tmp_path: Path, capsys, edit, code, error):
     from sgdd.classical import hadamard_matrix
@@ -939,14 +940,16 @@ def _malformed_systems(text: str) -> dict[str, tuple[str, int, str]]:
         "truncated": ("\n".join(lines[:-8]) + "\n", 2, "linked system: unexpected end of file"),
         # v*v past any array size: the stack is sized by what the file holds
         "huge order": ("\n".join(["2 4000000000000 2000000000000 2 1 0 0 - - -", *lines[1:]]), 1, f"order {size} != m*n = 4000000000000"),
+        "one index": ("1 4 2 2 1 0 0 - - -\n", 2, "linked system: index count f must be at least 2"),
     }
 
 
-@pytest.mark.parametrize("defect", ["two", "not square", "truncated", "huge order"])
+@pytest.mark.parametrize("defect", ["two", "not square", "truncated", "huge order", "one index"])
 def test_cli_refuses_malformed_system_files(defect, sys16, tmp_path: Path, capsys):
-    """A block entry 2, a block header of 15 x 16, a file cut short and a
-    header order of 4 * 10^12 are refused while the file is parsed, by both
-    verbs that read a system."""
+    """A block entry 2, a block header of 15 x 16, a file cut short, a
+    header order of 4 * 10^12 and a header of one index, which no writer
+    writes, are refused while the file is parsed, by both verbs that read a
+    system."""
     text, status, error = _malformed_systems(text_of(fileio.linked_system_chunks(sys16)))[defect]
     lsys, scm = tmp_path / "bad.lsys", tmp_path / "bad.scm"
     lsys.write_text(text)

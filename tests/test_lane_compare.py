@@ -45,9 +45,10 @@ EDGE_COEFFS = [
 
 def _int64_route(actual: np.ndarray, labels, coeffs):
     """The comparison as it was: the lane array widened to int64 (Python
-    integers stay), against ``pattern``."""
+    integers stay), against ``pattern`` on the labels read whole (a
+    ``designs.Gathered`` is gathered)."""
     wide = actual.astype(np.int64) if actual.dtype.kind == "f" else actual
-    return block_route.stack_differences(wide, pattern(labels, coeffs))
+    return block_route.stack_differences(wide, pattern(labels[...], coeffs))
 
 
 def _typed(diffs):

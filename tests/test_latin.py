@@ -186,15 +186,30 @@ def test_cli_reports_a_failing_field_family(monkeypatch, capsys):
         sgdd.latin.linked_mols_from_gf(gf_make(2, 2))
 
 
-@pytest.mark.parametrize("text", ["0\n", "-1\n", "3 0\n", "3 -1\n"], ids=["order-0", "order-minus-1", "family-0", "family-minus-1"])
-def test_cli_refuses_a_latin_square_of_order_below_one(text, tmp_path, capsys):
+_SQUARE_ORDER = "latin square: order n must be at least 1"
+_FAMILY_ORDER = "linked family: order n must be at least 1"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("0\n", _SQUARE_ORDER),
+        ("-1\n", _SQUARE_ORDER),
+        ("3 0\n", _FAMILY_ORDER),
+        ("3 -1\n", _FAMILY_ORDER),
+        ("2 3\n", "linked family: index count f must be at least 3"),
+    ],
+    ids=["order-0", "order-minus-1", "family-0", "family-minus-1", "family-f-2"],
+)
+def test_cli_refuses_a_latin_square_of_order_below_one(text, error, tmp_path, capsys):
     """A square or family header of order 0, or of a negative order, which
-    reads as no rows, is an error line with exit status 1, not a vacuous OK
-    or a traceback."""
+    reads as no rows, and a family header of fewer than three indices, are
+    format errors (exit status 2) that name the header field, not a vacuous
+    OK or a traceback: no writer writes such a header."""
     path = tmp_path / "empty.lat"
     path.write_text(text)
-    assert main(["verify", "latin", str(path)]) == 1
-    assert capsys.readouterr() == ("", "error: Latin square order must be at least 1\n")
+    assert main(["verify", "latin", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_cli_oracle_finds_the_order_one_family(tmp_path, capsys):

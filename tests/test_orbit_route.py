@@ -39,7 +39,7 @@ def routes(monkeypatch):
     seen = []
     for module, name, members in (
         (sgdd.linked, "verify_grams", 0),
-        (sgdd.linked, "k_commutations", 3),
+        (sgdd.linked, "k_commutations", 4),
         (sgdd.linked, "_grid_differences", 3),
         (sgdd.resolvable, "_product_differences", 2),
     ):
@@ -425,18 +425,19 @@ def test_orbit_rows_are_the_least_points_of_the_lifted_orbits(m, n):
         assert rows.tolist() == sorted({min(int(g[x]) for g in group) for x in range(m * n)}), mask
 
 
-@pytest.mark.parametrize("m, n", [(8, 8), (5, 9), (4, 3), (3, 17)])
+@pytest.mark.parametrize("m, n", [(8, 8), (5, 9), (4, 3), (3, 17), (2, 16)])
 def test_sub_block_ids_are_equal_exactly_where_the_sub_blocks_are(m, n):
-    """Against the sub-blocks' bytes, on random 0/1 stacks with many equal
-    sub-blocks and some that differ in one entry, past the first byte of
-    their packed rows too."""
+    """The keys that give sub-blocks their ids, against the sub-blocks'
+    bytes, on random 0/1 stacks with many equal sub-blocks and some that
+    differ in one entry, past the first byte of their packed rows too; n
+    = 8 and 16 pack whole rows before the sub-blocks are gathered."""
     rng = np.random.default_rng(m * n)
     pool = rng.integers(0, 2, size=(3, n, n), dtype=np.uint8)
     pool[1] = pool[0]
     pool[1, -1, -1] ^= 1
     picks = rng.integers(0, 3, size=(4, m, m))
     stack = pool[picks].swapaxes(2, 3).reshape(4, m * n, m * n)
-    ids = sgdd.designs._sub_block_ids(stack, m, n).ravel()
+    ids = sgdd.designs._sub_block_keys(stack, m, n)
     blocks = [bytes(b) for b in stack.reshape(4, m, n, m, n).swapaxes(2, 3).reshape(-1, n * n)]
     assert len(set(blocks)) == 3
     assert all((ids[a] == ids[b]) == (blocks[a] == blocks[b]) for a in range(len(ids)) for b in range(len(ids)))

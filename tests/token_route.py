@@ -82,6 +82,8 @@ def read_linked_system(data: bytes) -> LinkedSystemII:
         sigma, tau, rho = (None,) * 3 if parts[7] == "-" else (int(x) for x in parts[7:])
     except ValueError as exc:
         raise FormatError("linked system: bad header field") from exc
+    if f < 2:
+        raise FormatError("linked system: index count f must be at least 2")
     params = LinkedParams(base=GddParams(v, k, m, n, l1, l2), f=f, sigma=sigma, tau=tau, rho=rho)
     blocks = [IncidenceMatrix(IntMatrix.view(read_matrix(lines)), m, n).mat.lane for _ in range(f * (f - 1))]
     lines.done()
@@ -91,6 +93,8 @@ def read_linked_system(data: bytes) -> LinkedSystemII:
 def read_auxiliary_set(data: bytes):
     lines = Lines(data, "auxiliary set")
     v, r = lines.ints(2)
+    if r < 2:
+        raise FormatError("auxiliary set: matrix count r must be at least 2")
     blocks = []
     for _ in range(r):
         block = read_matrix(lines)
