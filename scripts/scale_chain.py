@@ -11,8 +11,9 @@ per row, v = q^2), certifies it, and certifies a copy with one seeded entry
 flipped, which must fail (exit 1).  It then assembles the scheme of
 (q - 1) q^2 vertices, certifies it, certifies a copy with one seeded
 symmetric pair moved from class 3 to class 4, which must fail (exit 1),
-and a copy with one seeded symmetric pair of class 1 also set in class 5,
-which must fail (exit 1), analyses the scheme, extracts the system back
+a copy with one seeded symmetric pair of class 1 also set in class 5,
+which must fail (exit 1), and a copy with one seeded entry of class 2 set
+to 2, which must fail (exit 1), analyses the scheme, extracts the system back
 and tests the fusion, writing the fused 3-class scheme.  The extracted
 system must equal the constructed one byte for byte.  The files go to
 ``--out`` (a temporary directory by default).  Two records of
@@ -36,6 +37,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 FLIPPED = "verify linked-system (one entry flipped)"
 MOVED = "verify scheme (one pair moved)"
 TWICE = "verify scheme (one pair claimed twice)"
+ENTRY_2 = "verify scheme (one entry set to 2)"
 
 
 def chain(q: int) -> list[tuple[str, list[str], int]]:
@@ -50,6 +52,7 @@ def chain(q: int) -> list[tuple[str, list[str], int]]:
         ("verify scheme", ["verify", "scheme", "scheme.scm"], 0),
         (MOVED, ["verify", "scheme", "bad.scm"], 1),
         (TWICE, ["verify", "scheme", "twice.scm"], 1),
+        (ENTRY_2, ["verify", "scheme", "two.scm"], 1),
         ("analyze", ["scheme", "analyze", "--in", "scheme.scm"], 0),
         ("extract", ["scheme", "extract", "--in", "scheme.scm", "-o", "back.lsys"], 0),
         ("fusion", ["scheme", "fusion", "--in", "scheme.scm", "-o", "fused.scm"], 0),
@@ -136,6 +139,17 @@ def claim_one_pair_twice(src: Path, dst: Path, seed: int = 0):
             classes.put(5, a, b, b"1")
 
 
+def set_one_entry_to_2(src: Path, dst: Path, seed: int = 0):
+    """Copy the scheme file ``src`` to ``dst`` with one seeded entry of
+    class 2 set to 2, so class 2 is no 0/1 matrix and the reader holds it
+    beside its label array."""
+    rng = random.Random(seed)
+    shutil.copyfile(src, dst)
+    classes = DigitBlocks(dst)
+    with classes.file:
+        classes.put(2, rng.randrange(classes.size), rng.randrange(classes.size), b"2")
+
+
 def sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as stream:
@@ -169,6 +183,8 @@ def measure(q: int, out: Path) -> dict:
             move_one_pair(out / "scheme.scm", out / "bad.scm")
         if name == TWICE:
             claim_one_pair_twice(out / "scheme.scm", out / "twice.scm")
+        if name == ENTRY_2:
+            set_one_entry_to_2(out / "scheme.scm", out / "two.scm")
         code, seconds, peak, stdout = run_verb(argv, out)
         if code != want:
             raise SystemExit(f"{name}: exit status {code}, expected {want}")

@@ -174,6 +174,14 @@ def first_differences(actual: np.ndarray, expected) -> list[tuple[int, int] | No
     return [divmod(int(at), cols) if bad else None for at, bad in zip(diff.argmax(axis=1), diff.any(axis=1))]
 
 
+def all_zero_one(arr: np.ndarray) -> bool:
+    """Whether every entry of the integer or boolean array ``arr`` is 0 or
+    1, an empty array included: by two reductions, ``min() >= 0`` (not read
+    for an unsigned or boolean dtype) and ``max() <= 1``, where
+    ``(arr == 0) | (arr == 1)`` would form three temporaries of its size."""
+    return arr.size == 0 or bool((arr.dtype.kind in "bu" or arr.min() >= 0) and arr.max() <= 1)
+
+
 def square_free_decomposition(value: int) -> tuple[int, int]:
     """Write ``value`` = s**2 * d with d square-free; return ``(s, d)``."""
     if value < 0:
@@ -457,11 +465,6 @@ class IntMatrix:
             return 0
         # not np.abs: it wraps -2**63 to itself in int64
         return max(-int(self.lane.min()), int(self.lane.max()))
-
-    def is_zero_one(self) -> bool:
-        if self.lane.dtype.kind in "bu":  # no entry is negative: 0/1 when none exceeds 1
-            return self.lane.size == 0 or int(self.lane.max()) <= 1
-        return bool(((self.lane == 0) | (self.lane == 1)).all())
 
     # -- arithmetic -------------------------------------------------------
     @staticmethod

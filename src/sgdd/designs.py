@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import IntMatrix, first_differences, lane_table
+from .algebra import IntMatrix, all_zero_one, first_differences, lane_table
 from .errors import CertificationError, DegenerateDesignError, InfeasibleParameterError, ParameterError
 from .gf import factor_prime_power
 
@@ -487,7 +487,7 @@ def zero_one(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr`` as uint8, refusing any entry not 0 or 1 before it is
     narrowed, so that 256 cannot wrap to 0: the one place a 0/1 matrix or
     stack (a design, a block, an auxiliary set) is checked and narrowed."""
-    if not IntMatrix.view(arr).is_zero_one():
+    if not all_zero_one(arr):
         raise ParameterError(f"{what} entries must be 0 or 1")
     return arr.astype(np.uint8, copy=False)
 

@@ -29,8 +29,8 @@ feed or all in CR LF, is read into the window and its digits taken in
 place; any other block is read token by token from the same rows, so every
 error names the same line either way.  A header never sizes an array the
 rest of the stream is too short to fill (``_fits``).  A scheme class that
-is a 0/1 digit block claiming no pair twice goes into one label array R
-as its label, any other beside R (``schemes.ClassLabels``), and the blocks
+is a 0/1 block claiming no pair twice goes into one label array R as its
+label, any other beside R (``schemes.ClassLabels.claim``), and the blocks
 of a linked system or an auxiliary set into its ``uint8`` stack.  A block of
 digits is written from one byte buffer, a scheme from its class-label
 array R, class i as R == i compared straight into one buffer per band of
@@ -443,22 +443,25 @@ def _class_rows(rows: np.ndarray, label: int) -> np.ndarray:
 
 def read_scheme(stream) -> ClassLabels:
     """The d + 1 classes as written, which ``schemes.relation_from_classes``
-    certifies, held in one ``ClassLabels``: for d < 255, each class that is
-    a 0/1 digit block of the header's order claiming no pair an earlier
-    class holds is written as its label into the label array R in place
-    from the window (``ClassLabels.claim``), labels 0..254, 255 where no
-    class holds a pair; every other class goes into ``extra`` as
-    ``_read_block`` reads it."""
+    certifies, held in one ``ClassLabels``: each block, a digit block in
+    place in the window or else read token by token, is offered to
+    ``ClassLabels.claim``, which writes it into the label array R when it
+    is 0/1, of the header's order, and claims no pair an earlier class
+    holds; each one it refuses is kept in ``extra`` as ``_read_block``
+    reads it.  R is sized only when the stream can hold every block the
+    header names (``_fits``): else a block falls short or has another
+    order, and the read fails."""
     lines = Lines(stream, "scheme")
     d, size = lines.ints(2)
     if d < 0:
         raise FormatError("scheme: class count must be non-negative")
-    fits = d < 255 and _fits(lines, d + 1, size) == d + 1
-    labels = ClassLabels(np.full((size, size), 255, dtype=np.uint8) if fits else None, d + 1)
+    fits = _fits(lines, d + 1, size)
+    labels = ClassLabels.unclaimed(size if fits == d + 1 else 0, fits)
     for i in range(d + 1):
         rows, cols, digits = _digit_block(lines)
-        if not (fits and digits is not None and digits.shape == (size, size) and digits.max() <= 1 and labels.claim(i, digits)):
-            labels.extra[i] = _read_block(lines, rows, cols, digits)
+        block = digits if digits is not None else _read_block(lines, rows, cols, None)
+        if not labels.claim(i, block):
+            labels.extra[i] = block if digits is None else _read_block(lines, rows, cols, digits)
     lines.done()
     if any(m.shape != (size, size) for m in labels.extra.values()):
         raise FormatError("scheme: matrix order disagrees with header")

@@ -3,10 +3,12 @@
 Assembly places the block designs in one cross-fiber class A_3 next to the
 within-fiber classes (A_1 within group, A_2 across groups), the cross-fiber
 group indicator A_5 and the leftover class A_4.  A scheme is held as one
-uint8 class-label array R, R[x, y] the class of (x, y), built from a system
-by ``scheme_matrices_from_system`` or read from a file, and checked against
-the partition axioms by ``relation_from_classes``, which also builds R from
-a list of class matrices.  Certification is exact and layered:
+class-label array R, R[x, y] the class of (x, y), built from a system by
+``scheme_matrices_from_system``, or claimed class by class from a file or
+a list of class matrices into a ``ClassLabels``, the one place that knows
+the label encoding; ``relation_from_classes`` checks the partition axioms
+on R and the blocks a claim refused, on one route.  Certification is exact
+and layered:
 
 * the scheme axioms hold for the scheme of a certified linked system (see
   ``assemble_scheme``), so assembly and every load certify through the
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import IntMatrix, first_differences, lane_table, square_free_decomposition, surd_sign
+from .algebra import IntMatrix, all_zero_one, first_differences, lane_table, square_free_decomposition, surd_sign
 from .designs import Certificate, GddParams, equivalence_classes, group_labels, looked_up, stack_slices
 from .errors import CertificationError, ParameterError
 from .linked import LinkedParams, LinkedSystemII, verify_linked_system
@@ -111,23 +113,42 @@ _DECOMPOSITION = (
 )
 
 
-def _symmetric(a: np.ndarray) -> bool:
-    """a = a^T for a square array, compared 128 x 128 tile by tile: a
-    transposed tile stays in cache, where a transposed row of a large array
-    strides across all of it (8 ms in place of 95 ms at order 3840)."""
-    tile, n = 128, len(a)
-    return all(np.array_equal(a[r : r + tile, c : c + tile], a[c : c + tile, r : r + tile].T) for r in range(0, n, tile) for c in range(r, n, tile))
+def _asymmetric(a: np.ndarray) -> set[int]:
+    """The entries a[x, y] of a square array at the pairs where
+    a[x, y] != a[y, x], compared 128 x 128 tile by tile: a transposed tile
+    stays in cache, where a transposed row of a large array strides across
+    all of it (8 ms in place of 95 ms at order 3840)."""
+    tile, n, found = 128, len(a), set()
+    for r in range(0, n, tile):
+        for c in range(r, n, tile):
+            upper, lower = a[r : r + tile, c : c + tile], a[c : c + tile, r : r + tile].T
+            if not np.array_equal(upper, lower):
+                differ = upper != lower
+                found.update(upper[differ].tolist(), lower[differ].tolist())
+    return found
 
 
 class ClassLabels:
-    """The classes A_0, ..., A_{count-1}: ``extra[i]``, a block, for each
-    class i that a uint8 label array R does not hold, else (R == i) as
-    uint8, R as ``fileio.read_scheme`` writes it or ``assemble_scheme``
-    builds it, a label of ``count`` or more marking a pair in no class.
-    Indexing gives them, so it stands wherever a class list does."""
+    """The classes A_0, ..., A_{count-1} of a scheme: a label array R,
+    R[x, y] the class of (x, y), and ``extra[i]``, a block, for each class
+    i that ``claim`` refused.  Indexing gives ``extra[i]`` or (R == i) as
+    uint8, so it stands wherever a class list does.  R is claimed class by
+    class, in order, from a file (``fileio.read_scheme``) or a list
+    (``relation_from_classes``), so class 0 is in R whenever it is a 0/1
+    matrix of R's shape, or built whole by ``assemble_scheme``.  This is
+    the one place that knows the label encoding: R's dtype is the least
+    unsigned one whose largest value is no label, uint8 up to 255 classes
+    and uint16 past that, and that value, or any label of ``count`` or
+    more, marks a pair in no class."""
 
-    def __init__(self, relation: np.ndarray | None, count: int):
+    def __init__(self, relation: np.ndarray, count: int):
         self.relation, self.count, self.extra = relation, count, {}
+
+    @classmethod
+    def unclaimed(cls, size: int, count: int) -> ClassLabels:
+        """``count`` classes of order ``size``, none of them in R yet."""
+        dtype = np.min_scalar_type(count)
+        return cls(np.full((size, size), np.iinfo(dtype).max, dtype=dtype), count)
 
     def __len__(self) -> int:
         return self.count
@@ -136,68 +157,78 @@ class ClassLabels:
         idx = range(self.count)[idx]
         return self.extra[idx] if idx in self.extra else (self.relation == idx).view(np.uint8)
 
-    def claim(self, label: int, digits: np.ndarray) -> bool:
-        """Whether ``label`` went into R, which holds only labels below it
-        and 255 (no class yet), wherever the 0/1 ``digits`` hold a 1 and no
-        pair is claimed twice; else R is left as it was.  A 1 adds label + 1
-        mod 256 in place: 255 becomes the label and a label c < 255 never
-        does: the label count, taken band by band, falls short exactly then."""
-        relation, ones = self.relation, np.count_nonzero(digits)
-        np.multiply(digits, label + 1, out=digits)
-        np.add(relation, digits, out=relation, dtype=np.uint8, casting="unsafe")  # digits <= 255, sum mod 256
-        if ones == sum(np.count_nonzero(relation[rows] == label) for rows in stack_slices(len(relation), len(relation))):
+    def claim(self, label: int, block: np.ndarray) -> bool:
+        """Whether class ``label``, an integer or boolean ``block``, went
+        into R, which holds only labels below it and the no-class value: it
+        does when the block is a 0/1 matrix of R's shape whose every 1 is
+        on a pair in no class yet; else R is left as it was.  The block is
+        read, never written: a band of rows within STACK_ENTRIES at a time
+        is multiplied by label + 1 in R's dtype and added to R, modulo its
+        largest value + 1, so the no-class value becomes the label and a
+        label c below it never does: the label count falls short exactly
+        then."""
+        relation = self.relation
+        if block.shape != relation.shape or not all_zero_one(block):
+            return False
+        bands, hits, step = stack_slices(len(relation), len(relation)), 0, relation.dtype.type(label + 1)
+        for rows in bands:
+            relation[rows] += np.multiply(block[rows], step, dtype=relation.dtype, casting="unsafe")
+            hits += np.count_nonzero(relation[rows] == label)
+        if hits == np.count_nonzero(block):
             return True
-        np.subtract(relation, digits, out=relation, dtype=np.uint8, casting="unsafe")
-        np.minimum(digits, 1, out=digits)
+        for rows in bands:
+            relation[rows] -= np.multiply(block[rows], step, dtype=relation.dtype, casting="unsafe")
         return False
+
+
+def _first_uncovered(relation: np.ndarray, count: int, extra: dict) -> tuple | None:
+    """The first pair, in row-major order, that is not in exactly one of
+    ``count`` classes, as (pair, 1, the number of classes it is in), or
+    None: counted band by band of rows within STACK_ENTRIES, 1 where R
+    holds a class plus each 0/1 block of ``extra``, in a dtype that holds
+    ``count``."""
+    for rows in stack_slices(len(relation), len(relation)):
+        covers = sum((a[rows] for a in extra.values()), (relation[rows] < count).astype(np.min_scalar_type(count)))
+        if (pos := first_differences(covers[None], 1)[0]) is not None:
+            return (rows.start + pos[0], pos[1]), 1, int(covers[pos])
+    return None
 
 
 def relation_from_classes(classes) -> tuple[np.ndarray | None, Certificate]:
     """R[x, y] = i for (x, y) in class i of the integer or boolean arrays
     A_0, ..., A_d, with the certificate of the O(|X|^2) axioms: A_0 = I,
     every class a symmetric square 0/1 matrix, sum A_i = J and no class
-    empty.  R is None unless they hold; it is uint8 up to 255 classes.
+    empty.  R is None unless they hold; it is uint8 up to 255 classes,
+    uint16 past that (``ClassLabels``).
 
-    ``ClassLabels`` with no ``extra`` are checked once on their own R,
-    which is returned as it is when they hold: every pair in a class,
-    R = R^T, R = 0 exactly on the diagonal (A_0 = I) and no label missing
-    make every class symmetric 0/1 and sum A_i = J.  Any other input, and
-    one that fails, is checked class by class, as a list is."""
+    A list is claimed into ``ClassLabels`` as a file is read, class by
+    class, each one ``claim`` refuses kept beside R in ``extra``; the
+    caller's arrays are not written.  Every line is then read off R and
+    ``extra``, with no second array of |X|^2 labels or counts: A_0 = I as
+    class 0 in R (a class 0 that is a square 0/1 matrix always is), R's
+    diagonal 0 and its zero count |X|; the asymmetric classes as the labels
+    where R differs from R^T (``_asymmetric``); sum A_i = J as no no-class
+    value in R when nothing is beside it, else from the classes covering
+    each pair (``_first_uncovered``); the empty classes from the labels R
+    holds, each found in the first band of rows that holds it."""
     cert = Certificate("association scheme axioms")
-    if isinstance(classes, ClassLabels) and not classes.extra:
-        relation, size = classes.relation, len(classes.relation)
-        if (
-            int(relation.max()) < len(classes)
-            and not relation.diagonal().any()
-            and np.count_nonzero(relation) == size * (size - 1)
-            and _symmetric(relation)
-            and all((relation == i).any() for i in range(1, len(classes)))
-        ):
-            cert.passed("A_0 = I")
-            cert.passed("sum A_i = J")
-            return relation, cert
-    size = classes[0].shape[0]
-    relation = np.zeros((size, size), dtype=np.min_scalar_type(len(classes)))
-    count, term = np.zeros_like(relation), np.empty_like(relation)
-    if np.array_equal(classes[0], np.eye(size, dtype=np.uint8)):
-        cert.passed("A_0 = I")
-    else:
-        cert.failed("A_0 = I", (0, 0))
-    for idx, a in enumerate(classes):
-        # two reductions, where == 0 | == 1 would form three |X|^2 boolean arrays
-        if not (a.shape == (size, size) and (a.dtype == np.bool_ or (a.min() >= 0 and a.max() <= 1))):
-            cert.failed(f"A_{idx} is a square 0/1 matrix of order {size}")
+    if not isinstance(classes, ClassLabels):
+        listed, classes = classes, ClassLabels.unclaimed(classes[0].shape[0], len(classes))
+        classes.extra = {i: a for i, a in enumerate(listed) if not classes.claim(i, a)}
+    relation, extra, size = classes.relation, classes.extra, len(classes.relation)
+    identity = 0 not in extra and not relation.diagonal().any() and np.count_nonzero(relation) == size * (size - 1)
+    cert.record("A_0 = I", None if identity else ((0, 0),))
+    asymmetric = _asymmetric(relation)
+    for i in range(len(classes)):
+        if i in extra and not (extra[i].shape == relation.shape and all_zero_one(extra[i])):
+            cert.failed(f"A_{i} is a square 0/1 matrix of order {size}")
             return None, cert
-        if not _symmetric(a):
-            cert.failed(f"A_{idx} is symmetric")
-        # a is 0/1: count += a and relation += idx a, in the labels' dtype;
-        # where classes overlap the count exceeds 1 and R is not returned
-        np.add(count, a, out=count, casting="unsafe")
-        np.multiply(a, relation.dtype.type(idx), out=term, casting="unsafe")
-        relation += term
-    pos = first_differences(count[None], 1)[0]
-    cert.record("sum A_i = J", None if pos is None else (pos, 1, int(count[pos])))
-    if idx_zero := [i for i, a in enumerate(classes) if not a.any()]:
+        if _asymmetric(extra[i]) if i in extra else i in asymmetric:
+            cert.failed(f"A_{i} is symmetric")
+    covered = not extra and int(relation.max(initial=0)) < len(classes)
+    cert.record("sum A_i = J", None if covered else _first_uncovered(relation, len(classes), extra))
+    bands = [slice(0, 1), *stack_slices(size, size)]  # a scheme's first row holds every class
+    if idx_zero := [i for i in range(len(classes)) if not (extra[i].any() if i in extra else any((relation[rows] == i).any() for rows in bands))]:
         cert.failed(f"classes {idx_zero} are empty")
     return (relation if cert.ok else None), cert
 
@@ -231,7 +262,7 @@ def _constant_on_classes(relation: np.ndarray, p, cert: Certificate) -> bool:
     only the products among the two cross-fiber classes A_3 and A_4 go to
     the kernel."""
     d1, size = len(p), len(relation)
-    bands = stack_slices(size, size)
+    bands = [slice(0, 1), *stack_slices(size, size)]  # a scheme's first row holds every class
     counts = np.min_scalar_type(-size - 1)  # a signed dtype that holds every count of |X| terms
     differences = _equivalence_differences(relation, p)
     for i in range(1, d1):

@@ -32,7 +32,7 @@ def partition_certificate(mats: list[IntMatrix]) -> Certificate:
     else:
         cert.passed("A_0 = I")
     for idx, mat in enumerate(mats):
-        if not (mat.is_square and mat.rows == size and mat.is_zero_one()):
+        if not (mat.is_square and mat.rows == size and ((mat.a == 0) | (mat.a == 1)).all()):
             cert.failed(f"A_{idx} is a square 0/1 matrix of order {size}")
             return cert
         if not (mat.a == mat.a.T).all():

@@ -143,6 +143,36 @@ def test_scheme_file_corruptions_match_class_list_route(source, kind, seed, rela
         assert exc.value.report.report_lines() == ref_cert.report_lines()
 
 
+@pytest.mark.parametrize("damage", ["entry-256", "entry-minus-1", "other-order", "boolean"])
+@pytest.mark.parametrize("source", [48, 135])
+def test_a_class_list_is_claimed_as_a_file_is(source, damage, relations):
+    """A list of a scheme's classes as int64 arrays with one seeded entry
+    256 (which must not wrap to 0 when narrowed) or -1, with one seeded
+    class of order |X| - 1, or as boolean arrays: ``relation_from_classes``
+    and ``compute_intersection_numbers`` give the class-list route's lines
+    and p, and every array of the list is byte for byte as it was, as a
+    claim writes no block it is given."""
+    relation = relations[source]
+    rng = random.Random(f"list:{source}:{damage}")
+    c, x, y = rng.randrange(6), rng.randrange(len(relation)), rng.randrange(len(relation))
+    classes = [(relation == i).astype(np.int64) for i in range(6)]
+    if damage == "boolean":
+        classes = [a.astype(bool) for a in classes]
+    elif damage == "other-order":
+        classes[c] = classes[c][:-1, :-1].copy()
+    else:
+        classes[c][x, y] = 256 if damage == "entry-256" else -1
+    before = [(a.dtype, a.shape, a.tobytes()) for a in classes]
+    mats = class_matrices(classes)
+    got, cert = relation_from_classes(classes)
+    assert cert.report_lines() == ref.partition_certificate(mats).report_lines()
+    assert (got is None) == (damage != "boolean")
+    p, cert = compute_intersection_numbers(classes)
+    ref_p, ref_cert = ref.intersection_numbers(mats)
+    assert p == ref_p and cert.report_lines() == ref_cert.report_lines()
+    assert [(a.dtype, a.shape, a.tobytes()) for a in classes] == before
+
+
 @pytest.mark.parametrize("damage", ["asymmetric", "diagonal", "in-no-class"])
 def test_a_damaged_assembly_reports_the_class_list_lines(damage, sys16, monkeypatch):
     """``assemble_scheme`` over an R with one seeded damaged pair (one entry

@@ -294,6 +294,15 @@ def test_headers_outside_the_written_layout_take_the_token_reader(header, scheme
     assert error == _token_route(data) and error[1] is not None
 
 
+def test_blocks_past_label_255_under_a_header_the_file_cannot_hold():
+    """301 classes of order 100 named over 301 blocks of order 1: no label
+    array is sized, every block is offered to the claim, past label 255,
+    and refused, and the reader gives the token reader's error."""
+    data = b"300 100\n" + b"1 1\n0\n" * 301
+    error = _outcome(fileio.read_scheme, io.BytesIO(data))
+    assert error == _token_route(data) and error[1] is not None
+
+
 def test_a_pipe_is_left_whole_to_the_token_reader(scheme48):
     """A stream that cannot seek is read into memory first, then block by
     block: the token reader's classes, or its error."""
@@ -367,8 +376,9 @@ def test_a_pair_claimed_twice_turns_the_read_into_a_class_list(c, i, scheme48):
 def test_a_pair_claimed_twice_costs_one_block_beside_r(scheme448):
     """The 448-vertex scheme with a pair of class 1 (both its entries) also
     in class 5: reading it and certifying it, which fails, peaks within
-    10 |X|^2 bytes, as the read holds R and class 5's block, not a list of
-    six classes (12 |X|^2 with one)."""
+    5 |X|^2 bytes, the read's own peak (its window of 2 |X|^2, R and class
+    5's block), as the certificate is read off R and that block with no
+    second array of |X|^2 labels or counts."""
     relation = scheme448.relation
     x, y = divmod(int(np.argmax(relation == 1)), len(relation))
     classes = [relation == label for label in range(6)]
@@ -382,7 +392,7 @@ def test_a_pair_claimed_twice_costs_one_block_beside_r(scheme448):
     finally:
         tracemalloc.stop()
     assert set(read.extra) == {5} and not report.certificate.ok
-    assert peak <= 10 * relation.size
+    assert peak <= 5 * relation.size
 
 
 @st.composite
@@ -428,11 +438,13 @@ def test_more_classes_than_eight_take_the_label_route():
 @pytest.mark.parametrize("d", [254, 255])
 def test_labels_hold_up_to_255_classes(d):
     """Order-2 classes I and J - I, then empty ones up to class d: 255
-    classes are read into labels 0..254, and 256 each as its own block,
-    each with the class-list route's lines (the empty classes fail)."""
+    classes are read into uint8 labels 0..254, and 256 into uint16 labels
+    0..255, each with the class-list route's lines (the empty classes
+    fail)."""
     classes = [np.eye(2, dtype=bool), ~np.eye(2, dtype=bool)] + [np.zeros((2, 2), dtype=bool)] * (d - 1)
     read = _checked_read(_scheme_file(classes))
-    assert set(read.extra) == (set() if d < 255 else set(range(d + 1))) and len(read) == d + 1
+    assert not read.extra and len(read) == d + 1
+    assert read.relation.dtype == (np.uint8 if d < 255 else np.uint16)
 
 
 def test_chunk_writers_join_to_the_formatted_text(scheme48, sys16):

@@ -56,10 +56,10 @@ def test_reproduce_tables_writes_the_golden_tables(tmp_path: Path, monkeypatch):
 def test_scale_chain_times_every_verb_at_q_4(tmp_path: Path, monkeypatch, capsys):
     """The chain at q = 4 (the 48-vertex scheme), one fresh process per
     verb, reports every verb, the flipped system, the scheme with a moved
-    pair and the scheme with a pair claimed twice rejected, a byte-identical
-    extract round trip and the digest of the fused scheme the fusion
-    writes; a second run records the same digests of every stdout and
-    written file."""
+    pair, the scheme with a pair claimed twice and the scheme with an entry
+    set to 2 rejected, a byte-identical extract round trip and the digest
+    of the fused scheme the fusion writes; a second run records the same
+    digests of every stdout and written file."""
     _run_script("scale_chain.py", "--q", "4", "--out", str(tmp_path), monkeypatch=monkeypatch)
     record = json.loads(capsys.readouterr().out)
     _run_script("scale_chain.py", "--q", "4", "--out", str(tmp_path / "again"), monkeypatch=monkeypatch)
@@ -67,18 +67,18 @@ def test_scale_chain_times_every_verb_at_q_4(tmp_path: Path, monkeypatch, capsys
     digests = [(step["stdout_sha256"], step["files_sha256"]) for step in record["steps"]]
     assert digests == [(step["stdout_sha256"], step["files_sha256"]) for step in again["steps"]]
     assert [sorted(files) for _, files in digests] == [
-        ["had.aux"], ["gf.fam"], ["sys.lsys"], [], [], ["scheme.scm"], [], [], [], [], ["back.lsys"], ["fused.scm"],
+        ["had.aux"], ["gf.fam"], ["sys.lsys"], [], [], ["scheme.scm"], [], [], [], [], [], ["back.lsys"], ["fused.scm"],
     ]
-    assert digests[10][1]["back.lsys"] == hashlib.sha256((tmp_path / "sys.lsys").read_bytes()).hexdigest()
+    assert digests[11][1]["back.lsys"] == hashlib.sha256((tmp_path / "sys.lsys").read_bytes()).hexdigest()
     fused = tmp_path / "cli-fused.scm"
     assert main(["scheme", "fusion", "--in", str(tmp_path / "scheme.scm"), "-o", str(fused)]) == 0
     assert fused.read_bytes().startswith(b"3 48\n")
-    assert digests[11][1]["fused.scm"] == hashlib.sha256(fused.read_bytes()).hexdigest()
+    assert digests[12][1]["fused.scm"] == hashlib.sha256(fused.read_bytes()).hexdigest()
     assert (record["q"], record["vertices"], record["roundtrip"]) == (4, 48, True)
     assert [step["verb"] for step in record["steps"]] == [
         "hadamard-aux", "linked-mols", "tilde-l", "verify linked-system",
         "verify linked-system (one entry flipped)", "assemble", "verify scheme", "verify scheme (one pair moved)",
-        "verify scheme (one pair claimed twice)", "analyze", "extract", "fusion",
+        "verify scheme (one pair claimed twice)", "verify scheme (one entry set to 2)", "analyze", "extract", "fusion",
     ]
     assert all(step["seconds"] > 0 and step["peak_mb"] > 0 for step in record["steps"])
     assert (tmp_path / "back.lsys").read_bytes() == (tmp_path / "sys.lsys").read_bytes()
@@ -88,3 +88,6 @@ def test_scale_chain_times_every_verb_at_q_4(tmp_path: Path, monkeypatch, capsys
     twice = (tmp_path / "twice.scm").read_bytes()
     claimed = [at for at, (x, y) in enumerate(zip(good, twice)) if x != y]
     assert len(good) == len(twice) and len(claimed) == 2 and {twice[at] for at in claimed} == {ord("1")}
+    two = (tmp_path / "two.scm").read_bytes()
+    set_to_2 = [at for at, (x, y) in enumerate(zip(good, two)) if x != y]
+    assert len(good) == len(two) and len(set_to_2) == 1 and two[set_to_2[0]] == ord("2")
