@@ -295,8 +295,12 @@ def looked_up(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
     with the intp copy that ``np.take`` makes of its indices bounded.  The
     labels are bounded once, so each slice is taken unbuffered.  Labels
     held as ``Gathered`` are looked up once for each matrix of its stack,
-    then gathered where indexed."""
+    then gathered where indexed; when the index names no matrix twice, they
+    are gathered first, so that no looked-up copy of the whole stack is
+    formed beside the result."""
     if isinstance(labels, Gathered):
+        if np.bincount(labels.index.ravel()).max(initial=0) <= 1:
+            return looked_up(table, labels[...])
         return looked_up(table, labels.stack)[labels.index]
     out = np.empty(labels.shape, dtype=table.dtype)
     flat, into = labels.reshape(-1), out.reshape(-1)

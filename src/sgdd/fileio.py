@@ -26,15 +26,19 @@ A reader goes through ``Lines``, a byte window over the stream refilled by
 fixed-size reads, whose lines end where ``str.splitlines`` would end them.
 A block of single-digit rows joined by single spaces, all ending in a line
 feed or all in CR LF, is read into the window and its digits taken in
-place; any other block is read token by token from the same rows, so every
-error names the same line either way.  A header never sizes an array the
-rest of the stream is too short to fill (``_fits``).  A scheme class that
-is a 0/1 block claiming no pair twice goes into one label array R as its
-label, any other beside R (``schemes.ClassLabels.claim``), and the blocks
-of a linked system or an auxiliary set into its ``uint8`` stack.  A block of
-digits is written from one byte buffer, a scheme from its class-label
-array R, class i as R == i compared straight into one buffer per band of
-rows, each band within ``SCHEME_BAND`` bytes of text.
+place (CR LF rows from a copy without their line feeds); any other block
+is read token by token from the same rows, so every error names the same
+line either way.  A header never sizes an array the rest of the stream is
+too short to fill (``_fits``).  A scheme class that is a 0/1 block
+claiming no pair twice goes into one label array R as its label, any
+other beside R (``schemes.ClassLabels.claim``).  The blocks of a linked
+system, an auxiliary set or a linked family go into a ``uint8`` stack a
+band of blocks at a time (``_read_bands``); the block-by-block route runs
+only from the first block a band refuses, to the end.  A block of digits
+is written from one byte buffer, a stack's blocks one buffer per band of
+blocks (``_stack_chunks``), a scheme from its class-label array R, class
+i as R == i compared straight into one buffer per band of rows; each band
+is within ``SCHEME_BAND`` bytes of text.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ class Lines:
     ``left`` bytes still in the stream; one that cannot seek (a pipe) is
     read into memory first, so that ``left`` is known.  A line is decoded
     when read, so strip, split and int() keep their meaning, and a byte
-    past 0x7F is refused then, as int() would read other scripts' digits."""
+    past 0x7F is refused then, as int() would read other scripts' digits.
+    ``spare`` is the buffer a block of CR LF rows is copied into
+    (``_digit_block``), kept for the next one."""
 
     def __init__(self, stream, what: str):
         if not stream.seekable():
@@ -83,6 +89,7 @@ class Lines:
         self.stream, self.what = stream, what
         self.buf = np.empty(2 * CHUNK, dtype=np.uint8)
         self.at = self.end = self.pos = 0
+        self.spare = np.empty(0, dtype="<u2")
 
     def room(self) -> int:
         """The bytes not yet taken: in the window and in the stream."""
@@ -166,6 +173,48 @@ def _stack(lines: Lines, count: int, v: int) -> np.ndarray:
     return np.empty((fits, v, v) if fits > 0 else (0, 0, 0), dtype=np.uint8)
 
 
+def _read_bands(lines: Lines, stack: np.ndarray, head: str, top: int) -> int:
+    """How many blocks of ``stack`` were read into it from ``lines``, a band
+    of blocks within ``CHUNK`` bytes of text at a time, so that the window
+    never grows for a band, up to the first block a band refuses, with
+    ``lines`` moved past them.  A band takes a block that is ``head`` and
+    then v rows of single digits 0..top (top at most 9) joined by single
+    spaces, each ending in a line feed, as the writers write it: every
+    header of the band in one comparison, and every byte after a digit,
+    then every digit, in one subtraction into the stack, which wraps any
+    other byte past 9.  The first block refused, and every block after it,
+    is left to the caller's block-by-block route: another header, a digit
+    past top, a token, CR LF rows or a file that ends short."""
+    (count, v), taken = stack.shape[:2], 0
+    size, head = len(head) + 2 * v * v, np.frombuffer(head.encode(), dtype=np.uint8)
+    ends = np.frombuffer(b" " * (v - 1) + b"\n", dtype=np.uint8)
+    while taken < count and lines.fill(size * (blocks := min(max(1, CHUNK // size), count - taken))):
+        text = lines.buf[lines.at : lines.at + blocks * size].reshape(blocks, size)
+        rows, out = text[:, len(head) :].reshape(blocks, v, 2 * v), stack[taken : taken + blocks]
+        # the stack holds the bytes after the digits less what they should be, then the digits
+        bad = (text[:, : len(head)] != head).any(axis=1) | np.subtract(rows[..., 1::2], ends, out=out).any(axis=(1, 2))
+        bad |= np.subtract(rows[..., ::2], np.uint8(ord("0")), out=out).max(axis=(1, 2)) > top
+        good = int(bad.argmax()) if bad.any() else blocks
+        lines.at += good * size
+        lines.pos += good * (v + (len(head) > 0))
+        taken += good
+        if good < blocks:
+            break
+    return taken
+
+
+def _stack_chunks(stack: np.ndarray) -> Iterator:
+    """The blocks of a uint8 stack of square 0/1 matrices in matrix v1, one
+    buffer per band of blocks within ``SCHEME_BAND`` bytes of text: each
+    block's header, then its digit rows (``_digit_rows``)."""
+    v = stack.shape[-1]
+    head = np.frombuffer(f"{v} {v}\n".encode(), dtype=np.uint8)
+    band = max(1, SCHEME_BAND // (len(head) + 2 * v * v))
+    for start in range(0, len(stack), band):
+        blocks = stack[start : start + band]
+        yield np.hstack([np.broadcast_to(head, (len(blocks), len(head))), _digit_rows(blocks).reshape(len(blocks), -1)])
+
+
 # -- matrix v1 ---------------------------------------------------------------
 
 # a digit and the space after it, or the line feed that ends its row, read
@@ -174,11 +223,11 @@ _SPACE_PAIR, _LF_PAIR, _CR_PAIR = 0x2030, 0x0A30, 0x0D30
 
 
 def _text_rows(pairs: np.ndarray) -> np.ndarray:
-    """The rows of a little-endian 16-bit matrix of digits 0..9, made in
-    place the uint8 text buffer of its rows, each digit and the byte after
-    it one 16-bit pair."""
+    """The rows of a little-endian 16-bit matrix, or stack of matrices, of
+    digits 0..9, made in place the uint8 text buffer of its rows, each digit
+    and the byte after it one 16-bit pair."""
     pairs += np.uint16(_SPACE_PAIR)
-    pairs[:, -1] -= np.uint16(_SPACE_PAIR - _LF_PAIR)
+    pairs[..., -1] -= np.uint16(_SPACE_PAIR - _LF_PAIR)
     return pairs.view(np.uint8)
 
 
@@ -202,15 +251,17 @@ def matrix_chunks(m: IntMatrix) -> Iterator:
 
 
 def _digit_block(lines: Lines) -> tuple[int, int, np.ndarray | None]:
-    """The next block's rows and columns, and its digits, as a (rows, cols)
-    16-bit view written over them in the window, when each row is single
-    digits joined by single spaces and every one ends in a line feed, or
-    every one in CR LF (as the first does), with ``lines`` moved past them;
-    otherwise None, with ``lines`` and its window as they were.  A digit
-    and the byte after it are one little-endian 16-bit pair; less the pair
-    of "0 " ("0\\n", "0\\r" at a row's end) it is the digit exactly when at
-    most 9, as every other byte wraps past 9.  The view lasts until
-    ``lines`` reads on."""
+    """The next block's rows and columns, and its digits, when each row is
+    single digits joined by single spaces and every one ends in a line
+    feed, or every one in CR LF (as the first does), with ``lines`` moved
+    past them; otherwise None, with ``lines`` and its window as they were.
+    Rows ending in a line feed are read as a (rows, cols) 16-bit view
+    written over them in the window, which lasts until ``lines`` reads on:
+    a digit and the byte after it are one little-endian 16-bit pair, and
+    less the pair of "0 " ("0\\n" at a row's end) it is the digit exactly
+    when at most 9, as every other byte wraps past 9.  CR LF rows are
+    copied, less their line feeds, and read the same way ("0\\r" at a
+    row's end)."""
     rows, cols = lines.ints(2)
     if rows < 1 or cols < 1:
         raise FormatError(f"{lines.what}: matrix dimensions must be positive")
@@ -220,17 +271,26 @@ def _digit_block(lines: Lines) -> tuple[int, int, np.ndarray | None]:
     if not lines.fill(rows * width):
         return rows, cols, None
     buf, at = lines.buf, lines.at
-    pairs = np.ndarray((rows, cols), dtype="<u2", buffer=buf, offset=at, strides=(width, 2))
+    if crlf:
+        # a CR LF row is 2 cols + 1 bytes, a stride at which a 16-bit view
+        # is misaligned: the rows are copied without their line feeds
+        if lines.spare.size < rows * cols:
+            lines.spare = np.empty(rows * cols, dtype="<u2")
+        digits = lines.spare[: rows * cols].reshape(rows, cols)
+        digits.view(np.uint8)[:] = np.ndarray((rows, 2 * cols), dtype=np.uint8, buffer=buf, offset=at, strides=(width, 1))
+    else:
+        digits = np.ndarray((rows, cols), dtype="<u2", buffer=buf, offset=at, strides=(width, 2))
     row_end = np.uint16(_CR_PAIR if crlf else _LF_PAIR)
-    pairs[:, :-1] -= np.uint16(_SPACE_PAIR)
-    pairs[:, -1] -= row_end
-    if pairs.max() <= 9 and (not crlf or (buf[at + 2 * cols : at + rows * width : width] == ord("\n")).all()):
-        lines.at += rows * width
-        lines.pos += rows
-        return rows, cols, pairs
-    pairs[:, :-1] += np.uint16(_SPACE_PAIR)
-    pairs[:, -1] += row_end
-    return rows, cols, None
+    digits[:, :-1] -= np.uint16(_SPACE_PAIR)
+    digits[:, -1] -= row_end
+    if digits.max() > 9 or crlf and not (buf[at + 2 * cols : at + rows * width : width] == ord("\n")).all():
+        if not crlf:
+            digits[:, :-1] += np.uint16(_SPACE_PAIR)
+            digits[:, -1] += row_end
+        return rows, cols, None
+    lines.at += rows * width
+    lines.pos += rows
+    return rows, cols, digits
 
 
 def _read_block(lines: Lines, rows: int, cols: int, digits: np.ndarray | None) -> np.ndarray:
@@ -304,8 +364,7 @@ def parse_inline_gdd_params(text: str) -> GddParams:
 
 def auxiliary_set_chunks(aux: AuxiliarySet) -> Iterator:
     yield f"{aux.order} {aux.r}\n".encode()
-    for c in aux.stack:
-        yield from matrix_chunks(IntMatrix.view(c))
+    yield from _stack_chunks(aux.stack)
 
 
 def read_auxiliary_set(stream) -> AuxiliarySet:
@@ -315,7 +374,7 @@ def read_auxiliary_set(stream) -> AuxiliarySet:
     if r < 2:
         raise FormatError("auxiliary set: matrix count r must be at least 2")
     stack = _stack(lines, r, v)
-    for c in range(r):
+    for c in range(_read_bands(lines, stack, f"{v} {v}\n", 1), r):
         block = _read_matrix(lines)
         if block.shape != (v, v):
             raise FormatError("auxiliary set: matrix order disagrees with header")
@@ -351,7 +410,13 @@ def _read_family(lines: Lines, head: list[str]) -> LinkedMolsFamily:
         raise FormatError("linked family: index count f must be at least 3")
     if n < 1:
         raise FormatError("linked family: order n must be at least 1")
-    squares = {pair: _read_latin_rows(lines, n) for pair in family_pair_order(f)}
+    stack = _stack(lines, f * (f - 1), n)
+    taken = _read_bands(lines, stack, "", 9)
+    # each square the bands took is checked before the rest are read square
+    # by square; the pairs are drawn as they are needed, the taken ones first
+    pairs = family_pair_order(f)
+    squares = {pair: LatinSquare(tuple(map(tuple, sq))) for sq, pair in zip(stack[:taken].tolist(), pairs)}
+    squares.update((pair, _read_latin_rows(lines, n)) for pair in pairs)
     lines.done()
     return LinkedMolsFamily(f=f, order=n, squares=squares)
 
@@ -386,13 +451,12 @@ def mols_list_chunks(squares: list[LatinSquare]) -> Iterator:
 # -- linked systems --------------------------------------------------------------
 
 def linked_system_chunks(sys: LinkedSystemII) -> Iterator:
-    """The linked-system file as byte chunks: its header, then each block's
-    header and digit buffer."""
+    """The linked-system file as byte chunks: its header, then its blocks a
+    band at a time (``_stack_chunks``)."""
     p, base = sys.params, sys.params.base
     triple = f"{p.sigma} {p.tau} {p.rho}" if p.sigma is not None else "- - -"
     yield f"{p.f} {base.v} {base.m} {base.n} {base.k} {base.lambda1} {base.lambda2} {triple}\n".encode()
-    for blk in sys.stack:
-        yield from matrix_chunks(IntMatrix.view(blk))
+    yield from _stack_chunks(sys.stack)
 
 
 def read_linked_system(stream) -> LinkedSystemII:
@@ -409,7 +473,8 @@ def read_linked_system(stream) -> LinkedSystemII:
         raise FormatError("linked system: index count f must be at least 2")
     params = LinkedParams(base=GddParams(v, k, m, n, l1, l2), f=f, sigma=sigma, tau=tau, rho=rho)
     stack = _stack(lines, f * (f - 1), v)
-    for block in range(f * (f - 1)):
+    # a band takes only v x v blocks of 0/1 digits, which, as v = m n, the incidence check passes
+    for block in range(_read_bands(lines, stack, f"{v} {v}\n", 1), f * (f - 1)):
         # checked as a block before it is narrowed into the stack
         stack[block] = IncidenceMatrix(IntMatrix.view(_read_matrix(lines)), m, n).mat.lane
     lines.done()

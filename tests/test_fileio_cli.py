@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from sgdd import fileio
 from sgdd.algebra import IntMatrix
+from sgdd.classical import hadamard_matrix
 from sgdd.cli import main
 from sgdd.errors import FormatError
 from sgdd.gf import gf_make
-from sgdd.latin import mols_from_gf
+from sgdd.latin import linked_mols_from_gf, mols_from_gf
+from sgdd.resolvable import aux_from_hadamard
 from sgdd.schemes import relation_from_classes
 
 import str_line_route as str_route
@@ -248,7 +250,7 @@ def test_written_digit_blocks_take_the_byte_view(scheme448, sys64, line_reads):
     line_reads.update(ints=0, next=0)
     system = read_text(fileio.read_linked_system, text_of(fileio.linked_system_chunks(sys64)))
     assert system.blocks == sys64.blocks
-    assert line_reads == {"ints": 42, "next": 1 + 42}
+    assert line_reads == {"ints": 0, "next": 1}
 
 
 def test_scheme_parse_from_bytes_peaks_below_the_file_size(scheme448):
@@ -278,6 +280,59 @@ def test_crlf_scheme_parse_takes_the_byte_view(scheme448):
     assert [a.dtype for a in mats] == [np.uint8] * 6
     assert all(np.array_equal(a, scheme448.relation == i) for i, a in enumerate(mats))
     assert peak < 0.75 * len(data)
+
+
+def _stack_texts(sys64):
+    """A linked system, an auxiliary set and a linked family of 42, 7 and
+    42 blocks, each with its text as the block-by-block writer wrote it,
+    and the bytes of text one of its blocks takes."""
+    aux = aux_from_hadamard(hadamard_matrix(8))
+    fam = linked_mols_from_gf(gf_make(2, 3))
+
+    def per_block(head: str, stack) -> bytes:
+        return head.encode() + b"".join(b"".join(fileio.matrix_chunks(IntMatrix.view(blk))) for blk in stack)
+
+    system_head = text_of(fileio.linked_system_chunks(sys64)).split("\n", 1)[0] + "\n"
+    return {
+        "system": (sys64, fileio.linked_system_chunks, fileio.read_linked_system, per_block(system_head, sys64.stack), 6 + 2 * 64 * 64),
+        "auxiliary set": (aux, fileio.auxiliary_set_chunks, fileio.read_auxiliary_set, per_block("8 7\n", aux.stack), 4 + 2 * 8 * 8),
+        "family": (fam, fileio.linked_family_chunks, fileio.read_latin, b"".join(fileio.linked_family_chunks(fam)), 2 * 8 * 8),
+    }
+
+
+@pytest.mark.parametrize("kind", ["system", "auxiliary set", "family"])
+def test_stacks_read_and_written_in_uneven_bands_round_trip(kind, sys64, line_reads, monkeypatch):
+    """Bands of 5 blocks, which divide neither 42 nor 7, write the text of
+    the block-by-block writer byte for byte, and read it back with the
+    header as the only line read one at a time, every block equal and every
+    line counted."""
+    obj, chunks, reader, text, size = _stack_texts(sys64)[kind]
+    monkeypatch.setattr(fileio, "SCHEME_BAND", 5 * size)
+    monkeypatch.setattr(fileio, "CHUNK", 5 * size)
+    assert b"".join(chunks(obj)) == text
+    done, ended = fileio.Lines.done, []
+    monkeypatch.setattr(fileio.Lines, "done", lambda lines: (ended.append(lines.pos), done(lines))[1])
+    again = read_text(reader, text)
+    assert ended == [text.count(b"\n")]
+    assert line_reads["next"] == 1
+    if kind == "family":
+        assert again == obj
+    else:
+        assert again.stack.dtype == np.uint8 and np.array_equal(again.stack, obj.stack)
+
+
+def test_system_parse_from_bytes_peaks_below_the_file_size(sys64):
+    """The 42 blocks of sys64 are read a band within one refill at a time
+    into its uint8 stack (half the file size), so the window never grows."""
+    data = b"".join(fileio.linked_system_chunks(sys64))
+    tracemalloc.start()
+    try:
+        system = read_text(fileio.read_linked_system, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(system.stack, sys64.stack)
+    assert peak < len(data)
 
 
 def test_matrix_parse_keeps_entries_past_int64():
@@ -670,7 +725,7 @@ def test_corruptions_read_through_the_byte_view_fail(tmp_path: Path, scheme448, 
     lsys = tmp_path / "bad.lsys"
     lsys.write_text(text_of(fileio.linked_system_chunks(bad)))
     assert run_cli("verify", "linked-system", str(lsys))[0] == 1
-    assert line_reads["next"] == 2 * (1 + 6) + 1 + 42
+    assert line_reads["next"] == 2 * (1 + 6) + 1
 
 
 def test_cli_matrix_file_inputs(tmp_path: Path):
@@ -931,17 +986,53 @@ def _malformed_systems(text: str) -> dict[str, tuple[str, int, str]]:
     and error line the CLI gives for it."""
     lines = text.split("\n")
     size = int(lines[1].split()[0])
-    two, square = list(lines), list(lines)
+    # block b's header is line 1 + b (size + 1); late is the 31st block, or the last
+    last = (len(lines) - 2) // (size + 1) - 1
+    late = min(30, last)
+    two, square, last_two, late_square, crlf, token = (list(lines) for _ in range(6))
     two[2] = "2" + two[2][1:]
     square[size + 2] = f"{size - 1} {size}"  # the second block's header
+    last_two[last * (size + 1) + 2] = "2" + last_two[last * (size + 1) + 2][1:]
+    late_square[late * (size + 1) + 1] = f"{size - 1} {size}"
+    crlf[late * (size + 1) + 5] += "\r"  # read token by token, as are the blocks after it
+    row = late * (size + 1) + 3
+    token[row] = token[row][0] + "x" + token[row][2:]
     return {
         "two": ("\n".join(two), 1, "incidence matrix entries must be 0 or 1"),
         "not square": ("\n".join(square), 1, "incidence matrix must be square"),
+        "two in the last block": ("\n".join(last_two), 1, "incidence matrix entries must be 0 or 1"),
+        "late block not square": ("\n".join(late_square), 1, "incidence matrix must be square"),
+        "late CR LF row": ("\n".join(crlf), 0, None),
+        "late token": ("\n".join(token), 2, f"linked system: non-integer token on line {row + 1}"),
         "truncated": ("\n".join(lines[:-8]) + "\n", 2, "linked system: unexpected end of file"),
         # v*v past any array size: the stack is sized by what the file holds
         "huge order": ("\n".join(["2 4000000000000 2000000000000 2 1 0 0 - - -", *lines[1:]]), 1, f"order {size} != m*n = 4000000000000"),
         "one index": ("1 4 2 2 1 0 0 - - -\n", 2, "linked system: index count f must be at least 2"),
     }
+
+
+@pytest.mark.parametrize("defect", ["two in the last block", "late block not square", "late CR LF row", "late token"])
+def test_defects_in_the_last_band_read_block_by_block(defect, sys64, tmp_path: Path, capsys):
+    """An entry 2 in the last block, a header of 63 x 64 on block 30, one
+    CR LF row or two digits joined by "x" in block 30 of sys64, each
+    refused by a band: the blocks from there are read one by one, so both verbs give the
+    exit status and error line they give when every block is, and a file
+    whose blocks all read gives the clean file's report and scheme."""
+    clean = text_of(fileio.linked_system_chunks(sys64))
+    text, status, error = _malformed_systems(clean)[defect]
+    lsys, scm = tmp_path / "bad.lsys", tmp_path / "bad.scm"
+    lsys.write_text(text)
+    want = ("", f"error: {error}\n")
+    if error is None:
+        good, good_scm = tmp_path / "good.lsys", tmp_path / "good.scm"
+        good.write_text(clean)
+        assert main(["verify", "linked-system", str(good)]) == 0
+        assert main(["scheme", "assemble", "--in", str(good), "-o", str(good_scm)]) == 0
+        want = capsys.readouterr()
+    assert main(["verify", "linked-system", str(lsys)]) == status
+    assert main(["scheme", "assemble", "--in", str(lsys), "-o", str(scm)]) == status
+    assert capsys.readouterr() == (want if error is None else ("", 2 * want[1]))
+    assert scm.read_bytes() == good_scm.read_bytes() if error is None else not scm.exists()
 
 
 @pytest.mark.parametrize("defect", ["two", "not square", "truncated", "huge order", "one index"])

@@ -91,3 +91,44 @@ def test_scale_chain_times_every_verb_at_q_4(tmp_path: Path, monkeypatch, capsys
     two = (tmp_path / "two.scm").read_bytes()
     set_to_2 = [at for at, (x, y) in enumerate(zip(good, two)) if x != y]
     assert len(good) == len(two) and len(set_to_2) == 1 and two[set_to_2[0]] == ord("2")
+
+
+def test_ab_pairs_summary_on_canned_results(monkeypatch):
+    """The A/B summary of canned pairs, with no benchmark run: a claim
+    needs nine tenths of the pairs won (ties count for neither side), a
+    median gain wider than the parent's interquartile range, and no failed
+    operation."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import ab_pairs
+
+    better = ab_pairs.end_to_end()
+    assert better == {"pass_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
+
+    def pairs(parent, change, failed=0):
+        def result(value, fails):
+            return {"correct": not fails, "failed": fails, "metrics": {"pass_s": value, "setup_s": 0.28, "peak_rss_mb": 51.0}}
+
+        return [(result(p, 0), result(c, failed if i == 0 else 0)) for i, (p, c) in enumerate(zip(parent, change))]
+
+    parent = [0.118, 0.119, 0.120, 0.121, 0.122, 0.118, 0.119, 0.120, 0.121, 0.122]
+    lines, holds = ab_pairs.summary(pairs(parent, [p - 0.008 for p in parent]), better, "pass_s")
+    assert holds
+    assert "pass_s (lower is better) parent: median 0.1200 [0.1190, 0.1210]" in lines
+    assert "pass_s (lower is better) change: median 0.1120 [0.1110, 0.1130]" in lines
+    assert "pass_s: the change won 10 and lost 0 of 10 pairs" in lines
+    assert "pass_s: median gain 0.0080 against a parent interquartile range of 0.0020" in lines
+    assert lines[-1] == "gain on pass_s may be claimed: yes"
+    # one tie still leaves 9 of 10 won; a second tie does not
+    tie = [p - 0.008 for p in parent]
+    tie[0] = parent[0]
+    assert ab_pairs.summary(pairs(parent, tie), better, "pass_s")[1]
+    tie[1] = parent[1]
+    lines, holds = ab_pairs.summary(pairs(parent, tie), better, "pass_s")
+    assert not holds and "pass_s: the change won 8 and lost 0 of 10 pairs" in lines
+    # every pair won, but by less than the parent's spread
+    assert not ab_pairs.summary(pairs(parent, [p - 0.001 for p in parent]), better, "pass_s")[1]
+    # a failed operation voids the claim
+    lines, holds = ab_pairs.summary(pairs(parent, [p - 0.008 for p in parent], failed=1), better, "pass_s")
+    assert not holds and "runs with a failed operation: 1" in lines
+    # a higher-is-better reading of the same numbers is a loss
+    assert not ab_pairs.summary(pairs(parent, [p - 0.008 for p in parent]), {"pass_s": "higher"}, "pass_s")[1]
