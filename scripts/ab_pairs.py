@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the benchmark in two checkouts in alternating pairs and say whether
-the second one's gain on a metric may be claimed.
+the second one's gain on a metric may be claimed, and whether it is worse
+on any end-to-end metric.
 
-    python scripts/ab_pairs.py --parent DIR --change DIR --workload W --pairs N --seconds S [--seed K] [--metric pass_s]
+    python scripts/ab_pairs.py --parent DIR --change DIR --workload W --pairs N --seconds S [--seed K] [--metric pass_s] [--record FILE]
 
 Pair i runs ``perfbench/run.py --workload W --seed K+i --seconds S`` in
 each checkout, a fresh process each, the parent first in even pairs and the
@@ -12,6 +13,19 @@ change won on ``--metric`` (ties count for neither side) and whether the
 gain may be claimed: the change won at least nine tenths of the pairs, its
 median is better by more than the parent's interquartile range, and no run
 failed an operation.
+
+Each end-to-end metric also gets a no-regression verdict against its
+``bound`` in ``BENCHMARK.json``, a share of the parent median: "not worse"
+when every change run beats every parent run; else "unresolved" when the
+parent's interquartile range is wider than the bound, as the runs then
+cannot tell a change of that size; else "not worse" when the change median
+is within the parent median moved by the bound, and "worse" otherwise.
+
+With ``--record FILE`` the run appends one entry to the JSON list in FILE
+(made if missing): each checkout's ``git describe --always --dirty``, the
+seeds, each side's median and quartiles, the pairs won and lost and the
+verdict of every metric, and whether the gain may be claimed.  The exit
+status is 0 when the gain may be claimed, else 1.
 """
 
 import argparse
@@ -24,10 +38,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _metrics() -> list[dict]:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
 def end_to_end() -> dict[str, str]:
     """Each end-to-end metric of the benchmark and its better direction."""
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in bench["end_to_end"]}
+    return {m["name"]: m["better"] for m in _metrics()}
+
+
+def bounds() -> dict[str, float]:
+    """Each end-to-end metric's bound, the share of the parent median by
+    which the change may be worse."""
+    return {m["name"]: m["bound"] for m in _metrics()}
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -51,27 +74,97 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def compare(pairs: list[tuple[dict, dict]], name: str, direction: str) -> dict:
+    """Each side's values of metric ``name`` over ``pairs`` of (parent,
+    change) results, their quartiles, and the pairs the change won and lost
+    (ties count for neither side)."""
+    parent, change = ([pair[side]["metrics"][name] for pair in pairs] for side in (0, 1))
+    sign = 1 if direction == "lower" else -1
+    # the amount by which the change is better in each pair, positive when it is
+    gains = [sign * (p - c) for p, c in zip(parent, change)]
+    return {
+        "parent": parent,
+        "change": change,
+        "quartiles": [quartiles(parent), quartiles(change)],
+        "won": sum(g > 0 for g in gains),
+        "lost": sum(g < 0 for g in gains),
+    }
+
+
+def regression(parent: list[float], change: list[float], direction: str, bound: float) -> str:
+    """The no-regression verdict of the change on one metric (see the
+    module docstring): "not worse", "unresolved" or "worse"."""
+    sign = 1 if direction == "lower" else -1
+    (p1, median, p3), (_, change_median, _) = quartiles(parent), quartiles(change)
+    allowed = bound * abs(median)
+    # sign * x is smaller where x is better
+    if max(sign * c for c in change) < min(sign * p for p in parent):
+        return "not worse"
+    if p3 - p1 > allowed:
+        return "unresolved"
+    return "not worse" if sign * (change_median - median) <= allowed else "worse"
+
+
 def summary(pairs: list[tuple[dict, dict]], better: dict[str, str], metric: str) -> tuple[list[str], bool]:
     """The report lines of ``pairs`` of (parent, change) results, and
     whether the change's gain on ``metric`` may be claimed."""
-    out, stats = [], {}
+    out, stats = [], {name: compare(pairs, name, direction) for name, direction in better.items()}
     for name, direction in better.items():
-        stats[name] = [quartiles([pair[side]["metrics"][name] for pair in pairs]) for side in (0, 1)]
-        for label, (q1, median, q3) in zip(("parent", "change"), stats[name]):
+        for label, (q1, median, q3) in zip(("parent", "change"), stats[name]["quartiles"]):
             out.append(f"{name} ({direction} is better) {label}: median {median:.4f} [{q1:.4f}, {q3:.4f}]")
     sign = 1 if better[metric] == "lower" else -1
-    # the amount by which the change is better in each pair, positive when it is
-    gains = [sign * (parent["metrics"][metric] - change["metrics"][metric]) for parent, change in pairs]
-    won, lost = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
-    (p1, parent_median, p3), (_, change_median, _) = stats[metric]
+    won, lost = stats[metric]["won"], stats[metric]["lost"]
+    (p1, parent_median, p3), (_, change_median, _) = stats[metric]["quartiles"]
     gap, spread = sign * (parent_median - change_median), p3 - p1
-    failed = sum(1 for pair in pairs for res in pair if not res["correct"] or res["failed"])
+    failed = failed_runs(pairs)
     holds = 10 * won >= 9 * len(pairs) and gap > spread and not failed
     out.append(f"{metric}: the change won {won} and lost {lost} of {len(pairs)} pairs")
     out.append(f"{metric}: median gain {gap:.4f} against a parent interquartile range of {spread:.4f}")
     out.append(f"runs with a failed operation: {failed}")
     out.append(f"gain on {metric} may be claimed: {'yes' if holds else 'no'}")
     return out, holds
+
+
+def failed_runs(pairs: list[tuple[dict, dict]]) -> int:
+    """The runs that were not correct or failed an operation."""
+    return sum(1 for pair in pairs for res in pair if not res["correct"] or res["failed"])
+
+
+def describe(checkout: Path) -> str | None:
+    """``git describe --always --dirty`` in ``checkout``, or None outside a repository."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def entry(pairs, better, limits, metric: str, holds: bool, commits: dict, workload: str, seeds: list[int], seconds: int) -> dict:
+    """The record of one run of this script."""
+    metrics = {}
+    for name, direction in better.items():
+        stats = compare(pairs, name, direction)
+        metrics[name] = {
+            "better": direction,
+            "bound": limits[name],
+            **{side: dict(zip(("q1", "median", "q3"), q)) for side, q in zip(("parent", "change"), stats["quartiles"])},
+            "won": stats["won"],
+            "lost": stats["lost"],
+            "verdict": regression(stats["parent"], stats["change"], direction, limits[name]),
+        }
+    return {
+        "workload": workload,
+        "commits": commits,
+        "seeds": seeds,
+        "seconds": seconds,
+        "pairs": len(pairs),
+        "failed_runs": failed_runs(pairs),
+        "metrics": metrics,
+        "gain": {"metric": metric, "claimed": holds},
+    }
+
+
+def record(path: Path, item: dict):
+    """Append ``item`` to the JSON list in ``path``, made if missing."""
+    items = json.loads(path.read_text()) if path.exists() else []
+    path.write_text(json.dumps(items + [item], indent=1) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,8 +176,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=int, default=15)
     parser.add_argument("--seed", type=int, default=1, help="the seed of the first pair; pair i uses seed + i")
     parser.add_argument("--metric", default="pass_s")
+    parser.add_argument("--record", type=Path, help="a JSON list to append this run's entry to")
     args = parser.parse_args(argv)
-    better = end_to_end()
+    better, limits = end_to_end(), bounds()
     if args.metric not in better:
         parser.error(f"--metric must be one of {sorted(better)}")
     pairs = []
@@ -102,6 +196,13 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     lines, holds = summary(pairs, better, args.metric)
     print("\n".join(lines))
+    commits = {side: describe(getattr(args, side)) for side in ("parent", "change")}
+    seeds = [args.seed + i for i in range(args.pairs)]
+    item = entry(pairs, better, limits, args.metric, holds, commits, args.workload, seeds, args.seconds)
+    for name, stats in item["metrics"].items():
+        print(f"{name}: {stats['verdict']} (bound {stats['bound']:.0%} of the parent median)")
+    if args.record:
+        record(args.record, item)
     return 0 if holds else 1
 
 

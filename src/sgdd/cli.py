@@ -111,10 +111,12 @@ def _write(path: str, chunks):
 
 
 def _emit(chunks, out: str | None):
+    """A writer's byte chunks, to ``out`` or else to stdout, each decoded
+    and written as it comes."""
     if out:
         _write(out, chunks)
     else:
-        sys.stdout.write(b"".join(chunks).decode("ascii"))
+        sys.stdout.writelines(str(chunk, "ascii") for chunk in chunks)
 
 
 def _report(cert) -> int:

@@ -7,7 +7,9 @@ Everything is line-oriented ASCII so artifacts diff cleanly:
 * auxiliary set ........ ``v r`` then r matrices in matrix v1
 * Latin square ......... ``n`` then n rows of symbols
 * linked MOLS family ... ``f n`` then f(f-1) squares, pairs (i<j) in
-                         lexicographic order followed by pairs (i>j)
+                         lexicographic order followed by pairs (i>j): the
+                         only place that order is known, as a family is
+                         held in the order of ``latin.ordered_pairs``
 * MOLS list ............ ``count n`` then the squares
 * linked system ........ ``f v m n k l1 l2 sigma tau rho`` (``-`` for an
                          absent triple) then blocks for all ordered pairs in
@@ -32,9 +34,12 @@ line either way.  A header never sizes an array the rest of the stream is
 too short to fill (``_fits``).  A scheme class that is a 0/1 block
 claiming no pair twice goes into one label array R as its label, any
 other beside R (``schemes.ClassLabels.claim``).  The blocks of a linked
-system, an auxiliary set or a linked family go into a ``uint8`` stack a
-band of blocks at a time (``_read_bands``); the block-by-block route runs
-only from the first block a band refuses, to the end.  A block of digits
+system, an auxiliary set or a linked family go into a stack a band of
+blocks at a time (``_read_bands``); the block-by-block route runs only
+from the first block a band refuses, to the end.  A family's squares are
+read in the file's order, each checked Latin before the next is read and
+before it is narrowed into the stack, then put in pair order at once
+(``_family_file_order``).  A block of digits
 is written from one byte buffer, a stack's blocks one buffer per band of
 blocks (``_stack_chunks``), a scheme from its class-label array R, class
 i as R == i compared straight into one buffer per band of rows; each band
@@ -53,7 +58,7 @@ import numpy as np
 from .algebra import IntMatrix
 from .designs import GddParams, IncidenceMatrix, zero_one
 from .errors import FormatError, ParameterError
-from .latin import LatinSquare, LinkedMolsFamily
+from .latin import LatinSquare, LinkedMolsFamily, ordered_pairs, require_latin
 from .linked import GcmMatrix, LinkedParams, LinkedSystemII
 from .resolvable import AuxiliarySet, auxiliary_set
 from .schemes import ClassLabels
@@ -166,11 +171,11 @@ def _fits(lines: Lines, count: int, v: int) -> int:
     return min(count, lines.room() // (v * v)) if v > 0 else 0
 
 
-def _stack(lines: Lines, count: int, v: int) -> np.ndarray:
-    """An empty uint8 stack for the blocks of order v that ``lines`` can
-    hold of ``count``; with none, it takes no shape from v."""
+def _stack(lines: Lines, count: int, v: int, dtype=np.uint8) -> np.ndarray:
+    """An empty stack for the blocks of order v that ``lines`` can hold of
+    ``count``; with none, it takes no shape from v."""
     fits = _fits(lines, count, v)
-    return np.empty((fits, v, v) if fits > 0 else (0, 0, 0), dtype=np.uint8)
+    return np.empty((fits, v, v) if fits > 0 else (0, 0, 0), dtype=dtype)
 
 
 def _read_bands(lines: Lines, stack: np.ndarray, head: str, top: int) -> int:
@@ -386,39 +391,45 @@ def read_auxiliary_set(stream) -> AuxiliarySet:
 
 # -- Latin squares and families -------------------------------------------------
 
-def _read_latin_rows(lines: Lines, n: int) -> LatinSquare:
-    return LatinSquare.of([lines.ints(n) for _ in range(n)])
+def _latin_rows(lines: Lines, n: int) -> np.ndarray:
+    """The next n rows of n integers, refused by ``require_latin`` unless a
+    Latin square, as read: an entry is checked before it is narrowed."""
+    rows = np.array([lines.ints(n) for _ in range(n)])
+    require_latin(rows[None])
+    return rows
 
 
-def family_pair_order(f: int) -> Iterator[tuple[int, int]]:
-    upper = ((i, j) for i in range(1, f + 1) for j in range(i + 1, f + 1))
-    lower = ((i, j) for i in range(2, f + 1) for j in range(1, i))
-    return chain(upper, lower)
+def _family_file_order(f: int) -> np.ndarray:
+    """The positions in ``ordered_pairs(f)`` of the squares of a family
+    file, which holds the pairs i < j, then the pairs i > j, each in
+    lexicographic order."""
+    i, j = np.array(ordered_pairs(f)).T
+    return np.concatenate([np.flatnonzero(i < j), np.flatnonzero(i > j)])
 
 
 def linked_family_chunks(fam: LinkedMolsFamily) -> Iterator:
     yield f"{fam.f} {fam.order}\n".encode()
-    for pair in family_pair_order(fam.f):
-        yield _token_rows(fam.squares[pair].grid)
+    yield _token_rows(fam.stack[_family_file_order(fam.f)].reshape(-1, fam.order).tolist())
 
 
 def _read_family(lines: Lines, head: list[str]) -> LinkedMolsFamily:
-    """The linked family whose header fields ``head`` were read last."""
+    """The linked family whose header fields ``head`` were read last.  Its
+    squares are read in the file's order, the bands first, then square by
+    square, each Latin before the next is read, and put in the order of
+    ``ordered_pairs`` at the end."""
     lines.what = "linked family"
     f, n = lines.ints_of(head, 2)
     if f < 3:
         raise FormatError("linked family: index count f must be at least 3")
     if n < 1:
         raise FormatError("linked family: order n must be at least 1")
-    stack = _stack(lines, f * (f - 1), n)
+    stack = _stack(lines, f * (f - 1), n, np.min_scalar_type(n - 1))
     taken = _read_bands(lines, stack, "", 9)
-    # each square the bands took is checked before the rest are read square
-    # by square; the pairs are drawn as they are needed, the taken ones first
-    pairs = family_pair_order(f)
-    squares = {pair: LatinSquare(tuple(map(tuple, sq))) for sq, pair in zip(stack[:taken].tolist(), pairs)}
-    squares.update((pair, _read_latin_rows(lines, n)) for pair in pairs)
+    require_latin(stack[:taken])
+    for square in range(taken, f * (f - 1)):
+        stack[square] = _latin_rows(lines, n)
     lines.done()
-    return LinkedMolsFamily(f=f, order=n, squares=squares)
+    return LinkedMolsFamily(f=f, stack=stack[np.argsort(_family_file_order(f))])
 
 
 def read_linked_family(stream) -> LinkedMolsFamily:
@@ -436,7 +447,7 @@ def read_latin(stream) -> LatinSquare | LinkedMolsFamily:
     (n,) = lines.ints_of(head, 1)
     if n < 1:
         raise FormatError("latin square: order n must be at least 1")
-    sq = _read_latin_rows(lines, n)
+    sq = LatinSquare.of(_latin_rows(lines, n))
     lines.done()
     return sq
 
@@ -543,6 +554,9 @@ def gcm_chunks(gcm: GcmMatrix) -> Iterator:
 def read_gcm(stream) -> GcmMatrix:
     lines = Lines(stream, "group-entry matrix")
     order, g = lines.ints(2)
+    for value, name in ((order, "matrix order"), (g, "group order g")):
+        if value < 2:
+            raise FormatError(f"group-entry matrix: {name} must be at least 2")
     rows = [lines.ints(order) for _ in range(order)]
     lines.done()
     return GcmMatrix(g, rows)

@@ -12,6 +12,12 @@ two squares are orthogonal if all ordered symbol pairs appear once when the
 squares are overlaid cell by cell.  Row-superimposition orthogonality is the
 variant needed by the block constructions in this package; squares obtained
 from finite fields satisfy both.
+
+A family is one stack of its squares in the order of ``ordered_pairs``, the
+order every pair-indexed object of the package keeps (a linked system's
+blocks too); this module owns that layout (``ordered_pairs``,
+``pair_index``), and one vectorised Latin rule (``require_latin``) checks a
+single square, a family and a square read from a file.
 """
 
 from __future__ import annotations
@@ -43,6 +49,31 @@ NO_FAMILY = {
 }
 
 
+def ordered_pairs(f: int) -> list[tuple[int, int]]:
+    """The ordered pairs (i, j) of distinct indices 1..f in lexicographic
+    order: the order of the squares of a family's stack and of the blocks
+    of a linked system's stack and file."""
+    return [(i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j]
+
+
+def pair_index(f: int, i, j):
+    """The position of pair (i, j) in ``ordered_pairs(f)``, for integers or arrays."""
+    return (i - 1) * (f - 1) + j - 1 - (j > i)
+
+
+def require_latin(squares: np.ndarray):
+    """Refuse a (count, n, n) stack of integers unless each row, and then
+    each column, of each square holds 0..n-1 once: the first square that
+    does not, in stack order, names its rows when one of them fails.  The
+    entries are read as given, before any narrowing."""
+    symbols = np.arange(squares.shape[-1])
+    rows = (np.sort(squares, axis=2) != symbols).any(axis=(1, 2))
+    bad = rows | (np.sort(squares, axis=1) != symbols[:, None]).any(axis=(1, 2))
+    if bad.any():
+        which = "row" if rows[bad.argmax()] else "column"
+        raise ParameterError(f"each {which} must contain every symbol exactly once")
+
+
 @dataclass(frozen=True)
 class LatinSquare:
     grid: tuple[tuple[int, ...], ...]
@@ -51,13 +82,9 @@ class LatinSquare:
         n = len(self.grid)
         if n < 1:
             raise ParameterError("Latin square order must be at least 1")
-        symbols = set(range(n))
-        for row in self.grid:
-            if len(row) != n or set(row) != symbols:
-                raise ParameterError("each row must contain every symbol exactly once")
-        for j in range(n):
-            if {row[j] for row in self.grid} != symbols:
-                raise ParameterError("each column must contain every symbol exactly once")
+        if any(len(row) != n for row in self.grid):
+            raise ParameterError("each row must contain every symbol exactly once")
+        require_latin(np.array(self.grid)[None])
 
     @staticmethod
     def of(rows) -> "LatinSquare":
@@ -73,48 +100,31 @@ class LatinSquare:
 
     def positions(self) -> tuple[tuple[int, ...], ...]:
         """positions()[i][s] = the column of symbol s in row i."""
-        n = self.order
-        out = []
-        for row in self.grid:
-            pos = [0] * n
-            for a, s in enumerate(row):
-                pos[s] = a
-            out.append(tuple(pos))
-        return tuple(out)
+        return tuple(map(tuple, np.argsort(self.grid, axis=1).tolist()))
 
     def transpose(self) -> "LatinSquare":
         return LatinSquare(tuple(zip(*self.grid)))
 
 
+def _agreements(l1: LatinSquare, l2: LatinSquare) -> np.ndarray:
+    """[a, b, c]: row a of l1 and row b of l2 agree at column c."""
+    if l1.order != l2.order:
+        raise ParameterError("orders differ")
+    return np.array(l1.grid)[:, None] == np.array(l2.grid)
+
+
 def is_orthogonal(l1: LatinSquare, l2: LatinSquare) -> bool:
     """Every row of l1 superimposed on every row of l2 agrees in exactly one
     position."""
-    if l1.order != l2.order:
-        raise ParameterError("orders differ")
-    n = l1.order
-    for r1 in l1.grid:
-        for r2 in l2.grid:
-            hits = sum(1 for a in range(n) if r1[a] == r2[a])
-            if hits != 1:
-                return False
-    return True
+    return bool((_agreements(l1, l2).sum(axis=2) == 1).all())
 
 
 def compose(l1: LatinSquare, l2: LatinSquare) -> LatinSquare:
     """(i, j) entry = the unique common value of row i of l1 and row j of l2."""
-    if l1.order != l2.order:
-        raise ParameterError("orders differ")
-    n = l1.order
-    grid = []
-    for r1 in l1.grid:
-        row = []
-        for r2 in l2.grid:
-            common = [r1[a] for a in range(n) if r1[a] == r2[a]]
-            if len(common) != 1:
-                raise ParameterError("rows do not share exactly one common value; squares not orthogonal")
-            row.append(common[0])
-        grid.append(tuple(row))
-    return LatinSquare(tuple(grid))
+    agree = _agreements(l1, l2)
+    if (agree.sum(axis=2) != 1).any():
+        raise ParameterError("rows do not share exactly one common value; squares not orthogonal")
+    return LatinSquare.of((agree * np.array(l1.grid)[:, None]).sum(axis=2))
 
 
 def mols_from_gf(ctx: GFContext) -> list[LatinSquare]:
@@ -124,25 +134,35 @@ def mols_from_gf(ctx: GFContext) -> list[LatinSquare]:
     return [LatinSquare.of(grid) for grid in np.array(ctx.mul)[1:, sub]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkedMolsFamily:
+    """The squares L_ij as one (f(f-1), n, n) stack in the order of
+    ``ordered_pairs``, as a linked system holds its blocks, narrowed to
+    ``np.min_scalar_type(n - 1)`` once ``require_latin`` passes it; any
+    other shape is refused.  Two families are equal when their stacks are."""
+
     f: int
-    order: int
-    squares: dict[tuple[int, int], LatinSquare]
+    stack: np.ndarray
 
     def __post_init__(self):
         if self.f < 3:
             raise ParameterError("a linked family needs at least three indices")
-        expected = {(i, j) for i in range(1, self.f + 1) for j in range(1, self.f + 1) if i != j}
-        if set(self.squares) != expected:
-            raise ParameterError("family must contain one square per ordered index pair")
-        for sq in self.squares.values():
-            if sq.order != self.order:
-                raise ParameterError("all squares must share one order")
+        count, shape = self.f * (self.f - 1), np.shape(self.stack)
+        if len(shape) != 3 or shape[0] != count or not 0 < shape[1] == shape[2]:
+            raise ParameterError(f"a linked family on {self.f} indices is a ({count}, n, n) stack with n >= 1, not {shape}")
+        require_latin(self.stack)
+        object.__setattr__(self, "stack", self.stack.astype(np.min_scalar_type(shape[1] - 1), copy=False))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LinkedMolsFamily) and self.f == other.f and np.array_equal(self.stack, other.stack)
+
+    @property
+    def order(self) -> int:
+        return self.stack.shape[1]
 
     @property
     def zero_diagonal(self) -> bool:
-        return all(sq.zero_diagonal for sq in self.squares.values())
+        return not self.stack.diagonal(axis1=1, axis2=2).any()
 
 
 def verify_linked(fam: LinkedMolsFamily) -> Certificate:
@@ -164,8 +184,7 @@ def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     f, n = fam.f, fam.order
     # symbols, labels and weights in the narrowest dtype that holds 0..n
     grids = np.zeros((f + 1, f + 1, n, n), dtype=np.min_scalar_type(n))
-    for pair, sq in fam.squares.items():
-        grids[pair] = sq.grid
+    grids[tuple(np.array(ordered_pairs(f)).T)] = fam.stack
     weights = np.tile(np.arange(n, dtype=np.uint8 if n <= 256 else np.int64), n)  # the symbol s of column (c, s)
     eye = np.eye(n, dtype=grids.dtype)
     # ends[k - 1] are the indices other than k; rows[k - 1, a] the one-hot rows of L_ik, i = ends[k - 1, a]
@@ -208,16 +227,16 @@ def linked_mols_from_gf(ctx: GFContext) -> LinkedMolsFamily:
     For L_c(x, y) = c(x - y), compose(L_a, L_b) = L_c with 1/c = 1/a - 1/b,
     so L_ij = compose(L_i, L_j) has 1/c_ij = 1/c_i - 1/c_j and
     compose(L_ik, L_jk) has 1/c_ik - 1/c_jk = 1/c_ij: the family is linked
-    in every characteristic.  L_ij is read off the field tables as the
-    square of c_ij, and the family is certified before it is returned."""
-    base = mols_from_gf(ctx)
-    f = len(base)  # q - 1; square i has c_i = element i
+    in every characteristic.  Every L_ij is gathered from the field tables
+    at once, as the square of c_ij, and the family is certified before it
+    is returned."""
+    f = ctx.q - 1  # square i has c_i = element i
     if f < 3:
         raise ParameterError(f"field with {ctx.q} elements yields only f = {f} < 3")
-    inv, add, neg = ctx.inv, ctx.add, ctx.neg
-    pairs = [(i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j]
-    squares = {(i, j): base[inv[add[inv[i]][neg[inv[j]]]] - 1] for i, j in pairs}
-    fam = LinkedMolsFamily(f=f, order=ctx.q, squares=squares)
+    add, mul, neg, inv = (np.array(t) for t in (ctx.add, ctx.mul, ctx.neg, (0, *ctx.inv[1:])))
+    i, j = np.array(ordered_pairs(f)).T
+    c = inv[add[inv[i], neg[inv[j]]]]
+    fam = LinkedMolsFamily(f=f, stack=mul[c[:, None, None], add[:, neg]])
     cert = verify_linked(fam)
     if not cert.ok:
         raise CertificationError("field-derived family fails the linked property", cert)
@@ -363,9 +382,11 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
     Only L_{1,2..f} are free: every other square is forced cell by cell by
     composition closure, so each stage propagates the forced squares and
     certifies the family on the indices 1..u joined so far with
-    ``verify_linked`` before branching deeper; the family returned is the
-    one certified at stage f.  Each candidate L_{1,u} is built a row at a
-    time, and a row is dropped as soon as it clashes with a row above it in
+    ``verify_linked`` before branching deeper; the squares are held as
+    ``LatinSquare`` tuples and packed into a stack only for that
+    certification, and the family returned is the one certified at stage
+    f.  Each candidate L_{1,u} is built a row at a time, and a row is
+    dropped as soon as it clashes with a row above it in
     a square that L_{1,u} forces (see _RowSearch.squares); this skips only
     candidates _extend_family would refuse, in the same order, so the first
     family found is unchanged.  Returns None when the search space is exhausted (a
@@ -385,15 +406,16 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
     rows = _RowSearch(order, zero_diagonal, SEARCH_MAX_NODES)
 
     def extend_to(squares: dict, t: int):
-        if t == f:
-            return LinkedMolsFamily(f=f, order=order, squares=squares)
         u = t + 1
         targets = [squares[(1, s)] for s in range(2, u)]
         for cand in rows.squares(targets):
             new = _extend_family(squares, t, u, LatinSquare(cand), zero_diagonal)
-            if new is None or not verify_linked(LinkedMolsFamily(f=u, order=order, squares=new)).ok:
+            if new is None:
                 continue
-            found = extend_to(new, u)
+            fam = LinkedMolsFamily(f=u, stack=np.array([new[pair].grid for pair in ordered_pairs(u)]))
+            if not verify_linked(fam).ok:
+                continue
+            found = fam if u == f else extend_to(new, u)
             if found is not None:
                 return found
         return None

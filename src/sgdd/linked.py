@@ -52,7 +52,7 @@ from .errors import (
     ParameterError,
 )
 from .gf import gf_from_order
-from .latin import LinkedMolsFamily
+from .latin import LinkedMolsFamily, ordered_pairs, pair_index
 from .resolvable import AuxiliarySet, aux_from_hadamard, verify_auxiliary
 
 
@@ -101,17 +101,6 @@ class LinkedParams:
             raise ParameterError(f"rho = {r} != k^2/(n(m-1))")
         # rho = tau is admissible: partial complements of symmetric-design
         # systems at self-complementary degree realize it exactly.
-
-
-def ordered_pairs(f: int) -> list[tuple[int, int]]:
-    """The ordered pairs (i, j) of distinct indices 1..f in lexicographic
-    order: the order of the blocks of a system's stack and of its file."""
-    return [(i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j]
-
-
-def pair_index(f: int, i, j):
-    """The position of block (i, j) in ``ordered_pairs(f)``, for integers or arrays."""
-    return (i - 1) * (f - 1) + j - 1 - (j > i)
 
 
 @dataclass(eq=False)
@@ -427,10 +416,12 @@ def build_tilde_l(aux: AuxiliarySet, fam: LinkedMolsFamily) -> LinkedSystemII:
     # C_0 = 0 for the empty symbol, then the certified 0/1 matrices C_1..C_r
     cells = np.zeros((p.r + 1, p.v, p.v), dtype=np.uint8)
     cells[1:] = aux.stack
-    stack = np.empty((fam.f * (fam.f - 1), big.v, big.v), dtype=np.uint8)
-    for (i, j), sq in fam.squares.items():
-        # block (a, b) of A_ij, the view [a, :, b, :], is C_{L_ij(a, b)}
-        stack[pair_index(fam.f, i, j)].reshape(big.m, p.v, big.m, p.v)[:] = cells[np.array(sq.grid)].swapaxes(1, 2)
+    # block (a, b) of A_ij, the view [a, :, b, :], is C_{L_ij(a, b)}: its row x
+    # is row x of C_s, at x (r + 1) + s among the rows of every C_s, x first,
+    # gathered at once straight into the stack, with no copy of its size
+    rows, at = cells.swapaxes(0, 1).reshape(-1, p.v), np.arange(p.v)[:, None] * (p.r + 1) + fam.stack[:, :, None]
+    stack = np.empty((len(fam.stack), big.v, big.v), dtype=np.uint8)
+    np.take(rows, at, axis=0, out=stack.reshape(*at.shape, p.v), mode="clip")
     return make_linked_system(params, stack)
 
 

@@ -31,7 +31,7 @@ from sgdd.designs import (
 )
 from sgdd.errors import ParameterError
 from sgdd.gf import factor_prime_power, gf_from_order
-from sgdd.latin import LinkedMolsFamily, compose, is_orthogonal
+from sgdd.latin import LatinSquare, LinkedMolsFamily, compose, is_orthogonal, pair_index
 from sgdd.linked import LinkedSystemII
 from sgdd.resolvable import AuxiliarySet
 
@@ -245,16 +245,20 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
 def verify_linked(fam: LinkedMolsFamily) -> Certificate:
     cert = Certificate(f"linked family f={fam.f} order={fam.order}")
     idx = range(1, fam.f + 1)
+
+    def square(i: int, j: int) -> LatinSquare:
+        return LatinSquare.of(fam.stack[pair_index(fam.f, i, j)])
+
     for i in idx:
         for j in idx:
             for k in idx:
                 if len({i, j, k}) != 3:
                     continue
-                lik, ljk = fam.squares[(i, k)], fam.squares[(j, k)]
+                lik, ljk = square(i, k), square(j, k)
                 if not is_orthogonal(lik, ljk):
                     cert.failed(f"triple {(i, j, k)}: squares sharing the third index are not orthogonal")
                     continue
-                if compose(lik, ljk) != fam.squares[(i, j)]:
+                if compose(lik, ljk) != square(i, j):
                     cert.failed(f"triple {(i, j, k)}: composition does not reproduce the pair square")
     if cert.ok:
         cert.passed("on every ordered triple (i, j, k), L_ik and L_jk are orthogonal and compose to L_ij")

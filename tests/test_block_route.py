@@ -27,7 +27,7 @@ from sgdd.designs import (
     verify_grams,
 )
 from sgdd.gf import gf_from_order
-from sgdd.latin import LatinSquare, LinkedMolsFamily, linked_mols_from_gf, verify_linked
+from sgdd.latin import LinkedMolsFamily, linked_mols_from_gf, verify_linked
 from sgdd.errors import ParameterError
 from sgdd.linked import LinkedSystemII, ordered_pairs, pair_index, verify_linked_system
 
@@ -186,24 +186,23 @@ def _families(fam_gf4, fam_order5):
     for fam in (fam_gf4, fam_order5, gf8):
         out.append((fam, True))
         rng = random.Random(fam.order)
-        pairs = sorted(fam.squares)
-        pair = rng.choice(pairs)
+        pairs = ordered_pairs(fam.f)
+        at = pair_index(fam.f, *rng.choice(pairs))
         a, b = rng.sample(range(fam.order), 2)
-        swap = {a: b, b: a}
-        squares = dict(fam.squares)
-        squares[pair] = LatinSquare.of([[swap.get(x, x) for x in row] for row in squares[pair].grid])
-        out.append((LinkedMolsFamily(f=fam.f, order=fam.order, squares=squares), False))
-        pair = rng.choice(pairs)
-        rows = list(fam.squares[pair].grid)
+        swap = np.arange(fam.order)
+        swap[[a, b]] = b, a
+        stack = fam.stack.copy()
+        stack[at] = swap[stack[at]]
+        out.append((LinkedMolsFamily(f=fam.f, stack=stack), False))
+        at = pair_index(fam.f, *rng.choice(pairs))
         x, y = rng.sample(range(fam.order), 2)
-        rows[x], rows[y] = rows[y], rows[x]
-        squares = dict(fam.squares)
-        squares[pair] = LatinSquare.of(rows)
-        out.append((LinkedMolsFamily(f=fam.f, order=fam.order, squares=squares), False))
-        p, q = rng.sample(pairs, 2)
-        squares = dict(fam.squares)
-        squares[p], squares[q] = squares[q], squares[p]
-        out.append((LinkedMolsFamily(f=fam.f, order=fam.order, squares=squares), None))
+        stack = fam.stack.copy()
+        stack[at, [x, y]] = stack[at, [y, x]]
+        out.append((LinkedMolsFamily(f=fam.f, stack=stack), False))
+        p, q = (pair_index(fam.f, *pair) for pair in rng.sample(pairs, 2))
+        stack = fam.stack.copy()
+        stack[[p, q]] = stack[[q, p]]
+        out.append((LinkedMolsFamily(f=fam.f, stack=stack), None))
     return out
 
 

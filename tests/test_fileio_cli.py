@@ -14,9 +14,9 @@ from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.classical import hadamard_matrix
 from sgdd.cli import main
-from sgdd.errors import FormatError
-from sgdd.gf import gf_make
-from sgdd.latin import linked_mols_from_gf, mols_from_gf
+from sgdd.errors import FormatError, ParameterError
+from sgdd.gf import gf_from_order, gf_make
+from sgdd.latin import LinkedMolsFamily, linked_mols_from_gf, mols_from_gf
 from sgdd.resolvable import aux_from_hadamard
 from sgdd.schemes import relation_from_classes
 
@@ -335,6 +335,27 @@ def test_system_parse_from_bytes_peaks_below_the_file_size(sys64):
     assert peak < len(data)
 
 
+def test_stdout_output_is_written_a_chunk_at_a_time(sys64, tmp_path: Path):
+    """Without -o, the 2.4 MB scheme of sys64 goes to stdout a decoded chunk
+    at a time, so a StringIO stdout peaks below 1.5 times the text (the
+    text joined and decoded whole peaked at about 2.1 times it), and holds
+    the bytes -o writes."""
+    lsys, scm = tmp_path / "sys64.lsys", tmp_path / "sys64.scm"
+    lsys.write_bytes(b"".join(fileio.linked_system_chunks(sys64)))
+    assert main(["scheme", "assemble", "--in", str(lsys), "-o", str(scm)]) == 0
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(buf):
+            assert main(["scheme", "assemble", "--in", str(lsys)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = buf.getvalue()
+    assert text.encode() == scm.read_bytes()
+    assert peak < 1.5 * len(text)
+
+
 def test_matrix_parse_keeps_entries_past_int64():
     assert read_text(fileio.read_matrix, MATRIX_TEXTS["int64-edges"]).a.dtype == np.int64
     big = read_text(fileio.read_matrix, MATRIX_TEXTS["past-int64"])
@@ -456,7 +477,76 @@ def test_family_roundtrip(fam_gf4):
     text = text_of(fileio.linked_family_chunks(fam_gf4))
     again = read_text(fileio.read_linked_family, text)
     assert text_of(fileio.linked_family_chunks(again)) == text
-    assert again.squares == fam_gf4.squares
+    assert again == fam_gf4
+
+
+def _family_line(pair: tuple[int, int], f: int, n: int) -> int:
+    """The first line of square ``pair`` in a family file: the pairs i < j,
+    then i > j, each in lexicographic order, after the header."""
+    pairs = [(i, j) for i in range(1, f + 1) for j in range(i + 1, f + 1)]
+    pairs += [(i, j) for i in range(2, f + 1) for j in range(1, i)]
+    return 1 + pairs.index(pair) * n
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["bands", "square-by-square"])
+def test_family_faults_are_reported_in_file_order(newline, fam_gf4, tmp_path: Path, capsys):
+    """A column fault in square (2, 3) and a row fault in square (2, 1):
+    (2, 3) comes first in the file, (2, 1) first in ``ordered_pairs``, and
+    both verbs that read a family report the column fault, whether the
+    squares are read by band or, with CR LF rows, square by square."""
+    lines = text_of(fileio.linked_family_chunks(fam_gf4)).splitlines()
+    col = _family_line((2, 3), 3, 4)
+    lines[col + 1] = lines[col]  # two equal rows, each still holding every symbol once
+    row = _family_line((2, 1), 3, 4)
+    first = lines[row].split()
+    lines[row] = " ".join([first[1], *first[1:]])
+    fam, aux = tmp_path / "bad.fam", tmp_path / "had4.aux"
+    fam.write_bytes(newline.join(lines + [""]).encode())
+    assert run_cli("construct", "hadamard-aux", "--order", "4", "-o", str(aux))[0] == 0
+    capsys.readouterr()
+    for argv in (["verify", "latin", str(fam)], ["construct", "tilde-l", "--aux", str(aux), "--mols", str(fam)]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: each column must contain every symbol exactly once\n")
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_families_of_two_digit_symbols_round_trip(q, line_reads):
+    """The q = 11 and 13 families hold symbols past 9, so no band takes a
+    square and every square is read row by row from the first: the stack
+    read back equals the one built, and is written byte for byte again."""
+    fam = linked_mols_from_gf(gf_from_order(q))
+    text = text_of(fileio.linked_family_chunks(fam))
+    again = read_text(fileio.read_latin, text)
+    assert line_reads["ints"] == fam.f * (fam.f - 1) * q
+    assert again == fam and again.stack.dtype == np.uint8
+    assert text_of(fileio.linked_family_chunks(again)) == text
+
+
+def test_a_family_symbol_is_checked_before_it_is_narrowed(tmp_path: Path, capsys):
+    """An entry 259 in an order-11 family would wrap to 3 in uint8, which
+    the row lacks: it is refused as not Latin, as read."""
+    lines = text_of(fileio.linked_family_chunks(linked_mols_from_gf(gf_from_order(11)))).splitlines()
+    entries = lines[1].split()
+    lines[1] = " ".join("259" if x == "3" else x for x in entries)
+    fam = tmp_path / "bad.fam"
+    fam.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match="each row must contain every symbol exactly once"):
+        read_text(fileio.read_latin, fam.read_bytes())
+    assert main(["verify", "latin", str(fam)]) == 1
+    assert capsys.readouterr() == ("", "error: each row must contain every symbol exactly once\n")
+
+
+def test_a_family_of_order_257_is_held_as_uint16():
+    """L_ij(x, y) = c_ij (x - y) mod 257, c_ij = 1..6, three indices (not
+    linked, and not certified): held as uint16, and written byte for byte
+    again once read."""
+    x = np.arange(257)
+    fam = LinkedMolsFamily(f=3, stack=np.arange(1, 7)[:, None, None] * (x[:, None] - x) % 257)
+    assert fam.stack.dtype == np.uint16
+    text = text_of(fileio.linked_family_chunks(fam))
+    again = read_text(fileio.read_linked_family, text)
+    assert again == fam and again.stack.dtype == np.uint16
+    assert text_of(fileio.linked_family_chunks(again)) == text
 
 
 def test_linked_system_roundtrip(sys16):
@@ -751,6 +841,23 @@ def test_malformed_files_rejected(tmp_path: Path):
     bad = tmp_path / "bad.mat"
     bad.write_text("not a matrix\n")
     assert run_cli("verify", "gdd", str(bad), "--params", "4 3 2 2 2 2")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("0 3\n", "matrix order must be at least 2"),
+        ("-5 3\n", "matrix order must be at least 2"),
+        ("2 1\n-1 0\n0 -1\n", "group order g must be at least 2"),
+    ],
+    ids=["order-0", "order-minus-5", "g-1"],
+)
+def test_cli_refuses_a_malformed_gcm_header(text, error, tmp_path: Path, capsys):
+    """A group-entry matrix header no writer writes is a format error."""
+    gcm = tmp_path / "bad.gcm"
+    gcm.write_text(text)
+    assert main(["construct", "gcm-gdd", "--in", str(gcm)]) == 2
+    assert capsys.readouterr() == ("", f"error: group-entry matrix: {error}\n")
 
 
 def test_cli_twin_with_imported_weighing_file(tmp_path: Path):

@@ -22,6 +22,8 @@ from sgdd.latin import (
     is_orthogonal,
     linked_mols_from_gf,
     mols_from_gf,
+    ordered_pairs,
+    pair_index,
     search_linked_mols,
     verify_linked,
 )
@@ -126,7 +128,7 @@ def test_field_family_equals_the_composed_family(q, monkeypatch):
         raise AssertionError("compose called")
 
     monkeypatch.setattr(sgdd.latin, "compose", refuse)
-    assert linked_mols_from_gf(ctx).squares == composed
+    assert np.array_equal(linked_mols_from_gf(ctx).stack, [composed[pair].grid for pair in ordered_pairs(q - 1)])
 
 
 def test_gf2_rejected():
@@ -144,10 +146,9 @@ def test_odd_characteristic_family_certifies():
 def _tampered(fam):
     # field squares in characteristic 2 are symmetric, so transposition is
     # invisible; relabel two symbols in one square instead
-    swap = {0: 0, 1: 2, 2: 1, 3: 3}
-    squares = dict(fam.squares)
-    squares[(1, 2)] = LatinSquare.of([[swap[x] for x in row] for row in squares[(1, 2)].grid])
-    return LinkedMolsFamily(f=fam.f, order=fam.order, squares=squares)
+    swap, stack, at = np.array([0, 2, 1, 3]), fam.stack.copy(), pair_index(fam.f, 1, 2)
+    stack[at] = swap[stack[at]]
+    return LinkedMolsFamily(f=fam.f, stack=stack)
 
 
 def test_verifier_catches_tampered_square(fam_gf4):
@@ -332,7 +333,7 @@ def test_search_order4_finds_family():
     fam = search_linked_mols(4, 3)
     assert fam is not None
     assert verify_linked(fam).ok and fam.zero_diagonal
-    assert fam.squares[(1, 2)].grid[0] == (0, 1, 2, 3)
+    assert fam.stack[pair_index(fam.f, 1, 2), 0].tolist() == [0, 1, 2, 3]
 
 
 def test_search_order2_exhausts():
@@ -439,6 +440,12 @@ def _latin_candidates(n: int, zero_diagonal: bool, first_row=None):
     yield from place(0)
 
 
+def _family(squares: dict) -> LinkedMolsFamily:
+    """The family of a search's squares on the indices 1..f they name."""
+    f = max(map(max, squares))
+    return LinkedMolsFamily(f=f, stack=np.array([squares[pair].grid for pair in ordered_pairs(f)]))
+
+
 def _search_by_reference(order: int, f: int, zero_diagonal: bool) -> LinkedMolsFamily | None:
     """search_linked_mols over the unpruned reference generator, each stage
     certified on the indices 1..u by the triple-by-triple reference
@@ -446,12 +453,12 @@ def _search_by_reference(order: int, f: int, zero_diagonal: bool) -> LinkedMolsF
 
     def extend_to(squares: dict, t: int):
         if t == f:
-            fam = LinkedMolsFamily(f=f, order=order, squares=squares)
+            fam = _family(squares)
             return fam if not zero_diagonal or fam.zero_diagonal else None
         u = t + 1
         for cand in _latin_candidates(order, zero_diagonal):
             new = _extend_family(squares, t, u, LatinSquare(cand), zero_diagonal)
-            if new is None or not verify_linked_by_reference(LinkedMolsFamily(f=u, order=order, squares=new)).ok:
+            if new is None or not verify_linked_by_reference(_family(new)).ok:
                 continue
             found = extend_to(new, u)
             if found is not None:
@@ -503,7 +510,7 @@ def _candidate_cases():
     for sq in rng.sample(list(_latin_candidates(5, True)), 6):
         yield {(1, 2): LatinSquare(sq)}, True
     fam = search_linked_mols(5, 5)
-    yield {(i, j): sq for (i, j), sq in fam.squares.items() if max(i, j) <= 3}, True
+    yield {pair: LatinSquare.of(sq) for pair, sq in zip(ordered_pairs(fam.f), fam.stack) if max(pair) <= 3}, True
 
 
 def test_pruned_candidates_are_the_clash_free_reference_candidates():

@@ -332,12 +332,13 @@ def test_gcm_refuses_order_below_two(entries):
 
 @pytest.mark.parametrize("text", ["0 2\n", "-4 2\n"], ids=["order-0", "order-minus-4"])
 def test_cli_refuses_an_empty_gcm(text, tmp_path, capsys):
-    """A header of order 0, or of a negative order, which reads as no rows,
-    is an error line with exit status 1, not a traceback."""
+    """A header of order 0, or of a negative order, which no writer writes,
+    is refused by the reader as a format error (exit status 2), not a
+    traceback."""
     gcm = tmp_path / "empty.gcm"
     gcm.write_text(text)
-    assert main(["construct", "gcm-gdd", "--in", str(gcm)]) == 1
-    assert capsys.readouterr() == ("", "error: matrix order must be at least 2\n")
+    assert main(["construct", "gcm-gdd", "--in", str(gcm)]) == 2
+    assert capsys.readouterr() == ("", "error: group-entry matrix: matrix order must be at least 2\n")
 
 
 def test_gcm_violation_detected():
@@ -509,7 +510,7 @@ def test_search_linked_mols_deterministic(fam_order5):
     from sgdd.latin import search_linked_mols
 
     again = search_linked_mols(5, 3)
-    assert again.squares == fam_order5.squares
+    assert again == fam_order5
 
 
 def test_bush_search_finds_three_member_family():

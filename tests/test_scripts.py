@@ -132,3 +132,50 @@ def test_ab_pairs_summary_on_canned_results(monkeypatch):
     assert not holds and "runs with a failed operation: 1" in lines
     # a higher-is-better reading of the same numbers is a loss
     assert not ab_pairs.summary(pairs(parent, [p - 0.008 for p in parent]), {"pass_s": "higher"}, "pass_s")[1]
+
+
+def test_ab_pairs_verdicts_and_record_on_canned_results(monkeypatch, tmp_path):
+    """The no-regression verdict of canned pairs against each metric's
+    bound, and the entry ``--record`` appends, with no benchmark run: a
+    change median within the bound is not worse, past it worse, and a parent
+    spread wider than the bound leaves it unresolved unless every change
+    run beats every parent run."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import ab_pairs
+
+    better, limits = ab_pairs.end_to_end(), ab_pairs.bounds()
+    assert limits == {"pass_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1}
+    parent = [0.118, 0.119, 0.120, 0.121, 0.122, 0.118, 0.119, 0.120, 0.121, 0.122]
+    # the bound allows 0.25 * 0.120 = 0.030 on pass_s
+    assert ab_pairs.regression(parent, [p + 0.029 for p in parent], "lower", 0.25) == "not worse"
+    assert ab_pairs.regression(parent, [p + 0.031 for p in parent], "lower", 0.25) == "worse"
+    assert ab_pairs.regression(parent, [p - 0.031 for p in parent], "higher", 0.25) == "worse"
+    wide = [0.06, 0.18, 0.09, 0.15, 0.12, 0.06, 0.18, 0.09, 0.15, 0.12]
+    assert ab_pairs.regression(wide, wide, "lower", 0.25) == "unresolved"
+    assert ab_pairs.regression(wide, [0.05] * 10, "lower", 0.25) == "not worse"
+    assert ab_pairs.regression(wide, [0.19] * 10, "higher", 0.25) == "not worse"
+
+    def result(value, rss):
+        return {"correct": True, "failed": 0, "metrics": {"pass_s": value, "setup_s": 0.28, "peak_rss_mb": rss}}
+
+    pairs = [(result(p, 51.0), result(p - 0.008, 57.0)) for p in parent]
+    commits = {"parent": "be6acd2", "change": "be6acd2-dirty"}
+    item = ab_pairs.entry(pairs, better, limits, "pass_s", True, commits, "gf8-448", list(range(11, 21)), 10)
+    assert item["metrics"]["pass_s"]["verdict"] == "not worse"
+    assert item["metrics"]["setup_s"] == {
+        "better": "lower",
+        "bound": 0.25,
+        "parent": {"q1": 0.28, "median": 0.28, "q3": 0.28},
+        "change": {"q1": 0.28, "median": 0.28, "q3": 0.28},
+        "won": 0,
+        "lost": 0,
+        "verdict": "not worse",
+    }
+    # 57 MB against 51 MB is past the 10 % bound of peak RSS
+    assert item["metrics"]["peak_rss_mb"]["verdict"] == "worse" and item["metrics"]["peak_rss_mb"]["lost"] == 10
+    assert item["metrics"]["pass_s"]["won"] == 10 and item["gain"] == {"metric": "pass_s", "claimed": True}
+    path = tmp_path / "BENCH_gf8-448.json"
+    ab_pairs.record(path, item)
+    ab_pairs.record(path, item)
+    assert json.loads(path.read_text()) == [item, item]
+    assert item["commits"] == commits and item["seeds"] == list(range(11, 21)) and item["failed_runs"] == 0
