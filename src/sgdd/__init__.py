@@ -14,7 +14,6 @@ from .designs import (
 )
 from .gf import GFContext, gf_from_order, gf_make
 from .latin import (
-    LatinSquare,
     LinkedMolsFamily,
     compose,
     is_orthogonal,

@@ -10,7 +10,7 @@ Everything is line-oriented ASCII so artifacts diff cleanly:
                          lexicographic order followed by pairs (i>j): the
                          only place that order is known, as a family is
                          held in the order of ``latin.ordered_pairs``
-* MOLS list ............ ``count n`` then the squares
+* MOLS list ............ ``count n`` then the squares, written only
 * linked system ........ ``f v m n k l1 l2 sigma tau rho`` (``-`` for an
                          absent triple) then blocks for all ordered pairs in
                          lexicographic order, each in matrix v1
@@ -19,10 +19,12 @@ Everything is line-oriented ASCII so artifacts diff cleanly:
 * matrix set ........... ``order count`` then the matrices (Hadamard or
                          weighing collections)
 
-Each format has one reader, ``read_*``, which takes a binary stream, and one
-writer, ``*_chunks``, which yields the file as byte chunks.  Writers end
-files with a newline; readers reject trailing junk, so a write/read/write
-round trip is byte-identical.
+Each format but the MOLS list has one reader, ``read_*``, which takes a
+binary stream, and each has one writer, ``*_chunks``, which yields the file
+as byte chunks.  The MOLS list has no reader: ``read_latin`` reads one
+square or one linked family, and takes a list's ``count n`` header for a
+family's ``f n``.  Writers end files with a newline; readers reject
+trailing junk, so a write/read/write round trip is byte-identical.
 
 A reader goes through ``Lines``, a byte window over the stream refilled by
 fixed-size reads, whose lines end where ``str.splitlines`` would end them.
@@ -58,7 +60,7 @@ import numpy as np
 from .algebra import IntMatrix
 from .designs import GddParams, IncidenceMatrix, zero_one
 from .errors import FormatError, ParameterError
-from .latin import LatinSquare, LinkedMolsFamily, ordered_pairs, require_latin
+from .latin import LinkedMolsFamily, ordered_pairs, require_latin
 from .linked import GcmMatrix, LinkedParams, LinkedSystemII
 from .resolvable import AuxiliarySet, auxiliary_set
 from .schemes import ClassLabels
@@ -393,10 +395,11 @@ def read_auxiliary_set(stream) -> AuxiliarySet:
 
 def _latin_rows(lines: Lines, n: int) -> np.ndarray:
     """The next n rows of n integers, refused by ``require_latin`` unless a
-    Latin square, as read: an entry is checked before it is narrowed."""
+    Latin square, as read, then narrowed to ``np.min_scalar_type(n - 1)``:
+    an entry is checked before it is narrowed."""
     rows = np.array([lines.ints(n) for _ in range(n)])
     require_latin(rows[None])
-    return rows
+    return rows.astype(np.min_scalar_type(n - 1))
 
 
 def _family_file_order(f: int) -> np.ndarray:
@@ -437,9 +440,11 @@ def read_linked_family(stream) -> LinkedMolsFamily:
     return _read_family(lines, lines.next().split())
 
 
-def read_latin(stream) -> LatinSquare | LinkedMolsFamily:
-    """A Latin square, or a linked family when the header has two fields:
-    the header is read once, the rest from the same lines."""
+def read_latin(stream) -> np.ndarray | LinkedMolsFamily:
+    """A Latin square, as an (n, n) array, or a linked family when the
+    header has two fields: the header is read once, the rest from the same
+    lines.  A MOLS list, whose header also has two fields, is read as a
+    family, and refused: the MOLS list has no reader."""
     lines = Lines(stream, "latin square")
     head = lines.next().split()
     if len(head) == 2:
@@ -447,16 +452,17 @@ def read_latin(stream) -> LatinSquare | LinkedMolsFamily:
     (n,) = lines.ints_of(head, 1)
     if n < 1:
         raise FormatError("latin square: order n must be at least 1")
-    sq = LatinSquare.of(_latin_rows(lines, n))
+    sq = _latin_rows(lines, n)
     lines.done()
     return sq
 
 
-def mols_list_chunks(squares: list[LatinSquare]) -> Iterator:
-    if not squares:
+def mols_list_chunks(squares: np.ndarray) -> Iterator:
+    """The MOLS list of a (count, n, n) stack of squares."""
+    if not len(squares):
         raise ParameterError("empty square list")
-    head = f"{len(squares)} {squares[0].order}\n".encode()
-    return chain([head], (_token_rows(sq.grid) for sq in squares))
+    head = f"{len(squares)} {squares.shape[-1]}\n".encode()
+    return chain([head], map(_token_rows, squares.tolist()))
 
 
 # -- linked systems --------------------------------------------------------------

@@ -13,11 +13,14 @@ squares are overlaid cell by cell.  Row-superimposition orthogonality is the
 variant needed by the block constructions in this package; squares obtained
 from finite fields satisfy both.
 
-A family is one stack of its squares in the order of ``ordered_pairs``, the
-order every pair-indexed object of the package keeps (a linked system's
-blocks too); this module owns that layout (``ordered_pairs``,
-``pair_index``), and one vectorised Latin rule (``require_latin``) checks a
-single square, a family and a square read from a file.
+A square is an (n, n) integer array, and a family one stack of its squares
+in the order of ``ordered_pairs``, the order every pair-indexed object of
+the package keeps (a linked system's blocks too); each square the package
+returns is narrowed to ``np.min_scalar_type(n - 1)``.  This module owns
+that layout (``ordered_pairs``, ``pair_index``), and one vectorised Latin
+rule (``require_latin``) checks every square a caller hands in, a family
+and a square read from a file.  Only the search holds its squares
+otherwise, as tuples of rows that are Latin by construction.
 """
 
 from __future__ import annotations
@@ -74,64 +77,45 @@ def require_latin(squares: np.ndarray):
         raise ParameterError(f"each {which} must contain every symbol exactly once")
 
 
-@dataclass(frozen=True)
-class LatinSquare:
-    grid: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.grid)
-        if n < 1:
-            raise ParameterError("Latin square order must be at least 1")
-        if any(len(row) != n for row in self.grid):
-            raise ParameterError("each row must contain every symbol exactly once")
-        require_latin(np.array(self.grid)[None])
-
-    @staticmethod
-    def of(rows) -> "LatinSquare":
-        return LatinSquare(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @property
-    def order(self) -> int:
-        return len(self.grid)
-
-    @property
-    def zero_diagonal(self) -> bool:
-        return all(self.grid[i][i] == 0 for i in range(self.order))
-
-    def positions(self) -> tuple[tuple[int, ...], ...]:
-        """positions()[i][s] = the column of symbol s in row i."""
-        return tuple(map(tuple, np.argsort(self.grid, axis=1).tolist()))
-
-    def transpose(self) -> "LatinSquare":
-        return LatinSquare(tuple(zip(*self.grid)))
+def _narrowed(squares: np.ndarray) -> np.ndarray:
+    """Squares of order n in ``np.min_scalar_type(n - 1)``, the dtype of
+    every square the package returns."""
+    return squares.astype(np.min_scalar_type(squares.shape[-1] - 1), copy=False)
 
 
-def _agreements(l1: LatinSquare, l2: LatinSquare) -> np.ndarray:
-    """[a, b, c]: row a of l1 and row b of l2 agree at column c."""
-    if l1.order != l2.order:
+def _agreements(l1, l2) -> np.ndarray:
+    """[a, b, c]: row a of l1 and row b of l2 agree at column c, for two
+    (n, n) Latin squares of one order, refused otherwise."""
+    l1, l2 = np.asarray(l1), np.asarray(l2)
+    for sq in (l1, l2):
+        if sq.ndim != 2 or not 0 < sq.shape[0] == sq.shape[1]:
+            raise ParameterError(f"a Latin square is an (n, n) array with n >= 1, not {sq.shape}")
+    if l1.shape != l2.shape:
         raise ParameterError("orders differ")
-    return np.array(l1.grid)[:, None] == np.array(l2.grid)
+    require_latin(np.stack([l1, l2]))
+    return l1[:, None] == l2
 
 
-def is_orthogonal(l1: LatinSquare, l2: LatinSquare) -> bool:
+def is_orthogonal(l1, l2) -> bool:
     """Every row of l1 superimposed on every row of l2 agrees in exactly one
     position."""
     return bool((_agreements(l1, l2).sum(axis=2) == 1).all())
 
 
-def compose(l1: LatinSquare, l2: LatinSquare) -> LatinSquare:
+def compose(l1, l2) -> np.ndarray:
     """(i, j) entry = the unique common value of row i of l1 and row j of l2."""
     agree = _agreements(l1, l2)
     if (agree.sum(axis=2) != 1).any():
         raise ParameterError("rows do not share exactly one common value; squares not orthogonal")
-    return LatinSquare.of((agree * np.array(l1.grid)[:, None]).sum(axis=2))
+    return _narrowed((agree * np.asarray(l1)[:, None]).sum(axis=2))
 
 
-def mols_from_gf(ctx: GFContext) -> list[LatinSquare]:
-    """The q-1 squares with (i, j) entry c*(a_i - a_j), one per nonzero
-    scalar c, on symbols = element indices (zero element = symbol 0)."""
+def mols_from_gf(ctx: GFContext) -> np.ndarray:
+    """The (q - 1, q, q) stack of the squares with (i, j) entry c*(a_i - a_j),
+    one per nonzero scalar c, on symbols = element indices (zero element =
+    symbol 0)."""
     sub = np.array(ctx.add)[:, ctx.neg]
-    return [LatinSquare.of(grid) for grid in np.array(ctx.mul)[1:, sub]]
+    return _narrowed(np.array(ctx.mul)[1:, sub])
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +135,7 @@ class LinkedMolsFamily:
         if len(shape) != 3 or shape[0] != count or not 0 < shape[1] == shape[2]:
             raise ParameterError(f"a linked family on {self.f} indices is a ({count}, n, n) stack with n >= 1, not {shape}")
         require_latin(self.stack)
-        object.__setattr__(self, "stack", self.stack.astype(np.min_scalar_type(shape[1] - 1), copy=False))
+        object.__setattr__(self, "stack", _narrowed(self.stack))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinkedMolsFamily) and self.f == other.f and np.array_equal(self.stack, other.stack)
@@ -278,7 +262,6 @@ class _RowSearch:
         target, the cells (j, pos_i[T[i][j]]) it writes in X; a row is placed
         only when its key misses every bit the rows above it have set."""
         n = self.n
-        targets = [t.grid for t in targets]
 
         def row_keys(r: int) -> list:
             opts = self.allowed[r]
@@ -317,8 +300,13 @@ class _RowSearch:
         yield from place(0, 0)
 
 
-def _solve_second(l1: LatinSquare, target: LatinSquare) -> LatinSquare | None:
-    """X with compose(l1, X) = target, or None if no X exists.
+def _zero_diagonal(grid) -> bool:
+    return all(row[i] == 0 for i, row in enumerate(grid))
+
+
+def _solve_second(l1, target):
+    """X with compose(l1, X) = target, or None if no X exists, for squares
+    held as tuples of rows.
 
     Row i of l1 holds target[i][j] at column pos_i(target[i][j]) alone, which
     forces X[j][pos_i(target[i][j])] = target[i][j].  No two rows write one
@@ -328,48 +316,45 @@ def _solve_second(l1: LatinSquare, target: LatinSquare) -> LatinSquare | None:
     X[j][c] was written by the row i' with l1[i'][c] = s = l1[i][c], so
     i' = i.  So X is orthogonal to l1 and composes with it to target; its
     rows and columns hold distinct symbols, as target's columns and rows do."""
-    n = l1.order
-    pos = l1.positions()
+    n = len(l1)
     grid = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            b = target.grid[i][j]
-            a = pos[i][b]
+    for row, want in zip(l1, target):
+        for j, b in enumerate(want):
+            a = row.index(b)
             if grid[j][a] is not None:
                 return None
             grid[j][a] = b
-    return LatinSquare(tuple(tuple(row) for row in grid))
+    return tuple(map(tuple, grid))
 
 
-def _extend_family(squares: dict, t: int, u: int, l1u: LatinSquare, zero_diagonal: bool) -> dict | None:
+def _extend_family(squares: dict, t: int, u: int, l1u, zero_diagonal: bool) -> dict | None:
     """Given a complete family on {1..t} and a candidate L_{1,u} (u = t+1),
-    derive every square touching u; None when the constraints clash."""
+    each square a tuple of rows, derive every square touching u; None when
+    the constraints clash."""
     new = dict(squares)
     new[(1, u)] = l1u
     # L_{s,u} from: compose(L_{1,u}, L_{s,u}) = L_{1,s}
     for s in range(2, t + 1):
         x = _solve_second(l1u, new[(1, s)])
-        if x is None or (zero_diagonal and not x.zero_diagonal):
+        if x is None or (zero_diagonal and not _zero_diagonal(x)):
             return None
         new[(s, u)] = x
     if t == 2:
-        # first triple: L_{2,1} = compose(L_{2,3}, L_{1,3})
-        try:
-            new[(2, 1)] = compose(new[(2, u)], new[(1, u)])
-        except ParameterError:
-            return None
-        if zero_diagonal and not new[(2, 1)].zero_diagonal:
-            return None
+        # first triple: L_{2,1} = compose(L_{2,3}, L_{1,3}) = L_{1,2}^T, as
+        # compose(A, B)^T = compose(B, A) and compose(L_{1,3}, L_{2,3}) = L_{1,2};
+        # its diagonal is L_{1,2}'s
+        new[(2, 1)] = tuple(zip(*new[(1, 2)]))
     # L_{u,1} from: compose(L_{2,1}, L_{u,1}) = L_{2,u}
     x = _solve_second(new[(2, 1)], new[(2, u)])
-    if x is None or (zero_diagonal and not x.zero_diagonal):
+    if x is None or (zero_diagonal and not _zero_diagonal(x)):
         return None
     new[(u, 1)] = x
     # L_{u,s} from: compose(L_{u,s}, L_{1,s}) = L_{u,1}, that is
-    # compose(L_{1,s}, L_{u,s}) = L_{u,1}^T, as compose(A, B)^T = compose(B, A)
+    # compose(L_{1,s}, L_{u,s}) = L_{u,1}^T
+    target = tuple(zip(*x))
     for s in range(2, t + 1):
-        y = _solve_second(new[(1, s)], new[(u, 1)].transpose())
-        if y is None or (zero_diagonal and not y.zero_diagonal):
+        y = _solve_second(new[(1, s)], target)
+        if y is None or (zero_diagonal and not _zero_diagonal(y)):
             return None
         new[(u, s)] = y
     return new
@@ -383,9 +368,10 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
     composition closure, so each stage propagates the forced squares and
     certifies the family on the indices 1..u joined so far with
     ``verify_linked`` before branching deeper; the squares are held as
-    ``LatinSquare`` tuples and packed into a stack only for that
-    certification, and the family returned is the one certified at stage
-    f.  Each candidate L_{1,u} is built a row at a time, and a row is
+    tuples of rows, Latin by construction (see _RowSearch and
+    _solve_second), and packed into a stack only for that certification,
+    and the family returned is the one certified at stage f.  Each
+    candidate L_{1,u} is built a row at a time, and a row is
     dropped as soon as it clashes with a row above it in
     a square that L_{1,u} forces (see _RowSearch.squares); this skips only
     candidates _extend_family would refuse, in the same order, so the first
@@ -409,10 +395,10 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
         u = t + 1
         targets = [squares[(1, s)] for s in range(2, u)]
         for cand in rows.squares(targets):
-            new = _extend_family(squares, t, u, LatinSquare(cand), zero_diagonal)
+            new = _extend_family(squares, t, u, cand, zero_diagonal)
             if new is None:
                 continue
-            fam = LinkedMolsFamily(f=u, stack=np.array([new[pair].grid for pair in ordered_pairs(u)]))
+            fam = LinkedMolsFamily(f=u, stack=np.array([new[pair] for pair in ordered_pairs(u)]))
             if not verify_linked(fam).ok:
                 continue
             found = fam if u == f else extend_to(new, u)
@@ -421,8 +407,7 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
         return None
 
     for first in rows.squares(first_row=tuple(range(order))):
-        l12 = LatinSquare(first)
-        found = extend_to({(1, 2): l12}, 2)
+        found = extend_to({(1, 2): first}, 2)
         if found is not None:
             return found
     return None

@@ -576,6 +576,26 @@ def test_cli_mols_construct(tmp_path: Path):
     assert out.read_text() == text_of(fileio.mols_list_chunks(squares))
 
 
+def test_cli_mols_list_of_16_keeps_its_bytes(tmp_path: Path):
+    """The GF(16) list as written when each square was a tuple of rows: its
+    SHA-256 is pinned, as the list has no reader to compare against."""
+    out = tmp_path / "gf16.mols"
+    assert run_cli("construct", "mols", "--q", "16", "-o", str(out))[0] == 0
+    assert out.read_bytes().startswith(b"15 16\n0 15 13 2 9 6 4 11 1 14 12 3 8 7 5 10\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "43e19e3010f9ad973871dd717b2101c10fe7207751bf177824102a9dd2f4be35"
+
+
+@pytest.mark.parametrize("q", [4, 7])
+def test_a_mols_list_is_refused_by_verify_latin(q, tmp_path: Path, capsys):
+    """The MOLS list has no reader: ``verify latin`` takes its ``count n``
+    header for a family's ``f n`` and runs out of squares."""
+    out = tmp_path / "list.mols"
+    assert run_cli("construct", "mols", "--q", str(q), "-o", str(out))[0] == 0
+    capsys.readouterr()
+    assert main(["verify", "latin", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: linked family: unexpected end of file\n")
+
+
 def test_cli_pipeline_16(tmp_path: Path):
     aux = tmp_path / "had4.aux"
     fam = tmp_path / "gf4.fam"

@@ -1,3 +1,4 @@
+import io
 import random
 from itertools import permutations
 
@@ -13,7 +14,6 @@ from sgdd.errors import BudgetExceededError, CertificationError, ParameterError
 from sgdd import fileio
 from sgdd.gf import gf_from_order, gf_make
 from sgdd.latin import (
-    LatinSquare,
     LinkedMolsFamily,
     _extend_family,
     _RowSearch,
@@ -53,19 +53,19 @@ def test_field_squares_exhaustive_orthogonality(q):
 
 def test_field_square_diagonals_zero(gf4):
     for sq in mols_from_gf(gf4):
-        assert sq.zero_diagonal
+        assert not sq.diagonal().any()
 
 
 def test_self_orthogonality_fails():
-    sq = LatinSquare.of([[0, 1], [1, 0]])
+    sq = np.array([[0, 1], [1, 0]])
     assert not is_orthogonal(sq, sq)
 
 
 def test_row_shifted_copy_is_never_orthogonal():
     # distinct rows of one Latin square never agree in a column, so a square
     # and its row-shifted copy coincide in 0 or n positions, never exactly 1
-    l1 = LatinSquare.of([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    l2 = LatinSquare.of([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    l1 = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    l2 = np.array([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
     assert not is_orthogonal(l1, l2)
 
 
@@ -77,14 +77,51 @@ def test_compose_order3_by_enumeration():
     # brute-force oracle: entry (i, j) is the unique common value of the rows
     for i in range(3):
         for j in range(3):
-            common = {l1.grid[i][a] for a in range(3) if l1.grid[i][a] == l2.grid[j][a]}
-            assert common == {out.grid[i][j]}
+            common = {l1[i][a] for a in range(3) if l1[i][a] == l2[j][a]}
+            assert common == {out[i][j]}
 
 
 def test_compose_rejects_non_orthogonal():
-    sq = LatinSquare.of([[0, 1], [1, 0]])
+    sq = np.array([[0, 1], [1, 0]])
     with pytest.raises(ParameterError):
         compose(sq, sq)
+
+
+# (l1, l2, error): a row fault that rows alone would call orthogonal to
+# its partner, a column fault, two arrays that are no square, and two
+# squares of different orders
+_NOT_TWO_LATIN_SQUARES = [
+    ([[0, 0], [1, 1]], [[0, 1], [1, 0]], "each row must contain every symbol exactly once"),
+    ([[0, 1], [1, 0]], [[0, 1], [0, 1]], "each column must contain every symbol exactly once"),
+    ([[0, 1, 2], [1, 2, 0]], [[0, 1], [1, 0]], "a Latin square is an (n, n) array with n >= 1, not (2, 3)"),
+    ([[0, 1], [1, 0]], [0, 1], "a Latin square is an (n, n) array with n >= 1, not (2,)"),
+    ([[0, 1], [1, 0]], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "orders differ"),
+]
+
+
+@pytest.mark.parametrize("l1, l2, error", _NOT_TWO_LATIN_SQUARES, ids=["row", "column", "not-square", "one-dim", "orders"])
+@pytest.mark.parametrize("check", [compose, is_orthogonal])
+def test_compose_and_is_orthogonal_refuse_all_but_two_latin_squares_of_one_order(check, l1, l2, error):
+    """Each square a caller hands in goes through ``require_latin``: the
+    check a LatinSquare made when it was built."""
+    with pytest.raises(ParameterError) as info:
+        check(np.array(l1), np.array(l2))
+    assert str(info.value) == error
+
+
+def test_every_square_returned_is_narrowed():
+    """A field square, a composition and a square read from a file are held
+    in ``np.min_scalar_type(n - 1)``, as a family's stack is; a square of
+    order 257 needs uint16."""
+    for q in (4, 16):
+        squares = mols_from_gf(gf_from_order(q))
+        assert squares.shape == (q - 1, q, q) and squares.dtype == np.uint8
+        assert compose(squares[0], squares[1].astype(np.int64)).dtype == np.uint8
+    for n, dtype in ((5, np.uint8), (257, np.uint16)):
+        cyclic = (np.arange(n)[:, None] + np.arange(n)) % n
+        text = f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in cyclic.tolist())
+        got = fileio.read_latin(io.BytesIO(text.encode()))
+        assert got.dtype == dtype and np.array_equal(got, cyclic)
 
 
 @pytest.mark.parametrize("q", [4, 5, 8])
@@ -95,7 +132,7 @@ def test_compose_field_square_with_composition_recovers_partner(q):
     for i, a in enumerate(squares):
         for j, b in enumerate(squares):
             if i != j:
-                assert compose(a, compose(a, b)) == b
+                assert np.array_equal(compose(a, compose(a, b)), b)
 
 
 def test_triple_closure_exhaustive_gf4(gf4):
@@ -103,7 +140,7 @@ def test_triple_closure_exhaustive_gf4(gf4):
     for a, b, c in permutations(squares, 3):
         ab, cb = compose(a, b), compose(c, b)
         assert is_orthogonal(ab, cb)
-        assert compose(ab, cb) == compose(a, c)
+        assert np.array_equal(compose(ab, cb), compose(a, c))
 
 
 def test_linked_family_gf4(fam_gf4):
@@ -128,7 +165,7 @@ def test_field_family_equals_the_composed_family(q, monkeypatch):
         raise AssertionError("compose called")
 
     monkeypatch.setattr(sgdd.latin, "compose", refuse)
-    assert np.array_equal(linked_mols_from_gf(ctx).stack, [composed[pair].grid for pair in ordered_pairs(q - 1)])
+    assert np.array_equal(linked_mols_from_gf(ctx).stack, [composed[pair] for pair in ordered_pairs(q - 1)])
 
 
 def test_gf2_rejected():
@@ -236,16 +273,20 @@ def test_cli_oracle_refuses_an_order_below_one(order, capsys):
         search_linked_mols(-1, 3)
 
 
-def _solve_first(l2: LatinSquare, target: LatinSquare) -> LatinSquare | None:
+def _grid(sq) -> tuple[tuple[int, ...], ...]:
+    """A square as the search holds it, a tuple of rows."""
+    return tuple(map(tuple, np.asarray(sq).tolist()))
+
+
+def _solve_first(l2, target):
     """Reference route: Y with compose(Y, l2) = target, or None, solved
-    cell by cell."""
-    n = l2.order
-    pos = l2.positions()
+    cell by cell, for squares held as tuples of rows."""
+    n = len(l2)
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            b = target.grid[i][j]
-            a = pos[j][b]
+            b = target[i][j]
+            a = l2[j].index(b)
             if grid[i][a] is None:
                 grid[i][a] = b
             elif grid[i][a] != b:
@@ -253,16 +294,15 @@ def _solve_first(l2: LatinSquare, target: LatinSquare) -> LatinSquare | None:
     if any(x is None for row in grid for x in row):
         return None
     try:
-        y = LatinSquare(tuple(tuple(row) for row in grid))
-    except ParameterError:
+        if not is_orthogonal(grid, l2) or not np.array_equal(compose(grid, l2), target):
+            return None
+    except ParameterError:  # Y is not Latin
         return None
-    if not is_orthogonal(y, l2) or compose(y, l2) != target:
-        return None
-    return y
+    return _grid(grid)
 
 
-def _relabeled(sq: LatinSquare, rows, cols, symbols) -> LatinSquare:
-    return LatinSquare.of([[symbols[sq.grid[r][c]] for c in cols] for r in rows])
+def _relabeled(sq, rows, cols, symbols):
+    return tuple(tuple(symbols[sq[r][c]] for c in cols) for r in rows)
 
 
 @pytest.mark.parametrize("q", [4, 5])
@@ -272,7 +312,7 @@ def test_solve_second_on_the_transpose_matches_solve_first(q):
     # shared column and symbol relabeling and their own row orders) give
     # solvable targets, relabeled single squares mostly unsolvable ones
     rng = random.Random(q)
-    squares = mols_from_gf(gf_from_order(q))
+    squares = list(mols_from_gf(gf_from_order(q)))
 
     def perm():
         return rng.sample(range(q), q)
@@ -282,20 +322,20 @@ def test_solve_second_on_the_transpose_matches_solve_first(q):
         a, b = rng.sample(squares, 2)
         cols, symbols = perm(), perm()
         y, l2 = _relabeled(a, perm(), cols, symbols), _relabeled(b, perm(), cols, symbols)
-        for target in (compose(y, l2), _relabeled(rng.choice(squares), perm(), perm(), perm())):
+        for target in (_grid(compose(y, l2)), _relabeled(rng.choice(squares), perm(), perm(), perm())):
             want = _solve_first(l2, target)
-            assert _solve_second(l2, target.transpose()) == want
+            assert _solve_second(l2, tuple(zip(*target))) == want
             solved += want is not None
     assert solved >= 60
 
 
-def _base_squares(n: int) -> list[LatinSquare]:
+def _base_squares(n: int) -> list[np.ndarray]:
     """The field squares of order n, or the cyclic square where no field of
     order n exists (orders 1 and 6)."""
     try:
-        return mols_from_gf(gf_from_order(n))
+        return list(mols_from_gf(gf_from_order(n)))
     except ParameterError:
-        return [LatinSquare.of([[(r + c) % n for c in range(n)] for r in range(n)])]
+        return [np.array([[(r + c) % n for c in range(n)] for r in range(n)])]
 
 
 @st.composite
@@ -313,7 +353,7 @@ def _solve_cases(draw):
     cols, symbols = perm(), perm()
     l1, partner = _relabeled(a, perm(), cols, symbols), _relabeled(b, perm(), cols, symbols)
     if draw(st.booleans()) and is_orthogonal(l1, partner):
-        return l1, compose(l1, partner)
+        return l1, _grid(compose(l1, partner))
     return l1, _relabeled(c, perm(), perm(), perm())
 
 
@@ -326,7 +366,7 @@ def test_a_solved_second_square_is_orthogonal_and_composes_to_the_target(case):
     x = _solve_second(l1, target)
     if x is not None:
         assert is_orthogonal(l1, x)
-        assert compose(l1, x) == target
+        assert np.array_equal(compose(l1, x), target)
 
 
 def test_search_order4_finds_family():
@@ -367,7 +407,7 @@ def test_row_orthogonality_is_classical_orthogonality_of_row_symbol_conjugates(n
     classical = (cells == np.arange(n * n)).all(axis=-1)
     assert rows.any() and np.array_equal(rows, classical)
     if n == 3:
-        assert rows.tolist() == [[is_orthogonal(LatinSquare(a), LatinSquare(b)) for b in squares] for a in squares]
+        assert rows.tolist() == [[is_orthogonal(a, b) for b in squares] for a in squares]
 
 
 def test_search_order5(fam_order5):
@@ -443,7 +483,7 @@ def _latin_candidates(n: int, zero_diagonal: bool, first_row=None):
 def _family(squares: dict) -> LinkedMolsFamily:
     """The family of a search's squares on the indices 1..f they name."""
     f = max(map(max, squares))
-    return LinkedMolsFamily(f=f, stack=np.array([squares[pair].grid for pair in ordered_pairs(f)]))
+    return LinkedMolsFamily(f=f, stack=np.array([squares[pair] for pair in ordered_pairs(f)]))
 
 
 def _search_by_reference(order: int, f: int, zero_diagonal: bool) -> LinkedMolsFamily | None:
@@ -457,7 +497,7 @@ def _search_by_reference(order: int, f: int, zero_diagonal: bool) -> LinkedMolsF
             return fam if not zero_diagonal or fam.zero_diagonal else None
         u = t + 1
         for cand in _latin_candidates(order, zero_diagonal):
-            new = _extend_family(squares, t, u, LatinSquare(cand), zero_diagonal)
+            new = _extend_family(squares, t, u, cand, zero_diagonal)
             if new is None or not verify_linked_by_reference(_family(new)).ok:
                 continue
             found = extend_to(new, u)
@@ -466,7 +506,7 @@ def _search_by_reference(order: int, f: int, zero_diagonal: bool) -> LinkedMolsF
         return None
 
     for first in _latin_candidates(order, zero_diagonal, first_row=tuple(range(order))):
-        found = extend_to({(1, 2): LatinSquare(first)}, 2)
+        found = extend_to({(1, 2): first}, 2)
         if found is not None:
             return found
     return None
@@ -489,7 +529,7 @@ def _clashes(cand, targets) -> bool:
     for target in targets:
         written = set()
         for i, row in enumerate(cand):
-            for j, s in enumerate(target.grid[i]):
+            for j, s in enumerate(target[i]):
                 cell = (j, row.index(s))
                 if cell in written:
                     return True
@@ -503,14 +543,14 @@ def _candidate_cases():
     and the two targets L_12, L_13 of the searched (5, 5) family."""
     rng = random.Random(9)
     for zero_diagonal in (True, False):
-        squares = [LatinSquare(g) for g in _latin_candidates(4, zero_diagonal)]
+        squares = list(_latin_candidates(4, zero_diagonal))
         if not zero_diagonal:
             squares = rng.sample(squares, 48)
         yield from (({(1, 2): sq}, zero_diagonal) for sq in squares)
     for sq in rng.sample(list(_latin_candidates(5, True)), 6):
-        yield {(1, 2): LatinSquare(sq)}, True
+        yield {(1, 2): sq}, True
     fam = search_linked_mols(5, 5)
-    yield {pair: LatinSquare.of(sq) for pair, sq in zip(ordered_pairs(fam.f), fam.stack) if max(pair) <= 3}, True
+    yield {pair: _grid(sq) for pair, sq in zip(ordered_pairs(fam.f), fam.stack) if max(pair) <= 3}, True
 
 
 def test_pruned_candidates_are_the_clash_free_reference_candidates():
@@ -521,12 +561,12 @@ def test_pruned_candidates_are_the_clash_free_reference_candidates():
     for squares, zero_diagonal in _candidate_cases():
         t = max(map(max, squares))
         targets = [squares[(1, s)] for s in range(2, t + 1)]
-        order = targets[0].order
+        order = len(targets[0])
         reference = list(_latin_candidates(order, zero_diagonal))
         pruned = list(_RowSearch(order, zero_diagonal, 10**9).squares(targets))
         assert pruned == [c for c in reference if not _clashes(c, targets)]
         accepted = [
-            c for c in reference if _extend_family(squares, t, t + 1, LatinSquare(c), zero_diagonal) is not None
+            c for c in reference if _extend_family(squares, t, t + 1, c, zero_diagonal) is not None
         ]
         chosen = set(accepted)
         assert [c for c in pruned if c in chosen] == accepted

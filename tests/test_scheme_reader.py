@@ -1,5 +1,7 @@
 """The streamed block readers (``fileio.read_scheme``,
-``read_linked_system``, ``read_auxiliary_set``) and the label array axioms
+``read_linked_system``, ``read_auxiliary_set``, and for one seeded edit of
+a written file ``read_linked_family`` and ``read_latin`` too) and the label
+array axioms
 (``schemes.relation_from_classes`` on ``ClassLabels``) against the token
 reader (``token_route``) and the class-list route (``class_list_route``):
 on seeded files with CR LF line ends (one of them ending a row in CR x),
@@ -31,6 +33,7 @@ from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.cli import main
 from sgdd.errors import FormatError, SgddError
+from sgdd.latin import LinkedMolsFamily, linked_mols_from_gf, mols_from_gf
 from sgdd.schemes import ClassLabels, certify_classes, compute_intersection_numbers, relation_from_classes
 from conftest import text_of
 
@@ -249,6 +252,73 @@ def _pipe(data: bytes):
     os.write(write, data)
     os.close(write)
     return os.fdopen(read, "rb")
+
+
+# one edit of a written file: a byte replaced, inserted or deleted at a
+# spot, the line holding that spot duplicated, dropped or ended in CR LF,
+# or the file cut there
+EDITS = ["replace", "insert", "delete", "duplicate", "drop", "cr-end", "truncate"]
+EDIT_BYTES = b"0129 \n\r\t\x0b-+x\xc3"
+
+
+def _edited(data: bytes, kind: str, at: int, byte: int) -> bytes:
+    if kind == "replace":
+        return data[:at] + bytes([byte]) + data[at + 1 :]
+    if kind == "insert":
+        return data[:at] + bytes([byte]) + data[at:]
+    if kind == "delete":
+        return data[:at] + data[at + 1 :]
+    if kind == "truncate":
+        return data[:at]
+    lines, k = data.split(b"\n"), data.count(b"\n", 0, at)
+    lines[k : k + 1] = {"duplicate": [lines[k]] * 2, "drop": [], "cr-end": [lines[k] + b"\r"]}[kind]
+    return b"\n".join(lines)
+
+
+def _stacked_files(sys16, sys64, aux_had4, fam_gf4, gf5) -> dict:
+    """Each written stacked file, and the readers that take it: sys64's 42
+    blocks are read in 6 bands of 7, so an edit may land past a band split,
+    and the squares L_ij and L_ji of the GF(5) family differ (in GF(4) they
+    are equal), so a pair read in the wrong order shows."""
+    square = mols_from_gf(gf5)[1]
+    return {
+        "sys16.lsys": (text_of(fileio.linked_system_chunks(sys16)), ["read_linked_system"]),
+        "sys64.lsys": (text_of(fileio.linked_system_chunks(sys64)), ["read_linked_system"]),
+        "had4.aux": (text_of(fileio.auxiliary_set_chunks(aux_had4)), ["read_auxiliary_set"]),
+        "gf4.fam": (text_of(fileio.linked_family_chunks(fam_gf4)), ["read_latin", "read_linked_family"]),
+        "gf5.fam": (text_of(fileio.linked_family_chunks(linked_mols_from_gf(gf5))), ["read_latin", "read_linked_family"]),
+        "gf5.lat": ("5\n" + "".join(" ".join(map(str, row)) + "\n" for row in square.tolist()), ["read_latin"]),
+    }
+
+
+def _same_value(got, want):
+    if isinstance(got, np.ndarray):
+        assert got.dtype == np.min_scalar_type(len(got) - 1) and np.array_equal(got, want)
+    elif isinstance(got, LinkedMolsFamily):
+        assert got == want
+    else:
+        _same_read(got, want)
+
+
+@given(
+    source=st.sampled_from(["sys16.lsys", "sys64.lsys", "had4.aux", "gf4.fam", "gf5.fam", "gf5.lat"]),
+    kind=st.sampled_from(EDITS),
+    spot=st.floats(0, 1, exclude_max=True),
+    byte=st.sampled_from(EDIT_BYTES),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_edit_of_a_stacked_file_reads_as_the_token_reader(source, kind, spot, byte, sys16, sys64, aux_had4, fam_gf4, gf5):
+    """One seeded edit of a written linked system, auxiliary set, linked
+    family or Latin square: the streamed reader and the token reader give
+    equal values, or the same exception type and text."""
+    text, readers = _stacked_files(sys16, sys64, aux_had4, fam_gf4, gf5)[source]
+    data = _edited(text.encode(), kind, int(spot * len(text)), byte)
+    for reader in readers:
+        got, error = _outcome(getattr(fileio, reader), io.BytesIO(data))
+        want, want_error = _outcome(getattr(token_route, reader), data)
+        assert error == want_error, reader
+        if error is None:
+            _same_value(got, want)
 
 
 # header lines naming blocks of order 4 * 10^12 over a file of a few bytes

@@ -1,16 +1,20 @@
 """Reference route for the block readers and writers of ``sgdd.fileio``: the
-file held whole as ``bytes``, checked for ASCII before a line is read, and
-every block read token by token, one ``int()`` per entry; the writers put
-one ``str()`` per entry.  The tests compare the streamed readers, which take
-digit blocks in place, and the chunk writers against it."""
+file held whole as ``bytes``, each line checked for ASCII as it is read,
+and every block read token by token, one ``int()`` per entry; a Latin
+square is checked by ``require_latin`` once its rows are read, in file
+order.  The writers put one ``str()`` per entry.  The tests compare the
+streamed readers, which take digit blocks in place, and the chunk writers
+against it."""
 
 import re
+from itertools import chain
 
 import numpy as np
 
 from sgdd.algebra import IntMatrix
 from sgdd.designs import GddParams, IncidenceMatrix, zero_one
 from sgdd.errors import FormatError
+from sgdd.latin import LinkedMolsFamily, ordered_pairs, require_latin
 from sgdd.linked import LinkedParams, LinkedSystemII
 from sgdd.resolvable import auxiliary_set
 
@@ -19,10 +23,6 @@ _LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
 
 class Lines:
     def __init__(self, data: bytes, what: str):
-        if not data.isascii():
-            at = re.search(rb"[\x80-\xff]", data).start()
-            line = len(_LINE_END.findall(data, 0, at)) + 1
-            raise FormatError(f"{what}: non-ASCII byte 0x{data[at]:02x} on line {line}")
         self.lines = iter(_LINE_END.split(data))
         self.pos = 0
         self.what = what
@@ -30,6 +30,9 @@ class Lines:
     def __iter__(self):
         for line in self.lines:
             self.pos += 1
+            if not line.isascii():
+                byte = next(b for b in line if b > 0x7F)
+                raise FormatError(f"{self.what}: non-ASCII byte 0x{byte:02x} on line {self.pos}")
             if line := line.decode("ascii").strip():
                 yield line
 
@@ -39,7 +42,9 @@ class Lines:
         raise FormatError(f"{self.what}: unexpected end of file")
 
     def ints(self, expect: int | None = None) -> list[int]:
-        parts = self.next().split()
+        return self.ints_of(self.next().split(), expect)
+
+    def ints_of(self, parts: list[str], expect: int | None = None) -> list[int]:
         try:
             vals = [int(p) for p in parts]
         except ValueError as exc:
@@ -103,6 +108,48 @@ def read_auxiliary_set(data: bytes):
         blocks.append(zero_one(block, "auxiliary matrix"))
     lines.done()
     return auxiliary_set(np.stack(blocks))
+
+
+def _latin_rows(lines: Lines, n: int) -> np.ndarray:
+    rows = np.array([lines.ints(n) for _ in range(n)])
+    require_latin(rows[None])
+    return rows
+
+
+def _family(lines: Lines, head: list[str]) -> LinkedMolsFamily:
+    """The family whose header fields ``head`` were read last: the squares
+    of the pairs i < j, then of the pairs i > j, each in lexicographic
+    order, put in the order of ``ordered_pairs`` once all are read."""
+    lines.what = "linked family"
+    f, n = lines.ints_of(head, 2)
+    if f < 3:
+        raise FormatError("linked family: index count f must be at least 3")
+    if n < 1:
+        raise FormatError("linked family: order n must be at least 1")
+    upper = ((i, j) for i in range(1, f + 1) for j in range(i + 1, f + 1))
+    lower = ((i, j) for i in range(1, f + 1) for j in range(1, i))
+    squares = {pair: _latin_rows(lines, n) for pair in chain(upper, lower)}
+    lines.done()
+    return LinkedMolsFamily(f=f, stack=np.array([squares[pair] for pair in ordered_pairs(f)]))
+
+
+def read_linked_family(data: bytes) -> LinkedMolsFamily:
+    lines = Lines(data, "linked family")
+    return _family(lines, lines.next().split())
+
+
+def read_latin(data: bytes):
+    """A Latin square as read, or a linked family when the header has two fields."""
+    lines = Lines(data, "latin square")
+    head = lines.next().split()
+    if len(head) == 2:
+        return _family(lines, head)
+    (n,) = lines.ints_of(head, 1)
+    if n < 1:
+        raise FormatError("latin square: order n must be at least 1")
+    square = _latin_rows(lines, n)
+    lines.done()
+    return square
 
 
 def _blocks_text(head: str, blocks) -> str:
