@@ -418,8 +418,9 @@ def linked_family_chunks(fam: LinkedMolsFamily) -> Iterator:
 def _read_family(lines: Lines, head: list[str]) -> LinkedMolsFamily:
     """The linked family whose header fields ``head`` were read last.  Its
     squares are read in the file's order, the bands first, then square by
-    square, each Latin before the next is read, and put in the order of
-    ``ordered_pairs`` at the end."""
+    square, each Latin before the next is read (the one Latin check on
+    this path, which fixes the order of its errors), and put in the order
+    of ``ordered_pairs`` at the end."""
     lines.what = "linked family"
     f, n = lines.ints_of(head, 2)
     if f < 3:
@@ -432,7 +433,7 @@ def _read_family(lines: Lines, head: list[str]) -> LinkedMolsFamily:
     for square in range(taken, f * (f - 1)):
         stack[square] = _latin_rows(lines, n)
     lines.done()
-    return LinkedMolsFamily(f=f, stack=stack[np.argsort(_family_file_order(f))])
+    return LinkedMolsFamily._of_latin(f, stack[np.argsort(_family_file_order(f))])
 
 
 def read_linked_family(stream) -> LinkedMolsFamily:

@@ -21,6 +21,12 @@ that layout (``ordered_pairs``, ``pair_index``), and one vectorised Latin
 rule (``require_latin``) checks every square a caller hands in, a family
 and a square read from a file.  Only the search holds its squares
 otherwise, as tuples of rows that are Latin by construction.
+
+The search (``search_linked_mols``) walks the pinned first squares L_{1,2}
+in lexicographic order and skips each one that a relabelling of points
+and symbols maps to a smaller pinned square, as no such square begins the
+first family (isomorph rejection; McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -137,6 +143,16 @@ class LinkedMolsFamily:
         require_latin(self.stack)
         object.__setattr__(self, "stack", _narrowed(self.stack))
 
+    @classmethod
+    def _of_latin(cls, f: int, stack: np.ndarray) -> LinkedMolsFamily:
+        """The family of an (f(f-1), n, n) stack in ``ordered_pairs`` order
+        whose squares ``require_latin`` has already passed, as a reader
+        checks them in file order, narrowed without a second check."""
+        fam = cls.__new__(cls)
+        object.__setattr__(fam, "f", f)
+        object.__setattr__(fam, "stack", _narrowed(stack))
+        return fam
+
     def __eq__(self, other) -> bool:
         return isinstance(other, LinkedMolsFamily) and self.f == other.f and np.array_equal(self.stack, other.stack)
 
@@ -248,6 +264,32 @@ class _RowSearch:
         self.cells = [sum(1 << (c * n + s) for c, s in enumerate(p)) for p in self.perms]
         self.max_nodes = max_nodes
         self.nodes = 0
+        # relabelling k moves the points by alpha = inverse[k] (alpha^-1 =
+        # perms[k]); entry (x, y) of its image is alpha of entry
+        # (alpha^-1 x, alpha^-1 y) of the square re-pinned at row alpha^-1 0,
+        # read from the flat (n, n, n) table of the n re-pinned squares
+        back = np.array(self.perms, dtype=np.min_scalar_type(n**3 - 1))
+        self.alpha = np.array(self.inverse, dtype=np.uint8)
+        self.gather = ((back[:, :1, None] * n + back[:, :, None]) * n + back[:, None, :]).reshape(len(back), n * n)
+
+    def relabels_lower(self, grid) -> bool:
+        """Whether a relabelling of the pinned square ``grid`` (row 0 the
+        identity) is a lexicographically smaller pinned square: the points
+        move by some alpha, and the symbols by the beta that makes row 0 the
+        identity again.  Row a re-pins ``grid`` by the symbol map pos_a,
+        pos_a(s) = the column of s in row a, so beta = alpha pos_a with
+        a = alpha^-1 0.  The images are formed as gathers of at most
+        STACK_ENTRIES entries, and the first slice that holds a smaller one
+        answers."""
+        n, sq = self.n, np.array(grid, dtype=np.uint8)
+        table = np.argsort(sq, axis=1)[:, sq].ravel()  # [a, r, c]: pos_a(grid[r][c])
+        want = sq.ravel()
+        for part in stack_slices(len(self.alpha), n * n):
+            images = np.take_along_axis(self.alpha[part], table[self.gather[part]], axis=1)
+            first = (images != want).argmax(axis=1)  # 0, where equal to want
+            if (images[np.arange(len(images)), first] < want[first]).any():
+                return True
+        return False
 
     def squares(self, targets=(), first_row=None):
         """Yield every Latin square L, as a tuple of rows, for which no pair
@@ -375,11 +417,32 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
     dropped as soon as it clashes with a row above it in
     a square that L_{1,u} forces (see _RowSearch.squares); this skips only
     candidates _extend_family would refuse, in the same order, so the first
-    family found is unchanged.  Returns None when the search space is exhausted (a
-    reportable result), and at once at the orders of NO_FAMILY;
-    raises BudgetExceededError above the desk-scale order limit, or once
-    SEARCH_MAX_NODES rows have been placed.  Order 1 has its family of [[0]]
-    squares; no square has order below 1.
+    family found is unchanged.
+
+    A candidate L_{1,2} is skipped, before any row is placed below it, when
+    a relabelling of it is a smaller pinned square (isomorph rejection, see
+    _RowSearch.relabels_lower).  This skips only candidates that do not
+    extend:
+      - one alpha in S_n on the points and one beta on the symbols, applied
+        to every square, L'(x, y) = beta(L(alpha^-1 x, alpha^-1 y)), commute
+        with ``compose`` and keep the columns where two rows agree, so they
+        map linked families to linked families;
+      - the beta that makes row 0 of L_{1,2}' the identity again sends
+        L_{1,2}(alpha^-1 0, alpha^-1 0) to 0, so beta(0) = 0 when the
+        diagonal is zero, and every zero diagonal stays zero;
+      - the walk lists every pinned candidate in lexicographic order and
+        searches exhaustively below each, so the first L_{1,2} that extends
+        is least in its orbit: a smaller image would extend too and be
+        reached earlier.
+    So every skipped candidate comes before the first family's L_{1,2} and
+    does not extend, everything below a kept candidate runs as before, and
+    the family found, or the exhaustion, is the unreduced search's.
+
+    Returns None when the search space is exhausted (a reportable result),
+    and at once at the orders of NO_FAMILY; raises BudgetExceededError
+    above the desk-scale order limit, or once SEARCH_MAX_NODES rows have
+    been placed.  Order 1 has its family of [[0]] squares; no square has
+    order below 1.
     """
     if order > SEARCH_MAX_ORDER:
         raise BudgetExceededError(f"search limited to order <= {SEARCH_MAX_ORDER}")
@@ -407,6 +470,8 @@ def search_linked_mols(order: int, f: int, zero_diagonal: bool = True) -> Linked
         return None
 
     for first in rows.squares(first_row=tuple(range(order))):
+        if rows.relabels_lower(first):
+            continue
         found = extend_to({(1, 2): first}, 2)
         if found is not None:
             return found

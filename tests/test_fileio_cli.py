@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgdd.fileio
+import sgdd.latin
 from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.classical import hadamard_matrix
 from sgdd.cli import main
 from sgdd.errors import FormatError, ParameterError
 from sgdd.gf import gf_from_order, gf_make
-from sgdd.latin import LinkedMolsFamily, linked_mols_from_gf, mols_from_gf
+from sgdd.latin import LinkedMolsFamily, linked_mols_from_gf, mols_from_gf, require_latin
 from sgdd.resolvable import aux_from_hadamard
 from sgdd.schemes import relation_from_classes
 
@@ -547,6 +549,26 @@ def test_a_family_of_order_257_is_held_as_uint16():
     again = read_text(fileio.read_linked_family, text)
     assert again == fam and again.stack.dtype == np.uint16
     assert text_of(fileio.linked_family_chunks(again)) == text
+
+
+
+@pytest.mark.parametrize("q", [5, 16])
+def test_a_read_family_is_checked_latin_once(q, monkeypatch):
+    """The reader checks each square as it reads it, in file order (the
+    bands at q = 5, the token route at q = 16, whose symbols 10..15 are two
+    digits); the family it returns does not check its stack again."""
+    fam = linked_mols_from_gf(gf_from_order(q))
+    text = text_of(fileio.linked_family_chunks(fam))
+    checked = []
+
+    def counted(squares):
+        checked.append(len(squares))
+        return require_latin(squares)
+
+    monkeypatch.setattr(sgdd.fileio, "require_latin", counted)
+    monkeypatch.setattr(sgdd.latin, "require_latin", counted)
+    assert read_text(fileio.read_linked_family, text) == fam
+    assert sum(checked) == fam.f * (fam.f - 1)
 
 
 def test_linked_system_roundtrip(sys16):

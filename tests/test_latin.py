@@ -1,12 +1,13 @@
 import io
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgdd.designs
 import sgdd.latin
 from sgdd.cli import main
 from sgdd.designs import Certificate
@@ -595,3 +596,91 @@ def test_cli_order7_search_stops_at_the_node_budget(monkeypatch, capsys):
         "",
         "error: search stopped at its budget: 2000 nodes expanded (one node is one row placed)\n",
     )
+
+
+@pytest.mark.parametrize("order", [7, 8])
+def test_search_stops_at_a_small_budget_at_orders_7_and_8(order, monkeypatch):
+    # the whole budget is spent below the first L_12, which is least in its
+    # orbit and so never skipped
+    monkeypatch.setattr(sgdd.latin, "SEARCH_MAX_NODES", 2000)
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^search stopped at its budget: 2000 nodes expanded \(one node is one row placed\)$",
+    ):
+        search_linked_mols(order, 3)
+
+
+@pytest.mark.parametrize("order, f, zero_diagonal", [(3, 4, True), (4, 5, True), (3, 4, False)])
+def test_search_exhausts_where_the_unpruned_reference_does(order, f, zero_diagonal):
+    assert _search_by_reference(order, f, zero_diagonal) is None
+    assert search_linked_mols(order, f, zero_diagonal=zero_diagonal) is None
+
+
+def _relabelled(stack: np.ndarray, f: int, alpha) -> np.ndarray:
+    """Every square of a family's stack moved by alpha on the points and by
+    the beta on the symbols that makes row 0 of L_12 the identity again:
+    L'(x, y) = beta(L(alpha^-1 x, alpha^-1 y))."""
+    n = stack.shape[-1]
+    back = np.argsort(alpha)  # alpha^-1
+    beta = np.empty(n, dtype=int)
+    beta[stack[pair_index(f, 1, 2), back[0], back]] = np.arange(n)
+    return beta[stack[:, back][:, :, back]]
+
+
+@pytest.mark.parametrize("f", [3, 5])
+def test_every_relabelling_of_a_searched_family_is_a_pinned_linked_family(f):
+    fam = search_linked_mols(5, f)
+    for alpha in permutations(range(5)):
+        image = LinkedMolsFamily(f=f, stack=_relabelled(fam.stack, f, alpha))
+        assert image.stack[pair_index(f, 1, 2), 0].tolist() == list(range(5))
+        assert image.zero_diagonal and verify_linked(image).ok
+
+
+def _least_in_orbit(sq: np.ndarray) -> bool:
+    """Reference orbit test, one relabelling at a time."""
+    n = len(sq)
+    return all(_relabelled(sq[None], 2, alpha)[0].ravel().tolist() >= sq.ravel().tolist() for alpha in permutations(range(n)))
+
+
+@pytest.mark.parametrize(
+    "order, f, zero_diagonal",
+    [(4, 3, True), (4, 4, True), (5, 3, True), (5, 4, True), (5, 5, True), (3, 3, False), (4, 3, False), (5, 3, False)],
+)
+def test_the_first_square_of_a_searched_family_is_least_in_its_orbit(order, f, zero_diagonal):
+    fam = search_linked_mols(order, f, zero_diagonal=zero_diagonal)
+    assert _least_in_orbit(fam.stack[pair_index(f, 1, 2)])
+
+
+@pytest.mark.parametrize("order, zero_diagonal, count", [(4, True, 4), (4, False, 24), (5, True, 56), (5, False, 100)])
+def test_relabels_lower_is_the_reference_orbit_test(order, zero_diagonal, count, monkeypatch):
+    """On every pinned square of orders 4 and 5, but the first 100 of the
+    1344 any-diagonal ones of order 5 in walk order; with the relabellings
+    in one slice, and with one relabelling per slice."""
+    pinned = list(islice(_latin_candidates(order, zero_diagonal, first_row=tuple(range(order))), count))
+    assert len(pinned) == count
+    want = [not _least_in_orbit(np.array(sq)) for sq in pinned]
+    assert any(want) and not all(want)
+    rows = _RowSearch(order, zero_diagonal, 10**9)
+    assert [rows.relabels_lower(sq) for sq in pinned] == want
+    monkeypatch.setattr(sgdd.designs, "STACK_ENTRIES", 1)
+    assert [rows.relabels_lower(sq) for sq in pinned] == want
+
+
+def test_the_order_8_orbit_test_stays_within_its_memory_bound():
+    """40 320 relabellings of 64 entries: the least pinned square is tested
+    against every slice, and one of its relabellings is refused.  The gather
+    indices (5 MiB) are built with the search, before the peak is taken."""
+    import tracemalloc
+
+    rows = _RowSearch(8, True, 10**9)
+    first = next(rows.squares(first_row=tuple(range(8))))
+    tracemalloc.start()
+    try:
+        assert not rows.relabels_lower(first)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    image = _relabelled(np.array(first)[None], 2, (1, 2, 3, 4, 5, 6, 7, 0))[0]
+    assert image.ravel().tolist() > np.ravel(first).tolist()
+    assert rows.relabels_lower(_grid(image))
