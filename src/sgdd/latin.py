@@ -42,7 +42,7 @@ from .gf import GFContext
 
 SEARCH_MAX_ORDER = 8
 # rows placed across one search: the any-diagonal order-5 search needs about
-# 247k; the zero-diagonal order-7 search stops after about 20 s (a fresh
+# 39k; the zero-diagonal order-7 search stops after about 20 s (a fresh
 # `oracle linked-mols --order 7 --f 3` on a 2-vCPU x86-64 host)
 SEARCH_MAX_NODES = 500_000
 

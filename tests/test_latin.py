@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from itertools import islice, permutations
 
 import numpy as np
@@ -670,8 +671,6 @@ def test_the_order_8_orbit_test_stays_within_its_memory_bound():
     """40 320 relabellings of 64 entries: the least pinned square is tested
     against every slice, and one of its relabellings is refused.  The gather
     indices (5 MiB) are built with the search, before the peak is taken."""
-    import tracemalloc
-
     rows = _RowSearch(8, True, 10**9)
     first = next(rows.squares(first_row=tuple(range(8))))
     tracemalloc.start()
