@@ -638,7 +638,8 @@ def test_every_relabelling_of_a_searched_family_is_a_pinned_linked_family(f):
 
 
 def _least_in_orbit(sq: np.ndarray) -> bool:
-    """Reference orbit test, one relabelling at a time."""
+    """Reference orbit test, one relabelling at a time (a stack of the one
+    square, which is L_12 of a stack with f = 2)."""
     n = len(sq)
     return all(_relabelled(sq[None], 2, alpha)[0].ravel().tolist() >= sq.ravel().tolist() for alpha in permutations(range(n)))
 
