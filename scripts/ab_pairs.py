@@ -7,12 +7,16 @@ on any end-to-end metric.
 
 Pair i runs ``perfbench/run.py --workload W --seed K+i --seconds S`` in
 each checkout, a fresh process each, the parent first in even pairs and the
-change first in odd ones.  It prints every run, each side's median and
-quartiles of every end-to-end metric of ``BENCHMARK.json``, the pairs the
-change won on ``--metric`` (ties count for neither side) and whether the
-gain may be claimed: the change won at least nine tenths of the pairs, its
-median is better by more than the parent's interquartile range, and no run
-failed an operation.
+change first in odd ones.  A run's result line gives the end-to-end
+metrics; the full record line before it gives the per-layer metrics of
+``BENCHMARK.json`` that it holds, in an untraced run the per-verb times
+``construct_s`` ... ``scan_s``.  It prints every run, each side's median and
+quartiles of every end-to-end metric, each side's median of every
+per-layer metric that every run holds, the pairs the change won on
+``--metric`` (ties count for neither side) and whether the gain may be
+claimed: the change won at least nine tenths of the pairs, its median is
+better by more than the parent's interquartile range, and no run failed an
+operation.  Only the end-to-end metrics get verdicts.
 
 Each end-to-end metric also gets a no-regression verdict against its
 ``bound`` in ``BENCHMARK.json``, a share of the parent median: "not worse"
@@ -24,7 +28,8 @@ is within the parent median moved by the bound, and "worse" otherwise.
 With ``--record FILE`` the run appends one entry to the JSON list in FILE
 (made if missing): each checkout's ``git describe --always --dirty``, the
 seeds, each side's median and quartiles, the pairs won and lost and the
-verdict of every metric, and whether the gain may be claimed.  The exit
+verdict of every end-to-end metric, each side's median of every per-layer
+metric, and whether the gain may be claimed.  The exit
 status is 0 when the gain may be claimed, else 1.
 """
 
@@ -38,8 +43,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def _metrics() -> list[dict]:
-    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return _benchmark()["end_to_end"]
+
+
+def per_layer() -> list[str]:
+    """The per-layer metrics of the benchmark, in its order."""
+    return [m["name"] for m in _benchmark()["per_layer"]]
 
 
 def end_to_end() -> dict[str, str]:
@@ -55,15 +69,19 @@ def bounds() -> dict[str, float]:
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """The result line of one benchmark run in ``checkout``: whether it was
-    correct, the operations that failed, and each metric's value."""
+    correct, the operations that failed, and each end-to-end metric's
+    value; and the value of each per-layer metric in the full record line
+    before it."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
-        return {"correct": False, "failed": None, "metrics": {}}
+        return {"correct": False, "failed": None, "metrics": {}, "layers": {}}
     result = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return {"correct": result["correct"], "failed": result["failed"], "metrics": metrics}
+    full = json.loads(lines[-2])["metrics"] if len(lines) > 1 else {}
+    layers = {name: full[name]["value"] for name in per_layer() if name in full}
+    return {"correct": result["correct"], "failed": result["failed"], "metrics": metrics, "layers": layers}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -91,6 +109,14 @@ def compare(pairs: list[tuple[dict, dict]], name: str, direction: str) -> dict:
     }
 
 
+def layer_medians(pairs: list[tuple[dict, dict]]) -> dict[str, tuple[float, float]]:
+    """The parent's and the change's median of every per-layer metric that
+    every run of ``pairs`` holds, in the benchmark's order."""
+    runs = [res.get("layers", {}) for pair in pairs for res in pair]
+    names = [name for name in per_layer() if runs and all(name in layers for layers in runs)]
+    return {name: tuple(statistics.median(pair[side]["layers"][name] for pair in pairs) for side in (0, 1)) for name in names}
+
+
 def regression(parent: list[float], change: list[float], direction: str, bound: float) -> str:
     """The no-regression verdict of the change on one metric (see the
     module docstring): "not worse", "unresolved" or "worse"."""
@@ -112,6 +138,8 @@ def summary(pairs: list[tuple[dict, dict]], better: dict[str, str], metric: str)
     for name, direction in better.items():
         for label, (q1, median, q3) in zip(("parent", "change"), stats[name]["quartiles"]):
             out.append(f"{name} ({direction} is better) {label}: median {median:.4f} [{q1:.4f}, {q3:.4f}]")
+    for name, (parent, change) in layer_medians(pairs).items():
+        out.append(f"{name} (per layer): parent median {parent:.4f}, change median {change:.4f}")
     sign = 1 if better[metric] == "lower" else -1
     won, lost = stats[metric]["won"], stats[metric]["lost"]
     (p1, parent_median, p3), (_, change_median, _) = stats[metric]["quartiles"]
@@ -157,6 +185,7 @@ def entry(pairs, better, limits, metric: str, holds: bool, commits: dict, worklo
         "pairs": len(pairs),
         "failed_runs": failed_runs(pairs),
         "metrics": metrics,
+        "per_layer": {name: {"parent": parent, "change": change} for name, (parent, change) in layer_medians(pairs).items()},
         "gain": {"metric": metric, "claimed": holds},
     }
 

@@ -11,12 +11,15 @@ Matrices are :class:`IntMatrix` (dense integer matrices).  Every operation is
 exact.
 
 IntMatrix is the package's one exact matrix-product kernel for matrices of
-order |X| (the 6x6 algebra multiplies object arrays of Python integers,
-where no bound is needed).  It is backed by a numpy array: int64 while the
-entries fit, an object-dtype array of Python integers otherwise (entries
-read from files may be arbitrarily large).  ``IntMatrix.view`` holds an
-array as given, with no copy, such as 0/1 masks and digit blocks as
-``bool`` or ``uint8``.  The array is one
+order |X|.  The 6x6 algebra of ``sgdd.schemes`` holds its numerators as
+object arrays of Python integers and runs each of its checks in one of two
+lanes, chosen by ``int_lane`` from an a-priori bound on every entry and
+partial sum, formed from the operands' largest magnitudes: int64 below
+2**62, else the Python integers themselves, the reference.  IntMatrix is
+backed by a numpy array: int64 while the entries fit, an object-dtype array
+of Python integers otherwise (entries read from files may be arbitrarily
+large).  ``IntMatrix.view`` holds an array as given, with no copy, such as
+0/1 masks and digit blocks as ``bool`` or ``uint8``.  The array is one
 matrix or a stack of them, shape (p, r, c): a product of two stacks
 multiplies them member by member, and a single matrix against a stack
 multiplies it with every member, so a certifier forms a whole family of
@@ -73,6 +76,13 @@ _FLOAT32_EXACT = 2**24
 _LANE_LIMIT = {np.dtype(np.float32): (_FLOAT32_EXACT, np.nan), np.dtype(np.int64): (_INT64_SAFE, np.iinfo(np.int64).min)}
 
 _ZERO = Fraction(0)
+
+
+def int_lane(bound: int) -> np.dtype:
+    """The dtype of exact integer arithmetic whose every entry and partial
+    sum is at most ``bound`` in magnitude: int64 below 2**62, else object
+    (Python integers), the reference."""
+    return np.dtype(np.int64) if bound < _INT64_SAFE else np.dtype(object)
 
 
 def matmul_lane(bound: int):

@@ -41,7 +41,9 @@ blocks at a time (``_read_bands``); the block-by-block route runs only
 from the first block a band refuses, to the end.  A family's squares are
 read in the file's order, each checked Latin before the next is read and
 before it is narrowed into the stack, then put in pair order at once
-(``_family_file_order``).  A block of digits
+(``_family_file_order``); a square no band takes, such as one with symbols
+past 9, is read in one pass up to its first irregular line
+(``_regular_rows``), and line by line from there.  A block of digits
 is written from one byte buffer, a stack's blocks one buffer per band of
 blocks (``_stack_chunks``), a scheme from its class-label array R, class
 i as R == i compared straight into one buffer per band of rows; each band
@@ -393,11 +395,34 @@ def read_auxiliary_set(stream) -> AuxiliarySet:
 
 # -- Latin squares and families -------------------------------------------------
 
+def _regular_rows(lines: Lines, n: int) -> np.ndarray:
+    """Up to n of the next lines, as an int64 array of rows, with ``lines``
+    moved past them: each n tokens of ASCII digits, no more digits than
+    n - 1 has, joined by single spaces and ending in a line feed, as the
+    writers write a Latin square's rows.  One regular-expression match over
+    the window finds them and one parse reads them all, so they take no
+    line-by-line reads and no ``int()`` per entry.  The first line that is
+    not such a line, and every line after it, is left to the caller's
+    line-by-line route, which reads such a line to the same integers."""
+    digits = len(str(n - 1))
+    row = rb"[0-9]{1,%d}(?: [0-9]{1,%d}){%d}\n" % (digits, digits, n - 1)
+    lines.fill(min(n * n * (digits + 1), lines.room()))
+    end = re.compile(rb"(?:%s){0,%d}" % (row, n)).match(lines.buf, lines.at, lines.end).end()
+    text = lines.buf[lines.at : end].tobytes()
+    taken = text.count(b"\n")
+    lines.at, lines.pos = end, lines.pos + taken
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(taken, n) if taken else np.empty((0, n), dtype=np.int64)
+
+
 def _latin_rows(lines: Lines, n: int) -> np.ndarray:
     """The next n rows of n integers, refused by ``require_latin`` unless a
     Latin square, as read, then narrowed to ``np.min_scalar_type(n - 1)``:
-    an entry is checked before it is narrowed."""
-    rows = np.array([lines.ints(n) for _ in range(n)])
+    an entry is checked before it is narrowed.  The rows are read in one
+    pass up to the first irregular line (``_regular_rows``), the rest line
+    by line, so every error names the line it named before."""
+    rows = _regular_rows(lines, n)
+    if len(rows) < n:
+        rows = np.array(rows.tolist() + [lines.ints(n) for _ in range(len(rows), n)])
     require_latin(rows[None])
     return rows.astype(np.min_scalar_type(n - 1))
 

@@ -26,20 +26,25 @@ Every certificate derives from one certified p-tensor.  ``assemble_scheme``
 certifies a scheme built from a linked system; ``certify_classes`` is the
 one path that certifies loaded class matrices, shared by the CLI's
 ``verify scheme``, ``extract``, ``analyze`` and ``fusion``: it computes the
-axioms and p once and certifies them through a labeling's system.
-``load_scheme`` reuses the primary labeling's spectra and adds the Krein
+axioms and p once and certifies them through a labeling's system.  A
+labeling's spectra are formed only when read, and each closed form once per
+parameter set in one call.  ``load_scheme`` reuses the primary labeling's
+spectra, forming no other labeling's past it, and adds the Krein
 parameters.  Fusion is decided from the certified p alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .algebra import IntMatrix, all_zero_one, first_differences, lane_table, square_free_decomposition, surd_sign
+from .algebra import IntMatrix, all_zero_one, first_differences, int_lane, lane_table, square_free_decomposition, surd_sign
 from .designs import Certificate, GddParams, equivalence_classes, group_labels, looked_up, stack_slices
 from .errors import CertificationError, ParameterError
 from .linked import LinkedParams, LinkedSystemII, verify_linked_system
@@ -71,7 +76,10 @@ class Eigenmatrix:
     """The 6x6 matrix, or the 6x6x6 Krein tensor, (rational + irrational
     sqrt(radicand)) / den: numerators in object arrays of Python integers of
     that shape, one positive denominator, and a square-free radicand, or 0
-    when every entry is rational."""
+    when every entry is rational.  The identities checked on them run in one
+    of two lanes (``int_lane``): int64 when a bound on every entry and
+    partial sum, from the numerators' largest magnitudes, is below 2^62,
+    else these Python integers, the reference."""
 
     rational: np.ndarray
     irrational: np.ndarray
@@ -439,12 +447,64 @@ def _times(x, y, d: int, mul=np.matmul):
     return mul(r, r2) + d * mul(s, s2), mul(r, s2) + mul(s, r2)
 
 
+def _times_bound(a, b, d: int, terms: int = 1) -> tuple[int, int]:
+    """Bounds on every entry and partial sum of the two parts of ``_times``
+    of pairs whose parts' entries are at most a = (a_R, a_S) and
+    b = (b_R, b_S) in magnitude, over ``terms`` terms."""
+    return terms * (a[0] * b[0] + d * a[1] * b[1]), terms * (a[0] * b[1] + a[1] * b[0])
+
+
+def _most(matrix: Eigenmatrix) -> tuple[int, int]:
+    """The largest magnitudes of the rational and irrational numerators."""
+    return int(np.abs(matrix.rational).max()), int(np.abs(matrix.irrational).max())
+
+
 def _is_rational(x, value) -> bool:
     """Whether the pair x = (R, S) of integer arrays is (value, 0) entrywise."""
     return bool(np.all(x[0] == value) and np.all(x[1] == 0))
 
 
-def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
+@dataclass(frozen=True)
+class _ClosedForms:
+    """The closed-form spectra at one (k, m, n, f), the verdicts of the
+    checks of ``compute_spectra`` that read them alone, and the numerators
+    (P_r, P_s, Q_r, Q_s) in the lane ``int_lane`` gives those checks, with
+    the largest magnitudes of P's and Q's numerators.  When the
+    multiplicities do not sum to |X|, nothing else is checked."""
+
+    spectra: Spectra
+    sums_to_size: bool
+    pq: bool = False                 # P Q = |X| I
+    unit: bool = False               # sum E_j = I
+    bad_mult: tuple[int, ...] = ()   # the j with Q[0, j] != m_j
+    numerators: tuple = ()
+    most_p: tuple[int, int] = (0, 0)  # the largest magnitudes of P's rational and irrational numerators
+    most_q: tuple[int, int] = (0, 0)
+
+
+def _closed_forms(params: SchemeParams) -> _ClosedForms:
+    """P, Q and the multiplicities at ``params``, with the checks that read
+    them alone: P Q = |X| I, sum E_j = I and Q row 0.  These run in int64
+    when every entry and partial sum is bounded below 2^62 by the
+    numerators' largest magnitudes (``_times_bound``), else on Python
+    integers."""
+    size = params.size
+    pm, qm, mult = closed_form_p_matrix(params), closed_form_q_matrix(params), closed_form_multiplicities(params)
+    spectra = Spectra(pm, qm, mult, pm.radicand)
+    if sum(mult) != size:
+        return _ClosedForms(spectra, False)
+    d, most_p, most_q = pm.radicand, _most(pm), _most(qm)
+    lane = int_lane(max(
+        *_times_bound(most_p, most_q, d, CLASSES), size * pm.den * qm.den, CLASSES * max(most_q), max(map(abs, mult)) * qm.den
+    ))
+    pr, ps, qr, qs = (a.astype(lane, copy=False) for a in (pm.rational, pm.irrational, qm.rational, qm.irrational))
+    pq = _is_rational(_times((pr, ps), (qr, qs), d), size * pm.den * qm.den * np.eye(CLASSES, dtype=lane))
+    unit = _is_rational((qr.sum(axis=1), qs.sum(axis=1)), np.array([size * qm.den] + [0] * (CLASSES - 1), dtype=lane))
+    bad_mult = tuple(np.flatnonzero((qr[0] != np.array(mult, dtype=lane) * qm.den) | (qs[0] != 0)).tolist())
+    return _ClosedForms(spectra, True, pq, unit, bad_mult, (pr, ps, qr, qs), most_p, most_q)
+
+
+def compute_spectra(p, params: SchemeParams, known: dict | None = None) -> tuple[Spectra, Certificate]:
     """Closed-form P, Q over Q(sqrt(D)), certified against the certified
     intersection numbers by identities between 6x6 matrices.
 
@@ -467,41 +527,53 @@ def compute_spectra(p, params: SchemeParams) -> tuple[Spectra, Certificate]:
     That the E_j are pairwise orthogonal idempotents is derived, not
     multiplied out: once P Q = |X| I and every eigenvalue equation hold,
     E_l E_j = (1/|X|) sum_i Q_{i,l} A_i E_j = (1/|X|) sum_i Q_{i,l} P_{j,i} E_j
-    = (1/|X|) (P Q)_{j,l} E_j = [j = l] E_j."""
+    = (1/|X|) (P Q)_{j,l} E_j = [j = l] E_j.
+
+    The checks that read P, Q and the multiplicities alone are made once
+    per parameters in ``known`` (``_closed_forms``), a dict that one
+    certification passes to every call, formed here when missing.  The
+    checks that read p run in int64 when the bound of the closed forms'
+    lane and p's largest entry allow it (``int_lane``), else on Python
+    integers."""
     cert = Certificate(f"closed-form spectra at (k,m,n,f)=({params.k},{params.m},{params.n},{params.f})")
-    size = params.size
-    pm, qm, mult = closed_form_p_matrix(params), closed_form_q_matrix(params), closed_form_multiplicities(params)
-    spectra = Spectra(pm, qm, mult, pm.radicand)
-    if sum(mult) != size:
+    known = {} if known is None else known
+    if params not in known:
+        known[params] = _closed_forms(params)
+    forms = known[params]
+    spectra = forms.spectra
+    if not forms.sums_to_size:
         cert.failed("multiplicities sum to |X|")
         return spectra, cert
     cert.passed("multiplicities sum to |X|")
-    d, pr, ps, qr, qs = pm.radicand, pm.rational, pm.irrational, qm.rational, qm.irrational
+    cert.check("P Q = |X| I", forms.pq)
+    cert.check("sum E_j = I", forms.unit)
 
-    ok_pq = _is_rational(_times((pr, ps), (qr, qs), d), size * pm.den * qm.den * np.eye(CLASSES, dtype=object))
-    cert.check("P Q = |X| I", ok_pq)
-    cert.check("sum E_j = I", _is_rational((qr.sum(axis=1), qs.sum(axis=1)), [size * qm.den] + [0] * (CLASSES - 1)))
-
+    pm, qm, d = spectra.P, spectra.Q, spectra.radicand
+    pr, ps, qr, qs = forms.numerators
+    # c_P B_i Q and the valencies times c_P read p; the closed forms' lane bounds the rest
+    most = max(abs(x) for row in chain.from_iterable(p) for x in row)
+    if int_lane(CLASSES * most * max(forms.most_q) * pm.den + most * pm.den) != pr.dtype:
+        pr, ps, qr, qs = pm.rational, pm.irrational, qm.rational, qm.irrational
     # [i, k, j]: c_P (B_i Q)_{k,j} against Q_{k,j} P_{j,i}, both over c_P c_Q
-    b = np.array(p, dtype=object).transpose(0, 2, 1)
+    b = np.array(p, dtype=pr.dtype).transpose(0, 2, 1)
     lhs = (pm.den * (b @ qr), pm.den * (b @ qs))
     rhs = _times((qr[None], qs[None]), (pr.T[:, None], ps.T[:, None]), d, np.multiply)
     bad = ((lhs[0] != rhs[0]) | (lhs[1] != rhs[1])).any(axis=1)
     eigen_failures = [f"A_{i} E_{j} = P[{j},{i}] E_{j}" for i, j in zip(*np.nonzero(bad))]
-    if ok_pq and not eigen_failures:
+    if forms.pq and not eigen_failures:
         cert.passed("E_j are pairwise orthogonal idempotents")
     for line in eigen_failures:
         cert.failed(line)
     if not eigen_failures:
         cert.passed("A_i E_j = P_{j,i} E_j for all i, j")
 
-    bad_mult = [j for j in range(CLASSES) if not _is_rational((qr[0, j], qs[0, j]), mult[j] * qm.den)]
-    for j in bad_mult:
+    for j in forms.bad_mult:
         cert.failed(f"m_{j} = Q[0,{j}]")
-    if not bad_mult:
+    if not forms.bad_mult:
         cert.passed("multiplicities match Q row 0 and the idempotent traces")
 
-    cert.check("P row 0 equals the valencies", _is_rational((pr[0], ps[0]), [p[i][i][0] * pm.den for i in range(CLASSES)]))
+    valencies = np.array([p[i][i][0] * pm.den for i in range(CLASSES)], dtype=pr.dtype)
+    cert.check("P row 0 equals the valencies", _is_rational((pr[0], ps[0]), valencies))
 
     return spectra, cert
 
@@ -513,31 +585,43 @@ def compute_krein(spectra: Spectra, params: SchemeParams) -> tuple[Eigenmatrix, 
     (Bannai-Ito, Algebraic Combinatorics I, section 2.3).
 
     Every q_{i,j}^k is an integer triple sum over |X| c_Q^2 c_P, signed by
-    ``surd_sign``, and the tensor is held as those numerators; the closed
-    forms are compared in integers, times f."""
+    ``surd_sign`` on Python integers, and the tensor is held as those
+    numerators, Python integers; the closed forms are compared in integers,
+    times f.  The sums and comparisons run in int64 when the numerators'
+    largest magnitudes bound every entry and partial sum below 2^62
+    (``int_lane``), else on Python integers."""
     cert = Certificate("Krein parameters")
     pm, qm, d = spectra.P, spectra.Q, spectra.radicand
     m, f = params.m, params.f
     den = params.size * qm.den**2 * pm.den
-    qr, qs = qm.rational.T, qm.irrational.T
+    b2 = closed_form_krein_b2(params)
+    most_q = _most(qm)
+    lane = int_lane(max(
+        f * max(_times_bound(_times_bound(most_q, most_q, d), _most(pm), d, CLASSES)),
+        max(abs(x) for row in b2 for x in row) * den,
+    ))
+    qr, qs = qm.rational.T.astype(lane, copy=False), qm.irrational.T.astype(lane, copy=False)
     # [i, j, l]: numerators of Q[l,i] Q[l,j]; then [i, j, k] after the sum over l
     had = _times((qr[:, None], qs[:, None]), (qr[None], qs[None]), d, np.multiply)
-    num_r, num_s = _times(had, (pm.rational.T, pm.irrational.T), d)
+    num_r, num_s = _times(had, (pm.rational.T.astype(lane, copy=False), pm.irrational.T.astype(lane, copy=False)), d)
+    rational, irrational = num_r.tolist(), num_s.tolist()
     for i in range(CLASSES):
         for j in range(i, CLASSES):
             for k in range(CLASSES):
-                if surd_sign(num_r[i, j, k], num_s[i, j, k], d) < 0:
+                if surd_sign(rational[i][j][k], irrational[i][j][k], d) < 0:
                     cert.failed(f"Krein parameter q_{i}{j}^{k} is negative")
     if cert.ok:
         cert.passed("all Krein parameters are non-negative")
 
-    b2 = np.array(closed_form_krein_b2(params), dtype=object)
-    cert.check("entrywise-product structure constants of E_2 match their closed form", _is_rational((f * num_r[2], num_s[2]), b2 * den))
+    cert.check(
+        "entrywise-product structure constants of E_2 match their closed form",
+        _is_rational((f * num_r[2], num_s[2]), np.array(b2, dtype=lane) * den),
+    )
     if _is_rational((f * num_r[2, 1, 1], num_s[2, 1, 1]), (m - f) * den):
         cert.passed(f"q_21^1 = m/f - 1 = {Fraction(m - f, f)}")
     else:
         cert.failed("q_21^1 = m/f - 1")
-    return Eigenmatrix(num_r, num_s, den, d), cert
+    return Eigenmatrix(num_r.astype(object, copy=False), num_s.astype(object, copy=False), den, d), cert
 
 
 # -- assembly --------------------------------------------------------------------
@@ -627,10 +711,21 @@ class ExtractionCandidate:
     labels: tuple[int, ...]          # canonical position -> input class index
     params: SchemeParams
     triple: tuple[int, int, int] | None
-    spectra: Spectra
-    spectra_certificate: Certificate
+    form_spectra: Callable[[], tuple[Spectra, Certificate]] = field(repr=False)  # called once, when first read
     certificate: Certificate | None = None  # of the system cut from A_3, once tried
     system: LinkedSystemII | None = None     # the certified system, kept for the primary candidate only
+
+    @cached_property
+    def _spectral(self) -> tuple[Spectra, Certificate]:
+        return self.form_spectra()
+
+    @property
+    def spectra(self) -> Spectra:
+        return self._spectral[0]
+
+    @property
+    def spectra_certificate(self) -> Certificate:
+        return self._spectral[1]
 
     @property
     def spectra_match(self) -> bool:
@@ -644,15 +739,15 @@ class ExtractionCandidate:
 
 @dataclass
 class ExtractionReport:
-    candidates: list[ExtractionCandidate]
+    candidates: list[ExtractionCandidate]  # in report order when all were tried, else in label order
     p: list[list[list[int]]] | None  # in input class order; None when the partition fails
     certificate: Certificate         # the scheme axioms behind p
     relation: np.ndarray | None      # the label array, in input class order
 
     @property
     def primary(self) -> ExtractionCandidate:
-        for cand in self.candidates:
-            if cand.spectra_match and cand.certified:
+        for cand in self.candidates:  # certified first: no spectra are formed for an untried candidate
+            if cand.certified and cand.spectra_match:
                 return cand
         raise CertificationError("no labeling matches the closed-form spectra and certifies")
 
@@ -768,18 +863,20 @@ def _canonical_vertex_order(relation: np.ndarray, labels, m: int, n: int, groups
 
 
 def _candidates(relation: np.ndarray, p):
-    """The uncertified candidates of six classes in report order, each with
-    its (l1, l2) and the groups and fibers of its labeling."""
+    """The uncertified candidates of six classes in label order, each with
+    its (l1, l2) and the groups and fibers of its labeling.  A candidate's
+    spectra are formed when first read, against p relabelled then, and the
+    closed forms once per (k, m, n, f) across the candidates
+    (``compute_spectra``)."""
     # a class with unequal row sums is not a class of a scheme: the dense
     # route rejects such an input, so no labeling is tried.  A_0 = I, and
     # the classes sum to |X| in every row, so A_1's row sums follow
-    found = []
+    found, known = [], {}
     for lab in _identify_labelings(relation, p) if all(_one_row_sum(relation, i) for i in range(2, CLASSES)) else []:
         labels = lab["labels"]
         m, n, f = lab["m"], lab["n"], lab["f"]
-        pp = _relabel_p(p, labels)
         # A_3^2 = (f-1)(k A_0 + l1 A_1 + l2 A_2) + (f-2)(sigma A_3 + tau A_4 + rho A_5)
-        coeffs = pp[3][3]
+        coeffs = [p[labels[3]][labels[3]][c] for c in labels]
         if any(x % (f - 1) for x in coeffs[:3]) or (f >= 3 and any(x % (f - 2) for x in coeffs[3:])):
             continue
         k, l1, l2 = (x // (f - 1) for x in coeffs[:3])
@@ -790,31 +887,55 @@ def _candidates(relation: np.ndarray, p):
             params = SchemeParams(k=k, m=m, n=n, f=f)
         except ParameterError:
             continue
-        cand = ExtractionCandidate(labels, params, triple, *compute_spectra(pp, params))
-        found.append((cand, (l1, l2), (lab["groups"], lab["fibers"])))
-    found.sort(key=lambda item: (not item[0].spectra_match, item[0].labels))
+
+        def form(labels=labels, params=params):
+            return compute_spectra(_relabel_p(p, labels), params, known)
+
+        found.append((ExtractionCandidate(labels, params, triple, form), (l1, l2), (lab["groups"], lab["fibers"])))
+    found.sort(key=lambda item: item[0].labels)
     return found
 
 
-def _certify(relation: np.ndarray, cand: ExtractionCandidate, lambdas, structure) -> LinkedSystemII | None:
+class _CanonicalOrders:
+    """R in the canonical vertex order of each labeling tried in one
+    certification (``_canonical_vertex_order``).  The order is found once
+    per A_5 label, groups and fibers, which labelings differing only in A_3
+    and A_4 share, and R is permuted into it once for a run of labelings
+    that share it, the last one kept; it is R itself when R is in that
+    order already, as every file ``assemble`` writes is."""
+
+    def __init__(self, relation: np.ndarray):
+        self.relation, self.orders, self.last = relation, {}, (None, None)
+
+    def relation_in(self, cand: ExtractionCandidate, structure) -> np.ndarray | None:
+        """R in the canonical order of ``cand``, or None when it has none."""
+        key = (cand.labels[1], cand.labels[2], cand.labels[5])
+        if key not in self.orders:
+            self.orders[key] = _canonical_vertex_order(self.relation, cand.labels, cand.params.m, cand.params.n, *structure)
+        if self.orders[key] is None:
+            return None
+        if self.last[0] != key:
+            self.last = (None, None)  # the last permuted R is freed before the next is formed
+            order = np.array(self.orders[key])
+            self.last = key, (self.relation[order][:, order] if (order != np.arange(len(order))).any() else self.relation)
+        return self.last[1]
+
+
+def _certify(orders: _CanonicalOrders, cand: ExtractionCandidate, lambdas, structure) -> LinkedSystemII | None:
     """Certify ``cand`` by the system cut from A_3 in its canonical vertex
     order, if it has one, and return that system when it certifies.
 
-    R is permuted into that order once, unless it is in it already, as
-    every file ``assemble`` writes is; then block (i, j) of the stack is
-    A_3 on the band of fiber i's rows at fiber j's columns, a slice of R,
-    compared with the label of A_3 straight into the system's uint8 stack,
-    with no index array.  A system that certifies is sealed."""
+    Block (i, j) of the stack is A_3 on the band of fiber i's rows at fiber
+    j's columns of R in that order (``_CanonicalOrders``), a slice, compared
+    with the label of A_3 straight into the system's uint8 stack, with no
+    index array.  A system that certifies is sealed."""
     k, m, n, f = cand.params.k, cand.params.m, cand.params.n, cand.params.f
-    order = _canonical_vertex_order(relation, cand.labels, m, n, *structure)
-    if order is None:
-        return None
     mn = m * n
     with suppress(ParameterError):  # parameters no linked system has
         linked = LinkedParams(GddParams(mn, k, m, n, *lambdas), f, *(cand.triple or (None, None, None)))
-        order = np.array(order)
-        if (order != np.arange(len(order))).any():
-            relation = relation[order][:, order]
+        relation = orders.relation_in(cand, structure)
+        if relation is None:
+            return None
         bands = relation.reshape(f, mn, f, mn)
         stack = np.empty((f, f - 1, mn, mn), dtype=np.uint8)
         for i in range(f):  # blocks (i, j), j != i, in the order of ordered_pairs
@@ -827,26 +948,48 @@ def _certify(relation: np.ndarray, cand: ExtractionCandidate, lambdas, structure
 
 
 def _certified(relation: np.ndarray, found, every: bool) -> list[ExtractionCandidate]:
-    """The candidates of ``found``, certified in report order: all of them,
-    or only up to the primary one, the first that certifies and matches the
-    closed-form spectra.  Only the primary candidate keeps its system; any
-    other's stack is released once its verdict is in, before the next cut."""
-    primary = None
-    for cand, lambdas, structure in found:
-        if primary is not None and not every:
-            break
-        system = _certify(relation, cand, lambdas, structure)
+    """The candidates of ``found``, in label order, certified: all of them,
+    or those that match the closed-form spectra up to the first that
+    certifies, then, when none does, every other one.  The primary
+    candidate is the first in label order that matches and certifies either
+    way, and whether any candidate certifies is the same.  Only the primary
+    candidate keeps its system; any other's stack is released once its
+    verdict is in, before the next cut.
+
+    With ``every`` they are returned in report order, matching ones first,
+    each group in label order; else in label order, with no spectra formed
+    past the primary's."""
+    orders, primary = _CanonicalOrders(relation), None
+
+    def attempt(cand, lambdas, structure):
+        nonlocal primary
+        system = _certify(orders, cand, lambdas, structure)
         if primary is None and system is not None and cand.spectra_match:
             primary, cand.system = cand, system
-        del system
-    return [cand for cand, _, _ in found]
+
+    candidates = [cand for cand, _, _ in found]
+    if every:
+        for item in found:
+            attempt(*item)
+        return sorted(candidates, key=lambda cand: (not cand.spectra_match, cand.labels))
+    for item in (item for item in found if item[0].spectra_match):  # spectra formed as the walk reaches them
+        attempt(*item)
+        if primary is not None:
+            return candidates
+    for item in found:
+        if not item[0].spectra_match:
+            attempt(*item)
+    return candidates
 
 
 def certify_classes(classes, every: bool = False) -> ExtractionReport:
     """Certify the class matrices A_0, ..., A_d (see ``relation_from_classes``)
     with the partition axioms and p computed once.  For six classes, the
-    labelings with the fiber structure are certified in report order: all of
-    them, or only up to the primary one.  When none certifies, or for another
+    labelings with the fiber structure are certified in label order: all of
+    them, or only the matching ones up to the primary one (``_certified``).
+    Their spectra are formed when read, each closed form and its own checks
+    once per (k, m, n, f), and each canonical vertex order once: all of it
+    local to the call.  When none certifies, or for another
     number of classes, the dense check of ``compute_intersection_numbers``
     decides on the same R and p and names the first failing pair.  Raises
     nothing: the certificate holds the verdict."""
@@ -892,9 +1035,10 @@ def load_scheme(classes) -> tuple[AssociationScheme, ExtractionCandidate]:
     """The certified scheme behind loaded class matrices, in the class order
     of the primary extraction candidate, together with that candidate.
 
-    As ``extract_linked_system``, but candidates are certified in report
-    order only up to the primary one, whose spectra are reused; only the
-    Krein parameters are new.  The scheme's R is the loaded one, relabelled
+    As ``extract_linked_system``, but candidates are certified as
+    ``certify_classes`` does by default: the matching ones in label order up
+    to the primary one, whose spectra are reused, with no spectra formed
+    past it; only the Krein parameters are new.  The scheme's R is the loaded one, relabelled
     into the candidate's class order only when that is not (0, ..., 5), as
     it is for every file ``assemble`` writes.  Raises when no labeling
     certifies; a failing spectra or Krein check is returned in the scheme's

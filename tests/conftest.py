@@ -182,6 +182,21 @@ def scheme448(sys64):
 
 
 @pytest.fixture(scope="session")
+def scheme225(aux_ag23):
+    return assemble_scheme(build_tilde_l(aux_ag23, search_linked_mols(5, 5)))
+
+
+@pytest.fixture(scope="session")
+def conference24(conference12):
+    return assemble_scheme(pair_system(*conference12))
+
+
+@pytest.fixture(scope="session")
+def gcm48(gcm24):
+    return assemble_scheme(pair_system(*gcm24))
+
+
+@pytest.fixture(scope="session")
 def conference12():
     return conference_to_gdd(paley_conference_matrix(6))
 

@@ -23,6 +23,7 @@ from sgdd.resolvable import aux_from_hadamard
 from sgdd.schemes import relation_from_classes
 
 import str_line_route as str_route
+import token_route
 from conftest import read_text, text_of
 
 
@@ -514,14 +515,50 @@ def test_family_faults_are_reported_in_file_order(newline, fam_gf4, tmp_path: Pa
 @pytest.mark.parametrize("q", [11, 13])
 def test_families_of_two_digit_symbols_round_trip(q, line_reads):
     """The q = 11 and 13 families hold symbols past 9, so no band takes a
-    square and every square is read row by row from the first: the stack
-    read back equals the one built, and is written byte for byte again."""
+    square and every square is read whole in one pass, with no row read
+    line by line (``fileio._regular_rows``): the stack read back equals the
+    one built, and is written byte for byte again."""
     fam = linked_mols_from_gf(gf_from_order(q))
     text = text_of(fileio.linked_family_chunks(fam))
     again = read_text(fileio.read_latin, text)
-    assert line_reads["ints"] == fam.f * (fam.f - 1) * q
+    assert line_reads["ints"] == 0
     assert again == fam and again.stack.dtype == np.uint8
     assert text_of(fileio.linked_family_chunks(again)) == text
+
+
+def _latin_outcome(read, data: bytes):
+    """The stack or square ``read`` makes of ``data``, or its error."""
+    try:
+        got = read(data)
+    except (FormatError, ParameterError) as exc:
+        return type(exc).__name__, str(exc)
+    return "read", (got.stack if isinstance(got, LinkedMolsFamily) else got).tolist()
+
+
+_X11 = np.arange(11)
+# an order-11 family of three indices, c (x - y) mod 11 for c = 1..6, and one order-12 square
+_TWO_DIGIT_TEXTS = [
+    text_of(fileio.linked_family_chunks(LinkedMolsFamily(f=3, stack=np.arange(1, 7)[:, None, None] * (_X11[:, None] - _X11) % 11))),
+    "12\n" + "".join(" ".join(str((x + y) % 12) for y in range(12)) + "\n" for x in range(12)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.sampled_from(_TWO_DIGIT_TEXTS),
+    edit=st.sampled_from(["replace", "insert", "delete"]),
+    char=st.sampled_from("0123456789 \t\n\r\x0b\x0c\x1c\x1f-+_x\xe9\u0663"),
+    data=st.data(),
+)
+def test_one_edit_to_a_two_digit_square_reads_as_the_token_route_does(text, edit, char, data):
+    """A family of order 11 or a square of order 12 with one character
+    replaced, inserted or deleted past the header: the rows up to the first
+    irregular line are read in one pass and the rest line by line, with the
+    token route's squares or its error."""
+    head = text.index("\n") + 1
+    at = data.draw(st.integers(head, len(text) - 1))
+    edited = (text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert") :]).encode()
+    assert _latin_outcome(lambda d: read_text(fileio.read_latin, d), edited) == _latin_outcome(token_route.read_latin, edited)
 
 
 def test_a_family_symbol_is_checked_before_it_is_narrowed(tmp_path: Path, capsys):

@@ -510,24 +510,6 @@ def _krein_by_coefficient_algebra(scheme):
     return q
 
 
-@pytest.fixture(scope="module")
-def conference24(conference12):
-    return assemble_scheme(pair_system(*conference12))
-
-
-@pytest.fixture(scope="module")
-def gcm48(gcm24):
-    return assemble_scheme(pair_system(*gcm24))
-
-
-@pytest.fixture(scope="module")
-def scheme225(aux_ag23):
-    from sgdd.latin import search_linked_mols
-    from sgdd.linked import build_tilde_l
-
-    return assemble_scheme(build_tilde_l(aux_ag23, search_linked_mols(5, 5)))
-
-
 def _as_built(relation):
     return relation
 

@@ -4,8 +4,11 @@ golden tables hold."""
 import hashlib
 import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sgdd.cli import main
 
@@ -132,6 +135,32 @@ def test_ab_pairs_summary_on_canned_results(monkeypatch):
     assert not holds and "runs with a failed operation: 1" in lines
     # a higher-is-better reading of the same numbers is a loss
     assert not ab_pairs.summary(pairs(parent, [p - 0.008 for p in parent]), {"pass_s": "higher"}, "pass_s")[1]
+    # each side's median of every per-layer metric that every run holds, in
+    # the benchmark's order, with no verdict; scan_s is missing from one run
+    timed = pairs(parent, [p - 0.008 for p in parent])
+    for i, (old, new) in enumerate(timed):
+        old["layers"] = {"analyze_s": 0.013 + i / 1000, "construct_s": 0.024, **({"scan_s": 0.02} if i else {})}
+        new["layers"] = {"analyze_s": 0.010 + i / 1000, "construct_s": 0.024, "scan_s": 0.02}
+    lines, holds = ab_pairs.summary(timed, better, "pass_s")
+    layer_lines = [line for line in lines if "(per layer)" in line]
+    assert holds and layer_lines == [
+        "construct_s (per layer): parent median 0.0240, change median 0.0240",
+        "analyze_s (per layer): parent median 0.0175, change median 0.0145",
+    ]
+    item = ab_pairs.entry(timed, better, ab_pairs.bounds(), "pass_s", holds, {}, "desk-schemes", list(range(10)), 15)
+    assert item["per_layer"] == {
+        "construct_s": {"parent": 0.024, "change": 0.024},
+        "analyze_s": {"parent": pytest.approx(0.0175), "change": pytest.approx(0.0145)},
+    }
+    assert set(item["metrics"]) == set(better)
+    # a run's per-layer metrics come from the full record line before its result line
+    full = {"metrics": {"pass_s": {"value": 0.09}, "analyze_s": {"value": 0.012}, "pass_wall_s": {"value": 0.1}}}
+    result = {"correct": True, "failed": 0, "metrics": {"pass_s": {"value": 0.09}}}
+    stdout = json.dumps(full) + "\n" + json.dumps(result) + "\n"
+    monkeypatch.setattr(ab_pairs.subprocess, "run", lambda *a, **k: subprocess.CompletedProcess(a, 0, stdout, ""))
+    assert ab_pairs.run(ROOT, "desk-schemes", 1, 1) == {
+        "correct": True, "failed": 0, "metrics": {"pass_s": 0.09}, "layers": {"analyze_s": 0.012}
+    }
 
 
 def test_ab_pairs_verdicts_and_record_on_canned_results(monkeypatch, tmp_path):
