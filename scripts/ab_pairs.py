@@ -10,12 +10,16 @@ each checkout, a fresh process each, the parent first in even pairs and the
 change first in odd ones.  A run's result line gives the end-to-end
 metrics; the full record line before it gives the per-layer metrics of
 ``BENCHMARK.json`` that it holds, in an untraced run the per-verb times
-``construct_s`` ... ``scan_s``.  It prints every run, each side's median and
-quartiles of every end-to-end metric, each side's median of every
-per-layer metric that every run holds, the pairs the change won on
-``--metric`` (ties count for neither side) and whether the gain may be
-claimed: the change won at least nine tenths of the pairs, its median is
-better by more than the parent's interquartile range, and no run failed an
+``construct_s`` ... ``scan_s``, and ``pass_wall_s``, the wall time of the
+pass that ``pass_s`` rescales by the run's speed probes.  It prints every
+run, each side's median and quartiles of every end-to-end metric, each
+side's median of every per-layer metric that every run holds, each side's
+median wall time and the pairs whose wall-time winner is not their
+``pass_s`` winner (when every run holds the wall time: a probe that
+inverts a pair shows there), the pairs the change won on ``--metric``
+(ties count for neither side) and whether the gain may be claimed: the
+change won at least nine tenths of the pairs, its median is better by
+more than the parent's interquartile range, and no run failed an
 operation.  Only the end-to-end metrics get verdicts.
 
 Each end-to-end metric also gets a no-regression verdict against its
@@ -29,8 +33,9 @@ With ``--record FILE`` the run appends one entry to the JSON list in FILE
 (made if missing): each checkout's ``git describe --always --dirty``, the
 seeds, each side's median and quartiles, the pairs won and lost and the
 verdict of every end-to-end metric, each side's median of every per-layer
-metric, and whether the gain may be claimed.  The exit
-status is 0 when the gain may be claimed, else 1.
+metric, each side's median wall time and the inverted pairs (``wall``,
+null unless every run holds the wall time), and whether the gain may be
+claimed.  The exit status is 0 when the gain may be claimed, else 1.
 """
 
 import argparse
@@ -70,18 +75,19 @@ def bounds() -> dict[str, float]:
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """The result line of one benchmark run in ``checkout``: whether it was
     correct, the operations that failed, and each end-to-end metric's
-    value; and the value of each per-layer metric in the full record line
-    before it."""
+    value; and the value of each per-layer metric and of ``pass_wall_s``
+    (None when missing) in the full record line before it."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
-        return {"correct": False, "failed": None, "metrics": {}, "layers": {}}
+        return {"correct": False, "failed": None, "metrics": {}, "layers": {}, "wall": None}
     result = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     full = json.loads(lines[-2])["metrics"] if len(lines) > 1 else {}
     layers = {name: full[name]["value"] for name in per_layer() if name in full}
-    return {"correct": result["correct"], "failed": result["failed"], "metrics": metrics, "layers": layers}
+    wall = full["pass_wall_s"]["value"] if "pass_wall_s" in full else None
+    return {"correct": result["correct"], "failed": result["failed"], "metrics": metrics, "layers": layers, "wall": wall}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -117,6 +123,22 @@ def layer_medians(pairs: list[tuple[dict, dict]]) -> dict[str, tuple[float, floa
     return {name: tuple(statistics.median(pair[side]["layers"][name] for pair in pairs) for side in (0, 1)) for name in names}
 
 
+def wall_times(pairs: list[tuple[dict, dict]]) -> dict | None:
+    """The parent's and the change's median ``pass_wall_s`` over ``pairs``,
+    and the pairs whose wall-time winner is not their ``pass_s`` winner (a
+    tie is a third outcome); None unless every run holds its wall time."""
+    if not pairs or any(res.get("wall") is None for pair in pairs for res in pair):
+        return None
+
+    def winner(pair, value) -> int:  # 1 when the change is lower, -1 when the parent is, 0 on a tie
+        parent, change = (value(res) for res in pair)
+        return (parent > change) - (parent < change)
+
+    inverted = sum(winner(pair, lambda res: res["wall"]) != winner(pair, lambda res: res["metrics"]["pass_s"]) for pair in pairs)
+    parent, change = (statistics.median(pair[side]["wall"] for pair in pairs) for side in (0, 1))
+    return {"parent": parent, "change": change, "inverted": inverted}
+
+
 def regression(parent: list[float], change: list[float], direction: str, bound: float) -> str:
     """The no-regression verdict of the change on one metric (see the
     module docstring): "not worse", "unresolved" or "worse"."""
@@ -140,6 +162,10 @@ def summary(pairs: list[tuple[dict, dict]], better: dict[str, str], metric: str)
             out.append(f"{name} ({direction} is better) {label}: median {median:.4f} [{q1:.4f}, {q3:.4f}]")
     for name, (parent, change) in layer_medians(pairs).items():
         out.append(f"{name} (per layer): parent median {parent:.4f}, change median {change:.4f}")
+    wall = wall_times(pairs)
+    if wall is not None:
+        out.append(f"pass_wall_s (wall time): parent median {wall['parent']:.4f}, change median {wall['change']:.4f}")
+        out.append(f"pass_wall_s: the wall-time winner differs from the pass_s winner in {wall['inverted']} of {len(pairs)} pairs")
     sign = 1 if better[metric] == "lower" else -1
     won, lost = stats[metric]["won"], stats[metric]["lost"]
     (p1, parent_median, p3), (_, change_median, _) = stats[metric]["quartiles"]
@@ -186,6 +212,7 @@ def entry(pairs, better, limits, metric: str, holds: bool, commits: dict, worklo
         "failed_runs": failed_runs(pairs),
         "metrics": metrics,
         "per_layer": {name: {"parent": parent, "change": change} for name, (parent, change) in layer_medians(pairs).items()},
+        "wall": wall_times(pairs),
         "gain": {"metric": metric, "claimed": holds},
     }
 

@@ -81,7 +81,7 @@ def main():
 
     stage("conference path: Paley order 6")
     gdd12, p12 = conference_to_gdd(paley_conference_matrix(6))
-    write(out / "conf12.mat", fileio.matrix_chunks(gdd12.mat))
+    write(out / "conf12.mat", fileio.matrix_chunks(gdd12))
     write(out / "conf12.params", fileio.gdd_params_chunks(p12))
     print(f"   certified {p12}")
 
@@ -89,14 +89,14 @@ def main():
     gcm = bgw_generate(5)
     gdd24, p24 = gcm_to_gdd(gcm)
     write(out / "bgw654.gcm", fileio.gcm_chunks(gcm))
-    write(out / "gcm24.mat", fileio.matrix_chunks(gdd24.mat))
+    write(out / "gcm24.mat", fileio.matrix_chunks(gdd24))
     write(out / "gcm24.params", fileio.gdd_params_chunks(p24))
     print(f"   certified {p24}")
 
     stage("twin path: order-4 Hadamard + weight-1 signed permutations")
     twin = build_twin(hadamard_matrix(4), signed_permutation_weighing_set(4))
-    write(out / "twin16.plus.mat", fileio.matrix_chunks(twin.plus.mat))
-    write(out / "twin16.minus.mat", fileio.matrix_chunks(twin.minus.mat))
+    write(out / "twin16.plus.mat", fileio.matrix_chunks(twin.plus))
+    write(out / "twin16.minus.mat", fileio.matrix_chunks(twin.minus))
     print(f"   certified twin pair {twin.params}")
 
     stage("unbiased Bush-type pair of order 16 (search) -> linked system")

@@ -5,7 +5,6 @@ from .algebra import IntMatrix
 from .designs import (
     Certificate,
     GddParams,
-    IncidenceMatrix,
     check_bose,
     check_k_commutation,
     lambda_formulas,

@@ -18,7 +18,7 @@ import sys
 
 from . import fileio
 from .classical import hadamard_matrix, paley_conference_matrix, signed_permutation_weighing_set
-from .designs import IncidenceMatrix, verify_gdd
+from .designs import verify_gdd
 from .errors import FormatError, SgddError
 from .gf import gf_from_order
 from .latin import (
@@ -177,7 +177,7 @@ def _conference_gdd(args):
     """design from a conference matrix"""
     c = _from_file(fileio.read_matrix, args.input) if args.input is not None else paley_conference_matrix(args.order)
     mat, params = conference_to_gdd(c)
-    _emit(fileio.matrix_chunks(mat.mat), args.output)
+    _emit(fileio.matrix_chunks(mat), args.output)
     _emit(fileio.gdd_params_chunks(params), args.params_out)
 
 
@@ -191,7 +191,7 @@ def _bgw(args):
 def _gcm_gdd(args):
     """design from a generalized conference matrix file"""
     mat, params = gcm_to_gdd(_from_file(fileio.read_gcm, args.input))
-    _emit(fileio.matrix_chunks(mat.mat), args.output)
+    _emit(fileio.matrix_chunks(mat), args.output)
     _emit(fileio.gdd_params_chunks(params), args.params_out)
 
 
@@ -208,8 +208,8 @@ def _twin(args):
     h = _from_file(fileio.read_matrix, args.hadamard) if args.hadamard is not None else hadamard_matrix(args.order)
     ws = _from_file(fileio.read_matrix_set, args.weighing) if args.weighing else signed_permutation_weighing_set(h.rows)
     twin = build_twin(h, ws)
-    _write(args.output + ".plus.mat", fileio.matrix_chunks(twin.plus.mat))
-    _write(args.output + ".minus.mat", fileio.matrix_chunks(twin.minus.mat))
+    _write(args.output + ".plus.mat", fileio.matrix_chunks(twin.plus))
+    _write(args.output + ".minus.mat", fileio.matrix_chunks(twin.minus))
     _emit(fileio.gdd_params_chunks(twin.params), args.params_out)
 
 
@@ -227,8 +227,7 @@ def _verify_gdd(args):
         params = fileio.parse_inline_gdd_params(args.params)
     else:
         params = _from_file(fileio.read_gdd_params, args.params_file)
-    inc = IncidenceMatrix(_from_file(fileio.read_matrix, args.input), params.m, params.n)
-    return _report(verify_gdd(inc, params))
+    return _report(verify_gdd(_from_file(fileio.read_matrix, args.input).a, params))
 
 
 @_command("verify", "aux", _FILE)

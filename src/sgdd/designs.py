@@ -26,7 +26,10 @@ The Gram and K-commutation checks take a stack of matrices, shape
 (count, v, v): the Gram check forms A A^T and A^T A of the members as a
 batch of 1 x 1 grids, and the K-commutation check sums rows and columns
 with no product, and reads from the same sums whether A has a 1 inside K.
-A single design is a stack of one, so every design and every block of a
+A design is a uint8 array, taken with the ``GddParams`` whose groups it
+has: ``incidence`` is the one check that an array is square, of order
+m n and 0/1, for a design and for a linked system's blocks alike.  A
+single design is a stack of one, so every design and every block of a
 linked system is certified by the same code.  An identity on every product
 of two stacks (the Gram pairs, the triple law of a linked system, the
 auxiliary axioms, orthogonality and composition of a linked family) is a
@@ -496,37 +499,18 @@ def zero_one(arr: np.ndarray, what: str) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-class IncidenceMatrix:
-    """A square 0/1 matrix together with its (m, n) group structure, held
-    as a uint8 view (``zero_one``): a copy only when given wider entries."""
-
-    __slots__ = ("mat", "m", "n")
-
-    def __init__(self, mat: IntMatrix, m: int, n: int):
-        if not mat.is_square:
-            raise ParameterError("incidence matrix must be square")
-        if mat.rows != m * n:
-            raise ParameterError(f"order {mat.rows} != m*n = {m * n}")
-        # .a, not .lane: a product held in a float lane is widened for the check
-        self.mat = IntMatrix.view(zero_one(mat.a, "incidence matrix"))
-        self.m = m
-        self.n = n
-
-    @property
-    def v(self) -> int:
-        return self.mat.rows
-
-    def diagonal_blocks_zero(self) -> bool:
-        """A has no 1 inside K, so A + K is 0/1."""
-        return not self.mat.lane[group_labels(self.m, self.n) > 0].any()
-
-    def __eq__(self, other):
-        if not isinstance(other, IncidenceMatrix):
-            return NotImplemented
-        return (self.m, self.n) == (other.m, other.n) and self.mat == other.mat
-
-    def __repr__(self):
-        return f"IncidenceMatrix(v={self.v}, groups={self.m}x{self.n})"
+def incidence(arr: np.ndarray, m: int, n: int) -> np.ndarray:
+    """``arr``, a square 0/1 matrix of order m n or a stack of them, as
+    uint8 (``zero_one``): ``arr`` itself when it is uint8, else a copy.
+    The one check of a design or of a system's blocks, refusing, in this
+    order, a dtype or shape ``IntMatrix.view`` refuses, a matrix that is
+    not square, an order other than m n, and an entry not 0 or 1."""
+    IntMatrix.view(arr)
+    if arr.shape[-2] != arr.shape[-1]:
+        raise ParameterError("incidence matrix must be square")
+    if arr.shape[-1] != m * n:
+        raise ParameterError(f"order {arr.shape[-1]} != m*n = {m * n}")
+    return zero_one(arr, "incidence matrix")
 
 
 @dataclass(frozen=True)
@@ -587,13 +571,10 @@ class Certificate:
         return "\n".join(self.report_lines())
 
 
-def verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
-    """Certify A A^T = A^T A = kI + l1(K-I) + l2(J-K) entrywise."""
-    if (a.v, a.m, a.n) != (p.v, p.m, p.n):
-        cert = Certificate(f"symmetric GDD {p}")
-        cert.failed("dimension/group structure matches parameters", (0, 0))
-        return cert
-    return verify_grams(a.mat.lane[None], p)[0]
+def verify_gdd(a: np.ndarray, p: GddParams) -> Certificate:
+    """Certify A A^T = A^T A = kI + l1(K-I) + l2(J-K) entrywise, once
+    ``incidence`` takes A with p's groups."""
+    return verify_grams(incidence(a, p.m, p.n)[None], p)[0]
 
 
 # the two identities of ``verify_grams``, in the order it records them
@@ -617,38 +598,40 @@ def verify_grams(stack: np.ndarray, p: GddParams, rows=slice(None)) -> list[Cert
     return certs
 
 
-def check_bose(a: IncidenceMatrix, p: GddParams) -> bool:
+def check_bose(a: np.ndarray, p: GddParams) -> bool:
     """The rank-argument identity for designs with lambda1 != lambda2:
     A K A^T = (n(l1 - l2) + k - l1) K + n l2 J, formed as (A G)(A G)^T
     with G the v x m group indicator, K = G G^T.  A G is read as the sums
     of A's rows over each group, so (A G)(A G)^T is the one product formed,
     and neither K nor G enters it."""
+    a = incidence(a, p.m, p.n)
     if p.lambda1 == p.lambda2:
         raise ParameterError("identity only applies when lambda1 != lambda2")
-    ag = IntMatrix.view(a.mat.lane.reshape(a.v, a.m, a.n).sum(axis=-1, dtype=np.int64))
+    ag = IntMatrix.view(a.reshape(p.v, p.m, p.n).sum(axis=-1, dtype=np.int64))
     on_k = p.n * (p.lambda1 - p.lambda2) + p.k - p.lambda1 + p.n * p.lambda2
-    return stack_differences((ag @ ag.T).lane, group_labels(a.m, a.n), (p.n * p.lambda2, on_k, on_k)) == [None]
+    return stack_differences((ag @ ag.T).lane, group_labels(p.m, p.n), (p.n * p.lambda2, on_k, on_k)) == [None]
 
 
-def certified_design(arr: np.ndarray, p: GddParams, message: str) -> IncidenceMatrix:
-    """A constructed 0/1 array as a design with parameters p, returned only
-    once ``verify_gdd`` certifies it (a CertificationError with ``message``
-    otherwise): constructions never return uncertified designs."""
-    mat = IncidenceMatrix(IntMatrix.view(arr), p.m, p.n)
+def certified_design(arr: np.ndarray, p: GddParams, message: str) -> np.ndarray:
+    """A constructed 0/1 array as a uint8 design with parameters p
+    (``incidence``), returned only once ``verify_gdd`` certifies it (a
+    CertificationError with ``message`` otherwise): constructions never
+    return uncertified designs."""
+    mat = incidence(arr, p.m, p.n)
     cert = verify_gdd(mat, p)
     if not cert.ok:
         raise CertificationError(message, cert)
     return mat
 
 
-def partial_complement(a: IncidenceMatrix, p: GddParams) -> tuple[IncidenceMatrix, GddParams]:
+def partial_complement(a: np.ndarray, p: GddParams) -> tuple[np.ndarray, GddParams]:
     """J - K - A, certified with its derived parameters."""
-    if not a.diagonal_blocks_zero():
+    a, off_k = incidence(a, p.m, p.n), group_labels(p.m, p.n) == 0
+    if a[~off_k].any():
         raise ParameterError("partial complement needs zero diagonal blocks (A + K must be 0/1)")
     cp = partial_complement_params(p)
     # A has no 1 inside K, so J - K - A is 1 exactly off K where A is 0
-    comp = (group_labels(a.m, a.n) == 0) & (a.mat.lane == 0)
-    out = IncidenceMatrix(IntMatrix.view(comp), p.m, p.n)
+    out = incidence(off_k & (a == 0), p.m, p.n)
     cert = verify_gdd(out, cp)
     if not cert.ok:
         raise ParameterError(
@@ -664,11 +647,12 @@ class KCommutation:
     factor: int | None = None  # a sum of 0/1 entries
 
 
-def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
-    """Classify A K = K A against the two canonical right-hand sides, from
-    the constant A K takes on K and the one it takes off K."""
-    lane = a.mat.lane[None]
-    return k_commutations(lane, lane, a.m, a.n, np.zeros(1, dtype=np.intp))[0][0]
+def check_k_commutation(a: np.ndarray, p: GddParams) -> KCommutation:
+    """Classify A K = K A, for A with p's groups (``incidence``), against
+    the two canonical right-hand sides, from the constant A K takes on K
+    and the one it takes off K."""
+    lane = incidence(a, p.m, p.n)[None]
+    return k_commutations(lane, lane, p.m, p.n, np.zeros(1, dtype=np.intp))[0][0]
 
 
 def k_commutations(stack: np.ndarray, on_rows: np.ndarray, m: int, n: int, members: np.ndarray, rows=slice(None)) -> list[tuple[KCommutation, bool]]:

@@ -60,7 +60,7 @@ from itertools import chain
 import numpy as np
 
 from .algebra import IntMatrix
-from .designs import GddParams, IncidenceMatrix, zero_one
+from .designs import GddParams, incidence, zero_one
 from .errors import FormatError, ParameterError
 from .latin import LinkedMolsFamily, ordered_pairs, require_latin
 from .linked import GcmMatrix, LinkedParams, LinkedSystemII
@@ -249,10 +249,10 @@ def _token_rows(rows: list[list[int]]) -> bytes:
     return "".join(" ".join(map(str, row)) + "\n" for row in rows).encode()
 
 
-def matrix_chunks(m: IntMatrix) -> Iterator:
-    """Matrix v1 as byte chunks: a matrix of digits as one digit buffer."""
-    a = m.a
-    yield f"{m.rows} {m.cols}\n".encode()
+def matrix_chunks(a: np.ndarray) -> Iterator:
+    """Matrix v1 of the array ``a`` as byte chunks: a matrix of digits as
+    one digit buffer."""
+    yield f"{a.shape[0]} {a.shape[1]}\n".encode()
     if a.dtype.kind in "biu" and a.size and a.min() >= 0 and a.max() <= 9:
         yield _digit_rows(a)
     else:
@@ -519,7 +519,7 @@ def read_linked_system(stream) -> LinkedSystemII:
     # a band takes only v x v blocks of 0/1 digits, which, as v = m n, the incidence check passes
     for block in range(_read_bands(lines, stack, f"{v} {v}\n", 1), f * (f - 1)):
         # checked as a block before it is narrowed into the stack
-        stack[block] = IncidenceMatrix(IntMatrix.view(_read_matrix(lines)), m, n).mat.lane
+        stack[block] = incidence(_read_matrix(lines), m, n)
     lines.done()
     return LinkedSystemII(params, stack)
 
@@ -600,7 +600,7 @@ def matrix_set_chunks(mats: list[IntMatrix]) -> Iterator:
     if not mats:
         raise ParameterError("empty matrix set")
     head = f"{mats[0].rows} {len(mats)}\n".encode()
-    return chain([head], *(matrix_chunks(m) for m in mats))
+    return chain([head], *(matrix_chunks(m.a) for m in mats))
 
 
 def read_matrix_set(stream) -> list[IntMatrix]:

@@ -9,20 +9,21 @@ A_{i,j} + K is 0/1 and, for all mutually distinct i, j, l,
 
     A_{i,j} A_{j,l} = sigma A_{i,l} + tau (J - A_{i,l} - K) + rho K.
 
-Its certifier forms each identity on one row per orbit of the digit shifts
-of the groups and points that fix every block it uses; ``designs`` writes
-their masks and reads their rows (``translation_masks``, ``on_orbits``).
+A system holds its blocks as one uint8 stack, block (i, j) at
+``stack[pair_index(f, i, j)]``, and each construction of a single design
+returns it as a uint8 array (``designs.incidence``).  Its certifier forms
+each identity on one row per orbit of the digit shifts of the groups and
+points that fix every block it uses; ``designs`` writes their masks and
+reads their rows (``translation_masks``, ``on_orbits``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import isqrt
-from types import MappingProxyType
 
 import numpy as np
 
@@ -33,13 +34,13 @@ from .designs import (
     Certificate,
     GddParams,
     Gathered,
-    IncidenceMatrix,
     Violation,
     cell_differences,
     certified_design,
     check_k_commutation,
     companion_params,
     group_labels,
+    incidence,
     k_commutations,
     on_orbits,
     translation_masks,
@@ -106,7 +107,8 @@ class LinkedParams:
 @dataclass(eq=False)
 class LinkedSystemII:
     """The blocks A_ij as one (f(f-1), v, v) uint8 stack, in the order of
-    ``ordered_pairs``; any other shape, or an entry not 0 or 1, is refused.
+    ``ordered_pairs`` (A_ij is ``stack[pair_index(f, i, j)]``); any other
+    shape, or an entry not 0 or 1, is refused (``designs.incidence``).
     A sealed system (``seal``) carries its certificate and a read-only stack."""
 
     params: LinkedParams
@@ -117,15 +119,7 @@ class LinkedSystemII:
         base, count = self.params.base, self.params.f * (self.params.f - 1)
         if len(self.stack) != count:
             raise ParameterError(f"a linked system on {self.params.f} indices has {count} blocks, not {len(self.stack)}")
-        # every block square, of order m*n and 0/1, as for one IncidenceMatrix
-        self.stack = IncidenceMatrix(IntMatrix.view(self.stack), base.m, base.n).mat.lane
-
-    @cached_property
-    def blocks(self) -> Mapping[tuple[int, int], IncidenceMatrix]:
-        """A_ij by pair, as read-only views of the stack, built on first read."""
-        base, view = self.params.base, self.stack.view()
-        view.flags.writeable = False
-        return MappingProxyType({pair: IncidenceMatrix(IntMatrix.view(blk), base.m, base.n) for pair, blk in zip(ordered_pairs(self.f), view)})
+        self.stack = incidence(self.stack, base.m, base.n)
 
     @property
     def f(self) -> int:
@@ -378,11 +372,12 @@ def make_linked_system(params: LinkedParams, stack: np.ndarray) -> LinkedSystemI
     return sys.seal(cert)
 
 
-def pair_system(a: IncidenceMatrix, params: GddParams) -> LinkedSystemII:
+def pair_system(a: np.ndarray, params: GddParams) -> LinkedSystemII:
     """The two-index system {A, A^T} of a single design whose group-blown-up
     companion A + K is again a design; certified."""
     lp = LinkedParams(base=params, f=2, sigma=None, tau=None, rho=None)
-    return make_linked_system(lp, np.stack([a.mat.lane, a.mat.lane.T]))
+    a = incidence(a, params.m, params.n)
+    return make_linked_system(lp, np.stack([a, a.T]))
 
 
 # -- construction: block matrices over linked MOLS ----------------------------
@@ -610,7 +605,7 @@ def is_conference(c: IntMatrix) -> bool:
     return c.is_square and not np.diagonal(c.lane).any() and is_weighing(c, c.rows - 1)
 
 
-def conference_to_gdd(c: IntMatrix) -> tuple[IncidenceMatrix, GddParams]:
+def conference_to_gdd(c: IntMatrix) -> tuple[np.ndarray, GddParams]:
     """Replace 1 -> I_2, -1 -> J_2 - I_2, 0 -> O_2; the result is a GDD with
     parameters (2n, n-1, n, 2, 0, n/2-1)."""
     if not is_conference(c):
@@ -692,7 +687,7 @@ def verify_gcm(gcm: GcmMatrix) -> Certificate:
     return cert
 
 
-def gcm_to_gdd(gcm: GcmMatrix) -> tuple[IncidenceMatrix, GddParams]:
+def gcm_to_gdd(gcm: GcmMatrix) -> tuple[np.ndarray, GddParams]:
     """Apply the regular permutation representation entrywise; the image is
     a GDD with parameters (g(g lam + 2), g lam + 1, g lam + 2, g, 0, lam)."""
     cert = verify_gcm(gcm)
@@ -737,8 +732,8 @@ def bgw_generate(q: int) -> GcmMatrix:
 
 @dataclass
 class TwinPair:
-    plus: IncidenceMatrix
-    minus: IncidenceMatrix
+    plus: np.ndarray
+    minus: np.ndarray
     params: GddParams
 
 
@@ -792,7 +787,7 @@ def build_twin(h: IntMatrix, ws: list[IntMatrix]) -> TwinPair:
     pair = []
     for label, arr in (("A+", plus), ("A-", minus)):
         mat = certified_design(arr, params, f"{label} fails design certification")
-        comm = check_k_commutation(mat)
+        comm = check_k_commutation(mat, params)
         if comm.kind != "multiple_of_J_minus_K" or 2 * comm.factor != n:
             raise CertificationError(f"{label} does not commute with K as n/2 (J - K)")
         pair.append(mat)

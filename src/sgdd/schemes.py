@@ -39,7 +39,7 @@ from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -369,12 +369,18 @@ def compute_intersection_numbers(classes) -> tuple[list[list[list[int]]] | None,
 # -- closed-form spectra --------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _radicand(k: int, m: int, n: int) -> tuple[int, int]:
+    """(s, D) with s^2 D = k w (m-1)(n-1), w = mn - k - n and D
+    square-free: factored once per parameter set for both P and Q."""
+    return square_free_decomposition(k * (m * n - k - n) * (m - 1) * (n - 1))
+
+
 def _eigenmatrix(rational, root, den: int, params: SchemeParams) -> Eigenmatrix:
-    """(rational + s root sqrt(D)) / den with s^2 D = k w (m-1)(n-1),
-    w = mn - k - n and D square-free (w > 0, so D >= 1); D = 1 is folded
-    into the rational part and recorded as radicand 0."""
-    k, m, n = params.k, params.m, params.n
-    s, d = square_free_decomposition(k * (m * n - k - n) * (m - 1) * (n - 1))
+    """(rational + s root sqrt(D)) / den with (s, D) of ``_radicand`` (w >
+    0, so D >= 1); D = 1 is folded into the rational part and recorded as
+    radicand 0."""
+    s, d = _radicand(params.k, params.m, params.n)
     rational, irrational = np.array(rational, dtype=object), s * np.array(root, dtype=object)
     if d == 1:
         return Eigenmatrix(rational + irrational, 0 * irrational, den, 0)

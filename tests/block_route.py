@@ -24,14 +24,13 @@ from sgdd.algebra import IntMatrix, first_differences
 from sgdd.designs import (
     Certificate,
     GddParams,
-    IncidenceMatrix,
     KCommutation,
     companion_params,
     group_labels,
 )
 from sgdd.errors import ParameterError
 from sgdd.gf import factor_prime_power, gf_from_order
-from sgdd.latin import LinkedMolsFamily, compose, is_orthogonal, pair_index
+from sgdd.latin import LinkedMolsFamily, compose, is_orthogonal, ordered_pairs, pair_index
 from sgdd.linked import LinkedSystemII
 from sgdd.resolvable import AuxiliarySet
 
@@ -76,9 +75,9 @@ def compare(cert: Certificate, label: str, actual: IntMatrix, expected: np.ndarr
         cert.failed(label, pos, expected.item(pos), actual[pos])
 
 
-def group_indicator(a: IncidenceMatrix) -> IntMatrix:
+def group_indicator(p: GddParams) -> IntMatrix:
     """K = I_m (x) J_n, dense."""
-    return IntMatrix((group_labels(a.m, a.n) > 0).astype(np.int64))
+    return IntMatrix((group_labels(p.m, p.n) > 0).astype(np.int64))
 
 
 def stack_differences(actual: np.ndarray, expected: np.ndarray) -> list[tuple | None]:
@@ -160,18 +159,14 @@ def verify_gram(mat: IntMatrix, p: GddParams, rows=slice(None)) -> Certificate:
     return cert
 
 
-def verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
-    if (a.v, a.m, a.n) != (p.v, p.m, p.n):
-        cert = Certificate(f"symmetric GDD {p}")
-        cert.failed("dimension/group structure matches parameters", (0, 0))
-        return cert
-    return verify_gram(a.mat, p)
+def verify_gdd(a: np.ndarray, p: GddParams) -> Certificate:
+    return verify_gram(IntMatrix(a), p)
 
 
-def check_k_commutation(a: IncidenceMatrix) -> KCommutation:
-    kb = group_indicator(a)
-    ak = a.mat @ kb
-    if ak != kb @ a.mat:
+def check_k_commutation(a: np.ndarray, p: GddParams) -> KCommutation:
+    kb, mat = group_indicator(p), IntMatrix(a)
+    ak = mat @ kb
+    if ak != kb @ mat:
         return KCommutation("other")
     in_k = kb.a != 0
     on, off = ak.a[in_k], ak.a[~in_k]
@@ -189,39 +184,41 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     base = p.base
     cert = Certificate(f"linked system f={p.f} on {base}")
     pairs = [(i, j) for i in range(1, p.f + 1) for j in range(1, p.f + 1) if i != j]
-    if set(sys.blocks) != set(pairs):
+    blocks = dict(zip(ordered_pairs(p.f), sys.stack))
+    if set(blocks) != set(pairs):
         cert.failed("blocks cover all ordered index pairs")
         return cert
+    mats = {pair: IntMatrix(blk) for pair, blk in blocks.items()}
 
     for pair in pairs:
-        blk = sys.blocks[pair]
+        blk = blocks[pair]
         sub = verify_gdd(blk, base)
         if sub.ok:
             cert.passed(f"block {pair} is a symmetric GDD")
         else:
             for v in sub.violations:
                 cert.failed(f"block {pair}: {v.identity}", v.position, v.expected, v.actual)
-        if blk.diagonal_blocks_zero():
+        if not blk[group_labels(base.m, base.n) > 0].any():
             cert.passed(f"block {pair}: A + K is a 0/1 matrix")
         else:
             cert.failed(f"block {pair}: A + K is a 0/1 matrix")
-        comm = check_k_commutation(blk)
+        comm = check_k_commutation(blk, base)
         want = Fraction(base.k, base.m - 1)
         if comm.kind == "multiple_of_J_minus_K" and comm.factor == want:
             cert.passed(f"block {pair}: A K = K A = {want} (J - K)")
         else:
             cert.failed(f"block {pair}: A K = K A = k/(m-1) (J - K)")
 
-    untransposed = [(i, j) for i, j in pairs if i < j and sys.blocks[(j, i)].mat != sys.blocks[(i, j)].mat.T]
+    untransposed = [(i, j) for i, j in pairs if i < j and mats[(j, i)] != mats[(i, j)].T]
     cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
     for i, j in untransposed:
-        pos = first_difference(sys.blocks[(j, i)].mat, sys.blocks[(i, j)].mat.a.T)
+        pos = first_difference(mats[(j, i)], mats[(i, j)].a.T)
         cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
 
     in_k = group_labels(base.m, base.n) > 0
     if p.f == 2:
         comp = companion_params(base)
-        sub = verify_gram(IntMatrix(sys.blocks[(1, 2)].mat.a + in_k), comp)
+        sub = verify_gram(IntMatrix(mats[(1, 2)].a + in_k), comp)
         if sub.ok:
             cert.passed(f"pair: A + K is a symmetric GDD with {comp}")
         else:
@@ -234,10 +231,10 @@ def verify_linked_system(sys: LinkedSystemII) -> Certificate:
     v = base.v
     for i, j in pairs:
         ls = [l for l in range(1, p.f + 1) if l not in (i, j)]
-        wide = sys.blocks[(i, j)].mat @ IntMatrix(np.hstack([sys.blocks[(j, l)].mat.a for l in ls]))
+        wide = mats[(i, j)] @ IntMatrix(np.hstack([mats[(j, l)].a for l in ls]))
         for t, l in enumerate(ls):
             prod = IntMatrix(wide.a[:, t * v : (t + 1) * v])
-            expected = pattern(sys.blocks[(i, l)].mat.a + twice_k, coeffs)
+            expected = pattern(mats[(i, l)].a + twice_k, coeffs)
             compare(cert, f"triple product ({i},{j},{l})", prod, expected)
     return cert
 

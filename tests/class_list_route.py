@@ -9,7 +9,7 @@ import numpy as np
 from block_route import compare
 from sgdd.algebra import IntMatrix
 from sgdd.designs import Certificate, group_labels
-from sgdd.linked import LinkedSystemII
+from sgdd.linked import LinkedSystemII, pair_index
 
 
 def classes_of(relation: np.ndarray) -> list[np.ndarray]:
@@ -91,7 +91,7 @@ def scheme_matrices_from_system(sys: LinkedSystemII) -> list[IntMatrix]:
     eye_f, eye_mn = np.eye(f, dtype=np.int64), np.eye(mn, dtype=np.int64)
     k, j = (group_labels(base.m, base.n) > 0).astype(np.int64), np.ones((mn, mn), dtype=np.int64)
     zero = np.zeros_like(j)
-    a3 = np.block([[zero if i == l else sys.blocks[(i, l)].mat.a for l in range(1, f + 1)] for i in range(1, f + 1)])
+    a3 = np.block([[zero if i == l else sys.stack[pair_index(f, i, l)] for l in range(1, f + 1)] for i in range(1, f + 1)])
     a5 = np.kron(1 - eye_f, k)
     a4 = np.kron(1 - eye_f, j) - a3 - a5
     classes = (np.eye(f * mn, dtype=np.int64), np.kron(eye_f, k - eye_mn), np.kron(eye_f, j - k), a3, a4, a5)

@@ -128,7 +128,7 @@ def non_transposed_pair(sys16):
     """The pair system {A_12, A_12^T} of sys16 with its (2, 1) block replaced
     by A_13: both blocks are designs whose companions are designs, but
     A_21 != A_12^T, so the assembled class A_3 is not symmetric."""
-    return LinkedSystemII(pair_system(sys16.blocks[(1, 2)], sys16.params.base).params, sys16.stack[:2])
+    return LinkedSystemII(pair_system(sys16.stack[pair_index(sys16.f, 1, 2)], sys16.params.base).params, sys16.stack[:2])
 
 
 @pytest.fixture(scope="session")

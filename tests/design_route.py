@@ -9,7 +9,7 @@ is not repeated here.
 import numpy as np
 
 from sgdd.algebra import IntMatrix
-from sgdd.designs import IncidenceMatrix, group_labels
+from sgdd.designs import GddParams, group_labels
 from sgdd.linked import GcmMatrix
 from sgdd.resolvable import aux_from_hadamard
 
@@ -42,6 +42,6 @@ def twin_designs(h: IntMatrix, ws: list[IntMatrix]) -> tuple[np.ndarray, np.ndar
     return plus, minus
 
 
-def partial_complement(a: IncidenceMatrix) -> np.ndarray:
+def partial_complement(a: np.ndarray, p: GddParams) -> np.ndarray:
     """J - K - A."""
-    return (group_labels(a.m, a.n) == 0) - a.mat.a.astype(np.int64)
+    return (group_labels(p.m, p.n) == 0) - a.astype(np.int64)

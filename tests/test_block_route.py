@@ -12,7 +12,7 @@ import block_route
 import sgdd.designs
 from sgdd.algebra import IntMatrix
 from sgdd.designs import (
-    IncidenceMatrix,
+    GddParams,
     block_differences,
     cell_differences,
     check_bose,
@@ -42,53 +42,53 @@ def _with_block(sys: LinkedSystemII, pair, arr) -> LinkedSystemII:
     return LinkedSystemII(sys.params, stack)
 
 
-def _entry(blk: IncidenceMatrix, rng: random.Random, where: str):
-    """A seeded entry of the block: off the group pattern, inside a group off
-    the diagonal, or on the diagonal."""
-    row = rng.randrange(blk.v)
-    same = [c for c in range(blk.v) if c // blk.n == row // blk.n and c != row]
-    other = [c for c in range(blk.v) if c // blk.n != row // blk.n]
+def _entry(p: GddParams, rng: random.Random, where: str):
+    """A seeded entry of a block with p's groups: off the group pattern,
+    inside a group off the diagonal, or on the diagonal."""
+    row = rng.randrange(p.v)
+    same = [c for c in range(p.v) if c // p.n == row // p.n and c != row]
+    other = [c for c in range(p.v) if c // p.n != row // p.n]
     return row, {"off K": rng.choice(other), "inside K": rng.choice(same), "diagonal": row}[where]
 
 
 def corrupt(sys: LinkedSystemII, kind: str, seed: int) -> tuple[LinkedSystemII, str]:
     """One seeded corruption and the start of a violation it must cause."""
     rng = random.Random(f"{kind}-{seed}")
-    pair = rng.choice(sorted(sys.blocks))
-    blk = sys.blocks[pair]
-    arr = blk.mat.a.astype(np.int64)
+    pair = rng.choice(ordered_pairs(sys.f))
+    blk, base = sys.stack[pair_index(sys.f, *pair)], sys.params.base
+    arr = blk.astype(np.int64)
     if kind in ("gram", "commutation"):  # one entry off K: A + K stays 0/1
-        x, y = _entry(blk, rng, "off K")
+        x, y = _entry(base, rng, "off K")
         arr[x, y] ^= 1
         return _with_block(sys, pair, arr), f"block {pair}: " + ("A A^T" if kind == "gram" else "A K = K A")
     if kind == "K A":  # a 1 moves along its row inside another group: A K holds, K A does not
-        x = rng.randrange(blk.v)
-        moves = [(y, z) for y in range(blk.v) for z in range(blk.v)
-                 if y // blk.n == z // blk.n != x // blk.n and arr[x, y] == 1 and arr[x, z] == 0]
+        x = rng.randrange(base.v)
+        moves = [(y, z) for y in range(base.v) for z in range(base.v)
+                 if y // base.n == z // base.n != x // base.n and arr[x, y] == 1 and arr[x, z] == 0]
         y, z = rng.choice(moves)
         arr[x, y], arr[x, z] = 0, 1
         return _with_block(sys, pair, arr), f"block {pair}: A K = K A"
     if kind in ("inside K", "diagonal"):  # a 1 inside K: A + K is not 0/1
-        x, y = _entry(blk, rng, kind)
+        x, y = _entry(base, rng, kind)
         arr[x, y] = 1
         return _with_block(sys, pair, arr), f"block {pair}: A + K"
     if kind == "transpose":  # A_ji = P A_ij^T, P swapping two rows of one group: still a block
         i, j = pair
         flip = arr.T.copy()
-        x, y = _entry(blk, rng, "inside K")
+        x, y = _entry(base, rng, "inside K")
         while (flip[x] == flip[y]).all():
-            x, y = _entry(blk, rng, "inside K")
+            x, y = _entry(base, rng, "inside K")
         flip[[x, y]] = flip[[y, x]]
         lo, hi = sorted(pair)
         return _with_block(sys, (j, i), flip), f"block {(hi, lo)} is the transpose of block {(lo, hi)}"
     if kind == "triple":  # two blocks trade places: every block stays a design
-        other = rng.choice([q for q in sorted(sys.blocks) if q != pair[::-1] and sys.blocks[q] != blk])
+        other = rng.choice([q for q in ordered_pairs(sys.f) if q != pair[::-1] and not np.array_equal(sys.stack[pair_index(sys.f, *q)], blk)])
         stack = sys.stack.copy()
         swap = [pair_index(sys.f, *pair), pair_index(sys.f, *other)]
         stack[swap] = stack[swap[::-1]]
         return LinkedSystemII(sys.params, stack), "triple product"
     if kind == "companion":  # a 1 inside K of an f = 2 pair
-        x, y = _entry(blk, rng, "inside K")
+        x, y = _entry(base, rng, "inside K")
         arr[x, y] = 1
         return _with_block(sys, pair, arr), "pair companion"
     raise ValueError(kind)
@@ -141,10 +141,9 @@ def test_column_swap_is_caught_by_commutation_not_gram(sys64):
     """Two columns of one block in different groups trade places: both Gram
     identities still hold (l1 = l2), and A K = K A catches the swap."""
     rng = random.Random(64)
-    pair = rng.choice(sorted(sys64.blocks))
-    blk = sys64.blocks[pair]
-    x, y = _entry(blk, rng, "off K")
-    arr = blk.mat.a.astype(np.int64)
+    pair = rng.choice(ordered_pairs(sys64.f))
+    x, y = _entry(sys64.params.base, rng, "off K")
+    arr = sys64.stack[pair_index(sys64.f, *pair)].astype(np.int64)
     arr[:, [x, y]] = arr[:, [y, x]]
     bad = _with_block(sys64, pair, arr)
     cert = verify_linked_system(bad)
@@ -165,16 +164,16 @@ def test_mismatched_blocks_fail_closed(sys16):
 
 def test_designs_match_block_route(conference12, gcm24, sys16):
     rng = random.Random(12)
-    for mat, params in (conference12, gcm24, (sys16.blocks[(1, 2)], sys16.params.base)):
+    for mat, params in (conference12, gcm24, (sys16.stack[pair_index(sys16.f, 1, 2)], sys16.params.base)):
         variants = [mat]
         for where in ("off K", "inside K", "diagonal"):
-            arr = mat.mat.a.astype(np.int64)
-            x, y = _entry(mat, rng, where)
+            arr = mat.astype(np.int64)
+            x, y = _entry(params, rng, where)
             arr[x, y] ^= 1
-            variants.append(IncidenceMatrix(IntMatrix(arr), mat.m, mat.n))
+            variants.append(arr)
         for a in variants:
             assert _outcome(verify_gdd(a, params)) == _outcome(block_route.verify_gdd(a, params))
-            assert check_k_commutation(a) == block_route.check_k_commutation(a)
+            assert check_k_commutation(a, params) == block_route.check_k_commutation(a, params)
 
 
 def _families(fam_gf4, fam_order5):
@@ -297,13 +296,14 @@ def test_translation_masks_match_the_lifted_gather(source, budget, flipped, requ
 def test_inside_k_verdict_of_the_group_sums_matches_the_block_route(source, request):
     """Each block's "A + K is 0/1" verdict from ``k_commutations``, on every
     row and on one row per orbit of the shifts that fix the block, equals
-    ``IncidenceMatrix.diagonal_blocks_zero``: on the clean system, and with
+    the block having no 1 inside K: on the clean system, and with
     one seeded block given a 1 inside K at every entry of one orbit of its
     shifts, so that the same shifts fix it and its batch stays on orbit
     rows.  On the damaged systems the report lines are the block route's."""
     system = request.getfixturevalue(source)
     base = system.params.base
     m, n, v = base.m, base.n, base.v
+    inside_k = group_labels(m, n) > 0
     masks, _ = translation_masks(system.stack, m, n, ())
     rng = random.Random(f"inside-K-{source}")
     damaged = []
@@ -318,12 +318,12 @@ def test_inside_k_verdict_of_the_group_sums_matches_the_block_route(source, requ
         bad_masks, _ = translation_masks(bad.stack, m, n, ())
         if b is not None:
             assert bad_masks[b] & masks[b] == masks[b]
-            assert not bad.blocks[ordered_pairs(bad.f)[b]].diagonal_blocks_zero()
-        for t, blk in enumerate(bad.blocks[pair] for pair in ordered_pairs(bad.f)):
+            assert bad.stack[b][inside_k].any()
+        for t, blk in enumerate(bad.stack):
             orbit = orbit_rows(m, n, int(bad_masks[t]))
             for rows in (slice(None), slice(None) if orbit is None else orbit):
                 [(_, zero_one)] = k_commutations(bad.stack, bad.stack[:, rows], m, n, np.array([t]), rows)
-                assert zero_one == blk.diagonal_blocks_zero(), (t, rows)
+                assert zero_one == (not blk[inside_k].any()), (t, rows)
         if b is not None:
             assert _outcome(verify_linked_system(bad)) == _outcome(block_route.verify_linked_system(bad))
 
@@ -348,24 +348,26 @@ def test_k_commutation_forms_no_product_and_bose_forms_one(conference12, gcm24, 
     and J blown up from m x m patterns, and on seeded random 0/1 matrices.
     ``check_bose`` forms (A G)(A G)^T and no other product."""
     rng = np.random.default_rng(34)
-    designs = [blk for system in (sys16, sys64) for blk in system.blocks.values()]
-    for m, n in ((3, 2), (4, 4), (5, 3)):
+    designs = [(blk, system.params.base) for system in (sys16, sys64) for blk in system.stack]
+    # parameters with m groups of n points: only m and n are read
+    for params in (GddParams(6, 3, 3, 2, 2, 1), sys16.params.base, GddParams(15, 4, 5, 3, 0, 1)):
+        m, n = params.m, params.n
         patterns = (np.zeros((m, m)), np.eye(m), 1 - np.eye(m), np.ones((m, m)))
         blown = [np.kron(pattern, np.ones((n, n))) for pattern in patterns]
         random01 = [rng.integers(0, 2, size=(m * n, m * n)) for _ in range(3)]
-        designs += [IncidenceMatrix(IntMatrix(arr.astype(np.int64)), m, n) for arr in blown + random01]
+        designs += [(arr.astype(np.int64), params) for arr in blown + random01]
     count = _product_count(monkeypatch)
-    classes = [check_k_commutation(a) for a in designs]
+    classes = [check_k_commutation(a, params) for a, params in designs]
     assert count == [0]
     monkeypatch.undo()
-    assert classes == [block_route.check_k_commutation(a) for a in designs]
+    assert classes == [block_route.check_k_commutation(a, params) for a, params in designs]
     assert {c.kind for c in classes} == {"zero", "multiple_of_J", "multiple_of_J_minus_K", "other"}
     count = _product_count(monkeypatch)
     for mat, params in (conference12, gcm24):
         count[0] = 0
         assert check_bose(mat, params)
         assert count == [1]
-    bad = IncidenceMatrix(IntMatrix(rng.integers(0, 2, size=(12, 12))), 6, 2)
+    bad = rng.integers(0, 2, size=(12, 12))
     count[0] = 0
     assert not check_bose(bad, conference12[1])
     assert count == [1]

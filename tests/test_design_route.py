@@ -9,7 +9,7 @@ import design_route
 from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.classical import hadamard_matrix, paley_conference_matrix, signed_permutation_weighing_set
-from sgdd.designs import IncidenceMatrix, partial_complement
+from sgdd.designs import incidence, partial_complement
 from sgdd.errors import ParameterError
 from sgdd.linked import bgw_generate, build_twin, conference_to_gdd, gcm_to_gdd
 from conftest import read_text, text_of
@@ -19,9 +19,9 @@ BGW_Q = (3, 4, 5, 7, 8, 9)
 TWIN_ORDERS = (4, 8)
 
 
-def _holds(mat: IncidenceMatrix, want: np.ndarray):
-    assert mat.mat.lane.dtype == np.uint8 and mat.mat.a.dtype == np.uint8
-    assert np.array_equal(mat.mat.lane, want)
+def _holds(mat: np.ndarray, want: np.ndarray):
+    assert mat.dtype == np.uint8
+    assert np.array_equal(mat, want)
 
 
 @pytest.mark.parametrize("order", CONFERENCE_ORDERS)
@@ -55,7 +55,7 @@ def _designs(sys16):
     for order in TWIN_ORDERS:
         twin = build_twin(hadamard_matrix(order), signed_permutation_weighing_set(order))
         out += [(twin.plus, twin.params), (twin.minus, twin.params)]
-    return out + [(blk, sys16.params.base) for blk in sys16.blocks.values()]
+    return out + [(blk, sys16.params.base) for blk in sys16.stack]
 
 
 def test_partial_complement_matches_difference_route(sys16):
@@ -63,19 +63,19 @@ def test_partial_complement_matches_difference_route(sys16):
     above and the blocks of sys16."""
     for mat, params in _designs(sys16):
         comp, _ = partial_complement(mat, params)
-        _holds(comp, design_route.partial_complement(mat))
+        _holds(comp, design_route.partial_complement(mat, params))
 
 
 def test_an_incidence_matrix_is_a_uint8_view():
-    """Given uint8 entries, the design holds them as they are; given int64
+    """Given uint8 entries, the design is the array itself; given int64
     entries, a uint8 copy; given a product in a float lane, its entries."""
     arr = np.eye(4, dtype=np.uint8)[[1, 0, 3, 2]]
-    assert IncidenceMatrix(IntMatrix.view(arr), 2, 2).mat.lane is arr
-    wide = IncidenceMatrix(IntMatrix(arr.astype(np.int64)), 2, 2)
-    assert wide.mat.lane.dtype == np.uint8 and np.array_equal(wide.mat.lane, arr)
+    assert incidence(arr, 2, 2) is arr
+    wide = incidence(arr.astype(np.int64), 2, 2)
+    assert wide.dtype == np.uint8 and np.array_equal(wide, arr)
     prod = IntMatrix.view(arr) @ IntMatrix.view(np.eye(4, dtype=np.uint8))
     assert prod.lane.dtype == np.float32
-    assert np.array_equal(IncidenceMatrix(prod, 2, 2).mat.lane, arr)
+    assert np.array_equal(incidence(prod.a, 2, 2), arr)
 
 
 def test_a_parsed_design_holds_the_parsers_uint8_array():
@@ -83,11 +83,11 @@ def test_a_parsed_design_holds_the_parsers_uint8_array():
     reads it: the design holds the digit array the parser made, with no
     int64 round trip."""
     mat, params = conference_to_gdd(paley_conference_matrix(30))
-    parsed = read_text(fileio.read_matrix, text_of(fileio.matrix_chunks(mat.mat)))
+    parsed = read_text(fileio.read_matrix, text_of(fileio.matrix_chunks(mat)))
     assert parsed.lane.dtype == np.uint8 and parsed.a is parsed.lane
-    design = IncidenceMatrix(parsed, params.m, params.n)
-    assert design.mat.lane is parsed.lane
-    assert np.array_equal(design.mat.lane, mat.mat.lane)
+    design = incidence(parsed.a, params.m, params.n)
+    assert design is parsed.lane
+    assert np.array_equal(design, mat)
 
 
 @pytest.mark.parametrize("bad", [2, 256, -1])
@@ -95,4 +95,4 @@ def test_an_incidence_matrix_refuses_an_entry_not_zero_or_one(bad):
     arr = np.eye(4, dtype=np.int64)
     arr[0, 1] = bad
     with pytest.raises(ParameterError, match="^incidence matrix entries must be 0 or 1$"):
-        IncidenceMatrix(IntMatrix(arr), 2, 2)
+        incidence(arr, 2, 2)

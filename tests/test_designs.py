@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdd import fileio
 from sgdd.algebra import IntMatrix
 from sgdd.designs import (
     GddParams,
-    IncidenceMatrix,
     check_bose,
     check_k_commutation,
     companion_params,
@@ -18,13 +19,15 @@ from sgdd.designs import (
     partial_complement_params,
     verify_gdd,
 )
-from sgdd.errors import DegenerateDesignError, ParameterError
+from sgdd.errors import DegenerateDesignError, FormatError, ParameterError
+from sgdd.latin import pair_index
+from sgdd.linked import LinkedParams, LinkedSystemII, pair_system
 from block_route import pattern
 
 
 def test_complete_design_degenerate_check():
     p = GddParams(4, 3, 2, 2, 2, 2)
-    a = IncidenceMatrix(IntMatrix(1 - np.eye(4, dtype=np.int64)), 2, 2)
+    a = 1 - np.eye(4, dtype=np.int64)
     assert verify_gdd(a, p).ok
 
 
@@ -32,7 +35,7 @@ def test_single_bit_flip_locates_violation():
     p = GddParams(4, 3, 2, 2, 2, 2)
     arr = 1 - np.eye(4, dtype=np.int64)
     arr[0, 1] = 0
-    cert = verify_gdd(IncidenceMatrix(IntMatrix(arr), 2, 2), p)
+    cert = verify_gdd(arr, p)
     assert not cert.ok
     assert all(v.position is not None for v in cert.violations)
 
@@ -41,23 +44,23 @@ def test_single_bit_flip_locates_violation():
 @pytest.mark.parametrize("source", ["sys16", "sys45"])
 def test_single_flip_fails_verify_gdd_on_blas_lane(source, seed, request, corrupt_system, matmul_lanes):
     sys, pair = corrupt_system(request.getfixturevalue(source), seed)
-    cert = verify_gdd(sys.blocks[pair], sys.params.base)
+    cert = verify_gdd(sys.stack[pair_index(sys.f, *pair)], sys.params.base)
     assert not cert.ok
     assert {v.identity.split(" ")[0] for v in cert.violations} == {"A", "A^T"}
     assert matmul_lanes and set(matmul_lanes) == {np.float32}
 
 
 def test_tilde_block_certifies(sys16):
-    cert = verify_gdd(sys16.blocks[(1, 2)], sys16.params.base)
+    cert = verify_gdd(sys16.stack[pair_index(sys16.f, 1, 2)], sys16.params.base)
     assert cert.ok
 
 
 def test_tilde_block_against_brute_force_inner_products(sys16):
     # independent oracle: row inner products by explicit summation, compared
     # cell by cell with k I + l1 (K - I) + l2 (J - K)
-    blk = sys16.blocks[(1, 2)]
+    blk = sys16.stack[pair_index(sys16.f, 1, 2)]
     p = sys16.params.base
-    rows = [blk.mat.row(i) for i in range(p.v)]
+    rows = [blk[i].tolist() for i in range(p.v)]
     for x in range(p.v):
         for y in range(p.v):
             inner = sum(a * b for a, b in zip(rows[x], rows[y]))
@@ -116,13 +119,13 @@ def test_transpose_keeps_the_lane():
 
 def test_bose_requires_distinct_lambdas(sys16):
     with pytest.raises(ParameterError):
-        check_bose(sys16.blocks[(1, 2)], sys16.params.base)
+        check_bose(sys16.stack[pair_index(sys16.f, 1, 2)], sys16.params.base)
 
 
 def test_bose_negative_control():
     rng = np.random.default_rng(7)
     p = GddParams(12, 5, 6, 2, 0, 2)
-    a = IncidenceMatrix(IntMatrix(rng.integers(0, 2, size=(12, 12))), 6, 2)
+    a = rng.integers(0, 2, size=(12, 12))
     assert not check_bose(a, p)
 
 
@@ -135,28 +138,29 @@ def test_partial_complement_params_formulas():
 
 def test_partial_complement_involution(sys16, sys45):
     for system in (sys16, sys45):
-        blk = system.blocks[(1, 2)]
+        blk = system.stack[pair_index(system.f, 1, 2)]
         comp, cp = partial_complement(blk, system.params.base)
         back, bp = partial_complement(comp, cp)
-        assert back.mat == blk.mat
+        assert np.array_equal(back, blk)
         assert bp == system.params.base
 
 
 def test_partial_complement_rejects_diagonal_support():
     p = GddParams(4, 3, 2, 2, 2, 2)
-    a = IncidenceMatrix(IntMatrix(1 - np.eye(4, dtype=np.int64)), 2, 2)
+    a = 1 - np.eye(4, dtype=np.int64)
     with pytest.raises(ParameterError):
         partial_complement(a, p)
 
 
 def test_k_commutation_classification(conference12, sys16):
-    mat, _ = conference12
-    out = check_k_commutation(mat)
+    mat, p12 = conference12
+    out = check_k_commutation(mat, p12)
     assert out.kind == "multiple_of_J_minus_K" and out.factor == 1
-    out16 = check_k_commutation(sys16.blocks[(1, 2)])
+    out16 = check_k_commutation(sys16.stack[pair_index(sys16.f, 1, 2)], sys16.params.base)
     assert out16.kind == "multiple_of_J_minus_K" and out16.factor == Fraction(6, 3)
-    k_itself = IncidenceMatrix(IntMatrix((group_labels(3, 2) > 0).astype(np.int64)), 3, 2)
-    assert check_k_commutation(k_itself).kind == "other"
+    # any parameters with three groups of two points: only m and n are read
+    k_itself = (group_labels(3, 2) > 0).astype(np.int64)
+    assert check_k_commutation(k_itself, GddParams(6, 3, 3, 2, 2, 1)).kind == "other"
 
 
 def test_lambda_formulas_closed_form():
@@ -190,21 +194,21 @@ def group_permutation(draw, m, n):
 @settings(max_examples=25, deadline=None)
 def test_verification_invariant_under_group_permutations(sys16_blocks, row_perm, col_perm):
     mat, params = sys16_blocks
-    arr = mat.mat.a[np.ix_(row_perm, col_perm)]
-    cert = verify_gdd(IncidenceMatrix(IntMatrix(arr), params.m, params.n), params)
+    arr = mat[np.ix_(row_perm, col_perm)]
+    cert = verify_gdd(arr, params)
     assert cert.ok
 
 
 @pytest.fixture(scope="module")
 def sys16_blocks(sys16):
-    return sys16.blocks[(1, 2)], sys16.params.base
+    return sys16.stack[pair_index(sys16.f, 1, 2)], sys16.params.base
 
 
 def test_verify_gdd_dimension_mismatch_reported():
     p = GddParams(4, 3, 2, 2, 2, 2)
-    big = IncidenceMatrix(IntMatrix(1 - np.eye(6, dtype=np.int64)), 3, 2)
-    cert = verify_gdd(big, p)
-    assert not cert.ok
+    big = 1 - np.eye(6, dtype=np.int64)
+    with pytest.raises(ParameterError, match=r"^order 6 != m\*n = 4$"):
+        verify_gdd(big, p)
 
 
 def test_verify_gdd_is_exact_past_int64():
@@ -213,10 +217,64 @@ def test_verify_gdd_is_exact_past_int64():
     k = 2**32 + 2
     p = GddParams(4, k, 2, 2, 0, (k * k - k) // 2)
     assert 2**63 <= p.lambda2 < 2**64
-    perm = IncidenceMatrix(IntMatrix(np.eye(4, dtype=np.int64)[[1, 0, 3, 2]]), 2, 2)
+    perm = np.eye(4, dtype=np.int64)[[1, 0, 3, 2]]
     cert = verify_gdd(perm, p)
     tail = "equals k I + l1 (K - I) + l2 (J - K) at (0, 0) (expected 4294967298, got 1)"
     assert [str(v) for v in cert.violations] == [f"A A^T {tail}", f"A^T A {tail}"]
     assert all(type(v.expected) is int and type(v.actual) is int for v in cert.violations)
     expected = pattern(group_labels(2, 2), (p.lambda2, p.lambda1, p.k))
     assert expected[0, 2] == p.lambda2 and type(expected[0, 2]) is int
+
+
+REFUSAL_BASE = GddParams(4, 2, 2, 2, 0, 1)
+
+
+def _system_file(a: np.ndarray) -> bytes:
+    """A two-index linked-system file on REFUSAL_BASE whose blocks are
+    both ``a``, written token by token."""
+    block = f"{a.shape[0]} {a.shape[1]}\n" + "".join(" ".join(map(str, row)) + "\n" for row in a.tolist())
+    return ("2 4 2 2 2 0 1 - - -\n" + 2 * block).encode()
+
+
+# every entry point that takes a design or a stack of blocks as an array
+DESIGN_ENTRY_POINTS = {
+    "verify_gdd": lambda a: verify_gdd(a, REFUSAL_BASE),
+    "check_bose": lambda a: check_bose(a, REFUSAL_BASE),
+    "check_k_commutation": lambda a: check_k_commutation(a, REFUSAL_BASE),
+    "partial_complement": lambda a: partial_complement(a, REFUSAL_BASE),
+    "pair_system": lambda a: pair_system(a, REFUSAL_BASE),
+    "LinkedSystemII": lambda a: LinkedSystemII(LinkedParams(REFUSAL_BASE, 2, None, None, None), np.stack([a, a])),
+    "read_linked_system": lambda a: fileio.read_linked_system(io.BytesIO(_system_file(a))),
+}
+
+
+def _with_entry(value: int) -> np.ndarray:
+    arr = np.eye(4, dtype=np.int64)
+    arr[0, 1] = value
+    return arr
+
+
+@pytest.mark.parametrize("entry", sorted(DESIGN_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "arr, message",
+    [
+        (np.zeros((4, 3), dtype=np.uint8), "incidence matrix must be square"),
+        (np.eye(3, dtype=np.uint8), r"order 3 != m\*n = 4"),
+        (_with_entry(2), "incidence matrix entries must be 0 or 1"),
+        # 256 is refused before the entries are narrowed, where it would wrap to 0
+        (_with_entry(256), "incidence matrix entries must be 0 or 1"),
+        (np.eye(4), "IntMatrix.view takes a matrix or a stack of int64, object, uint8 or bool entries"),
+    ],
+    ids=["non-square", "wrong-order", "entry-2", "entry-256", "float"],
+)
+def test_design_entry_points_refuse_what_is_not_a_design(entry, arr, message):
+    """Each entry point refuses a non-square array, one of the wrong order,
+    an entry of 2 or of 256, and a float array, with the message of
+    ``designs.incidence``; a file has no float dtype, so the reader refuses
+    a token "1.0" as not an integer."""
+    if entry == "read_linked_system" and arr.dtype.kind == "f":
+        error, message = FormatError, "linked system: non-integer token on line 3"
+    else:
+        error = ParameterError
+    with pytest.raises(error, match=f"^{message}$"):
+        DESIGN_ENTRY_POINTS[entry](arr)

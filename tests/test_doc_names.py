@@ -1,6 +1,7 @@
 """Every backticked ``module.name`` of an ``sgdd`` module that README.md or
 a docstring of ``src/sgdd`` names resolves to a live name of that module; a
-trailing ``*`` is a prefix, as in ``fileio.read_*``."""
+trailing ``*`` is a prefix, as in ``fileio.read_*``.  Every fenced
+``python`` block of README.md runs as written."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import sgdd
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(sgdd.__path__))
 NAME = re.compile(rf"`+(?:sgdd\.)?({'|'.join(MODULES)})\.(\w+(?:\.\w+)*)(\*?)")
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
 
 
 def _texts():
@@ -51,3 +53,13 @@ def test_the_gate_reads_names_prefixes_and_calls():
     assert found == [("designs", "orbit_rows", ""), ("fileio", "read_", "*"), ("designs", "Certificate.ok", ""), ("designs", "gone", "")]
     assert [_resolves(*f) for f in found] == [True, True, True, False]
     assert not _resolves("fileio", "no_such_", "*")
+
+
+def test_every_python_block_of_the_readme_runs():
+    """Each fenced ``python`` block of README.md (the library example) runs
+    in a namespace of its own, so a change of the API cannot leave one
+    stale."""
+    blocks = PYTHON_BLOCK.findall((ROOT / "README.md").read_text())
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})

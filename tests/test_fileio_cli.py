@@ -36,11 +36,11 @@ def run_cli(*argv) -> tuple[int, str]:
 
 def test_matrix_roundtrip_bit_identical():
     m = IntMatrix([[1, -2, 3], [0, 5, -6]])
-    text = text_of(fileio.matrix_chunks(m))
+    text = text_of(fileio.matrix_chunks(m.a))
     assert text == "2 3\n1 -2 3\n0 5 -6\n"
     again = read_text(fileio.read_matrix, text)
     assert again == m
-    assert text_of(fileio.matrix_chunks(again)) == text
+    assert text_of(fileio.matrix_chunks(again.a)) == text
 
 
 def test_matrix_rejects_trailing_junk():
@@ -252,7 +252,7 @@ def test_written_digit_blocks_take_the_byte_view(scheme448, sys64, line_reads):
     assert line_reads == {"ints": 1 + 6, "next": 1 + 6}
     line_reads.update(ints=0, next=0)
     system = read_text(fileio.read_linked_system, text_of(fileio.linked_system_chunks(sys64)))
-    assert system.blocks == sys64.blocks
+    assert system.stack.dtype == np.uint8 and np.array_equal(system.stack, sys64.stack)
     assert line_reads == {"ints": 0, "next": 1}
 
 
@@ -293,7 +293,7 @@ def _stack_texts(sys64):
     fam = linked_mols_from_gf(gf_make(2, 3))
 
     def per_block(head: str, stack) -> bytes:
-        return head.encode() + b"".join(b"".join(fileio.matrix_chunks(IntMatrix.view(blk))) for blk in stack)
+        return head.encode() + b"".join(b"".join(fileio.matrix_chunks(blk)) for blk in stack)
 
     system_head = text_of(fileio.linked_system_chunks(sys64)).split("\n", 1)[0] + "\n"
     return {
@@ -388,8 +388,8 @@ def _format_matrix_per_entry(m):
 )
 def test_format_matrix_matches_per_entry_formatter(data):
     m = IntMatrix(data)
-    assert text_of(fileio.matrix_chunks(m)) == _format_matrix_per_entry(m)
-    assert read_text(fileio.read_matrix, text_of(fileio.matrix_chunks(m))) == m
+    assert text_of(fileio.matrix_chunks(m.a)) == _format_matrix_per_entry(m)
+    assert read_text(fileio.read_matrix, text_of(fileio.matrix_chunks(m.a))) == m
 
 
 @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64])
@@ -400,8 +400,7 @@ def test_format_matrix_writes_viewed_blocks_as_int64(dtype):
     rng = np.random.default_rng(3)
     whole = rng.integers(0, 2 if dtype is np.bool_ else 10, size=(6, 8)).astype(dtype)
     for arr in (whole, whole[1:5, 2:7], whole.T):
-        view = IntMatrix.view(arr) if dtype is not np.int64 else IntMatrix(arr)
-        assert text_of(fileio.matrix_chunks(view)) == _format_matrix_per_entry(IntMatrix(arr.astype(np.int64)))
+        assert text_of(fileio.matrix_chunks(arr)) == _format_matrix_per_entry(IntMatrix(arr.astype(np.int64)))
 
 
 def _peak_bytes(reader, text):
@@ -442,7 +441,7 @@ def test_a_repeated_parameter_key_is_refused(conference12, tmp_path: Path, capsy
     with pytest.raises(FormatError, match=r"^parameters: repeated key 'k'$"):
         read_text(fileio.read_gdd_params, text)
     (tmp_path / "p").write_text(text)
-    (tmp_path / "a.mat").write_bytes(b"".join(fileio.matrix_chunks(gdd.mat)))
+    (tmp_path / "a.mat").write_bytes(b"".join(fileio.matrix_chunks(gdd)))
     assert main(["verify", "gdd", str(tmp_path / "a.mat"), "--params-file", str(tmp_path / "p")]) == 2
     assert capsys.readouterr() == ("", "error: parameters: repeated key 'k'\n")
 
@@ -901,11 +900,11 @@ def test_cli_matrix_file_inputs(tmp_path: Path):
     from sgdd.classical import hadamard_matrix, paley_conference_matrix
 
     hmat = tmp_path / "h4.mat"
-    hmat.write_text(text_of(fileio.matrix_chunks(hadamard_matrix(4))))
+    hmat.write_text(text_of(fileio.matrix_chunks(hadamard_matrix(4).a)))
     aux = tmp_path / "h4.aux"
     assert run_cli("construct", "hadamard-aux", "--in", str(hmat), "-o", str(aux))[0] == 0
     cmat = tmp_path / "c6.mat"
-    cmat.write_text(text_of(fileio.matrix_chunks(paley_conference_matrix(6))))
+    cmat.write_text(text_of(fileio.matrix_chunks(paley_conference_matrix(6).a)))
     out = tmp_path / "g.mat"
     assert run_cli(
         "construct", "conference-gdd", "--in", str(cmat), "-o", str(out), "--params-out", str(tmp_path / "p")
@@ -1137,9 +1136,9 @@ def test_cli_refuses_an_entry_not_zero_or_one(entry, conference12, sys16, tmp_pa
     from sgdd.classical import paley_conference_matrix
 
     mat, lsys, conf = tmp_path / "bad.mat", tmp_path / "bad.lsys", tmp_path / "conf.mat"
-    mat.write_text(_with_first_entry(text_of(fileio.matrix_chunks(conference12[0].mat)), entry))
+    mat.write_text(_with_first_entry(text_of(fileio.matrix_chunks(conference12[0])), entry))
     lsys.write_text(_with_first_entry(text_of(fileio.linked_system_chunks(sys16)), entry, line=2))
-    conf.write_text(_with_first_entry(text_of(fileio.matrix_chunks(paley_conference_matrix(6))), entry))
+    conf.write_text(_with_first_entry(text_of(fileio.matrix_chunks(paley_conference_matrix(6).a)), entry))
     for argv, error in (
         (["verify", "gdd", str(mat), "--params", "12 5 6 2 0 2"], "incidence matrix entries must be 0 or 1"),
         (["verify", "linked-system", str(lsys)], "incidence matrix entries must be 0 or 1"),

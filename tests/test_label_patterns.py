@@ -12,6 +12,7 @@ flips of them in every label class.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from sgdd.classical import (
 from sgdd.designs import (
     Certificate,
     GddParams,
-    IncidenceMatrix,
     KCommutation,
     check_bose,
     check_k_commutation,
@@ -37,7 +37,7 @@ from sgdd.designs import (
     verify_gdd,
 )
 from sgdd.errors import ParameterError
-from sgdd.linked import LinkedSystemII, build_twin, is_conference, pair_index, verify_linked_system
+from sgdd.linked import LinkedSystemII, build_twin, is_conference, ordered_pairs, pair_index, verify_linked_system
 from sgdd.resolvable import AuxiliarySet, aux_from_affine_geometry, aux_from_hadamard, verify_auxiliary
 
 # -- dense reference ------------------------------------------------------------
@@ -69,25 +69,22 @@ def ref_expected_gram(p: GddParams) -> np.ndarray:
     return p.k * i + p.lambda1 * (k - i) + p.lambda2 * (j - k)
 
 
-def ref_verify_gdd(a: IncidenceMatrix, p: GddParams) -> Certificate:
+def ref_verify_gdd(a: np.ndarray, p: GddParams) -> Certificate:
     cert = Certificate(f"symmetric GDD {p}")
-    if (a.v, a.m, a.n) != (p.v, p.m, p.n):
-        cert.failed("dimension/group structure matches parameters", (0, 0))
-        return cert
-    gram = ref_expected_gram(p)
-    _ref_compare(cert, "A A^T equals k I + l1 (K - I) + l2 (J - K)", a.mat @ a.mat.T, gram)
-    _ref_compare(cert, "A^T A equals k I + l1 (K - I) + l2 (J - K)", a.mat.T @ a.mat, gram)
+    gram, mat = ref_expected_gram(p), IntMatrix(a)
+    _ref_compare(cert, "A A^T equals k I + l1 (K - I) + l2 (J - K)", mat @ mat.T, gram)
+    _ref_compare(cert, "A^T A equals k I + l1 (K - I) + l2 (J - K)", mat.T @ mat, gram)
     return cert
 
 
-def ref_check_k_commutation(a: IncidenceMatrix) -> KCommutation:
-    kb = _k(a.m, a.n)
-    ak, ka = a.mat.a @ kb, kb @ a.mat.a
+def ref_check_k_commutation(a: np.ndarray, p: GddParams) -> KCommutation:
+    kb, a = _k(p.m, p.n), a.astype(np.int64)
+    ak, ka = a @ kb, kb @ a
     if not (ak == ka).all():
         return KCommutation("other")
     if not ak.any():
         return KCommutation("zero", Fraction(0))
-    j = _ones(a.v)
+    j = _ones(len(a))
     for cand, kind in ((j, "multiple_of_J"), (j - kb, "multiple_of_J_minus_K")):
         vals = ak[cand != 0]
         if vals.size and (vals == vals[0]).all():
@@ -97,9 +94,9 @@ def ref_check_k_commutation(a: IncidenceMatrix) -> KCommutation:
     return KCommutation("other")
 
 
-def ref_check_bose(a: IncidenceMatrix, p: GddParams) -> bool:
-    kb = _k(a.m, a.n)
-    lhs = a.mat @ IntMatrix(kb) @ a.mat.T
+def ref_check_bose(a: np.ndarray, p: GddParams) -> bool:
+    kb, mat = _k(p.m, p.n), IntMatrix(a)
+    lhs = mat @ IntMatrix(kb) @ mat.T
     coeff = p.n * (p.lambda1 - p.lambda2) + p.k - p.lambda1
     return bool((lhs.a == coeff * kb + p.n * p.lambda2 * _ones(p.v)).all())
 
@@ -109,39 +106,41 @@ def ref_verify_linked_system(sys: LinkedSystemII) -> Certificate:
     base = p.base
     cert = Certificate(f"linked system f={p.f} on {base}")
     pairs = [(i, j) for i in range(1, p.f + 1) for j in range(1, p.f + 1) if i != j]
-    if set(sys.blocks) != set(pairs):
+    blocks = dict(zip(ordered_pairs(p.f), sys.stack))
+    if set(blocks) != set(pairs):
         cert.failed("blocks cover all ordered index pairs")
         return cert
+    mats = {pair: IntMatrix(blk) for pair, blk in blocks.items()}
     k_v, j_v = _k(base.m, base.n), _ones(base.v)
     for pair in pairs:
-        blk = sys.blocks[pair]
+        blk = blocks[pair]
         sub = ref_verify_gdd(blk, base)
         if sub.ok:
             cert.passed(f"block {pair} is a symmetric GDD")
         else:
             for v in sub.violations:
                 cert.failed(f"block {pair}: {v.identity}", v.position, v.expected, v.actual)
-        a_plus_k = blk.mat.a + k_v
+        a_plus_k = blk + k_v
         if ((a_plus_k == 0) | (a_plus_k == 1)).all():
             cert.passed(f"block {pair}: A + K is a 0/1 matrix")
         else:
             cert.failed(f"block {pair}: A + K is a 0/1 matrix")
-        comm = ref_check_k_commutation(blk)
+        comm = ref_check_k_commutation(blk, base)
         want = Fraction(base.k, base.m - 1)
         if comm.kind == "multiple_of_J_minus_K" and comm.factor == want:
             cert.passed(f"block {pair}: A K = K A = {want} (J - K)")
         else:
             cert.failed(f"block {pair}: A K = K A = k/(m-1) (J - K)")
-    untransposed = [(i, j) for i, j in pairs if i < j and sys.blocks[(j, i)].mat != sys.blocks[(i, j)].mat.T]
+    untransposed = [(i, j) for i, j in pairs if i < j and mats[(j, i)] != mats[(i, j)].T]
     cert.notes.append(f"transpose-consistent blocks: {'no' if untransposed else 'yes'}")
     for i, j in untransposed:
-        pos = first_difference(sys.blocks[(j, i)].mat, sys.blocks[(i, j)].mat.T)
+        pos = first_difference(mats[(j, i)], mats[(i, j)].T)
         cert.failed(f"block {(j, i)} is the transpose of block {(i, j)}", pos)
     if p.f == 2:
         # A + K holds a 2 where A has a 1 inside K: its Gram identities are
         # checked on the integer matrix, which is no incidence matrix then
         comp = companion_params(base)
-        plus = IntMatrix(sys.blocks[(1, 2)].mat.a + k_v)
+        plus = IntMatrix(mats[(1, 2)].a + k_v)
         gram = ref_expected_gram(comp)
         sub = Certificate("")
         _ref_compare(sub, "A A^T equals k I + l1 (K - I) + l2 (J - K)", plus @ plus.T, gram)
@@ -154,12 +153,12 @@ def ref_verify_linked_system(sys: LinkedSystemII) -> Certificate:
         return cert
     expected = {}
     for i, l in pairs:
-        ail = sys.blocks[(i, l)].mat.a
+        ail = mats[(i, l)].a
         expected[(i, l)] = p.sigma * ail + p.tau * (j_v - ail - k_v) + p.rho * k_v
     for i, j in pairs:
         for l in range(1, p.f + 1):
             if l not in (i, j):
-                prod = sys.blocks[(i, j)].mat @ sys.blocks[(j, l)].mat
+                prod = mats[(i, j)] @ mats[(j, l)]
                 _ref_compare(cert, f"triple product ({i},{j},{l})", prod, expected[(i, l)])
     return cert
 
@@ -199,10 +198,10 @@ def _outcome(fn, *args):
     return out
 
 
-def _flip(mat: IncidenceMatrix, kind: str, rng: random.Random) -> IncidenceMatrix:
-    """Flip one entry: on the diagonal, elsewhere in the row's group, or in
-    another group."""
-    v, n = mat.v, mat.n
+def _flip(mat: np.ndarray, p: GddParams, kind: str, rng: random.Random) -> np.ndarray:
+    """Flip one entry of a design with p's groups: on the diagonal,
+    elsewhere in the row's group, or in another group."""
+    v, n = p.v, p.n
     row = rng.randrange(v)
     if kind == "diagonal":
         col = row
@@ -210,15 +209,15 @@ def _flip(mat: IncidenceMatrix, kind: str, rng: random.Random) -> IncidenceMatri
         col = rng.choice([c for c in range(v) if c // n == row // n and c != row])
     else:
         col = rng.choice([c for c in range(v) if c // n != row // n])
-    arr = mat.mat.a.copy()
+    arr = mat.copy()
     arr[row, col] = 1 - arr[row, col]
-    return IncidenceMatrix(IntMatrix(arr), mat.m, mat.n)
+    return arr
 
 
 def _flip_block(sys: LinkedSystemII, kind: str, rng: random.Random) -> LinkedSystemII:
-    pair = rng.choice(sorted(sys.blocks))
+    pair = rng.choice(ordered_pairs(sys.f))
     stack = sys.stack.copy()
-    stack[pair_index(sys.f, *pair)] = _flip(sys.blocks[pair], kind, rng).mat.a
+    stack[pair_index(sys.f, *pair)] = _flip(sys.stack[pair_index(sys.f, *pair)], sys.params.base, kind, rng)
     return LinkedSystemII(sys.params, stack)
 
 
@@ -258,10 +257,10 @@ def test_designs_match_dense_reference(conference12, gcm24, twin16):
         ("twin16-", twin16.minus, twin16.params),
     ]
     for name, mat, params in cases:
-        variants = [mat] + [_flip(mat, kind, random.Random(f"{name}-{kind}-{s}")) for kind in KINDS for s in range(3)]
+        variants = [mat] + [_flip(mat, params, kind, random.Random(f"{name}-{kind}-{s}")) for kind in KINDS for s in range(3)]
         for a in variants:
             assert _outcome(verify_gdd, a, params) == _outcome(ref_verify_gdd, a, params)
-            assert check_k_commutation(a) == ref_check_k_commutation(a)
+            assert check_k_commutation(a, params) == ref_check_k_commutation(a, params)
             if params.lambda1 != params.lambda2:
                 assert check_bose(a, params) == ref_check_bose(a, params)
         assert verify_gdd(mat, params).ok and not verify_gdd(variants[-1], params).ok
@@ -274,11 +273,12 @@ def test_k_commutation_classes_match_dense_reference(m, n):
     rng = np.random.default_rng(m * 10 + n)
     shapes = [np.zeros((v, v), dtype=np.int64), _ones(v), _ones(v) - k, k, _eye(v), _ones(v) - _eye(v)]
     shapes += [rng.integers(0, 2, size=(v, v)) for _ in range(4)]
+    # only m and n are read, and no GddParams has a single group
+    groups = SimpleNamespace(m=m, n=n)
     kinds = set()
-    for arr in shapes:
-        a = IncidenceMatrix(IntMatrix(arr), m, n)
-        out = check_k_commutation(a)
-        assert out == ref_check_k_commutation(a)
+    for a in shapes:
+        out = check_k_commutation(a, groups)
+        assert out == ref_check_k_commutation(a, groups)
         kinds.add(out.kind)
     # with one group J - K is zero
     assert kinds == {"zero", "multiple_of_J", "other"} | ({"multiple_of_J_minus_K"} if m > 1 else set())

@@ -230,5 +230,5 @@ def test_only_the_primary_candidate_keeps_its_system(source, relations):
     primary = report.primary
     assert sum(c.certified for c in report.candidates) > 1
     assert [c.system is not None for c in report.candidates] == [c is primary for c in report.candidates]
-    blocks = list(primary.system.blocks.values())
-    assert all(b.mat.a.dtype == np.uint8 and b.mat.a.base is blocks[0].mat.a.base for b in blocks)
+    stack = primary.system.stack
+    assert stack.dtype == np.uint8 and all(blk.base is stack.base for blk in stack)

@@ -186,7 +186,7 @@ def test_a_corruption_that_keeps_the_translations_is_rejected(ag3_gf5, seed, rou
     every row, reporting the lines of the block route."""
     rng = random.Random(seed)
     v, n = ag3_gf5.params.base.v, ag3_gf5.params.base.n
-    pair = rng.choice(sorted(ag3_gf5.blocks))
+    pair = rng.choice(ordered_pairs(ag3_gf5.f))
     x = rng.randrange(v)
     y = rng.choice([c for c in range(v) if c // n != x // n])
     stack = ag3_gf5.stack.copy()
@@ -214,7 +214,7 @@ def test_a_corruption_that_keeps_the_group_shifts_runs_on_the_group_rows(ag3_gf5
     run again on every row, reporting the lines of the block route."""
     rng = random.Random(seed)
     v, n = ag3_gf5.params.base.v, ag3_gf5.params.base.n
-    pair = rng.choice(sorted(ag3_gf5.blocks))
+    pair = rng.choice(ordered_pairs(ag3_gf5.f))
     x = rng.randrange(v)
     y = rng.choice([c for c in range(v) if c // n != x // n])
     stack = ag3_gf5.stack.copy()

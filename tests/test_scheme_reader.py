@@ -30,7 +30,6 @@ import class_list_route as ref
 import token_route
 from class_list_route import class_matrices
 from sgdd import fileio
-from sgdd.algebra import IntMatrix
 from sgdd.cli import main
 from sgdd.errors import FormatError, SgddError
 from sgdd.latin import LinkedMolsFamily, linked_mols_from_gf, mols_from_gf
@@ -101,7 +100,7 @@ def _text(relation, seed: int, kind: str) -> str:
     elif kind == "empty":
         # class 5 joins class 4: every class stays 0/1 and symmetric, but A_5 is empty
         merged = np.where(relation == 5, 4, relation)
-        return f"5 {size}\n" + "".join(text_of(fileio.matrix_chunks(IntMatrix.view((merged == c).view(np.uint8)))) for c in range(6))
+        return f"5 {size}\n" + "".join(text_of(fileio.matrix_chunks((merged == c).view(np.uint8))) for c in range(6))
     return "\n".join(lines)
 
 
@@ -412,7 +411,7 @@ def test_a_certified_file_keeps_the_readers_array(scheme448):
 def _scheme_file(classes) -> bytes:
     """The scheme file of the 0/1 ``classes`` as written, one digit block each."""
     head = f"{len(classes) - 1} {len(classes[0])}\n"
-    return (head + "".join(text_of(fileio.matrix_chunks(IntMatrix.view(a.view(np.uint8)))) for a in classes)).encode()
+    return (head + "".join(text_of(fileio.matrix_chunks(a.view(np.uint8))) for a in classes)).encode()
 
 
 def _checked_read(data: bytes):

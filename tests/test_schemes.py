@@ -7,7 +7,7 @@ import pytest
 from sgdd.algebra import IntMatrix, Surd
 from sgdd.designs import Certificate, GddParams, equivalence_classes
 from sgdd.errors import CertificationError, ParameterError
-from sgdd.linked import LinkedParams, LinkedSystemII, pair_system, verify_linked_system
+from sgdd.linked import LinkedParams, LinkedSystemII, pair_index, pair_system, verify_linked_system
 import sgdd.schemes
 from sgdd import fileio
 from sgdd.cli import main
@@ -172,7 +172,7 @@ def test_f2_scheme_from_gcm(gcm24):
     assert scheme.size == 48
     assert scheme.spectra.radicand == 5
     rep = extract_linked_system(classes_of(scheme.relation))
-    assert rep.primary.system.blocks[(1, 2)].mat == mat.mat
+    assert np.array_equal(rep.primary.system.stack[pair_index(2, 1, 2)], mat)
 
 
 def test_extract_roundtrip(scheme48, sys16):
@@ -181,8 +181,7 @@ def test_extract_roundtrip(scheme48, sys16):
     assert primary.labels == (0, 1, 2, 3, 4, 5)
     assert primary.triple == (3, 1, 3)
     assert primary.spectra_match
-    for pair, blk in sys16.blocks.items():
-        assert primary.system.blocks[pair].mat == blk.mat
+    assert np.array_equal(primary.system.stack, sys16.stack)
 
 
 def test_extract_reports_both_readings(scheme48):
@@ -346,7 +345,7 @@ def test_minimal_scheme_from_degenerate_conference():
     # readings certify, and the primary one reproduces the input blocks
     assert len(rep.candidates) == 4
     assert all(c.certified and c.spectra_match for c in rep.candidates)
-    assert rep.primary.system.blocks[(1, 2)].mat == mat.mat
+    assert np.array_equal(rep.primary.system.stack[pair_index(2, 1, 2)], mat)
     fusion = check_fusion(scheme)
     assert fusion.fusable and fusion.predicted
 

@@ -153,13 +153,30 @@ def test_ab_pairs_summary_on_canned_results(monkeypatch):
         "analyze_s": {"parent": pytest.approx(0.0175), "change": pytest.approx(0.0145)},
     }
     assert set(item["metrics"]) == set(better)
-    # a run's per-layer metrics come from the full record line before its result line
+    # with no wall time in a run there is no wall-time line and no entry
+    assert item["wall"] is None and not any(line.startswith("pass_wall_s") for line in lines)
+    # each side's median wall time, and the pairs whose wall-time winner is
+    # not their pass_s winner: pair 0 is won on pass_s by the change and on
+    # wall time by the parent, pair 1 is a wall-time tie
+    for i, (old, new) in enumerate(timed):
+        old["wall"] = 0.130 + i / 1000
+        new["wall"] = old["wall"] + (0.002 if i == 0 else 0 if i == 1 else -0.010)
+    lines, holds = ab_pairs.summary(timed, better, "pass_s")
+    assert holds and [line for line in lines if line.startswith("pass_wall_s")] == [
+        "pass_wall_s (wall time): parent median 0.1345, change median 0.1265",
+        "pass_wall_s: the wall-time winner differs from the pass_s winner in 2 of 10 pairs",
+    ]
+    item = ab_pairs.entry(timed, better, ab_pairs.bounds(), "pass_s", holds, {}, "desk-schemes", list(range(10)), 15)
+    assert item["wall"] == {"parent": pytest.approx(0.1345), "change": pytest.approx(0.1265), "inverted": 2}
+    del timed[3][1]["wall"]
+    assert ab_pairs.wall_times(timed) is None
+    # a run's per-layer metrics and wall time come from the full record line before its result line
     full = {"metrics": {"pass_s": {"value": 0.09}, "analyze_s": {"value": 0.012}, "pass_wall_s": {"value": 0.1}}}
     result = {"correct": True, "failed": 0, "metrics": {"pass_s": {"value": 0.09}}}
     stdout = json.dumps(full) + "\n" + json.dumps(result) + "\n"
     monkeypatch.setattr(ab_pairs.subprocess, "run", lambda *a, **k: subprocess.CompletedProcess(a, 0, stdout, ""))
     assert ab_pairs.run(ROOT, "desk-schemes", 1, 1) == {
-        "correct": True, "failed": 0, "metrics": {"pass_s": 0.09}, "layers": {"analyze_s": 0.012}
+        "correct": True, "failed": 0, "metrics": {"pass_s": 0.09}, "layers": {"analyze_s": 0.012}, "wall": 0.1
     }
 
 
@@ -208,3 +225,4 @@ def test_ab_pairs_verdicts_and_record_on_canned_results(monkeypatch, tmp_path):
     ab_pairs.record(path, item)
     assert json.loads(path.read_text()) == [item, item]
     assert item["commits"] == commits and item["seeds"] == list(range(11, 21)) and item["failed_runs"] == 0
+    assert item["wall"] is None

@@ -12,7 +12,7 @@ from itertools import chain
 import numpy as np
 
 from sgdd.algebra import IntMatrix
-from sgdd.designs import GddParams, IncidenceMatrix, zero_one
+from sgdd.designs import GddParams, incidence, zero_one
 from sgdd.errors import FormatError
 from sgdd.latin import LinkedMolsFamily, ordered_pairs, require_latin
 from sgdd.linked import LinkedParams, LinkedSystemII
@@ -90,7 +90,7 @@ def read_linked_system(data: bytes) -> LinkedSystemII:
     if f < 2:
         raise FormatError("linked system: index count f must be at least 2")
     params = LinkedParams(base=GddParams(v, k, m, n, l1, l2), f=f, sigma=sigma, tau=tau, rho=rho)
-    blocks = [IncidenceMatrix(IntMatrix.view(read_matrix(lines)), m, n).mat.lane for _ in range(f * (f - 1))]
+    blocks = [incidence(read_matrix(lines), m, n) for _ in range(f * (f - 1))]
     lines.done()
     return LinkedSystemII(params, np.stack(blocks))
 
