@@ -130,11 +130,10 @@ def wall_times(pairs: list[tuple[dict, dict]]) -> dict | None:
     if not pairs or any(res.get("wall") is None for pair in pairs for res in pair):
         return None
 
-    def winner(pair, value) -> int:  # 1 when the change is lower, -1 when the parent is, 0 on a tie
-        parent, change = (value(res) for res in pair)
+    def winner(parent: float, change: float) -> int:  # 1 when the change is lower, -1 when the parent is, 0 on a tie
         return (parent > change) - (parent < change)
 
-    inverted = sum(winner(pair, lambda res: res["wall"]) != winner(pair, lambda res: res["metrics"]["pass_s"]) for pair in pairs)
+    inverted = sum(winner(p["wall"], c["wall"]) != winner(p["metrics"]["pass_s"], c["metrics"]["pass_s"]) for p, c in pairs)
     parent, change = (statistics.median(pair[side]["wall"] for pair in pairs) for side in (0, 1))
     return {"parent": parent, "change": change, "inverted": inverted}
 
